@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint vet-sarif test race chaos verify fuzz bench cover clean
+.PHONY: check build vet lint vet-sarif test race chaos verify wire-smoke fuzz bench cover clean
 
-check: build vet lint race chaos verify
+check: build vet lint race chaos verify wire-smoke
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,19 @@ verify:
 	"$$tmp/hbspk-worker" -connect "unix:$$tmp/coord.sock" -pid 1 -nprocs 3 & w1=$$!; \
 	"$$tmp/hbspk-worker" -connect "unix:$$tmp/coord.sock" -pid 2 -nprocs 3 & w2=$$!; \
 	wait "$$c" && wait "$$w1" && wait "$$w2"
+
+# wire-smoke runs one second of the wall-clock benchmark over each
+# socket transport — the all-to-all superstep on unix, the collective
+# rounds on TCP, every output checked against its oracle. A non-zero
+# exit or a single failed operation fails the step. check.sh invokes
+# this target rather than repeating it.
+wire-smoke:
+	@for w in sync_unix coll_tcp; do \
+		out=$$($(GO) run ./benchmark -workload $$w -seconds 1) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1 | grep -q '"failed":0[,}]' || \
+			{ echo "$$out"; echo "wire-smoke: $$w reported failed operations" >&2; exit 1; }; \
+		echo "wire-smoke: $$w ok"; \
+	done
 
 # bench runs the pvm fabric microbenchmarks at a fixed iteration count
 # (comparable across runs) plus the figure benchmarks, then emits

@@ -1,7 +1,8 @@
 #!/bin/sh
-# The CI gate, runnable without make: build, go vet, the hbspk-vet model
-# lint suite, the tests under the race detector, the seeded chaos smoke,
-# and a short fuzz pass over the pvm wire format.
+# The CI gate: build, go vet, the hbspk-vet model lint suite, the tests
+# under the race detector, the seeded chaos smoke, and a short fuzz pass
+# over the pvm wire format. Runnable without make but for the wire
+# smoke, which is defined once, in the Makefile.
 set -eux
 
 # `./check.sh smoke` is the quick pre-push gate: build everything, run
@@ -134,6 +135,10 @@ rm -rf "$mptmp"
 elapsed=$(( $(date +%s) - start ))
 echo "multi-process transport smoke wall time: ${elapsed}s (budget 30s)"
 [ "$elapsed" -le 30 ]
+
+# Wire smoke (DESIGN.md §5.10): a second of the benchmark's supersteps
+# over the unix transport and of its collectives over TCP, oracles on.
+"${MAKE:-make}" wire-smoke
 
 # Coverage floor: total statement coverage must not drop below the
 # baseline recorded in bench/coverage_baseline.txt.

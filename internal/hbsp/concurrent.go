@@ -3,6 +3,7 @@ package hbsp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -147,6 +148,7 @@ type cctx struct {
 	// syncSeq counts this processor's syncs per scope so that senders
 	// and receivers agree on a message tag per (scope, generation).
 	syncSeq map[*model.Machine]int
+	scopeID map[*model.Machine]int // wireTag's cache of the shared scope ids
 	// ord counts this processor's Sync calls across all scopes: the
 	// chaos plan's per-processor step ordinal.
 	ord int
@@ -734,13 +736,17 @@ func (c *cctx) Send(dst, tag int, payload []byte) error {
 // messages of different supersteps never mix. User tags must fit 8
 // bits; generations wrap within 20 bits, far beyond any real run.
 func (c *cctx) wireTag(scope *model.Machine, gen, userTag int) int {
-	c.shared.mu.Lock()
-	id, ok := c.shared.scopeID[scope]
+	// Scope ids never change: only a first use goes to the shared table.
+	id, ok := c.scopeID[scope]
 	if !ok {
-		id = len(c.shared.scopeID) + 1
-		c.shared.scopeID[scope] = id
+		c.shared.mu.Lock()
+		if id, ok = c.shared.scopeID[scope]; !ok {
+			id = len(c.shared.scopeID) + 1
+			c.shared.scopeID[scope] = id
+		}
+		c.shared.mu.Unlock()
+		c.scopeID[scope] = id
 	}
-	c.shared.mu.Unlock()
 	return id<<28 | (gen&0xFFFFF)<<8 | (userTag & 0xFF)
 }
 
@@ -870,22 +876,28 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		members[i] = c.eng.tree.Pid(l)
 	}
 
-	// One mailbox append per destination, in pid order: the whole
-	// superstep's traffic to a peer lands under a single lock
-	// acquisition.
+	// One post per destination, in pid order — the whole superstep's
+	// traffic to a peer lands under a single lock acquisition — then one
+	// Flush: the superstep waits once for all of it to be observable.
 	sort.Ints(c.touched)
+	tag := c.wireTag(scope, gen, 0)
 	var sendErr error
-	lostDst := -1
 	for _, dst := range c.touched {
 		if sendErr == nil {
-			if sendErr = c.task.SendBatch(c.tids[dst], c.wireTag(scope, gen, 0), c.batch[dst]); sendErr != nil && errors.Is(sendErr, pvm.ErrPeerLost) {
-				lostDst = dst
-			}
+			sendErr = c.task.SendBatch(c.tids[dst], tag, c.batch[dst])
 		}
 		c.batch[dst] = c.batch[dst][:0]
 	}
 	c.touched = c.touched[:0]
+	if sendErr == nil {
+		sendErr = c.task.Flush()
+	}
 	if sendErr != nil {
+		lostDst := -1
+		var de *pvm.DeliveryError
+		if errors.Is(sendErr, pvm.ErrPeerLost) && errors.As(sendErr, &de) {
+			lostDst = slices.Index(c.tids, de.Dst)
+		}
 		if lostDst >= 0 && lostDst != c.pid {
 			// A severed wire link is a detected peer failure: run the
 			// same shrink protocol as a crash, so every survivor of the
@@ -989,7 +1001,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		}
 		return err
 	}
-	msgs := c.task.TryRecvAll(pvm.AnySource, c.wireTag(scope, gen, 0))
+	msgs := c.task.TryRecvAll(pvm.AnySource, tag)
 	slabCap := 0
 	for _, m := range msgs {
 		slabCap += m.Len()
@@ -1565,6 +1577,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				task:    t,
 				tids:    tids,
 				syncSeq: make(map[*model.Machine]int),
+				scopeID: make(map[*model.Machine]int),
 				shared:  shared,
 			}
 			if gate != nil {

@@ -103,7 +103,12 @@ func (s *System) Spawn(name string, fn func(*Task) error) TID {
 				s.report(fmt.Errorf("pvm: task %d (%s) panicked: %v", tid, name, r))
 			}
 		}()
-		if err := fn(t); err != nil {
+		err := fn(t)
+		// A returning task's posted sends must not fail silently.
+		if ferr := t.Flush(); err == nil {
+			err = ferr
+		}
+		if err != nil {
 			s.report(fmt.Errorf("pvm: task %d (%s): %w", tid, name, err))
 		}
 	}()
@@ -313,6 +318,17 @@ func (t *Task) Mcast(dsts []TID, tag int, buf *Buffer) error {
 	return nil
 }
 
+// Flush returns once every message this task has sent is observable by
+// its destination's receives, or with the first failure among them
+// (Transport.Flush; in-proc sends are observable when they return).
+// Barriers and task exit flush on their own.
+func (t *Task) Flush() error {
+	if tr := t.sys.transport; tr != nil {
+		return tr.Flush(t.tid)
+	}
+	return nil
+}
+
 // Recv blocks until a message matching src and tag (either may be a
 // wildcard) is available and removes it from the mailbox. Matching
 // respects arrival order among matching messages.
@@ -499,10 +515,14 @@ func (t *Task) BarrierTimeout(name string, count int, d time.Duration) error {
 // a second round of messaging. Deposits are copied on entry, so the
 // caller may reuse its buffer immediately. A withdrawn (timed-out)
 // arrival takes its deposit with it; CancelBarrier discards the
-// pending round's deposits.
+// pending round's deposits. The task's sends are flushed before it
+// arrives, so whatever it sent is receivable once the barrier exits.
 func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("pvm: barrier %q with count %d", name, count)
+	}
+	if err := t.Flush(); err != nil {
+		return nil, err
 	}
 	s := t.sys
 	s.mu.Lock()

@@ -2,6 +2,7 @@ package pvm
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -11,6 +12,17 @@ import (
 // a detected crash, so a dead wire degrades a run instead of hanging it.
 var ErrPeerLost = errors.New("pvm: transport peer lost")
 
+// DeliveryError is how a transport reports a batch it could not make
+// observable: Dst is the destination of the first such batch, Err the
+// typed cause (ErrPeerLost, ErrTimeout, ErrHalted, ...).
+type DeliveryError struct {
+	Dst TID
+	Err error
+}
+
+func (e *DeliveryError) Error() string { return fmt.Sprintf("deliver to %d: %v", e.Dst, e.Err) }
+func (e *DeliveryError) Unwrap() error { return e.Err }
+
 // Transport abstracts the message plane under a System. The nil
 // transport is the in-proc fast path: deliveries go straight into the
 // destination's indexed mailbox with zero copies and pooled backing.
@@ -19,13 +31,16 @@ var ErrPeerLost = errors.New("pvm: transport peer lost")
 // getting them into the destination mailbox (for a wire transport, via
 // System.Inject on the receiving side).
 //
-// Contract:
+// Contract (post, then flush — as pvm_send returns when the buffer is
+// reusable, not when the peer has the message):
 //
-//   - Deliver must be synchronous: it must not return success before
-//     every message in the batch is observable by the destination's
-//     receive operations. The engines rely on "all sends of a superstep
-//     happen before any barrier exit", so a transport that buffers
-//     without acknowledgement would break barrier-delimited delivery.
+//   - Deliver posts: it may return before the batch is observable by the
+//     destination's receive operations. One batch has one Src.
+//   - Flush(src) returns once every batch src has posted is observable,
+//     or with the first failure among them as a *DeliveryError. The
+//     engines rely on "all sends of a superstep happen before any
+//     barrier exit"; Task.BarrierExchange and task exit flush, so that
+//     holds by construction and no posted failure is dropped.
 //   - Deliver consumes the batch: each message's wire reference is owned
 //     by the transport from the moment Deliver is called, on success and
 //     on error alike (release after copying to the wire, or transfer to
@@ -33,16 +48,18 @@ var ErrPeerLost = errors.New("pvm: transport peer lost")
 //   - Per-sender FIFO: two Deliver calls from the same task to the same
 //     destination must stage in call order.
 //   - Errors map into the pvm taxonomy: a severed link wraps
-//     ErrPeerLost, an acknowledgement deadline wraps ErrTimeout, and a
-//     halted destination system surfaces ErrHalted.
+//     ErrPeerLost, a flush deadline wraps ErrTimeout, and a halted
+//     destination system surfaces ErrHalted.
 type Transport interface {
 	// Name identifies the transport flavor ("inproc", "unix", "tcp").
 	Name() string
 	// Attach binds the transport to the System whose tasks it will
 	// carry. Called once by SetTransport before any task is spawned.
 	Attach(sys *System) error
-	// Deliver carries a batch of already-adopted messages to dst.
+	// Deliver posts a batch of already-adopted messages to dst.
 	Deliver(dst TID, ms []Message) error
+	// Flush waits until everything src posted is observable.
+	Flush(src TID) error
 	// Close tears the transport down (listeners, connections, pumps).
 	Close() error
 }

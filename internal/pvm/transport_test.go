@@ -23,6 +23,7 @@ type loopTransport struct {
 func (lt *loopTransport) Name() string             { return "loop" }
 func (lt *loopTransport) Attach(sys *System) error { lt.sys = sys; return nil }
 func (lt *loopTransport) Close() error             { return nil }
+func (lt *loopTransport) Flush(TID) error          { return nil } // Deliver injects before it returns
 
 func (lt *loopTransport) Deliver(dst TID, ms []Message) error {
 	lt.mu.Lock()
@@ -142,6 +143,145 @@ func TestTransportMcastConsumesRefsOnError(t *testing.T) {
 	// and no leak-induced hang.
 	sys.Halt()
 	_ = sys.Wait()
+}
+
+// postTransport is a conforming Transport of the posting kind: Deliver
+// only queues the batch under its sender, and nothing is observable
+// until that sender's Flush injects its queue — or fails with failWith.
+type postTransport struct {
+	loopTransport
+	posted   map[TID][]func() error
+	failWith error
+}
+
+func (pt *postTransport) Deliver(dst TID, ms []Message) error {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if pt.posted == nil {
+		pt.posted = make(map[TID][]func() error)
+	}
+	for _, m := range ms {
+		wire := append([]byte(nil), m.Buffer().Bytes()...)
+		src, tag := m.Src, m.Tag
+		m.Release()
+		pt.posted[src] = append(pt.posted[src], func() error { return pt.sys.Inject(src, dst, tag, wire) })
+	}
+	return nil
+}
+
+func (pt *postTransport) Flush(src TID) error {
+	pt.mu.Lock()
+	posted := pt.posted[src]
+	delete(pt.posted, src)
+	pt.mu.Unlock()
+	if len(posted) > 0 && pt.failWith != nil {
+		return pt.failWith
+	}
+	for _, inject := range posted {
+		if err := inject(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func TestPostedSendsLandByFlushAndBarrier(t *testing.T) {
+	sys := NewSystem()
+	if err := sys.SetTransport(&postTransport{}); err != nil {
+		t.Fatalf("SetTransport: %v", err)
+	}
+	const n = 5
+	posted, probed := make(chan struct{}), make(chan struct{})
+	recv := sys.Spawn("recv", func(task *Task) error {
+		<-posted
+		if task.Probe(AnySource, AnyTag) {
+			t.Error("posted sends observable before any Flush")
+		}
+		close(probed)
+		// Round 1: the sender flushes itself, then enters the barrier.
+		// Round 2: it only enters the barrier, which must flush for it.
+		for round := 1; round <= 2; round++ {
+			if err := task.Barrier("round", 2); err != nil {
+				return err
+			}
+			msgs := task.TryRecvAll(AnySource, round)
+			for i, m := range msgs {
+				if v, _ := m.Buffer().UnpackInt64(); v != int64(i) {
+					t.Errorf("round %d message %d carries %d: per-sender FIFO broken", round, i, v)
+				}
+				m.Release()
+			}
+			if len(msgs) != n {
+				t.Errorf("round %d: %d messages visible at barrier exit, want %d", round, len(msgs), n)
+			}
+		}
+		return nil
+	})
+	sys.Spawn("send", func(task *Task) error {
+		for round := 1; round <= 2; round++ {
+			for i := 0; i < n; i++ {
+				if err := task.Send(recv, round, NewBuffer().PackInt64(int64(i))); err != nil {
+					return err
+				}
+			}
+			if round == 1 {
+				close(posted)
+				<-probed
+				if err := task.Flush(); err != nil {
+					return err
+				}
+			}
+			if err := task.Barrier("round", 2); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+}
+
+func TestPostedFailureSurfaces(t *testing.T) {
+	// A failure of a posted send comes back from Flush and from a
+	// barrier, and a task that simply returns hands it to Wait.
+	for _, via := range []string{"flush", "barrier", "exit"} {
+		t.Run(via, func(t *testing.T) {
+			sys := NewSystem()
+			lost := &DeliveryError{Dst: 0, Err: ErrPeerLost}
+			if err := sys.SetTransport(&postTransport{failWith: lost}); err != nil {
+				t.Fatalf("SetTransport: %v", err)
+			}
+			hold := make(chan struct{})
+			recv := sys.Spawn("recv", func(*Task) error { <-hold; return nil })
+			sys.Spawn("send", func(task *Task) error {
+				defer close(hold)
+				if err := task.Send(recv, 1, NewBuffer().PackInt32(1)); err != nil {
+					return err
+				}
+				switch via {
+				case "flush":
+					return task.Flush()
+				case "barrier":
+					return task.Barrier("alone", 1)
+				}
+				return nil
+			})
+			err := sys.Wait()
+			var de *DeliveryError
+			if !errors.Is(err, ErrPeerLost) || !errors.As(err, &de) || de.Dst != recv {
+				t.Fatalf("Wait = %v, want ErrPeerLost naming task %d", err, recv)
+			}
+		})
+	}
+}
+
+func TestFlushWithoutTransport(t *testing.T) {
+	sys := NewSystem()
+	sys.Spawn("solo", func(task *Task) error { return task.Flush() })
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("in-proc Flush = %v, want nil", err)
+	}
 }
 
 func TestInjectUnknownTask(t *testing.T) {

@@ -2,11 +2,16 @@ package wiretrans
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
 	"time"
+
+	"hbspk/internal/pvm"
+	"hbspk/internal/testutil"
 )
 
 // chunkConn is a net.Conn test double that fragments traffic: Reads
@@ -141,5 +146,102 @@ func TestHandshakeOverChunkedConn(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("dialer: %v", err)
+	}
+}
+
+// ackProbeConn is the pump's side of a chunkConn that also keeps the
+// pump's books: the batch frames it has read in full (all of frameLen
+// bytes) against the ack frames it has written, and how often it went
+// back to read while behind.
+type ackProbeConn struct {
+	chunkConn
+	frameLen                   int
+	read, acks, writes, behind int
+}
+
+func (c *ackProbeConn) Read(p []byte) (int, error) {
+	if c.read/c.frameLen > c.acks {
+		c.behind++
+	}
+	n, err := c.chunkConn.Read(p)
+	c.read += n
+	return n, err
+}
+
+func (c *ackProbeConn) Write(p []byte) (int, error) {
+	c.writes++
+	for q := p; len(q) >= frameHeader; q = q[frameHeader+int(binary.BigEndian.Uint32(q)):] {
+		c.acks++
+	}
+	return c.chunkConn.Write(p)
+}
+
+func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
+	// A burst of batches in one write. Read a byte at a time the pump
+	// never holds a whole next frame, so every ack goes out on its own
+	// before the next read; read whole, the burst is acked in one write.
+	// Either way it never reads from the socket while it owes an ack.
+	const burst = 8
+	for _, tc := range []struct {
+		name                string
+		maxRead, wantWrites int
+	}{{"byte reads", 1, burst}, {"whole reads", 0, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			sys := pvm.NewSystem()
+			hold := make(chan struct{})
+			recv := sys.Spawn("recv", func(task *pvm.Task) error {
+				<-hold
+				if n := len(task.TryRecvAll(pvm.AnySource, 4)); n != burst {
+					return fmt.Errorf("%d messages injected, want %d", n, burst)
+				}
+				return nil
+			})
+			var frames []byte
+			for seq := int64(1); seq <= burst; seq++ {
+				body := pvm.Wrap(nil).PackInt64(seq).PackInt32(int32(recv), 1).
+					PackInt32(7).PackInt64(4).PackBytes([]byte("payload"))
+				frames = AppendFrame(frames, frameBatch, body.Bytes())
+			}
+
+			lb, err := NewLoopback("unix")
+			if err != nil {
+				t.Fatalf("NewLoopback: %v", err)
+			}
+			lb.sys = sys
+			a, b := net.Pipe()
+			_ = a.SetDeadline(time.Now().Add(10 * time.Second))
+			probe := &ackProbeConn{chunkConn: chunkConn{Conn: b, maxRead: tc.maxRead}, frameLen: len(frames) / burst}
+			lb.wg.Add(1)
+			go lb.serverPump(&link{conn: probe, transport: "test"})
+			go func() { _, _ = a.Write(frames) }()
+
+			var scratch []byte
+			for seq := int64(1); seq <= burst; seq++ {
+				kind, body, next, _, err := ReadFrame(a, scratch)
+				if err != nil {
+					t.Fatalf("ack %d: %v", seq, err)
+				}
+				scratch = next
+				ack := pvm.Wrap(body)
+				got, _ := ack.UnpackInt64()
+				code, _ := ack.UnpackInt32()
+				if kind != frameAck || got != seq || code != ackOK {
+					t.Fatalf("ack %d: kind %d seq %d code %d", seq, kind, got, code)
+				}
+			}
+			_ = a.Close()
+			lb.wg.Wait() // the pump is done with the probe
+			close(hold)
+			if err := sys.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if probe.behind != 0 {
+				t.Fatalf("pump went to read %d times while it owed acks", probe.behind)
+			}
+			if probe.acks != burst || probe.writes != tc.wantWrites {
+				t.Fatalf("%d acks in %d writes, want %d in %d", probe.acks, probe.writes, burst, tc.wantWrites)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@
 package wiretrans
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,6 +62,25 @@ func AppendFrame(dst []byte, kind byte, body []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(1+len(body)))
 	dst = append(dst, kind)
 	return append(dst, body...)
+}
+
+// beginFrame appends a frame header with the length left open, for a
+// body packed in place behind it; endFrame patches the length of the
+// frame that starts at dst[start]. One pass, no second copy of the body.
+func beginFrame(dst []byte, kind byte) []byte { return append(dst, 0, 0, 0, 0, kind) }
+
+func endFrame(dst []byte, start int) {
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeader))
+}
+
+// frameBuffered reports whether br already holds a complete frame, so
+// that reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < frameHeader {
+		return false
+	}
+	hdr, _ := br.Peek(frameHeader)
+	return int64(br.Buffered()) >= frameHeader+int64(binary.BigEndian.Uint32(hdr))
 }
 
 // ReadFrame reads one frame from r into buf (grown as needed) and

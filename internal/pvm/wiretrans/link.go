@@ -1,6 +1,7 @@
 package wiretrans
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -43,18 +44,27 @@ type link struct {
 	conn      net.Conn
 	transport string // metrics label: "unix" or "tcp"
 
-	wmu sync.Mutex
+	wmu     sync.Mutex
+	scratch []byte // frame being encoded in place, guarded by wmu
 }
 
 func (l *link) writeFrame(kind byte, body []byte) error {
-	frame := AppendFrame(nil, kind, body)
 	l.wmu.Lock()
-	_, err := l.conn.Write(frame)
-	l.wmu.Unlock()
-	if err != nil {
+	defer l.wmu.Unlock()
+	return l.writeLocked(AppendFrame(nil, kind, body))
+}
+
+// writeLocked hands whole encoded frames to a single Write. The caller
+// holds wmu.
+func (l *link) writeLocked(frames []byte) error {
+	if _, err := l.conn.Write(frames); err != nil {
 		return fmt.Errorf("wiretrans: write %s frame: %w: %w", l.transport, pvm.ErrPeerLost, err)
 	}
-	observeFrame(l.transport, true, len(frame))
+	for len(frames) > 0 {
+		n := frameHeader + int(binary.BigEndian.Uint32(frames))
+		observeFrame(l.transport, true, n)
+		frames = frames[n:]
+	}
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package wiretrans
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -20,12 +22,6 @@ func init() {
 	}})
 }
 
-// ackResult is one BATCH acknowledgement.
-type ackResult struct {
-	code   int32
-	detail string
-}
-
 // Ack codes.
 const (
 	ackOK int32 = iota
@@ -43,9 +39,11 @@ const (
 // connection failure modes, which is exactly what the conformance and
 // chaos suites need to exercise.
 //
-// Deliver is synchronous: it returns only after the server pump has
-// injected the whole batch and acked it, preserving the engines'
-// "all sends of a superstep happen before barrier exit" contract.
+// Deliver posts: it writes the framed batch through and returns. Flush
+// is the one wait, until the server pump has injected and acked all the
+// sender posted — the engines' "all sends of a superstep happen before
+// barrier exit" at one wake-up per superstep. Nothing queues in user
+// space: a slow pump pushes back through the socket buffer.
 type Loopback struct {
 	network string // "unix" or "tcp"
 	sys     *pvm.System
@@ -54,23 +52,36 @@ type Loopback struct {
 	dir string // unix socket directory, removed on Close
 	cli *link  // client side: Deliver writes, ack reader reads
 
-	seqMu sync.Mutex
-	seq   int64
-	acks  map[int64]chan ackResult
+	// mu guards the post/ack accounting. It nests inside cli.wmu and is
+	// never held across a socket operation.
+	seq     int64 // last batch number; guarded by cli.wmu, not mu
+	mu      sync.Mutex
+	pending []post // un-acked batches in wire order, from head on
+	head    int
+	senders map[pvm.TID]*sender
+	failErr error // set once the link is gone: what deliveries fail with
 
-	// AckTimeout bounds one Deliver round trip. The default is generous:
-	// on loopback an ack is microseconds away, so expiry means the pump
-	// died, not congestion.
+	// AckTimeout bounds one Flush. The default is generous: on loopback
+	// an ack is microseconds away, so expiry means the pump died, not
+	// congestion, and fails the link.
 	AckTimeout time.Duration
-
-	closeOnce sync.Once
-	closed    chan struct{}
-	failMu    sync.Mutex
-	failErr   error
-	wg        sync.WaitGroup
+	wg         sync.WaitGroup
 
 	sevMu      sync.Mutex
 	severAfter int64 // server frames until abrupt close; <0 = never
+}
+
+// post is one batch on the wire awaiting its ack.
+type post struct {
+	seq      int64
+	src, dst pvm.TID
+}
+
+// sender is one task's view of the link.
+type sender struct {
+	outstanding int        // posts not yet acked
+	err         error      // first failure among its posts since its last Flush
+	idle        *sync.Cond // on Loopback.mu; signalled when outstanding hits zero
 }
 
 // NewLoopback returns an unattached loopback transport over the given
@@ -84,9 +95,8 @@ func NewLoopback(network string) (*Loopback, error) {
 	}
 	return &Loopback{
 		network:    network,
-		acks:       make(map[int64]chan ackResult),
+		senders:    make(map[pvm.TID]*sender),
 		AckTimeout: 30 * time.Second,
-		closed:     make(chan struct{}),
 		severAfter: -1,
 	}, nil
 }
@@ -192,79 +202,132 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 }
 
 // Deliver implements pvm.Transport. It consumes the batch's wire
-// references (copying each payload into the frame), writes one
-// coalesced BATCH frame, and blocks until the server pump acks it.
+// references (packing each payload straight into the link's frame
+// scratch) and writes one coalesced BATCH frame; Flush collects the
+// ack. Under the write lock, so the pending queue is in wire order.
 func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
-	l.seqMu.Lock()
+	if len(ms) == 0 {
+		return nil
+	}
+	c := l.cli
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	l.seq++
-	seq := l.seq
-	ch := make(chan ackResult, 1)
-	l.acks[seq] = ch
-	l.seqMu.Unlock()
-
-	body := pvm.Wrap(nil).
-		PackInt64(seq).
+	body := pvm.Wrap(beginFrame(c.scratch[:0], frameBatch)).
+		PackInt64(l.seq).
 		PackInt32(int32(dst), int32(len(ms)))
 	for _, m := range ms {
 		body.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytes(m.Buffer().Bytes())
 		m.Release()
 	}
-
-	if err := l.cli.writeFrame(frameBatch, body.Bytes()); err != nil {
-		l.dropAck(seq)
-		if ferr := l.failedErr(); ferr != nil {
-			return ferr
-		}
-		return err
+	c.scratch = body.Bytes()
+	endFrame(c.scratch, 0)
+	src := ms[0].Src
+	l.mu.Lock()
+	if err := l.failErr; err != nil {
+		l.mu.Unlock()
+		return &pvm.DeliveryError{Dst: dst, Err: err}
 	}
-
-	timer := time.NewTimer(l.AckTimeout)
-	defer timer.Stop()
-	select {
-	case ack := <-ch:
-		switch ack.code {
-		case ackOK:
-			return nil
-		case ackHalted:
-			return pvm.ErrHalted
-		case ackNoTask:
-			return fmt.Errorf("wiretrans: deliver to %d: %s", dst, ack.detail)
-		default:
-			return fmt.Errorf("%w: deliver to %d: %s", ErrBadFrame, dst, ack.detail)
-		}
-	case <-l.closed:
-		l.dropAck(seq)
-		if ferr := l.failedErr(); ferr != nil {
-			return ferr
-		}
-		return fmt.Errorf("wiretrans: %s transport closed: %w", l.network, pvm.ErrPeerLost)
-	case <-timer.C:
-		l.dropAck(seq)
-		return fmt.Errorf("wiretrans: %s ack after %v: %w", l.network, l.AckTimeout, pvm.ErrTimeout)
+	s := l.senders[src]
+	if s == nil {
+		s = &sender{idle: sync.NewCond(&l.mu)}
+		l.senders[src] = s
 	}
+	s.outstanding++
+	l.pending = append(l.pending, post{seq: l.seq, src: src, dst: dst})
+	l.mu.Unlock()
+	if err := c.writeLocked(c.scratch); err != nil {
+		// A link that cannot be written is lost; the post fails with
+		// the rest of the queue and surfaces at the sender's Flush.
+		l.fail(err)
+	}
+	return nil
 }
 
-func (l *Loopback) dropAck(seq int64) {
-	l.seqMu.Lock()
-	delete(l.acks, seq)
-	l.seqMu.Unlock()
+// Flush implements pvm.Transport: it parks until every batch src posted
+// is acked or failed — which AckTimeout sees to, by failing the link —
+// and returns the first failure among them.
+func (l *Loopback) Flush(src pvm.TID) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.senders[src]
+	if s == nil {
+		return nil
+	}
+	if s.outstanding > 0 {
+		timer := time.AfterFunc(l.AckTimeout, func() {
+			l.fail(fmt.Errorf("wiretrans: %s ack after %v: %w", l.network, l.AckTimeout, pvm.ErrTimeout))
+		})
+		defer timer.Stop()
+		for s.outstanding > 0 {
+			s.idle.Wait()
+		}
+	}
+	err := s.err
+	s.err = nil
+	return err
+}
+
+// acked settles the batch at the head of the pending queue. Acks come
+// back in wire order, so any other seq is a protocol violation.
+func (l *Loopback) acked(seq int64, code int32, detail string) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.head == len(l.pending) || l.pending[l.head].seq != seq {
+		return fmt.Errorf("%w: ack for batch %d is not the oldest pending", ErrBadFrame, seq)
+	}
+	p := l.pending[l.head]
+	if l.head++; l.head == len(l.pending) {
+		l.pending, l.head = l.pending[:0], 0
+	}
+	s := l.senders[p.src]
+	if code != ackOK && s.err == nil {
+		var cause error
+		switch code {
+		case ackHalted:
+			cause = pvm.ErrHalted
+		case ackNoTask:
+			cause = fmt.Errorf("wiretrans: %s", detail)
+		default:
+			cause = fmt.Errorf("%w: %s", ErrBadFrame, detail)
+		}
+		s.err = &pvm.DeliveryError{Dst: p.dst, Err: cause}
+	}
+	if s.outstanding--; s.outstanding == 0 {
+		s.idle.Broadcast()
+	}
+	return nil
 }
 
 // serverPump reads BATCH frames, injects their messages into the
-// destination mailbox, and writes the ack. It also implements Sever:
-// when the armed frame budget runs out, both connections are torn down
-// abruptly, mid-protocol, with no goodbye — the failure mode the
-// abrupt-close chaos test exercises.
+// destination mailbox, and acks them: one ack frame per batch, buffered
+// and written with one Write once no complete next frame is buffered —
+// it never parks in a read owing acks, and a burst costs one syscall.
+// It also implements Sever: when the armed frame budget runs out, both
+// connections are torn down abruptly, mid-protocol, with no goodbye —
+// the failure mode the abrupt-close chaos test exercises.
 func (l *Loopback) serverPump(srv *link) {
 	defer l.wg.Done()
 	defer func() { _ = srv.close() }()
-	var scratch []byte
+	br := bufio.NewReader(srv.conn)
+	var scratch, acks []byte
 	for {
-		kind, body, next, err := srv.readFrame(scratch)
+		if len(acks) > 0 && !frameBuffered(br) {
+			srv.wmu.Lock()
+			err := srv.writeLocked(acks)
+			srv.wmu.Unlock()
+			if err != nil {
+				l.fail(err)
+				return
+			}
+			acks = acks[:0]
+		}
+		kind, body, next, n, err := ReadFrame(br, scratch)
 		if err != nil {
 			l.fail(fmt.Errorf("wiretrans: %s server: %w: %v", l.network, pvm.ErrPeerLost, err))
 			return
 		}
+		observeFrame(l.network, false, n)
 		scratch = next
 		if kind != frameBatch {
 			l.fail(fmt.Errorf("%w: server got kind %d", ErrBadFrame, kind))
@@ -276,11 +339,9 @@ func (l *Loopback) serverPump(srv *link) {
 			return
 		}
 		seq, code, detail := l.injectBatch(body)
-		ackBody := pvm.Wrap(nil).PackInt64(seq).PackInt32(code).PackString(detail)
-		if err := srv.writeFrame(frameAck, ackBody.Bytes()); err != nil {
-			l.fail(err)
-			return
-		}
+		start := len(acks)
+		acks = pvm.Wrap(beginFrame(acks, frameAck)).PackInt64(seq).PackInt32(code).PackString(detail).Bytes()
+		endFrame(acks, start)
 	}
 }
 
@@ -313,7 +374,7 @@ func (l *Loopback) injectBatch(body []byte) (seq int64, code int32, detail strin
 			return seq, ackBad, err.Error()
 		}
 		if err := l.sys.Inject(pvm.TID(src), pvm.TID(dst), int(tag), wire); err != nil {
-			if err == pvm.ErrHalted {
+			if errors.Is(err, pvm.ErrHalted) {
 				return seq, ackHalted, ""
 			}
 			return seq, ackNoTask, err.Error()
@@ -322,16 +383,18 @@ func (l *Loopback) injectBatch(body []byte) (seq int64, code int32, detail strin
 	return seq, ackOK, ""
 }
 
-// ackReader completes pending Delivers as acks come back.
+// ackReader settles posted batches as their acks come back.
 func (l *Loopback) ackReader() {
 	defer l.wg.Done()
+	br := bufio.NewReader(l.cli.conn)
 	var scratch []byte
 	for {
-		kind, body, next, err := l.cli.readFrame(scratch)
+		kind, body, next, n, err := ReadFrame(br, scratch)
 		if err != nil {
 			l.fail(fmt.Errorf("wiretrans: %s ack reader: %w: %v", l.network, pvm.ErrPeerLost, err))
 			return
 		}
+		observeFrame(l.network, false, n)
 		scratch = next
 		if kind != frameAck {
 			l.fail(fmt.Errorf("%w: ack reader got kind %d", ErrBadFrame, kind))
@@ -349,18 +412,16 @@ func (l *Loopback) ackReader() {
 			return
 		}
 		detail, _ := b.UnpackString()
-		l.seqMu.Lock()
-		ch := l.acks[seq]
-		delete(l.acks, seq)
-		l.seqMu.Unlock()
-		if ch != nil {
-			ch <- ackResult{code: code, detail: detail}
+		if err := l.acked(seq, code, detail); err != nil {
+			l.fail(err)
+			return
 		}
 	}
 }
 
 // Sever arms an abrupt connection teardown after n more delivered
-// frames (0 = at the next frame). Subsequent Delivers fail with
+// frames (0 = at the next frame). Batches still un-acked then fail at
+// their sender's Flush, and later Delivers at once, with
 // pvm.ErrPeerLost, which the engines detect as a peer failure.
 func (l *Loopback) Sever(n int64) {
 	l.sevMu.Lock()
@@ -383,27 +444,35 @@ func (l *Loopback) countSever() bool {
 	return false
 }
 
-// fail latches the first terminal error, tears down the connections,
-// and unblocks every pending Deliver.
+// fail latches the first terminal error (nil: a graceful Close), fails
+// every pending batch with it (each sender learns of its oldest one),
+// wakes every Flush and tears down the connections.
 func (l *Loopback) fail(err error) {
-	l.closeOnce.Do(func() {
-		l.failMu.Lock()
-		l.failErr = err
-		l.failMu.Unlock()
-		close(l.closed)
-		if l.cli != nil {
-			_ = l.cli.close()
+	l.mu.Lock()
+	if l.failErr != nil {
+		l.mu.Unlock()
+		return
+	}
+	if l.failErr = err; err == nil {
+		l.failErr = fmt.Errorf("wiretrans: %s transport closed: %w", l.network, pvm.ErrPeerLost)
+	}
+	for _, p := range l.pending[l.head:] {
+		if s := l.senders[p.src]; s.err == nil {
+			s.err = &pvm.DeliveryError{Dst: p.dst, Err: l.failErr}
 		}
-		if l.ln != nil {
-			_ = l.ln.Close()
-		}
-	})
-}
-
-func (l *Loopback) failedErr() error {
-	l.failMu.Lock()
-	defer l.failMu.Unlock()
-	return l.failErr
+	}
+	l.pending, l.head = nil, 0
+	for _, s := range l.senders {
+		s.outstanding = 0
+		s.idle.Broadcast()
+	}
+	l.mu.Unlock()
+	if l.cli != nil {
+		_ = l.cli.close()
+	}
+	if l.ln != nil {
+		_ = l.ln.Close()
+	}
 }
 
 // Close implements pvm.Transport: a graceful teardown (nil failure).

@@ -3,6 +3,8 @@ package wiretrans
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +136,9 @@ func TestLoopbackBarrierDeliveryContract(t *testing.T) {
 }
 
 func TestLoopbackSeverFailsDelivers(t *testing.T) {
+	// A link severed under a posted batch fails it at Flush: typed,
+	// naming its destination, and promptly (no ack-timeout stall). Later
+	// sends fail at once.
 	testutil.CheckGoroutines(t)
 	tr, err := NewLoopback("tcp")
 	if err != nil {
@@ -145,30 +150,241 @@ func TestLoopbackSeverFailsDelivers(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = tr.Close() })
 
-	errc := make(chan error, 1)
-	recv := sys.Spawn("recv", func(task *pvm.Task) error {
-		m, err := task.RecvTimeout(pvm.AnySource, 1, 10*time.Second)
-		if err == nil {
-			m.Release()
-		}
-		return nil
-	})
+	hold := make(chan struct{})
+	idle := func(*pvm.Task) error { <-hold; return nil }
+	first, second := sys.Spawn("first", idle), sys.Spawn("second", idle)
+	var flushErr, sendErr error
+	var took time.Duration
 	sys.Spawn("send", func(task *pvm.Task) error {
-		if err := task.Send(recv, 1, pvm.NewBuffer().PackInt32(1)); err != nil {
-			errc <- err
-			return nil
+		defer close(hold)
+		if err := task.Send(first, 1, pvm.NewBuffer().PackInt32(1)); err != nil {
+			return err
+		}
+		if err := task.Flush(); err != nil {
+			return err
 		}
 		tr.Sever(0)
-		// Every delivery after the sever must fail with the typed
-		// peer-lost error, promptly (no ack-timeout stall).
-		errc <- task.Send(recv, 1, pvm.NewBuffer().PackInt32(2))
+		if err := task.Send(second, 1, pvm.NewBuffer().PackInt32(2)); err != nil {
+			return err
+		}
+		start := time.Now()
+		flushErr = task.Flush()
+		took = time.Since(start)
+		sendErr = task.Send(first, 1, pvm.NewBuffer().PackInt32(3))
 		return nil
 	})
-	if err := <-errc; !errors.Is(err, pvm.ErrPeerLost) {
-		t.Fatalf("Send over severed link = %v, want pvm.ErrPeerLost", err)
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
-	sys.Halt()
-	_ = sys.Wait()
+	var de *pvm.DeliveryError
+	if !errors.Is(flushErr, pvm.ErrPeerLost) || !errors.As(flushErr, &de) || de.Dst != second {
+		t.Fatalf("Flush over severed link = %v, want pvm.ErrPeerLost naming task %d", flushErr, second)
+	}
+	if took > tr.AckTimeout/2 {
+		t.Fatalf("Flush took %v to notice the severed link", took)
+	}
+	if !errors.Is(sendErr, pvm.ErrPeerLost) {
+		t.Fatalf("Send over severed link = %v, want pvm.ErrPeerLost", sendErr)
+	}
+}
+
+func TestLoopbackPostFlushFIFO(t *testing.T) {
+	// The post/flush contract: once a sender's Flush has returned, all
+	// it posted is receivable without blocking, in the order it posted.
+	for _, network := range []string{"unix", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			tr, err := NewLoopback(network)
+			if err != nil {
+				t.Fatalf("NewLoopback: %v", err)
+			}
+			sys := pvm.NewSystem()
+			if err := sys.SetTransport(tr); err != nil {
+				t.Fatalf("SetTransport: %v", err)
+			}
+			t.Cleanup(func() { _ = tr.Close() })
+
+			const senders, posts = 3, 40
+			flushed := make(chan struct{}, senders)
+			recv := sys.Spawn("recv", func(task *pvm.Task) error {
+				for i := 0; i < senders; i++ {
+					<-flushed
+				}
+				next := make(map[pvm.TID]int64)
+				msgs := task.TryRecvAll(pvm.AnySource, 9)
+				for _, m := range msgs {
+					v, err := m.Buffer().UnpackInt64()
+					m.Release()
+					if err != nil {
+						return err
+					}
+					if v != next[m.Src] {
+						return fmt.Errorf("from task %d: got post %d, want %d", m.Src, v, next[m.Src])
+					}
+					next[m.Src]++
+				}
+				if len(msgs) != senders*posts {
+					return fmt.Errorf("%d messages visible after every Flush, want %d", len(msgs), senders*posts)
+				}
+				return nil
+			})
+			for i := 0; i < senders; i++ {
+				sys.Spawn("send", func(task *pvm.Task) error {
+					for i := int64(0); i < posts; i += 2 {
+						if err := task.Send(recv, 9, pvm.NewBuffer().PackInt64(i)); err != nil {
+							return err
+						}
+						if err := task.SendBatch(recv, 9, []*pvm.Buffer{pvm.NewBuffer().PackInt64(i + 1)}); err != nil {
+							return err
+						}
+					}
+					err := task.Flush()
+					flushed <- struct{}{}
+					return err
+				})
+			}
+			if err := sys.Wait(); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+		})
+	}
+}
+
+// pipeTransport is a Loopback whose client link is one end of an
+// in-memory pipe and whose server side the test plays by hand on the
+// other end, to produce what a healthy pump never does.
+type pipeTransport struct {
+	*Loopback
+	peer net.Conn
+}
+
+func newPipeTransport(t *testing.T) *pipeTransport {
+	lb, err := NewLoopback("unix")
+	if err != nil {
+		t.Fatalf("NewLoopback: %v", err)
+	}
+	return &pipeTransport{Loopback: lb}
+}
+
+func (p *pipeTransport) Attach(sys *pvm.System) error {
+	a, b := net.Pipe()
+	p.sys, p.cli, p.peer = sys, &link{conn: a, transport: "test"}, b
+	p.wg.Add(1)
+	go p.ackReader()
+	return nil
+}
+
+func TestFlushHonoursAckTimeout(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	tr := newPipeTransport(t)
+	tr.AckTimeout = 50 * time.Millisecond
+	sys := pvm.NewSystem()
+	if err := sys.SetTransport(tr); err != nil {
+		t.Fatalf("SetTransport: %v", err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	go func() { _, _ = io.Copy(io.Discard, tr.peer) }() // a peer that reads and never acks
+
+	hold := make(chan struct{})
+	recv := sys.Spawn("recv", func(*pvm.Task) error { <-hold; return nil })
+	var flushErr error
+	sys.Spawn("send", func(task *pvm.Task) error {
+		defer close(hold)
+		if err := task.Send(recv, 1, pvm.NewBuffer().PackInt32(1)); err != nil {
+			return err
+		}
+		flushErr = task.Flush()
+		return nil
+	})
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err) // the failure was reported once, to Flush
+	}
+	var de *pvm.DeliveryError
+	if !errors.Is(flushErr, pvm.ErrTimeout) || !errors.As(flushErr, &de) || de.Dst != recv {
+		t.Fatalf("Flush with no ack = %v, want pvm.ErrTimeout naming task %d", flushErr, recv)
+	}
+}
+
+func TestLinkLossNamesOldestUnackedDestination(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	tr := newPipeTransport(t)
+	sys := pvm.NewSystem()
+	if err := sys.SetTransport(tr); err != nil {
+		t.Fatalf("SetTransport: %v", err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	go func() {
+		// Take both batches off the wire, ack neither, hang up.
+		var scratch []byte
+		for i := 0; i < 2; i++ {
+			_, _, scratch, _, _ = ReadFrame(tr.peer, scratch)
+		}
+		_ = tr.peer.Close()
+	}()
+
+	hold := make(chan struct{})
+	idle := func(*pvm.Task) error { <-hold; return nil }
+	first, second := sys.Spawn("first", idle), sys.Spawn("second", idle)
+	var flushErr error
+	sys.Spawn("send", func(task *pvm.Task) error {
+		defer close(hold)
+		for _, dst := range []pvm.TID{second, first} {
+			if err := task.Send(dst, 1, pvm.NewBuffer().PackInt32(1)); err != nil {
+				return err
+			}
+		}
+		flushErr = task.Flush()
+		return nil
+	})
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	var de *pvm.DeliveryError
+	if !errors.Is(flushErr, pvm.ErrPeerLost) || !errors.As(flushErr, &de) || de.Dst != second {
+		t.Fatalf("Flush over the dropped link = %v, want pvm.ErrPeerLost naming task %d", flushErr, second)
+	}
+}
+
+func TestOutOfOrderAckFailsLink(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	tr := newPipeTransport(t)
+	sys := pvm.NewSystem()
+	if err := sys.SetTransport(tr); err != nil {
+		t.Fatalf("SetTransport: %v", err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	go func() {
+		// Ack a batch that is not the oldest pending one.
+		_, body, _, _, err := ReadFrame(tr.peer, nil)
+		if err != nil {
+			return
+		}
+		seq, _ := pvm.Wrap(body).UnpackInt64()
+		ack := pvm.Wrap(nil).PackInt64(seq + 1).PackInt32(ackOK).PackString("")
+		_, _ = tr.peer.Write(AppendFrame(nil, frameAck, ack.Bytes()))
+	}()
+
+	hold := make(chan struct{})
+	recv := sys.Spawn("recv", func(*pvm.Task) error { <-hold; return nil })
+	var flushErr, sendErr error
+	sys.Spawn("send", func(task *pvm.Task) error {
+		defer close(hold)
+		if err := task.Send(recv, 1, pvm.NewBuffer().PackInt32(1)); err != nil {
+			return err
+		}
+		flushErr = task.Flush()
+		sendErr = task.Send(recv, 1, pvm.NewBuffer().PackInt32(2))
+		return nil
+	})
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if !errors.Is(flushErr, ErrBadFrame) {
+		t.Fatalf("Flush after a misnumbered ack = %v, want ErrBadFrame", flushErr)
+	}
+	if !errors.Is(sendErr, ErrBadFrame) {
+		t.Fatalf("Send on the failed link = %v, want ErrBadFrame", sendErr)
+	}
 }
 
 // frameCountObserver counts wire frames via the FrameObserver
