@@ -4,15 +4,20 @@
 
 GO ?= go
 
-.PHONY: check build vet lint vet-sarif test race chaos verify wire-smoke fuzz bench cover clean
+.PHONY: check build vet fmt lint vet-sarif test race chaos verify wire-smoke fuzz bench cover clean
 
-check: build vet lint race chaos verify wire-smoke
+check: build vet fmt lint race chaos verify wire-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any tracked Go file outside the analyzers' golden
+# testdata is not gofmt-clean. check.sh invokes this target.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
 
 # lint runs hbspk-vet, the model-invariant checkers of internal/analysis
 # (sync discipline, communication topology, buffer lifetimes, buffer
@@ -48,7 +53,8 @@ chaos:
 # shape, the leaf multiset and every collective's sequential oracle.
 # The final stanza is the multi-process transport smoke: a coordinator
 # and two worker OS processes run the verified broadcast+reduce SPMD
-# program over a unix socket (DESIGN.md §5.10).
+# program over a unix socket (DESIGN.md §5.10). check.sh invokes this
+# target rather than repeating it.
 verify:
 	$(GO) run ./cmd/hbspk-sim -machine ucf -collective gather -n 4096 -pure -explore 4
 	$(GO) run ./cmd/hbspk-sim -machine ucf -collective bcast-hier -n 4096 -pure -explore 4

@@ -1,9 +1,22 @@
 #!/bin/sh
 # The CI gate: build, go vet, the hbspk-vet model lint suite, the tests
 # under the race detector, the seeded chaos smoke, and a short fuzz pass
-# over the pvm wire format. Runnable without make but for the wire
-# smoke, which is defined once, in the Makefile.
+# over the pvm wire format. Steps the Makefile also runs (gofmt, the
+# verify smokes, the wire smoke) are defined there once and invoked
+# from here.
 set -eux
+
+# timed <budget-s> <label> cmd...: run one step, report its wall time
+# and fail when it overran its budget.
+timed() {
+	budget=$1 label=$2
+	shift 2
+	start=$(date +%s)
+	"$@"
+	elapsed=$(( $(date +%s) - start ))
+	echo "$label wall time: ${elapsed}s (budget ${budget}s)"
+	[ "$elapsed" -le "$budget" ]
+}
 
 # `./check.sh smoke` is the quick pre-push gate: build everything, run
 # a 10-iteration slice of the fabric benchmarks through the JSON
@@ -23,6 +36,7 @@ fi
 
 go build ./...
 go vet ./...
+"${MAKE:-make}" fmt
 
 # Zero-findings gate (DESIGN.md §5.8): the full analyzer suite — SPMD
 # alignment and buffer ownership included — over every package, tests
@@ -30,12 +44,8 @@ go vet ./...
 # Findings are also emitted as SARIF and compared against the committed
 # empty baseline, so any new finding fails even if exit codes drift;
 # the run must fit the 30s wall-time budget.
-start=$(date +%s)
 mkdir -p results
-go run ./cmd/hbspk-vet -sarif results/vet.sarif ./...
-elapsed=$(( $(date +%s) - start ))
-echo "hbspk-vet sarif run wall time: ${elapsed}s (budget 30s)"
-[ "$elapsed" -le 30 ]
+timed 30 "hbspk-vet sarif run" go run ./cmd/hbspk-vet -sarif results/vet.sarif ./...
 new=$(grep -c '"ruleId"' results/vet.sarif || true)
 base=$(grep -c '"ruleId"' bench/vet_baseline.sarif || true)
 if [ "$new" -ne "$base" ]; then
@@ -57,22 +67,14 @@ go test -race -count=1 -run Chaos ./internal/fabric/ ./internal/hbsp/ ./internal
 # detector — the virtual engine must reproduce itself bit-for-bit and
 # the concurrent engine must agree on fold and final layout. Budgeted
 # well inside 30s wall time.
-start=$(date +%s)
-go test -race -count=1 -run 'ChurnReorgSoak' ./internal/hbsp/
-elapsed=$(( $(date +%s) - start ))
-echo "churn+reorg soak wall time: ${elapsed}s (budget 30s)"
-[ "$elapsed" -le 30 ]
+timed 30 "churn+reorg soak" go test -race -count=1 -run 'ChurnReorgSoak' ./internal/hbsp/
 
 # Static cost analysis (DESIGN.md §5.6): the analyzer suite plus the
 # variantcheck advisor over the repo's non-test code on the grid tree
 # must report nothing (tests deliberately exercise every variant at
 # every size, so advice there is noise), and the full-suite run must
 # finish inside the 30s wall-time budget.
-start=$(date +%s)
-go run ./cmd/hbspk-vet -skip-tests -tree grid -cost-ratio 1.2 ./...
-elapsed=$(( $(date +%s) - start ))
-echo "hbspk-vet full-suite wall time: ${elapsed}s (budget 30s)"
-[ "$elapsed" -le 30 ]
+timed 30 "hbspk-vet full-suite" go run ./cmd/hbspk-vet -skip-tests -tree grid -cost-ratio 1.2 ./...
 
 # Static<->runtime conformance gate: every delivery observed in a real
 # hbspk-sim run must be explained by an edge of the exported static
@@ -88,53 +90,31 @@ if go run ./cmd/hbspk-vet -conform-graph cmd/hbspk-vet/testdata/conformance/grap
 fi
 rm -rf "$conftmp"
 
-# Verification smoke: schedule exploration (happens-before checker
-# armed) must certify the shipped collectives delivery-order
-# independent under 4 seeded permutations each.
-go run ./cmd/hbspk-sim -machine ucf -collective gather -n 4096 -pure -explore 4
-go run ./cmd/hbspk-sim -machine ucf -collective bcast-hier -n 4096 -pure -explore 4
-go run ./cmd/hbspk-sim -machine ucf -collective reduce-hier -n 4096 -pure -explore 4
-
 # Auto-tuned planner smoke (DESIGN.md §5.9): the planner benchmarks run
 # through the same hbspk-benchjson gates make bench enforces — planner
 # within 0.1% of the per-cell best fixed variant on modeled cost, cached
 # dispatch within 5% of a direct call — plus one hbspk-sim auto run, all
 # inside a 30s wall-time budget.
-start=$(date +%s)
-plantmp=$(mktemp -d)
-go test -run '^$' -bench 'BenchmarkPlannerSweep|BenchmarkPlannedDispatch|BenchmarkDirectDispatch|BenchmarkDecideHit' \
-	-benchtime 1x ./internal/plan/ >"$plantmp/planner.txt"
-go run ./cmd/hbspk-benchjson \
-	-max-metric-rel 'BenchmarkPlannerSweep/planner=BenchmarkPlannerSweep/fixedbest:model-cost:1.001,BenchmarkPlannedDispatch=BenchmarkDirectDispatch:dispatch-overhead:1.05,BenchmarkPlannedDispatch=BenchmarkDirectDispatch:dispatch-allocs:1.05' \
-	-min-pairs 26 \
-	-o "$plantmp/planner.json" "$plantmp/planner.txt"
-go run ./cmd/hbspk-sim -machine ucf -collective auto -n 200000 -rounds 4 -pure >/dev/null
-rm -rf "$plantmp"
-elapsed=$(( $(date +%s) - start ))
-echo "planner smoke wall time: ${elapsed}s (budget 30s)"
-[ "$elapsed" -le 30 ]
+planner_smoke() {
+	plantmp=$(mktemp -d)
+	go test -run '^$' -bench 'BenchmarkPlannerSweep|BenchmarkPlannedDispatch|BenchmarkDirectDispatch|BenchmarkDecideHit' \
+		-benchtime 1x ./internal/plan/ >"$plantmp/planner.txt"
+	go run ./cmd/hbspk-benchjson \
+		-max-metric-rel 'BenchmarkPlannerSweep/planner=BenchmarkPlannerSweep/fixedbest:model-cost:1.001,BenchmarkPlannedDispatch=BenchmarkDirectDispatch:dispatch-overhead:1.05,BenchmarkPlannedDispatch=BenchmarkDirectDispatch:dispatch-allocs:1.05' \
+		-min-pairs 26 \
+		-o "$plantmp/planner.json" "$plantmp/planner.txt"
+	go run ./cmd/hbspk-sim -machine ucf -collective auto -n 200000 -rounds 4 -pure >/dev/null
+	rm -rf "$plantmp"
+}
+timed 30 "planner smoke" planner_smoke
 
-# Multi-process transport smoke (DESIGN.md §5.10): one coordinator and
-# two worker OS processes run the verified broadcast+reduce SPMD
-# program over a unix socket — vector clocks, payload checksums and a
-# closed-form reduce oracle checked end to end — inside a 30s wall-time
-# budget. Workers dial with retry, so no startup sleep is needed.
-start=$(date +%s)
-mptmp=$(mktemp -d)
-go build -o "$mptmp/hbspk-worker" ./cmd/hbspk-worker
-"$mptmp/hbspk-worker" -listen "unix:$mptmp/coord.sock" -nprocs 3 &
-coord=$!
-"$mptmp/hbspk-worker" -connect "unix:$mptmp/coord.sock" -pid 1 -nprocs 3 &
-w1=$!
-"$mptmp/hbspk-worker" -connect "unix:$mptmp/coord.sock" -pid 2 -nprocs 3 &
-w2=$!
-wait "$coord"
-wait "$w1"
-wait "$w2"
-rm -rf "$mptmp"
-elapsed=$(( $(date +%s) - start ))
-echo "multi-process transport smoke wall time: ${elapsed}s (budget 30s)"
-[ "$elapsed" -le 30 ]
+# Verification and multi-process transport smokes (DESIGN.md §5.3,
+# §5.10), as `make verify` defines them: schedule exploration with the
+# happens-before checker armed certifies gather, bcast-hier and
+# reduce-hier under 4 seeded permutations each, the reorg property
+# sweeps rerun by name, and one coordinator plus two worker OS processes
+# run the verified broadcast+reduce SPMD program over a unix socket.
+timed 30 "verify smokes" "${MAKE:-make}" verify
 
 # Wire smoke (DESIGN.md §5.10): a second of the benchmark's supersteps
 # over the unix transport and of its collectives over TCP, oracles on.

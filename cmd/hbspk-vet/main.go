@@ -64,9 +64,9 @@ import (
 	"strings"
 
 	"hbspk/internal/analysis"
-	"hbspk/internal/plan"
 	"hbspk/internal/model"
 	"hbspk/internal/obsv"
+	"hbspk/internal/plan"
 )
 
 // jsonDiagnostic is the -json wire form of one finding. End positions

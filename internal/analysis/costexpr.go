@@ -6,8 +6,8 @@ import (
 	"sort"
 	"strings"
 
-	"hbspk/internal/plan"
 	"hbspk/internal/model"
+	"hbspk/internal/plan"
 )
 
 // The symbolic cost-expression grammar (DESIGN.md §5.6). A superstep's

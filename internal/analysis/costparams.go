@@ -28,7 +28,7 @@ var CostParams = &Analyzer{
 // engineCtorNames take a *model.Tree that must be normalized.
 var engineCtorNames = map[string]bool{
 	"NewVirtual": true, "NewConcurrent": true, "RunVirtual": true,
-	"New": true, // fabric.New(tree, cfg)
+	"New": true,                        // fabric.New(tree, cfg)
 	"Run": true, "RunConcurrent": true, // hbspk facade
 }
 

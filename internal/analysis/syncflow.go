@@ -57,8 +57,8 @@ func runSyncFlow(pass *Pass) error {
 // the set of Moves-aliasing locals with the generation each was bound
 // in. Reads of a local bound in an older generation invoke onStale.
 type flowState struct {
-	pass    *Pass
-	g       *callGraph
+	pass *Pass
+	g    *callGraph
 	gen  int
 	bind map[types.Object]int
 	// skip marks idents already judged as arguments of a synchronizing

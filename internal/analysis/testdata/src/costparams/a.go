@@ -41,10 +41,10 @@ func negativeBandwidth(root *Machine) (*Tree, error) {
 
 func badOptions() *Machine {
 	return NewLeaf("w",
-		WithComm(0),             // want `communication slowdown r = 0, want > 0`
-		WithComp(-2),            // want `compute slowdown = -2, want > 0`
+		WithComm(0),               // want `communication slowdown r = 0, want > 0`
+		WithComp(-2),              // want `compute slowdown = -2, want > 0`
 		WithSync(negativeLatency), // want `synchronization cost L = -25000, want >= 0`
-		WithShare(1.5),          // want `workload share c = 1.5, want in \[0, 1\]`
+		WithShare(1.5),            // want `workload share c = 1.5, want in \[0, 1\]`
 	)
 }
 

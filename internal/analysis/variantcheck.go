@@ -3,8 +3,8 @@ package analysis
 import (
 	"go/ast"
 
-	"hbspk/internal/plan"
 	"hbspk/internal/model"
+	"hbspk/internal/plan"
 )
 
 // VariantCheckName identifies the collective-variant advice analyzer.

@@ -200,15 +200,12 @@ type crun struct {
 	// waiter into a false desync.
 	arrived map[int]map[string]int
 
-	// Fault-tolerance state, under mu: dead records chaos-killed
-	// processors; acked[pid][scope] is the dead set pid has
-	// acknowledged on that scope (per scope, so a death learned through
-	// a subscope still surfaces on every other scope containing the
-	// victim); detectCount drives the optional deadline backoff;
-	// waitEWMA tracks the mean successful barrier wait, the deadline's
-	// prediction base.
-	dead        map[int]*failInfo
-	acked       map[int]map[string]map[int]bool
+	// led is the run's membership ledger — dead, dormant and joined
+	// processors, per-scope acknowledgments, reorg estimates, the cut —
+	// and every call into it is made with mu held. detectCount drives the
+	// optional deadline backoff; waitEWMA tracks the mean successful
+	// barrier wait, the deadline's prediction base.
+	led         *ledger
 	detectCount map[int]int
 	waitEWMA    time.Duration
 	// exitc wakes a cut applier waiting for a crash victim's goroutine
@@ -217,122 +214,27 @@ type crun struct {
 	// Signaled by markExited; waits under mu.
 	exitc *sync.Cond
 
-	// Elastic-membership state, under mu. dormant pids await their
-	// activation cut behind a per-pid gate channel (their tasks are
-	// pre-spawned but parked); joined records activated latecomers
-	// (pid -> activation cut) pending acknowledgment;
-	// ackedJoin[pid][scope] is the joined set pid has acknowledged on
-	// that scope — the join notice burns one sync generation on every
-	// scope containing the newcomer, for every member including the
-	// newcomer itself, mirroring the virtual engine exactly;
-	// knownActive[pid] is pid's membership view; gens[scope] is the
-	// next sync generation of the scope (every Sync entry raises it),
-	// snapshotted into joinGens at activation so a newcomer's syncSeq
-	// starts aligned with the old members'.
-	dormant     map[int]bool
-	joined      map[int]int
-	ackedJoin   map[int]map[string]map[int]bool
-	knownActive map[int]map[int]bool
-	gens        map[string]int
-	joinGens    map[int]map[string]int
-	gates       map[int]chan struct{}
-	// cutGens is the applier's snapshot of gens at the last membership
-	// cut, taken while every live processor is parked inside the cut
-	// window; members re-align their per-scope generations against it
-	// when they leave the window (a rebalance can move a leaf under a
-	// scope it has never synced on).
-	cutGens map[string]int
-
-	// Reorganization state, under mu: rer folds each processor's
-	// measured effective compute slowdown; epoch counts applied
-	// reorganizations.
-	rer   *model.Reranker
-	epoch int
-
-	// planDead tracks the dead-set size last reported to the PlanHook
-	// (guarded by mu), so each death surfaces as exactly one
-	// TreeChanged at the next cut window.
-	planDead int
+	// Generation registry, under mu: gens[scope] is the next sync
+	// generation of the scope (every Sync entry raises it). cutGens is
+	// the applier's snapshot of it at the last cut, taken while every
+	// live processor is parked inside the cut window; members re-align
+	// their per-scope generations against it when they leave the window
+	// (a rebalance can move a leaf under a scope it has never synced on)
+	// and a joiner seeds its own from joinGens, the snapshot of its
+	// activation cut. gates parks each dormant pid's pre-spawned task
+	// until that cut.
+	gens     map[string]int
+	cutGens  map[string]int
+	joinGens map[int]map[string]int
+	gates    map[int]chan struct{}
 }
 
-// ackScope marks exactly ONE dead member of the scope — the smallest
-// unacknowledged one — acknowledged by pid, and returns it plus pid's
-// updated global dead view. One peer per notice is what keeps barrier
-// generations aligned under near-simultaneous deaths: a member that
-// entered between two deaths must burn one generation per victim, so a
-// member that learned of both at once must burn two as well. Batching
-// would let the late entrant fold both into one burned generation and
-// park one generation behind its peers forever. Caller holds mu.
-// Returns -1 when nothing was unacknowledged.
-func (s *crun) ackScope(pid int, scope string, members []int) (int, []int) {
-	first := -1
-	for _, m := range members {
-		if s.dead[m] != nil && !s.acked[pid][scope][m] {
-			if first < 0 || m < first {
-				first = m
-			}
-		}
-	}
-	if first < 0 {
-		return -1, nil
-	}
-	if s.acked[pid] == nil {
-		s.acked[pid] = make(map[string]map[int]bool)
-	}
-	if s.acked[pid][scope] == nil {
-		s.acked[pid][scope] = make(map[int]bool)
-	}
-	s.acked[pid][scope][first] = true
-	union := make(map[int]bool)
-	for _, perScope := range s.acked[pid] {
-		for dp := range perScope {
-			union[dp] = true
-		}
-	}
-	return first, sortedPids(union)
-}
-
-// ackJoinScope marks every joined (activated-latecomer) member of the
-// scope acknowledged by pid and returns the smallest newly joined
-// member, its activation cut, and pid's updated membership view. The
-// requester itself counts — a newcomer burns the same notice generation
-// as everyone else, which keeps per-scope generations aligned. Caller
-// holds mu. Returns -1 when nothing was unacknowledged.
-func (s *crun) ackJoinScope(pid int, scope string, members []int) (int, int, []int) {
-	first := -1
-	for _, m := range members {
-		if _, ok := s.joined[m]; ok && !s.ackedJoin[pid][scope][m] {
-			if first < 0 || m < first {
-				first = m
-			}
-		}
-	}
-	if first < 0 {
-		return -1, 0, nil
-	}
-	if s.ackedJoin[pid] == nil {
-		s.ackedJoin[pid] = make(map[string]map[int]bool)
-	}
-	if s.ackedJoin[pid][scope] == nil {
-		s.ackedJoin[pid][scope] = make(map[int]bool)
-	}
-	if s.knownActive[pid] == nil {
-		s.knownActive[pid] = make(map[int]bool)
-	}
-	for _, m := range members {
-		if _, ok := s.joined[m]; ok {
-			s.ackedJoin[pid][scope][m] = true
-			s.knownActive[pid][m] = true
-		}
-	}
-	return first, s.joined[first], sortedPids(s.knownActive[pid])
-}
-
-// syncWait describes one processor parked in Sync: the scope's label,
-// this processor's sync generation for it, the member pids that must
-// arrive for the barrier to complete, and the pvm barrier name (so a
-// crashing member can cancel exactly this wait).
+// syncWait describes one processor parked in Sync: the scope and its
+// label, this processor's sync generation for it, the member pids that
+// must arrive for the barrier to complete, and the pvm barrier name (so
+// a crashing member can cancel exactly this wait).
 type syncWait struct {
+	key     *model.Machine
 	scope   string
 	label   string
 	gen     int
@@ -341,18 +243,18 @@ type syncWait struct {
 }
 
 // checkAndEnter is the survivor side of the crash protocol's
-// serialization point. Under one critical section it either (a) finds
-// dead, unacknowledged members of the scope — acks them all, and
-// returns the first one's failure record — or (b) registers the barrier
-// wait, with the caller's barrier name extended by the acknowledged
-// dead members of the scope so that shrunken barriers never collide
-// with pre-failure ones. A crashing member holds the same lock while it
-// marks itself dead and collects parked waiters to cancel, so every
-// survivor either parks before the cancel or sees the dead set here.
-func (s *crun) checkAndEnter(pid int, w *syncWait) (res enterResult) {
+// serialization point. Under one critical section it either (a) consumes
+// the next notice c owes on the scope — one dead member, or else the
+// join batch — staging c's refreshed view and returning the typed error,
+// or (b) registers the barrier wait and returns its live count, with the
+// barrier name extended by the acknowledged dead members of the scope so
+// that shrunken barriers never collide with pre-failure ones. A crashing
+// member holds the same lock while it marks itself dead and collects
+// parked waiters to cancel, so every survivor either parks before the
+// cancel or sees the dead set here.
+func (s *crun) checkAndEnter(c *cctx, w *syncWait) (count int, notice error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res.deadPid, res.joinPid = -1, -1
 
 	// gens tracks the scope's next generation regardless of the path
 	// this sync takes: a notice-consumed generation is still burned.
@@ -360,56 +262,47 @@ func (s *crun) checkAndEnter(pid int, w *syncWait) (res enterResult) {
 		s.gens[w.scope] = w.gen + 1
 	}
 
-	if first, view := s.ackScope(pid, w.scope, w.members); first >= 0 {
-		res.deadPid, res.deadInfo, res.deadView = first, s.dead[first], view
-		return res
+	if n := s.deadNoticeLocked(c, w.key); n != nil {
+		return 0, n
 	}
-	if first, step, view := s.ackJoinScope(pid, w.scope, w.members); first >= 0 {
-		res.joinPid, res.joinStep, res.joinView = first, step, view
-		return res
+	if n := s.led.joinNotice(c.pid, w.key); n != nil {
+		c.membersView = s.led.members(c.pid)
+		return 0, n
 	}
 
-	// Shrunken barrier identity: generation plus this pid's acked dead
-	// members of the scope. The failure protocol guarantees every live
-	// member acks the same dead set at the same generation, so all
-	// survivors compute the same name and the same live count. Dormant
-	// members are outside the run entirely until their activation cut:
-	// not counted and not tagged.
-	var deadTag []string
-	for _, m := range w.members {
-		if s.dormant[m] {
-			continue
-		}
-		if s.acked[pid][w.scope][m] {
-			deadTag = append(deadTag, fmt.Sprintf("%d", m))
-		} else {
-			res.count++
-		}
+	// Every live member holds the same acknowledged dead set at the same
+	// generation, so all survivors compute the same name and count.
+	count, ackedDead := s.led.live(c.pid, w.key, w.members)
+	if len(ackedDead) > 0 {
+		w.barrier += fmt.Sprintf("!%v", ackedDead)
 	}
-	if len(deadTag) > 0 {
-		w.barrier += "!" + strings.Join(deadTag, ",")
-	}
-	s.waiting[pid] = w
-	m := s.arrived[pid]
+	s.waiting[c.pid] = w
+	m := s.arrived[c.pid]
 	if m == nil {
 		m = make(map[string]int)
-		s.arrived[pid] = m
+		s.arrived[c.pid] = m
 	}
 	m[w.scope] = w.gen
-	return res
+	return count, nil
 }
 
-// enterResult is checkAndEnter's verdict: exactly one of a dead-peer
-// notice (deadPid >= 0), a join notice (joinPid >= 0), or a registered
-// barrier wait of the given live count.
-type enterResult struct {
-	deadPid  int
-	deadInfo *failInfo
-	deadView []int
-	joinPid  int
-	joinStep int
-	joinView []int
-	count    int
+// deadNoticeLocked consumes c's next dead-peer notice on the scope and
+// stages its grown Failed view. Caller holds mu.
+func (s *crun) deadNoticeLocked(c *cctx, scope *model.Machine) error {
+	n := s.led.deadNotice(c.pid, scope)
+	if n == nil {
+		return nil
+	}
+	c.failedView = s.led.failed(c.pid)
+	return n
+}
+
+// deadNotice is deadNoticeLocked for a survivor woken by a crash cancel
+// or a lost link.
+func (s *crun) deadNotice(c *cctx, scope *model.Machine) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.deadNoticeLocked(c, scope)
 }
 
 // crashSelf is the victim side: mark pid dead under mu and collect the
@@ -418,17 +311,11 @@ type enterResult struct {
 // ErrCanceled and convert it to ErrPeerFailed.
 func (s *crun) crashSelf(pid, ord int, cause string) {
 	s.mu.Lock()
-	s.dead[pid] = &failInfo{step: ord, cause: cause}
+	s.led.kill(pid, ord, cause)
 	var cancel []string
 	for waiter, w := range s.waiting {
-		if waiter == pid {
-			continue
-		}
-		for _, m := range w.members {
-			if m == pid {
-				cancel = append(cancel, w.barrier)
-				break
-			}
+		if waiter != pid && slices.Contains(w.members, pid) {
+			cancel = append(cancel, w.barrier)
 		}
 	}
 	sys := s.sys
@@ -436,18 +323,6 @@ func (s *crun) crashSelf(pid, ord int, cause string) {
 	for _, name := range cancel {
 		sys.CancelBarrier(name)
 	}
-}
-
-// ackCanceled handles a survivor woken by a crash cancel: ack every
-// dead member of its scope and return the first one's record.
-func (s *crun) ackCanceled(pid int, scope string, members []int) (int, *failInfo, []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	first, view := s.ackScope(pid, scope, members)
-	if first < 0 {
-		return -1, nil, nil
-	}
-	return first, s.dead[first], view
 }
 
 func (s *crun) leaveSync(pid int, wait time.Duration) {
@@ -474,8 +349,8 @@ func (s *crun) markExited(pid int) {
 	// released: their gates close, and the waking tasks see no joined
 	// record and return without running the program.
 	var release []chan struct{}
-	if len(s.exited) == s.nprocs-len(s.dormant) {
-		for dp := range s.dormant {
+	if len(s.exited) == s.nprocs-len(s.led.dormant) {
+		for dp := range s.led.dormant {
 			release = append(release, s.gates[dp])
 		}
 	}
@@ -488,7 +363,7 @@ func (s *crun) markExited(pid int) {
 // deadUnwindingLocked reports whether any crash-stopped or departed
 // processor's goroutine is still running user code. Caller holds mu.
 func (s *crun) deadUnwindingLocked() bool {
-	for pid := range s.dead {
+	for pid := range s.led.dead {
 		if !s.exited[pid] {
 			return true
 		}
@@ -532,7 +407,7 @@ func (s *crun) noteTimeout(pid int) {
 // into the shared reorg estimate.
 func (s *crun) observe(pid int, sample float64) {
 	s.mu.Lock()
-	s.rer.Observe(pid, sample)
+	s.led.rer.Observe(pid, sample)
 	s.mu.Unlock()
 }
 
@@ -592,7 +467,7 @@ func (s *crun) watch(sys *pvm.System, timeout time.Duration, done <-chan struct{
 			// Dormant processors are parked by definition: their tasks
 			// idle behind activation gates, so they never count as
 			// missing arrivals.
-			allParked := len(s.waiting) > 0 && len(s.waiting)+len(s.exited)+len(s.dormant) == s.nprocs
+			allParked := len(s.waiting) > 0 && len(s.waiting)+len(s.exited)+len(s.led.dormant) == s.nprocs
 			if !allParked || !stalled || s.progress != stallProgress {
 				stalled = allParked
 				stallProgress = s.progress
@@ -621,11 +496,11 @@ func (s *crun) exitedMemberDesync() (cancel []string, err error) {
 		for _, m := range w.members {
 			reached, ok := s.arrived[m][w.scope]
 			if s.exited[m] && (!ok || reached < w.gen) {
-				if s.dead[m] != nil {
+				if s.led.dead[m] != nil {
 					// Only a barrier that has not yet acknowledged this
 					// death can hang on it; an acked barrier counts live
 					// members only and completes without the corpse.
-					if !s.acked[pid][w.scope][m] {
+					if !s.led.hasAcked(pid, w.key, m) {
 						cancel = append(cancel, w.barrier)
 					}
 					continue
@@ -808,20 +683,18 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	// destination are dropped.
 	var kept []pendingMsg
 	sentBytes := 0
+	hold, dead := c.shared.unreachable(c, scope, inScope)
 	for i := range c.outbox {
 		m := c.outbox[i]
 		if !inScope[m.dst] {
 			kept = append(kept, m)
 			continue
 		}
-		if c.holdDst(scope.Label(), m.dst) {
-			// Destination not yet reachable at this generation: dormant,
-			// or joined but with its notice still unacknowledged by this
-			// sender — flushing now would tag the message with the
-			// notice-burn generation nobody ever receives. Held messages
-			// flush on the retry sync, landing at the same post-ack step
-			// the virtual engine delivers them. Fate stays unassigned,
-			// as in the virtual engine's hold.
+		if hold[m.dst] {
+			// Destination not yet reachable at this generation (see
+			// ledger.hold). Held messages flush on the retry sync, landing
+			// at the same post-ack step the virtual engine delivers them.
+			// Fate stays unassigned, as in the virtual engine's hold.
 			kept = append(kept, m)
 			continue
 		}
@@ -844,7 +717,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 			kept = append(kept, m)
 			continue
 		}
-		if m.drop || c.deadPid(m.dst) {
+		if m.drop || dead[m.dst] {
 			continue
 		}
 		copies := 1
@@ -904,30 +777,25 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 			// scope observes ErrPeerFailed at one consistent generation
 			// and later Syncs complete over the remaining members.
 			c.shared.crashSelf(lostDst, ord, "link lost")
-			if dp, di, dv := c.shared.ackCanceled(c.pid, scope.Label(), members); dp >= 0 {
-				c.failedView = dv
-				return &ErrPeerFailed{Pid: dp, Step: di.step, Cause: di.cause}
+			if n := c.shared.deadNotice(c, scope); n != nil {
+				return n
 			}
 		}
 		return sendErr
 	}
+	name := scope.Label()
 	wait := &syncWait{
-		scope:   scope.Label(),
+		key:     scope,
+		scope:   name,
 		label:   label,
 		gen:     gen,
 		members: members,
-		barrier: fmt.Sprintf("sync:%s#%d", scope.Label(), gen),
+		barrier: fmt.Sprintf("sync:%s#%d", name, gen),
 	}
-	res := c.shared.checkAndEnter(c.pid, wait)
-	if res.deadPid >= 0 {
-		c.failedView = res.deadView
-		return &ErrPeerFailed{Pid: res.deadPid, Step: res.deadInfo.step, Cause: res.deadInfo.cause}
+	count, notice := c.shared.checkAndEnter(c, wait)
+	if notice != nil {
+		return notice
 	}
-	if res.joinPid >= 0 {
-		c.membersView = res.joinView
-		return &ErrPeerJoined{Pid: res.joinPid, Step: res.joinStep}
-	}
-	count := res.count
 	deadline := c.shared.barrierDeadline(c.pid, c.eng.DetectFactor)
 	bEnter := time.Since(c.shared.started)
 	var err error
@@ -950,9 +818,8 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		case errors.Is(err, pvm.ErrCanceled):
 			// A member crashed while we were parked; convert the cancel
 			// into the typed failure.
-			if dp, di, dv := c.shared.ackCanceled(c.pid, wait.scope, members); dp >= 0 {
-				c.failedView = dv
-				return &ErrPeerFailed{Pid: dp, Step: di.step, Cause: di.cause}
+			if n := c.shared.deadNotice(c, scope); n != nil {
+				return n
 			}
 			return err
 		case errors.Is(err, pvm.ErrTimeout):
@@ -1124,24 +991,14 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	return nil
 }
 
-// pendingCut reports whether the cut at global ordinal R has work: a
-// scheduled reorganization or a dormant processor whose activation
-// point has been reached. Every participant of the barrier computes the
-// same verdict — R is shared, ReorgEvery is config, and the dormant set
-// only changes inside cut windows.
+// pendingCut reports whether the cut at global ordinal R has work.
+// Every participant of the barrier computes the same verdict — R is
+// shared, ReorgEvery is config, and the dormant set only changes inside
+// cut windows.
 func (c *cctx) pendingCut(R int) bool {
-	if c.eng.ReorgEvery > 0 && R%c.eng.ReorgEvery == 0 {
-		return true
-	}
-	s := c.shared
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for pid := range s.dormant {
-		if c.eng.Chaos.JoinStep(pid) <= R {
-			return true
-		}
-	}
-	return false
+	c.shared.mu.Lock()
+	defer c.shared.mu.Unlock()
+	return c.shared.led.cutDue(R)
 }
 
 // cutWindow serializes one consistent cut: cut:in waits until every
@@ -1201,204 +1058,49 @@ func (s *crun) applierPid(members []int) int {
 	defer s.mu.Unlock()
 	best := -1
 	for _, m := range members {
-		if s.dormant[m] || s.dead[m] != nil {
-			continue
-		}
-		if best < 0 || m < best {
+		if s.led.alive(m) && (best < 0 || m < best) {
 			best = m
 		}
 	}
 	return best
 }
 
-// applyCut is the applier side of the cut window: rebalance the tree
-// from the shared estimates, then activate every dormant processor
-// whose join point has been reached. Reorg strictly precedes activation
-// — an opened gate's task starts reading the tree immediately.
+// applyCut is the applier side of the cut window: the ledger's cut,
+// under mu, with every live member parked between the cut barriers.
+// Unwinding victims are waited out on exitc — a dead requester's
+// re-sync resolves immediately under mu, and its deferred markExited
+// signals. An activated joiner's gate opens inside the cut, but its
+// task blocks on mu until the snapshots below are in place.
 func (c *cctx) applyCut(R int) error {
-	e, s := c.eng, c.shared
-	var planOldFP uint64
-	planReorged := false
-	if e.Plan != nil {
-		planOldFP = e.tree.Fingerprint()
-	}
-	if e.ReorgEvery > 0 && R%e.ReorgEvery == 0 {
-		s.mu.Lock()
-		// Crash victims and leavers unwind with their error and may still
-		// be running user code that reads the tree (a fault-tolerant
-		// session walks scope leaves to report its live view). Wait them
-		// out before rebalancing: every live member is parked inside the
-		// cut window, a dead requester's re-sync resolves immediately
-		// under mu, and its deferred markExited signals exitc.
-		for s.deadUnwindingLocked() {
-			s.exitc.Wait()
-		}
-		s.epoch++
-		epoch := s.epoch
-		est := s.rer.Estimates()
-		s.mu.Unlock()
-		plan := model.PlanReorg(e.tree, est, e.ReorgSeed, epoch)
-		if err := e.tree.Reorganize(plan); err != nil {
-			return err
-		}
-		planReorged = true
-		e.Obsv.Reorg(epoch, plan.Moved, c.nowMicros())
-		// A rebalance can move a leaf under a scope whose members
-		// acknowledged a death or join it only saw elsewhere. Equalize the
-		// per-scope ack sets across the live processors so a moved-in
-		// member computes the same dead tag and burns the same notice
-		// generations as its new peers (the virtual engine equalizes at
-		// the same point).
-		s.mu.Lock()
-		s.equalizeAcksLocked(s.acked)
-		s.equalizeAcksLocked(s.ackedJoin)
-		s.mu.Unlock()
-	}
-
+	s := c.shared
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	var act []int
+	err := s.led.cut(R, c.nowMicros(),
+		func() {
+			for s.deadUnwindingLocked() {
+				s.exitc.Wait()
+			}
+		},
+		func(pid int) {
+			act = append(act, pid)
+			close(s.gates[pid])
+		})
+	if err != nil {
+		return err
+	}
 	// Snapshot the generation registry while every live processor is
 	// parked inside the cut window: members re-align their per-scope
 	// generations against this stable copy after cut:out, and joiners
 	// seed theirs from it.
-	cutGens := make(map[string]int, len(s.gens))
+	s.cutGens = make(map[string]int, len(s.gens))
 	for k, v := range s.gens {
-		cutGens[k] = v
-	}
-	s.cutGens = cutGens
-	var act []int
-	for pid := range s.dormant {
-		if e.Chaos.JoinStep(pid) <= R {
-			act = append(act, pid)
-		}
-	}
-	sort.Ints(act)
-	var gates []chan struct{}
-	for _, pid := range act {
-		delete(s.dormant, pid)
+		s.cutGens[k] = v
 	}
 	for _, pid := range act {
-		s.joined[pid] = R
-		ka := make(map[int]bool, s.nprocs)
-		for q := 0; q < s.nprocs; q++ {
-			if !s.dormant[q] {
-				ka[q] = true
-			}
-		}
-		s.knownActive[pid] = ka
-		s.seedAcksLocked(e.tree, pid, R)
-		snap := make(map[string]int, len(s.gens))
-		for k, v := range s.gens {
-			snap[k] = v
-		}
-		s.joinGens[pid] = snap
-		gates = append(gates, s.gates[pid])
-	}
-	planDeadChanged := len(s.dead) != s.planDead
-	s.planDead = len(s.dead)
-	s.mu.Unlock()
-	// Plan hooks fire before the joiners' gates open: an activated
-	// joiner starts deciding immediately, and it must find the
-	// invalidated cache. All live incumbents are still parked between
-	// the cut barriers.
-	if e.Plan != nil {
-		if planReorged || len(act) > 0 || planDeadChanged {
-			e.Plan.TreeChanged(e.tree, planOldFP)
-		}
-		e.Plan.GlobalBarrier(e.tree, R)
-	}
-	for i, pid := range act {
-		e.Obsv.Chaos("join", R, pid, pid, c.nowMicros())
-		close(gates[i])
+		s.joinGens[pid] = s.cutGens
 	}
 	return nil
-}
-
-// equalizeAcksLocked unions the per-scope-label acknowledgment sets
-// (dead or joined) of every live, non-dormant processor and writes the
-// union back to each. Called with mu held, from the cut applier while
-// every live processor is parked inside the cut window.
-func (s *crun) equalizeAcksLocked(sets map[int]map[string]map[int]bool) {
-	union := make(map[string]map[int]bool)
-	live := func(pid int) bool { return !s.dormant[pid] && s.dead[pid] == nil }
-	for pid, perScope := range sets {
-		if !live(pid) {
-			continue
-		}
-		for label, set := range perScope {
-			u := union[label]
-			if u == nil {
-				u = make(map[int]bool, len(set))
-				union[label] = u
-			}
-			for q := range set {
-				u[q] = true
-			}
-		}
-	}
-	for pid := 0; pid < s.nprocs; pid++ {
-		if !live(pid) {
-			continue
-		}
-		for label, u := range union {
-			if sets[pid] == nil {
-				sets[pid] = make(map[string]map[int]bool)
-			}
-			cp := sets[pid][label]
-			if cp == nil {
-				cp = make(map[int]bool, len(u))
-				sets[pid][label] = cp
-			}
-			for q := range u {
-				cp[q] = true
-			}
-		}
-	}
-}
-
-// seedAcksLocked copies, per scope, a live old member's acknowledged
-// dead and joined sets onto a newcomer — the concurrent mirror of the
-// virtual engine's seedAcks. The failure protocol keeps those sets
-// identical across live members of a scope at a global cut, so the
-// newcomer will burn exactly the pending notice generations the old
-// members still owe, keeping per-scope sync generations aligned. Caller
-// holds mu.
-func (s *crun) seedAcksLocked(t *model.Tree, pid, cut int) {
-	t.Root.Walk(func(scope *model.Machine) {
-		label := scope.Label()
-		donor := -1
-		for _, l := range scope.Leaves() {
-			lp := t.Pid(l)
-			if lp == pid || s.dormant[lp] || s.dead[lp] != nil || s.joined[lp] == cut {
-				continue
-			}
-			if donor < 0 || lp < donor {
-				donor = lp
-			}
-		}
-		if donor < 0 {
-			return
-		}
-		if deadSet := s.acked[donor][label]; len(deadSet) > 0 {
-			if s.acked[pid] == nil {
-				s.acked[pid] = make(map[string]map[int]bool)
-			}
-			cp := make(map[int]bool, len(deadSet))
-			for d := range deadSet {
-				cp[d] = true
-			}
-			s.acked[pid][label] = cp
-		}
-		if joinSet := s.ackedJoin[donor][label]; len(joinSet) > 0 {
-			if s.ackedJoin[pid] == nil {
-				s.ackedJoin[pid] = make(map[string]map[int]bool)
-			}
-			cp := make(map[int]bool, len(joinSet))
-			for j := range joinSet {
-				cp[j] = true
-			}
-			s.ackedJoin[pid][label] = cp
-		}
-	})
 }
 
 // micros converts an engine-relative duration to the microsecond time
@@ -1408,41 +1110,30 @@ func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsec
 // nowMicros is the processor's current time on the run clock.
 func (c *cctx) nowMicros() float64 { return micros(time.Since(c.shared.started)) }
 
-// deadPid reports whether pid is chaos-dead.
-func (c *cctx) deadPid(pid int) bool {
-	c.shared.mu.Lock()
-	defer c.shared.mu.Unlock()
-	return c.shared.dead[pid] != nil
-}
-
-// dormantPid reports whether pid awaits its activation cut. Messages to
-// a dormant destination are held in the sender's outbox until the first
-// shared superstep after activation — the virtual engine holds them in
-// its undelivered pool the same way.
-func (c *cctx) dormantPid(pid int) bool {
-	c.shared.mu.Lock()
-	defer c.shared.mu.Unlock()
-	return c.shared.dormant[pid]
-}
-
-// holdDst reports whether a message to dst must stay queued at a flush
-// on the given scope: dst is dormant, or dst joined at a cut whose
-// notice this sender has not yet consumed on the scope. In the latter
-// case the current sync is about to burn the join-notice generation, so
-// a flush now would wire-tag the message with a generation no receiver
-// ever drains; the retry sync flushes it one generation later, where
-// the whole scope — newcomer included — receives.
-func (c *cctx) holdDst(scope string, dst int) bool {
-	s := c.shared
+// unreachable asks the ledger, once per flush and under one acquisition,
+// which in-scope destinations of c's outbox cannot take it: hold[dst]
+// (ledger.hold) keeps the message queued, dead[dst] drops it. Both are
+// nil while the ledger is quiet.
+func (s *crun) unreachable(c *cctx, scope *model.Machine, inScope map[int]bool) (hold, dead map[int]bool) {
+	if len(c.outbox) == 0 {
+		return nil, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dormant[dst] {
-		return true
+	if s.led.quiet() {
+		return nil, nil
 	}
-	if _, joined := s.joined[dst]; joined && !s.ackedJoin[c.pid][scope][dst] {
-		return true
+	hold, dead = make(map[int]bool), make(map[int]bool)
+	for i := range c.outbox {
+		switch dst := c.outbox[i].dst; {
+		case !inScope[dst]:
+		case s.led.hold(c.pid, scope, dst):
+			hold[dst] = true
+		case s.led.dead[dst] != nil:
+			dead[dst] = true
+		}
 	}
-	return false
+	return hold, dead
 }
 
 // liveCoordinator is the scope coordinator restricted to leaves this
@@ -1499,42 +1190,21 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		waiting:     make(map[int]*syncWait),
 		exited:      make(map[int]bool),
 		arrived:     make(map[int]map[string]int),
-		dead:        make(map[int]*failInfo),
-		acked:       make(map[int]map[string]map[int]bool),
+		led:         newLedger(e.tree, e.Chaos, e.Plan, e.Obsv, e.ReorgEvery, e.ReorgSeed, e.ReorgAlpha),
 		detectCount: make(map[int]int),
-		dormant:     make(map[int]bool),
-		joined:      make(map[int]int),
-		ackedJoin:   make(map[int]map[string]map[int]bool),
-		knownActive: make(map[int]map[int]bool),
 		gens:        make(map[string]int),
 		joinGens:    make(map[int]map[string]int),
 		gates:       make(map[int]chan struct{}),
-		rer:         model.NewReranker(p, e.ReorgAlpha),
 	}
 	shared.exitc = sync.NewCond(&shared.mu)
 	// Elastic membership: processors with a churn JoinAt fate start
 	// dormant behind a gate; their pre-spawned tasks idle until the
 	// applier of their activation cut closes the gate (or until the run
 	// ends without reaching it).
-	for pid := 0; pid < p; pid++ {
-		if e.Chaos.JoinStep(pid) > 0 {
-			shared.dormant[pid] = true
-			shared.gates[pid] = make(chan struct{})
-		}
+	for pid := range shared.led.dormant {
+		shared.gates[pid] = make(chan struct{})
 	}
-	actives := make([]int, 0, p)
-	for pid := 0; pid < p; pid++ {
-		if !shared.dormant[pid] {
-			actives = append(actives, pid)
-		}
-	}
-	for _, pid := range actives {
-		ka := make(map[int]bool, len(actives))
-		for _, q := range actives {
-			ka[q] = true
-		}
-		shared.knownActive[pid] = ka
-	}
+	actives := shared.led.actives()
 
 	timeout := e.DesyncTimeout
 	if timeout == 0 {
@@ -1562,7 +1232,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				// joined record: the program never runs on this pid.
 				<-gate
 				shared.mu.Lock()
-				_, activated := shared.joined[pid]
+				_, activated := shared.led.joined[pid]
 				shared.mu.Unlock()
 				if !activated {
 					return nil
@@ -1589,15 +1259,9 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				// until the applier (which closed this gate last) exits
 				// the window.
 				shared.mu.Lock()
-				c.rootDone = shared.joined[pid]
-				c.membersView = sortedPids(shared.knownActive[pid])
-				union := make(map[int]bool)
-				for _, perScope := range shared.acked[pid] {
-					for dp := range perScope {
-						union[dp] = true
-					}
-				}
-				c.failedView = sortedPids(union)
+				c.rootDone = shared.led.joined[pid]
+				c.membersView = shared.led.members(pid)
+				c.failedView = shared.led.failed(pid)
 				snap := shared.joinGens[pid]
 				shared.mu.Unlock()
 				e.tree.Root.Walk(func(m *model.Machine) {

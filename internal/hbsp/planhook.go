@@ -15,8 +15,11 @@ import "hbspk/internal/model"
 //     a reorg/membership cut window, with all live processors parked
 //     between the cut barriers.
 //
-// Implementations must be safe for concurrent use with the program-side
-// planner calls of crashed processors that are still unwinding.
+// Either way the call comes from inside the run's membership cut
+// (ledger.cut), on the concurrent engine under the run's lock: a hook
+// must not call back into a Ctx. Implementations must be safe for
+// concurrent use with the program-side planner calls of crashed
+// processors that are still unwinding.
 type PlanHook interface {
 	// GlobalBarrier fires after a completed global (root-scope) barrier,
 	// the engine's refinement-commit point. step is the 1-based count of

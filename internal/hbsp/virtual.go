@@ -317,12 +317,7 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 	// Elastic membership: processors with a churn JoinAt fate start
 	// dormant and are activated — their goroutine spawned — at the
 	// membership cut after that many completed global supersteps.
-	dormant := make(map[int]bool)
-	for pid := 0; pid < p; pid++ {
-		if v.Chaos.JoinStep(pid) > 0 {
-			dormant[pid] = true
-		}
-	}
+	led := newLedger(v.tree, v.Chaos, v.Plan, v.Obsv, v.ReorgEvery, v.ReorgSeed, v.ReorgAlpha)
 	spawn := func(pid int) {
 		go func(c *vctx) {
 			var err error
@@ -339,21 +334,12 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 			err = prog(c)
 		}(ctxs[pid])
 	}
-	actives := make([]int, 0, p)
-	for pid := 0; pid < p; pid++ {
-		if !dormant[pid] {
-			actives = append(actives, pid)
-		}
-	}
-	for pid := 0; pid < p; pid++ {
-		if !dormant[pid] {
-			ctxs[pid].membersView = actives
-		}
-	}
+	actives := led.actives()
 	for _, pid := range actives {
+		ctxs[pid].membersView = actives
 		spawn(pid)
 	}
-	return v.coordinate(reqs, ctxs, dormant, spawn, len(actives))
+	return v.coordinate(reqs, ctxs, led, spawn, len(actives))
 }
 
 // engine-side run state (recreated per Run; Virtual is not reusable
@@ -366,48 +352,26 @@ type runState struct {
 	steps       []trace.Step
 	firstErr    error
 
-	// Fault-tolerance state: syncOrd counts each processor's Sync
-	// calls; dead records crash-stopped processors; acked[pid][scope] is the
-	// dead set pid has acknowledged on that scope (acks are per scope:
-	// a death learned through a subscope sync must still surface on
-	// every other scope containing the victim, or nested-scope members
-	// would diverge); detectCount drives the detection-deadline
-	// backoff; staged holds per-pid checkpoint saves awaiting a commit
-	// boundary; globalSteps counts completed root-scope supersteps
-	// (the checkpoint cadence).
+	// led is the run's membership ledger: dead, dormant and joined
+	// processors, per-scope acknowledgments, reorg estimates and the
+	// global cut. The engine keeps what is about time and delivery.
+	led *ledger
+
+	// syncOrd counts each processor's Sync calls; detectCount drives the
+	// detection-deadline backoff; staged holds per-pid checkpoint saves
+	// awaiting a commit boundary; globalSteps counts completed
+	// root-scope supersteps (the checkpoint and cut cadence).
 	syncOrd     []int
-	dead        map[int]*failInfo
-	acked       []map[*model.Machine]map[int]bool
 	detectCount []int
 	staged      []map[string][]byte
 	globalSteps int
 
-	// Elastic-membership state: dormant pids await their activation
-	// cut; joined records activated latecomers (pid -> activation cut)
-	// pending acknowledgment; ackedJoin[pid][scope] is the joined set
-	// pid has acknowledged on that scope (per scope, mirroring acked:
-	// the join notice burns one sync generation on every scope
-	// containing the newcomer, for every member including the newcomer
-	// itself); knownActive[pid] is pid's membership view.
-	dormant     map[int]bool
-	joined      map[int]int
-	ackedJoin   []map[*model.Machine]map[int]bool
-	knownActive []map[int]bool
-	spawn       func(pid int)
-
-	// Reorganization state: rer folds measured per-step effective
-	// compute slowdowns; epoch counts applied reorganizations. reqs is
-	// the coordinator's request channel, threaded here so a reorg cut
-	// can drain the exit requests of still-unwinding dead processors
-	// before mutating the tree (quiesceDead).
-	rer   *model.Reranker
-	epoch int
+	// spawn starts an activated latecomer's goroutine. reqs is the
+	// coordinator's request channel, threaded here so a reorg cut can
+	// drain the exit requests of still-unwinding dead processors before
+	// the tree is mutated (quiesceDead).
+	spawn func(pid int)
 	reqs  chan *vrequest
-
-	// planDead tracks the dead-set size last reported to the PlanHook,
-	// so a death between two global barriers surfaces as exactly one
-	// TreeChanged (membership-epoch invalidation).
-	planDead int
 
 	// running counts live goroutines; activation at a membership cut
 	// increments it.
@@ -420,48 +384,6 @@ type runState struct {
 	// scopes complete in scheduler-dependent order.
 	stepSum []float64
 	stepN   []int
-}
-
-// equalizeAcks unions the per-scope acknowledgment sets (dead or
-// joined) of every processor the skip predicate admits, then writes the
-// union back to each of them. Called at a reorganization cut, where
-// every live processor is parked: knowledge acquired on one scope
-// travels with a leaf that a rebalance moves under another.
-func equalizeAcks(sets []map[*model.Machine]map[int]bool, skip func(pid int) bool) {
-	union := make(map[*model.Machine]map[int]bool)
-	for pid := range sets {
-		if skip(pid) {
-			continue
-		}
-		for scope, set := range sets[pid] {
-			u := union[scope]
-			if u == nil {
-				u = make(map[int]bool, len(set))
-				union[scope] = u
-			}
-			for q := range set {
-				u[q] = true
-			}
-		}
-	}
-	for pid := range sets {
-		if skip(pid) {
-			continue
-		}
-		for scope, u := range union {
-			if sets[pid] == nil {
-				sets[pid] = make(map[*model.Machine]map[int]bool)
-			}
-			cp := sets[pid][scope]
-			if cp == nil {
-				cp = make(map[int]bool, len(u))
-				sets[pid][scope] = cp
-			}
-			for q := range u {
-				cp[q] = true
-			}
-		}
-	}
 }
 
 // recycleSpent reclaims a resumed processor's donated inbox slice for
@@ -488,37 +410,20 @@ func (v *Virtual) takeInbox(pid int) ([]Message, []msgMeta) {
 	return in, meta
 }
 
-func (v *Virtual) coordinate(reqs chan *vrequest, ctxs []*vctx, dormant map[int]bool, spawn func(int), active int) (*trace.Report, error) {
+func (v *Virtual) coordinate(reqs chan *vrequest, ctxs []*vctx, led *ledger, spawn func(int), active int) (*trace.Report, error) {
 	p := v.tree.NProcs()
 	st := &runState{
 		pending:     make([]*vrequest, p),
 		done:        make([]bool, p),
 		clocks:      make([]float64, p),
+		led:         led,
 		syncOrd:     make([]int, p),
-		dead:        make(map[int]*failInfo),
-		acked:       make([]map[*model.Machine]map[int]bool, p),
 		detectCount: make([]int, p),
 		staged:      make([]map[string][]byte, p),
 		stepSum:     make([]float64, p),
 		stepN:       make([]int, p),
-		dormant:     dormant,
-		joined:      make(map[int]int),
-		ackedJoin:   make([]map[*model.Machine]map[int]bool, p),
-		knownActive: make([]map[int]bool, p),
 		spawn:       spawn,
-		rer:         model.NewReranker(p, v.ReorgAlpha),
 		reqs:        reqs,
-	}
-	for pid := 0; pid < p; pid++ {
-		if dormant[pid] {
-			continue
-		}
-		st.knownActive[pid] = make(map[int]bool, active)
-		for q := 0; q < p; q++ {
-			if !dormant[q] {
-				st.knownActive[pid][q] = true
-			}
-		}
 	}
 	st.running = active
 	for st.running > 0 {
@@ -589,7 +494,7 @@ func (v *Virtual) handleDone(st *runState, req *vrequest) {
 func (v *Virtual) quiesceDead(st *runState, ctxs []*vctx) {
 	for {
 		unwinding := false
-		for pid := range st.dead {
+		for pid := range st.led.dead {
 			if !st.done[pid] {
 				unwinding = true
 				break
@@ -620,7 +525,7 @@ func (v *Virtual) handleSync(st *runState, ctxs []*vctx, req *vrequest) {
 	// they are program state, not step data.
 	v.stageSaves(st, pid, req.saves)
 
-	if st.dead[pid] != nil {
+	if st.led.dead[pid] != nil {
 		// A dead processor's program swallowed the crash error and
 		// synced again; it stays dead.
 		req.resume <- fmt.Errorf("%w (p%d)", errCrashStop, pid)
@@ -634,58 +539,17 @@ func (v *Virtual) handleSync(st *runState, ctxs []*vctx, req *vrequest) {
 		v.crash(st, ctxs, pid, req, "leave")
 		return
 	}
-	if firstDead, ok := v.unackedDead(st, pid, req.scope); ok {
-		v.failSync(st, ctxs, pid, req.scope, firstDead, req)
+	if v.failSync(st, ctxs, req) {
 		return
 	}
-	if firstJoin, ok := v.unackedJoin(st, pid, req.scope); ok {
-		v.joinSync(st, ctxs, pid, req.scope, firstJoin, req)
+	// Unlike a death, a join carries no detection charge: it is planned
+	// at the cut, not detected by a deadline.
+	if n := st.led.joinNotice(pid, req.scope); n != nil {
+		ctxs[pid].membersView = st.led.members(pid)
+		req.resume <- n
 		return
 	}
 	st.pending[pid] = req
-}
-
-// unackedJoin returns the smallest joined (activated-latecomer) pid in
-// scope the given processor has not acknowledged, if any. The requester
-// itself counts: a newcomer burns the same notice generation as
-// everyone else, which is what keeps per-scope generations aligned.
-func (v *Virtual) unackedJoin(st *runState, pid int, scope *model.Machine) (int, bool) {
-	if len(st.joined) == 0 {
-		return 0, false
-	}
-	first, found := -1, false
-	for _, l := range scope.Leaves() {
-		lp := v.tree.Pid(l)
-		if _, ok := st.joined[lp]; ok && !st.ackedJoin[pid][scope][lp] {
-			if !found || lp < first {
-				first, found = lp, true
-			}
-		}
-	}
-	return first, found
-}
-
-// joinSync delivers ErrPeerJoined for one sync attempt: it acknowledges
-// every joined member of the scope for the requester, stages its
-// updated membership view, and resumes it with the typed error. Unlike
-// failSync there is no detection charge — a join is planned at the cut,
-// not detected by a deadline.
-func (v *Virtual) joinSync(st *runState, ctxs []*vctx, pid int, scope *model.Machine, firstJoin int, req *vrequest) {
-	if st.ackedJoin[pid] == nil {
-		st.ackedJoin[pid] = make(map[*model.Machine]map[int]bool)
-	}
-	if st.ackedJoin[pid][scope] == nil {
-		st.ackedJoin[pid][scope] = make(map[int]bool)
-	}
-	for _, l := range scope.Leaves() {
-		lp := v.tree.Pid(l)
-		if _, ok := st.joined[lp]; ok {
-			st.ackedJoin[pid][scope][lp] = true
-			st.knownActive[pid][lp] = true
-		}
-	}
-	ctxs[pid].membersView = sortedPids(st.knownActive[pid])
-	req.resume <- &ErrPeerJoined{Pid: firstJoin, Step: st.joined[firstJoin]}
 }
 
 // stageSaves folds one processor's Save()d state into the run's staging
@@ -720,7 +584,7 @@ func (v *Virtual) crash(st *runState, ctxs []*vctx, pid int, req *vrequest, caus
 		victimErr, fate = errLeave, "leave"
 	}
 	v.Obsv.Chaos(fate, req.ord, pid, pid, st.clocks[pid])
-	st.dead[pid] = &failInfo{step: req.ord, cause: cause}
+	st.led.kill(pid, req.ord, cause)
 	req.resume <- fmt.Errorf("%w (p%d at step %d)", victimErr, pid, req.ord)
 
 	rest := st.undelivered[:0]
@@ -731,165 +595,30 @@ func (v *Virtual) crash(st *runState, ctxs []*vctx, pid int, req *vrequest, caus
 	}
 	st.undelivered = rest
 
+	// A parked processor has acknowledged every earlier death on its
+	// scope, so it owes a notice exactly when the scope contains the new
+	// victim.
 	for waiter, r := range st.pending {
-		if r == nil || !v.scopeContains(r.scope, pid) {
-			continue
+		if r != nil && v.failSync(st, ctxs, r) {
+			st.pending[waiter] = nil
 		}
-		st.pending[waiter] = nil
-		v.failSync(st, ctxs, waiter, r.scope, pid, r)
 	}
 }
 
-// scopeContains reports whether the scope's leaf set includes pid.
-func (v *Virtual) scopeContains(scope *model.Machine, pid int) bool {
-	for _, l := range scope.Leaves() {
-		if v.tree.Pid(l) == pid {
-			return true
-		}
+// failSync delivers the requester's next dead-peer notice on its scope,
+// if it owes one: the detection deadline is charged to its clock, its
+// updated Failed view staged, and it resumes with the typed error.
+func (v *Virtual) failSync(st *runState, ctxs []*vctx, req *vrequest) bool {
+	n := st.led.deadNotice(req.pid, req.scope)
+	if n == nil {
+		return false
 	}
-	return false
-}
-
-// unackedDead returns the smallest dead pid in scope the given
-// processor has not acknowledged, if any.
-func (v *Virtual) unackedDead(st *runState, pid int, scope *model.Machine) (int, bool) {
-	if len(st.dead) == 0 {
-		return 0, false
-	}
-	first, found := -1, false
-	for _, l := range scope.Leaves() {
-		lp := v.tree.Pid(l)
-		if st.dead[lp] != nil && !st.acked[pid][scope][lp] {
-			if !found || lp < first {
-				first, found = lp, true
-			}
-		}
-	}
-	return first, found
-}
-
-// failSync delivers ErrPeerFailed for one sync attempt: it acknowledges
-// every dead member of the scope for the requester, charges the
-// detection deadline to its clock, stages its updated Failed view, and
-// resumes it with the typed error.
-func (v *Virtual) failSync(st *runState, ctxs []*vctx, pid int, scope *model.Machine, firstDead int, req *vrequest) {
-	if st.acked[pid] == nil {
-		st.acked[pid] = make(map[*model.Machine]map[int]bool)
-	}
-	if st.acked[pid][scope] == nil {
-		st.acked[pid][scope] = make(map[int]bool)
-	}
-	for _, l := range scope.Leaves() {
-		lp := v.tree.Pid(l)
-		if st.dead[lp] != nil {
-			st.acked[pid][scope][lp] = true
-		}
-	}
-	st.clocks[pid] += v.detectCharge(st, pid, scope)
+	pid := req.pid
+	st.clocks[pid] += v.detectCharge(st, pid, req.scope)
 	ctxs[pid].clock = st.clocks[pid]
-	union := make(map[int]bool)
-	for _, perScope := range st.acked[pid] {
-		for dp := range perScope {
-			union[dp] = true
-		}
-	}
-	ctxs[pid].failedView = sortedPids(union)
-	info := st.dead[firstDead]
-	req.resume <- &ErrPeerFailed{Pid: firstDead, Step: info.step, Cause: info.cause}
-}
-
-// membershipCut activates every dormant processor whose JoinAt point
-// has been reached: its clock starts at the cut's virtual time, its
-// membership and failure views are seeded, and its goroutine spawns.
-// From the next sync on, every member of every scope containing it —
-// the newcomer included — burns one notice generation (ErrPeerJoined)
-// per scope, which re-aligns barrier generations without renumbering.
-func (v *Virtual) membershipCut(st *runState, ctxs []*vctx, now float64) {
-	if len(st.dormant) == 0 {
-		return
-	}
-	var act []int
-	for pid := range st.dormant {
-		if v.Chaos.JoinStep(pid) <= st.globalSteps {
-			act = append(act, pid)
-		}
-	}
-	if len(act) == 0 {
-		return
-	}
-	sort.Ints(act)
-	for _, pid := range act {
-		delete(st.dormant, pid)
-	}
-	for _, pid := range act {
-		st.joined[pid] = st.globalSteps
-		ka := make(map[int]bool, len(ctxs))
-		for q := range ctxs {
-			if !st.dormant[q] {
-				ka[q] = true
-			}
-		}
-		st.knownActive[pid] = ka
-		ctxs[pid].membersView = sortedPids(ka)
-		st.clocks[pid] = now
-		ctxs[pid].clock = now
-		v.seedAcks(st, ctxs, pid)
-		v.Obsv.Chaos("join", st.globalSteps, pid, pid, now)
-		st.spawn(pid)
-		st.running++
-	}
-}
-
-// seedAcks copies, per scope, a live old member's acknowledged dead and
-// joined sets onto a newcomer. The failure protocol keeps those sets
-// identical across all live members of a scope at a global cut, so the
-// newcomer inherits exactly the pending notices the old members still
-// owe — it will burn the same notice generations they will, keeping
-// per-scope sync generations aligned. Scopes with no live old member
-// need no seeding: the newcomer's notices there race nobody.
-func (v *Virtual) seedAcks(st *runState, ctxs []*vctx, pid int) {
-	v.tree.Root.Walk(func(scope *model.Machine) {
-		donor := -1
-		for _, l := range scope.Leaves() {
-			lp := v.tree.Pid(l)
-			if lp == pid || st.dormant[lp] || st.dead[lp] != nil || st.joined[lp] == st.globalSteps {
-				continue
-			}
-			if donor < 0 || lp < donor {
-				donor = lp
-			}
-		}
-		if donor < 0 {
-			return
-		}
-		if deadSet := st.acked[donor][scope]; len(deadSet) > 0 {
-			if st.acked[pid] == nil {
-				st.acked[pid] = make(map[*model.Machine]map[int]bool)
-			}
-			cp := make(map[int]bool, len(deadSet))
-			for d := range deadSet {
-				cp[d] = true
-			}
-			st.acked[pid][scope] = cp
-		}
-		if joinSet := st.ackedJoin[donor][scope]; len(joinSet) > 0 {
-			if st.ackedJoin[pid] == nil {
-				st.ackedJoin[pid] = make(map[*model.Machine]map[int]bool)
-			}
-			cp := make(map[int]bool, len(joinSet))
-			for j := range joinSet {
-				cp[j] = true
-			}
-			st.ackedJoin[pid][scope] = cp
-		}
-	})
-	union := make(map[int]bool)
-	for _, perScope := range st.acked[pid] {
-		for dp := range perScope {
-			union[dp] = true
-		}
-	}
-	ctxs[pid].failedView = sortedPids(union)
+	ctxs[pid].failedView = st.led.failed(pid)
+	req.resume <- n
+	return true
 }
 
 // detectCharge is the failure-detection deadline on the virtual clock:
@@ -954,8 +683,8 @@ func (v *Virtual) desyncError(st *runState) error {
 
 // release completes every scope whose entire live leaf set is pending
 // on it. Dead processors are excluded: their failure has already been
-// acknowledged by every pending member (failSyncReq guarantees a
-// processor only parks on a scope whose dead members it has acked).
+// acknowledged by every pending member (handleSync parks a processor
+// only on a scope whose dead members it has acknowledged).
 func (v *Virtual) release(st *runState, ctxs []*vctx) {
 	seen := map[*model.Machine]bool{}
 	for pid := range st.pending {
@@ -969,7 +698,7 @@ func (v *Virtual) release(st *runState, ctxs []*vctx) {
 		live := 0
 		for _, l := range leaves {
 			lp := v.tree.Pid(l)
-			if st.dead[lp] != nil || st.dormant[lp] {
+			if !st.led.alive(lp) {
 				continue
 			}
 			live++
@@ -992,7 +721,7 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 	for _, l := range leaves {
 		lp := v.tree.Pid(l)
 		inScope[lp] = true
-		if st.dead[lp] == nil && !st.dormant[lp] {
+		if st.led.alive(lp) {
 			pids = append(pids, lp)
 		}
 	}
@@ -1019,7 +748,7 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 			// the success path (a failed sync's work is dropped), which
 			// is the same rule the concurrent engine applies — equal
 			// seeds produce equal estimate streams on both engines.
-			st.rer.Observe(pid, ctxs[pid].leaf.CompSlowdown*slow)
+			st.led.rer.Observe(pid, ctxs[pid].leaf.CompSlowdown*slow)
 		}
 		if label == "" {
 			label = r.label
@@ -1046,11 +775,11 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 			rest = append(rest, m)
 			continue
 		}
-		if st.dormant[m.dst] {
+		if st.led.dormant[m.dst] {
 			rest = append(rest, m) // not yet joined: hold until activation
 			continue
 		}
-		if st.dead[m.dst] != nil {
+		if st.led.dead[m.dst] != nil {
 			continue // addressed to a corpse: drop
 		}
 		if !m.fated {
@@ -1185,62 +914,22 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 			}
 		}
 		// The completed global barrier is the run's consistent cut: all
-		// live processors are parked right here, so the tree can be
-		// rebalanced and membership can grow with no program in flight.
-		// Reorg strictly precedes activation — a spawned newcomer starts
-		// reading the tree immediately, so nothing may mutate it after
-		// its goroutine exists. (The dormant leaf was in the tree all
-		// along; the plan covers it either way.)
-		var planOldFP uint64
-		planReorged := false
-		if v.Plan != nil {
-			planOldFP = v.tree.Fingerprint()
+		// live processors are parked right here, so the ledger can
+		// rebalance the tree and grow the membership with no program in
+		// flight. An activated processor's clock starts at the cut.
+		err := st.led.cut(st.globalSteps, end,
+			func() { v.quiesceDead(st, ctxs) },
+			func(pid int) {
+				ctxs[pid].membersView = st.led.members(pid)
+				ctxs[pid].failedView = st.led.failed(pid)
+				st.clocks[pid] = end
+				ctxs[pid].clock = end
+				st.spawn(pid)
+				st.running++
+			})
+		if err != nil && st.firstErr == nil {
+			st.firstErr = err
 		}
-		if v.ReorgEvery > 0 && st.globalSteps%v.ReorgEvery == 0 {
-			// Crash victims resumed with their error may still be unwinding
-			// user code that reads the tree; wait them out before mutating.
-			v.quiesceDead(st, ctxs)
-			st.epoch++
-			plan := model.PlanReorg(v.tree, st.rer.Estimates(), v.ReorgSeed, st.epoch)
-			if rerr := v.tree.Reorganize(plan); rerr != nil {
-				if st.firstErr == nil {
-					st.firstErr = rerr
-				}
-			} else {
-				planReorged = true
-				v.Obsv.Reorg(st.epoch, plan.Moved, end)
-				// A rebalance can move a leaf under a scope whose members
-				// acknowledged a death or join it only saw elsewhere.
-				// Equalize per-scope ack sets across the live processors so
-				// a moved-in member never burns a notice generation its new
-				// peers do not — the notice protocol's core invariant is
-				// that a scope's members hold identical ack sets.
-				skip := func(pid int) bool {
-					return st.dormant[pid] || st.dead[pid] != nil
-				}
-				equalizeAcks(st.acked, skip)
-				equalizeAcks(st.ackedJoin, skip)
-			}
-		}
-		// Plan hooks fire before membershipCut spawns newcomers: once a
-		// joiner's goroutine exists the cut's quiescence is over, and the
-		// joiner must find the invalidated cache, not a stale one. A
-		// pending activation is itself a membership change.
-		if v.Plan != nil {
-			joins := false
-			for pid := range st.dormant {
-				if v.Chaos.JoinStep(pid) <= st.globalSteps {
-					joins = true
-					break
-				}
-			}
-			if planReorged || joins || len(st.dead) != st.planDead {
-				st.planDead = len(st.dead)
-				v.Plan.TreeChanged(v.tree, planOldFP)
-			}
-			v.Plan.GlobalBarrier(v.tree, st.globalSteps)
-		}
-		v.membershipCut(st, ctxs, end)
 	}
 
 	st.steps = append(st.steps, trace.Step{

@@ -117,7 +117,6 @@ type ring struct {
 	slots []ringSlot
 	mask  uint64
 	next  atomic.Uint64 // tickets issued = events offered
-	drop  atomic.Uint64 // events dropped on wrapped-slot collisions
 }
 
 type ringSlot struct {
@@ -137,47 +136,48 @@ func newRing(capacity int) *ring {
 
 // put records one event. Lock-free: a slot whose previous tenant is
 // still mid-write (the ring wrapped a full lap during that write) is
-// abandoned and the event counted as dropped.
+// abandoned and the event dropped.
 func (r *ring) put(ev Event) {
 	ticket := r.next.Add(1) - 1
 	s := &r.slots[ticket&r.mask]
 	old := s.seq.Load()
 	if old&1 == 1 || !s.seq.CompareAndSwap(old, old|1) {
-		r.drop.Add(1)
 		return
 	}
 	s.ev = ev
 	s.seq.Store(2 * (ticket + 1))
 }
 
-// snapshot returns the buffered events in emission order. It must not
-// race active writers (exporters run after the engines quiesce); a
-// slot observed mid-write is skipped rather than torn.
-func (r *ring) snapshot() []Event {
+// held calls visit, in emission order, for each of the most recent
+// len(slots) offered events that is still in its slot, and returns how
+// many events were ever offered. It must not race active writers
+// (exporters run after the engines quiesce); a slot overwritten by
+// another lap, abandoned on a collision or observed mid-write is
+// skipped rather than torn.
+func (r *ring) held(visit func(*Event)) (offered uint64) {
 	total := r.next.Load()
-	n := total
-	if n > uint64(len(r.slots)) {
-		n = uint64(len(r.slots))
-	}
-	out := make([]Event, 0, n)
-	for ticket := total - n; ticket < total; ticket++ {
+	for ticket := total - min(total, uint64(len(r.slots))); ticket < total; ticket++ {
 		s := &r.slots[ticket&r.mask]
-		seq := s.seq.Load()
-		if seq != 2*(ticket+1) {
-			continue // overwritten by a later lap, or still being written
+		if s.seq.Load() == 2*(ticket+1) {
+			visit(&s.ev)
 		}
-		out = append(out, s.ev)
 	}
+	return total
+}
+
+// snapshot returns the buffered events in emission order.
+func (r *ring) snapshot() []Event {
+	out := make([]Event, 0, min(r.next.Load(), uint64(len(r.slots))))
+	r.held(func(ev *Event) { out = append(out, *ev) })
 	return out
 }
 
-// lost returns how many offered events are no longer in the buffer:
-// overwritten by newer laps plus write-collision drops.
+// lost returns how many offered events snapshot would not return:
+// overwritten by newer laps or dropped on a write collision. Counting
+// what is held, not the collisions, is what keeps kept + lost equal to
+// offered — a dropped event's slot is overwritten by later laps too.
 func (r *ring) lost() uint64 {
-	total := r.next.Load()
-	kept := total
-	if kept > uint64(len(r.slots)) {
-		kept = uint64(len(r.slots))
-	}
-	return total - kept + r.drop.Load()
+	kept := uint64(0)
+	offered := r.held(func(*Event) { kept++ })
+	return offered - kept
 }

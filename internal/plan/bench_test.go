@@ -300,7 +300,7 @@ func benchDispatch(b *testing.B, planned bool) {
 }
 
 func BenchmarkPlannedDispatch(b *testing.B) { benchDispatch(b, true) }
-func BenchmarkDirectDispatch(b *testing.B) { benchDispatch(b, false) }
+func BenchmarkDirectDispatch(b *testing.B)  { benchDispatch(b, false) }
 
 // BenchmarkDecideHit isolates the decision-cache hit path: a memoized
 // fingerprint read plus one lock-free map load. This is the overhead a
