@@ -69,12 +69,13 @@ verify:
 	wait "$$c" && wait "$$w1" && wait "$$w2"
 
 # wire-smoke runs one second of the wall-clock benchmark over each
-# socket transport — the all-to-all superstep on unix, the collective
-# rounds on TCP, every output checked against its oracle. A non-zero
-# exit or a single failed operation fails the step. check.sh invokes
-# this target rather than repeating it.
+# socket transport — the all-to-all superstep on unix at 64 B and at
+# 256 KiB per pair (small frames, then frames a socket buffer cannot
+# hold), the collective rounds on TCP — every output checked against
+# its oracle. A non-zero exit or a single failed operation fails the
+# step. check.sh invokes this target rather than repeating it.
 wire-smoke:
-	@for w in sync_unix coll_tcp; do \
+	@for w in sync_unix bulk_unix coll_tcp; do \
 		out=$$($(GO) run ./benchmark -workload $$w -seconds 1) || { echo "$$out"; exit 1; }; \
 		echo "$$out" | tail -n 1 | grep -q '"failed":0[,}]' || \
 			{ echo "$$out"; echo "wire-smoke: $$w reported failed operations" >&2; exit 1; }; \
@@ -132,11 +133,12 @@ cover:
 		{ echo "coverage $${total}% fell below the $${floor}% floor"; exit 1; }
 
 # fuzz gives each pvm wire-format and wiretrans frame-layer fuzzer a
-# short budget; CI smoke, not a campaign.
+# short budget; CI smoke, not a campaign. check.sh invokes this target
+# rather than keeping a list of its own.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/pvm/ -fuzz FuzzBufferRoundTrip -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/pvm/ -fuzz FuzzUnpack -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pvm/ -run '^$$' -fuzz FuzzBufferRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pvm/ -run '^$$' -fuzz FuzzUnpack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzBatchBody -fuzztime $(FUZZTIME)

@@ -116,8 +116,9 @@ timed 30 "planner smoke" planner_smoke
 # run the verified broadcast+reduce SPMD program over a unix socket.
 timed 30 "verify smokes" "${MAKE:-make}" verify
 
-# Wire smoke (DESIGN.md §5.10): a second of the benchmark's supersteps
-# over the unix transport and of its collectives over TCP, oracles on.
+# Wire smoke (DESIGN.md §5.10): a second each of the benchmark's small
+# and 256 KiB-frame supersteps over the unix transport and of its
+# collectives over TCP, oracles on.
 "${MAKE:-make}" wire-smoke
 
 # Coverage floor: total statement coverage must not drop below the
@@ -130,8 +131,6 @@ floor=$(cat bench/coverage_baseline.txt)
 echo "total coverage ${total}% (floor ${floor}%)"
 awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }'
 
-# Wire-format and frame-layer fuzzers, ~15s each: CI smoke, not a
-# campaign.
-go test ./internal/pvm/ -run '^$' -fuzz FuzzBufferRoundTrip -fuzztime 15s
-go test ./internal/pvm/ -run '^$' -fuzz FuzzUnpack -fuzztime 15s
-go test ./internal/pvm/wiretrans/ -run '^$' -fuzz FuzzReadFrame -fuzztime 15s
+# Wire-format and frame-layer fuzzers, 15s each, as `make fuzz` lists
+# them: CI smoke, not a campaign.
+"${MAKE:-make}" fuzz FUZZTIME=15s

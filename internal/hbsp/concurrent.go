@@ -759,6 +759,10 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		if sendErr == nil {
 			sendErr = c.task.SendBatch(c.tids[dst], tag, c.batch[dst])
 		}
+		// Cleared, not just truncated: the backing array must not keep
+		// the superstep's wires (an unpooled one is its whole payload)
+		// reachable until the slots are overwritten.
+		clear(c.batch[dst])
 		c.batch[dst] = c.batch[dst][:0]
 	}
 	c.touched = c.touched[:0]
@@ -850,11 +854,13 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	}
 
 	// All sends of this (scope, gen) happened before any barrier exit,
-	// so the mailbox now holds the complete delivery. Payloads are
-	// copied out of the pooled wires into one fresh slab per window —
-	// delivered bytes keep garbage-collected lifetime (programs hold
-	// collective results across supersteps), while the wire buffers
-	// release straight back to the arena.
+	// so the mailbox now holds the complete delivery. Delivered bytes
+	// keep garbage-collected lifetime (programs hold collective results
+	// across supersteps), by the cheapest means each message allows: one
+	// a transport injected already is garbage-collected memory and is
+	// aliased; one on a pooled wire (every in-proc send) is copied into
+	// one fresh slab per window, and the wire releases straight back to
+	// the arena.
 	c.inbox = c.inbox[:0]
 	c.inmeta = c.inmeta[:0]
 	recvBytes := 0
@@ -871,7 +877,9 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	msgs := c.task.TryRecvAll(pvm.AnySource, tag)
 	slabCap := 0
 	for _, m := range msgs {
-		slabCap += m.Len()
+		if m.Pooled() {
+			slabCap += m.Len()
+		}
 	}
 	slab := make([]byte, 0, slabCap)
 	for i, m := range msgs {
@@ -888,10 +896,12 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		if err != nil {
 			return releaseRest(msgs[i:], err)
 		}
-		// slabCap over-covers the framing, so these appends never
-		// reallocate and earlier windows' slices stay intact.
-		slab = append(slab, payload...)
-		payload = slab[len(slab)-len(payload):]
+		if m.Pooled() {
+			// slabCap over-covers the framing, so these appends never
+			// reallocate and earlier windows' slices stay intact.
+			slab = append(slab, payload...)
+			payload = slab[len(slab)-len(payload):]
+		}
 		if c.eng.Verify {
 			sum, err := b.UnpackInt64()
 			if err != nil {

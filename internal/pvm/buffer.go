@@ -206,6 +206,16 @@ func (b *Buffer) PackBytes(p []byte) *Buffer {
 	return b
 }
 
+// PackBytesHeader appends the type code and length prefix of an n-byte
+// slice and nothing else: the caller puts the n bytes on the wire right
+// behind the buffer's own (a vectored write), so they are never copied
+// into it.
+func (b *Buffer) PackBytesHeader(n int) *Buffer {
+	b.packCode(codeBytes)
+	b.data = binary.BigEndian.AppendUint32(b.data, uint32(n))
+	return b
+}
+
 // UnpackBytes reads the next byte slice. The returned slice aliases the
 // buffer; copy it if it must outlive the message.
 func (b *Buffer) UnpackBytes() ([]byte, error) {

@@ -18,8 +18,9 @@ const (
 )
 
 // Message is a delivered packed buffer. The payload aliases the
-// sender's wire buffer: treat it as read-only, and call Release once
-// done with it to return the backing to the arena.
+// sender's wire buffer — or, for a message a transport injected, the
+// frame it arrived in: treat it as read-only, and call Release once
+// done with it to return a pooled backing to the arena.
 type Message struct {
 	Src TID
 	Tag int
@@ -40,7 +41,14 @@ func (m Message) Len() int { return len(m.buf) }
 // most once, after the payload (and anything unpacked from it, which
 // aliases the same bytes) is no longer needed. A multicast payload is
 // shared: the backing recycles only when every destination releases.
+// On a message that is not Pooled it does nothing.
 func (m Message) Release() { m.w.release() }
+
+// Pooled reports who owns the message's bytes: true for a wire drawn
+// from the arena, which the next NewBuffer reuses once the message is
+// released; false for garbage-collected memory (Inject), which stays
+// intact for as long as anything references it.
+func (m Message) Pooled() bool { return m.w != nil }
 
 // ErrHalted is returned by blocking operations after Halt.
 var ErrHalted = errors.New("pvm: system halted")

@@ -29,7 +29,8 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 // A non-nil transport owns delivery instead: Send, SendBatch and Mcast
 // hand it the adopted messages and the transport is responsible for
 // getting them into the destination mailbox (for a wire transport, via
-// System.Inject on the receiving side).
+// System.Inject on the receiving side; bytes handed to Inject belong to
+// the System, and a held payload pins its whole frame).
 //
 // Contract (post, then flush — as pvm_send returns when the buffer is
 // reusable, not when the peer has the message):
@@ -43,8 +44,8 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 //     holds by construction and no posted failure is dropped.
 //   - Deliver consumes the batch: each message's wire reference is owned
 //     by the transport from the moment Deliver is called, on success and
-//     on error alike (release after copying to the wire, or transfer to
-//     the destination mailbox for loopback paths).
+//     on error alike (release once the bytes are on the wire, or
+//     transfer to the destination mailbox for loopback paths).
 //   - Per-sender FIFO: two Deliver calls from the same task to the same
 //     destination must stage in call order.
 //   - Errors map into the pvm taxonomy: a severed link wraps
@@ -114,20 +115,17 @@ func (s *System) SetTransport(tr Transport) error {
 }
 
 // Inject stages a received wire payload into dst's mailbox on behalf of
-// src. It is the re-entry point for wire transports: the bytes are
-// copied into a fresh pooled backing (the caller's frame buffer is not
-// retained) and delivered exactly like a local send, so receivers see
-// no difference between transports.
+// src, delivered exactly like a local send. It is the re-entry point
+// for wire transports and takes ownership of wire without copying it:
+// the bytes belong to the System from here on (the caller neither
+// writes nor reuses them), the message is not Pooled, and its lifetime
+// is the garbage collector's — a receiver that holds the payload pins
+// whatever allocation wire is a slice of, for a socket transport the
+// whole frame.
 func (s *System) Inject(src, dst TID, tag int, wire []byte) error {
 	target, err := s.task(dst)
 	if err != nil {
 		return err
 	}
-	w := newWire()
-	w.data = append(w.data[:0], wire...)
-	if err := target.deliverOne(Message{Src: src, Tag: tag, buf: w.data, w: w}); err != nil {
-		w.release()
-		return err
-	}
-	return nil
+	return target.deliverOne(Message{Src: src, Tag: tag, buf: wire})
 }

@@ -93,6 +93,112 @@ func TestFramesSurviveChunkedConn(t *testing.T) {
 	}
 }
 
+// chunkedTransport is a Loopback whose link is an in-memory pipe behind
+// fragmenting conns — 3-byte writes out of Deliver, 1-byte reads into
+// the pump — and which keeps every byte Deliver wrote.
+type chunkedTransport struct {
+	*Loopback
+	wrote recordConn
+}
+
+type recordConn struct {
+	chunkConn
+	buf []byte
+}
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.buf = append(c.buf, p...)
+	return c.chunkConn.Write(p)
+}
+
+// lendMailbox spawns a task that only parks, so that the caller can
+// drain its mailbox from outside; stop lets it return.
+func lendMailbox(sys *pvm.System) (task *pvm.Task, stop func()) {
+	out, done := make(chan *pvm.Task, 1), make(chan struct{})
+	sys.Spawn("parked", func(t *pvm.Task) error {
+		out <- t
+		<-done
+		return nil
+	})
+	return <-out, func() { close(done) }
+}
+
+func (c *chunkedTransport) Attach(sys *pvm.System) error {
+	a, b := net.Pipe()
+	c.wrote.chunkConn = chunkConn{Conn: a, maxWrite: 3}
+	c.sys, c.cli = sys, &link{conn: &c.wrote, transport: "test"}
+	c.wg.Add(2)
+	go c.serverPump(&link{conn: &chunkConn{Conn: b, maxRead: 1}, transport: "test"})
+	go c.ackReader()
+	return nil
+}
+
+func TestVectoredDeliverWritesTheSameFrame(t *testing.T) {
+	// Deliver writes a batch as header pieces interleaved with the wires'
+	// own bytes. What reaches the conn must be, byte for byte, the frame
+	// the one-buffer encoding builds from the same messages — 0-, 1- and
+	// 3-byte wires included — and, fragmented both ways, must decode to
+	// the same messages in posting order.
+	testutil.CheckGoroutines(t)
+	lb, err := NewLoopback("unix")
+	if err != nil {
+		t.Fatalf("NewLoopback: %v", err)
+	}
+	tr := &chunkedTransport{Loopback: lb}
+	sys := pvm.NewSystem()
+	if err := sys.SetTransport(tr); err != nil {
+		t.Fatalf("SetTransport: %v", err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+
+	const tag = 6
+	batch := [][]byte{{0x5A}, {1, 2, 3}, {}, pvm.Wrap(nil).PackInt64(77).Bytes()}
+	single := []byte("after the batch")
+	flushed := make(chan struct{})
+	recv := sys.Spawn("recv", func(task *pvm.Task) error {
+		<-flushed
+		msgs := task.TryRecvAll(pvm.AnySource, tag)
+		want := append(append([][]byte(nil), batch...), single)
+		if len(msgs) != len(want) {
+			return fmt.Errorf("%d messages, want %d", len(msgs), len(want))
+		}
+		for i, m := range msgs {
+			if got := m.Buffer().Bytes(); !bytes.Equal(got, want[i]) {
+				return fmt.Errorf("message %d = %x, want %x", i, got, want[i])
+			}
+			m.Release()
+		}
+		return nil
+	})
+	send := sys.Spawn("send", func(task *pvm.Task) error {
+		defer close(flushed)
+		// The last one rides a pooled wire, as every engine send does.
+		bufs := []*pvm.Buffer{pvm.Wrap(batch[0]), pvm.Wrap(batch[1]), pvm.Wrap(batch[2]), pvm.NewBuffer().PackInt64(77)}
+		if err := task.SendBatch(recv, tag, bufs); err != nil {
+			return err
+		}
+		if err := task.Send(recv, tag, pvm.Wrap(single)); err != nil {
+			return err
+		}
+		return task.Flush()
+	})
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+
+	var want []byte
+	for seq, wires := range [][][]byte{batch, {single}} {
+		body := pvm.Wrap(nil).PackInt64(int64(seq+1)).PackInt32(int32(recv), int32(len(wires)))
+		for _, w := range wires {
+			body.PackInt32(int32(send)).PackInt64(tag).PackBytes(w)
+		}
+		want = AppendFrame(want, frameBatch, body.Bytes())
+	}
+	if !bytes.Equal(tr.wrote.buf, want) {
+		t.Fatalf("Deliver wrote\n%x\nthe one-buffer encoding is\n%x", tr.wrote.buf, want)
+	}
+}
+
 func TestReadFrameTypedErrors(t *testing.T) {
 	big := make([]byte, 4)
 	big[0], big[1], big[2], big[3] = 0xFF, 0xFF, 0xFF, 0xFF

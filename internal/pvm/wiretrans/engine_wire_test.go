@@ -1,6 +1,7 @@
 package wiretrans
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,6 +51,108 @@ func TestConcurrentEngineOverWire(t *testing.T) {
 			eng.Transport = func() (pvm.Transport, error) { return NewLoopback(network) }
 			if _, err := eng.Run(ringProg(5)); err != nil {
 				t.Fatalf("run over %s: %v", network, err)
+			}
+		})
+	}
+}
+
+// keptSizes are the payloads every processor sends every other one each
+// superstep of keepProg: several per destination, so a wire frame
+// carries a batch, from empty to larger than a socket buffer.
+var keptSizes = []int{3, 64<<10 + 5, 0, 200}
+
+// keptFill is the payload of message i from src to dst in a superstep.
+func keptFill(src, dst, step, i int) []byte {
+	p := make([]byte, keptSizes[i])
+	seed := byte(src*89 + dst*37 + step*11 + i*5 + 1)
+	const period = 251 // prime, so the pattern never lines up with a power-of-two boundary
+	for j := 0; j < len(p) && j < period; j++ {
+		p[j] = seed + byte(j)*7
+	}
+	for j := period; j < len(p); j *= 2 {
+		copy(p[j:], p[:j])
+	}
+	return p
+}
+
+// heldPayloads keeps the very slices a superstep delivered — not copies
+// — with what each must still read as later.
+type heldPayloads struct {
+	src, tag []int
+	payload  [][]byte
+}
+
+func holdPayloads(moves []hbsp.Message) heldPayloads {
+	var h heldPayloads
+	for _, m := range moves {
+		h.src, h.tag, h.payload = append(h.src, m.Src), append(h.tag, m.Tag), append(h.payload, m.Payload)
+	}
+	return h
+}
+
+// check compares what was delivered to dst in a superstep with what was
+// sent: every sender's messages, in send order.
+func (h heldPayloads) check(dst, n, step int) error {
+	if len(h.payload) != n*len(keptSizes) {
+		return fmt.Errorf("p%d step %d: %d messages, want %d", dst, step, len(h.payload), n*len(keptSizes))
+	}
+	for k, p := range h.payload {
+		src, i := k/len(keptSizes), k%len(keptSizes)
+		if h.src[k] != src || h.tag[k] != i {
+			return fmt.Errorf("p%d step %d: message %d is (src %d, tag %d), want (%d, %d)", dst, step, k, h.src[k], h.tag[k], src, i)
+		}
+		if !bytes.Equal(p, keptFill(src, dst, step, i)) {
+			return fmt.Errorf("p%d: payload %d from p%d of step %d no longer reads as sent", dst, i, src, step)
+		}
+	}
+	return nil
+}
+
+// keepProg holds on to the payload slices of superstep 0 through later
+// all-to-all supersteps with other contents, then reads them again.
+func keepProg(later int) hbsp.Program {
+	return func(c hbsp.Ctx) error {
+		pid, n := c.Pid(), c.NProcs()
+		exchange := func(step int) (heldPayloads, error) {
+			for dst := 0; dst < n; dst++ {
+				for i := range keptSizes {
+					if err := c.Send(dst, i, keptFill(pid, dst, step, i)); err != nil {
+						return heldPayloads{}, err
+					}
+				}
+			}
+			if err := hbsp.SyncAll(c, fmt.Sprintf("keep%d", step)); err != nil {
+				return heldPayloads{}, err
+			}
+			h := holdPayloads(c.Moves())
+			return h, h.check(pid, n, step)
+		}
+		kept, err := exchange(0)
+		for step := 1; err == nil && step <= later; step++ {
+			_, err = exchange(step)
+		}
+		if err != nil {
+			return err
+		}
+		return kept.check(pid, n, 0)
+	}
+}
+
+func TestDeliveredPayloadsOutliveLaterSupersteps(t *testing.T) {
+	// The lifetime contract of DESIGN §5.4 on every transport: a payload
+	// slice a superstep delivered reads the same 32 supersteps later,
+	// whether the engine copied it out of a pooled wire or aliased the
+	// frame it arrived in. The transport twin of
+	// TestPoolRecyclingNeverAliasesLiveMessage. Verify is on in the unix
+	// lane, so its checksum checks read aliased payloads too.
+	for _, tf := range pvm.TransportFactories() {
+		t.Run(tf.Name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			eng := hbsp.NewConcurrent(model.UCFTestbedN(4))
+			eng.Verify = tf.Name == "unix"
+			eng.Transport = tf.New
+			if _, err := eng.Run(keepProg(32)); err != nil {
+				t.Fatalf("run over %s: %v", tf.Name, err)
 			}
 		})
 	}

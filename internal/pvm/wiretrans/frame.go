@@ -66,11 +66,13 @@ func AppendFrame(dst []byte, kind byte, body []byte) []byte {
 
 // beginFrame appends a frame header with the length left open, for a
 // body packed in place behind it; endFrame patches the length of the
-// frame that starts at dst[start]. One pass, no second copy of the body.
+// frame that starts at dst[start] and runs to the end of dst plus tail
+// bytes of body that go out behind dst in the same vectored write. One
+// pass, no second copy of the body.
 func beginFrame(dst []byte, kind byte) []byte { return append(dst, 0, 0, 0, 0, kind) }
 
-func endFrame(dst []byte, start int) {
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeader))
+func endFrame(dst []byte, start, tail int) {
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeader+tail))
 }
 
 // frameBuffered reports whether br already holds a complete frame, so

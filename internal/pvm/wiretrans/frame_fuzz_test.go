@@ -78,20 +78,31 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzBatchBody drives the transport's BATCH decoder with arbitrary
-// bodies: a corrupt peer must produce a typed ack (the empty System
-// has no tasks, so every injection attempt acks no-such-task), never a
-// panic.
+// bodies: a corrupt peer must produce a typed ack, never a panic, and
+// whatever the decoder did hand to Inject before it gave up — the
+// System keeps those slices — must lie inside the body it was given.
+// Bodies addressed to the one parked task inject; any other
+// destination acks no-such-task.
 func FuzzBatchBody(f *testing.F) {
-	l := &Loopback{network: "tcp", sys: pvm.NewSystem()}
-	valid := func(msgs int) []byte {
-		b := pvm.Wrap(nil).PackInt64(7).PackInt32(1, int32(msgs))
+	sys := pvm.NewSystem()
+	task, stop := lendMailbox(sys)
+	f.Cleanup(func() {
+		stop()
+		_ = sys.Wait()
+	})
+	dst := task.TID()
+	l := &Loopback{network: "tcp", sys: sys}
+	valid := func(dst pvm.TID, msgs int) []byte {
+		b := pvm.Wrap(nil).PackInt64(7).PackInt32(int32(dst), int32(msgs))
 		for i := 0; i < msgs; i++ {
-			b.PackInt32(int32(i)).PackInt64(int64(100 + i)).PackBytes([]byte("payload"))
+			b.PackInt32(int32(i)).PackInt64(int64(100 + i)).PackBytes([]byte("payload")[:i%8])
 		}
 		return b.Bytes()
 	}
-	f.Add(valid(0))
-	f.Add(valid(2))
+	f.Add(valid(dst, 0))
+	f.Add(valid(dst, 2))
+	f.Add(valid(dst, 9)[:150]) // cut inside a later message: the earlier ones stay injected
+	f.Add(valid(dst+1, 2))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -101,5 +112,23 @@ func FuzzBatchBody(f *testing.F) {
 			}
 		}()
 		l.injectBatch(body)
+		for _, m := range task.TryRecvAll(pvm.AnySource, pvm.AnyTag) {
+			p, pooled := m.Buffer().Bytes(), m.Pooled()
+			m.Release()
+			if pooled || !sliceOf(p, body) {
+				t.Fatalf("injected %d bytes that are not a slice of the %d-byte body", len(p), len(body))
+			}
+		}
 	})
+}
+
+// sliceOf reports whether p is a sub-slice of s. One is a slice of the
+// other only if both run to the same end of one backing array, so the
+// capacities give the offset p would have to start at.
+func sliceOf(p, s []byte) bool {
+	off := cap(s) - cap(p)
+	if off < 0 || off+len(p) > len(s) {
+		return false
+	}
+	return cap(p) == 0 || &p[:1][0] == &s[off:][:1][0]
 }

@@ -45,7 +45,9 @@ type link struct {
 	transport string // metrics label: "unix" or "tcp"
 
 	wmu     sync.Mutex
-	scratch []byte // frame being encoded in place, guarded by wmu
+	scratch []byte      // frame (its headers, for a batch) being encoded in place, guarded by wmu
+	iov     [][]byte    // the pieces of a batch frame in wire order, reused across batches
+	bufs    net.Buffers // iov as the vectored write consumes it; here so the call allocates nothing
 }
 
 func (l *link) writeFrame(kind byte, body []byte) error {
@@ -65,6 +67,21 @@ func (l *link) writeLocked(frames []byte) error {
 		observeFrame(l.transport, true, n)
 		frames = frames[n:]
 	}
+	return nil
+}
+
+// writevLocked hands the one frame whose pieces are in l.iov to a single
+// vectored write (writev on a socket, one Write per piece elsewhere)
+// and forgets the pieces: the link must not keep a sender's wire
+// reachable. The caller holds wmu.
+func (l *link) writevLocked() error {
+	l.bufs = l.iov
+	n, err := l.bufs.WriteTo(l.conn)
+	clear(l.iov) // bufs shares the array, so this covers what a failed write left in it
+	if err != nil {
+		return fmt.Errorf("wiretrans: write %s frame: %w: %w", l.transport, pvm.ErrPeerLost, err)
+	}
+	observeFrame(l.transport, true, int(n))
 	return nil
 }
 

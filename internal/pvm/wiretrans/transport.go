@@ -201,10 +201,13 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 	return nil
 }
 
-// Deliver implements pvm.Transport. It consumes the batch's wire
-// references (packing each payload straight into the link's frame
-// scratch) and writes one coalesced BATCH frame; Flush collects the
-// ack. Under the write lock, so the pending queue is in wire order.
+// Deliver implements pvm.Transport. It writes one coalesced BATCH frame
+// without copying a payload byte: only the headers (frame, seq, dst,
+// count, and each message's src, tag and length prefix) are packed,
+// contiguously, into the link's scratch, and one vectored write sends
+// them interleaved with the adopted wires' own bytes. The wires are
+// released once that write has returned; Flush collects the ack. Under
+// the write lock, so the pending queue is in wire order.
 func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	if len(ms) == 0 {
 		return nil
@@ -213,19 +216,11 @@ func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	l.seq++
-	body := pvm.Wrap(beginFrame(c.scratch[:0], frameBatch)).
-		PackInt64(l.seq).
-		PackInt32(int32(dst), int32(len(ms)))
-	for _, m := range ms {
-		body.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytes(m.Buffer().Bytes())
-		m.Release()
-	}
-	c.scratch = body.Bytes()
-	endFrame(c.scratch, 0)
 	src := ms[0].Src
 	l.mu.Lock()
 	if err := l.failErr; err != nil {
 		l.mu.Unlock()
+		releaseAll(ms)
 		return &pvm.DeliveryError{Dst: dst, Err: err}
 	}
 	s := l.senders[src]
@@ -236,12 +231,45 @@ func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	s.outstanding++
 	l.pending = append(l.pending, post{seq: l.seq, src: src, dst: dst})
 	l.mu.Unlock()
-	if err := c.writeLocked(c.scratch); err != nil {
+
+	hdr := pvm.Wrap(beginFrame(c.scratch[:0], frameBatch)).
+		PackInt64(l.seq).
+		PackInt32(int32(dst), int32(len(ms)))
+	lead, payload := hdr.Len(), 0
+	for _, m := range ms {
+		hdr.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytesHeader(m.Len())
+		payload += m.Len()
+	}
+	c.scratch = hdr.Bytes()
+	endFrame(c.scratch, 0, payload)
+	// Every message header packs to the same length, so the cuts between
+	// them need no table; the frame and batch header ride with the first.
+	per := (len(c.scratch) - lead) / len(ms)
+	c.iov = c.iov[:0]
+	at := 0
+	for i, m := range ms {
+		to := lead + (i+1)*per
+		c.iov = append(c.iov, c.scratch[at:to])
+		if m.Len() > 0 {
+			c.iov = append(c.iov, m.Buffer().Bytes())
+		}
+		at = to
+	}
+	err := c.writevLocked()
+	releaseAll(ms)
+	if err != nil {
 		// A link that cannot be written is lost; the post fails with
 		// the rest of the queue and surfaces at the sender's Flush.
 		l.fail(err)
 	}
 	return nil
+}
+
+// releaseAll drops the transport's reference to each wire of a batch.
+func releaseAll(ms []pvm.Message) {
+	for _, m := range ms {
+		m.Release()
+	}
 }
 
 // Flush implements pvm.Transport: it parks until every batch src posted
@@ -310,7 +338,7 @@ func (l *Loopback) serverPump(srv *link) {
 	defer l.wg.Done()
 	defer func() { _ = srv.close() }()
 	br := bufio.NewReader(srv.conn)
-	var scratch, acks []byte
+	var acks []byte
 	for {
 		if len(acks) > 0 && !frameBuffered(br) {
 			srv.wmu.Lock()
@@ -322,13 +350,14 @@ func (l *Loopback) serverPump(srv *link) {
 			}
 			acks = acks[:0]
 		}
-		kind, body, next, n, err := ReadFrame(br, scratch)
+		// Each frame lands in a buffer of its own: injectBatch gives the
+		// payloads away as slices of it, so it is never read into again.
+		kind, body, _, n, err := ReadFrame(br, nil)
 		if err != nil {
 			l.fail(fmt.Errorf("wiretrans: %s server: %w: %v", l.network, pvm.ErrPeerLost, err))
 			return
 		}
 		observeFrame(l.network, false, n)
-		scratch = next
 		if kind != frameBatch {
 			l.fail(fmt.Errorf("%w: server got kind %d", ErrBadFrame, kind))
 			return
@@ -341,11 +370,13 @@ func (l *Loopback) serverPump(srv *link) {
 		seq, code, detail := l.injectBatch(body)
 		start := len(acks)
 		acks = pvm.Wrap(beginFrame(acks, frameAck)).PackInt64(seq).PackInt32(code).PackString(detail).Bytes()
-		endFrame(acks, start)
+		endFrame(acks, start, 0)
 	}
 }
 
-// injectBatch decodes one BATCH body and stages every message.
+// injectBatch decodes one BATCH body and stages every message. Each
+// payload is a slice of body that pvm.Inject keeps: body is the
+// System's from here on.
 func (l *Loopback) injectBatch(body []byte) (seq int64, code int32, detail string) {
 	b := pvm.Wrap(body)
 	seq, err := b.UnpackInt64()
