@@ -1,12 +1,17 @@
-# Development entry points. `make check` is the CI gate: build, go vet,
-# the HBSP^k model lint suite, and the test suite under the race
-# detector. A malformed tree never merges with these green.
+# Development entry points. `make check` is the CI gate, and the gate is
+# check.sh: one definition of what must be green (build, go vet, gofmt,
+# the HBSP^k model lint suite against its SARIF baseline, the race
+# tests, the chaos and churn soaks, the conformance and planner gates,
+# the smokes, the coverage floor, the fuzzers). The script calls back
+# into the targets below for the steps they define. A malformed tree
+# never merges with it green.
 
 GO ?= go
 
 .PHONY: check build vet fmt lint vet-sarif test race chaos verify wire-smoke fuzz bench cover clean
 
-check: build vet fmt lint race chaos verify wire-smoke
+check:
+	./check.sh
 
 build:
 	$(GO) build ./...
@@ -42,7 +47,9 @@ race:
 
 # chaos reruns the seeded fault-injection suite by name — fabric fates,
 # engine crash/shrink/checkpoint paths, and the fault-tolerant
-# collective matrix — so a chaos regression is unmistakable in CI.
+# collective matrix — under the race detector. Already part of `race`;
+# rerun by name so a chaos regression is unmistakable in CI. check.sh
+# invokes this target.
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/fabric/ ./internal/hbsp/ ./internal/collective/
 
@@ -124,6 +131,7 @@ bench:
 # cover enforces the coverage floor: total statement coverage must not
 # drop below bench/coverage_baseline.txt (percent, one line). The
 # profile lands in bench/cover.out for go tool cover -html browsing.
+# check.sh invokes this target.
 cover:
 	$(GO) test -coverprofile=bench/cover.out ./...
 	@total=$$($(GO) tool cover -func=bench/cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
@@ -132,9 +140,9 @@ cover:
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $${total}% fell below the $${floor}% floor"; exit 1; }
 
-# fuzz gives each pvm wire-format and wiretrans frame-layer fuzzer a
-# short budget; CI smoke, not a campaign. check.sh invokes this target
-# rather than keeping a list of its own.
+# fuzz gives each pvm wire-format, wiretrans frame-layer and engine
+# message-codec fuzzer a short budget; CI smoke, not a campaign.
+# check.sh invokes this target rather than keeping a list of its own.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/pvm/ -run '^$$' -fuzz FuzzBufferRoundTrip -fuzztime $(FUZZTIME)
@@ -142,6 +150,7 @@ fuzz:
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzBatchBody -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hbsp/ -run '^$$' -fuzz FuzzUnpackMsg -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

@@ -1,9 +1,10 @@
 #!/bin/sh
-# The CI gate: build, go vet, the hbspk-vet model lint suite, the tests
-# under the race detector, the seeded chaos smoke, and a short fuzz pass
-# over the pvm wire format. Steps the Makefile also runs (gofmt, the
-# verify smokes, the wire smoke) are defined there once and invoked
-# from here.
+# The CI gate, and the only definition of it: `make check` runs this
+# script. Build, go vet, the hbspk-vet model lint suite, the tests under
+# the race detector, the soaks, gates and smokes below, the coverage
+# floor and a short fuzz pass. Steps that are also Makefile targets
+# (gofmt, chaos, the verify smokes, the wire smoke, cover, fuzz) are
+# defined there once and invoked from here.
 set -eux
 
 # timed <budget-s> <label> cmd...: run one step, report its wall time
@@ -55,11 +56,10 @@ fi
 
 go test -race ./...
 
-# Seeded chaos smoke: fault injection across the fabric, both engines,
-# and the fault-tolerant collectives, under the race detector. Already
-# part of the suite above; rerun by name so a chaos regression is
-# unmistakable in CI output.
-go test -race -count=1 -run Chaos ./internal/fabric/ ./internal/hbsp/ ./internal/collective/
+# Seeded chaos smoke, as `make chaos` defines it: fault injection across
+# the fabric, both engines, and the fault-tolerant collectives, under
+# the race detector, rerun by name.
+"${MAKE:-make}" chaos
 
 # Seeded churn+reorg soak smoke (DESIGN.md §5.7): elastic membership
 # with hashed join/leave points, a straggler burst and barrier-time
@@ -121,16 +121,10 @@ timed 30 "verify smokes" "${MAKE:-make}" verify
 # collectives over TCP, oracles on.
 "${MAKE:-make}" wire-smoke
 
-# Coverage floor: total statement coverage must not drop below the
-# baseline recorded in bench/coverage_baseline.txt.
-coverout=$(mktemp)
-go test -coverprofile="$coverout" ./... >/dev/null
-total=$(go tool cover -func="$coverout" | awk '/^total:/ {sub(/%/,"",$3); print $3}')
-rm -f "$coverout"
-floor=$(cat bench/coverage_baseline.txt)
-echo "total coverage ${total}% (floor ${floor}%)"
-awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }'
+# Coverage floor, as `make cover` defines it: total statement coverage
+# must not drop below the baseline in bench/coverage_baseline.txt.
+"${MAKE:-make}" cover
 
-# Wire-format and frame-layer fuzzers, 15s each, as `make fuzz` lists
-# them: CI smoke, not a campaign.
+# Wire-format, frame-layer and engine-codec fuzzers, 15s each, as
+# `make fuzz` lists them: CI smoke, not a campaign.
 "${MAKE:-make}" fuzz FUZZTIME=15s

@@ -9,9 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"hbspk/internal/fabric"
 	"hbspk/internal/model"
-	"hbspk/internal/obsv"
 	"hbspk/internal/pvm"
 	"hbspk/internal/trace"
 )
@@ -51,13 +49,9 @@ type Concurrent struct {
 	// entirely (the exited-member check included).
 	DesyncTimeout time.Duration
 
-	// Chaos, when non-nil, injects the plan's faults. Crash-at-step and
-	// message drop/duplicate fates match the virtual engine exactly
-	// (they hash the same message identities); AtTime crashes and the
-	// virtual-clock flavor of delays do not apply to wall-clock runs —
-	// delays here park a message for the given number of the sender's
-	// sync ordinals.
-	Chaos *fabric.ChaosPlan
+	// The options shared with Virtual — Chaos, Ckpt, CheckpointEvery,
+	// Obsv, Verify, ReorgEvery/Seed/Alpha, Plan — are coreOpts (proc.go).
+	coreOpts
 
 	// DetectFactor, when positive, arms a barrier-wait deadline of
 	// DetectFactor × the observed mean barrier wait (EWMA), doubling
@@ -66,51 +60,6 @@ type Concurrent struct {
 	// ErrPeerFailed of a detected crash. Off by default — crash
 	// detection does not need it, it exists to model partitions.
 	DetectFactor float64
-
-	// Obsv, when non-nil, receives structured spans and metrics:
-	// superstep spans (recorded by each scope's live coordinator,
-	// measured only — the wall-clock engine makes no model prediction),
-	// per-processor barrier waits, sampled deliveries, and chaos
-	// injections. Times are microseconds since the run started.
-	Obsv *obsv.Recorder
-
-	// Verify enables the happens-before checker (DESIGN.md §5.3): every
-	// message carries the sender's vector clock and a payload checksum
-	// on the wire, clocks join at every barrier via a deposit exchange,
-	// and a read without a barrier edge from its send — or a payload
-	// that changed after Send — fails the processor with a typed
-	// *ErrNondeterminism. Stamping is charged nothing: verification is
-	// a harness, not part of the modeled protocol.
-	Verify bool
-
-	// Ckpt and CheckpointEvery enable superstep checkpointing, with the
-	// same cadence and store semantics as the virtual engine: at every
-	// CheckpointEvery-th completed global superstep each processor's
-	// Save()d state is committed. The wall-clock engine does not charge
-	// a modeled checkpoint cost (the commit's real cost is already in
-	// the measured times); the virtual engine charges
-	// Config.CheckpointByte for the same commits.
-	Ckpt            *CheckpointStore
-	CheckpointEvery int
-
-	// ReorgEvery, ReorgSeed and ReorgAlpha mirror the virtual engine's
-	// reorganization knobs (DESIGN.md §5.7): every ReorgEvery-th
-	// completed global superstep the run opens a cut window — all live
-	// processors park on a pair of cut barriers while one applier
-	// rebalances the tree from the shared EWMA estimates via the seeded
-	// model.PlanReorg. The same window activates dormant joiners. The
-	// tree is mutated in place; restore it with Tree.SaveLayout /
-	// RestoreLayout to rerun from the pristine layout.
-	ReorgEvery int
-	ReorgSeed  int64
-	ReorgAlpha float64
-
-	// Plan mirrors the virtual engine's planner seam (DESIGN.md §5.9).
-	// On this engine the hook fires from the single cut applier inside
-	// a cut window — the engine's only SPMD-quiescent points — so
-	// online refinement commits at the reorg/membership cadence; set
-	// ReorgEvery to open windows on a straggler-free run.
-	Plan PlanHook
 
 	// Transport, when non-nil, builds the pvm transport each Run
 	// attaches to its System (DESIGN.md §5.10) — a fresh instance per
@@ -129,17 +78,15 @@ const defaultDesyncTimeout = 2 * time.Second
 // NewConcurrent returns a wall-clock engine for the tree.
 func NewConcurrent(t *model.Tree) *Concurrent { return &Concurrent{tree: t} }
 
-// cctx is the per-processor Ctx of the concurrent engine.
+// cctx is the per-processor Ctx of the concurrent engine: the shared
+// proc plus what moves its bytes (a pvm task and its peers) and what
+// names its barriers (per-scope generations).
 type cctx struct {
-	pid  int
-	leaf *model.Machine
+	proc
 	eng  *Concurrent
 	task *pvm.Task
 	tids []pvm.TID
 
-	outbox []pendingMsg
-	inbox  []Message
-	seq    int
 	// batch groups one superstep's outbox per destination so each
 	// mailbox is appended under a single lock acquisition; touched lists
 	// the destinations with a non-empty batch.
@@ -153,25 +100,13 @@ type cctx struct {
 	// chaos plan's per-processor step ordinal.
 	ord int
 	// opsAcc accumulates Charge()d ops since the last Sync; the amount
-	// is captured at Sync entry and, only if the barrier succeeds, its
-	// effective slowdown is folded into the shared reorg estimate —
-	// the same observe-on-success rule the virtual engine applies, so
-	// equal seeds produce equal estimate streams on both engines.
+	// is captured at Sync entry and observed only if the barrier
+	// succeeds (proc.observe) — a failed sync drops its work.
 	opsAcc float64
 	// rootDone counts this processor's successful root-scope syncs: the
 	// engine-independent consistent-cut ordinal (a joiner starts at its
 	// activation cut), driving checkpoint cadence and cut windows.
 	rootDone int
-
-	failedView  []int
-	membersView []int
-	ckptStage   map[string][]byte
-
-	// Verification state: this processor's vector clock, the metadata of
-	// the current delivery window, and the count of completed syncs.
-	vc     VClock
-	inmeta []msgMeta
-	steps  int
 
 	shared *crun
 }
@@ -552,12 +487,6 @@ func (s *crun) stallDesync() error {
 	return fmt.Errorf("%w: %s", ErrDesync, msg)
 }
 
-func (c *cctx) Pid() int             { return c.pid }
-func (c *cctx) NProcs() int          { return c.eng.tree.NProcs() }
-func (c *cctx) Tree() *model.Tree    { return c.eng.tree }
-func (c *cctx) Self() *model.Machine { return c.leaf }
-func (c *cctx) Moves() []Message     { return c.inbox }
-
 func (c *cctx) Charge(ops float64) {
 	if ops <= 0 {
 		return
@@ -566,45 +495,13 @@ func (c *cctx) Charge(ops float64) {
 	if c.eng.TimeUnit <= 0 {
 		return
 	}
-	slow := c.eng.Chaos.Slowdown(c.pid, c.ord)
+	slow := c.opt.Chaos.Slowdown(c.pid, c.ord)
 	d := time.Duration(ops * c.leaf.CompSlowdown * slow * float64(c.eng.TimeUnit))
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		// Busy spin: emulated computation must consume CPU, not yield
 		// it, to behave like the real slow machine.
 	}
-}
-
-func (c *cctx) Failed() []int { return append([]int(nil), c.failedView...) }
-
-func (c *cctx) Members() []int { return append([]int(nil), c.membersView...) }
-
-func (c *cctx) Save(key string, data []byte) {
-	if c.ckptStage == nil {
-		c.ckptStage = make(map[string][]byte)
-	}
-	c.ckptStage[key] = append([]byte(nil), data...)
-}
-
-func (c *cctx) Restore(key string) ([]byte, bool) {
-	if c.eng.Ckpt == nil {
-		return nil, false
-	}
-	return c.eng.Ckpt.get(c.pid, key)
-}
-
-func (c *cctx) Send(dst, tag int, payload []byte) error {
-	if dst < 0 || dst >= c.NProcs() {
-		return fmt.Errorf("hbsp: send to pid %d of %d", dst, c.NProcs())
-	}
-	c.seq++
-	m := pendingMsg{src: c.pid, dst: dst, tag: tag, payload: payload, seq: c.seq}
-	if c.eng.Verify {
-		m.stamp = c.vc.clone()
-		m.sum = payloadSum(payload)
-	}
-	c.outbox = append(c.outbox, m)
-	return nil
 }
 
 // wireTag encodes (scope, generation, user tag) into a pvm tag so that
@@ -625,139 +522,93 @@ func (c *cctx) wireTag(scope *model.Machine, gen, userTag int) int {
 	return id<<28 | (gen&0xFFFFF)<<8 | (userTag & 0xFF)
 }
 
+// Sync is one super^i-step of this processor: enter, flush the outbox,
+// park at the scope's barrier, drain the delivery, commit.
 func (c *cctx) Sync(scope *model.Machine, label string) error {
-	if scope == nil {
-		return errors.New("hbsp: Sync with nil scope")
+	if err := c.enter(scope); err != nil {
+		return err
 	}
-	if c.eng.Verify {
-		// The closing barrier ends the window in which this superstep was
-		// entitled to read its inbox: the payloads must still hash to
-		// their delivery stamps.
-		if e := recheckWindow(c.pid, c.steps, c.inbox, c.inmeta); e != nil {
-			return e
-		}
-	}
-	ord := c.ord
+	ord, gen := c.ord, c.syncSeq[scope]
 	c.ord++
-	gen := c.syncSeq[scope]
 	c.syncSeq[scope] = gen + 1
-	// The superstep's charged work is captured here and folded into the
-	// reorg estimate only if the barrier succeeds — a failed sync drops
-	// its work, matching the virtual engine's observe-on-success rule.
 	ops := c.opsAcc
 	c.opsAcc = 0
-
-	// Crash-stop injection: the victim dies at the boundary, losing the
-	// superstep in progress (nothing queued is flushed), and cancels the
-	// barriers of already parked members so they observe the failure.
-	if c.eng.Chaos.CrashNow(c.pid, ord, 0) {
-		c.eng.Obsv.Chaos("crash", ord, c.pid, c.pid, c.nowMicros())
-		c.shared.crashSelf(c.pid, ord, "crash-stop")
-		return fmt.Errorf("%w (p%d at step %d)", errCrashStop, c.pid, ord)
-	}
-	// Orderly departure rides the crash machinery with a distinct cause:
-	// survivors shrink their barriers exactly as for a crash but read
-	// "leave" in the report, and the victim unwinds with errLeave.
-	if c.eng.Chaos.LeaveNow(c.pid, ord) {
-		c.eng.Obsv.Chaos("leave", ord, c.pid, c.pid, c.nowMicros())
-		c.shared.crashSelf(c.pid, ord, "leave")
-		return fmt.Errorf("%w (p%d at step %d)", errLeave, c.pid, ord)
-	}
-
-	leaves := scope.Leaves()
-	inScope := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		inScope[c.eng.tree.Pid(l)] = true
-	}
-	if !inScope[c.pid] {
-		return fmt.Errorf("hbsp: processor %d syncing on foreign scope %s", c.pid, scope.Label())
-	}
-
 	start := time.Since(c.shared.started)
 
-	// Transmit every queued message whose endpoints are both inside the
-	// scope; the rest stay queued for a wider sync. Chaos fates are
-	// assigned at the first flush a message could take: dropped
-	// messages vanish, duplicates go twice, delayed ones stay queued
-	// until the sender's ordinal passes the hold. Messages to a dead
-	// destination are dropped.
+	// The victim of a boundary fate flushes nothing it had queued, and
+	// cancels the barriers of already parked members so they observe the
+	// failure.
+	if cause, victim := c.boundaryFate(ord, 0, micros(start)); victim != nil {
+		c.shared.crashSelf(c.pid, ord, cause)
+		return victim
+	}
+
+	w := &syncWait{key: scope, scope: scope.Label(), label: label, gen: gen, members: pidsOf(c.tree, scope)}
+	w.barrier = fmt.Sprintf("sync:%s#%d", w.scope, gen)
+	tag := c.wireTag(scope, gen, 0)
+	sent, err := c.flush(scope, ord, tag, micros(start))
+	if err != nil {
+		return err
+	}
+	count, err := c.park(w, ord, start)
+	if err != nil {
+		return err
+	}
+	// All sends of this (scope, gen) happened before any barrier exit,
+	// so the mailbox now holds the complete delivery.
+	recv, err := c.drain(ord, tag)
+	if err != nil {
+		return err
+	}
+	return c.commit(w, ord, ops, start, count, sent+recv)
+}
+
+// flush transmits every queued message whose endpoints are both inside
+// the scope; the rest stay queued for a wider sync. Chaos fates are
+// assigned at the first flush a message could take: dropped messages
+// vanish, duplicates go twice, delayed ones stay queued until the
+// sender's ordinal passes the hold. Messages to a dead destination are
+// dropped. It returns the payload bytes posted.
+func (c *cctx) flush(scope *model.Machine, ord, tag int, now float64) (sent int, err error) {
 	var kept []pendingMsg
-	sentBytes := 0
-	hold, dead := c.shared.unreachable(c, scope, inScope)
+	hold, dead := c.shared.unreachable(c, scope)
 	for i := range c.outbox {
 		m := c.outbox[i]
-		if !inScope[m.dst] {
+		// hold: the destination is not yet reachable at this generation
+		// (see ledger.hold). Held messages flush on the retry sync,
+		// landing at the same post-ack step the virtual engine delivers
+		// them; their fate stays unassigned, as in the virtual engine.
+		if !under(scope, c.tree.Leaf(m.dst)) || hold[m.dst] {
 			kept = append(kept, m)
 			continue
 		}
-		if hold[m.dst] {
-			// Destination not yet reachable at this generation (see
-			// ledger.hold). Held messages flush on the retry sync, landing
-			// at the same post-ack step the virtual engine delivers them.
-			// Fate stays unassigned, as in the virtual engine's hold.
-			kept = append(kept, m)
-			continue
-		}
-		if !m.fated {
-			f := c.eng.Chaos.MessageFate(m.src, m.dst, m.seq)
-			m.fated, m.drop, m.dup = true, f.Drop, f.Duplicate
-			if f.Delay > 0 {
-				m.holdUntil = ord + f.Delay
-			}
-			switch {
-			case f.Drop:
-				c.eng.Obsv.Chaos("drop", ord, m.src, m.dst, c.nowMicros())
-			case f.Duplicate:
-				c.eng.Obsv.Chaos("duplicate", ord, m.src, m.dst, c.nowMicros())
-			case f.Delay > 0:
-				c.eng.Obsv.Chaos("delay", ord, m.src, m.dst, c.nowMicros())
-			}
-		}
-		if m.holdUntil > ord {
+		if c.opt.fate(&m, ord, now); m.holdUntil > ord {
 			kept = append(kept, m)
 			continue
 		}
 		if m.drop || dead[m.dst] {
 			continue
 		}
-		copies := 1
-		if m.dup {
-			copies = 2
-		}
-		for n := 0; n < copies; n++ {
-			buf := pvm.NewBuffer()
-			buf.PackInt32(int32(m.src), int32(m.tag))
-			buf.PackBytes(m.payload)
-			if c.eng.Verify {
-				buf.PackInt64(int64(m.sum))
-				buf.PackInt64Slice(m.stamp.encodeInt64())
-			}
+		for n := m.copies(); n > 0; n-- {
 			if c.batch == nil {
 				c.batch = make([][]*pvm.Buffer, c.NProcs())
 			}
 			if len(c.batch[m.dst]) == 0 {
 				c.touched = append(c.touched, m.dst)
 			}
-			c.batch[m.dst] = append(c.batch[m.dst], buf)
-			sentBytes += len(m.payload)
+			c.batch[m.dst] = append(c.batch[m.dst], packMsg(&m, c.opt.Verify))
+			sent += len(m.payload)
 		}
 	}
 	c.outbox = kept
-
-	members := make([]int, len(leaves))
-	for i, l := range leaves {
-		members[i] = c.eng.tree.Pid(l)
-	}
 
 	// One post per destination, in pid order — the whole superstep's
 	// traffic to a peer lands under a single lock acquisition — then one
 	// Flush: the superstep waits once for all of it to be observable.
 	sort.Ints(c.touched)
-	tag := c.wireTag(scope, gen, 0)
-	var sendErr error
 	for _, dst := range c.touched {
-		if sendErr == nil {
-			sendErr = c.task.SendBatch(c.tids[dst], tag, c.batch[dst])
+		if err == nil {
+			err = c.task.SendBatch(c.tids[dst], tag, c.batch[dst])
 		}
 		// Cleared, not just truncated: the backing array must not keep
 		// the superstep's wires (an unpooled one is its whole payload)
@@ -766,226 +617,134 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		c.batch[dst] = c.batch[dst][:0]
 	}
 	c.touched = c.touched[:0]
-	if sendErr == nil {
-		sendErr = c.task.Flush()
+	if err == nil {
+		err = c.task.Flush()
 	}
-	if sendErr != nil {
-		lostDst := -1
-		var de *pvm.DeliveryError
-		if errors.Is(sendErr, pvm.ErrPeerLost) && errors.As(sendErr, &de) {
-			lostDst = slices.Index(c.tids, de.Dst)
-		}
-		if lostDst >= 0 && lostDst != c.pid {
-			// A severed wire link is a detected peer failure: run the
-			// same shrink protocol as a crash, so every survivor of the
-			// scope observes ErrPeerFailed at one consistent generation
-			// and later Syncs complete over the remaining members.
-			c.shared.crashSelf(lostDst, ord, "link lost")
+	if err != nil {
+		err = c.linkLost(err, scope, ord)
+	}
+	return sent, err
+}
+
+// linkLost converts a send error that names a severed wire link into a
+// detected peer failure: it runs the same shrink protocol as a crash, so
+// every survivor of the scope observes ErrPeerFailed at one consistent
+// generation and later Syncs complete over the remaining members. Any
+// other send error passes through.
+func (c *cctx) linkLost(sendErr error, scope *model.Machine, ord int) error {
+	var de *pvm.DeliveryError
+	if errors.Is(sendErr, pvm.ErrPeerLost) && errors.As(sendErr, &de) {
+		if lost := slices.Index(c.tids, de.Dst); lost >= 0 && lost != c.pid {
+			c.shared.crashSelf(lost, ord, "link lost")
 			if n := c.shared.deadNotice(c, scope); n != nil {
 				return n
 			}
 		}
-		return sendErr
 	}
-	name := scope.Label()
-	wait := &syncWait{
-		key:     scope,
-		scope:   name,
-		label:   label,
-		gen:     gen,
-		members: members,
-		barrier: fmt.Sprintf("sync:%s#%d", name, gen),
-	}
-	count, notice := c.shared.checkAndEnter(c, wait)
+	return sendErr
+}
+
+// park takes this processor through the scope's barrier: it consumes an
+// owed notice instead of waiting, otherwise registers the wait, blocks
+// until the scope's live members have arrived, and under Verify joins
+// their clocks. It returns the live member count.
+func (c *cctx) park(w *syncWait, ord int, start time.Duration) (count int, err error) {
+	count, notice := c.shared.checkAndEnter(c, w)
 	if notice != nil {
-		return notice
+		return 0, notice
 	}
 	deadline := c.shared.barrierDeadline(c.pid, c.eng.DetectFactor)
 	bEnter := time.Since(c.shared.started)
-	var err error
 	var deposits map[pvm.TID][]byte
-	if c.eng.Verify {
+	if c.opt.Verify {
 		// Barriers double as the clock-join: every participant deposits
 		// its vector clock and gathers the others' on completion.
 		dep := pvm.NewBuffer().PackInt64Slice(c.vc.encodeInt64()).Bytes()
-		deposits, err = c.task.BarrierExchange(wait.barrier, count, deadline, dep)
+		deposits, err = c.task.BarrierExchange(w.barrier, count, deadline, dep)
 	} else {
-		err = c.task.BarrierTimeout(wait.barrier, count, deadline)
+		err = c.task.BarrierTimeout(w.barrier, count, deadline)
 	}
 	c.shared.leaveSync(c.pid, time.Since(c.shared.started)-start)
-	if err == nil {
-		c.eng.Obsv.BarrierWait(ord, c.pid, wait.scope, scope.Level,
-			micros(bEnter), c.nowMicros())
-	}
 	if err != nil {
-		switch {
-		case errors.Is(err, pvm.ErrCanceled):
-			// A member crashed while we were parked; convert the cancel
-			// into the typed failure.
-			if n := c.shared.deadNotice(c, scope); n != nil {
-				return n
-			}
-			return err
-		case errors.Is(err, pvm.ErrTimeout):
-			c.shared.noteTimeout(c.pid)
-			return fmt.Errorf("hbsp: detection deadline on %s#%d(%s): %w",
-				wait.scope, gen, label, err)
-		case errors.Is(err, pvm.ErrHalted):
-			// A halt during the wait means the watchdog declared a
-			// desync: surface its structured report instead of the bare
-			// ErrHalted.
-			if derr := c.shared.desyncErr(); derr != nil {
-				return derr
-			}
-		}
-		return err
+		return 0, c.barrierErr(err, w)
 	}
-
-	c.steps++
-	if c.eng.Verify {
+	c.opt.Obsv.BarrierWait(ord, c.pid, w.scope, w.key.Level, micros(bEnter), c.nowMicros())
+	if c.opt.Verify {
 		for _, raw := range deposits {
-			vs, derr := pvm.Wrap(raw).UnpackInt64Slice()
-			if derr != nil {
-				return derr
+			vs, err := pvm.Wrap(raw).UnpackInt64Slice()
+			if err != nil {
+				return 0, err
 			}
 			c.vc.join(decodeVClock(vs))
 		}
 		c.vc.tick(c.pid)
 	}
+	return count, nil
+}
 
-	// All sends of this (scope, gen) happened before any barrier exit,
-	// so the mailbox now holds the complete delivery. Delivered bytes
-	// keep garbage-collected lifetime (programs hold collective results
-	// across supersteps), by the cheapest means each message allows: one
-	// a transport injected already is garbage-collected memory and is
-	// aliased; one on a pooled wire (every in-proc send) is copied into
-	// one fresh slab per window, and the wire releases straight back to
-	// the arena.
-	c.inbox = c.inbox[:0]
-	c.inmeta = c.inmeta[:0]
-	recvBytes := 0
-	// A malformed frame aborts the superstep, but the rest of the
-	// drained window still holds pooled wire records: hand the
-	// remainder (current message included) back to the arena before
-	// surfacing the error.
-	releaseRest := func(rest []pvm.Message, err error) error {
-		for _, m := range rest {
-			m.Release()
+// barrierErr types a failed barrier wait: a cancel means a member
+// crashed while this processor was parked, a timeout is the optional
+// detection deadline, and a halt is the watchdog's desync verdict.
+func (c *cctx) barrierErr(err error, w *syncWait) error {
+	switch {
+	case errors.Is(err, pvm.ErrCanceled):
+		if n := c.shared.deadNotice(c, w.key); n != nil {
+			return n
 		}
-		return err
+	case errors.Is(err, pvm.ErrTimeout):
+		c.shared.noteTimeout(c.pid)
+		return fmt.Errorf("hbsp: detection deadline on %s#%d(%s): %w", w.scope, w.gen, w.label, err)
 	}
+	return c.haltErr(err)
+}
+
+// drain collects the superstep's complete delivery into the window, in
+// (Src, send order), and opens it. It returns the payload bytes
+// received.
+func (c *cctx) drain(ord, tag int) (recv int, err error) {
 	msgs := c.task.TryRecvAll(pvm.AnySource, tag)
-	slabCap := 0
-	for _, m := range msgs {
-		if m.Pooled() {
-			slabCap += m.Len()
-		}
+	// Arrival order is already per-sender FIFO and tasks are spawned in
+	// pid order, so a stable sort by sender TID — before decoding, which
+	// keeps each message and its verification record together — yields
+	// the (Src, send order) contract.
+	sort.SliceStable(msgs, func(a, b int) bool { return msgs[a].Src < msgs[b].Src })
+	c.resetWindow()
+	if err := c.unpackWindow(msgs); err != nil {
+		return 0, err
 	}
-	slab := make([]byte, 0, slabCap)
-	for i, m := range msgs {
-		b := m.Buffer()
-		src, err := b.UnpackInt32()
-		if err != nil {
-			return releaseRest(msgs[i:], err)
-		}
-		tag, err := b.UnpackInt32()
-		if err != nil {
-			return releaseRest(msgs[i:], err)
-		}
-		payload, err := b.UnpackBytes()
-		if err != nil {
-			return releaseRest(msgs[i:], err)
-		}
-		if m.Pooled() {
-			// slabCap over-covers the framing, so these appends never
-			// reallocate and earlier windows' slices stay intact.
-			slab = append(slab, payload...)
-			payload = slab[len(slab)-len(payload):]
-		}
-		if c.eng.Verify {
-			sum, err := b.UnpackInt64()
-			if err != nil {
-				return releaseRest(msgs[i:], err)
-			}
-			stamp, err := b.UnpackInt64Slice()
-			if err != nil {
-				return releaseRest(msgs[i:], err)
-			}
-			c.inmeta = append(c.inmeta, msgMeta{src: int(src), tag: int(tag),
-				stamp: decodeVClock(stamp), sum: uint64(sum)})
-		}
-		c.inbox = append(c.inbox, Message{Src: int(src), Tag: int(tag), Payload: payload})
-		recvBytes += len(payload)
-		c.eng.Obsv.Delivery(ord, int(src), c.pid, int(tag), int64(len(payload)), c.nowMicros())
-		m.Release()
+	now := c.nowMicros()
+	for _, m := range c.inbox {
+		recv += len(m.Payload)
+		c.opt.Obsv.Delivery(ord, m.Src, c.pid, m.Tag, int64(len(m.Payload)), now)
 	}
-	if c.eng.Verify {
-		// Sort inbox and metadata through one index permutation so the
-		// stamps stay aligned with their messages, then run the
-		// happens-before and checksum checks on the delivered window.
-		idx := make([]int, len(c.inbox))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return c.inbox[idx[a]].Src < c.inbox[idx[b]].Src })
-		inbox := make([]Message, len(c.inbox))
-		metas := make([]msgMeta, len(c.inbox))
-		for i, j := range idx {
-			inbox[i], metas[i] = c.inbox[j], c.inmeta[j]
-		}
-		c.inbox, c.inmeta = inbox, metas
-		for i, m := range c.inbox {
-			if e := checkDelivery(c.pid, c.steps, m, c.inmeta[i], c.vc); e != nil {
-				return e
-			}
-		}
-	} else {
-		// Arrival order is already per-sender FIFO; a stable sort by
-		// source yields the engine's (Src, send order) delivery contract.
-		sort.SliceStable(c.inbox, func(a, b int) bool { return c.inbox[a].Src < c.inbox[b].Src })
-	}
+	return recv, c.openWindow()
+}
 
-	// Fold the superstep's measured effective compute slowdown — static
-	// slowdown times the transient straggler factor — into the shared
-	// reorg estimate (observe-on-success; see the ops capture above).
-	if ops > 0 {
-		c.shared.observe(c.pid, c.leaf.CompSlowdown*c.eng.Chaos.Slowdown(c.pid, ord))
-	}
-
-	// Checkpoint commit at the consistent-cut cadence: rootDone counts
-	// this processor's successful global barriers (a joiner starts at
-	// its activation cut), so every live processor commits at the same
-	// cut ordinals even though per-scope generations shift under churn.
-	if scope == c.eng.tree.Root {
+// commit finishes a successful superstep: the compute sample, the
+// checkpoint at the cut cadence, the step record, and the cut window.
+func (c *cctx) commit(w *syncWait, ord int, ops float64, start time.Duration, count, bytes int) error {
+	end := time.Since(c.shared.started)
+	c.observe(ord, ord, ops > 0, micros(end), c.shared.observe)
+	root := w.key == c.tree.Root
+	if root {
 		c.rootDone++
-		if c.eng.Ckpt != nil && c.eng.CheckpointEvery > 0 &&
-			c.rootDone%c.eng.CheckpointEvery == 0 {
-			c.eng.Ckpt.commit(c.pid, c.rootDone, c.ckptStage)
-			c.ckptStage = nil
+		if c.opt.ckptDue(c.rootDone) {
+			c.commitStage(c.rootDone)
 		}
 	}
 
 	// The scope coordinator records the step — the fastest live member,
 	// so a dead coordinator's role fails over.
-	if c.liveCoordinator(scope) == c.leaf {
-		end := time.Since(c.shared.started)
+	if c.liveCoordinator(w.key) == c.leaf {
 		c.shared.mu.Lock()
-		idx := len(c.shared.steps)
-		c.shared.steps = append(c.shared.steps, trace.Step{
-			Index:        idx,
-			Label:        label,
-			ScopeLabel:   scope.Label(),
-			ScopeName:    scope.Name,
-			Level:        scope.Level,
+		c.opt.record(&c.shared.steps, w.key, w.label, 0, trace.Step{
 			Participants: count,
-			Time:         float64(end-start) / float64(time.Microsecond),
-			Bytes:        sentBytes + recvBytes,
-			Start:        float64(start) / float64(time.Microsecond),
-			End:          float64(end) / float64(time.Microsecond),
+			Time:         micros(end - start),
+			Bytes:        bytes,
+			Start:        micros(start),
+			End:          micros(end),
 		})
 		c.shared.mu.Unlock()
-		c.eng.Obsv.Superstep(idx, label, scope.Label(), scope.Level,
-			micros(start), micros(end), 0, int64(sentBytes+recvBytes))
 	}
 
 	// Cut window: when this global barrier's ordinal triggers a reorg
@@ -993,10 +752,8 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	// barriers while one applier rebalances the tree and opens joiner
 	// gates. The step record above already read the pre-reorg layout,
 	// so nothing reads the tree while the applier mutates it.
-	if scope == c.eng.tree.Root && c.pendingCut(c.rootDone) {
-		if err := c.cutWindow(members, count); err != nil {
-			return err
-		}
+	if root && c.pendingCut(c.rootDone) {
+		return c.cutWindow(w.members, count)
 	}
 	return nil
 }
@@ -1018,14 +775,14 @@ func (c *cctx) pendingCut(R int) bool {
 func (c *cctx) cutWindow(members []int, count int) error {
 	R := c.rootDone
 	if err := c.task.BarrierTimeout(fmt.Sprintf("cut:in#%d", R), count, 0); err != nil {
-		return c.cutErr(err)
+		return c.haltErr(err)
 	}
 	var applyErr error
 	if c.shared.applierPid(members) == c.pid {
 		applyErr = c.applyCut(R)
 	}
 	if err := c.task.BarrierTimeout(fmt.Sprintf("cut:out#%d", R), count, 0); err != nil {
-		return c.cutErr(err)
+		return c.haltErr(err)
 	}
 	// Re-align this processor's per-scope sync generations with the
 	// cut's snapshot: a rebalance can move the leaf under a scope it has
@@ -1036,21 +793,26 @@ func (c *cctx) cutWindow(members []int, count int) error {
 	// its peers'. Scope generations advance in lockstep across a scope's
 	// members, so for scopes this processor already synced the
 	// assignment is a no-op.
-	s := c.shared
-	s.mu.Lock()
-	snap := s.cutGens
-	c.eng.tree.Root.Walk(func(m *model.Machine) {
-		if g := snap[m.Label()]; g > 0 && g > c.syncSeq[m] {
-			c.syncSeq[m] = g
-		}
-	})
-	s.mu.Unlock()
+	c.shared.mu.Lock()
+	snap := c.shared.cutGens
+	c.shared.mu.Unlock()
+	c.alignGens(snap)
 	return applyErr
 }
 
-// cutErr converts a watchdog halt during a cut barrier into the
-// structured desync report, like the main barrier path.
-func (c *cctx) cutErr(err error) error {
+// alignGens raises this processor's per-scope sync generations to a
+// cut's snapshot (a snapshot map is never written after its cut).
+func (c *cctx) alignGens(snap map[string]int) {
+	c.tree.Root.Walk(func(m *model.Machine) {
+		if g := snap[m.Label()]; g > c.syncSeq[m] {
+			c.syncSeq[m] = g
+		}
+	})
+}
+
+// haltErr surfaces the watchdog's structured desync report in place of
+// the bare ErrHalted its Halt woke a barrier with.
+func (c *cctx) haltErr(err error) error {
 	if errors.Is(err, pvm.ErrHalted) {
 		if derr := c.shared.desyncErr(); derr != nil {
 			return derr
@@ -1124,7 +886,7 @@ func (c *cctx) nowMicros() float64 { return micros(time.Since(c.shared.started))
 // which in-scope destinations of c's outbox cannot take it: hold[dst]
 // (ledger.hold) keeps the message queued, dead[dst] drops it. Both are
 // nil while the ledger is quiet.
-func (s *crun) unreachable(c *cctx, scope *model.Machine, inScope map[int]bool) (hold, dead map[int]bool) {
+func (s *crun) unreachable(c *cctx, scope *model.Machine) (hold, dead map[int]bool) {
 	if len(c.outbox) == 0 {
 		return nil, nil
 	}
@@ -1136,7 +898,7 @@ func (s *crun) unreachable(c *cctx, scope *model.Machine, inScope map[int]bool) 
 	hold, dead = make(map[int]bool), make(map[int]bool)
 	for i := range c.outbox {
 		switch dst := c.outbox[i].dst; {
-		case !inScope[dst]:
+		case !under(scope, c.tree.Leaf(dst)):
 		case s.led.hold(c.pid, scope, dst):
 			hold[dst] = true
 		case s.led.dead[dst] != nil:
@@ -1164,7 +926,7 @@ func (c *cctx) liveCoordinator(scope *model.Machine) *model.Machine {
 		active[pid] = true
 	}
 	return scope.CoordinatorAmong(func(m *model.Machine) bool {
-		pid := c.eng.tree.Pid(m)
+		pid := c.tree.Pid(m)
 		return active[pid] && !dead[pid]
 	})
 }
@@ -1251,8 +1013,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				<-ready
 			}
 			c := &cctx{
-				pid:     pid,
-				leaf:    e.tree.Leaf(pid),
+				proc:    newProc(pid, e.tree, &e.coreOpts),
 				eng:     e,
 				task:    t,
 				tids:    tids,
@@ -1274,16 +1035,9 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				c.failedView = shared.led.failed(pid)
 				snap := shared.joinGens[pid]
 				shared.mu.Unlock()
-				e.tree.Root.Walk(func(m *model.Machine) {
-					if g := snap[m.Label()]; g > 0 {
-						c.syncSeq[m] = g
-					}
-				})
+				c.alignGens(snap)
 			} else {
 				c.membersView = append([]int(nil), actives...)
-			}
-			if e.Verify {
-				c.vc = newVClock(p)
 			}
 			err := prog(c)
 			if errors.Is(err, errCrashStop) || errors.Is(err, errLeave) {

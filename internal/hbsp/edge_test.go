@@ -1,8 +1,10 @@
 package hbsp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,13 +129,84 @@ func TestSyncOnForeignScopeDetected(t *testing.T) {
 	a := model.NewCluster("A", []*model.Machine{model.NewLeaf("a0"), model.NewLeaf("a1")}, model.WithSync(1))
 	b := model.NewCluster("B", []*model.Machine{model.NewLeaf("b0"), model.NewLeaf("b1")}, model.WithSync(1))
 	tr := model.MustNew(model.NewCluster("top", []*model.Machine{a, b}, model.WithSync(1)), 1).Normalize()
-	_, err := RunVirtual(tr, fabric.PureModel(), func(c Ctx) error {
+	engines := []struct {
+		name string
+		run  func(plan *fabric.ChaosPlan, prog Program) error
+	}{
+		{"virtual", func(plan *fabric.ChaosPlan, prog Program) error {
+			_, err := RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
+			return err
+		}},
+		{"concurrent", func(plan *fabric.ChaosPlan, prog Program) error {
+			eng := NewConcurrent(tr)
+			eng.Chaos = plan
+			_, err := eng.Run(prog)
+			return err
+		}},
+	}
+	want := "syncing on foreign scope " + tr.Root.Children[0].Label()
+	for _, e := range engines {
 		// Every processor syncs on cluster A — including B's members,
 		// which are not under it.
-		return c.Sync(c.Tree().Root.Children[0], "wrong")
-	})
-	if err == nil {
-		t.Fatal("foreign-scope sync not rejected")
+		err := e.run(nil, func(c Ctx) error {
+			return c.Sync(c.Tree().Root.Children[0], "wrong")
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: foreign-scope sync: got %v, want an error containing %q", e.name, err, want)
+		}
+	}
+
+	// The rejection changes no state, so a program that absorbs it stays
+	// aligned with its peers: three all-to-all global supersteps under a
+	// drop/duplicate plan deliver the same messages on both engines.
+	plan := &fabric.ChaosPlan{Seed: 11, Drop: 0.2, Duplicate: 0.2}
+	const rounds = 3
+	p := tr.NProcs()
+	digests := make(map[string][][]byte)
+	for _, e := range engines {
+		rejected := make([]error, p)
+		got := make([][]byte, p)
+		err := e.run(plan, func(c Ctx) error {
+			rejected[c.Pid()] = c.Sync(c.Tree().Root.Children[0], "wrong")
+			var digest []byte
+			for r := 0; r < rounds; r++ {
+				for dst := 0; dst < c.NProcs(); dst++ {
+					if err := c.Send(dst, r, []byte{byte(c.Pid()), byte(r)}); err != nil {
+						return err
+					}
+				}
+				if err := SyncAll(c, "all-to-all"); err != nil {
+					return err
+				}
+				for _, m := range c.Moves() {
+					digest = append(digest, byte(m.Src), byte(m.Tag), m.Payload[0], m.Payload[1])
+				}
+			}
+			got[c.Pid()] = digest
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: run after an absorbed rejection: %v", e.name, err)
+		}
+		for pid, rerr := range rejected {
+			if foreign := pid >= 2; foreign != (rerr != nil) ||
+				foreign && !strings.Contains(rerr.Error(), want) {
+				t.Errorf("%s: p%d sync on cluster A returned %v", e.name, pid, rerr)
+			}
+		}
+		digests[e.name] = got
+	}
+	faultFree := 4 * rounds * p // digest bytes per processor with nothing dropped or duplicated
+	perturbed := false
+	for pid := 0; pid < p; pid++ {
+		v, c := digests["virtual"][pid], digests["concurrent"][pid]
+		if !bytes.Equal(v, c) {
+			t.Errorf("p%d deliveries differ across engines:\nvirtual    %v\nconcurrent %v", pid, v, c)
+		}
+		perturbed = perturbed || len(v) != faultFree
+	}
+	if !perturbed {
+		t.Error("the chaos plan dropped and duplicated nothing: the comparison exercised no fate")
 	}
 }
 

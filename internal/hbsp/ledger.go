@@ -122,16 +122,6 @@ func (l *ledger) kill(pid, step int, cause string) {
 	l.dead[pid] = &failInfo{step: step, cause: cause}
 }
 
-// pids returns the scope's member pids in tree order.
-func (l *ledger) pids(scope *model.Machine) []int {
-	leaves := scope.Leaves()
-	out := make([]int, len(leaves))
-	for i, leaf := range leaves {
-		out[i] = l.tree.Pid(leaf)
-	}
-	return out
-}
-
 // deadNotice consumes pid's next dead-peer notice on the scope: the
 // smallest dead member pid has not acknowledged there is acknowledged
 // and returned, nil when pid owes none. Exactly one victim per notice:
@@ -144,7 +134,7 @@ func (l *ledger) deadNotice(pid int, scope *model.Machine) *ErrPeerFailed {
 		return nil
 	}
 	first := -1
-	for _, m := range l.pids(scope) {
+	for _, m := range pidsOf(l.tree, scope) {
 		if l.dead[m] != nil && !l.acked[pid][scope][m] && (first < 0 || m < first) {
 			first = m
 		}
@@ -168,7 +158,7 @@ func (l *ledger) joinNotice(pid int, scope *model.Machine) *ErrPeerJoined {
 		return nil
 	}
 	first := -1
-	members := l.pids(scope)
+	members := pidsOf(l.tree, scope)
 	for _, m := range members {
 		if _, ok := l.joined[m]; ok && !l.ackedJoin[pid][scope][m] && (first < 0 || m < first) {
 			first = m
@@ -276,7 +266,7 @@ func (l *ledger) equalize(sets []ackSets) {
 func (l *ledger) seed(pid, cut int) {
 	l.tree.Root.Walk(func(scope *model.Machine) {
 		donor := -1
-		for _, m := range l.pids(scope) {
+		for _, m := range pidsOf(l.tree, scope) {
 			if m == pid || !l.alive(m) || l.joined[m] == cut {
 				continue
 			}

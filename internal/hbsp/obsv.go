@@ -4,8 +4,8 @@ import "hbspk/internal/obsv"
 
 // spanSource is the seam through which layers above the engines (the
 // collective library) reach a run's recorder and clock from a Ctx.
-// Both engine Ctx implementations satisfy it; a foreign Ctx (a test
-// double) simply yields no recorder.
+// Both engine Ctx implementations satisfy it (the recorder through the
+// shared proc); a foreign Ctx (a test double) simply yields no recorder.
 type spanSource interface {
 	obsvRecorder() *obsv.Recorder
 	obsvNow() float64
@@ -31,12 +31,9 @@ func NowOf(c Ctx) float64 {
 	return 0
 }
 
-func (c *vctx) obsvRecorder() *obsv.Recorder { return c.eng.Obsv }
-
 // obsvNow is the processor's local virtual time: the clock staged at
 // its last resume plus work charged since. The engine writes c.clock
 // only while the processor is parked, so the read is ordered.
 func (c *vctx) obsvNow() float64 { return c.clock + c.work }
 
-func (c *cctx) obsvRecorder() *obsv.Recorder { return c.eng.Obsv }
-func (c *cctx) obsvNow() float64             { return c.nowMicros() }
+func (c *cctx) obsvNow() float64 { return c.nowMicros() }

@@ -1,0 +1,436 @@
+package hbsp
+
+import (
+	"errors"
+	"fmt"
+
+	"hbspk/internal/fabric"
+	"hbspk/internal/model"
+	"hbspk/internal/obsv"
+	"hbspk/internal/pvm"
+	"hbspk/internal/trace"
+)
+
+// coreOpts are the knobs whose meaning is the same on both engines,
+// embedded by Virtual and Concurrent so that callers set them as engine
+// fields. Where the engines differ in how a knob is charged or timed,
+// the field says so.
+type coreOpts struct {
+	// Chaos, when non-nil, injects the plan's faults: crash-stops and
+	// orderly leaves at sync boundaries, per-message drop/duplicate/delay
+	// fates, and straggler bursts multiplying charged work. Fates hash
+	// message identities, so equal plans fate the same messages on both
+	// engines. On Virtual the plan composes with the fabric's noise model
+	// and a delay parks a message for that many completed supersteps; on
+	// Concurrent AtTime crashes do not apply (there is no virtual clock)
+	// and a delay parks a message for that many of the sender's sync
+	// ordinals.
+	Chaos *fabric.ChaosPlan
+
+	// Ckpt, when non-nil together with a positive CheckpointEvery,
+	// commits every processor's Save()d state to the store at every
+	// CheckpointEvery-th completed global superstep. Rerunning with the
+	// same store lets programs resume from the last checkpointed barrier
+	// via Restore. Virtual charges the commit per Config.CheckpointByte
+	// so the analytic predictions stay honest; Concurrent charges no
+	// modeled cost (the commit's real cost is already in the measured
+	// times).
+	Ckpt            *CheckpointStore
+	CheckpointEvery int
+
+	// Obsv, when non-nil, receives structured spans and metrics for the
+	// run: superstep spans, per-processor barrier waits, sampled message
+	// deliveries, and chaos injections. Virtual's spans carry the model's
+	// predicted T_i alongside the charged time, on the virtual clock;
+	// Concurrent's are recorded by each scope's live coordinator,
+	// measured only — the wall-clock engine makes no model prediction —
+	// in microseconds since the run started.
+	Obsv *obsv.Recorder
+
+	// Verify arms the happens-before checker (DESIGN.md §5.3): every
+	// message carries the sender's vector clock and a payload checksum
+	// (on the wire, for Concurrent), barriers join clocks (a deposit
+	// exchange, for Concurrent), and a read that is not ordered after its
+	// send — or a payload that changed after Send — fails the processor
+	// with a typed *ErrNondeterminism. Stamping is charged nothing:
+	// verification is a harness, not part of the modeled protocol.
+	Verify bool
+
+	// ReorgEvery, when positive, rebalances the machine tree at every
+	// ReorgEvery-th completed global superstep (DESIGN.md §5.7): each
+	// processor's measured effective compute slowdown is folded into an
+	// EWMA estimate and, at the cut, the seeded model.PlanReorg is applied
+	// in place — leaves permuted across slots, shares re-derived. The same
+	// cut activates dormant joiners. Virtual applies it from the
+	// coordinator; Concurrent parks all live processors on a pair of cut
+	// barriers while one applier does. The tree is mutated; use
+	// Tree.SaveLayout/RestoreLayout (RunSchedules does) to replay from the
+	// pristine layout. ReorgSeed drives the plan's tie-breaking; equal
+	// seeds give equal schedules.
+	ReorgEvery int
+	ReorgSeed  int64
+	// ReorgAlpha overrides the estimate EWMA smoothing factor (0 means
+	// model.DefaultAlpha).
+	ReorgAlpha float64
+
+	// Plan, when set, receives the planner callbacks of DESIGN.md §5.9:
+	// TreeChanged after a reorg or membership change and GlobalBarrier at
+	// the refinement-commit point, both fired while all live processors
+	// are parked, so the hook may republish collective selections without
+	// desynchronizing an in-flight collective. Virtual fires them after
+	// every completed root-scope barrier; Concurrent only from the single
+	// cut applier inside a cut window — its only SPMD-quiescent points —
+	// so set ReorgEvery to open windows on a straggler-free run.
+	Plan PlanHook
+}
+
+type pendingMsg struct {
+	src, dst, tag int
+	payload       []byte
+	seq           int
+
+	// Chaos bookkeeping: fate is computed once, at the first step the
+	// message would otherwise deliver; holdUntil parks a delayed
+	// message until the given step (Virtual: completed-step count;
+	// Concurrent: the sender's sync ordinal).
+	fated     bool
+	drop, dup bool
+	holdUntil int
+
+	// Verification stamp: the sender's vector clock and payload
+	// checksum at Send time (Verify mode only).
+	stamp VClock
+	sum   uint64
+}
+
+// copies is how often the message travels: a chaos duplicate goes twice.
+func (m *pendingMsg) copies() int {
+	if m.dup {
+		return 2
+	}
+	return 1
+}
+
+// proc is the per-processor half of a super^i-step that does not depend
+// on how time advances or how bytes move: identity, the outbox and the
+// delivery window, the views the notice protocol stages, checkpoint
+// staging, and the Verify clock. Both engines' Ctx embed it; each adds
+// its own Charge and Sync. It deliberately has no Sync method — the
+// analyzers recognize a Ctx structurally by Pid + Sync, and the engine
+// core is not a program.
+type proc struct {
+	pid  int
+	leaf *model.Machine
+	tree *model.Tree
+	opt  *coreOpts
+
+	outbox []pendingMsg
+	inbox  []Message
+	seq    int
+
+	// failedView is the dead-pid set this processor has acknowledged and
+	// membersView the active-pid set it knows (its starting membership
+	// plus every acknowledged join), staged by the engine whenever a
+	// notice is consumed.
+	failedView  []int
+	membersView []int
+	// ckptStage holds Save()d state until the next checkpoint commit.
+	ckptStage map[string][]byte
+
+	// Verification state (Verify mode): vc is this processor's vector
+	// clock, inmeta parallels inbox, steps counts completed Syncs.
+	vc     VClock
+	inmeta []msgMeta
+	steps  int
+}
+
+func newProc(pid int, t *model.Tree, opt *coreOpts) proc {
+	p := proc{pid: pid, leaf: t.Leaf(pid), tree: t, opt: opt}
+	if opt.Verify {
+		p.vc = newVClock(t.NProcs())
+	}
+	return p
+}
+
+func (p *proc) Pid() int             { return p.pid }
+func (p *proc) NProcs() int          { return p.tree.NProcs() }
+func (p *proc) Tree() *model.Tree    { return p.tree }
+func (p *proc) Self() *model.Machine { return p.leaf }
+func (p *proc) Moves() []Message     { return p.inbox }
+func (p *proc) Failed() []int        { return append([]int(nil), p.failedView...) }
+func (p *proc) Members() []int       { return append([]int(nil), p.membersView...) }
+
+func (p *proc) obsvRecorder() *obsv.Recorder { return p.opt.Obsv }
+
+func (p *proc) Send(dst, tag int, payload []byte) error {
+	if dst < 0 || dst >= p.NProcs() {
+		return fmt.Errorf("hbsp: send to pid %d of %d", dst, p.NProcs())
+	}
+	p.seq++
+	m := pendingMsg{src: p.pid, dst: dst, tag: tag, payload: payload, seq: p.seq}
+	if p.opt.Verify {
+		m.stamp = p.vc.clone()
+		m.sum = payloadSum(payload)
+	}
+	p.outbox = append(p.outbox, m)
+	return nil
+}
+
+func (p *proc) Save(key string, data []byte) {
+	if p.ckptStage == nil {
+		p.ckptStage = make(map[string][]byte)
+	}
+	p.ckptStage[key] = append([]byte(nil), data...)
+}
+
+func (p *proc) Restore(key string) ([]byte, bool) {
+	if p.opt.Ckpt == nil {
+		return nil, false
+	}
+	return p.opt.Ckpt.get(p.pid, key)
+}
+
+// ckptDue reports whether R — the count of completed global barriers,
+// the engine-independent consistent-cut ordinal — is on the checkpoint
+// cadence. Every live processor sees the same R at the same barrier, so
+// all commit at the same cuts even though per-scope generations shift
+// under churn.
+func (o *coreOpts) ckptDue(R int) bool {
+	return o.Ckpt != nil && o.CheckpointEvery > 0 && R%o.CheckpointEvery == 0
+}
+
+// commitStage commits the staged saves as checkpoint R and returns the
+// bytes written.
+func (p *proc) commitStage(R int) int {
+	n := p.opt.Ckpt.commit(p.pid, R, p.ckptStage)
+	p.ckptStage = nil
+	return n
+}
+
+// under reports whether scope is leaf or one of its ancestors.
+func under(scope, leaf *model.Machine) bool {
+	for m := leaf; m != nil; m = m.Parent() {
+		if m == scope {
+			return true
+		}
+	}
+	return false
+}
+
+// pidsOf returns the scope's member pids in tree order.
+func pidsOf(t *model.Tree, scope *model.Machine) []int {
+	leaves := scope.Leaves()
+	out := make([]int, len(leaves))
+	for i, leaf := range leaves {
+		out[i] = t.Pid(leaf)
+	}
+	return out
+}
+
+// enter is the Sync-entry rule of both engines, checked before any state
+// changes — no chaos ordinal consumed, no generation burned, no charged
+// work dropped — so a program that absorbs the rejection is still
+// aligned with its peers. The scope must be this processor's leaf or an
+// ancestor of it; and under Verify the closing barrier ends the window
+// in which this superstep was entitled to read its inbox, so the
+// payloads must still hash to their delivery stamps.
+func (p *proc) enter(scope *model.Machine) error {
+	if scope == nil {
+		return errors.New("hbsp: Sync with nil scope")
+	}
+	if !under(scope, p.leaf) {
+		return fmt.Errorf("hbsp: processor %d syncing on foreign scope %s", p.pid, scope.Label())
+	}
+	if p.opt.Verify {
+		if nd := recheckWindow(p.pid, p.steps, p.inbox, p.inmeta); nd != nil {
+			return nd
+		}
+	}
+	return nil
+}
+
+// resetWindow empties the delivery window for the next superstep,
+// zeroing the vacated slots so no payload stays reachable from the
+// reused backing. Engines call it only once a barrier has succeeded: a
+// sync that fails leaves the previous window readable (fault-tolerant
+// programs re-read Moves after ErrPeerFailed).
+func (p *proc) resetWindow() {
+	clear(p.inbox)
+	p.inbox, p.inmeta = p.inbox[:0], p.inmeta[:0]
+}
+
+// receive appends one delivered message to the window.
+func (p *proc) receive(m Message, meta msgMeta) {
+	p.inbox = append(p.inbox, m)
+	if p.opt.Verify {
+		p.inmeta = append(p.inmeta, meta)
+	}
+}
+
+// openWindow opens the delivered window to the program after a
+// successful barrier: under Verify every message's send must
+// happen-before this read on the (already joined) clock, and its payload
+// must still hash to the sender's stamp.
+func (p *proc) openWindow() error {
+	p.steps++
+	if !p.opt.Verify {
+		return nil
+	}
+	for i, m := range p.inbox {
+		if nd := checkDelivery(p.pid, p.steps, m, p.inmeta[i], p.vc); nd != nil {
+			return nd
+		}
+	}
+	return nil
+}
+
+// boundaryFate is the chaos verdict on this processor's ord-th Sync: a
+// crash-stop victim dies at the boundary, losing the superstep in
+// progress, and an orderly departure rides the same machinery under a
+// distinct cause, so survivors shrink their barriers exactly as for a
+// crash but read "leave" in the report. The engine kills the victim in
+// its ledger under the returned cause and unwinds it with the typed
+// error; both are zero when the processor lives on. clock is what AtTime
+// crashes compare against (zero without a virtual clock).
+func (p *proc) boundaryFate(ord int, clock, now float64) (cause string, victim error) {
+	fate := "crash"
+	switch {
+	case p.opt.Chaos.CrashNow(p.pid, ord, clock):
+		cause, victim = "crash-stop", errCrashStop
+	case p.opt.Chaos.LeaveNow(p.pid, ord):
+		cause, victim, fate = "leave", errLeave, "leave"
+	default:
+		return "", nil
+	}
+	p.opt.Obsv.Chaos(fate, ord, p.pid, p.pid, now)
+	return cause, fmt.Errorf("%w (p%d at step %d)", victim, p.pid, ord)
+}
+
+// fate assigns a message its chaos fate, once, at the first step it
+// could deliver: at is that step on the engine's hold clock (see
+// pendingMsg.holdUntil), so a delayed message is parked exactly once.
+func (o *coreOpts) fate(m *pendingMsg, at int, now float64) {
+	if m.fated {
+		return
+	}
+	f := o.Chaos.MessageFate(m.src, m.dst, m.seq)
+	m.fated, m.drop, m.dup = true, f.Drop, f.Duplicate
+	if f.Delay > 0 {
+		m.holdUntil = at + f.Delay
+	}
+	switch {
+	case f.Drop:
+		o.Obsv.Chaos("drop", at, m.src, m.dst, now)
+	case f.Duplicate:
+		o.Obsv.Chaos("duplicate", at, m.src, m.dst, now)
+	case f.Delay > 0:
+		o.Obsv.Chaos("delay", at, m.src, m.dst, now)
+	}
+}
+
+// observe is the success path's compute sample for this processor's
+// ord-th superstep: it returns the transient straggler factor, records a
+// burst as a chaos event at step at, and — when work was charged — folds
+// the measured effective slowdown (static times transient) into the
+// reorg estimate. Only a superstep whose barrier succeeded is observed
+// (a failed sync's work is dropped), on both engines, so equal seeds
+// produce equal estimate streams.
+func (p *proc) observe(ord, at int, worked bool, now float64, fold func(pid int, sample float64)) float64 {
+	slow := p.opt.Chaos.Slowdown(p.pid, ord)
+	if slow != 1 {
+		p.opt.Obsv.Chaos("straggler", at, p.pid, p.pid, now)
+	}
+	if worked {
+		fold(p.pid, p.leaf.CompSlowdown*slow)
+	}
+	return slow
+}
+
+// record appends one completed superstep to the run's steps and emits
+// its span. The engine fills what it measured or charged (participants,
+// times, cost terms, traffic); the scope and index fields are filled
+// here. pred is the model's predicted T_i, zero when the engine makes
+// none.
+func (o *coreOpts) record(steps *[]trace.Step, scope *model.Machine, label string, pred float64, s trace.Step) {
+	s.Index, s.Label = len(*steps), label
+	s.ScopeLabel, s.ScopeName, s.Level = scope.Label(), scope.Name, scope.Level
+	*steps = append(*steps, s)
+	o.Obsv.Superstep(s.Index, label, s.ScopeLabel, s.Level, s.Start, s.End, pred, int64(s.Bytes))
+}
+
+// packMsg and unpackMsg are the engine message wire codec: source, user
+// tag, payload, and under Verify the payload checksum and the sender's
+// clock.
+func packMsg(m *pendingMsg, verify bool) *pvm.Buffer {
+	buf := pvm.NewBuffer()
+	buf.PackInt32(int32(m.src), int32(m.tag))
+	buf.PackBytes(m.payload)
+	if verify {
+		buf.PackInt64(int64(m.sum))
+		buf.PackInt64Slice(m.stamp.encodeInt64())
+	}
+	return buf
+}
+
+// unpackMsg decodes one message; the payload aliases the buffer's bytes.
+func unpackMsg(b *pvm.Buffer, verify bool) (m Message, meta msgMeta, err error) {
+	src, err := b.UnpackInt32()
+	if err != nil {
+		return m, meta, err
+	}
+	tag, err := b.UnpackInt32()
+	if err != nil {
+		return m, meta, err
+	}
+	m = Message{Src: int(src), Tag: int(tag)}
+	if m.Payload, err = b.UnpackBytes(); err != nil || !verify {
+		return m, meta, err
+	}
+	sum, err := b.UnpackInt64()
+	if err != nil {
+		return m, meta, err
+	}
+	stamp, err := b.UnpackInt64Slice()
+	if err != nil {
+		return m, meta, err
+	}
+	return m, msgMeta{src: m.Src, tag: m.Tag, stamp: decodeVClock(stamp), sum: uint64(sum)}, nil
+}
+
+// unpackWindow decodes one drained superstep into the delivery window
+// and releases every wire. Delivered bytes keep garbage-collected
+// lifetime (programs hold collective results across supersteps), by the
+// cheapest means each message allows: one a transport injected already
+// is garbage-collected memory and is aliased; one on a pooled wire
+// (every in-proc send) is copied into one fresh slab per window, and the
+// wire releases straight back to the arena. A malformed frame aborts the
+// superstep, but the rest of the window still holds pooled wires: the
+// remainder (the bad message included) goes back to the arena before the
+// error surfaces.
+func (p *proc) unpackWindow(msgs []pvm.Message) error {
+	slabCap := 0
+	for _, pm := range msgs {
+		if pm.Pooled() {
+			slabCap += pm.Len()
+		}
+	}
+	slab := make([]byte, 0, slabCap)
+	for i, pm := range msgs {
+		m, meta, err := unpackMsg(pm.Buffer(), p.opt.Verify)
+		if err != nil {
+			for _, rest := range msgs[i:] {
+				rest.Release()
+			}
+			return err
+		}
+		if pm.Pooled() {
+			// slabCap over-covers the framing, so these appends never
+			// reallocate and earlier messages' slices stay intact.
+			slab = append(slab, m.Payload...)
+			m.Payload = slab[len(slab)-len(m.Payload):]
+		}
+		p.receive(m, meta)
+		pm.Release()
+	}
+	return nil
+}
