@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt lint vet-sarif test race chaos verify wire-smoke fuzz bench cover clean
+.PHONY: check build vet fmt lint vet-sarif test race chaos verify wire-smoke fuzz bench bench-step cover clean
 
 check:
 	./check.sh
@@ -127,6 +127,15 @@ bench:
 		-min-pairs 26 \
 		-o BENCH_PR9.json bench/planner.txt
 	@echo wrote BENCH_PR9.json
+
+# bench-step runs the engine rung of the ladder: one all-to-all root
+# superstep of four processors on Concurrent, in-proc and over a unix
+# socket, at 64 B and 64 KiB per pair, with allocs/op — the Go-benchmark
+# twin of the sync and bulk workloads of ./benchmark. No gate of its own
+# (TestSteadyStateSuperstepAllocs holds the allocation ceiling); check.sh
+# invokes this target so the rung compiles and runs.
+bench-step:
+	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem ./internal/hbsp
 
 # cover enforces the coverage floor: total statement coverage must not
 # drop below bench/coverage_baseline.txt (percent, one line). The

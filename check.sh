@@ -3,8 +3,8 @@
 # script. Build, go vet, the hbspk-vet model lint suite, the tests under
 # the race detector, the soaks, gates and smokes below, the coverage
 # floor and a short fuzz pass. Steps that are also Makefile targets
-# (gofmt, chaos, the verify smokes, the wire smoke, cover, fuzz) are
-# defined there once and invoked from here.
+# (gofmt, chaos, the verify smokes, the wire smoke, the superstep bench,
+# cover, fuzz) are defined there once and invoked from here.
 set -eux
 
 # timed <budget-s> <label> cmd...: run one step, report its wall time
@@ -120,6 +120,10 @@ timed 30 "verify smokes" "${MAKE:-make}" verify
 # and 256 KiB-frame supersteps over the unix transport and of its
 # collectives over TCP, oracles on.
 "${MAKE:-make}" wire-smoke
+
+# The engine rung of the benchmark ladder, as `make bench-step` defines
+# it: 2000 supersteps per transport and size, reported, not gated.
+timed 60 "superstep bench" "${MAKE:-make}" bench-step
 
 # Coverage floor, as `make cover` defines it: total statement coverage
 # must not drop below the baseline in bench/coverage_baseline.txt.

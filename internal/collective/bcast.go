@@ -19,7 +19,7 @@ const (
 // processor in one super^i-step. Every participant returns the data.
 func BcastOnePhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]byte, error) {
 	defer span(c, "bcast-one-phase")(len(data))
-	pids := participants(c, scope)
+	pids := scope.Pids()
 	if c.Pid() == root {
 		for _, pid := range pids {
 			if pid == root {
@@ -53,7 +53,7 @@ func BcastOnePhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]b
 // BalancedPieces for that policy.
 func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Dist) ([]byte, error) {
 	defer span(c, "bcast-two-phase")(len(data))
-	pids := participants(c, scope)
+	pids := scope.Pids()
 	me := indexOf(pids, c.Pid())
 	if me < 0 {
 		return nil, fmt.Errorf("collective: pid %d outside scope %s", c.Pid(), scope.Label())

@@ -27,7 +27,7 @@ const tagBinomial = 10
 // coordinator and participant order is pid order.
 func BcastBinomial(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]byte, error) {
 	defer span(c, "bcast-binomial")(len(data))
-	pids := participants(c, scope)
+	pids := scope.Pids()
 	p := len(pids)
 	rootIdx := indexOf(pids, root)
 	if rootIdx < 0 {

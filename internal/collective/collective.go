@@ -14,29 +14,16 @@ package collective
 
 import (
 	"fmt"
-	"sort"
 
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
 )
 
-// participants returns the pids of the leaves under the scope, in pid
-// order. The position of a pid in this slice is its participant index.
-func participants(c hbsp.Ctx, scope *model.Machine) []int {
-	leaves := scope.Leaves()
-	pids := make([]int, len(leaves))
-	for i, l := range leaves {
-		pids[i] = c.Tree().Pid(l)
-	}
-	// On a freshly built tree Leaves() is left-to-right pid order, but a
-	// barrier-time reorganization permutes leaf slots while keeping pids
-	// stable — sort so participant indexes survive rebalancing.
-	sort.Ints(pids)
-	return pids
-}
-
-// indexOf returns the participant index of pid, or -1.
+// indexOf returns the participant index of pid, or -1: its position in
+// the scope's pid-ordered member list (model.Machine.Pids — pid order,
+// not tree order, which a barrier-time reorganization permutes while
+// pids stay put).
 func indexOf(pids []int, pid int) int {
 	for i, p := range pids {
 		if p == pid {

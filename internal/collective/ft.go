@@ -101,7 +101,7 @@ func (f *FT) Live() []int {
 		active[pid] = true
 	}
 	var out []int
-	for _, pid := range participants(f.c, f.scope) {
+	for _, pid := range f.scope.Pids() {
 		if active[pid] && !dead[pid] {
 			out = append(out, pid)
 		}

@@ -226,7 +226,7 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 // own vector to participant j, then folds what it received.
 func ReduceScatter(c hbsp.Ctx, scope *model.Machine, local []int64, d Dist, op Op) ([]int64, error) {
 	defer span(c, "reduce-scatter")(8 * len(local))
-	pids := participants(c, scope)
+	pids := scope.Pids()
 	if len(d) != len(pids) {
 		return nil, fmt.Errorf("collective: reduce-scatter dist has %d entries for %d participants", len(d), len(pids))
 	}

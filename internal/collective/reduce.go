@@ -184,7 +184,7 @@ func Scan(c hbsp.Ctx, scope *model.Machine, local []int64, op Op) ([]int64, erro
 	}
 	var pieces map[int][]byte
 	if c.Pid() == root {
-		pids := participants(c, scope)
+		pids := scope.Pids()
 		pieces = make(map[int][]byte, len(pids))
 		var acc []int64
 		for _, pid := range pids {

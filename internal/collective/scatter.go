@@ -107,7 +107,7 @@ func ScatterHier(c hbsp.Ctx, pieces map[int][]byte) ([]byte, error) {
 // broadcast, with arbitrary piece sizes).
 func AllGather(c hbsp.Ctx, scope *model.Machine, local []byte) (map[int][]byte, error) {
 	defer span(c, "all-gather")(len(local))
-	pids := participants(c, scope)
+	pids := scope.Pids()
 	for _, pid := range pids {
 		if pid == c.Pid() {
 			continue

@@ -1,10 +1,11 @@
 package hbsp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -92,6 +93,11 @@ type cctx struct {
 	// the destinations with a non-empty batch.
 	batch   [][]*pvm.Buffer
 	touched []int
+	// Sync's scratch, reused every superstep: the wait it registers, its
+	// barrier name's bytes, and the drained wire messages (cleared on use).
+	wait syncWait
+	name []byte
+	msgs []pvm.Message
 	// syncSeq counts this processor's syncs per scope so that senders
 	// and receivers agree on a message tag per (scope, generation).
 	syncSeq map[*model.Machine]int
@@ -167,7 +173,9 @@ type crun struct {
 // syncWait describes one processor parked in Sync: the scope and its
 // label, this processor's sync generation for it, the member pids that
 // must arrive for the barrier to complete, and the pvm barrier name (so
-// a crashing member can cancel exactly this wait).
+// a crashing member can cancel exactly this wait). A processor has one,
+// rewritten at every Sync entry: others read it through crun.waiting
+// under mu, and leaveSync unregisters it before Sync returns.
 type syncWait struct {
 	key     *model.Machine
 	scope   string
@@ -543,8 +551,11 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		return victim
 	}
 
-	w := &syncWait{key: scope, scope: scope.Label(), label: label, gen: gen, members: pidsOf(c.tree, scope)}
-	w.barrier = fmt.Sprintf("sync:%s#%d", w.scope, gen)
+	w := &c.wait
+	*w = syncWait{key: scope, scope: scope.Label(), label: label, gen: gen, members: scope.Pids()}
+	c.name = append(append(c.name[:0], "sync:"...), w.scope...)
+	c.name = strconv.AppendInt(append(c.name, '#'), int64(gen), 10)
+	w.barrier = string(c.name)
 	tag := c.wireTag(scope, gen, 0)
 	sent, err := c.flush(scope, ord, tag, micros(start))
 	if err != nil {
@@ -570,7 +581,9 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 // sender's ordinal passes the hold. Messages to a dead destination are
 // dropped. It returns the payload bytes posted.
 func (c *cctx) flush(scope *model.Machine, ord, tag int, now float64) (sent int, err error) {
-	var kept []pendingMsg
+	// Kept messages slide to the front of the outbox in send order; the
+	// write index never passes the read index.
+	kept := c.outbox[:0]
 	hold, dead := c.shared.unreachable(c, scope)
 	for i := range c.outbox {
 		m := c.outbox[i]
@@ -600,12 +613,14 @@ func (c *cctx) flush(scope *model.Machine, ord, tag int, now float64) (sent int,
 			sent += len(m.payload)
 		}
 	}
+	// The flushed payloads must not stay reachable from the reused backing.
+	clear(c.outbox[len(kept):])
 	c.outbox = kept
 
 	// One post per destination, in pid order — the whole superstep's
 	// traffic to a peer lands under a single lock acquisition — then one
 	// Flush: the superstep waits once for all of it to be observable.
-	sort.Ints(c.touched)
+	slices.Sort(c.touched)
 	for _, dst := range c.touched {
 		if err == nil {
 			err = c.task.SendBatch(c.tids[dst], tag, c.batch[dst])
@@ -702,14 +717,18 @@ func (c *cctx) barrierErr(err error, w *syncWait) error {
 // (Src, send order), and opens it. It returns the payload bytes
 // received.
 func (c *cctx) drain(ord, tag int) (recv int, err error) {
-	msgs := c.task.TryRecvAll(pvm.AnySource, tag)
+	c.msgs = c.task.AppendRecvAll(c.msgs[:0], pvm.AnySource, tag)
 	// Arrival order is already per-sender FIFO and tasks are spawned in
 	// pid order, so a stable sort by sender TID — before decoding, which
 	// keeps each message and its verification record together — yields
 	// the (Src, send order) contract.
-	sort.SliceStable(msgs, func(a, b int) bool { return msgs[a].Src < msgs[b].Src })
+	slices.SortStableFunc(c.msgs, func(a, b pvm.Message) int { return cmp.Compare(a.Src, b.Src) })
 	c.resetWindow()
-	if err := c.unpackWindow(msgs); err != nil {
+	err = c.unpackWindow(c.msgs)
+	// The window owns the delivery now; the scratch must not pin a wire
+	// or an injected frame until the next superstep overwrites it.
+	clear(c.msgs)
+	if err != nil {
 		return 0, err
 	}
 	now := c.nowMicros()

@@ -134,7 +134,7 @@ func (l *ledger) deadNotice(pid int, scope *model.Machine) *ErrPeerFailed {
 		return nil
 	}
 	first := -1
-	for _, m := range pidsOf(l.tree, scope) {
+	for _, m := range scope.Pids() {
 		if l.dead[m] != nil && !l.acked[pid][scope][m] && (first < 0 || m < first) {
 			first = m
 		}
@@ -158,7 +158,7 @@ func (l *ledger) joinNotice(pid int, scope *model.Machine) *ErrPeerJoined {
 		return nil
 	}
 	first := -1
-	members := pidsOf(l.tree, scope)
+	members := scope.Pids()
 	for _, m := range members {
 		if _, ok := l.joined[m]; ok && !l.ackedJoin[pid][scope][m] && (first < 0 || m < first) {
 			first = m
@@ -266,7 +266,7 @@ func (l *ledger) equalize(sets []ackSets) {
 func (l *ledger) seed(pid, cut int) {
 	l.tree.Root.Walk(func(scope *model.Machine) {
 		donor := -1
-		for _, m := range pidsOf(l.tree, scope) {
+		for _, m := range scope.Pids() {
 			if m == pid || !l.alive(m) || l.joined[m] == cut {
 				continue
 			}

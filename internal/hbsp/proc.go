@@ -217,16 +217,6 @@ func under(scope, leaf *model.Machine) bool {
 	return false
 }
 
-// pidsOf returns the scope's member pids in tree order.
-func pidsOf(t *model.Tree, scope *model.Machine) []int {
-	leaves := scope.Leaves()
-	out := make([]int, len(leaves))
-	for i, leaf := range leaves {
-		out[i] = t.Pid(leaf)
-	}
-	return out
-}
-
 // enter is the Sync-entry rule of both engines, checked before any state
 // changes — no chaos ordinal consumed, no generation burned, no charged
 // work dropped — so a program that absorbs the rejection is still

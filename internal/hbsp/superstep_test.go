@@ -1,0 +1,128 @@
+package hbsp
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"hbspk/internal/model"
+	"hbspk/internal/pvm"
+	"hbspk/internal/pvm/wiretrans"
+)
+
+// The engine rung of the ladder (L3): one all-to-all root superstep on
+// Concurrent, the program the wall-clock benchmark's sync and bulk
+// workloads run, on the same machine.
+
+func superstepTree() *model.Tree { return model.WideAreaGrid(2, 2, 4, 10, 100) }
+
+// allToAll runs warm untimed and then steps measured all-to-all root
+// supersteps of size bytes per pair; processor 0 calls begin before the
+// first measured step and end after the last.
+func allToAll(size, warm, steps int, begin, end func()) Program {
+	return func(c Ctx) error {
+		pid, p := c.Pid(), c.NProcs()
+		out := make([][]byte, p)
+		for dst := range out {
+			out[dst] = make([]byte, size)
+		}
+		for n := 0; n < warm+steps; n++ {
+			if n == warm && pid == 0 {
+				begin()
+			}
+			for dst := 0; dst < p; dst++ {
+				if dst != pid {
+					if err := c.Send(dst, 1, out[dst]); err != nil {
+						return err
+					}
+				}
+			}
+			if err := SyncAll(c, "exchange"); err != nil {
+				return err
+			}
+			if got := len(c.Moves()); got != p-1 {
+				return fmt.Errorf("pid %d step %d: %d messages, want %d", pid, n, got, p-1)
+			}
+		}
+		if pid == 0 {
+			end()
+		}
+		return nil
+	}
+}
+
+// raceEnabled reports a test binary built with the race detector, read
+// from the build settings the toolchain stamps into it.
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	if info == nil {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestSteadyStateSuperstepAllocs is the allocation ceiling of a warm
+// superstep: what a step may allocate is what outlives it by contract —
+// per processor the delivery slab and the barrier's name, and the
+// appended step record — plus slack. 188 per step before the scope facts
+// were indexed and the Sync scratch reused.
+func TestSteadyStateSuperstepAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector changes the allocation count")
+	}
+	const steps, ceiling = 4000, 48
+	var before, after runtime.MemStats
+	eng := NewConcurrent(superstepTree())
+	_, err := eng.Run(allToAll(64, 500, steps,
+		func() { runtime.ReadMemStats(&before) },
+		func() { runtime.ReadMemStats(&after) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perStep := float64(after.Mallocs-before.Mallocs) / steps
+	t.Logf("%.1f allocations, %.0f bytes per superstep (p = 4)", perStep,
+		float64(after.TotalAlloc-before.TotalAlloc)/steps)
+	if perStep > ceiling {
+		t.Errorf("%.1f allocations per warm superstep, ceiling %d", perStep, ceiling)
+	}
+}
+
+// BenchmarkConcurrentSuperstep is the engine twin of wiretrans's
+// BenchmarkLoopbackExchange: ns/op is one whole superstep of four
+// processors, MB/s its payload bytes, allocs/op everything the four
+// Syncs and twelve Sends allocate.
+func BenchmarkConcurrentSuperstep(b *testing.B) {
+	sizes := []struct {
+		name string
+		n    int
+	}{{"64B", 64}, {"64KiB", 64 << 10}}
+	for _, network := range []string{"inproc", "unix"} {
+		for _, size := range sizes {
+			b.Run(network+"/"+size.name, func(b *testing.B) {
+				tree := superstepTree()
+				eng := NewConcurrent(tree)
+				if network != "inproc" {
+					eng.Transport = func() (pvm.Transport, error) {
+						lb, err := wiretrans.NewLoopback(network)
+						if err != nil {
+							return nil, err
+						}
+						return lb, nil
+					}
+				}
+				p := tree.NProcs()
+				b.SetBytes(int64(p * (p - 1) * size.n))
+				b.ReportAllocs()
+				if _, err := eng.Run(allToAll(size.n, 200, b.N, b.ResetTimer, b.StopTimer)); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}

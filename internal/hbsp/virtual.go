@@ -446,7 +446,7 @@ func (v *Virtual) release(st *runState, ctxs []*vctx) {
 		seen[r.scope] = true
 		var pids []int
 		ready := true
-		for _, lp := range pidsOf(v.tree, r.scope) {
+		for _, lp := range r.scope.Pids() {
 			if !st.led.alive(lp) {
 				continue
 			}
@@ -457,7 +457,6 @@ func (v *Virtual) release(st *runState, ctxs []*vctx) {
 			pids = append(pids, lp)
 		}
 		if ready && len(pids) > 0 {
-			sort.Ints(pids)
 			v.completeStep(st, ctxs, r.scope, pids)
 		}
 	}

@@ -84,6 +84,18 @@ type Machine struct {
 	Children []*Machine
 
 	parent *Machine
+	facts  scopeFacts
+}
+
+// scopeFacts is what Tree.index records about a machine's place in its
+// tree, so that the per-superstep questions — who is under this scope,
+// what is it called — are reads, not walks. index runs wherever structure
+// changes and re-records every machine; the slices are shared, read-only.
+// A machine outside a tree has the zero value and answers by walking.
+type scopeFacts struct {
+	label  string
+	leaves []*Machine // subtree leaves, left to right
+	pids   []int      // their pids, ascending
 }
 
 // Option configures a Machine built by NewLeaf or NewCluster.
@@ -144,7 +156,12 @@ func (m *Machine) Parent() *Machine { return m.parent }
 func (m *Machine) Fanout() int { return len(m.Children) }
 
 // Label returns the M_{i,j} label of the machine.
-func (m *Machine) Label() string { return fmt.Sprintf("M_{%d,%d}", m.Level, m.Index) }
+func (m *Machine) Label() string {
+	if m.facts.label != "" {
+		return m.facts.label
+	}
+	return fmt.Sprintf("M_{%d,%d}", m.Level, m.Index)
+}
 
 // Height returns the height of the subtree rooted at m (0 for a leaf).
 func (m *Machine) Height() int {
@@ -158,8 +175,12 @@ func (m *Machine) Height() int {
 }
 
 // Leaves returns the processors of the subtree rooted at m, in
-// left-to-right order. A childless machine is its own only leaf.
+// left-to-right order. A childless machine is its own only leaf. Inside
+// a Tree the result is the tree's record: shared, read-only.
 func (m *Machine) Leaves() []*Machine {
+	if m.facts.leaves != nil {
+		return m.facts.leaves
+	}
 	if m.IsLeaf() {
 		return []*Machine{m}
 	}
@@ -169,6 +190,11 @@ func (m *Machine) Leaves() []*Machine {
 	}
 	return out
 }
+
+// Pids returns the processor ids of the subtree's leaves in ascending
+// order — the members of the scope m — as the tree recorded them: shared,
+// read-only, and nil for a machine outside a Tree, which has no pids.
+func (m *Machine) Pids() []int { return m.facts.pids }
 
 // Walk visits the subtree rooted at m in preorder.
 func (m *Machine) Walk(visit func(*Machine)) {
@@ -221,6 +247,7 @@ func (m *Machine) clone() *Machine { return m.cloneInto(nil) }
 func (m *Machine) cloneInto(dst map[*Machine]*Machine) *Machine {
 	c := *m
 	c.parent = nil
+	c.facts = scopeFacts{} // the original's record names the original's leaves
 	c.Children = make([]*Machine, len(m.Children))
 	for i, ch := range m.Children {
 		cc := ch.cloneInto(dst)

@@ -248,6 +248,11 @@ func (t *Tree) Reorganize(plan *ReorgPlan) error {
 		l.Share = plan.Shares[pid]
 	}
 
+	// Re-index before anything asks a cluster for its coordinator: that
+	// reads the subtree leaves index records, which still describe the
+	// layout before the move.
+	t.index()
+
 	// Re-lift cluster slowdowns onto the new coordinators and re-sum
 	// cluster shares, bottom-up — Normalize's invariant maintenance
 	// without touching the leaf-level normalization.
@@ -271,7 +276,7 @@ func (t *Tree) Reorganize(plan *ReorgPlan) error {
 		return s
 	}
 	lift(t.Root)
-	t.index()
+	t.invalidateRank() // the lift rewrote cluster parameters the fingerprint covers
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -241,6 +242,110 @@ func TestRankMemoInvalidation(t *testing.T) {
 	}
 	if tr.Rank(tr.Root) != -1 {
 		t.Fatal("Rank of a non-leaf should be -1")
+	}
+}
+
+// freshLeaves is the recursive walk Machine.Leaves does outside a tree,
+// written out here so the record is checked against something that
+// cannot read it.
+func freshLeaves(m *Machine) []*Machine {
+	if m.IsLeaf() {
+		return []*Machine{m}
+	}
+	var out []*Machine
+	for _, c := range m.Children {
+		out = append(out, freshLeaves(c)...)
+	}
+	return out
+}
+
+// checkScopeFacts holds every machine's recorded leaves, member pids and
+// label to a fresh walk, a fresh sort and a fresh Sprintf, and every
+// recorded leaf to this tree's own pid table.
+func checkScopeFacts(t *testing.T, tr *Tree, stage string) {
+	t.Helper()
+	tr.Root.Walk(func(m *Machine) {
+		want := freshLeaves(m)
+		if got := m.Leaves(); !reflect.DeepEqual(got, want) || (len(got) > 0 && got[0] != want[0]) {
+			t.Fatalf("%s: %s records %d leaves, a fresh walk finds %d (or others)", stage, m.Name, len(got), len(want))
+		}
+		pids := make([]int, len(want))
+		for i, l := range want {
+			pids[i] = tr.Pid(l)
+			if pids[i] < 0 || tr.Leaf(pids[i]) != m.Leaves()[i] {
+				t.Fatalf("%s: %s records leaf %s, which is not this tree's pid %d", stage, m.Name, l.Name, pids[i])
+			}
+		}
+		sort.Ints(pids)
+		if got := m.Pids(); !reflect.DeepEqual(got, pids) {
+			t.Fatalf("%s: %s records pids %v, want %v", stage, m.Name, got, pids)
+		}
+		if got, want := m.Label(), fmt.Sprintf("M_{%d,%d}", m.Level, m.Index); got != want {
+			t.Fatalf("%s: %s is labeled %s, want %s", stage, m.Name, got, want)
+		}
+		var best *Machine
+		for _, l := range want {
+			if best == nil || l.CommSlowdown < best.CommSlowdown ||
+				(l.CommSlowdown == best.CommSlowdown && l.EffComp() < best.EffComp()) {
+				best = l
+			}
+		}
+		if got := m.Coordinator(); got != best {
+			t.Fatalf("%s: %s elects %s, a fresh walk elects %s", stage, m.Name, got.Name, best.Name)
+		}
+	})
+}
+
+// The scope facts index records are memos of structure, like the ranking
+// above is of parameters: every operation that can change structure must
+// leave them equal to a fresh walk, and a copy must never answer with
+// the original's.
+func TestScopeFactsMatchFreshWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 60; trial++ {
+		src := RandomTree(rng, 3, 4)
+		tr := MustNew(src.Root, src.G)
+		checkScopeFacts(t, tr, "New")
+		checkScopeFacts(t, tr.Normalize(), "Normalize")
+
+		layout := tr.SaveLayout()
+		for epoch := 1; epoch <= 3; epoch++ {
+			est := make([]float64, tr.NProcs())
+			for pid := range est {
+				est[pid] = 0.5 + 3*rng.Float64()
+			}
+			if err := tr.Reorganize(PlanReorg(tr, est, int64(trial), epoch)); err != nil {
+				t.Fatal(err)
+			}
+			checkScopeFacts(t, tr, fmt.Sprintf("Reorganize epoch %d", epoch))
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("trial %d epoch %d: %v", trial, epoch, err)
+			}
+		}
+
+		c := tr.Clone()
+		checkScopeFacts(t, c, "Clone")
+		c.Root.Walk(func(m *Machine) {
+			for _, l := range m.Leaves() {
+				if tr.Pid(l) >= 0 {
+					t.Fatalf("trial %d: the clone's %s records leaf %s of the original", trial, m.Name, l.Name)
+				}
+			}
+		})
+		checkScopeFacts(t, tr, "the cloned original")
+
+		tr.RestoreLayout(layout)
+		checkScopeFacts(t, tr, "RestoreLayout")
+	}
+
+	// Outside a tree there is nothing recorded: the walk, no pids, the
+	// label of the zero position.
+	loose := NewCluster("loose", []*Machine{NewLeaf("a"), NewCluster("b", []*Machine{NewLeaf("c")})})
+	if got := loose.Leaves(); len(got) != 2 || got[0].Name != "a" || got[1].Name != "c" {
+		t.Errorf("an unindexed cluster walks to %d leaves, want a and c", len(got))
+	}
+	if loose.Pids() != nil || loose.Label() != "M_{0,0}" {
+		t.Errorf("an unindexed cluster answers pids %v label %s", loose.Pids(), loose.Label())
 	}
 }
 

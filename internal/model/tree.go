@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,12 +76,14 @@ func MustNew(root *Machine, g float64) *Tree {
 	return t
 }
 
-// index assigns Level and Index to every machine and rebuilds the level
-// and leaf tables. It is called by New, again by Normalize, and after
-// every reorganization. When the leaf set is unchanged the existing pid
-// assignment is preserved — a reorganization moves processors around
-// the tree without renaming them, so programs keep routing by pid —
-// otherwise pids are assigned fresh in left-to-right tree order.
+// index assigns Level and Index to every machine, rebuilds the level
+// and leaf tables and records every machine's scope facts. It is called
+// by New and Clone and after every reorganization or layout restore —
+// the only places structure changes. When the leaf set is unchanged the
+// existing pid assignment is preserved — a reorganization moves
+// processors around the tree without renaming them, so programs keep
+// routing by pid — otherwise pids are assigned fresh in left-to-right
+// tree order.
 func (t *Tree) index() {
 	t.k = t.Root.Height()
 	t.levels = make([][]*Machine, t.k+1)
@@ -101,28 +104,46 @@ func (t *Tree) index() {
 	}
 	t.Root.parent = nil
 	walk(t.Root, 0)
-	defer t.invalidateRank()
-	if len(t.pids) == len(walked) {
-		same := true
-		for _, l := range walked {
-			if _, ok := t.pids[l]; !ok {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.leaves = make([]*Machine, len(walked))
-			for _, l := range walked {
-				t.leaves[t.pids[l]] = l
-			}
-			return
+
+	same := len(t.pids) == len(walked)
+	for _, l := range walked {
+		if _, ok := t.pids[l]; !ok {
+			same = false
+			break
 		}
 	}
-	t.leaves = walked
-	t.pids = make(map[*Machine]int, len(t.leaves))
-	for pid, l := range t.leaves {
-		t.pids[l] = pid
+	if !same {
+		t.pids = make(map[*Machine]int, len(walked))
+		for pid, l := range walked {
+			t.pids[l] = pid
+		}
 	}
+	t.leaves = make([]*Machine, len(walked))
+	for _, l := range walked {
+		t.leaves[t.pids[l]] = l
+	}
+
+	// A subtree's leaves are contiguous in the walk, so every machine's
+	// record is a window of it; record returns where m's window ends.
+	var record func(m *Machine, lo int) int
+	record = func(m *Machine, lo int) int {
+		hi := lo
+		if m.IsLeaf() {
+			hi++
+		}
+		for _, c := range m.Children {
+			hi = record(c, hi)
+		}
+		pids := make([]int, 0, hi-lo)
+		for _, l := range walked[lo:hi] {
+			pids = append(pids, t.pids[l])
+		}
+		sort.Ints(pids)
+		m.facts = scopeFacts{fmt.Sprintf("M_{%d,%d}", m.Level, m.Index), walked[lo:hi:hi], pids}
+		return hi
+	}
+	record(t.Root, 0)
+	t.invalidateRank()
 }
 
 // invalidateRank drops the memoized ranking and fingerprint; the next

@@ -49,7 +49,8 @@ type Buffer struct {
 // delivered message.
 func NewBuffer() *Buffer {
 	w := newWire()
-	return &Buffer{data: w.data[:0], w: w}
+	w.hdr = Buffer{data: w.data[:0], w: w}
+	return &w.hdr
 }
 
 // adopt transfers ownership of the packed bytes to the fabric. A

@@ -1,6 +1,9 @@
 package pvm
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // The indexed mailbox. Senders stage under sendMu; the receiving side
 // drains the staging into per-(src, tag) queues under recvMu, so the
@@ -66,18 +69,27 @@ func (t *Task) deliverOne(m Message) error {
 	return nil
 }
 
-// deliverBatch stages a whole outbox under one lock acquisition.
-func (t *Task) deliverBatch(ms []Message) error {
+// deliverBatch adopts a whole outbox from src into the staging slice
+// under one lock acquisition. A buffer that cannot be adopted fails the
+// batch: what was staged of it is taken back.
+func (t *Task) deliverBatch(src TID, tag int, bufs []*Buffer) error {
 	t.sendMu.Lock()
 	if t.halted {
 		t.sendMu.Unlock()
 		return ErrHalted
 	}
-	for i := range ms {
+	before := len(t.staged)
+	for _, buf := range bufs {
+		w, err := buf.adopt()
+		if err != nil {
+			clear(t.staged[before:])
+			t.staged = t.staged[:before]
+			t.sendMu.Unlock()
+			return err
+		}
 		t.seq++
-		ms[i].seq = t.seq
+		t.staged = append(t.staged, Message{Src: src, Tag: tag, buf: buf.data, w: w, seq: t.seq})
 	}
-	t.staged = append(t.staged, ms...)
 	depth := len(t.staged)
 	t.cond.Broadcast()
 	t.sendMu.Unlock()
@@ -183,29 +195,40 @@ func (t *Task) dropq(k mkey, q *msgq) {
 
 // TryRecvAll drains every queued message matching (src, tag) in
 // arrival order, without blocking, under one lock acquisition. The
-// exact-match case hands the queue's backing to the caller in place;
-// wildcard matches are merged by arrival stamp. The HBSP engines use
-// it to collect a superstep's whole inbox at once.
+// exact-match case hands the queue's backing to the caller in place; a
+// wildcard match is AppendRecvAll into a fresh slice.
 func (t *Task) TryRecvAll(src TID, tag int) []Message {
+	if src == AnySource || tag == AnyTag {
+		return t.AppendRecvAll(nil, src, tag)
+	}
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
 	t.drainLocked()
-	if src != AnySource && tag != AnyTag {
-		k := mkey{src: src, tag: tag}
-		q := t.queues[k]
-		if q == nil {
-			return nil
-		}
-		out := q.items[q.head:]
-		delete(t.queues, k)
-		// The backing transfers to the caller; recycle only the record.
-		*q = msgq{}
-		if len(t.qfree) < maxFreeQueues {
-			t.qfree = append(t.qfree, q)
-		}
-		return out
+	k := mkey{src: src, tag: tag}
+	q := t.queues[k]
+	if q == nil {
+		return nil
 	}
-	var out []Message
+	out := q.items[q.head:]
+	delete(t.queues, k)
+	// The backing transfers to the caller; recycle only the record.
+	*q = msgq{}
+	if len(t.qfree) < maxFreeQueues {
+		t.qfree = append(t.qfree, q)
+	}
+	return out
+}
+
+// AppendRecvAll is TryRecvAll into the caller's slice: the matching
+// messages, in arrival order, are appended to dst and the extended slice
+// returned, so a caller that drains once per superstep (the HBSP engine)
+// reuses one backing. The caller owns dst and the messages in it, and
+// should clear what it has consumed: the backing keeps bytes reachable.
+func (t *Task) AppendRecvAll(dst []Message, src TID, tag int) []Message {
+	t.recvMu.Lock()
+	defer t.recvMu.Unlock()
+	t.drainLocked()
+	from := len(dst)
 	for k, q := range t.queues {
 		if src != AnySource && k.src != src {
 			continue
@@ -213,13 +236,11 @@ func (t *Task) TryRecvAll(src TID, tag int) []Message {
 		if tag != AnyTag && k.tag != tag {
 			continue
 		}
-		out = append(out, q.items[q.head:]...)
-		for i := q.head; i < len(q.items); i++ {
-			q.items[i] = Message{}
-		}
+		dst = append(dst, q.items[q.head:]...)
+		clear(q.items[q.head:])
 		q.items, q.head = q.items[:0], 0
 		t.dropq(k, q)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	slices.SortFunc(dst[from:], func(a, b Message) int { return cmp.Compare(a.seq, b.seq) })
+	return dst
 }

@@ -18,10 +18,16 @@ import (
 const maxPooledCap = 1 << 20
 
 // wire is a reference-counted wire payload. refs counts the Messages
-// (and, before the send, the Buffer) that alias data.
+// (and, before the send, the Buffer) that alias data. hdr is the Buffer
+// NewBuffer hands out for the wire: header and record recycle as one
+// object, so a packed message costs no allocation of its own. A sent
+// Buffer is dead to its sender (the bufreuse analyzer holds programs to
+// that); the header is rewritten only by the NewBuffer that next draws
+// the record, after every receiver has released it.
 type wire struct {
 	data []byte
 	refs atomic.Int32
+	hdr  Buffer
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wire) }}

@@ -374,3 +374,84 @@ func TestReleaseTwicePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendRecvAllIntoCallerSlice: the append form leaves what dst
+// already holds alone, adds the matches in arrival order behind it, and
+// a second drain into dst[:0] reuses the backing instead of growing one.
+func TestAppendRecvAllIntoCallerSlice(t *testing.T) {
+	s := NewSystem()
+	s.Spawn("self", func(tk *Task) error {
+		send := func(tags ...int) error {
+			for _, tag := range tags {
+				if err := tk.Send(tk.TID(), tag, NewBuffer().PackInt32(int32(tag))); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if err := send(3, 4, 3, 5); err != nil {
+			return err
+		}
+		held := Message{Tag: -7}
+		got := tk.AppendRecvAll([]Message{held}, tk.TID(), AnyTag)
+		if len(got) != 5 || got[0].Tag != -7 {
+			return fmt.Errorf("drained %d messages behind tag %d, want 4 behind the held one", len(got)-1, got[0].Tag)
+		}
+		for i, want := range []int{3, 4, 3, 5} {
+			if m := got[1+i]; m.Tag != want {
+				return fmt.Errorf("message %d has tag %d, want arrival order %d", i, m.Tag, want)
+			}
+			got[1+i].Release()
+		}
+		if err := send(6, 7); err != nil {
+			return err
+		}
+		again := tk.AppendRecvAll(got[:0], AnySource, AnyTag)
+		if len(again) != 2 || again[0].Tag != 6 || again[1].Tag != 7 {
+			return fmt.Errorf("second drain: %d messages, want tags 6, 7", len(again))
+		}
+		if &again[0] != &got[0] {
+			return fmt.Errorf("second drain did not reuse the caller's backing")
+		}
+		for _, m := range again {
+			m.Release()
+		}
+		if n := tk.Pending(); n != 0 {
+			return fmt.Errorf("%d messages still queued after the drains", n)
+		}
+		return nil
+	})
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSendBatchRejectsReuseWhole: a batch holding an already-sent buffer
+// fails and delivers nothing — not even the sound buffers ahead of the
+// bad one, which were staged before it was found.
+func TestSendBatchRejectsReuseWhole(t *testing.T) {
+	s := NewSystem()
+	s.Spawn("self", func(tk *Task) error {
+		spent := NewBuffer().PackInt32(1)
+		if err := tk.Send(tk.TID(), 1, spent); err != nil {
+			return err
+		}
+		batch := []*Buffer{NewBuffer().PackInt32(2), spent, NewBuffer().PackInt32(3)}
+		if err := tk.SendBatch(tk.TID(), 2, batch); err == nil {
+			return fmt.Errorf("a batch with a sent buffer was accepted")
+		}
+		got := tk.TryRecvAll(AnySource, AnyTag)
+		defer func() {
+			for _, m := range got {
+				m.Release()
+			}
+		}()
+		if len(got) != 1 || got[0].Tag != 1 {
+			return fmt.Errorf("mailbox holds %d messages after the rejected batch, want only the first send", len(got))
+		}
+		return nil
+	})
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -249,7 +249,9 @@ func (t *Task) Send(dst TID, tag int, buf *Buffer) error {
 
 // SendBatch enqueues one message per buffer at dst under a single
 // mailbox lock acquisition, preserving slice order. Each buffer is
-// adopted exactly as in Send.
+// adopted exactly as in Send; if one cannot be, the call fails and
+// nothing of the batch is delivered. In-proc the messages are built in
+// dst's staging slice; a transport gets a slice Deliver may keep.
 func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error {
 	if len(bufs) == 0 {
 		return nil
@@ -257,6 +259,10 @@ func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error {
 	target, err := t.sys.task(dst)
 	if err != nil {
 		return err
+	}
+	tr := t.sys.transport
+	if tr == nil {
+		return target.deliverBatch(t.tid, tag, bufs)
 	}
 	ms := make([]Message, len(bufs))
 	for i, buf := range bufs {
@@ -266,10 +272,7 @@ func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error {
 		}
 		ms[i] = Message{Src: t.tid, Tag: tag, buf: buf.data, w: w}
 	}
-	if tr := t.sys.transport; tr != nil {
-		return tr.Deliver(dst, ms)
-	}
-	return target.deliverBatch(ms)
+	return tr.Deliver(dst, ms)
 }
 
 // Mcast sends the buffer to every listed destination (PVM's
@@ -466,17 +469,71 @@ func (t *Task) Pending() int {
 
 type barrier struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond // on mu
 	arrived  int
 	gen      int
 	halted   bool
 	canceled bool
+	retired  bool // idle and out of the table, or about to be: see lockBarrier
 	// deposits collects the current generation's BarrierExchange
 	// payloads; on completion they move into results keyed by the
 	// generation they belong to, reference-counted so late wakers of an
 	// already-recycled barrier still find their round's data.
 	deposits map[TID][]byte
 	results  map[int]*barrierResult
+}
+
+// lockBarrier returns the named barrier, created on first use, with its
+// mu held; arriving makes it fail on a halted system, in the critical
+// section that would have created the barrier. System.mu is a leaf lock,
+// so the barrier is locked only after the table is let go and may have
+// been retired in between: a retired barrier says so and the lookup
+// starts over on a fresh one — nobody arrives at, or cancels, an orphan.
+func (s *System) lockBarrier(name string, arriving bool) (*barrier, error) {
+	for {
+		s.mu.Lock()
+		if arriving && s.halted {
+			s.mu.Unlock()
+			return nil, ErrHalted
+		}
+		b, ok := s.barriers[name]
+		if !ok {
+			b = &barrier{}
+			b.cond.L = &b.mu
+			s.barriers[name] = b
+		}
+		s.mu.Unlock()
+		b.mu.Lock()
+		if !b.retired {
+			return b, nil
+		}
+		b.mu.Unlock()
+		s.forget(name, b)
+	}
+}
+
+// unlockBarrier releases b.mu, first retiring the barrier if it is
+// idle: no arrival of an open round, no completed round a participant
+// has yet to collect, no cancel latch (that must outlast the waiter the
+// cancel raced ahead of). A run of uniquely named barriers, one per
+// superstep, leaves nothing behind; a name that comes back finds a fresh
+// barrier, which is what an idle one is.
+func (s *System) unlockBarrier(name string, b *barrier) {
+	b.retired = b.arrived == 0 && len(b.results) == 0 && !b.canceled
+	retired := b.retired
+	b.mu.Unlock()
+	if retired {
+		s.forget(name, b)
+	}
+}
+
+// forget drops a retired barrier from the table.
+func (s *System) forget(name string, b *barrier) {
+	s.mu.Lock()
+	if s.barriers[name] == b {
+		delete(s.barriers, name)
+	}
+	s.mu.Unlock()
 }
 
 type barrierResult struct {
@@ -525,6 +582,7 @@ func (t *Task) BarrierTimeout(name string, count int, d time.Duration) error {
 // arrival takes its deposit with it; CancelBarrier discards the
 // pending round's deposits. The task's sends are flushed before it
 // arrives, so whatever it sent is receivable once the barrier exits.
+// The task that leaves a barrier idle retires it (unlockBarrier).
 func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("pvm: barrier %q with count %d", name, count)
@@ -532,19 +590,11 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 	if err := t.Flush(); err != nil {
 		return nil, err
 	}
-	s := t.sys
-	s.mu.Lock()
-	if s.halted {
-		s.mu.Unlock()
-		return nil, ErrHalted
+	b, err := t.sys.lockBarrier(name, true)
+	if err != nil {
+		return nil, err
 	}
-	b, ok := s.barriers[name]
-	if !ok {
-		b = &barrier{}
-		b.cond = sync.NewCond(&b.mu)
-		s.barriers[name] = b
-	}
-	s.mu.Unlock()
+	defer t.sys.unlockBarrier(name, b)
 
 	var deadline time.Time
 	var timer *time.Timer
@@ -558,8 +608,6 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 		defer timer.Stop()
 	}
 
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.canceled {
 		return nil, fmt.Errorf("pvm: barrier %q: %w", name, ErrCanceled)
 	}
@@ -602,17 +650,10 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 // this barrier, so the rest of the system keeps running — the hook the
 // failure-detection layer uses to un-park survivors of a crashed peer.
 // Canceling a name nobody has arrived at yet still latches: the cancel
-// may race ahead of the waiter it is meant to wake.
+// may race ahead of the waiter it is meant to wake. A canceled barrier
+// is never retired.
 func (s *System) CancelBarrier(name string) {
-	s.mu.Lock()
-	b, ok := s.barriers[name]
-	if !ok {
-		b = &barrier{}
-		b.cond = sync.NewCond(&b.mu)
-		s.barriers[name] = b
-	}
-	s.mu.Unlock()
-	b.mu.Lock()
+	b, _ := s.lockBarrier(name, false)
 	b.canceled = true
 	b.arrived = 0
 	b.deposits = nil
