@@ -129,11 +129,12 @@ bench:
 	@echo wrote BENCH_PR9.json
 
 # bench-step runs the engine rung of the ladder: one all-to-all root
-# superstep of four processors on Concurrent, in-proc and over a unix
-# socket, at 64 B and 64 KiB per pair, with allocs/op — the Go-benchmark
-# twin of the sync and bulk workloads of ./benchmark. No gate of its own
-# (TestSteadyStateSuperstepAllocs holds the allocation ceiling); check.sh
-# invokes this target so the rung compiles and runs.
+# superstep of four processors on Concurrent — in-proc, over a unix socket
+# and over TCP loopback, at 64 B, 64 KiB and 256 KiB per pair (the last is
+# bulk_unix's size), with allocs/op — the Go-benchmark twin of the sync
+# and bulk workloads of ./benchmark. No gate of its own
+# (TestSteadyStateSuperstepAllocs holds the allocation ceilings, in-proc
+# and unix); check.sh invokes this target so the rung compiles and runs.
 bench-step:
 	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem ./internal/hbsp
 

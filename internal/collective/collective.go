@@ -34,17 +34,27 @@ func indexOf(pids []int, pid int) int {
 }
 
 // framed accumulates (origin pid, piece) entries for one wire message,
-// using the pvm typed buffer as the frame format.
-type framed struct{ buf *pvm.Buffer }
+// using the pvm typed buffer as the frame format. The frame is a Send
+// payload — garbage-collected memory the program owns — so it is packed
+// once, at its exact size, into an array of its own, not grown piece by
+// piece in a record drawn from (and never returned to) the wire arena.
+type framed struct{ entries []pidPiece }
 
-func newFrame() *framed { return &framed{buf: pvm.NewBuffer()} }
+func newFrame() *framed { return &framed{} }
 
-func (f *framed) add(pid int, piece []byte) {
-	f.buf.PackInt32(int32(pid))
-	f.buf.PackBytes(piece)
+func (f *framed) add(pid int, piece []byte) { f.entries = append(f.entries, pidPiece{pid, piece}) }
+
+func (f *framed) bytes() []byte {
+	n := 0
+	for _, e := range f.entries {
+		n += 5 + 5 + len(e.data) // a packed int32, a byte-slice prefix
+	}
+	buf := pvm.Wrap(make([]byte, 0, n))
+	for _, e := range f.entries {
+		buf.PackInt32(int32(e.pid)).PackBytes(e.data)
+	}
+	return buf.Bytes()
 }
-
-func (f *framed) bytes() []byte { return f.buf.Bytes() }
 
 // eachPiece parses a frame built by framed, calling fn per entry. Pieces
 // alias the payload.

@@ -25,6 +25,37 @@ func payloadFor(pid, size int) []byte {
 	return b
 }
 
+func TestFramesArePackedOnceAtTheirSize(t *testing.T) {
+	// A frame and a packed vector are Send payloads the program owns:
+	// one exact allocation each, nothing drawn from the wire arena, and
+	// the bytes a piece-by-piece packing gives.
+	f := newFrame()
+	want := map[int][]byte{4: payloadFor(4, 300), 0: {}, 9: payloadFor(9, 1)}
+	for _, pid := range []int{4, 0, 9} {
+		f.add(pid, want[pid])
+	}
+	wire := f.bytes()
+	if len(wire) != cap(wire) {
+		t.Errorf("frame of %d bytes sits in an array of %d", len(wire), cap(wire))
+	}
+	got := map[int][]byte{}
+	if err := eachPiece(wire, func(pid int, piece []byte) { got[pid] = piece }); err != nil {
+		t.Fatal(err)
+	}
+	for pid, piece := range want {
+		if p, ok := got[pid]; !ok || !bytes.Equal(p, piece) {
+			t.Errorf("piece of pid %d does not round-trip", pid)
+		}
+	}
+	if len(newFrame().bytes()) != 0 {
+		t.Error("an empty frame is not empty")
+	}
+	vec := packVec([]int64{3, -1, 1 << 40})
+	if back, err := unpackVec(vec); err != nil || len(back) != 3 || back[2] != 1<<40 || len(vec) != cap(vec) {
+		t.Errorf("packed vector: %v, %d bytes in an array of %d, decodes to %v", err, len(vec), cap(vec), back)
+	}
+}
+
 func runPure(t *testing.T, tr *model.Tree, prog hbsp.Program) *trace.Report {
 	t.Helper()
 	rep, err := hbsp.RunVirtual(tr, fabric.PureModel(), prog)

@@ -65,8 +65,10 @@ func (op Op) combine(c hbsp.Ctx, dst, src []int64) error {
 	return nil
 }
 
+// packVec encodes a vector as a Send payload, in an array of its own at
+// its exact size (see framed).
 func packVec(v []int64) []byte {
-	return pvm.NewBuffer().PackInt64Slice(v).Bytes()
+	return pvm.Wrap(make([]byte, 0, 5+8*len(v))).PackInt64Slice(v).Bytes()
 }
 
 func unpackVec(p []byte) ([]int64, error) {

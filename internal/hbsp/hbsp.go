@@ -46,7 +46,12 @@ type Ctx interface {
 
 	// Send queues a message for dst. It is delivered at the first
 	// subsequent Sync whose scope contains both processors, and becomes
-	// readable via Moves after that Sync returns.
+	// readable via Moves after that Sync returns. The engine holds
+	// payload by reference, not a copy, until the Sync that delivers it
+	// returns. Concurrent is done with the slice then (it has been
+	// written to the wire or copied for the receiver); Virtual hands the
+	// receiver the very same bytes. A portable program therefore never
+	// writes to a slice it has sent.
 	Send(dst, tag int, payload []byte) error
 	// Moves returns the messages delivered by the last Sync, ordered by
 	// sender pid and, within one sender, by send order.

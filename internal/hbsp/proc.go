@@ -349,17 +349,17 @@ func (o *coreOpts) record(steps *[]trace.Step, scope *model.Machine, label strin
 }
 
 // packMsg and unpackMsg are the engine message wire codec: source, user
-// tag, payload, and under Verify the payload checksum and the sender's
-// clock.
+// tag, under Verify the payload checksum and the sender's clock, and the
+// payload last — borrowed: a transport writes it from the sender's slice,
+// an in-proc send copies it into the pooled wire, inside the flushing Sync.
 func packMsg(m *pendingMsg, verify bool) *pvm.Buffer {
 	buf := pvm.NewBuffer()
 	buf.PackInt32(int32(m.src), int32(m.tag))
-	buf.PackBytes(m.payload)
 	if verify {
 		buf.PackInt64(int64(m.sum))
 		buf.PackInt64Slice(m.stamp.encodeInt64())
 	}
-	return buf
+	return buf.PackBytesBorrowed(m.payload)
 }
 
 // unpackMsg decodes one message; the payload aliases the buffer's bytes.
@@ -373,18 +373,19 @@ func unpackMsg(b *pvm.Buffer, verify bool) (m Message, meta msgMeta, err error) 
 		return m, meta, err
 	}
 	m = Message{Src: int(src), Tag: int(tag)}
-	if m.Payload, err = b.UnpackBytes(); err != nil || !verify {
-		return m, meta, err
+	if verify {
+		sum, err := b.UnpackInt64()
+		if err != nil {
+			return m, meta, err
+		}
+		stamp, err := b.UnpackInt64Slice()
+		if err != nil {
+			return m, meta, err
+		}
+		meta = msgMeta{src: m.Src, tag: m.Tag, stamp: decodeVClock(stamp), sum: uint64(sum)}
 	}
-	sum, err := b.UnpackInt64()
-	if err != nil {
-		return m, meta, err
-	}
-	stamp, err := b.UnpackInt64Slice()
-	if err != nil {
-		return m, meta, err
-	}
-	return m, msgMeta{src: m.Src, tag: m.Tag, stamp: decodeVClock(stamp), sum: uint64(sum)}, nil
+	m.Payload, err = b.UnpackBytes()
+	return m, meta, err
 }
 
 // unpackWindow decodes one drained superstep into the delivery window

@@ -145,10 +145,48 @@ func codecMsg() pendingMsg {
 	return pendingMsg{src: 2, tag: -1001, payload: payload, sum: payloadSum(payload), stamp: VClock{3, 0, 9}}
 }
 
+// codecFields packs the first n fields of codecMsg's frame by value, in
+// wire order: source, tag, under Verify checksum and clock, and the
+// payload last.
+func codecFields(b *pvm.Buffer, n int, verify bool) *pvm.Buffer {
+	m := codecMsg()
+	packs := []func(){
+		func() { b.PackInt32(int32(m.src)) },
+		func() { b.PackInt32(int32(m.tag)) },
+	}
+	if verify {
+		packs = append(packs,
+			func() { b.PackInt64(int64(m.sum)) },
+			func() { b.PackInt64Slice(m.stamp.encodeInt64()) })
+	}
+	packs = append(packs, func() { b.PackBytes(m.payload) })
+	for _, pack := range packs[:n] {
+		pack()
+	}
+	return b
+}
+
 func TestCodecRoundTripAndEveryTruncation(t *testing.T) {
 	for _, verify := range []bool{false, true} {
 		sent := codecMsg()
-		wire := packMsg(&sent, verify).Bytes()
+		whole := 3
+		if verify {
+			whole = 5
+		}
+		// The payload is borrowed: the buffer's head ends at its length
+		// prefix, and head ‖ tail is the frame packed by value.
+		head := len(codecFields(pvm.Wrap(nil), whole-1, verify).Bytes()) + 1 + 4
+		packed := packMsg(&sent, verify)
+		if packed.Len() != head+len(sent.payload) {
+			t.Errorf("verify=%v: packed length %d, want a %d-byte head and the payload", verify, packed.Len(), head)
+		}
+		wire := packed.Bytes()
+		if want := codecFields(pvm.Wrap(nil), whole, verify).Bytes(); !bytes.Equal(wire, want) {
+			t.Fatalf("verify=%v: frame\n%x\nwant the payload-last order\n%x", verify, wire, want)
+		}
+		if !bytes.Equal(wire[head:], sent.payload) {
+			t.Errorf("verify=%v: the frame does not end on the payload", verify)
+		}
 		m, meta, err := unpackMsg(pvm.Wrap(wire), verify)
 		if err != nil {
 			t.Fatalf("verify=%v: %v", verify, err)
@@ -169,8 +207,8 @@ func TestCodecRoundTripAndEveryTruncation(t *testing.T) {
 			}
 		}
 	}
-	// A frame packed without the Verify fields is a truncation to a
-	// verifying reader, whatever the payload.
+	// A frame packed without the Verify fields is malformed to a verifying
+	// reader, whatever the payload.
 	sent := codecMsg()
 	if _, _, err := unpackMsg(pvm.Wrap(packMsg(&sent, false).Bytes()), true); err == nil {
 		t.Error("verifying reader accepted a frame without checksum and clock")
@@ -187,24 +225,6 @@ func released(m pvm.Message) (yes bool) {
 }
 
 func TestUnpackWindowReleasesTheRestOnError(t *testing.T) {
-	// fields packs the first n fields of the frame on a pooled wire.
-	fields := func(n int) *pvm.Buffer {
-		m := codecMsg()
-		b := pvm.NewBuffer()
-		if n > 0 {
-			b.PackInt32(int32(m.src))
-		}
-		if n > 1 {
-			b.PackInt32(int32(m.tag))
-		}
-		if n > 2 {
-			b.PackBytes(m.payload)
-		}
-		if n > 3 {
-			b.PackInt64(int64(m.sum))
-		}
-		return b
-	}
 	good := codecMsg()
 	for _, verify := range []bool{false, true} {
 		whole := 3
@@ -214,7 +234,7 @@ func TestUnpackWindowReleasesTheRestOnError(t *testing.T) {
 		for cut := 0; cut < whole; cut++ {
 			sys := pvm.NewSystem()
 			sys.Spawn("reader", func(task *pvm.Task) error {
-				window := []*pvm.Buffer{packMsg(&good, verify), fields(cut), packMsg(&good, verify)}
+				window := []*pvm.Buffer{packMsg(&good, verify), codecFields(pvm.NewBuffer(), cut, verify), packMsg(&good, verify)}
 				if err := task.SendBatch(task.TID(), 1, window); err != nil {
 					return err
 				}
@@ -254,6 +274,8 @@ func FuzzUnpackMsg(f *testing.F) {
 		wire := packMsg(&sent, verify).Bytes()
 		f.Add(wire, verify)
 		f.Add(wire[:len(wire)/2], verify)
+		// Cut at the seam: the head alone, as a transport is handed it.
+		f.Add(wire[:len(wire)-len(sent.payload)], verify)
 	}
 	f.Add([]byte{}, true)
 	f.Fuzz(func(t *testing.T, data []byte, verify bool) {

@@ -38,10 +38,11 @@ var ErrBufferUnderflow = errors.New("pvm: unpack past end of buffer")
 // Buffer is a typed pack/unpack message buffer. Packing appends; a
 // buffer received in a message unpacks from the front in packing order.
 type Buffer struct {
-	data []byte
-	off  int
-	w    *wire // pooled backing; nil for Wrap'd and zero-value buffers
-	sent bool  // handed to Send/Mcast; the fabric owns the bytes now
+	data     []byte
+	off      int
+	w        *wire // pooled backing; nil for Wrap'd and zero-value buffers
+	sent     bool  // handed to Send/Mcast; the fabric owns the bytes now
+	borrowed bool  // PackBytesBorrowed closed the buffer: w.tail is its last field
 }
 
 // NewBuffer returns an empty send buffer backed by the wire arena:
@@ -56,12 +57,16 @@ func NewBuffer() *Buffer {
 // adopt transfers ownership of the packed bytes to the fabric. A
 // buffer is sendable exactly once: the wire record (when pooled)
 // travels with the message, so a second send would alias a payload the
-// receiver may already have released back to the pool.
-func (b *Buffer) adopt() (*wire, error) {
+// receiver may already have released back to the pool. Only a transport
+// takes a borrowed tail by reference; a mailbox never holds one.
+func (b *Buffer) adopt(byRef bool) (*wire, error) {
 	if b.sent {
 		return nil, errors.New("pvm: buffer already sent; pack a fresh buffer per send")
 	}
 	b.sent = true
+	if !byRef {
+		b.flatten()
+	}
 	if b.w != nil {
 		// Packing may have grown past the pooled array; the wire record
 		// follows wherever the data lives now.
@@ -77,16 +82,37 @@ func bufferFrom(data []byte) *Buffer { return &Buffer{data: data} }
 // Bytes. The buffer aliases data.
 func Wrap(data []byte) *Buffer { return bufferFrom(data) }
 
+// flatten ends a borrow by copying the tail in behind the head.
+func (b *Buffer) flatten() {
+	if b.borrowed {
+		b.data = append(b.data, b.w.tail...)
+		b.w.tail, b.borrowed = nil, false
+	}
+}
+
 // Len returns the total encoded length in bytes.
-func (b *Buffer) Len() int { return len(b.data) }
+func (b *Buffer) Len() int {
+	if b.borrowed {
+		return len(b.data) + len(b.w.tail)
+	}
+	return len(b.data)
+}
 
 // Remaining returns the number of unread bytes.
 func (b *Buffer) Remaining() int { return len(b.data) - b.off }
 
-// Bytes returns the encoded wire bytes.
-func (b *Buffer) Bytes() []byte { return b.data }
+// Bytes returns the encoded wire bytes, a borrowed tail copied in.
+func (b *Buffer) Bytes() []byte {
+	b.flatten()
+	return b.data
+}
 
-func (b *Buffer) packCode(c byte) { b.data = append(b.data, c) }
+func (b *Buffer) packCode(c byte) {
+	if b.borrowed {
+		panic("pvm: pack after PackBytesBorrowed; the borrowed slice is the buffer's last field")
+	}
+	b.data = append(b.data, c)
+}
 
 func (b *Buffer) checkCode(want byte) error {
 	if b.off >= len(b.data) {
@@ -214,6 +240,20 @@ func (b *Buffer) PackBytes(p []byte) *Buffer {
 func (b *Buffer) PackBytesHeader(n int) *Buffer {
 	b.packCode(codeBytes)
 	b.data = binary.BigEndian.AppendUint32(b.data, uint32(n))
+	return b
+}
+
+// PackBytesBorrowed is PackBytes without the copy: the prefix is packed
+// and p rides the pooled record by reference, as the buffer's last field
+// — a pack after it panics, as does a buffer NewBuffer did not make. The
+// caller leaves p alone until the buffer's send has returned (a transport
+// has written p by then; in-proc, and in Bytes, it is copied in).
+func (b *Buffer) PackBytesBorrowed(p []byte) *Buffer {
+	if b.w == nil {
+		panic("pvm: PackBytesBorrowed on a buffer with no pooled record")
+	}
+	b.PackBytesHeader(len(p))
+	b.w.tail, b.borrowed = p, true
 	return b
 }
 

@@ -80,7 +80,7 @@ func (t *Task) deliverBatch(src TID, tag int, bufs []*Buffer) error {
 	}
 	before := len(t.staged)
 	for _, buf := range bufs {
-		w, err := buf.adopt()
+		w, err := buf.adopt(false)
 		if err != nil {
 			clear(t.staged[before:])
 			t.staged = t.staged[:before]

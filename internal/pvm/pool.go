@@ -23,9 +23,12 @@ const maxPooledCap = 1 << 20
 // object, so a packed message costs no allocation of its own. A sent
 // Buffer is dead to its sender (the bufreuse analyzer holds programs to
 // that); the header is rewritten only by the NewBuffer that next draws
-// the record, after every receiver has released it.
+// the record, after every receiver has released it. tail is a slice the
+// sender lent (PackBytesBorrowed): the message is data, then tail. The
+// last release drops it, so a pooled record never pins a caller's slice.
 type wire struct {
 	data []byte
+	tail []byte
 	refs atomic.Int32
 	hdr  Buffer
 }
@@ -60,6 +63,7 @@ func (w *wire) release() {
 	}
 	switch n := w.refs.Add(-1); {
 	case n == 0:
+		w.tail = nil
 		if cap(w.data) <= maxPooledCap {
 			w.data = w.data[:0]
 			wirePool.Put(w)

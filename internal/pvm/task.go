@@ -20,7 +20,8 @@ const (
 // Message is a delivered packed buffer. The payload aliases the
 // sender's wire buffer — or, for a message a transport injected, the
 // frame it arrived in: treat it as read-only, and call Release once
-// done with it to return a pooled backing to the arena.
+// done with it to return a pooled backing to the arena. Only a message
+// handed to Transport.Deliver may be in two pieces (Pieces).
 type Message struct {
 	Src TID
 	Tag int
@@ -29,13 +30,29 @@ type Message struct {
 	seq uint64 // per-mailbox arrival stamp, orders wildcard matches
 }
 
+// Pieces returns the message's wire bytes in order: head, then the tail
+// its sender lent (Buffer.PackBytesBorrowed), which only a message on its
+// way through a transport has. Neither outlives Release.
+func (m Message) Pieces() (head, tail []byte) {
+	if m.w != nil {
+		tail = m.w.tail
+	}
+	return m.buf, tail
+}
+
 // Buffer returns an unpacker positioned at the start of the message.
 // The unpacker aliases the message's wire bytes: it is only valid
-// until Release, and must not itself be sent.
-func (m Message) Buffer() *Buffer { return bufferFrom(m.buf) }
+// until Release, and must not itself be sent. A message still in two
+// pieces has no contiguous bytes to unpack, and panics.
+func (m Message) Buffer() *Buffer {
+	if _, tail := m.Pieces(); len(tail) > 0 {
+		panic("pvm: Message.Buffer on a message with a borrowed tail; a transport reads it with Pieces")
+	}
+	return bufferFrom(m.buf)
+}
 
-// Len returns the message's wire length in bytes.
-func (m Message) Len() int { return len(m.buf) }
+// Len returns the message's wire length in bytes, both pieces.
+func (m Message) Len() int { _, tail := m.Pieces(); return len(m.buf) + len(tail) }
 
 // Release returns the message's wire buffer to the arena. Call it at
 // most once, after the payload (and anything unpacked from it, which
@@ -229,19 +246,21 @@ func (t *Task) Name() string { return t.name }
 // packed bytes transfers to the receiver, which releases them back to
 // the arena. Delivery is reliable and per-sender ordered. A buffer can
 // be sent only once, and must not be packed into afterwards (the
-// bufreuse analyzer enforces both). Sending to a halted system or an
-// unknown task returns an error.
+// bufreuse analyzer enforces both). A slice the buffer borrowed
+// (PackBytesBorrowed) is the caller's again when the send returns.
+// Sending to a halted system or an unknown task returns an error.
 func (t *Task) Send(dst TID, tag int, buf *Buffer) error {
 	target, err := t.sys.task(dst)
 	if err != nil {
 		return err
 	}
-	w, err := buf.adopt()
+	tr := t.sys.transport
+	w, err := buf.adopt(tr != nil)
 	if err != nil {
 		return err
 	}
 	m := Message{Src: t.tid, Tag: tag, buf: buf.data, w: w}
-	if tr := t.sys.transport; tr != nil {
+	if tr != nil {
 		return tr.Deliver(dst, []Message{m})
 	}
 	return target.deliverOne(m)
@@ -266,7 +285,7 @@ func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error {
 	}
 	ms := make([]Message, len(bufs))
 	for i, buf := range bufs {
-		w, err := buf.adopt()
+		w, err := buf.adopt(true)
 		if err != nil {
 			return err
 		}
@@ -296,12 +315,13 @@ func (t *Task) Mcast(dsts []TID, tag int, buf *Buffer) error {
 	if len(targets) == 0 {
 		return nil // nothing adopted; the buffer stays usable
 	}
-	w, err := buf.adopt()
+	tr := t.sys.transport
+	w, err := buf.adopt(tr != nil)
 	if err != nil {
 		return err
 	}
 	w.retain(int32(len(targets) - 1))
-	if tr := t.sys.transport; tr != nil {
+	if tr != nil {
 		// Deliver consumes one reference per call, error or not; a
 		// failed fan-out only has the untried tail left to drop.
 		var firstErr error

@@ -44,8 +44,11 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 //     holds by construction and no posted failure is dropped.
 //   - Deliver consumes the batch: each message's wire reference is owned
 //     by the transport from the moment Deliver is called, on success and
-//     on error alike (release once the bytes are on the wire, or
-//     transfer to the destination mailbox for loopback paths).
+//     on error alike (release once the bytes are on the wire).
+//   - A message's bytes are read through Message.Pieces, head then tail.
+//     The tail is a slice its sender lent: borrowed bytes are valid until
+//     Deliver returns; a transport that keeps a message past that copies
+//     them first.
 //   - Per-sender FIFO: two Deliver calls from the same task to the same
 //     destination must stage in call order.
 //   - Errors map into the pvm taxonomy: a severed link wraps
@@ -118,7 +121,8 @@ func (s *System) SetTransport(tr Transport) error {
 // src, delivered exactly like a local send. It is the re-entry point
 // for wire transports and takes ownership of wire without copying it:
 // the bytes belong to the System from here on (the caller neither
-// writes nor reuses them), the message is not Pooled, and its lifetime
+// writes nor reuses them — so never a piece a sender lent, only bytes
+// read off a link or a copy), the message is not Pooled, and its lifetime
 // is the garbage collector's — a receiver that holds the payload pins
 // whatever allocation wire is a slice of, for a socket transport the
 // whole frame.

@@ -1,11 +1,19 @@
 package pvm
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 )
+
+// wireCopy is a message's wire bytes, both pieces, in memory of its own:
+// what a transport that keeps a message past Deliver must take.
+func wireCopy(m Message) []byte {
+	head, tail := m.Pieces()
+	return append(append(make([]byte, 0, m.Len()), head...), tail...)
+}
 
 // loopTransport is a minimal conforming Transport: it copies each
 // message's wire bytes, releases the adopted reference, and re-enters
@@ -32,7 +40,7 @@ func (lt *loopTransport) Deliver(dst TID, ms []Message) error {
 	fail := lt.failDst != 0 && dst == lt.failDst
 	lt.mu.Unlock()
 	for _, m := range ms {
-		wire := append([]byte(nil), m.Buffer().Bytes()...)
+		wire := wireCopy(m)
 		src, tag := m.Src, m.Tag
 		m.Release()
 		if fail {
@@ -161,7 +169,7 @@ func (pt *postTransport) Deliver(dst TID, ms []Message) error {
 		pt.posted = make(map[TID][]func() error)
 	}
 	for _, m := range ms {
-		wire := append([]byte(nil), m.Buffer().Bytes()...)
+		wire := wireCopy(m)
 		src, tag := m.Src, m.Tag
 		m.Release()
 		pt.posted[src] = append(pt.posted[src], func() error { return pt.sys.Inject(src, dst, tag, wire) })
@@ -274,6 +282,90 @@ func TestPostedFailureSurfaces(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestBorrowedTailEndsWithTheSend(t *testing.T) {
+	// A borrowed slice travels by reference only as far as a transport's
+	// Deliver: in-proc it is copied in at the send, so a mailbox message
+	// is in one piece; either way the record holds no tail once released,
+	// and the bytes are PackBytes's.
+	lent := []byte("lent, not copied")
+	want := Wrap(nil).PackInt32(7).PackBytes(lent).Bytes()
+	tailed := func() *Buffer { return NewBuffer().PackInt32(7).PackBytesBorrowed(lent) }
+	if b := tailed(); b.Len() != len(want) || !bytes.Equal(b.Bytes(), want) {
+		t.Errorf("Len %d, Bytes %x; want %d, %x", b.Len(), b.Bytes(), len(want), want)
+	}
+	for _, lane := range []string{"inproc", "transport"} {
+		t.Run(lane, func(t *testing.T) {
+			sys := NewSystem()
+			if lane == "transport" {
+				if err := sys.SetTransport(&loopTransport{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.Spawn("self", func(task *Task) error {
+				solo, batch, fan := tailed(), tailed(), tailed()
+				if err := task.Send(task.TID(), 1, solo); err != nil {
+					return err
+				}
+				if err := task.SendBatch(task.TID(), 1, []*Buffer{batch}); err != nil {
+					return err
+				}
+				// Mcast skips its sender; a second task would only park.
+				other := sys.Spawn("other", func(*Task) error { return nil })
+				if err := task.Mcast([]TID{other}, 1, fan); err != nil {
+					return err
+				}
+				for _, b := range []*Buffer{solo, batch, fan} {
+					if lane == "transport" && b.w.tail != nil {
+						t.Error("a record the transport released still holds the sender's slice")
+					}
+				}
+				for _, m := range task.TryRecvAll(task.TID(), 1) {
+					if _, tail := m.Pieces(); tail != nil || !bytes.Equal(m.Buffer().Bytes(), want) {
+						t.Errorf("mailbox message = %x + tail %x, want %x in one piece", m.Buffer().Bytes(), tail, want)
+					}
+					w := m.w
+					m.Release()
+					if w != nil && w.tail != nil {
+						t.Error("released record holds a tail")
+					}
+				}
+				return nil
+			})
+			if err := sys.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestBorrowedSliceIsTheLastField(t *testing.T) {
+	mustPanic(t, "a pack after PackBytesBorrowed", func() { NewBuffer().PackBytesBorrowed([]byte{1}).PackInt32(2) })
+	mustPanic(t, "a second borrow", func() { NewBuffer().PackBytesBorrowed(nil).PackBytesBorrowed(nil) })
+	mustPanic(t, "a borrow into a buffer with no pooled record", func() { Wrap(nil).PackBytesBorrowed([]byte{1}) })
+	b := NewBuffer().PackBytesBorrowed([]byte{1})
+	w, err := b.adopt(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Message{buf: b.data, w: w}
+	mustPanic(t, "Message.Buffer on a message in two pieces", func() { m.Buffer() })
+	if m.Len() != 6 {
+		t.Errorf("Len = %d, want both pieces (6)", m.Len())
+	}
+	m.Release()
 }
 
 func TestFlushWithoutTransport(t *testing.T) {

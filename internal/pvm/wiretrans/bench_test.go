@@ -8,10 +8,11 @@ import (
 )
 
 // BenchmarkLoopbackExchange is the rung below an engine superstep: one
-// message packed and posted to a receiving task, Flush, TryRecvAll,
-// Release — every user-space touch of a payload byte between a Send and
-// the receiver's hands, and nothing of the engine. MB/s is payload
-// bytes; B/op says how much fresh memory a delivered byte costs.
+// message packed as the engine packs it (the payload lent, not copied)
+// and posted to a receiving task, Flush, TryRecvAll, Release — every
+// user-space touch of a payload byte between a Send and the receiver's
+// hands, and nothing of the engine. MB/s is payload bytes; B/op says how
+// much fresh memory a delivered byte costs.
 func BenchmarkLoopbackExchange(b *testing.B) {
 	sizes := []struct {
 		name string
@@ -41,7 +42,7 @@ func BenchmarkLoopbackExchange(b *testing.B) {
 				sys.Spawn("send", func(task *pvm.Task) error {
 					defer stop()
 					for i := 0; i < b.N; i++ {
-						if err := task.Send(recv, 1, pvm.NewBuffer().PackBytes(payload)); err != nil {
+						if err := task.Send(recv, 1, pvm.NewBuffer().PackBytesBorrowed(payload)); err != nil {
 							return err
 						}
 						if err := task.Flush(); err != nil {

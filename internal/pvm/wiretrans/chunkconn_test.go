@@ -135,10 +135,11 @@ func (c *chunkedTransport) Attach(sys *pvm.System) error {
 
 func TestVectoredDeliverWritesTheSameFrame(t *testing.T) {
 	// Deliver writes a batch as header pieces interleaved with the wires'
-	// own bytes. What reaches the conn must be, byte for byte, the frame
+	// own pieces. What reaches the conn must be, byte for byte, the frame
 	// the one-buffer encoding builds from the same messages — 0-, 1- and
-	// 3-byte wires included — and, fragmented both ways, must decode to
-	// the same messages in posting order.
+	// 3-byte wires included, and wires whose last field was lent and rides
+	// as a tail — and, fragmented both ways, must decode to the same
+	// messages in posting order.
 	testutil.CheckGoroutines(t)
 	lb, err := NewLoopback("unix")
 	if err != nil {
@@ -152,13 +153,23 @@ func TestVectoredDeliverWritesTheSameFrame(t *testing.T) {
 	t.Cleanup(func() { _ = tr.Close() })
 
 	const tag = 6
+	lent := bytes.Repeat([]byte("lent "), 9)
 	batch := [][]byte{{0x5A}, {1, 2, 3}, {}, pvm.Wrap(nil).PackInt64(77).Bytes()}
 	single := []byte("after the batch")
+	// Head only, head + tail, head + empty tail, nothing but a tail, and a
+	// tailed wire next to a plain pooled one.
+	tailed := [][]byte{
+		pvm.Wrap(nil).PackInt32(1).Bytes(),
+		pvm.Wrap(nil).PackInt32(2).PackBytes(lent).Bytes(),
+		pvm.Wrap(nil).PackInt32(3).PackBytes(nil).Bytes(),
+		pvm.Wrap(nil).PackBytes(lent[:1]).Bytes(),
+		pvm.Wrap(nil).PackInt64(78).Bytes(),
+	}
 	flushed := make(chan struct{})
 	recv := sys.Spawn("recv", func(task *pvm.Task) error {
 		<-flushed
 		msgs := task.TryRecvAll(pvm.AnySource, tag)
-		want := append(append([][]byte(nil), batch...), single)
+		want := append(append(append([][]byte(nil), batch...), single), tailed...)
 		if len(msgs) != len(want) {
 			return fmt.Errorf("%d messages, want %d", len(msgs), len(want))
 		}
@@ -180,6 +191,16 @@ func TestVectoredDeliverWritesTheSameFrame(t *testing.T) {
 		if err := task.Send(recv, tag, pvm.Wrap(single)); err != nil {
 			return err
 		}
+		bufs = []*pvm.Buffer{
+			pvm.NewBuffer().PackInt32(1),
+			pvm.NewBuffer().PackInt32(2).PackBytesBorrowed(lent),
+			pvm.NewBuffer().PackInt32(3).PackBytesBorrowed(nil),
+			pvm.NewBuffer().PackBytesBorrowed(lent[:1]),
+			pvm.NewBuffer().PackInt64(78),
+		}
+		if err := task.SendBatch(recv, tag, bufs); err != nil {
+			return err
+		}
 		return task.Flush()
 	})
 	if err := sys.Wait(); err != nil {
@@ -187,7 +208,7 @@ func TestVectoredDeliverWritesTheSameFrame(t *testing.T) {
 	}
 
 	var want []byte
-	for seq, wires := range [][][]byte{batch, {single}} {
+	for seq, wires := range [][][]byte{batch, {single}, tailed} {
 		body := pvm.Wrap(nil).PackInt64(int64(seq+1)).PackInt32(int32(recv), int32(len(wires)))
 		for _, w := range wires {
 			body.PackInt32(int32(send)).PackInt64(tag).PackBytes(w)
@@ -196,6 +217,70 @@ func TestVectoredDeliverWritesTheSameFrame(t *testing.T) {
 	}
 	if !bytes.Equal(tr.wrote.buf, want) {
 		t.Fatalf("Deliver wrote\n%x\nthe one-buffer encoding is\n%x", tr.wrote.buf, want)
+	}
+}
+
+// keepingTransport is a chunkedTransport that keeps the message values of
+// every batch it was handed — not their bytes — to ask them, after
+// Deliver has returned, what they still reference.
+type keepingTransport struct {
+	chunkedTransport
+	kept []pvm.Message
+}
+
+func (k *keepingTransport) Deliver(dst pvm.TID, ms []pvm.Message) error {
+	k.kept = append(k.kept, ms...)
+	return k.chunkedTransport.Deliver(dst, ms)
+}
+
+func TestDeliverEndsTheBorrowOnEveryPath(t *testing.T) {
+	// The record of a tailed wire lets go of the sender's slice by the time
+	// Deliver returns: after the write, after a write that failed, and on
+	// the early return of a link already failed.
+	for _, path := range []string{"written", "write error", "failed link"} {
+		t.Run(path, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			lb, err := NewLoopback("unix")
+			if err != nil {
+				t.Fatalf("NewLoopback: %v", err)
+			}
+			tr := &keepingTransport{chunkedTransport: chunkedTransport{Loopback: lb}}
+			sys := pvm.NewSystem()
+			if err := sys.SetTransport(tr); err != nil {
+				t.Fatalf("SetTransport: %v", err)
+			}
+			t.Cleanup(func() { _ = tr.Close() })
+			switch path {
+			case "write error":
+				// Writes time out; the pump, reading the other end, sees nothing.
+				_ = tr.wrote.Conn.SetWriteDeadline(time.Unix(1, 0))
+			case "failed link":
+				tr.fail(errors.New("down before the send"))
+			}
+			lent := []byte("the sender wants this back")
+			sys.Spawn("send", func(task *pvm.Task) error {
+				bufs := []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent), pvm.NewBuffer().PackInt32(1).PackBytesBorrowed(lent)}
+				err := task.SendBatch(task.TID(), 1, bufs)
+				if ferr := task.Flush(); err == nil {
+					err = ferr
+				}
+				if (err == nil) != (path == "written") {
+					t.Errorf("send and flush = %v", err)
+				}
+				return nil
+			})
+			if err := sys.Wait(); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			if len(tr.kept) != 2 {
+				t.Fatalf("transport saw %d messages, want 2", len(tr.kept))
+			}
+			for i, m := range tr.kept {
+				if _, tail := m.Pieces(); tail != nil {
+					t.Errorf("message %d still holds the sender's slice after Deliver", i)
+				}
+			}
+		})
 	}
 }
 

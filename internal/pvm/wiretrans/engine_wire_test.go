@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
@@ -91,41 +92,69 @@ func holdPayloads(moves []hbsp.Message) heldPayloads {
 }
 
 // check compares what was delivered to dst in a superstep with what was
-// sent: every sender's messages, in send order.
-func (h heldPayloads) check(dst, n, step int) error {
-	if len(h.payload) != n*len(keptSizes) {
-		return fmt.Errorf("p%d step %d: %d messages, want %d", dst, step, len(h.payload), n*len(keptSizes))
+// sent: every sender's messages, in send order — each once, or under a
+// duplicating chaos plan once or twice running.
+func (h heldPayloads) check(dst, n, step int, dups bool) error {
+	k := 0
+	for src := 0; src < n; src++ {
+		for i := range keptSizes {
+			want, from := keptFill(src, dst, step, i), k
+			for k < len(h.payload) && h.src[k] == src && h.tag[k] == i && k-from < 2 {
+				if !bytes.Equal(h.payload[k], want) {
+					return fmt.Errorf("p%d: payload %d from p%d of step %d does not read as sent", dst, i, src, step)
+				}
+				k++
+			}
+			if k == from || (k-from > 1 && !dups) {
+				return fmt.Errorf("p%d step %d: %d copies of message %d from p%d, at %d of %d delivered", dst, step, k-from, i, src, from, len(h.payload))
+			}
+		}
 	}
-	for k, p := range h.payload {
-		src, i := k/len(keptSizes), k%len(keptSizes)
-		if h.src[k] != src || h.tag[k] != i {
-			return fmt.Errorf("p%d step %d: message %d is (src %d, tag %d), want (%d, %d)", dst, step, k, h.src[k], h.tag[k], src, i)
-		}
-		if !bytes.Equal(p, keptFill(src, dst, step, i)) {
-			return fmt.Errorf("p%d: payload %d from p%d of step %d no longer reads as sent", dst, i, src, step)
-		}
+	if k != len(h.payload) {
+		return fmt.Errorf("p%d step %d: %d messages delivered, %d accounted for", dst, step, len(h.payload), k)
 	}
 	return nil
 }
 
 // keepProg holds on to the payload slices of superstep 0 through later
-// all-to-all supersteps with other contents, then reads them again.
-func keepProg(later int) hbsp.Program {
+// all-to-all supersteps with other contents, then reads them again. With
+// reuse it sends every superstep from the same buffers, which it
+// overwrites the moment Sync returns — before its peers, still inside
+// theirs, have necessarily read a byte.
+func keepProg(later int, reuse, dups bool) hbsp.Program {
 	return func(c hbsp.Ctx) error {
 		pid, n := c.Pid(), c.NProcs()
+		var bufs [][]byte
+		delivered := 0
 		exchange := func(step int) (heldPayloads, error) {
 			for dst := 0; dst < n; dst++ {
 				for i := range keptSizes {
-					if err := c.Send(dst, i, keptFill(pid, dst, step, i)); err != nil {
+					p := keptFill(pid, dst, step, i)
+					if reuse {
+						if step == 0 {
+							bufs = append(bufs, make([]byte, len(p)))
+						}
+						buf := bufs[dst*len(keptSizes)+i]
+						copy(buf, p)
+						p = buf
+					}
+					if err := c.Send(dst, i, p); err != nil {
 						return heldPayloads{}, err
 					}
 				}
 			}
-			if err := hbsp.SyncAll(c, fmt.Sprintf("keep%d", step)); err != nil {
+			err := hbsp.SyncAll(c, fmt.Sprintf("keep%d", step))
+			for _, buf := range bufs {
+				for j := range buf {
+					buf[j] = 0xEE
+				}
+			}
+			if err != nil {
 				return heldPayloads{}, err
 			}
 			h := holdPayloads(c.Moves())
-			return h, h.check(pid, n, step)
+			delivered += len(h.payload)
+			return h, h.check(pid, n, step, dups)
 		}
 		kept, err := exchange(0)
 		for step := 1; err == nil && step <= later; step++ {
@@ -134,7 +163,10 @@ func keepProg(later int) hbsp.Program {
 		if err != nil {
 			return err
 		}
-		return kept.check(pid, n, 0)
+		if dups && delivered == (later+1)*n*len(keptSizes) {
+			return fmt.Errorf("p%d: the plan duplicated nothing", pid)
+		}
+		return kept.check(pid, n, 0, dups)
 	}
 }
 
@@ -151,10 +183,37 @@ func TestDeliveredPayloadsOutliveLaterSupersteps(t *testing.T) {
 			eng := hbsp.NewConcurrent(model.UCFTestbedN(4))
 			eng.Verify = tf.Name == "unix"
 			eng.Transport = tf.New
-			if _, err := eng.Run(keepProg(32)); err != nil {
+			if _, err := eng.Run(keepProg(32, false, false)); err != nil {
 				t.Fatalf("run over %s: %v", tf.Name, err)
 			}
 		})
+	}
+}
+
+func TestSentSliceIsFreeAfterSync(t *testing.T) {
+	// The sender's half of the same contract, on every transport: Send
+	// keeps the caller's slice by reference, and Concurrent is done with it
+	// when the Sync that delivers it returns — written to the socket, or
+	// copied into the receiver's wire. Every processor sends 32 supersteps
+	// from one set of buffers it scribbles over after each Sync; a byte the
+	// engine still borrowed then would reach a receiver scribbled. Under
+	// Verify the checksum fields sit in front of the borrowed payload, and
+	// under a duplicating plan two wires borrow one slice.
+	for _, tf := range pvm.TransportFactories() {
+		for _, lane := range []string{"plain", "verify", "duplicate"} {
+			t.Run(tf.Name+"/"+lane, func(t *testing.T) {
+				testutil.CheckGoroutines(t)
+				eng := hbsp.NewConcurrent(model.UCFTestbedN(4))
+				eng.Verify = lane == "verify"
+				if lane == "duplicate" {
+					eng.Chaos = &fabric.ChaosPlan{Seed: 17, Duplicate: .3}
+				}
+				eng.Transport = tf.New
+				if _, err := eng.Run(keepProg(32, true, lane == "duplicate")); err != nil {
+					t.Fatalf("run over %s: %v", tf.Name, err)
+				}
+			})
+		}
 	}
 }
 

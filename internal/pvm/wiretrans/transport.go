@@ -205,9 +205,10 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 // without copying a payload byte: only the headers (frame, seq, dst,
 // count, and each message's src, tag and length prefix) are packed,
 // contiguously, into the link's scratch, and one vectored write sends
-// them interleaved with the adopted wires' own bytes. The wires are
-// released once that write has returned; Flush collects the ack. Under
-// the write lock, so the pending queue is in wire order.
+// them interleaved with the adopted wires' own pieces — head, then the
+// tail the sender lent. The wires are released, and with them every
+// borrowed tail, once that write has returned; Flush collects the ack.
+// Under the write lock, so the pending queue is in wire order.
 func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	if len(ms) == 0 {
 		return nil
@@ -250,8 +251,12 @@ func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	for i, m := range ms {
 		to := lead + (i+1)*per
 		c.iov = append(c.iov, c.scratch[at:to])
-		if m.Len() > 0 {
-			c.iov = append(c.iov, m.Buffer().Bytes())
+		head, tail := m.Pieces()
+		if len(head) > 0 {
+			c.iov = append(c.iov, head)
+		}
+		if len(tail) > 0 {
+			c.iov = append(c.iov, tail)
 		}
 		at = to
 	}
