@@ -58,9 +58,11 @@ chaos:
 # reduce delivery-order independent under 4 seeded permutations each,
 # and the reorg property sweep proves rebalancing preserves topology
 # shape, the leaf multiset and every collective's sequential oracle.
-# The final stanza is the multi-process transport smoke: a coordinator
-# and two worker OS processes run the verified broadcast+reduce SPMD
-# program over a unix socket (DESIGN.md §5.10). check.sh invokes this
+# The final stanza is the multi-process smoke: a coordinator and two
+# worker OS processes, each an hbsp.Concurrent hosting one pid, run the
+# verified broadcast + reduce program over a unix socket and then
+# over TCP loopback, the workers dialing the port the coordinator's
+# "listening on" line prints (DESIGN.md §5.10). check.sh invokes this
 # target rather than repeating it.
 verify:
 	$(GO) run ./cmd/hbspk-sim -machine ucf -collective gather -n 4096 -pure -explore 4
@@ -73,7 +75,16 @@ verify:
 	"$$tmp/hbspk-worker" -listen "unix:$$tmp/coord.sock" -nprocs 3 & c=$$!; \
 	"$$tmp/hbspk-worker" -connect "unix:$$tmp/coord.sock" -pid 1 -nprocs 3 & w1=$$!; \
 	"$$tmp/hbspk-worker" -connect "unix:$$tmp/coord.sock" -pid 2 -nprocs 3 & w2=$$!; \
-	wait "$$c" && wait "$$w1" && wait "$$w2"
+	wait "$$c" && wait "$$w1" && wait "$$w2" || exit 1; \
+	"$$tmp/hbspk-worker" -listen tcp:127.0.0.1:0 -nprocs 3 > "$$tmp/coord.out" & c=$$!; \
+	addr=; for i in $$(seq 100); do \
+		addr=$$(sed -n 's/.*listening on tcp:\([^ ]*\) .*/\1/p' "$$tmp/coord.out"); \
+		[ -n "$$addr" ] && break; sleep 0.1; \
+	done; \
+	[ -n "$$addr" ] || { kill "$$c"; echo "verify: the tcp coordinator never listened" >&2; exit 1; }; \
+	"$$tmp/hbspk-worker" -connect "tcp:$$addr" -pid 1 -nprocs 3 & w1=$$!; \
+	"$$tmp/hbspk-worker" -connect "tcp:$$addr" -pid 2 -nprocs 3 & w2=$$!; \
+	wait "$$c" && wait "$$w1" && wait "$$w2" && cat "$$tmp/coord.out"
 
 # wire-smoke runs one second of the wall-clock benchmark over each
 # socket transport — the all-to-all superstep on unix at 64 B and at

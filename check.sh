@@ -113,7 +113,8 @@ timed 30 "planner smoke" planner_smoke
 # happens-before checker armed certifies gather, bcast-hier and
 # reduce-hier under 4 seeded permutations each, the reorg property
 # sweeps rerun by name, and one coordinator plus two worker OS processes
-# run the verified broadcast+reduce SPMD program over a unix socket.
+# run the verified broadcast + reduce program on hbsp.Concurrent over
+# a unix socket and over TCP loopback.
 timed 30 "verify smokes" "${MAKE:-make}" verify
 
 # Wire smoke (DESIGN.md §5.10): a second each of the benchmark's small

@@ -1,9 +1,11 @@
-// Command hbspk-worker runs a real multi-process HBSP^k program: one
-// coordinator process listens, N-1 worker processes connect, and all N
-// pids run the verified broadcast+reduce SPMD program over a unix
-// socket or TCP — the paper's PVM-daemon deployment shape, with the
-// coordinator's pvm.System as the authoritative message router and a
-// relay task proxying each worker (DESIGN.md §5.10).
+// Command hbspk-worker runs one HBSP^k program as several OS processes:
+// a coordinator process listens, N-1 worker processes connect, and each
+// runs the same hbsp.Program on the same flat tree of N leaves with
+// hbsp.Concurrent — the engine every in-process run uses — hosting one
+// pid apiece. This is the paper's PVM-daemon deployment shape: the
+// coordinator's pvm.System routes every message and holds every barrier,
+// a relay task stands in for each worker, and the socket between them is
+// an ordinary pvm.Transport (DESIGN.md §5.10).
 //
 // Coordinator (pid 0) plus two workers over a unix socket:
 //
@@ -11,24 +13,31 @@
 //	hbspk-worker -connect unix:/tmp/hbspk.sock -pid 1 -nprocs 3 &
 //	hbspk-worker -connect unix:/tmp/hbspk.sock -pid 2 -nprocs 3
 //
-// Over TCP:
+// Over TCP (port 0 picks a free one; the coordinator prints it):
 //
 //	hbspk-worker -listen tcp:127.0.0.1:7070 -nprocs 3
 //	hbspk-worker -connect tcp:127.0.0.1:7070 -pid 1 -nprocs 3
 //
-// Every delivery is stamped with a vector clock and an FNV checksum;
-// receivers verify happens-before ordering, payload integrity, and the
-// reduce total against a closed-form oracle, so "verify=clean" in the
-// output is an end-to-end correctness statement, not just liveness.
+// The program is the library's broadcast and reduce, once per round,
+// under the engine's Verify mode: every delivery carries a vector clock
+// and a payload checksum, every process checks the broadcast against a
+// payload it can recompute, and pid 0 checks the reduced total against a
+// closed form, so "verify=clean" in the output is an end-to-end
+// correctness statement, not just liveness. A process whose check fails
+// takes the others down with it: they exit non-zero at their next barrier.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
+	"hbspk/internal/collective"
+	"hbspk/internal/hbsp"
+	"hbspk/internal/model"
 	"hbspk/internal/pvm"
 	"hbspk/internal/pvm/wiretrans"
 )
@@ -42,7 +51,7 @@ func main() {
 		rounds  = flag.Int("rounds", 3, "broadcast+reduce rounds")
 		nbytes  = flag.Int("n", 4096, "broadcast payload bytes per round")
 		gen     = flag.Int64("gen", 1, "membership generation presented at the handshake")
-		timeout = flag.Duration("timeout", 25*time.Second, "per-operation and startup deadline")
+		timeout = flag.Duration("timeout", 25*time.Second, "startup deadline: how long the coordinator waits for a worker, and a worker redials")
 	)
 	flag.Parse()
 
@@ -76,7 +85,7 @@ func main() {
 }
 
 func runCoordinator(network, addr string, nprocs int, gen int64, rounds, nbytes int, timeout time.Duration) error {
-	hub, err := wiretrans.NewHub(network, addr, nprocs, gen)
+	hub, err := wiretrans.NewHub(network, addr, nprocs, gen, timeout)
 	if err != nil {
 		return err
 	}
@@ -84,40 +93,101 @@ func runCoordinator(network, addr string, nprocs int, gen int64, rounds, nbytes 
 	fmt.Printf("hbspk-worker: coordinator listening on %s:%s (nprocs=%d gen=%d)\n",
 		network, hub.Addr(), nprocs, gen)
 
-	sys := pvm.NewSystem()
-	var moved int64
 	start := time.Now()
-	sys.Spawn("pid0", func(task *pvm.Task) error {
-		n, err := wiretrans.RunSPMD(wiretrans.LocalPeer(task, 0, nprocs, timeout), rounds, nbytes)
-		moved = n
-		return err
-	})
-	for pid := 1; pid < nprocs; pid++ {
-		sys.Spawn(fmt.Sprintf("relay%d", pid), hub.Relay(pid, timeout))
-	}
-	if err := sys.Wait(); err != nil {
+	sent, err := run(nprocs, rounds, nbytes, func() (pvm.Transport, error) { return hub, nil })
+	if err != nil {
 		return err
 	}
 	fmt.Printf("hbspk-worker: coordinator done: transport=%s nprocs=%d rounds=%d payload=%dB sent=%dB wall=%v verify=clean\n",
-		network, nprocs, rounds, nbytes, moved, time.Since(start).Round(time.Millisecond))
+		network, nprocs, rounds, nbytes, sent, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
 func runWorker(network, addr string, pid, nprocs int, gen int64, rounds, nbytes int, timeout time.Duration) error {
-	w, err := wiretrans.DialWorker(network, addr, pid, nprocs, gen, timeout)
+	sent, err := run(nprocs, rounds, nbytes, func() (pvm.Transport, error) {
+		return wiretrans.DialWorker(network, addr, pid, nprocs, gen, timeout)
+	})
 	if err != nil {
 		return err
 	}
-	moved, runErr := wiretrans.RunSPMD(w, rounds, nbytes)
-	if cerr := w.Close(); runErr == nil && cerr != nil {
-		runErr = cerr
-	}
-	if runErr != nil {
-		return runErr
-	}
 	fmt.Printf("hbspk-worker: worker %d done: transport=%s rounds=%d sent=%dB verify=clean\n",
-		pid, network, rounds, moved)
+		pid, network, rounds, sent)
 	return nil
+}
+
+// run executes the program on the pids the transport leaves to this
+// process and returns the payload bytes they sent.
+func run(nprocs, rounds, nbytes int, transport func() (pvm.Transport, error)) (sent int64, err error) {
+	eng := hbsp.NewConcurrent(model.Homogeneous(nprocs, 0))
+	eng.Verify = true
+	eng.Transport = transport
+	_, err = eng.Run(func(c hbsp.Ctx) error { return program(sentCtx{c, &sent}, rounds, nbytes) })
+	return sent, err
+}
+
+// sentCtx counts the payload bytes a processor sends.
+type sentCtx struct {
+	hbsp.Ctx
+	sent *int64
+}
+
+func (c sentCtx) Send(dst, tag int, payload []byte) error {
+	*c.sent += int64(len(payload))
+	return c.Ctx.Send(dst, tag, payload)
+}
+
+// program is the SPMD program every process runs: per round, pid 0
+// broadcasts a payload every processor can recompute, and all fold a
+// value derived from what they received into a total, at pid 0, that has
+// a closed form.
+func program(c hbsp.Ctx, rounds, nbytes int) error {
+	root, n := c.Tree().Root, int64(c.NProcs())
+	for r := 0; r < rounds; r++ {
+		want := detPayload(r, nbytes)
+		var data []byte
+		if c.Pid() == 0 {
+			data = want
+		}
+		got, err := collective.BcastOnePhase(c, root, 0, data)
+		if err != nil {
+			return fmt.Errorf("round %d broadcast: %w", r, err)
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("round %d verify: broadcast payload diverged from the deterministic oracle", r)
+		}
+		// Processor pid contributes digest·(pid+1) + r.
+		local := digest(got)*int64(c.Pid()+1) + int64(r)
+		total, err := collective.Reduce(c, root, 0, []int64{local}, collective.Sum)
+		if err != nil {
+			return fmt.Errorf("round %d reduce: %w", r, err)
+		}
+		if c.Pid() == 0 {
+			if oracle := digest(want)*n*(n+1)/2 + n*int64(r); len(total) != 1 || total[0] != oracle {
+				return fmt.Errorf("round %d verify: reduce total %v, oracle %d", r, total, oracle)
+			}
+		}
+	}
+	return nil
+}
+
+// detPayload is the deterministic broadcast body for a round — every
+// process can recompute it, so receivers verify content, not just
+// checksums.
+func detPayload(round, nbytes int) []byte {
+	out := make([]byte, nbytes)
+	for i := range out {
+		out[i] = byte(round*31 + i*7 + 0x5A)
+	}
+	return out
+}
+
+// digest folds a payload into 16 bits: what the reduce carries of it.
+func digest(data []byte) int64 {
+	var sum int64
+	for _, b := range data {
+		sum = (sum*31 + int64(b)) & 0xFFFF
+	}
+	return sum
 }
 
 // splitEndpoint parses "unix:/path" or "tcp:host:port".

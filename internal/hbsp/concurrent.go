@@ -67,7 +67,21 @@ type Concurrent struct {
 	// run, closed when the run ends. Nil keeps the in-proc direct path.
 	// A transport that severs mid-run surfaces as ErrPeerFailed with
 	// cause "link lost", through the same shrink protocol as a crash.
+	// A transport that is also a placement joins this process to the
+	// others of one run: Run hosts only the pids it leaves local.
 	Transport func() (pvm.Transport, error)
+}
+
+// placement is implemented by a transport whose System is one OS process
+// of several running the same program on the same tree (wiretrans.Hub
+// and Worker, DESIGN.md §5.10). Proxy returns nil for a TID whose
+// processor runs here, and for any other the task to spawn in its place,
+// so that TID == pid holds in every process. The program's bytes reach a
+// remote pid through the transport and its barriers complete wherever
+// the transport takes them (pvm.BarrierCarrier); the membership ledger,
+// the cut windows and the desync watchdog see local pids only.
+type placement interface {
+	Proxy(tid pvm.TID) func(*pvm.Task) error
 }
 
 // defaultDesyncTimeout balances catching real deadlocks quickly against
@@ -101,7 +115,6 @@ type cctx struct {
 	// syncSeq counts this processor's syncs per scope so that senders
 	// and receivers agree on a message tag per (scope, generation).
 	syncSeq map[*model.Machine]int
-	scopeID map[*model.Machine]int // wireTag's cache of the shared scope ids
 	// ord counts this processor's Sync calls across all scopes: the
 	// chaos plan's per-processor step ordinal.
 	ord int
@@ -119,9 +132,11 @@ type cctx struct {
 
 // crun is the state shared by all processors of one Run.
 type crun struct {
-	mu      sync.Mutex
-	sys     *pvm.System
-	steps   []trace.Step
+	mu    sync.Mutex
+	sys   *pvm.System
+	steps []trace.Step
+	// scopeID numbers the tree's machines in preorder — the same in every
+	// process that runs this tree — and is read-only once Run has built it.
 	scopeID map[*model.Machine]int
 	started time.Time
 
@@ -366,7 +381,9 @@ func (s *crun) observe(pid int, sample float64) {
 //
 // A chaos-killed member is not a desync: the victim's cancel already
 // races ahead of the watchdog, which only re-cancels the waiter's
-// barrier as a backstop.
+// barrier as a backstop. A pid that runs in another process (placement)
+// is never waiting or exited here, so it is never judged lagging and the
+// stall clock never starts on a run that has one.
 //
 // On a verdict it latches the structured error and halts the system,
 // waking every parked barrier with ErrHalted.
@@ -516,18 +533,7 @@ func (c *cctx) Charge(ops float64) {
 // messages of different supersteps never mix. User tags must fit 8
 // bits; generations wrap within 20 bits, far beyond any real run.
 func (c *cctx) wireTag(scope *model.Machine, gen, userTag int) int {
-	// Scope ids never change: only a first use goes to the shared table.
-	id, ok := c.scopeID[scope]
-	if !ok {
-		c.shared.mu.Lock()
-		if id, ok = c.shared.scopeID[scope]; !ok {
-			id = len(c.shared.scopeID) + 1
-			c.shared.scopeID[scope] = id
-		}
-		c.shared.mu.Unlock()
-		c.scopeID[scope] = id
-	}
-	return id<<28 | (gen&0xFFFFF)<<8 | (userTag & 0xFF)
+	return c.shared.scopeID[scope]<<28 | (gen&0xFFFFF)<<8 | (userTag & 0xFF)
 }
 
 // Sync is one super^i-step of this processor: enter, flush the outbox,
@@ -957,6 +963,8 @@ func (c *cctx) liveCoordinator(scope *model.Machine) *model.Machine {
 func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	p := e.tree.NProcs()
 	sys := pvm.NewSystem()
+	proxies := make([]func(*pvm.Task) error, p) // nil: the pid runs here
+	spans := false
 	if e.Transport != nil {
 		tr, err := e.Transport()
 		if err != nil {
@@ -971,7 +979,19 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 			// (watchdog included), so pumps drain only after the tasks
 			// are done sending.
 			defer func() { _ = tr.Close() }()
+			if pl, ok := tr.(placement); ok {
+				for pid := range proxies {
+					proxies[pid] = pl.Proxy(pvm.TID(pid))
+					spans = spans || proxies[pid] != nil
+				}
+			}
 		}
+	}
+	// What a fault, a join or a reorg sets in motion — dead sets and ack
+	// generations, cut windows, gates — lives in this process's ledger;
+	// a remote pid would never hear of it.
+	if spans && (e.Chaos != nil || e.ReorgEvery > 0) {
+		return nil, errors.New("hbsp: a chaos plan, churn or ReorgEvery on a run with remote pids: the membership ledger is process-local")
 	}
 	shared := &crun{
 		sys:         sys,
@@ -988,6 +1008,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		gates:       make(map[int]chan struct{}),
 	}
 	shared.exitc = sync.NewCond(&shared.mu)
+	e.tree.Root.Walk(func(m *model.Machine) { shared.scopeID[m] = len(shared.scopeID) + 1 })
 	// Elastic membership: processors with a churn JoinAt fate start
 	// dormant behind a gate; their pre-spawned tasks idle until the
 	// applier of their activation cut closes the gate (or until the run
@@ -1011,6 +1032,12 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	ready := make(chan struct{})
 	for pid := 0; pid < p; pid++ {
 		pid := pid
+		if proxies[pid] != nil {
+			// Not markExited: whether a remote processor has returned is
+			// not something this process's watchdog can know.
+			tids[pid] = sys.Spawn(fmt.Sprintf("remote%d", pid), proxies[pid])
+			continue
+		}
 		gate := shared.gates[pid]
 		tids[pid] = sys.Spawn(fmt.Sprintf("proc%d", pid), func(t *pvm.Task) error {
 			// markExited runs even on panic, so a crashed processor still
@@ -1037,7 +1064,6 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				task:    t,
 				tids:    tids,
 				syncSeq: make(map[*model.Machine]int),
-				scopeID: make(map[*model.Machine]int),
 				shared:  shared,
 			}
 			if gate != nil {
@@ -1064,6 +1090,11 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				// not a program failure; the run's verdict belongs to
 				// the survivors.
 				return nil
+			}
+			if err != nil && spans {
+				// The watchdog's exited-member check does not reach across
+				// processes; halting does, through every proxy parked here.
+				sys.Halt()
 			}
 			return err
 		})

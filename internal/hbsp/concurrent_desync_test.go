@@ -3,10 +3,13 @@ package hbsp
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hbspk/internal/fabric"
 	"hbspk/internal/model"
+	"hbspk/internal/pvm"
 )
 
 // desyncTree builds a flat 4-leaf cluster for the watchdog tests.
@@ -143,5 +146,83 @@ func TestConcurrentWellFormedUnderWatchdog(t *testing.T) {
 	}
 	if len(rep.Steps) != 20 {
 		t.Errorf("steps = %d, want 20", len(rep.Steps))
+	}
+}
+
+// elsewhere is a placement double: a transport that hosts pid 0 only.
+// The task standing in for any other pid returns at once — to this
+// process, exactly what a finished processor looks like — and a barrier
+// completes on the far side after barrierDelay.
+type elsewhere struct {
+	proxied      atomic.Int32 // stand-in tasks that ran
+	barrierDelay time.Duration
+}
+
+func (e *elsewhere) Name() string             { return "elsewhere" }
+func (e *elsewhere) Attach(*pvm.System) error { return nil }
+func (e *elsewhere) Flush(pvm.TID) error      { return nil }
+func (e *elsewhere) Close() error             { return nil }
+func (e *elsewhere) Deliver(_ pvm.TID, ms []pvm.Message) error {
+	for _, m := range ms {
+		m.Release()
+	}
+	return nil
+}
+
+func (e *elsewhere) Proxy(tid pvm.TID) func(*pvm.Task) error {
+	if tid == 0 {
+		return nil
+	}
+	return func(*pvm.Task) error { e.proxied.Add(1); return nil }
+}
+
+func (e *elsewhere) BarrierExchange(pvm.TID, string, int, time.Duration, []byte) (map[pvm.TID][]byte, error) {
+	time.Sleep(e.barrierDelay)
+	return nil, nil
+}
+
+// TestRemotePidsRefuseProcessLocalFaultMachinery: dead sets, cut windows
+// and joiner gates live in one process's ledger, so a run that has remote
+// pids and asks for any of them is refused before a single task exists.
+func TestRemotePidsRefuseProcessLocalFaultMachinery(t *testing.T) {
+	for name, arm := range map[string]func(*Concurrent){
+		"chaos": func(e *Concurrent) { e.Chaos = &fabric.ChaosPlan{Seed: 1, Drop: 0.1} },
+		"churn": func(e *Concurrent) { e.Chaos = &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: 3, JoinAt: 2}}} },
+		"reorg": func(e *Concurrent) { e.ReorgEvery = 2 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := &elsewhere{}
+			eng := NewConcurrent(desyncTree(t))
+			eng.Transport = func() (pvm.Transport, error) { return tr, nil }
+			arm(eng)
+			ran := false
+			_, err := eng.Run(func(Ctx) error { ran = true; return nil })
+			if err == nil || !strings.Contains(err.Error(), "remote pids") {
+				t.Fatalf("Run = %v, want the remote-pids refusal", err)
+			}
+			if ran || tr.proxied.Load() != 0 {
+				t.Fatalf("refused run spawned tasks: program ran = %v, %d stand-ins ran", ran, tr.proxied.Load())
+			}
+		})
+	}
+}
+
+// TestWatchdogDoesNotJudgeRemotePids: the stand-in tasks of remote pids
+// have all returned while pid 0 waits, through several watchdog ticks and
+// past the stall timeout, at a barrier those pids are members of. A
+// watchdog that took a returned stand-in for an exited processor, or
+// counted it as parked, would declare ErrDesync; the barrier completes
+// on the far side and the run must succeed.
+func TestWatchdogDoesNotJudgeRemotePids(t *testing.T) {
+	tree := desyncTree(t)
+	tr := &elsewhere{barrierDelay: 300 * time.Millisecond}
+	eng := NewConcurrent(tree)
+	eng.DesyncTimeout = 40 * time.Millisecond
+	eng.Transport = func() (pvm.Transport, error) { return tr, nil }
+	if _, err := eng.Run(func(c Ctx) error { return c.Sync(tree.Root, "step") }); err != nil {
+		t.Fatalf("Run = %v; the watchdog judged pids that run elsewhere", err)
+	}
+	if n := tr.proxied.Load(); n != 3 {
+		t.Fatalf("%d stand-in tasks ran, want 3", n)
 	}
 }

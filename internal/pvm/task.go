@@ -95,8 +95,10 @@ type System struct {
 
 	// transport, when non-nil, owns message delivery (SetTransport).
 	// Written once before any Spawn; read without synchronization on
-	// the send path.
+	// the send path. carrier is the same transport when it also takes
+	// the tasks' barrier arrivals (BarrierCarrier), else nil.
 	transport Transport
+	carrier   BarrierCarrier
 }
 
 // NewSystem returns an empty virtual machine.
@@ -233,11 +235,6 @@ type Task struct {
 
 // TID returns the task's identity.
 func (t *Task) TID() TID { return t.tid }
-
-// System returns the virtual machine that spawned the task. Relay
-// tasks bridging remote processes use it to halt the whole system when
-// their peer's link drops.
-func (t *Task) System() *System { return t.sys }
 
 // Name returns the task's spawn name.
 func (t *Task) Name() string { return t.name }
@@ -602,13 +599,18 @@ func (t *Task) BarrierTimeout(name string, count int, d time.Duration) error {
 // arrival takes its deposit with it; CancelBarrier discards the
 // pending round's deposits. The task's sends are flushed before it
 // arrives, so whatever it sent is receivable once the barrier exits.
-// The task that leaves a barrier idle retires it (unlockBarrier).
+// A transport that carries barriers (BarrierCarrier) takes the arrival
+// from there; otherwise the barrier is this System's, and the task that
+// leaves it idle retires it (unlockBarrier).
 func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("pvm: barrier %q with count %d", name, count)
 	}
 	if err := t.Flush(); err != nil {
 		return nil, err
+	}
+	if bc := t.sys.carrier; bc != nil {
+		return bc.BarrierExchange(t.tid, name, count, d, deposit)
 	}
 	b, err := t.sys.lockBarrier(name, true)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // ErrPeerLost is wrapped by transports when a peer's link is severed —
@@ -68,6 +69,17 @@ type Transport interface {
 	Close() error
 }
 
+// BarrierCarrier is the extension a transport implements when the tasks
+// it carries meet their barriers in another OS process (a worker's link
+// to its coordinator, DESIGN.md §5.10): Task.BarrierExchange, having
+// flushed, hands the arrival to it instead of the System's own table,
+// and returns what it returns — the same deposits keyed by TID, the same
+// typed errors. Everything the task posted before arriving must be
+// observable by every participant that leaves the barrier.
+type BarrierCarrier interface {
+	BarrierExchange(tid TID, name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error)
+}
+
 // TransportFactory names one registered transport flavor. A nil New is
 // the in-proc direct path (no Transport object at all), which is how
 // the default registers itself.
@@ -114,6 +126,7 @@ func (s *System) SetTransport(tr Transport) error {
 		return err
 	}
 	s.transport = tr
+	s.carrier, _ = tr.(BarrierCarrier)
 	return nil
 }
 

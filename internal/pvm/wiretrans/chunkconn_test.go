@@ -77,13 +77,11 @@ func TestFramesSurviveChunkedConn(t *testing.T) {
 		}
 		errc <- nil
 	}()
-	var scratch []byte
 	for i, want := range frames {
-		kind, body, next, err := receiver.readFrame(scratch)
+		kind, body, err := receiver.readFrame()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		scratch = next
 		if kind != want.kind || !bytes.Equal(body, want.body) {
 			t.Fatalf("frame %d mutated: kind %d→%d, %d→%d bytes", i, want.kind, kind, len(want.body), len(body))
 		}
@@ -296,7 +294,7 @@ func TestReadFrameTypedErrors(t *testing.T) {
 		{"header cut short", []byte{0, 0}, ErrTruncatedFrame},
 		{"zero length", []byte{0, 0, 0, 0}, ErrBadFrame},
 		{"oversize length", append(big, 1), ErrFrameTooBig},
-		{"body cut short", AppendFrame(nil, frameMsg, bytes.Repeat([]byte{1}, 64))[:10], ErrTruncatedFrame},
+		{"body cut short", AppendFrame(nil, frameBarrier, bytes.Repeat([]byte{1}, 64))[:10], ErrTruncatedFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

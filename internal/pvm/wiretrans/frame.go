@@ -1,9 +1,9 @@
 // Package wiretrans carries pvm messages over real sockets: a
 // length-prefixed frame layer on top of the existing pack/unpack wire
 // format, loopback unix-socket and TCP transports that plug into
-// pvm.System via SetTransport, and a hub/worker protocol that lets one
-// coordinator process plus N worker OS processes run a real
-// multi-process HBSP^k program — the paper's original PVM-daemon
+// pvm.System via SetTransport, and a hub and worker link — transports
+// too — that join one coordinator process and N worker OS processes
+// into one run of an HBSP^k program: the paper's original PVM-daemon
 // deployment, modernized. DESIGN.md §5.10 documents the architecture.
 package wiretrans
 
@@ -29,15 +29,14 @@ const (
 	MaxFrame = 16 << 20
 )
 
-// Frame kinds. The first group is the transport plane (Deliver/ack);
-// the second is the hub/worker control plane.
+// Frame kinds. BATCH is the message plane of every link: a Loopback
+// post (answered by an ACK), a worker's sends on their way up, a relay's
+// mailbox on its way down. The second group is the worker's barrier.
 const (
 	frameHello byte = iota + 1
 	frameWelcome
 	frameBatch
 	frameAck
-	frameMsg        // hub → worker: a routed message
-	frameSend       // worker → hub: send request
 	frameBarrier    // worker → hub: barrier entry
 	frameBarrierOK  // hub → worker: barrier completed, deposits attached
 	frameBarrierErr // hub → worker: barrier failed, typed code attached

@@ -26,7 +26,7 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(frameBatch), []byte{}, 1)
-	f.Add(byte(frameMsg), []byte("hello"), 3)
+	f.Add(byte(frameBarrier), []byte("hello"), 3)
 	f.Add(byte(0xFF), bytes.Repeat([]byte{0xAB}, 4096), 7)
 	f.Fuzz(func(t *testing.T, kind byte, body []byte, chunk int) {
 		if chunk < 1 {
@@ -111,7 +111,7 @@ func FuzzBatchBody(f *testing.F) {
 				t.Fatalf("BATCH decoder panicked: %v", r)
 			}
 		}()
-		l.injectBatch(body)
+		injectBatch(l.sys, body)
 		for _, m := range task.TryRecvAll(pvm.AnySource, pvm.AnyTag) {
 			p, pooled := m.Buffer().Bytes(), m.Pooled()
 			m.Release()

@@ -1,7 +1,6 @@
 package wiretrans
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -11,23 +10,26 @@ import (
 	"hbspk/internal/pvm"
 )
 
-// Hub is the coordinator side of a multi-process run. It listens for
-// worker processes, handshakes them by (pid, nprocs, generation), and
-// hands each accepted connection to a Relay task spawned on the
-// coordinator's pvm.System. The relay is the worker's proxy inside the
-// System: its TID stands in for the worker's pid, messages sent to it
-// are forwarded over the wire, and the worker's sends and barrier
-// entries are replayed onto the System — so local tasks and remote
-// processes are indistinguishable to each other.
+// Hub is the coordinator side of a multi-process run, as the
+// pvm.Transport of the coordinator's System. It listens for worker
+// processes, handshakes them by (pid, nprocs, generation), and stands a
+// relay task in for each remote pid (Proxy): the relay's TID is the
+// worker's pid, whatever the System routes to it is forwarded down the
+// worker's link, and the worker's sends and barrier entries are replayed
+// onto the System — so the coordinator's own task and the remote
+// processes meet in one mailbox plane and one barrier table, the
+// coordinator's. The hub does not carry barriers: they are local here.
 type Hub struct {
 	network string
 	nprocs  int
 	gen     int64
+	timeout time.Duration // how long a relay waits for its worker to connect
 	ln      net.Listener
+	sys     *pvm.System
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	conns  map[int]*link
+	links  map[*link]int // every open inbound link and its pid; 0 until the handshake is through
 	closed bool
 
 	wg sync.WaitGroup
@@ -35,8 +37,9 @@ type Hub struct {
 
 // NewHub listens on network/addr ("unix" + socket path, or "tcp" +
 // host:port; ":0" picks a free port) and starts accepting workers.
-// gen is the membership generation every worker must present.
-func NewHub(network, addr string, nprocs int, gen int64) (*Hub, error) {
+// gen is the membership generation every worker must present; a worker
+// that has not connected timeout after its relay starts fails the run.
+func NewHub(network, addr string, nprocs int, gen int64, timeout time.Duration) (*Hub, error) {
 	if nprocs < 1 {
 		return nil, fmt.Errorf("wiretrans: hub with %d processors", nprocs)
 	}
@@ -48,8 +51,9 @@ func NewHub(network, addr string, nprocs int, gen int64) (*Hub, error) {
 		network: network,
 		nprocs:  nprocs,
 		gen:     gen,
+		timeout: timeout,
 		ln:      ln,
-		conns:   make(map[int]*link),
+		links:   make(map[*link]int),
 	}
 	h.cond = sync.NewCond(&h.mu)
 	h.wg.Add(1)
@@ -60,6 +64,41 @@ func NewHub(network, addr string, nprocs int, gen int64) (*Hub, error) {
 // Addr returns the listener's resolved address (the port picked for
 // ":0", the socket path for unix).
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
+
+// Name implements pvm.Transport.
+func (h *Hub) Name() string { return h.network }
+
+// Attach implements pvm.Transport.
+func (h *Hub) Attach(sys *pvm.System) error {
+	h.sys = sys
+	return nil
+}
+
+// Deliver implements pvm.Transport. Every TID of the run has a task in
+// the coordinator's System — its own program or a worker's relay — so a
+// post is staged right here, in bytes the System may keep: one fresh
+// allocation per batch takes a copy of every wire, lent tail included.
+func (h *Hub) Deliver(dst pvm.TID, ms []pvm.Message) error {
+	defer releaseAll(ms)
+	size := 0
+	for _, m := range ms {
+		size += m.Len()
+	}
+	slab := make([]byte, 0, size)
+	for _, m := range ms {
+		head, tail := m.Pieces()
+		at := len(slab)
+		slab = append(append(slab, head...), tail...)
+		if err := h.sys.Inject(m.Src, dst, m.Tag, slab[at:len(slab):len(slab)]); err != nil {
+			return &pvm.DeliveryError{Dst: dst, Err: err}
+		}
+	}
+	return nil
+}
+
+// Flush implements pvm.Transport: a post is observable when Deliver
+// returns.
+func (h *Hub) Flush(pvm.TID) error { return nil }
 
 func (h *Hub) acceptLoop() {
 	defer h.wg.Done()
@@ -74,56 +113,75 @@ func (h *Hub) acceptLoop() {
 	}
 }
 
-// admit handshakes one inbound connection and registers it by pid.
+// admit handshakes one inbound connection and registers it by pid. The
+// link is tracked from before its first read, so Close cuts a dialer
+// that never says HELLO short instead of waiting its deadline out.
 func (h *Hub) admit(conn net.Conn) {
 	defer h.wg.Done()
 	lk := &link{conn: conn, transport: h.network}
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		_ = lk.close()
+		return
+	}
+	h.links[lk] = 0
+	h.mu.Unlock()
 	hello, err := lk.readHello()
 	if err != nil {
-		_ = lk.close()
+		h.drop(lk)
 		return
 	}
-	reject := func(why string) {
-		_ = lk.sendWelcome(welcomeRejected, why)
-		_ = lk.close()
-	}
+	pid, why := int(hello.pid), ""
 	switch {
 	case hello.role != roleWorker:
-		reject(fmt.Sprintf("role %d is not a worker", hello.role))
-		return
-	case hello.pid < 1 || int(hello.pid) >= h.nprocs:
-		reject(fmt.Sprintf("pid %d out of range [1,%d)", hello.pid, h.nprocs))
-		return
+		why = fmt.Sprintf("role %d is not a worker", hello.role)
+	case pid < 1 || pid >= h.nprocs:
+		why = fmt.Sprintf("pid %d out of range [1,%d)", pid, h.nprocs)
 	case int(hello.nprocs) != h.nprocs:
-		reject(fmt.Sprintf("nprocs %d, hub has %d", hello.nprocs, h.nprocs))
-		return
+		why = fmt.Sprintf("nprocs %d, hub has %d", hello.nprocs, h.nprocs)
 	case hello.gen != h.gen:
-		reject(fmt.Sprintf("generation %d, hub is at %d", hello.gen, h.gen))
-		return
+		why = fmt.Sprintf("generation %d, hub is at %d", hello.gen, h.gen)
 	}
 	h.mu.Lock()
-	if h.closed || h.conns[int(hello.pid)] != nil {
-		h.mu.Unlock()
-		reject(fmt.Sprintf("pid %d already connected", hello.pid))
-		return
+	if why == "" && (h.closed || h.linkOf(pid) != nil) {
+		why = fmt.Sprintf("pid %d already connected", pid)
 	}
-	h.conns[int(hello.pid)] = lk
-	h.cond.Broadcast()
+	if why == "" {
+		h.links[lk] = pid
+		h.cond.Broadcast()
+	}
 	h.mu.Unlock()
-	if err := lk.sendWelcome(welcomeOK, ""); err != nil {
-		h.mu.Lock()
-		if h.conns[int(hello.pid)] == lk {
-			delete(h.conns, int(hello.pid))
-		}
-		h.mu.Unlock()
-		_ = lk.close()
+	if why != "" {
+		_ = lk.sendWelcome(welcomeRejected, why)
+		h.drop(lk)
+	} else if err := lk.sendWelcome(welcomeOK, ""); err != nil {
+		h.drop(lk)
 	}
 }
 
+// linkOf returns the admitted link of worker pid, or nil. Caller holds mu.
+func (h *Hub) linkOf(pid int) *link {
+	for lk, p := range h.links {
+		if p == pid {
+			return lk
+		}
+	}
+	return nil
+}
+
+// drop forgets a link and closes it.
+func (h *Hub) drop(lk *link) {
+	h.mu.Lock()
+	delete(h.links, lk)
+	h.mu.Unlock()
+	_ = lk.close()
+}
+
 // waitConn blocks until the worker for pid has connected.
-func (h *Hub) waitConn(pid int, timeout time.Duration) (*link, error) {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
+func (h *Hub) waitConn(pid int) (*link, error) {
+	deadline := time.Now().Add(h.timeout)
+	timer := time.AfterFunc(h.timeout, func() {
 		h.mu.Lock()
 		h.cond.Broadcast()
 		h.mu.Unlock()
@@ -132,136 +190,77 @@ func (h *Hub) waitConn(pid int, timeout time.Duration) (*link, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for {
-		if lk := h.conns[pid]; lk != nil {
+		if lk := h.linkOf(pid); lk != nil {
 			return lk, nil
 		}
 		if h.closed {
 			return nil, fmt.Errorf("wiretrans: hub closed before worker %d connected", pid)
 		}
 		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("wiretrans: worker %d did not connect within %v: %w", pid, timeout, pvm.ErrTimeout)
+			return nil, fmt.Errorf("wiretrans: worker %d did not connect within %v: %w", pid, h.timeout, pvm.ErrTimeout)
 		}
 		h.cond.Wait()
 	}
 }
 
-// Relay returns the task body standing in for worker pid. Spawn order
-// fixes the pid↔TID correspondence: the coordinator spawns its own
-// pid-0 program first, then relays for pids 1..nprocs-1, so pid == TID
-// everywhere. The relay forwards mailbox traffic to the worker and
-// replays the worker's sends and barrier entries; if the worker's link
-// drops without a BYE, the relay halts the whole System so the
-// coordinator fails fast instead of hanging at the next barrier.
-func (h *Hub) Relay(pid int, timeout time.Duration) func(*pvm.Task) error {
+// Proxy tells the engine which TIDs run elsewhere: none for pid 0, the
+// coordinator's own, and for a worker's pid the relay to spawn in its
+// place — spawned in pid order, so pid == TID in every process. If the
+// worker never connects, or its link drops without a BYE, the relay
+// halts the whole System so the coordinator fails fast instead of
+// hanging at the next barrier.
+func (h *Hub) Proxy(tid pvm.TID) func(*pvm.Task) error {
+	if tid == 0 {
+		return nil
+	}
 	return func(task *pvm.Task) error {
-		lk, err := h.waitConn(pid, timeout)
-		if err != nil {
-			task.System().Halt()
-			return err
+		lk, err := h.waitConn(int(tid))
+		if err == nil {
+			err = h.relay(task, lk)
+			h.drop(lk)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		fwdDone := make(chan struct{})
-		go h.forward(ctx, task, lk, fwdDone)
-		err = h.control(task, lk, pid)
-		cancel()
-		<-fwdDone
-		h.mu.Lock()
-		if h.conns[pid] == lk {
-			delete(h.conns, pid)
-		}
-		h.mu.Unlock()
-		_ = lk.close()
 		if err != nil {
-			task.System().Halt()
+			h.sys.Halt()
 		}
 		return err
 	}
 }
 
-// forward drains the relay's mailbox to the worker: every message the
-// System routes at this TID becomes a MSG frame on the wire.
-func (h *Hub) forward(ctx context.Context, task *pvm.Task, lk *link, done chan<- struct{}) {
-	defer close(done)
+// relay replays one worker's frames onto the System, in link order: a
+// BATCH is injected before the BARRIER behind it arrives, so what the
+// worker sent is in its destinations' mailboxes before anyone leaves
+// that barrier. And it answers in the same order: when the barrier
+// completes, every participant has flushed, so the relay's mailbox holds
+// all the superstep sent this worker; it goes down the link first and
+// the verdict after it, which is what lets the worker's engine drain
+// without blocking the moment its barrier returns.
+func (h *Hub) relay(task *pvm.Task, lk *link) error {
+	pid := task.TID()
+	var msgs []pvm.Message
 	for {
-		m, err := task.RecvContext(ctx, pvm.AnySource, pvm.AnyTag)
-		if err != nil {
-			return // canceled or halted
-		}
-		payload, uerr := m.Buffer().UnpackBytes()
-		var werr error
-		if uerr == nil {
-			body := pvm.Wrap(nil).
-				PackInt32(int32(m.Src)).
-				PackInt64(int64(m.Tag)).
-				PackBytes(payload)
-			werr = lk.writeFrame(frameMsg, body.Bytes())
-		}
-		m.Release()
-		if uerr != nil || werr != nil {
-			return // malformed envelope or dead link; control notices too
-		}
-	}
-}
-
-// control replays the worker's protocol frames onto the System.
-func (h *Hub) control(task *pvm.Task, lk *link, pid int) error {
-	var scratch []byte
-	for {
-		kind, body, next, err := lk.readFrame(scratch)
+		kind, body, err := lk.readFrame()
 		if err != nil {
 			return fmt.Errorf("wiretrans: worker %d link: %w: %v", pid, pvm.ErrPeerLost, err)
 		}
-		scratch = next
 		switch kind {
-		case frameSend:
-			b := pvm.Wrap(body)
-			dst, err := b.UnpackInt32()
-			var tag int64
-			if err == nil {
-				tag, err = b.UnpackInt64()
-			}
-			var payload []byte
-			if err == nil {
-				payload, err = b.UnpackBytes()
-			}
-			if err != nil {
-				return fmt.Errorf("%w: worker %d SEND: %v", ErrBadFrame, pid, err)
-			}
-			if err := task.Send(pvm.TID(dst), int(tag), pvm.NewBuffer().PackBytes(payload)); err != nil {
-				return fmt.Errorf("wiretrans: worker %d send to %d: %w", pid, dst, err)
+		case frameBatch:
+			if _, code, detail := injectBatch(h.sys, body); code != ackOK {
+				return fmt.Errorf("wiretrans: worker %d send: %w", pid, ackCause(code, detail))
 			}
 		case frameBarrier:
-			b := pvm.Wrap(body)
-			name, err := b.UnpackString()
-			var count int32
-			if err == nil {
-				count, err = b.UnpackInt32()
-			}
-			var tmoMillis int64
-			if err == nil {
-				tmoMillis, err = b.UnpackInt64()
-			}
-			var deposit []byte
-			if err == nil {
-				deposit, err = b.UnpackBytes()
-			}
+			name, count, d, deposit, err := unpackBarrier(body)
 			if err != nil {
 				return fmt.Errorf("%w: worker %d BARRIER: %v", ErrBadFrame, pid, err)
 			}
-			res, berr := task.BarrierExchange(name, int(count), time.Duration(tmoMillis)*time.Millisecond, deposit)
-			if berr != nil {
-				eb := pvm.Wrap(nil).PackInt32(barrierErrCode(berr)).PackString(berr.Error())
-				if werr := lk.writeFrame(frameBarrierErr, eb.Bytes()); werr != nil {
-					return werr
-				}
-				continue
+			res, berr := task.BarrierExchange(name, count, d, deposit)
+			msgs = task.AppendRecvAll(msgs[:0], pvm.AnySource, pvm.AnyTag)
+			err = lk.sendBatches(pid, msgs)
+			clear(msgs)
+			if err == nil {
+				err = lk.writeFrame(packBarrierReply(res, berr))
 			}
-			ob := pvm.Wrap(nil).PackInt32(int32(len(res)))
-			for tid, data := range res {
-				ob.PackInt32(int32(tid)).PackBytes(data)
-			}
-			if werr := lk.writeFrame(frameBarrierOK, ob.Bytes()); werr != nil {
-				return werr
+			if err != nil {
+				return err
 			}
 		case frameBye:
 			return nil
@@ -271,29 +270,83 @@ func (h *Hub) control(task *pvm.Task, lk *link, pid int) error {
 	}
 }
 
-// Barrier error codes carried on BARRIERERR frames.
-const (
-	berrTimeout int32 = iota + 1
-	berrCanceled
-	berrHalted
-	berrOther
-)
-
-func barrierErrCode(err error) int32 {
-	switch {
-	case errors.Is(err, pvm.ErrTimeout):
-		return berrTimeout
-	case errors.Is(err, pvm.ErrCanceled):
-		return berrCanceled
-	case errors.Is(err, pvm.ErrHalted):
-		return berrHalted
-	default:
-		return berrOther
-	}
+// packBarrier and unpackBarrier are the BARRIER frame: name, count,
+// the deadline in nanoseconds (zero: none — a millisecond field would
+// turn a sub-millisecond deadline into "wait forever"), the deposit.
+func packBarrier(name string, count int, d time.Duration, deposit []byte) []byte {
+	return pvm.Wrap(nil).PackString(name).PackInt32(int32(count)).PackInt64(int64(d)).PackBytes(deposit).Bytes()
 }
 
-// Close tears the hub down: the listener stops, every registered
-// worker connection closes, and pending waitConn calls fail.
+func unpackBarrier(body []byte) (name string, count int, d time.Duration, deposit []byte, err error) {
+	b := pvm.Wrap(body)
+	name, err = b.UnpackString()
+	var n int32
+	if err == nil {
+		n, err = b.UnpackInt32()
+	}
+	var ns int64
+	if err == nil {
+		ns, err = b.UnpackInt64()
+	}
+	if err == nil {
+		deposit, err = b.UnpackBytes()
+	}
+	return name, int(n), time.Duration(ns), deposit, err
+}
+
+// barrierErrs are the typed causes a BARRIERERR frame can carry, by
+// code; code 0 is any other error, carried as its text.
+var barrierErrs = []error{nil, pvm.ErrTimeout, pvm.ErrCanceled, pvm.ErrHalted}
+
+// packBarrierReply and unpackBarrierReply are the barrier's answer:
+// BARRIEROK with every participant's deposit keyed by pid, or BARRIERERR
+// with the typed cause, so a worker sees the errors an in-proc task sees.
+func packBarrierReply(res map[pvm.TID][]byte, err error) (kind byte, body []byte) {
+	if err != nil {
+		code := len(barrierErrs) - 1
+		for code > 0 && !errors.Is(err, barrierErrs[code]) {
+			code--
+		}
+		return frameBarrierErr, pvm.Wrap(nil).PackInt32(int32(code)).PackString(err.Error()).Bytes()
+	}
+	b := pvm.Wrap(nil).PackInt32(int32(len(res)))
+	for tid, data := range res {
+		b.PackInt32(int32(tid)).PackBytes(data)
+	}
+	return frameBarrierOK, b.Bytes()
+}
+
+func unpackBarrierReply(kind byte, body []byte) (map[pvm.TID][]byte, error) {
+	b := pvm.Wrap(body)
+	n, err := b.UnpackInt32()
+	if err != nil {
+		return nil, fmt.Errorf("%w: barrier reply: %v", ErrBadFrame, err)
+	}
+	if kind == frameBarrierErr {
+		detail, _ := b.UnpackString()
+		if n > 0 && int(n) < len(barrierErrs) {
+			return nil, fmt.Errorf("wiretrans: barrier: %w: %s", barrierErrs[n], detail)
+		}
+		return nil, fmt.Errorf("wiretrans: barrier failed: %s", detail)
+	}
+	res := make(map[pvm.TID][]byte)
+	for ; n > 0; n-- {
+		tid, err := b.UnpackInt32()
+		var dep []byte
+		if err == nil {
+			dep, err = b.UnpackBytes()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: barrier reply: %v", ErrBadFrame, err)
+		}
+		res[pvm.TID(tid)] = dep
+	}
+	return res, nil
+}
+
+// Close implements pvm.Transport and tears the hub down: the listener
+// stops, every inbound link closes — admitted or still in its handshake
+// — and pending waitConn calls fail.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -301,14 +354,14 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	h.closed = true
-	conns := make([]*link, 0, len(h.conns))
-	for _, lk := range h.conns {
-		conns = append(conns, lk)
+	links := make([]*link, 0, len(h.links))
+	for lk := range h.links {
+		links = append(links, lk)
 	}
 	h.cond.Broadcast()
 	h.mu.Unlock()
 	err := h.ln.Close()
-	for _, lk := range conns {
+	for _, lk := range links {
 		_ = lk.close()
 	}
 	h.wg.Wait()

@@ -17,7 +17,7 @@ import (
 // any message flows.
 const (
 	protoMagic   = "hbspk-wire"
-	protoVersion = 1
+	protoVersion = 2 // 2: the hub/worker plane carries BATCH frames and nanosecond deadlines
 
 	roleTransport int32 = 0 // a Loopback client carrying Deliver batches
 	roleWorker    int32 = 1 // a worker process joining a hub
@@ -85,13 +85,78 @@ func (l *link) writevLocked() error {
 	return nil
 }
 
-// readFrame reads one frame, reusing scratch across calls.
-func (l *link) readFrame(scratch []byte) (kind byte, body, next []byte, err error) {
-	kind, body, next, n, err := ReadFrame(l.conn, scratch)
+// A BATCH body is seq, dst, count, then per message src, tag and the
+// wire as a byte field. Each of the two headers packs to a fixed length,
+// measured here off the encoder that writes them.
+var (
+	batchLead   = pvm.Wrap(beginFrame(nil, frameBatch)).PackInt64(0).PackInt32(0, 0).Len()
+	batchPerMsg = pvm.Wrap(nil).PackInt32(0).PackInt64(0).PackBytesHeader(0).Len()
+)
+
+// writeBatchLocked writes ms as one BATCH frame without copying a
+// payload byte: only the headers are packed, contiguously, into the
+// link's scratch, and one vectored write sends them interleaved with
+// the wires' own pieces — head, then the tail the sender lent. The
+// caller holds wmu and releases ms.
+func (l *link) writeBatchLocked(seq int64, dst pvm.TID, ms []pvm.Message) error {
+	hdr := pvm.Wrap(beginFrame(l.scratch[:0], frameBatch)).
+		PackInt64(seq).
+		PackInt32(int32(dst), int32(len(ms)))
+	payload := 0
+	for _, m := range ms {
+		hdr.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytesHeader(m.Len())
+		payload += m.Len()
+	}
+	l.scratch = hdr.Bytes()
+	endFrame(l.scratch, 0, payload)
+	// The frame and batch header ride with the first message's.
+	l.iov = l.iov[:0]
+	at := 0
+	for i, m := range ms {
+		to := batchLead + (i+1)*batchPerMsg
+		l.iov = append(l.iov, l.scratch[at:to])
+		head, tail := m.Pieces()
+		if len(head) > 0 {
+			l.iov = append(l.iov, head)
+		}
+		if len(tail) > 0 {
+			l.iov = append(l.iov, tail)
+		}
+		at = to
+	}
+	return l.writevLocked()
+}
+
+// sendBatches writes ms, all bound for dst, as BATCH frames that each
+// stay under MaxFrame — a relay's mailbox holds a superstep's traffic
+// from every sender — and releases them, written or not. A single
+// message over the limit goes out alone and fails at the reader.
+func (l *link) sendBatches(dst pvm.TID, ms []pvm.Message) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	defer releaseAll(ms)
+	for at := 0; at < len(ms); {
+		to, size := at, batchLead-frameHeader
+		for to < len(ms) && (to == at || size+batchPerMsg+ms[to].Len() <= MaxFrame) {
+			size += batchPerMsg + ms[to].Len()
+			to++
+		}
+		if err := l.writeBatchLocked(0, dst, ms[at:to]); err != nil {
+			return err
+		}
+		at = to
+	}
+	return nil
+}
+
+// readFrame reads one frame into a buffer of its own: the body is the
+// caller's to keep or give away.
+func (l *link) readFrame() (kind byte, body []byte, err error) {
+	kind, body, _, n, err := ReadFrame(l.conn, nil)
 	if err == nil {
 		observeFrame(l.transport, false, n)
 	}
-	return kind, body, next, err
+	return kind, body, err
 }
 
 func (l *link) close() error { return l.conn.Close() }
@@ -110,7 +175,7 @@ func (l *link) readHello() (helloInfo, error) {
 	deadline := time.Now().Add(handshakeTimeout)
 	_ = l.conn.SetReadDeadline(deadline)
 	defer func() { _ = l.conn.SetReadDeadline(time.Time{}) }()
-	kind, body, _, err := l.readFrame(nil)
+	kind, body, err := l.readFrame()
 	if err != nil {
 		return helloInfo{}, fmt.Errorf("wiretrans: handshake read: %w", err)
 	}
@@ -160,7 +225,7 @@ func (l *link) readWelcome() error {
 	deadline := time.Now().Add(handshakeTimeout)
 	_ = l.conn.SetReadDeadline(deadline)
 	defer func() { _ = l.conn.SetReadDeadline(time.Time{}) }()
-	kind, body, _, err := l.readFrame(nil)
+	kind, body, err := l.readFrame()
 	if err != nil {
 		return fmt.Errorf("wiretrans: handshake read: %w", err)
 	}

@@ -202,13 +202,10 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 }
 
 // Deliver implements pvm.Transport. It writes one coalesced BATCH frame
-// without copying a payload byte: only the headers (frame, seq, dst,
-// count, and each message's src, tag and length prefix) are packed,
-// contiguously, into the link's scratch, and one vectored write sends
-// them interleaved with the adopted wires' own pieces — head, then the
-// tail the sender lent. The wires are released, and with them every
-// borrowed tail, once that write has returned; Flush collects the ack.
-// Under the write lock, so the pending queue is in wire order.
+// in one vectored write that copies no payload byte (writeBatchLocked).
+// The wires are released, and with them every borrowed tail, once that
+// write has returned; Flush collects the ack. Under the write lock, so
+// the pending queue is in wire order.
 func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	if len(ms) == 0 {
 		return nil
@@ -233,34 +230,7 @@ func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	l.pending = append(l.pending, post{seq: l.seq, src: src, dst: dst})
 	l.mu.Unlock()
 
-	hdr := pvm.Wrap(beginFrame(c.scratch[:0], frameBatch)).
-		PackInt64(l.seq).
-		PackInt32(int32(dst), int32(len(ms)))
-	lead, payload := hdr.Len(), 0
-	for _, m := range ms {
-		hdr.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytesHeader(m.Len())
-		payload += m.Len()
-	}
-	c.scratch = hdr.Bytes()
-	endFrame(c.scratch, 0, payload)
-	// Every message header packs to the same length, so the cuts between
-	// them need no table; the frame and batch header ride with the first.
-	per := (len(c.scratch) - lead) / len(ms)
-	c.iov = c.iov[:0]
-	at := 0
-	for i, m := range ms {
-		to := lead + (i+1)*per
-		c.iov = append(c.iov, c.scratch[at:to])
-		head, tail := m.Pieces()
-		if len(head) > 0 {
-			c.iov = append(c.iov, head)
-		}
-		if len(tail) > 0 {
-			c.iov = append(c.iov, tail)
-		}
-		at = to
-	}
-	err := c.writevLocked()
+	err := c.writeBatchLocked(l.seq, dst, ms)
 	releaseAll(ms)
 	if err != nil {
 		// A link that cannot be written is lost; the post fails with
@@ -315,21 +285,24 @@ func (l *Loopback) acked(seq int64, code int32, detail string) error {
 	}
 	s := l.senders[p.src]
 	if code != ackOK && s.err == nil {
-		var cause error
-		switch code {
-		case ackHalted:
-			cause = pvm.ErrHalted
-		case ackNoTask:
-			cause = fmt.Errorf("wiretrans: %s", detail)
-		default:
-			cause = fmt.Errorf("%w: %s", ErrBadFrame, detail)
-		}
-		s.err = &pvm.DeliveryError{Dst: p.dst, Err: cause}
+		s.err = &pvm.DeliveryError{Dst: p.dst, Err: ackCause(code, detail)}
 	}
 	if s.outstanding--; s.outstanding == 0 {
 		s.idle.Broadcast()
 	}
 	return nil
+}
+
+// ackCause types a failed batch verdict.
+func ackCause(code int32, detail string) error {
+	switch code {
+	case ackHalted:
+		return pvm.ErrHalted
+	case ackNoTask:
+		return fmt.Errorf("wiretrans: %s", detail)
+	default:
+		return fmt.Errorf("%w: %s", ErrBadFrame, detail)
+	}
 }
 
 // serverPump reads BATCH frames, injects their messages into the
@@ -372,17 +345,17 @@ func (l *Loopback) serverPump(srv *link) {
 			l.fail(fmt.Errorf("wiretrans: %s link severed: %w", l.network, pvm.ErrPeerLost))
 			return
 		}
-		seq, code, detail := l.injectBatch(body)
+		seq, code, detail := injectBatch(l.sys, body)
 		start := len(acks)
 		acks = pvm.Wrap(beginFrame(acks, frameAck)).PackInt64(seq).PackInt32(code).PackString(detail).Bytes()
 		endFrame(acks, start, 0)
 	}
 }
 
-// injectBatch decodes one BATCH body and stages every message. Each
-// payload is a slice of body that pvm.Inject keeps: body is the
+// injectBatch decodes one BATCH body and stages every message in sys.
+// Each payload is a slice of body that pvm.Inject keeps: body is the
 // System's from here on.
-func (l *Loopback) injectBatch(body []byte) (seq int64, code int32, detail string) {
+func injectBatch(sys *pvm.System, body []byte) (seq int64, code int32, detail string) {
 	b := pvm.Wrap(body)
 	seq, err := b.UnpackInt64()
 	if err != nil {
@@ -409,7 +382,7 @@ func (l *Loopback) injectBatch(body []byte) (seq int64, code int32, detail strin
 		if err != nil {
 			return seq, ackBad, err.Error()
 		}
-		if err := l.sys.Inject(pvm.TID(src), pvm.TID(dst), int(tag), wire); err != nil {
+		if err := sys.Inject(pvm.TID(src), pvm.TID(dst), int(tag), wire); err != nil {
 			if errors.Is(err, pvm.ErrHalted) {
 				return seq, ackHalted, ""
 			}

@@ -2,52 +2,39 @@ package wiretrans
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"hbspk/internal/pvm"
 )
 
-// Envelope is one application message as the Peer API sees it: the
-// hub/worker protocol wraps every payload in a single packed byte
-// field, so local pvm tasks and remote workers exchange identical
-// bytes.
-type Envelope struct {
-	Src     int
-	Tag     int
-	Payload []byte
-}
-
-// Worker is the client side of the hub/worker protocol: one per worker
-// OS process. It implements Peer over a single connection — sends and
-// barrier entries go up as frames, routed messages and barrier results
-// come back down into a small selective-receive inbox.
+// Worker is the worker-process side of a multi-process run, as the
+// pvm.Transport of that process's System: one link to the coordinator's
+// hub. Sends go up it as BATCH frames, the hosted task's barrier entries
+// as BARRIER frames (pvm.BarrierCarrier) — on one link, in program order,
+// so the hub sees a superstep's sends before the arrival that ends it —
+// and what the relay forwards comes back down into the local System
+// ahead of the barrier's verdict. It hosts one pid; every other TID is a
+// placeholder task that keeps the destination resolvable.
 type Worker struct {
-	lk     *link
-	pid    int
-	nprocs int
+	lk  *link
+	pid int
+	sys *pvm.System // set by Attach, which starts the reader
 
-	// Timeout bounds each Recv and Barrier. Zero means the dial
-	// timeout's default.
-	timeout time.Duration
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	inbox   []Envelope
-	replies []barrierReply
-	err     error
+	// replies hands the one barrier the hosted task can have in flight
+	// its answer; done closes, after err is set, when the reader is gone.
+	replies chan barrierReply
 	done    chan struct{}
+	err     error
 }
 
 type barrierReply struct {
-	data map[int][]byte
+	data map[pvm.TID][]byte
 	err  error
 }
 
 // DialWorker connects to a hub, retrying the dial until timeout (the
 // worker usually races the coordinator's listener at startup), and
-// completes the pid+generation handshake. The returned Worker's per-op
-// timeout defaults to the same value; SetTimeout overrides it.
+// completes the pid+generation handshake.
 func DialWorker(network, addr string, pid, nprocs int, gen int64, timeout time.Duration) (*Worker, error) {
 	conn, err := dialRetry(network, addr, timeout)
 	if err != nil {
@@ -62,205 +49,111 @@ func DialWorker(network, addr string, pid, nprocs int, gen int64, timeout time.D
 		_ = lk.close()
 		return nil, err
 	}
-	w := &Worker{lk: lk, pid: pid, nprocs: nprocs, timeout: timeout, done: make(chan struct{})}
-	w.cond = sync.NewCond(&w.mu)
-	go w.reader()
-	return w, nil
+	return &Worker{lk: lk, pid: pid, replies: make(chan barrierReply, 1), done: make(chan struct{})}, nil
 }
 
-// Pid implements Peer.
-func (w *Worker) Pid() int { return w.pid }
+// Name implements pvm.Transport.
+func (w *Worker) Name() string { return w.lk.transport }
 
-// NProcs implements Peer.
-func (w *Worker) NProcs() int { return w.nprocs }
+// Attach implements pvm.Transport: the downlink starts flowing into sys.
+func (w *Worker) Attach(sys *pvm.System) error {
+	w.sys = sys
+	go w.reader()
+	return nil
+}
 
-// SetTimeout overrides the per-operation deadline.
-func (w *Worker) SetTimeout(d time.Duration) { w.timeout = d }
+// Proxy tells the engine that only this worker's pid runs here; any
+// other TID gets a task that returns at once.
+func (w *Worker) Proxy(tid pvm.TID) func(*pvm.Task) error {
+	if int(tid) == w.pid {
+		return nil
+	}
+	return func(*pvm.Task) error { return nil }
+}
 
-// reader demultiplexes the downlink: routed messages into the inbox,
-// barrier outcomes into the reply queue.
+// reader demultiplexes the downlink: forwarded messages into the local
+// System, the barrier's outcome to its waiter. Each frame lands in a
+// buffer of its own — the System, or the waiter, keeps slices of it.
 func (w *Worker) reader() {
 	defer close(w.done)
-	var scratch []byte
 	for {
-		kind, body, next, err := w.lk.readFrame(scratch)
+		kind, body, err := w.lk.readFrame()
 		if err != nil {
-			w.fail(fmt.Errorf("wiretrans: hub link: %w: %v", pvm.ErrPeerLost, err))
+			w.err = fmt.Errorf("wiretrans: hub link: %w: %v", pvm.ErrPeerLost, err)
 			return
 		}
-		scratch = next
 		switch kind {
-		case frameMsg:
-			b := pvm.Wrap(body)
-			src, err := b.UnpackInt32()
-			var tag int64
-			if err == nil {
-				tag, err = b.UnpackInt64()
-			}
-			var payload []byte
-			if err == nil {
-				payload, err = b.UnpackBytes()
-			}
-			if err != nil {
-				w.fail(fmt.Errorf("%w: MSG: %v", ErrBadFrame, err))
+		case frameBatch:
+			if _, code, detail := injectBatch(w.sys, body); code != ackOK {
+				w.err = fmt.Errorf("wiretrans: hub link: forwarded batch: %w", ackCause(code, detail))
 				return
 			}
-			env := Envelope{Src: int(src), Tag: int(tag), Payload: append([]byte(nil), payload...)}
-			w.mu.Lock()
-			w.inbox = append(w.inbox, env)
-			w.cond.Broadcast()
-			w.mu.Unlock()
-		case frameBarrierOK:
-			b := pvm.Wrap(body)
-			n, err := b.UnpackInt32()
-			if err != nil {
-				w.fail(fmt.Errorf("%w: BARRIEROK: %v", ErrBadFrame, err))
+		case frameBarrierOK, frameBarrierErr:
+			var r barrierReply
+			r.data, r.err = unpackBarrierReply(kind, body)
+			select {
+			case w.replies <- r:
+			default:
+				w.err = fmt.Errorf("%w: hub answered a barrier nobody is in", ErrBadFrame)
 				return
 			}
-			data := make(map[int][]byte, n)
-			for i := int32(0); i < n; i++ {
-				tid, err := b.UnpackInt32()
-				var dep []byte
-				if err == nil {
-					dep, err = b.UnpackBytes()
-				}
-				if err != nil {
-					w.fail(fmt.Errorf("%w: BARRIEROK: %v", ErrBadFrame, err))
-					return
-				}
-				data[int(tid)] = append([]byte(nil), dep...)
-			}
-			w.pushReply(barrierReply{data: data})
-		case frameBarrierErr:
-			b := pvm.Wrap(body)
-			code, err := b.UnpackInt32()
-			detail, _ := b.UnpackString()
-			if err != nil {
-				w.fail(fmt.Errorf("%w: BARRIERERR: %v", ErrBadFrame, err))
-				return
-			}
-			w.pushReply(barrierReply{err: barrierErrFromCode(code, detail)})
 		default:
-			w.fail(fmt.Errorf("%w: hub sent kind %d", ErrBadFrame, kind))
+			w.err = fmt.Errorf("%w: hub sent kind %d", ErrBadFrame, kind)
 			return
 		}
 	}
 }
 
-func barrierErrFromCode(code int32, detail string) error {
-	switch code {
-	case berrTimeout:
-		return fmt.Errorf("wiretrans: barrier: %w: %s", pvm.ErrTimeout, detail)
-	case berrCanceled:
-		return fmt.Errorf("wiretrans: barrier: %w: %s", pvm.ErrCanceled, detail)
-	case berrHalted:
-		return fmt.Errorf("wiretrans: barrier: %w: %s", pvm.ErrHalted, detail)
-	default:
-		return fmt.Errorf("wiretrans: barrier failed: %s", detail)
+// Deliver implements pvm.Transport: the batch goes up the link in the
+// vectored write Loopback uses, and the relay injects it at the hub.
+func (w *Worker) Deliver(dst pvm.TID, ms []pvm.Message) error {
+	if err := w.lk.sendBatches(dst, ms); err != nil {
+		return &pvm.DeliveryError{Dst: dst, Err: err}
 	}
+	return nil
 }
 
-func (w *Worker) pushReply(r barrierReply) {
-	w.mu.Lock()
-	w.replies = append(w.replies, r)
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
+// Flush implements pvm.Transport with nothing to wait for: the link is
+// FIFO and the relay reads it in order, so every batch posted before a
+// BARRIER frame is in its destination's mailbox at the hub before that
+// arrival counts — the only point the engines need it observable by.
+func (w *Worker) Flush(pvm.TID) error { return nil }
 
-func (w *Worker) fail(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// Send implements Peer: the payload travels as one SEND frame and is
-// replayed by the relay as a pvm send to dst's TID.
-func (w *Worker) Send(dst, tag int, payload []byte) error {
-	body := pvm.Wrap(nil).
-		PackInt32(int32(dst)).
-		PackInt64(int64(tag)).
-		PackBytes(payload)
-	return w.lk.writeFrame(frameSend, body.Bytes())
-}
-
-// Recv implements Peer: it blocks until an inbox envelope matches src
-// and tag (negative values are wildcards), in arrival order.
-func (w *Worker) Recv(src, tag int) (Envelope, error) {
-	deadline := time.Now().Add(w.timeout)
-	timer := time.AfterFunc(w.timeout, func() {
-		w.mu.Lock()
-		w.cond.Broadcast()
-		w.mu.Unlock()
-	})
-	defer timer.Stop()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		for i, env := range w.inbox {
-			if (src >= 0 && env.Src != src) || (tag >= 0 && env.Tag != tag) {
-				continue
-			}
-			w.inbox = append(w.inbox[:i], w.inbox[i+1:]...)
-			return env, nil
-		}
-		if w.err != nil {
-			return Envelope{}, w.err
-		}
-		if !time.Now().Before(deadline) {
-			return Envelope{}, fmt.Errorf("wiretrans: recv(src=%d, tag=%d) after %v: %w", src, tag, w.timeout, pvm.ErrTimeout)
-		}
-		w.cond.Wait()
-	}
-}
-
-// Barrier implements Peer: the entry travels as a BARRIER frame, the
-// hub parks the relay in the System's BarrierExchange, and the result
-// (every participant's deposit keyed by pid) comes back down.
-func (w *Worker) Barrier(name string, count int, deposit []byte) (map[int][]byte, error) {
-	body := pvm.Wrap(nil).
-		PackString(name).
-		PackInt32(int32(count)).
-		PackInt64(w.timeout.Milliseconds()).
-		PackBytes(deposit)
-	if err := w.lk.writeFrame(frameBarrier, body.Bytes()); err != nil {
+// BarrierExchange implements pvm.BarrierCarrier: the entry travels as a
+// BARRIER frame, the relay parks in the coordinator System's
+// BarrierExchange under the same deadline, and the result (every
+// participant's deposit keyed by pid) or the typed error comes back
+// down, behind everything the superstep sent this worker. Only the hub's
+// answer or the loss of the link ends the wait.
+func (w *Worker) BarrierExchange(_ pvm.TID, name string, count int, d time.Duration, deposit []byte) (map[pvm.TID][]byte, error) {
+	if err := w.lk.writeFrame(frameBarrier, packBarrier(name, count, d, deposit)); err != nil {
 		return nil, err
 	}
-	// The hub bounds the barrier by the same timeout; the extra slack
-	// covers the protocol round trip so the hub's typed answer wins the
-	// race against the local clock.
-	deadline := time.Now().Add(w.timeout + 5*time.Second)
-	timer := time.AfterFunc(time.Until(deadline), func() {
-		w.mu.Lock()
-		w.cond.Broadcast()
-		w.mu.Unlock()
-	})
-	defer timer.Stop()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		if len(w.replies) > 0 {
-			r := w.replies[0]
-			w.replies = w.replies[1:]
-			return r.data, r.err
-		}
-		if w.err != nil {
-			return nil, w.err
-		}
-		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("wiretrans: barrier %q: %w", name, pvm.ErrTimeout)
-		}
-		w.cond.Wait()
+	select {
+	case r := <-w.replies:
+		return r.data, r.err
+	case <-w.done:
+	}
+	select {
+	case r := <-w.replies: // the answer arrived before the link went
+		return r.data, r.err
+	default:
+		return nil, w.err
 	}
 }
 
-// Close departs cleanly: a BYE frame, then the connection drops and
-// the reader drains out.
+// Close implements pvm.Transport: the connection drops and the reader
+// drains out. The departure is clean — a BYE frame first — only if no
+// task of this process failed; otherwise the relay sees a lost link and
+// halts the coordinator, so the other processes fail fast instead of
+// waiting at a barrier this one will never reach.
 func (w *Worker) Close() error {
-	_ = w.lk.writeFrame(frameBye, nil)
+	if w.sys == nil || len(w.sys.Errors()) == 0 {
+		_ = w.lk.writeFrame(frameBye, nil) // best effort: the link may be gone already
+	}
 	err := w.lk.close()
-	<-w.done
+	if w.sys != nil {
+		<-w.done
+	}
 	return err
 }
