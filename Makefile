@@ -1,14 +1,16 @@
 # Development entry points. `make check` is the CI gate, and the gate is
 # check.sh: one definition of what must be green (build, go vet, gofmt,
 # the HBSP^k model lint suite against its SARIF baseline, the race
-# tests, the chaos and churn soaks, the conformance and planner gates,
-# the smokes, the coverage floor, the fuzzers). The script calls back
-# into the targets below for the steps they define. A malformed tree
-# never merges with it green.
+# tests, the chaos and churn soaks, the conformance gate, the smokes,
+# the coverage floor, the fuzzers). The script calls back into the
+# targets below for the steps they define. A malformed tree never merges
+# with it green. The performance gates (modeled cost, allocation counts)
+# are ordinary tests and run with the rest; wall-clock numbers live on
+# one ladder, BENCHMARK.json and ./benchmark.
 
 GO ?= go
 
-.PHONY: check build vet fmt lint vet-sarif test race chaos verify wire-smoke fuzz bench bench-step cover clean
+.PHONY: check build vet fmt lint vet-sarif test race chaos verify wire-smoke fuzz bench-step cover clean
 
 check:
 	./check.sh
@@ -99,45 +101,6 @@ wire-smoke:
 			{ echo "$$out"; echo "wire-smoke: $$w reported failed operations" >&2; exit 1; }; \
 		echo "wire-smoke: $$w ok"; \
 	done
-
-# bench runs the pvm fabric microbenchmarks at a fixed iteration count
-# (comparable across runs) plus the figure benchmarks, then emits
-# machine-readable BENCH_PR4.json: ns/op, B/op and allocs/op per
-# benchmark, with improvement factors against the committed pre-PR4
-# baseline. Two gates: the send path keeps its >= 2x allocs/op win over
-# the pre-PR4 baseline, and the observability-off send path
-# (BenchmarkSendRecvObsvOff) stays within 5% of BenchmarkSendRecv on
-# ns/op and allocs/op in the same run.
-#
-# The planner stanza emits BENCH_PR9.json with two gates: across the
-# payload-size × tree sweep the auto-tuned planner's modeled cost stays
-# within 0.1% of the best fixed variant per cell (so it beats every
-# fixed-variant baseline), and the planner-dispatched broadcast stays
-# within 5% of a direct invocation of the same variant on paired
-# dispatch-overhead and allocations. -min-pairs pins the grid size so
-# the gate cannot silently shrink.
-BENCHTIME ?= 5000x
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/pvm/ | tee bench/pvm.txt
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . | tee bench/figures.txt
-	$(GO) run ./cmd/hbspk-benchjson -baseline bench/baseline_pre_pr4.txt \
-		-min-alloc-improvement 'BenchmarkSendRecv/:2,BenchmarkMcastFanout:2' \
-		-max-rel 'BenchmarkSendRecvObsvOff=BenchmarkSendRecv:1.05' \
-		-o BENCH_PR4.json bench/pvm.txt bench/figures.txt
-	@echo wrote BENCH_PR4.json
-	$(GO) test -run '^$$' -bench 'BenchmarkReorgMakespan|BenchmarkRankedLeaves|BenchmarkRank$$|BenchmarkPlanReorg' \
-		-benchmem -benchtime 100x ./internal/hbsp/ ./internal/model/ | tee bench/reorg.txt
-	$(GO) run ./cmd/hbspk-benchjson \
-		-max-metric-rel 'BenchmarkReorgMakespan/reorg=BenchmarkReorgMakespan/frozen:model-cost:0.9' \
-		-o BENCH_PR7.json bench/reorg.txt
-	@echo wrote BENCH_PR7.json
-	$(GO) test -run '^$$' -bench 'BenchmarkPlannerSweep|BenchmarkPlannedDispatch|BenchmarkDirectDispatch|BenchmarkDecideHit' \
-		-benchtime 1x ./internal/plan/ | tee bench/planner.txt
-	$(GO) run ./cmd/hbspk-benchjson \
-		-max-metric-rel 'BenchmarkPlannerSweep/planner=BenchmarkPlannerSweep/fixedbest:model-cost:1.001,BenchmarkPlannedDispatch=BenchmarkDirectDispatch:dispatch-overhead:1.05,BenchmarkPlannedDispatch=BenchmarkDirectDispatch:dispatch-allocs:1.05' \
-		-min-pairs 26 \
-		-o BENCH_PR9.json bench/planner.txt
-	@echo wrote BENCH_PR9.json
 
 # bench-step runs the engine rung of the ladder: one all-to-all root
 # superstep of four processors on Concurrent — in-proc, over a unix socket

@@ -19,21 +19,10 @@ timed() {
 	[ "$elapsed" -le "$budget" ]
 }
 
-# `./check.sh smoke` is the quick pre-push gate: build everything, run
-# a 10-iteration slice of the fabric benchmarks through the JSON
-# converter, and exercise hbspk-bench's profile flags on one figure.
-# Any build or run error fails the script (set -e); no timing gates.
-if [ "${1:-}" = smoke ]; then
-	tmp=$(mktemp -d)
-	trap 'rm -rf "$tmp"' EXIT
-	go build ./...
-	go test -run '^$' -bench 'BenchmarkSendRecv|BenchmarkMcastFanout|BenchmarkMailboxContention' \
-		-benchmem -benchtime 10x ./internal/pvm/ >"$tmp/bench.txt"
-	go run ./cmd/hbspk-benchjson -baseline bench/baseline_pre_pr4.txt -o "$tmp/bench.json" "$tmp/bench.txt"
-	go run ./cmd/hbspk-bench -fig 3a -cpuprofile "$tmp/cpu.pprof" \
-		-memprofile "$tmp/mem.pprof" -mutexprofile "$tmp/mutex.pprof" >/dev/null
-	exit 0
-fi
+# One scratch directory for the steps that need one, removed however the
+# script exits.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 go build ./...
 go vet ./...
@@ -79,34 +68,23 @@ timed 30 "hbspk-vet full-suite" go run ./cmd/hbspk-vet -skip-tests -tree grid -c
 # Static<->runtime conformance gate: every delivery observed in a real
 # hbspk-sim run must be explained by an edge of the exported static
 # commgraph; a forged run with an undeclared send must be rejected.
-conftmp=$(mktemp -d)
-go run ./cmd/hbspk-vet -commgraph-out "$conftmp/graph.json" ./...
-go run ./cmd/hbspk-sim -machine grid -collective gather-hier -events-out "$conftmp/run.jsonl" >/dev/null
-go run ./cmd/hbspk-vet -conform-graph "$conftmp/graph.json" -conform-events "$conftmp/run.jsonl" >/dev/null
+go run ./cmd/hbspk-vet -commgraph-out "$tmp/graph.json" ./...
+go run ./cmd/hbspk-sim -machine grid -collective gather-hier -events-out "$tmp/run.jsonl" >/dev/null
+go run ./cmd/hbspk-vet -conform-graph "$tmp/graph.json" -conform-events "$tmp/run.jsonl" >/dev/null
 if go run ./cmd/hbspk-vet -conform-graph cmd/hbspk-vet/testdata/conformance/graph.json \
 	-conform-events cmd/hbspk-vet/testdata/conformance/events-undeclared.jsonl >/dev/null; then
 	echo "conformance gate failed to reject an undeclared send" >&2
 	exit 1
 fi
-rm -rf "$conftmp"
 
-# Auto-tuned planner smoke (DESIGN.md §5.9): the planner benchmarks run
-# through the same hbspk-benchjson gates make bench enforces — planner
-# within 0.1% of the per-cell best fixed variant on modeled cost, cached
-# dispatch within 5% of a direct call — plus one hbspk-sim auto run, all
-# inside a 30s wall-time budget.
-planner_smoke() {
-	plantmp=$(mktemp -d)
-	go test -run '^$' -bench 'BenchmarkPlannerSweep|BenchmarkPlannedDispatch|BenchmarkDirectDispatch|BenchmarkDecideHit' \
-		-benchtime 1x ./internal/plan/ >"$plantmp/planner.txt"
-	go run ./cmd/hbspk-benchjson \
-		-max-metric-rel 'BenchmarkPlannerSweep/planner=BenchmarkPlannerSweep/fixedbest:model-cost:1.001,BenchmarkPlannedDispatch=BenchmarkDirectDispatch:dispatch-overhead:1.05,BenchmarkPlannedDispatch=BenchmarkDirectDispatch:dispatch-allocs:1.05' \
-		-min-pairs 26 \
-		-o "$plantmp/planner.json" "$plantmp/planner.txt"
-	go run ./cmd/hbspk-sim -machine ucf -collective auto -n 200000 -rounds 4 -pure >/dev/null
-	rm -rf "$plantmp"
-}
-timed 30 "planner smoke" planner_smoke
+# Auto-tuned planner smoke (DESIGN.md §5.9): one hbspk-sim run that
+# dispatches through the planner and prints its decision table, inside a
+# 30s wall-time budget. The planner's gates — within 0.1% of the
+# per-cell best fixed variant on modeled cost, cached dispatch within 5%
+# of a direct call — are TestPlannerWithinBestFixed and
+# TestPlannedDispatchWithinDirect in internal/plan, run with the tests
+# above.
+timed 30 "planner smoke" go run ./cmd/hbspk-sim -machine ucf -collective auto -n 200000 -rounds 4 -pure
 
 # Verification and multi-process transport smokes (DESIGN.md §5.3,
 # §5.10), as `make verify` defines them: schedule exploration with the
@@ -122,8 +100,9 @@ timed 30 "verify smokes" "${MAKE:-make}" verify
 # collectives over TCP, oracles on.
 "${MAKE:-make}" wire-smoke
 
-# The engine rung of the benchmark ladder, as `make bench-step` defines
-# it: 2000 supersteps per transport and size, reported, not gated.
+# The engine rung of the benchmark ladder, as the Makefile's bench-step
+# target defines it: 2000 supersteps per transport and size, reported,
+# not gated.
 timed 60 "superstep bench" "${MAKE:-make}" bench-step
 
 # Coverage floor, as `make cover` defines it: total statement coverage

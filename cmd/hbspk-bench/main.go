@@ -9,8 +9,6 @@
 //	                            # calibrate)
 //	hbspk-bench -csv            # CSV instead of aligned tables
 //	hbspk-bench -noise 0.15     # non-dedicated-cluster noise
-//	hbspk-bench -cpuprofile cpu.pprof -memprofile mem.pprof -mutexprofile mutex.pprof
-//	                            # pprof profiles of the whole run
 package main
 
 import (
@@ -19,8 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"hbspk/internal/experiments"
@@ -46,23 +42,6 @@ func fail(code int, context string, err error) {
 	os.Exit(code)
 }
 
-// writeProfile dumps a named runtime profile ("allocs", "mutex") to
-// path. The allocation profile is preceded by a GC so it reflects live
-// and freed objects of the whole run.
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fail(1, name+"profile", err)
-	}
-	defer f.Close()
-	if name == "allocs" {
-		runtime.GC()
-	}
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fail(1, name+"profile", err)
-	}
-}
-
 func main() {
 	fig := flag.String("fig", "all", "experiment id (all, table1, 3a, 3b, 4a, 4b, xphase, penalty, validate, calibrate, sens-rs, sens-l, suite, straggler)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -72,30 +51,7 @@ func main() {
 	reps := flag.Int("reps", 0, "replicate each figure this many times under -noise and report mean ± stddev")
 	seed := flag.Int64("seed", 1, "seed for BYTEmark measurement and noise")
 	pure := flag.Bool("pure", false, "charge the pure cost model (no PVM pack/unpack overheads)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
 	flag.Parse()
-
-	// Profiles are written on a clean exit only; a run that fails mid-
-	// experiment exits through fail() without them.
-	if *mutexprofile != "" {
-		runtime.SetMutexProfileFraction(5)
-		defer writeProfile("mutex", *mutexprofile)
-	}
-	if *memprofile != "" {
-		defer writeProfile("allocs", *memprofile)
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fail(1, "cpuprofile", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(1, "cpuprofile", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
 
 	cfg := experiments.Default()
 	cfg.Seed = *seed

@@ -7,18 +7,21 @@
 // The analyzers encode the correctness invariants of the HBSP^k
 // programming model (§5.1's HBSPlib) that the compiler cannot check:
 //
-//   - syncdiscipline: Sync/barrier calls must not sit under
-//     processor-divergent control flow — every processor of a scope must
-//     sync the same number of times, or the concurrent engine deadlocks.
-//   - bufreuse: pvm.Buffers must not be packed into after they were
-//     sent, and message payloads must not be mutated after Send — engines
-//     may share the sender's bytes.
-//   - uncheckedrun: errors from Run/Sync/Send/collective calls must not
-//     be dropped; a swallowed desync error is a silent wrong answer.
-//   - costparams: literal model parameters (g, r, L, c shares) must be
-//     in their valid ranges, and trees must be normalized before running.
-//   - lockorder: no inverted mutex acquisition orders, and no lock may
-//     be taken while holding pvm.System's leaf lock.
+//   - syncdiscipline: no Sync or barrier call under processor-divergent control flow.
+//   - pidtaint: synchronizing calls align across processors under pid-tainted control flow.
+//   - commgraph: no unmatched send, receive before any delivery, or divergent-scope collective.
+//   - syncflow: no delivered buffer read across a superstep boundary, through helper calls.
+//   - bufreuse: no packing into a sent pvm.Buffer, no mutating a payload after Send.
+//   - bufown: every pooled wire buffer is released exactly once, on every path.
+//   - uncheckedrun: no dropped error from Run, Sync, Send or a collective.
+//   - costparams: literal g, r, L and c shares in range, trees normalized before running.
+//   - costbound: symbolic superstep cost bounds; no hand-rolled flat fan-out in a program body.
+//   - lockorder: no inverted mutex order, nothing locked under pvm.System's leaf lock.
+//
+// All returns those ten. Two more run outside it:
+//
+//   - staleignore: every //hbspk:ignore directive still suppresses a finding.
+//   - variantcheck: advice on collective variants a given machine tree makes cheaper (hbspk-vet -tree).
 //
 // The suite is exposed on the command line as cmd/hbspk-vet, a
 // multichecker in the style of go vet.
