@@ -106,11 +106,12 @@ wire-smoke:
 # superstep of four processors on Concurrent — in-proc, over a unix socket
 # and over TCP loopback, at 64 B, 64 KiB and 256 KiB per pair (the last is
 # bulk_unix's size), with allocs/op — the Go-benchmark twin of the sync
-# and bulk workloads of ./benchmark. No gate of its own
+# and bulk workloads of ./benchmark, at the GOMAXPROCS = 1 that harness
+# pins every repetition to (-cpu 1). No gate of its own
 # (TestSteadyStateSuperstepAllocs holds the allocation ceilings, in-proc
 # and unix); check.sh invokes this target so the rung compiles and runs.
 bench-step:
-	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem ./internal/hbsp
+	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem -cpu 1 ./internal/hbsp
 
 # cover enforces the coverage floor: total statement coverage must not
 # drop below bench/coverage_baseline.txt (percent, one line). The

@@ -111,11 +111,24 @@ func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Di
 			pieceBy[m.Src] = m.Payload
 		}
 	}
-	var out []byte
+	return joinPieces(pids, pieceBy), nil
+}
+
+// joinPieces lays the listed processors' pieces end to end in an array
+// sized once from their lengths; nothing to join is nil.
+func joinPieces(pids []int, pieceBy map[int][]byte) []byte {
+	n := 0
+	for _, pid := range pids {
+		n += len(pieceBy[pid])
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]byte, 0, n)
 	for _, pid := range pids {
 		out = append(out, pieceBy[pid]...)
 	}
-	return out, nil
+	return out
 }
 
 // BcastHier is the hierarchical broadcast of §4.4 generalized to any k:
@@ -231,10 +244,7 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 					pieceBy[msg.Src] = msg.Payload
 				}
 			}
-			have = nil
-			for _, pid := range coords {
-				have = append(have, pieceBy[pid]...)
-			}
+			have = joinPieces(coords, pieceBy)
 		}
 	}
 	if have == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -404,5 +405,59 @@ func TestPropertyTotalExchangeHier(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBcastHierAllocatesItsResultOnce bounds what a 64 KiB broadcast on
+// the benchmark's tree (two clusters of two) allocates: the pieces are
+// joined in an array sized from their lengths, so each reassembly costs
+// its result and nothing more. Six happen per round — each of the two
+// cluster coordinators once among themselves and once inside its
+// cluster, each of the two other members once. Grown from nil by append
+// a reassembly cost half as much again. On Virtual, which hands a
+// receiver the sender's bytes, so delivery adds nothing.
+func TestBcastHierAllocatesItsResultOnce(t *testing.T) {
+	const n, rounds, reassemblies, slack = 64 << 10, 16, 6, 16 << 10
+	tr := model.WideAreaGrid(2, 2, 4, 10, 100)
+	root := tr.Pid(tr.FastestLeaf())
+	data := payloadFor(root, n)
+	var before, after runtime.MemStats
+	// mark reads the counters while every other processor is parked
+	// between the two barriers.
+	mark := func(c hbsp.Ctx, m *runtime.MemStats) error {
+		if err := hbsp.SyncAll(c, "mark"); err != nil {
+			return err
+		}
+		if c.Pid() == root {
+			runtime.ReadMemStats(m)
+		}
+		return hbsp.SyncAll(c, "marked")
+	}
+	runPure(t, tr, func(c hbsp.Ctx) error {
+		for round := -2; round < rounds; round++ {
+			if round == 0 {
+				if err := mark(c, &before); err != nil {
+					return err
+				}
+			}
+			var in []byte
+			if c.Pid() == root {
+				in = data
+			}
+			out, err := BcastHier(c, in, true)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(out, data) {
+				return fmt.Errorf("pid %d: broadcast corrupted", c.Pid())
+			}
+		}
+		return mark(c, &after)
+	})
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("%d bytes allocated per %d-byte BcastHier", perRound, n)
+	if perRound > reassemblies*n+slack {
+		t.Errorf("%d bytes allocated per round, want at most %d results of %d bytes plus %d",
+			perRound, reassemblies, n, slack)
 	}
 }

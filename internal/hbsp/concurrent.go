@@ -102,11 +102,10 @@ type cctx struct {
 	task *pvm.Task
 	tids []pvm.TID
 
-	// batch groups one superstep's outbox per destination so each
-	// mailbox is appended under a single lock acquisition; touched lists
-	// the destinations with a non-empty batch.
-	batch   [][]*pvm.Buffer
-	touched []int
+	// batch groups one superstep's outbox per destination, indexed by
+	// pid, so each mailbox is appended under a single lock acquisition and
+	// the whole superstep leaves in one post.
+	batch []pvm.Batch
 	// Sync's scratch, reused every superstep: the wait it registers, its
 	// barrier name's bytes, and the drained wire messages (cleared on use).
 	wait syncWait
@@ -610,12 +609,12 @@ func (c *cctx) flush(scope *model.Machine, ord, tag int, now float64) (sent int,
 		}
 		for n := m.copies(); n > 0; n-- {
 			if c.batch == nil {
-				c.batch = make([][]*pvm.Buffer, c.NProcs())
+				c.batch = make([]pvm.Batch, c.NProcs())
+				for pid := range c.batch {
+					c.batch[pid].Dst = c.tids[pid]
+				}
 			}
-			if len(c.batch[m.dst]) == 0 {
-				c.touched = append(c.touched, m.dst)
-			}
-			c.batch[m.dst] = append(c.batch[m.dst], packMsg(&m, c.opt.Verify))
+			c.batch[m.dst].Bufs = append(c.batch[m.dst].Bufs, packMsg(&m, c.opt.Verify))
 			sent += len(m.payload)
 		}
 	}
@@ -623,21 +622,18 @@ func (c *cctx) flush(scope *model.Machine, ord, tag int, now float64) (sent int,
 	clear(c.outbox[len(kept):])
 	c.outbox = kept
 
-	// One post per destination, in pid order — the whole superstep's
-	// traffic to a peer lands under a single lock acquisition — then one
-	// Flush: the superstep waits once for all of it to be observable.
-	slices.Sort(c.touched)
-	for _, dst := range c.touched {
-		if err == nil {
-			err = c.task.SendBatch(c.tids[dst], tag, c.batch[dst])
-		}
+	// One post for the superstep, a batch per destination in pid order —
+	// a peer's traffic lands under a single lock acquisition, and a wire
+	// transport writes all of it at once — then one Flush: the superstep
+	// waits once for all of it to be observable.
+	err = c.task.SendBatches(tag, c.batch)
+	for pid := range c.batch {
 		// Cleared, not just truncated: the backing array must not keep
 		// the superstep's wires (an unpooled one is its whole payload)
 		// reachable until the slots are overwritten.
-		clear(c.batch[dst])
-		c.batch[dst] = c.batch[dst][:0]
+		clear(c.batch[pid].Bufs)
+		c.batch[pid].Bufs = c.batch[pid].Bufs[:0]
 	}
-	c.touched = c.touched[:0]
 	if err == nil {
 		err = c.task.Flush()
 	}

@@ -21,13 +21,18 @@ const (
 // sender's wire buffer — or, for a message a transport injected, the
 // frame it arrived in: treat it as read-only, and call Release once
 // done with it to return a pooled backing to the arena. Only a message
-// handed to Transport.Deliver may be in two pieces (Pieces).
+// handed to Transport.Deliver may be in two pieces (Pieces), or carry
+// the More mark.
 type Message struct {
 	Src TID
 	Tag int
-	buf []byte
-	w   *wire
-	seq uint64 // per-mailbox arrival stamp, orders wildcard matches
+	// More is the MSG_MORE of send(2), set on every message of a batch
+	// whose sender posts another batch in the same call (SendBatches): a
+	// transport may hold such a batch until the sender's next unmarked one.
+	More bool
+	buf  []byte
+	w    *wire
+	seq  uint64 // per-mailbox arrival stamp, orders wildcard matches
 }
 
 // Pieces returns the message's wire bytes in order: head, then the tail
@@ -231,6 +236,11 @@ type Task struct {
 	spare  []Message // recycled staging backing, ping-ponged with staged
 	qfree  []*msgq   // recycled queue records (wire tags churn per superstep)
 	recvMu sync.Mutex
+
+	// Scratch of SendBatches, reused across calls; sends come from one
+	// goroutine at a time.
+	targets []*Task
+	ms      []Message
 }
 
 // TID returns the task's identity.
@@ -263,32 +273,92 @@ func (t *Task) Send(dst TID, tag int, buf *Buffer) error {
 	return target.deliverOne(m)
 }
 
-// SendBatch enqueues one message per buffer at dst under a single
-// mailbox lock acquisition, preserving slice order. Each buffer is
-// adopted exactly as in Send; if one cannot be, the call fails and
-// nothing of the batch is delivered. In-proc the messages are built in
-// dst's staging slice; a transport gets a slice Deliver may keep.
+// Batch is one destination's share of a SendBatches call.
+type Batch struct {
+	Dst  TID
+	Bufs []*Buffer
+}
+
+// SendBatch is SendBatches to one destination.
 func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error {
-	if len(bufs) == 0 {
-		return nil
-	}
-	target, err := t.sys.task(dst)
-	if err != nil {
-		return err
+	return t.SendBatches(tag, []Batch{{Dst: dst, Bufs: bufs}})
+}
+
+// SendBatches posts every batch in slice order: one message per buffer,
+// a destination's under a single mailbox lock acquisition. Each buffer
+// is adopted exactly as in Send. Every destination is resolved, and
+// under a transport every buffer adopted, before anything is delivered,
+// so an unknown TID or a spent buffer fails the call with nothing
+// posted. A transport gets one Deliver per batch, all but the last
+// marked More, so that it can write the whole call at once; a slice a
+// buffer borrowed is the caller's again when the call returns. Like
+// every send, it is called from one goroutine at a time per task.
+func (t *Task) SendBatches(tag int, batches []Batch) error {
+	t.targets = t.targets[:0]
+	last := -1
+	for i, b := range batches {
+		var target *Task
+		if len(b.Bufs) > 0 {
+			var err error
+			if target, err = t.sys.task(b.Dst); err != nil {
+				return err
+			}
+			last = i
+		}
+		t.targets = append(t.targets, target)
 	}
 	tr := t.sys.transport
 	if tr == nil {
-		return target.deliverBatch(t.tid, tag, bufs)
-	}
-	ms := make([]Message, len(bufs))
-	for i, buf := range bufs {
-		w, err := buf.adopt(true)
-		if err != nil {
-			return err
+		for i, b := range batches {
+			if len(b.Bufs) == 0 {
+				continue
+			}
+			if err := t.targets[i].deliverBatch(t.tid, tag, b.Bufs); err != nil {
+				return err
+			}
 		}
-		ms[i] = Message{Src: t.tid, Tag: tag, buf: buf.data, w: w}
+		return nil
 	}
-	return tr.Deliver(dst, ms)
+	// The messages of the whole call, in a slice the task keeps: Deliver
+	// hands each window of it back when it returns. The kept backing is
+	// cleared so that it never pins a call's wires.
+	ms := t.ms[:0]
+	for i, b := range batches {
+		for _, buf := range b.Bufs {
+			w, err := buf.adopt(true)
+			if err != nil {
+				releaseAll(ms)
+				clear(ms)
+				return err
+			}
+			ms = append(ms, Message{Src: t.tid, Tag: tag, More: i < last, buf: buf.data, w: w})
+		}
+	}
+	// Deliver consumes its batch, error or not, and a failed one has ended
+	// the post; the untried rest is dropped here.
+	var err error
+	rest := ms
+	for _, b := range batches {
+		n := len(b.Bufs)
+		if n == 0 {
+			continue
+		}
+		if err == nil {
+			err = tr.Deliver(b.Dst, rest[:n])
+		} else {
+			releaseAll(rest[:n])
+		}
+		rest = rest[n:]
+	}
+	clear(ms)
+	t.ms = ms[:0]
+	return err
+}
+
+func releaseAll(ms []Message) {
+	for _, m := range ms {
+		m.Release()
+	}
 }
 
 // Mcast sends the buffer to every listed destination (PVM's

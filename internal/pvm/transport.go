@@ -27,7 +27,7 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 // Transport abstracts the message plane under a System. The nil
 // transport is the in-proc fast path: deliveries go straight into the
 // destination's indexed mailbox with zero copies and pooled backing.
-// A non-nil transport owns delivery instead: Send, SendBatch and Mcast
+// A non-nil transport owns delivery instead: Send, SendBatches and Mcast
 // hand it the adopted messages and the transport is responsible for
 // getting them into the destination mailbox (for a wire transport, via
 // System.Inject on the receiving side; bytes handed to Inject belong to
@@ -38,20 +38,36 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 //
 //   - Deliver posts: it may return before the batch is observable by the
 //     destination's receive operations. One batch has one Src.
-//   - Flush(src) returns once every batch src has posted is observable,
-//     or with the first failure among them as a *DeliveryError. The
-//     engines rely on "all sends of a superstep happen before any
-//     barrier exit"; Task.BarrierExchange and task exit flush, so that
-//     holds by construction and no posted failure is dropped.
+//   - A batch whose messages carry More may also be held unwritten: the
+//     mark is the sender's promise of another Deliver inside the same
+//     call, and nothing else — no size, timer or setting — permits a
+//     hold. A held batch is written, ahead of and together with what
+//     follows it, by the sender's first unmarked Deliver; an unmarked
+//     batch (every Send, Mcast and lone SendBatch) is written before
+//     Deliver returns. A sender that breaks the promise has what it left
+//     held written by its next Flush — barrier entry and task exit
+//     included. A Deliver that returns an error has ended the post:
+//     the transport holds nothing of that sender's afterwards. A
+//     transport with no link to write to (the hub, the in-proc path)
+//     ignores the mark.
+//   - Flush(src) first writes whatever src left held, then returns once
+//     every batch src has posted is observable, or with the first
+//     failure among them as a *DeliveryError. The engines rely on "all
+//     sends of a superstep happen before any barrier exit";
+//     Task.BarrierExchange and task exit flush, so that holds by
+//     construction and no posted failure is dropped.
 //   - Deliver consumes the batch: each message's wire reference is owned
 //     by the transport from the moment Deliver is called, on success and
-//     on error alike (release once the bytes are on the wire).
+//     on error alike (release once the bytes are on the wire). The ms
+//     slice itself is the caller's again when Deliver returns: a
+//     transport that holds a batch keeps the messages by value.
 //   - A message's bytes are read through Message.Pieces, head then tail.
 //     The tail is a slice its sender lent: borrowed bytes are valid until
-//     Deliver returns; a transport that keeps a message past that copies
-//     them first.
+//     the call that posted them returns — Deliver for an unmarked batch,
+//     for a marked one the unmarked Deliver that ends its post; a
+//     transport that keeps a message past that copies them first.
 //   - Per-sender FIFO: two Deliver calls from the same task to the same
-//     destination must stage in call order.
+//     destination must stage in call order, held or not.
 //   - Errors map into the pvm taxonomy: a severed link wraps
 //     ErrPeerLost, a flush deadline wraps ErrTimeout, and a halted
 //     destination system surfaces ErrHalted.
@@ -63,7 +79,8 @@ type Transport interface {
 	Attach(sys *System) error
 	// Deliver posts a batch of already-adopted messages to dst.
 	Deliver(dst TID, ms []Message) error
-	// Flush waits until everything src posted is observable.
+	// Flush writes what src left held and waits until everything src
+	// posted is observable.
 	Flush(src TID) error
 	// Close tears the transport down (listeners, connections, pumps).
 	Close() error

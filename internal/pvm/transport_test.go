@@ -3,6 +3,7 @@ package pvm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -25,7 +26,8 @@ type loopTransport struct {
 	mu       sync.Mutex
 	delivers int // Deliver calls, to observe batching
 	messages int
-	failDst  TID // when set, Deliver to this dst fails after consuming
+	marks    []bool // per Deliver call, whether its batch carried More
+	failDst  TID    // when set, Deliver to this dst fails after consuming
 }
 
 func (lt *loopTransport) Name() string             { return "loop" }
@@ -37,6 +39,12 @@ func (lt *loopTransport) Deliver(dst TID, ms []Message) error {
 	lt.mu.Lock()
 	lt.delivers++
 	lt.messages += len(ms)
+	lt.marks = append(lt.marks, ms[0].More)
+	for _, m := range ms {
+		if m.More != ms[0].More {
+			panic("pvm: one batch, two marks")
+		}
+	}
 	fail := lt.failDst != 0 && dst == lt.failDst
 	lt.mu.Unlock()
 	for _, m := range ms {
@@ -151,6 +159,78 @@ func TestTransportMcastConsumesRefsOnError(t *testing.T) {
 	// and no leak-induced hang.
 	sys.Halt()
 	_ = sys.Wait()
+}
+
+func TestSendBatchesMarksAllButTheLastBatch(t *testing.T) {
+	// One call, one Deliver per non-empty batch, every one but the last
+	// marked More; Send, a lone SendBatch and Mcast are never marked. A
+	// failed Deliver ends the call: the batches behind it are released,
+	// not delivered. A spent buffer anywhere fails it before any Deliver.
+	sys := NewSystem()
+	lt := &loopTransport{}
+	if err := sys.SetTransport(lt); err != nil {
+		t.Fatalf("SetTransport: %v", err)
+	}
+	hold := make(chan struct{})
+	idle := func(*Task) error { <-hold; return nil }
+	a, b, c := sys.Spawn("a", idle), sys.Spawn("b", idle), sys.Spawn("c", idle)
+	lent := []byte("lent")
+	num := func(vs ...int32) (bufs []*Buffer) {
+		for _, v := range vs {
+			bufs = append(bufs, NewBuffer().PackInt32(v).PackBytesBorrowed(lent))
+		}
+		return bufs
+	}
+	sys.Spawn("send", func(task *Task) error {
+		defer close(hold)
+		if err := task.SendBatches(1, []Batch{{a, num(1, 2)}, {b, nil}, {b, num(3)}, {c, num(4)}, {a, nil}}); err != nil {
+			return err
+		}
+		if err := task.SendBatch(a, 1, num(5)); err != nil {
+			return err
+		}
+		if err := task.Send(a, 1, NewBuffer().PackInt32(6)); err != nil {
+			return err
+		}
+		if err := task.Mcast([]TID{a, b}, 1, NewBuffer().PackInt32(7)); err != nil {
+			return err
+		}
+		lt.mu.Lock()
+		marks := fmt.Sprint(lt.marks)
+		lt.mu.Unlock()
+		if want := fmt.Sprint([]bool{true, true, false, false, false, false, false}); marks != want {
+			return fmt.Errorf("marks per Deliver = %s, want %s", marks, want)
+		}
+
+		spent := NewBuffer().PackInt32(8)
+		if err := task.Send(a, 1, spent); err != nil {
+			return err
+		}
+		before, _ := lt.counts()
+		sound := num(9)
+		if err := task.SendBatches(1, []Batch{{a, sound}, {b, []*Buffer{spent}}}); err == nil {
+			return fmt.Errorf("a post with a sent buffer was accepted")
+		}
+		if after, _ := lt.counts(); after != before || sound[0].w.tail != nil {
+			return fmt.Errorf("the rejected post made %d Deliver calls, tail released: %v", after-before, sound[0].w.tail == nil)
+		}
+
+		lt.mu.Lock()
+		lt.failDst = b
+		lt.mu.Unlock()
+		behind := num(12)
+		err := task.SendBatches(1, []Batch{{a, num(10)}, {b, num(11)}, {c, behind}})
+		if after, _ := lt.counts(); !errors.Is(err, ErrPeerLost) || after != before+2 {
+			return fmt.Errorf("post with a failing Deliver = %v after %d Deliver calls, want ErrPeerLost after 2", err, after-before)
+		}
+		if behind[0].w.tail != nil {
+			return fmt.Errorf("the batch behind the failed Deliver was not released")
+		}
+		return nil
+	})
+	if err := sys.Wait(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // postTransport is a conforming Transport of the posting kind: Deliver

@@ -254,7 +254,7 @@ func (h *Hub) relay(task *pvm.Task, lk *link) error {
 			}
 			res, berr := task.BarrierExchange(name, count, d, deposit)
 			msgs = task.AppendRecvAll(msgs[:0], pvm.AnySource, pvm.AnyTag)
-			err = lk.sendBatches(pid, msgs)
+			err = lk.post(pid, msgs, false)
 			clear(msgs)
 			if err == nil {
 				err = lk.writeFrame(packBarrierReply(res, berr))

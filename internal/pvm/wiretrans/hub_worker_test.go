@@ -420,7 +420,7 @@ func TestSendBatchesSplitsAtMaxFrame(t *testing.T) {
 	defer a.Close()
 	werr := make(chan error, 1)
 	go func() {
-		werr <- (&link{conn: b, transport: "test"}).sendBatches(7, msgs)
+		werr <- (&link{conn: b, transport: "test"}).post(7, msgs, false)
 		_ = b.Close()
 	}()
 	var perFrame []int32
@@ -447,7 +447,7 @@ func TestSendBatchesSplitsAtMaxFrame(t *testing.T) {
 		perFrame = append(perFrame, count)
 	}
 	if err := <-werr; err != nil {
-		t.Fatalf("sendBatches: %v", err)
+		t.Fatalf("post: %v", err)
 	}
 	if !reflect.DeepEqual(perFrame, []int32{2, 1}) {
 		t.Fatalf("messages per frame = %v, want [2 1]", perFrame)

@@ -45,9 +45,11 @@ type link struct {
 	transport string // metrics label: "unix" or "tcp"
 
 	wmu     sync.Mutex
-	scratch []byte      // frame (its headers, for a batch) being encoded in place, guarded by wmu
-	iov     [][]byte    // the pieces of a batch frame in wire order, reused across batches
+	scratch []byte      // frame (every header of a post, for batches) being encoded in place, guarded by wmu
+	iov     [][]byte    // the pieces of a post's frames in wire order, reused across posts
 	bufs    net.Buffers // iov as the vectored write consumes it; here so the call allocates nothing
+	own     held        // what post has staged on a link with one sender, guarded by wmu
+	writes  int         // vectored writes made, guarded by wmu
 }
 
 func (l *link) writeFrame(kind byte, body []byte) error {
@@ -70,18 +72,18 @@ func (l *link) writeLocked(frames []byte) error {
 	return nil
 }
 
-// writevLocked hands the one frame whose pieces are in l.iov to a single
+// writevLocked hands the frames whose pieces are in l.iov to a single
 // vectored write (writev on a socket, one Write per piece elsewhere)
 // and forgets the pieces: the link must not keep a sender's wire
 // reachable. The caller holds wmu.
 func (l *link) writevLocked() error {
+	l.writes++
 	l.bufs = l.iov
-	n, err := l.bufs.WriteTo(l.conn)
+	_, err := l.bufs.WriteTo(l.conn)
 	clear(l.iov) // bufs shares the array, so this covers what a failed write left in it
 	if err != nil {
 		return fmt.Errorf("wiretrans: write %s frame: %w: %w", l.transport, pvm.ErrPeerLost, err)
 	}
-	observeFrame(l.transport, true, int(n))
 	return nil
 }
 
@@ -93,60 +95,118 @@ var (
 	batchPerMsg = pvm.Wrap(nil).PackInt32(0).PackInt64(0).PackBytesHeader(0).Len()
 )
 
-// writeBatchLocked writes ms as one BATCH frame without copying a
-// payload byte: only the headers are packed, contiguously, into the
-// link's scratch, and one vectored write sends them interleaved with
-// the wires' own pieces — head, then the tail the sender lent. The
-// caller holds wmu and releases ms.
-func (l *link) writeBatchLocked(seq int64, dst pvm.TID, ms []pvm.Message) error {
-	hdr := pvm.Wrap(beginFrame(l.scratch[:0], frameBatch)).
-		PackInt64(seq).
-		PackInt32(int32(dst), int32(len(ms)))
-	payload := 0
-	for _, m := range ms {
-		hdr.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytesHeader(m.Len())
-		payload += m.Len()
-	}
-	l.scratch = hdr.Bytes()
-	endFrame(l.scratch, 0, payload)
-	// The frame and batch header ride with the first message's.
-	l.iov = l.iov[:0]
-	at := 0
-	for i, m := range ms {
-		to := batchLead + (i+1)*batchPerMsg
-		l.iov = append(l.iov, l.scratch[at:to])
-		head, tail := m.Pieces()
-		if len(head) > 0 {
-			l.iov = append(l.iov, head)
-		}
-		if len(tail) > 0 {
-			l.iov = append(l.iov, tail)
-		}
-		at = to
-	}
-	return l.writevLocked()
+// held is what one sender has posted and its link has not yet written:
+// the messages by value, in call order, and how they divide into BATCH
+// frames. A batch marked pvm.Message.More waits here; the sender's first
+// unmarked one takes everything held out in one vectored write
+// (writeHeldLocked). Nothing but the caller's mark decides a hold.
+type held struct {
+	msgs   []pvm.Message
+	frames []heldFrame
 }
 
-// sendBatches writes ms, all bound for dst, as BATCH frames that each
-// stay under MaxFrame — a relay's mailbox holds a superstep's traffic
-// from every sender — and releases them, written or not. A single
-// message over the limit goes out alone and fails at the reader.
-func (l *link) sendBatches(dst pvm.TID, ms []pvm.Message) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	defer releaseAll(ms)
+// heldFrame is one BATCH frame to be: n messages for dst. Whoever owns
+// the link's numbering (Loopback) sets seq before the write.
+type heldFrame struct {
+	seq int64
+	dst pvm.TID
+	n   int
+}
+
+// add stages ms, all bound for dst, as BATCH frames that each stay under
+// MaxFrame — a relay's mailbox holds a superstep's traffic from every
+// sender. A single message over the limit goes out alone and fails at
+// the reader.
+func (h *held) add(dst pvm.TID, ms []pvm.Message) {
+	h.msgs = append(h.msgs, ms...)
 	for at := 0; at < len(ms); {
 		to, size := at, batchLead-frameHeader
 		for to < len(ms) && (to == at || size+batchPerMsg+ms[to].Len() <= MaxFrame) {
 			size += batchPerMsg + ms[to].Len()
 			to++
 		}
-		if err := l.writeBatchLocked(0, dst, ms[at:to]); err != nil {
-			return err
-		}
+		h.frames = append(h.frames, heldFrame{dst: dst, n: to - at})
 		at = to
 	}
+}
+
+// release drops the transport's reference to every held wire and empties
+// h, keeping its arrays for the next post but nothing reachable in them.
+func (h *held) release() {
+	releaseAll(h.msgs)
+	clear(h.msgs)
+	h.msgs, h.frames = h.msgs[:0], h.frames[:0]
+}
+
+// writeHeldLocked writes everything in h — one BATCH frame per entry, in
+// order — with one vectored write that copies no payload byte: only the
+// headers are packed, contiguously, into the link's scratch, and go out
+// interleaved with the wires' own pieces, head then the tail the sender
+// lent. Written or not, h is released. The caller holds wmu.
+func (l *link) writeHeldLocked(h *held) error {
+	if len(h.frames) == 0 {
+		return nil
+	}
+	defer h.release()
+	buf, ms := l.scratch[:0], h.msgs
+	for _, f := range h.frames {
+		start := len(buf)
+		hdr := pvm.Wrap(beginFrame(buf, frameBatch)).
+			PackInt64(f.seq).
+			PackInt32(int32(f.dst), int32(f.n))
+		payload := 0
+		for _, m := range ms[:f.n] {
+			n := m.Len()
+			hdr.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytesHeader(n)
+			payload += n
+		}
+		buf, ms = hdr.Bytes(), ms[f.n:]
+		endFrame(buf, start, payload)
+	}
+	l.scratch = buf
+	// A frame's own header and its batch header ride with the first
+	// message's.
+	l.iov = l.iov[:0]
+	at, ms := 0, h.msgs
+	for _, f := range h.frames {
+		to := at + batchLead
+		for _, m := range ms[:f.n] {
+			to += batchPerMsg
+			l.iov = append(l.iov, buf[at:to])
+			head, tail := m.Pieces()
+			if len(head) > 0 {
+				l.iov = append(l.iov, head)
+			}
+			if len(tail) > 0 {
+				l.iov = append(l.iov, tail)
+			}
+			at = to
+		}
+		ms = ms[f.n:]
+	}
+	if err := l.writevLocked(); err != nil {
+		return err
+	}
+	// The observer hears of each frame, by the length its header carries.
+	at = 0
+	for _, f := range h.frames {
+		observeFrame(l.transport, true, frameHeader+int(binary.BigEndian.Uint32(buf[at:])))
+		at += batchLead + f.n*batchPerMsg
+	}
 	return nil
+}
+
+// post is Deliver on a link that has one sender (a worker's uplink, a
+// relay's downlink): ms is staged behind what the sender already holds,
+// and unless more follows, all of it is written.
+func (l *link) post(dst pvm.TID, ms []pvm.Message, more bool) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	l.own.add(dst, ms)
+	if more {
+		return nil
+	}
+	return l.writeHeldLocked(&l.own)
 }
 
 // readFrame reads one frame into a buffer of its own: the body is the

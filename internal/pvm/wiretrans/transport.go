@@ -39,11 +39,13 @@ const (
 // connection failure modes, which is exactly what the conformance and
 // chaos suites need to exercise.
 //
-// Deliver posts: it writes the framed batch through and returns. Flush
+// Deliver posts: it writes the framed batch through and returns — or,
+// for a batch its sender marked More, holds it for the write that ends
+// the sender's call, so a post to many destinations is one writev. Flush
 // is the one wait, until the server pump has injected and acked all the
 // sender posted — the engines' "all sends of a superstep happen before
-// barrier exit" at one wake-up per superstep. Nothing queues in user
-// space: a slow pump pushes back through the socket buffer.
+// barrier exit" at one wake-up per superstep. Nothing else queues in
+// user space: a slow pump pushes back through the socket buffer.
 type Loopback struct {
 	network string // "unix" or "tcp"
 	sys     *pvm.System
@@ -77,11 +79,14 @@ type post struct {
 	src, dst pvm.TID
 }
 
-// sender is one task's view of the link.
+// sender is one task's view of the link. held is touched only by the
+// task's own calls (Deliver, Flush), the rest under Loopback.mu.
 type sender struct {
-	outstanding int        // posts not yet acked
-	err         error      // first failure among its posts since its last Flush
-	idle        *sync.Cond // on Loopback.mu; signalled when outstanding hits zero
+	held        held        // batches posted with More, not yet written
+	outstanding int         // posts not yet acked
+	err         error       // first failure among its posts since its last Flush
+	idle        *sync.Cond  // on Loopback.mu; signalled when outstanding hits zero
+	timer       *time.Timer // the AckTimeout of the Flush in progress, reused
 }
 
 // NewLoopback returns an unattached loopback transport over the given
@@ -201,40 +206,59 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 	return nil
 }
 
-// Deliver implements pvm.Transport. It writes one coalesced BATCH frame
-// in one vectored write that copies no payload byte (writeBatchLocked).
-// The wires are released, and with them every borrowed tail, once that
-// write has returned; Flush collects the ack. Under the write lock, so
-// the pending queue is in wire order.
+// Deliver implements pvm.Transport. A batch marked More joins what its
+// sender holds; an unmarked one takes everything held, itself last, out
+// in one vectored write that copies no payload byte (writeHeldLocked) —
+// still one BATCH frame, one seq and one ACK per destination. Flush
+// collects the acks. On a failed link what the sender held goes with the
+// batch.
 func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	if len(ms) == 0 {
 		return nil
 	}
-	c := l.cli
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	l.seq++
 	src := ms[0].Src
 	l.mu.Lock()
-	if err := l.failErr; err != nil {
-		l.mu.Unlock()
-		releaseAll(ms)
-		return &pvm.DeliveryError{Dst: dst, Err: err}
-	}
 	s := l.senders[src]
 	if s == nil {
 		s = &sender{idle: sync.NewCond(&l.mu)}
 		l.senders[src] = s
 	}
-	s.outstanding++
-	l.pending = append(l.pending, post{seq: l.seq, src: src, dst: dst})
+	l.mu.Unlock()
+	s.held.add(dst, ms)
+	if ms[0].More {
+		return nil
+	}
+	return l.writeHeld(src, s)
+}
+
+// writeHeld numbers src's held frames, queues them as posts and writes
+// them, all under the write lock, so the pending queue is in wire order.
+// The wires are released, and with them every borrowed tail, once that
+// write has returned. It fails only on a link already lost, naming the
+// first destination that cost.
+func (l *Loopback) writeHeld(src pvm.TID, s *sender) error {
+	c := l.cli
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	l.mu.Lock()
+	if err := l.failErr; err != nil {
+		l.mu.Unlock()
+		err = &pvm.DeliveryError{Dst: s.held.frames[0].dst, Err: err}
+		s.held.release()
+		return err
+	}
+	for i := range s.held.frames {
+		f := &s.held.frames[i]
+		l.seq++
+		f.seq = l.seq
+		l.pending = append(l.pending, post{seq: f.seq, src: src, dst: f.dst})
+	}
+	s.outstanding += len(s.held.frames)
 	l.mu.Unlock()
 
-	err := c.writeBatchLocked(l.seq, dst, ms)
-	releaseAll(ms)
-	if err != nil {
-		// A link that cannot be written is lost; the post fails with
-		// the rest of the queue and surfaces at the sender's Flush.
+	if err := c.writeHeldLocked(&s.held); err != nil {
+		// A link that cannot be written is lost; the posts fail with the
+		// rest of the queue and surface at the sender's Flush.
 		l.fail(err)
 	}
 	return nil
@@ -247,9 +271,10 @@ func releaseAll(ms []pvm.Message) {
 	}
 }
 
-// Flush implements pvm.Transport: it parks until every batch src posted
-// is acked or failed — which AckTimeout sees to, by failing the link —
-// and returns the first failure among them.
+// Flush implements pvm.Transport: it writes what src left held, then
+// parks until every batch src posted is acked or failed — which
+// AckTimeout sees to, by failing the link — and returns the first failure
+// among them.
 func (l *Loopback) Flush(src pvm.TID) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -257,18 +282,34 @@ func (l *Loopback) Flush(src pvm.TID) error {
 	if s == nil {
 		return nil
 	}
+	var heldErr error
+	if len(s.held.frames) > 0 {
+		l.mu.Unlock() // mu nests inside the write lock writeHeld takes
+		heldErr = l.writeHeld(src, s)
+		l.mu.Lock()
+	}
 	if s.outstanding > 0 {
-		timer := time.AfterFunc(l.AckTimeout, func() {
-			l.fail(fmt.Errorf("wiretrans: %s ack after %v: %w", l.network, l.AckTimeout, pvm.ErrTimeout))
-		})
-		defer timer.Stop()
+		if s.timer == nil {
+			s.timer = time.AfterFunc(l.AckTimeout, l.ackExpired)
+		} else {
+			s.timer.Reset(l.AckTimeout)
+		}
 		for s.outstanding > 0 {
 			s.idle.Wait()
 		}
+		s.timer.Stop()
 	}
 	err := s.err
 	s.err = nil
+	if err == nil {
+		err = heldErr
+	}
 	return err
+}
+
+// ackExpired fails the link when a Flush has waited AckTimeout.
+func (l *Loopback) ackExpired() {
+	l.fail(fmt.Errorf("wiretrans: %s ack after %v: %w", l.network, l.AckTimeout, pvm.ErrTimeout))
 }
 
 // acked settles the batch at the head of the pending queue. Acks come

@@ -104,20 +104,43 @@ func (w *Worker) reader() {
 	}
 }
 
-// Deliver implements pvm.Transport: the batch goes up the link in the
-// vectored write Loopback uses, and the relay injects it at the hub.
+// Deliver implements pvm.Transport: the batch goes up the link through
+// the routine Loopback writes with — held while its sender marks More,
+// then the whole post in one vectored write — and the relay injects it
+// at the hub.
 func (w *Worker) Deliver(dst pvm.TID, ms []pvm.Message) error {
-	if err := w.lk.sendBatches(dst, ms); err != nil {
+	if len(ms) == 0 {
+		return nil
+	}
+	if err := w.lk.post(dst, ms, ms[0].More); err != nil {
 		return &pvm.DeliveryError{Dst: dst, Err: err}
 	}
 	return nil
 }
 
-// Flush implements pvm.Transport with nothing to wait for: the link is
-// FIFO and the relay reads it in order, so every batch posted before a
-// BARRIER frame is in its destination's mailbox at the hub before that
-// arrival counts — the only point the engines need it observable by.
-func (w *Worker) Flush(pvm.TID) error { return nil }
+// Flush implements pvm.Transport with nothing to wait for, only what the
+// task left held to write: the link is FIFO and the relay reads it in
+// order, so every batch written before a BARRIER frame is in its
+// destination's mailbox at the hub before that arrival counts — the only
+// point the engines need it observable by. Task.BarrierExchange flushes
+// first, so the BARRIER frame follows the superstep's sends. Only the
+// hosted pid posts; a placeholder's exit must not cut its post in two.
+func (w *Worker) Flush(src pvm.TID) error {
+	if int(src) != w.pid {
+		return nil
+	}
+	lk := w.lk
+	lk.wmu.Lock()
+	defer lk.wmu.Unlock()
+	if len(lk.own.frames) == 0 {
+		return nil
+	}
+	dst := lk.own.frames[0].dst
+	if err := lk.writeHeldLocked(&lk.own); err != nil {
+		return &pvm.DeliveryError{Dst: dst, Err: err}
+	}
+	return nil
+}
 
 // BarrierExchange implements pvm.BarrierCarrier: the entry travels as a
 // BARRIER frame, the relay parks in the coordinator System's
