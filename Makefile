@@ -107,9 +107,12 @@ wire-smoke:
 # and over TCP loopback, at 64 B, 64 KiB and 256 KiB per pair (the last is
 # bulk_unix's size), with allocs/op — the Go-benchmark twin of the sync
 # and bulk workloads of ./benchmark, at the GOMAXPROCS = 1 that harness
-# pins every repetition to (-cpu 1). No gate of its own
-# (TestSteadyStateSuperstepAllocs holds the allocation ceilings, in-proc
-# and unix); check.sh invokes this target so the rung compiles and runs.
+# pins every repetition to (-cpu 1) — and two empty supersteps in-proc,
+# inproc/0B/cluster (a level-1 Sync of one two-leaf cluster) and
+# inproc/0B/root: the model's L_{1,j} and L_{2,0} as this substrate
+# defines them. No gate of its own (TestSteadyStateSuperstepAllocs holds
+# the allocation ceilings, in-proc and unix); check.sh invokes this
+# target so the rung compiles and runs.
 bench-step:
 	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem -cpu 1 ./internal/hbsp
 

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"bytes"
 	"fmt"
 
 	"hbspk/internal/hbsp"
@@ -115,20 +116,19 @@ func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Di
 }
 
 // joinPieces lays the listed processors' pieces end to end in an array
-// sized once from their lengths; nothing to join is nil.
+// sized once from their lengths — by bytes.Join, which does not zero what
+// it is about to overwrite; nothing to join is nil.
 func joinPieces(pids []int, pieceBy map[int][]byte) []byte {
+	pieces := make([][]byte, len(pids))
 	n := 0
-	for _, pid := range pids {
-		n += len(pieceBy[pid])
+	for i, pid := range pids {
+		pieces[i] = pieceBy[pid]
+		n += len(pieces[i])
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]byte, 0, n)
-	for _, pid := range pids {
-		out = append(out, pieceBy[pid]...)
-	}
-	return out
+	return bytes.Join(pieces, nil)
 }
 
 // BcastHier is the hierarchical broadcast of §4.4 generalized to any k:

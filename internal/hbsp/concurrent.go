@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hbspk/internal/model"
@@ -106,14 +107,14 @@ type cctx struct {
 	// pid, so each mailbox is appended under a single lock acquisition and
 	// the whole superstep leaves in one post.
 	batch []pvm.Batch
-	// Sync's scratch, reused every superstep: the wait it registers, its
-	// barrier name's bytes, and the drained wire messages (cleared on use).
+	// Sync's scratch, reused every superstep: the wait it registers and
+	// the drained wire messages (cleared on use).
 	wait syncWait
-	name []byte
 	msgs []pvm.Message
-	// syncSeq counts this processor's syncs per scope so that senders
-	// and receivers agree on a message tag per (scope, generation).
-	syncSeq map[*model.Machine]int
+	// scopes holds, by scope id, this processor's sync generation on each
+	// scope — senders and receivers agree on a message tag per (scope,
+	// generation) — and the scope's barrier name.
+	scopes []scopeSeq
 	// ord counts this processor's Sync calls across all scopes: the
 	// chaos plan's per-processor step ordinal.
 	ord int
@@ -129,39 +130,82 @@ type cctx struct {
 	shared *crun
 }
 
+// scopeSeq is one processor's standing on one scope: its next sync
+// generation there, and the name of the scope's pvm barrier. The name is
+// built once and serves every generation — the barrier is cyclic — until
+// what it was built for changes: the dead members this processor has
+// acknowledged on the scope (a shrunken barrier must never collide with
+// the pre-failure one, whose name a crash cancel has latched for good) or
+// the reorganization epoch (a rebalance can move a dead leaf out of the
+// scope, and the name must not fall back to a latched one). Every live
+// member holds the same two at the same generation, so all compute the
+// same name. A processor whose detection deadline expired on the scope
+// has withdrawn from a generation its peers may still complete; from then
+// on it names a barrier per generation there, as its peers do once their
+// own deadlines expire, so a retry never completes somebody else's round.
+type scopeSeq struct {
+	gen      int
+	name     string
+	epoch    int
+	dead     []int
+	timedOut bool
+}
+
+// barrierName builds the name a scopeSeq keeps.
+func barrierName(scope string, epoch int, ackedDead []int, perGen bool, gen int) string {
+	name := "sync:" + scope
+	if epoch > 0 {
+		name += "@" + strconv.Itoa(epoch)
+	}
+	if len(ackedDead) > 0 {
+		name += fmt.Sprintf("!%v", ackedDead)
+	}
+	if perGen {
+		name += "#" + strconv.Itoa(gen)
+	}
+	return name
+}
+
 // crun is the state shared by all processors of one Run.
 type crun struct {
 	mu    sync.Mutex
 	sys   *pvm.System
-	steps []trace.Step
-	// scopeID numbers the tree's machines in preorder — the same in every
-	// process that runs this tree — and is read-only once Run has built it.
+	steps stepLog
+	// scopeID numbers the tree's machines in preorder from 1 — the same in
+	// every process that runs this tree — and is read-only once Run has
+	// built it. Per-scope state below is indexed by it.
 	scopeID map[*model.Machine]int
 	started time.Time
 
-	// Desync watchdog state, all under mu: waiting maps pid to its
-	// current barrier wait, exited records returned processors, progress
-	// counts barrier completions and exits (any increment proves the run
-	// is still advancing), desync latches the watchdog's verdict.
+	// Desync watchdog state, all under mu and indexed by pid: waiting is a
+	// processor's current barrier wait (nil outside one; nwaiting counts
+	// them), exited records returned processors (nexited of them),
+	// progress counts barrier completions and exits (any increment proves
+	// the run is still advancing), desync latches the watchdog's verdict.
 	nprocs   int
-	waiting  map[int]*syncWait
-	exited   map[int]bool
+	waiting  []*syncWait
+	nwaiting int
+	exited   []bool
+	nexited  int
 	progress uint64
 	desync   error
-	// arrived[pid][scope] is the highest sync generation pid has reached
-	// on that scope. An exited member is only lagging for a waiter if it
-	// never arrived at the waiter's generation; without this, a member
-	// exiting right after the final barrier would race a still-parked
-	// waiter into a false desync.
-	arrived map[int]map[string]int
+	// arrived[pid][scope id] is the highest sync generation pid has reached
+	// on that scope, -1 for none. An exited member is only lagging for a
+	// waiter if it never arrived at the waiter's generation; without this,
+	// a member exiting right after the final barrier would race a
+	// still-parked waiter into a false desync.
+	arrived [][]int
 
 	// led is the run's membership ledger — dead, dormant and joined
 	// processors, per-scope acknowledgments, reorg estimates, the cut —
-	// and every call into it is made with mu held. detectCount drives the
-	// optional deadline backoff; waitEWMA tracks the mean successful
-	// barrier wait, the deadline's prediction base.
+	// and every call into it is made with mu held. unquiet latches, for
+	// readers without mu, that the ledger has stopped being quiet (it
+	// never is again). detectCount drives the optional deadline backoff;
+	// waitEWMA tracks the mean successful barrier wait, the deadline's
+	// prediction base.
 	led         *ledger
-	detectCount map[int]int
+	unquiet     atomic.Bool
+	detectCount []int
 	waitEWMA    time.Duration
 	// exitc wakes a cut applier waiting for a crash victim's goroutine
 	// to finish unwinding: a resumed victim still runs user code that
@@ -169,7 +213,7 @@ type crun struct {
 	// Signaled by markExited; waits under mu.
 	exitc *sync.Cond
 
-	// Generation registry, under mu: gens[scope] is the next sync
+	// Generation registry, under mu: gens[scope id] is the next sync
 	// generation of the scope (every Sync entry raises it). cutGens is
 	// the applier's snapshot of it at the last cut, taken while every
 	// live processor is parked inside the cut window; members re-align
@@ -178,20 +222,21 @@ type crun struct {
 	// and a joiner seeds its own from joinGens, the snapshot of its
 	// activation cut. gates parks each dormant pid's pre-spawned task
 	// until that cut.
-	gens     map[string]int
-	cutGens  map[string]int
-	joinGens map[int]map[string]int
+	gens     []int
+	cutGens  []int
+	joinGens map[int][]int
 	gates    map[int]chan struct{}
 }
 
-// syncWait describes one processor parked in Sync: the scope and its
-// label, this processor's sync generation for it, the member pids that
-// must arrive for the barrier to complete, and the pvm barrier name (so
-// a crashing member can cancel exactly this wait). A processor has one,
-// rewritten at every Sync entry: others read it through crun.waiting
-// under mu, and leaveSync unregisters it before Sync returns.
+// syncWait describes one processor parked in Sync: the scope, its id and
+// its label, this processor's sync generation for it, the member pids
+// that must arrive for the barrier to complete, and the pvm barrier name
+// (so a crashing member can cancel exactly this wait). A processor has
+// one, rewritten at every Sync entry: others read it through crun.waiting
+// under mu, and leaveLocked unregisters it before Sync returns.
 type syncWait struct {
 	key     *model.Machine
+	id      int
 	scope   string
 	label   string
 	gen     int
@@ -199,48 +244,54 @@ type syncWait struct {
 	barrier string
 }
 
-// checkAndEnter is the survivor side of the crash protocol's
-// serialization point. Under one critical section it either (a) consumes
-// the next notice c owes on the scope — one dead member, or else the
-// join batch — staging c's refreshed view and returning the typed error,
-// or (b) registers the barrier wait and returns its live count, with the
-// barrier name extended by the acknowledged dead members of the scope so
-// that shrunken barriers never collide with pre-failure ones. A crashing
-// member holds the same lock while it marks itself dead and collects
-// parked waiters to cancel, so every survivor either parks before the
-// cancel or sees the dead set here.
-func (s *crun) checkAndEnter(c *cctx, w *syncWait) (count int, notice error) {
+// enterSync is a Sync's first visit to the run-wide state, and the
+// survivor side of the crash protocol's serialization point. Under one
+// critical section it either (a) consumes the next notice c owes on the
+// scope — one dead member, or else the join batch — staging c's refreshed
+// view and returning the typed error, or (b) registers the barrier wait
+// and returns its live count and its optional detection deadline, with
+// the barrier named for the acknowledged dead members of the scope (see
+// scopeSeq). A crashing member holds the same lock while it marks itself
+// dead and collects parked waiters to cancel, so every survivor either
+// parks before the cancel or sees the dead set here.
+func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq) (count int, deadline time.Duration, notice error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	// gens tracks the scope's next generation regardless of the path
 	// this sync takes: a notice-consumed generation is still burned.
-	if w.gen+1 > s.gens[w.scope] {
-		s.gens[w.scope] = w.gen + 1
+	if w.gen+1 > s.gens[w.id] {
+		s.gens[w.id] = w.gen + 1
 	}
 
 	if n := s.deadNoticeLocked(c, w.key); n != nil {
-		return 0, n
+		return 0, 0, n
 	}
 	if n := s.led.joinNotice(c.pid, w.key); n != nil {
 		c.membersView = s.led.members(c.pid)
-		return 0, n
+		return 0, 0, n
 	}
 
 	// Every live member holds the same acknowledged dead set at the same
 	// generation, so all survivors compute the same name and count.
 	count, ackedDead := s.led.live(c.pid, w.key, w.members)
-	if len(ackedDead) > 0 {
-		w.barrier += fmt.Sprintf("!%v", ackedDead)
+	if sc.name == "" || sc.timedOut || sc.epoch != s.led.epoch || !slices.Equal(sc.dead, ackedDead) {
+		sc.name = barrierName(w.scope, s.led.epoch, ackedDead, sc.timedOut, w.gen)
+		sc.epoch, sc.dead = s.led.epoch, ackedDead
 	}
+	w.barrier = sc.name
 	s.waiting[c.pid] = w
-	m := s.arrived[c.pid]
-	if m == nil {
-		m = make(map[string]int)
-		s.arrived[c.pid] = m
+	s.nwaiting++
+	s.arrived[c.pid][w.id] = w.gen
+
+	// The optional detection deadline: DetectFactor × the observed mean
+	// barrier wait, doubling per successive timeout by this processor
+	// (failure-detector backoff). No history yet, no deadline.
+	if f := c.eng.DetectFactor; f > 0 && s.waitEWMA > 0 {
+		backoff := min(s.detectCount[c.pid], 6)
+		deadline = time.Duration(f * float64(s.waitEWMA) * float64(int(1)<<uint(backoff)))
 	}
-	m[w.scope] = w.gen
-	return count, nil
+	return count, deadline, nil
 }
 
 // deadNoticeLocked consumes c's next dead-peer notice on the scope and
@@ -269,9 +320,10 @@ func (s *crun) deadNotice(c *cctx, scope *model.Machine) error {
 func (s *crun) crashSelf(pid, ord int, cause string) {
 	s.mu.Lock()
 	s.led.kill(pid, ord, cause)
+	s.unquiet.Store(true)
 	var cancel []string
 	for waiter, w := range s.waiting {
-		if waiter != pid && slices.Contains(w.members, pid) {
+		if w != nil && waiter != pid && slices.Contains(w.members, pid) {
 			cancel = append(cancel, w.barrier)
 		}
 	}
@@ -282,9 +334,11 @@ func (s *crun) crashSelf(pid, ord int, cause string) {
 	}
 }
 
-func (s *crun) leaveSync(pid int, wait time.Duration) {
-	s.mu.Lock()
-	delete(s.waiting, pid)
+// leaveLocked unregisters pid's barrier wait, the barrier having returned
+// after wait since the Sync began. Caller holds mu.
+func (s *crun) leaveLocked(pid int, wait time.Duration) {
+	s.waiting[pid] = nil
+	s.nwaiting--
 	s.progress++
 	if wait > 0 {
 		if s.waitEWMA == 0 {
@@ -293,12 +347,19 @@ func (s *crun) leaveSync(pid int, wait time.Duration) {
 			s.waitEWMA = (s.waitEWMA*4 + wait) / 5
 		}
 	}
+}
+
+// leaveSync is leaveLocked for a Sync that does not complete.
+func (s *crun) leaveSync(pid int, wait time.Duration) {
+	s.mu.Lock()
+	s.leaveLocked(pid, wait)
 	s.mu.Unlock()
 }
 
 func (s *crun) markExited(pid int) {
 	s.mu.Lock()
 	s.exited[pid] = true
+	s.nexited++
 	s.progress++
 	s.exitc.Broadcast()
 	// When the last non-dormant task exits, no cut window can ever run
@@ -306,7 +367,7 @@ func (s *crun) markExited(pid int) {
 	// released: their gates close, and the waking tasks see no joined
 	// record and return without running the program.
 	var release []chan struct{}
-	if len(s.exited) == s.nprocs-len(s.led.dormant) {
+	if s.nexited == s.nprocs-len(s.led.dormant) {
 		for dp := range s.led.dormant {
 			release = append(release, s.gates[dp])
 		}
@@ -334,37 +395,11 @@ func (s *crun) desyncErr() error {
 	return s.desync
 }
 
-// barrierDeadline returns the optional detection deadline for pid: the
-// engine's DetectFactor × the observed mean barrier wait, doubling per
-// successive timeout (failure-detector backoff). Zero means no deadline.
-func (s *crun) barrierDeadline(pid int, factor float64) time.Duration {
-	if factor <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base := s.waitEWMA
-	if base <= 0 {
-		return 0 // no history yet: no deadline
-	}
-	backoff := s.detectCount[pid]
-	if backoff > 6 {
-		backoff = 6
-	}
-	return time.Duration(factor * float64(base) * float64(int(1)<<uint(backoff)))
-}
-
+// noteTimeout records that pid's detection deadline expired: the next one
+// doubles.
 func (s *crun) noteTimeout(pid int) {
 	s.mu.Lock()
 	s.detectCount[pid]++
-	s.mu.Unlock()
-}
-
-// observe folds one processor's measured effective compute slowdown
-// into the shared reorg estimate.
-func (s *crun) observe(pid int, sample float64) {
-	s.mu.Lock()
-	s.led.rer.Observe(pid, sample)
 	s.mu.Unlock()
 }
 
@@ -426,7 +461,7 @@ func (s *crun) watch(sys *pvm.System, timeout time.Duration, done <-chan struct{
 			// Dormant processors are parked by definition: their tasks
 			// idle behind activation gates, so they never count as
 			// missing arrivals.
-			allParked := len(s.waiting) > 0 && len(s.waiting)+len(s.exited)+len(s.led.dormant) == s.nprocs
+			allParked := s.nwaiting > 0 && s.nwaiting+s.nexited+len(s.led.dormant) == s.nprocs
 			if !allParked || !stalled || s.progress != stallProgress {
 				stalled = allParked
 				stallProgress = s.progress
@@ -452,9 +487,11 @@ func (s *crun) watch(sys *pvm.System, timeout time.Duration, done <-chan struct{
 // (the failure path) instead of a desync verdict. Caller holds mu.
 func (s *crun) exitedMemberDesync() (cancel []string, err error) {
 	for pid, w := range s.waiting {
+		if w == nil {
+			continue
+		}
 		for _, m := range w.members {
-			reached, ok := s.arrived[m][w.scope]
-			if s.exited[m] && (!ok || reached < w.gen) {
+			if s.exited[m] && s.arrived[m][w.id] < w.gen {
 				if s.led.dead[m] != nil {
 					// Only a barrier that has not yet acknowledged this
 					// death can hang on it; an acked barrier counts live
@@ -477,9 +514,8 @@ func (s *crun) exitedMemberDesync() (cancel []string, err error) {
 func (s *crun) stallDesync() error {
 	var waitParts, lagParts []string
 	lagging := map[int]bool{}
-	for pid := 0; pid < s.nprocs; pid++ {
-		w, ok := s.waiting[pid]
-		if !ok {
+	for pid, w := range s.waiting {
+		if w == nil {
 			continue
 		}
 		waitParts = append(waitParts, fmt.Sprintf("p%d@%s#%d(%s)", pid, w.scope, w.gen, w.label))
@@ -528,22 +564,27 @@ func (c *cctx) Charge(ops float64) {
 	}
 }
 
-// wireTag encodes (scope, generation, user tag) into a pvm tag so that
+// wireTag encodes (scope id, generation, user tag) into a pvm tag so that
 // messages of different supersteps never mix. User tags must fit 8
 // bits; generations wrap within 20 bits, far beyond any real run.
-func (c *cctx) wireTag(scope *model.Machine, gen, userTag int) int {
-	return c.shared.scopeID[scope]<<28 | (gen&0xFFFFF)<<8 | (userTag & 0xFF)
+func wireTag(scopeID, gen, userTag int) int {
+	return scopeID<<28 | (gen&0xFFFFF)<<8 | (userTag & 0xFF)
 }
 
 // Sync is one super^i-step of this processor: enter, flush the outbox,
-// park at the scope's barrier, drain the delivery, commit.
+// park at the scope's barrier, drain the delivery, commit. A steady-state
+// Sync visits the run-wide state twice (enterSync, commit) and reads the
+// clock three times (start, barrier exit, end); an observer adds its own
+// reads.
 func (c *cctx) Sync(scope *model.Machine, label string) error {
 	if err := c.enter(scope); err != nil {
 		return err
 	}
-	ord, gen := c.ord, c.syncSeq[scope]
+	id := c.shared.scopeID[scope]
+	sc := &c.scopes[id]
+	ord, gen := c.ord, sc.gen
 	c.ord++
-	c.syncSeq[scope] = gen + 1
+	sc.gen++
 	ops := c.opsAcc
 	c.opsAcc = 0
 	start := time.Since(c.shared.started)
@@ -557,26 +598,29 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	}
 
 	w := &c.wait
-	*w = syncWait{key: scope, scope: scope.Label(), label: label, gen: gen, members: scope.Pids()}
-	c.name = append(append(c.name[:0], "sync:"...), w.scope...)
-	c.name = strconv.AppendInt(append(c.name, '#'), int64(gen), 10)
-	w.barrier = string(c.name)
-	tag := c.wireTag(scope, gen, 0)
+	*w = syncWait{key: scope, id: id, scope: scope.Label(), label: label, gen: gen, members: scope.Pids()}
+	tag := wireTag(id, gen, 0)
 	sent, err := c.flush(scope, ord, tag, micros(start))
 	if err != nil {
 		return err
 	}
-	count, err := c.park(w, ord, start)
+	count, deadline, notice := c.shared.enterSync(c, w, sc)
+	if notice != nil {
+		return notice
+	}
+	deposits, wait, err := c.park(w, ord, count, deadline, start)
 	if err != nil {
-		return err
+		c.shared.leaveSync(c.pid, wait)
+		return c.barrierErr(err, w, sc)
 	}
 	// All sends of this (scope, gen) happened before any barrier exit,
 	// so the mailbox now holds the complete delivery.
-	recv, err := c.drain(ord, tag)
+	recv, err := c.drain(ord, tag, deposits)
 	if err != nil {
+		c.shared.leaveSync(c.pid, wait)
 		return err
 	}
-	return c.commit(w, ord, ops, start, count, sent+recv)
+	return c.commit(w, ord, ops, start, wait, count, sent+recv)
 }
 
 // flush transmits every queued message whose endpoints are both inside
@@ -661,32 +705,51 @@ func (c *cctx) linkLost(sendErr error, scope *model.Machine, ord int) error {
 	return sendErr
 }
 
-// park takes this processor through the scope's barrier: it consumes an
-// owed notice instead of waiting, otherwise registers the wait, blocks
-// until the scope's live members have arrived, and under Verify joins
-// their clocks. It returns the live member count.
-func (c *cctx) park(w *syncWait, ord int, start time.Duration) (count int, err error) {
-	count, notice := c.shared.checkAndEnter(c, w)
-	if notice != nil {
-		return 0, notice
+// park blocks at the scope's barrier until its count live members have
+// arrived — under Verify every participant deposits its vector clock and
+// gathers the others' — and returns how long the Sync has taken up to the
+// barrier's exit.
+func (c *cctx) park(w *syncWait, ord, count int, deadline, start time.Duration) (deposits map[pvm.TID][]byte, wait time.Duration, err error) {
+	var bEnter time.Duration
+	if c.opt.Obsv != nil {
+		bEnter = time.Since(c.shared.started)
 	}
-	deadline := c.shared.barrierDeadline(c.pid, c.eng.DetectFactor)
-	bEnter := time.Since(c.shared.started)
-	var deposits map[pvm.TID][]byte
 	if c.opt.Verify {
-		// Barriers double as the clock-join: every participant deposits
-		// its vector clock and gathers the others' on completion.
 		dep := pvm.NewBuffer().PackInt64Slice(c.vc.encodeInt64()).Bytes()
 		deposits, err = c.task.BarrierExchange(w.barrier, count, deadline, dep)
 	} else {
 		err = c.task.BarrierTimeout(w.barrier, count, deadline)
 	}
-	c.shared.leaveSync(c.pid, time.Since(c.shared.started)-start)
-	if err != nil {
-		return 0, c.barrierErr(err, w)
+	bExit := time.Since(c.shared.started)
+	if err == nil && c.opt.Obsv != nil {
+		c.opt.Obsv.BarrierWait(ord, c.pid, w.scope, w.key.Level, micros(bEnter), micros(bExit))
 	}
-	c.opt.Obsv.BarrierWait(ord, c.pid, w.scope, w.key.Level, micros(bEnter), c.nowMicros())
+	return deposits, bExit - start, err
+}
+
+// barrierErr types a failed barrier wait: a cancel means a member
+// crashed while this processor was parked, a timeout is the optional
+// detection deadline, and a halt is the watchdog's desync verdict.
+func (c *cctx) barrierErr(err error, w *syncWait, sc *scopeSeq) error {
+	switch {
+	case errors.Is(err, pvm.ErrCanceled):
+		if n := c.shared.deadNotice(c, w.key); n != nil {
+			return n
+		}
+	case errors.Is(err, pvm.ErrTimeout):
+		sc.timedOut = true
+		c.shared.noteTimeout(c.pid)
+		return fmt.Errorf("hbsp: detection deadline on %s#%d(%s): %w", w.scope, w.gen, w.label, err)
+	}
+	return c.haltErr(err)
+}
+
+// drain joins the clocks the barrier gathered (Verify), collects the
+// superstep's complete delivery into the window, in (Src, send order),
+// and opens it. It returns the payload bytes received.
+func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err error) {
 	if c.opt.Verify {
+		// Barriers double as the clock-join.
 		for _, raw := range deposits {
 			vs, err := pvm.Wrap(raw).UnpackInt64Slice()
 			if err != nil {
@@ -696,29 +759,6 @@ func (c *cctx) park(w *syncWait, ord int, start time.Duration) (count int, err e
 		}
 		c.vc.tick(c.pid)
 	}
-	return count, nil
-}
-
-// barrierErr types a failed barrier wait: a cancel means a member
-// crashed while this processor was parked, a timeout is the optional
-// detection deadline, and a halt is the watchdog's desync verdict.
-func (c *cctx) barrierErr(err error, w *syncWait) error {
-	switch {
-	case errors.Is(err, pvm.ErrCanceled):
-		if n := c.shared.deadNotice(c, w.key); n != nil {
-			return n
-		}
-	case errors.Is(err, pvm.ErrTimeout):
-		c.shared.noteTimeout(c.pid)
-		return fmt.Errorf("hbsp: detection deadline on %s#%d(%s): %w", w.scope, w.gen, w.label, err)
-	}
-	return c.haltErr(err)
-}
-
-// drain collects the superstep's complete delivery into the window, in
-// (Src, send order), and opens it. It returns the payload bytes
-// received.
-func (c *cctx) drain(ord, tag int) (recv int, err error) {
 	c.msgs = c.task.AppendRecvAll(c.msgs[:0], pvm.AnySource, tag)
 	// Arrival order is already per-sender FIFO and tasks are spawned in
 	// pid order, so a stable sort by sender TID — before decoding, which
@@ -733,7 +773,10 @@ func (c *cctx) drain(ord, tag int) (recv int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	now := c.nowMicros()
+	var now float64
+	if c.opt.Obsv != nil {
+		now = c.nowMicros()
+	}
 	for _, m := range c.inbox {
 		recv += len(m.Payload)
 		c.opt.Obsv.Delivery(ord, m.Src, c.pid, m.Tag, int64(len(m.Payload)), now)
@@ -742,10 +785,13 @@ func (c *cctx) drain(ord, tag int) (recv int, err error) {
 }
 
 // commit finishes a successful superstep: the compute sample, the
-// checkpoint at the cut cadence, the step record, and the cut window.
-func (c *cctx) commit(w *syncWait, ord int, ops float64, start time.Duration, count, bytes int) error {
+// checkpoint at the cut cadence, then — in the Sync's second and last
+// visit to the run-wide state — the end of the barrier wait, the reorg
+// estimate, the step record and the cut verdict; and the cut window.
+func (c *cctx) commit(w *syncWait, ord int, ops float64, start, wait time.Duration, count, bytes int) error {
 	end := time.Since(c.shared.started)
-	c.observe(ord, ord, ops > 0, micros(end), c.shared.observe)
+	sample := 0.0
+	c.observe(ord, ord, ops > 0, micros(end), func(_ int, v float64) { sample = v })
 	root := w.key == c.tree.Root
 	if root {
 		c.rootDone++
@@ -753,40 +799,40 @@ func (c *cctx) commit(w *syncWait, ord int, ops float64, start time.Duration, co
 			c.commitStage(c.rootDone)
 		}
 	}
-
 	// The scope coordinator records the step — the fastest live member,
 	// so a dead coordinator's role fails over.
-	if c.liveCoordinator(w.key) == c.leaf {
-		c.shared.mu.Lock()
-		c.opt.record(&c.shared.steps, w.key, w.label, 0, trace.Step{
+	records := c.liveCoordinator(w.key) == c.leaf
+
+	s := c.shared
+	s.mu.Lock()
+	s.leaveLocked(c.pid, wait)
+	if ops > 0 {
+		s.led.rer.Observe(c.pid, sample)
+	}
+	if records {
+		c.opt.record(&s.steps, w.key, w.label, 0, trace.Step{
 			Participants: count,
 			Time:         micros(end - start),
 			Bytes:        bytes,
 			Start:        micros(start),
 			End:          micros(end),
 		})
-		c.shared.mu.Unlock()
 	}
+	// Every participant of a global barrier computes the same cut verdict
+	// — its ordinal is shared, ReorgEvery is config, and the dormant set
+	// only changes inside cut windows.
+	cut := root && s.led.cutDue(c.rootDone)
+	s.mu.Unlock()
 
 	// Cut window: when this global barrier's ordinal triggers a reorg
 	// or an activation, every participant parks on a pair of cut
 	// barriers while one applier rebalances the tree and opens joiner
 	// gates. The step record above already read the pre-reorg layout,
 	// so nothing reads the tree while the applier mutates it.
-	if root && c.pendingCut(c.rootDone) {
+	if cut {
 		return c.cutWindow(w.members, count)
 	}
 	return nil
-}
-
-// pendingCut reports whether the cut at global ordinal R has work.
-// Every participant of the barrier computes the same verdict — R is
-// shared, ReorgEvery is config, and the dormant set only changes inside
-// cut windows.
-func (c *cctx) pendingCut(R int) bool {
-	c.shared.mu.Lock()
-	defer c.shared.mu.Unlock()
-	return c.shared.led.cutDue(R)
 }
 
 // cutWindow serializes one consistent cut: cut:in waits until every
@@ -822,13 +868,13 @@ func (c *cctx) cutWindow(members []int, count int) error {
 }
 
 // alignGens raises this processor's per-scope sync generations to a
-// cut's snapshot (a snapshot map is never written after its cut).
-func (c *cctx) alignGens(snap map[string]int) {
-	c.tree.Root.Walk(func(m *model.Machine) {
-		if g := snap[m.Label()]; g > c.syncSeq[m] {
-			c.syncSeq[m] = g
+// cut's snapshot (a snapshot is never written after its cut).
+func (c *cctx) alignGens(snap []int) {
+	for id, g := range snap {
+		if g > c.scopes[id].gen {
+			c.scopes[id].gen = g
 		}
-	})
+	}
 }
 
 // haltErr surfaces the watchdog's structured desync report in place of
@@ -886,10 +932,7 @@ func (c *cctx) applyCut(R int) error {
 	// parked inside the cut window: members re-align their per-scope
 	// generations against this stable copy after cut:out, and joiners
 	// seed theirs from it.
-	s.cutGens = make(map[string]int, len(s.gens))
-	for k, v := range s.gens {
-		s.cutGens[k] = v
-	}
+	s.cutGens = slices.Clone(s.gens)
 	for _, pid := range act {
 		s.joinGens[pid] = s.cutGens
 	}
@@ -906,16 +949,14 @@ func (c *cctx) nowMicros() float64 { return micros(time.Since(c.shared.started))
 // unreachable asks the ledger, once per flush and under one acquisition,
 // which in-scope destinations of c's outbox cannot take it: hold[dst]
 // (ledger.hold) keeps the message queued, dead[dst] drops it. Both are
-// nil while the ledger is quiet.
+// nil, and mu is not taken, while the ledger is quiet: a death that
+// races the check would have raced the lock the same way.
 func (s *crun) unreachable(c *cctx, scope *model.Machine) (hold, dead map[int]bool) {
-	if len(c.outbox) == 0 {
+	if len(c.outbox) == 0 || !s.unquiet.Load() {
 		return nil, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.led.quiet() {
-		return nil, nil
-	}
 	hold, dead = make(map[int]bool), make(map[int]bool)
 	for i := range c.outbox {
 		switch dst := c.outbox[i].dst; {
@@ -994,17 +1035,25 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		scopeID:     make(map[*model.Machine]int),
 		started:     time.Now(),
 		nprocs:      p,
-		waiting:     make(map[int]*syncWait),
-		exited:      make(map[int]bool),
-		arrived:     make(map[int]map[string]int),
+		waiting:     make([]*syncWait, p),
+		exited:      make([]bool, p),
+		arrived:     make([][]int, p),
 		led:         newLedger(e.tree, e.Chaos, e.Plan, e.Obsv, e.ReorgEvery, e.ReorgSeed, e.ReorgAlpha),
-		detectCount: make(map[int]int),
-		gens:        make(map[string]int),
-		joinGens:    make(map[int]map[string]int),
+		detectCount: make([]int, p),
+		joinGens:    make(map[int][]int),
 		gates:       make(map[int]chan struct{}),
 	}
 	shared.exitc = sync.NewCond(&shared.mu)
+	shared.unquiet.Store(!shared.led.quiet())
 	e.tree.Root.Walk(func(m *model.Machine) { shared.scopeID[m] = len(shared.scopeID) + 1 })
+	nscopes := len(shared.scopeID) + 1 // ids start at 1
+	shared.gens = make([]int, nscopes)
+	for pid := range shared.arrived {
+		shared.arrived[pid] = make([]int, nscopes)
+		for id := range shared.arrived[pid] {
+			shared.arrived[pid][id] = -1
+		}
+	}
 	// Elastic membership: processors with a churn JoinAt fate start
 	// dormant behind a gate; their pre-spawned tasks idle until the
 	// applier of their activation cut closes the gate (or until the run
@@ -1055,12 +1104,12 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				<-ready
 			}
 			c := &cctx{
-				proc:    newProc(pid, e.tree, &e.coreOpts),
-				eng:     e,
-				task:    t,
-				tids:    tids,
-				syncSeq: make(map[*model.Machine]int),
-				shared:  shared,
+				proc:   newProc(pid, e.tree, &e.coreOpts),
+				eng:    e,
+				task:   t,
+				tids:   tids,
+				scopes: make([]scopeSeq, nscopes),
+				shared: shared,
 			}
 			if gate != nil {
 				// A newcomer's state starts at the activation cut: its
@@ -1113,5 +1162,5 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		}
 	}
 	total := float64(time.Since(shared.started)) / float64(time.Microsecond)
-	return &trace.Report{Steps: shared.steps, Total: total}, err
+	return &trace.Report{Steps: shared.steps.flat(), Total: total}, err
 }

@@ -301,7 +301,7 @@ func (l *ledger) due(R int) []int {
 // cutDue reports whether the cut after the R-th global barrier has
 // work: a scheduled reorganization or an activation.
 func (l *ledger) cutDue(R int) bool {
-	return l.reorgEvery > 0 && R%l.reorgEvery == 0 || len(l.due(R)) > 0
+	return l.reorgEvery > 0 && R%l.reorgEvery == 0 || len(l.dormant) > 0 && len(l.due(R)) > 0
 }
 
 // cut runs the consistent cut after the R-th completed global barrier,

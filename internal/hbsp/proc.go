@@ -336,15 +336,51 @@ func (p *proc) observe(ord, at int, worked bool, now float64, fold func(pid int,
 	return slow
 }
 
+// stepLog is a run's step record while it grows: fixed-size chunks, so a
+// step costs its own slot and never a copy of the run so far. flat makes
+// the Report's slice, once, when the run returns.
+type stepLog struct {
+	chunks [][]trace.Step
+	n      int
+}
+
+// stepChunk is the steps per chunk: 10.5 KiB, small enough that a run of
+// a few steps does not pay for a long one.
+const stepChunk = 64
+
+func (l *stepLog) len() int { return l.n }
+
+func (l *stepLog) add(s trace.Step) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == stepChunk {
+		l.chunks = append(l.chunks, make([]trace.Step, 0, stepChunk))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], s)
+	l.n++
+}
+
+// flat returns the steps in the order they were added; nil for none.
+func (l *stepLog) flat() []trace.Step {
+	if l.n == 0 {
+		return nil
+	}
+	out := make([]trace.Step, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
 // record appends one completed superstep to the run's steps and emits
 // its span. The engine fills what it measured or charged (participants,
 // times, cost terms, traffic); the scope and index fields are filled
 // here. pred is the model's predicted T_i, zero when the engine makes
 // none.
-func (o *coreOpts) record(steps *[]trace.Step, scope *model.Machine, label string, pred float64, s trace.Step) {
-	s.Index, s.Label = len(*steps), label
+func (o *coreOpts) record(steps *stepLog, scope *model.Machine, label string, pred float64, s trace.Step) {
+	s.Index, s.Label = steps.len(), label
 	s.ScopeLabel, s.ScopeName, s.Level = scope.Label(), scope.Name, scope.Level
-	*steps = append(*steps, s)
+	steps.add(s)
 	o.Obsv.Superstep(s.Index, label, s.ScopeLabel, s.Level, s.Start, s.End, pred, int64(s.Bytes))
 }
 

@@ -3,12 +3,12 @@ package hbsp
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
 	"hbspk/internal/pvm/wiretrans"
+	"hbspk/internal/testutil"
 )
 
 // The engine rung of the ladder (L3): one all-to-all root superstep on
@@ -52,21 +52,6 @@ func allToAll(size, warm, steps int, begin, end func()) Program {
 	}
 }
 
-// raceEnabled reports a test binary built with the race detector, read
-// from the build settings the toolchain stamps into it.
-func raceEnabled() bool {
-	info, _ := debug.ReadBuildInfo()
-	if info == nil {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // loopback is the Transport factory of a wiretrans lane; nil for in-proc.
 func loopback(network string) func() (pvm.Transport, error) {
 	if network == "inproc" {
@@ -76,23 +61,24 @@ func loopback(network string) func() (pvm.Transport, error) {
 }
 
 // TestSteadyStateSuperstepAllocs is the allocation ceiling of a warm
-// superstep: what a step may allocate is what outlives it by contract —
-// per processor the delivery slab and the barrier's name, and the
-// appended step record — plus slack. 188 per step before the scope facts
-// were indexed and the Sync scratch reused. Over a socket the payloads
-// alias the frames they arrived in, so the slabs go and the twelve
-// batches add what the transport gives away or has not yet learned to
-// reuse: the frame each batch is read into, and the four-byte length
-// prefix of each of the 24 frames read (DESIGN.md §5.4). 66 before the
-// task kept Deliver's message slice and the sender its ack timer.
+// superstep: what a step may allocate is what outlives it by contract.
+// In-proc that is the delivery slab of each of the four processors and,
+// one step in sixty-four, a chunk of the step record: 4 measured (188
+// before the scope facts were indexed and the Sync scratch reused, 14
+// while every step still built a barrier, its name and its maps, and
+// indexed its own delivery). Over a socket the payloads alias the frames
+// they arrived in, so the slabs go and the frame each of the twelve
+// batches is read into comes instead: 12 measured (46 while the length
+// prefix of each of the 24 frames read escaped to the heap, and the
+// barrier cost what it cost in-proc). DESIGN.md §5.4 has the inventory.
 func TestSteadyStateSuperstepAllocs(t *testing.T) {
-	if raceEnabled() {
+	if testutil.RaceEnabled() {
 		t.Skip("the race detector changes the allocation count")
 	}
 	for _, lane := range []struct {
 		network        string
 		steps, ceiling int
-	}{{"inproc", 4000, 48}, {"unix", 2000, 52}} {
+	}{{"inproc", 4000, 8}, {"unix", 2000, 16}} {
 		t.Run(lane.network, func(t *testing.T) {
 			var before, after runtime.MemStats
 			eng := NewConcurrent(superstepTree())
@@ -113,11 +99,38 @@ func TestSteadyStateSuperstepAllocs(t *testing.T) {
 	}
 }
 
+// emptySteps runs warm untimed and then steps measured empty supersteps
+// on the level-th ancestor of processor 0 — its members only; the rest
+// of the machine returns at once.
+func emptySteps(level, warm, steps int, begin, end func()) Program {
+	return func(c Ctx) error {
+		scope := c.Tree().ScopeAt(c.Tree().Leaf(0), level)
+		if !under(scope, c.Self()) {
+			return nil
+		}
+		for n := 0; n < warm+steps; n++ {
+			if n == warm && c.Pid() == 0 {
+				begin()
+			}
+			if err := c.Sync(scope, "empty"); err != nil {
+				return err
+			}
+		}
+		if c.Pid() == 0 {
+			end()
+		}
+		return nil
+	}
+}
+
 // BenchmarkConcurrentSuperstep is the engine twin of wiretrans's
 // BenchmarkLoopbackExchange: ns/op is one whole superstep of four
 // processors, MB/s its payload bytes, allocs/op everything the four
 // Syncs and twelve Sends allocate. 256 KiB is the pair size of the
 // wall-clock benchmark's bulk workload, tcp the lane of its collectives.
+// The two 0B lanes are supersteps that move nothing, so their ns/op is
+// the model's L on this substrate: L_{1,j}, a Sync of one two-leaf
+// cluster, and L_{2,0}, a Sync of the whole machine.
 func BenchmarkConcurrentSuperstep(b *testing.B) {
 	sizes := []struct {
 		name string
@@ -137,5 +150,14 @@ func BenchmarkConcurrentSuperstep(b *testing.B) {
 				}
 			})
 		}
+	}
+	for i, name := range []string{"cluster", "root"} {
+		level := i + 1
+		b.Run("inproc/0B/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			if _, err := NewConcurrent(superstepTree()).Run(emptySteps(level, 200, b.N, b.ResetTimer, b.StopTimer)); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -177,7 +177,7 @@ type runState struct {
 	pending     []*vrequest // by pid, nil = running
 	done        []bool
 	undelivered []pendingMsg
-	steps       []trace.Step
+	steps       stepLog
 	firstErr    error
 
 	// led is the run's membership ledger: dead, dormant and joined
@@ -229,8 +229,8 @@ func (v *Virtual) coordinate(reqs chan *vrequest, ctxs []*vctx, led *ledger, spa
 	for st.running > 0 {
 		v.handle(st, ctxs, <-reqs)
 		v.release(st, ctxs)
-		if v.MaxSteps > 0 && len(st.steps) >= v.MaxSteps && st.firstErr == nil {
-			st.firstErr = fmt.Errorf("%w: %d supersteps completed", ErrStepLimit, len(st.steps))
+		if v.MaxSteps > 0 && st.steps.len() >= v.MaxSteps && st.firstErr == nil {
+			st.firstErr = fmt.Errorf("%w: %d supersteps completed", ErrStepLimit, st.steps.len())
 		}
 		// Deadlock / desync detection: every live processor is blocked
 		// in a sync and nothing released.
@@ -252,7 +252,7 @@ func (v *Virtual) coordinate(reqs chan *vrequest, ctxs []*vctx, led *ledger, spa
 	for _, c := range ctxs {
 		total = max(total, c.clock)
 	}
-	rep := &trace.Report{Steps: st.steps, Total: total}
+	rep := &trace.Report{Steps: st.steps.flat(), Total: total}
 	return rep, st.firstErr
 }
 
@@ -466,7 +466,7 @@ func (v *Virtual) release(st *runState, ctxs []*vctx) {
 // live participants (pids, ascending): route the h-relation, cost it,
 // deliver it, checkpoint and cut at a global barrier, record, resume.
 func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine, pids []int) {
-	stepIdx := len(st.steps)
+	stepIdx := st.steps.len()
 	start := 0.0
 	works := make(map[int]float64, len(pids))
 	label := ""
@@ -563,7 +563,7 @@ func (v *Virtual) charge(st *runState, ctxs []*vctx, scope *model.Machine, label
 		if v.Obsv != nil {
 			// The clock still holds the barrier-entry time; it advances
 			// to end only when the step resumes.
-			v.Obsv.BarrierWait(len(st.steps), pid, scope.Label(), scope.Level, ctxs[pid].clock, end)
+			v.Obsv.BarrierWait(st.steps.len(), pid, scope.Label(), scope.Level, ctxs[pid].clock, end)
 		}
 	}
 	return res, end

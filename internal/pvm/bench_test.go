@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
+
+	"hbspk/internal/testutil"
 )
 
 // Microbenchmarks of the message fabric's hot path, and the two tests
@@ -242,15 +243,10 @@ func mcastRounds(warm, rounds, fanout int, begin, end func()) error {
 // allocsPerRound runs w at size for 500 warm and 5000 measured rounds
 // and returns the process's allocations per measured round. The race
 // detector allocates on the program's behalf, so under it the test is
-// skipped (the build setting is how a test binary knows: a build-tagged
-// pair of files would not survive the analysis loader).
+// skipped.
 func allocsPerRound(t *testing.T, w workload, size int) float64 {
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("the race detector changes the allocation count")
-			}
-		}
+	if testutil.RaceEnabled() {
+		t.Skip("the race detector changes the allocation count")
 	}
 	const warm, rounds = 500, 5000
 	var before, after runtime.MemStats

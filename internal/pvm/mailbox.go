@@ -18,6 +18,12 @@ type mkey struct {
 	tag int
 }
 
+// matches reports whether a receive for (src, tag), either of which may
+// be a wildcard, takes messages of this key.
+func (k mkey) matches(src TID, tag int) bool {
+	return (src == AnySource || k.src == src) && (tag == AnyTag || k.tag == tag)
+}
+
 // msgq is one FIFO of the index: a slice consumed from head so pops
 // are O(1). Vacated slots are zeroed immediately — a popped Message
 // (and its payload) must not stay reachable from the mailbox.
@@ -109,27 +115,47 @@ func (t *Task) recvOnce(src TID, tag int) (Message, uint64, bool) {
 	return m, ver, ok
 }
 
-// drainLocked moves staged messages into the indexed queues and
-// returns the staging version (t.seq) they cover. The vacated staging
-// backing is zeroed and ping-ponged back for the next burst of
-// senders. Caller holds recvMu.
-func (t *Task) drainLocked() uint64 {
+// takeStaged takes the staging slice from the senders, leaving them the
+// spare backing, and returns it with the staging version (t.seq) it
+// covers. The caller empties it, every slot zeroed, and keeps it as the
+// next spare. Caller holds recvMu.
+func (t *Task) takeStaged() ([]Message, uint64) {
 	t.sendMu.Lock()
 	staged := t.staged
 	t.staged = t.spare[:0]
 	ver := t.seq
 	t.sendMu.Unlock()
-	for i := range staged {
-		m := staged[i]
-		k := mkey{src: m.Src, tag: m.Tag}
-		q := t.queues[k]
-		if q == nil {
-			q = t.getq()
-			t.queues[k] = q
-		}
-		q.push(m)
-		staged[i] = Message{} // the index owns the reference now
+	return staged, ver
+}
+
+// indexLocked files one message under its (src, tag). Caller holds recvMu.
+func (t *Task) indexLocked(m Message) {
+	k := mkey{src: m.Src, tag: m.Tag}
+	q := t.queues[k]
+	if q == nil {
+		q = t.getq()
+		t.queues[k] = q
 	}
+	q.push(m)
+}
+
+// fileLocked moves a slice of messages, oldest first, into the index and
+// zeroes it: the index owns the references now. Caller holds recvMu.
+func (t *Task) fileLocked(ms []Message) {
+	for i := range ms {
+		t.indexLocked(ms[i])
+		ms[i] = Message{}
+	}
+}
+
+// drainLocked moves what a bulk drain walked past, then the staged
+// messages, into the indexed queues and returns the staging version they
+// cover. Caller holds recvMu.
+func (t *Task) drainLocked() uint64 {
+	t.fileLocked(t.passed)
+	t.passed = t.passed[:0]
+	staged, ver := t.takeStaged()
+	t.fileLocked(staged)
 	t.spare = staged[:0]
 	return ver
 }
@@ -147,13 +173,7 @@ func (t *Task) findLocked(src TID, tag int) (mkey, *msgq) {
 		best  *msgq
 	)
 	for k, q := range t.queues {
-		if src != AnySource && k.src != src {
-			continue
-		}
-		if tag != AnyTag && k.tag != tag {
-			continue
-		}
-		if best == nil || q.peekSeq() < best.peekSeq() {
+		if k.matches(src, tag) && (best == nil || q.peekSeq() < best.peekSeq()) {
 			bestK, best = k, q
 		}
 	}
@@ -193,6 +213,15 @@ func (t *Task) dropq(k mkey, q *msgq) {
 	}
 }
 
+// takeq appends a whole queue of the index to dst and drops it.
+func (t *Task) takeq(dst []Message, k mkey, q *msgq) []Message {
+	dst = append(dst, q.items[q.head:]...)
+	clear(q.items[q.head:])
+	q.items, q.head = q.items[:0], 0
+	t.dropq(k, q)
+	return dst
+}
+
 // TryRecvAll drains every queued message matching (src, tag) in
 // arrival order, without blocking, under one lock acquisition. The
 // exact-match case hands the queue's backing to the caller in place; a
@@ -224,23 +253,55 @@ func (t *Task) TryRecvAll(src TID, tag int) []Message {
 // returned, so a caller that drains once per superstep (the HBSP engine)
 // reuses one backing. The caller owns dst and the messages in it, and
 // should clear what it has consumed: the backing keeps bytes reachable.
+//
+// It does not index what it hands out, nor, at first, what it does not.
+// What the index already holds was staged before anything else, so the
+// matches there come first — and only they can need sorting, when they
+// lie in several queues. Then come the messages the previous call walked
+// past, and then the staging slice, both in arrival order: a match goes
+// straight to dst; a staged message that does not match (for the engine,
+// a later superstep's early traffic) is only set aside for the next call,
+// which is usually the one that wants it, and is filed when a second call
+// walks past it too — so no message is looked at more than twice, and a
+// superstep's own traffic never touches the map.
 func (t *Task) AppendRecvAll(dst []Message, src TID, tag int) []Message {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
-	t.drainLocked()
-	from := len(dst)
-	for k, q := range t.queues {
-		if src != AnySource && k.src != src {
-			continue
+	from, queues := len(dst), 0
+	if src != AnySource && tag != AnyTag {
+		k := mkey{src: src, tag: tag}
+		if q := t.queues[k]; q != nil {
+			dst = t.takeq(dst, k, q)
 		}
-		if tag != AnyTag && k.tag != tag {
-			continue
+	} else {
+		for k, q := range t.queues {
+			if k.matches(src, tag) {
+				dst = t.takeq(dst, k, q)
+				queues++
+			}
 		}
-		dst = append(dst, q.items[q.head:]...)
-		clear(q.items[q.head:])
-		q.items, q.head = q.items[:0], 0
-		t.dropq(k, q)
 	}
-	slices.SortFunc(dst[from:], func(a, b Message) int { return cmp.Compare(a.seq, b.seq) })
+	if queues > 1 {
+		slices.SortFunc(dst[from:], func(a, b Message) int { return cmp.Compare(a.seq, b.seq) })
+	}
+	for i, m := range t.passed {
+		if (mkey{m.Src, m.Tag}).matches(src, tag) {
+			dst = append(dst, m)
+		} else {
+			t.indexLocked(m)
+		}
+		t.passed[i] = Message{}
+	}
+	t.passed = t.passed[:0]
+	staged, _ := t.takeStaged()
+	for i, m := range staged {
+		if (mkey{m.Src, m.Tag}).matches(src, tag) {
+			dst = append(dst, m)
+		} else {
+			t.passed = append(t.passed, m)
+		}
+		staged[i] = Message{}
+	}
+	t.spare = staged[:0]
 	return dst
 }

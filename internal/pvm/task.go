@@ -92,7 +92,8 @@ type System struct {
 	nextTID  TID
 	halted   bool
 	wg       sync.WaitGroup
-	barriers map[string]*barrier
+	barriers map[string]barrierRef
+	bfree    []barrierRef // retired barriers, each at the life it is drawn at
 	groups   map[string]*group
 
 	errMu sync.Mutex
@@ -110,7 +111,7 @@ type System struct {
 func NewSystem() *System {
 	return &System{
 		tasks:    make(map[TID]*Task),
-		barriers: make(map[string]*barrier),
+		barriers: make(map[string]barrierRef),
 	}
 }
 
@@ -182,8 +183,8 @@ func (s *System) Halt() {
 		tasks = append(tasks, t)
 	}
 	barriers := make([]*barrier, 0, len(s.barriers))
-	for _, b := range s.barriers {
-		barriers = append(barriers, b)
+	for _, ref := range s.barriers {
+		barriers = append(barriers, ref.b)
 	}
 	s.mu.Unlock()
 	for _, t := range tasks {
@@ -233,6 +234,7 @@ type Task struct {
 	// Lock order is recvMu before sendMu; sendMu is never held while
 	// taking recvMu.
 	queues map[mkey]*msgq
+	passed []Message // what the last AppendRecvAll walked past: newer than the index, older than staged
 	spare  []Message // recycled staging backing, ping-ponged with staged
 	qfree  []*msgq   // recycled queue records (wire tags churn per superstep)
 	recvMu sync.Mutex
@@ -544,7 +546,7 @@ func (t *Task) Probe(src TID, tag int) bool {
 func (t *Task) Pending() int {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
-	n := 0
+	n := len(t.passed)
 	for _, q := range t.queues {
 		n += q.len()
 	}
@@ -559,23 +561,40 @@ type barrier struct {
 	cond     sync.Cond // on mu
 	arrived  int
 	gen      int
+	inside   int // tasks between their arrival and their return, waiters included
 	halted   bool
 	canceled bool
-	retired  bool // idle and out of the table, or about to be: see lockBarrier
-	// deposits collects the current generation's BarrierExchange
-	// payloads; on completion they move into results keyed by the
-	// generation they belong to, reference-counted so late wakers of an
-	// already-recycled barrier still find their round's data.
+	// life counts the barrier's retirements. The table names a barrier
+	// together with the life it was published at (barrierRef), so whoever
+	// looked it up before it was retired — and perhaps drawn again under
+	// another name — finds a different life and starts over.
+	life uint64
+	// deposits collects the open round's BarrierExchange payloads, and is
+	// nil until somebody makes one; on completion they move into results
+	// keyed by the generation they belong to, reference-counted so late
+	// wakers of an already-recycled barrier still find their round's data.
+	// A round nobody deposited in leaves no trace in either.
 	deposits map[TID][]byte
 	results  map[int]*barrierResult
 }
 
-// lockBarrier returns the named barrier, created on first use, with its
-// mu held; arriving makes it fail on a halted system, in the critical
-// section that would have created the barrier. System.mu is a leaf lock,
-// so the barrier is locked only after the table is let go and may have
-// been retired in between: a retired barrier says so and the lookup
-// starts over on a fresh one — nobody arrives at, or cancels, an orphan.
+// barrierRef is a barrier at one life: what the table and the free list
+// hold.
+type barrierRef struct {
+	b    *barrier
+	life uint64
+}
+
+// maxFreeBarriers bounds the System's retired barriers kept for reuse.
+const maxFreeBarriers = 16
+
+// lockBarrier returns the named barrier with its mu held, published on
+// first use — drawn from the retired ones when there is one; arriving
+// makes it fail on a halted system, in the critical section that would
+// have published the barrier. System.mu is a leaf lock, so the barrier is
+// locked only after the table is let go and may have been retired in
+// between: its life says so and the lookup starts over — nobody arrives
+// at, or cancels, an orphan.
 func (s *System) lockBarrier(name string, arriving bool) (*barrier, error) {
 	for {
 		s.mu.Lock()
@@ -583,42 +602,59 @@ func (s *System) lockBarrier(name string, arriving bool) (*barrier, error) {
 			s.mu.Unlock()
 			return nil, ErrHalted
 		}
-		b, ok := s.barriers[name]
+		ref, ok := s.barriers[name]
 		if !ok {
-			b = &barrier{}
-			b.cond.L = &b.mu
-			s.barriers[name] = b
+			if n := len(s.bfree); n > 0 {
+				ref, s.bfree = s.bfree[n-1], s.bfree[:n-1]
+			} else {
+				ref.b = &barrier{}
+				ref.b.cond.L = &ref.b.mu
+			}
+			s.barriers[name] = ref
 		}
 		s.mu.Unlock()
-		b.mu.Lock()
-		if !b.retired {
-			return b, nil
+		ref.b.mu.Lock()
+		if ref.b.life == ref.life {
+			return ref.b, nil
 		}
-		b.mu.Unlock()
-		s.forget(name, b)
+		ref.b.mu.Unlock()
+		s.forget(name, ref, false)
 	}
 }
 
-// unlockBarrier releases b.mu, first retiring the barrier if it is
-// idle: no arrival of an open round, no completed round a participant
-// has yet to collect, no cancel latch (that must outlast the waiter the
-// cancel raced ahead of). A run of uniquely named barriers, one per
-// superstep, leaves nothing behind; a name that comes back finds a fresh
-// barrier, which is what an idle one is.
+// unlockBarrier ends a task's stay at b and releases b.mu, first retiring
+// the barrier if that leaves it idle: nobody inside — so no arrival of an
+// open round and no completed round a participant has yet to collect —
+// and no cancel latch (that must outlast the waiter the cancel raced
+// ahead of). A run of uniquely named barriers, one per superstep, leaves
+// nothing behind; a name that comes back finds a fresh barrier, which is
+// what an idle one is; and a name whose tasks re-arrive before the last
+// of them has left — a cyclic barrier in steady use — keeps its barrier
+// and never touches the table.
 func (s *System) unlockBarrier(name string, b *barrier) {
-	b.retired = b.arrived == 0 && len(b.results) == 0 && !b.canceled
-	retired := b.retired
+	b.inside--
+	retire := b.inside == 0 && !b.canceled
+	ref := barrierRef{b, b.life}
+	if retire {
+		b.life++
+		b.arrived, b.gen, b.halted, b.deposits = 0, 0, false, nil
+	}
 	b.mu.Unlock()
-	if retired {
-		s.forget(name, b)
+	if retire {
+		s.forget(name, ref, true)
 	}
 }
 
-// forget drops a retired barrier from the table.
-func (s *System) forget(name string, b *barrier) {
+// forget drops a retired barrier's entry from the table, if it is still
+// there; the task that retired it also hands it, at its next life, to the
+// free list.
+func (s *System) forget(name string, ref barrierRef, recycle bool) {
 	s.mu.Lock()
-	if s.barriers[name] == b {
+	if s.barriers[name] == ref {
 		delete(s.barriers, name)
+	}
+	if recycle && len(s.bfree) < maxFreeBarriers {
+		s.bfree = append(s.bfree, barrierRef{ref.b, ref.life + 1})
 	}
 	s.mu.Unlock()
 }
@@ -628,9 +664,9 @@ type barrierResult struct {
 	readers int
 }
 
-// takeResult hands one waiter its generation's gathered deposits,
-// freeing the round once every participant has collected. Caller holds
-// b.mu.
+// takeResult hands one waiter its generation's gathered deposits — nil
+// for a round without any — freeing the round once every participant has
+// collected. Caller holds b.mu.
 func (b *barrier) takeResult(gen int) map[TID][]byte {
 	r := b.results[gen]
 	if r == nil {
@@ -644,7 +680,8 @@ func (b *barrier) takeResult(gen int) map[TID][]byte {
 }
 
 // Barrier blocks until count tasks have entered the named barrier
-// (PVM's pvm_barrier). All participants must agree on count.
+// (PVM's pvm_barrier). All participants must agree on count. A name is a
+// cyclic barrier: it can be entered again as soon as it has returned.
 func (t *Task) Barrier(name string, count int) error {
 	return t.BarrierTimeout(name, count, 0)
 }
@@ -660,9 +697,10 @@ func (t *Task) BarrierTimeout(name string, count int, d time.Duration) error {
 	return err
 }
 
-// BarrierExchange is BarrierTimeout with an all-gather bolted on: each
-// participant deposits a byte slice on arrival and, when the barrier
-// completes, receives every participant's deposit keyed by TID. The
+// BarrierExchange is BarrierTimeout with an all-gather bolted on: a
+// participant may deposit a byte slice on arrival and, when the barrier
+// completes, receives every deposit of its round keyed by the depositor's
+// TID — nil when nobody made one (an empty deposit is none). The
 // verification layer uses it to join vector clocks at barriers without
 // a second round of messaging. Deposits are copied on entry, so the
 // caller may reuse its buffer immediately. A withdrawn (timed-out)
@@ -686,6 +724,7 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 	if err != nil {
 		return nil, err
 	}
+	b.inside++
 	defer t.sys.unlockBarrier(name, b)
 
 	var deadline time.Time
@@ -704,18 +743,22 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 		return nil, fmt.Errorf("pvm: barrier %q: %w", name, ErrCanceled)
 	}
 	gen := b.gen
-	if b.deposits == nil {
-		b.deposits = make(map[TID][]byte)
+	if len(deposit) > 0 {
+		if b.deposits == nil {
+			b.deposits = make(map[TID][]byte)
+		}
+		b.deposits[t.tid] = append([]byte(nil), deposit...)
 	}
-	b.deposits[t.tid] = append([]byte(nil), deposit...)
 	b.arrived++
 	if b.arrived >= count {
 		b.arrived = 0
-		if b.results == nil {
-			b.results = make(map[int]*barrierResult)
+		if b.deposits != nil {
+			if b.results == nil {
+				b.results = make(map[int]*barrierResult)
+			}
+			b.results[gen] = &barrierResult{data: b.deposits, readers: count}
+			b.deposits = nil
 		}
-		b.results[gen] = &barrierResult{data: b.deposits, readers: count}
-		b.deposits = nil
 		b.gen++
 		b.cond.Broadcast()
 		return b.takeResult(gen), nil
@@ -724,6 +767,9 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 		if d > 0 && !time.Now().Before(deadline) {
 			b.arrived--
 			delete(b.deposits, t.tid)
+			if len(b.deposits) == 0 {
+				b.deposits = nil // the round may yet complete without one
+			}
 			return nil, fmt.Errorf("pvm: barrier %q after %v: %w", name, d, ErrTimeout)
 		}
 		b.cond.Wait()

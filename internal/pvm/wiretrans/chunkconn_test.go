@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,8 +56,8 @@ func TestFramesSurviveChunkedConn(t *testing.T) {
 	// pieces: frames must reassemble bit-exact anyway.
 	a, b := net.Pipe()
 	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-	sender := &link{conn: &chunkConn{Conn: a, maxWrite: 3}, transport: "test"}
-	receiver := &link{conn: &chunkConn{Conn: b, maxRead: 1}, transport: "test"}
+	sender := newLink(&chunkConn{Conn: a, maxWrite: 3}, "test")
+	receiver := newLink(&chunkConn{Conn: b, maxRead: 1}, "test")
 
 	frames := []struct {
 		kind byte
@@ -124,9 +125,9 @@ func lendMailbox(sys *pvm.System) (task *pvm.Task, stop func()) {
 func (c *chunkedTransport) Attach(sys *pvm.System) error {
 	a, b := net.Pipe()
 	c.wrote.chunkConn = chunkConn{Conn: a, maxWrite: 3}
-	c.sys, c.cli = sys, &link{conn: &c.wrote, transport: "test"}
+	c.sys, c.cli = sys, newLink(&c.wrote, "test")
 	c.wg.Add(2)
-	go c.serverPump(&link{conn: &chunkConn{Conn: b, maxRead: 1}, transport: "test"})
+	go c.serverPump(newLink(&chunkConn{Conn: b, maxRead: 1}, "test"))
 	go c.ackReader()
 	return nil
 }
@@ -312,8 +313,8 @@ func TestHandshakeOverChunkedConn(t *testing.T) {
 	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
 	_ = a.SetDeadline(time.Now().Add(5 * time.Second))
 	_ = b.SetDeadline(time.Now().Add(5 * time.Second))
-	dialer := &link{conn: &chunkConn{Conn: a, maxRead: 1, maxWrite: 2}, transport: "test"}
-	acceptor := &link{conn: &chunkConn{Conn: b, maxRead: 1, maxWrite: 2}, transport: "test"}
+	dialer := newLink(&chunkConn{Conn: a, maxRead: 1, maxWrite: 2}, "test")
+	acceptor := newLink(&chunkConn{Conn: b, maxRead: 1, maxWrite: 2}, "test")
 
 	errc := make(chan error, 1)
 	go func() {
@@ -402,7 +403,7 @@ func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
 			_ = a.SetDeadline(time.Now().Add(10 * time.Second))
 			probe := &ackProbeConn{chunkConn: chunkConn{Conn: b, maxRead: tc.maxRead}, frameLen: len(frames) / burst}
 			lb.wg.Add(1)
-			go lb.serverPump(&link{conn: probe, transport: "test"})
+			go lb.serverPump(newLink(probe, "test"))
 			go func() { _, _ = a.Write(frames) }()
 
 			var scratch []byte
@@ -432,5 +433,51 @@ func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
 				t.Fatalf("%d acks in %d writes, want %d in %d", probe.acks, probe.writes, burst, tc.wantWrites)
 			}
 		})
+	}
+}
+
+// countConn counts the Reads made of a connection.
+type countConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// A link reads its connection through one buffered reader from the first
+// byte: a WELCOME and the small frames that arrived in the same segment
+// behind it cost one Read between them, and none of them is lost to a
+// reader the handshake kept to itself. Two Reads per frame — prefix, then
+// body — before the link had the reader.
+func TestLinkReadsABurstWithOneRead(t *testing.T) {
+	a, b := net.Pipe()
+	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
+	const frames = 20
+	burst := AppendFrame(nil, frameWelcome, pvm.Wrap(nil).PackInt32(welcomeOK).PackString("").Bytes())
+	for i := 1; i < frames; i++ {
+		burst = AppendFrame(burst, frameAck, []byte{byte(i)})
+	}
+	werr := make(chan error, 1)
+	go func() { _, err := a.Write(burst); werr <- err }()
+
+	conn := &countConn{Conn: b}
+	lk := newLink(conn, "test")
+	if err := lk.readWelcome(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < frames; i++ {
+		kind, body, err := lk.readFrame()
+		if err != nil || kind != frameAck || len(body) != 1 || body[0] != byte(i) {
+			t.Fatalf("frame %d: kind %d body %v err %v", i, kind, body, err)
+		}
+	}
+	if err := <-werr; err != nil {
+		t.Fatal(err)
+	}
+	if got := conn.reads.Load(); got != 1 {
+		t.Errorf("%d Reads for a burst of %d frames in one segment, want 1", got, frames)
 	}
 }

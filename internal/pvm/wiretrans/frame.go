@@ -84,20 +84,45 @@ func frameBuffered(br *bufio.Reader) bool {
 	return int64(br.Buffered()) >= frameHeader+int64(binary.BigEndian.Uint32(hdr))
 }
 
+// readHeader reads a frame's length prefix, with io.ReadFull's errors:
+// io.EOF before the first byte, io.ErrUnexpectedEOF inside the prefix. A
+// buffered reader lends the four bytes (Peek, Discard); through the
+// io.Reader interface the array they are read into escapes, one heap
+// allocation per frame.
+func readHeader(r io.Reader) (uint32, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(frameHeader)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		size := binary.BigEndian.Uint32(hdr)
+		_, _ = br.Discard(frameHeader) // cannot fail: the bytes are buffered
+		return size, nil
+	}
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(hdr[:]), nil
+}
+
 // ReadFrame reads one frame from r into buf (grown as needed) and
 // returns the kind, the body aliasing buf, the possibly-regrown buf,
 // and the total frame length on the wire. A clean EOF before any
 // header byte returns io.EOF; an EOF anywhere inside a frame returns
 // ErrTruncatedFrame.
 func ReadFrame(r io.Reader, buf []byte) (kind byte, body, scratch []byte, n int, err error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	prefix, err := readHeader(r)
+	if err != nil {
 		if err == io.EOF {
 			return 0, nil, buf, 0, io.EOF
 		}
 		return 0, nil, buf, 0, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:]))
+	size := int(prefix)
 	switch {
 	case size == 0:
 		return 0, nil, buf, 0, fmt.Errorf("%w: zero-length frame", ErrBadFrame)

@@ -118,7 +118,7 @@ func (h *Hub) acceptLoop() {
 // that never says HELLO short instead of waiting its deadline out.
 func (h *Hub) admit(conn net.Conn) {
 	defer h.wg.Done()
-	lk := &link{conn: conn, transport: h.network}
+	lk := newLink(conn, h.network)
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()

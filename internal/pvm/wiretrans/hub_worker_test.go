@@ -420,7 +420,7 @@ func TestSendBatchesSplitsAtMaxFrame(t *testing.T) {
 	defer a.Close()
 	werr := make(chan error, 1)
 	go func() {
-		werr <- (&link{conn: b, transport: "test"}).post(7, msgs, false)
+		werr <- newLink(b, "test").post(7, msgs, false)
 		_ = b.Close()
 	}()
 	var perFrame []int32

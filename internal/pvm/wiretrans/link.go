@@ -1,6 +1,7 @@
 package wiretrans
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -39,10 +40,14 @@ type helloInfo struct {
 }
 
 // link wraps one connection with a write lock (frames from concurrent
-// writers must not interleave) and per-link frame accounting.
+// writers must not interleave), the one buffered reader every read of
+// the connection goes through — the handshake's too, so nothing buffered
+// past a WELCOME is lost, and a burst of small frames costs one read(2) —
+// and per-link frame accounting.
 type link struct {
 	conn      net.Conn
-	transport string // metrics label: "unix" or "tcp"
+	br        *bufio.Reader // over conn; one reader goroutine at a time
+	transport string        // metrics label: "unix" or "tcp"
 
 	wmu     sync.Mutex
 	scratch []byte      // frame (every header of a post, for batches) being encoded in place, guarded by wmu
@@ -50,6 +55,10 @@ type link struct {
 	bufs    net.Buffers // iov as the vectored write consumes it; here so the call allocates nothing
 	own     held        // what post has staged on a link with one sender, guarded by wmu
 	writes  int         // vectored writes made, guarded by wmu
+}
+
+func newLink(conn net.Conn, transport string) *link {
+	return &link{conn: conn, br: bufio.NewReader(conn), transport: transport}
 }
 
 func (l *link) writeFrame(kind byte, body []byte) error {
@@ -212,7 +221,7 @@ func (l *link) post(dst pvm.TID, ms []pvm.Message, more bool) error {
 // readFrame reads one frame into a buffer of its own: the body is the
 // caller's to keep or give away.
 func (l *link) readFrame() (kind byte, body []byte, err error) {
-	kind, body, _, n, err := ReadFrame(l.conn, nil)
+	kind, body, _, n, err := ReadFrame(l.br, nil)
 	if err == nil {
 		observeFrame(l.transport, false, n)
 	}

@@ -1,7 +1,6 @@
 package wiretrans
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -146,7 +145,7 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 		l.removeDir()
 		return fmt.Errorf("wiretrans: dial %s: %w", l.network, err)
 	}
-	l.cli = &link{conn: conn, transport: l.network}
+	l.cli = newLink(conn, l.network)
 	if err := l.cli.sendHello(helloInfo{role: roleTransport, pid: -1}); err != nil {
 		_ = conn.Close()
 		_ = ln.Close()
@@ -168,7 +167,7 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 		l.removeDir()
 		return fmt.Errorf("wiretrans: accept: %w", pvm.ErrTimeout)
 	}
-	srv := &link{conn: srvConn, transport: l.network}
+	srv := newLink(srvConn, l.network)
 	h, err := srv.readHello()
 	if err != nil {
 		_ = srv.close()
@@ -356,10 +355,9 @@ func ackCause(code int32, detail string) error {
 func (l *Loopback) serverPump(srv *link) {
 	defer l.wg.Done()
 	defer func() { _ = srv.close() }()
-	br := bufio.NewReader(srv.conn)
 	var acks []byte
 	for {
-		if len(acks) > 0 && !frameBuffered(br) {
+		if len(acks) > 0 && !frameBuffered(srv.br) {
 			srv.wmu.Lock()
 			err := srv.writeLocked(acks)
 			srv.wmu.Unlock()
@@ -371,12 +369,11 @@ func (l *Loopback) serverPump(srv *link) {
 		}
 		// Each frame lands in a buffer of its own: injectBatch gives the
 		// payloads away as slices of it, so it is never read into again.
-		kind, body, _, n, err := ReadFrame(br, nil)
+		kind, body, err := srv.readFrame()
 		if err != nil {
 			l.fail(fmt.Errorf("wiretrans: %s server: %w: %v", l.network, pvm.ErrPeerLost, err))
 			return
 		}
-		observeFrame(l.network, false, n)
 		if kind != frameBatch {
 			l.fail(fmt.Errorf("%w: server got kind %d", ErrBadFrame, kind))
 			return
@@ -436,10 +433,9 @@ func injectBatch(sys *pvm.System, body []byte) (seq int64, code int32, detail st
 // ackReader settles posted batches as their acks come back.
 func (l *Loopback) ackReader() {
 	defer l.wg.Done()
-	br := bufio.NewReader(l.cli.conn)
 	var scratch []byte
 	for {
-		kind, body, next, n, err := ReadFrame(br, scratch)
+		kind, body, next, n, err := ReadFrame(l.cli.br, scratch)
 		if err != nil {
 			l.fail(fmt.Errorf("wiretrans: %s ack reader: %w: %v", l.network, pvm.ErrPeerLost, err))
 			return

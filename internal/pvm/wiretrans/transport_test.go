@@ -268,7 +268,7 @@ func newPipeTransport(t *testing.T) *pipeTransport {
 
 func (p *pipeTransport) Attach(sys *pvm.System) error {
 	a, b := net.Pipe()
-	p.sys, p.cli, p.peer = sys, &link{conn: a, transport: "test"}, b
+	p.sys, p.cli, p.peer = sys, newLink(a, "test"), b
 	p.wg.Add(1)
 	go p.ackReader()
 	return nil

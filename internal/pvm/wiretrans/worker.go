@@ -40,7 +40,7 @@ func DialWorker(network, addr string, pid, nprocs int, gen int64, timeout time.D
 	if err != nil {
 		return nil, err
 	}
-	lk := &link{conn: conn, transport: network}
+	lk := newLink(conn, network)
 	if err := lk.sendHello(helloInfo{role: roleWorker, pid: int32(pid), nprocs: int32(nprocs), gen: gen}); err != nil {
 		_ = lk.close()
 		return nil, err
