@@ -27,10 +27,9 @@ fmt:
 	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
 
 # lint runs hbspk-vet, the model-invariant checkers of internal/analysis
-# (sync discipline, communication topology, buffer lifetimes, buffer
-# reuse, SPMD alignment, buffer ownership, dropped errors, cost
-# parameters, lock order, stale ignore directives), over every package
-# including tests.
+# (SPMD alignment, communication topology, delivered-buffer lifetimes,
+# buffer ownership, dropped errors, cost parameters, cost bounds, lock
+# order, stale ignore directives), over every package including tests.
 lint:
 	$(GO) run ./cmd/hbspk-vet ./...
 

@@ -250,32 +250,6 @@ func BenchmarkAblationCoordinatorChoice(b *testing.B) {
 	b.ReportMetric(slow/fast, "slowdown_if_misrooted")
 }
 
-// AblationPacketLevel: the h-relation abstraction vs the packet-level
-// discrete-event fabric on the same gather.
-func BenchmarkAblationPacketLevel(b *testing.B) {
-	tr := model.UCFTestbed()
-	n := 400 * workload.KB
-	d := cost.BalancedDist(tr, n)
-	root := tr.Pid(tr.FastestLeaf())
-	var hRel, packet float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := hbsp.RunVirtual(tr, fabric.PureModel(), func(c hbsp.Ctx) error {
-			return gatherProg(c, root, d)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := hbsp.RunVirtual(tr, fabric.Config{PacketMode: true, PacketBytes: 1024},
-			func(c hbsp.Ctx) error { return gatherProg(c, root, d) })
-		if err != nil {
-			b.Fatal(err)
-		}
-		hRel, packet = h.Total, p.Total
-	}
-	b.ReportMetric(packet/hRel, "packet_vs_gh_ratio")
-}
-
 // AblationEqualVsBalanced: the headline workload-policy comparison on
 // the compute-bound reduce (where balance genuinely pays, §4.1).
 func BenchmarkAblationEqualVsBalanced(b *testing.B) {
@@ -313,33 +287,6 @@ func BenchmarkAblationHierVsFlat(b *testing.B) {
 }
 
 // --- Benches for the extension layers ---
-
-// BenchmarkDRMAPut measures the DRMA write path end to end on the
-// virtual engine.
-func BenchmarkDRMAPut(b *testing.B) {
-	tr := model.UCFTestbedN(4)
-	payload := make([]byte, 4096)
-	b.SetBytes(4096 * 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := hbsp.RunVirtual(tr, fabric.PureModel(), func(c hbsp.Ctx) error {
-			defer hbsp.EndDRMA(c)
-			if _, err := hbsp.Register(c, "buf", make([]byte, 4*4096)); err != nil {
-				return err
-			}
-			if c.Pid() != 0 {
-				if err := hbsp.Put(c, 0, "buf", c.Pid()*4096, payload); err != nil {
-					return err
-				}
-			}
-			_, err := hbsp.DRMASync(c, c.Tree().Root, "puts")
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkScanHier measures the two-sweep hierarchical scan.
 func BenchmarkScanHier(b *testing.B) {

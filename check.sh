@@ -33,9 +33,10 @@ go vet ./...
 # too, must report nothing that is not under an audited //hbspk:ignore.
 # Findings are also emitted as SARIF and compared against the committed
 # empty baseline, so any new finding fails even if exit codes drift;
-# the run must fit the 30s wall-time budget.
+# the run must fit the 30s wall-time budget. The same load exports the
+# static communication graph the conformance gate below reads.
 mkdir -p results
-timed 30 "hbspk-vet sarif run" go run ./cmd/hbspk-vet -sarif results/vet.sarif ./...
+timed 30 "hbspk-vet sarif run" go run ./cmd/hbspk-vet -sarif results/vet.sarif -commgraph-out "$tmp/graph.json" ./...
 new=$(grep -c '"ruleId"' results/vet.sarif || true)
 base=$(grep -c '"ruleId"' bench/vet_baseline.sarif || true)
 if [ "$new" -ne "$base" ]; then
@@ -66,9 +67,9 @@ timed 30 "churn+reorg soak" go test -race -count=1 -run 'ChurnReorgSoak' ./inter
 timed 30 "hbspk-vet full-suite" go run ./cmd/hbspk-vet -skip-tests -tree grid -cost-ratio 1.2 ./...
 
 # Static<->runtime conformance gate: every delivery observed in a real
-# hbspk-sim run must be explained by an edge of the exported static
-# commgraph; a forged run with an undeclared send must be rejected.
-go run ./cmd/hbspk-vet -commgraph-out "$tmp/graph.json" ./...
+# hbspk-sim run must be explained by an edge of the static commgraph
+# the lint run above exported; a forged run with an undeclared send
+# must be rejected.
 go run ./cmd/hbspk-sim -machine grid -collective gather-hier -events-out "$tmp/run.jsonl" >/dev/null
 go run ./cmd/hbspk-vet -conform-graph "$tmp/graph.json" -conform-events "$tmp/run.jsonl" >/dev/null
 if go run ./cmd/hbspk-vet -conform-graph cmd/hbspk-vet/testdata/conformance/graph.json \

@@ -1,8 +1,8 @@
 // Command hbspk-vet is the HBSP^k multichecker: it applies the
-// internal/analysis suite — syncdiscipline, commgraph, syncflow,
-// bufreuse, pidtaint, bufown, uncheckedrun, costparams, costbound,
-// lockorder — to the packages named on the command line and exits
-// non-zero if any invariant of the programming model is violated.
+// internal/analysis suite — pidtaint, commgraph, syncflow, bufown,
+// uncheckedrun, costparams, costbound, lockorder — to the packages named
+// on the command line and exits non-zero if any invariant of the
+// programming model is violated.
 //
 // Usage:
 //
@@ -31,7 +31,7 @@
 //
 // SPMD alignment only (the pidtaint analyzer, DESIGN.md §5.8):
 //
-//	hbspk-vet -align ./...
+//	hbspk-vet -run pidtaint ./...
 //
 // Diagnostics print as file:line:col: message (analyzer), or as a JSON
 // array of {file, line, col, endLine, endCol, analyzer, message}
@@ -89,7 +89,6 @@ func main() {
 		only      = flag.String("run", "", "comma-separated analyzer names to run (default all)")
 		asJSON    = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 		sarifOut  = flag.String("sarif", "", "write findings as a SARIF 2.1.0 log to this path (- for stdout)")
-		alignOnly = flag.Bool("align", false, "run only the SPMD alignment analyzer (pidtaint)")
 		cost      = flag.Bool("cost", false, "print symbolic per-superstep cost bounds for the analyzed functions")
 		treeName  = flag.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): evaluates -cost bounds and enables variantcheck advice")
 		costRatio = flag.Float64("cost-ratio", 1.5, "variantcheck advice threshold: report when another variant is this many times cheaper")
@@ -128,12 +127,6 @@ func main() {
 		}
 	}
 
-	if *alignOnly {
-		if *only != "" {
-			fatal(fmt.Errorf("hbspk-vet: -align and -run are mutually exclusive"))
-		}
-		*only = "pidtaint"
-	}
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
 		fatal(err)

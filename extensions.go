@@ -3,7 +3,6 @@ package hbspk
 import (
 	"hbspk/internal/apps"
 	"hbspk/internal/collective"
-	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 )
 
@@ -28,14 +27,6 @@ func WithRates(cfg FabricConfig, rt *RateTable) FabricConfig {
 // per-message cost to senders (PVM's per-message latency).
 func WithMsgOverhead(cfg FabricConfig, overhead float64) FabricConfig {
 	cfg.MsgOverhead = overhead
-	return cfg
-}
-
-// WithPacketMode returns a copy of the configuration that simulates
-// communication at packet granularity instead of charging g·h.
-func WithPacketMode(cfg FabricConfig, packetBytes int) FabricConfig {
-	cfg.PacketMode = true
-	cfg.PacketBytes = packetBytes
 	return cfg
 }
 
@@ -72,39 +63,6 @@ func MatMul(c Ctx, a []float64, m, k int, b []float64, n int, balanced bool) ([]
 func Histogram(c Ctx, local []byte, buckets int) ([]int64, error) {
 	return apps.Histogram(c, local, buckets)
 }
-
-// DRMA: BSPlib's registered-memory one-sided operations, re-exported
-// from the runtime. See internal/hbsp/drma.go for the semantics (puts
-// land at the next covering sync; gets are split-phase).
-
-// MemReg is a processor's handle to a registered DRMA area.
-type MemReg = hbsp.Reg
-
-// Register exposes mem under name for remote Put/Get until Deregister.
-func Register(c Ctx, name string, mem []byte) (*MemReg, error) {
-	return hbsp.Register(c, name, mem)
-}
-
-// Put schedules a remote write into (dst, name) at offset.
-func Put(c Ctx, dst int, name string, offset int, src []byte) error {
-	return hbsp.Put(c, dst, name, offset, src)
-}
-
-// Get schedules a split-phase remote read; the reply arrives at the
-// second next DRMASync.
-func Get(c Ctx, src int, name string, offset, length int) error {
-	return hbsp.Get(c, src, name, offset, length)
-}
-
-// DRMASync synchronizes the scope, applies puts, answers gets, and
-// returns arrived get replies keyed by source pid.
-func DRMASync(c Ctx, scope *Machine, label string) (map[int][][]byte, error) {
-	return hbsp.DRMASync(c, scope, label)
-}
-
-// EndDRMA releases the processor's registrations; defer it in programs
-// that use DRMA.
-func EndDRMA(c Ctx) { hbsp.EndDRMA(c) }
 
 // CGConfig configures the distributed conjugate-gradient solver;
 // CGResult is its per-processor outcome.

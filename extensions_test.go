@@ -27,7 +27,7 @@ func TestPublicRateTableChangesGatherCost(t *testing.T) {
 	}
 }
 
-func TestPublicMsgOverheadAndPacketMode(t *testing.T) {
+func TestPublicMsgOverhead(t *testing.T) {
 	tree := UCFTestbedN(4)
 	prog := func(c Ctx) error {
 		_, err := AllGather(c, c.Tree().Root, make([]byte, 5000))
@@ -43,14 +43,6 @@ func TestPublicMsgOverheadAndPacketMode(t *testing.T) {
 	}
 	if over.Total <= base.Total {
 		t.Errorf("per-message overhead should slow the all-gather: %v vs %v", over.Total, base.Total)
-	}
-	pkt, err := Run(tree, WithPacketMode(PureModelFabric(), 512), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := pkt.Total / base.Total
-	if ratio < 0.7 || ratio > 2 {
-		t.Errorf("packet-mode total %v implausible vs g·h %v", pkt.Total, base.Total)
 	}
 }
 

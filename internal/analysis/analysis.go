@@ -7,18 +7,17 @@
 // The analyzers encode the correctness invariants of the HBSP^k
 // programming model (§5.1's HBSPlib) that the compiler cannot check:
 //
-//   - syncdiscipline: no Sync or barrier call under processor-divergent control flow.
-//   - pidtaint: synchronizing calls align across processors under pid-tainted control flow.
+//   - pidtaint: the alignment rule — every processor of a scope reaches the same synchronizing calls, whatever pid-tainted branch it takes.
 //   - commgraph: no unmatched send, receive before any delivery, or divergent-scope collective.
 //   - syncflow: no delivered buffer read across a superstep boundary, through helper calls.
-//   - bufreuse: no packing into a sent pvm.Buffer, no mutating a payload after Send.
-//   - bufown: every pooled wire buffer is released exactly once, on every path.
+//   - bufown: every pooled wire buffer is released exactly once, on every path; nothing sent is packed, resent or mutated afterwards.
 //   - uncheckedrun: no dropped error from Run, Sync, Send or a collective.
 //   - costparams: literal g, r, L and c shares in range, trees normalized before running.
 //   - costbound: symbolic superstep cost bounds; no hand-rolled flat fan-out in a program body.
 //   - lockorder: no inverted mutex order, nothing locked under pvm.System's leaf lock.
 //
-// All returns those ten. Two more run outside it:
+// All returns those eight; no two of them report the same defect. Two
+// more run outside it:
 //
 //   - staleignore: every //hbspk:ignore directive still suppresses a finding.
 //   - variantcheck: advice on collective variants a given machine tree makes cheaper (hbspk-vet -tree).
@@ -147,7 +146,7 @@ func (p *Pass) buildNoLint() {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, ok := parseIgnore(c.Text)
+				name, ok := parseIgnore(c.Text)
 				if !ok {
 					continue
 				}
@@ -160,59 +159,32 @@ func (p *Pass) buildNoLint() {
 				if lines[position.Line] == nil {
 					lines[position.Line] = make(map[string]bool)
 				}
-				for _, name := range names {
-					lines[position.Line][name] = true
-				}
+				lines[position.Line][name] = true
 			}
 		}
 	}
 }
 
 // parseIgnore recognizes `//hbspk:ignore` (the bare form, returned as
-// the single name ""), `//hbspk:ignore name ...`, and the multi-name
-// form `//hbspk:ignore name1,name2 ...` — one line occasionally needs
-// to silence two analyzers whose checks overlap (bufreuse and bufown
-// both see a deliberate resend under test).
-func parseIgnore(text string) (names []string, ok bool) {
-	const prefix = "//hbspk:ignore"
-	if len(text) < len(prefix) || text[:len(prefix)] != prefix {
-		return nil, false
+// the name "") and `//hbspk:ignore name ...`: one directive names one
+// analyzer, and everything up to the first blank is that name.
+func parseIgnore(text string) (name string, ok bool) {
+	rest, ok := strings.CutPrefix(text, "//hbspk:ignore")
+	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+		return "", false // e.g. //hbspk:ignored is not a directive
 	}
-	rest := text[len(prefix):]
-	if len(rest) > 0 && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false // e.g. //hbspk:ignored is not a directive
+	if f := strings.Fields(rest); len(f) > 0 {
+		name = f[0]
 	}
-	for len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
-		rest = rest[1:]
-	}
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == ' ' || rest[i] == '\t' {
-			rest = rest[:i]
-			break
-		}
-	}
-	if rest == "" {
-		return []string{""}, true
-	}
-	for _, name := range strings.Split(rest, ",") {
-		if name != "" {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return []string{""}, true
-	}
-	return names, true
+	return name, true
 }
 
 // All returns the full hbspk-vet suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SyncDiscipline,
 		PidTaint,
 		CommGraph,
 		SyncFlow,
-		BufReuse,
 		BufOwn,
 		UncheckedRun,
 		CostParams,
@@ -277,37 +249,8 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 		}
 		diags = append(diags, staleIgnores(pkg, ran, fired)...)
 	}
-	diags = dedupeOverlapping(diags, ran)
 	sortDiagnostics(pkgs, diags)
 	return diags, firstErr
-}
-
-// dedupeOverlapping drops the shallower of two findings that diagnose
-// the same defect at the same position: bufown's path-sensitive
-// ownership proofs subsume bufreuse's source-order resend and
-// pack-after-send reports, so when both analyzers ran and both fired on
-// one call, only bufown's (which names the offending path) survives.
-func dedupeOverlapping(diags []Diagnostic, ran map[string]bool) []Diagnostic {
-	if !ran[BufOwn.Name] || !ran[BufReuse.Name] {
-		return diags
-	}
-	owned := make(map[token.Pos]bool)
-	for _, d := range diags {
-		if d.Analyzer == BufOwn.Name {
-			owned[d.Pos] = true
-		}
-	}
-	if len(owned) == 0 {
-		return diags
-	}
-	out := diags[:0]
-	for _, d := range diags {
-		if d.Analyzer == BufReuse.Name && owned[d.Pos] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 // staleIgnores reports each suppression directive in pkg that no
@@ -326,41 +269,35 @@ func staleIgnores(pkg *Package, ran map[string]bool, fired map[string]bool) []Di
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, ok := parseIgnore(c.Text)
-				if !ok {
+				name, ok := parseIgnore(c.Text)
+				if !ok || (name == "" && !fullSuite) {
 					continue
 				}
-				for _, name := range names {
-					if name == "" && !fullSuite {
-						continue
-					}
-					if name != "" && !known[name] {
-						pos := c.Pos()
-						out = append(out, Diagnostic{
-							Pos:      pos,
-							Analyzer: StaleIgnoreName,
-							Message: fmt.Sprintf(
-								"//hbspk:ignore %s names no analyzer (renamed or removed?): the directive silences nothing", name),
-						})
-						continue
-					}
-					if name != "" && !ran[name] {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					if fired[ignoreKey(pos.Filename, pos.Line, name)] {
-						continue
-					}
-					what := "//hbspk:ignore"
-					if name != "" {
-						what += " " + name
-					}
+				if name != "" && !known[name] {
 					out = append(out, Diagnostic{
 						Pos:      c.Pos(),
 						Analyzer: StaleIgnoreName,
-						Message:  fmt.Sprintf("stale %s: the directive suppresses nothing on its line", what),
+						Message: fmt.Sprintf(
+							"//hbspk:ignore %s names no analyzer (renamed or removed?): the directive silences nothing", name),
 					})
+					continue
 				}
+				if name != "" && !ran[name] {
+					continue
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				if fired[ignoreKey(pos.Filename, pos.Line, name)] {
+					continue
+				}
+				what := "//hbspk:ignore"
+				if name != "" {
+					what += " " + name
+				}
+				out = append(out, Diagnostic{
+					Pos:      c.Pos(),
+					Analyzer: StaleIgnoreName,
+					Message:  fmt.Sprintf("stale %s: the directive suppresses nothing on its line", what),
+				})
 			}
 		}
 	}

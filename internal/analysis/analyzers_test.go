@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/token"
+	"os"
 	"strings"
 	"testing"
 )
@@ -21,9 +23,12 @@ func runGolden(t *testing.T, a *Analyzer, pattern string) {
 	}
 }
 
+// TestSyncDisciplineGolden: the plain rule — no Sync under a pid-divergent
+// if, else, case, loop bound or range — is pidtaint's, reported at the
+// controlling statement.
 func TestSyncDisciplineGolden(t *testing.T) {
 	t.Parallel()
-	runGolden(t, SyncDiscipline, "syncdiscipline")
+	runGolden(t, PidTaint, "syncdiscipline")
 }
 
 func TestCommGraphGolden(t *testing.T) {
@@ -36,9 +41,11 @@ func TestSyncFlowGolden(t *testing.T) {
 	runGolden(t, SyncFlow, "syncflow")
 }
 
+// TestBufReuseGolden: use after send — resend, Pack* into a sent buffer,
+// store, append or copy into a queued payload — is bufown's.
 func TestBufReuseGolden(t *testing.T) {
 	t.Parallel()
-	runGolden(t, BufReuse, "bufreuse")
+	runGolden(t, BufOwn, "bufreuse")
 }
 
 func TestPidTaintGolden(t *testing.T) {
@@ -95,58 +102,75 @@ func TestSuiteOnRepo(t *testing.T) {
 	}
 }
 
-// TestDedupeOverlapping pins the cross-analyzer rule: when bufown and
-// bufreuse both fire on one call, only bufown's path-sensitive report
-// survives; findings at other positions and from other analyzers pass
-// through untouched.
-func TestDedupeOverlapping(t *testing.T) {
+// TestOneAnalyzerPerDefect is the property RunAnalyzers relies on now
+// that it dedupes nothing: over every golden fixture, seeded with each
+// analyzer's defects, no two analyzers of the suite report at one
+// position.
+func TestOneAnalyzerPerDefect(t *testing.T) {
 	t.Parallel()
-	diags := []Diagnostic{
-		{Pos: 10, Analyzer: BufOwn.Name, Message: "sent again"},
-		{Pos: 10, Analyzer: BufReuse.Name, Message: "resent"},
-		{Pos: 20, Analyzer: BufReuse.Name, Message: "pack after send"},
-		{Pos: 10, Analyzer: PidTaint.Name, Message: "unrelated"},
+	dirs, err := os.ReadDir("testdata/src")
+	if err != nil {
+		t.Fatal(err)
 	}
-	ran := map[string]bool{BufOwn.Name: true, BufReuse.Name: true}
-	out := dedupeOverlapping(diags, ran)
-	if len(out) != 3 {
-		t.Fatalf("dedupe kept %d diagnostics, want 3: %v", len(out), out)
+	var fixtures []string
+	for _, dir := range dirs {
+		fixtures = append(fixtures, dir.Name())
 	}
-	for _, d := range out {
-		if d.Analyzer == BufReuse.Name && d.Pos == 10 {
-			t.Errorf("bufreuse finding at the bufown position survived the dedupe")
+	loader, err := NewLoader("testdata/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader.IncludeTests = true
+	pkgs, err := loader.Load(fixtures...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(All()) != 8 || len(pkgs) < len(fixtures) {
+		t.Errorf("%d analyzers over %d packages, want 8 over at least %d", len(All()), len(pkgs), len(fixtures))
+	}
+	diags, err := RunAnalyzers(pkgs, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := make(map[token.Pos]Diagnostic)
+	for _, d := range diags {
+		if first, ok := by[d.Pos]; ok && first.Analyzer != d.Analyzer {
+			t.Errorf("%s: %s and %s both report here:\n\t%s\n\t%s",
+				loader.Fset().Position(d.Pos), first.Analyzer, d.Analyzer, first.Message, d.Message)
 		}
-	}
-	// Without both analyzers in the run there is nothing to dedupe.
-	solo := dedupeOverlapping([]Diagnostic{{Pos: 10, Analyzer: BufReuse.Name}}, map[string]bool{BufReuse.Name: true})
-	if len(solo) != 1 {
-		t.Errorf("dedupe with bufown absent dropped a finding")
+		by[d.Pos] = d
 	}
 }
 
-// TestIgnoreDirectiveParsing pins the suppression comment grammar,
-// including the comma-separated multi-analyzer form.
+// TestIgnoreDirectiveParsing pins the suppression comment grammar: one
+// directive, one name. A comma-separated list is a single name that no
+// analyzer has (TestStaleIgnoreGolden pins that staleignore says so and
+// the finding under it stays live).
 func TestIgnoreDirectiveParsing(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
-		text  string
-		names string // comma-joined expectation
-		ok    bool
+		text string
+		name string
+		ok   bool
 	}{
 		{"//hbspk:ignore", "", true},
-		{"//hbspk:ignore syncdiscipline", "syncdiscipline", true},
-		{"//hbspk:ignore bufreuse trailing words", "bufreuse", true},
-		{"//hbspk:ignore bufreuse,bufown deliberate double send", "bufreuse,bufown", true},
-		{"//hbspk:ignore a,b,c", "a,b,c", true},
+		{"//hbspk:ignore   ", "", true},
+		{"//hbspk:ignore pidtaint", "pidtaint", true},
+		{"//hbspk:ignore bufown trailing words", "bufown", true},
+		{"//hbspk:ignore\tbufown\t(tabs)", "bufown", true},
+		{"//hbspk:ignore bufown,pidtaint deliberate double send", "bufown,pidtaint", true},
 		{"// regular comment", "", false},
 		{"//hbspk:ignored", "", false}, // a longer word is not the directive
 	}
 	for _, c := range cases {
-		names, ok := parseIgnore(c.text)
-		got := strings.Join(names, ",")
-		if ok != c.ok || (ok && got != c.names) {
-			t.Errorf("parseIgnore(%q) = %q, %v; want %q, %v", c.text, got, ok, c.names, c.ok)
+		name, ok := parseIgnore(c.text)
+		if ok != c.ok || name != c.name {
+			t.Errorf("parseIgnore(%q) = %q, %v; want %q, %v", c.text, name, ok, c.name, c.ok)
 		}
+	}
+	known := knownAnalyzerNames()
+	if known["bufown,pidtaint"] || !known["bufown"] || !known["pidtaint"] {
+		t.Errorf("knownAnalyzerNames: a comma list must not be a name, its parts must be")
 	}
 }
 

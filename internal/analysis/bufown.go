@@ -24,23 +24,34 @@ import (
 //     one pending;
 //   - Buffer() on a released message, or any use of a *Buffer that
 //     aliases one — the bytes may already back an unrelated message;
-//   - a Send of a buffer whose ownership was already transferred by an
-//     earlier Send (the path-sensitive deepening of bufreuse's
-//     source-ordered resend rule);
+//   - any use of a buffer after its Send/Mcast transferred it to the
+//     fabric: a second send (a buffer is sendable exactly once) or a
+//     Pack* into bytes the receiver may be reading;
+//   - an index store, append or copy into a []byte payload after
+//     Ctx.Send queued it — engines may deliver the sender's slice
+//     itself, so the write races with the receiver;
 //   - Release while the message's bytes are in flight: m.Buffer()
 //     wraps the pooled record, so handing it to Send and then releasing
 //     recycles bytes the receiver hasn't read yet.
+//
+// A buffer or payload enters the analysis no later than its first send,
+// wherever it came from. Rebinding the variable to a fresh value ends
+// the tracking; `x = append(x, …)` still aliases the sent bytes and does
+// not. A deferred send runs after the body, last defer first, and is
+// interpreted there: packing below `defer t.Send(…, buf)` is not a use
+// after transfer, two deferred sends of one buffer are a resend.
 //
 // The checker is deliberately conservative at joins: a state weakened
 // to MaybeOwned or MaybeTransferred never reports a leak on its own
 // (only a definite re-send does), acquisition guarded by the idiomatic
 // `m, err := t.Recv(...); if err != nil { return err }` refines to
 // unowned on the error arm, and a message handed to any call, stored,
-// returned, or captured by a closure escapes the analysis. Audited
+// returned, or captured by a closure escapes the analysis (a queued
+// payload does not: no callee can make a write to it safe). Audited
 // exceptions carry `//hbspk:ignore bufown`.
 var BufOwn = &Analyzer{
 	Name: "bufown",
-	Doc:  "enforce release-exactly-once ownership of pooled wire buffers, path-sensitively",
+	Doc:  "enforce wire-buffer ownership path-sensitively: released exactly once, nothing packed, resent or mutated after its send",
 	Run:  runBufOwn,
 }
 
@@ -49,7 +60,14 @@ func runBufOwn(pass *Pass) error {
 		funcBodies(f, func(name string, body *ast.BlockStmt) {
 			w := &ownWalker{pass: pass, reported: make(map[token.Pos]bool)}
 			w.lastRange = collectLastRanges(pass.TypesInfo, body)
-			w.block(body.List, newOwnEnv())
+			// Falling off the end runs the deferred sends before the
+			// body's scope closes.
+			env := newOwnEnv()
+			fl := w.stmts(body.List, env)
+			if fl == flowNormal {
+				w.runDefers(env)
+			}
+			w.closeScope(body.List, nil, fl, env)
 		})
 	}
 	return nil
@@ -74,8 +92,8 @@ func collectLastRanges(info *types.Info, body *ast.BlockStmt) map[types.Object]*
 
 // ownState is the per-resource lattice. The Maybe tier records joins
 // that weakened a definite state; every rule that reports on a definite
-// state stays silent on its Maybe counterpart, except the re-send of a
-// MaybeTransferred buffer, which is a bug on the path that sent it.
+// state stays silent on its Maybe counterpart, except a re-send of or a
+// Pack* into a MaybeTransferred buffer, a bug on the path that sent it.
 type ownState int
 
 const (
@@ -89,8 +107,9 @@ const (
 )
 
 const (
-	resMsg = iota // a pvm.Message holding a wire reference
-	resBuf        // a *pvm.Buffer from NewBuffer (send-side)
+	resMsg     = iota // a pvm.Message holding a wire reference
+	resBuf            // a *pvm.Buffer (send-side)
+	resPayload        // a []byte queued by Ctx.Send
 )
 
 // res is the tracked state of one message or buffer local.
@@ -107,10 +126,12 @@ type res struct {
 }
 
 // ownEnv maps locals to ownership state; sliceSrc marks locals holding
-// a TryRecvAll result whose elements acquire ownership when ranged.
+// a TryRecvAll result whose elements acquire ownership when ranged;
+// defers holds the deferred sends registered on this path, in order.
 type ownEnv struct {
 	vars     map[types.Object]*res
 	sliceSrc map[types.Object]bool
+	defers   []*ast.CallExpr
 }
 
 func newOwnEnv() *ownEnv {
@@ -126,6 +147,7 @@ func (e *ownEnv) clone() *ownEnv {
 	for obj := range e.sliceSrc {
 		c.sliceSrc[obj] = true
 	}
+	c.defers = e.defers[:len(e.defers):len(e.defers)]
 	return c
 }
 
@@ -152,6 +174,9 @@ func (e *ownEnv) merge(b *ownEnv) {
 	}
 	for obj := range b.sliceSrc {
 		e.sliceSrc[obj] = true
+	}
+	if len(b.defers) > len(e.defers) {
+		e.defers = b.defers // registered on some path: replayed at exit
 	}
 }
 
@@ -202,14 +227,22 @@ func (w *ownWalker) reportf(pos, end token.Pos, format string, args ...any) {
 // block interprets a statement list, then leak-checks every resource
 // acquired inside it that is still definitely owned on the fallthrough
 // exit — the variable's scope is over, so nothing can release it later.
+// A payload or buffer first sent here but declared outside lives on.
 func (w *ownWalker) block(stmts []ast.Stmt, env *ownEnv) flow {
 	before := make(map[types.Object]bool, len(env.vars))
 	for obj := range env.vars {
 		before[obj] = true
 	}
 	fl := w.stmts(stmts, env)
+	w.closeScope(stmts, before, fl, env)
+	return fl
+}
+
+// closeScope leak-checks and retires what the statement list declared;
+// before holds what was tracked when it began.
+func (w *ownWalker) closeScope(stmts []ast.Stmt, before map[types.Object]bool, fl flow, env *ownEnv) {
 	for obj, r := range env.vars {
-		if before[obj] {
+		if before[obj] || r.kind != resMsg && !declaredIn(obj, stmts) {
 			continue
 		}
 		if fl == flowNormal && r.kind == resMsg && r.state == stOwned && !r.deferred {
@@ -218,7 +251,11 @@ func (w *ownWalker) block(stmts []ast.Stmt, env *ownEnv) flow {
 		}
 		delete(env.vars, obj)
 	}
-	return fl
+}
+
+// declaredIn reports whether obj's declaration lies inside the list.
+func declaredIn(obj types.Object, stmts []ast.Stmt) bool {
+	return len(stmts) > 0 && stmts[0].Pos() <= obj.Pos() && obj.Pos() < stmts[len(stmts)-1].End()
 }
 
 func (w *ownWalker) stmts(stmts []ast.Stmt, env *ownEnv) flow {
@@ -260,6 +297,7 @@ func (w *ownWalker) stmt(s ast.Stmt, env *ownEnv) flow {
 		if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
 			if id, isId := ast.Unparen(call.Fun).(*ast.Ident); isId && id.Name == "panic" {
 				w.useExprs(call.Args, env)
+				w.runDefers(env)
 				w.exitCheck(call.Pos(), call.End(), env, true)
 				return flowExit
 			}
@@ -278,6 +316,7 @@ func (w *ownWalker) stmt(s ast.Stmt, env *ownEnv) flow {
 			}
 			w.useExpr(e, env)
 		}
+		w.runDefers(env)
 		w.exitCheck(st.Pos(), st.End(), env, false)
 		return flowExit
 	case *ast.BranchStmt:
@@ -306,7 +345,13 @@ func (w *ownWalker) stmt(s ast.Stmt, env *ownEnv) flow {
 		return flowNormal
 	case *ast.SendStmt:
 		w.useExpr(st.Chan, env)
-		w.escapeIn(st.Value, env)
+		// errs <- t.Send(dst, tag, buf) is still the send; any other
+		// value escapes through the channel.
+		if call, ok := ast.Unparen(st.Value).(*ast.CallExpr); ok && w.isSend(call) {
+			w.useExpr(call, env)
+		} else {
+			w.escapeIn(st.Value, env)
+		}
 		return flowNormal
 	case *ast.IncDecStmt:
 		w.useExpr(st.X, env)

@@ -4,11 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // The tracking half of bufown: recognizing acquisitions (Recv and
-// friends, NewBuffer chains, Buffer() aliases), interpreting uses, and
-// the escape rules that retire a resource from the analysis.
+// friends, NewBuffer chains, Buffer() aliases, the sends themselves),
+// interpreting uses, and the escape rules that retire a resource from
+// the analysis.
 
 // recvPairNames are the mailbox draws returning (Message, error) or
 // (Message, bool); the second result is the acquisition guard.
@@ -98,12 +101,65 @@ func (w *ownWalker) assign(st *ast.AssignStmt, env *ownEnv) {
 			}
 		}
 		if obj := identObj(info, lhs); obj != nil {
-			delete(env.vars, obj)
+			// A fresh value ends the tracking; x = append(x, …) still
+			// aliases what was tracked.
+			if rhs == nil || !exprMentions(info, rhs, obj) {
+				delete(env.vars, obj)
+			}
 			delete(env.sliceSrc, obj)
-		} else {
-			w.useExpr(lhs, env)
+			continue
+		}
+		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+			if obj, r := w.sentPayload(ix.X, env); r != nil {
+				w.reportf(lhs.Pos(), lhs.End(),
+					"store into %q already sent at line %d: engines may share the sender's bytes",
+					obj.Name(), w.pass.Fset.Position(r.sentAt).Line)
+			}
+		}
+		w.useExpr(lhs, env)
+	}
+}
+
+// sentPayload resolves e to a []byte local that Ctx.Send has queued on
+// some path and that has not been rebound since. Its state is not
+// consulted: an escape does not end the hazard, no callee can make a
+// write to queued bytes safe.
+func (w *ownWalker) sentPayload(e ast.Expr, env *ownEnv) (types.Object, *res) {
+	if obj := payloadObj(w.pass.TypesInfo, e); obj != nil {
+		if r := env.vars[obj]; r != nil && r.kind == resPayload {
+			return obj, r
 		}
 	}
+	return nil, nil
+}
+
+// payloadObj resolves expressions naming a []byte variable: the bare
+// identifier or a slice of it (payload[a:b] still aliases payload).
+func payloadObj(info *types.Info, e ast.Expr) types.Object {
+	e = ast.Unparen(e)
+	if sl, ok := e.(*ast.SliceExpr); ok {
+		e = ast.Unparen(sl.X)
+	}
+	obj := identObj(info, e)
+	if obj == nil {
+		return nil
+	}
+	if sl, ok := obj.Type().Underlying().(*types.Slice); ok && isBasic(sl.Elem(), types.Uint8) {
+		return obj
+	}
+	return nil
+}
+
+// exprMentions reports whether e references obj.
+func exprMentions(info *types.Info, e ast.Expr, obj types.Object) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && identObj(info, id) == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // resultType returns fn's i-th result type, or nil.
@@ -270,12 +326,29 @@ func (w *ownWalker) evalCall(call *ast.CallExpr, env *ownEnv) {
 			w.reportf(call.Pos(), call.End(),
 				"use of buffer %q after message %q was released: the pooled bytes may be recycled", robj.Name(), ownerName)
 		}
+		if strings.HasPrefix(name, "Pack") && (owner.state == stTransferred || owner.state == stMaybeTransferred) {
+			w.reportf(call.Pos(), call.End(),
+				"%s into buffer %q already sent at line %d: the send owns the buffer's bytes, pack into a fresh one",
+				name, robj.Name(), w.pass.Fset.Position(owner.sentAt).Line)
+		}
 		return
 	case sendNames[name]:
 		w.sendCall(call, env)
 		return
 	case name == "panic" || name == "Release" || name == "Buffer":
 		return
+	}
+
+	// append/copy into a queued payload write bytes the receiver may be
+	// handed as they are.
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && len(call.Args) > 0 {
+		if bi, ok := info.Uses[id].(*types.Builtin); ok && (bi.Name() == "append" || bi.Name() == "copy") {
+			if obj, r := w.sentPayload(call.Args[0], env); r != nil {
+				w.reportf(call.Pos(), call.End(),
+					"%s into payload %q already queued by Send at line %d: engines may share the sender's bytes",
+					bi.Name(), obj.Name(), w.pass.Fset.Position(r.sentAt).Line)
+			}
+		}
 	}
 
 	// Unknown callee: tracked values in argument position escape — the
@@ -309,6 +382,16 @@ func (w *ownWalker) evalCall(call *ast.CallExpr, env *ownEnv) {
 // which is a bug on exactly those paths.
 func (w *ownWalker) sendCall(call *ast.CallExpr, env *ownEnv) {
 	info := w.pass.TypesInfo
+	// Ctx.Send(dst, tag, payload) queues the slice itself; sending it
+	// again only reads it.
+	if rt := receiverType(info, call); rt != nil && isCtxType(rt) {
+		if len(call.Args) == 3 {
+			if obj := payloadObj(info, call.Args[2]); obj != nil {
+				env.vars[obj] = &res{kind: resPayload, state: stTransferred, sentAt: call.Pos()}
+			}
+		}
+		return
+	}
 	for _, arg := range call.Args {
 		obj := identObj(info, arg)
 		if obj == nil {
@@ -325,6 +408,11 @@ func (w *ownWalker) sendCall(call *ast.CallExpr, env *ownEnv) {
 		}
 		r, tracked := env.vars[obj]
 		if !tracked {
+			// A buffer from anywhere else (a parameter, a pool) is
+			// tracked from its first send on.
+			if typeNameOf(info.TypeOf(arg)) == "Buffer" {
+				env.vars[obj] = &res{kind: resBuf, state: stTransferred, sentAt: arg.Pos()}
+			}
 			continue
 		}
 		if r.kind == resBuf {
@@ -453,7 +541,28 @@ func (w *ownWalker) deferStmt(st *ast.DeferStmt, env *ownEnv) {
 		return
 	}
 
+	// A deferred send transfers when the function exits, not here.
+	if w.isSend(call) {
+		if !slices.Contains(env.defers, call) { // else: second pass over a loop body
+			env.defers = append(env.defers, call)
+		}
+		return
+	}
 	w.useExpr(call, env)
+}
+
+func (w *ownWalker) isSend(call *ast.CallExpr) bool {
+	fn := calleeFunc(w.pass.TypesInfo, call)
+	return fn != nil && sendNames[fn.Name()]
+}
+
+// runDefers interprets the path's deferred sends at a function exit in
+// the order they run: last registered first.
+func (w *ownWalker) runDefers(env *ownEnv) {
+	for i := len(env.defers) - 1; i >= 0; i-- {
+		w.useExpr(env.defers[i], env)
+	}
+	env.defers = nil
 }
 
 // closureReleases partitions the tracked resources a closure mentions:

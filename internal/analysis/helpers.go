@@ -123,22 +123,35 @@ func isErrorType(t types.Type) bool {
 	return n != nil && n.Obj().Name() == "error" && n.Obj().Pkg() == nil
 }
 
-// collectiveNames are the SPMD collective entry points of package
-// collective and the hbspk facade; all synchronize internally.
+// collectiveNames are the exported entry points that synchronize
+// internally and take the Ctx first: the collectives of package
+// collective, their planner-dispatched forms, the applications of
+// package apps, and the hbspk facade's re-exports of all three.
+// TestSyncVocabularyComplete fails when one is missing.
 var collectiveNames = map[string]bool{
 	"Gather": true, "GatherHier": true,
-	"BcastOnePhase": true, "BcastTwoPhase": true, "BcastHier": true,
-	"BcastHierTwoPhase": true, "BcastBinomial": true,
+	"BcastOnePhase": true, "BcastTwoPhase": true, "BcastHier": true, "BcastBinomial": true,
 	"Scatter": true, "ScatterHier": true,
 	"AllGather": true, "AllGatherHier": true,
-	"Reduce": true, "ReduceHier": true, "AllReduce": true,
+	"Reduce": true, "ReduceHier": true, "AllReduce": true, "ReduceScatter": true,
 	"Scan": true, "ScanHier": true,
 	"TotalExchange": true, "TotalExchangeHier": true,
-	"ReduceScatter": true, "DRMASync": true,
+	"PlannedBcast": true, "PlannedGather": true, "PlannedScatter": true,
+	"PlannedAllGather": true, "PlannedReduce": true, "PlannedAllReduce": true,
+	"PlannedScan": true, "PlannedTotalExchange": true,
+	"MatVec": true, "MatMul": true, "Histogram": true,
+	"CG": true, "Jacobi": true, "SpMV": true,
+}
+
+// ftMethodNames are the synchronizing methods of *collective.FT, which
+// holds its Ctx instead of taking it.
+var ftMethodNames = map[string]bool{
+	"Gather": true, "Bcast": true, "Reduce": true, "AllReduce": true,
 }
 
 // isSyncCall reports whether the call synchronizes processors: a Sync
-// method on a Ctx, a SyncAll helper, a pvm barrier, or a collective.
+// method on a Ctx, a SyncAll helper, a pvm barrier, a collective or an
+// FT method.
 func isSyncCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil {
@@ -146,21 +159,21 @@ func isSyncCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	name := fn.Name()
 	if rt := receiverType(info, call); rt != nil {
-		if name == "Sync" && isCtxType(rt) {
-			return true
+		switch typeNameOf(rt) {
+		case "Task":
+			return name == "Barrier"
+		case "FT":
+			return ftMethodNames[name]
 		}
-		if name == "Barrier" && typeNameOf(rt) == "Task" {
-			return true
-		}
-		return false
+		return name == "Sync" && isCtxType(rt)
 	}
-	if name == "SyncAll" {
-		return true
-	}
-	if collectiveNames[name] && len(call.Args) > 0 && isCtxType(info.TypeOf(call.Args[0])) {
-		return true
-	}
-	return false
+	return name == "SyncAll" || isCollectiveCall(info, call, name)
+}
+
+// isCollectiveCall reports whether the call is to a function of the
+// collective vocabulary handed a Ctx.
+func isCollectiveCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	return collectiveNames[name] && len(call.Args) > 0 && isCtxType(info.TypeOf(call.Args[0]))
 }
 
 // funcBodies yields every function or method body in the file together

@@ -25,11 +25,12 @@ import (
 // where `if c.Pid() == root` guards extra sends but equal barriers —
 // are aligned and pass.
 //
-// Where syncdiscipline flags any synchronizing call lexically under
-// divergent control (the blunt, always-sound rule), pidtaint proves the
-// sharper property the HBSP^k model actually requires: the *sequence*
-// of synchronizing operations is identical across processors. Its
-// findings are the subset that genuinely desync.
+// This is the suite's one alignment rule (§5.1: every processor of a
+// scope syncs on it the same number of times): a synchronizing call
+// under pid-divergent control is reported at the controlling statement,
+// and only when the arms' *sequences* differ — a branch that rejoins
+// with equal barriers is not a desync. Deliberately divergent code
+// carries `//hbspk:ignore pidtaint` on that statement.
 //
 // Arms are compared on their sync-token projection: structural markers
 // (early-return `$`, break `^`, uniform-alternative grouping) are
@@ -197,20 +198,7 @@ func (a *aligner) divergentCond(e ast.Expr, env *alignEnv) bool {
 			}
 			found = true
 		case *ast.CallExpr:
-			fn := calleeFunc(a.pass.TypesInfo, x)
-			if fn == nil {
-				return true
-			}
-			if rt := receiverType(a.pass.TypesInfo, x); rt != nil && isCtxType(rt) {
-				switch fn.Name() {
-				case "Pid", "Self", "Moves":
-					found = true
-				}
-				return true
-			}
-			if divergentFuncNames[fn.Name()] && len(x.Args) > 0 && isCtxType(a.pass.TypesInfo.TypeOf(x.Args[0])) {
-				found = true
-			}
+			found = divergentCall(a.pass.TypesInfo, x)
 		}
 		return true
 	})
@@ -627,4 +615,98 @@ func (a *aligner) seqStmt(s ast.Stmt, cont string, env *alignEnv) string {
 		return a.exprSeq(st.X, env) + cont
 	}
 	return cont
+}
+
+// divergentFuncNames are package-level enquiry helpers whose results
+// differ per processor when handed a Ctx.
+var divergentFuncNames = map[string]bool{
+	"Rank": true, "Coordinator": true, "Speed": true, "Share": true,
+}
+
+// collectPidTaint returns the set of local variables derived from
+// processor identity, via a forward pass over the body in source order
+// (assignments in Go programs flow forward; a fixpoint is not needed for
+// the straight-line derivations this analyzer targets).
+func collectPidTaint(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
+	tainted := make(map[types.Object]bool)
+	isDivergent := func(e ast.Expr) bool {
+		return exprDivergent(pass, e, tainted)
+	}
+	walkBody(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range st.Lhs {
+				var rhs ast.Expr
+				if len(st.Rhs) == len(st.Lhs) {
+					rhs = st.Rhs[i]
+				} else if len(st.Rhs) == 1 {
+					rhs = st.Rhs[0]
+				}
+				if rhs == nil || !isDivergent(rhs) {
+					continue
+				}
+				if obj := identObj(pass.TypesInfo, lhs); obj != nil {
+					tainted[obj] = true
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range st.Names {
+				var rhs ast.Expr
+				if len(st.Values) == len(st.Names) {
+					rhs = st.Values[i]
+				} else if len(st.Values) == 1 {
+					rhs = st.Values[0]
+				}
+				if rhs == nil || !isDivergent(rhs) {
+					continue
+				}
+				if obj := pass.TypesInfo.Defs[name]; obj != nil {
+					tainted[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	return tainted
+}
+
+// exprDivergent reports whether e's value depends on the processor's
+// identity: it mentions a Pid/Self enquiry on a Ctx, a divergent helper
+// call, Moves() (delivered messages differ per processor), or a tainted
+// local.
+func exprDivergent(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.Ident:
+			if obj := identObj(pass.TypesInfo, x); obj != nil && tainted[obj] {
+				found = true
+			}
+		case *ast.CallExpr:
+			found = divergentCall(pass.TypesInfo, x)
+		}
+		return true
+	})
+	return found
+}
+
+// divergentCall reports whether the call is itself a processor-identity
+// source: a Pid/Self/Moves enquiry on a Ctx, or a divergent helper
+// handed one.
+func divergentCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return false
+	}
+	if rt := receiverType(info, call); rt != nil && isCtxType(rt) {
+		switch fn.Name() {
+		case "Pid", "Self", "Moves":
+			return true
+		}
+		return false
+	}
+	return divergentFuncNames[fn.Name()] && len(call.Args) > 0 && isCtxType(info.TypeOf(call.Args[0]))
 }

@@ -93,8 +93,8 @@ func useAfterRelease(t *Task) (int32, error) {
 }
 
 // Path-sensitive re-send: one arm already transferred the buffer, so
-// the unconditional send doubles it on that path. (bufreuse's
-// source-ordered rule sees two sends but cannot tell the paths apart.)
+// the unconditional send doubles it on that path, and the finding says
+// "some paths" where a definite resend names the first send's line.
 func resendOnSomePaths(t *Task, urgent bool) error {
 	buf := NewBuffer().PackInt32(7)
 	if urgent {

@@ -1,6 +1,6 @@
-// Package bufreuse is the golden fixture for the bufreuse analyzer:
-// stub pvm Buffer/Task types and an HBSPlib Ctx, with seeded
-// send-then-mutate hazards.
+// Package bufreuse is bufown's second golden fixture, the use-after-send
+// half of ownership: stub pvm Buffer/Task types and an HBSPlib Ctx, with
+// seeded send-then-pack, resend and send-then-mutate hazards.
 package bufreuse
 
 type TID int
@@ -36,7 +36,7 @@ func packAfterSend(t *Task) error {
 		return err
 	}
 	buf.PackInt32(2)         // want `PackInt32 into buffer "buf" already sent`
-	return t.Send(2, 7, buf) // want `buffer "buf" resent`
+	return t.Send(2, 7, buf) // want `buffer "buf" sent again`
 }
 
 func packAfterMcast(t *Task) error {
@@ -53,7 +53,7 @@ func resendWithoutPacking(t *Task) error {
 	if err := t.Send(1, 7, buf); err != nil {
 		return err
 	}
-	return t.Send(2, 7, buf) // want `buffer "buf" resent`
+	return t.Send(2, 7, buf) // want `buffer "buf" sent again`
 }
 
 func mutatePayloadAfterSend(c Ctx, scope *Machine) error {
@@ -138,8 +138,7 @@ func deferredSendThenPack(t *Task, dst TID) {
 	buf.PackInt32(42)
 }
 
-// defer msg.Release() is cleanup, not reuse: lifetime discipline for
-// the pooled record is bufown's domain.
+// defer msg.Release() is cleanup, not reuse.
 func deferReleaseIsCleanup(t *Task, m Message, dst TID) error {
 	defer m.Release()
 	buf := NewBuffer().PackInt32(9)
@@ -150,6 +149,67 @@ func deferReleaseIsCleanup(t *Task, m Message, dst TID) error {
 // orders the later defer first, and the earlier one doubles the send.
 func deferredDoubleSend(t *Task, dst TID) {
 	buf := NewBuffer().PackInt32(1)
-	defer t.Send(dst, 1, buf) // want `buffer "buf" resent`
+	defer t.Send(dst, 1, buf) // want `buffer "buf" sent again`
 	defer t.Send(dst, 2, buf)
+}
+
+// --- shapes the source-ordered check this fixture was written for missed ---
+
+// The result of the append may share the sent backing array: assigning
+// it back is not a rebind to fresh bytes, so the store after it is still
+// a write under the receiver.
+func appendKeepsAliasing(c Ctx) error {
+	payload := make([]byte, 0, 16)
+	if err := c.Send(1, 0, payload); err != nil {
+		return err
+	}
+	payload = append(payload, 4) // want `append into payload "payload" already queued by Send`
+	payload[0] = 9               // want `store into "payload" already sent`
+	return nil
+}
+
+// Sent on one path only, written on all of them: a bug on the path that
+// sent. The payload outlives the block it was first sent in.
+func sentInBranch(c Ctx, root int) error {
+	payload := []byte("abc")
+	if c.Pid() == root {
+		if err := c.Send(1, 0, payload); err != nil {
+			return err
+		}
+	}
+	payload[0] = 'z' // want `store into "payload" already sent`
+	return nil
+}
+
+// A send whose error goes down a channel is still a send.
+func resendThroughChannel(t *Task, errs chan error) {
+	buf := NewBuffer().PackInt32(7)
+	if err := t.Send(1, 1, buf); err != nil {
+		errs <- err
+		return
+	}
+	errs <- t.Send(1, 1, buf) // want `buffer "buf" sent again`
+}
+
+// A buffer that did not come from NewBuffer here is tracked from its
+// first send.
+func resendParameter(t *Task, buf *Buffer) error {
+	if err := t.Send(1, 7, buf); err != nil {
+		return err
+	}
+	return t.Send(2, 7, buf) // want `buffer "buf" sent again`
+}
+
+func observe([]byte) {}
+
+// Handing a queued payload to a callee does not end the hazard: nothing
+// the callee does makes the store safe.
+func observedThenMutated(c Ctx) error {
+	payload := []byte("abc")
+	if err := c.Send(1, 0, payload); err != nil {
+		return err
+	}
+	observe(payload)
+	payload[0] = 'z' // want `store into "payload" already sent`
+	return nil
 }

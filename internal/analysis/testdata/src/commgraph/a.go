@@ -135,7 +135,7 @@ func convergentScopes(c Ctx) error {
 
 // The known-unprovable case: a reply server answers requests after its
 // own barrier, relying on the caller's next sync to deliver them — the
-// DRMA protocol shape, audited by hand.
+// request/reply protocol shape, audited by hand.
 func replyServer(c Ctx, scope *Machine) error {
 	if err := c.Sync(scope, "deliver"); err != nil {
 		return err

@@ -196,3 +196,45 @@ func membershipGuardAborts(c Ctx, scope *Machine, data []byte) error {
 	}
 	return SyncAll(c, "done")
 }
+
+// --- the vocabulary across packages ---
+
+// What a program imports from package collective is known by name, not
+// by body: these stubs synchronize nothing themselves, as any function
+// of another package looks from here.
+
+type Planner struct{}
+
+func PlannedBcast(c Ctx, p *Planner, n int, data []byte) ([]byte, error) { return data, nil }
+
+type FT struct{}
+
+func (f *FT) AllReduce(local []int64) ([]int64, error) { return local, nil }
+func (f *FT) Live() []int                              { return nil }
+
+// The planner-dispatched broadcast is a collective like any other: only
+// the root entering it leaves everyone else behind.
+func plannedUnderPid(c Ctx, p *Planner, data []byte) error {
+	if c.Pid() == 0 { // want `pid-divergent branches synchronize differently`
+		_, err := PlannedBcast(c, p, len(data), data)
+		return err
+	}
+	return nil
+}
+
+// The fault-tolerant collectives hold their Ctx instead of taking it.
+func ftUnderPid(c Ctx, ft *FT, local []int64) error {
+	if c.Pid() == 0 { // want `pid-divergent branches synchronize differently`
+		_, err := ft.AllReduce(local)
+		return err
+	}
+	return nil
+}
+
+// An FT enquiry synchronizes nothing, whoever asks.
+func ftEnquiryUnderPid(c Ctx, ft *FT) int {
+	if c.Pid() == 0 {
+		return len(ft.Live())
+	}
+	return 0
+}

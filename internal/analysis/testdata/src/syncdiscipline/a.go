@@ -1,7 +1,10 @@
-// Package syncdiscipline is the golden fixture for the syncdiscipline
-// analyzer: a self-contained replica of the HBSPlib Ctx surface with
-// seeded violations. The analyzer keys on method sets, not import
-// paths, so the stubs exercise exactly the production detection logic.
+// Package syncdiscipline is pidtaint's second golden fixture, the one
+// that pins the plain rule: a Sync, SyncAll or barrier that only some
+// processors reach — under a pid-dependent if, else, switch case, loop
+// bound or range — is reported at the controlling statement. It is a
+// self-contained replica of the HBSPlib Ctx surface; the analyzer keys
+// on method sets, not import paths, so the stubs exercise exactly the
+// production detection logic.
 package syncdiscipline
 
 type Machine struct{}
@@ -34,8 +37,8 @@ func Rank(c Ctx) int { return c.Pid() }
 // --- violations ---
 
 func syncUnderPidIf(c Ctx, scope *Machine, root int) error {
-	if c.Pid() == root {
-		return c.Sync(scope, "root only") // want `synchronizing call under processor-divergent control flow`
+	if c.Pid() == root { // want `pid-divergent branches synchronize differently`
+		return c.Sync(scope, "root only")
 	}
 	return nil
 }
@@ -43,8 +46,8 @@ func syncUnderPidIf(c Ctx, scope *Machine, root int) error {
 func syncUnderTaintedLocal(c Ctx, scope *Machine) error {
 	me := c.Pid()
 	amRoot := me == 0
-	if amRoot {
-		if err := c.Sync(scope, "tainted"); err != nil { // want `synchronizing call under processor-divergent control flow`
+	if amRoot { // want `pid-divergent branches synchronize differently`
+		if err := c.Sync(scope, "tainted"); err != nil {
 			return err
 		}
 	}
@@ -52,8 +55,8 @@ func syncUnderTaintedLocal(c Ctx, scope *Machine) error {
 }
 
 func syncInPidBoundedLoop(c Ctx, scope *Machine) error {
-	for i := 0; i < c.Pid(); i++ {
-		if err := c.Sync(scope, "loop"); err != nil { // want `synchronizing call under processor-divergent control flow`
+	for i := 0; i < c.Pid(); i++ { // want `loop bound is pid-divergent and the body synchronizes`
+		if err := c.Sync(scope, "loop"); err != nil {
 			return err
 		}
 	}
@@ -61,23 +64,23 @@ func syncInPidBoundedLoop(c Ctx, scope *Machine) error {
 }
 
 func syncAllUnderRank(c Ctx) error {
-	if Rank(c) == 0 {
-		return SyncAll(c, "fastest only") // want `synchronizing call under processor-divergent control flow`
+	if Rank(c) == 0 { // want `pid-divergent branches synchronize differently`
+		return SyncAll(c, "fastest only")
 	}
 	return nil
 }
 
 func syncUnderDivergentSwitch(c Ctx, scope *Machine, root int) error {
-	switch {
+	switch { // want `pid-divergent switch arms synchronize differently`
 	case c.Pid() != root:
-		return c.Sync(scope, "non-root") // want `synchronizing call under processor-divergent control flow`
+		return c.Sync(scope, "non-root")
 	}
 	return nil
 }
 
 func syncPerMessage(c Ctx, scope *Machine) error {
-	for range c.Moves() {
-		if err := c.Sync(scope, "per message"); err != nil { // want `synchronizing call under processor-divergent control flow`
+	for range c.Moves() { // want `ranging over a pid-divergent value with a synchronizing body`
+		if err := c.Sync(scope, "per message"); err != nil {
 			return err
 		}
 	}
@@ -85,10 +88,10 @@ func syncPerMessage(c Ctx, scope *Machine) error {
 }
 
 func syncUnderElse(c Ctx, scope *Machine) error {
-	if c.Pid() == 0 {
+	if c.Pid() == 0 { // want `pid-divergent branches synchronize differently`
 		return nil
 	} else {
-		return c.Sync(scope, "else branch") // want `synchronizing call under processor-divergent control flow`
+		return c.Sync(scope, "else branch")
 	}
 }
 
@@ -128,8 +131,8 @@ func treePidIsNotDivergent(c Ctx, scope *Machine) error {
 }
 
 func suppressed(c Ctx, scope *Machine) error {
-	if c.Pid() == 0 {
-		return c.Sync(scope, "audited") //hbspk:ignore syncdiscipline
+	if c.Pid() == 0 { //hbspk:ignore pidtaint
+		return c.Sync(scope, "audited")
 	}
 	return nil
 }

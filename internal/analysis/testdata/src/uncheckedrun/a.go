@@ -31,6 +31,14 @@ func Gather(c Ctx, scope *Machine, root int, local []byte) (map[int][]byte, erro
 	return nil, nil
 }
 
+type Planner struct{}
+
+func PlannedBcast(c Ctx, p *Planner, n int, data []byte) ([]byte, error) { return data, nil }
+
+type FT struct{}
+
+func (f *FT) Bcast(root int, data []byte) ([]byte, error) { return data, nil }
+
 type TID int
 
 type Buffer struct{}
@@ -69,6 +77,14 @@ func dropFacadeRun(t *Tree, prog Program) {
 
 func dropCollective(c Ctx, scope *Machine) {
 	Gather(c, scope, 0, nil) // want `error result of Gather is dropped`
+}
+
+func dropPlanned(c Ctx, p *Planner, data []byte) {
+	PlannedBcast(c, p, len(data), data) // want `error result of PlannedBcast is dropped`
+}
+
+func dropFT(ft *FT, data []byte) {
+	ft.Bcast(0, data) // want `error result of Bcast is dropped`
 }
 
 func dropBarrier(t *Task) {

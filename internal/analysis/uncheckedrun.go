@@ -7,7 +7,8 @@ import (
 
 // UncheckedRun flags dropped errors from the HBSP^k run-time surface:
 // engine Run/Wait, Ctx Sync/Send, SyncAll, pvm Send/Mcast/Barrier/
-// Spawn-collection via Wait, and every collective. A swallowed error
+// Spawn-collection via Wait, and every collective — planner-dispatched
+// and fault-tolerant forms included. A swallowed error
 // from any of these turns a detected desync or delivery failure into a
 // silently wrong answer, so unlike a general errcheck this one is
 // always-on for the model's own calls. Only outright drops are flagged
@@ -17,15 +18,6 @@ var UncheckedRun = &Analyzer{
 	Name: "uncheckedrun",
 	Doc:  "flag dropped errors from Run/Sync/Send/collective calls",
 	Run:  runUncheckedRun,
-}
-
-// uncheckedNames are callee names whose error results must be consumed
-// when the callee belongs to the model's surface (method on a Ctx/Task/
-// System/engine, or function with a Ctx argument).
-var uncheckedNames = map[string]bool{
-	"Sync": true, "SyncAll": true, "Send": true, "Mcast": true,
-	"Barrier": true, "Run": true, "RunConcurrent": true, "RunVirtual": true,
-	"Wait": true,
 }
 
 func runUncheckedRun(pass *Pass) error {
@@ -66,9 +58,6 @@ func isUncheckedTarget(pass *Pass, call *ast.CallExpr) bool {
 	}
 	name := fn.Name()
 	if rt := receiverType(info, call); rt != nil {
-		if !uncheckedNames[name] {
-			return false
-		}
 		switch {
 		case isCtxType(rt):
 			return name == "Sync" || name == "Send"
@@ -78,6 +67,8 @@ func isUncheckedTarget(pass *Pass, call *ast.CallExpr) bool {
 			return name == "Wait"
 		case typeNameOf(rt) == "Virtual" || typeNameOf(rt) == "Concurrent":
 			return name == "Run"
+		case typeNameOf(rt) == "FT":
+			return ftMethodNames[name]
 		}
 		return false
 	}
@@ -90,5 +81,5 @@ func isUncheckedTarget(pass *Pass, call *ast.CallExpr) bool {
 		sig := fn.Type().(*types.Signature)
 		return sig.Results().Len() == 2 && typeNameOf(sig.Results().At(0).Type()) == "Report"
 	}
-	return collectiveNames[name] && len(call.Args) > 0 && isCtxType(info.TypeOf(call.Args[0]))
+	return isCollectiveCall(info, call, name)
 }

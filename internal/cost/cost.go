@@ -155,31 +155,6 @@ func chargeEntities(t *model.Tree, scope *model.Machine, f Flow) (src, dst entit
 	return ent(srcLeaf, cs), ent(dstLeaf, cd)
 }
 
-// EndpointRates returns the communication slowdowns the flow's sender
-// and receiver are charged at during a super^i-step at the given scope,
-// following the same entity rules as HRelation. Flows outside the
-// scope's subtree and self-sends return zero rates.
-func EndpointRates(t *model.Tree, scope *model.Machine, f Flow) (rSrc, rDst float64) {
-	if f.Src == f.Dst {
-		return 0, 0
-	}
-	src, dst := chargeEntities(t, scope, f)
-	if src.m == nil || dst.m == nil {
-		return 0, 0
-	}
-	return src.r, dst.r
-}
-
-// EndpointMachines returns the charged entities themselves (for rate
-// table lookups); nils for self-sends and out-of-scope flows.
-func EndpointMachines(t *model.Tree, scope *model.Machine, f Flow) (srcM, dstM *model.Machine) {
-	if f.Src == f.Dst {
-		return nil, nil
-	}
-	src, dst := chargeEntities(t, scope, f)
-	return src.m, dst.m
-}
-
 // HRelation computes the heterogeneous h-relation of a super^i-step at
 // the given scope: h = max over charged machines of r_{i,j} · h_{i,j},
 // where h_{i,j} is the larger of the bytes sent and received by machine

@@ -5,18 +5,13 @@
 //
 // The default configuration charges exactly the paper's cost model,
 // T_i(λ) = w_i + g·h + L_{i,j} with the heterogeneous h-relation of
-// package cost. On top of that the fabric can model two effects the pure
-// model abstracts away, both needed to reproduce the experimental
-// section:
-//
-//   - PVM-style per-byte pack/unpack overheads, charged as local work to
-//     the sender/receiver and scaled by that machine's compute slowdown.
-//     Packing (XDR encoding on the send path) is more expensive than
-//     unpacking; this asymmetry is what makes the paper's Figure 3(a)
-//     show T_s/T_f < 1 at p = 2 (§5.2's counter-intuitive result).
-//   - A packet-level communication mode that replaces g·h with a
-//     discrete-event simulation of per-machine injectors and drains, to
-//     validate the h-relation abstraction.
+// package cost. On top of that the fabric can model an effect the pure
+// model abstracts away and the experimental section needs: PVM-style
+// per-byte pack/unpack overheads, charged as local work to the
+// sender/receiver and scaled by that machine's compute slowdown.
+// Packing (XDR encoding on the send path) is more expensive than
+// unpacking; this asymmetry is what makes the paper's Figure 3(a) show
+// T_s/T_f < 1 at p = 2 (§5.2's counter-intuitive result).
 //
 // A multiplicative noise knob models the paper's non-dedicated cluster.
 package fabric
@@ -49,11 +44,6 @@ type Config struct {
 	// Seed seeds the noise generator; runs with equal seeds are
 	// identical.
 	Seed int64
-	// PacketMode replaces the g·h charge with a packet-level
-	// discrete-event simulation.
-	PacketMode bool
-	// PacketBytes is the packet size for PacketMode (default 1024).
-	PacketBytes int
 	// MsgOverhead is a fixed per-message cost charged to the sender's
 	// local work (scaled by its compute slowdown), modeling PVM's
 	// per-message routing/daemon latency. It penalizes algorithms that
@@ -111,9 +101,6 @@ type Fabric struct {
 
 // New returns a fabric for the tree with the given configuration.
 func New(t *model.Tree, cfg Config) *Fabric {
-	if cfg.PacketBytes <= 0 {
-		cfg.PacketBytes = 1024
-	}
 	return &Fabric{tree: t, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
@@ -132,8 +119,7 @@ type StepResult struct {
 	// Level is i.
 	Level int
 	// W is w_i including pack/unpack overheads; H the heterogeneous
-	// h-relation; Comm the charged communication time (g·H, or the
-	// packet simulation's span); Sync is L.
+	// h-relation; Comm the charged communication time g·H; Sync is L.
 	W, H, Comm, Sync float64
 	// Time is the step's total T, after noise.
 	Time float64
@@ -239,11 +225,7 @@ func (f *Fabric) StepCost(scope *model.Machine, label string, flows []cost.Flow,
 	}
 
 	res.H = cost.HRelationRated(f.tree, scope, flows, f.cfg.Rates)
-	if f.cfg.PacketMode {
-		res.Comm = f.packetTime(scope, flows)
-	} else {
-		res.Comm = f.tree.G * res.H
-	}
+	res.Comm = f.tree.G * res.H
 
 	res.Time = res.W + res.Comm + res.Sync
 	if f.cfg.Noise > 0 {

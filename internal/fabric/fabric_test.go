@@ -108,68 +108,6 @@ func TestWorkWithoutFlows(t *testing.T) {
 	}
 }
 
-func TestPacketModeApproximatesHRelation(t *testing.T) {
-	// For a large gather, the packet-level span must converge to the
-	// g·h charge: the h-relation abstraction is exact up to pipelining
-	// effects that vanish with message size.
-	tr := model.UCFTestbed()
-	d := cost.BalancedDist(tr, 400000)
-	root := tr.Pid(tr.FastestLeaf())
-	var flows []cost.Flow
-	for pid, b := range d {
-		flows = append(flows, cost.Flow{Src: pid, Dst: root, Bytes: b})
-	}
-	pure := New(tr, PureModel()).StepCost(tr.Root, "g", flows, nil)
-	pkt := New(tr, Config{PacketMode: true, PacketBytes: 1024}).StepCost(tr.Root, "g", flows, nil)
-	ratio := pkt.Comm / pure.Comm
-	if ratio < 0.8 || ratio > 1.6 {
-		t.Errorf("packet-level comm %v vs g·h %v: ratio %v outside [0.8, 1.6]",
-			pkt.Comm, pure.Comm, ratio)
-	}
-}
-
-func TestPacketModeSerializesReceiver(t *testing.T) {
-	// Two senders to one receiver: the receiver drain serializes, so
-	// the span must be at least the receiver's total drain time.
-	root := model.NewCluster("c", []*model.Machine{
-		model.NewLeaf("r", model.WithComm(1)),
-		model.NewLeaf("s1", model.WithComm(1)),
-		model.NewLeaf("s2", model.WithComm(1)),
-	}, model.WithSync(0))
-	tr := model.MustNew(root, 1).Normalize()
-	f := New(tr, Config{PacketMode: true, PacketBytes: 100})
-	res := f.StepCost(tr.Root, "g", []cost.Flow{
-		{Src: 1, Dst: 0, Bytes: 1000},
-		{Src: 2, Dst: 0, Bytes: 1000},
-	}, nil)
-	if res.Comm < 2000 {
-		t.Errorf("span %v below receiver serialization bound 2000", res.Comm)
-	}
-	if res.Comm > 2000+100 {
-		t.Errorf("span %v far above bound: pipelining broken", res.Comm)
-	}
-}
-
-func TestPacketModeChargesClusterRates(t *testing.T) {
-	// Super²-step between two single-leaf clusters with slow WAN
-	// injection: rates must come from the cluster r, not the leaf r.
-	mk := func(name string, r float64) *model.Machine {
-		return model.NewCluster(name, []*model.Machine{
-			model.NewLeaf(name+"-0", model.WithComm(1)),
-		}, model.WithComm(r), model.WithSync(0))
-	}
-	tr := model.MustNew(model.NewCluster("wan",
-		[]*model.Machine{mk("a", 1), mk("b", 10)}, model.WithSync(0)), 1).Normalize()
-	f := New(tr, Config{PacketMode: true, PacketBytes: 1 << 20})
-	// b -> a: sender charged at cluster b's r = 10. The root
-	// coordinator (a-0) drains at its own r = 1.
-	res := f.StepCost(tr.Root, "s2", []cost.Flow{{Src: 1, Dst: 0, Bytes: 1000}}, nil)
-	// One packet: inject 10·1000 then drain 1·1000 → span 11000.
-	if res.Comm != 11000 {
-		t.Errorf("span = %v, want 11000", res.Comm)
-	}
-}
-
 // Property: pure-model step time always equals w + g·h + L for random
 // flows on a random tree.
 func TestPropertyPureModelEquation(t *testing.T) {
@@ -190,46 +128,6 @@ func TestPropertyPureModelEquation(t *testing.T) {
 		return math.Abs(res.Time-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: packet-mode span is never below the busiest charged
-// endpoint's serialized time (a lower bound that mirrors g·h).
-func TestPropertyPacketSpanLowerBound(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := model.RandomTree(rng, 1, 5)
-		p := tr.NProcs()
-		if p < 2 {
-			return true
-		}
-		var flows []cost.Flow
-		for i := 0; i < 6; i++ {
-			flows = append(flows, cost.Flow{
-				Src: rng.Intn(p), Dst: rng.Intn(p), Bytes: 1 + rng.Intn(4000),
-			})
-		}
-		fb := New(tr, Config{PacketMode: true, PacketBytes: 512})
-		span := fb.StepCost(tr.Root, "s", flows, nil).Comm
-		// Sender-side bound: every sender must at least inject all its
-		// bytes at its own rate.
-		sent := map[int]float64{}
-		for _, fl := range flows {
-			if fl.Src == fl.Dst {
-				continue
-			}
-			rs, _ := cost.EndpointRates(tr, tr.Root, fl)
-			sent[fl.Src] += tr.G * rs * float64(fl.Bytes)
-		}
-		for _, v := range sent {
-			if span < v-1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -68,18 +68,13 @@ func TestRateTableWildcards(t *testing.T) {
 	}
 }
 
-func TestRateTableInFabricAndPacketMode(t *testing.T) {
+func TestRateTableInFabric(t *testing.T) {
 	tr := ratedPair()
 	rt := model.NewRateTable().Set("b", "a", 3)
 	flows := []cost.Flow{{Src: 1, Dst: 0, Bytes: 1000}}
 	fb := New(tr, Config{Rates: rt})
-	if res := fb.StepCost(tr.Root, "s", flows, nil); res.H != 6000 {
-		t.Errorf("fabric h = %v, want 6000", res.H)
-	}
-	pk := New(tr, Config{Rates: rt, PacketMode: true, PacketBytes: 1 << 20})
-	// One packet: inject at r=2·3 per byte then drain at r=1: 7000.
-	if res := pk.StepCost(tr.Root, "s", flows, nil); res.Comm != 7000 {
-		t.Errorf("packet comm = %v, want 7000", res.Comm)
+	if res := fb.StepCost(tr.Root, "s", flows, nil); res.H != 6000 || res.Comm != tr.G*6000 {
+		t.Errorf("fabric h = %v, comm = %v; want 6000, g·6000", res.H, res.Comm)
 	}
 }
 

@@ -67,14 +67,14 @@ func TestConcurrentDesyncStalledBarriers(t *testing.T) {
 	_, err := eng.Run(func(ctx Ctx) error {
 		// Deliberate desync under test: every Sync below is pid-divergent.
 		if ctx.Pid() == 0 { //hbspk:ignore pidtaint (deliberate desync under test)
-			if err := ctx.Sync(scopeA, "inner"); err != nil { //hbspk:ignore syncdiscipline
+			if err := ctx.Sync(scopeA, "inner"); err != nil {
 				return err
 			}
 			// p1 never joins this second inner sync.
-			return ctx.Sync(scopeA, "inner-again") //hbspk:ignore syncdiscipline
+			return ctx.Sync(scopeA, "inner-again")
 		}
 		if ctx.Pid() == 1 { //hbspk:ignore pidtaint (deliberate desync under test)
-			if err := ctx.Sync(scopeA, "inner"); err != nil { //hbspk:ignore syncdiscipline
+			if err := ctx.Sync(scopeA, "inner"); err != nil {
 				return err
 			}
 		}

@@ -247,7 +247,7 @@ func TestDesyncDetected(t *testing.T) {
 	tr := model.UCFTestbedN(2)
 	_, err := RunVirtual(tr, fabric.PureModel(), func(c Ctx) error {
 		if c.Pid() == 0 { //hbspk:ignore pidtaint (deliberate desync under test)
-			return SyncAll(c, "s") //hbspk:ignore syncdiscipline (deliberate desync under test)
+			return SyncAll(c, "s")
 		}
 		return nil
 	})
@@ -262,7 +262,7 @@ func TestMismatchedScopesDetected(t *testing.T) {
 	tr := model.MustNew(model.NewCluster("top", []*model.Machine{a, b}, model.WithSync(1)), 1).Normalize()
 	_, err := RunVirtual(tr, fabric.PureModel(), func(c Ctx) error {
 		if c.Pid() == 0 { //hbspk:ignore pidtaint (deliberate desync under test)
-			return SyncAll(c, "global") //hbspk:ignore syncdiscipline (deliberate desync under test)
+			return SyncAll(c, "global")
 		}
 		return c.Sync(c.Tree().ScopeAt(c.Self(), 1), "local")
 	})
@@ -404,7 +404,7 @@ func TestConcurrentScopedSync(t *testing.T) {
 			if err := c.Send(peer, 0, []byte{1}); err != nil {
 				return err
 			}
-			if err := c.Sync(cluster, "local"); err != nil { //hbspk:ignore syncdiscipline (scope-uniform: all leaves of one cluster branch together)
+			if err := c.Sync(cluster, "local"); err != nil { // scope-uniform: all leaves of one cluster branch together
 				return err
 			}
 			counts[c.Pid()] = len(c.Moves())

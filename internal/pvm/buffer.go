@@ -26,11 +26,6 @@ const (
 	codeBytes
 )
 
-// CodeBytes is the wire type code of a packed byte slice, exported for
-// callers that need to peek at undecoded frames (package hbsp's DRMA
-// layer distinguishes payload frames from length frames this way).
-const CodeBytes = codeBytes
-
 // ErrBufferUnderflow is returned when unpacking past the end of a
 // buffer.
 var ErrBufferUnderflow = errors.New("pvm: unpack past end of buffer")

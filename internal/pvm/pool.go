@@ -21,7 +21,7 @@ const maxPooledCap = 1 << 20
 // (and, before the send, the Buffer) that alias data. hdr is the Buffer
 // NewBuffer hands out for the wire: header and record recycle as one
 // object, so a packed message costs no allocation of its own. A sent
-// Buffer is dead to its sender (the bufreuse analyzer holds programs to
+// Buffer is dead to its sender (the bufown analyzer holds programs to
 // that); the header is rewritten only by the NewBuffer that next draws
 // the record, after every receiver has released it. tail is a slice the
 // sender lent (PackBytesBorrowed): the message is data, then tail. The

@@ -176,7 +176,7 @@ func TestSendRejectsReuse(t *testing.T) {
 			errs <- err
 			return err
 		}
-		errs <- t.Send(a, 1, buf) //hbspk:ignore bufreuse (the test asserts the runtime rejects exactly this resend)
+		errs <- t.Send(a, 1, buf) //hbspk:ignore bufown (the test asserts the runtime rejects exactly this resend)
 		return nil
 	})
 	if err := <-errs; err == nil {

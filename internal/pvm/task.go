@@ -255,7 +255,7 @@ func (t *Task) Name() string { return t.name }
 // packed bytes transfers to the receiver, which releases them back to
 // the arena. Delivery is reliable and per-sender ordered. A buffer can
 // be sent only once, and must not be packed into afterwards (the
-// bufreuse analyzer enforces both). A slice the buffer borrowed
+// bufown analyzer enforces both). A slice the buffer borrowed
 // (PackBytesBorrowed) is the caller's again when the send returns.
 // Sending to a halted system or an unknown task returns an error.
 func (t *Task) Send(dst TID, tag int, buf *Buffer) error {

@@ -120,7 +120,7 @@ func diffProg(seed int64, out []pidTrace) hbsp.Program {
 		}
 		cluster := c.Tree().ScopeAt(c.Self(), 1)
 		if cluster != c.Tree().Root.Children[0] {
-			if err := c.Sync(cluster, "head start"); err != nil { //hbspk:ignore syncdiscipline (scope-uniform: all leaves of one cluster branch together)
+			if err := c.Sync(cluster, "head start"); err != nil { // scope-uniform: all leaves of one cluster branch together
 				return err
 			}
 		}
