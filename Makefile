@@ -55,9 +55,13 @@ chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/fabric/ ./internal/hbsp/ ./internal/collective/
 
 # verify smoke-tests the semantic checker: schedule exploration with
-# the happens-before checker armed must certify gather, bcast and
-# reduce delivery-order independent under 4 seeded permutations each,
-# and the reorg property sweep proves rebalancing preserves topology
+# the happens-before checker armed must certify gather, gather-hier,
+# bcast-hier and reduce-hier delivery-order independent under 4 seeded
+# permutations each — on the flat testbed and, the hierarchical three,
+# on the grid, where sibling clusters step side by side — and a noisy
+# grid run repeated must reproduce its report and its event stream byte
+# for byte (the virtual engine is a sequential simulation, DESIGN.md
+# §5.3). The reorg property sweep proves rebalancing preserves topology
 # shape, the leaf multiset and every collective's sequential oracle.
 # The final stanza is the multi-process smoke: a coordinator and two
 # worker OS processes, each an hbsp.Concurrent hosting one pid, run the
@@ -66,12 +70,19 @@ chaos:
 # "listening on" line prints (DESIGN.md §5.10). check.sh invokes this
 # target rather than repeating it.
 verify:
-	$(GO) run ./cmd/hbspk-sim -machine ucf -collective gather -n 4096 -pure -explore 4
-	$(GO) run ./cmd/hbspk-sim -machine ucf -collective bcast-hier -n 4096 -pure -explore 4
-	$(GO) run ./cmd/hbspk-sim -machine ucf -collective reduce-hier -n 4096 -pure -explore 4
 	$(GO) test -count=1 -run 'TestReorganizePreservesShapeAndLeaves|TestPlanReorgDeterministic' ./internal/model/
 	$(GO) test -count=1 -run 'TestSweepOnReorganizedTrees' ./internal/collective/
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/hbspk-sim" ./cmd/hbspk-sim || exit 1; \
+	for run in ucf:gather ucf:gather-hier ucf:bcast-hier ucf:reduce-hier grid:gather-hier grid:bcast-hier grid:reduce-hier; do \
+		"$$tmp/hbspk-sim" -machine "$${run%:*}" -collective "$${run#*:}" -n 4096 -pure -explore 4 || exit 1; \
+	done; \
+	for i in 1 2; do \
+		"$$tmp/hbspk-sim" -machine grid -collective bcast-hier -noise 0.2 -seed 3 \
+			-json "$$tmp/run$$i.json" -events-out "$$tmp/run$$i.jsonl" > /dev/null || exit 1; \
+	done; \
+	cmp "$$tmp/run1.json" "$$tmp/run2.json" && cmp "$$tmp/run1.jsonl" "$$tmp/run2.jsonl" || \
+		{ echo "verify: two runs of one seeded grid simulation differ" >&2; exit 1; }; \
 	$(GO) build -o "$$tmp/hbspk-worker" ./cmd/hbspk-worker || exit 1; \
 	"$$tmp/hbspk-worker" -listen "unix:$$tmp/coord.sock" -nprocs 3 & c=$$!; \
 	"$$tmp/hbspk-worker" -connect "unix:$$tmp/coord.sock" -pid 1 -nprocs 3 & w1=$$!; \

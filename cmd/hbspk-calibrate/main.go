@@ -22,36 +22,15 @@ import (
 	"hbspk/internal/trace"
 )
 
-// loadMachine resolves a preset name or a JSON spec path.
-func loadMachine(name string) (*model.Tree, error) {
-	switch name {
-	case "ucf", "testbed":
-		return model.UCFTestbed(), nil
-	case "figure1":
-		return model.Figure1Cluster(), nil
-	case "grid":
-		return model.WideAreaGrid(3, 4, 12, 25000, 250000), nil
-	}
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return nil, fmt.Errorf("not a preset (ucf, figure1, grid) and unreadable as a spec file: %w", err)
-	}
-	spec, err := model.ParseSpec(data)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Tree()
-}
-
 func main() {
-	machine := flag.String("machine", "ucf", "preset (ucf, figure1, grid) or JSON spec path")
+	machine := flag.String("machine", "ucf", "preset (ucf, figure1, grid, chain) or JSON spec path")
 	seed := flag.Int64("seed", 1, "measurement seed")
 	noise := flag.Float64("noise", 0.08, "relative measurement noise amplitude")
 	scale := flag.Int("scale", 2, "kernel scale (1 = quick, 10 = thorough)")
 	kernels := flag.Bool("kernels", false, "also print the per-kernel index table")
 	flag.Parse()
 
-	tr, err := loadMachine(*machine)
+	tr, err := model.LoadMachine(*machine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hbspk-calibrate: %v\n", err)
 		os.Exit(1)

@@ -23,26 +23,6 @@ import (
 	"hbspk/internal/workload"
 )
 
-func loadMachine(name string) (*model.Tree, error) {
-	switch name {
-	case "ucf", "testbed":
-		return model.UCFTestbed(), nil
-	case "figure1":
-		return model.Figure1Cluster(), nil
-	case "grid":
-		return model.WideAreaGrid(3, 4, 12, 25000, 250000), nil
-	}
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return nil, fmt.Errorf("not a preset (ucf, figure1, grid) and unreadable as a spec file: %w", err)
-	}
-	spec, err := model.ParseSpec(data)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Tree()
-}
-
 func parseSizes(s string) ([]int, error) {
 	if s == "" {
 		return workload.PaperSizes(), nil
@@ -59,7 +39,7 @@ func parseSizes(s string) ([]int, error) {
 }
 
 func main() {
-	machine := flag.String("machine", "ucf", "preset (ucf, figure1, grid) or JSON spec path")
+	machine := flag.String("machine", "ucf", "preset (ucf, figure1, grid, chain) or JSON spec path")
 	coll := flag.String("collective", "gather", "gather, gather-hier, scatter, bcast1, bcast2, bcast-hier, allgather, reduce, reduce-hier, scan, alltoall")
 	sizes := flag.String("n", "", "comma-separated byte sizes (default: the paper's 100KB..1000KB)")
 	balanced := flag.Bool("balanced", true, "balanced (c_j) distribution instead of equal")
@@ -68,7 +48,7 @@ func main() {
 	opCost := flag.Float64("opcost", 0.05, "per-byte combining cost for reduce/scan")
 	flag.Parse()
 
-	tr, err := loadMachine(*machine)
+	tr, err := model.LoadMachine(*machine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hbspk-predict: %v\n", err)
 		os.Exit(1)

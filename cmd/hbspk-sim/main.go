@@ -57,28 +57,6 @@ import (
 	"hbspk/internal/plan"
 )
 
-func loadMachine(name string) (*model.Tree, error) {
-	switch name {
-	case "ucf", "testbed":
-		return model.UCFTestbed(), nil
-	case "figure1":
-		return model.Figure1Cluster(), nil
-	case "grid":
-		return model.WideAreaGrid(3, 4, 12, 25000, 250000), nil
-	case "chain":
-		return model.DeepChain(4), nil
-	}
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return nil, fmt.Errorf("not a preset (ucf, figure1, grid, chain) and unreadable as a spec file: %w", err)
-	}
-	spec, err := model.ParseSpec(data)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Tree()
-}
-
 // fail prints the error — naming the failing processor and superstep
 // when the error carries them — and exits non-zero.
 func fail(code int, err error) {
@@ -196,7 +174,7 @@ func main() {
 	attrib := flag.Bool("attrib", false, "print predicted-vs-measured attribution tables (implied by any observability output flag)")
 	flag.Parse()
 
-	tr, err := loadMachine(*machine)
+	tr, err := model.LoadMachine(*machine)
 	if err != nil {
 		fail(1, err)
 	}

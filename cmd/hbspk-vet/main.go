@@ -121,7 +121,7 @@ func main() {
 	var tree *model.Tree
 	if *treeName != "" {
 		var err error
-		tree, err = loadTree(*treeName)
+		tree, err = model.LoadMachine(*treeName)
 		if err != nil {
 			fatal(err)
 		}
@@ -350,28 +350,6 @@ func printCostBounds(pkgs []*analysis.Package, moduleDir string, tree *model.Tre
 			fmt.Printf("  %-14s %s -> %s at n >= %d bytes\n", r.Family, r.From, r.To, r.N)
 		}
 	}
-}
-
-func loadTree(name string) (*model.Tree, error) {
-	switch name {
-	case "ucf", "testbed":
-		return model.UCFTestbed(), nil
-	case "figure1":
-		return model.Figure1Cluster(), nil
-	case "grid":
-		return model.WideAreaGrid(3, 4, 12, 25000, 250000), nil
-	case "chain":
-		return model.DeepChain(4), nil
-	}
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return nil, fmt.Errorf("hbspk-vet: -tree %q is not a preset (ucf, figure1, grid, chain) and unreadable as a spec file: %w", name, err)
-	}
-	spec, err := model.ParseSpec(data)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Tree()
 }
 
 func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {

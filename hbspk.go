@@ -107,8 +107,10 @@ func DecodeSpec(data []byte) (*MachineSpec, error) {
 	return model.ParseSpec(data)
 }
 
-// Run executes the program on the virtual-time engine: deterministic,
-// charging the HBSP^k cost model through the given fabric.
+// Run executes the program on the virtual-time engine: a deterministic
+// sequential simulation (one processor's program runs at a time, so a
+// program waits on another processor only through Sync), charging the
+// HBSP^k cost model through the given fabric.
 func Run(t *Tree, cfg FabricConfig, prog Program) (*Report, error) {
 	return hbsp.RunVirtual(t, cfg, prog)
 }

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
@@ -109,7 +110,12 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 		if err := c.Sync(scope, fmt.Sprintf("x-hier^%d", lvl)); err != nil {
 			return nil, err
 		}
-		for _, m := range c.Moves() {
+		// What is still carried is forwarded in this order, so it must not
+		// follow arrival: the model delivers by sender, schedule exploration
+		// on purpose does not.
+		moves := slices.Clone(c.Moves())
+		slices.SortStableFunc(moves, func(a, b hbsp.Message) int { return a.Src - b.Src })
+		for _, m := range moves {
 			if m.Tag != tagXHier {
 				continue
 			}

@@ -122,6 +122,21 @@ func exploreCases(tr *model.Tree) []struct {
 			c.Save("result", out)
 			return nil
 		}},
+		{"scatter-hier", func(c hbsp.Ctx) error {
+			var pieces map[int][]byte
+			if c.Pid() == root {
+				pieces = make(map[int][]byte)
+				for pid := 0; pid < c.NProcs(); pid++ {
+					pieces[pid] = payloadFor(pid, 6)
+				}
+			}
+			out, err := ScatterHier(c, pieces)
+			if err != nil {
+				return err
+			}
+			c.Save("result", out)
+			return nil
+		}},
 		{"allgather", func(c hbsp.Ctx) error {
 			out, err := AllGather(c, c.Tree().Root, payloadFor(c.Pid(), 5))
 			if err != nil {
@@ -207,25 +222,32 @@ func exploreCases(tr *model.Tree) []struct {
 }
 
 func TestCollectivesPassScheduleExploration(t *testing.T) {
-	tr := model.UCFTestbedN(exploreP)
-	for _, tc := range exploreCases(tr) {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-			eng.Verify = true
-			set, err := eng.RunSchedules(tc.prog, 8, 1234)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range set.Runs {
-				if r.Err != nil {
-					t.Fatalf("perm %d: %v", r.Perm, r.Err)
+	// The flat testbed, and the CLI's grid: there a fingerprint also
+	// hashes the step index of every sibling-cluster delivery.
+	trees := []namedTree{
+		{"", model.UCFTestbedN(exploreP)},
+		{"grid/", model.WideAreaGrid(3, 4, 12, 25000, 250000)},
+	}
+	for _, nt := range trees {
+		tr := nt.tree
+		for _, tc := range exploreCases(tr) {
+			t.Run(nt.name+tc.name, func(t *testing.T) {
+				eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+				eng.Verify = true
+				set, err := eng.RunSchedules(tc.prog, 8, 1234)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if !set.Agree() {
-				t.Errorf("schedule-dependent result: %s", set.Diff())
-			}
-		})
+				for _, r := range set.Runs {
+					if r.Err != nil {
+						t.Fatalf("perm %d: %v", r.Perm, r.Err)
+					}
+				}
+				if !set.Agree() {
+					t.Errorf("schedule-dependent result: %s", set.Diff())
+				}
+			})
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package collective
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hbspk/internal/fabric"
@@ -142,9 +143,13 @@ func TestTransportCrashOutcomeIdentical(t *testing.T) {
 // before and after concurrent runs over each wire transport. The
 // Virtual engine never touches the transport seam, and this pins that.
 func TestTransportVirtualFingerprintUnaffected(t *testing.T) {
-	tr := model.UCFTestbedN(4)
+	// Each round is a machine step and then a cluster step (the same step
+	// again on the flat tree): on the grid sibling clusters deliver side
+	// by side, and the fingerprint hashes which step each delivery was.
 	prog := func(c hbsp.Ctx) error {
 		pid, n := c.Pid(), c.NProcs()
+		cluster := c.Tree().ScopeAt(c.Self(), 1)
+		mates := cluster.Pids()
 		for s := 0; s < 3; s++ {
 			if err := c.Send((pid+1+s)%n, s, []byte{byte(pid), byte(s), 0x7E}); err != nil {
 				return err
@@ -155,30 +160,42 @@ func TestTransportVirtualFingerprintUnaffected(t *testing.T) {
 			if got := len(c.Moves()); got != 1 {
 				return fmt.Errorf("p%d step %d: %d moves", pid, s, got)
 			}
+			mate := mates[(slices.Index(mates, pid)+1)%len(mates)]
+			if err := c.Send(mate, 100+s, []byte{byte(pid), byte(s), 0x7F}); err != nil {
+				return err
+			}
+			if err := c.Sync(cluster, fmt.Sprintf("fp%d local", s)); err != nil {
+				return err
+			}
+			if got := len(c.Moves()); got != 1 {
+				return fmt.Errorf("p%d cluster step %d: %d moves", pid, s, got)
+			}
 		}
 		return nil
 	}
-	fingerprint := func() uint64 {
-		set, err := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel())).RunSchedules(prog, 4, 99)
-		if err != nil {
-			t.Fatalf("RunSchedules: %v", err)
+	for _, tr := range []*model.Tree{model.UCFTestbedN(4), model.WideAreaGrid(2, 2, 10, 10, 100)} {
+		fingerprint := func() uint64 {
+			set, err := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel())).RunSchedules(prog, 4, 99)
+			if err != nil {
+				t.Fatalf("RunSchedules: %v", err)
+			}
+			if !set.Agree() {
+				t.Fatalf("schedule permutations diverged: %s", set.Diff())
+			}
+			return set.Runs[0].Fingerprint
 		}
-		if !set.Agree() {
-			t.Fatalf("schedule permutations diverged: %s", set.Diff())
-		}
-		return set.Runs[0].Fingerprint
-	}
-	want := fingerprint()
-	for _, tf := range pvm.TransportFactories() {
-		if tf.New == nil {
-			continue
-		}
-		eng := conformanceEngine(tf, tr)
-		if _, err := eng.Run(prog); err != nil {
-			t.Fatalf("concurrent run over %s: %v", tf.Name, err)
-		}
-		if got := fingerprint(); got != want {
-			t.Fatalf("virtual fingerprint drifted after %s run: %#x != %#x", tf.Name, got, want)
+		want := fingerprint()
+		for _, tf := range pvm.TransportFactories() {
+			if tf.New == nil {
+				continue
+			}
+			eng := conformanceEngine(tf, tr)
+			if _, err := eng.Run(prog); err != nil {
+				t.Fatalf("concurrent run over %s: %v", tf.Name, err)
+			}
+			if got := fingerprint(); got != want {
+				t.Fatalf("k=%d: virtual fingerprint drifted after %s run: %#x != %#x", tr.K(), tf.Name, got, want)
+			}
 		}
 	}
 }

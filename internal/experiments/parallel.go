@@ -7,11 +7,11 @@ import (
 )
 
 // Sweep points of an experiment are independent measurements: each
-// builds or shares a read-only machine tree and runs the virtual
-// engine, whose clock is deterministic (noise, when enabled, is seeded
-// per point by fabricFor). forEachPoint fans them across a bounded
-// worker pool; results stay deterministic because every point writes
-// only its own slot and errors are reported in index order.
+// builds or shares a read-only machine tree and runs the virtual engine
+// — a sequential simulation — on its own fabric (noise, when enabled,
+// is seeded per point by fabricFor). forEachPoint fans them across a
+// bounded worker pool: the parallelism is between points, never inside
+// one.
 
 // forEachPoint runs fn(i) for every i in [0, n) on at most
 // GOMAXPROCS worker goroutines. fn must confine its writes to

@@ -19,7 +19,6 @@ package fabric
 import (
 	"math/rand"
 	"sort"
-	"sync"
 
 	"hbspk/internal/cost"
 	"hbspk/internal/model"
@@ -84,28 +83,20 @@ func PVMNoisy(noise float64, seed int64) Config {
 	return c
 }
 
-// Fabric charges superstep costs for one machine tree. StepCost is safe
-// for concurrent use; the noise stream is guarded by rngMu, so
-// single-goroutine runs with equal seeds stay bit-identical while
-// concurrent callers get racy ordering but no data race (their draw
-// order is inherently nondeterministic anyway).
+// Fabric charges superstep costs for one machine tree. It is not for
+// concurrent use: the noise stream is drawn in call order, and the one
+// caller per run, the virtual engine's coordinator, charges steps one at
+// a time — which is what makes equal seeds give equal runs.
 type Fabric struct {
 	tree *model.Tree
 	cfg  Config
-
-	// rngMu guards rng: math/rand.Rand is not goroutine-safe, and one
-	// Fabric may be shared by concurrently charged steps.
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng  *rand.Rand
 }
 
 // New returns a fabric for the tree with the given configuration.
 func New(t *model.Tree, cfg Config) *Fabric {
 	return &Fabric{tree: t, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
-
-// Tree returns the machine the fabric charges for.
-func (f *Fabric) Tree() *model.Tree { return f.tree }
 
 // Config returns the fabric's configuration.
 func (f *Fabric) Config() Config { return f.cfg }
@@ -229,10 +220,7 @@ func (f *Fabric) StepCost(scope *model.Machine, label string, flows []cost.Flow,
 
 	res.Time = res.W + res.Comm + res.Sync
 	if f.cfg.Noise > 0 {
-		f.rngMu.Lock()
-		draw := f.rng.Float64()
-		f.rngMu.Unlock()
-		res.Time *= 1 + f.cfg.Noise*draw
+		res.Time *= 1 + f.cfg.Noise*f.rng.Float64()
 	}
 	return res
 }

@@ -1146,6 +1146,17 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	}
 	close(ready)
 	err := sys.Wait()
+	if err != nil && spans {
+		// Across processes a hosted program's failure halts the run, and a
+		// proxy's report of that teardown can reach the system first: the
+		// program's own error is the verdict.
+		for _, taskErr := range sys.Errors() {
+			if !errors.Is(taskErr, pvm.ErrHalted) && !errors.Is(taskErr, pvm.ErrPeerLost) {
+				err = taskErr
+				break
+			}
+		}
+	}
 	shared.mu.Lock()
 	defer shared.mu.Unlock()
 	// The watchdog's structured report beats the per-task ErrHalted noise

@@ -58,12 +58,19 @@ func runSchedule(t *testing.T, tr *model.Tree, plan [][][]schedItem,
 					return err
 				}
 			}
+			// On a multi-level tree the round has two steps: sibling
+			// clusters first, delivering what stays inside one, then the
+			// machine.
+			if c.Tree().K() > 1 {
+				if err := c.Sync(c.Tree().ScopeAt(c.Self(), 1), fmt.Sprintf("round%d local", r)); err != nil {
+					return err
+				}
+				digest = digestMoves(digest, c.Moves())
+			}
 			if err := SyncAll(c, fmt.Sprintf("round%d", r)); err != nil { // plans give every pid the same round count
 				return err
 			}
-			for _, m := range c.Moves() {
-				digest = append(digest, byte(m.Src), byte(m.Tag), byte(len(m.Payload)), m.Payload[0])
-			}
+			digest = digestMoves(digest, c.Moves())
 		}
 		digests[c.Pid()] = digest
 		return nil
@@ -72,6 +79,13 @@ func runSchedule(t *testing.T, tr *model.Tree, plan [][][]schedItem,
 		t.Fatal(err)
 	}
 	return digests
+}
+
+func digestMoves(digest []byte, moves []Message) []byte {
+	for _, m := range moves {
+		digest = append(digest, byte(m.Src), byte(m.Tag), byte(len(m.Payload)), m.Payload[0])
+	}
+	return digest
 }
 
 func TestPropertyEnginesDeliverIdentically(t *testing.T) {
@@ -136,6 +150,40 @@ func permCollectives(root int, digests [][]byte) map[string]Program {
 			}
 			return finish(c, digest)
 		},
+		"gather-hier": func(c Ctx) error {
+			// Two hops: to the cluster's first pid on the cluster scope
+			// (sibling clusters step side by side), then to root.
+			cluster := c.Tree().ScopeAt(c.Self(), 1)
+			head := cluster.Pids()[0]
+			if c.Pid() != head {
+				if err := c.Send(head, 4, []byte{byte(c.Pid()), byte(c.Pid() * 5)}); err != nil {
+					return err
+				}
+			}
+			if err := c.Sync(cluster, "gather^1"); err != nil {
+				return err
+			}
+			if c.Pid() == head {
+				bundle := make([]byte, 2*c.NProcs())
+				bundle[2*head], bundle[2*head+1] = byte(head), byte(head*5)
+				for _, m := range c.Moves() {
+					copy(bundle[2*m.Src:], m.Payload)
+				}
+				if err := c.Send(root, 5, bundle); err != nil {
+					return err
+				}
+			}
+			if err := SyncAll(c, "gather^2"); err != nil {
+				return err
+			}
+			digest := make([]byte, 2*c.NProcs())
+			for _, m := range c.Moves() {
+				for i, b := range m.Payload {
+					digest[i] |= b
+				}
+			}
+			return finish(c, digest)
+		},
 		"bcast": func(c Ctx) error {
 			if c.Pid() == root {
 				for dst := 0; dst < c.NProcs(); dst++ {
@@ -183,61 +231,76 @@ func permCollectives(root int, digests [][]byte) map[string]Program {
 // permutations AND on the Concurrent engine, with verification armed on
 // both.
 func TestEnginesAgreeUnderSchedulePermutations(t *testing.T) {
-	tr := model.UCFTestbedN(6)
-	root := tr.Pid(tr.FastestLeaf())
-	p := tr.NProcs()
-	for _, name := range []string{"gather", "bcast", "reduce"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			virt := make([][]byte, p)
-			veng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-			veng.Verify = true
-			set, err := veng.RunSchedules(permCollectives(root, virt)[name], 8, 2024)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range set.Runs {
-				if r.Err != nil {
-					t.Fatalf("perm %d: %v", r.Perm, r.Err)
+	trees := []struct {
+		prefix string
+		tree   *model.Tree
+	}{{"", model.UCFTestbedN(6)}, {"grid/", model.WideAreaGrid(2, 3, 10, 10, 100)}}
+	for _, nt := range trees {
+		prefix, tr := nt.prefix, nt.tree
+		root := tr.Pid(tr.FastestLeaf())
+		p := tr.NProcs()
+		for _, name := range []string{"gather", "gather-hier", "bcast", "reduce"} {
+			t.Run(prefix+name, func(t *testing.T) {
+				virt := make([][]byte, p)
+				veng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+				veng.Verify = true
+				set, err := veng.RunSchedules(permCollectives(root, virt)[name], 8, 2024)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if !set.Agree() {
-				t.Fatalf("virtual engine schedule-dependent: %s", set.Diff())
-			}
-			conc := make([][]byte, p)
-			ceng := NewConcurrent(tr)
-			ceng.Verify = true
-			if _, err := ceng.Run(permCollectives(root, conc)[name]); err != nil {
-				t.Fatal(err)
-			}
-			for pid := 0; pid < p; pid++ {
-				if !bytes.Equal(virt[pid], conc[pid]) {
-					t.Errorf("p%d: virtual %x vs concurrent %x", pid, virt[pid], conc[pid])
+				for _, r := range set.Runs {
+					if r.Err != nil {
+						t.Fatalf("perm %d: %v", r.Perm, r.Err)
+					}
 				}
-			}
-		})
+				if !set.Agree() {
+					t.Fatalf("virtual engine schedule-dependent: %s", set.Diff())
+				}
+				conc := make([][]byte, p)
+				ceng := NewConcurrent(tr)
+				ceng.Verify = true
+				if _, err := ceng.Run(permCollectives(root, conc)[name]); err != nil {
+					t.Fatal(err)
+				}
+				for pid := 0; pid < p; pid++ {
+					if !bytes.Equal(virt[pid], conc[pid]) {
+						t.Errorf("p%d: virtual %x vs concurrent %x", pid, virt[pid], conc[pid])
+					}
+				}
+			})
+		}
 	}
 }
 
 func TestPropertyVirtualDeterministicOverSchedules(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, grid bool) bool {
 		tr := model.UCFTestbedN(5)
-		plan := buildSchedule(seed, 5, 3)
-		run := func() [][]byte {
-			return runSchedule(t, tr, plan, func(prog Program) error {
-				_, err := RunVirtual(tr, fabric.PVM(), prog)
+		if grid {
+			tr = model.WideAreaGrid(2, 3, 10, 10, 100)
+		}
+		plan := buildSchedule(seed, tr.NProcs(), 3)
+		// A run is its delivered data and its step record.
+		run := func() ([][]byte, []byte) {
+			var report bytes.Buffer
+			digests := runSchedule(t, tr, plan, func(prog Program) error {
+				rep, err := RunVirtual(tr, fabric.PVM(), prog)
+				if err == nil {
+					err = rep.WriteJSON(&report)
+				}
 				return err
 			})
+			return digests, report.Bytes()
 		}
-		a, b := run(), run()
+		a, repA := run()
+		b, repB := run()
 		for pid := range a {
 			if !bytes.Equal(a[pid], b[pid]) {
 				return false
 			}
 		}
-		return true
+		return bytes.Equal(repA, repB)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

@@ -8,9 +8,10 @@
 //
 // Two engines execute programs:
 //
-//   - Virtual runs the program on goroutines but charges a deterministic
-//     virtual clock using package fabric — this is the paper's cost
-//     model made executable, and the engine behind every experiment.
+//   - Virtual is a sequential simulation: one processor's program runs
+//     at a time, and a virtual clock is charged by package fabric — this
+//     is the paper's cost model made executable, bit-reproducible, and
+//     the engine behind every experiment.
 //   - Concurrent runs the program on the pvm substrate with real
 //     parallelism and wall-clock timing; it exists to validate that the
 //     algorithms are correct concurrent programs, not just costed ones.
@@ -33,7 +34,10 @@ type Message struct {
 }
 
 // Ctx is a processor's view of the machine during a run: the HBSPlib
-// API. A Ctx is confined to the goroutine running its program.
+// API. A Ctx is confined to the goroutine running its program. A program
+// waits for another processor only through Sync: Virtual runs one
+// processor at a time, so any other wait on a peer (a channel, a
+// WaitGroup, a spin on shared memory) never returns there.
 type Ctx interface {
 	// Pid returns this processor's id (position among the leaves).
 	Pid() int

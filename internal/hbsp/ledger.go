@@ -13,8 +13,7 @@ import (
 // owns only how time advances and how bytes move.
 //
 // A ledger is not goroutine-safe. Virtual calls it from its coordinator
-// goroutine only; Concurrent makes every call, cut included, with
-// crun.mu held.
+// only; Concurrent makes every call, cut included, with crun.mu held.
 //
 // Scopes are keyed by *model.Machine: the pointer survives
 // Tree.Reorganize, a moved leaf's Label() does not.
@@ -310,7 +309,8 @@ func (l *ledger) cutDue(R int) bool {
 // order. A started joiner reads the tree and the planner's cache at
 // once, so nothing may change either after start(pid). quiesce blocks
 // until no dead processor is still unwinding user code, which may read
-// the tree the reorganization is about to mutate; start lets an
+// the tree the reorganization is about to mutate (Virtual has nobody to
+// wait for: no program runs while it completes a step); start lets an
 // activated pid run. now stamps the emitted events.
 func (l *ledger) cut(R int, now float64, quiesce func(), start func(pid int)) error {
 	var oldFP uint64

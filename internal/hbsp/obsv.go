@@ -32,8 +32,7 @@ func NowOf(c Ctx) float64 {
 }
 
 // obsvNow is the processor's local virtual time: the clock staged at
-// its last resume plus work charged since. The engine writes c.clock
-// only while the processor is parked, so the read is ordered.
+// its last resume plus work charged since.
 func (c *vctx) obsvNow() float64 { return c.clock + c.work }
 
 func (c *cctx) obsvNow() float64 { return c.nowMicros() }

@@ -3,6 +3,7 @@ package hbsp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,12 +13,21 @@ import (
 	"hbspk/internal/trace"
 )
 
-// Virtual executes programs under the HBSP^k cost model on a
-// deterministic virtual clock. Processors run as goroutines for
-// programming-model fidelity, but every cost — computation,
-// communication, synchronization — is charged by the fabric, so two runs
-// with the same machine, program, fabric seed and chaos plan produce
-// identical reports.
+// Virtual executes programs under the HBSP^k cost model on a virtual
+// clock. It is a sequential simulation: each processor's program has its
+// own goroutine, for programming-model fidelity, but at any instant at
+// most one of them is runnable (Run has the schedule). The order of
+// everything a run produces — Report.Steps and every Index, the fabric's
+// noise draws, the step counts chaos fates are held against, failure
+// notices, every observability event including the programs' own — so
+// follows from the machine, the program, the fabric seed and the chaos
+// plan alone: two runs with the same four produce identical reports and
+// event streams, on any tree.
+//
+// The price is one rule for programs: a processor waits for another only
+// through Sync. A program that blocks on a peer any other way (a channel,
+// a sync.WaitGroup, a spin on shared memory) waits for a goroutine that
+// cannot run until it yields, and the run hangs.
 type Virtual struct {
 	tree *model.Tree
 	fab  *fabric.Fabric
@@ -82,26 +92,23 @@ type vrequest struct {
 	work   float64
 	outbox []pendingMsg
 	err    error
-	resume chan error
 
 	// ord is the processor's 0-based sync ordinal, stamped by the
 	// engine when the request is handled.
 	ord int
 }
 
-// vctx is the per-processor Ctx of the virtual engine. The coordinator
-// writes the embedded proc's window, views, clock and checkpoint stage
-// only while the processor is parked in Sync (or has exited); the
-// request and resume channels order the handoff.
+// vctx is the per-processor Ctx of the virtual engine. Program and
+// coordinator pass one baton over two unbuffered channels — reqs takes
+// the processor's next request up, resume brings the outcome down — so
+// exactly one goroutine at a time touches the proc, work and clock.
 type vctx struct {
 	proc
 	reqs   chan<- *vrequest
 	resume chan error
 
 	work float64
-	// clock is this processor's virtual time as of its last resume. The
-	// engine advances it, and only while the processor is parked or
-	// after it has exited (see obsvNow).
+	// clock is this processor's virtual time as of its last resume.
 	clock float64
 }
 
@@ -115,10 +122,7 @@ func (c *vctx) Sync(scope *model.Machine, label string) error {
 	if err := c.enter(scope); err != nil {
 		return err
 	}
-	req := &vrequest{
-		pid: c.pid, kind: 's', scope: scope, label: label,
-		work: c.work, outbox: c.outbox, resume: c.resume,
-	}
+	req := &vrequest{pid: c.pid, kind: 's', scope: scope, label: label, work: c.work, outbox: c.outbox}
 	c.work = 0
 	c.outbox = nil
 	c.reqs <- req
@@ -128,53 +132,92 @@ func (c *vctx) Sync(scope *model.Machine, label string) error {
 	return c.openWindow()
 }
 
+// run is a processor's goroutine: it waits for its first baton, runs the
+// program, and hands the baton back for good with its exit request.
+func (c *vctx) run(prog Program) {
+	var err error
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("hbsp: processor %d panicked: %v", c.pid, r)
+		}
+		// Work charged after the last sync is a trailing compute-only
+		// step: it extends this processor's clock.
+		c.reqs <- &vrequest{pid: c.pid, kind: 'd', err: err, work: c.work}
+	}()
+	<-c.resume
+	err = prog(c)
+}
+
 // Run executes the program on every processor and returns the run's
 // report. The error is the first processor error, or ErrDesync-wrapped
 // diagnostics for malformed synchronization. A chaos-injected
 // crash-stop is not itself a run error: if the survivors complete, the
 // run completes (their view of the failure arrived as ErrPeerFailed
 // from Sync, which a fault-tolerant program may absorb).
+//
+// The schedule: while the run queue holds a processor, the smallest pid
+// on it gets the baton and runs to its next Sync or its exit, which the
+// coordinator handles before anyone else moves — the processor parks, or
+// is owed an immediate resume (a notice, the run's error) and is queued
+// again. Only with the queue empty, every live processor parked, does
+// release complete supersteps; the processors it resumes are the next
+// queue.
 func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 	p := v.tree.NProcs()
 	reqs := make(chan *vrequest)
-	ctxs := make([]*vctx, p)
-	for pid := 0; pid < p; pid++ {
-		ctxs[pid] = &vctx{
-			proc:   newProc(pid, v.tree, &v.coreOpts),
-			reqs:   reqs,
-			resume: make(chan error, 1),
-		}
+	st := &runState{
+		prog:        prog,
+		ctxs:        make([]*vctx, p),
+		wake:        make([]error, p),
+		pending:     make([]*vrequest, p),
+		done:        make([]bool, p),
+		led:         newLedger(v.tree, v.Chaos, v.Plan, v.Obsv, v.ReorgEvery, v.ReorgSeed, v.ReorgAlpha),
+		syncOrd:     make([]int, p),
+		detectCount: make([]int, p),
+		stepSum:     make([]float64, p),
+		stepN:       make([]int, p),
 	}
-	// Elastic membership: processors with a churn JoinAt fate start
-	// dormant and are activated — their goroutine spawned — at the
-	// membership cut after that many completed global supersteps.
-	led := newLedger(v.tree, v.Chaos, v.Plan, v.Obsv, v.ReorgEvery, v.ReorgSeed, v.ReorgAlpha)
-	spawn := func(pid int) {
-		go func(c *vctx) {
-			var err error
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("hbsp: processor %d panicked: %v", c.pid, r)
-				}
-				// Work charged after the last sync is a trailing
-				// compute-only step: it extends this processor's clock.
-				reqs <- &vrequest{pid: c.pid, kind: 'd', err: err, work: c.work}
-			}()
-			err = prog(c)
-		}(ctxs[pid])
+	for pid := range st.ctxs {
+		st.ctxs[pid] = &vctx{proc: newProc(pid, v.tree, &v.coreOpts), reqs: reqs, resume: make(chan error)}
 	}
-	actives := led.actives()
+	// Elastic membership: processors with a churn JoinAt fate stay
+	// dormant until the membership cut after that many completed global
+	// supersteps starts them.
+	actives := st.led.actives()
 	for _, pid := range actives {
-		ctxs[pid].membersView = actives
-		spawn(pid)
+		st.ctxs[pid].membersView = actives
+		st.start(pid)
 	}
-	return v.coordinate(reqs, ctxs, led, spawn, len(actives))
+	for st.running > 0 {
+		if len(st.runq) == 0 {
+			v.release(st) // queues a step's participants, or everyone with the desync
+		}
+		pid := st.runq[0]
+		st.runq = st.runq[1:]
+		st.ctxs[pid].resume <- st.wake[pid]
+		v.handle(st, <-reqs)
+	}
+	total := 0.0
+	for _, c := range st.ctxs {
+		total = max(total, c.clock)
+	}
+	return &trace.Report{Steps: st.steps.flat(), Total: total}, st.firstErr
 }
 
 // engine-side run state (recreated per Run; Virtual is not reusable
 // concurrently but may be reused serially).
 type runState struct {
-	pending     []*vrequest // by pid, nil = running
+	prog Program
+	ctxs []*vctx
+
+	// runq lists, ascending, the processors owed a start or a resume;
+	// wake[pid] is what a queued processor's Sync returns. running counts
+	// the goroutines started and not yet exited.
+	runq    []int
+	wake    []error
+	running int
+
+	pending     []*vrequest // by pid, nil = not parked
 	done        []bool
 	undelivered []pendingMsg
 	steps       stepLog
@@ -192,141 +235,91 @@ type runState struct {
 	detectCount []int
 	globalSteps int
 
-	// spawn starts an activated latecomer's goroutine. reqs is the
-	// coordinator's request channel, threaded here so a reorg cut can
-	// drain the exit requests of still-unwinding dead processors before
-	// the tree is mutated (quiesceDead).
-	spawn func(pid int)
-	reqs  chan *vrequest
-
-	// running counts live goroutines; activation at a membership cut
-	// increments it.
-	running int
-
 	// stepSum/stepN track each processor's mean completed step time,
-	// the cost model's prediction base for detection deadlines. Per
-	// processor, not global: a pid's step sequence is its program
-	// order, so the charge stays deterministic even when sibling
-	// scopes complete in scheduler-dependent order.
+	// the cost model's prediction base for its detection deadlines.
 	stepSum []float64
 	stepN   []int
 }
 
-func (v *Virtual) coordinate(reqs chan *vrequest, ctxs []*vctx, led *ledger, spawn func(int), active int) (*trace.Report, error) {
-	p := v.tree.NProcs()
-	st := &runState{
-		pending:     make([]*vrequest, p),
-		done:        make([]bool, p),
-		led:         led,
-		syncOrd:     make([]int, p),
-		detectCount: make([]int, p),
-		stepSum:     make([]float64, p),
-		stepN:       make([]int, p),
-		spawn:       spawn,
-		reqs:        reqs,
-		running:     active,
-	}
-	for st.running > 0 {
-		v.handle(st, ctxs, <-reqs)
-		v.release(st, ctxs)
-		if v.MaxSteps > 0 && st.steps.len() >= v.MaxSteps && st.firstErr == nil {
-			st.firstErr = fmt.Errorf("%w: %d supersteps completed", ErrStepLimit, st.steps.len())
-		}
-		// Deadlock / desync detection: every live processor is blocked
-		// in a sync and nothing released.
-		if st.firstErr == nil && v.stuck(st) {
-			st.firstErr = v.desyncError(st)
-		}
-		// On error, unblock every parked processor, now and whenever one
-		// syncs afterwards.
-		if st.firstErr != nil {
-			for pid, r := range st.pending {
-				if r != nil {
-					st.pending[pid] = nil
-					r.resume <- st.firstErr
-				}
-			}
-		}
-	}
-	total := 0.0
-	for _, c := range ctxs {
-		total = max(total, c.clock)
-	}
-	rep := &trace.Report{Steps: st.steps.flat(), Total: total}
-	return rep, st.firstErr
+// owe queues pid to resume from its Sync with err.
+func (st *runState) owe(pid int, err error) {
+	i, _ := slices.BinarySearch(st.runq, pid)
+	st.runq = slices.Insert(st.runq, i, pid)
+	st.wake[pid] = err
 }
 
-// handle takes one request off the channel. A 'd' records the
-// processor goroutine's exit: its program returned (normally, with an
-// error, or unwinding a crash/leave).
-func (v *Virtual) handle(st *runState, ctxs []*vctx, req *vrequest) {
-	if req.kind == 's' {
-		v.handleSync(st, ctxs, req)
+// start creates pid's goroutine and queues its first baton.
+func (st *runState) start(pid int) {
+	go st.ctxs[pid].run(st.prog)
+	st.running++
+	st.owe(pid, nil)
+}
+
+// abort records the run's first error and resumes every parked processor
+// with it; a processor that syncs afterwards gets it at once.
+func (st *runState) abort(err error) {
+	if st.firstErr != nil {
 		return
 	}
-	st.done[req.pid] = true
-	ctxs[req.pid].clock += req.work
-	if v.rec != nil {
-		v.rec.noteSaves(req.pid, ctxs[req.pid].ckptStage)
-	}
-	st.running--
-	if req.err != nil && st.firstErr == nil &&
-		!errors.Is(req.err, errCrashStop) && !errors.Is(req.err, errLeave) {
-		st.firstErr = req.err
+	st.firstErr = err
+	for pid, r := range st.pending {
+		if r != nil {
+			st.pending[pid] = nil
+			st.owe(pid, err)
+		}
 	}
 }
 
-// quiesceDead blocks until every dead processor's goroutine has exited,
-// draining its remaining requests meanwhile. A crash victim is resumed
-// with its error and then unwinds user code — code that may read the
-// tree (fault-tolerant collectives walk scope leaves to report their
-// live view) — so the coordinator must not rebalance the tree while a
-// corpse is still running. Safe to block here: at a completed global
-// barrier every live processor is parked, so the only goroutines able
-// to send requests are the unwinding dead, and their syncs resolve
-// immediately (a dead requester never parks).
-func (v *Virtual) quiesceDead(st *runState, ctxs []*vctx) {
-	for {
-		unwinding := false
-		for pid := range st.led.dead {
-			if !st.done[pid] {
-				unwinding = true
-				break
-			}
-		}
-		if !unwinding {
-			return
-		}
-		v.handle(st, ctxs, <-st.reqs)
+// handle takes the baton back with the processor's request. A 'd' is the
+// goroutine's exit: its program returned (normally, with an error, or
+// unwinding a crash/leave).
+func (v *Virtual) handle(st *runState, req *vrequest) {
+	if req.kind == 's' {
+		v.handleSync(st, req)
+		return
+	}
+	c := st.ctxs[req.pid]
+	st.done[req.pid] = true
+	c.clock += req.work
+	if v.rec != nil {
+		v.rec.noteSaves(req.pid, c.ckptStage)
+	}
+	st.running--
+	if req.err != nil && !errors.Is(req.err, errCrashStop) && !errors.Is(req.err, errLeave) {
+		st.abort(req.err)
 	}
 }
 
 // handleSync stamps, fault-checks and (if clean) parks one sync
-// request. Three fault paths short-circuit the parking: the requester is
-// already dead, the requester crash-stops now, or the requested scope
-// holds dead members this requester has not yet been told about.
-func (v *Virtual) handleSync(st *runState, ctxs []*vctx, req *vrequest) {
-	pid := req.pid
+// request. The fault paths resume the requester instead: it is already
+// dead, it crash-stops now, the requested scope holds dead or joined
+// members it has not yet been told about, or the run has failed.
+func (v *Virtual) handleSync(st *runState, req *vrequest) {
+	pid, c := req.pid, st.ctxs[req.pid]
 	req.ord = st.syncOrd[pid]
 	st.syncOrd[pid]++
 	if st.led.dead[pid] != nil {
 		// A dead processor's program swallowed the crash error and
 		// synced again; it stays dead.
-		req.resume <- fmt.Errorf("%w (p%d)", errCrashStop, pid)
+		st.owe(pid, fmt.Errorf("%w (p%d)", errCrashStop, pid))
 		return
 	}
-	if cause, victim := ctxs[pid].boundaryFate(req.ord, ctxs[pid].clock, ctxs[pid].clock); victim != nil {
-		v.crash(st, ctxs, req, cause, victim)
+	if cause, victim := c.boundaryFate(req.ord, c.clock, c.clock); victim != nil {
+		v.crash(st, req, cause, victim)
 		return
 	}
-	if v.failSync(st, ctxs, req) {
+	if v.failSync(st, req) {
 		return
 	}
 	// Unlike a death, a join carries no detection charge: it is planned
 	// at the cut, not detected by a deadline.
 	if n := st.led.joinNotice(pid, req.scope); n != nil {
-		ctxs[pid].membersView = st.led.members(pid)
-		req.resume <- n
+		c.membersView = st.led.members(pid)
+		st.owe(pid, n)
+		return
+	}
+	if st.firstErr != nil {
+		st.owe(pid, st.firstErr)
 		return
 	}
 	st.pending[pid] = req
@@ -339,10 +332,10 @@ func (v *Virtual) handleSync(st *runState, ctxs []*vctx, req *vrequest) {
 // announced at the boundary and survivors shrink their barriers exactly
 // as for a crash, but the victim unwinds with errLeave and the cause
 // distinguishes churn from failure in every report.
-func (v *Virtual) crash(st *runState, ctxs []*vctx, req *vrequest, cause string, victim error) {
+func (v *Virtual) crash(st *runState, req *vrequest, cause string, victim error) {
 	pid := req.pid
 	st.led.kill(pid, req.ord, cause)
-	req.resume <- victim
+	st.owe(pid, victim)
 
 	rest := st.undelivered[:0]
 	for _, m := range st.undelivered {
@@ -356,7 +349,7 @@ func (v *Virtual) crash(st *runState, ctxs []*vctx, req *vrequest, cause string,
 	// scope, so it owes a notice exactly when the scope contains the new
 	// victim.
 	for waiter, r := range st.pending {
-		if r != nil && v.failSync(st, ctxs, r) {
+		if r != nil && v.failSync(st, r) {
 			st.pending[waiter] = nil
 		}
 	}
@@ -365,15 +358,15 @@ func (v *Virtual) crash(st *runState, ctxs []*vctx, req *vrequest, cause string,
 // failSync delivers the requester's next dead-peer notice on its scope,
 // if it owes one: the detection deadline is charged to its clock, its
 // updated Failed view staged, and it resumes with the typed error.
-func (v *Virtual) failSync(st *runState, ctxs []*vctx, req *vrequest) bool {
+func (v *Virtual) failSync(st *runState, req *vrequest) bool {
 	n := st.led.deadNotice(req.pid, req.scope)
 	if n == nil {
 		return false
 	}
-	pid := req.pid
-	ctxs[pid].clock += v.detectCharge(st, pid, req.scope)
-	ctxs[pid].failedView = st.led.failed(pid)
-	req.resume <- n
+	pid, c := req.pid, st.ctxs[req.pid]
+	c.clock += v.detectCharge(st, pid, req.scope)
+	c.failedView = st.led.failed(pid)
+	st.owe(pid, n)
 	return true
 }
 
@@ -390,31 +383,13 @@ func (v *Virtual) detectCharge(st *runState, pid int, scope *model.Machine) floa
 	if st.stepN[pid] > 0 {
 		predicted = st.stepSum[pid] / float64(st.stepN[pid])
 	}
-	if predicted < scope.SyncCost {
-		predicted = scope.SyncCost
-	}
+	predicted = max(predicted, scope.SyncCost)
 	if predicted <= 0 {
 		predicted = 1
 	}
-	backoff := uint(st.detectCount[pid])
-	if backoff > 6 {
-		backoff = 6
-	}
+	backoff := min(st.detectCount[pid], 6)
 	st.detectCount[pid]++
 	return factor * predicted * float64(int(1)<<backoff)
-}
-
-// stuck reports whether every unfinished processor is blocked in a sync
-// that release() could not complete — nobody is left to arrive, whether
-// the rest wait on other scopes or have exited.
-func (v *Virtual) stuck(st *runState) bool {
-	blocked := 0
-	for _, r := range st.pending {
-		if r != nil {
-			blocked++
-		}
-	}
-	return blocked > 0 && blocked == st.running
 }
 
 func (v *Virtual) desyncError(st *runState) error {
@@ -432,40 +407,49 @@ func (v *Virtual) desyncError(st *runState) error {
 	return fmt.Errorf("%w: %s", ErrDesync, strings.Join(parts, " "))
 }
 
-// release completes every scope whose entire live leaf set is pending
-// on it. Dead processors are excluded: their failure has already been
-// acknowledged by every pending member (handleSync parks a processor
-// only on a scope whose dead members it has acknowledged).
-func (v *Virtual) release(st *runState, ctxs []*vctx) {
-	seen := map[*model.Machine]bool{}
-	for pid := range st.pending {
-		r := st.pending[pid]
-		if r == nil || seen[r.scope] {
-			continue
-		}
-		seen[r.scope] = true
+// release runs with the baton home and nobody to hand it to: every live
+// processor is parked. It completes every scope whose live members are
+// all parked on it — such scopes share no processor — in tree preorder.
+// Dead processors are excluded: their failure has already been
+// acknowledged by every parked member (handleSync parks a processor only
+// on a scope whose dead members it has acknowledged). Nothing to
+// complete is the desync: nobody is left to arrive, whether the rest
+// wait on other scopes or have exited.
+func (v *Virtual) release(st *runState) {
+	completed := false
+	// Completing a step parks nobody, so it readies no scope the walk has
+	// yet to reach; a root step, whose cut may reshape the tree under the
+	// walk, leaves none ready at all.
+	v.tree.Root.Walk(func(scope *model.Machine) {
 		var pids []int
-		ready := true
-		for _, lp := range r.scope.Pids() {
-			if !st.led.alive(lp) {
+		for _, pid := range scope.Pids() {
+			if !st.led.alive(pid) {
 				continue
 			}
-			if q := st.pending[lp]; q == nil || q.scope != r.scope {
-				ready = false
-				break
+			if r := st.pending[pid]; r == nil || r.scope != scope {
+				return
 			}
-			pids = append(pids, lp)
+			pids = append(pids, pid)
 		}
-		if ready && len(pids) > 0 {
-			v.completeStep(st, ctxs, r.scope, pids)
+		if len(pids) == 0 {
+			return
 		}
+		completed = true
+		v.completeStep(st, scope, pids)
+		if v.MaxSteps > 0 && st.steps.len() >= v.MaxSteps {
+			st.abort(fmt.Errorf("%w: %d supersteps completed", ErrStepLimit, st.steps.len()))
+		}
+	})
+	if !completed {
+		st.abort(v.desyncError(st))
 	}
 }
 
 // completeStep charges and finishes one super^i-step over the scope's
 // live participants (pids, ascending): route the h-relation, cost it,
 // deliver it, checkpoint and cut at a global barrier, record, resume.
-func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine, pids []int) {
+func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
+	ctxs := st.ctxs
 	stepIdx := st.steps.len()
 	start := 0.0
 	works := make(map[int]float64, len(pids))
@@ -481,13 +465,13 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 		st.undelivered = append(st.undelivered, r.outbox...)
 	}
 	deliver := v.route(st, scope, stepIdx, start)
-	res, end := v.charge(st, ctxs, scope, label, deliver, works, pids, start)
+	res, end := v.charge(st, scope, label, deliver, works, pids, start)
 	v.deliver(ctxs, pids, deliver, stepIdx, end)
 
 	var ckptCost map[int]float64
 	ckptMax := 0.0
 	if scope == v.tree.Root {
-		ckptCost, ckptMax = v.cut(st, ctxs, pids, end)
+		ckptCost, ckptMax = v.cut(st, pids, end)
 	}
 
 	// Predicted T_i(λ) = w_i + g·h + L_{i,j} from the pure model; the
@@ -511,9 +495,8 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 
 	for _, pid := range pids {
 		ctxs[pid].clock = end + ckptCost[pid]
-		r := st.pending[pid]
 		st.pending[pid] = nil
-		r.resume <- nil
+		st.owe(pid, nil)
 	}
 }
 
@@ -546,7 +529,7 @@ func (v *Virtual) route(st *runState, scope *model.Machine, stepIdx int, now flo
 // charge costs the step on the fabric and reports the model's view of
 // it. Dropped messages still consumed bandwidth; duplicates consume it
 // twice.
-func (v *Virtual) charge(st *runState, ctxs []*vctx, scope *model.Machine, label string, deliver []pendingMsg,
+func (v *Virtual) charge(st *runState, scope *model.Machine, label string, deliver []pendingMsg,
 	works map[int]float64, pids []int, start float64) (res fabric.StepResult, end float64) {
 	var flows []cost.Flow
 	for _, m := range deliver {
@@ -563,7 +546,7 @@ func (v *Virtual) charge(st *runState, ctxs []*vctx, scope *model.Machine, label
 		if v.Obsv != nil {
 			// The clock still holds the barrier-entry time; it advances
 			// to end only when the step resumes.
-			v.Obsv.BarrierWait(st.steps.len(), pid, scope.Label(), scope.Level, ctxs[pid].clock, end)
+			v.Obsv.BarrierWait(st.steps.len(), pid, scope.Label(), scope.Level, st.ctxs[pid].clock, end)
 		}
 	}
 	return res, end
@@ -629,34 +612,34 @@ func (v *Virtual) deliver(ctxs []*vctx, pids []int, deliver []pendingMsg, stepId
 // cadence the registered state of every live participant is
 // snapshotted, and the per-byte cost lands on each processor's clock
 // past the step's end. Then the barrier is the run's consistent cut:
-// all live processors are parked right here, so the ledger can
-// rebalance the tree and grow the membership with no program in flight.
-// An activated processor's clock starts at the cut.
-func (v *Virtual) cut(st *runState, ctxs []*vctx, pids []int, end float64) (ckptCost map[int]float64, ckptMax float64) {
+// every goroutine is parked or gone — a crash victim's too, which has
+// finished unwinding — so the ledger can rebalance the tree and grow the
+// membership with no program in flight. An activated processor's clock
+// starts at the cut.
+func (v *Virtual) cut(st *runState, pids []int, end float64) (ckptCost map[int]float64, ckptMax float64) {
 	st.globalSteps++
 	if v.ckptDue(st.globalSteps) {
 		ckptCost = make(map[int]float64, len(pids))
 		perByte := v.fab.Config().CheckpointByte
 		for _, pid := range pids {
+			c := st.ctxs[pid]
 			// A stage only grows until a commit clears it, so the schedule
 			// recorder sees every save by noting it here and at exit.
 			if v.rec != nil {
-				v.rec.noteSaves(pid, ctxs[pid].ckptStage)
+				v.rec.noteSaves(pid, c.ckptStage)
 			}
-			n := ctxs[pid].commitStage(st.globalSteps)
+			n := c.commitStage(st.globalSteps)
 			ckptCost[pid] = perByte * float64(n) * v.tree.Leaf(pid).CompSlowdown
 			ckptMax = max(ckptMax, ckptCost[pid])
 		}
 	}
-	err := st.led.cut(st.globalSteps, end,
-		func() { v.quiesceDead(st, ctxs) },
-		func(pid int) {
-			ctxs[pid].membersView = st.led.members(pid)
-			ctxs[pid].failedView = st.led.failed(pid)
-			ctxs[pid].clock = end
-			st.spawn(pid)
-			st.running++
-		})
+	err := st.led.cut(st.globalSteps, end, func() {}, func(pid int) {
+		c := st.ctxs[pid]
+		c.membersView = st.led.members(pid)
+		c.failedView = st.led.failed(pid)
+		c.clock = end
+		st.start(pid)
+	})
 	if err != nil && st.firstErr == nil {
 		st.firstErr = err
 	}

@@ -2,6 +2,8 @@ package model
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -332,6 +334,53 @@ func TestWideAreaGridShape(t *testing.T) {
 				t.Errorf("cluster %q r=%v faster than member %q r=%v",
 					c.Name, c.CommSlowdown, l.Name, l.CommSlowdown)
 			}
+		}
+	}
+}
+
+func TestLoadMachine(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "machine.json")
+	data, err := SpecOf(Figure1Cluster()).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(specPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badPath := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(badPath, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		want   *Tree // nil: an error is expected
+		errHas string
+	}{
+		{name: "ucf", want: UCFTestbed()},
+		{name: "testbed", want: UCFTestbed()},
+		{name: "figure1", want: Figure1Cluster()},
+		{name: "grid", want: WideAreaGrid(3, 4, 12, 25000, 250000)},
+		{name: "chain", want: DeepChain(4)},
+		{name: specPath, want: Figure1Cluster()},
+		{name: filepath.Join(dir, "missing.json"), errHas: "not a preset (ucf, figure1, grid, chain)"},
+		{name: badPath, errHas: "parsing machine spec"},
+	}
+	for _, tc := range cases {
+		got, err := LoadMachine(tc.name)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Errorf("LoadMachine(%q) error = %v, want one containing %q", tc.name, err, tc.errHas)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("LoadMachine(%q): %v", tc.name, err)
+			continue
+		}
+		if got.Fingerprint() != tc.want.Fingerprint() || got.NProcs() != tc.want.NProcs() {
+			t.Errorf("LoadMachine(%q) = %d procs, fingerprint %x; want %d, %x",
+				tc.name, got.NProcs(), got.Fingerprint(), tc.want.NProcs(), tc.want.Fingerprint())
 		}
 	}
 }

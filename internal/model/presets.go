@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+)
 
 // Presets reconstruct the machines discussed in the paper. All presets
 // return normalized trees that pass Validate.
@@ -154,4 +157,29 @@ func DeepChain(k int) *Tree {
 		}, WithComm(1+float64(i)), WithSync(float64(10*i)))
 	}
 	return MustNew(node, 1).Normalize()
+}
+
+// LoadMachine resolves the machine a command line names: a preset — ucf
+// (or testbed), figure1, grid, chain — or else the path of a JSON spec
+// file (ParseSpec).
+func LoadMachine(name string) (*Tree, error) {
+	switch name {
+	case "ucf", "testbed":
+		return UCFTestbed(), nil
+	case "figure1":
+		return Figure1Cluster(), nil
+	case "grid":
+		return WideAreaGrid(3, 4, 12, 25000, 250000), nil
+	case "chain":
+		return DeepChain(4), nil
+	}
+	data, err := os.ReadFile(name)
+	if err != nil {
+		return nil, fmt.Errorf("machine %q is not a preset (ucf, figure1, grid, chain) and unreadable as a spec file: %w", name, err)
+	}
+	spec, err := ParseSpec(data)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Tree()
 }

@@ -521,3 +521,33 @@ func FuzzBufferUnpack(f *testing.F) {
 		_, _ = Wrap(data).UnpackInt64()
 	})
 }
+
+func TestProbeDoesNotConsume(t *testing.T) {
+	s := NewSystem()
+	s.Spawn("t", func(tk *Task) error {
+		if tk.Probe(AnySource, AnyTag) {
+			return errors.New("probe matched on empty mailbox")
+		}
+		if err := tk.Send(tk.TID(), 4, NewBuffer().PackInt32(1)); err != nil {
+			return err
+		}
+		if !tk.Probe(AnySource, 4) {
+			return errors.New("probe missed queued message")
+		}
+		if !tk.Probe(AnySource, 4) {
+			return errors.New("probe consumed the message")
+		}
+		if tk.Probe(AnySource, 5) {
+			return errors.New("probe matched wrong tag")
+		}
+		m, ok := tk.TryRecv(AnySource, 4)
+		if !ok {
+			return errors.New("message gone after probes")
+		}
+		m.Release()
+		return nil
+	})
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}

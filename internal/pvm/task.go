@@ -94,7 +94,6 @@ type System struct {
 	wg       sync.WaitGroup
 	barriers map[string]barrierRef
 	bfree    []barrierRef // retired barriers, each at the life it is drawn at
-	groups   map[string]*group
 
 	errMu sync.Mutex
 	errs  []error
