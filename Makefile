@@ -58,7 +58,9 @@ chaos:
 # the happens-before checker armed must certify gather, gather-hier,
 # bcast-hier and reduce-hier delivery-order independent under 4 seeded
 # permutations each — on the flat testbed and, the hierarchical three,
-# on the grid, where sibling clusters step side by side — and a noisy
+# on the grid, where sibling clusters step side by side — while the
+# seeded order-dependent fold (nondet-reduce) must fail exploration with
+# a SCHEDULE-DEPENDENT verdict, the proof the audit still bites; a noisy
 # grid run repeated must reproduce its report and its event stream byte
 # for byte (the virtual engine is a sequential simulation, DESIGN.md
 # §5.3). The reorg property sweep proves rebalancing preserves topology
@@ -77,6 +79,10 @@ verify:
 	for run in ucf:gather ucf:gather-hier ucf:bcast-hier ucf:reduce-hier grid:gather-hier grid:bcast-hier grid:reduce-hier; do \
 		"$$tmp/hbspk-sim" -machine "$${run%:*}" -collective "$${run#*:}" -n 4096 -pure -explore 4 || exit 1; \
 	done; \
+	out=$$("$$tmp/hbspk-sim" -machine ucf -collective nondet-reduce -explore 4) && \
+		{ echo "verify: an order-dependent fold passed schedule exploration" >&2; exit 1; }; \
+	echo "$$out" | grep -q SCHEDULE-DEPENDENT || \
+		{ echo "$$out"; echo "verify: exploration did not name the order-dependent fold" >&2; exit 1; }; \
 	for i in 1 2; do \
 		"$$tmp/hbspk-sim" -machine grid -collective bcast-hier -noise 0.2 -seed 3 \
 			-json "$$tmp/run$$i.json" -events-out "$$tmp/run$$i.jsonl" > /dev/null || exit 1; \

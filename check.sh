@@ -91,7 +91,8 @@ timed 30 "planner smoke" go run ./cmd/hbspk-sim -machine ucf -collective auto -n
 # §5.10), as `make verify` defines them: schedule exploration with the
 # happens-before checker armed certifies gather, gather-hier, bcast-hier
 # and reduce-hier under 4 seeded permutations each on the flat testbed
-# and on the grid, a seeded noisy grid run reproduces its report and
+# and on the grid and rejects the seeded order-dependent nondet-reduce,
+# a seeded noisy grid run reproduces its report and
 # event stream byte for byte, the reorg property sweeps rerun by name,
 # and one coordinator plus two worker OS processes
 # run the verified broadcast + reduce program on hbsp.Concurrent over

@@ -1,9 +1,6 @@
 package hbspk
 
-import (
-	"hbspk/internal/collective"
-	"hbspk/internal/model"
-)
+import "hbspk/internal/collective"
 
 // Collective communication over the public API. All operations are
 // SPMD: every processor of the scope calls the same function; see the
@@ -103,6 +100,3 @@ func AllReduce(c Ctx, local []int64, op Op) ([]int64, error) {
 func Scan(c Ctx, scope *Machine, local []int64, op Op) ([]int64, error) {
 	return collective.Scan(c, scope, local, op)
 }
-
-// ensure the alias list stays in sync with the internal package.
-var _ = model.Machine{}

@@ -8,8 +8,8 @@ import (
 
 // BufOwn is a path-sensitive linear-ownership checker for the
 // refcounted wire-buffer pool. Every pvm.Message drawn from the mailbox
-// (Recv, RecvTimeout, RecvContext, TryRecv, the elements of
-// TryRecvAll) holds one reference to a pooled wire record; the holder
+// (Recv, RecvTimeout, the elements of a TryRecvAll or AppendRecvAll
+// result) holds one reference to a pooled wire record; the holder
 // must release it on every path, exactly once, and must not touch the
 // wire bytes afterwards. The analyzer interprets each function body
 // path-sensitively over a small ownership lattice
@@ -24,9 +24,11 @@ import (
 //     one pending;
 //   - Buffer() on a released message, or any use of a *Buffer that
 //     aliases one — the bytes may already back an unrelated message;
-//   - any use of a buffer after its Send/Mcast transferred it to the
-//     fabric: a second send (a buffer is sendable exactly once) or a
-//     Pack* into bytes the receiver may be reading;
+//   - any use of a buffer after its Send, SendBatch or SendBatches
+//     transferred it to the fabric (a batch's buffers when the call
+//     spells them out in a literal): a second send (a buffer is
+//     sendable exactly once) or a Pack* into bytes the receiver may be
+//     reading;
 //   - an index store, append or copy into a []byte payload after
 //     Ctx.Send queued it — engines may deliver the sender's slice
 //     itself, so the write races with the receiver;
@@ -117,16 +119,15 @@ type res struct {
 	kind     int
 	state    ownState
 	acq      token.Pos    // acquisition site, for leak messages
-	pairObj  types.Object // the err/ok bound with the acquisition
-	pairIsOk bool         // pairObj is TryRecv's bool, not an error
+	pairObj  types.Object // the err bound with the acquisition
 	deferred bool         // a defer m.Release() is registered
 	sentAt   token.Pos    // where ownership transferred
 	aliasOf  types.Object // buffer local -> owning message
-	elemOf   types.Object // range element -> its TryRecvAll slice
+	elemOf   types.Object // range element -> its bulk-drain slice
 }
 
 // ownEnv maps locals to ownership state; sliceSrc marks locals holding
-// a TryRecvAll result whose elements acquire ownership when ranged;
+// a bulk drain's result whose elements acquire ownership when ranged;
 // defers holds the deferred sends registered on this path, in order.
 type ownEnv struct {
 	vars     map[types.Object]*res
@@ -503,11 +504,11 @@ func (w *ownWalker) ifStmt(st *ast.IfStmt, env *ownEnv) flow {
 	}
 }
 
-// refine narrows acquisition state through the guard idioms: in
-// `if err != nil`, the then-arm's paired message was never delivered;
-// in `if ok` (TryRecv), the then-arm owns it and the else-arm does not.
-// A guard mentioning the paired variable in any shape the refiner does
-// not recognize weakens the message to MaybeOwned on both arms.
+// refine narrows acquisition state through the guard idiom: in
+// `if err != nil`, the then-arm's paired message was never delivered
+// (and in `if err == nil`, the else-arm's). A guard mentioning the
+// paired variable in any shape the refiner does not recognize weakens
+// the message to MaybeOwned on both arms.
 func (w *ownWalker) refine(cond ast.Expr, thenEnv, elseEnv *ownEnv) {
 	if cond == nil {
 		return
@@ -524,39 +525,20 @@ func (w *ownWalker) refine(cond ast.Expr, thenEnv, elseEnv *ownEnv) {
 			}
 		}
 	}
-	var apply func(e ast.Expr)
-	apply = func(e ast.Expr) {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.BinaryExpr:
-			if x.Op == token.LAND {
-				// Both operands hold on the then-arm; the else-arm learns
-				// nothing, which is sound (no refinement there).
-				applyThenOnly(w, x.X, thenEnv, handled)
-				applyThenOnly(w, x.Y, thenEnv, handled)
-				return
-			}
-			obj, isNil := nilCompare(w.pass.TypesInfo, x)
-			if obj == nil {
-				return
-			}
-			if x.Op == token.NEQ && isNil { // err != nil: then-arm unowned
+	if x, ok := ast.Unparen(cond).(*ast.BinaryExpr); ok {
+		if x.Op == token.LAND {
+			// Both operands hold on the then-arm; the else-arm learns
+			// nothing, which is sound (no refinement there).
+			applyThenOnly(w, x.X, thenEnv, handled)
+			applyThenOnly(w, x.Y, thenEnv, handled)
+		} else if obj, isNil := nilCompare(w.pass.TypesInfo, x); obj != nil && isNil {
+			if x.Op == token.NEQ { // err != nil: then-arm unowned
 				setPair(obj, thenEnv)
-			} else if x.Op == token.EQL && isNil { // err == nil: else-arm unowned
-				setPair(obj, elseEnv)
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.NOT { // !ok: then-arm unowned
-				if obj := identObj(w.pass.TypesInfo, x.X); obj != nil {
-					setPair(obj, thenEnv)
-				}
-			}
-		case *ast.Ident: // bare ok: else-arm unowned
-			if obj := identObj(w.pass.TypesInfo, x); obj != nil {
+			} else if x.Op == token.EQL { // err == nil: else-arm unowned
 				setPair(obj, elseEnv)
 			}
 		}
 	}
-	apply(cond)
 
 	// Unrecognized guards over a paired variable: weaken rather than
 	// guess, so neither arm can report a definite leak.
@@ -593,21 +575,9 @@ func applyThenOnly(w *ownWalker, e ast.Expr, thenEnv *ownEnv, handled map[types.
 			}
 		}
 	}
-	switch x := ast.Unparen(e).(type) {
-	case *ast.BinaryExpr:
-		obj, isNil := nilCompare(w.pass.TypesInfo, x)
-		if obj != nil && isNil {
+	if x, ok := ast.Unparen(e).(*ast.BinaryExpr); ok {
+		if obj, isNil := nilCompare(w.pass.TypesInfo, x); obj != nil && isNil {
 			refineArm(obj, x.Op == token.NEQ)
-		}
-	case *ast.UnaryExpr:
-		if x.Op == token.NOT {
-			if obj := identObj(w.pass.TypesInfo, x.X); obj != nil {
-				refineArm(obj, true)
-			}
-		}
-	case *ast.Ident:
-		if obj := identObj(w.pass.TypesInfo, x); obj != nil {
-			refineArm(obj, false)
 		}
 	}
 }

@@ -13,21 +13,23 @@ import (
 // interpreting uses, and the escape rules that retire a resource from
 // the analysis.
 
-// recvPairNames are the mailbox draws returning (Message, error) or
-// (Message, bool); the second result is the acquisition guard.
-var recvPairNames = map[string]bool{
-	"Recv": true, "RecvTimeout": true, "RecvContext": true, "TryRecv": true,
-}
+// recvPairNames are the mailbox draws returning (Message, error); the
+// error is the acquisition guard.
+var recvPairNames = map[string]bool{"Recv": true, "RecvTimeout": true}
 
-// sendNames transfer ownership of a *Buffer argument to the fabric.
-var sendNames = map[string]bool{"Send": true, "Mcast": true, "SendBatch": true}
+// drainNames are the bulk mailbox draws: their result's elements
+// acquire ownership when ranged.
+var drainNames = map[string]bool{"TryRecvAll": true, "AppendRecvAll": true}
+
+// sendNames transfer ownership of their *Buffer arguments to the fabric.
+var sendNames = map[string]bool{"Send": true, "SendBatch": true, "SendBatches": true}
 
 func isMessageType(t types.Type) bool { return typeNameOf(t) == "Message" }
 
 func (w *ownWalker) assign(st *ast.AssignStmt, env *ownEnv) {
 	info := w.pass.TypesInfo
 
-	// Guarded acquisition: m, err := t.Recv(...) / m, ok := t.TryRecv(...).
+	// Guarded acquisition: m, err := t.Recv(...).
 	if len(st.Lhs) == 2 && len(st.Rhs) == 1 {
 		if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok {
 			fn := calleeFunc(info, call)
@@ -36,11 +38,10 @@ func (w *ownWalker) assign(st *ast.AssignStmt, env *ownEnv) {
 				mObj := identObj(info, st.Lhs[0])
 				if mObj != nil {
 					env.vars[mObj] = &res{
-						kind:     resMsg,
-						state:    stOwned,
-						acq:      st.Lhs[0].Pos(),
-						pairObj:  identObj(info, st.Lhs[1]),
-						pairIsOk: fn.Name() == "TryRecv",
+						kind:    resMsg,
+						state:   stOwned,
+						acq:     st.Lhs[0].Pos(),
+						pairObj: identObj(info, st.Lhs[1]),
 					}
 				}
 				return
@@ -53,8 +54,9 @@ func (w *ownWalker) assign(st *ast.AssignStmt, env *ownEnv) {
 			fn := calleeFunc(info, call)
 			lhsObj := identObj(info, st.Lhs[0])
 			switch {
-			// msgs := t.TryRecvAll(...): elements acquire when ranged.
-			case fn != nil && fn.Name() == "TryRecvAll" && lhsObj != nil:
+			// msgs = t.AppendRecvAll(msgs[:0], ...): elements acquire when
+			// ranged.
+			case fn != nil && drainNames[fn.Name()] && lhsObj != nil:
 				w.useExpr(call, env)
 				env.sliceSrc[lhsObj] = true
 				return
@@ -233,6 +235,12 @@ func (w *ownWalker) useExpr(e ast.Expr, env *ownEnv) {
 			return true
 		case *ast.CallExpr:
 			w.evalCall(x, env)
+			if w.isSend(x) {
+				// sendCall judged the arguments: the buffers of a literal
+				// batch transferred, they did not escape.
+				w.useExpr(x.Fun, env)
+				return false
+			}
 			return true
 		}
 		return true
@@ -261,7 +269,7 @@ func (w *ownWalker) escapeObj(obj types.Object, env *ownEnv) {
 	}
 }
 
-// escapeSlice retires a TryRecvAll slice and the elements ranged from
+// escapeSlice retires a bulk-drain slice and the elements ranged from
 // it: once the slice is handed to a call (releaseRest and friends), the
 // callee owns the remaining messages.
 func (w *ownWalker) escapeSlice(obj types.Object, env *ownEnv) {
@@ -385,6 +393,7 @@ func (w *ownWalker) sendCall(call *ast.CallExpr, env *ownEnv) {
 	// Ctx.Send(dst, tag, payload) queues the slice itself; sending it
 	// again only reads it.
 	if rt := receiverType(info, call); rt != nil && isCtxType(rt) {
+		w.useExprs(call.Args, env)
 		if len(call.Args) == 3 {
 			if obj := payloadObj(info, call.Args[2]); obj != nil {
 				env.vars[obj] = &res{kind: resPayload, state: stTransferred, sentAt: call.Pos()}
@@ -393,33 +402,42 @@ func (w *ownWalker) sendCall(call *ast.CallExpr, env *ownEnv) {
 		return
 	}
 	for _, arg := range call.Args {
-		obj := identObj(info, arg)
-		if obj == nil {
-			// SendBatch([]*Buffer{a, b}): transfer each element.
-			if cl, ok := ast.Unparen(arg).(*ast.CompositeLit); ok {
-				for _, elt := range cl.Elts {
-					if eo := identObj(info, elt); eo != nil {
-						w.transferBuf(elt, eo, env)
-					}
-				}
+		w.sendArg(arg, env)
+	}
+}
+
+// sendArg transfers what one send argument names: a *Buffer local, or
+// each one written out in a slice or Batch literal — SendBatch's
+// []*Buffer{a, b}, SendBatches' []Batch{{Dst: d, Bufs: []*Buffer{a, b}}}.
+// Anything else is an ordinary use.
+func (w *ownWalker) sendArg(arg ast.Expr, env *ownEnv) {
+	info := w.pass.TypesInfo
+	if cl, ok := ast.Unparen(arg).(*ast.CompositeLit); ok {
+		for _, elt := range cl.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
 			}
-			w.useExpr(arg, env)
-			continue
+			w.sendArg(elt, env)
 		}
-		r, tracked := env.vars[obj]
-		if !tracked {
-			// A buffer from anywhere else (a parameter, a pool) is
-			// tracked from its first send on.
-			if typeNameOf(info.TypeOf(arg)) == "Buffer" {
-				env.vars[obj] = &res{kind: resBuf, state: stTransferred, sentAt: arg.Pos()}
-			}
-			continue
+		return
+	}
+	obj := identObj(info, arg)
+	if obj == nil {
+		w.useExpr(arg, env)
+		return
+	}
+	r, tracked := env.vars[obj]
+	switch {
+	case !tracked:
+		// A buffer from anywhere else (a parameter, a pool) is tracked
+		// from its first send on.
+		if typeNameOf(info.TypeOf(arg)) == "Buffer" {
+			env.vars[obj] = &res{kind: resBuf, state: stTransferred, sentAt: arg.Pos()}
 		}
-		if r.kind == resBuf {
-			w.transferBuf(arg, obj, env)
-		} else {
-			w.escapeObj(obj, env)
-		}
+	case r.kind == resBuf:
+		w.transferBuf(arg, obj, env)
+	default:
+		w.escapeObj(obj, env)
 	}
 }
 
@@ -461,7 +479,7 @@ func (w *ownWalker) rangeStmt(st *ast.RangeStmt, env *ownEnv) flow {
 	info := w.pass.TypesInfo
 	w.useExpr(st.X, env)
 
-	// Ranging over a TryRecvAll result acquires one message per
+	// Ranging over a bulk drain's result acquires one message per
 	// iteration; each must be settled before the iteration ends.
 	var srcObj, elemObj types.Object
 	if obj := identObj(info, st.X); obj != nil && env.sliceSrc[obj] {
@@ -473,7 +491,7 @@ func (w *ownWalker) rangeStmt(st *ast.RangeStmt, env *ownEnv) flow {
 	}
 	if st.Value != nil {
 		if vObj := identObj(info, st.Value); vObj != nil && isMessageType(vObj.Type()) {
-			if srcObj != nil || rangesTryRecvAll(info, st.X) {
+			if srcObj != nil || rangesDrain(info, st.X) {
 				elemObj = vObj
 			}
 		}
@@ -488,7 +506,7 @@ func (w *ownWalker) rangeStmt(st *ast.RangeStmt, env *ownEnv) flow {
 			if r, ok := e.vars[elemObj]; ok {
 				if fl == flowNormal && r.state == stOwned && !r.deferred {
 					w.reportf(st.Value.Pos(), st.Value.End(),
-						"wire message %q from TryRecvAll is not released on every path through the loop body", elemObj.Name())
+						"wire message %q from a bulk drain is not released on every path through the loop body", elemObj.Name())
 				}
 				delete(e.vars, elemObj)
 			}
@@ -499,14 +517,14 @@ func (w *ownWalker) rangeStmt(st *ast.RangeStmt, env *ownEnv) flow {
 	return flowNormal
 }
 
-// rangesTryRecvAll reports whether e is a direct TryRecvAll call.
-func rangesTryRecvAll(info *types.Info, e ast.Expr) bool {
+// rangesDrain reports whether e is a direct bulk-drain call.
+func rangesDrain(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	fn := calleeFunc(info, call)
-	return fn != nil && fn.Name() == "TryRecvAll"
+	return fn != nil && drainNames[fn.Name()]
 }
 
 func (w *ownWalker) deferStmt(st *ast.DeferStmt, env *ownEnv) {

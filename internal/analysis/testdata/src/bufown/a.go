@@ -6,6 +6,8 @@
 // ownership hand-offs to helpers and callers).
 package bufown
 
+import "time"
+
 type TID int
 
 type Buffer struct{ data []byte }
@@ -26,11 +28,13 @@ func (m Message) Len() int        { return 0 }
 
 type Task struct{}
 
-func (t *Task) Recv(src TID, tag int) (Message, error)       { return Message{}, nil }
-func (t *Task) TryRecv(src TID, tag int) (Message, bool)     { return Message{}, false }
-func (t *Task) TryRecvAll(src TID, tag int) []Message        { return nil }
-func (t *Task) Send(dst TID, tag int, buf *Buffer) error     { return nil }
-func (t *Task) Mcast(dsts []TID, tag int, buf *Buffer) error { return nil }
+func (t *Task) Recv(src TID, tag int) (Message, error) { return Message{}, nil }
+func (t *Task) RecvTimeout(src TID, tag int, d time.Duration) (Message, error) {
+	return Message{}, nil
+}
+func (t *Task) TryRecvAll(src TID, tag int) []Message                   { return nil }
+func (t *Task) AppendRecvAll(dst []Message, src TID, tag int) []Message { return dst }
+func (t *Task) Send(dst TID, tag int, buf *Buffer) error                { return nil }
 
 // --- violations ---
 
@@ -51,8 +55,8 @@ func leakOnErrorReturn(t *Task) error {
 
 // Never released at all: the reference leaks at the final return.
 func neverReleased(t *Task) int {
-	m, ok := t.TryRecv(1, 0)
-	if !ok {
+	m, err := t.RecvTimeout(1, 0, 0)
+	if err != nil {
 		return 0
 	}
 	return m.Len() // want `not released on this return path`
@@ -61,8 +65,8 @@ func neverReleased(t *Task) int {
 // Same leak without a return: reported where the reference was taken,
 // since nothing past the end of the scope can release it.
 func neverReleasedFallsOff(t *Task) {
-	m, ok := t.TryRecv(1, 0) // want `not released on every path`
-	if !ok {
+	m, err := t.RecvTimeout(1, 0, 0) // want `not released on every path`
+	if err != nil {
 		return
 	}
 	observe(m.Len())
@@ -129,8 +133,8 @@ func releaseInFlight(t *Task) error {
 // A panic between acquisition and release leaks unless the release is
 // deferred.
 func leakOnPanic(t *Task, n int) {
-	m, ok := t.TryRecv(1, 0)
-	if !ok {
+	m, err := t.RecvTimeout(1, 0, 0)
+	if err != nil {
 		return
 	}
 	if n < 0 {
@@ -160,6 +164,19 @@ func drainLeaky(t *Task) error {
 	for _, m := range t.TryRecvAll(1, 0) {
 		b := m.Buffer()
 		if _, err := b.UnpackInt32(); err != nil {
+			return err // want `not released on this return path`
+		}
+		m.Release()
+	}
+	return nil
+}
+
+// The engine's drain into a reused slice: an AppendRecvAll result
+// acquires its elements when ranged, exactly like a TryRecvAll one.
+func drainAppendLeaky(t *Task, scratch []Message) error {
+	scratch = t.AppendRecvAll(scratch[:0], 1, 0)
+	for _, m := range scratch {
+		if _, err := m.Buffer().UnpackInt32(); err != nil {
 			return err // want `not released on this return path`
 		}
 		m.Release()
@@ -204,8 +221,8 @@ func transferToCaller(t *Task) (Message, error) {
 
 // Handing the message to a helper transfers the obligation to it.
 func handedToHelper(t *Task) {
-	m, ok := t.TryRecv(1, 0)
-	if !ok {
+	m, err := t.RecvTimeout(1, 0, 0)
+	if err != nil {
 		return
 	}
 	consume(m)
@@ -215,8 +232,8 @@ func consume(m Message) { m.Release() }
 
 // Release on every arm of a branch keeps the reference balanced.
 func releasedOnBothArms(t *Task, keep bool) []byte {
-	m, ok := t.TryRecv(1, 0)
-	if !ok {
+	m, err := t.RecvTimeout(1, 0, 0)
+	if err != nil {
 		return nil
 	}
 	var out []byte

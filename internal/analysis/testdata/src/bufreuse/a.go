@@ -14,8 +14,14 @@ func (b *Buffer) PackBytes(p []byte) *Buffer    { return b }
 
 type Task struct{}
 
+type Batch struct {
+	Dst  TID
+	Bufs []*Buffer
+}
+
 func (t *Task) Send(dst TID, tag int, buf *Buffer) error         { return nil }
-func (t *Task) Mcast(dsts []TID, tag int, buf *Buffer) error     { return nil }
+func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error { return nil }
+func (t *Task) SendBatches(tag int, batches []Batch) error       { return nil }
 func (t *Task) Barrier(name string, count int) error             { return nil }
 func (t *Task) Recv(src TID, tag int) (struct{ Src TID }, error) { return struct{ Src TID }{}, nil }
 
@@ -39,13 +45,31 @@ func packAfterSend(t *Task) error {
 	return t.Send(2, 7, buf) // want `buffer "buf" sent again`
 }
 
-func packAfterMcast(t *Task) error {
+func packAfterSendBatches(t *Task, d TID) error {
 	buf := NewBuffer().PackBytes([]byte("hello"))
-	if err := t.Mcast([]TID{1, 2}, 3, buf); err != nil {
+	if err := t.SendBatches(3, []Batch{{Dst: d, Bufs: []*Buffer{buf}}}); err != nil {
 		return err
 	}
 	buf.PackBytes([]byte("tail")) // want `PackBytes into buffer "buf" already sent`
 	return nil
+}
+
+// SendBatches transfers every buffer of every batch, keyed or positional.
+func resendAfterSendBatches(t *Task, d, e TID) error {
+	a := NewBuffer().PackInt32(1)
+	b := NewBuffer().PackInt32(2)
+	if err := t.SendBatches(7, []Batch{{d, []*Buffer{a}}, {Dst: e, Bufs: []*Buffer{b}}}); err != nil {
+		return err
+	}
+	return t.Send(d, 7, b) // want `buffer "b" sent again`
+}
+
+func resendAfterSendBatch(t *Task, d TID) error {
+	a := NewBuffer().PackInt32(1)
+	if err := t.SendBatch(d, 7, []*Buffer{a}); err != nil {
+		return err
+	}
+	return t.Send(d, 7, a) // want `buffer "a" sent again`
 }
 
 func resendWithoutPacking(t *Task) error {
@@ -104,6 +128,13 @@ func freshBufferPerMessage(t *Task) error {
 		}
 	}
 	return nil
+}
+
+// A batch list built beforehand is an ordinary value: its buffers left
+// the analysis where the list was built.
+func batchesBuiltAhead(t *Task, d TID) error {
+	batches := []Batch{{Dst: d, Bufs: []*Buffer{NewBuffer().PackInt32(1)}}}
+	return t.SendBatches(7, batches)
 }
 
 func rebindResets(t *Task) error {

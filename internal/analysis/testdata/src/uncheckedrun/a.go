@@ -3,7 +3,10 @@
 // dropped errors.
 package uncheckedrun
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 type Machine struct{}
 
@@ -21,9 +24,18 @@ type Program func(Ctx) error
 
 type Virtual struct{}
 
+type ScheduleSet struct{}
+
 func (v *Virtual) Run(prog Program) (*Report, error) { return nil, nil }
+func (v *Virtual) RunSchedules(prog Program, n int, seed int64) (*ScheduleSet, error) {
+	return nil, nil
+}
+
+type ChaosPlan struct{}
 
 func RunVirtual(t *Tree, prog Program) (*Report, error) { return nil, nil }
+
+func RunVirtualChaos(t *Tree, plan *ChaosPlan, prog Program) (*Report, error) { return nil, nil }
 
 func SyncAll(c Ctx, label string) error { return c.Sync(nil, label) }
 
@@ -45,9 +57,22 @@ type Buffer struct{}
 
 type Task struct{}
 
-func (t *Task) Send(dst TID, tag int, buf *Buffer) error     { return nil }
-func (t *Task) Mcast(dsts []TID, tag int, buf *Buffer) error { return nil }
-func (t *Task) Barrier(name string, count int) error         { return nil }
+type Batch struct {
+	Dst  TID
+	Bufs []*Buffer
+}
+
+func (t *Task) Send(dst TID, tag int, buf *Buffer) error         { return nil }
+func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error { return nil }
+func (t *Task) SendBatches(tag int, batches []Batch) error       { return nil }
+func (t *Task) Flush() error                                     { return nil }
+func (t *Task) Barrier(name string, count int) error             { return nil }
+func (t *Task) BarrierTimeout(name string, count int, d time.Duration) error {
+	return nil
+}
+func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
+	return nil, nil
+}
 
 type System struct{}
 
@@ -89,6 +114,34 @@ func dropFT(ft *FT, data []byte) {
 
 func dropBarrier(t *Task) {
 	t.Barrier("b", 4) // want `error result of Barrier is dropped`
+}
+
+func dropSendBatch(t *Task, bufs []*Buffer) {
+	t.SendBatch(1, 0, bufs) // want `error result of SendBatch is dropped`
+}
+
+func dropSendBatches(t *Task, batches []Batch) {
+	t.SendBatches(0, batches) // want `error result of SendBatches is dropped`
+}
+
+func dropFlush(t *Task) {
+	defer t.Flush() // want `error result of Flush is dropped`
+}
+
+func dropBarrierTimeout(t *Task) {
+	t.BarrierTimeout("b", 4, time.Second) // want `error result of BarrierTimeout is dropped`
+}
+
+func dropBarrierExchange(t *Task, clock []byte) {
+	t.BarrierExchange("b", 4, 0, clock) // want `error result of BarrierExchange is dropped`
+}
+
+func dropChaosRun(t *Tree, plan *ChaosPlan, prog Program) {
+	RunVirtualChaos(t, plan, prog) // want `error result of RunVirtualChaos is dropped`
+}
+
+func dropSchedules(v *Virtual, prog Program) {
+	v.RunSchedules(prog, 8, 1) // want `error result of RunSchedules is dropped`
 }
 
 func dropWait(s *System) {

@@ -6,9 +6,10 @@ import (
 )
 
 // UncheckedRun flags dropped errors from the HBSP^k run-time surface:
-// engine Run/Wait, Ctx Sync/Send, SyncAll, pvm Send/Mcast/Barrier/
-// Spawn-collection via Wait, and every collective — planner-dispatched
-// and fault-tolerant forms included. A swallowed error
+// engine Run and Virtual.RunSchedules, the facade runners, Ctx
+// Sync/Send, SyncAll, the pvm Task sends, Flush and barriers,
+// Spawn-collection via System.Wait, and every collective — planner-
+// dispatched and fault-tolerant forms included. A swallowed error
 // from any of these turns a detected desync or delivery failure into a
 // silently wrong answer, so unlike a general errcheck this one is
 // always-on for the model's own calls. Only outright drops are flagged
@@ -45,6 +46,13 @@ func runUncheckedRun(pass *Pass) error {
 	return nil
 }
 
+// taskMethodNames are the pvm Task calls the engine makes whose error
+// reports a lost delivery or a failed barrier.
+var taskMethodNames = map[string]bool{
+	"Send": true, "SendBatch": true, "SendBatches": true, "Flush": true,
+	"Barrier": true, "BarrierTimeout": true, "BarrierExchange": true,
+}
+
 // isUncheckedTarget reports whether the call is an error-returning call
 // of the model's surface.
 func isUncheckedTarget(pass *Pass, call *ast.CallExpr) bool {
@@ -62,10 +70,12 @@ func isUncheckedTarget(pass *Pass, call *ast.CallExpr) bool {
 		case isCtxType(rt):
 			return name == "Sync" || name == "Send"
 		case typeNameOf(rt) == "Task":
-			return name == "Send" || name == "Mcast" || name == "Barrier"
+			return taskMethodNames[name]
 		case typeNameOf(rt) == "System":
 			return name == "Wait"
-		case typeNameOf(rt) == "Virtual" || typeNameOf(rt) == "Concurrent":
+		case typeNameOf(rt) == "Virtual":
+			return name == "Run" || name == "RunSchedules"
+		case typeNameOf(rt) == "Concurrent":
 			return name == "Run"
 		case typeNameOf(rt) == "FT":
 			return ftMethodNames[name]
@@ -75,7 +85,7 @@ func isUncheckedTarget(pass *Pass, call *ast.CallExpr) bool {
 	switch name {
 	case "SyncAll":
 		return len(call.Args) > 0 && isCtxType(info.TypeOf(call.Args[0]))
-	case "Run", "RunVirtual", "RunConcurrent":
+	case "Run", "RunVirtual", "RunVirtualChaos", "RunConcurrent":
 		// The facade runners: recognized by their (*Report, error) shape
 		// so that unrelated functions named Run stay out of scope.
 		sig := fn.Type().(*types.Signature)

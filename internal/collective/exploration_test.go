@@ -1,7 +1,9 @@
 package collective
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"hbspk/internal/fabric"
@@ -38,10 +40,13 @@ func saveVec(c hbsp.Ctx, key string, v []int64) {
 	}
 }
 
-func exploreCases(tr *model.Tree) []struct {
+// exploreCase is one collective program schedule exploration replays.
+type exploreCase struct {
 	name string
 	prog hbsp.Program
-} {
+}
+
+func exploreCases(tr *model.Tree) []exploreCase {
 	root := tr.Pid(tr.FastestLeaf())
 	outgoing := func(c hbsp.Ctx) map[int][]byte {
 		out := make(map[int][]byte, c.NProcs())
@@ -50,10 +55,7 @@ func exploreCases(tr *model.Tree) []struct {
 		}
 		return out
 	}
-	return []struct {
-		name string
-		prog hbsp.Program
-	}{
+	cases := []exploreCase{
 		{"gather", func(c hbsp.Ctx) error {
 			out, err := Gather(c, c.Tree().Root, root, payloadFor(c.Pid(), 8+c.Pid()))
 			if err != nil {
@@ -169,30 +171,6 @@ func exploreCases(tr *model.Tree) []struct {
 			saveMap(c, "result", out)
 			return nil
 		}},
-		{"reduce", func(c hbsp.Ctx) error {
-			out, err := Reduce(c, c.Tree().Root, root, vecFor(c.Pid()), Sum)
-			if err != nil {
-				return err
-			}
-			saveVec(c, "result", out)
-			return nil
-		}},
-		{"reduce-hier", func(c hbsp.Ctx) error {
-			out, err := ReduceHier(c, vecFor(c.Pid()), Sum)
-			if err != nil {
-				return err
-			}
-			saveVec(c, "result", out)
-			return nil
-		}},
-		{"allreduce", func(c hbsp.Ctx) error {
-			out, err := AllReduce(c, vecFor(c.Pid()), Sum)
-			if err != nil {
-				return err
-			}
-			saveVec(c, "result", out)
-			return nil
-		}},
 		{"scan", func(c hbsp.Ctx) error {
 			out, err := Scan(c, c.Tree().Root, vecFor(c.Pid()), Sum)
 			if err != nil {
@@ -219,6 +197,40 @@ func exploreCases(tr *model.Tree) []struct {
 			return nil
 		}},
 	}
+	// The reductions under every shipped operator: each fold must be
+	// delivery-order independent. Sum keeps the bare names.
+	for _, op := range []Op{Sum, Max, Min} {
+		suffix := ""
+		if op.Name != Sum.Name {
+			suffix = "-" + op.Name
+		}
+		cases = append(cases,
+			exploreCase{"reduce" + suffix, func(c hbsp.Ctx) error {
+				out, err := Reduce(c, c.Tree().Root, root, vecFor(c.Pid()), op)
+				if err != nil {
+					return err
+				}
+				saveVec(c, "result", out)
+				return nil
+			}},
+			exploreCase{"reduce-hier" + suffix, func(c hbsp.Ctx) error {
+				out, err := ReduceHier(c, vecFor(c.Pid()), op)
+				if err != nil {
+					return err
+				}
+				saveVec(c, "result", out)
+				return nil
+			}},
+			exploreCase{"allreduce" + suffix, func(c hbsp.Ctx) error {
+				out, err := AllReduce(c, vecFor(c.Pid()), op)
+				if err != nil {
+					return err
+				}
+				saveVec(c, "result", out)
+				return nil
+			}})
+	}
+	return cases
 }
 
 func TestCollectivesPassScheduleExploration(t *testing.T) {
@@ -278,47 +290,30 @@ func TestExplorationUnderChaosAgrees(t *testing.T) {
 	}
 }
 
-func TestOrderRecorderCertifiesShippedOps(t *testing.T) {
+// An order-dependent fold in a shipped collective is caught end to end:
+// doubling the accumulator before subtracting weighs each operand by its
+// position, so the flat Reduce's root saves a different vector under
+// different delivery orders, and Diff names that save.
+func TestRunSchedulesFlagsOrderDependentReduce(t *testing.T) {
 	tr := model.UCFTestbedN(exploreP)
 	root := tr.Pid(tr.FastestLeaf())
-	for _, op := range []Op{Sum, Max, Min} {
-		rec := NewOrderRecorder()
-		audited := op.Recorded(rec)
-		_, err := hbsp.RunVirtual(tr, fabric.PureModel(), func(c hbsp.Ctx) error {
-			if _, err := Reduce(c, c.Tree().Root, root, vecFor(c.Pid()), audited); err != nil {
-				return err
-			}
-			_, err := ReduceHier(c, vecFor(c.Pid()), audited)
-			return err
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", op.Name, err)
-		}
-		if rec.Folds() == 0 {
-			t.Fatalf("%s: recorder saw no folds", op.Name)
-		}
-		if err := rec.Check(op); err != nil {
-			t.Errorf("%s: %v", op.Name, err)
-		}
-	}
-}
-
-func TestOrderRecorderFlagsOrderDependentOp(t *testing.T) {
-	tr := model.UCFTestbedN(exploreP)
-	root := tr.Pid(tr.FastestLeaf())
-	// A plain subtraction fold is order-independent (acc - Σ operands);
-	// doubling the accumulator first makes each operand's weight depend
-	// on its position, a genuinely order-dependent fold.
 	sub := Op{Name: "sub", Apply: func(a, b int64) int64 { return a*2 - b }, Cost: 0.05}
-	rec := NewOrderRecorder()
-	_, err := hbsp.RunVirtual(tr, fabric.PureModel(), func(c hbsp.Ctx) error {
-		_, err := Reduce(c, c.Tree().Root, root, vecFor(c.Pid()), sub.Recorded(rec))
-		return err
-	})
+	eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+	set, err := eng.RunSchedules(func(c hbsp.Ctx) error {
+		out, err := Reduce(c, c.Tree().Root, root, vecFor(c.Pid()), sub)
+		if err != nil {
+			return err
+		}
+		saveVec(c, "result", out)
+		return nil
+	}, 8, 1234)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Check(sub); err == nil {
-		t.Error("non-commutative fold passed the order audit")
+	if set.Agree() {
+		t.Fatal("an order-dependent fold fingerprinted identically under permuted schedules")
+	}
+	if diff, want := set.Diff(), fmt.Sprintf("p%d saved state %q", root, "result"); !strings.Contains(diff, want) {
+		t.Errorf("diff %q does not name the root's saved result %q", diff, want)
 	}
 }

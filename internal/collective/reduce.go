@@ -15,22 +15,13 @@ const (
 
 // Op is an associative, commutative element-wise reduction operator over
 // int64 vectors. Cost is the combining cost per element in
-// fastest-machine time units, charged to whichever machine combines.
+// fastest-machine time units, charged to whichever machine combines. A
+// fold that depends on delivery order makes Virtual.RunSchedules
+// disagree (DESIGN.md §5.3).
 type Op struct {
 	Name  string
 	Apply func(a, b int64) int64
 	Cost  float64
-
-	// rec, when set via Recorded, audits every combine for
-	// delivery-order independence.
-	rec *OrderRecorder
-}
-
-// Recorded returns a copy of the op whose combines are captured by r,
-// so a run's folds can be replayed under permuted orders with r.Check.
-func (op Op) Recorded(r *OrderRecorder) Op {
-	op.rec = r
-	return op
 }
 
 // Sum, Max and Min are the standard reduction operators.
@@ -54,9 +45,6 @@ var (
 func (op Op) combine(c hbsp.Ctx, dst, src []int64) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("collective: reduce width mismatch %d vs %d", len(dst), len(src))
-	}
-	if op.rec != nil {
-		op.rec.observe(c.Pid(), op, dst, src)
 	}
 	for i := range dst {
 		dst[i] = op.Apply(dst[i], src[i])

@@ -12,7 +12,7 @@ import (
 
 // Microbenchmarks of the message fabric's hot path, and the two tests
 // that hold it to its allocation budget on the same workloads:
-// TestSendPathAllocs (ceilings per SendRecv round and per Mcast fan-out)
+// TestSendPathAllocs (a ceiling per SendRecv round at each size)
 // and TestSendRecvObserverOffAllocs (a cleared observer costs no
 // allocation). The wall-clock side is the ladder's pvm.sendrecv_ns.
 //
@@ -98,15 +98,12 @@ func runSendRecvBench(b *testing.B, size int) {
 	}
 }
 
-// A workload runs warm unmeasured and then rounds measured rounds of
-// traffic at one size; its sender calls begin before the first measured
-// round and end after the last. The benchmarks time it, the allocation
-// tests count its allocations.
-type workload func(warm, rounds, size int, begin, end func()) error
-
 // sendRecvRounds is the credit-paced ping workload behind the SendRecv
 // benchmark family: a round is one message of size bytes from one task
-// to another.
+// to another. It runs warm rounds unmeasured and then rounds measured
+// ones; its sender calls begin before the first measured round and end
+// after the last. The benchmarks time it, the allocation tests count its
+// allocations.
 func sendRecvRounds(warm, rounds, size int, begin, end func()) error {
 	payload := make([]byte, size)
 	s := NewSystem()
@@ -164,93 +161,17 @@ func sendRecvRounds(warm, rounds, size int, begin, end func()) error {
 	return s.Wait()
 }
 
-// BenchmarkMcastFanout measures one multicast to f destinations per
-// iteration: the pooled fabric shares a single wire buffer across the
-// fan-out.
-func BenchmarkMcastFanout(b *testing.B) {
-	for _, fanout := range []int{4, 16} {
-		b.Run(fmt.Sprintf("f=%d", fanout), func(b *testing.B) {
-			err := mcastRounds(0, b.N, fanout, func() {
-				b.ReportAllocs()
-				b.SetBytes(int64(mcastPayload * fanout))
-				b.ResetTimer()
-			}, b.StopTimer)
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-const mcastPayload = 4096
-
-// mcastRounds is the fan-out workload: a round is one Mcast of
-// mcastPayload bytes to fanout receivers, fanout being its size.
-func mcastRounds(warm, rounds, fanout int, begin, end func()) error {
-	payload := make([]byte, mcastPayload)
-	s := NewSystem()
-	tids := make([]TID, fanout)
-	var sendTID TID
-	var wg sync.WaitGroup
-	wg.Add(fanout)
-	ready := make(chan struct{})
-	for i := 0; i < fanout; i++ {
-		tids[i] = s.Spawn(fmt.Sprintf("recv%d", i), func(t *Task) error {
-			defer wg.Done()
-			<-ready
-			for n := 0; n < warm+rounds; n++ {
-				m, err := t.Recv(AnySource, 3)
-				if err != nil {
-					return err
-				}
-				m.Release()
-				if (n+1)%benchWindow == 0 {
-					if err := sendCredit(t, sendTID); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}
-	sendTID = s.Spawn("send", func(t *Task) error {
-		<-ready
-		for n := 0; n < warm+rounds; n++ {
-			if n == warm {
-				begin()
-			}
-			if n >= benchWindow && n%benchWindow == 0 {
-				for _, r := range tids {
-					if err := awaitCredit(t, r); err != nil {
-						return err
-					}
-				}
-			}
-			buf := NewBuffer()
-			buf.PackBytes(payload)
-			if err := t.Mcast(tids, 3, buf); err != nil {
-				return err
-			}
-		}
-		end()
-		wg.Wait()
-		return nil
-	})
-	close(ready) // sendTID is assigned
-	return s.Wait()
-}
-
-// allocsPerRound runs w at size for 500 warm and 5000 measured rounds
-// and returns the process's allocations per measured round. The race
-// detector allocates on the program's behalf, so under it the test is
-// skipped.
-func allocsPerRound(t *testing.T, w workload, size int) float64 {
+// allocsPerRound runs sendRecvRounds at size for 500 warm and 5000
+// measured rounds and returns the process's allocations per measured
+// round. The race detector allocates on the program's behalf, so under
+// it the test is skipped.
+func allocsPerRound(t *testing.T, size int) float64 {
 	if testutil.RaceEnabled() {
 		t.Skip("the race detector changes the allocation count")
 	}
 	const warm, rounds = 500, 5000
 	var before, after runtime.MemStats
-	err := w(warm, rounds, size,
+	err := sendRecvRounds(warm, rounds, size,
 		func() { runtime.ReadMemStats(&before) },
 		func() { runtime.ReadMemStats(&after) })
 	if err != nil {
@@ -261,27 +182,16 @@ func allocsPerRound(t *testing.T, w workload, size int) float64 {
 
 // TestSendPathAllocs is the allocation ceiling of the warm send path:
 // pooled wire records and the header that recycles with them leave a
-// SendRecv round and a whole Mcast fan-out allocating next to nothing.
-// Before the pool a round allocated 3, a fan-out 6 at f = 4 and 19 at
-// f = 16; the ceilings are half of that.
+// SendRecv round allocating next to nothing. Before the pool a round
+// allocated 3; the ceiling is half of that, rounded down.
 func TestSendPathAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		w       workload
-		size    int
-		ceiling float64
-	}{
-		{"SendRecv/n=64", sendRecvRounds, 64, 1},
-		{"SendRecv/n=4096", sendRecvRounds, 4096, 1},
-		{"SendRecv/n=65536", sendRecvRounds, 65536, 1},
-		{"Mcast/f=4", mcastRounds, 4, 3},
-		{"Mcast/f=16", mcastRounds, 16, 9},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := allocsPerRound(t, tc.w, tc.size)
+	for _, size := range []int{64, 4096, 65536} {
+		t.Run(fmt.Sprintf("SendRecv/n=%d", size), func(t *testing.T) {
+			const ceiling = 1
+			got := allocsPerRound(t, size)
 			t.Logf("%.3f allocations per round", got)
-			if got > tc.ceiling {
-				t.Errorf("%.3f allocations per warm round, ceiling %.0f", got, tc.ceiling)
+			if got > ceiling {
+				t.Errorf("%.3f allocations per warm round, ceiling %d", got, ceiling)
 			}
 		})
 	}
@@ -292,9 +202,9 @@ func TestSendPathAllocs(t *testing.T) {
 // explicitly cleared allocates what a round allocates when none was
 // ever installed, to the whole allocation.
 func TestSendRecvObserverOffAllocs(t *testing.T) {
-	without := allocsPerRound(t, sendRecvRounds, 4096)
+	without := allocsPerRound(t, 4096)
 	SetObserver(nil)
-	cleared := allocsPerRound(t, sendRecvRounds, 4096)
+	cleared := allocsPerRound(t, 4096)
 	t.Logf("allocations per round: %.3f with no observer, %.3f with a cleared one", without, cleared)
 	if math.Round(cleared) != math.Round(without) {
 		t.Errorf("%.3f allocations per round with a cleared observer, %.3f with none", cleared, without)

@@ -2,10 +2,15 @@
 // Parallel Virtual Machine the paper's HBSPlib was implemented on
 // (§5.1): spawned tasks with mailboxes, typed pack/unpack message
 // buffers in a fixed big-endian wire format (PVM's XDR), selective
-// receive by source and tag, multicast, and named group barriers. Tasks
-// are goroutines and wires are in-memory queues; the semantics visible
-// to HBSPlib — reliable, ordered, typed point-to-point messaging — match
-// the original.
+// receive by source and tag, and named group barriers. HBSPlib needs
+// only point-to-point messaging, so that is all there is: one send to
+// many destinations (SendBatches, with Send and SendBatch its one-buffer
+// and one-destination forms), one bounded receive (RecvTimeout, which a
+// zero deadline makes a non-blocking probe), and the bulk drains the
+// engines read a superstep with. Tasks are goroutines and wires are
+// in-memory queues unless a Transport carries them; the semantics
+// visible to HBSPlib — reliable, ordered, typed point-to-point
+// messaging — match the original.
 package pvm
 
 import (
@@ -36,7 +41,7 @@ type Buffer struct {
 	data     []byte
 	off      int
 	w        *wire // pooled backing; nil for Wrap'd and zero-value buffers
-	sent     bool  // handed to Send/Mcast; the fabric owns the bytes now
+	sent     bool  // handed to a send; the fabric owns the bytes now
 	borrowed bool  // PackBytesBorrowed closed the buffer: w.tail is its last field
 }
 

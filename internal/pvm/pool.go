@@ -7,10 +7,9 @@ import (
 
 // The fast path of the fabric: Send hands the sender's packed bytes to
 // the receiver without copying. Each in-flight payload is owned by a
-// reference-counted wire record; Mcast shares one record across the
-// whole fan-out (refcount = fan-out). When the last holder releases,
-// the backing array parks in a sync.Pool and the next NewBuffer draws
-// it back out, so steady-state traffic allocates nothing on the wire.
+// reference-counted wire record. When its holder releases, the backing
+// array parks in a sync.Pool and the next NewBuffer draws it back out,
+// so steady-state traffic allocates nothing on the wire.
 
 // maxPooledCap bounds the backing arrays the arena recycles; anything
 // larger is left to the garbage collector so one huge message cannot
@@ -45,13 +44,6 @@ func newWire() *wire {
 		o.PoolDraw(cap(w.data) > 0)
 	}
 	return w
-}
-
-// retain adds n references (Mcast arming a fan-out).
-func (w *wire) retain(n int32) {
-	if w != nil && n > 0 {
-		w.refs.Add(n)
-	}
 }
 
 // release drops one reference; the last one returns the backing to the

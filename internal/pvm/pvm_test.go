@@ -133,10 +133,8 @@ func TestSelectiveReceiveByTagAndSource(t *testing.T) {
 	s := NewSystem()
 	result := make(chan []int, 1)
 	recv := s.Spawn("recv", func(t *Task) error {
-		// Wait for both, then pick tag 2 first regardless of arrival.
-		for t.Pending() < 2 {
-			time.Sleep(10 * time.Microsecond)
-		}
+		// Tag 1 was sent first, so it is queued by the time tag 2 is
+		// received: selection picks tag 2 past it regardless of arrival.
 		var order []int
 		m, err := t.Recv(AnySource, 2)
 		if err != nil {
@@ -202,43 +200,6 @@ func TestPerSenderOrderPreserved(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("order violated at %d: %d", i, got[i])
 		}
-	}
-}
-
-func TestMcastSkipsSelf(t *testing.T) {
-	s := NewSystem()
-	const peers = 4
-	var tids []TID
-	var mu sync.Mutex
-	counts := make(map[TID]int)
-	ready := make(chan struct{})
-	for i := 0; i < peers; i++ {
-		tid := s.Spawn(fmt.Sprintf("t%d", i), func(t *Task) error {
-			<-ready
-			if t.TID() == tids[0] {
-				if err := t.Mcast(tids, 9, NewBuffer().PackInt32(1)); err != nil {
-					return err
-				}
-				return nil
-			}
-			m, err := t.Recv(tids[0], 9)
-			if err != nil {
-				return err
-			}
-			m.Release()
-			mu.Lock()
-			counts[t.TID()]++
-			mu.Unlock()
-			return nil
-		})
-		tids = append(tids, tid)
-	}
-	close(ready)
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != peers-1 {
-		t.Errorf("%d receivers, want %d", len(counts), peers-1)
 	}
 }
 
@@ -406,22 +367,34 @@ func TestPanicIsCollected(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
+// TestRecvTimeoutZeroProbes: with no deadline RecvTimeout is the
+// non-blocking receive — it fails with ErrTimeout at once on no match and
+// takes a queued match.
+func TestRecvTimeoutZeroProbes(t *testing.T) {
 	s := NewSystem()
 	s.Spawn("t", func(t *Task) error {
-		if m, ok := t.TryRecv(AnySource, AnyTag); ok {
-			m.Release()
-			return errors.New("TryRecv matched on empty mailbox")
+		if m, err := t.RecvTimeout(AnySource, AnyTag, 0); !errors.Is(err, ErrTimeout) {
+			if err == nil {
+				m.Release()
+			}
+			return fmt.Errorf("probe of an empty mailbox = %v, want ErrTimeout", err)
 		}
 		if err := t.Send(t.TID(), 3, NewBuffer().PackInt32(1)); err != nil {
 			return err
 		}
-		if m, ok := t.TryRecv(AnySource, 4); ok {
-			m.Release()
-			return errors.New("TryRecv matched wrong tag")
+		if m, err := t.RecvTimeout(AnySource, 4, 0); !errors.Is(err, ErrTimeout) {
+			if err == nil {
+				m.Release()
+			}
+			return fmt.Errorf("probe of the wrong tag = %v, want ErrTimeout", err)
 		}
-		if m, ok := t.TryRecv(AnySource, 3); !ok || m.Tag != 3 {
-			return errors.New("TryRecv missed matching message")
+		m, err := t.RecvTimeout(AnySource, 3, 0)
+		if err != nil {
+			return fmt.Errorf("probe missed the matching message: %w", err)
+		}
+		defer m.Release()
+		if m.Tag != 3 {
+			return fmt.Errorf("probe took tag %d, want 3", m.Tag)
 		}
 		return nil
 	})
@@ -459,11 +432,16 @@ func TestPropertyNoMessageLoss(t *testing.T) {
 					return err
 				}
 				for {
-					m, ok := t.TryRecv(AnySource, AnyTag)
-					if !ok {
+					m, err := t.RecvTimeout(AnySource, AnyTag, 0)
+					if errors.Is(err, ErrTimeout) {
 						break
 					}
-					if _, err := m.Buffer().UnpackInt32(); err != nil {
+					if err != nil {
+						return err
+					}
+					_, err = m.Buffer().UnpackInt32()
+					m.Release()
+					if err != nil {
 						return err
 					}
 					mu.Lock()
@@ -520,34 +498,4 @@ func FuzzBufferUnpack(f *testing.F) {
 		_, _ = Wrap(data).UnpackString()
 		_, _ = Wrap(data).UnpackInt64()
 	})
-}
-
-func TestProbeDoesNotConsume(t *testing.T) {
-	s := NewSystem()
-	s.Spawn("t", func(tk *Task) error {
-		if tk.Probe(AnySource, AnyTag) {
-			return errors.New("probe matched on empty mailbox")
-		}
-		if err := tk.Send(tk.TID(), 4, NewBuffer().PackInt32(1)); err != nil {
-			return err
-		}
-		if !tk.Probe(AnySource, 4) {
-			return errors.New("probe missed queued message")
-		}
-		if !tk.Probe(AnySource, 4) {
-			return errors.New("probe consumed the message")
-		}
-		if tk.Probe(AnySource, 5) {
-			return errors.New("probe matched wrong tag")
-		}
-		m, ok := tk.TryRecv(AnySource, 4)
-		if !ok {
-			return errors.New("message gone after probes")
-		}
-		m.Release()
-		return nil
-	})
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
 }

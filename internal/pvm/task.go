@@ -1,7 +1,6 @@
 package pvm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -61,9 +60,8 @@ func (m Message) Len() int { _, tail := m.Pieces(); return len(m.buf) + len(tail
 
 // Release returns the message's wire buffer to the arena. Call it at
 // most once, after the payload (and anything unpacked from it, which
-// aliases the same bytes) is no longer needed. A multicast payload is
-// shared: the backing recycles only when every destination releases.
-// On a message that is not Pooled it does nothing.
+// aliases the same bytes) is no longer needed. On a message that is not
+// Pooled it does nothing.
 func (m Message) Release() { m.w.release() }
 
 // Pooled reports who owns the message's bytes: true for a wire drawn
@@ -76,7 +74,7 @@ func (m Message) Pooled() bool { return m.w != nil }
 var ErrHalted = errors.New("pvm: system halted")
 
 // ErrTimeout is returned by deadline-bounded blocking operations
-// (RecvTimeout, RecvContext, BarrierTimeout) when the deadline expires
+// (RecvTimeout, BarrierTimeout) when the deadline expires
 // before the operation completes.
 var ErrTimeout = errors.New("pvm: operation timed out")
 
@@ -362,61 +360,6 @@ func releaseAll(ms []Message) {
 	}
 }
 
-// Mcast sends the buffer to every listed destination (PVM's
-// pvm_mcast), skipping the sender itself. All destinations share one
-// wire buffer, reference-counted by the fan-out; no per-destination
-// copy is made. Every destination is resolved up front, so an unknown
-// TID fails the multicast before any delivery.
-func (t *Task) Mcast(dsts []TID, tag int, buf *Buffer) error {
-	var arr [16]*Task
-	targets := arr[:0]
-	for _, d := range dsts {
-		if d == t.tid {
-			continue
-		}
-		target, err := t.sys.task(d)
-		if err != nil {
-			return err
-		}
-		targets = append(targets, target)
-	}
-	if len(targets) == 0 {
-		return nil // nothing adopted; the buffer stays usable
-	}
-	tr := t.sys.transport
-	w, err := buf.adopt(tr != nil)
-	if err != nil {
-		return err
-	}
-	w.retain(int32(len(targets) - 1))
-	if tr != nil {
-		// Deliver consumes one reference per call, error or not; a
-		// failed fan-out only has the untried tail left to drop.
-		var firstErr error
-		for _, target := range targets {
-			if firstErr != nil {
-				w.release()
-				continue
-			}
-			m := Message{Src: t.tid, Tag: tag, buf: buf.data, w: w}
-			if err := tr.Deliver(target.tid, []Message{m}); err != nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	for i, target := range targets {
-		if err := target.deliverOne(Message{Src: t.tid, Tag: tag, buf: buf.data, w: w}); err != nil {
-			// The undelivered tail's references die with the error.
-			for j := i; j < len(targets); j++ {
-				w.release()
-			}
-			return err
-		}
-	}
-	return nil
-}
-
 // Flush returns once every message this task has sent is observable by
 // its destination's receives, or with the first failure among them
 // (Transport.Flush; in-proc sends are observable when they return).
@@ -487,72 +430,6 @@ func (t *Task) RecvTimeout(src TID, tag int, d time.Duration) (Message, error) {
 			return Message{}, fmt.Errorf("pvm: recv(src=%d, tag=%d) after %v: %w", src, tag, d, ErrTimeout)
 		}
 	}
-}
-
-// RecvContext is Recv bounded by a context: it returns the context's
-// error (wrapped with ErrTimeout for deadline expiry) once ctx is done.
-func (t *Task) RecvContext(ctx context.Context, src TID, tag int) (Message, error) {
-	stop := context.AfterFunc(ctx, func() {
-		t.sendMu.Lock()
-		t.cond.Broadcast()
-		t.sendMu.Unlock()
-	})
-	defer stop()
-	for {
-		m, ver, ok := t.recvOnce(src, tag)
-		if ok {
-			return m, nil
-		}
-		t.sendMu.Lock()
-		for t.seq == ver && !t.halted && ctx.Err() == nil {
-			t.cond.Wait()
-		}
-		halted := t.halted && t.seq == ver
-		t.sendMu.Unlock()
-		if halted {
-			return Message{}, ErrHalted
-		}
-		if err := ctx.Err(); err != nil {
-			// One final drain so a message racing the cancellation wins.
-			if m, _, ok := t.recvOnce(src, tag); ok {
-				return m, nil
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				return Message{}, fmt.Errorf("pvm: recv(src=%d, tag=%d): %w: %w", src, tag, ErrTimeout, err)
-			}
-			return Message{}, fmt.Errorf("pvm: recv(src=%d, tag=%d): %w", src, tag, err)
-		}
-	}
-}
-
-// TryRecv is Recv without blocking; ok reports whether a match existed.
-func (t *Task) TryRecv(src TID, tag int) (Message, bool) {
-	m, _, ok := t.recvOnce(src, tag)
-	return m, ok
-}
-
-// Probe reports whether a matching message is queued, without consuming
-// it (PVM's pvm_probe).
-func (t *Task) Probe(src TID, tag int) bool {
-	t.recvMu.Lock()
-	defer t.recvMu.Unlock()
-	t.drainLocked()
-	_, q := t.findLocked(src, tag)
-	return q != nil
-}
-
-// Pending returns the number of queued messages.
-func (t *Task) Pending() int {
-	t.recvMu.Lock()
-	defer t.recvMu.Unlock()
-	n := len(t.passed)
-	for _, q := range t.queues {
-		n += q.len()
-	}
-	t.sendMu.Lock()
-	n += len(t.staged)
-	t.sendMu.Unlock()
-	return n
 }
 
 type barrier struct {

@@ -1,7 +1,6 @@
 package pvm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -54,45 +53,6 @@ func TestRecvTimeoutDeliversEarlyMessage(t *testing.T) {
 		return nil
 	})
 	close(ready)
-	if err := sys.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvContextCanceled(t *testing.T) {
-	sys := NewSystem()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	sys.Spawn("waiter", func(task *Task) error {
-		m, err := task.RecvContext(ctx, AnySource, 1)
-		if err == nil {
-			m.Release()
-			return fmt.Errorf("recv returned without a message")
-		}
-		if !errors.Is(err, context.Canceled) {
-			return fmt.Errorf("err = %v, want context.Canceled in chain", err)
-		}
-		return nil
-	})
-	if err := sys.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvContextDeadlineWrapsErrTimeout(t *testing.T) {
-	sys := NewSystem()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	sys.Spawn("waiter", func(task *Task) error {
-		_, err := task.RecvContext(ctx, AnySource, 1)
-		if !errors.Is(err, ErrTimeout) {
-			return fmt.Errorf("err = %v, want ErrTimeout in chain", err)
-		}
-		return nil
-	})
 	if err := sys.Wait(); err != nil {
 		t.Fatal(err)
 	}

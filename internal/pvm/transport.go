@@ -27,8 +27,8 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 // Transport abstracts the message plane under a System. The nil
 // transport is the in-proc fast path: deliveries go straight into the
 // destination's indexed mailbox with zero copies and pooled backing.
-// A non-nil transport owns delivery instead: Send, SendBatches and Mcast
-// hand it the adopted messages and the transport is responsible for
+// A non-nil transport owns delivery instead: Send and SendBatches hand
+// it the adopted messages and the transport is responsible for
 // getting them into the destination mailbox (for a wire transport, via
 // System.Inject on the receiving side; bytes handed to Inject belong to
 // the System, and a held payload pins its whole frame).
@@ -43,7 +43,7 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 //     call, and nothing else — no size, timer or setting — permits a
 //     hold. A held batch is written, ahead of and together with what
 //     follows it, by the sender's first unmarked Deliver; an unmarked
-//     batch (every Send, Mcast and lone SendBatch) is written before
+//     batch (every Send and lone SendBatch) is written before
 //     Deliver returns. A sender that breaks the promise has what it left
 //     held written by its next Flush — barrier entry and task exit
 //     included. A Deliver that returns an error has ended the post:
@@ -131,8 +131,8 @@ func TransportFactories() []TransportFactory {
 	return append([]TransportFactory(nil), transports...)
 }
 
-// SetTransport attaches tr and routes subsequent Send/SendBatch/Mcast
-// calls through it. Must be called before any Spawn: the field is read
+// SetTransport attaches tr and routes subsequent Send/SendBatches calls
+// through it. Must be called before any Spawn: the field is read
 // without synchronization on the send path, relying on Spawn's
 // happens-before edge. A nil tr is a no-op (the in-proc default).
 func (s *System) SetTransport(tr Transport) error {

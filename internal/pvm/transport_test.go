@@ -78,7 +78,7 @@ func TestTransportRoutesSends(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	recv := sys.Spawn("recv", func(task *Task) error {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 5; i++ {
 			m, err := task.RecvTimeout(AnySource, 7, 5*time.Second)
 			if err != nil {
 				return err
@@ -103,67 +103,26 @@ func TestTransportRoutesSends(t *testing.T) {
 		if err := task.SendBatch(recv, 7, batch); err != nil {
 			return err
 		}
-		return task.Mcast([]TID{recv}, 7, NewBuffer().PackInt64(13))
+		return task.SendBatches(7, []Batch{{recv, []*Buffer{NewBuffer().PackInt64(13)}}, {recv, []*Buffer{NewBuffer().PackInt64(14)}}})
 	})
 	<-done
 	if err := sys.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	delivers, messages := lt.counts()
-	if messages != 4 {
-		t.Fatalf("transport carried %d messages, want 4", messages)
+	if messages != 5 {
+		t.Fatalf("transport carried %d messages, want 5", messages)
 	}
-	// Send, SendBatch (coalesced), Mcast: three Deliver calls.
-	if delivers != 3 {
-		t.Fatalf("transport saw %d Deliver calls, want 3 (SendBatch must coalesce)", delivers)
+	// Send, SendBatch (coalesced), SendBatches (one per batch): four
+	// Deliver calls.
+	if delivers != 4 {
+		t.Fatalf("transport saw %d Deliver calls, want 4 (SendBatch must coalesce)", delivers)
 	}
-}
-
-func TestTransportMcastConsumesRefsOnError(t *testing.T) {
-	sys := NewSystem()
-	lt := &loopTransport{}
-	if err := sys.SetTransport(lt); err != nil {
-		t.Fatalf("SetTransport: %v", err)
-	}
-	var a, b, c TID
-	errc := make(chan error, 1)
-	a = sys.Spawn("a", func(task *Task) error {
-		m, err := task.RecvTimeout(AnySource, 1, 5*time.Second)
-		if err == nil {
-			m.Release()
-		}
-		return nil
-	})
-	b = sys.Spawn("b", func(task *Task) error {
-		// The failing destination: its message is consumed by the
-		// transport but never injected.
-		return nil
-	})
-	c = sys.Spawn("c", func(task *Task) error {
-		m, err := task.RecvTimeout(AnySource, 1, 5*time.Second)
-		if err == nil {
-			m.Release()
-		}
-		return nil
-	})
-	lt.failDst = b
-	sys.Spawn("send", func(task *Task) error {
-		errc <- task.Mcast([]TID{a, b, c}, 1, NewBuffer().PackInt32(9))
-		return nil
-	})
-	if err := <-errc; !errors.Is(err, ErrPeerLost) {
-		t.Fatalf("Mcast over severed link = %v, want ErrPeerLost", err)
-	}
-	// a received before the failure; c's reference was dropped by Mcast
-	// without delivery, so its receive times out — but no refcount panic
-	// and no leak-induced hang.
-	sys.Halt()
-	_ = sys.Wait()
 }
 
 func TestSendBatchesMarksAllButTheLastBatch(t *testing.T) {
 	// One call, one Deliver per non-empty batch, every one but the last
-	// marked More; Send, a lone SendBatch and Mcast are never marked. A
+	// marked More; Send and a lone SendBatch are never marked. A
 	// failed Deliver ends the call: the batches behind it are released,
 	// not delivered. A spent buffer anywhere fails it before any Deliver.
 	sys := NewSystem()
@@ -192,13 +151,10 @@ func TestSendBatchesMarksAllButTheLastBatch(t *testing.T) {
 		if err := task.Send(a, 1, NewBuffer().PackInt32(6)); err != nil {
 			return err
 		}
-		if err := task.Mcast([]TID{a, b}, 1, NewBuffer().PackInt32(7)); err != nil {
-			return err
-		}
 		lt.mu.Lock()
 		marks := fmt.Sprint(lt.marks)
 		lt.mu.Unlock()
-		if want := fmt.Sprint([]bool{true, true, false, false, false, false, false}); marks != want {
+		if want := fmt.Sprint([]bool{true, true, false, false, false}); marks != want {
 			return fmt.Errorf("marks per Deliver = %s, want %s", marks, want)
 		}
 
@@ -208,7 +164,8 @@ func TestSendBatchesMarksAllButTheLastBatch(t *testing.T) {
 		}
 		before, _ := lt.counts()
 		sound := num(9)
-		if err := task.SendBatches(1, []Batch{{a, sound}, {b, []*Buffer{spent}}}); err == nil {
+		rejected := []Batch{{a, sound}, {b, []*Buffer{spent}}}
+		if err := task.SendBatches(1, rejected); err == nil {
 			return fmt.Errorf("a post with a sent buffer was accepted")
 		}
 		if after, _ := lt.counts(); after != before || sound[0].w.tail != nil {
@@ -282,8 +239,11 @@ func TestPostedSendsLandByFlushAndBarrier(t *testing.T) {
 	posted, probed := make(chan struct{}), make(chan struct{})
 	recv := sys.Spawn("recv", func(task *Task) error {
 		<-posted
-		if task.Probe(AnySource, AnyTag) {
-			t.Error("posted sends observable before any Flush")
+		if m, err := task.RecvTimeout(AnySource, AnyTag, 0); !errors.Is(err, ErrTimeout) {
+			if err == nil {
+				m.Release()
+			}
+			t.Errorf("receive before any Flush = %v, want ErrTimeout: posted sends observable early", err)
 		}
 		close(probed)
 		// Round 1: the sender flushes itself, then enters the barrier.
@@ -395,19 +355,20 @@ func TestBorrowedTailEndsWithTheSend(t *testing.T) {
 				}
 			}
 			sys.Spawn("self", func(task *Task) error {
-				solo, batch, fan := tailed(), tailed(), tailed()
+				solo, batch, held, last := tailed(), tailed(), tailed(), tailed()
 				if err := task.Send(task.TID(), 1, solo); err != nil {
 					return err
 				}
 				if err := task.SendBatch(task.TID(), 1, []*Buffer{batch}); err != nil {
 					return err
 				}
-				// Mcast skips its sender; a second task would only park.
-				other := sys.Spawn("other", func(*Task) error { return nil })
-				if err := task.Mcast([]TID{other}, 1, fan); err != nil {
+				// A post whose first batch is marked More: its tail is lent
+				// until the unmarked one ends the call.
+				self := task.TID()
+				if err := task.SendBatches(1, []Batch{{self, []*Buffer{held}}, {self, []*Buffer{last}}}); err != nil {
 					return err
 				}
-				for _, b := range []*Buffer{solo, batch, fan} {
+				for _, b := range []*Buffer{solo, batch, held, last} {
 					if lane == "transport" && b.w.tail != nil {
 						t.Error("a record the transport released still holds the sender's slice")
 					}

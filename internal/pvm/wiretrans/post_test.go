@@ -339,9 +339,10 @@ func TestFailedPostLeavesNothingHeld(t *testing.T) {
 	sys.Spawn("send", func(task *pvm.Task) error {
 		defer close(flushed)
 		a, b, c := pvm.NewBuffer().PackInt32(1), pvm.NewBuffer().PackInt32(2), pvm.NewBuffer().PackInt32(3)
-		err := task.SendBatches(1, []pvm.Batch{
+		failing := []pvm.Batch{
 			{Dst: dsts[0], Bufs: []*pvm.Buffer{a}}, {Dst: 99, Bufs: []*pvm.Buffer{b}}, {Dst: dsts[1], Bufs: []*pvm.Buffer{c}},
-		})
+		}
+		err := task.SendBatches(1, failing)
 		if err == nil {
 			return fmt.Errorf("a post to task 99 was accepted")
 		}

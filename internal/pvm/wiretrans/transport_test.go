@@ -46,15 +46,19 @@ func TestLoopbackRoundTrip(t *testing.T) {
 				return nil
 			})
 			sys.Spawn("send", func(task *pvm.Task) error {
-				// Mix Send, SendBatch and Mcast so all three routes cross
-				// the socket.
+				// Mix Send, SendBatch and a two-batch SendBatches (its first
+				// batch marked More) so all three routes cross the socket.
 				for i := 0; i < msgs; {
 					switch {
-					case i%8 == 5:
-						if err := task.Mcast([]pvm.TID{recv}, 3, pvm.NewBuffer().PackInt64(int64(i))); err != nil {
+					case i%8 == 5 && i+2 <= msgs:
+						batches := []pvm.Batch{
+							{Dst: recv, Bufs: []*pvm.Buffer{pvm.NewBuffer().PackInt64(int64(i))}},
+							{Dst: recv, Bufs: []*pvm.Buffer{pvm.NewBuffer().PackInt64(int64(i + 1))}},
+						}
+						if err := task.SendBatches(3, batches); err != nil {
 							return err
 						}
-						i++
+						i += 2
 					case i%8 == 2 && i+2 <= msgs:
 						batch := []*pvm.Buffer{
 							pvm.NewBuffer().PackInt64(int64(i)),
@@ -86,8 +90,8 @@ func TestLoopbackRoundTrip(t *testing.T) {
 func TestLoopbackBarrierDeliveryContract(t *testing.T) {
 	// The engines' core assumption: a Send that returned before a
 	// barrier entry is receivable immediately after the barrier exits,
-	// with no extra wait. TryRecv (non-blocking) right after the
-	// barrier must therefore see the message.
+	// with no extra wait. A non-blocking receive (RecvTimeout with no
+	// deadline) right after the barrier must therefore see the message.
 	testutil.CheckGoroutines(t)
 	tr, err := NewLoopback("unix")
 	if err != nil {
@@ -105,9 +109,9 @@ func TestLoopbackBarrierDeliveryContract(t *testing.T) {
 			if err := task.Barrier(fmt.Sprintf("b#%d", r), 2); err != nil {
 				return err
 			}
-			m, ok := task.TryRecv(pvm.AnySource, r)
-			if !ok {
-				return fmt.Errorf("round %d: message not visible right after the barrier — Deliver returned before injection", r)
+			m, err := task.RecvTimeout(pvm.AnySource, r, 0)
+			if err != nil {
+				return fmt.Errorf("round %d: message not visible right after the barrier — Deliver returned before injection: %w", r, err)
 			}
 			m.Release()
 		}

@@ -36,22 +36,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)-1))
 }
 
-// GeoMean returns the geometric mean of positive values; NaN if any
-// value is non-positive or the input is empty.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // MinMax returns the extremes; NaNs for empty input.
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {

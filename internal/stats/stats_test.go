@@ -24,15 +24,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4, 16}); math.Abs(g-4) > 1e-12 {
-		t.Errorf("geomean = %v, want 4", g)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -2})) {
-		t.Error("GeoMean with negative should be NaN")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	min, max := MinMax([]float64{3, -1, 7, 2})
 	if min != -1 || max != 7 {

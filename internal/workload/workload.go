@@ -1,16 +1,6 @@
-// Package workload generates the experiment inputs of §5.1 — "100
-// KBytes to 1000 KBytes of uniformly distributed integers" — and
-// partitions them over a heterogeneous machine under the equal and
-// balanced policies.
+// Package workload holds the problem sizes of the experiments of §5.1 —
+// "100 KBytes to 1000 KBytes of uniformly distributed integers".
 package workload
-
-import (
-	"encoding/binary"
-	"math/rand"
-
-	"hbspk/internal/cost"
-	"hbspk/internal/model"
-)
 
 // KB is the paper's size unit.
 const KB = 1000
@@ -23,179 +13,4 @@ func PaperSizes() []int {
 		sizes[i] = (i + 1) * 100 * KB
 	}
 	return sizes
-}
-
-// Integers returns n uniformly distributed 32-bit integers,
-// deterministically from the seed.
-func Integers(seed int64, n int) []int32 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(rng.Uint32())
-	}
-	return out
-}
-
-// Bytes returns the wire encoding of n/4 uniformly distributed integers
-// (n bytes, 4-byte big-endian each), the payload the experiments move.
-func Bytes(seed int64, n int) []byte {
-	ints := Integers(seed, (n+3)/4)
-	out := make([]byte, n)
-	for i := 0; i+4 <= n; i += 4 {
-		binary.BigEndian.PutUint32(out[i:], uint32(ints[i/4]))
-	}
-	return out
-}
-
-// Pattern selects the value distribution of generated integers; the
-// paper uses Uniform, the others exercise sort-like workloads whose
-// behavior depends on input order (BYTEmark's sorting kernels and the
-// sample-sort application).
-type Pattern int
-
-const (
-	// Uniform is the paper's §5.1 input: uniformly distributed integers.
-	Uniform Pattern = iota
-	// Sorted is already ascending (best case for adaptive sorts).
-	Sorted
-	// Reversed is descending (worst case for naive partitioners).
-	Reversed
-	// Zipf is heavily skewed toward small values, the shape of word
-	// frequencies and degree distributions.
-	Zipf
-)
-
-// PatternedIntegers generates n integers with the given distribution,
-// deterministically from the seed.
-func PatternedIntegers(seed int64, n int, p Pattern) []int32 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int32, n)
-	switch p {
-	case Sorted:
-		v := int32(0)
-		for i := range out {
-			v += int32(rng.Intn(7))
-			out[i] = v
-		}
-	case Reversed:
-		v := int32(3 * n)
-		for i := range out {
-			v -= int32(rng.Intn(7))
-			out[i] = v
-		}
-	case Zipf:
-		z := rand.NewZipf(rng, 1.5, 1, 1<<20)
-		for i := range out {
-			out[i] = int32(z.Uint64())
-		}
-	default:
-		for i := range out {
-			out[i] = int32(rng.Uint32())
-		}
-	}
-	return out
-}
-
-// Policy selects how a problem is split over the processors.
-type Policy int
-
-const (
-	// Equal gives every processor n/p bytes (c_j = 1/p): the paper's
-	// unbalanced baseline for heterogeneous machines.
-	Equal Policy = iota
-	// Balanced gives processor j its c_j·n bytes, with c_j taken from
-	// the tree's shares (set by Normalize or bytemark.ApplyShares).
-	Balanced
-	// Capped is Balanced with a guard against the Figure 3(b) failure
-	// mode: no processor's share may exceed CapFactor times the equal
-	// share, so an overestimated c_j (the paper's second-fastest
-	// processor) cannot become the bottleneck. Excess bytes spill to
-	// the processors below their caps, in share order.
-	Capped
-)
-
-// CapFactor bounds a Capped share at this multiple of n/p.
-const CapFactor = 1.25
-
-// Partition splits n bytes under the policy.
-func Partition(t *model.Tree, n int, p Policy) cost.Dist {
-	switch p {
-	case Balanced:
-		return cost.BalancedDist(t, n)
-	case Capped:
-		return cappedDist(t, n)
-	default:
-		return cost.EqualDist(t, n)
-	}
-}
-
-// cappedDist computes the Capped policy: start from the balanced split,
-// clip every share at CapFactor·n/p, and spill the clipped bytes to
-// uncapped processors proportionally to their remaining headroom.
-func cappedDist(t *model.Tree, n int) cost.Dist {
-	d := cost.BalancedDist(t, n)
-	p := len(d)
-	if p == 0 || n == 0 {
-		return d
-	}
-	cap := int(CapFactor * float64(n) / float64(p))
-	if cap < 1 {
-		cap = 1
-	}
-	spill := 0
-	for i := range d {
-		if d[i] > cap {
-			spill += d[i] - cap
-			d[i] = cap
-		}
-	}
-	for spill > 0 {
-		progressed := false
-		for i := range d {
-			if spill == 0 {
-				break
-			}
-			if d[i] < cap {
-				d[i]++
-				spill--
-				progressed = true
-			}
-		}
-		if !progressed {
-			// Everyone at cap (can happen from rounding): hand the
-			// rest to the fastest processor.
-			d[t.Pid(t.FastestLeaf())] += spill
-			break
-		}
-	}
-	return d
-}
-
-// Imbalance measures §4.2's balance criterion: the largest r_j·c_j over
-// the processors, where c_j is the realized fraction d[j]/n. The gather
-// cost collapses to the paper's g·n + L exactly when this stays at or
-// below 1; a processor pushing it above 1 "has a problem size that is
-// too large" and its communication dominates the h-relation.
-func Imbalance(t *model.Tree, d cost.Dist) float64 {
-	n := d.Total()
-	if n == 0 {
-		return 0
-	}
-	worst := 0.0
-	for pid, leaf := range t.Leaves() {
-		if r := leaf.CommSlowdown * float64(d[pid]) / float64(n); r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
-// PieceFor returns processor pid's slice of a shared input under a
-// distribution: the paper's programs hold disjoint contiguous ranges.
-func PieceFor(data []byte, d cost.Dist, pid int) []byte {
-	off := 0
-	for i := 0; i < pid; i++ {
-		off += d[i]
-	}
-	return data[off : off+d[pid]]
 }

@@ -1,207 +1,10 @@
 package workload
 
-import (
-	"testing"
-	"testing/quick"
-
-	"hbspk/internal/model"
-)
+import "testing"
 
 func TestPaperSizes(t *testing.T) {
 	sizes := PaperSizes()
 	if len(sizes) != 10 || sizes[0] != 100*KB || sizes[9] != 1000*KB {
 		t.Errorf("sizes = %v", sizes)
-	}
-}
-
-func TestIntegersDeterministicAndUniformish(t *testing.T) {
-	a := Integers(5, 10000)
-	b := Integers(5, 10000)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic at %d", i)
-		}
-	}
-	neg := 0
-	for _, v := range a {
-		if v < 0 {
-			neg++
-		}
-	}
-	// Uniform over int32: about half negative.
-	if neg < 4000 || neg > 6000 {
-		t.Errorf("%d/10000 negative; distribution looks skewed", neg)
-	}
-}
-
-func TestBytesLengthExact(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 4, 1001} {
-		if got := len(Bytes(1, n)); got != n {
-			t.Errorf("Bytes(%d) has %d bytes", n, got)
-		}
-	}
-}
-
-func TestPartitionPolicies(t *testing.T) {
-	tr := model.UCFTestbed()
-	n := 1000 * KB
-	eq := Partition(tr, n, Equal)
-	bal := Partition(tr, n, Balanced)
-	if eq.Total() != n || bal.Total() != n {
-		t.Fatalf("totals %d/%d, want %d", eq.Total(), bal.Total(), n)
-	}
-	fast, slow := tr.Pid(tr.FastestLeaf()), tr.Pid(tr.SlowestLeaf())
-	if eq[fast] != eq[slow] && eq[fast]-eq[slow] > 1 {
-		t.Errorf("equal partition unequal: %d vs %d", eq[fast], eq[slow])
-	}
-	if bal[fast] <= bal[slow] {
-		t.Errorf("balanced partition gives fastest %d ≤ slowest %d", bal[fast], bal[slow])
-	}
-}
-
-func TestImbalanceCriterion(t *testing.T) {
-	tr := model.UCFTestbed()
-	n := 1000 * KB
-	// §4.2: balanced workloads satisfy r_j·c_j < 1 when shares are
-	// inversely proportional to speed; equal splits also stay below 1
-	// on this testbed (r_s/p = 0.165).
-	if im := Imbalance(tr, Partition(tr, n, Balanced)); im > 1 {
-		t.Errorf("balanced imbalance = %v, want ≤ 1", im)
-	}
-	if im := Imbalance(tr, Partition(tr, n, Equal)); im > 0.5 {
-		t.Errorf("equal imbalance = %v, want small", im)
-	}
-	// An adversarial distribution pushes it above 1: everything on the
-	// slowest machine.
-	d := Partition(tr, n, Equal)
-	for i := range d {
-		d[i] = 0
-	}
-	d[tr.Pid(tr.SlowestLeaf())] = n
-	if im := Imbalance(tr, d); im <= 1 {
-		t.Errorf("all-on-slowest imbalance = %v, want > 1", im)
-	}
-}
-
-func TestPieceForPartitionsDisjointly(t *testing.T) {
-	tr := model.UCFTestbedN(6)
-	data := Bytes(3, 6000)
-	d := Partition(tr, len(data), Balanced)
-	seen := 0
-	for pid := 0; pid < tr.NProcs(); pid++ {
-		piece := PieceFor(data, d, pid)
-		if len(piece) != d[pid] {
-			t.Errorf("pid %d piece %d bytes, want %d", pid, len(piece), d[pid])
-		}
-		seen += len(piece)
-	}
-	if seen != len(data) {
-		t.Errorf("pieces cover %d bytes, want %d", seen, len(data))
-	}
-}
-
-func TestPatternedIntegers(t *testing.T) {
-	const n = 5000
-	sorted := PatternedIntegers(1, n, Sorted)
-	for i := 1; i < n; i++ {
-		if sorted[i-1] > sorted[i] {
-			t.Fatalf("Sorted pattern not ascending at %d", i)
-		}
-	}
-	rev := PatternedIntegers(1, n, Reversed)
-	for i := 1; i < n; i++ {
-		if rev[i-1] < rev[i] {
-			t.Fatalf("Reversed pattern not descending at %d", i)
-		}
-	}
-	z := PatternedIntegers(1, n, Zipf)
-	small := 0
-	for _, v := range z {
-		if v < 0 {
-			t.Fatal("Zipf produced a negative value")
-		}
-		if v < 10 {
-			small++
-		}
-	}
-	if small < n/2 {
-		t.Errorf("Zipf not skewed: only %d/%d values below 10", small, n)
-	}
-	u := PatternedIntegers(3, n, Uniform)
-	v := Integers(3, n)
-	for i := range u {
-		if u[i] != v[i] {
-			t.Fatal("Uniform pattern diverges from Integers")
-		}
-	}
-}
-
-func TestPropertyPartitionCoversAnyN(t *testing.T) {
-	tr := model.UCFTestbed()
-	f := func(nRaw uint32, balanced bool) bool {
-		n := int(nRaw % 2000000)
-		p := Equal
-		if balanced {
-			p = Balanced
-		}
-		d := Partition(tr, n, p)
-		if d.Total() != n {
-			return false
-		}
-		for _, v := range d {
-			if v < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCappedPolicyBoundsShares(t *testing.T) {
-	tr := model.UCFTestbed()
-	n := 1000 * KB
-	d := Partition(tr, n, Capped)
-	if d.Total() != n {
-		t.Fatalf("total %d, want %d", d.Total(), n)
-	}
-	cap := int(CapFactor * float64(n) / float64(tr.NProcs()))
-	for pid, v := range d {
-		if v > cap+tr.NProcs() { // tiny slack from spill rounding
-			t.Errorf("pid %d holds %d, cap %d", pid, v, cap)
-		}
-	}
-	// The balanced split exceeds the cap for the fastest machine
-	// (c_f ≈ 0.136 > 1.25/10), so Capped must differ from Balanced.
-	b := Partition(tr, n, Balanced)
-	if d[tr.Pid(tr.FastestLeaf())] >= b[tr.Pid(tr.FastestLeaf())] {
-		t.Errorf("cap did not clip the fastest machine: %d vs %d",
-			d[tr.Pid(tr.FastestLeaf())], b[tr.Pid(tr.FastestLeaf())])
-	}
-	// And Capped still favors fast machines over slow ones.
-	if d[tr.Pid(tr.FastestLeaf())] <= d[tr.Pid(tr.SlowestLeaf())] {
-		t.Error("capped split lost the speed ordering")
-	}
-}
-
-func TestPropertyCappedCoversAnyN(t *testing.T) {
-	tr := model.UCFTestbed()
-	f := func(nRaw uint32) bool {
-		n := int(nRaw % 1000000)
-		d := Partition(tr, n, Capped)
-		if d.Total() != n {
-			return false
-		}
-		for _, v := range d {
-			if v < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }
