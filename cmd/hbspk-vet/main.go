@@ -1,8 +1,8 @@
 // Command hbspk-vet is the HBSP^k multichecker: it applies the
 // internal/analysis suite — pidtaint, commgraph, syncflow, bufown,
-// uncheckedrun, costparams, costbound, lockorder — to the packages named
-// on the command line and exits non-zero if any invariant of the
-// programming model is violated.
+// uncheckedrun, costparams, lockorder — to the packages named on the
+// command line and exits non-zero if any invariant of the programming
+// model is violated.
 //
 // Usage:
 //
@@ -14,12 +14,11 @@
 //
 //	go run ./cmd/hbspk-vet ./...
 //
-// Static cost analysis (DESIGN.md §5.6):
+// Variant advice and the communication graph (DESIGN.md §5.6):
 //
-//	hbspk-vet -cost ./...                 symbolic per-superstep cost bounds
-//	hbspk-vet -cost -tree ucf ./...       bounds evaluated on a machine tree,
-//	                                      the variant switchpoint table, and
-//	                                      collective-variant advice
+//	hbspk-vet -tree ucf ./...             also advise collective-variant
+//	                                      switches the tree makes cheaper
+//	                                      (non-test files only)
 //	hbspk-vet -commgraph-out g.json ./... export the static communication
 //	                                      graph (hbspk-commgraph/1 JSON)
 //
@@ -66,7 +65,6 @@ import (
 	"hbspk/internal/analysis"
 	"hbspk/internal/model"
 	"hbspk/internal/obsv"
-	"hbspk/internal/plan"
 )
 
 // jsonDiagnostic is the -json wire form of one finding. End positions
@@ -85,13 +83,10 @@ type jsonDiagnostic struct {
 func main() {
 	var (
 		listOnly  = flag.Bool("list", false, "list the analyzers and exit")
-		noTests   = flag.Bool("skip-tests", false, "do not analyze _test.go files")
 		only      = flag.String("run", "", "comma-separated analyzer names to run (default all)")
 		asJSON    = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 		sarifOut  = flag.String("sarif", "", "write findings as a SARIF 2.1.0 log to this path (- for stdout)")
-		cost      = flag.Bool("cost", false, "print symbolic per-superstep cost bounds for the analyzed functions")
-		treeName  = flag.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): evaluates -cost bounds and enables variantcheck advice")
-		costRatio = flag.Float64("cost-ratio", 1.5, "variantcheck advice threshold: report when another variant is this many times cheaper")
+		treeName  = flag.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): enables variantcheck advice")
 		graphOut  = flag.String("commgraph-out", "", "write the static communication graph as hbspk-commgraph/1 JSON to this path (- for stdout)")
 		confGraph = flag.String("conform-graph", "", "conformance gate: static commgraph JSON (from -commgraph-out)")
 		confEv    = flag.String("conform-events", "", "conformance gate: run events JSONL (from hbspk-sim -events-out)")
@@ -132,7 +127,7 @@ func main() {
 		fatal(err)
 	}
 	if tree != nil {
-		analyzers = append(analyzers, analysis.VariantCheck(tree, *costRatio))
+		analyzers = append(analyzers, analysis.VariantCheck(tree))
 	}
 
 	moduleDir, err := findModuleRoot()
@@ -143,7 +138,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	loader.IncludeTests = !*noTests
+	loader.IncludeTests = true
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -159,9 +154,6 @@ func main() {
 		if err := writeGraph(doc, *graphOut); err != nil {
 			fatal(err)
 		}
-	}
-	if *cost {
-		printCostBounds(pkgs, moduleDir, tree)
 	}
 
 	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
@@ -293,63 +285,6 @@ func writeGraph(doc *obsv.CommGraphDoc, path string) error {
 	}
 	defer f.Close()
 	return doc.WriteJSON(f)
-}
-
-// printCostBounds renders the symbolic per-superstep cost bounds of
-// every communicating function; with a tree, bounds whose sizes all
-// fold are also evaluated.
-func printCostBounds(pkgs []*analysis.Package, moduleDir string, tree *model.Tree) {
-	env := &analysis.CostEnv{Tree: tree}
-	for _, pkg := range pkgs {
-		pass := &analysis.Pass{
-			Analyzer:  analysis.CostBound,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report:    func(analysis.Diagnostic) {},
-		}
-		costs := analysis.ExtractCosts(pass)
-		if len(costs) == 0 {
-			continue
-		}
-		fmt.Printf("package %s\n", pkg.Path)
-		for _, fc := range costs {
-			pos := pkg.Fset.Position(fc.Pos)
-			rel, err := filepath.Rel(moduleDir, pos.Filename)
-			if err != nil {
-				rel = pos.Filename
-			}
-			fmt.Printf("  %s (%s:%d)\n", fc.Name, rel, pos.Line)
-			for _, st := range fc.Steps {
-				bound := st.Cost()
-				loop := ""
-				if st.InLoop {
-					loop = " [per iteration]"
-				}
-				sync := st.Sync
-				if sync == "" {
-					sync = "(no closing barrier)"
-				}
-				fmt.Printf("    step %d%s  %s\n      T <= %s\n", st.Index, loop, sync, bound)
-				if tree != nil {
-					if v, err := bound.Eval(env); err == nil {
-						fmt.Printf("      = %.4g on this tree\n", v)
-					}
-				}
-			}
-		}
-	}
-	if tree != nil {
-		fmt.Printf("\nvariant switchpoints on this tree (payloads 16 B .. 16 MB):\n")
-		rows := plan.SwitchpointTable(tree, 16, 16<<20)
-		if len(rows) == 0 {
-			fmt.Println("  none: each family's cheapest variant never changes in range")
-		}
-		for _, r := range rows {
-			fmt.Printf("  %-14s %s -> %s at n >= %d bytes\n", r.Family, r.From, r.To, r.N)
-		}
-	}
 }
 
 func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {

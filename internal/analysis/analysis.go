@@ -8,19 +8,21 @@
 // programming model (§5.1's HBSPlib) that the compiler cannot check:
 //
 //   - pidtaint: the alignment rule — every processor of a scope reaches the same synchronizing calls, whatever pid-tainted branch it takes.
-//   - commgraph: no unmatched send, receive before any delivery, or divergent-scope collective.
+//   - commgraph: no unmatched send, receive before any delivery, divergent-scope collective, or hand-rolled flat fan-out in a program body.
 //   - syncflow: no delivered buffer read across a superstep boundary, through helper calls.
 //   - bufown: every pooled wire buffer is released exactly once, on every path; nothing sent is packed, resent or mutated afterwards.
 //   - uncheckedrun: no dropped error from Run, Sync, Send or a collective.
 //   - costparams: literal g, r, L and c shares in range, trees normalized before running.
-//   - costbound: symbolic superstep cost bounds; no hand-rolled flat fan-out in a program body.
 //   - lockorder: no inverted mutex order, nothing locked under pvm.System's leaf lock.
 //
-// All returns those eight; no two of them report the same defect. Two
+// All returns those seven; no two of them report the same defect. Two
 // more run outside it:
 //
 //   - staleignore: every //hbspk:ignore directive still suppresses a finding.
 //   - variantcheck: advice on collective variants a given machine tree makes cheaper (hbspk-vet -tree).
+//
+// commgraph's superstep walk also exports the static communication
+// graph (CommGraphDocOf) that the conformance gate checks runs against.
 //
 // The suite is exposed on the command line as cmd/hbspk-vet, a
 // multichecker in the style of go vet.
@@ -188,7 +190,6 @@ func All() []*Analyzer {
 		BufOwn,
 		UncheckedRun,
 		CostParams,
-		CostBound,
 		LockOrder,
 	}
 }

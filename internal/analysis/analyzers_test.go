@@ -31,11 +31,6 @@ func TestSyncDisciplineGolden(t *testing.T) {
 	runGolden(t, PidTaint, "syncdiscipline")
 }
 
-func TestCommGraphGolden(t *testing.T) {
-	t.Parallel()
-	runGolden(t, CommGraph, "commgraph")
-}
-
 func TestSyncFlowGolden(t *testing.T) {
 	t.Parallel()
 	runGolden(t, SyncFlow, "syncflow")
@@ -125,8 +120,8 @@ func TestOneAnalyzerPerDefect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(All()) != 8 || len(pkgs) < len(fixtures) {
-		t.Errorf("%d analyzers over %d packages, want 8 over at least %d", len(All()), len(pkgs), len(fixtures))
+	if len(All()) != 7 || len(pkgs) < len(fixtures) {
+		t.Errorf("%d analyzers over %d packages, want 7 over at least %d", len(All()), len(pkgs), len(fixtures))
 	}
 	diags, err := RunAnalyzers(pkgs, All())
 	if err != nil {

@@ -27,8 +27,8 @@ type callGraph struct {
 }
 
 // sharedCallGraph returns the package's call graph, building it once
-// and caching it on the Package when the driver supplied one; standalone
-// passes (tests, the cost exporter) fall back to a private build. The
+// and caching it on the Package when the driver (or the graph exporter)
+// supplied one; standalone passes in tests fall back to a private build. The
 // graph depends only on the package's syntax and types, never on the
 // requesting analyzer, so sharing is safe.
 func sharedCallGraph(pass *Pass) *callGraph {

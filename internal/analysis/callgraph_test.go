@@ -17,11 +17,6 @@ func TestStaleIgnoreGolden(t *testing.T) {
 	runGolden(t, CommGraph, "staleignore")
 }
 
-func TestCostParamsCalibrationGolden(t *testing.T) {
-	t.Parallel()
-	runGolden(t, CostParams, "costparamscal")
-}
-
 // TestCallGraphFixpoint asserts the synchronizes set directly: mutual
 // recursion converges with both parties marked, method and function
 // values mark their creators — including function and method values

@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // CommGraph builds the per-superstep communication topology of each
@@ -27,9 +29,16 @@ import (
 //
 // Sends in functions with no superstep boundary at all are the helper
 // pattern (queue now, caller flushes) and are not reported.
+//
+// In program entry bodies it also flags the one cost mistake visible
+// without a machine: a hand-rolled flat fan-out, where a pid-guarded
+// root sends to every processor in a single superstep.
+//
+// The same superstep walk (walkComm) produces the exported
+// communication graph (CommGraphDocOf) that the conformance gate reads.
 var CommGraph = &Analyzer{
 	Name: "commgraph",
-	Doc:  "flag unmatched sends, receives before any delivery, and divergent-scope collectives",
+	Doc:  "flag unmatched sends, receives before any delivery, divergent-scope collectives, and flat fan-outs in program bodies",
 	Run:  runCommGraph,
 }
 
@@ -47,6 +56,9 @@ func runCommGraph(pass *Pass) error {
 	for _, f := range pass.Files {
 		funcBodies(f, func(name string, body *ast.BlockStmt) {
 			checkCommTopology(pass, g, body, entries[body])
+			if entries[body] {
+				reportFlatFanout(pass, body)
+			}
 		})
 	}
 	return nil
@@ -84,24 +96,51 @@ func programEntryBodies(pass *Pass) map[*ast.BlockStmt]bool {
 	return entries
 }
 
-// commEvent is one communication action in source order.
-type commEvent struct {
-	pos  token.Pos
-	call *ast.CallExpr
-	kind int // evSend, evSync, evMoves
+// segment is one superstep of a function body: the sends queued before
+// its closing synchronizing call.
+type segment struct {
+	sends []sendEdge
+	// sync is the closing call, label its printable name ("Sync(scope)",
+	// "GatherHier"); nil and "" for a trailing segment with no barrier
+	// after it.
+	sync  *ast.CallExpr
+	label string
+	// loop marks a closing call inside a loop: the segment is per
+	// iteration.
+	loop bool
+	// coll marks a segment closed by a collective-library call.
+	coll bool
 }
 
-const (
-	evSend = iota
-	evSync
-	evMoves
-)
+// sendEdge is one Ctx.Send with its destination and tag folded to
+// decimal literals, or "*" where they are not constant.
+type sendEdge struct {
+	pos      token.Pos
+	dst, tag string
+}
 
-func checkCommTopology(pass *Pass, g *callGraph, body *ast.BlockStmt, isEntry bool) {
-	tainted := collectPidTaint(pass, body)
-	convergent := collectConvergentScopes(pass, body)
+// bodyComm is the communication of one function body in source order:
+// the one walk both the commgraph checks and the exported graph read.
+type bodyComm struct {
+	segs []segment
+	// moves are the Moves() reads.
+	moves []token.Pos
+	// loops are the for/range statements that contain a synchronizing
+	// call.
+	loops [][2]token.Pos
+}
 
-	var events []commEvent
+// synced reports whether the body has a superstep boundary of its own.
+func (bc *bodyComm) synced() bool { return len(bc.segs) > 0 && bc.segs[0].sync != nil }
+
+// walkComm splits body into superstep segments at its synchronizing
+// calls (direct, or through package-local helpers per the call graph).
+// Sends after the last boundary form a trailing segment; a body with no
+// sends and no boundary has none.
+func walkComm(pass *Pass, g *callGraph, body *ast.BlockStmt) bodyComm {
+	var bc bodyComm
+	var cur segment
+	var syncs []token.Pos
 	walkBody(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -109,41 +148,92 @@ func checkCommTopology(pass *Pass, g *callGraph, body *ast.BlockStmt, isEntry bo
 		}
 		switch {
 		case g.callSynchronizes(call):
-			events = append(events, commEvent{pos: call.Pos(), call: call, kind: evSync})
-			checkScopeDivergence(pass, call, tainted, convergent)
+			cur.sync = call
+			cur.label, cur.coll = syncLabelOf(pass, call)
+			bc.segs = append(bc.segs, cur)
+			cur = segment{}
+			syncs = append(syncs, call.Pos())
 		case isCtxMethod(pass, call, "Send"):
-			events = append(events, commEvent{pos: call.Pos(), call: call, kind: evSend})
+			e := sendEdge{pos: call.Pos(), dst: "*", tag: "*"}
+			if len(call.Args) >= 2 {
+				e.dst, e.tag = foldInt(pass, call.Args[0]), foldInt(pass, call.Args[1])
+			}
+			cur.sends = append(cur.sends, e)
 		case isCtxMethod(pass, call, "Moves"):
-			events = append(events, commEvent{pos: call.Pos(), call: call, kind: evMoves})
+			bc.moves = append(bc.moves, call.Pos())
 		}
 		return true
 	})
-
-	var syncs []token.Pos
-	for _, e := range events {
-		if e.kind == evSync {
-			syncs = append(syncs, e.pos)
+	if len(cur.sends) > 0 {
+		bc.segs = append(bc.segs, cur)
+	}
+	bc.loops = syncLoopRanges(body, syncs)
+	for i := range bc.segs {
+		if s := &bc.segs[i]; s.sync != nil {
+			s.loop = insideAny(bc.loops, s.sync.Pos())
 		}
 	}
-	if len(syncs) == 0 {
+	return bc
+}
+
+// syncLabelOf names a synchronizing call for the exported graph.
+func syncLabelOf(pass *Pass, call *ast.CallExpr) (label string, isColl bool) {
+	fn := calleeFunc(pass.TypesInfo, call)
+	if fn == nil {
+		return "sync", false
+	}
+	name := fn.Name()
+	if collectiveNames[name] {
+		return name, isCollectiveCall(pass.TypesInfo, call, name)
+	}
+	switch name {
+	case "Sync":
+		if len(call.Args) >= 1 {
+			return "Sync(" + types.ExprString(call.Args[0]) + ")", false
+		}
+		return "Sync", false
+	case "SyncAll", "Barrier":
+		return name, false
+	}
+	return name + "()", false
+}
+
+// foldInt renders an int argument as a decimal literal when it is a
+// compile-time constant, "*" otherwise.
+func foldInt(pass *Pass, e ast.Expr) string {
+	if v, ok := constValue(pass, e); ok && v == float64(int64(v)) {
+		return fmt.Sprintf("%d", int64(v))
+	}
+	return "*"
+}
+
+func checkCommTopology(pass *Pass, g *callGraph, body *ast.BlockStmt, isEntry bool) {
+	bc := walkComm(pass, g, body)
+	if !bc.synced() {
 		return // helper pattern: the caller owns the superstep boundaries
 	}
-	lastSync := syncs[len(syncs)-1]
-	firstSync := syncs[0]
-	loops := syncLoopRanges(body, syncs)
-
-	for _, e := range events {
-		switch e.kind {
-		case evSend:
-			if e.pos > lastSync && !insideAny(loops, e.pos) {
+	tainted := collectPidTaint(pass, body)
+	convergent := collectConvergentScopes(pass, body)
+	for _, s := range bc.segs {
+		if s.sync != nil {
+			checkScopeDivergence(pass, s.sync, tainted, convergent)
+			continue
+		}
+		for _, e := range s.sends {
+			if !insideAny(bc.loops, e.pos) {
 				pass.Reportf(e.pos,
 					"unmatched send: no Sync follows, so the message is queued but never delivered (static deadlock candidate)")
 			}
-		case evMoves:
-			if isEntry && e.pos < firstSync && !insideAny(loops, e.pos) {
-				pass.Reportf(e.pos,
-					"Moves() read before the first Sync: no superstep has delivered anything yet")
-			}
+		}
+	}
+	if !isEntry {
+		return
+	}
+	firstSync := bc.segs[0].sync.Pos()
+	for _, pos := range bc.moves {
+		if pos < firstSync && !insideAny(bc.loops, pos) {
+			pass.Reportf(pos,
+				"Moves() read before the first Sync: no superstep has delivered anything yet")
 		}
 	}
 }
@@ -272,4 +362,63 @@ func checkScopeDivergence(pass *Pass, call *ast.CallExpr, tainted, convergent ma
 		pass.Reportf(scope.Pos(),
 			"scope argument is processor-divergent: members would sync on different scopes (static deadlock candidate)")
 	}
+}
+
+// reportFlatFanout reports a hand-rolled flat fan-out in a program entry
+// body: a Send inside a loop over all processors, under a pid-equality
+// guard. That shape costs the root g·n·(p−1) on any tree and ignores the
+// hierarchy; the collective library's broadcast and scatter variants
+// exist to replace it. Only entry bodies are judged, because a flat
+// collective's own implementation legitimately has this shape.
+func reportFlatFanout(pass *Pass, body *ast.BlockStmt) {
+	// Walk with an explicit ancestor stack so a Send can see its
+	// enclosing loops and pid guards.
+	var stack []ast.Node
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if _, ok := n.(*ast.FuncLit); ok && len(stack) > 0 {
+			return false
+		}
+		stack = append(stack, n)
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !isCtxMethod(pass, call, "Send") {
+			return true
+		}
+		inAllProcsLoop, underPidGuard := false, false
+		for _, anc := range stack[:len(stack)-1] {
+			switch a := anc.(type) {
+			case *ast.ForStmt:
+				if a.Cond != nil && mentionsNProcs(a.Cond) {
+					inAllProcsLoop = true
+				}
+			case *ast.RangeStmt:
+				if mentionsNProcs(a.X) {
+					inAllProcsLoop = true
+				}
+			case *ast.IfStmt:
+				if mentionsPidEquality(a.Cond) {
+					underPidGuard = true
+				}
+			}
+		}
+		if inAllProcsLoop && underPidGuard {
+			pass.Reportf(call.Pos(),
+				"flat fan-out: one pid-guarded root sends to every processor in a single superstep (cost g·n·(p−1) at the root); use a broadcast or scatter collective")
+		}
+		return true
+	}
+	ast.Inspect(body, visit)
+}
+
+func mentionsNProcs(e ast.Expr) bool {
+	return strings.Contains(types.ExprString(e), "NProcs()")
+}
+
+func mentionsPidEquality(e ast.Expr) bool {
+	s := types.ExprString(e)
+	return strings.Contains(s, "Pid()") && strings.Contains(s, "==")
 }

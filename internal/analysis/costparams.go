@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"path/filepath"
 )
 
 // CostParams flags statically invalid HBSP^k model parameters:
@@ -33,29 +32,18 @@ var engineCtorNames = map[string]bool{
 }
 
 func runCostParams(pass *Pass) error {
-	// The calibration artifact, when present, turns //hbspk:calibrated
-	// annotations into drift checks; found once per package.
-	var cal Calibration
-	var calOK bool
-	if len(pass.Files) > 0 {
-		dir := filepath.Dir(pass.Fset.Position(pass.Files[0].Pos()).Filename)
-		cal, calOK = findCalibration(dir)
-	}
 	for _, f := range pass.Files {
-		lines := calibratedLines(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkCostCall(pass, call)
 			}
-			checkCostCall(pass, call, lines, cal, calOK)
 			return true
 		})
 	}
 	return nil
 }
 
-func checkCostCall(pass *Pass, call *ast.CallExpr, lines map[int]calibratedDirective, cal Calibration, calOK bool) {
+func checkCostCall(pass *Pass, call *ast.CallExpr) {
 	fn := calleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return
@@ -64,40 +52,25 @@ func checkCostCall(pass *Pass, call *ast.CallExpr, lines map[int]calibratedDirec
 	case "New", "MustNew":
 		// Tree constructors: (root, g). Identified by a *Tree result.
 		if len(call.Args) == 2 && resultsTree(fn) {
-			if v, ok := constValue(pass, call.Args[1]); ok {
-				if v <= 0 {
-					pass.Reportf(call.Args[1].Pos(), "bandwidth indicator g = %v, want > 0: Validate will reject this tree", v)
-				}
-				checkCalibrated(pass, call.Args[1], v, lines, cal, calOK)
+			if v, ok := constValue(pass, call.Args[1]); ok && v <= 0 {
+				pass.Reportf(call.Args[1].Pos(), "bandwidth indicator g = %v, want > 0: Validate will reject this tree", v)
 			}
 		}
 	case "WithComm":
-		if v, ok := optionArg(pass, fn, call); ok {
-			if v <= 0 {
-				pass.Reportf(call.Args[0].Pos(), "communication slowdown r = %v, want > 0", v)
-			}
-			checkCalibrated(pass, call.Args[0], v, lines, cal, calOK)
+		if v, ok := optionArg(pass, fn, call); ok && v <= 0 {
+			pass.Reportf(call.Args[0].Pos(), "communication slowdown r = %v, want > 0", v)
 		}
 	case "WithComp":
-		if v, ok := optionArg(pass, fn, call); ok {
-			if v <= 0 {
-				pass.Reportf(call.Args[0].Pos(), "compute slowdown = %v, want > 0", v)
-			}
-			checkCalibrated(pass, call.Args[0], v, lines, cal, calOK)
+		if v, ok := optionArg(pass, fn, call); ok && v <= 0 {
+			pass.Reportf(call.Args[0].Pos(), "compute slowdown = %v, want > 0", v)
 		}
 	case "WithSync":
-		if v, ok := optionArg(pass, fn, call); ok {
-			if v < 0 {
-				pass.Reportf(call.Args[0].Pos(), "synchronization cost L = %v, want >= 0", v)
-			}
-			checkCalibrated(pass, call.Args[0], v, lines, cal, calOK)
+		if v, ok := optionArg(pass, fn, call); ok && v < 0 {
+			pass.Reportf(call.Args[0].Pos(), "synchronization cost L = %v, want >= 0", v)
 		}
 	case "WithShare":
-		if v, ok := optionArg(pass, fn, call); ok {
-			if v < 0 || v > 1 {
-				pass.Reportf(call.Args[0].Pos(), "workload share c = %v, want in [0, 1]", v)
-			}
-			checkCalibrated(pass, call.Args[0], v, lines, cal, calOK)
+		if v, ok := optionArg(pass, fn, call); ok && (v < 0 || v > 1) {
+			pass.Reportf(call.Args[0].Pos(), "workload share c = %v, want in [0, 1]", v)
 		}
 	}
 	// Non-normalized tree flowing straight into an engine: the tree

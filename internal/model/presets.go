@@ -48,8 +48,8 @@ func UCFTestbed() *Tree {
 	for i, s := range specs {
 		children[i] = NewLeaf(s.name, WithComm(s.comm), WithComp(s.comp))
 	}
-	root := NewCluster("ucf-lan", children, WithSync(25000)) //hbspk:calibrated L_{1,0}
-	return MustNew(root, 1).Normalize()                      //hbspk:calibrated g
+	root := NewCluster("ucf-lan", children, WithSync(25000))
+	return MustNew(root, 1).Normalize()
 }
 
 // TestbedSize is the number of workstations in the UCF testbed preset.
@@ -102,8 +102,8 @@ func UCFTestbedN(p int) *Tree {
 		s := order[i]
 		children[i] = NewLeaf(s.name, WithComm(s.comm), WithComp(s.comp))
 	}
-	root := NewCluster("ucf-lan", children, WithSync(25000)) //hbspk:calibrated L_{1,0}
-	return MustNew(root, 1).Normalize()                      //hbspk:calibrated g
+	root := NewCluster("ucf-lan", children, WithSync(25000))
+	return MustNew(root, 1).Normalize()
 }
 
 // Homogeneous returns a flat HBSP^1 machine of p identical processors:

@@ -22,13 +22,13 @@ import (
 // contains edges the particular run does not exercise.
 
 // CommGraphSchema identifies the wire format; bump on incompatible
-// change. The serialization contract (stable ordering, "*" wildcards,
-// symbolic byte expressions) is documented in DESIGN.md §5.6.
+// change. The serialization contract (stable ordering, "*" wildcards)
+// is documented in DESIGN.md §5.6. Decoding ignores unknown keys.
 const CommGraphSchema = "hbspk-commgraph/1"
 
 // CommGraphDoc is the exported static communication topology of a set
 // of packages: per function, per superstep, the message edges and
-// collective calls with their symbolic payload-size expressions.
+// collective calls.
 type CommGraphDoc struct {
 	Schema   string     `json:"schema"`
 	Module   string     `json:"module,omitempty"`
@@ -50,8 +50,7 @@ type FuncGraph struct {
 }
 
 // StepTopo is one superstep segment: the sends and collectives between
-// two synchronizing calls, the closing barrier, and the segment's
-// symbolic cost bound.
+// two synchronizing calls, and the closing barrier.
 type StepTopo struct {
 	// Index is the segment's position in the body, 0-based; the last
 	// segment of a body with a trailing sync has Sync == "".
@@ -59,12 +58,10 @@ type StepTopo struct {
 	// Sync names the closing synchronizing call ("Sync(scope)",
 	// "GatherHier", ...); "" for a trailing segment with no barrier.
 	Sync string `json:"sync,omitempty"`
-	// Loop marks segments inside a synchronizing loop: the edges and
-	// cost are per iteration.
+	// Loop marks segments inside a synchronizing loop: the edges are per
+	// iteration.
 	Loop bool `json:"loop,omitempty"`
-	// Cost is the segment's symbolic cost-bound expression.
-	Cost string `json:"cost,omitempty"`
-	// Edges are the raw sends, sorted by (src, dst, tag, bytes).
+	// Edges are the raw sends, sorted by (src, dst, tag).
 	Edges []CommEdge `json:"edges,omitempty"`
 	// Collectives are collective-library calls (each expands to its own
 	// edges at run time), sorted.
@@ -74,10 +71,9 @@ type StepTopo struct {
 // CommEdge is one static send: each endpoint and the tag are either a
 // decimal literal the analysis could fold or "*" (statically unknown).
 type CommEdge struct {
-	Src   string `json:"src"`
-	Dst   string `json:"dst"`
-	Tag   string `json:"tag"`
-	Bytes string `json:"bytes,omitempty"`
+	Src string `json:"src"`
+	Dst string `json:"dst"`
+	Tag string `json:"tag"`
 }
 
 // Normalize sorts the document into its canonical order so encoding is
@@ -109,10 +105,7 @@ func (e CommEdge) less(o CommEdge) bool {
 	if e.Dst != o.Dst {
 		return e.Dst < o.Dst
 	}
-	if e.Tag != o.Tag {
-		return e.Tag < o.Tag
-	}
-	return e.Bytes < o.Bytes
+	return e.Tag < o.Tag
 }
 
 // WriteJSON encodes the document canonically (normalized, indented,

@@ -17,15 +17,15 @@ func testDoc() *CommGraphDoc {
 					{
 						Name: "Gather", File: "gather.go", Line: 17,
 						Steps: []StepTopo{{
-							Index: 0, Sync: "Sync(scope)", Cost: "g*rmax*(len(local)) + L",
-							Edges: []CommEdge{{Src: "*", Dst: "*", Tag: "1", Bytes: "len(local)"}},
+							Index: 0, Sync: "Sync(scope)",
+							Edges: []CommEdge{{Src: "*", Dst: "*", Tag: "1"}},
 						}},
 					},
 					{
 						Name: "statusRound", File: "ft.go", Line: 300,
 						Steps: []StepTopo{{
 							Index: 0, Sync: "Sync(scope)",
-							Edges: []CommEdge{{Src: "*", Dst: "0", Tag: "40", Bytes: "1"}},
+							Edges: []CommEdge{{Src: "*", Dst: "0", Tag: "40"}},
 						}},
 					},
 				},
@@ -151,5 +151,16 @@ func TestCommGraphRoundTripDeterministic(t *testing.T) {
 	}
 	if _, err := ParseCommGraph(strings.NewReader(`{"schema":"bogus/9"}`)); err == nil {
 		t.Error("bogus schema accepted")
+	}
+	// Unknown keys are ignored: a document carrying per-step "cost" and
+	// per-edge "bytes" strings still parses to its edges.
+	withExtras := `{"schema":"hbspk-commgraph/1","packages":[{"path":"p","funcs":[{"name":"f","file":"f.go","line":1,
+		"steps":[{"index":0,"cost":"L","edges":[{"src":"*","dst":"0","tag":"1","bytes":"8"}]}]}]}]}`
+	old, err := ParseCommGraph(strings.NewReader(withExtras))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := old.Packages[0].Funcs[0].Steps[0].Edges; len(got) != 1 || got[0] != (CommEdge{Src: "*", Dst: "0", Tag: "1"}) {
+		t.Errorf("edges of a document with extra keys = %+v", got)
 	}
 }

@@ -1,23 +1,23 @@
 package plan
 
 import (
-	"fmt"
-	"sort"
-
 	"hbspk/internal/cost"
 	"hbspk/internal/model"
 )
 
 // Closed-form cost hooks: every shipped collective variant exposes its
 // analytic cost.Breakdown as a function of (machine tree, problem size),
-// keyed by the exact entrypoint name a caller writes in source. This is
-// the ONE variant/switchpoint table in the tree: the static analyzers
-// (costbound, variantcheck), cmd/hbspk-sim's closed-form column, and
-// the runtime Planner all consume it, so static advice and runtime
-// picks cannot disagree. The closed forms themselves live in
-// internal/cost and are validated against the simulation by the
-// experiments suite — this file only fixes the callsite conventions
-// (root = fastest leaf, balanced distributions).
+// keyed by the entrypoint name a caller writes in source, except that
+// BcastHier is two rows, BcastHier and BcastHierTwoPhase, one per value
+// of its twoPhaseTop argument. This is the ONE variant table in the
+// tree: the variantcheck advisor, cmd/hbspk-sim's closed-form column
+// and the runtime Planner all consume it, so static advice and runtime
+// picks cannot disagree, and the advisor's picks are checked against
+// the Virtual engine (internal/analysis's TestVariantAdviceHoldsOnVirtual).
+// The closed forms themselves live in internal/cost and are validated
+// against the simulation by the experiments suite — this file only
+// fixes the callsite conventions (root = fastest leaf, balanced
+// distributions).
 
 // variantOpCost is the nominal per-byte combining cost used when a
 // variant's closed form takes an operator cost: comparisons between
@@ -139,86 +139,4 @@ func BestVariant(t *model.Tree, family string, n int) (best CostVariant, at floa
 		}
 	}
 	return best, at, ok
-}
-
-// Switchpoint returns the smallest problem size in [lo, hi] at which
-// variant b becomes cheaper than variant a on t, assuming the usual
-// single-crossover shape (a wins at lo, b wins at hi): the
-// model-predicted algorithm switchpoint of the Barchet-Estefanel/Mounié
-// program, computed from the closed forms alone. ok is false when the
-// pair does not cross in the interval.
-func Switchpoint(t *model.Tree, a, b CostVariant, lo, hi int) (n int, ok bool) {
-	cheaper := func(n int) bool { return b.Predict(t, n) < a.Predict(t, n) }
-	if lo < 1 {
-		lo = 1
-	}
-	if cheaper(lo) || !cheaper(hi) {
-		return 0, false
-	}
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		if cheaper(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true
-}
-
-// SwitchRow is one line of the static advice table: within a family, the
-// size at which `To` overtakes `From` on the given tree.
-type SwitchRow struct {
-	Family   string
-	From, To string
-	N        int
-}
-
-// SwitchpointTable computes every pairwise switchpoint in [lo, hi] on t,
-// sorted by (family, n, from, to) for deterministic output. This is the
-// table `hbspk-vet -cost -tree` prints: the machine's statically known
-// algorithm-selection rules.
-func SwitchpointTable(t *model.Tree, lo, hi int) []SwitchRow {
-	byFamily := map[string][]CostVariant{}
-	var families []string
-	for _, v := range CostVariants() {
-		if len(byFamily[v.Family]) == 0 {
-			families = append(families, v.Family)
-		}
-		byFamily[v.Family] = append(byFamily[v.Family], v)
-	}
-	sort.Strings(families)
-	var rows []SwitchRow
-	for _, fam := range families {
-		vs := byFamily[fam]
-		for i := range vs {
-			for j := range vs {
-				if i == j {
-					continue
-				}
-				if n, ok := Switchpoint(t, vs[i], vs[j], lo, hi); ok {
-					rows = append(rows, SwitchRow{Family: fam, From: vs[i].Name, To: vs[j].Name, N: n})
-				}
-			}
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Family != b.Family {
-			return a.Family < b.Family
-		}
-		if a.N != b.N {
-			return a.N < b.N
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
-	return rows
-}
-
-// String renders the row as static advice.
-func (r SwitchRow) String() string {
-	return fmt.Sprintf("%-10s %s -> %s at n >= %d bytes", r.Family, r.From, r.To, r.N)
 }
