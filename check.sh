@@ -48,6 +48,16 @@ fi
 
 go test -race ./...
 
+# Delivered-byte lifetime (DESIGN.md §5.4): a payload lives two Syncs and
+# then recycles through the pvm wire arena, in-proc wires and socket
+# frames alike, and every collective's result outlives the frames it
+# arrived in. The pump goroutine draws frames that receiver goroutines
+# released, so the tests run under the race detector, three times over;
+# the tcp lanes run the unix lanes' code and are left to the run above.
+timed 30 "delivered-byte lifetime" go test -race -count=3 \
+	-run 'Outlive|SentSliceIsFreeAfterSync|PoolRecyclingNeverAliases|ArenaSizeClasses|UnpackWindowReleases|FuzzBatchBody' \
+	-skip '/tcp' ./internal/pvm/... ./internal/hbsp ./internal/collective
+
 # Seeded chaos smoke, as `make chaos` defines it: fault injection across
 # the fabric, both engines, and the fault-tolerant collectives, under
 # the race detector, rerun by name.

@@ -7,10 +7,12 @@ import (
 )
 
 // SyncFlow tracks delivered-buffer lifetimes across superstep
-// boundaries, interprocedurally. A payload obtained from Moves() in
-// superstep λ is guaranteed only until the next synchronizing call: the
-// engine may recycle the delivery window, and under faults the bytes
-// can be gone entirely. SyncFlow taints locals that alias a delivered
+// boundaries, interprocedurally. The runtime's rule (hbsp.Ctx.Moves) is
+// that a payload delivered at Sync n stays valid through Sync n+1 and is
+// recycled when Sync n+2 succeeds. The analyzer is stricter on purpose:
+// a payload obtained from Moves() in superstep λ is good only until the
+// next synchronizing call, since a call into a helper or a collective
+// may sync more than once. SyncFlow taints locals that alias a delivered
 // buffer (the Moves slice, a Message field, a sub-slice — anything
 // sharing the backing array; function results are presumed fresh
 // copies) and reports
@@ -23,10 +25,9 @@ import (
 //     crosses a boundary before reading that parameter — the stale read
 //     happens inside the callee, so it is reported at the hand-off.
 //
-// Holding a buffer across a barrier on purpose (e.g. two-phase
-// broadcast keeping its piece for reassembly) is occasionally sound
-// when the program re-sends the bytes before anyone mutates them; such
-// audited cases carry `//hbspk:ignore syncflow`.
+// Holding a buffer across exactly one barrier on purpose (the two-phase
+// broadcast keeps its piece for reassembly) is what the runtime's rule
+// allows; such audited cases carry `//hbspk:ignore syncflow`.
 var SyncFlow = &Analyzer{
 	Name: "syncflow",
 	Doc:  "flag delivered buffers read across superstep boundaries, through helper calls",

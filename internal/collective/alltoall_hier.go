@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -119,7 +120,7 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 			if m.Tag != tagXHier {
 				continue
 			}
-			es, err := parseEnvelopes(m.Payload)
+			es, err := parseEnvelopes(bytes.Clone(m.Payload))
 			if err != nil {
 				return nil, err
 			}

@@ -39,7 +39,7 @@ func BcastOnePhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]b
 	}
 	for _, m := range c.Moves() {
 		if m.Tag == tagBcast && m.Src == root {
-			return m.Payload, nil
+			return bytes.Clone(m.Payload), nil
 		}
 	}
 	return nil, fmt.Errorf("collective: processor %d missed the broadcast", c.Pid())
@@ -106,7 +106,7 @@ func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Di
 	if err := c.Sync(scope, "bcast-2p exchange"); err != nil {
 		return nil, err
 	}
-	pieceBy := map[int][]byte{c.Pid(): mine} //hbspk:ignore syncflow (audited: own piece is re-sent before anyone can mutate it; reassembly needs it across the exchange barrier)
+	pieceBy := map[int][]byte{c.Pid(): mine} //hbspk:ignore syncflow (audited: reassembly holds the own piece across exactly one barrier, the exchange, which the lifetime rule of Ctx.Moves allows)
 	for _, m := range c.Moves() {
 		if m.Tag == tagBcastEx {
 			pieceBy[m.Src] = m.Payload
@@ -183,7 +183,7 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 			if amCoord && c.Pid() != rootPid {
 				for _, m := range c.Moves() {
 					if m.Tag == tagBcast && m.Src == rootPid {
-						have = m.Payload
+						have = bytes.Clone(m.Payload)
 					}
 				}
 			}
@@ -238,7 +238,7 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 			return nil, err
 		}
 		if amCoord {
-			pieceBy := map[int][]byte{c.Pid(): mine} //hbspk:ignore syncflow (audited: own piece is re-sent before anyone can mutate it; reassembly needs it across the exchange barrier)
+			pieceBy := map[int][]byte{c.Pid(): mine} //hbspk:ignore syncflow (audited: reassembly holds the own piece across exactly one barrier, the exchange, which the lifetime rule of Ctx.Moves allows)
 			for _, msg := range c.Moves() {
 				if msg.Tag == tagBcastEx {
 					pieceBy[msg.Src] = msg.Payload

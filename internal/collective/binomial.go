@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"bytes"
 	"fmt"
 
 	"hbspk/internal/hbsp"
@@ -56,7 +57,7 @@ func BcastBinomial(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]b
 		if virt >= stride && virt < 2*stride {
 			for _, m := range c.Moves() {
 				if m.Tag == tagBinomial {
-					have = m.Payload
+					have = bytes.Clone(m.Payload)
 				}
 			}
 			if have == nil {

@@ -10,6 +10,12 @@
 // for broadcast/all-gather/...). The two design principles of §4.1 are
 // baked in: coordinators are the fastest machines of their subtrees, and
 // balanced variants move data in proportion to the c_{i,j} shares.
+//
+// Results own their bytes. A delivered payload is valid only through the
+// Sync after the one that delivered it (hbsp.Ctx.Moves), so whatever a
+// collective returns, or carries into a later level or round, is copied
+// once where it is built — bytes.Clone of the payload, or bytes.Join of
+// the pieces — and never aliases a delivery.
 package collective
 
 import (

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -180,8 +181,9 @@ func (f *FT) sync(label string) (retry bool, err error) {
 	return false, err
 }
 
-// moves returns the payloads delivered with the given tag, keyed by
-// source, first copy winning (chaos may duplicate messages).
+// moves returns copies of the payloads delivered with the given tag,
+// keyed by source, first copy winning (chaos may duplicate messages):
+// Gather returns them and Bcast floods them in later epochs.
 func (f *FT) moves(tag int) map[int][]byte {
 	out := make(map[int][]byte)
 	for _, m := range f.c.Moves() {
@@ -189,7 +191,7 @@ func (f *FT) moves(tag int) map[int][]byte {
 			continue
 		}
 		if _, dup := out[m.Src]; !dup {
-			out[m.Src] = m.Payload
+			out[m.Src] = bytes.Clone(m.Payload)
 		}
 	}
 	return out

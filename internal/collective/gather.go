@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"bytes"
 	"fmt"
 
 	"hbspk/internal/hbsp"
@@ -30,7 +31,7 @@ func Gather(c hbsp.Ctx, scope *model.Machine, root int, local []byte) (map[int][
 	out := map[int][]byte{root: local}
 	for _, m := range c.Moves() {
 		if m.Tag == tagGather {
-			out[m.Src] = m.Payload
+			out[m.Src] = bytes.Clone(m.Payload)
 		}
 	}
 	return out, nil
@@ -75,7 +76,7 @@ func GatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 				if m.Tag != tagGather {
 					continue
 				}
-				if err := eachPiece(m.Payload, func(pid int, piece []byte) {
+				if err := eachPiece(bytes.Clone(m.Payload), func(pid int, piece []byte) {
 					accumulated[pid] = piece
 				}); err != nil {
 					return nil, err

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"bytes"
 	"fmt"
 
 	"hbspk/internal/hbsp"
@@ -33,7 +34,7 @@ func Scatter(c hbsp.Ctx, scope *model.Machine, root int, pieces map[int][]byte) 
 	}
 	for _, m := range c.Moves() {
 		if m.Tag == tagScatter && m.Src == root {
-			return m.Payload, nil
+			return bytes.Clone(m.Payload), nil
 		}
 	}
 	return nil, fmt.Errorf("collective: processor %d received no scatter piece", c.Pid())
@@ -90,7 +91,7 @@ func ScatterHier(c hbsp.Ctx, pieces map[int][]byte) ([]byte, error) {
 				if carrying == nil {
 					carrying = map[int][]byte{}
 				}
-				if err := eachPiece(m.Payload, func(pid int, piece []byte) {
+				if err := eachPiece(bytes.Clone(m.Payload), func(pid int, piece []byte) {
 					carrying[pid] = piece
 				}); err != nil {
 					return nil, err
@@ -122,7 +123,7 @@ func AllGather(c hbsp.Ctx, scope *model.Machine, local []byte) (map[int][]byte, 
 	out := map[int][]byte{c.Pid(): local}
 	for _, m := range c.Moves() {
 		if m.Tag == tagExchange {
-			out[m.Src] = m.Payload
+			out[m.Src] = bytes.Clone(m.Payload)
 		}
 	}
 	return out, nil
@@ -150,7 +151,7 @@ func TotalExchange(c hbsp.Ctx, scope *model.Machine, outgoing map[int][]byte) (m
 	}
 	for _, m := range c.Moves() {
 		if m.Tag == tagExchange {
-			in[m.Src] = m.Payload
+			in[m.Src] = bytes.Clone(m.Payload)
 		}
 	}
 	return in, nil

@@ -3,6 +3,7 @@ package collective
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -62,6 +63,128 @@ func TestTransportConformanceSweep(t *testing.T) {
 						return tc.run(c, env, s)
 					}); err != nil {
 						t.Errorf("seed=%d transport=%s %s: run failed: %v", seed, tf.Name, tc.name, err)
+						continue
+					}
+					tc.check(t, env, s)
+				}
+			})
+		}
+	}
+}
+
+// ftSweepCases are the fault-tolerant collectives over the whole machine,
+// fault-free, against the oracles of the plain ones. Their coordinator is
+// the fastest leaf: every member is live.
+func ftSweepCases() []sweepCase {
+	coord := func(env *sweepEnv) int { return env.tr.Pid(env.tr.FastestLeaf()) }
+	return []sweepCase{
+		{
+			name: "ft-gather",
+			run: func(c hbsp.Ctx, env *sweepEnv, s *sweepSlots) error {
+				out, _, err := NewFT(c, c.Tree().Root).Gather(env.payloads[c.Pid()])
+				s.setM(c.Pid(), out)
+				return err
+			},
+			check: func(t *testing.T, env *sweepEnv, s *sweepSlots) {
+				checkMap(t, env, "ft-gather", coord(env), s.ms[coord(env)], env.gatherOracle())
+			},
+		},
+		{
+			name: "ft-bcast",
+			run: func(c hbsp.Ctx, env *sweepEnv, s *sweepSlots) error {
+				var in []byte
+				if c.Pid() == env.root {
+					in = env.payloads[env.root]
+				}
+				out, err := NewFT(c, c.Tree().Root).Bcast(env.root, in)
+				s.setB(c.Pid(), out)
+				return err
+			},
+			check: func(t *testing.T, env *sweepEnv, s *sweepSlots) {
+				for pid := 0; pid < env.p; pid++ {
+					checkBytes(t, env, "ft-bcast", pid, s.bs[pid], env.payloads[env.root])
+				}
+			},
+		},
+		{
+			name: "ft-reduce",
+			run: func(c hbsp.Ctx, env *sweepEnv, s *sweepSlots) error {
+				out, _, err := NewFT(c, c.Tree().Root).Reduce(env.vecs[c.Pid()], env.op)
+				s.setV(c.Pid(), out)
+				return err
+			},
+			check: func(t *testing.T, env *sweepEnv, s *sweepSlots) {
+				checkVec(t, env, "ft-reduce", coord(env), s.vs[coord(env)], env.fold(env.allPids()))
+			},
+		},
+		{
+			name: "ft-all-reduce",
+			run: func(c hbsp.Ctx, env *sweepEnv, s *sweepSlots) error {
+				out, err := NewFT(c, c.Tree().Root).AllReduce(env.vecs[c.Pid()], env.op)
+				s.setV(c.Pid(), out)
+				return err
+			},
+			check: func(t *testing.T, env *sweepEnv, s *sweepSlots) {
+				for pid := 0; pid < env.p; pid++ {
+					checkVec(t, env, "ft-all-reduce", pid, s.vs[pid], env.fold(env.allPids()))
+				}
+			},
+		},
+	}
+}
+
+// churn runs three all-to-all supersteps of fresh random payloads: enough
+// for every window a collective was delivered in to be retired (under
+// Verify, poisoned) and its wires and frames to carry other bytes.
+func churn(c hbsp.Ctx, seed int64) error {
+	rng := rand.New(rand.NewSource(seed + int64(c.Pid())))
+	for step := 0; step < 3; step++ {
+		for dst := 0; dst < c.NProcs(); dst++ {
+			p := make([]byte, 1+rng.Intn(512))
+			rng.Read(p)
+			if err := c.Send(dst, 0, p); err != nil {
+				return err
+			}
+		}
+		if err := hbsp.SyncAll(c, "churn"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestCollectiveResultsOutliveTheirFrames holds every collective of the
+// property sweep, the planned and fault-tolerant ones included, to owning
+// its result's bytes: a delivered payload lives two Syncs, so each result
+// is compared with its sequential oracle only after churn, on Concurrent
+// under Verify, in-proc and over a unix socket. Every tree has p ≥ 8, so
+// the binomial broadcast forwards through three rounds or more.
+func TestCollectiveResultsOutliveTheirFrames(t *testing.T) {
+	var envs []*sweepEnv
+	for seed := int64(0x11FE); len(envs) < 3; seed++ {
+		if env := newSweepEnv(seed); env.p >= 8 {
+			envs = append(envs, env)
+		}
+	}
+	cases := append(sweepCases(), ftSweepCases()...)
+	for _, tf := range pvm.TransportFactories() {
+		if tf.Name != "inproc" && tf.Name != "unix" {
+			continue
+		}
+		for i, env := range envs {
+			t.Run(fmt.Sprintf("%s/tree%d", tf.Name, i), func(t *testing.T) {
+				t.Logf("seed=%d tree=%s p=%d k=%d", env.seed, env.tr.Root.Name, env.p, env.tr.K())
+				for _, tc := range cases {
+					s := newSlots(env.p)
+					eng := conformanceEngine(tf, env.tr)
+					eng.Verify = true
+					if _, err := eng.Run(func(c hbsp.Ctx) error {
+						if err := tc.run(c, env, s); err != nil {
+							return err
+						}
+						return churn(c, env.seed)
+					}); err != nil {
+						t.Errorf("seed=%d %s: run failed: %v", env.seed, tc.name, err)
 						continue
 					}
 					tc.check(t, env, s)

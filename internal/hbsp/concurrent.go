@@ -107,10 +107,8 @@ type cctx struct {
 	// pid, so each mailbox is appended under a single lock acquisition and
 	// the whole superstep leaves in one post.
 	batch []pvm.Batch
-	// Sync's scratch, reused every superstep: the wait it registers and
-	// the drained wire messages (cleared on use).
+	// wait is the barrier wait Sync registers, rewritten every superstep.
 	wait syncWait
-	msgs []pvm.Message
 	// scopes holds, by scope id, this processor's sync generation on each
 	// scope — senders and receivers agree on a message tag per (scope,
 	// generation) — and the scope's barrier name.
@@ -744,9 +742,10 @@ func (c *cctx) barrierErr(err error, w *syncWait, sc *scopeSeq) error {
 	return c.haltErr(err)
 }
 
-// drain joins the clocks the barrier gathered (Verify), collects the
-// superstep's complete delivery into the window, in (Src, send order),
-// and opens it. It returns the payload bytes received.
+// drain joins the clocks the barrier gathered (Verify), retires the
+// window before last, collects the superstep's complete delivery into the
+// window, in (Src, send order), and opens it. It returns the payload bytes
+// received.
 func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err error) {
 	if c.opt.Verify {
 		// Barriers double as the clock-join.
@@ -759,18 +758,15 @@ func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err e
 		}
 		c.vc.tick(c.pid)
 	}
-	c.msgs = c.task.AppendRecvAll(c.msgs[:0], pvm.AnySource, tag)
+	c.retire()
+	c.wires = c.task.AppendRecvAll(c.wires, pvm.AnySource, tag)
 	// Arrival order is already per-sender FIFO and tasks are spawned in
 	// pid order, so a stable sort by sender TID — before decoding, which
 	// keeps each message and its verification record together — yields
 	// the (Src, send order) contract.
-	slices.SortStableFunc(c.msgs, func(a, b pvm.Message) int { return cmp.Compare(a.Src, b.Src) })
+	slices.SortStableFunc(c.wires, func(a, b pvm.Message) int { return cmp.Compare(a.Src, b.Src) })
 	c.resetWindow()
-	err = c.unpackWindow(c.msgs)
-	// The window owns the delivery now; the scratch must not pin a wire
-	// or an injected frame until the next superstep overwrites it.
-	clear(c.msgs)
-	if err != nil {
+	if err := c.unpackWindow(); err != nil {
 		return 0, err
 	}
 	var now float64
@@ -1130,6 +1126,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				c.membersView = append([]int(nil), actives...)
 			}
 			err := prog(c)
+			c.dropWindows()
 			if errors.Is(err, errCrashStop) || errors.Is(err, errLeave) {
 				// The victim's own crash or departure is the experiment,
 				// not a program failure; the run's verdict belongs to

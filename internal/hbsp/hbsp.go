@@ -29,7 +29,8 @@ type Message struct {
 	// Src is the sending processor's pid; Tag is program-chosen.
 	Src, Tag int
 	// Payload is the message body. Receivers must treat it as
-	// read-only: engines may share the sender's bytes.
+	// read-only — engines may share the sender's bytes — and may hold it
+	// only as long as Ctx.Moves says.
 	Payload []byte
 }
 
@@ -55,10 +56,17 @@ type Ctx interface {
 	// returns. Concurrent is done with the slice then (it has been
 	// written to the wire or copied for the receiver); Virtual hands the
 	// receiver the very same bytes. A portable program therefore never
-	// writes to a slice it has sent.
+	// writes to a slice it has sent. What the receiver gets lives as
+	// Moves says, whatever the sender does with its slice.
 	Send(dst, tag int, payload []byte) error
 	// Moves returns the messages delivered by the last Sync, ordered by
-	// sender pid and, within one sender, by send order.
+	// sender pid and, within one sender, by send order. A payload it
+	// returns after Sync n stays valid through Sync n+1; a program that
+	// needs the bytes longer copies them. Concurrent recycles them when
+	// Sync n+2 succeeds — a Sync that fails recycles nothing, so Moves
+	// can be re-read after ErrPeerFailed — and under Verify overwrites
+	// them with Poison first, so that a read past the rule reads Poison.
+	// Virtual hands the receiver the sender's own slice.
 	Moves() []Message
 
 	// Charge accounts local computation: ops is work in fastest-machine

@@ -128,6 +128,12 @@ type proc struct {
 	inbox  []Message
 	seq    int
 
+	// wires are the drained messages the window's payloads alias and held
+	// those of the window before it (Concurrent only; Virtual hands a
+	// receiver the sender's own slice): delivered bytes live two Syncs.
+	// Under Verify, poisoned are those of the window before that.
+	wires, held, poisoned []pvm.Message
+
 	// failedView is the dead-pid set this processor has acknowledged and
 	// membersView the active-pid set it knows (its starting membership
 	// plus every acknowledged join), staged by the engine whenever a
@@ -424,40 +430,49 @@ func unpackMsg(b *pvm.Buffer, verify bool) (m Message, meta msgMeta, err error) 
 	return m, meta, err
 }
 
-// unpackWindow decodes one drained superstep into the delivery window
-// and releases every wire. Delivered bytes keep garbage-collected
-// lifetime (programs hold collective results across supersteps), by the
-// cheapest means each message allows: one a transport injected already
-// is garbage-collected memory and is aliased; one on a pooled wire
-// (every in-proc send) is copied into one fresh slab per window, and the
-// wire releases straight back to the arena. A malformed frame aborts the
-// superstep, but the rest of the window still holds pooled wires: the
-// remainder (the bad message included) goes back to the arena before the
-// error surfaces.
-func (p *proc) unpackWindow(msgs []pvm.Message) error {
-	slabCap := 0
-	for _, pm := range msgs {
-		if pm.Pooled() {
-			slabCap += pm.Len()
-		}
-	}
-	slab := make([]byte, 0, slabCap)
-	for i, pm := range msgs {
+// unpackWindow decodes the drained superstep in p.wires into the
+// delivery window. Every payload aliases its wire, which the window holds
+// until retire releases it. A malformed message aborts the superstep
+// with the window holding what decoded before it; every wire, the bad
+// one's included, still goes back at the next retire or when Run ends.
+func (p *proc) unpackWindow() error {
+	for _, pm := range p.wires {
 		m, meta, err := unpackMsg(pm.Buffer(), p.opt.Verify)
 		if err != nil {
-			for _, rest := range msgs[i:] {
-				rest.Release()
-			}
 			return err
 		}
-		if pm.Pooled() {
-			// slabCap over-covers the framing, so these appends never
-			// reallocate and earlier messages' slices stay intact.
-			slab = append(slab, m.Payload...)
-			m.Payload = slab[len(slab)-len(m.Payload):]
-		}
 		p.receive(m, meta)
-		pm.Release()
 	}
 	return nil
+}
+
+// retire is the lifetime rule of delivered bytes (Ctx.Moves), applied at
+// a drain, once a barrier has succeeded: the window before the current
+// one has lived through the Sync after the one that delivered it, so its
+// wires go back to the arena, and the current window's become the held
+// ones. Under Verify the expiring window is overwritten with Poison and
+// released only at the next retire, so that a read past the rule reads
+// Poison on every run instead of whatever the arena, having handed the
+// bytes out again, put there.
+func (p *proc) retire() {
+	expired := p.held
+	if p.opt.Verify {
+		for _, m := range expired {
+			poison(m.Buffer().Bytes())
+		}
+		expired, p.poisoned = p.poisoned, expired
+	}
+	for _, m := range expired {
+		m.Release()
+	}
+	clear(expired)
+	p.held, p.wires = p.wires, expired[:0]
+}
+
+// dropWindows releases every wire the windows still hold, once the
+// program has returned.
+func (p *proc) dropWindows() {
+	for range 3 {
+		p.retire()
+	}
 }

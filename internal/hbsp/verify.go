@@ -137,6 +137,18 @@ func checkDelivery(pid, step int, m Message, meta msgMeta, reader VClock) *ErrNo
 	return nil
 }
 
+// Poison is what Concurrent under Verify overwrites delivered bytes with
+// as it recycles them, two successful Syncs after the one that delivered
+// them (Ctx.Moves): a payload read past that rule reads as a run of
+// Poison, on every run.
+const Poison byte = 0xDB
+
+func poison(p []byte) {
+	for i := range p {
+		p[i] = Poison
+	}
+}
+
 // recheckWindow re-hashes a superstep's inbox at its closing barrier:
 // a mismatch means someone rewrote a delivered payload while the
 // reader's superstep was still entitled to read it.

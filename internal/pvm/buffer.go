@@ -45,12 +45,12 @@ type Buffer struct {
 	borrowed bool  // PackBytesBorrowed closed the buffer: w.tail is its last field
 }
 
-// NewBuffer returns an empty send buffer backed by the wire arena:
-// its bytes recycle through a sync.Pool once the receiver releases the
+// NewBuffer returns an empty send buffer backed by the wire arena's
+// small class: its bytes recycle once the receiver releases the
 // delivered message.
 func NewBuffer() *Buffer {
-	w := newWire()
-	w.hdr = Buffer{data: w.data[:0], w: w}
+	w := draw(0)
+	w.hdr = Buffer{data: w.data, w: w}
 	return &w.hdr
 }
 
@@ -85,8 +85,20 @@ func Wrap(data []byte) *Buffer { return bufferFrom(data) }
 // flatten ends a borrow by copying the tail in behind the head.
 func (b *Buffer) flatten() {
 	if b.borrowed {
+		b.reserve(len(b.w.tail))
 		b.data = append(b.data, b.w.tail...)
 		b.w.tail, b.borrowed = nil, false
+	}
+}
+
+// reserve makes room for n more bytes ahead of a variable-length pack. A
+// buffer drawn from the arena takes a backing of its new size's class
+// from it when its own is too small, so that a message of any size packs
+// into recycled memory; a Wrap'd buffer's bytes are its caller's, and
+// grow as append grows them.
+func (b *Buffer) reserve(n int) {
+	if b.w != nil {
+		b.data = grow(b.data, len(b.data)+n)
 	}
 }
 
@@ -101,7 +113,9 @@ func (b *Buffer) Len() int {
 // Remaining returns the number of unread bytes.
 func (b *Buffer) Remaining() int { return len(b.data) - b.off }
 
-// Bytes returns the encoded wire bytes, a borrowed tail copied in.
+// Bytes returns the encoded wire bytes, a borrowed tail copied in. On a
+// NewBuffer they are arena bytes: valid until the buffer is packed into
+// again or sent.
 func (b *Buffer) Bytes() []byte {
 	b.flatten()
 	return b.data
@@ -202,6 +216,7 @@ func (b *Buffer) UnpackFloat64() (float64, error) {
 
 // PackString appends a length-prefixed string.
 func (b *Buffer) PackString(s string) *Buffer {
+	b.reserve(5 + len(s))
 	b.packCode(codeString)
 	b.data = binary.BigEndian.AppendUint32(b.data, uint32(len(s)))
 	b.data = append(b.data, s...)
@@ -227,6 +242,7 @@ func (b *Buffer) UnpackString() (string, error) {
 
 // PackBytes appends a length-prefixed byte slice.
 func (b *Buffer) PackBytes(p []byte) *Buffer {
+	b.reserve(5 + len(p))
 	b.packCode(codeBytes)
 	b.data = binary.BigEndian.AppendUint32(b.data, uint32(len(p)))
 	b.data = append(b.data, p...)
@@ -273,6 +289,7 @@ func (b *Buffer) UnpackBytes() ([]byte, error) {
 
 // PackInt64Slice appends a length-prefixed []int64 in one call.
 func (b *Buffer) PackInt64Slice(vs []int64) *Buffer {
+	b.reserve(5 + 8*len(vs))
 	b.packCode(codeBytes)
 	b.data = binary.BigEndian.AppendUint32(b.data, uint32(8*len(vs)))
 	for _, v := range vs {
@@ -299,6 +316,7 @@ func (b *Buffer) UnpackInt64Slice() ([]int64, error) {
 
 // PackInt32Slice appends a length-prefixed []int32 in one call.
 func (b *Buffer) PackInt32Slice(vs []int32) *Buffer {
+	b.reserve(5 + 4*len(vs))
 	b.packCode(codeBytes)
 	b.data = binary.BigEndian.AppendUint32(b.data, uint32(4*len(vs)))
 	for _, v := range vs {

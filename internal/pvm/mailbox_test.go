@@ -86,7 +86,7 @@ func TestAppendRecvAllMatchesArrivalFilter(t *testing.T) {
 				for n := 1 + rng.Intn(4); n > 0; n-- {
 					a := arrival{src: src, tag: rng.Intn(3), id: next}
 					next++
-					if err := s.Inject(a.src, tk.TID(), a.tag, binary.BigEndian.AppendUint64(nil, a.id)); err != nil {
+					if err := injectCopy(s, a.src, tk.TID(), a.tag, binary.BigEndian.AppendUint64(nil, a.id)); err != nil {
 						t.Fatal(err)
 					}
 					box = append(box, a)

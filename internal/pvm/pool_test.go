@@ -103,6 +103,35 @@ func TestPoolRecyclingNeverAliasesLiveMessage(t *testing.T) {
 	}
 }
 
+// TestArenaSizeClasses: a draw of n bytes comes from the smallest class
+// whose backings all hold n, a released backing goes back to the largest
+// class whose size it covers, and a backing made at a class's size
+// returns to that class — so a small draw never takes a frame-sized
+// backing and a frame never gets one too small for it.
+func TestArenaSizeClasses(t *testing.T) {
+	if classSize(nclasses-1) != maxPooledCap {
+		t.Fatalf("the last class holds %d-byte backings, want maxPooledCap", classSize(nclasses-1))
+	}
+	for c := 1; c < nclasses; c++ {
+		if size := classSize(c); size <= classSize(c-1) || classUp(size) != c || classDown(size) != c {
+			t.Fatalf("class %d (%d B): up %d, down %d", c, size, classUp(size), classDown(size))
+		}
+	}
+	for n := 0; n <= maxPooledCap; n += 1 + n/97 {
+		if c := classUp(n); classSize(c) < n || (n > 0 && (c == 0 || classSize(c-1) >= n)) {
+			t.Fatalf("a draw of %d B takes class %d (%d B)", n, c, classSize(c))
+		}
+		if c := classDown(n); classSize(c) > n || (c+1 < nclasses && classSize(c+1) <= n) {
+			t.Fatalf("a %d-byte backing goes back to class %d (%d B)", n, c, classSize(c))
+		}
+	}
+	f := NewFrame(300 << 10)
+	f.Release()
+	if b := NewBuffer(); cap(b.data) >= classSize(1) {
+		t.Errorf("NewBuffer drew a %d-byte backing", cap(b.data))
+	}
+}
+
 // TestMailboxContentionPerSenderFIFO floods one receiver from many
 // concurrent senders and asserts messages from each sender arrive in
 // send order, wildcard receive or not.

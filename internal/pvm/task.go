@@ -16,12 +16,13 @@ const (
 	AnyTag    int = -1
 )
 
-// Message is a delivered packed buffer. The payload aliases the
-// sender's wire buffer — or, for a message a transport injected, the
-// frame it arrived in: treat it as read-only, and call Release once
-// done with it to return a pooled backing to the arena. Only a message
-// handed to Transport.Deliver may be in two pieces (Pieces), or carry
-// the More mark.
+// Message is a delivered packed buffer. It holds a reference on a wire
+// of the arena — the sender's packed buffer, or for a message a
+// transport injected the frame it arrived in — and its payload aliases
+// that wire: treat it as read-only, and call Release once done with it
+// to return the wire to the arena. Only a message handed to
+// Transport.Deliver may be in two pieces (Pieces), or carry the More
+// mark.
 type Message struct {
 	Src TID
 	Tag int
@@ -58,17 +59,12 @@ func (m Message) Buffer() *Buffer {
 // Len returns the message's wire length in bytes, both pieces.
 func (m Message) Len() int { _, tail := m.Pieces(); return len(m.buf) + len(tail) }
 
-// Release returns the message's wire buffer to the arena. Call it at
-// most once, after the payload (and anything unpacked from it, which
-// aliases the same bytes) is no longer needed. On a message that is not
-// Pooled it does nothing.
+// Release drops the message's reference on its wire, which goes back to
+// the arena with its last one. Call it at most once, after the payload
+// (and anything unpacked from it, which aliases the same bytes) is no
+// longer needed. A message nobody releases is left to the garbage
+// collector, wire and all: not recycled, but not leaked either.
 func (m Message) Release() { m.w.release() }
-
-// Pooled reports who owns the message's bytes: true for a wire drawn
-// from the arena, which the next NewBuffer reuses once the message is
-// released; false for garbage-collected memory (Inject), which stays
-// intact for as long as anything references it.
-func (m Message) Pooled() bool { return m.w != nil }
 
 // ErrHalted is returned by blocking operations after Halt.
 var ErrHalted = errors.New("pvm: system halted")

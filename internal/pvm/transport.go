@@ -30,8 +30,9 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 // A non-nil transport owns delivery instead: Send and SendBatches hand
 // it the adopted messages and the transport is responsible for
 // getting them into the destination mailbox (for a wire transport, via
-// System.Inject on the receiving side; bytes handed to Inject belong to
-// the System, and a held payload pins its whole frame).
+// System.Inject on the receiving side, from a Frame it read or copied
+// the bytes into: every message injected from a frame holds a reference
+// on it, and the frame recycles once its last message is released).
 //
 // Contract (post, then flush — as pvm_send returns when the buffer is
 // reusable, not when the peer has the message):
@@ -147,19 +148,23 @@ func (s *System) SetTransport(tr Transport) error {
 	return nil
 }
 
-// Inject stages a received wire payload into dst's mailbox on behalf of
-// src, delivered exactly like a local send. It is the re-entry point
-// for wire transports and takes ownership of wire without copying it:
-// the bytes belong to the System from here on (the caller neither
-// writes nor reuses them — so never a piece a sender lent, only bytes
-// read off a link or a copy), the message is not Pooled, and its lifetime
-// is the garbage collector's — a receiver that holds the payload pins
-// whatever allocation wire is a slice of, for a socket transport the
-// whole frame.
-func (s *System) Inject(src, dst TID, tag int, wire []byte) error {
+// Inject stages a received message into dst's mailbox on behalf of src,
+// delivered exactly like a local send. It is the re-entry point for wire
+// transports: wire is a slice of frame f, which the caller read or copied
+// the message into, and the message takes a reference of its own on f
+// without copying anything. The caller's reference stays the caller's to
+// release once it has injected what it will; the frame returns to the
+// arena when its last message is released, so nobody writes the bytes
+// meanwhile.
+func (s *System) Inject(src, dst TID, tag int, f Frame, wire []byte) error {
 	target, err := s.task(dst)
 	if err != nil {
 		return err
 	}
-	return target.deliverOne(Message{Src: src, Tag: tag, buf: wire})
+	f.w.refs.Add(1)
+	if err := target.deliverOne(Message{Src: src, Tag: tag, buf: wire, w: f.w}); err != nil {
+		f.w.release()
+		return err
+	}
+	return nil
 }

@@ -9,17 +9,29 @@ import (
 	"time"
 )
 
-// wireCopy is a message's wire bytes, both pieces, in memory of its own:
-// what a transport that keeps a message past Deliver must take.
-func wireCopy(m Message) []byte {
+// frameCopy is a message's wire bytes, both pieces, copied into a frame
+// of its own: what a transport that keeps a message past Deliver must
+// take.
+func frameCopy(m Message) Frame {
 	head, tail := m.Pieces()
-	return append(append(make([]byte, 0, m.Len()), head...), tail...)
+	f := NewFrame(m.Len())
+	copy(f.Bytes()[copy(f.Bytes(), head):], tail)
+	return f
+}
+
+// injectCopy injects a copy of p as one message from src to dst, the
+// way a transport does: from a frame, whose own reference it drops.
+func injectCopy(s *System, src, dst TID, tag int, p []byte) error {
+	f := NewFrame(len(p))
+	defer f.Release()
+	copy(f.Bytes(), p)
+	return s.Inject(src, dst, tag, f, f.Bytes())
 }
 
 // loopTransport is a minimal conforming Transport: it copies each
-// message's wire bytes, releases the adopted reference, and re-enters
-// the destination mailbox through Inject — the same shape a socket
-// transport has, minus the socket.
+// message's wire bytes into a frame, releases the adopted reference, and
+// re-enters the destination mailbox through Inject — the same shape a
+// socket transport has, minus the socket.
 type loopTransport struct {
 	sys *System
 
@@ -48,13 +60,15 @@ func (lt *loopTransport) Deliver(dst TID, ms []Message) error {
 	fail := lt.failDst != 0 && dst == lt.failDst
 	lt.mu.Unlock()
 	for _, m := range ms {
-		wire := wireCopy(m)
+		f := frameCopy(m)
 		src, tag := m.Src, m.Tag
 		m.Release()
-		if fail {
-			continue
+		var err error
+		if !fail {
+			err = lt.sys.Inject(src, dst, tag, f, f.Bytes())
 		}
-		if err := lt.sys.Inject(src, dst, tag, wire); err != nil {
+		f.Release()
+		if err != nil {
 			return err
 		}
 	}
@@ -206,10 +220,13 @@ func (pt *postTransport) Deliver(dst TID, ms []Message) error {
 		pt.posted = make(map[TID][]func() error)
 	}
 	for _, m := range ms {
-		wire := wireCopy(m)
+		f := frameCopy(m)
 		src, tag := m.Src, m.Tag
 		m.Release()
-		pt.posted[src] = append(pt.posted[src], func() error { return pt.sys.Inject(src, dst, tag, wire) })
+		pt.posted[src] = append(pt.posted[src], func() error {
+			defer f.Release()
+			return pt.sys.Inject(src, dst, tag, f, f.Bytes())
+		})
 	}
 	return nil
 }
@@ -419,9 +436,13 @@ func TestFlushWithoutTransport(t *testing.T) {
 
 func TestInjectUnknownTask(t *testing.T) {
 	sys := NewSystem()
-	if err := sys.Inject(0, 42, 1, []byte{1}); err == nil {
+	f := NewFrame(1)
+	if err := sys.Inject(0, 42, 1, f, f.Bytes()); err == nil {
 		t.Fatal("Inject to unknown task succeeded")
 	}
+	// A failed Inject takes no reference: the caller's is the only one.
+	f.Release()
+	mustPanic(t, "a release past the caller's reference", f.Release)
 }
 
 func TestTransportRegistry(t *testing.T) {

@@ -79,13 +79,14 @@ func TestFramesSurviveChunkedConn(t *testing.T) {
 		errc <- nil
 	}()
 	for i, want := range frames {
-		kind, body, err := receiver.readFrame()
+		kind, body, f, err := receiver.readFrame()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if kind != want.kind || !bytes.Equal(body, want.body) {
 			t.Fatalf("frame %d mutated: kind %d→%d, %d→%d bytes", i, want.kind, kind, len(want.body), len(body))
 		}
+		f.Release()
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("writer: %v", err)
@@ -469,10 +470,11 @@ func TestLinkReadsABurstWithOneRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < frames; i++ {
-		kind, body, err := lk.readFrame()
+		kind, body, f, err := lk.readFrame()
 		if err != nil || kind != frameAck || len(body) != 1 || body[0] != byte(i) {
 			t.Fatalf("frame %d: kind %d body %v err %v", i, kind, body, err)
 		}
+		f.Release()
 	}
 	if err := <-werr; err != nil {
 		t.Fatal(err)

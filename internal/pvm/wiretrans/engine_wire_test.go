@@ -116,17 +116,33 @@ func (h heldPayloads) check(dst, n, step int, dups bool) error {
 	return nil
 }
 
-// keepProg holds on to the payload slices of superstep 0 through later
-// all-to-all supersteps with other contents, then reads them again. With
-// reuse it sends every superstep from the same buffers, which it
-// overwrites the moment Sync returns — before its peers, still inside
-// theirs, have necessarily read a byte.
-func keepProg(later int, reuse, dups bool) hbsp.Program {
+// poisoned checks that every payload byte now reads as hbsp.Poison: the
+// engine has retired the superstep's delivery.
+func (h heldPayloads) poisoned(dst, step int) error {
+	for k, p := range h.payload {
+		for _, b := range p {
+			if b != hbsp.Poison {
+				return fmt.Errorf("p%d: payload %d from p%d of step %d outlived its two Syncs unpoisoned", dst, h.tag[k], h.src[k], step)
+			}
+		}
+	}
+	return nil
+}
+
+// keepProg runs steps all-to-all supersteps and holds each one's
+// delivered payload slices — not copies — for the two Syncs the lifetime
+// rule of Ctx.Moves gives them: after the next Sync they must still read
+// as sent, and after the one behind it, when verify says the engine runs
+// under Verify, as poison. With reuse it sends every superstep from the
+// same buffers, which it overwrites the moment Sync returns — before its
+// peers, still inside theirs, have necessarily read a byte.
+func keepProg(steps int, reuse, dups, verify bool) hbsp.Program {
 	return func(c hbsp.Ctx) error {
 		pid, n := c.Pid(), c.NProcs()
 		var bufs [][]byte
+		var last, older heldPayloads
 		delivered := 0
-		exchange := func(step int) (heldPayloads, error) {
+		for step := 0; step < steps; step++ {
 			for dst := 0; dst < n; dst++ {
 				for i := range keptSizes {
 					p := keptFill(pid, dst, step, i)
@@ -139,7 +155,7 @@ func keepProg(later int, reuse, dups bool) hbsp.Program {
 						p = buf
 					}
 					if err := c.Send(dst, i, p); err != nil {
-						return heldPayloads{}, err
+						return err
 					}
 				}
 			}
@@ -150,40 +166,46 @@ func keepProg(later int, reuse, dups bool) hbsp.Program {
 				}
 			}
 			if err != nil {
-				return heldPayloads{}, err
+				return err
 			}
 			h := holdPayloads(c.Moves())
 			delivered += len(h.payload)
-			return h, h.check(pid, n, step, dups)
+			if err := h.check(pid, n, step, dups); err != nil {
+				return err
+			}
+			if step > 0 {
+				if err := last.check(pid, n, step-1, dups); err != nil {
+					return fmt.Errorf("one Sync after its delivery: %w", err)
+				}
+			}
+			if verify && step > 1 {
+				if err := older.poisoned(pid, step-2); err != nil {
+					return err
+				}
+			}
+			older, last = last, h
 		}
-		kept, err := exchange(0)
-		for step := 1; err == nil && step <= later; step++ {
-			_, err = exchange(step)
-		}
-		if err != nil {
-			return err
-		}
-		if dups && delivered == (later+1)*n*len(keptSizes) {
+		if dups && delivered == steps*n*len(keptSizes) {
 			return fmt.Errorf("p%d: the plan duplicated nothing", pid)
 		}
-		return kept.check(pid, n, 0, dups)
+		return nil
 	}
 }
 
 func TestDeliveredPayloadsOutliveLaterSupersteps(t *testing.T) {
-	// The lifetime contract of DESIGN §5.4 on every transport: a payload
-	// slice a superstep delivered reads the same 32 supersteps later,
-	// whether the engine copied it out of a pooled wire or aliased the
-	// frame it arrived in. The transport twin of
-	// TestPoolRecyclingNeverAliasesLiveMessage. Verify is on in the unix
-	// lane, so its checksum checks read aliased payloads too.
+	// The lifetime rule of DESIGN §5.4 on every transport: a payload slice
+	// a superstep delivered reads as sent after one more Sync, and as
+	// Verify's poison after the second — the pooled wire it was copied
+	// into in-proc, or the frame it arrived in over a socket, is on its way
+	// back to the arena. The transport twin of
+	// TestPoolRecyclingNeverAliasesLiveMessage.
 	for _, tf := range pvm.TransportFactories() {
 		t.Run(tf.Name, func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			eng := hbsp.NewConcurrent(model.UCFTestbedN(4))
-			eng.Verify = tf.Name == "unix"
+			eng.Verify = true
 			eng.Transport = tf.New
-			if _, err := eng.Run(keepProg(32, false, false)); err != nil {
+			if _, err := eng.Run(keepProg(16, false, false, true)); err != nil {
 				t.Fatalf("run over %s: %v", tf.Name, err)
 			}
 		})
@@ -194,8 +216,9 @@ func TestSentSliceIsFreeAfterSync(t *testing.T) {
 	// The sender's half of the same contract, on every transport: Send
 	// keeps the caller's slice by reference, and Concurrent is done with it
 	// when the Sync that delivers it returns — written to the socket, or
-	// copied into the receiver's wire. Every processor sends 32 supersteps
-	// from one set of buffers it scribbles over after each Sync; a byte the
+	// copied into the receiver's wire. Every processor sends 16 supersteps
+	// from one set of buffers it scribbles over after each Sync, while it
+	// holds what it received for as long as the rule lets it; a byte the
 	// engine still borrowed then would reach a receiver scribbled. Under
 	// Verify the checksum fields sit in front of the borrowed payload, and
 	// under a duplicating plan two wires borrow one slice.
@@ -209,7 +232,7 @@ func TestSentSliceIsFreeAfterSync(t *testing.T) {
 					eng.Chaos = &fabric.ChaosPlan{Seed: 17, Duplicate: .3}
 				}
 				eng.Transport = tf.New
-				if _, err := eng.Run(keepProg(32, true, lane == "duplicate")); err != nil {
+				if _, err := eng.Run(keepProg(16, true, lane == "duplicate", eng.Verify)); err != nil {
 					t.Fatalf("run over %s: %v", tf.Name, err)
 				}
 			})

@@ -109,25 +109,36 @@ func readHeader(r io.Reader) (uint32, error) {
 	return binary.BigEndian.Uint32(hdr[:]), nil
 }
 
+// frameSize reads a frame's length prefix and checks it before anything
+// is allocated for the frame: a clean EOF before any header byte is
+// io.EOF, an EOF inside it ErrTruncatedFrame.
+func frameSize(r io.Reader) (int, error) {
+	prefix, err := readHeader(r)
+	if err != nil {
+		if err == io.EOF {
+			return 0, io.EOF
+		}
+		return 0, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
+	}
+	switch size := int(prefix); {
+	case size == 0:
+		return 0, fmt.Errorf("%w: zero-length frame", ErrBadFrame)
+	case size > MaxFrame:
+		return 0, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooBig, size, MaxFrame)
+	default:
+		return size, nil
+	}
+}
+
 // ReadFrame reads one frame from r into buf (grown as needed) and
 // returns the kind, the body aliasing buf, the possibly-regrown buf,
 // and the total frame length on the wire. A clean EOF before any
 // header byte returns io.EOF; an EOF anywhere inside a frame returns
 // ErrTruncatedFrame.
 func ReadFrame(r io.Reader, buf []byte) (kind byte, body, scratch []byte, n int, err error) {
-	prefix, err := readHeader(r)
+	size, err := frameSize(r)
 	if err != nil {
-		if err == io.EOF {
-			return 0, nil, buf, 0, io.EOF
-		}
-		return 0, nil, buf, 0, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
-	}
-	size := int(prefix)
-	switch {
-	case size == 0:
-		return 0, nil, buf, 0, fmt.Errorf("%w: zero-length frame", ErrBadFrame)
-	case size > MaxFrame:
-		return 0, nil, buf, 0, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooBig, size, MaxFrame)
+		return 0, nil, buf, 0, err
 	}
 	if cap(buf) < size {
 		buf = make([]byte, size)

@@ -79,10 +79,10 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzBatchBody drives the transport's BATCH decoder with arbitrary
 // bodies: a corrupt peer must produce a typed ack, never a panic, and
-// whatever the decoder did hand to Inject before it gave up — the
-// System keeps those slices — must lie inside the body it was given.
-// Bodies addressed to the one parked task inject; any other
-// destination acks no-such-task.
+// whatever the decoder did hand to Inject before it gave up — each a
+// reference on the frame — must lie inside the body it was given, and
+// hold the frame until released. Bodies addressed to the one parked task
+// inject; any other destination acks no-such-task.
 func FuzzBatchBody(f *testing.F) {
 	sys := pvm.NewSystem()
 	task, stop := lendMailbox(sys)
@@ -111,14 +111,24 @@ func FuzzBatchBody(f *testing.F) {
 				t.Fatalf("BATCH decoder panicked: %v", r)
 			}
 		}()
-		injectBatch(l.sys, body)
-		for _, m := range task.TryRecvAll(pvm.AnySource, pvm.AnyTag) {
-			p, pooled := m.Buffer().Bytes(), m.Pooled()
-			m.Release()
-			if pooled || !sliceOf(p, body) {
-				t.Fatalf("injected %d bytes that are not a slice of the %d-byte body", len(p), len(body))
-			}
+		f := pvm.NewFrame(len(body))
+		frame := f.Bytes()
+		copy(frame, body)
+		injectBatch(l.sys, f, frame)
+		f.Release()
+		// The arena hands the frame straight back out unless a message holds it.
+		scribble := pvm.NewFrame(len(body))
+		for i := range scribble.Bytes() {
+			scribble.Bytes()[i] = ^body[i]
 		}
+		for _, m := range task.TryRecvAll(pvm.AnySource, pvm.AnyTag) {
+			p := m.Buffer().Bytes()
+			if !sliceOf(p, frame) || !bytes.Equal(frame, body) {
+				t.Fatalf("injected %d bytes that are not a slice of the %d-byte body, or the frame was recycled under them", len(p), len(body))
+			}
+			m.Release()
+		}
+		scribble.Release()
 	})
 }
 

@@ -1,6 +1,7 @@
 package wiretrans
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -76,20 +77,22 @@ func (h *Hub) Attach(sys *pvm.System) error {
 
 // Deliver implements pvm.Transport. Every TID of the run has a task in
 // the coordinator's System — its own program or a worker's relay — so a
-// post is staged right here, in bytes the System may keep: one fresh
-// allocation per batch takes a copy of every wire, lent tail included.
+// post is staged right here: one frame drawn from the wire arena per
+// batch takes a copy of every wire, lent tail included.
 func (h *Hub) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	defer releaseAll(ms)
 	size := 0
 	for _, m := range ms {
 		size += m.Len()
 	}
-	slab := make([]byte, 0, size)
+	f := pvm.NewFrame(size)
+	defer f.Release()
+	buf := f.Bytes()[:0]
 	for _, m := range ms {
 		head, tail := m.Pieces()
-		at := len(slab)
-		slab = append(append(slab, head...), tail...)
-		if err := h.sys.Inject(m.Src, dst, m.Tag, slab[at:len(slab):len(slab)]); err != nil {
+		at := len(buf)
+		buf = append(append(buf, head...), tail...)
+		if err := h.sys.Inject(m.Src, dst, m.Tag, f, buf[at:len(buf):len(buf)]); err != nil {
 			return &pvm.DeliveryError{Dst: dst, Err: err}
 		}
 	}
@@ -238,13 +241,17 @@ func (h *Hub) relay(task *pvm.Task, lk *link) error {
 	pid := task.TID()
 	var msgs []pvm.Message
 	for {
-		kind, body, err := lk.readFrame()
+		// A frame is released once handled; on a path that ends the relay
+		// it is left to the collector.
+		kind, body, f, err := lk.readFrame()
 		if err != nil {
 			return fmt.Errorf("wiretrans: worker %d link: %w: %v", pid, pvm.ErrPeerLost, err)
 		}
 		switch kind {
 		case frameBatch:
-			if _, code, detail := injectBatch(h.sys, body); code != ackOK {
+			_, code, detail := injectBatch(h.sys, f, body)
+			f.Release()
+			if code != ackOK {
 				return fmt.Errorf("wiretrans: worker %d send: %w", pid, ackCause(code, detail))
 			}
 		case frameBarrier:
@@ -253,6 +260,7 @@ func (h *Hub) relay(task *pvm.Task, lk *link) error {
 				return fmt.Errorf("%w: worker %d BARRIER: %v", ErrBadFrame, pid, err)
 			}
 			res, berr := task.BarrierExchange(name, count, d, deposit)
+			f.Release()
 			msgs = task.AppendRecvAll(msgs[:0], pvm.AnySource, pvm.AnyTag)
 			err = lk.post(pid, msgs, false)
 			clear(msgs)
@@ -339,7 +347,8 @@ func unpackBarrierReply(kind byte, body []byte) (map[pvm.TID][]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: barrier reply: %v", ErrBadFrame, err)
 		}
-		res[pvm.TID(tid)] = dep
+		// The waiter reads the deposits after the frame is released.
+		res[pvm.TID(tid)] = bytes.Clone(dep)
 	}
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -218,14 +219,24 @@ func (l *link) post(dst pvm.TID, ms []pvm.Message, more bool) error {
 	return l.writeHeldLocked(&l.own)
 }
 
-// readFrame reads one frame into a buffer of its own: the body is the
-// caller's to keep or give away.
-func (l *link) readFrame() (kind byte, body []byte, err error) {
-	kind, body, _, n, err := ReadFrame(l.br, nil)
-	if err == nil {
-		observeFrame(l.transport, false, n)
+// readFrame is the one read path of the link's frames: each is read into
+// a pvm.Frame drawn from the wire arena, the body a slice of it. The
+// caller releases the frame once it has handled the body: what it injects
+// from a BATCH takes references of its own, and nothing else it keeps may
+// alias the frame.
+func (l *link) readFrame() (kind byte, body []byte, f pvm.Frame, err error) {
+	size, err := frameSize(l.br)
+	if err != nil {
+		return 0, nil, f, err
 	}
-	return kind, body, err
+	f = pvm.NewFrame(size)
+	buf := f.Bytes()
+	if _, err := io.ReadFull(l.br, buf); err != nil {
+		f.Release()
+		return 0, nil, pvm.Frame{}, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
+	}
+	observeFrame(l.transport, false, frameHeader+size)
+	return buf[0], buf[1:], f, nil
 }
 
 func (l *link) close() error { return l.conn.Close() }
@@ -244,10 +255,11 @@ func (l *link) readHello() (helloInfo, error) {
 	deadline := time.Now().Add(handshakeTimeout)
 	_ = l.conn.SetReadDeadline(deadline)
 	defer func() { _ = l.conn.SetReadDeadline(time.Time{}) }()
-	kind, body, err := l.readFrame()
+	kind, body, f, err := l.readFrame()
 	if err != nil {
 		return helloInfo{}, fmt.Errorf("wiretrans: handshake read: %w", err)
 	}
+	defer f.Release()
 	if kind != frameHello {
 		return helloInfo{}, fmt.Errorf("%w: expected HELLO, got kind %d", ErrBadFrame, kind)
 	}
@@ -294,10 +306,11 @@ func (l *link) readWelcome() error {
 	deadline := time.Now().Add(handshakeTimeout)
 	_ = l.conn.SetReadDeadline(deadline)
 	defer func() { _ = l.conn.SetReadDeadline(time.Time{}) }()
-	kind, body, err := l.readFrame()
+	kind, body, f, err := l.readFrame()
 	if err != nil {
 		return fmt.Errorf("wiretrans: handshake read: %w", err)
 	}
+	defer f.Release()
 	if kind != frameWelcome {
 		return fmt.Errorf("%w: expected WELCOME, got kind %d", ErrBadFrame, kind)
 	}

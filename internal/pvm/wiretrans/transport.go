@@ -367,9 +367,7 @@ func (l *Loopback) serverPump(srv *link) {
 			}
 			acks = acks[:0]
 		}
-		// Each frame lands in a buffer of its own: injectBatch gives the
-		// payloads away as slices of it, so it is never read into again.
-		kind, body, err := srv.readFrame()
+		kind, body, f, err := srv.readFrame()
 		if err != nil {
 			l.fail(fmt.Errorf("wiretrans: %s server: %w: %v", l.network, pvm.ErrPeerLost, err))
 			return
@@ -383,17 +381,20 @@ func (l *Loopback) serverPump(srv *link) {
 			l.fail(fmt.Errorf("wiretrans: %s link severed: %w", l.network, pvm.ErrPeerLost))
 			return
 		}
-		seq, code, detail := injectBatch(l.sys, body)
+		// The injected messages hold the frame now; the pump lets go of it
+		// (on the paths above, the collector does).
+		seq, code, detail := injectBatch(l.sys, f, body)
+		f.Release()
 		start := len(acks)
 		acks = pvm.Wrap(beginFrame(acks, frameAck)).PackInt64(seq).PackInt32(code).PackString(detail).Bytes()
 		endFrame(acks, start, 0)
 	}
 }
 
-// injectBatch decodes one BATCH body and stages every message in sys.
-// Each payload is a slice of body that pvm.Inject keeps: body is the
-// System's from here on.
-func injectBatch(sys *pvm.System, body []byte) (seq int64, code int32, detail string) {
+// injectBatch decodes one BATCH body, a slice of frame f, and stages
+// every message in sys: each is a slice of body, and takes its own
+// reference on f.
+func injectBatch(sys *pvm.System, f pvm.Frame, body []byte) (seq int64, code int32, detail string) {
 	b := pvm.Wrap(body)
 	seq, err := b.UnpackInt64()
 	if err != nil {
@@ -420,7 +421,7 @@ func injectBatch(sys *pvm.System, body []byte) (seq int64, code int32, detail st
 		if err != nil {
 			return seq, ackBad, err.Error()
 		}
-		if err := sys.Inject(pvm.TID(src), pvm.TID(dst), int(tag), wire); err != nil {
+		if err := sys.Inject(pvm.TID(src), pvm.TID(dst), int(tag), f, wire); err != nil {
 			if errors.Is(err, pvm.ErrHalted) {
 				return seq, ackHalted, ""
 			}

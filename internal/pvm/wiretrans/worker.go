@@ -72,25 +72,28 @@ func (w *Worker) Proxy(tid pvm.TID) func(*pvm.Task) error {
 }
 
 // reader demultiplexes the downlink: forwarded messages into the local
-// System, the barrier's outcome to its waiter. Each frame lands in a
-// buffer of its own — the System, or the waiter, keeps slices of it.
+// System, the barrier's outcome to its waiter. A frame is released once
+// handled; on a path that ends the reader it is left to the collector.
 func (w *Worker) reader() {
 	defer close(w.done)
 	for {
-		kind, body, err := w.lk.readFrame()
+		kind, body, f, err := w.lk.readFrame()
 		if err != nil {
 			w.err = fmt.Errorf("wiretrans: hub link: %w: %v", pvm.ErrPeerLost, err)
 			return
 		}
 		switch kind {
 		case frameBatch:
-			if _, code, detail := injectBatch(w.sys, body); code != ackOK {
+			_, code, detail := injectBatch(w.sys, f, body)
+			f.Release()
+			if code != ackOK {
 				w.err = fmt.Errorf("wiretrans: hub link: forwarded batch: %w", ackCause(code, detail))
 				return
 			}
 		case frameBarrierOK, frameBarrierErr:
 			var r barrierReply
 			r.data, r.err = unpackBarrierReply(kind, body)
+			f.Release()
 			select {
 			case w.replies <- r:
 			default:
