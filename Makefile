@@ -126,11 +126,14 @@ wire-smoke:
 # pins every repetition to (-cpu 1) — and two empty supersteps in-proc,
 # inproc/0B/cluster (a level-1 Sync of one two-leaf cluster) and
 # inproc/0B/root: the model's L_{1,j} and L_{2,0} as this substrate
-# defines them. No gate of its own (TestSteadyStateSuperstepAllocs holds
-# the allocation ceilings, in-proc and unix); check.sh invokes this
-# target so the rung compiles and runs.
+# defines them. Then the collective rung: BenchmarkCollectiveRound, one
+# round of coll_tcp's five collectives at 64 KiB each, in-proc and over
+# TCP loopback. No gate of their own (TestSteadyStateSuperstepAllocs and
+# the collectives' *AllocatesItsResultOnce tests hold the allocation
+# ceilings); check.sh invokes this target so the rungs compile and run.
 bench-step:
 	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem -cpu 1 ./internal/hbsp
+	$(GO) test -run '^$$' -bench CollectiveRound -benchtime 1000x -benchmem -cpu 1 ./internal/collective
 
 # cover enforces the coverage floor: total statement coverage must not
 # drop below bench/coverage_baseline.txt (percent, one line). The

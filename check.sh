@@ -109,9 +109,10 @@ timed 30 "verify smokes" "${MAKE:-make}" verify
 # collectives over TCP, oracles on.
 "${MAKE:-make}" wire-smoke
 
-# The engine rung of the benchmark ladder, as the Makefile's bench-step
-# target defines it: 2000 supersteps per transport and size, reported,
-# not gated.
+# The engine and collective rungs of the benchmark ladder, as the
+# Makefile's bench-step target defines them: 2000 supersteps per
+# transport and size, then 1000 collective rounds in-proc and over TCP,
+# reported, not gated.
 timed 60 "superstep bench" "${MAKE:-make}" bench-step
 
 # Coverage floor, as `make cover` defines it: total statement coverage

@@ -48,13 +48,16 @@ func BcastOnePhase(c Ctx, scope *Machine, root int, data []byte) ([]byte, error)
 }
 
 // BcastTwoPhase broadcasts data with the §4.4 two-phase algorithm:
-// scatter pieces (d, nil = equal), then all-to-all exchange.
+// scatter pieces (d, nil = equal), then all-to-all exchange. The root
+// returns data itself.
 func BcastTwoPhase(c Ctx, scope *Machine, root int, data []byte, d PieceDist) ([]byte, error) {
 	return collective.BcastTwoPhase(c, scope, root, data, d)
 }
 
 // BcastHier broadcasts from the machine's fastest processor down the
-// hierarchy (§4.4, generalized to any k).
+// hierarchy (§4.4, generalized to any k). The fastest processor returns
+// data itself, not a copy; every other processor returns a copy of its
+// own.
 func BcastHier(c Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 	return collective.BcastHier(c, data, twoPhaseTop)
 }
@@ -91,7 +94,8 @@ func ReduceHier(c Ctx, local []int64, op Op) ([]int64, error) {
 	return collective.ReduceHier(c, local, op)
 }
 
-// AllReduce leaves every processor with the combined vector.
+// AllReduce leaves every processor with the combined vector, in a slice
+// of its own; the fastest processor returns the vector it folded.
 func AllReduce(c Ctx, local []int64, op Op) ([]int64, error) {
 	return collective.AllReduce(c, local, op)
 }

@@ -7,6 +7,7 @@ import (
 
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
+	"hbspk/internal/pvm"
 )
 
 const tagXHier = 11
@@ -29,10 +30,6 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 	t := c.Tree()
 	incoming := map[int][]byte{}
 
-	type envelope struct {
-		src, dst int
-		data     []byte
-	}
 	var carrying []envelope
 	for _, pp := range sortedPieces(outgoing) {
 		if pp.pid == c.Pid() {
@@ -50,21 +47,13 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 		}
 		return false
 	}
-	packEnvelopes := func(es []envelope) []byte {
-		f := newFrame()
-		for _, e := range es {
-			inner := newFrame()
-			inner.add(e.dst, e.data)
-			f.add(e.src, inner.bytes())
-		}
-		return f.bytes()
-	}
+	// parseEnvelopes aliases every piece to the delivery window.
 	parseEnvelopes := func(wire []byte) ([]envelope, error) {
 		var out []envelope
 		var perr error
 		err := eachPiece(wire, func(src int, innerWire []byte) {
 			if e := eachPiece(innerWire, func(dst int, data []byte) {
-				out = append(out, envelope{src: src, dst: dst, data: data})
+				out = append(out, envelope{src: src, dst: dst, data: data, lent: true})
 			}); e != nil {
 				perr = e
 			}
@@ -84,22 +73,31 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 		// Partition what we carry: deliverable within this scope goes
 		// directly to its destination; the rest climbs to the scope
 		// coordinator (unless we are the coordinator, which keeps it
-		// for the next level).
+		// for the next level). What is sent is packed before this
+		// level's Sync, inside its window; what is kept outlives it, so a
+		// piece still lent by a delivery is copied.
 		byDst := map[int][]envelope{}
+		var dsts []int
 		var climbing, keep []envelope
 		for _, e := range carrying {
 			switch {
 			case inSubtree(scope, e.dst):
+				if byDst[e.dst] == nil {
+					dsts = append(dsts, e.dst)
+				}
 				byDst[e.dst] = append(byDst[e.dst], e)
 			case c.Pid() != rootPid:
 				climbing = append(climbing, e)
+			case e.lent:
+				keep = append(keep, envelope{src: e.src, dst: e.dst, data: bytes.Clone(e.data)})
 			default:
 				keep = append(keep, e)
 			}
 		}
 		carrying = keep
-		for _, g := range sortedEnvelopeGroups(byDst) {
-			if err := c.Send(g.pid, tagXHier, packEnvelopes(g.envs)); err != nil {
+		slices.Sort(dsts) // sends in pid order, so the run is deterministic
+		for _, dst := range dsts {
+			if err := c.Send(dst, tagXHier, packEnvelopes(byDst[dst])); err != nil {
 				return nil, err
 			}
 		}
@@ -120,13 +118,13 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 			if m.Tag != tagXHier {
 				continue
 			}
-			es, err := parseEnvelopes(bytes.Clone(m.Payload))
+			es, err := parseEnvelopes(m.Payload)
 			if err != nil {
 				return nil, err
 			}
 			for _, e := range es {
 				if e.dst == c.Pid() {
-					incoming[e.src] = e.data
+					incoming[e.src] = bytes.Clone(e.data)
 				} else {
 					carrying = append(carrying, e)
 				}
@@ -140,26 +138,29 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 	return incoming, nil
 }
 
-// sortedEnvelopeGroups orders per-destination groups by pid so sends are
-// deterministic.
-func sortedEnvelopeGroups[E any](m map[int][]E) []struct {
-	pid  int
-	envs []E
-} {
-	out := make([]struct {
-		pid  int
-		envs []E
-	}, 0, len(m))
-	for pid, envs := range m {
-		out = append(out, struct {
-			pid  int
-			envs []E
-		}{pid, envs})
+// envelope is one piece of TotalExchangeHier in flight. lent marks data
+// that aliases a delivery window rather than the caller's bytes or a
+// copy.
+type envelope struct {
+	src, dst int
+	data     []byte
+	lent     bool
+}
+
+// packEnvelopes frames envelopes for one wire message in a single pass,
+// at its exact size. The bytes are those of nesting two framed
+// encodings — per envelope the entry (src, inner frame), whose inner
+// frame is the one entry (dst, data) — with each piece copied once,
+// straight into the outgoing frame.
+func packEnvelopes(es []envelope) []byte {
+	n := 0
+	for _, e := range es {
+		n += 4*5 + len(e.data) // two packed int32s, two byte-slice prefixes
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].pid > out[j].pid; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
+	buf := pvm.Wrap(make([]byte, 0, n))
+	for _, e := range es {
+		buf.PackInt32(int32(e.src)).PackBytesHeader(5 + 5 + len(e.data)).
+			PackInt32(int32(e.dst)).PackBytes(e.data)
 	}
-	return out
+	return buf.Bytes()
 }

@@ -49,9 +49,10 @@ func BcastOnePhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]b
 // subtree: the root scatters pieces of data (sized by d, one entry per
 // participant; nil means equal pieces) in the first super^i-step, and in
 // the second every participant sends its piece to every other. Each
-// participant returns the reassembled data. §5.3 notes the analysis is
-// unchanged if the first phase distributes c_j·n pieces — pass
-// BalancedPieces for that policy.
+// participant but the root returns the reassembled data; the root, which
+// never reassembles what it cut, returns data itself. §5.3 notes the
+// analysis is unchanged if the first phase distributes c_j·n pieces —
+// pass BalancedPieces for that policy.
 func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Dist) ([]byte, error) {
 	defer span(c, "bcast-two-phase")(len(data))
 	pids := scope.Pids()
@@ -106,6 +107,9 @@ func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Di
 	if err := c.Sync(scope, "bcast-2p exchange"); err != nil {
 		return nil, err
 	}
+	if c.Pid() == root {
+		return data, nil
+	}
 	pieceBy := map[int][]byte{c.Pid(): mine} //hbspk:ignore syncflow (audited: reassembly holds the own piece across exactly one barrier, the exchange, which the lifetime rule of Ctx.Moves allows)
 	for _, m := range c.Moves() {
 		if m.Tag == tagBcastEx {
@@ -137,7 +141,8 @@ func joinPieces(pids []int, pieceBy map[int][]byte) []byte {
 // two-phase at the top level per twoPhaseTop, always two-phase inside
 // clusters (the paper's intra-cluster choice). Only the machine's
 // fastest processor may supply data; every processor returns the full
-// data.
+// data, the fastest one the caller's own slice and every other a copy
+// of its own.
 func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 	defer span(c, "bcast-hier")(len(data))
 	t := c.Tree()
@@ -237,7 +242,9 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 		if err := c.Sync(scope, fmt.Sprintf("bcast^%d exchange", lvl)); err != nil {
 			return nil, err
 		}
-		if amCoord {
+		// The scope's root keeps the have it cut; the other coordinators
+		// reassemble, the one copy each makes.
+		if amCoord && c.Pid() != rootPid {
 			pieceBy := map[int][]byte{c.Pid(): mine} //hbspk:ignore syncflow (audited: reassembly holds the own piece across exactly one barrier, the exchange, which the lifetime rule of Ctx.Moves allows)
 			for _, msg := range c.Moves() {
 				if msg.Tag == tagBcastEx {

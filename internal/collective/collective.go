@@ -12,10 +12,15 @@
 // balanced variants move data in proportion to the c_{i,j} shares.
 //
 // Results own their bytes. A delivered payload is valid only through the
-// Sync after the one that delivered it (hbsp.Ctx.Moves), so whatever a
-// collective returns, or carries into a later level or round, is copied
-// once where it is built — bytes.Clone of the payload, or bytes.Join of
-// the pieces — and never aliases a delivery.
+// Sync after the one that delivered it (hbsp.Ctx.Moves), so a collective
+// copies exactly the bytes that outlive their window — a result on a
+// processor that received it, a piece held past the next Sync — once,
+// where it is built: bytes.Clone of the payload, or bytes.Join of the
+// pieces. Nothing else is copied. A scope's coordinator never
+// reassembles what it scattered (a broadcast's root returns the caller's
+// own data), a reduction folds a delivered vector straight from its
+// packed bytes, and a piece forwarded at the next level aliases its
+// window for that one Sync.
 package collective
 
 import (

@@ -181,9 +181,10 @@ func (f *FT) sync(label string) (retry bool, err error) {
 	return false, err
 }
 
-// moves returns copies of the payloads delivered with the given tag,
-// keyed by source, first copy winning (chaos may duplicate messages):
-// Gather returns them and Bcast floods them in later epochs.
+// moves returns the payloads delivered with the given tag, keyed by
+// source, first copy winning (chaos may duplicate messages). They alias
+// the delivery window: Gather and Bcast copy what they keep, Reduce
+// folds them before the next Sync.
 func (f *FT) moves(tag int) map[int][]byte {
 	out := make(map[int][]byte)
 	for _, m := range f.c.Moves() {
@@ -191,7 +192,7 @@ func (f *FT) moves(tag int) map[int][]byte {
 			continue
 		}
 		if _, dup := out[m.Src]; !dup {
-			out[m.Src] = bytes.Clone(m.Payload)
+			out[m.Src] = m.Payload
 		}
 	}
 	return out
@@ -256,6 +257,9 @@ func (f *FT) Gather(local []byte) (map[int][]byte, int, error) {
 		var pieces map[int][]byte
 		if f.c.Pid() == root {
 			pieces = f.moves(dataTag)
+			for pid, p := range pieces {
+				pieces[pid] = bytes.Clone(p)
+			}
 			pieces[root] = local
 			v := byte(verdictOK)
 			for _, pid := range live {
@@ -332,7 +336,7 @@ func (f *FT) Bcast(root int, data []byte) ([]byte, error) {
 		}
 		if have == nil {
 			for _, p := range f.moves(dataTag) {
-				have = p
+				have = bytes.Clone(p)
 				break
 			}
 		}
@@ -455,11 +459,7 @@ func (f *FT) Reduce(local []int64, op Op) ([]int64, int, error) {
 					if pid == root {
 						continue
 					}
-					vec, err := unpackVec(got[pid])
-					if err != nil {
-						return nil, -1, err
-					}
-					if err := op.combine(f.c, acc, vec); err != nil {
+					if err := op.fold(f.c, acc, got[pid]); err != nil {
 						return nil, -1, err
 					}
 				}
@@ -494,11 +494,13 @@ func (f *FT) Reduce(local []int64, op Op) ([]int64, int, error) {
 }
 
 // AllReduce is Reduce at the live coordinator followed by Bcast of the
-// result: every live member returns the fold over the survivor set. If
-// the coordinator dies between the phases and takes the only copy of
-// the result with it, every survivor observes ErrLost together and the
-// whole operation restarts over the new survivor set — the reduction
-// inputs still exist on the members, so nothing is permanently lost.
+// result: every live member returns the fold over the survivor set, the
+// coordinator the vector it folded rather than a decode of its
+// broadcast. If the coordinator dies between the phases and takes the
+// only copy of the result with it, every survivor observes ErrLost
+// together and the whole operation restarts over the new survivor set —
+// the reduction inputs still exist on the members, so nothing is
+// permanently lost.
 func (f *FT) AllReduce(local []int64, op Op) ([]int64, error) {
 	const restarts = 4
 	for i := 0; i < restarts; i++ {
@@ -516,6 +518,9 @@ func (f *FT) AllReduce(local []int64, op Op) ([]int64, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if red != nil {
+			return red, nil
 		}
 		return unpackVec(out)
 	}

@@ -257,11 +257,7 @@ func ReduceScatter(c hbsp.Ctx, scope *model.Machine, local []int64, d Dist, op O
 		if m.Tag != tagReduce {
 			continue
 		}
-		v, err := unpackVec(m.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := op.combine(c, mine, v); err != nil {
+		if err := op.fold(c, mine, m.Payload); err != nil {
 			return nil, err
 		}
 	}

@@ -408,19 +408,48 @@ func TestPropertyTotalExchangeHier(t *testing.T) {
 	}
 }
 
-// TestBcastHierAllocatesItsResultOnce bounds what a 64 KiB broadcast on
-// the benchmark's tree (two clusters of two) allocates: the pieces are
-// joined in an array sized from their lengths, so each reassembly costs
-// its result and nothing more. Six happen per round — each of the two
-// cluster coordinators once among themselves and once inside its
-// cluster, each of the two other members once. Grown from nil by append
-// a reassembly cost half as much again. On Virtual, which hands a
-// receiver the sender's bytes, so delivery adds nothing.
-func TestBcastHierAllocatesItsResultOnce(t *testing.T) {
-	const n, rounds, reassemblies, slack = 64 << 10, 16, 6, 16 << 10
+// TestPackEnvelopesIsTheNestedFraming pins the hierarchical exchange's
+// wire bytes: packing each envelope once, straight into the outgoing
+// frame, gives exactly the nested framed encoding — src, then a byte
+// field holding dst and the data — so the bytes on the wire and every
+// schedule fingerprint stay what they were.
+func TestPackEnvelopesIsTheNestedFraming(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xE7E))
+	for it := 0; it < 300; it++ {
+		es := make([]envelope, rng.Intn(5))
+		nested := newFrame()
+		for i := range es {
+			data := make([]byte, rng.Intn(3)*rng.Intn(300)) // a third or more empty
+			rng.Read(data)
+			es[i] = envelope{src: rng.Intn(1 << 20), dst: rng.Intn(1 << 20), data: data}
+			inner := newFrame()
+			inner.add(es[i].dst, data)
+			nested.add(es[i].src, inner.bytes())
+		}
+		got, want := packEnvelopes(es), nested.bytes()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d envelopes: packed %x, nested framing %x", len(es), got, want)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("%d envelopes: %d bytes in an array of %d", len(es), len(got), cap(got))
+		}
+	}
+}
+
+// The allocation ceilings of one collective on the benchmark's tree (two
+// clusters of two), each at its share of the coll_tcp round's 64 KiB:
+// each bound is the result and send-payload bytes its comment names, at
+// the size class the allocator rounds each to, plus allocSlack for the
+// bookkeeping. On Virtual, which hands a receiver the sender's bytes, so
+// delivery adds nothing.
+const allocSlack = 16 << 10
+
+// bytesPerRound runs round warm twice and then rounds times on
+// WideAreaGrid(2,2,4,10,100) on Virtual, and returns the bytes allocated
+// per measured round.
+func bytesPerRound(t *testing.T, rounds int, round func(c hbsp.Ctx) error) uint64 {
+	t.Helper()
 	tr := model.WideAreaGrid(2, 2, 4, 10, 100)
-	root := tr.Pid(tr.FastestLeaf())
-	data := payloadFor(root, n)
 	var before, after runtime.MemStats
 	// mark reads the counters while every other processor is parked
 	// between the two barriers.
@@ -428,36 +457,118 @@ func TestBcastHierAllocatesItsResultOnce(t *testing.T) {
 		if err := hbsp.SyncAll(c, "mark"); err != nil {
 			return err
 		}
-		if c.Pid() == root {
+		if c.Pid() == 0 {
 			runtime.ReadMemStats(m)
 		}
 		return hbsp.SyncAll(c, "marked")
 	}
 	runPure(t, tr, func(c hbsp.Ctx) error {
-		for round := -2; round < rounds; round++ {
-			if round == 0 {
+		for r := -2; r < rounds; r++ {
+			if r == 0 {
 				if err := mark(c, &before); err != nil {
 					return err
 				}
 			}
-			var in []byte
-			if c.Pid() == root {
-				in = data
-			}
-			out, err := BcastHier(c, in, true)
-			if err != nil {
+			if err := round(c); err != nil {
 				return err
-			}
-			if !bytes.Equal(out, data) {
-				return fmt.Errorf("pid %d: broadcast corrupted", c.Pid())
 			}
 		}
 		return mark(c, &after)
 	})
-	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(rounds)
+}
+
+// TestBcastHierAllocatesItsResultOnce: the pieces are joined in an array
+// sized from their lengths, so each reassembly costs its result and
+// nothing more, and a coordinator never reassembles what it scattered.
+// Three happen per round, p − 1: the other cluster's coordinator once
+// among the coordinators, each of the two other members once inside its
+// cluster. The root returns the caller's data. Six happened while every
+// coordinator also rebuilt its own scatter; grown from nil by append a
+// reassembly cost half as much again.
+func TestBcastHierAllocatesItsResultOnce(t *testing.T) {
+	const n, reassemblies = 64 << 10, 3
+	data := payloadFor(0, n)
+	perRound := bytesPerRound(t, 16, func(c hbsp.Ctx) error {
+		var in []byte
+		if c.Self() == c.Tree().FastestLeaf() {
+			in = data
+		}
+		out, err := BcastHier(c, in, true)
+		if err == nil && !bytes.Equal(out, data) {
+			err = fmt.Errorf("pid %d: broadcast corrupted", c.Pid())
+		}
+		return err
+	})
 	t.Logf("%d bytes allocated per %d-byte BcastHier", perRound, n)
-	if perRound > reassemblies*n+slack {
+	if perRound > reassemblies*n+allocSlack {
 		t.Errorf("%d bytes allocated per round, want at most %d results of %d bytes plus %d",
-			perRound, reassemblies, n, slack)
+			perRound, reassemblies, n, allocSlack)
+	}
+}
+
+// TestAllReduceAllocatesItsResultOnce: each processor contributes 16 KiB,
+// 2048 elements. Twelve vectors are allocated per round. Sends, packed
+// (16 389 bytes, the allocator's 18 KiB class): the three partials that
+// climb, two inside the clusters and one between them, and the root's
+// result. Results: the other coordinator's copy of the broadcast and the
+// two members' reassemblies, each of the packed size; the two cluster
+// coordinators' copies of local they fold into, and the decodes of the
+// three processors that did not fold the result, each 16 KiB. The root
+// returns its own fold. Decoding each partial before folding it, and
+// copying local on every processor, allocated 354 797 bytes a round.
+func TestAllReduceAllocatesItsResultOnce(t *testing.T) {
+	const width, packed, plain = 2048, 7, 5
+	local := make([]int64, width)
+	for i := range local {
+		local[i] = int64(i)
+	}
+	perRound := bytesPerRound(t, 16, func(c hbsp.Ctx) error {
+		out, err := AllReduce(c, local, Sum)
+		if err == nil && (len(out) != width || out[width-1] != 4*(width-1)) {
+			err = fmt.Errorf("pid %d: all-reduce corrupted", c.Pid())
+		}
+		return err
+	})
+	t.Logf("%d bytes allocated per AllReduce of %d-element vectors", perRound, width)
+	const bound = packed*18<<10 + plain*16<<10 + allocSlack
+	if perRound > bound {
+		t.Errorf("%d bytes allocated per round, want at most %d: %d packed and %d plain vectors plus %d",
+			perRound, bound, packed, plain, allocSlack)
+	}
+}
+
+// TestTotalExchangeHierAllocatesItsResultOnce: 4 KiB a pair. Sends:
+// sixteen envelopes, each packed once, straight into the frame that
+// carries it. Level 1 sends four one-envelope frames inside the clusters
+// (4 116 bytes, the allocator's 4 864 class) and two two-envelope frames
+// climbing; level 2 sends four two-envelope frames between the clusters
+// (8 232 bytes, the 9 472 class). Results: the twelve pieces that arrive,
+// copied once each. A coordinator forwards the pieces that climbed to it
+// without a copy, and keeps its own. Packing an inner frame first and
+// cloning every delivered frame whole allocated 243 908 bytes a round.
+func TestTotalExchangeHierAllocatesItsResultOnce(t *testing.T) {
+	const p, piece = 4, 4 << 10
+	const bound = 4*4864 + 6*9472 + 12*piece + allocSlack
+	outgoing := make([]map[int][]byte, p)
+	for src := range outgoing {
+		outgoing[src] = make(map[int][]byte, p)
+		for dst := 0; dst < p; dst++ {
+			outgoing[src][dst] = payloadFor(src*p+dst, piece)
+		}
+	}
+	perRound := bytesPerRound(t, 16, func(c hbsp.Ctx) error {
+		in, err := TotalExchangeHier(c, outgoing[c.Pid()])
+		for src := 0; err == nil && src < p; src++ {
+			if !bytes.Equal(in[src], outgoing[src][c.Pid()]) {
+				err = fmt.Errorf("pid %d: piece from %d corrupted", c.Pid(), src)
+			}
+		}
+		return err
+	})
+	t.Logf("%d bytes allocated per TotalExchangeHier of %d-byte pieces", perRound, piece)
+	if perRound > bound {
+		t.Errorf("%d bytes allocated per round, want at most %d: ten frames and twelve pieces of %d bytes plus %d",
+			perRound, bound, piece, allocSlack)
 	}
 }

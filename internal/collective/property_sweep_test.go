@@ -45,6 +45,11 @@ func newSweepEnv(seed int64) *sweepEnv {
 	for tr.NProcs() > 12 {
 		tr = model.RandomTree(rng, 3, 3)
 	}
+	return sweepEnvOn(seed, rng, tr)
+}
+
+// sweepEnvOn draws the rest of a scenario from rng on the given tree.
+func sweepEnvOn(seed int64, rng *rand.Rand, tr *model.Tree) *sweepEnv {
 	p := tr.NProcs()
 	env := &sweepEnv{
 		seed:  seed,

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"hbspk/internal/hbsp"
@@ -53,6 +54,23 @@ func (op Op) combine(c hbsp.Ctx, dst, src []int64) error {
 	return nil
 }
 
+// fold folds a vector packed by packVec into acc element-wise, straight
+// from the packed bytes, charging the combining cost like combine.
+func (op Op) fold(c hbsp.Ctx, acc []int64, packed []byte) error {
+	raw, err := pvm.Wrap(packed).UnpackBytes()
+	if err != nil {
+		return err
+	}
+	if len(raw) != 8*len(acc) {
+		return fmt.Errorf("collective: reduce width mismatch: %d elements vs %d bytes", len(acc), len(raw))
+	}
+	for i := range acc {
+		acc[i] = op.Apply(acc[i], int64(binary.BigEndian.Uint64(raw[8*i:])))
+	}
+	c.Charge(op.Cost * float64(len(acc)))
+	return nil
+}
+
 // packVec encodes a vector as a Send payload, in an array of its own at
 // its exact size (see framed).
 func packVec(v []int64) []byte {
@@ -84,11 +102,7 @@ func Reduce(c hbsp.Ctx, scope *model.Machine, root int, local []int64, op Op) ([
 		if m.Tag != tagReduce {
 			continue
 		}
-		v, err := unpackVec(m.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := op.combine(c, acc, v); err != nil {
+		if err := op.fold(c, acc, m.Payload); err != nil {
 			return nil, err
 		}
 	}
@@ -103,7 +117,9 @@ func Reduce(c hbsp.Ctx, scope *model.Machine, root int, local []int64, op Op) ([
 func ReduceHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 	defer span(c, "reduce-hier")(8 * len(local))
 	t := c.Tree()
-	acc := append([]int64(nil), local...)
+	// acc is the caller's local until this processor first folds, and a
+	// copy of it from then on.
+	acc, folding := local, false
 	carrying := true
 	for lvl := 1; lvl <= t.K(); lvl++ {
 		scope := enclosingScope(t, c.Self(), lvl)
@@ -121,28 +137,32 @@ func ReduceHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 			return nil, err
 		}
 		if c.Pid() == rootPid {
+			if !folding {
+				acc, folding = append([]int64(nil), local...), true
+			}
 			for _, m := range c.Moves() {
 				if m.Tag != tagReduce {
 					continue
 				}
-				v, err := unpackVec(m.Payload)
-				if err != nil {
-					return nil, err
-				}
-				if err := op.combine(c, acc, v); err != nil {
+				if err := op.fold(c, acc, m.Payload); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	if c.Self() == t.FastestLeaf() {
-		return acc, nil
+	if c.Self() != t.FastestLeaf() {
+		return nil, nil
 	}
-	return nil, nil
+	if !folding {
+		acc = append([]int64(nil), local...)
+	}
+	return acc, nil
 }
 
 // AllReduce is ReduceHier followed by a hierarchical broadcast of the
-// result: every processor returns the combined vector.
+// result: every processor returns the combined vector. The fastest
+// processor returns the vector it folded, not a decode of what it
+// broadcast.
 func AllReduce(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 	defer span(c, "all-reduce")(8 * len(local))
 	red, err := ReduceHier(c, local, op)
@@ -156,6 +176,9 @@ func AllReduce(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 	out, err := BcastHier(c, wire, false)
 	if err != nil {
 		return nil, err
+	}
+	if red != nil {
+		return red, nil
 	}
 	return unpackVec(out)
 }

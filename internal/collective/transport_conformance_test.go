@@ -157,15 +157,20 @@ func churn(c hbsp.Ctx, seed int64) error {
 // property sweep, the planned and fault-tolerant ones included, to owning
 // its result's bytes: a delivered payload lives two Syncs, so each result
 // is compared with its sequential oracle only after churn, on Concurrent
-// under Verify, in-proc and over a unix socket. Every tree has p ≥ 8, so
-// the binomial broadcast forwards through three rounds or more.
+// under Verify, in-proc and over a unix socket. Three random trees have
+// p ≥ 8, so the binomial broadcast forwards through three rounds or more,
+// but k ≤ 3. The fourth tree, DeepChain(4), has k = 4: there a
+// coordinator keeps a piece of the hierarchical exchange across two
+// levels, past the window it was delivered in.
 func TestCollectiveResultsOutliveTheirFrames(t *testing.T) {
 	var envs []*sweepEnv
-	for seed := int64(0x11FE); len(envs) < 3; seed++ {
+	seed := int64(0x11FE)
+	for ; len(envs) < 3; seed++ {
 		if env := newSweepEnv(seed); env.p >= 8 {
 			envs = append(envs, env)
 		}
 	}
+	envs = append(envs, sweepEnvOn(seed, rand.New(rand.NewSource(seed)), model.DeepChain(4)))
 	cases := append(sweepCases(), ftSweepCases()...)
 	for _, tf := range pvm.TransportFactories() {
 		if tf.Name != "inproc" && tf.Name != "unix" {
