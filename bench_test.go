@@ -280,8 +280,8 @@ func BenchmarkAblationHierVsFlat(b *testing.B) {
 	var hier, flat float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hier = cost.ReduceHier(tr, d, 0.05).Total()
-		flat = cost.ReduceFlat(tr, tr.Pid(tr.FastestLeaf()), d, 0.05).Total()
+		hier = cost.ReduceHier(tr, d, cost.OpCost).Total()
+		flat = cost.ReduceFlat(tr, tr.Pid(tr.FastestLeaf()), d, cost.OpCost).Total()
 	}
 	b.ReportMetric(flat/hier, "flat_over_hier")
 }

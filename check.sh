@@ -83,14 +83,21 @@ if go run ./cmd/hbspk-vet -conform-graph cmd/hbspk-vet/testdata/conformance/grap
 	exit 1
 fi
 
-# Auto-tuned planner smoke (DESIGN.md §5.9): one hbspk-sim run that
-# dispatches through the planner and prints its decision table, inside a
-# 30s wall-time budget. The planner's gates — within 0.1% of the
-# per-cell best fixed variant on modeled cost, cached dispatch within 5%
-# of a direct call — are TestPlannerWithinBestFixed and
-# TestPlannedDispatchWithinDirect in internal/plan, run with the tests
-# above.
-timed 30 "planner smoke" go run ./cmd/hbspk-sim -machine ucf -collective auto -n 200000 -rounds 4 -pure
+# Auto-tuned planner (DESIGN.md §5.9), inside a 30s wall-time budget:
+# the planner's gates by name — its one closed-form pick costs no more
+# than the best fixed variant in each of the 96 cells on modeled cost
+# (TestPlannerPicksBestFixed), cached dispatch stays within 5% of a
+# direct call (TestPlannedDispatchWithinDirect), both engines pick alike
+# (TestPlannedPicksAgreeAcrossEngines) — then an hbspk-sim run that
+# dispatches through the planner and prints its decision table, on the
+# flat testbed and on the grid.
+planner_checks() {
+	go test -count=1 -run 'PlannerPicksBestFixed|PlannedDispatchWithinDirect|PlannedPicksAgreeAcrossEngines' ./internal/plan
+	for machine in ucf grid; do
+		go run ./cmd/hbspk-sim -machine "$machine" -collective auto -n 200000 -rounds 4 -pure
+	done
+}
+timed 30 "planner gates and smokes" planner_checks
 
 # Verification and multi-process transport smokes (DESIGN.md §5.3,
 # §5.10), as `make verify` defines them: schedule exploration with the

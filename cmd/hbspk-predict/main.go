@@ -45,7 +45,7 @@ func main() {
 	balanced := flag.Bool("balanced", true, "balanced (c_j) distribution instead of equal")
 	describe := flag.Bool("describe", false, "print Table 1 with the machine's values and exit")
 	breakdown := flag.Bool("breakdown", false, "print the per-superstep breakdown of the largest size")
-	opCost := flag.Float64("opcost", 0.05, "per-byte combining cost for reduce/scan")
+	opCost := flag.Float64("opcost", cost.OpCost, "per-byte combining cost for reduce/scan (the default is the library operators' 0.05 per 8-byte element)")
 	flag.Parse()
 
 	tr, err := model.LoadMachine(*machine)

@@ -217,9 +217,6 @@ func main() {
 		}
 	}
 
-	// The auto collective dispatches through the planner; wiring it as
-	// the engine's plan hook lets refinements commit at quiescent points
-	// and reorg/churn cuts invalidate stale picks.
 	var planner *plan.Planner
 	if *coll == "auto" {
 		planner = plan.New()
@@ -230,9 +227,6 @@ func main() {
 	}
 	eng := hbsp.NewVirtual(tr, fabric.New(tr, cfg))
 	eng.Chaos = chaos
-	if planner != nil {
-		eng.Plan = planner
-	}
 	eng.DetectFactor = *detect
 	eng.Verify = *verify
 	eng.ReorgEvery = *reorgEvery
@@ -292,13 +286,12 @@ func main() {
 	fmt.Print(rep.Timeline(*width))
 	if planner != nil {
 		fmt.Println()
-		fmt.Println("planner decisions (auto-tuned picks, corrected model cost):")
+		fmt.Println("planner decisions (auto-tuned picks, closed-form model cost):")
 		for _, d := range planner.Decisions() {
 			fmt.Printf("  %s\n", d)
 		}
 		st := planner.Stats()
-		fmt.Printf("planner stats: %d hits, %d misses, %d observations, %d commits, %d flips, %d evictions\n",
-			st.Hits, st.Misses, st.Observations, st.Commits, st.Flips, st.Evictions)
+		fmt.Printf("planner stats: %d hits, %d misses\n", st.Hits, st.Misses)
 	}
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
@@ -522,9 +515,9 @@ func program(tr *model.Tree, coll string, n, rounds int, pl *plan.Planner) (hbsp
 		// An iterative mixed workload dispatched entirely through the
 		// auto-tuning planner: each round broadcasts from the fastest
 		// leaf, gathers back, folds a vector and prefix-scans it. The
-		// planner picks each family's variant from the corrected cost
-		// table; observations feed back between rounds, so a closed-form
-		// misordering is corrected while the run is still going.
+		// planner picks each family's variant from the closed-form cost
+		// table once per size bucket and serves every later round from
+		// its cache.
 		return func(c hbsp.Ctx) error {
 			for r := 0; r < rounds; r++ {
 				var data []byte

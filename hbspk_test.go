@@ -189,7 +189,7 @@ func TestPublicPlannedCollectives(t *testing.T) {
 	pl := NewPlanner()
 	root := tr.Pid(tr.FastestLeaf())
 	data := bytes.Repeat([]byte{42}, 4096)
-	rep, err := RunPlanned(tr, PureModelFabric(), pl, func(c Ctx) error {
+	rep, err := Run(tr, PureModelFabric(), func(c Ctx) error {
 		var in []byte
 		if c.Pid() == root {
 			in = data

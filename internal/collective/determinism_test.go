@@ -128,7 +128,7 @@ func virtualOutcome(t *testing.T, tr *model.Tree, cfg fabric.Config, chaos *fabr
 	rec := obsv.New(obsv.Config{Capacity: 1 << 12})
 	pl := plan.New()
 	eng := hbsp.NewVirtual(tr, fabric.New(tr, cfg))
-	eng.Obsv, eng.Chaos, eng.Plan = rec, chaos, pl
+	eng.Obsv, eng.Chaos = rec, chaos
 	rep, err := eng.Run(prog(pl))
 	if lost := rec.Lost(); lost != 0 {
 		t.Fatalf("recorder lost %d events: raise its capacity", lost)

@@ -10,11 +10,9 @@ import (
 
 // Planner-dispatched collectives (DESIGN.md §5.9): each Planned* entry
 // point asks the auto-tuning planner for the cheapest variant of its
-// family on the current tree and payload bucket, dispatches it, and —
-// on the observing processor — feeds the realized span back for online
-// refinement. The cached hit path adds only a fingerprint read, one
-// lock-free cache load and a switch over the variant name to the direct
-// call.
+// family on the current tree and payload bucket and dispatches it. The
+// cached hit path adds only a fingerprint read, one lock-free cache load
+// and a switch over the variant name to the direct call.
 //
 // SPMD contract: all processors of the machine call the same Planned*
 // entry point with the same n — the collective's TOTAL payload in
@@ -24,16 +22,6 @@ import (
 // all processors resolve the same variant, so the superstep structures
 // stay aligned. Conventions match the cost table: the scope is the full
 // tree and the data-supplying root is the fastest leaf.
-//
-// The feedback observer is pid 0 (the minimum pid of the full-tree
-// scope): it measures the collective on the engine clock via hbsp.NowOf
-// and hands measured/predicted to Planner.Observe. On the deterministic
-// virtual engine the measurement — and therefore the whole refinement
-// trajectory — is a pure function of the seed.
-
-// The planner is the engines' plan hook: engines commit refinements and
-// invalidate decisions through the same object the dispatchers consult.
-var _ hbsp.PlanHook = (*plan.Planner)(nil)
 
 // layoutIsPidOrder reports whether the tree's leaf slot (depth-first
 // layout) order coincides with pid order. True on every freshly built
@@ -55,136 +43,104 @@ func layoutIsPidOrder(t *model.Tree) bool {
 	return ok
 }
 
-// planDecide resolves the planner decision for family at n total bytes
-// and arms the feedback observer. The returned done closure must be
-// called with the dispatched variant's error: on success the observer
-// processor feeds the realized span back to the planner.
-func planDecide(c hbsp.Ctx, p *plan.Planner, family string, n int) (plan.Decision, func(error), error) {
-	t := c.Tree()
-	d, ok := p.Decide(t, family, n)
+// planDecide resolves the planner decision for family at n total bytes;
+// the processor whose Decide priced it records the pick event.
+func planDecide(c hbsp.Ctx, p *plan.Planner, family string, n int) (plan.Decision, error) {
+	d, ok := p.Decide(c.Tree(), family, n)
 	if !ok {
-		return plan.Decision{}, nil, fmt.Errorf("collective: planner knows no variants for family %q", family)
+		return plan.Decision{}, fmt.Errorf("collective: planner knows no variants for family %q", family)
 	}
-	start := hbsp.NowOf(c)
 	if d.Fresh {
-		hbsp.RecorderOf(c).Pick(family, d.Variant.Name, c.Pid(), int64(n), d.Pred, start)
+		hbsp.RecorderOf(c).Pick(family, d.Variant.Name, c.Pid(), int64(n), d.Pred, hbsp.NowOf(c))
 	}
-	if c.Pid() != 0 {
-		return d, func(error) {}, nil
-	}
-	// The observation normalizes against the decision's precomputed
-	// bucket-representative prediction rather than re-evaluating the
-	// closed form at n: corrected prices are compared at the
-	// representative size anyway, and skipping the tree walk keeps the
-	// cached dispatch path within a few percent of a direct call.
-	done := func(err error) {
-		if err != nil {
-			return
-		}
-		if end := hbsp.NowOf(c); end > start {
-			p.Observe(t, family, d.Variant.Name, n, end-start, d.RawPred)
-		}
-	}
-	return d, done, nil
+	return d, nil
 }
 
 // PlannedBcast broadcasts data from the fastest leaf to every processor
 // through the planner-selected variant. Only the fastest leaf supplies
 // data; n is its length, passed uniformly by every processor.
 func PlannedBcast(c hbsp.Ctx, p *plan.Planner, n int, data []byte) ([]byte, error) {
-	d, done, err := planDecide(c, p, "bcast", n)
+	d, err := planDecide(c, p, "bcast", n)
 	if err != nil {
 		return nil, err
 	}
 	t := c.Tree()
 	root := t.Pid(t.FastestLeaf())
-	var out []byte
 	switch d.Variant.Name {
 	case "BcastOnePhase":
-		out, err = BcastOnePhase(c, t.Root, root, data)
+		return BcastOnePhase(c, t.Root, root, data)
 	case "BcastTwoPhase":
 		var dist Dist
 		if c.Pid() == root {
 			dist = BalancedPieces(c, t.Root, n)
 		}
-		out, err = BcastTwoPhase(c, t.Root, root, data, dist)
+		return BcastTwoPhase(c, t.Root, root, data, dist)
 	case "BcastBinomial":
-		out, err = BcastBinomial(c, t.Root, root, data)
+		return BcastBinomial(c, t.Root, root, data)
 	case "BcastHier":
-		out, err = BcastHier(c, data, false)
+		return BcastHier(c, data, false)
 	case "BcastHierTwoPhase":
-		out, err = BcastHier(c, data, true)
+		return BcastHier(c, data, true)
 	default:
 		return nil, fmt.Errorf("collective: planner picked unknown bcast variant %q", d.Variant.Name)
 	}
-	done(err)
-	return out, err
 }
 
 // PlannedGather gathers every processor's local payload to the fastest
 // leaf through the planner-selected variant. n is the total byte count
 // across all processors, passed uniformly.
 func PlannedGather(c hbsp.Ctx, p *plan.Planner, n int, local []byte) (map[int][]byte, error) {
-	d, done, err := planDecide(c, p, "gather", n)
+	d, err := planDecide(c, p, "gather", n)
 	if err != nil {
 		return nil, err
 	}
 	t := c.Tree()
-	var out map[int][]byte
 	switch d.Variant.Name {
 	case "Gather":
-		out, err = Gather(c, t.Root, t.Pid(t.FastestLeaf()), local)
+		return Gather(c, t.Root, t.Pid(t.FastestLeaf()), local)
 	case "GatherHier":
-		out, err = GatherHier(c, local)
+		return GatherHier(c, local)
 	default:
 		return nil, fmt.Errorf("collective: planner picked unknown gather variant %q", d.Variant.Name)
 	}
-	done(err)
-	return out, err
 }
 
 // PlannedScatter distributes the fastest leaf's keyed pieces through
 // the planner-selected variant. n is the total byte count, passed
 // uniformly; only the fastest leaf supplies pieces.
 func PlannedScatter(c hbsp.Ctx, p *plan.Planner, n int, pieces map[int][]byte) ([]byte, error) {
-	d, done, err := planDecide(c, p, "scatter", n)
+	d, err := planDecide(c, p, "scatter", n)
 	if err != nil {
 		return nil, err
 	}
 	t := c.Tree()
-	var out []byte
 	switch d.Variant.Name {
 	case "Scatter":
-		out, err = Scatter(c, t.Root, t.Pid(t.FastestLeaf()), pieces)
+		return Scatter(c, t.Root, t.Pid(t.FastestLeaf()), pieces)
 	case "ScatterHier":
-		out, err = ScatterHier(c, pieces)
+		return ScatterHier(c, pieces)
 	default:
 		return nil, fmt.Errorf("collective: planner picked unknown scatter variant %q", d.Variant.Name)
 	}
-	done(err)
-	return out, err
 }
 
 // PlannedAllGather gathers every processor's local payload to every
 // processor through the planner-selected variant. n is the total byte
 // count, passed uniformly.
 func PlannedAllGather(c hbsp.Ctx, p *plan.Planner, n int, local []byte) (map[int][]byte, error) {
-	d, done, err := planDecide(c, p, "allgather", n)
+	d, err := planDecide(c, p, "allgather", n)
 	if err != nil {
 		return nil, err
 	}
 	t := c.Tree()
-	var out map[int][]byte
 	switch d.Variant.Name {
 	case "AllGather":
-		out, err = AllGather(c, t.Root, local)
+		return AllGather(c, t.Root, local)
 	case "AllGatherHier":
-		out, err = AllGatherHier(c, local)
+		return AllGatherHier(c, local)
 	default:
 		return nil, fmt.Errorf("collective: planner picked unknown allgather variant %q", d.Variant.Name)
 	}
-	done(err)
-	return out, err
 }
 
 // PlannedReduce folds every processor's equal-width vector to the
@@ -192,40 +148,34 @@ func PlannedAllGather(c hbsp.Ctx, p *plan.Planner, n int, local []byte) (map[int
 // is derived from the vector width, which SPMD reduction already
 // requires to be uniform.
 func PlannedReduce(c hbsp.Ctx, p *plan.Planner, local []int64, op Op) ([]int64, error) {
-	d, done, err := planDecide(c, p, "reduce", vecBytes(c, local))
+	d, err := planDecide(c, p, "reduce", vecBytes(c, local))
 	if err != nil {
 		return nil, err
 	}
 	t := c.Tree()
-	var out []int64
 	switch d.Variant.Name {
 	case "Reduce":
-		out, err = Reduce(c, t.Root, t.Pid(t.FastestLeaf()), local, op)
+		return Reduce(c, t.Root, t.Pid(t.FastestLeaf()), local, op)
 	case "ReduceHier":
-		out, err = ReduceHier(c, local, op)
+		return ReduceHier(c, local, op)
 	default:
 		return nil, fmt.Errorf("collective: planner picked unknown reduce variant %q", d.Variant.Name)
 	}
-	done(err)
-	return out, err
 }
 
 // PlannedAllReduce folds every processor's equal-width vector to every
 // processor through the planner-selected variant.
 func PlannedAllReduce(c hbsp.Ctx, p *plan.Planner, local []int64, op Op) ([]int64, error) {
-	d, done, err := planDecide(c, p, "allreduce", vecBytes(c, local))
+	d, err := planDecide(c, p, "allreduce", vecBytes(c, local))
 	if err != nil {
 		return nil, err
 	}
-	var out []int64
 	switch d.Variant.Name {
 	case "AllReduce":
-		out, err = AllReduce(c, local, op)
+		return AllReduce(c, local, op)
 	default:
 		return nil, fmt.Errorf("collective: planner picked unknown allreduce variant %q", d.Variant.Name)
 	}
-	done(err)
-	return out, err
 }
 
 // PlannedScan computes the pid-order prefix fold of every processor's
@@ -240,41 +190,35 @@ func PlannedScan(c hbsp.Ctx, p *plan.Planner, local []int64, op Op) ([]int64, er
 	if !layoutIsPidOrder(t) {
 		return Scan(c, t.Root, local, op)
 	}
-	d, done, err := planDecide(c, p, "scan", vecBytes(c, local))
+	d, err := planDecide(c, p, "scan", vecBytes(c, local))
 	if err != nil {
 		return nil, err
 	}
-	var out []int64
 	switch d.Variant.Name {
 	case "Scan":
-		out, err = Scan(c, t.Root, local, op)
+		return Scan(c, t.Root, local, op)
 	case "ScanHier":
-		out, err = ScanHier(c, local, op)
+		return ScanHier(c, local, op)
 	default:
 		return nil, fmt.Errorf("collective: planner picked unknown scan variant %q", d.Variant.Name)
 	}
-	done(err)
-	return out, err
 }
 
 // PlannedTotalExchange routes every processor's keyed outgoing pieces
 // through the planner-selected variant. n is the total byte count
 // across all processors, passed uniformly.
 func PlannedTotalExchange(c hbsp.Ctx, p *plan.Planner, n int, outgoing map[int][]byte) (map[int][]byte, error) {
-	d, done, err := planDecide(c, p, "alltoall", n)
+	d, err := planDecide(c, p, "alltoall", n)
 	if err != nil {
 		return nil, err
 	}
 	t := c.Tree()
-	var out map[int][]byte
 	switch d.Variant.Name {
 	case "TotalExchange":
-		out, err = TotalExchange(c, t.Root, outgoing)
+		return TotalExchange(c, t.Root, outgoing)
 	default:
 		return nil, fmt.Errorf("collective: planner picked unknown alltoall variant %q", d.Variant.Name)
 	}
-	done(err)
-	return out, err
 }
 
 // vecBytes is the uniform model payload of a vector collective: the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"hbspk/internal/cost"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
@@ -25,21 +26,22 @@ type Op struct {
 	Cost  float64
 }
 
-// Sum, Max and Min are the standard reduction operators.
+// Sum, Max and Min are the standard reduction operators. Each charges
+// the cost model's per-byte combining cost for an 8-byte element.
 var (
-	Sum = Op{Name: "sum", Apply: func(a, b int64) int64 { return a + b }, Cost: 0.05}
+	Sum = Op{Name: "sum", Apply: func(a, b int64) int64 { return a + b }, Cost: 8 * cost.OpCost}
 	Max = Op{Name: "max", Apply: func(a, b int64) int64 {
 		if a > b {
 			return a
 		}
 		return b
-	}, Cost: 0.05}
+	}, Cost: 8 * cost.OpCost}
 	Min = Op{Name: "min", Apply: func(a, b int64) int64 {
 		if a < b {
 			return a
 		}
 		return b
-	}, Cost: 0.05}
+	}, Cost: 8 * cost.OpCost}
 )
 
 // combine folds src into dst element-wise, charging the combining cost.

@@ -305,6 +305,12 @@ func AllGatherFlat(t *model.Tree, d Dist) Breakdown {
 	return b
 }
 
+// OpCost is the per-byte combining cost, on the fastest machine, of the
+// library's reduction operators: collective.Sum, Max and Min charge
+// 8·OpCost per int64 element. It is the opCost to pass the reduce and
+// scan closed forms below when pricing those operators.
+const OpCost = 0.05 / 8
+
 // ReduceFlat: every processor sends its d[j]-byte partial value to the
 // root, which combines them. opCost is the per-byte combining cost on
 // the fastest machine; the root's work is scaled by its compute

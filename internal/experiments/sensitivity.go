@@ -163,18 +163,18 @@ func SuiteSummary(cfg Config) (*Result, error) {
 				return cost.AllGatherHierCost(m.tr, cost.BalancedDist(m.tr, n))
 			}},
 			{"reduce", func(n int) cost.Breakdown {
-				return cost.ReduceFlat(m.tr, root, cost.EqualDist(m.tr, n), 0.05)
+				return cost.ReduceFlat(m.tr, root, cost.EqualDist(m.tr, n), cost.OpCost)
 			}},
 			{"reduce-hier", func(n int) cost.Breakdown {
-				return cost.ReduceHier(m.tr, cost.EqualDist(m.tr, n), 0.05)
+				return cost.ReduceHier(m.tr, cost.EqualDist(m.tr, n), cost.OpCost)
 			}},
 			{"reduce-scatter", func(n int) cost.Breakdown {
-				return cost.ReduceScatterFlat(m.tr, cost.EqualDist(m.tr, n), 0.05)
+				return cost.ReduceScatterFlat(m.tr, cost.EqualDist(m.tr, n), cost.OpCost)
 			}},
 			{"scan", func(n int) cost.Breakdown {
-				return cost.ScanFlat(m.tr, root, cost.EqualDist(m.tr, n), 0.05)
+				return cost.ScanFlat(m.tr, root, cost.EqualDist(m.tr, n), cost.OpCost)
 			}},
-			{"scan-hier", func(n int) cost.Breakdown { return cost.ScanHierCost(m.tr, n/m.tr.NProcs(), 0.05) }},
+			{"scan-hier", func(n int) cost.Breakdown { return cost.ScanHierCost(m.tr, n/m.tr.NProcs(), cost.OpCost) }},
 			{"total-exchange", func(n int) cost.Breakdown {
 				return cost.TotalExchangeFlat(m.tr, cost.EqualDist(m.tr, n))
 			}},

@@ -20,7 +20,6 @@ import (
 type ledger struct {
 	tree       *model.Tree
 	chaos      *fabric.ChaosPlan
-	plan       PlanHook
 	obsv       *obsv.Recorder
 	reorgEvery int
 	reorgSeed  int64
@@ -43,11 +42,9 @@ type ledger struct {
 	knownActive      []map[int]bool
 
 	// rer folds measured effective compute slowdowns; epoch counts
-	// applied reorganizations; planDead is the dead-set size last
-	// reported to the PlanHook, so each death surfaces as one TreeChanged.
-	rer      *model.Reranker
-	epoch    int
-	planDead int
+	// applied reorganizations.
+	rer   *model.Reranker
+	epoch int
 }
 
 // ackSets is one processor's acknowledged peers per scope.
@@ -65,11 +62,11 @@ func (a *ackSets) add(scope *model.Machine, pid int) {
 
 // newLedger starts a run's ledger: processors with a churn JoinAt fate
 // are dormant, everyone else knows everyone else.
-func newLedger(t *model.Tree, chaos *fabric.ChaosPlan, plan PlanHook, rec *obsv.Recorder,
+func newLedger(t *model.Tree, chaos *fabric.ChaosPlan, rec *obsv.Recorder,
 	reorgEvery int, reorgSeed int64, reorgAlpha float64) *ledger {
 	p := t.NProcs()
 	l := &ledger{
-		tree: t, chaos: chaos, plan: plan, obsv: rec,
+		tree: t, chaos: chaos, obsv: rec,
 		reorgEvery: reorgEvery, reorgSeed: reorgSeed,
 		dead:        make(map[int]*failInfo),
 		dormant:     make(map[int]bool),
@@ -305,19 +302,13 @@ func (l *ledger) cutDue(R int) bool {
 
 // cut runs the consistent cut after the R-th completed global barrier,
 // with every live processor parked: rebalance the tree, equalize the
-// ack sets, fire the plan hooks, activate the due joiners — in that
-// order. A started joiner reads the tree and the planner's cache at
-// once, so nothing may change either after start(pid). quiesce blocks
-// until no dead processor is still unwinding user code, which may read
-// the tree the reorganization is about to mutate (Virtual has nobody to
-// wait for: no program runs while it completes a step); start lets an
-// activated pid run. now stamps the emitted events.
+// ack sets, activate the due joiners — in that order. A started joiner
+// reads the tree at once, so nothing may change it after start(pid).
+// quiesce blocks until no dead processor is still unwinding user code,
+// which may read the tree the reorganization is about to mutate
+// (Virtual has nobody to wait for: no program runs while it completes a
+// step); start lets an activated pid run. now stamps the emitted events.
 func (l *ledger) cut(R int, now float64, quiesce func(), start func(pid int)) error {
-	var oldFP uint64
-	if l.plan != nil {
-		oldFP = l.tree.Fingerprint()
-	}
-	reorged := false
 	if l.reorgEvery > 0 && R%l.reorgEvery == 0 {
 		quiesce()
 		l.epoch++
@@ -325,22 +316,11 @@ func (l *ledger) cut(R int, now float64, quiesce func(), start func(pid int)) er
 		if err := l.tree.Reorganize(plan); err != nil {
 			return err
 		}
-		reorged = true
 		l.obsv.Reorg(l.epoch, plan.Moved, now)
 		l.equalize(l.acked)
 		l.equalize(l.ackedJoin)
 	}
 	act := l.due(R)
-	if l.plan != nil {
-		// A death since the last report and a pending activation are
-		// membership changes: cached decisions are as stale as after a
-		// rebalance.
-		if reorged || len(act) > 0 || len(l.dead) != l.planDead {
-			l.planDead = len(l.dead)
-			l.plan.TreeChanged(l.tree, oldFP)
-		}
-		l.plan.GlobalBarrier(l.tree, R)
-	}
 	for _, pid := range act {
 		delete(l.dormant, pid)
 	}

@@ -72,16 +72,6 @@ type coreOpts struct {
 	// ReorgAlpha overrides the estimate EWMA smoothing factor (0 means
 	// model.DefaultAlpha).
 	ReorgAlpha float64
-
-	// Plan, when set, receives the planner callbacks of DESIGN.md §5.9:
-	// TreeChanged after a reorg or membership change and GlobalBarrier at
-	// the refinement-commit point, both fired while all live processors
-	// are parked, so the hook may republish collective selections without
-	// desynchronizing an in-flight collective. Virtual fires them after
-	// every completed root-scope barrier; Concurrent only from the single
-	// cut applier inside a cut window — its only SPMD-quiescent points —
-	// so set ReorgEvery to open windows on a straggler-free run.
-	Plan PlanHook
 }
 
 type pendingMsg struct {

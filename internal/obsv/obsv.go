@@ -50,7 +50,7 @@ const (
 	KindReorg
 	// KindPick is one planner variant selection (DESIGN.md §5.9): Name
 	// carries "family->Variant", Bytes the payload size the decision
-	// was made for, Pred the corrected model cost that won.
+	// was made for, Pred the closed-form model cost that won.
 	KindPick
 )
 

@@ -239,9 +239,9 @@ func (r *Recorder) Reorg(epoch, moved int, at float64) {
 
 // Pick records one planner variant selection: the auto-tuned
 // dispatcher chose variant for the family at n payload bytes, at
-// corrected model cost pred. The observing processor emits it once per
-// decision-cache miss, so a run's pick history reads directly off the
-// event stream.
+// closed-form model cost pred. The processor whose lookup missed the
+// decision cache emits it, once per miss, so a run's pick history reads
+// directly off the event stream.
 func (r *Recorder) Pick(family, variant string, pid int, n int64, pred, at float64) {
 	if r == nil {
 		return

@@ -1,13 +1,12 @@
 package plan_test
 
 // Engine-level planner tests: the auto-tuned dispatchers under real
-// runs on both engines — deterministic picks under equal seeds, cache
-// invalidation when the tree reorganizes underneath a live planner,
-// and invalidation when the membership epoch changes on a crash.
+// runs on both engines — deterministic picks under equal seeds, equal
+// picks on both engines, and picks that follow the tree when it
+// reorganizes underneath a live planner.
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -74,19 +73,15 @@ func planSweepProg(pl *plan.Planner) hbsp.Program {
 	}
 }
 
-// Equal seeds must give equal pick trajectories: on the deterministic
-// virtual engine the entire refinement loop — measured spans,
-// corrections, flips — is a pure function of the seed, so two runs
-// with fresh planners end in identical decision caches and counters.
+// Equal seeds must give equal picks: two virtual runs with fresh
+// planners end in identical decision caches and counters.
 func TestPlannedPicksDeterministicVirtual(t *testing.T) {
 	tr := model.UCFTestbedN(8)
 	layout := tr.SaveLayout()
 	run := func() (*plan.Planner, error) {
 		tr.RestoreLayout(layout)
 		pl := plan.New()
-		eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-		eng.Plan = pl
-		_, err := eng.Run(planSweepProg(pl))
+		_, err := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel())).Run(planSweepProg(pl))
 		return pl, err
 	}
 	pl1, err := run()
@@ -103,14 +98,14 @@ func TestPlannedPicksDeterministicVirtual(t *testing.T) {
 	if s1, s2 := pl1.Stats(), pl2.Stats(); s1 != s2 {
 		t.Errorf("same seed, different planner counters: %+v vs %+v", s1, s2)
 	}
-	if s := pl1.Stats(); s.Misses == 0 || s.Hits == 0 || s.Observations == 0 || s.Commits == 0 {
+	if s := pl1.Stats(); s.Misses == 0 || s.Hits == 0 {
 		t.Errorf("run exercised no planner path: %+v", s)
 	}
 }
 
-// Before any refinement commits, picks are pure closed-form functions
-// of (tree, family, bucket): both engines running the same program on
-// clones of the same tree must build identical decision caches.
+// Picks are pure closed-form functions of (tree, family, bucket): both
+// engines running the same program on clones of the same tree must
+// build identical decision caches.
 func TestPlannedPicksAgreeAcrossEngines(t *testing.T) {
 	base := model.UCFTestbedN(8)
 
@@ -144,12 +139,15 @@ func slotPids(tr *model.Tree) []int {
 	return out
 }
 
-// A Reranker-driven reorganization must invalidate the planner's
-// cached decisions: a sustained 10× straggler on the fastest leaf
-// forces real layout permutations every second barrier, and every
-// decision surviving the run must be keyed to the final tree — never
-// to a fingerprint the tree no longer has.
-func TestPlannerInvalidatedByReorg(t *testing.T) {
+// A Reranker-driven reorganization changes the tree's fingerprint, so
+// the planner must price the new tree afresh rather than serve a pick
+// made for the old one: a sustained 10× straggler on the fastest leaf
+// forces real layout permutations every second barrier. Before each
+// dispatch every processor checks that the planner's pick is the
+// closed-form best on the tree it is running on, and the pick keyed to
+// the final tree must be that tree's best variant.
+func TestPlannerPicksFollowReorg(t *testing.T) {
+	const n = 4096
 	for _, engine := range []string{"virtual", "concurrent"} {
 		t.Run(engine, func(t *testing.T) {
 			tr := model.UCFTestbedN(8)
@@ -162,16 +160,21 @@ func TestPlannerInvalidatedByReorg(t *testing.T) {
 				for round := 0; round < 10; round++ {
 					c.Charge(2)
 					t := c.Tree()
+					d, _ := pl.Decide(t, "bcast", n)
+					if best, _, _ := plan.BestVariant(t, "bcast", d.Rep); d.Variant.Name != best.Name {
+						return fmt.Errorf("p%d round %d: planner serves %s, tree %016x prices %s best",
+							c.Pid(), round, d.Variant.Name, t.Fingerprint(), best.Name)
+					}
 					root := t.Pid(t.FastestLeaf())
 					var data []byte
 					if c.Pid() == root {
-						data = bytes.Repeat([]byte{0x5C}, 4096)
+						data = bytes.Repeat([]byte{0x5C}, n)
 					}
-					out, err := collective.PlannedBcast(c, pl, 4096, data)
+					out, err := collective.PlannedBcast(c, pl, n, data)
 					if err != nil {
 						return err
 					}
-					if len(out) != 4096 || out[0] != 0x5C {
+					if len(out) != n || out[0] != 0x5C {
 						return fmt.Errorf("p%d round %d: bcast corrupted", c.Pid(), round)
 					}
 				}
@@ -183,81 +186,39 @@ func TestPlannerInvalidatedByReorg(t *testing.T) {
 				eng.Chaos = chaos
 				eng.ReorgEvery = 2
 				eng.ReorgSeed = 42
-				eng.Plan = pl
 				_, err = eng.Run(prog)
 			} else {
 				eng := hbsp.NewConcurrent(tr)
 				eng.Chaos = chaos
 				eng.ReorgEvery = 2
 				eng.ReorgSeed = 42
-				eng.Plan = pl
 				_, err = eng.Run(prog)
 			}
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			s := pl.Stats()
-			if s.Evictions == 0 {
-				t.Errorf("reorgs applied but planner evicted nothing: %+v", s)
-			}
-			if s.Misses < 2 {
-				t.Errorf("invalidation never forced a re-decide: %+v", s)
-			}
-			fp := tr.Fingerprint()
+			fps := map[uint64]bool{}
+			var final *plan.CachedDecision
 			for _, d := range pl.Decisions() {
-				if d.FP != fp {
-					t.Errorf("stale decision survived reorg: %v (tree is %016x)", d, fp)
+				fps[d.FP] = true
+				if d.FP == tr.Fingerprint() {
+					final = &d
 				}
 			}
-			if engine == "virtual" && reflect.DeepEqual(before, slotPids(tr)) {
-				t.Errorf("straggler did not permute the layout; test exercised nothing")
+			if final == nil {
+				t.Fatalf("no pick keyed to the final tree %016x: %v", tr.Fingerprint(), pl.Decisions())
+			}
+			if best, _, _ := plan.BestVariant(tr, "bcast", final.Rep); final.Variant != best.Name {
+				t.Errorf("final tree's pick %s, its closed-form best %s", final.Variant, best.Name)
+			}
+			if engine == "virtual" {
+				if len(fps) < 2 {
+					t.Errorf("picks keyed to %d fingerprint(s), want >= 2: reorgs never reached the planner", len(fps))
+				}
+				if reflect.DeepEqual(before, slotPids(tr)) {
+					t.Errorf("straggler did not permute the layout; test exercised nothing")
+				}
 			}
 		})
-	}
-}
-
-// A crash-stop changes the membership epoch without touching the tree
-// layout — the fingerprint stays put, so only the explicit epoch hook
-// can evict. The survivors' planner must drop its cached decisions
-// when the dead set grows.
-func TestPlannerInvalidatedByCrash(t *testing.T) {
-	tr := model.UCFTestbedN(6)
-	pl := plan.New()
-	prog := func(c hbsp.Ctx) error {
-		t := c.Tree()
-		root := t.Pid(t.FastestLeaf())
-		var data []byte
-		if c.Pid() == root {
-			data = bytes.Repeat([]byte{9}, 2048)
-		}
-		if _, err := collective.PlannedBcast(c, pl, 2048, data); err != nil {
-			return err
-		}
-		for s := 0; s < 10; s++ {
-			if err := hbsp.SyncAll(c, fmt.Sprintf("s%d", s)); err != nil {
-				var pf *hbsp.ErrPeerFailed
-				if errors.As(err, &pf) {
-					if err := hbsp.SyncAll(c, fmt.Sprintf("s%d-retry", s)); err != nil {
-						return err
-					}
-					continue
-				}
-				return err
-			}
-		}
-		return nil
-	}
-	eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-	eng.Chaos = &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 4, AtStep: 6}}}
-	eng.Plan = pl
-	if _, err := eng.Run(prog); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	s := pl.Stats()
-	if s.Evictions == 0 {
-		t.Errorf("dead set grew but planner evicted nothing: %+v", s)
-	}
-	if s.Misses == 0 {
-		t.Errorf("bcast never reached the planner: %+v", s)
 	}
 }

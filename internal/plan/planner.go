@@ -1,27 +1,22 @@
 // Package plan implements the auto-tuned collective planner of
 // DESIGN.md §5.9: per (machine-tree fingerprint, collective family,
 // payload-size bucket) it selects the cheapest variant from the
-// closed-form cost table, then refines the selection online from
-// measured collective spans — the Barchet-Estefanel & Mounié program of
-// model-predicted algorithm switchpoints validated and corrected by
-// measurement.
+// closed-form cost table once and memoizes the pick. Nothing is
+// corrected at run time — the model decides, as in the Barchet-Estefanel
+// & Mounié program of model-predicted algorithm switchpoints.
 //
-// Concurrency contract. Decide and Observe are safe from any number of
-// SPMD processors at once; the cached hit path is a fingerprint read
-// plus one lock-free sync.Map load. Selections are only ever CREATED
-// under Decide (all racing processors agree on the single stored
-// winner via LoadOrStore) and only ever CHANGED under Commit, which the
-// engines drive exclusively from SPMD-quiescent points — global-barrier
-// completion on the virtual engine, consistent-cut windows on the
-// concurrent engine — where every live processor is parked. Between two
-// quiescent points the published state is frozen, so every processor of
-// one collective invocation necessarily sees the same decision and the
-// supersteps stay aligned.
+// Concurrency contract. Decide is safe from any number of SPMD
+// processors at once; the cached hit path is a fingerprint read plus one
+// lock-free sync.Map load. A pick is a pure function of its key, and
+// racing processors agree on the single stored winner via LoadOrStore,
+// so every processor of one collective invocation sees the same decision
+// and the supersteps stay aligned. A reorganized tree has a different
+// fingerprint and therefore gets its own picks; no stored pick is ever
+// changed or evicted.
 package plan
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -30,24 +25,11 @@ import (
 	"hbspk/internal/model"
 )
 
-// DefaultAlpha is the EWMA weight of a commit's fresh measured/predicted
-// ratio against the standing correction (model.DefaultAlpha is the
-// analogous reranking constant; corrections favor history slightly more
-// because a single collective span is noisier than a superstep's
-// compute column).
-const DefaultAlpha = 0.25
-
-// DefaultFlipMargin is the hysteresis of online re-ranking: a challenger
-// variant displaces the incumbent only when its corrected cost is below
-// margin × the incumbent's. Without it two variants straddling a noisy
-// switchpoint would oscillate on every commit.
-const DefaultFlipMargin = 0.95
-
 // Bucket returns the log₂ payload-size bucket of n total bytes: sizes
 // within a factor of two share a bucket, matching how coarsely the
-// closed forms separate variants. Decisions and corrections are keyed
-// by bucket, never by exact size, so the cache stays small and a pick
-// is a pure function of (fingerprint, family, bucket).
+// closed forms separate variants. Decisions are keyed by bucket, never
+// by exact size, so the cache stays small and a pick is a pure function
+// of (fingerprint, family, bucket).
 func Bucket(n int) uint8 {
 	if n < 1 {
 		n = 1
@@ -73,23 +55,9 @@ type dkey struct {
 	bucket uint8
 }
 
-// ckey identifies one correction: a decision key plus the variant the
-// correction applies to.
-type ckey struct {
-	dkey
-	variant string
-}
-
-// sample accumulates measured/predicted ratios observed since the last
-// commit.
-type sample struct {
-	sum float64
-	n   int
-}
-
 // Decision is one planner pick: the variant to dispatch for a
-// (fingerprint, family, bucket) triple, with the corrected model cost
-// that justified it.
+// (fingerprint, family, bucket) triple, with the model cost that
+// justified it.
 type Decision struct {
 	// Variant is the winning table entry.
 	Variant CostVariant
@@ -97,110 +65,50 @@ type Decision struct {
 	// the closed forms were evaluated at.
 	Bucket uint8
 	Rep    int
-	// Pred is Variant's corrected predicted cost at Rep when the
-	// decision was made or last re-ranked. RawPred is the uncorrected
-	// closed form at Rep — the denominator dispatchers normalize
-	// measured spans against, precomputed here so the feedback seam
-	// never re-walks the tree on the hot path.
-	Pred    float64
-	RawPred float64
+	// Pred is Variant's closed-form cost at Rep.
+	Pred float64
 	// Fresh is set only in the copy returned to the single caller whose
 	// Decide populated the cache — the dispatcher records the pick
 	// event exactly once per decision.
 	Fresh bool
 }
 
-// Stats is a snapshot of the planner's counters.
+// Stats is a snapshot of the planner's counters: Decide calls served
+// from the cache (Hits) versus priced from the closed forms (Misses).
 type Stats struct {
-	// Hits and Misses count Decide calls served from the cache versus
-	// priced from the closed forms.
 	Hits, Misses int64
-	// Observations counts Observe calls accepted into the pending set.
-	Observations int64
-	// Commits counts published correction batches; Flips counts the
-	// cached decisions a commit re-ranked to a different variant.
-	Commits, Flips int64
-	// Evictions counts decisions dropped by tree-change invalidation.
-	Evictions int64
 }
 
-// Planner is the auto-tuning decision cache. The zero value is not
-// usable; construct with New.
+// Planner is the auto-tuning decision cache. It holds at most one entry
+// per family × bucket for each tree fingerprint it is asked about.
+// Construct with New.
 type Planner struct {
-	// Alpha is the EWMA weight of fresh observations (DefaultAlpha).
-	// FlipMargin is the re-rank hysteresis (DefaultFlipMargin). Both
-	// are configuration: set them before the first Decide/Observe.
-	Alpha      float64
-	FlipMargin float64
-
-	cache sync.Map // dkey -> *Decision
-
-	mu      sync.Mutex
-	corr    map[ckey]float64 // published EWMA corrections (measured/predicted)
-	pending map[ckey]sample  // observations awaiting the next commit
-
-	hits, misses, commits, flips, evictions, observations atomic.Int64
+	cache        sync.Map // dkey -> *Decision
+	hits, misses atomic.Int64
 }
 
-// New returns a Planner with default refinement constants.
-func New() *Planner {
-	return &Planner{
-		Alpha:      DefaultAlpha,
-		FlipMargin: DefaultFlipMargin,
-		corr:       map[ckey]float64{},
-		pending:    map[ckey]sample{},
-	}
-}
-
-// corrLocked returns the published correction for k (1 = trust the
-// model). Callers hold p.mu.
-func (p *Planner) corrLocked(k ckey) float64 {
-	if c, ok := p.corr[k]; ok {
-		return c
-	}
-	return 1
-}
-
-// priceLocked returns v's corrected cost at the bucket-representative
-// size. Callers hold p.mu.
-func (p *Planner) priceLocked(t *model.Tree, k dkey, v CostVariant) float64 {
-	return v.Predict(t, BucketRep(k.bucket)) * p.corrLocked(ckey{k, v.Name})
-}
-
-// bestLocked returns the cheapest corrected variant of k's family.
-// Callers hold p.mu.
-func (p *Planner) bestLocked(t *model.Tree, k dkey) (best CostVariant, at float64, ok bool) {
-	for _, v := range VariantsFor(k.family) {
-		if c := p.priceLocked(t, k, v); !ok || c < at {
-			best, at, ok = v, c, true
-		}
-	}
-	return best, at, ok
-}
+// New returns an empty Planner.
+func New() *Planner { return &Planner{} }
 
 // Decide returns the variant to dispatch for moving n total bytes
-// through the family's collective on t. The hit path is lock-free; on a
-// miss every racing processor computes the same candidate (corrections
-// only change at quiescent commits) and LoadOrStore guarantees they all
-// return the single stored winner, so an SPMD program's processors can
-// never disagree on the pick. ok is false for an unknown family.
+// through the family's collective on t: the family's cheapest closed
+// form at the bucket-representative size, priced once per key. On a
+// miss every racing processor prices the same candidate and LoadOrStore
+// guarantees they all return the single stored winner, so an SPMD
+// program's processors can never disagree on the pick. ok is false for
+// an unknown family.
 func (p *Planner) Decide(t *model.Tree, family string, n int) (Decision, bool) {
 	k := dkey{t.Fingerprint(), family, Bucket(n)}
 	if v, ok := p.cache.Load(k); ok {
 		p.hits.Add(1)
 		return *v.(*Decision), true
 	}
-	p.mu.Lock()
-	best, at, ok := p.bestLocked(t, k)
-	p.mu.Unlock()
+	rep := BucketRep(k.bucket)
+	best, at, ok := BestVariant(t, family, rep)
 	if !ok {
 		return Decision{}, false
 	}
-	d := &Decision{
-		Variant: best, Bucket: k.bucket, Rep: BucketRep(k.bucket),
-		Pred: at, RawPred: best.Predict(t, BucketRep(k.bucket)),
-	}
-	actual, loaded := p.cache.LoadOrStore(k, d)
+	actual, loaded := p.cache.LoadOrStore(k, &Decision{Variant: best, Bucket: k.bucket, Rep: rep, Pred: at})
 	out := *actual.(*Decision)
 	if loaded {
 		p.hits.Add(1)
@@ -211,140 +119,9 @@ func (p *Planner) Decide(t *model.Tree, family string, n int) (Decision, bool) {
 	return out, true
 }
 
-// Observe feeds one realized collective span back to the planner:
-// measured is the wall (or virtual) time the dispatched variant took
-// for n total bytes on t, predicted its raw closed-form cost. The
-// measured/predicted ratio joins the pending set; nothing published
-// changes until the next Commit, so observing is always safe mid-run.
-// Non-positive or non-finite inputs are dropped.
-func (p *Planner) Observe(t *model.Tree, family, variant string, n int, measured, predicted float64) {
-	if !(measured > 0) || !(predicted > 0) ||
-		math.IsInf(measured, 0) || math.IsInf(predicted, 0) {
-		return
-	}
-	k := ckey{dkey{t.Fingerprint(), family, Bucket(n)}, variant}
-	p.mu.Lock()
-	s := p.pending[k]
-	s.sum += measured / predicted
-	s.n++
-	p.pending[k] = s
-	p.mu.Unlock()
-	p.observations.Add(1)
-}
-
-// Commit folds the pending observations into the published EWMA
-// corrections and re-ranks every touched decision of t's fingerprint,
-// flipping a cached pick when the corrected ordering has flipped by
-// more than the hysteresis margin. It returns the number of flips.
-//
-// Commit is the ONLY operation that changes a published decision, and
-// the engines call it exclusively from SPMD-quiescent points (the
-// PlanHook seam); standalone users (benchmarks, tests) must likewise
-// call it only between runs.
-func (p *Planner) Commit(t *model.Tree) int {
-	fp := t.Fingerprint()
-	p.mu.Lock()
-	if len(p.pending) == 0 {
-		p.mu.Unlock()
-		return 0
-	}
-	dirty := map[dkey]bool{}
-	for k, s := range p.pending {
-		r := s.sum / float64(s.n)
-		if old, ok := p.corr[k]; ok {
-			p.corr[k] = (1-p.Alpha)*old + p.Alpha*r
-		} else {
-			p.corr[k] = r
-		}
-		if k.fp == fp {
-			dirty[k.dkey] = true
-		}
-		delete(p.pending, k)
-	}
-	flips := 0
-	for k := range dirty {
-		v, ok := p.cache.Load(k)
-		if !ok {
-			continue
-		}
-		d := v.(*Decision)
-		inc := p.priceLocked(t, k, d.Variant)
-		best, at, ok := p.bestLocked(t, k)
-		if ok && best.Name != d.Variant.Name && at < inc*p.FlipMargin {
-			p.cache.Store(k, &Decision{
-				Variant: best, Bucket: k.bucket, Rep: BucketRep(k.bucket),
-				Pred: at, RawPred: best.Predict(t, BucketRep(k.bucket)),
-			})
-			flips++
-		} else {
-			// Refresh the incumbent's corrected price so the next
-			// commit's hysteresis compares against current beliefs.
-			p.cache.Store(k, &Decision{
-				Variant: d.Variant, Bucket: d.Bucket, Rep: d.Rep,
-				Pred: inc, RawPred: d.RawPred,
-			})
-		}
-	}
-	p.mu.Unlock()
-	p.commits.Add(1)
-	p.flips.Add(int64(flips))
-	return flips
-}
-
-// Invalidate evicts every cached decision, published correction and
-// pending observation keyed to any of the given tree fingerprints.
-func (p *Planner) Invalidate(fps ...uint64) {
-	set := map[uint64]bool{}
-	for _, fp := range fps {
-		set[fp] = true
-	}
-	n := int64(0)
-	p.cache.Range(func(k, _ any) bool {
-		if set[k.(dkey).fp] {
-			p.cache.Delete(k)
-			n++
-		}
-		return true
-	})
-	p.mu.Lock()
-	for k := range p.corr {
-		if set[k.fp] {
-			delete(p.corr, k)
-		}
-	}
-	for k := range p.pending {
-		if set[k.fp] {
-			delete(p.pending, k)
-		}
-	}
-	p.mu.Unlock()
-	p.evictions.Add(n)
-}
-
-// GlobalBarrier implements the engines' plan hook: a completed
-// root-scope barrier is an SPMD-quiescent point, so pending corrections
-// publish and stale picks re-rank here.
-func (p *Planner) GlobalBarrier(t *model.Tree, step int) { p.Commit(t) }
-
-// TreeChanged implements the engines' plan hook: after a
-// reorganization or membership-epoch change at a consistent cut, every
-// decision pinned to the old tree — and any stale state already keyed
-// to the new fingerprint from an earlier epoch — is evicted, so a
-// straggler-driven reorg can never leave the old tree's picks live.
-func (p *Planner) TreeChanged(t *model.Tree, oldFP uint64) {
-	p.Invalidate(oldFP, t.Fingerprint())
-}
-
 // Stats returns a snapshot of the planner's counters.
 func (p *Planner) Stats() Stats {
-	return Stats{
-		Hits:         p.hits.Load(),
-		Misses:       p.misses.Load(),
-		Observations: p.observations.Load(),
-		Commits:      p.commits.Load(),
-		Flips:        p.flips.Load(),
-		Evictions:    p.evictions.Load(),
-	}
+	return Stats{Hits: p.hits.Load(), Misses: p.misses.Load()}
 }
 
 // CachedDecision is one row of the Decisions dump.
@@ -387,14 +164,4 @@ func (p *Planner) Decisions() []CachedDecision {
 func (d CachedDecision) String() string {
 	return fmt.Sprintf("%-10s bucket %2d (rep %8d B) -> %-18s pred %.1f [tree %016x]",
 		d.Family, d.Bucket, d.Rep, d.Variant, d.Pred, d.FP)
-}
-
-// Correction returns the published correction factor for the variant at
-// n bytes on t (1 when no observation has committed yet) — exposed for
-// tests and the sim's stats line.
-func (p *Planner) Correction(t *model.Tree, family, variant string, n int) float64 {
-	k := ckey{dkey{t.Fingerprint(), family, Bucket(n)}, variant}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.corrLocked(k)
 }

@@ -16,14 +16,10 @@ import (
 // the Virtual engine (internal/analysis's TestVariantAdviceHoldsOnVirtual).
 // The closed forms themselves live in internal/cost and are validated
 // against the simulation by the experiments suite — this file only
-// fixes the callsite conventions (root = fastest leaf, balanced
-// distributions).
-
-// variantOpCost is the nominal per-byte combining cost used when a
-// variant's closed form takes an operator cost: comparisons between
-// variants of one family share it, so it cancels out of every
-// switchpoint that does not trade communication for computation.
-const variantOpCost = 1.0
+// fixes the callsite conventions: the root is the fastest leaf, byte
+// collectives take balanced distributions, and the vector families
+// (reduce, allreduce, scan) take equal-width pieces combined at the
+// library operators' cost.OpCost, as the Planned* dispatchers size them.
 
 // CostVariant is one collective entrypoint with a closed-form cost.
 type CostVariant struct {
@@ -35,8 +31,7 @@ type CostVariant struct {
 	// Hier marks the variants that exploit the machine hierarchy.
 	Hier bool
 	// Cost returns the analytic breakdown of moving/combining n total
-	// bytes on t. Distribution-taking variants use BalancedDist and the
-	// fastest leaf as root, matching the library's defaults.
+	// bytes on t, with the fastest leaf as root.
 	Cost func(t *model.Tree, n int) cost.Breakdown
 }
 
@@ -84,23 +79,23 @@ func CostVariants() []CostVariant {
 			return cost.AllGatherHierCost(t, cost.BalancedDist(t, n))
 		}},
 		{"Reduce", "reduce", false, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.ReduceFlat(t, root(t), cost.BalancedDist(t, n), variantOpCost)
+			return cost.ReduceFlat(t, root(t), cost.EqualDist(t, n), cost.OpCost)
 		}},
 		{"ReduceHier", "reduce", true, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.ReduceHier(t, cost.BalancedDist(t, n), variantOpCost)
+			return cost.ReduceHier(t, cost.EqualDist(t, n), cost.OpCost)
 		}},
 		{"AllReduce", "allreduce", true, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.AllReduceHier(t, cost.BalancedDist(t, n), variantOpCost)
+			return cost.AllReduceHier(t, cost.EqualDist(t, n), cost.OpCost)
 		}},
 		{"Scan", "scan", false, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.ScanFlat(t, root(t), cost.BalancedDist(t, n), variantOpCost)
+			return cost.ScanFlat(t, root(t), cost.EqualDist(t, n), cost.OpCost)
 		}},
 		{"ScanHier", "scan", true, func(t *model.Tree, n int) cost.Breakdown {
 			w := n / t.NProcs()
 			if w < 1 {
 				w = 1
 			}
-			return cost.ScanHierCost(t, w, variantOpCost)
+			return cost.ScanHierCost(t, w, cost.OpCost)
 		}},
 		{"TotalExchange", "alltoall", false, func(t *model.Tree, n int) cost.Breakdown {
 			return cost.TotalExchangeFlat(t, cost.BalancedDist(t, n))

@@ -2,17 +2,16 @@ package hbspk
 
 import (
 	"hbspk/internal/collective"
-	"hbspk/internal/fabric"
-	"hbspk/internal/hbsp"
 	"hbspk/internal/plan"
 )
 
 // Auto-tuned collectives over the public API (DESIGN.md §5.9): a
 // Planner selects each collective family's cheapest variant per
 // (machine fingerprint, payload-size bucket) from the closed-form cost
-// table and refines the selection online from measured spans. The
-// Planned* entry points are SPMD like every other collective — all
-// processors call them with the same planner and the same total size n.
+// table, once, and memoizes the pick. The Planned* entry points are SPMD
+// like every other collective — all processors call them with the same
+// planner and the same total size n — and run under Run or
+// RunConcurrent like any other program.
 
 // Planner is the auto-tuning variant selector and decision cache.
 type Planner = plan.Planner
@@ -23,27 +22,8 @@ type PlannerStats = plan.Stats
 // PlannerDecision is one row of a Planner's decision-cache dump.
 type PlannerDecision = plan.CachedDecision
 
-// NewPlanner returns a Planner with the default refinement constants.
+// NewPlanner returns an empty Planner.
 func NewPlanner() *Planner { return plan.New() }
-
-// RunPlanned is Run with the planner wired as the engine's plan hook:
-// pending refinements commit at every completed global barrier, and a
-// mid-run tree reorganization or membership change invalidates the
-// decisions keyed to the stale tree.
-func RunPlanned(t *Tree, cfg FabricConfig, p *Planner, prog Program) (*Report, error) {
-	eng := hbsp.NewVirtual(t, fabric.New(t, cfg))
-	eng.Plan = p
-	return eng.Run(prog)
-}
-
-// RunPlannedConcurrent is RunConcurrent with the planner wired as the
-// engine's plan hook; commits and invalidations happen at the
-// concurrent engine's consistent-cut windows.
-func RunPlannedConcurrent(t *Tree, p *Planner, prog Program) (*Report, error) {
-	eng := hbsp.NewConcurrent(t)
-	eng.Plan = p
-	return eng.Run(prog)
-}
 
 // PlannedBcast broadcasts data from the machine's fastest leaf through
 // the planner-selected variant; n is len(data), passed uniformly.
