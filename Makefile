@@ -28,8 +28,8 @@ fmt:
 
 # lint runs hbspk-vet, the model-invariant checkers of internal/analysis
 # (SPMD alignment, communication topology, delivered-buffer lifetimes,
-# buffer ownership, dropped errors, cost parameters, lock order, stale
-# ignore directives), over every package including tests.
+# dropped errors, cost parameters, lock order, stale ignore directives),
+# over every package including tests.
 lint:
 	$(GO) run ./cmd/hbspk-vet ./...
 

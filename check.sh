@@ -29,8 +29,9 @@ go vet ./...
 "${MAKE:-make}" fmt
 
 # Zero-findings gate (DESIGN.md §5.8): the full analyzer suite — SPMD
-# alignment and buffer ownership included — over every package, tests
-# too, must report nothing that is not under an audited //hbspk:ignore,
+# alignment and delivered-buffer lifetimes included — over every
+# package, tests too, must report nothing that is not under an audited
+# //hbspk:ignore,
 # and the variantcheck advisor (DESIGN.md §5.6) must find no collective
 # callsite in non-test code that the grid tree makes cheaper to switch.
 # Findings are also emitted as SARIF and compared against the committed

@@ -640,7 +640,7 @@ func program(tr *model.Tree, coll string, n, rounds int, pl *plan.Planner) (hbsp
 				if err := c.Send((rootPid+1)%c.NProcs(), 0, buf); err != nil {
 					return err
 				}
-				buf[0] = 0xEE //hbspk:ignore bufown (deliberate: this demo exists to trip the runtime verifier)
+				buf[0] = 0xEE // deliberate: this demo exists to trip the runtime verifier
 			}
 			return hbsp.SyncAll(c, "deliver")
 		}, nil

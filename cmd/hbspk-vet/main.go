@@ -1,8 +1,9 @@
 // Command hbspk-vet is the HBSP^k multichecker: it applies the
-// internal/analysis suite — pidtaint, commgraph, syncflow, bufown,
-// uncheckedrun, costparams, lockorder — to the packages named on the
-// command line and exits non-zero if any invariant of the programming
-// model is violated.
+// internal/analysis suite — pidtaint, commgraph, syncflow, uncheckedrun,
+// costparams, lockorder — to the packages named on the command line and
+// exits non-zero if any invariant of the programming model is violated.
+// The pvm buffer rules (send a buffer once, pack it only before, release
+// a message once) are run-time checks, not part of the suite.
 //
 // Usage:
 //

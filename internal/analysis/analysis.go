@@ -9,14 +9,15 @@
 //
 //   - pidtaint: the alignment rule — every processor of a scope reaches the same synchronizing calls, whatever pid-tainted branch it takes.
 //   - commgraph: no unmatched send, receive before any delivery, divergent-scope collective, or hand-rolled flat fan-out in a program body.
-//   - syncflow: no delivered buffer read across a superstep boundary, through helper calls.
-//   - bufown: every pooled wire buffer is released exactly once, on every path; nothing sent is packed, resent or mutated afterwards.
+//   - syncflow: no delivered buffer read past the Sync after the one that delivered it, through helper calls.
 //   - uncheckedrun: no dropped error from Run, Sync, Send or a collective.
 //   - costparams: literal g, r, L and c shares in range, trees normalized before running.
 //   - lockorder: no inverted mutex order, nothing locked under pvm.System's leaf lock.
 //
-// All returns those seven; no two of them report the same defect. Two
-// more run outside it:
+// All returns those six; no two of them report the same defect. The
+// buffer rules of package pvm — a buffer is packed only before its one
+// send, a message is released at most once — are checked at run time,
+// not here. Two more analyzers run outside All:
 //
 //   - staleignore: every //hbspk:ignore directive still suppresses a finding.
 //   - variantcheck: advice on collective variants a given machine tree makes cheaper (hbspk-vet -tree).
@@ -187,7 +188,6 @@ func All() []*Analyzer {
 		PidTaint,
 		CommGraph,
 		SyncFlow,
-		BufOwn,
 		UncheckedRun,
 		CostParams,
 		LockOrder,

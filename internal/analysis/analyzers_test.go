@@ -36,21 +36,9 @@ func TestSyncFlowGolden(t *testing.T) {
 	runGolden(t, SyncFlow, "syncflow")
 }
 
-// TestBufReuseGolden: use after send — resend, Pack* into a sent buffer,
-// store, append or copy into a queued payload — is bufown's.
-func TestBufReuseGolden(t *testing.T) {
-	t.Parallel()
-	runGolden(t, BufOwn, "bufreuse")
-}
-
 func TestPidTaintGolden(t *testing.T) {
 	t.Parallel()
 	runGolden(t, PidTaint, "pidtaint")
-}
-
-func TestBufOwnGolden(t *testing.T) {
-	t.Parallel()
-	runGolden(t, BufOwn, "bufown")
 }
 
 func TestUncheckedRunGolden(t *testing.T) {
@@ -120,8 +108,8 @@ func TestOneAnalyzerPerDefect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(All()) != 7 || len(pkgs) < len(fixtures) {
-		t.Errorf("%d analyzers over %d packages, want 7 over at least %d", len(All()), len(pkgs), len(fixtures))
+	if len(All()) != 6 || len(pkgs) < len(fixtures) {
+		t.Errorf("%d analyzers over %d packages, want 6 over at least %d", len(All()), len(pkgs), len(fixtures))
 	}
 	diags, err := RunAnalyzers(pkgs, All())
 	if err != nil {
@@ -151,9 +139,9 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 		{"//hbspk:ignore", "", true},
 		{"//hbspk:ignore   ", "", true},
 		{"//hbspk:ignore pidtaint", "pidtaint", true},
-		{"//hbspk:ignore bufown trailing words", "bufown", true},
-		{"//hbspk:ignore\tbufown\t(tabs)", "bufown", true},
-		{"//hbspk:ignore bufown,pidtaint deliberate double send", "bufown,pidtaint", true},
+		{"//hbspk:ignore syncflow trailing words", "syncflow", true},
+		{"//hbspk:ignore\tsyncflow\t(tabs)", "syncflow", true},
+		{"//hbspk:ignore syncflow,pidtaint deliberate double read", "syncflow,pidtaint", true},
 		{"// regular comment", "", false},
 		{"//hbspk:ignored", "", false}, // a longer word is not the directive
 	}
@@ -164,7 +152,7 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 		}
 	}
 	known := knownAnalyzerNames()
-	if known["bufown,pidtaint"] || !known["bufown"] || !known["pidtaint"] {
+	if known["syncflow,pidtaint"] || !known["syncflow"] || !known["pidtaint"] {
 		t.Errorf("knownAnalyzerNames: a comma list must not be a name, its parts must be")
 	}
 }

@@ -96,14 +96,6 @@ func receiverType(info *types.Info, call *ast.CallExpr) types.Type {
 	return nil
 }
 
-// receiverExpr returns a method call's receiver expression, or nil.
-func receiverExpr(call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
-}
-
 // returnsError reports whether the call's last result is error.
 func returnsError(info *types.Info, call *ast.CallExpr) bool {
 	tv, ok := info.Types[call]

@@ -22,7 +22,7 @@ func TestSARIFStructure(t *testing.T) {
 		{Pos: pos, End: end, Analyzer: "pidtaint", Message: "divergent arms"},
 		{Pos: pos, Analyzer: "variantcheck", Message: "cheaper variant"},
 	}
-	doc := SARIFDoc(fset, diags, []*Analyzer{PidTaint, BufOwn}, "", map[string]string{"variantcheck": "advice"})
+	doc := SARIFDoc(fset, diags, []*Analyzer{PidTaint, SyncFlow}, "", map[string]string{"variantcheck": "advice"})
 
 	var buf bytes.Buffer
 	if err := doc.WriteSARIF(&buf); err != nil {

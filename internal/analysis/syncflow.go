@@ -6,44 +6,44 @@ import (
 	"go/types"
 )
 
-// SyncFlow tracks delivered-buffer lifetimes across superstep
-// boundaries, interprocedurally. The runtime's rule (hbsp.Ctx.Moves) is
-// that a payload delivered at Sync n stays valid through Sync n+1 and is
-// recycled when Sync n+2 succeeds. The analyzer is stricter on purpose:
-// a payload obtained from Moves() in superstep λ is good only until the
-// next synchronizing call, since a call into a helper or a collective
-// may sync more than once. SyncFlow taints locals that alias a delivered
-// buffer (the Moves slice, a Message field, a sub-slice — anything
-// sharing the backing array; function results are presumed fresh
-// copies) and reports
+// SyncFlow checks the lifetime rule of delivered buffers (hbsp.Ctx.Moves)
+// interprocedurally: a payload delivered at Sync n stays valid through
+// Sync n+1 and is recycled when Sync n+2 succeeds. SyncFlow taints locals
+// that alias a delivered buffer (the Moves slice, a Message field, a
+// sub-slice — anything sharing the backing array; function results are
+// presumed fresh copies) and counts the superstep boundaries crossed
+// since each was bound. A direct Sync or SyncAll counts one; any other
+// synchronizing call — a package-local helper that synchronizes
+// transitively (the call graph's fixpoint fact), a collective, an FT
+// method — counts two, since it may sync more than once. It reports
 //
-//   - a read of a tainted local after a later superstep boundary in the
-//     same function, where "boundary" includes calls to package-local
-//     helpers that synchronize transitively (the call graph's fixpoint
-//     fact), and
-//   - a tainted argument handed to a package-local helper that itself
-//     crosses a boundary before reading that parameter — the stale read
-//     happens inside the callee, so it is reported at the hand-off.
-//
-// Holding a buffer across exactly one barrier on purpose (the two-phase
-// broadcast keeps its piece for reassembly) is what the runtime's rule
-// allows; such audited cases carry `//hbspk:ignore syncflow`.
+//   - a read of a tainted local at a count of two or more, and
+//   - a tainted argument handed to a package-local helper that reads that
+//     parameter after k boundaries of its own, when the caller's count
+//     plus k reaches two — the stale read happens inside the callee, so it
+//     is reported at the hand-off.
 var SyncFlow = &Analyzer{
 	Name: "syncflow",
-	Doc:  "flag delivered buffers read across superstep boundaries, through helper calls",
+	Doc:  "flag delivered buffers read past the Sync after the one that delivered them, through helper calls",
 	Run:  runSyncFlow,
 }
 
+// expiry is how many boundaries after its binding a delivered buffer is
+// recycled.
+const expiry = 2
+
+const lifetimeRule = "a payload is valid only through the Sync after the one that delivered it"
+
 func runSyncFlow(pass *Pass) error {
 	g := sharedCallGraph(pass)
-	var facts map[*types.Func]map[int]bool
+	var facts map[*types.Func]map[int]int
 	if pass.pkg != nil {
-		if pass.pkg.staleParams == nil {
-			pass.pkg.staleParams = staleParamFacts(pass, g)
+		if pass.pkg.lateParams == nil {
+			pass.pkg.lateParams = lateParamFacts(pass, g)
 		}
-		facts = pass.pkg.staleParams
+		facts = pass.pkg.lateParams
 	} else {
-		facts = staleParamFacts(pass, g)
+		facts = lateParamFacts(pass, g)
 	}
 	for _, f := range pass.Files {
 		funcBodies(f, func(name string, body *ast.BlockStmt) {
@@ -53,22 +53,22 @@ func runSyncFlow(pass *Pass) error {
 	return nil
 }
 
-// flowState is one forward pass over a body in source order: a
-// superstep generation counter bumped at every synchronizing call, and
-// the set of Moves-aliasing locals with the generation each was bound
-// in. Reads of a local bound in an older generation invoke onStale.
+// flowState is one forward pass over a body in source order: the count
+// of superstep boundaries crossed so far, and the set of Moves-aliasing
+// locals with the count each was bound at. Every read of a bound local
+// invokes onRead with its age, the boundaries crossed since the binding.
 type flowState struct {
-	pass *Pass
-	g    *callGraph
-	gen  int
-	bind map[types.Object]int
+	pass    *Pass
+	g       *callGraph
+	crossed int
+	bind    map[types.Object]int
 	// skip marks idents already judged as arguments of a synchronizing
 	// call: they are read before the callee's internal barrier, so the
-	// walk must not re-judge them at the post-call generation.
-	skip    map[*ast.Ident]bool
-	onStale func(id *ast.Ident, obj types.Object, boundAt int)
-	// onCall, when set, probes each call site before the generation
-	// bump the callee may cause.
+	// walk must not re-judge them at the post-call count.
+	skip   map[*ast.Ident]bool
+	onRead func(id *ast.Ident, obj types.Object, age int)
+	// onCall, when set, probes each call site before the boundaries the
+	// callee may cross are counted.
 	onCall func(call *ast.CallExpr)
 }
 
@@ -88,10 +88,10 @@ func (s *flowState) walk(body *ast.BlockStmt) {
 			if s.onCall != nil {
 				s.onCall(x)
 			}
-			if s.g.callSynchronizes(x) {
+			if k := s.boundaries(x); k > 0 {
 				// The call's arguments are read before the callee's
-				// internal barrier: judge them at the pre-bump
-				// generation, then advance.
+				// internal barrier: judge them at the count before the
+				// call, then advance.
 				for _, arg := range x.Args {
 					ast.Inspect(arg, func(n ast.Node) bool {
 						if _, ok := n.(*ast.FuncLit); ok {
@@ -104,7 +104,7 @@ func (s *flowState) walk(body *ast.BlockStmt) {
 						return true
 					})
 				}
-				s.gen++
+				s.crossed += k
 			}
 		case *ast.AssignStmt:
 			s.assign(x)
@@ -117,21 +117,18 @@ func (s *flowState) walk(body *ast.BlockStmt) {
 					rhs = x.Values[0]
 				}
 				obj := s.pass.TypesInfo.Defs[name]
-				if obj == nil {
-					continue
-				}
-				if rhs != nil && s.aliased(rhs) {
-					s.bind[obj] = s.gen
+				if at, ok := s.boundAt(rhs); ok && obj != nil {
+					s.bind[obj] = at
 				}
 			}
 		case *ast.RangeStmt:
-			if s.aliased(x.X) {
+			if at, ok := s.boundAt(x.X); ok {
 				for _, lhs := range []ast.Expr{x.Key, x.Value} {
 					if lhs == nil {
 						continue
 					}
 					if obj := identObj(s.pass.TypesInfo, lhs); obj != nil {
-						s.bind[obj] = s.gen
+						s.bind[obj] = at
 					}
 				}
 			}
@@ -142,10 +139,25 @@ func (s *flowState) walk(body *ast.BlockStmt) {
 	})
 }
 
-// assign rebinds each identifier target: an aliasing RHS taints it at
-// the current generation; any other RHS (a fresh allocation, a copy via
-// append/encode/decode) clears it. Runs before the statement's idents
-// are visited, so the LHS write itself is never mistaken for a read.
+// boundaries is how many superstep boundaries a call crosses: one for a
+// direct Sync or SyncAll, two for any other synchronizing call, none for
+// the rest.
+func (s *flowState) boundaries(call *ast.CallExpr) int {
+	if !s.g.callSynchronizes(call) {
+		return 0
+	}
+	switch fn := calleeFunc(s.g.info, call); {
+	case fn.Name() == "SyncAll", fn.Name() == "Sync" && isCtxType(receiverType(s.g.info, call)):
+		return 1
+	}
+	return expiry
+}
+
+// assign rebinds each identifier target: an aliasing RHS taints it with
+// the binding count of the storage it aliases; any other RHS (a fresh
+// allocation, a copy via append/encode/decode) clears it. Runs before
+// the statement's idents are visited, so the LHS write itself is never
+// mistaken for a read.
 func (s *flowState) assign(st *ast.AssignStmt) {
 	for i, lhs := range st.Lhs {
 		var rhs ast.Expr
@@ -158,8 +170,8 @@ func (s *flowState) assign(st *ast.AssignStmt) {
 		if obj == nil {
 			continue
 		}
-		if rhs != nil && s.aliased(rhs) {
-			s.bind[obj] = s.gen
+		if at, ok := s.boundAt(rhs); ok {
+			s.bind[obj] = at
 		} else if st.Tok == token.ASSIGN || st.Tok == token.DEFINE {
 			delete(s.bind, obj)
 		}
@@ -167,54 +179,55 @@ func (s *flowState) assign(st *ast.AssignStmt) {
 }
 
 func (s *flowState) use(id *ast.Ident) {
-	if s.skip[id] {
+	if s.skip[id] || s.onRead == nil {
 		return
 	}
 	obj := s.pass.TypesInfo.Uses[id]
-	if obj == nil || s.onStale == nil {
-		return
-	}
-	if boundAt, ok := s.bind[obj]; ok && boundAt < s.gen {
-		s.onStale(id, obj, boundAt)
+	if at, ok := s.bind[obj]; ok {
+		s.onRead(id, obj, s.crossed-at)
 	}
 }
 
-// aliased reports whether e shares backing storage with a delivered
-// buffer: the Moves() slice itself, an element, field, sub-slice,
-// dereference or address of one, or a local already tainted. Function
-// calls are presumed to return fresh storage (append-copies, unpackers,
-// digests), which keeps the legitimate decode-then-fold idiom clean.
-func (s *flowState) aliased(e ast.Expr) bool {
+// boundAt reports whether e shares backing storage with a delivered
+// buffer — the Moves() slice itself, an element, field, sub-slice,
+// dereference or address of one, or a local already tainted — and the
+// count at which that buffer was bound. Function calls are presumed to
+// return fresh storage (append-copies, unpackers, digests), which keeps
+// the legitimate decode-then-fold idiom clean.
+func (s *flowState) boundAt(e ast.Expr) (int, bool) {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := identObj(s.pass.TypesInfo, x)
 		if obj == nil {
-			return false
+			return 0, false
 		}
-		_, ok := s.bind[obj]
-		return ok
+		at, ok := s.bind[obj]
+		return at, ok
 	case *ast.CallExpr:
-		return isCtxMethod(s.pass, x, "Moves")
+		return s.crossed, isCtxMethod(s.pass, x, "Moves")
 	case *ast.IndexExpr:
-		return s.aliased(x.X)
+		return s.boundAt(x.X)
 	case *ast.SliceExpr:
-		return s.aliased(x.X)
+		return s.boundAt(x.X)
 	case *ast.SelectorExpr:
-		return s.aliased(x.X)
+		return s.boundAt(x.X)
 	case *ast.StarExpr:
-		return s.aliased(x.X)
+		return s.boundAt(x.X)
 	case *ast.UnaryExpr:
-		return x.Op == token.AND && s.aliased(x.X)
+		if x.Op == token.AND {
+			return s.boundAt(x.X)
+		}
 	}
-	return false
+	return 0, false
 }
 
-// staleParamFacts computes, for every package-local function that
-// synchronizes, which buffer-like parameters it reads after its own
-// first boundary. A caller passing a delivered buffer in such a
-// position ships bytes that expire mid-callee.
-func staleParamFacts(pass *Pass, g *callGraph) map[*types.Func]map[int]bool {
-	facts := make(map[*types.Func]map[int]bool)
+// lateParamFacts computes, for every package-local function that
+// synchronizes, the buffer-like parameters it reads after one or more
+// of its own boundaries, each with the most boundaries it crosses before
+// a read. A caller whose delivered buffer is that close to expiry hands
+// over bytes that expire mid-callee.
+func lateParamFacts(pass *Pass, g *callGraph) map[*types.Func]map[int]int {
+	facts := make(map[*types.Func]map[int]int)
 	for fn, fd := range g.decls {
 		if !g.syncs[fn] {
 			continue
@@ -235,18 +248,15 @@ func staleParamFacts(pass *Pass, g *callGraph) map[*types.Func]map[int]bool {
 		if len(params) == 0 {
 			continue
 		}
-		var hit map[int]bool
-		st.onStale = func(id *ast.Ident, obj types.Object, boundAt int) {
-			if idx, ok := params[obj]; ok && boundAt == 0 {
-				if hit == nil {
-					hit = make(map[int]bool)
-				}
-				hit[idx] = true
+		late := make(map[int]int)
+		st.onRead = func(id *ast.Ident, obj types.Object, age int) {
+			if idx, ok := params[obj]; ok && age > late[idx] {
+				late[idx] = age
 			}
 		}
 		st.walk(fd.Body)
-		if hit != nil {
-			facts[fn] = hit
+		if len(late) > 0 {
+			facts[fn] = late
 		}
 	}
 	return facts
@@ -262,24 +272,29 @@ func aliasableParam(t types.Type) bool {
 	return false
 }
 
-func checkSyncFlow(pass *Pass, g *callGraph, facts map[*types.Func]map[int]bool, body *ast.BlockStmt) {
+func checkSyncFlow(pass *Pass, g *callGraph, facts map[*types.Func]map[int]int, body *ast.BlockStmt) {
 	st := newFlowState(pass, g)
-	st.onStale = func(id *ast.Ident, obj types.Object, boundAt int) {
-		pass.Reportf(id.Pos(),
-			"delivered buffer %q received in superstep generation %d read after a later superstep boundary: payloads are only valid until the next Sync", id.Name, boundAt)
+	st.onRead = func(id *ast.Ident, obj types.Object, age int) {
+		if age >= expiry {
+			pass.Reportf(id.Pos(), "delivered buffer %q read %d superstep boundaries after it was bound: %s", id.Name, age, lifetimeRule)
+		}
 	}
-	// Cross-function early reads: a tainted argument in a parameter
-	// position the callee reads after its own boundary is reported at
-	// the hand-off, where the fix belongs (copy before passing).
+	// Cross-function late reads: a tainted argument in a parameter
+	// position the callee reads after its own boundaries is reported at
+	// the hand-off, where the fix belongs (copy before passing). An
+	// argument already stale is reported as a read instead.
 	st.onCall = func(call *ast.CallExpr) {
 		fn := calleeFunc(pass.TypesInfo, call)
 		if fn == nil {
 			return
 		}
-		for idx := range facts[fn] {
-			if idx < len(call.Args) && st.aliased(call.Args[idx]) {
-				pass.Reportf(call.Args[idx].Pos(),
-					"delivered buffer passed to %s, which synchronizes before reading it: the payload expires at that boundary", fn.Name())
+		for idx, k := range facts[fn] {
+			if idx >= len(call.Args) {
+				continue
+			}
+			if at, ok := st.boundAt(call.Args[idx]); ok && st.crossed-at < expiry && st.crossed-at+k >= expiry {
+				pass.Reportf(call.Args[idx].Pos(), "delivered buffer passed to %s, which reads it %d superstep boundaries after it was bound: %s",
+					fn.Name(), st.crossed-at+k, lifetimeRule)
 			}
 		}
 	}

@@ -34,8 +34,8 @@ func renameRot(c Ctx) error {
 	return c.Send(1, 0, []byte("y")) //hbspk:ignore commtopology // want `unmatched send` `//hbspk:ignore commtopology names no analyzer \(renamed or removed\?\): the directive silences nothing`
 }
 
-// syncdiscipline and bufreuse were folded into pidtaint and bufown: a
-// directive still citing either is reported, not honoured.
+// bufreuse was removed with its analyzer: a directive still citing it
+// is reported, not honoured.
 func removedAnalyzer(c Ctx) error {
 	if err := c.Sync(nil, "step"); err != nil {
 		return err

@@ -31,7 +31,10 @@ func decode(b []byte) []int { return make([]int, len(b)) }
 
 // --- violations ---
 
-func staleAcrossSync(c Ctx, scope *Machine) error {
+// A payload outlives the Sync after the one that delivered it: the first
+// read, one boundary on, is sound; the second, two on, reads recycled
+// bytes.
+func staleAcrossTwoSyncs(c Ctx, scope *Machine) error {
 	var first []byte
 	if err := c.Sync(scope, "deliver"); err != nil {
 		return err
@@ -42,10 +45,17 @@ func staleAcrossSync(c Ctx, scope *Machine) error {
 	if err := c.Sync(scope, "next step"); err != nil {
 		return err
 	}
-	return consume(first) // want `delivered buffer "first" received in superstep generation 1 read after a later superstep boundary`
+	if err := consume(first); err != nil {
+		return err
+	}
+	if err := c.Sync(scope, "the step after"); err != nil {
+		return err
+	}
+	return consume(first) // want `delivered buffer "first" read 2 superstep boundaries after it was bound`
 }
 
-// The boundary is a helper whose Sync only the call graph can see.
+// The boundary is a helper whose Sync only the call graph can see; a
+// helper may sync more than once, so it counts two.
 func staleAcrossHelperBoundary(c Ctx, scope *Machine) error {
 	if err := c.Sync(scope, "deliver"); err != nil {
 		return err
@@ -54,15 +64,16 @@ func staleAcrossHelperBoundary(c Ctx, scope *Machine) error {
 	if err := stepOnce(c, scope); err != nil {
 		return err
 	}
-	return consume(moves[0].Payload) // want `delivered buffer "moves" received in superstep generation 1 read after a later superstep boundary`
+	return consume(moves[0].Payload) // want `delivered buffer "moves" read 2 superstep boundaries after it was bound`
 }
 
 func stepOnce(c Ctx, scope *Machine) error { return c.Sync(scope, "hidden boundary") }
 
-// The buffer expires inside the callee: relayAfterBarrier crosses its
-// own barrier before reading its parameter, so handing it a delivered
-// payload is an early read one frame down.
-func staleArgToHelper(c Ctx, scope *Machine) error {
+// The buffer expires inside the callee: the caller has crossed one Sync
+// since the delivery, and relayAfterBarrier crosses one more before
+// reading its parameter, so handing it the payload is a late read one
+// frame down.
+func staleArgAfterOneSync(c Ctx, scope *Machine) error {
 	if err := c.Sync(scope, "deliver"); err != nil {
 		return err
 	}
@@ -70,7 +81,10 @@ func staleArgToHelper(c Ctx, scope *Machine) error {
 	for _, m := range c.Moves() {
 		payload = m.Payload
 	}
-	return relayAfterBarrier(c, scope, payload) // want `delivered buffer passed to relayAfterBarrier, which synchronizes before reading it`
+	if err := c.Sync(scope, "keep"); err != nil {
+		return err
+	}
+	return relayAfterBarrier(c, scope, payload) // want `delivered buffer passed to relayAfterBarrier, which reads it 2 superstep boundaries after it was bound`
 }
 
 func relayAfterBarrier(c Ctx, scope *Machine, b []byte) error {
@@ -136,10 +150,8 @@ func relayBeforeBarrier(c Ctx, scope *Machine, b []byte) error {
 	return c.Sync(scope, "after reading")
 }
 
-// The known-unprovable case: two-phase reassembly holds its own piece
-// across the exchange barrier and re-sends it before any writer could
-// touch the bytes — sound by protocol, invisible to the analyzer, so it
-// carries an audited suppression.
+// Two-phase reassembly holds its own piece across the exchange barrier,
+// exactly one boundary: the lifetime rule allows it.
 func twoPhaseReassembly(c Ctx, scope *Machine) error {
 	if err := c.Sync(scope, "phase 1"); err != nil {
 		return err
@@ -154,7 +166,20 @@ func twoPhaseReassembly(c Ctx, scope *Machine) error {
 	if err := c.Sync(scope, "phase 2 exchange"); err != nil {
 		return err
 	}
-	return consume(mine) //hbspk:ignore syncflow (audited: the piece was re-sent before any writer could mutate it)
+	return consume(mine)
+}
+
+// A fresh payload handed to a helper that syncs once before reading it
+// is read one boundary after its delivery: still valid.
+func handOffToOneSync(c Ctx, scope *Machine) error {
+	if err := c.Sync(scope, "deliver"); err != nil {
+		return err
+	}
+	var payload []byte
+	for _, m := range c.Moves() {
+		payload = m.Payload
+	}
+	return relayAfterBarrier(c, scope, payload)
 }
 
 // A directive that excuses nothing is itself a finding: it would mask a

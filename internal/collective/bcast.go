@@ -110,7 +110,7 @@ func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Di
 	if c.Pid() == root {
 		return data, nil
 	}
-	pieceBy := map[int][]byte{c.Pid(): mine} //hbspk:ignore syncflow (audited: reassembly holds the own piece across exactly one barrier, the exchange, which the lifetime rule of Ctx.Moves allows)
+	pieceBy := map[int][]byte{c.Pid(): mine}
 	for _, m := range c.Moves() {
 		if m.Tag == tagBcastEx {
 			pieceBy[m.Src] = m.Payload
@@ -245,7 +245,7 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 		// The scope's root keeps the have it cut; the other coordinators
 		// reassemble, the one copy each makes.
 		if amCoord && c.Pid() != rootPid {
-			pieceBy := map[int][]byte{c.Pid(): mine} //hbspk:ignore syncflow (audited: reassembly holds the own piece across exactly one barrier, the exchange, which the lifetime rule of Ctx.Moves allows)
+			pieceBy := map[int][]byte{c.Pid(): mine}
 			for _, msg := range c.Moves() {
 				if msg.Tag == tagBcastEx {
 					pieceBy[msg.Src] = msg.Payload

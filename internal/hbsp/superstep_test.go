@@ -1,9 +1,13 @@
 package hbsp
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
@@ -60,6 +64,48 @@ func loopback(network string) func() (pvm.Transport, error) {
 	return func() (pvm.Transport, error) { return wiretrans.NewLoopback(network) }
 }
 
+// onOne runs prog on one Concurrent over the network's transport.
+func onOne(network string) func(*testing.T, Program) error {
+	return func(t *testing.T, prog Program) error {
+		eng := NewConcurrent(superstepTree())
+		eng.Transport = loopback(network)
+		_, err := eng.Run(prog)
+		return err
+	}
+}
+
+// overHub runs prog as one Concurrent per pid — a hub on a unix socket
+// for pid 0, a dialed worker for every other — as a multi-process run
+// has them, less the address space: every superstep crosses the hub's
+// relays.
+func overHub(t *testing.T, prog Program) error {
+	const timeout = 15 * time.Second
+	nprocs := superstepTree().NProcs()
+	h, err := wiretrans.NewHub("unix", filepath.Join(t.TempDir(), "hub.sock"), nprocs, 1, timeout)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	errs := make([]error, nprocs)
+	var wg sync.WaitGroup
+	for pid := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := NewConcurrent(superstepTree())
+			eng.Transport = func() (pvm.Transport, error) {
+				if pid == 0 {
+					return h, nil
+				}
+				return wiretrans.DialWorker("unix", h.Addr(), pid, nprocs, 1, timeout)
+			}
+			_, errs[pid] = eng.Run(prog)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // TestSteadyStateSuperstepAllocs is the allocation ceiling of a warm
 // superstep: what a step may allocate is what outlives it by contract.
 // Delivered bytes recycle through the wire arena — an in-proc wire, a
@@ -69,21 +115,30 @@ func loopback(network string) func() (pvm.Transport, error) {
 // the 256 KiB of the benchmark's bulk workload. It was 4 allocations
 // in-proc (the delivery slab of each processor) and 12 over the socket
 // (the frame each batch was read into, 3.2 MB a step at 256 KiB).
-// DESIGN.md §5.4 has the inventory.
+// The hub lane counts all four processes of a hub-and-workers run, and
+// each worker's BARRIER round trip is packed, framed and unpacked afresh
+// (the barrier's name a new string each time): 30 allocations and about
+// 880 bytes a step measured. A relay that kept the BARRIER frame it read
+// instead of releasing it would make that 36 and 2 KB. DESIGN.md §5.4
+// has the inventory.
 func TestSteadyStateSuperstepAllocs(t *testing.T) {
 	if testutil.RaceEnabled() {
 		t.Skip("the race detector changes the allocation count")
 	}
-	const allocCeiling, byteCeiling = 1, 4 << 10
 	for _, lane := range []struct {
-		name, network string
-		size, steps   int
-	}{{"inproc", "inproc", 64, 4000}, {"unix", "unix", 64, 2000}, {"unix/256KiB", "unix", 256 << 10, 500}} {
+		name           string
+		size, steps    int
+		run            func(*testing.T, Program) error
+		allocs, nbytes float64
+	}{
+		{"inproc", 64, 4000, onOne("inproc"), 1, 4 << 10},
+		{"unix", 64, 2000, onOne("unix"), 1, 4 << 10},
+		{"unix/256KiB", 256 << 10, 500, onOne("unix"), 1, 4 << 10},
+		{"hub/unix", 64, 2000, overHub, 31, 1 << 10},
+	} {
 		t.Run(lane.name, func(t *testing.T) {
 			var before, after runtime.MemStats
-			eng := NewConcurrent(superstepTree())
-			eng.Transport = loopback(lane.network)
-			_, err := eng.Run(allToAll(lane.size, 500, lane.steps,
+			err := lane.run(t, allToAll(lane.size, 500, lane.steps,
 				func() { runtime.ReadMemStats(&before) },
 				func() { runtime.ReadMemStats(&after) }))
 			if err != nil {
@@ -92,8 +147,8 @@ func TestSteadyStateSuperstepAllocs(t *testing.T) {
 			perStep := float64(after.Mallocs-before.Mallocs) / float64(lane.steps)
 			bytesPerStep := float64(after.TotalAlloc-before.TotalAlloc) / float64(lane.steps)
 			t.Logf("%.1f allocations, %.0f bytes per superstep (p = 4)", perStep, bytesPerStep)
-			if perStep > allocCeiling || bytesPerStep > byteCeiling {
-				t.Errorf("%.1f allocations and %.0f bytes per warm superstep, ceilings %d and %d", perStep, bytesPerStep, allocCeiling, byteCeiling)
+			if perStep > lane.allocs || bytesPerStep > lane.nbytes {
+				t.Errorf("%.1f allocations and %.0f bytes per warm superstep, ceilings %.0f and %.0f", perStep, bytesPerStep, lane.allocs, lane.nbytes)
 			}
 		})
 	}

@@ -95,9 +95,10 @@ func (b *Buffer) flatten() {
 // buffer drawn from the arena takes a backing of its new size's class
 // from it when its own is too small, so that a message of any size packs
 // into recycled memory; a Wrap'd buffer's bytes are its caller's, and
-// grow as append grows them.
+// grow as append grows them. A sent buffer's backing is in flight and is
+// left alone: the pack that asked panics in packCode.
 func (b *Buffer) reserve(n int) {
-	if b.w != nil {
+	if b.w != nil && !b.sent {
 		b.data = grow(b.data, len(b.data)+n)
 	}
 }
@@ -121,8 +122,14 @@ func (b *Buffer) Bytes() []byte {
 	return b.data
 }
 
+// packCode begins every pack. A pack into a sent buffer panics: its
+// bytes are in flight, and growing them would hand the receiver's
+// backing back to the arena.
 func (b *Buffer) packCode(c byte) {
-	if b.borrowed {
+	switch {
+	case b.sent:
+		panic("pvm: pack into a sent buffer; pack a fresh buffer per send")
+	case b.borrowed:
 		panic("pvm: pack after PackBytesBorrowed; the borrowed slice is the buffer's last field")
 	}
 	b.data = append(b.data, c)

@@ -72,8 +72,8 @@ func classDown(c int) int {
 // (and, before the send, the Buffer or Frame) that alias data. hdr is the
 // Buffer NewBuffer hands out for the wire: header and record recycle as
 // one object, so a packed message costs no allocation of its own. A sent
-// Buffer is dead to its sender (the bufown analyzer holds programs to
-// that); the header is rewritten only by the NewBuffer that next draws
+// Buffer is dead to its sender (a resend fails, a pack panics); the
+// header is rewritten only by the NewBuffer that next draws
 // the record, after every receiver has released it. tail is a slice the
 // sender lent (PackBytesBorrowed): the message is data, then tail. The
 // last release drops it, so a pooled record never pins a caller's slice.

@@ -205,12 +205,50 @@ func TestSendRejectsReuse(t *testing.T) {
 			errs <- err
 			return err
 		}
-		errs <- t.Send(a, 1, buf) //hbspk:ignore bufown (the test asserts the runtime rejects exactly this resend)
+		errs <- t.Send(a, 1, buf)
 		return nil
 	})
 	if err := <-errs; err == nil {
 		t.Fatal("second Send of the same buffer succeeded, want ownership error")
 	}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPackIntoSentBufferPanics: a sent buffer's bytes are in flight, so
+// a pack into it panics and leaves them alone. Growing it would hand the
+// delivered backing back to the arena, and the next NewBuffers would
+// pack over the receiver's payload.
+func TestPackIntoSentBufferPanics(t *testing.T) {
+	s := NewSystem()
+	s.Spawn("self", func(tk *Task) error {
+		want := pattern(1, 0, 35)
+		buf := NewBuffer().PackBytes(want) // 40 bytes packed
+		if err := tk.Send(tk.TID(), 1, buf); err != nil {
+			return err
+		}
+		panicked := func() (yes bool) {
+			defer func() { yes = recover() != nil }()
+			buf.PackBytes(make([]byte, 4<<10))
+			return false
+		}()
+		if !panicked {
+			return fmt.Errorf("a pack into a sent buffer did not panic")
+		}
+		for i := 0; i < 8; i++ {
+			NewBuffer().PackBytes(bytes.Repeat([]byte{0xaa}, len(want)))
+		}
+		m, err := tk.Recv(tk.TID(), 1)
+		if err != nil {
+			return err
+		}
+		defer m.Release()
+		if got, err := m.Buffer().UnpackBytes(); err != nil || !bytes.Equal(got, want) {
+			return fmt.Errorf("delivered payload % x (%v), want % x", got, err, want)
+		}
+		return nil
+	})
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +379,7 @@ func TestReleaseTwicePanics(t *testing.T) {
 				done <- nil
 			}
 		}()
-		m.Release() //hbspk:ignore bufown (the test asserts the second Release panics)
+		m.Release()
 		return nil
 	})
 	s.Spawn("send", func(t *Task) error {

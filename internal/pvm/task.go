@@ -247,8 +247,8 @@ func (t *Task) Name() string { return t.name }
 // Send enqueues the buffer at dst without copying: ownership of the
 // packed bytes transfers to the receiver, which releases them back to
 // the arena. Delivery is reliable and per-sender ordered. A buffer can
-// be sent only once, and must not be packed into afterwards (the
-// bufown analyzer enforces both). A slice the buffer borrowed
+// be sent only once: a second send returns an error, and a pack into it
+// afterwards panics. A slice the buffer borrowed
 // (PackBytesBorrowed) is the caller's again when the send returns.
 // Sending to a halted system or an unknown task returns an error.
 func (t *Task) Send(dst TID, tag int, buf *Buffer) error {
