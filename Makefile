@@ -121,16 +121,19 @@ wire-smoke:
 # bench-step runs the engine rung of the ladder: one all-to-all root
 # superstep of four processors on Concurrent — in-proc, over a unix socket
 # and over TCP loopback, at 64 B, 64 KiB and 256 KiB per pair (the last is
-# bulk_unix's size), with allocs/op — the Go-benchmark twin of the sync
-# and bulk workloads of ./benchmark, at the GOMAXPROCS = 1 that harness
-# pins every repetition to (-cpu 1) — and two empty supersteps in-proc,
+# bulk_unix's size), with allocs/op, and on the 64 B lanes retained-B/op,
+# the live heap a step leaves behind (the step record) — the Go-benchmark
+# twin of the sync and bulk workloads of ./benchmark, at the GOMAXPROCS =
+# 1 that harness pins every repetition to (-cpu 1) — and two empty
+# supersteps in-proc,
 # inproc/0B/cluster (a level-1 Sync of one two-leaf cluster) and
 # inproc/0B/root: the model's L_{1,j} and L_{2,0} as this substrate
 # defines them. Then the collective rung: BenchmarkCollectiveRound, one
 # round of coll_tcp's five collectives at 64 KiB each, in-proc and over
-# TCP loopback. No gate of their own (TestSteadyStateSuperstepAllocs and
-# the collectives' *AllocatesItsResultOnce tests hold the allocation
-# ceilings); check.sh invokes this target so the rungs compile and run.
+# TCP loopback. No gate of their own (TestSteadyStateSuperstepAllocs,
+# TestCollectiveRoundAllocsInProc and the collectives'
+# *AllocatesItsResultOnce tests hold the allocation ceilings); check.sh
+# invokes this target so the rungs compile and run.
 bench-step:
 	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem -cpu 1 ./internal/hbsp
 	$(GO) test -run '^$$' -bench CollectiveRound -benchtime 1000x -benchmem -cpu 1 ./internal/collective

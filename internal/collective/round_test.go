@@ -1,22 +1,78 @@
 package collective
 
 import (
+	"runtime"
 	"testing"
 
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/plan"
 	"hbspk/internal/pvm"
+	"hbspk/internal/testutil"
 )
+
+// roundTree is the tree of the wall-clock benchmark's coll_tcp workload.
+func roundTree() *model.Tree { return model.WideAreaGrid(2, 2, 4, 10, 100) }
+
+// collRound runs warm untimed and then rounds measured rounds of BcastHier
+// (two-phase at the top), GatherHier, AllReduce(Sum), TotalExchangeHier
+// and PlannedBcast, n bytes each, on tr; the root calls begin before the
+// first measured round and end after the last.
+func collRound(tr *model.Tree, n, warm, rounds int, begin, end func()) hbsp.Program {
+	p, root := tr.NProcs(), tr.Pid(tr.FastestLeaf())
+	data, planned := payloadFor(root, n), payloadFor(root+1, n)
+	vec := make([]int64, n/p/8)
+	pieces := make([][]byte, p)
+	outgoing := make([]map[int][]byte, p)
+	for src := range outgoing {
+		pieces[src] = payloadFor(src, n/p)
+		outgoing[src] = make(map[int][]byte, p)
+		for dst := 0; dst < p; dst++ {
+			outgoing[src][dst] = payloadFor(src*p+dst, n/(p*p))
+		}
+	}
+	pl := plan.New()
+	return func(c hbsp.Ctx) error {
+		pid := c.Pid()
+		var in, pin []byte
+		if pid == root {
+			in, pin = data, planned
+		}
+		for r := 0; r < warm+rounds; r++ {
+			if r == warm && pid == root {
+				begin()
+			}
+			if _, err := BcastHier(c, in, true); err != nil {
+				return err
+			}
+			if _, err := GatherHier(c, pieces[pid]); err != nil {
+				return err
+			}
+			if _, err := AllReduce(c, vec, Sum); err != nil {
+				return err
+			}
+			if _, err := TotalExchangeHier(c, outgoing[pid]); err != nil {
+				return err
+			}
+			if _, err := PlannedBcast(c, pl, n, pin); err != nil {
+				return err
+			}
+		}
+		if pid == root {
+			end()
+		}
+		return nil
+	}
+}
 
 // BenchmarkCollectiveRound is the collective rung of the ladder, the Go
 // benchmark twin of the wall-clock benchmark's coll_tcp workload: ns/op
-// is one round of BcastHier (two-phase at the top), GatherHier,
-// AllReduce(Sum), TotalExchangeHier and PlannedBcast, 64 KiB each, on the
-// four processors of WideAreaGrid(2,2,4,10,100) on Concurrent, in-proc
-// and over TCP loopback; B/op and allocs/op are everything the round
-// allocates, on every processor. No gate of its own: the allocation
-// ceilings of hier_test.go hold the copies.
+// is one round of collRound at 64 KiB each, on the four processors of
+// WideAreaGrid(2,2,4,10,100) on Concurrent, in-proc and over TCP
+// loopback; B/op and allocs/op are everything the round allocates, on
+// every processor. TestCollectiveRoundAllocsInProc gates the in-proc
+// lane's bytes; the ceilings of hier_test.go hold each collective's
+// copies on Virtual.
 func BenchmarkCollectiveRound(b *testing.B) {
 	const n, warm = 64 << 10, 30
 	for _, tf := range pvm.TransportFactories() {
@@ -24,56 +80,35 @@ func BenchmarkCollectiveRound(b *testing.B) {
 			continue
 		}
 		b.Run(tf.Name, func(b *testing.B) {
-			tr := model.WideAreaGrid(2, 2, 4, 10, 100)
-			p, root := tr.NProcs(), tr.Pid(tr.FastestLeaf())
-			data, planned := payloadFor(root, n), payloadFor(root+1, n)
-			vec := make([]int64, n/p/8)
-			pieces := make([][]byte, p)
-			outgoing := make([]map[int][]byte, p)
-			for src := range outgoing {
-				pieces[src] = payloadFor(src, n/p)
-				outgoing[src] = make(map[int][]byte, p)
-				for dst := 0; dst < p; dst++ {
-					outgoing[src][dst] = payloadFor(src*p+dst, n/(p*p))
-				}
-			}
-			pl := plan.New()
+			tr := roundTree()
 			b.SetBytes(5 * n)
 			b.ReportAllocs()
-			_, err := conformanceEngine(tf, tr).Run(func(c hbsp.Ctx) error {
-				pid := c.Pid()
-				var in, pin []byte
-				if pid == root {
-					in, pin = data, planned
-				}
-				for r := 0; r < warm+b.N; r++ {
-					if r == warm && pid == root {
-						b.ResetTimer()
-					}
-					if _, err := BcastHier(c, in, true); err != nil {
-						return err
-					}
-					if _, err := GatherHier(c, pieces[pid]); err != nil {
-						return err
-					}
-					if _, err := AllReduce(c, vec, Sum); err != nil {
-						return err
-					}
-					if _, err := TotalExchangeHier(c, outgoing[pid]); err != nil {
-						return err
-					}
-					if _, err := PlannedBcast(c, pl, n, pin); err != nil {
-						return err
-					}
-				}
-				if pid == root {
-					b.StopTimer()
-				}
-				return nil
-			})
-			if err != nil {
+			if _, err := conformanceEngine(tf, tr).Run(collRound(tr, n, warm, b.N, b.ResetTimer, b.StopTimer)); err != nil {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCollectiveRoundAllocsInProc is the allocation ceiling of
+// BenchmarkCollectiveRound's in-proc lane: 1.0 MB a round, on every
+// processor. Measured about 0.9 MB, the results and send payloads the
+// hier_test.go ceilings name; an in-proc send that copied a payload past
+// 255 bytes into a fresh backing instead of an arena one made it 1.88 MB.
+func TestCollectiveRoundAllocsInProc(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("the race detector changes the allocation count")
+	}
+	const n, warm, rounds, ceiling = 64 << 10, 30, 100, 1_000_000
+	var before, after runtime.MemStats
+	tr := roundTree()
+	prog := collRound(tr, n, warm, rounds, func() { runtime.ReadMemStats(&before) }, func() { runtime.ReadMemStats(&after) })
+	if _, err := hbsp.NewConcurrent(tr).Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	perRound := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	t.Logf("%.0f bytes, %.0f allocations a round", perRound, float64(after.Mallocs-before.Mallocs)/rounds)
+	if perRound > ceiling {
+		t.Errorf("%.0f bytes allocated a round, ceiling %d", perRound, ceiling)
 	}
 }

@@ -3,6 +3,7 @@ package hbsp
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
@@ -333,26 +334,75 @@ func (p *proc) observe(ord, at int, worked bool, now float64, fold func(pid int,
 }
 
 // stepLog is a run's step record while it grows: fixed-size chunks, so a
-// step costs its own slot and never a copy of the run so far. flat makes
+// step costs its own slot and never a copy of the run so far, of records
+// that hold no pointer, so the garbage collector never scans them. A
+// step's three strings are interned by value in the run's table: a label
+// built afresh for every Sync is kept once, not once per step. flat makes
 // the Report's slice, once, when the run returns.
 type stepLog struct {
-	chunks [][]trace.Step
+	chunks [][]stepRec
 	n      int
+	strs   []string
+	ids    map[string]uint32
 }
 
-// stepChunk is the steps per chunk: 10.5 KiB, small enough that a run of
-// a few steps does not pay for a long one.
-const stepChunk = 64
+// stepRec is a trace.Step as the log keeps it: str holds Label,
+// ScopeLabel and ScopeName as indices into the log's table, and Index is
+// the record's position.
+type stepRec struct {
+	str                            [3]uint32
+	level, participants, gatingPid int32
+	flows, bytes                   int
+	w, h, comm, sync, time, ckpt   float64
+	imbalance, start, end          float64
+}
+
+// stepChunk is the records an 8 KiB chunk holds (73): a size class of the
+// allocator, so no byte of a chunk is rounding, and small enough that a
+// run of a few steps does not pay for a long one.
+const stepChunk = 8 << 10 / int(unsafe.Sizeof(stepRec{}))
 
 func (l *stepLog) len() int { return l.n }
 
-func (l *stepLog) add(s trace.Step) {
-	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == stepChunk {
-		l.chunks = append(l.chunks, make([]trace.Step, 0, stepChunk))
-		last++
+// intern returns s's index in the string table, adding it if it is new.
+// hint is the index the same field of the previous step took: a run's
+// steps mostly repeat it, and a match skips the map.
+func (l *stepLog) intern(s string, hint uint32) uint32 {
+	if int(hint) < len(l.strs) && l.strs[hint] == s {
+		return hint
 	}
-	l.chunks[last] = append(l.chunks[last], s)
+	if id, ok := l.ids[s]; ok {
+		return id
+	}
+	if l.ids == nil {
+		l.ids = make(map[string]uint32)
+	}
+	id := uint32(len(l.strs))
+	l.strs = append(l.strs, s)
+	l.ids[s] = id
+	return id
+}
+
+func (l *stepLog) add(s trace.Step) {
+	var hint [3]uint32
+	if l.n > 0 {
+		c := l.chunks[len(l.chunks)-1]
+		hint = c[len(c)-1].str
+	}
+	r := stepRec{
+		level: int32(s.Level), participants: int32(s.Participants), gatingPid: int32(s.GatingPid),
+		flows: s.Flows, bytes: s.Bytes,
+		w: s.W, h: s.H, comm: s.Comm, sync: s.Sync, time: s.Time, ckpt: s.Ckpt,
+		imbalance: s.Imbalance, start: s.Start, end: s.End,
+	}
+	for i, str := range [3]string{s.Label, s.ScopeLabel, s.ScopeName} {
+		r.str[i] = l.intern(str, hint[i])
+	}
+	if l.n%stepChunk == 0 {
+		l.chunks = append(l.chunks, make([]stepRec, 0, stepChunk))
+	}
+	last := &l.chunks[len(l.chunks)-1]
+	*last = append(*last, r)
 	l.n++
 }
 
@@ -363,7 +413,15 @@ func (l *stepLog) flat() []trace.Step {
 	}
 	out := make([]trace.Step, 0, l.n)
 	for _, c := range l.chunks {
-		out = append(out, c...)
+		for _, r := range c {
+			out = append(out, trace.Step{
+				Index: len(out), Label: l.strs[r.str[0]], ScopeLabel: l.strs[r.str[1]], ScopeName: l.strs[r.str[2]],
+				Level: int(r.level), Participants: int(r.participants), GatingPid: int(r.gatingPid),
+				Flows: r.flows, Bytes: r.bytes,
+				W: r.w, H: r.h, Comm: r.comm, Sync: r.sync, Time: r.time, Ckpt: r.ckpt,
+				Imbalance: r.imbalance, Start: r.start, End: r.end,
+			})
+		}
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
 	"hbspk/internal/obsv"
+	"hbspk/internal/testutil"
 	"hbspk/internal/trace"
 )
 
@@ -22,7 +24,9 @@ import (
 // served a hundred generations.
 
 // The step record grows in chunks and is flat in the Report: same steps,
-// same order, contiguous Index, as a plain append would have built.
+// same order, contiguous Index, every field as a plain append would have
+// built — labels built afresh for every step, from a handful of values,
+// included.
 func TestStepLogFlattensInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var log stepLog
@@ -31,22 +35,78 @@ func TestStepLogFlattensInOrder(t *testing.T) {
 		t.Error("an empty log flattens to a non-nil slice")
 	}
 	for i := 0; i < 3*stepChunk+7; i++ {
-		s := trace.Step{Index: i, Label: fmt.Sprint("s", i), Bytes: rng.Intn(1 << 20), Start: rng.Float64(), Participants: 1 + rng.Intn(8)}
+		s := trace.Step{
+			Index:        i,
+			Label:        fmt.Sprintf("step %d of a long run", rng.Intn(5)),
+			ScopeLabel:   fmt.Sprintf("M_{%d,%d}", rng.Intn(3), rng.Intn(2)),
+			ScopeName:    fmt.Sprint("cluster", rng.Intn(3)),
+			Level:        rng.Intn(3),
+			Participants: 1 + rng.Intn(8),
+			W:            rng.Float64(),
+			H:            rng.Float64(),
+			Comm:         rng.Float64(),
+			Sync:         rng.Float64(),
+			Time:         rng.Float64(),
+			Ckpt:         rng.Float64(),
+			Flows:        rng.Intn(64),
+			Bytes:        rng.Intn(1 << 30),
+			GatingPid:    rng.Intn(9) - 1,
+			Imbalance:    rng.Float64(),
+			Start:        rng.Float64(),
+			End:          rng.Float64(),
+		}
 		log.add(s)
 		want = append(want, s)
 		if log.len() != len(want) {
 			t.Fatalf("after %d steps len() = %d", len(want), log.len())
 		}
 	}
-	if got := log.flat(); !reflect.DeepEqual(got, want) {
-		t.Errorf("flat() differs from the plain append of the same %d steps", len(want))
+	got := log.flat()
+	if len(got) != len(want) {
+		t.Fatalf("flat() has %d steps, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("step %d flattened to %+v, appended as %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// The step record is memory the garbage collector never scans, and costs
+// less than the step it stands for: a field that held a pointer (a string,
+// a slice) would have every chunk of a long run scanned again at every
+// cycle.
+func TestStepRecordHoldsNoPointer(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Array:
+			return pointerFree(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if !pointerFree(t.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return t.Kind() > reflect.Invalid && t.Kind() <= reflect.Complex128
+	}
+	rec := reflect.TypeOf(stepRec{})
+	if !pointerFree(rec) {
+		t.Errorf("%v holds a pointer", rec)
+	}
+	if step := reflect.TypeOf(trace.Step{}); rec.Size() >= step.Size() {
+		t.Errorf("%v is %d bytes, %v %d", rec, rec.Size(), step, step.Size())
 	}
 }
 
 // twoLevel runs rounds of a cluster superstep followed by a root
 // superstep, one neighbour message in each, so a run of it crosses
-// several chunks of the step record on two scopes' barriers.
-func twoLevel(rounds int) Program {
+// several chunks of the step record on two scopes' barriers. Every Sync
+// takes a label built afresh, one of three values per scope, and
+// processor 0 calls mark, when non-nil, after every round.
+func twoLevel(rounds int, mark func(r int)) Program {
 	return func(c Ctx) error {
 		cluster := c.Tree().ScopeAt(c.Self(), 1)
 		peers := cluster.Pids()
@@ -54,43 +114,56 @@ func twoLevel(rounds int) Program {
 			if err := c.Send(peers[(slices.Index(peers, c.Pid())+1)%len(peers)], 1, []byte{byte(r)}); err != nil {
 				return err
 			}
-			if err := c.Sync(cluster, "in"); err != nil {
+			if err := c.Sync(cluster, fmt.Sprintf("in the cluster, phase %d", r%3)); err != nil {
 				return err
 			}
 			if err := c.Send((c.Pid()+1)%c.NProcs(), 2, []byte{byte(r), byte(c.Pid())}); err != nil {
 				return err
 			}
-			if err := SyncAll(c, "all"); err != nil {
+			if err := SyncAll(c, fmt.Sprintf("across the machine, phase %d", r%3)); err != nil {
 				return err
+			}
+			if mark != nil && c.Pid() == 0 {
+				mark(r)
 			}
 		}
 		return nil
 	}
 }
 
+// runTwoLevel runs twoLevel on the engine named, with rec observing.
+func runTwoLevel(t *testing.T, engine string, rec *obsv.Recorder, rounds int, mark func(r int)) *trace.Report {
+	t.Helper()
+	tr := superstepTree()
+	var rep *trace.Report
+	var err error
+	if engine == "virtual" {
+		eng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+		eng.Obsv = rec
+		rep, err = eng.Run(twoLevel(rounds, mark))
+	} else {
+		eng := NewConcurrent(tr)
+		eng.Obsv = rec
+		rep, err = eng.Run(twoLevel(rounds, mark))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // On both engines the Report's steps are the Superstep events the
 // recorder saw, in the order it saw them (its ring is the plain append
-// the record is checked against), with Index counting from zero.
+// the record is checked against), with Index counting from zero, and each
+// step's scope fields are its scope machine's.
 func TestReportStepsAcrossChunkBoundaries(t *testing.T) {
-	const rounds = 2 * stepChunk // three steps a round: nine chunks' worth
+	const rounds = 2 * stepChunk // three steps a round: six chunks' worth
+	scopes := map[string]*model.Machine{}
+	superstepTree().Root.Walk(func(m *model.Machine) { scopes[m.Label()] = m })
 	for _, engine := range []string{"virtual", "concurrent"} {
 		t.Run(engine, func(t *testing.T) {
-			tr := superstepTree()
 			rec := obsv.New(obsv.Config{Capacity: 1 << 14, SampleEvery: -1})
-			var rep *trace.Report
-			var err error
-			if engine == "virtual" {
-				eng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-				eng.Obsv = rec
-				rep, err = eng.Run(twoLevel(rounds))
-			} else {
-				eng := NewConcurrent(tr)
-				eng.Obsv = rec
-				rep, err = eng.Run(twoLevel(rounds))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := runTwoLevel(t, engine, rec, rounds, nil)
 			if want := 3 * rounds; len(rep.Steps) != want || cap(rep.Steps) != want {
 				t.Fatalf("%d steps (cap %d), want %d", len(rep.Steps), cap(rep.Steps), want)
 			}
@@ -109,6 +182,46 @@ func TestReportStepsAcrossChunkBoundaries(t *testing.T) {
 					s.Level != int(ev.Level) || s.Start != ev.Start || s.End != ev.End || int64(s.Bytes) != ev.Bytes {
 					t.Fatalf("step %d = %+v, recorded as %+v", i, s, ev)
 				}
+				m := scopes[s.ScopeLabel]
+				if m == nil || s.ScopeName != m.Name || s.Level != m.Level || s.Participants != len(m.Pids()) {
+					t.Fatalf("step %d = %+v, of scope %+v", i, s, m)
+				}
+			}
+		})
+	}
+}
+
+// A long run keeps no per-step object: in a run whose every Sync takes a
+// label built afresh, the heap objects that survive a collection grow by
+// a chunk of the step record every stepChunk steps and by nothing else. A
+// record that kept each step's label string kept one object per step.
+func TestStepRecordRetainsNoPerStepObject(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("the race detector changes what the heap holds")
+	}
+	const warm, rounds = 20, 20 + 400 // three steps a round
+	for _, engine := range []string{"virtual", "concurrent"} {
+		t.Run(engine, func(t *testing.T) {
+			var before, after runtime.MemStats
+			// Two collections: the second empties the wire arena's pools,
+			// whose contents the first only moves to their victim caches.
+			settle := func(m *runtime.MemStats) {
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(m)
+			}
+			runTwoLevel(t, engine, nil, rounds, func(r int) {
+				switch r {
+				case warm - 1:
+					settle(&before)
+				case rounds - 1:
+					settle(&after)
+				}
+			})
+			perStep := (float64(after.HeapObjects) - float64(before.HeapObjects)) / (3 * (rounds - warm))
+			t.Logf("%.3f heap objects retained per recorded step", perStep)
+			if perStep >= 0.1 {
+				t.Errorf("%.3f heap objects retained per recorded step, want under 0.1", perStep)
 			}
 		})
 	}

@@ -109,16 +109,20 @@ func overHub(t *testing.T, prog Program) error {
 // TestSteadyStateSuperstepAllocs is the allocation ceiling of a warm
 // superstep: what a step may allocate is what outlives it by contract.
 // Delivered bytes recycle through the wire arena — an in-proc wire, a
-// frame read off the socket — so that is only the step record, a chunk
-// of it one step in sixty-four: 0.0 allocations and about 170 bytes per
-// step measured, in-proc and over a unix socket, at 64 B a pair and at
-// the 256 KiB of the benchmark's bulk workload. It was 4 allocations
-// in-proc (the delivery slab of each processor) and 12 over the socket
-// (the frame each batch was read into, 3.2 MB a step at 256 KiB).
+// frame read off the socket — so that is only the step record, an 8 KiB
+// chunk of 73 pointer-free 112-byte records one step in 73: 0.0
+// allocations and about 115 bytes per step measured, in-proc and over a
+// unix socket, at 64 B a pair and at 64 KiB and 256 KiB (the size of the
+// benchmark's bulk workload). The 150-byte ceiling is the record's: a
+// step kept as a 168-byte trace.Step measured 172 to 178. It was 4
+// allocations in-proc (the delivery slab of each processor) and 12 over
+// the socket (the frame each batch was read into, 3.2 MB a step at
+// 256 KiB); an in-proc send that copied a payload past 255 bytes into a
+// fresh backing instead of an arena one made 48 and 887 KB at 64 KiB.
 // The hub lane counts all four processes of a hub-and-workers run, and
 // each worker's BARRIER round trip is packed, framed and unpacked afresh
 // (the barrier's name a new string each time): 30 allocations and about
-// 880 bytes a step measured. A relay that kept the BARRIER frame it read
+// 820 bytes a step measured. A relay that kept the BARRIER frame it read
 // instead of releasing it would make that 36 and 2 KB. DESIGN.md §5.4
 // has the inventory.
 func TestSteadyStateSuperstepAllocs(t *testing.T) {
@@ -131,9 +135,11 @@ func TestSteadyStateSuperstepAllocs(t *testing.T) {
 		run            func(*testing.T, Program) error
 		allocs, nbytes float64
 	}{
-		{"inproc", 64, 4000, onOne("inproc"), 1, 4 << 10},
-		{"unix", 64, 2000, onOne("unix"), 1, 4 << 10},
-		{"unix/256KiB", 256 << 10, 500, onOne("unix"), 1, 4 << 10},
+		{"inproc", 64, 4000, onOne("inproc"), 1, 150},
+		{"inproc/64KiB", 64 << 10, 1000, onOne("inproc"), 1, 150},
+		{"inproc/256KiB", 256 << 10, 500, onOne("inproc"), 1, 150},
+		{"unix", 64, 2000, onOne("unix"), 1, 150},
+		{"unix/256KiB", 256 << 10, 500, onOne("unix"), 1, 150},
 		{"hub/unix", 64, 2000, overHub, 31, 1 << 10},
 	} {
 		t.Run(lane.name, func(t *testing.T) {
@@ -185,7 +191,9 @@ func emptySteps(level, warm, steps int, begin, end func()) Program {
 // wall-clock benchmark's bulk workload, tcp the lane of its collectives.
 // The two 0B lanes are supersteps that move nothing, so their ns/op is
 // the model's L on this substrate: L_{1,j}, a Sync of one two-leaf
-// cluster, and L_{2,0}, a Sync of the whole machine.
+// cluster, and L_{2,0}, a Sync of the whole machine. The 64B lanes also
+// report retained-B/op: the live heap after a collection grows by that
+// much per step, which is the step record's cost to a long run.
 func BenchmarkConcurrentSuperstep(b *testing.B) {
 	sizes := []struct {
 		name string
@@ -200,8 +208,26 @@ func BenchmarkConcurrentSuperstep(b *testing.B) {
 				p := tree.NProcs()
 				b.SetBytes(int64(p * (p - 1) * size.n))
 				b.ReportAllocs()
-				if _, err := eng.Run(allToAll(size.n, 200, b.N, b.ResetTimer, b.StopTimer)); err != nil {
+				begin, end := b.ResetTimer, b.StopTimer
+				var before, after runtime.MemStats
+				retained := size.n == 64
+				if retained {
+					begin = func() {
+						runtime.GC()
+						runtime.ReadMemStats(&before)
+						b.ResetTimer()
+					}
+					end = func() {
+						b.StopTimer()
+						runtime.GC()
+						runtime.ReadMemStats(&after)
+					}
+				}
+				if _, err := eng.Run(allToAll(size.n, 200, b.N, begin, end)); err != nil {
 					b.Fatal(err)
+				}
+				if retained {
+					b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(b.N), "retained-B/op")
 				}
 			})
 		}

@@ -58,15 +58,17 @@ func NewBuffer() *Buffer {
 // buffer is sendable exactly once: the wire record (when pooled)
 // travels with the message, so a second send would alias a payload the
 // receiver may already have released back to the pool. Only a transport
-// takes a borrowed tail by reference; a mailbox never holds one.
+// takes a borrowed tail by reference; a mailbox never holds one. The
+// tail is copied in before the buffer is marked sent, so that the copy
+// grows into an arena backing (reserve leaves a sent buffer alone).
 func (b *Buffer) adopt(byRef bool) (*wire, error) {
 	if b.sent {
 		return nil, errors.New("pvm: buffer already sent; pack a fresh buffer per send")
 	}
-	b.sent = true
 	if !byRef {
 		b.flatten()
 	}
+	b.sent = true
 	if b.w != nil {
 		// Packing may have grown past the pooled array; the wire record
 		// follows wherever the data lives now.
