@@ -124,15 +124,17 @@ wire-smoke:
 # bulk_unix's size), with allocs/op, and on the 64 B lanes retained-B/op,
 # the live heap a step leaves behind (the step record) — the Go-benchmark
 # twin of the sync and bulk workloads of ./benchmark, at the GOMAXPROCS =
-# 1 that harness pins every repetition to (-cpu 1) — and two empty
+# 1 that harness pins every repetition to (-cpu 1), the socket lanes with
+# syscalls/op, the read and write system calls of a step — and two empty
 # supersteps in-proc,
 # inproc/0B/cluster (a level-1 Sync of one two-leaf cluster) and
 # inproc/0B/root: the model's L_{1,j} and L_{2,0} as this substrate
 # defines them. Then the collective rung: BenchmarkCollectiveRound, one
 # round of coll_tcp's five collectives at 64 KiB each, in-proc and over
-# TCP loopback. No gate of their own (TestSteadyStateSuperstepAllocs,
-# TestCollectiveRoundAllocsInProc and the collectives'
-# *AllocatesItsResultOnce tests hold the allocation ceilings); check.sh
+# TCP loopback (with syscalls/op). No gate of their own
+# (TestSteadyStateSuperstepAllocs, TestCollectiveRoundAllocsInProc and the
+# collectives' *AllocatesItsResultOnce tests hold the allocation ceilings,
+# TestLoopbackSyscallsPerSuperstep the system-call one); check.sh
 # invokes this target so the rungs compile and run.
 bench-step:
 	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem -cpu 1 ./internal/hbsp
@@ -160,6 +162,7 @@ fuzz:
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzBatchBody -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzAckBody -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hbsp/ -run '^$$' -fuzz FuzzUnpackMsg -fuzztime $(FUZZTIME)
 
 clean:

@@ -59,6 +59,16 @@ timed 30 "delivered-byte lifetime" go test -race -count=3 \
 	-run 'Outlive|SentSliceIsFreeAfterSync|PoolRecyclingNeverAliases|ArenaSizeClasses|UnpackWindowReleases|FuzzBatchBody' \
 	-skip '/tcp' ./internal/pvm/... ./internal/hbsp ./internal/collective
 
+# Loopback I/O per superstep (DESIGN.md §5.10): the senders of a step
+# share one vectored write, a shared write that fails reaches every
+# sender naming its own oldest destination, a follower's borrow ends when
+# its call returns, and the pump and the ack reader read only what they
+# are owed — under the race detector, at GOMAXPROCS 1 and 4 — and a warm
+# 64 B unix step makes at most 5 read and write system calls.
+timed 30 "loopback I/O per superstep" sh -c "go test -race -count=1 \
+	-run 'ShareOneWrite|SeverInsideA|EndsTheBorrow|PumpWritesAcks|OutOfOrderAck|LinkLossNames|FlushHonoursAck' \
+	./internal/pvm/wiretrans && go test -count=1 -run 'SyscallsPerSuperstep' ./internal/hbsp"
+
 # Seeded chaos smoke, as `make chaos` defines it: fault injection across
 # the fabric, both engines, and the fault-tolerant collectives, under
 # the race detector, rerun by name.

@@ -70,9 +70,10 @@ func collRound(tr *model.Tree, n, warm, rounds int, begin, end func()) hbsp.Prog
 // is one round of collRound at 64 KiB each, on the four processors of
 // WideAreaGrid(2,2,4,10,100) on Concurrent, in-proc and over TCP
 // loopback; B/op and allocs/op are everything the round allocates, on
-// every processor. TestCollectiveRoundAllocsInProc gates the in-proc
-// lane's bytes; the ceilings of hier_test.go hold each collective's
-// copies on Virtual.
+// every processor. The tcp lane reports syscalls/op, the round's read
+// and write system calls, where /proc/self/io counts them.
+// TestCollectiveRoundAllocsInProc gates the in-proc lane's bytes; the
+// ceilings of hier_test.go hold each collective's copies on Virtual.
 func BenchmarkCollectiveRound(b *testing.B) {
 	const n, warm = 64 << 10, 30
 	for _, tf := range pvm.TransportFactories() {
@@ -83,8 +84,25 @@ func BenchmarkCollectiveRound(b *testing.B) {
 			tr := roundTree()
 			b.SetBytes(5 * n)
 			b.ReportAllocs()
-			if _, err := conformanceEngine(tf, tr).Run(collRound(tr, n, warm, b.N, b.ResetTimer, b.StopTimer)); err != nil {
+			var calls [2]int64
+			counted := tf.Name != "inproc"
+			begin := func() {
+				if counted {
+					calls[0], counted = testutil.Syscalls()
+				}
+				b.ResetTimer()
+			}
+			end := func() {
+				b.StopTimer()
+				if counted {
+					calls[1], _ = testutil.Syscalls()
+				}
+			}
+			if _, err := conformanceEngine(tf, tr).Run(collRound(tr, n, warm, b.N, begin, end)); err != nil {
 				b.Fatal(err)
+			}
+			if counted {
+				b.ReportMetric(float64(calls[1]-calls[0])/float64(b.N), "syscalls/op")
 			}
 		})
 	}

@@ -160,6 +160,35 @@ func TestSteadyStateSuperstepAllocs(t *testing.T) {
 	}
 }
 
+// TestLoopbackSyscallsPerSuperstep is the system-call count of a warm
+// 64 B all-to-all superstep over a unix-socket Loopback at GOMAXPROCS 1,
+// the benchmark harness's setting, from the process's read and write
+// counters: the four senders' posts share one vectored write, the pump
+// reads the step's frames once and writes its acks once, and the ack
+// reader reads them once — 4 a step, a little more when the runtime's
+// fairness check splits a group. It was 9.0 when each sender wrote its
+// own post and the pump and the ack reader each read until a read came
+// back empty. The ceiling is 5.
+func TestLoopbackSyscallsPerSuperstep(t *testing.T) {
+	if _, ok := testutil.Syscalls(); !ok {
+		t.Skip("no /proc/self/io: the system-call counters are Linux's")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const steps = 2000
+	var before, after int64
+	err := onOne("unix")(t, allToAll(64, 500, steps,
+		func() { before, _ = testutil.Syscalls() },
+		func() { after, _ = testutil.Syscalls() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perStep := float64(after-before) / steps
+	t.Logf("%.2f read and write system calls per superstep (p = 4)", perStep)
+	if perStep > 5 {
+		t.Errorf("%.2f read and write system calls per warm 64 B unix superstep, ceiling 5", perStep)
+	}
+}
+
 // emptySteps runs warm untimed and then steps measured empty supersteps
 // on the level-th ancestor of processor 0 — its members only; the rest
 // of the machine returns at once.
@@ -193,7 +222,10 @@ func emptySteps(level, warm, steps int, begin, end func()) Program {
 // the model's L on this substrate: L_{1,j}, a Sync of one two-leaf
 // cluster, and L_{2,0}, a Sync of the whole machine. The 64B lanes also
 // report retained-B/op: the live heap after a collection grows by that
-// much per step, which is the step record's cost to a long run.
+// much per step, which is the step record's cost to a long run. The
+// socket lanes report syscalls/op, the read and write system calls of a
+// step (TestLoopbackSyscallsPerSuperstep gates the unix/64B one), where
+// /proc/self/io counts them.
 func BenchmarkConcurrentSuperstep(b *testing.B) {
 	sizes := []struct {
 		name string
@@ -208,17 +240,25 @@ func BenchmarkConcurrentSuperstep(b *testing.B) {
 				p := tree.NProcs()
 				b.SetBytes(int64(p * (p - 1) * size.n))
 				b.ReportAllocs()
-				begin, end := b.ResetTimer, b.StopTimer
 				var before, after runtime.MemStats
-				retained := size.n == 64
-				if retained {
-					begin = func() {
+				var calls [2]int64
+				retained, counted := size.n == 64, network != "inproc"
+				begin := func() {
+					if retained {
 						runtime.GC()
 						runtime.ReadMemStats(&before)
-						b.ResetTimer()
 					}
-					end = func() {
-						b.StopTimer()
+					if counted {
+						calls[0], counted = testutil.Syscalls()
+					}
+					b.ResetTimer()
+				}
+				end := func() {
+					b.StopTimer()
+					if counted {
+						calls[1], _ = testutil.Syscalls()
+					}
+					if retained {
 						runtime.GC()
 						runtime.ReadMemStats(&after)
 					}
@@ -228,6 +268,9 @@ func BenchmarkConcurrentSuperstep(b *testing.B) {
 				}
 				if retained {
 					b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(b.N), "retained-B/op")
+				}
+				if counted {
+					b.ReportMetric(float64(calls[1]-calls[0])/float64(b.N), "syscalls/op")
 				}
 			})
 		}

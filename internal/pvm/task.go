@@ -285,8 +285,9 @@ func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error {
 // under a transport every buffer adopted, before anything is delivered,
 // so an unknown TID or a spent buffer fails the call with nothing
 // posted. A transport gets one Deliver per batch, all but the last
-// marked More, so that it can write the whole call at once; a slice a
-// buffer borrowed is the caller's again when the call returns. Like
+// marked More, so that it can write the whole call at once — possibly in
+// a write another task's send makes, which this call waits for; a slice
+// a buffer borrowed is the caller's again when the call returns. Like
 // every send, it is called from one goroutine at a time per task.
 func (t *Task) SendBatches(tag int, batches []Batch) error {
 	t.targets = t.targets[:0]

@@ -45,11 +45,14 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 //     hold. A held batch is written, ahead of and together with what
 //     follows it, by the sender's first unmarked Deliver; an unmarked
 //     batch (every Send and lone SendBatch) is written before
-//     Deliver returns. A sender that breaks the promise has what it left
-//     held written by its next Flush — barrier entry and task exit
-//     included. A Deliver that returns an error has ended the post:
-//     the transport holds nothing of that sender's afterwards. A
-//     transport with no link to write to (the hub, the in-proc path)
+//     Deliver returns. The write may be another sender's — a transport
+//     may carry the posts of senders that deliver at the same time in
+//     one write, made by one of their Deliver calls — but each returns
+//     only once its batch is written. A sender that breaks the promise
+//     has what it left held written by its next Flush — barrier entry
+//     and task exit included. A Deliver that returns an error has ended
+//     the post: the transport holds nothing of that sender's afterwards.
+//     A transport with no link to write to (the hub, the in-proc path)
 //     ignores the mark.
 //   - Flush(src) first writes whatever src left held, then returns once
 //     every batch src has posted is observable, or with the first
@@ -65,8 +68,9 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 //   - A message's bytes are read through Message.Pieces, head then tail.
 //     The tail is a slice its sender lent: borrowed bytes are valid until
 //     the call that posted them returns — Deliver for an unmarked batch,
-//     for a marked one the unmarked Deliver that ends its post; a
-//     transport that keeps a message past that copies them first.
+//     for a marked one the unmarked Deliver that ends its post, whoever's
+//     call made the write; a transport that keeps a message past that
+//     copies them first.
 //   - Per-sender FIFO: two Deliver calls from the same task to the same
 //     destination must stage in call order, held or not.
 //   - Errors map into the pvm taxonomy: a severed link wraps

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -225,61 +226,85 @@ func TestVectoredDeliverWritesTheSameFrame(t *testing.T) {
 // Deliver has returned, what they still reference.
 type keepingTransport struct {
 	chunkedTransport
+	mu   sync.Mutex
 	kept []pvm.Message
 }
 
 func (k *keepingTransport) Deliver(dst pvm.TID, ms []pvm.Message) error {
+	k.mu.Lock()
 	k.kept = append(k.kept, ms...)
+	k.mu.Unlock()
 	return k.chunkedTransport.Deliver(dst, ms)
 }
 
 func TestDeliverEndsTheBorrowOnEveryPath(t *testing.T) {
 	// The record of a tailed wire lets go of the sender's slice by the time
-	// Deliver returns: after the write, after a write that failed, and on
-	// the early return of a link already failed.
+	// the call that posted it returns: after the write, after a write that
+	// failed, and on the early return of a link already failed — for the
+	// sender whose call made the write and for one whose post rode in it
+	// (two senders post together; at GOMAXPROCS 1 the second waits behind
+	// the first). Each sender overwrites its slice the moment its call
+	// returns, so a write still reading it delivers the overwritten bytes,
+	// and the pipe copies what is written in Go, so under -race it is also
+	// a report.
 	for _, path := range []string{"written", "write error", "failed link"} {
 		t.Run(path, func(t *testing.T) {
-			testutil.CheckGoroutines(t)
-			lb, err := NewLoopback("unix")
-			if err != nil {
-				t.Fatalf("NewLoopback: %v", err)
-			}
-			tr := &keepingTransport{chunkedTransport: chunkedTransport{Loopback: lb}}
-			sys := pvm.NewSystem()
-			if err := sys.SetTransport(tr); err != nil {
-				t.Fatalf("SetTransport: %v", err)
-			}
-			t.Cleanup(func() { _ = tr.Close() })
-			switch path {
-			case "write error":
-				// Writes time out; the pump, reading the other end, sees nothing.
-				_ = tr.wrote.Conn.SetWriteDeadline(time.Unix(1, 0))
-			case "failed link":
-				tr.fail(errors.New("down before the send"))
-			}
-			lent := []byte("the sender wants this back")
-			sys.Spawn("send", func(task *pvm.Task) error {
-				bufs := []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent), pvm.NewBuffer().PackInt32(1).PackBytesBorrowed(lent)}
-				err := task.SendBatch(task.TID(), 1, bufs)
-				if ferr := task.Flush(); err == nil {
-					err = ferr
+			everyProcs(t, func(t *testing.T) {
+				lb, err := NewLoopback("unix")
+				if err != nil {
+					t.Fatalf("NewLoopback: %v", err)
 				}
-				if (err == nil) != (path == "written") {
-					t.Errorf("send and flush = %v", err)
+				tr := &keepingTransport{chunkedTransport: chunkedTransport{Loopback: lb}}
+				sys := pvm.NewSystem()
+				if err := sys.SetTransport(tr); err != nil {
+					t.Fatalf("SetTransport: %v", err)
 				}
-				return nil
+				t.Cleanup(func() { _ = tr.Close() })
+				switch path {
+				case "write error":
+					// Writes time out; the pump, reading the other end, sees nothing.
+					_ = tr.wrote.Conn.SetWriteDeadline(time.Unix(1, 0))
+				case "failed link":
+					tr.fail(errors.New("down before the send"))
+				}
+				const senders = 2
+				start := make(chan struct{})
+				for i := 0; i < senders; i++ {
+					sys.Spawn("send", func(task *pvm.Task) error {
+						lent := []byte("the sender wants this back")
+						want := [][]byte{pvm.Wrap(nil).PackBytes(lent).Bytes(), pvm.Wrap(nil).PackInt32(1).PackBytes(lent).Bytes()}
+						bufs := []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent), pvm.NewBuffer().PackInt32(1).PackBytesBorrowed(lent)}
+						<-start
+						err := task.SendBatch(task.TID(), 1, bufs)
+						clear(lent)
+						if ferr := task.Flush(); err == nil {
+							err = ferr
+						}
+						if (err == nil) != (path == "written") {
+							t.Errorf("sender %d: send and flush = %v", i, err)
+						}
+						for j, m := range task.TryRecvAll(task.TID(), 1) {
+							if got := m.Buffer().Bytes(); !bytes.Equal(got, want[j]) {
+								t.Errorf("sender %d, message %d = %x, want %x", i, j, got, want[j])
+							}
+							m.Release()
+						}
+						return nil
+					})
+				}
+				close(start)
+				if err := sys.Wait(); err != nil {
+					t.Fatalf("Wait: %v", err)
+				}
+				if len(tr.kept) != 2*senders {
+					t.Fatalf("transport saw %d messages, want %d", len(tr.kept), 2*senders)
+				}
+				for i, m := range tr.kept {
+					if _, tail := m.Pieces(); tail != nil {
+						t.Errorf("message %d still holds the sender's slice after Deliver", i)
+					}
+				}
 			})
-			if err := sys.Wait(); err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-			if len(tr.kept) != 2 {
-				t.Fatalf("transport saw %d messages, want 2", len(tr.kept))
-			}
-			for i, m := range tr.kept {
-				if _, tail := m.Pieces(); tail != nil {
-					t.Errorf("message %d still holds the sender's slice after Deliver", i)
-				}
-			}
 		})
 	}
 }
@@ -342,15 +367,16 @@ func TestHandshakeOverChunkedConn(t *testing.T) {
 
 // ackProbeConn is the pump's side of a chunkConn that also keeps the
 // pump's books: the batch frames it has read in full (all of frameLen
-// bytes) against the ack frames it has written, and how often it went
-// back to read while behind.
+// bytes) against the ack frames it has written, how often it went back
+// to read while behind, and how often it read at all.
 type ackProbeConn struct {
 	chunkConn
-	frameLen                   int
-	read, acks, writes, behind int
+	frameLen                          int
+	reads, read, acks, writes, behind int
 }
 
 func (c *ackProbeConn) Read(p []byte) (int, error) {
+	c.reads++
 	if c.read/c.frameLen > c.acks {
 		c.behind++
 	}
@@ -368,10 +394,13 @@ func (c *ackProbeConn) Write(p []byte) (int, error) {
 }
 
 func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
-	// A burst of batches in one write. Read a byte at a time the pump
-	// never holds a whole next frame, so every ack goes out on its own
-	// before the next read; read whole, the burst is acked in one write.
-	// Either way it never reads from the socket while it owes an ack.
+	// A burst of batches in one write, all of them owed to the pump. Read
+	// a byte at a time the pump never holds a whole next frame, so every
+	// ack goes out on its own before the next read; read whole, the burst
+	// is acked in one write. Either way it never reads from the socket
+	// while it owes an ack, and it reads nothing past the burst: once it
+	// has every frame it was owed it writes its acks and waits off the
+	// socket, rather than go back to find the socket empty.
 	const burst = 8
 	for _, tc := range []struct {
 		name                string
@@ -400,6 +429,7 @@ func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
 				t.Fatalf("NewLoopback: %v", err)
 			}
 			lb.sys = sys
+			lb.owe(&lb.batches, burst)
 			a, b := net.Pipe()
 			_ = a.SetDeadline(time.Now().Add(10 * time.Second))
 			probe := &ackProbeConn{chunkConn: chunkConn{Conn: b, maxRead: tc.maxRead}, frameLen: len(frames) / burst}
@@ -421,8 +451,8 @@ func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
 					t.Fatalf("ack %d: kind %d seq %d code %d", seq, kind, got, code)
 				}
 			}
+			_ = lb.Close() // wakes the pump, which waits for frames it is owed
 			_ = a.Close()
-			lb.wg.Wait() // the pump is done with the probe
 			close(hold)
 			if err := sys.Wait(); err != nil {
 				t.Fatal(err)
@@ -432,6 +462,13 @@ func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
 			}
 			if probe.acks != burst || probe.writes != tc.wantWrites {
 				t.Fatalf("%d acks in %d writes, want %d in %d", probe.acks, probe.writes, burst, tc.wantWrites)
+			}
+			wantReads := 1
+			if tc.maxRead == 1 {
+				wantReads = len(frames)
+			}
+			if probe.reads != wantReads {
+				t.Fatalf("pump made %d reads of a %d-byte burst, want %d", probe.reads, len(frames), wantReads)
 			}
 		})
 	}

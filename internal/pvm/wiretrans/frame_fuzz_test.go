@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"hbspk/internal/pvm"
 )
@@ -129,6 +130,50 @@ func FuzzBatchBody(f *testing.F) {
 			m.Release()
 		}
 		scribble.Release()
+	})
+}
+
+// FuzzAckBody drives the ack reader with an arbitrary ACK body, owed to
+// it by a pump the test plays by hand while no batch is pending: whatever
+// the body decodes to — too short, an unknown verdict, a batch nobody
+// posted — the link fails with ErrBadFrame and the reader returns,
+// never a panic, never a hang.
+func FuzzAckBody(f *testing.F) {
+	ack := func(seq int64, code int32, detail string) []byte {
+		return pvm.Wrap(nil).PackInt64(seq).PackInt32(code).PackString(detail).Bytes()
+	}
+	f.Add([]byte{})
+	f.Add(ack(1, ackOK, ""))
+	f.Add(ack(0, ackHalted, ""))
+	f.Add(ack(-1, 99, "no such verdict"))
+	f.Add(ack(1, ackNoTask, "detail")[:12])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		tr := newPipeTransport(t)
+		if err := tr.Attach(nil); err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = tr.Close() }()
+		tr.owe(&tr.acks, 1)
+		go func() {
+			_, _ = tr.peer.Write(AppendFrame(nil, frameAck, body))
+			_ = tr.peer.Close()
+		}()
+		read := make(chan struct{})
+		go func() {
+			tr.wg.Wait()
+			close(read)
+		}()
+		select {
+		case <-read:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the ack reader still runs 10s after its one ack")
+		}
+		tr.mu.Lock()
+		err := tr.failErr
+		tr.mu.Unlock()
+		if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("ack body %x: link failure %v, want ErrBadFrame", body, err)
+		}
 	})
 }
 

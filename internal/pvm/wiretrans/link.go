@@ -109,7 +109,8 @@ var (
 // the messages by value, in call order, and how they divide into BATCH
 // frames. A batch marked pvm.Message.More waits here; the sender's first
 // unmarked one takes everything held out in one vectored write
-// (writeHeldLocked). Nothing but the caller's mark decides a hold.
+// (writeHeldLocked) — on a Loopback, one shared with the senders that
+// post at the same time. Nothing but the caller's mark decides a hold.
 type held struct {
 	msgs   []pvm.Message
 	frames []heldFrame
@@ -148,62 +149,77 @@ func (h *held) release() {
 	h.msgs, h.frames = h.msgs[:0], h.frames[:0]
 }
 
-// writeHeldLocked writes everything in h — one BATCH frame per entry, in
-// order — with one vectored write that copies no payload byte: only the
-// headers are packed, contiguously, into the link's scratch, and go out
-// interleaved with the wires' own pieces, head then the tail the sender
-// lent. Written or not, h is released. The caller holds wmu.
-func (l *link) writeHeldLocked(h *held) error {
-	if len(h.frames) == 0 {
-		return nil
-	}
-	defer h.release()
-	buf, ms := l.scratch[:0], h.msgs
-	for _, f := range h.frames {
-		start := len(buf)
-		hdr := pvm.Wrap(beginFrame(buf, frameBatch)).
-			PackInt64(f.seq).
-			PackInt32(int32(f.dst), int32(f.n))
-		payload := 0
-		for _, m := range ms[:f.n] {
-			n := m.Len()
-			hdr.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytesHeader(n)
-			payload += n
+// writeHeldLocked writes everything in hs — one BATCH frame per entry of
+// each, in order — with one vectored write that copies no payload byte:
+// only the headers are packed, contiguously, into the link's scratch, and
+// go out interleaved with the wires' own pieces, head then the tail the
+// sender lent. Written or not, every h is released. The caller holds wmu.
+func (l *link) writeHeldLocked(hs ...*held) error {
+	defer releaseHeld(hs)
+	buf := l.scratch[:0]
+	for _, h := range hs {
+		ms := h.msgs
+		for _, f := range h.frames {
+			start := len(buf)
+			hdr := pvm.Wrap(beginFrame(buf, frameBatch)).
+				PackInt64(f.seq).
+				PackInt32(int32(f.dst), int32(f.n))
+			payload := 0
+			for _, m := range ms[:f.n] {
+				n := m.Len()
+				hdr.PackInt32(int32(m.Src)).PackInt64(int64(m.Tag)).PackBytesHeader(n)
+				payload += n
+			}
+			buf, ms = hdr.Bytes(), ms[f.n:]
+			endFrame(buf, start, payload)
 		}
-		buf, ms = hdr.Bytes(), ms[f.n:]
-		endFrame(buf, start, payload)
+	}
+	if len(buf) == 0 {
+		return nil
 	}
 	l.scratch = buf
 	// A frame's own header and its batch header ride with the first
 	// message's.
 	l.iov = l.iov[:0]
-	at, ms := 0, h.msgs
-	for _, f := range h.frames {
-		to := at + batchLead
-		for _, m := range ms[:f.n] {
-			to += batchPerMsg
-			l.iov = append(l.iov, buf[at:to])
-			head, tail := m.Pieces()
-			if len(head) > 0 {
-				l.iov = append(l.iov, head)
+	at := 0
+	for _, h := range hs {
+		ms := h.msgs
+		for _, f := range h.frames {
+			to := at + batchLead
+			for _, m := range ms[:f.n] {
+				to += batchPerMsg
+				l.iov = append(l.iov, buf[at:to])
+				head, tail := m.Pieces()
+				if len(head) > 0 {
+					l.iov = append(l.iov, head)
+				}
+				if len(tail) > 0 {
+					l.iov = append(l.iov, tail)
+				}
+				at = to
 			}
-			if len(tail) > 0 {
-				l.iov = append(l.iov, tail)
-			}
-			at = to
+			ms = ms[f.n:]
 		}
-		ms = ms[f.n:]
 	}
 	if err := l.writevLocked(); err != nil {
 		return err
 	}
 	// The observer hears of each frame, by the length its header carries.
 	at = 0
-	for _, f := range h.frames {
-		observeFrame(l.transport, true, frameHeader+int(binary.BigEndian.Uint32(buf[at:])))
-		at += batchLead + f.n*batchPerMsg
+	for _, h := range hs {
+		for _, f := range h.frames {
+			observeFrame(l.transport, true, frameHeader+int(binary.BigEndian.Uint32(buf[at:])))
+			at += batchLead + f.n*batchPerMsg
+		}
 	}
 	return nil
+}
+
+// releaseHeld releases every held of a write.
+func releaseHeld(hs []*held) {
+	for _, h := range hs {
+		h.release()
+	}
 }
 
 // post is Deliver on a link that has one sender (a worker's uplink, a

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"hbspk/internal/pvm"
@@ -12,7 +14,8 @@ import (
 
 // These tests hold the one-write-per-post discipline: a batch its sender
 // marked More is held, the first unmarked one writes everything held in
-// one vectored write, and nothing held outlives the call that marked it.
+// one vectored write — on a Loopback, shared with the senders that post
+// at the same time — and nothing held outlives the call that marked it.
 
 // attachLoopback returns a System carried by a fresh Loopback.
 func attachLoopback(t *testing.T, network string) (*Loopback, *pvm.System) {
@@ -43,6 +46,25 @@ func (l *link) written() int {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	return l.writes
+}
+
+// gomaxprocs runs the rest of the test at GOMAXPROCS n.
+func gomaxprocs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// everyProcs runs f as a subtest at GOMAXPROCS 1, where senders released
+// together post as one group, and at 4, where they race; each lane is
+// checked for leaked goroutines.
+func everyProcs(t *testing.T, f func(*testing.T)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			gomaxprocs(t, procs)
+			f(t)
+		})
+	}
 }
 
 func TestPostToManyIsOneWrite(t *testing.T) {
@@ -199,79 +221,223 @@ func TestMultiFrameWriteSurvivesChunkedConn(t *testing.T) {
 // what they still reference.
 type keepingLoopback struct {
 	*Loopback
+	mu   sync.Mutex
 	kept []pvm.Message
 }
 
 func (k *keepingLoopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
+	k.mu.Lock()
 	k.kept = append(k.kept, ms...)
+	k.mu.Unlock()
 	return k.Loopback.Deliver(dst, ms)
 }
 
 func TestSeverInsideAPost(t *testing.T) {
-	// The link drops after the first frame of a three-frame write. The
-	// post itself went out whole, so the call succeeds and lends nothing
-	// past its return; the loss surfaces at Flush, typed and naming a
-	// destination of the post; every wire has been released.
-	testutil.CheckGoroutines(t)
-	lb, err := NewLoopback("unix")
-	if err != nil {
-		t.Fatalf("NewLoopback: %v", err)
-	}
-	tr := &keepingLoopback{Loopback: lb}
-	sys := pvm.NewSystem()
-	if err := sys.SetTransport(tr); err != nil {
-		t.Fatalf("SetTransport: %v", err)
-	}
-	t.Cleanup(func() { _ = tr.Close() })
+	// Two senders post three frames each in one group write — the test
+	// holds the write lock until both have queued — and the link drops
+	// after the first frame of it. Each post went out whole, so each call
+	// succeeds and lends nothing past its return — the follower's too,
+	// whose post rode in the leader's write; the loss surfaces at Flush,
+	// typed and naming a destination of the post. A post on the severed
+	// link fails at once, naming its first destination, and every wire
+	// has been released.
+	everyProcs(t, func(t *testing.T) {
+		lb, err := NewLoopback("unix")
+		if err != nil {
+			t.Fatalf("NewLoopback: %v", err)
+		}
+		tr := &keepingLoopback{Loopback: lb}
+		sys := pvm.NewSystem()
+		if err := sys.SetTransport(tr); err != nil {
+			t.Fatalf("SetTransport: %v", err)
+		}
+		t.Cleanup(func() { _ = tr.Close() })
 
-	dsts, stop := spawnIdle(sys, 3)
-	var flushErr, sendErr error
-	sys.Spawn("send", func(task *pvm.Task) error {
-		defer stop()
-		lent := bytes.Repeat([]byte{0xA5}, 4<<10)
-		var post []pvm.Batch
-		for _, dst := range dsts {
-			post = append(post, pvm.Batch{Dst: dst, Bufs: []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent)}})
+		dsts, stop := spawnIdle(sys, 3)
+		const senders = 2
+		start := make(chan struct{})
+		var sent sync.WaitGroup
+		sent.Add(senders)
+		postErrs, flushErrs, sendErrs := make([]error, senders), make([]error, senders), make([]error, senders)
+		for i := 0; i < senders; i++ {
+			sys.Spawn("send", func(task *pvm.Task) error {
+				defer sent.Done()
+				lent := bytes.Repeat([]byte{0xA5}, 4<<10)
+				var post []pvm.Batch
+				for _, dst := range dsts {
+					post = append(post, pvm.Batch{Dst: dst, Bufs: []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent)}})
+				}
+				<-start
+				postErrs[i] = task.SendBatches(1, post)
+				clear(lent) // the caller's again; under -race a late read of it is a report
+				flushErrs[i] = task.Flush()
+				sendErrs[i] = task.SendBatches(1, []pvm.Batch{
+					{Dst: dsts[0], Bufs: []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent)}},
+					{Dst: dsts[1], Bufs: []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent)}},
+				})
+				return nil
+			})
 		}
 		tr.Sever(1)
-		if err := task.SendBatches(1, post); err != nil {
-			return fmt.Errorf("the post: %w", err)
+		tr.cli.wmu.Lock()
+		close(start)
+		queued := func() int {
+			tr.Loopback.mu.Lock()
+			defer tr.Loopback.mu.Unlock()
+			return len(tr.queue)
 		}
-		clear(lent) // the caller's again; under -race a late read of it is a report
-		flushErr = task.Flush()
-		for i, m := range tr.kept {
-			if _, tail := m.Pieces(); tail != nil {
-				return fmt.Errorf("message %d of the post was not released by the write", i)
+		for queued() < senders {
+			runtime.Gosched()
+		}
+		tr.cli.wmu.Unlock()
+		sent.Wait()
+		stop()
+		if err := sys.Wait(); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		var de *pvm.DeliveryError
+		for i := 0; i < senders; i++ {
+			if err := postErrs[i]; err != nil {
+				t.Errorf("sender %d: the post the sever cut = %v, want nil: it went out whole", i, err)
+			}
+			if err := flushErrs[i]; !errors.Is(err, pvm.ErrPeerLost) || !errors.As(err, &de) || (de.Dst != dsts[0] && de.Dst != dsts[1]) {
+				t.Errorf("sender %d: Flush after the sever = %v, want pvm.ErrPeerLost naming task %d or %d", i, err, dsts[0], dsts[1])
+			}
+			if err := sendErrs[i]; !errors.Is(err, pvm.ErrPeerLost) || !errors.As(err, &de) || de.Dst != dsts[0] {
+				t.Errorf("sender %d: a post on the severed link = %v, want pvm.ErrPeerLost naming task %d", i, err, dsts[0])
 			}
 		}
-		sendErr = task.SendBatches(1, []pvm.Batch{
-			{Dst: dsts[0], Bufs: []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent)}},
-			{Dst: dsts[1], Bufs: []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(lent)}},
-		})
-		return nil
+		if len(tr.kept) != 5*senders {
+			t.Fatalf("transport saw %d messages, want %d", len(tr.kept), 5*senders)
+		}
+		for i, m := range tr.kept {
+			if _, tail := m.Pieces(); tail != nil {
+				t.Errorf("message %d was never released: it still holds the sender's slice", i)
+			}
+		}
+		for src, s := range tr.senders {
+			if len(s.held.frames) != 0 || len(s.held.msgs) != 0 {
+				t.Errorf("task %d still holds %d frames", src, len(s.held.frames))
+			}
+		}
 	})
-	if err := sys.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	var de *pvm.DeliveryError
-	if !errors.Is(flushErr, pvm.ErrPeerLost) || !errors.As(flushErr, &de) || (de.Dst != dsts[0] && de.Dst != dsts[1]) {
-		t.Fatalf("Flush after the sever = %v, want pvm.ErrPeerLost naming task %d or %d", flushErr, dsts[0], dsts[1])
-	}
-	if !errors.Is(sendErr, pvm.ErrPeerLost) || !errors.As(sendErr, &de) || de.Dst != dsts[0] {
-		t.Fatalf("a post on the severed link = %v, want pvm.ErrPeerLost naming task %d", sendErr, dsts[0])
-	}
-	if len(tr.kept) != 5 {
-		t.Fatalf("transport saw %d messages, want 5", len(tr.kept))
-	}
-	for i, m := range tr.kept {
-		if _, tail := m.Pieces(); tail != nil {
-			t.Errorf("message %d was never released: it still holds the sender's slice", i)
+}
+
+func TestSeverInsideAGroupFailsEverySender(t *testing.T) {
+	// Four senders post together, each to the same four receivers in an
+	// order of its own, and the link drops at the third frame of the
+	// write they share, inside the first post: no ack of the write went
+	// out, so every sender's Flush fails, typed and naming that sender's
+	// own oldest destination. Where the posts did not all share one write,
+	// a post that found the link lost fails at once, naming the same.
+	everyProcs(t, func(t *testing.T) {
+		tr, sys := attachLoopback(t, "unix")
+		const senders = 4
+		dsts, stop := spawnIdle(sys, senders)
+		start := make(chan struct{})
+		var sent sync.WaitGroup
+		sent.Add(senders)
+		errs := make([]error, senders)
+		for i := 0; i < senders; i++ {
+			sys.Spawn("send", func(task *pvm.Task) error {
+				defer sent.Done()
+				var post []pvm.Batch
+				for j := range dsts {
+					post = append(post, pvm.Batch{Dst: dsts[(i+j)%senders], Bufs: []*pvm.Buffer{pvm.NewBuffer().PackInt32(int32(j))}})
+				}
+				<-start
+				err := task.SendBatches(1, post)
+				if err == nil {
+					err = task.Flush()
+				}
+				errs[i] = err
+				return nil
+			})
 		}
-	}
-	for src, s := range tr.senders {
-		if len(s.held.frames) != 0 || len(s.held.msgs) != 0 {
-			t.Errorf("task %d still holds %d frames", src, len(s.held.frames))
+		tr.Sever(2)
+		close(start)
+		sent.Wait()
+		stop()
+		if err := sys.Wait(); err != nil {
+			t.Fatalf("Wait: %v", err)
 		}
+		for i, err := range errs {
+			var de *pvm.DeliveryError
+			if !errors.Is(err, pvm.ErrPeerLost) || !errors.As(err, &de) || de.Dst != dsts[i] {
+				t.Errorf("sender %d: %v, want pvm.ErrPeerLost naming its oldest destination, task %d", i, err, dsts[i])
+			}
+		}
+	})
+}
+
+func TestSendersThatPostTogetherShareOneWrite(t *testing.T) {
+	// Four senders released at once, as a barrier exit releases a
+	// superstep's processors, each posting to the other three and
+	// flushing. At GOMAXPROCS 1 the first to post yields, the other three
+	// queue behind it, and the step is one vectored write on the client
+	// link — it was four, one per sender. Now and then the runtime's
+	// fairness check runs the yielding leader before its peers, which
+	// splits a step in two, so 16 of 20 steps must be one write.
+	for _, network := range []string{"unix", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			gomaxprocs(t, 1)
+			tr, sys := attachLoopback(t, network)
+			const senders, steps = 4, 20
+			starts := make([]chan struct{}, steps)
+			for i := range starts {
+				starts[i] = make(chan struct{})
+			}
+			flushed := make(chan error, senders)
+			for i := 0; i < senders; i++ {
+				sys.Spawn("peer", func(task *pvm.Task) error {
+					payload := make([]byte, 64)
+					for _, start := range starts {
+						<-start
+						for _, m := range task.TryRecvAll(pvm.AnySource, 1) {
+							m.Release()
+						}
+						var post []pvm.Batch
+						for dst := pvm.TID(0); dst < senders; dst++ {
+							if dst != task.TID() {
+								post = append(post, pvm.Batch{Dst: dst, Bufs: []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(payload)}})
+							}
+						}
+						err := task.SendBatches(1, post)
+						if err == nil {
+							err = task.Flush()
+						}
+						flushed <- err
+						if err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}
+			var writes []int
+			single := 0
+			for _, start := range starts {
+				before := tr.cli.written()
+				close(start)
+				for i := 0; i < senders; i++ {
+					if err := <-flushed; err != nil {
+						t.Fatal(err)
+					}
+				}
+				n := tr.cli.written() - before
+				writes = append(writes, n)
+				if n == 1 {
+					single++
+				}
+			}
+			if err := sys.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if single < 16 {
+				t.Fatalf("vectored writes per step %v: %d of %d steps were one write, want at least 16", writes, single, steps)
+			}
+		})
 	}
 }
 
@@ -457,6 +623,7 @@ func TestFrameObserverSeesEachFrameOfAWrite(t *testing.T) {
 			sizes <- n
 			seq, _ := pvm.Wrap(body).UnpackInt64()
 			ack := pvm.Wrap(nil).PackInt64(seq).PackInt32(ackOK).PackString("")
+			tr.owe(&tr.acks, 1)
 			_, _ = tr.peer.Write(AppendFrame(nil, frameAck, ack.Bytes()))
 		}
 	}()

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -40,11 +41,14 @@ const (
 //
 // Deliver posts: it writes the framed batch through and returns — or,
 // for a batch its sender marked More, holds it for the write that ends
-// the sender's call, so a post to many destinations is one writev. Flush
-// is the one wait, until the server pump has injected and acked all the
-// sender posted — the engines' "all sends of a superstep happen before
-// barrier exit" at one wake-up per superstep. Nothing else queues in
-// user space: a slow pump pushes back through the socket buffer.
+// the sender's call, so a post to many destinations is one writev — and
+// senders that post at the same time share that write (postHeld), so a
+// superstep is one writev. Flush is the one wait, until the server pump
+// has injected and acked all the sender posted — the engines' "all sends
+// of a superstep happen before barrier exit" at one wake-up per
+// superstep. Nothing else queues in user space: a slow pump pushes back
+// through the socket buffer. The pump and the ack reader read only what
+// they are owed (demand), so no read is made to find the socket empty.
 type Loopback struct {
 	network string // "unix" or "tcp"
 	sys     *pvm.System
@@ -55,12 +59,17 @@ type Loopback struct {
 
 	// mu guards the post/ack accounting. It nests inside cli.wmu and is
 	// never held across a socket operation.
-	seq     int64 // last batch number; guarded by cli.wmu, not mu
+	seq     int64     // last batch number; guarded by cli.wmu, not mu
+	group   []*sender // the queue the group write took; guarded by cli.wmu
+	helds   []*held   // what the group write writes; guarded by cli.wmu
 	mu      sync.Mutex
-	pending []post // un-acked batches in wire order, from head on
+	queue   []*sender // posts waiting for the next group write; the first leads
+	pending []post    // un-acked batches in wire order, from head on
 	head    int
 	senders map[pvm.TID]*sender
-	failErr error // set once the link is gone: what deliveries fail with
+	failErr error  // set once the link is gone: what deliveries fail with
+	batches demand // BATCH frames posted and not yet read by the pump
+	acks    demand // ACK frames the pump wrote and the ack reader has not read
 
 	// AckTimeout bounds one Flush. The default is generous: on loopback
 	// an ack is microseconds away, so expiry means the pump died, not
@@ -79,13 +88,25 @@ type post struct {
 }
 
 // sender is one task's view of the link. held is touched only by the
-// task's own calls (Deliver, Flush), the rest under Loopback.mu.
+// task's own calls (Deliver, Flush) and, while the task waits for it in
+// the queue, by the group write; the rest under Loopback.mu.
 type sender struct {
+	src         pvm.TID
 	held        held        // batches posted with More, not yet written
+	queued      bool        // held waits in the queue for the group write
 	outstanding int         // posts not yet acked
 	err         error       // first failure among its posts since its last Flush
-	idle        *sync.Cond  // on Loopback.mu; signalled when outstanding hits zero
+	idle        *sync.Cond  // on Loopback.mu; signalled when outstanding hits zero or held is written
 	timer       *time.Timer // the AckTimeout of the Flush in progress, reused
+}
+
+// demand is what one reader of the Loopback's sockets is owed: frames
+// counted before they are written — a write may wait for its reader —
+// and not yet read. The reader reads only while it is owed frames and
+// otherwise waits on cond, which fail also wakes.
+type demand struct {
+	owed int
+	cond *sync.Cond // on Loopback.mu
 }
 
 // NewLoopback returns an unattached loopback transport over the given
@@ -97,12 +118,15 @@ func NewLoopback(network string) (*Loopback, error) {
 	default:
 		return nil, fmt.Errorf("wiretrans: unsupported network %q", network)
 	}
-	return &Loopback{
+	l := &Loopback{
 		network:    network,
 		senders:    make(map[pvm.TID]*sender),
 		AckTimeout: 30 * time.Second,
 		severAfter: -1,
-	}, nil
+	}
+	l.batches.cond = sync.NewCond(&l.mu)
+	l.acks.cond = sync.NewCond(&l.mu)
+	return l, nil
 }
 
 // Name implements pvm.Transport.
@@ -206,8 +230,9 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 }
 
 // Deliver implements pvm.Transport. A batch marked More joins what its
-// sender holds; an unmarked one takes everything held, itself last, out
-// in one vectored write that copies no payload byte (writeHeldLocked) —
+// sender holds; an unmarked one posts everything held, itself last
+// (postHeld), in one vectored write that copies no payload byte
+// (writeHeldLocked) and that the posts of other senders may share —
 // still one BATCH frame, one seq and one ACK per destination. Flush
 // collects the acks. On a failed link what the sender held goes with the
 // batch.
@@ -219,7 +244,7 @@ func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	l.mu.Lock()
 	s := l.senders[src]
 	if s == nil {
-		s = &sender{idle: sync.NewCond(&l.mu)}
+		s = &sender{src: src, idle: sync.NewCond(&l.mu)}
 		l.senders[src] = s
 	}
 	l.mu.Unlock()
@@ -227,40 +252,79 @@ func (l *Loopback) Deliver(dst pvm.TID, ms []pvm.Message) error {
 	if ms[0].More {
 		return nil
 	}
-	return l.writeHeld(src, s)
+	return l.postHeld(s)
 }
 
-// writeHeld numbers src's held frames, queues them as posts and writes
-// them, all under the write lock, so the pending queue is in wire order.
-// The wires are released, and with them every borrowed tail, once that
-// write has returned. It fails only on a link already lost, naming the
-// first destination that cost.
-func (l *Loopback) writeHeld(src pvm.TID, s *sender) error {
+// postHeld queues what s holds for the next group write and returns once
+// the write that carried it has returned, whoever made it: the wires, and
+// with them every borrowed tail, are released before the sender's call
+// returns. The first sender to queue leads. It yields once, so that peers
+// already runnable in the same superstep queue behind it, then writes the
+// queue (writeQueue); the others wait for that write. It fails only on a
+// link already lost, naming s's first destination.
+func (l *Loopback) postHeld(s *sender) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.queue = append(l.queue, s)
+	s.queued = true
+	if len(l.queue) == 1 {
+		l.mu.Unlock() // mu nests inside the write lock writeQueue takes
+		runtime.Gosched()
+		l.writeQueue()
+		l.mu.Lock()
+	}
+	for s.queued {
+		s.idle.Wait()
+	}
+	// The write that carried held released it; held still full means the
+	// link was lost before any write took it.
+	if len(s.held.frames) == 0 {
+		return nil
+	}
+	err := &pvm.DeliveryError{Dst: s.held.frames[0].dst, Err: l.failErr}
+	s.held.release()
+	return err
+}
+
+// writeQueue takes the queue under the write lock, numbers every post in
+// it and queues each as pending — so the pending queue is in wire order —
+// writes them all with one vectored write, and lets the queued senders
+// go. On a link already lost it writes nothing and leaves each post to
+// fail at its sender (postHeld); a write that fails loses the link, and
+// its posts fail with the rest of the pending queue at their senders'
+// Flush.
+func (l *Loopback) writeQueue() {
 	c := l.cli
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	l.mu.Lock()
-	if err := l.failErr; err != nil {
-		l.mu.Unlock()
-		err = &pvm.DeliveryError{Dst: s.held.frames[0].dst, Err: err}
-		s.held.release()
-		return err
+	l.group, l.queue = l.queue, l.group[:0]
+	l.helds = l.helds[:0]
+	if l.failErr == nil {
+		for _, s := range l.group {
+			for i := range s.held.frames {
+				f := &s.held.frames[i]
+				l.seq++
+				f.seq = l.seq
+				l.pending = append(l.pending, post{seq: f.seq, src: s.src, dst: f.dst})
+			}
+			s.outstanding += len(s.held.frames)
+			l.batches.owed += len(s.held.frames)
+			l.helds = append(l.helds, &s.held)
+		}
+		l.batches.cond.Signal()
 	}
-	for i := range s.held.frames {
-		f := &s.held.frames[i]
-		l.seq++
-		f.seq = l.seq
-		l.pending = append(l.pending, post{seq: f.seq, src: src, dst: f.dst})
-	}
-	s.outstanding += len(s.held.frames)
 	l.mu.Unlock()
 
-	if err := c.writeHeldLocked(&s.held); err != nil {
-		// A link that cannot be written is lost; the posts fail with the
-		// rest of the queue and surface at the sender's Flush.
+	if err := c.writeHeldLocked(l.helds...); err != nil {
 		l.fail(err)
 	}
-	return nil
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, s := range l.group {
+		s.queued = false
+		s.idle.Signal()
+	}
 }
 
 // releaseAll drops the transport's reference to each wire of a batch.
@@ -270,23 +334,23 @@ func releaseAll(ms []pvm.Message) {
 	}
 }
 
-// Flush implements pvm.Transport: it writes what src left held, then
+// Flush implements pvm.Transport: it posts what src left held, then
 // parks until every batch src posted is acked or failed — which
 // AckTimeout sees to, by failing the link — and returns the first failure
 // among them.
 func (l *Loopback) Flush(src pvm.TID) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	s := l.senders[src]
+	l.mu.Unlock()
 	if s == nil {
 		return nil
 	}
 	var heldErr error
 	if len(s.held.frames) > 0 {
-		l.mu.Unlock() // mu nests inside the write lock writeHeld takes
-		heldErr = l.writeHeld(src, s)
-		l.mu.Lock()
+		heldErr = l.postHeld(s)
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if s.outstanding > 0 {
 		if s.timer == nil {
 			s.timer = time.AfterFunc(l.AckTimeout, l.ackExpired)
@@ -345,10 +409,37 @@ func ackCause(code int32, detail string) error {
 	}
 }
 
+// owe counts n more frames for d's reader, ahead of their write, and
+// wakes it.
+func (l *Loopback) owe(d *demand, n int) {
+	l.mu.Lock()
+	d.owed += n
+	d.cond.Signal()
+	l.mu.Unlock()
+}
+
+// await parks d's reader until it is owed frames and hands it all of
+// them; 0 once the link has failed.
+func (l *Loopback) await(d *demand) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for d.owed == 0 && l.failErr == nil {
+		d.cond.Wait()
+	}
+	if l.failErr != nil {
+		return 0
+	}
+	n := d.owed
+	d.owed = 0
+	return n
+}
+
 // serverPump reads BATCH frames, injects their messages into the
 // destination mailbox, and acks them: one ack frame per batch, buffered
-// and written with one Write once no complete next frame is buffered —
-// it never parks in a read owing acks, and a burst costs one syscall.
+// and written with one Write before the pump could block — when no
+// complete next frame is buffered, or none is owed — so it never parks
+// owing acks, and a burst costs one syscall. It reads only the frames it
+// is owed and otherwise waits off the socket (await).
 // It also implements Sever: when the armed frame budget runs out, both
 // connections are torn down abruptly, mid-protocol, with no goodbye —
 // the failure mode the abrupt-close chaos test exercises.
@@ -356,8 +447,10 @@ func (l *Loopback) serverPump(srv *link) {
 	defer l.wg.Done()
 	defer func() { _ = srv.close() }()
 	var acks []byte
+	due, unsent := 0, 0 // frames owed to the pump; acks in the buffer
 	for {
-		if len(acks) > 0 && !frameBuffered(srv.br) {
+		if unsent > 0 && (due == 0 || !frameBuffered(srv.br)) {
+			l.owe(&l.acks, unsent)
 			srv.wmu.Lock()
 			err := srv.writeLocked(acks)
 			srv.wmu.Unlock()
@@ -365,8 +458,14 @@ func (l *Loopback) serverPump(srv *link) {
 				l.fail(err)
 				return
 			}
-			acks = acks[:0]
+			acks, unsent = acks[:0], 0
 		}
+		if due == 0 {
+			if due = l.await(&l.batches); due == 0 {
+				return
+			}
+		}
+		due--
 		kind, body, f, err := srv.readFrame()
 		if err != nil {
 			l.fail(fmt.Errorf("wiretrans: %s server: %w: %v", l.network, pvm.ErrPeerLost, err))
@@ -388,6 +487,7 @@ func (l *Loopback) serverPump(srv *link) {
 		start := len(acks)
 		acks = pvm.Wrap(beginFrame(acks, frameAck)).PackInt64(seq).PackInt32(code).PackString(detail).Bytes()
 		endFrame(acks, start, 0)
+		unsent++
 	}
 }
 
@@ -431,11 +531,19 @@ func injectBatch(sys *pvm.System, f pvm.Frame, body []byte) (seq int64, code int
 	return seq, ackOK, ""
 }
 
-// ackReader settles posted batches as their acks come back.
+// ackReader settles posted batches as their acks come back. It reads
+// only the acks it is owed and otherwise waits off the socket (await).
 func (l *Loopback) ackReader() {
 	defer l.wg.Done()
 	var scratch []byte
+	due := 0
 	for {
+		if due == 0 {
+			if due = l.await(&l.acks); due == 0 {
+				return
+			}
+		}
+		due--
 		kind, body, next, n, err := ReadFrame(l.cli.br, scratch)
 		if err != nil {
 			l.fail(fmt.Errorf("wiretrans: %s ack reader: %w: %v", l.network, pvm.ErrPeerLost, err))
@@ -493,7 +601,8 @@ func (l *Loopback) countSever() bool {
 
 // fail latches the first terminal error (nil: a graceful Close), fails
 // every pending batch with it (each sender learns of its oldest one),
-// wakes every Flush and tears down the connections.
+// wakes every Flush, the pump and the ack reader, and tears down the
+// connections.
 func (l *Loopback) fail(err error) {
 	l.mu.Lock()
 	if l.failErr != nil {
@@ -513,6 +622,8 @@ func (l *Loopback) fail(err error) {
 		s.outstanding = 0
 		s.idle.Broadcast()
 	}
+	l.batches.cond.Broadcast()
+	l.acks.cond.Broadcast()
 	l.mu.Unlock()
 	if l.cli != nil {
 		_ = l.cli.close()

@@ -256,7 +256,9 @@ func TestLoopbackPostFlushFIFO(t *testing.T) {
 
 // pipeTransport is a Loopback whose client link is one end of an
 // in-memory pipe and whose server side the test plays by hand on the
-// other end, to produce what a healthy pump never does.
+// other end, to produce what a healthy pump never does. Playing the pump,
+// the test owes the ack reader each ack before it writes it
+// (owe(&tr.acks, n)): the reader reads nothing it is not owed.
 type pipeTransport struct {
 	*Loopback
 	peer net.Conn
@@ -318,11 +320,13 @@ func TestLinkLossNamesOldestUnackedDestination(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = tr.Close() })
 	go func() {
-		// Take both batches off the wire, ack neither, hang up.
+		// Take both batches off the wire, owe both acks, send neither and
+		// hang up: the ack reader goes to read them and finds the link gone.
 		var scratch []byte
 		for i := 0; i < 2; i++ {
 			_, _, scratch, _, _ = ReadFrame(tr.peer, scratch)
 		}
+		tr.owe(&tr.acks, 2)
 		_ = tr.peer.Close()
 	}()
 
@@ -365,6 +369,7 @@ func TestOutOfOrderAckFailsLink(t *testing.T) {
 		}
 		seq, _ := pvm.Wrap(body).UnpackInt64()
 		ack := pvm.Wrap(nil).PackInt64(seq + 1).PackInt32(ackOK).PackString("")
+		tr.owe(&tr.acks, 1)
 		_, _ = tr.peer.Write(AppendFrame(nil, frameAck, ack.Bytes()))
 	}()
 
