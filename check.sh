@@ -28,24 +28,16 @@ go build ./...
 go vet ./...
 "${MAKE:-make}" fmt
 
-# Zero-findings gate (DESIGN.md §5.8): the full analyzer suite — SPMD
-# alignment and delivered-buffer lifetimes included — over every
+# Zero-findings gate (DESIGN.md §5.8): the five analyzers of the suite —
+# SPMD alignment and delivered-buffer lifetimes included — over every
 # package, tests too, must report nothing that is not under an audited
-# //hbspk:ignore,
-# and the variantcheck advisor (DESIGN.md §5.6) must find no collective
-# callsite in non-test code that the grid tree makes cheaper to switch.
-# Findings are also emitted as SARIF and compared against the committed
-# empty baseline, so any new finding fails even if exit codes drift;
-# the run must fit the 30s wall-time budget. The same load exports the
-# static communication graph the conformance gate below reads.
-mkdir -p results
-timed 30 "hbspk-vet sarif run" go run ./cmd/hbspk-vet -tree grid -sarif results/vet.sarif -commgraph-out "$tmp/graph.json" ./...
-new=$(grep -c '"ruleId"' results/vet.sarif || true)
-base=$(grep -c '"ruleId"' bench/vet_baseline.sarif || true)
-if [ "$new" -ne "$base" ]; then
-	echo "hbspk-vet findings drifted from the committed baseline: $new result(s) vs $base" >&2
-	exit 1
-fi
+# //hbspk:ignore, and the variantcheck advisor (DESIGN.md §5.6) must find
+# no collective callsite in non-test code that the grid tree makes
+# cheaper to switch. hbspk-vet's exit status is the gate (1 on a
+# finding, 3 on advice), inside a 30s wall-time budget. The same load
+# exports the static communication graph the conformance gate below
+# reads.
+timed 30 "hbspk-vet run" go run ./cmd/hbspk-vet -tree grid -commgraph-out "$tmp/graph.json" ./...
 
 go test -race ./...
 

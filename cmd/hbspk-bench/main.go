@@ -6,7 +6,8 @@
 //	hbspk-bench                 # run every experiment, print tables
 //	hbspk-bench -fig 3a         # one experiment (table1, 3a, 3b, 4a,
 //	                            # 4b, xphase, penalty, validate,
-//	                            # calibrate)
+//	                            # calibrate, sens-rs, sens-l, suite,
+//	                            # straggler, blindness, kscale)
 //	hbspk-bench -csv            # CSV instead of aligned tables
 //	hbspk-bench -noise 0.15     # non-dedicated-cluster noise
 package main
@@ -43,7 +44,7 @@ func fail(code int, context string, err error) {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "experiment id (all, table1, 3a, 3b, 4a, 4b, xphase, penalty, validate, calibrate, sens-rs, sens-l, suite, straggler)")
+	fig := flag.String("fig", "all", "experiment id (all, table1, 3a, 3b, 4a, 4b, xphase, penalty, validate, calibrate, sens-rs, sens-l, suite, straggler, blindness, kscale)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	plot := flag.Bool("plot", false, "also render each figure's series as an ASCII chart")
 	out := flag.String("out", "", "also write each experiment's CSV into this directory")

@@ -1,8 +1,9 @@
-// Command hbspk-calibrate runs the BYTEmark-style suite over a machine
-// configuration, prints the resulting ranking and the balanced workload
-// shares the measurement implies (§5.1: "The ranking of processors is
-// determined by the BYTEmark benchmark"; "c_i is computed using the
-// BYTEmark results").
+// Command hbspk-calibrate simulates a BYTEmark-style measurement of a
+// machine configuration — each processor's declared compute slowdown
+// under seeded per-kernel noise; no kernel runs — and prints the
+// resulting ranking and the balanced workload shares the measurement
+// implies (§5.1: "The ranking of processors is determined by the
+// BYTEmark benchmark"; "c_i is computed using the BYTEmark results").
 //
 // Usage:
 //
@@ -10,6 +11,7 @@
 //	hbspk-calibrate -machine figure1     # the Figure 1 HBSP^2 cluster
 //	hbspk-calibrate -machine cluster.json
 //	hbspk-calibrate -noise 0 -seed 7     # noiseless measurement
+//	hbspk-calibrate -kernels             # also the per-kernel indices
 package main
 
 import (
@@ -26,7 +28,6 @@ func main() {
 	machine := flag.String("machine", "ucf", "preset (ucf, figure1, grid, chain) or JSON spec path")
 	seed := flag.Int64("seed", 1, "measurement seed")
 	noise := flag.Float64("noise", 0.08, "relative measurement noise amplitude")
-	scale := flag.Int("scale", 2, "kernel scale (1 = quick, 10 = thorough)")
 	kernels := flag.Bool("kernels", false, "also print the per-kernel index table")
 	flag.Parse()
 
@@ -37,12 +38,7 @@ func main() {
 	}
 	fmt.Print(tr.String())
 
-	suite := bytemark.Suite{Scale: *scale, NoiseAmp: *noise, Seed: *seed}
-	ixs, err := suite.Measure(tr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hbspk-calibrate: %v\n", err)
-		os.Exit(1)
-	}
+	ixs := bytemark.Suite{NoiseAmp: *noise, Seed: *seed}.Measure(tr)
 	fmt.Println()
 	fmt.Print(bytemark.Table(ixs).String())
 	if *kernels {

@@ -1,9 +1,11 @@
 // Command hbspk-vet is the HBSP^k multichecker: it applies the
 // internal/analysis suite — pidtaint, commgraph, syncflow, uncheckedrun,
-// costparams, lockorder — to the packages named on the command line and
-// exits non-zero if any invariant of the programming model is violated.
-// The pvm buffer rules (send a buffer once, pack it only before, release
-// a message once) are run-time checks, not part of the suite.
+// lockorder — to the packages named on the command line and exits
+// non-zero if any invariant of the programming model is violated. The
+// pvm buffer rules (send a buffer once, pack it only before, release a
+// message once) and the model parameters (the engines call
+// Tree.Validate when a run starts) are run-time checks, not part of the
+// suite.
 //
 // Usage:
 //
@@ -33,16 +35,12 @@
 //
 //	hbspk-vet -run pidtaint ./...
 //
-// Diagnostics print as file:line:col: message (analyzer), or as a JSON
-// array of {file, line, col, endLine, endCol, analyzer, message}
-// objects under -json — the machine-readable form CI and editor
-// integrations consume. -sarif <path> additionally writes the findings
-// as a SARIF 2.1.0 log ("-" for stdout), the interchange form
-// code-scanning UIs ingest.
-// Individual findings can be suppressed with a trailing
-// `//hbspk:ignore <analyzer>` comment after a human audit; a directive
-// that no longer suppresses anything — or that names an analyzer that
-// no longer exists — is itself reported (staleignore).
+// Each finding prints as one go-vet-style line, file:line:col: message
+// (analyzer), and the exit status below is the gate. Individual findings
+// can be suppressed with a trailing `//hbspk:ignore <analyzer>` comment
+// after a human audit; a directive that no longer suppresses anything —
+// or that names an analyzer that no longer exists — is itself reported
+// (staleignore).
 //
 // Exit codes:
 //
@@ -56,9 +54,10 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,217 +67,157 @@ import (
 	"hbspk/internal/obsv"
 )
 
-// jsonDiagnostic is the -json wire form of one finding. End positions
-// are present when the analyzer reported a range rather than a point.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	EndLine  int    `json:"endLine,omitempty"`
-	EndCol   int    `json:"endCol,omitempty"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Advice   bool   `json:"advice,omitempty"`
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+// run is the whole command: it parses args, writes findings to stdout
+// and failures to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbspk-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listOnly  = flag.Bool("list", false, "list the analyzers and exit")
-		only      = flag.String("run", "", "comma-separated analyzer names to run (default all)")
-		asJSON    = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		sarifOut  = flag.String("sarif", "", "write findings as a SARIF 2.1.0 log to this path (- for stdout)")
-		treeName  = flag.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): enables variantcheck advice")
-		graphOut  = flag.String("commgraph-out", "", "write the static communication graph as hbspk-commgraph/1 JSON to this path (- for stdout)")
-		confGraph = flag.String("conform-graph", "", "conformance gate: static commgraph JSON (from -commgraph-out)")
-		confEv    = flag.String("conform-events", "", "conformance gate: run events JSONL (from hbspk-sim -events-out)")
+		listOnly  = fs.Bool("list", false, "list the analyzers and exit")
+		only      = fs.String("run", "", "comma-separated analyzer names to run (default all)")
+		treeName  = fs.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): enables variantcheck advice")
+		graphOut  = fs.String("commgraph-out", "", "write the static communication graph as hbspk-commgraph/1 JSON to this path (- for stdout)")
+		confGraph = fs.String("conform-graph", "", "conformance gate: static commgraph JSON (from -commgraph-out)")
+		confEv    = fs.String("conform-events", "", "conformance gate: run events JSONL (from hbspk-sim -events-out)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	if *listOnly {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		fmt.Printf("%-16s %s\n", analysis.StaleIgnoreName,
+		fmt.Fprintf(stdout, "%-16s %s\n", analysis.StaleIgnoreName,
 			"report //hbspk:ignore directives that suppress nothing (always on)")
-		fmt.Printf("%-16s %s\n", analysis.VariantCheckName,
+		fmt.Fprintf(stdout, "%-16s %s\n", analysis.VariantCheckName,
 			"advise statically-profitable collective-variant switches (requires -tree; advisory)")
-		return
+		return 0
 	}
 
 	// Conformance gate mode: no packages are loaded, the two artifacts
 	// are checked against each other.
 	if *confGraph != "" || *confEv != "" {
 		if *confGraph == "" || *confEv == "" {
-			fatal(fmt.Errorf("hbspk-vet: the conformance gate needs both -conform-graph and -conform-events"))
+			return fail(errors.New("hbspk-vet: the conformance gate needs both -conform-graph and -conform-events"))
 		}
-		os.Exit(runConformance(*confGraph, *confEv))
-	}
-
-	var tree *model.Tree
-	if *treeName != "" {
-		var err error
-		tree, err = model.LoadMachine(*treeName)
-		if err != nil {
-			fatal(err)
-		}
+		return runConformance(*confGraph, *confEv, stdout, stderr)
 	}
 
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if tree != nil {
+	if *treeName != "" {
+		tree, err := model.LoadMachine(*treeName)
+		if err != nil {
+			return fail(err)
+		}
 		analyzers = append(analyzers, analysis.VariantCheck(tree))
 	}
 
 	moduleDir, err := findModuleRoot()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	loader, err := analysis.NewLoader(moduleDir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	loader.IncludeTests = true
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *graphOut != "" {
 		doc := analysis.CommGraphDocOf(pkgs, loader.ModulePath)
-		if err := writeGraph(doc, *graphOut); err != nil {
-			fatal(err)
+		if err := writeGraph(doc, *graphOut, stdout); err != nil {
+			return fail(err)
 		}
 	}
 
 	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	errors, advice := 0, 0
+	errs, advice := 0, 0
 	for _, d := range diags {
 		if d.Analyzer == analysis.VariantCheckName {
 			advice++
 		} else {
-			errors++
+			errs++
 		}
-	}
-	if *sarifOut != "" {
-		advisory := map[string]string{}
-		if tree != nil {
-			advisory[analysis.VariantCheckName] = "advise statically-profitable collective-variant switches"
+		pos := loader.Fset().Position(d.Pos)
+		rel, relErr := filepath.Rel(moduleDir, pos.Filename)
+		if relErr != nil {
+			rel = pos.Filename
 		}
-		doc := analysis.SARIFDoc(loader.Fset(), diags, analyzers, moduleDir, advisory)
-		if err := writeSARIF(doc, *sarifOut); err != nil {
-			fatal(err)
-		}
-	}
-	if *asJSON {
-		out := make([]jsonDiagnostic, 0, len(diags))
-		for _, d := range diags {
-			pos := loader.Fset().Position(d.Pos)
-			rel, relErr := filepath.Rel(moduleDir, pos.Filename)
-			if relErr != nil {
-				rel = pos.Filename
-			}
-			jd := jsonDiagnostic{
-				File: rel, Line: pos.Line, Col: pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-				Advice: d.Analyzer == analysis.VariantCheckName,
-			}
-			if d.End.IsValid() {
-				end := loader.Fset().Position(d.End)
-				jd.EndLine, jd.EndCol = end.Line, end.Column
-			}
-			out = append(out, jd)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			pos := loader.Fset().Position(d.Pos)
-			rel, relErr := filepath.Rel(moduleDir, pos.Filename)
-			if relErr != nil {
-				rel = pos.Filename
-			}
-			fmt.Printf("%s:%d:%d: %s (%s)\n", rel, pos.Line, pos.Column, d.Message, d.Analyzer)
-		}
+		fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", rel, pos.Line, pos.Column, d.Message, d.Analyzer)
 	}
 	switch {
-	case errors > 0:
-		fmt.Fprintf(os.Stderr, "hbspk-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-		os.Exit(1)
+	case errs > 0:
+		fmt.Fprintf(stderr, "hbspk-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
+		return 1
 	case advice > 0:
-		fmt.Fprintf(os.Stderr, "hbspk-vet: %d advisory finding(s) in %d package(s)\n", advice, len(pkgs))
-		os.Exit(3)
+		fmt.Fprintf(stderr, "hbspk-vet: %d advisory finding(s) in %d package(s)\n", advice, len(pkgs))
+		return 3
 	}
+	return 0
 }
 
 // runConformance executes the static↔runtime gate and returns the exit
 // code: 0 on conformance, 1 on unexplained deliveries, 2 on bad input.
-func runConformance(graphPath, eventsPath string) int {
+func runConformance(graphPath, eventsPath string, stdout, stderr io.Writer) int {
 	gf, err := os.Open(graphPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer gf.Close()
 	doc, err := obsv.ParseCommGraph(gf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	ef, err := os.Open(eventsPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer ef.Close()
 	deliveries, err := obsv.ReadDeliveries(ef)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	rep := obsv.CheckConformance(doc, deliveries)
-	fmt.Print(rep.String())
+	fmt.Fprint(stdout, rep.String())
 	if !rep.OK() {
-		fmt.Fprintf(os.Stderr, "hbspk-vet: conformance gate FAILED: %d unexplained delivery class(es)\n", len(rep.Unexplained))
+		fmt.Fprintf(stderr, "hbspk-vet: conformance gate FAILED: %d unexplained delivery class(es)\n", len(rep.Unexplained))
 		return 1
 	}
 	return 0
 }
 
-// writeSARIF encodes the SARIF log to path ("-" for stdout).
-func writeSARIF(doc *analysis.SARIFLog, path string) error {
-	if path == "-" {
-		return doc.WriteSARIF(os.Stdout)
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return doc.WriteSARIF(f)
-}
-
 // writeGraph encodes the commgraph document to path ("-" for stdout).
-func writeGraph(doc *obsv.CommGraphDoc, path string) error {
+func writeGraph(doc *obsv.CommGraphDoc, path string, stdout io.Writer) error {
 	if path == "-" {
-		return doc.WriteJSON(os.Stdout)
+		return doc.WriteJSON(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -325,9 +264,4 @@ func findModuleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
 }

@@ -26,8 +26,8 @@ func main() {
 	}
 	fmt.Print(tree)
 
-	// Rank the machines with the BYTEmark-style suite and install the
-	// measured balanced-workload shares.
+	// Rank the machines with a simulated BYTEmark measurement and
+	// install the measured balanced-workload shares.
 	ixs, err := hbspk.RankMachines(tree, 42)
 	if err != nil {
 		log.Fatal(err)

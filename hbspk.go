@@ -15,8 +15,9 @@
 //     plus scatter, all-gather, reduce, all-reduce, scan and total
 //     exchange;
 //   - analytic cost prediction for every collective;
-//   - a BYTEmark-style benchmark suite for ranking machines and
-//     estimating balanced workload shares;
+//   - a simulated BYTEmark measurement (declared compute speed under
+//     seeded noise) for ranking machines and estimating balanced
+//     workload shares;
 //   - the experiment harness regenerating every table and figure of the
 //     paper's evaluation.
 //

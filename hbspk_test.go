@@ -3,8 +3,14 @@ package hbspk
 import (
 	"bytes"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"hbspk/internal/fabric"
+	"hbspk/internal/hbsp"
+	"hbspk/internal/testutil"
 )
 
 // The public-API tests exercise the same flows the examples use, so the
@@ -223,5 +229,57 @@ func TestPublicPlannedCollectives(t *testing.T) {
 	}
 	if len(pl.Decisions()) != 2 {
 		t.Errorf("decision cache = %v", pl.Decisions())
+	}
+}
+
+// TestRunValidatesTheTree: both engines, and the facade over them,
+// refuse a tree that fails Validate before any processor starts, and
+// leave no goroutine behind.
+func TestRunValidatesTheTree(t *testing.T) {
+	pair := func(opts ...Option) *Machine {
+		return NewCluster("lan", []*Machine{NewLeaf("a", WithComm(2)), NewLeaf("b", opts...)})
+	}
+	trees := []struct {
+		name, want string
+		tree       func() *Tree
+	}{
+		{"not normalized", "call Normalize", func() *Tree { return MustNew(pair(WithComm(3)), 1) }},
+		{"comm 0", "invalid r = 0", func() *Tree { return MustNew(pair(WithComm(0)), 1) }},
+		{"share 1.5", "invalid c = 1.5", func() *Tree { return MustNew(pair(WithShare(1.5)), 1) }},
+		{"sync -1", "invalid L = -1", func() *Tree { return MustNew(pair(WithSync(-1)), 1) }},
+	}
+	runs := []struct {
+		name string
+		run  func(*Tree, Program) (*Report, error)
+	}{
+		{"Virtual", func(tr *Tree, prog Program) (*Report, error) {
+			return hbsp.NewVirtual(tr, fabric.New(tr, fabric.PVM())).Run(prog)
+		}},
+		{"Concurrent", func(tr *Tree, prog Program) (*Report, error) { return hbsp.NewConcurrent(tr).Run(prog) }},
+		{"hbspk.Run", func(tr *Tree, prog Program) (*Report, error) { return Run(tr, PVMFabric(), prog) }},
+		{"hbspk.RunConcurrent", RunConcurrent},
+	}
+	for _, tc := range trees {
+		for _, r := range runs {
+			t.Run(tc.name+"/"+r.name, func(t *testing.T) {
+				testutil.CheckGoroutines(t)
+				tr := tc.tree()
+				want := tr.Validate()
+				if want == nil || !strings.Contains(want.Error(), tc.want) {
+					t.Fatalf("Validate = %v, want an error naming %q", want, tc.want)
+				}
+				var started atomic.Bool
+				rep, err := r.run(tr, func(c Ctx) error {
+					started.Store(true)
+					return SyncAll(c, "step")
+				})
+				if err == nil || err.Error() != want.Error() || rep != nil {
+					t.Errorf("Run = (%v, %v), want (nil, %v)", rep, err, want)
+				}
+				if started.Load() {
+					t.Error("a processor started on a tree that fails Validate")
+				}
+			})
+		}
 	}
 }

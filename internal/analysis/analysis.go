@@ -11,13 +11,13 @@
 //   - commgraph: no unmatched send, receive before any delivery, divergent-scope collective, or hand-rolled flat fan-out in a program body.
 //   - syncflow: no delivered buffer read past the Sync after the one that delivered it, through helper calls.
 //   - uncheckedrun: no dropped error from Run, Sync, Send or a collective.
-//   - costparams: literal g, r, L and c shares in range, trees normalized before running.
 //   - lockorder: no inverted mutex order, nothing locked under pvm.System's leaf lock.
 //
-// All returns those six; no two of them report the same defect. The
+// All returns those five; no two of them report the same defect. The
 // buffer rules of package pvm — a buffer is packed only before its one
 // send, a message is released at most once — are checked at run time,
-// not here. Two more analyzers run outside All:
+// not here, and so are the model parameters: both engines call
+// Tree.Validate before they start a run. Two more analyzers run outside All:
 //
 //   - staleignore: every //hbspk:ignore directive still suppresses a finding.
 //   - variantcheck: advice on collective variants a given machine tree makes cheaper (hbspk-vet -tree).
@@ -83,13 +83,9 @@ func ignoreKey(file string, line int, name string) string {
 	return fmt.Sprintf("%s:%d:%s", file, line, name)
 }
 
-// Diagnostic is one finding at a source position. End, when valid,
-// closes the finding's source range (exclusive), giving SARIF regions
-// and editor integrations a precise extent; a zero End means the
-// finding is a point at Pos.
+// Diagnostic is one finding at a source position.
 type Diagnostic struct {
 	Pos      token.Pos
-	End      token.Pos
 	Message  string
 	Analyzer string
 }
@@ -97,18 +93,10 @@ type Diagnostic struct {
 // Reportf reports a formatted finding at pos unless the line carries an
 // `//hbspk:ignore <name>` (or bare `//hbspk:ignore`) directive.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportRangef(pos, token.NoPos, format, args...)
-}
-
-// ReportRangef reports a formatted finding spanning [pos, end), subject
-// to the same suppression directives as Reportf. Analyzers that hold the
-// offending node pass its Pos/End pair so downstream consumers (SARIF,
-// -json) get the full extent rather than a single column.
-func (p *Pass) ReportRangef(pos, end token.Pos, format string, args ...any) {
 	if p.suppressed(pos) {
 		return
 	}
-	p.Report(Diagnostic{Pos: pos, End: end, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
+	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
 // suppressed reports whether pos's line carries an ignore directive for
@@ -189,7 +177,6 @@ func All() []*Analyzer {
 		CommGraph,
 		SyncFlow,
 		UncheckedRun,
-		CostParams,
 		LockOrder,
 	}
 }

@@ -46,11 +46,6 @@ func TestUncheckedRunGolden(t *testing.T) {
 	runGolden(t, UncheckedRun, "uncheckedrun")
 }
 
-func TestCostParamsGolden(t *testing.T) {
-	t.Parallel()
-	runGolden(t, CostParams, "costparams")
-}
-
 func TestLockOrderGolden(t *testing.T) {
 	t.Parallel()
 	runGolden(t, LockOrder, "lockorder")
@@ -108,8 +103,8 @@ func TestOneAnalyzerPerDefect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(All()) != 6 || len(pkgs) < len(fixtures) {
-		t.Errorf("%d analyzers over %d packages, want 6 over at least %d", len(All()), len(pkgs), len(fixtures))
+	if len(All()) != 5 || len(pkgs) < len(fixtures) {
+		t.Errorf("%d analyzers over %d packages, want 5 over at least %d", len(All()), len(pkgs), len(fixtures))
 	}
 	diags, err := RunAnalyzers(pkgs, All())
 	if err != nil {

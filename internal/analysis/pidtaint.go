@@ -457,7 +457,7 @@ func (a *aligner) seqStmt(s ast.Stmt, cont string, env *alignEnv) string {
 		}
 		if div {
 			if syncProjection(thenSeq) != syncProjection(elseSeq) && env.report {
-				a.pass.ReportRangef(st.Cond.Pos(), st.Cond.End(),
+				a.pass.Reportf(st.Cond.Pos(),
 					"pid-divergent branches synchronize differently (then: %s / else: %s): processors taking different arms desync",
 					renderSeq(thenSeq), renderSeq(elseSeq))
 			}
@@ -474,7 +474,7 @@ func (a *aligner) seqStmt(s ast.Stmt, cont string, env *alignEnv) string {
 		bodySeq := a.seqStmts(st.Body.List, "", env)
 		inner := condSeq + bodySeq + postSeq
 		if st.Cond != nil && a.divergentCond(st.Cond, env) && hasSyncToken(inner) && env.report {
-			a.pass.ReportRangef(st.Cond.Pos(), st.Cond.End(),
+			a.pass.Reportf(st.Cond.Pos(),
 				"loop bound is pid-divergent and the body synchronizes (%s): processors would sync different numbers of times",
 				renderSeq(bodySeq))
 		}
@@ -486,7 +486,7 @@ func (a *aligner) seqStmt(s ast.Stmt, cont string, env *alignEnv) string {
 		rangeSeq := a.exprSeq(st.X, env)
 		bodySeq := a.seqStmts(st.Body.List, "", env)
 		if a.divergentCond(st.X, env) && hasSyncToken(bodySeq) && env.report {
-			a.pass.ReportRangef(st.X.Pos(), st.X.End(),
+			a.pass.Reportf(st.X.Pos(),
 				"ranging over a pid-divergent value with a synchronizing body (%s): iteration counts differ per processor",
 				renderSeq(bodySeq))
 		}
@@ -528,11 +528,11 @@ func (a *aligner) seqStmt(s ast.Stmt, cont string, env *alignEnv) string {
 			for i := 1; i < len(arms); i++ {
 				if syncProjection(arms[i]) != syncProjection(arms[0]) {
 					if env.report {
-						pos, end := st.Pos(), st.End()
+						pos := st.Pos()
 						if st.Tag != nil {
-							pos, end = st.Tag.Pos(), st.Tag.End()
+							pos = st.Tag.Pos()
 						}
-						a.pass.ReportRangef(pos, end,
+						a.pass.Reportf(pos,
 							"pid-divergent switch arms synchronize differently (%s vs %s): processors taking different cases desync",
 							renderSeq(arms[0]), renderSeq(arms[i]))
 					}

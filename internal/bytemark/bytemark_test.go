@@ -9,63 +9,13 @@ import (
 	"hbspk/internal/model"
 )
 
-func TestAllKernelsSelfCheck(t *testing.T) {
-	for _, k := range Kernels() {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				res, err := k.Run(seed, 2)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if res.Ops <= 0 {
-					t.Errorf("seed %d: ops = %v, want > 0", seed, res.Ops)
-				}
-			}
-		})
-	}
-}
-
-func TestKernelsDeterministic(t *testing.T) {
-	for _, k := range Kernels() {
-		a, err := k.Run(42, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		b, err := k.Run(42, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		if a != b {
-			t.Errorf("%s: nondeterministic: %+v vs %+v", k.Name, a, b)
-		}
-	}
-}
-
-func TestKernelsScaleIncreasesWork(t *testing.T) {
-	for _, k := range Kernels() {
-		small, err := k.Run(1, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		big, err := k.Run(1, 8)
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		if big.Ops <= small.Ops {
-			t.Errorf("%s: scale 8 ops %v not above scale 1 ops %v", k.Name, big.Ops, small.Ops)
-		}
-	}
-}
-
 func TestTenKernelsLikeTheOriginal(t *testing.T) {
-	ks := Kernels()
-	if len(ks) != 10 {
-		t.Fatalf("suite has %d kernels, want 10 (BYTEmark's count)", len(ks))
+	if len(kernelNames) != 10 {
+		t.Fatalf("suite has %d kernels, want 10 (BYTEmark's count)", len(kernelNames))
 	}
 	names := map[string]bool{}
-	for _, k := range ks {
-		names[k.Name] = true
+	for _, name := range kernelNames {
+		names[name] = true
 	}
 	for _, want := range []string{"numeric-sort", "string-sort", "fourier", "lu-decomposition"} {
 		if !names[want] {
@@ -76,10 +26,7 @@ func TestTenKernelsLikeTheOriginal(t *testing.T) {
 
 func TestMeasureExactWithoutNoise(t *testing.T) {
 	tr := model.UCFTestbed()
-	ixs, err := Suite{Scale: 1, NoiseAmp: 0, Seed: 1}.Measure(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ixs := Suite{NoiseAmp: 0, Seed: 1}.Measure(tr)
 	// Noiseless measurement recovers exactly 1/slowdown (normalized).
 	for _, ix := range ixs {
 		want := 1 / ix.Machine.CompSlowdown
@@ -91,10 +38,7 @@ func TestMeasureExactWithoutNoise(t *testing.T) {
 
 func TestMeasureRankingMostlyCorrectWithNoise(t *testing.T) {
 	tr := model.UCFTestbed()
-	ixs, err := DefaultSuite(7).Measure(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ixs := DefaultSuite(7).Measure(tr)
 	ranked := Ranking(ixs)
 	// With 8% noise the extremes must still rank correctly: the spread
 	// of true slowdowns (1 to 2.2) dominates the error.
@@ -108,23 +52,14 @@ func TestMeasureRankingMostlyCorrectWithNoise(t *testing.T) {
 
 func TestMeasureDeterministicPerSeed(t *testing.T) {
 	tr := model.UCFTestbedN(4)
-	a, err := DefaultSuite(3).Measure(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DefaultSuite(3).Measure(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := DefaultSuite(3).Measure(tr)
+	b := DefaultSuite(3).Measure(tr)
 	for i := range a {
 		if a[i].Composite != b[i].Composite {
 			t.Errorf("machine %d: %v vs %v", i, a[i].Composite, b[i].Composite)
 		}
 	}
-	c, err := DefaultSuite(4).Measure(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DefaultSuite(4).Measure(tr)
 	same := true
 	for i := range a {
 		if a[i].Composite != c[i].Composite {
@@ -138,10 +73,7 @@ func TestMeasureDeterministicPerSeed(t *testing.T) {
 
 func TestApplySharesFollowsIndices(t *testing.T) {
 	tr := model.UCFTestbed()
-	ixs, err := Suite{Scale: 1, NoiseAmp: 0, Seed: 1}.Measure(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ixs := Suite{NoiseAmp: 0, Seed: 1}.Measure(tr)
 	ApplyShares(tr, ixs)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("tree invalid after ApplyShares: %v", err)
@@ -158,10 +90,7 @@ func TestApplySharesFollowsIndices(t *testing.T) {
 
 func TestTableRendersRanking(t *testing.T) {
 	tr := model.UCFTestbedN(4)
-	ixs, err := Suite{Scale: 1, NoiseAmp: 0, Seed: 1}.Measure(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ixs := Suite{NoiseAmp: 0, Seed: 1}.Measure(tr)
 	out := Table(ixs).String()
 	if !strings.Contains(out, "BYTEmark ranking") || !strings.Contains(out, "sgi-o2-a") {
 		t.Errorf("table missing content:\n%s", out)
@@ -174,10 +103,7 @@ func TestPropertyIndexNormalization(t *testing.T) {
 	tr := model.UCFTestbedN(5)
 	f := func(seed int64, noiseRaw uint8) bool {
 		noise := float64(noiseRaw%50) / 100
-		ixs, err := Suite{Scale: 1, NoiseAmp: noise, Seed: seed}.Measure(tr)
-		if err != nil {
-			return false
-		}
+		ixs := Suite{NoiseAmp: noise, Seed: seed}.Measure(tr)
 		best := 0.0
 		for _, ix := range ixs {
 			if ix.Composite <= 0 || ix.Composite > 1+1e-12 {
@@ -196,21 +122,18 @@ func TestPropertyIndexNormalization(t *testing.T) {
 
 func TestKernelTableHasAllColumns(t *testing.T) {
 	tr := model.UCFTestbedN(3)
-	ixs, err := Suite{Scale: 1, NoiseAmp: 0, Seed: 1}.Measure(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ixs := Suite{NoiseAmp: 0, Seed: 1}.Measure(tr)
 	tb := KernelTable(ixs)
-	if len(tb.Header) != 2+len(Kernels()) {
-		t.Errorf("header has %d columns, want %d", len(tb.Header), 2+len(Kernels()))
+	if len(tb.Header) != 2+len(kernelNames) {
+		t.Errorf("header has %d columns, want %d", len(tb.Header), 2+len(kernelNames))
 	}
 	if len(tb.Rows) != 3 {
 		t.Errorf("%d rows, want 3", len(tb.Rows))
 	}
 	out := tb.String()
-	for _, k := range Kernels() {
-		if !strings.Contains(out, k.Name) {
-			t.Errorf("missing kernel column %q", k.Name)
+	for _, name := range kernelNames {
+		if !strings.Contains(out, name) {
+			t.Errorf("missing kernel column %q", name)
 		}
 	}
 }

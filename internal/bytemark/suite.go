@@ -1,7 +1,19 @@
+// Package bytemark ranks the processors of a machine tree the way the
+// paper's experimental section does with BYTE Magazine's BYTEmark
+// (reference [16]): "The ranking of processors is determined by the
+// BYTEmark benchmark, which consists of tests such as sorting,
+// floating-point manipulation, and numerical analysis."
+//
+// The measurement is simulated: no kernel runs. Each leaf's index on
+// each of the original's ten tests is its declared compute speed,
+// 1/CompSlowdown, times a seeded per-kernel measurement error, and the
+// composite is the geometric mean over the ten. The error is what
+// matters: it is the imperfect estimate that drives the paper's
+// Figure 3(b) result, where the second fastest processor's c_j is
+// overestimated.
 package bytemark
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -10,21 +22,26 @@ import (
 	"hbspk/internal/trace"
 )
 
-// Index is one machine's measured composite score: iterations per
-// virtual second relative to the reference machine, BYTEmark-style
-// (larger is faster). Because measurement is noisy, Index is an
-// imperfect estimate of 1/CompSlowdown — the imperfection the paper
-// observes when the second fastest processor's c_j comes out too large.
+// kernelNames are the original suite's ten tests, in report order; each
+// weighs the same in the composite.
+var kernelNames = [...]string{
+	"numeric-sort", "string-sort", "bitfield", "fp-emulation", "fourier",
+	"assignment", "idea", "huffman", "neural-net", "lu-decomposition",
+}
+
+// Index is one machine's measured composite score relative to the best
+// machine, BYTEmark-style (larger is faster). Because measurement is
+// noisy, Index is an imperfect estimate of 1/CompSlowdown — the
+// imperfection the paper observes when the second fastest processor's
+// c_j comes out too large.
 type Index struct {
 	Machine   *model.Machine
 	Composite float64
 	PerKernel map[string]float64
 }
 
-// Suite runs the ten kernels against a machine tree.
+// Suite is one simulated measurement of a machine tree.
 type Suite struct {
-	// Scale sizes the kernels (1 = quick, 10 = thorough).
-	Scale int
 	// NoiseAmp is the relative amplitude of per-kernel measurement
 	// error, modeling a non-dedicated machine; 0 measures exactly.
 	NoiseAmp float64
@@ -32,42 +49,32 @@ type Suite struct {
 	Seed int64
 }
 
-// DefaultSuite mirrors the paper's setup: moderate scale with a few
-// percent of measurement noise from the non-dedicated cluster.
-func DefaultSuite(seed int64) Suite { return Suite{Scale: 2, NoiseAmp: 0.08, Seed: seed} }
+// DefaultSuite mirrors the paper's setup: a few percent of measurement
+// noise from the non-dedicated cluster.
+func DefaultSuite(seed int64) Suite { return Suite{NoiseAmp: 0.08, Seed: seed} }
 
-// Measure runs the suite "on" every leaf of the tree: kernels execute
-// for real (their outputs are self-checked), and each machine's
-// throughput is its operation count divided by the virtual duration
-// ops·CompSlowdown·(1+noise). The composite is the geometric mean over
-// kernels, normalized so the best machine scores 1.
-func (s Suite) Measure(t *model.Tree) ([]Index, error) {
-	if s.Scale < 1 {
-		s.Scale = 1
-	}
-	kernels := Kernels()
+// Measure scores every leaf of the tree: each kernel's index is
+// 1/(CompSlowdown·noise), with noise drawn uniformly from
+// [1-NoiseAmp, 1+NoiseAmp], one draw per leaf per kernel in leaf then
+// kernel order. The composite is the geometric mean over kernels,
+// normalized so the best machine scores 1.
+func (s Suite) Measure(t *model.Tree) []Index {
 	rng := rand.New(rand.NewSource(s.Seed))
 	leaves := t.Leaves()
 	out := make([]Index, len(leaves))
 	for li, leaf := range leaves {
-		per := make(map[string]float64, len(kernels))
-		logSum, wSum := 0.0, 0.0
-		for _, k := range kernels {
-			res, err := k.Run(s.Seed+int64(li), s.Scale)
-			if err != nil {
-				return nil, fmt.Errorf("bytemark: %s on %s: %w", k.Name, leaf.Name, err)
-			}
+		per := make(map[string]float64, len(kernelNames))
+		logSum := 0.0
+		for _, name := range kernelNames {
 			noise := 1.0
 			if s.NoiseAmp > 0 {
 				noise = 1 + s.NoiseAmp*(rng.Float64()*2-1)
 			}
-			duration := res.Ops * leaf.CompSlowdown * noise
-			throughput := res.Ops / duration // = 1/(slowdown·noise)
-			per[k.Name] = throughput
-			logSum += k.Weight * math.Log(throughput)
-			wSum += k.Weight
+			index := 1 / (leaf.CompSlowdown * noise)
+			per[name] = index
+			logSum += math.Log(index)
 		}
-		out[li] = Index{Machine: leaf, Composite: math.Exp(logSum / wSum), PerKernel: per}
+		out[li] = Index{Machine: leaf, Composite: math.Exp(logSum / float64(len(kernelNames))), PerKernel: per}
 	}
 	best := 0.0
 	for _, ix := range out {
@@ -81,7 +88,7 @@ func (s Suite) Measure(t *model.Tree) ([]Index, error) {
 			out[i].PerKernel[k] /= best
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Ranking orders the indices fastest-first.
@@ -120,16 +127,12 @@ func Table(ixs []Index) *trace.Table {
 // full BYTEmark report card, one row per machine, one column per
 // kernel, ordered fastest-first.
 func KernelTable(ixs []Index) *trace.Table {
-	kernels := Kernels()
-	header := []string{"machine", "composite"}
-	for _, k := range kernels {
-		header = append(header, k.Name)
-	}
+	header := append([]string{"machine", "composite"}, kernelNames[:]...)
 	tb := trace.NewTable("BYTEmark per-kernel indices", header...)
 	for _, ix := range Ranking(ixs) {
 		row := []interface{}{ix.Machine.Name, ix.Composite}
-		for _, k := range kernels {
-			row = append(row, ix.PerKernel[k.Name])
+		for _, name := range kernelNames {
+			row = append(row, ix.PerKernel[name])
 		}
 		tb.AddF(row...)
 	}

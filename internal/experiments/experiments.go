@@ -196,14 +196,10 @@ func measureBcastOnePhase(tr *model.Tree, cfg fabric.Config, root, n int) (float
 
 // testbedWithMeasuredShares builds the p-processor testbed and fills its
 // c_j shares from a (noisy) BYTEmark measurement, per §5.1.
-func testbedWithMeasuredShares(p int, seed int64) (*model.Tree, error) {
+func testbedWithMeasuredShares(p int, seed int64) *model.Tree {
 	tr := model.UCFTestbedN(p)
-	ixs, err := bytemark.DefaultSuite(seed).Measure(tr)
-	if err != nil {
-		return nil, err
-	}
-	bytemark.ApplyShares(tr, ixs)
-	return tr, nil
+	bytemark.ApplyShares(tr, bytemark.DefaultSuite(seed).Measure(tr))
+	return tr
 }
 
 // improvementFigure runs a (size × p) sweep of T_A/T_B and renders it.
@@ -223,11 +219,7 @@ func improvementFigure(cfg Config, id, title, claim, ratioName string,
 	// seeded), then shared read-only by every point of their column.
 	trees := make([]*model.Tree, len(cfg.Ps))
 	for i, p := range cfg.Ps {
-		var err error
-		trees[i], err = testbedWithMeasuredShares(p, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+		trees[i] = testbedWithMeasuredShares(p, cfg.Seed)
 	}
 	// Fan the (size × p) grid; point (si, pi) owns slot si*len(Ps)+pi.
 	imprs := make([]float64, len(cfg.Sizes)*len(cfg.Ps))

@@ -990,10 +990,14 @@ func (c *cctx) liveCoordinator(scope *model.Machine) *model.Machine {
 }
 
 // Run executes the program on every processor with real concurrency and
-// returns a wall-clock report (times in microseconds). A chaos-injected
+// returns a wall-clock report (times in microseconds). A tree that fails
+// Validate is refused before anything starts. A chaos-injected
 // crash-stop is not itself a run error: if the survivors complete, the
 // run completes.
 func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
+	if err := e.tree.Validate(); err != nil {
+		return nil, err
+	}
 	p := e.tree.NProcs()
 	sys := pvm.NewSystem()
 	proxies := make([]func(*pvm.Task) error, p) // nil: the pid runs here

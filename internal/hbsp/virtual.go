@@ -149,8 +149,9 @@ func (c *vctx) run(prog Program) {
 }
 
 // Run executes the program on every processor and returns the run's
-// report. The error is the first processor error, or ErrDesync-wrapped
-// diagnostics for malformed synchronization. A chaos-injected
+// report. The error is the tree's Validate error, before anything
+// starts; the first processor error; or ErrDesync-wrapped diagnostics
+// for malformed synchronization. A chaos-injected
 // crash-stop is not itself a run error: if the survivors complete, the
 // run completes (their view of the failure arrived as ErrPeerFailed
 // from Sync, which a fault-tolerant program may absorb).
@@ -163,6 +164,9 @@ func (c *vctx) run(prog Program) {
 // release complete supersteps; the processors it resumes are the next
 // queue.
 func (v *Virtual) Run(prog Program) (*trace.Report, error) {
+	if err := v.tree.Validate(); err != nil {
+		return nil, err
+	}
 	p := v.tree.NProcs()
 	reqs := make(chan *vrequest)
 	st := &runState{

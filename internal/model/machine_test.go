@@ -148,7 +148,7 @@ func TestNewRejectsBadInput(t *testing.T) {
 	if _, err := New(nil, 1); err == nil {
 		t.Error("nil root accepted")
 	}
-	if _, err := New(NewLeaf("x"), 0); err == nil { //hbspk:ignore costparams (invalid g under test)
+	if _, err := New(NewLeaf("x"), 0); err == nil {
 		t.Error("g = 0 accepted")
 	}
 	if _, err := New(NewLeaf("x"), math.Inf(1)); err == nil {

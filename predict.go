@@ -68,15 +68,12 @@ func TwoPhaseCrossoverSize(t *Tree) float64 { return cost.TwoPhaseCrossoverSize(
 // BenchmarkIndex is one machine's BYTEmark-style composite score.
 type BenchmarkIndex = bytemark.Index
 
-// RankMachines runs the BYTEmark-style suite over the tree's processors
-// with the given seed (measurement noise included, as on the paper's
-// non-dedicated cluster) and returns the indices fastest-first.
+// RankMachines simulates a BYTEmark-style measurement of the tree's
+// processors — each one's declared compute slowdown under seeded
+// per-kernel noise, as on the paper's non-dedicated cluster; no kernel
+// runs — and returns the indices fastest-first. The error is always nil.
 func RankMachines(t *Tree, seed int64) ([]BenchmarkIndex, error) {
-	ixs, err := bytemark.DefaultSuite(seed).Measure(t)
-	if err != nil {
-		return nil, err
-	}
-	return bytemark.Ranking(ixs), nil
+	return bytemark.Ranking(bytemark.DefaultSuite(seed).Measure(t)), nil
 }
 
 // ApplyMeasuredShares overwrites the tree's c_{i,j} from benchmark
