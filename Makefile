@@ -1,10 +1,9 @@
 # Development entry points. `make check` is the CI gate, and the gate is
 # check.sh: one definition of what must be green (build, go vet, gofmt,
 # the HBSP^k model lint suite by its exit status, the race tests, the
-# chaos and churn soaks, the conformance gate, the smokes, the coverage
-# floor, the fuzzers). The script calls back into the
-# targets below for the steps they define. A malformed tree never merges
-# with it green. The performance gates (modeled cost, allocation counts)
+# chaos and churn soaks, the smokes, the coverage floor, the fuzzers).
+# The script calls back into the targets below for the steps they
+# define. A malformed tree never merges with it green. The performance gates (modeled cost, allocation counts)
 # are ordinary tests and run with the rest; wall-clock numbers live on
 # one ladder, BENCHMARK.json and ./benchmark.
 

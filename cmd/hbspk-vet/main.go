@@ -17,19 +17,10 @@
 //
 //	go run ./cmd/hbspk-vet ./...
 //
-// Variant advice and the communication graph (DESIGN.md §5.6):
+// Variant advice (DESIGN.md §5.6): -tree also advises collective-variant
+// switches the tree makes cheaper (non-test files only):
 //
-//	hbspk-vet -tree ucf ./...             also advise collective-variant
-//	                                      switches the tree makes cheaper
-//	                                      (non-test files only)
-//	hbspk-vet -commgraph-out g.json ./... export the static communication
-//	                                      graph (hbspk-commgraph/1 JSON)
-//
-// Static↔runtime conformance gate: verify that every message delivery
-// observed in a run's JSONL events (hbspk-sim -events-out) is explained
-// by a static edge of an exported commgraph:
-//
-//	hbspk-vet -conform-graph g.json -conform-events run.jsonl
+//	hbspk-vet -tree ucf ./...
 //
 // SPMD alignment only (the pidtaint analyzer, DESIGN.md §5.8):
 //
@@ -45,8 +36,7 @@
 // Exit codes:
 //
 //	0  the analyzed packages are clean
-//	1  at least one finding was reported (correctness suite, or a
-//	   conformance violation in gate mode)
+//	1  at least one correctness finding was reported
 //	2  the run itself failed (bad flags, unloadable packages,
 //	   analyzer error)
 //	3  only advisory findings were reported (variantcheck advice —
@@ -64,7 +54,6 @@ import (
 
 	"hbspk/internal/analysis"
 	"hbspk/internal/model"
-	"hbspk/internal/obsv"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -75,12 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hbspk-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		listOnly  = fs.Bool("list", false, "list the analyzers and exit")
-		only      = fs.String("run", "", "comma-separated analyzer names to run (default all)")
-		treeName  = fs.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): enables variantcheck advice")
-		graphOut  = fs.String("commgraph-out", "", "write the static communication graph as hbspk-commgraph/1 JSON to this path (- for stdout)")
-		confGraph = fs.String("conform-graph", "", "conformance gate: static commgraph JSON (from -commgraph-out)")
-		confEv    = fs.String("conform-events", "", "conformance gate: run events JSONL (from hbspk-sim -events-out)")
+		listOnly = fs.Bool("list", false, "list the analyzers and exit")
+		only     = fs.String("run", "", "comma-separated analyzer names to run (default all)")
+		treeName = fs.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): enables variantcheck advice")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -102,15 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-16s %s\n", analysis.VariantCheckName,
 			"advise statically-profitable collective-variant switches (requires -tree; advisory)")
 		return 0
-	}
-
-	// Conformance gate mode: no packages are loaded, the two artifacts
-	// are checked against each other.
-	if *confGraph != "" || *confEv != "" {
-		if *confGraph == "" || *confEv == "" {
-			return fail(errors.New("hbspk-vet: the conformance gate needs both -conform-graph and -conform-events"))
-		}
-		return runConformance(*confGraph, *confEv, stdout, stderr)
 	}
 
 	analyzers, err := selectAnalyzers(*only)
@@ -144,13 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	if *graphOut != "" {
-		doc := analysis.CommGraphDocOf(pkgs, loader.ModulePath)
-		if err := writeGraph(doc, *graphOut, stdout); err != nil {
-			return fail(err)
-		}
-	}
-
 	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		return fail(err)
@@ -178,53 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 3
 	}
 	return 0
-}
-
-// runConformance executes the static↔runtime gate and returns the exit
-// code: 0 on conformance, 1 on unexplained deliveries, 2 on bad input.
-func runConformance(graphPath, eventsPath string, stdout, stderr io.Writer) int {
-	gf, err := os.Open(graphPath)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer gf.Close()
-	doc, err := obsv.ParseCommGraph(gf)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ef, err := os.Open(eventsPath)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer ef.Close()
-	deliveries, err := obsv.ReadDeliveries(ef)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	rep := obsv.CheckConformance(doc, deliveries)
-	fmt.Fprint(stdout, rep.String())
-	if !rep.OK() {
-		fmt.Fprintf(stderr, "hbspk-vet: conformance gate FAILED: %d unexplained delivery class(es)\n", len(rep.Unexplained))
-		return 1
-	}
-	return 0
-}
-
-// writeGraph encodes the commgraph document to path ("-" for stdout).
-func writeGraph(doc *obsv.CommGraphDoc, path string, stdout io.Writer) error {
-	if path == "-" {
-		return doc.WriteJSON(stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return doc.WriteJSON(f)
 }
 
 func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -23,7 +21,6 @@ func vet(t *testing.T, args ...string) (int, string, string) {
 const (
 	uncheckedFixture = "./internal/analysis/testdata/src/uncheckedrun"
 	variantFixture   = "./internal/analysis/testdata/src/variantcheck"
-	conformance      = "testdata/conformance/"
 )
 
 // finding is the one output form: file:line:col: message (analyzer).
@@ -61,10 +58,6 @@ func TestExitTwoWhenTheRunFails(t *testing.T) {
 		{"-run", "nope", "./internal/stats"},
 		{"-tree", "nope", "./internal/stats"},
 		{"./does/not/exist"},
-		{"-conform-graph", conformance + "graph.json"},
-		{"-conform-graph", conformance + "missing.json", "-conform-events", conformance + "events-declared.jsonl"},
-		{"-conform-graph", conformance + "events-declared.jsonl", "-conform-events", conformance + "events-declared.jsonl"},
-		{"-conform-graph", conformance + "graph.json", "-conform-events", conformance + "missing.jsonl"},
 	} {
 		code, stdout, stderr := vet(t, args...)
 		if code != 2 || stdout != "" || stderr == "" {
@@ -93,19 +86,6 @@ func TestExitThreeOnAdviceOnly(t *testing.T) {
 	}
 }
 
-func TestConformanceGate(t *testing.T) {
-	code, stdout, stderr := vet(t, "-conform-graph", conformance+"graph.json",
-		"-conform-events", conformance+"events-declared.jsonl")
-	if code != 0 || !strings.Contains(stdout, "every observed delivery is explained") || stderr != "" {
-		t.Errorf("declared deliveries: exit %d, stdout %q, stderr %q; want 0", code, stdout, stderr)
-	}
-	code, _, stderr = vet(t, "-conform-graph", conformance+"graph.json",
-		"-conform-events", conformance+"events-undeclared.jsonl")
-	if code != 1 || !strings.Contains(stderr, "conformance gate FAILED") {
-		t.Errorf("an undeclared send: exit %d, stderr %q; want 1 and FAILED", code, stderr)
-	}
-}
-
 func TestListNamesEveryAnalyzer(t *testing.T) {
 	code, stdout, _ := vet(t, "-list")
 	if code != 0 {
@@ -118,28 +98,5 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	want := "pidtaint commgraph syncflow uncheckedrun lockorder staleignore variantcheck"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names %q, want %q", got, want)
-	}
-}
-
-// TestCommGraphOutWritesTheGraph: -commgraph-out writes the same
-// hbspk-commgraph/1 document to a file and to stdout ("-"), whatever
-// analyzers -run selects.
-func TestCommGraphOutWritesTheGraph(t *testing.T) {
-	const fixture = "./internal/analysis/testdata/src/commgraph"
-	path := filepath.Join(t.TempDir(), "graph.json")
-	if code, _, stderr := vet(t, "-run", "lockorder", "-commgraph-out", path, fixture); code != 0 {
-		t.Fatalf("exit %d, want 0; stderr %q", code, stderr)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"schema": "hbspk-commgraph/1"`)) ||
-		!bytes.Contains(data, []byte(`"path": "hbspk/internal/analysis/testdata/src/commgraph"`)) {
-		t.Fatalf("graph lacks its schema or package:\n%.400s", data)
-	}
-	code, stdout, _ := vet(t, "-run", "lockorder", "-commgraph-out", "-", fixture)
-	if code != 0 || stdout != string(data) {
-		t.Errorf("-commgraph-out -: exit %d, stdout differs from the file (%d vs %d bytes)", code, len(stdout), len(data))
 	}
 }

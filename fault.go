@@ -92,9 +92,6 @@ type ElasticConfig struct {
 	Chaos      *ChaosPlan
 	ReorgEvery int
 	ReorgSeed  int64
-	// ReorgAlpha overrides the estimate EWMA smoothing factor (0 means
-	// the model default).
-	ReorgAlpha float64
 }
 
 // RunElastic executes the program on the virtual-time engine with
@@ -107,7 +104,6 @@ func RunElastic(t *Tree, cfg ElasticConfig, prog Program) (*Report, error) {
 	eng.Chaos = cfg.Chaos
 	eng.ReorgEvery = cfg.ReorgEvery
 	eng.ReorgSeed = cfg.ReorgSeed
-	eng.ReorgAlpha = cfg.ReorgAlpha
 	return eng.Run(prog)
 }
 
@@ -119,7 +115,6 @@ func RunConcurrentElastic(t *Tree, cfg ElasticConfig, prog Program) (*Report, er
 	eng.Chaos = cfg.Chaos
 	eng.ReorgEvery = cfg.ReorgEvery
 	eng.ReorgSeed = cfg.ReorgSeed
-	eng.ReorgAlpha = cfg.ReorgAlpha
 	return eng.Run(prog)
 }
 

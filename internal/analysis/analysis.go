@@ -22,9 +22,6 @@
 //   - staleignore: every //hbspk:ignore directive still suppresses a finding.
 //   - variantcheck: advice on collective variants a given machine tree makes cheaper (hbspk-vet -tree).
 //
-// commgraph's superstep walk also exports the static communication
-// graph (CommGraphDocOf) that the conformance gate checks runs against.
-//
 // The suite is exposed on the command line as cmd/hbspk-vet, a
 // multichecker in the style of go vet.
 package analysis

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -33,9 +32,6 @@ import (
 // In program entry bodies it also flags the one cost mistake visible
 // without a machine: a hand-rolled flat fan-out, where a pid-guarded
 // root sends to every processor in a single superstep.
-//
-// The same superstep walk (walkComm) produces the exported
-// communication graph (CommGraphDocOf) that the conformance gate reads.
 var CommGraph = &Analyzer{
 	Name: "commgraph",
 	Doc:  "flag unmatched sends, receives before any delivery, divergent-scope collectives, and flat fan-outs in program bodies",
@@ -99,28 +95,14 @@ func programEntryBodies(pass *Pass) map[*ast.BlockStmt]bool {
 // segment is one superstep of a function body: the sends queued before
 // its closing synchronizing call.
 type segment struct {
-	sends []sendEdge
-	// sync is the closing call, label its printable name ("Sync(scope)",
-	// "GatherHier"); nil and "" for a trailing segment with no barrier
-	// after it.
-	sync  *ast.CallExpr
-	label string
-	// loop marks a closing call inside a loop: the segment is per
-	// iteration.
-	loop bool
-	// coll marks a segment closed by a collective-library call.
-	coll bool
+	// sends are the positions of the Ctx.Send calls.
+	sends []token.Pos
+	// sync is the closing call; nil for a trailing segment with no
+	// barrier after it.
+	sync *ast.CallExpr
 }
 
-// sendEdge is one Ctx.Send with its destination and tag folded to
-// decimal literals, or "*" where they are not constant.
-type sendEdge struct {
-	pos      token.Pos
-	dst, tag string
-}
-
-// bodyComm is the communication of one function body in source order:
-// the one walk both the commgraph checks and the exported graph read.
+// bodyComm is the communication of one function body in source order.
 type bodyComm struct {
 	segs []segment
 	// moves are the Moves() reads.
@@ -149,16 +131,11 @@ func walkComm(pass *Pass, g *callGraph, body *ast.BlockStmt) bodyComm {
 		switch {
 		case g.callSynchronizes(call):
 			cur.sync = call
-			cur.label, cur.coll = syncLabelOf(pass, call)
 			bc.segs = append(bc.segs, cur)
 			cur = segment{}
 			syncs = append(syncs, call.Pos())
 		case isCtxMethod(pass, call, "Send"):
-			e := sendEdge{pos: call.Pos(), dst: "*", tag: "*"}
-			if len(call.Args) >= 2 {
-				e.dst, e.tag = foldInt(pass, call.Args[0]), foldInt(pass, call.Args[1])
-			}
-			cur.sends = append(cur.sends, e)
+			cur.sends = append(cur.sends, call.Pos())
 		case isCtxMethod(pass, call, "Moves"):
 			bc.moves = append(bc.moves, call.Pos())
 		}
@@ -168,43 +145,7 @@ func walkComm(pass *Pass, g *callGraph, body *ast.BlockStmt) bodyComm {
 		bc.segs = append(bc.segs, cur)
 	}
 	bc.loops = syncLoopRanges(body, syncs)
-	for i := range bc.segs {
-		if s := &bc.segs[i]; s.sync != nil {
-			s.loop = insideAny(bc.loops, s.sync.Pos())
-		}
-	}
 	return bc
-}
-
-// syncLabelOf names a synchronizing call for the exported graph.
-func syncLabelOf(pass *Pass, call *ast.CallExpr) (label string, isColl bool) {
-	fn := calleeFunc(pass.TypesInfo, call)
-	if fn == nil {
-		return "sync", false
-	}
-	name := fn.Name()
-	if collectiveNames[name] {
-		return name, isCollectiveCall(pass.TypesInfo, call, name)
-	}
-	switch name {
-	case "Sync":
-		if len(call.Args) >= 1 {
-			return "Sync(" + types.ExprString(call.Args[0]) + ")", false
-		}
-		return "Sync", false
-	case "SyncAll", "Barrier":
-		return name, false
-	}
-	return name + "()", false
-}
-
-// foldInt renders an int argument as a decimal literal when it is a
-// compile-time constant, "*" otherwise.
-func foldInt(pass *Pass, e ast.Expr) string {
-	if v, ok := constValue(pass, e); ok && v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return "*"
 }
 
 func checkCommTopology(pass *Pass, g *callGraph, body *ast.BlockStmt, isEntry bool) {
@@ -219,9 +160,9 @@ func checkCommTopology(pass *Pass, g *callGraph, body *ast.BlockStmt, isEntry bo
 			checkScopeDivergence(pass, s.sync, tainted, convergent)
 			continue
 		}
-		for _, e := range s.sends {
-			if !insideAny(bc.loops, e.pos) {
-				pass.Reportf(e.pos,
+		for _, pos := range s.sends {
+			if !insideAny(bc.loops, pos) {
+				pass.Reportf(pos,
 					"unmatched send: no Sync follows, so the message is queued but never delivered (static deadlock candidate)")
 			}
 		}

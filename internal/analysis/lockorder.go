@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"sort"
 )
 
 // LockOrder flags two mutex hazards in one package:
@@ -19,7 +21,9 @@ import (
 // Locks are keyed by the named type owning the mutex field ("System.mu",
 // "crun.mu"). The analysis is intra-function and source-ordered: a
 // deferred Unlock holds to the end of the function, an explicit Unlock
-// releases at its statement.
+// releases at its statement. A block that ends in return, panic, break
+// or continue is one path out: what it locks or unlocks holds only
+// inside it, and after it the held set is what it was before it.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "flag mutex acquisition while holding the pvm.System leaf lock, and ABBA order inversions",
@@ -78,49 +82,94 @@ func runLockOrder(pass *Pass) error {
 // collectLockUses walks one body in source order maintaining the held
 // set.
 func collectLockUses(pass *Pass, fnName string, body *ast.BlockStmt) []lockUse {
+	const (
+		lock = iota
+		unlock
+		enter // a block that ends its path starts: save the held set
+		leave // ... and ends: restore it
+	)
 	type lockEvent struct {
-		pos     token.Pos
-		key     string
-		lock    bool // false = unlock
-		forever bool // deferred unlock: never releases within the body
+		pos token.Pos
+		key string
+		op  int
 	}
 	var events []lockEvent
+	block := func(start, end token.Pos, stmts []ast.Stmt) {
+		if endsPath(pass, stmts) {
+			events = append(events, lockEvent{pos: start, op: enter}, lockEvent{pos: end, op: leave})
+		}
+	}
 	walkBody(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.DeferStmt:
-			if key, isLock, ok := mutexCall(pass, st.Call); ok && !isLock {
-				events = append(events, lockEvent{pos: st.Pos(), key: key, lock: false, forever: true})
-			}
-			return false
+			return false // a deferred Unlock never releases within the body
+		case *ast.BlockStmt:
+			block(st.Lbrace, st.End(), st.List)
+		case *ast.CaseClause:
+			block(st.Colon, st.End(), st.Body)
+		case *ast.CommClause:
+			block(st.Colon, st.End(), st.Body)
 		case *ast.CallExpr:
 			if key, isLock, ok := mutexCall(pass, st); ok {
-				events = append(events, lockEvent{pos: st.Pos(), key: key, lock: isLock})
+				op := unlock
+				if isLock {
+					op = lock
+				}
+				events = append(events, lockEvent{pos: st.Pos(), key: key, op: op})
 			}
 		}
 		return true
 	})
 	// Source order approximates execution order intra-function.
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j].pos < events[j-1].pos; j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].pos < events[j].pos })
 	var held []string
+	var saved [][]string
 	var uses []lockUse
 	for _, ev := range events {
-		if ev.lock {
+		switch ev.op {
+		case lock:
 			uses = append(uses, lockUse{key: ev.key, pos: ev.pos, held: append([]string(nil), held...), fn: fnName})
 			held = append(held, ev.key)
-		} else if !ev.forever {
+		case unlock:
 			for i := len(held) - 1; i >= 0; i-- {
 				if held[i] == ev.key {
 					held = append(held[:i], held[i+1:]...)
 					break
 				}
 			}
+		case enter:
+			saved = append(saved, append([]string(nil), held...))
+		case leave:
+			held, saved = saved[len(saved)-1], saved[:len(saved)-1]
 		}
 	}
 	return uses
+}
+
+// endsPath reports whether a block's statements end in a return, a
+// panic, a break or a continue: control never falls out of its end.
+func endsPath(pass *Pass, stmts []ast.Stmt) bool {
+	if len(stmts) == 0 {
+		return false
+	}
+	switch st := stmts[len(stmts)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BranchStmt:
+		return st.Tok == token.BREAK || st.Tok == token.CONTINUE
+	case *ast.ExprStmt:
+		call, ok := st.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		_, builtin := pass.TypesInfo.Uses[id].(*types.Builtin)
+		return builtin && id.Name == "panic"
+	}
+	return false
 }
 
 // mutexCall recognizes x.mu.Lock()/Unlock() (and RLock/RUnlock) where mu

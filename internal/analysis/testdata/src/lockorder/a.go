@@ -1,5 +1,6 @@
 // Package lockorder is the golden fixture for the lockorder analyzer:
-// a stub pvm.System leaf lock and an ABBA inversion pair.
+// a stub pvm.System leaf lock, an early-return unlock and an ABBA
+// inversion pair.
 package lockorder
 
 import "sync"
@@ -19,6 +20,11 @@ type crun struct {
 	steps []int
 }
 
+type barrier struct {
+	mu   sync.Mutex
+	life int
+}
+
 // --- violations ---
 
 func lockTaskUnderSystem(s *System, t *Task) {
@@ -35,6 +41,19 @@ func lockRunStateUnderSystem(s *System, r *crun) {
 	r.mu.Lock() // want `acquiring crun.mu while holding System.mu`
 	r.steps = append(r.steps, 1)
 	r.mu.Unlock()
+}
+
+// lockBarrierEarly takes the barrier lock before it lets System.mu go.
+// The Unlock before the early return releases only on that path.
+func lockBarrierEarly(s *System, b *barrier, halted bool) (*barrier, bool) {
+	s.mu.Lock()
+	if halted {
+		s.mu.Unlock()
+		return nil, false
+	}
+	b.mu.Lock() // want `acquiring barrier.mu while holding System.mu`
+	s.mu.Unlock()
+	return b, b.life > 0
 }
 
 type A struct{ mu sync.Mutex }
@@ -67,6 +86,19 @@ func handoff(s *System, t *Task) {
 	task.mbox = nil
 	task.mu.Unlock()
 	_ = t
+}
+
+// lockBarrier is the real pvm order: System.mu is let go on both paths
+// before the barrier is locked.
+func lockBarrier(s *System, b *barrier, halted bool) (*barrier, bool) {
+	s.mu.Lock()
+	if halted {
+		s.mu.Unlock()
+		return nil, false
+	}
+	s.mu.Unlock()
+	b.mu.Lock()
+	return b, b.life > 0
 }
 
 type C struct{ mu sync.Mutex }

@@ -138,7 +138,7 @@ func TestSweepOnReorganizedTrees(t *testing.T) {
 
 		// Skew the estimates at random and rebalance in place.
 		rng := rand.New(rand.NewSource(seed ^ 0x5EED))
-		rer := model.NewReranker(env.p, 0)
+		rer := model.NewReranker(env.p)
 		for pid := 0; pid < env.p; pid++ {
 			for n := 0; n < 3; n++ {
 				rer.Observe(pid, 0.1+rng.Float64()*10)

@@ -1038,7 +1038,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		waiting:     make([]*syncWait, p),
 		exited:      make([]bool, p),
 		arrived:     make([][]int, p),
-		led:         newLedger(e.tree, e.Chaos, e.Obsv, e.ReorgEvery, e.ReorgSeed, e.ReorgAlpha),
+		led:         newLedger(e.tree, e.Chaos, e.Obsv, e.ReorgEvery, e.ReorgSeed),
 		detectCount: make([]int, p),
 		joinGens:    make(map[int][]int),
 		gates:       make(map[int]chan struct{}),

@@ -63,7 +63,7 @@ func (a *ackSets) add(scope *model.Machine, pid int) {
 // newLedger starts a run's ledger: processors with a churn JoinAt fate
 // are dormant, everyone else knows everyone else.
 func newLedger(t *model.Tree, chaos *fabric.ChaosPlan, rec *obsv.Recorder,
-	reorgEvery int, reorgSeed int64, reorgAlpha float64) *ledger {
+	reorgEvery int, reorgSeed int64) *ledger {
 	p := t.NProcs()
 	l := &ledger{
 		tree: t, chaos: chaos, obsv: rec,
@@ -74,7 +74,7 @@ func newLedger(t *model.Tree, chaos *fabric.ChaosPlan, rec *obsv.Recorder,
 		acked:       make([]ackSets, p),
 		ackedJoin:   make([]ackSets, p),
 		knownActive: make([]map[int]bool, p),
-		rer:         model.NewReranker(p, reorgAlpha),
+		rer:         model.NewReranker(p),
 	}
 	for pid := 0; pid < p; pid++ {
 		if chaos.JoinStep(pid) > 0 {

@@ -82,7 +82,7 @@ func TestTwoDeathsTwoNoticesSmallestFirst(t *testing.T) {
 // B = {3,4,5}.
 func gridLedger(chaos *fabric.ChaosPlan, reorgEvery int) (*ledger, *model.Machine, *model.Machine) {
 	tr := model.WideAreaGrid(2, 3, 10, 10, 100)
-	l := newLedger(tr, chaos, nil, reorgEvery, 7, 0)
+	l := newLedger(tr, chaos, nil, reorgEvery, 7)
 	return l, tr.Root.Children[0], tr.Root.Children[1]
 }
 

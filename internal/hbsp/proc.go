@@ -70,9 +70,6 @@ type coreOpts struct {
 	// seeds give equal schedules.
 	ReorgEvery int
 	ReorgSeed  int64
-	// ReorgAlpha overrides the estimate EWMA smoothing factor (0 means
-	// model.DefaultAlpha).
-	ReorgAlpha float64
 }
 
 type pendingMsg struct {

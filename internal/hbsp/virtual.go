@@ -175,7 +175,7 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 		wake:        make([]error, p),
 		pending:     make([]*vrequest, p),
 		done:        make([]bool, p),
-		led:         newLedger(v.tree, v.Chaos, v.Obsv, v.ReorgEvery, v.ReorgSeed, v.ReorgAlpha),
+		led:         newLedger(v.tree, v.Chaos, v.Obsv, v.ReorgEvery, v.ReorgSeed),
 		syncOrd:     make([]int, p),
 		detectCount: make([]int, p),
 		stepSum:     make([]float64, p),

@@ -28,21 +28,17 @@ import (
 // slot means "never observed". Not safe for concurrent use; engines
 // serialize access.
 type Reranker struct {
-	// Alpha is the EWMA smoothing factor in (0, 1]; values <= 0 mean
-	// the DefaultAlpha. Larger tracks drift faster.
-	Alpha float64
-
 	est []float64
 	n   []int
 }
 
-// DefaultAlpha is the Reranker's smoothing factor when unset: fast
-// enough to catch a straggler burst within a couple of supersteps.
-const DefaultAlpha = 0.5
+// rerankAlpha is the Reranker's EWMA smoothing factor: fast enough to
+// catch a straggler burst within a couple of supersteps.
+const rerankAlpha = 0.5
 
 // NewReranker returns a Reranker for nprocs processors.
-func NewReranker(nprocs int, alpha float64) *Reranker {
-	return &Reranker{Alpha: alpha, est: make([]float64, nprocs), n: make([]int, nprocs)}
+func NewReranker(nprocs int) *Reranker {
+	return &Reranker{est: make([]float64, nprocs), n: make([]int, nprocs)}
 }
 
 // Observe folds one measured sample for pid into its estimate.
@@ -50,14 +46,10 @@ func (r *Reranker) Observe(pid int, sample float64) {
 	if pid < 0 || pid >= len(r.est) || sample <= 0 || math.IsNaN(sample) || math.IsInf(sample, 0) {
 		return
 	}
-	a := r.Alpha
-	if a <= 0 || a > 1 {
-		a = DefaultAlpha
-	}
 	if r.n[pid] == 0 {
 		r.est[pid] = sample
 	} else {
-		r.est[pid] = (1-a)*r.est[pid] + a*sample
+		r.est[pid] = (1-rerankAlpha)*r.est[pid] + rerankAlpha*sample
 	}
 	r.n[pid]++
 }

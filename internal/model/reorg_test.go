@@ -36,7 +36,7 @@ func leafNames(t *Tree) []string {
 }
 
 func TestRerankerEWMA(t *testing.T) {
-	r := NewReranker(3, 0.5)
+	r := NewReranker(3)
 	if _, ok := r.Estimate(1); ok {
 		t.Fatal("estimate before any observation")
 	}

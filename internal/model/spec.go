@@ -100,7 +100,7 @@ func SpecOf(t *Tree) *Spec {
 	return &Spec{G: t.G, Root: capture(t.Root)}
 }
 
-// MarshalJSON renders the spec with stable formatting.
+// Encode renders the spec as indented JSON, two spaces per level.
 func (s *Spec) Encode() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
