@@ -25,12 +25,13 @@ vet:
 fmt:
 	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
 
-# lint runs hbspk-vet, the five model-invariant checkers of
-# internal/analysis (SPMD alignment, communication topology,
-# delivered-buffer lifetimes, dropped errors, lock order) and the
-# stale-ignore sweep, over every package including tests. The model
-# parameters are checked at run time instead: the engines call
-# Tree.Validate before a run starts.
+# lint runs hbspk-vet, the four model-invariant checkers of
+# internal/analysis (SPMD alignment, communication topology, dropped
+# errors, lock order) and the stale-ignore sweep, over every package
+# including tests. The model parameters and the delivered-payload
+# lifetime are checked at run time instead: the engines call
+# Tree.Validate before a run starts, and Verify poisons an expired
+# delivery.
 lint:
 	$(GO) run ./cmd/hbspk-vet ./...
 
@@ -57,8 +58,9 @@ chaos:
 # a SCHEDULE-DEPENDENT verdict, the proof the audit still bites; a noisy
 # grid run repeated must reproduce its report and its event stream byte
 # for byte (the virtual engine is a sequential simulation, DESIGN.md
-# §5.3). The reorg property sweep proves rebalancing preserves topology
-# shape, the leaf multiset and every collective's sequential oracle.
+# §5.3). The reorg property sweeps prove rebalancing preserves topology
+# shape, the leaf multiset and every collective's sequential oracle,
+# also when a rebalance falls due inside a collective.
 # The final stanza is the multi-process smoke: a coordinator and two
 # worker OS processes, each an hbsp.Concurrent hosting one pid, run the
 # verified broadcast + reduce program over a unix socket and then
@@ -67,7 +69,7 @@ chaos:
 # target rather than repeating it.
 verify:
 	$(GO) test -count=1 -run 'TestReorganizePreservesShapeAndLeaves|TestPlanReorgDeterministic' ./internal/model/
-	$(GO) test -count=1 -run 'TestSweepOnReorganizedTrees' ./internal/collective/
+	$(GO) test -count=1 -run 'TestSweepOnReorganizedTrees|TestSweepWithCutsDueMidCollective' ./internal/collective/
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hbspk-sim" ./cmd/hbspk-sim || exit 1; \
 	for run in ucf:gather ucf:gather-hier ucf:bcast-hier ucf:reduce-hier grid:gather-hier grid:bcast-hier grid:reduce-hier; do \

@@ -1,11 +1,11 @@
 // Command hbspk-vet is the HBSP^k multichecker: it applies the
-// internal/analysis suite — pidtaint, commgraph, syncflow, uncheckedrun,
+// internal/analysis suite — pidtaint, commgraph, uncheckedrun,
 // lockorder — to the packages named on the command line and exits
 // non-zero if any invariant of the programming model is violated. The
 // pvm buffer rules (send a buffer once, pack it only before, release a
-// message once) and the model parameters (the engines call
-// Tree.Validate when a run starts) are run-time checks, not part of the
-// suite.
+// message once), the delivered-payload lifetime (two Syncs) and the
+// model parameters (the engines call Tree.Validate when a run starts)
+// are run-time checks, not part of the suite.
 //
 // Usage:
 //
@@ -16,11 +16,6 @@
 // Run it from anywhere inside the module:
 //
 //	go run ./cmd/hbspk-vet ./...
-//
-// Variant advice (DESIGN.md §5.6): -tree also advises collective-variant
-// switches the tree makes cheaper (non-test files only):
-//
-//	hbspk-vet -tree ucf ./...
 //
 // SPMD alignment only (the pidtaint analyzer, DESIGN.md §5.8):
 //
@@ -36,11 +31,9 @@
 // Exit codes:
 //
 //	0  the analyzed packages are clean
-//	1  at least one correctness finding was reported
+//	1  at least one finding was reported
 //	2  the run itself failed (bad flags, unloadable packages,
 //	   analyzer error)
-//	3  only advisory findings were reported (variantcheck advice —
-//	   a cheaper collective variant is statically knowable)
 package main
 
 import (
@@ -53,7 +46,6 @@ import (
 	"strings"
 
 	"hbspk/internal/analysis"
-	"hbspk/internal/model"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -66,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		listOnly = fs.Bool("list", false, "list the analyzers and exit")
 		only     = fs.String("run", "", "comma-separated analyzer names to run (default all)")
-		treeName = fs.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): enables variantcheck advice")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -85,21 +76,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%-16s %s\n", analysis.StaleIgnoreName,
 			"report //hbspk:ignore directives that suppress nothing (always on)")
-		fmt.Fprintf(stdout, "%-16s %s\n", analysis.VariantCheckName,
-			"advise statically-profitable collective-variant switches (requires -tree; advisory)")
 		return 0
 	}
 
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
 		return fail(err)
-	}
-	if *treeName != "" {
-		tree, err := model.LoadMachine(*treeName)
-		if err != nil {
-			return fail(err)
-		}
-		analyzers = append(analyzers, analysis.VariantCheck(tree))
 	}
 
 	moduleDir, err := findModuleRoot()
@@ -125,13 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	errs, advice := 0, 0
 	for _, d := range diags {
-		if d.Analyzer == analysis.VariantCheckName {
-			advice++
-		} else {
-			errs++
-		}
 		pos := loader.Fset().Position(d.Pos)
 		rel, relErr := filepath.Rel(moduleDir, pos.Filename)
 		if relErr != nil {
@@ -139,13 +115,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", rel, pos.Line, pos.Column, d.Message, d.Analyzer)
 	}
-	switch {
-	case errs > 0:
+	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "hbspk-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
-	case advice > 0:
-		fmt.Fprintf(stderr, "hbspk-vet: %d advisory finding(s) in %d package(s)\n", advice, len(pkgs))
-		return 3
 	}
 	return 0
 }

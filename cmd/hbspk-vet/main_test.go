@@ -18,10 +18,7 @@ func vet(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-const (
-	uncheckedFixture = "./internal/analysis/testdata/src/uncheckedrun"
-	variantFixture   = "./internal/analysis/testdata/src/variantcheck"
-)
+const uncheckedFixture = "./internal/analysis/testdata/src/uncheckedrun"
 
 // finding is the one output form: file:line:col: message (analyzer).
 var finding = regexp.MustCompile(`^[^:]+\.go:\d+:\d+: .+ \(\w+\)$`)
@@ -56,33 +53,13 @@ func TestExitTwoWhenTheRunFails(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nope"},
 		{"-run", "nope", "./internal/stats"},
-		{"-tree", "nope", "./internal/stats"},
+		{"-tree", "grid", "./internal/stats"},
 		{"./does/not/exist"},
 	} {
 		code, stdout, stderr := vet(t, args...)
 		if code != 2 || stdout != "" || stderr == "" {
 			t.Errorf("%q: exit %d, stdout %q, stderr %q; want 2, no findings and a reason", args, code, stdout, stderr)
 		}
-	}
-}
-
-// TestExitThreeOnAdviceOnly: -tree adds variantcheck, whose advice alone
-// exits 3; a correctness finding beside it still exits 1.
-func TestExitThreeOnAdviceOnly(t *testing.T) {
-	code, stdout, stderr := vet(t, "-tree", "grid", "-run", "uncheckedrun", variantFixture)
-	if code != 3 {
-		t.Fatalf("exit %d, want 3; stderr %q", code, stderr)
-	}
-	for _, line := range strings.Split(strings.TrimSuffix(stdout, "\n"), "\n") {
-		if !finding.MatchString(line) || !strings.HasSuffix(line, "(variantcheck)") {
-			t.Errorf("advice line %q is not file:line:col: message (variantcheck)", line)
-		}
-	}
-	if !strings.Contains(stderr, "advisory finding(s)") {
-		t.Errorf("stderr %q does not count the advice", stderr)
-	}
-	if code, _, _ := vet(t, "-tree", "grid", variantFixture, uncheckedFixture); code != 1 {
-		t.Errorf("advice beside a finding: exit %d, want 1", code)
 	}
 }
 
@@ -95,7 +72,7 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSuffix(stdout, "\n"), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "pidtaint commgraph syncflow uncheckedrun lockorder staleignore variantcheck"
+	want := "pidtaint commgraph uncheckedrun lockorder staleignore"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names %q, want %q", got, want)
 	}

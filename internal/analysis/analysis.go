@@ -9,18 +9,16 @@
 //
 //   - pidtaint: the alignment rule — every processor of a scope reaches the same synchronizing calls, whatever pid-tainted branch it takes.
 //   - commgraph: no unmatched send, receive before any delivery, divergent-scope collective, or hand-rolled flat fan-out in a program body.
-//   - syncflow: no delivered buffer read past the Sync after the one that delivered it, through helper calls.
 //   - uncheckedrun: no dropped error from Run, Sync, Send or a collective.
 //   - lockorder: no inverted mutex order, nothing locked under pvm.System's leaf lock.
 //
-// All returns those five; no two of them report the same defect. The
+// All returns those four; no two of them report the same defect. The
 // buffer rules of package pvm — a buffer is packed only before its one
-// send, a message is released at most once — are checked at run time,
-// not here, and so are the model parameters: both engines call
-// Tree.Validate before they start a run. Two more analyzers run outside All:
-//
-//   - staleignore: every //hbspk:ignore directive still suppresses a finding.
-//   - variantcheck: advice on collective variants a given machine tree makes cheaper (hbspk-vet -tree).
+// send, a message is released at most once, a delivered payload lives
+// two Syncs — are checked at run time, not here, and so are the model
+// parameters: both engines call Tree.Validate before they start a run.
+// Beside All, staleignore reports every //hbspk:ignore directive that
+// no longer suppresses a finding.
 //
 // The suite is exposed on the command line as cmd/hbspk-vet, a
 // multichecker in the style of go vet.
@@ -172,23 +170,18 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		PidTaint,
 		CommGraph,
-		SyncFlow,
 		UncheckedRun,
 		LockOrder,
 	}
 }
 
 // knownAnalyzerNames is the universe of names an //hbspk:ignore
-// directive may legitimately cite: the full suite plus the analyzers
-// that exist outside All() (the stale-directive sweep itself and the
-// tree-parameterized variant advice). A directive naming anything else
-// is rename rot — the analyzer it once silenced no longer exists under
+// directive may legitimately cite: the full suite plus the
+// stale-directive sweep itself. A directive naming anything else is
+// rename rot — the analyzer it once silenced no longer exists under
 // that name, so the directive silences nothing and never will.
 func knownAnalyzerNames() map[string]bool {
-	known := map[string]bool{
-		StaleIgnoreName:  true,
-		VariantCheckName: true,
-	}
+	known := map[string]bool{StaleIgnoreName: true}
 	for _, a := range All() {
 		known[a.Name] = true
 	}

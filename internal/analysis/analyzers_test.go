@@ -31,11 +31,6 @@ func TestSyncDisciplineGolden(t *testing.T) {
 	runGolden(t, PidTaint, "syncdiscipline")
 }
 
-func TestSyncFlowGolden(t *testing.T) {
-	t.Parallel()
-	runGolden(t, SyncFlow, "syncflow")
-}
-
 func TestPidTaintGolden(t *testing.T) {
 	t.Parallel()
 	runGolden(t, PidTaint, "pidtaint")
@@ -103,8 +98,8 @@ func TestOneAnalyzerPerDefect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(All()) != 5 || len(pkgs) < len(fixtures) {
-		t.Errorf("%d analyzers over %d packages, want 5 over at least %d", len(All()), len(pkgs), len(fixtures))
+	if len(All()) != 4 || len(pkgs) < len(fixtures) {
+		t.Errorf("%d analyzers over %d packages, want 4 over at least %d", len(All()), len(pkgs), len(fixtures))
 	}
 	diags, err := RunAnalyzers(pkgs, All())
 	if err != nil {
@@ -134,9 +129,9 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 		{"//hbspk:ignore", "", true},
 		{"//hbspk:ignore   ", "", true},
 		{"//hbspk:ignore pidtaint", "pidtaint", true},
-		{"//hbspk:ignore syncflow trailing words", "syncflow", true},
-		{"//hbspk:ignore\tsyncflow\t(tabs)", "syncflow", true},
-		{"//hbspk:ignore syncflow,pidtaint deliberate double read", "syncflow,pidtaint", true},
+		{"//hbspk:ignore commgraph trailing words", "commgraph", true},
+		{"//hbspk:ignore\tcommgraph\t(tabs)", "commgraph", true},
+		{"//hbspk:ignore commgraph,pidtaint deliberate double read", "commgraph,pidtaint", true},
 		{"// regular comment", "", false},
 		{"//hbspk:ignored", "", false}, // a longer word is not the directive
 	}
@@ -147,8 +142,11 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 		}
 	}
 	known := knownAnalyzerNames()
-	if known["syncflow,pidtaint"] || !known["syncflow"] || !known["pidtaint"] {
+	if known["commgraph,pidtaint"] || !known["commgraph"] || !known["pidtaint"] {
 		t.Errorf("knownAnalyzerNames: a comma list must not be a name, its parts must be")
+	}
+	if known["syncflow"] || known["variantcheck"] {
+		t.Errorf("knownAnalyzerNames: a deleted analyzer's directive must name no analyzer")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // The interprocedural layer: a package-local call graph over declared
 // functions and methods, plus a fact fixpoint. Both commgraph and
-// syncflow need one answer cross-function: "does calling fn synchronize
+// pidtaint need one answer cross-function: "does calling fn synchronize
 // processors?" — a helper that buries a Sync three calls deep is still
 // a superstep boundary at its call site. The graph is package-local by
 // design (the loader type-checks one package at a time); calls into
@@ -27,8 +27,7 @@ type callGraph struct {
 }
 
 // sharedCallGraph returns the package's call graph, building it once
-// and caching it on the Package when the driver (or the graph exporter)
-// supplied one; standalone passes in tests fall back to a private build. The
+// and caching it on the Package when the driver supplied one; standalone passes in tests fall back to a private build. The
 // graph depends only on the package's syntax and types, never on the
 // requesting analyzer, so sharing is safe.
 func sharedCallGraph(pass *Pass) *callGraph {

@@ -21,7 +21,7 @@ func TestStaleIgnoreGolden(t *testing.T) {
 // recursion converges with both parties marked, method and function
 // values mark their creators — including function and method values
 // passed as call arguments, the collective-combiner seam pidtaint and
-// syncflow depend on — and a barrier-free helper stays unmarked (the
+// commgraph depend on — and a barrier-free helper stays unmarked (the
 // over-approximation is not an any-call approximation).
 func TestCallGraphFixpoint(t *testing.T) {
 	t.Parallel()

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -209,14 +208,4 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 		return o
 	}
 	return info.Defs[id]
-}
-
-// constValue folds a compile-time constant expression to float64.
-func constValue(pass *Pass, e ast.Expr) (float64, bool) {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v, _ := constant.Float64Val(constant.ToFloat(tv.Value)) // rounding is fine for the callers' comparisons
-	return v, tv.Value.Kind() != constant.Unknown
 }

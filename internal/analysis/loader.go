@@ -27,12 +27,11 @@ type Package struct {
 
 	// Lazily-built per-package summaries, shared across the analyzers of
 	// one RunAnalyzers invocation so the interprocedural layer (call
-	// graph, late-parameter facts, alignment summaries) is computed once
-	// per package rather than once per analyzer — the cache that keeps
-	// the whole-repo run inside the CI wall-time budget.
-	cg         *callGraph
-	lateParams map[*types.Func]map[int]int
-	alignSums  map[*types.Func]string
+	// graph, alignment summaries) is computed once per package rather
+	// than once per analyzer — the cache that keeps the whole-repo run
+	// inside the CI wall-time budget.
+	cg        *callGraph
+	alignSums map[*types.Func]string
 }
 
 // Loader loads packages of one module from source, resolving in-module

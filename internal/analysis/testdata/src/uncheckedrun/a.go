@@ -43,6 +43,10 @@ func Gather(c Ctx, scope *Machine, root int, local []byte) (map[int][]byte, erro
 	return nil, nil
 }
 
+func AllGather(c Ctx, scope *Machine, local []byte) (map[int][]byte, error) {
+	return nil, nil
+}
+
 type Planner struct{}
 
 func PlannedBcast(c Ctx, p *Planner, n int, data []byte) ([]byte, error) { return data, nil }
@@ -152,6 +156,11 @@ func dropInGoroutine(c Ctx, scope *Machine) {
 	go c.Sync(scope, "racing") // want `error result of Sync is dropped`
 }
 
+func blankErrorKeptResult(c Ctx, scope *Machine) int {
+	parts, _ := AllGather(c, scope, nil) // want `error result of AllGather is dropped`
+	return len(parts)
+}
+
 // --- checked uses ---
 
 func checkedSync(c Ctx, scope *Machine) error {
@@ -169,6 +178,7 @@ func checkedRun(v *Virtual, prog Program) error {
 func deliberateDiscard(c Ctx, scope *Machine) {
 	// An explicit blank assignment is a visible decision, not a drop.
 	_ = c.Sync(scope, "fire and forget")
+	_, _ = AllGather(c, scope, nil)
 }
 
 func unrelatedCallsAreFine() {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // UncheckedRun flags dropped errors from the HBSP^k run-time surface:
@@ -12,9 +13,10 @@ import (
 // dispatched and fault-tolerant forms included. A swallowed error
 // from any of these turns a detected desync or delivery failure into a
 // silently wrong answer, so unlike a general errcheck this one is
-// always-on for the model's own calls. Only outright drops are flagged
-// (the call as a bare statement, go, or defer); an explicit `_ =` is
-// treated as a deliberate, visible discard.
+// always-on for the model's own calls. Flagged are outright drops (the
+// call as a bare statement, go, or defer) and a blank error beside a
+// kept result (`parts, _ := AllGather(...)`), a result the failed call
+// may never have filled. `_ = call` and `_, _ = call` are deliberate.
 var UncheckedRun = &Analyzer{
 	Name: "uncheckedrun",
 	Doc:  "flag dropped errors from Run/Sync/Send/collective calls",
@@ -33,6 +35,8 @@ func runUncheckedRun(pass *Pass) error {
 					call = st.Call
 				case *ast.DeferStmt:
 					call = st.Call
+				case *ast.AssignStmt:
+					call = blankedError(st)
 				}
 				if call == nil || !isUncheckedTarget(pass, call) {
 					return true
@@ -45,6 +49,20 @@ func runUncheckedRun(pass *Pass) error {
 	}
 	return nil
 }
+
+// blankedError returns the call of `x, _ := call()`: the last result,
+// the error, blanked while another one is kept.
+func blankedError(st *ast.AssignStmt) *ast.CallExpr {
+	n := len(st.Lhs)
+	if len(st.Rhs) != 1 || n < 2 || !isBlank(st.Lhs[n-1]) ||
+		!slices.ContainsFunc(st.Lhs, func(e ast.Expr) bool { return !isBlank(e) }) {
+		return nil
+	}
+	call, _ := ast.Unparen(st.Rhs[0]).(*ast.CallExpr)
+	return call
+}
+
+func isBlank(e ast.Expr) bool { return types.ExprString(e) == "_" }
 
 // taskMethodNames are the pvm Task calls the engine makes whose error
 // reports a lost delivery or a failed barrier.

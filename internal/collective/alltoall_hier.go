@@ -26,7 +26,7 @@ const tagXHier = 11
 // Every participant supplies outgoing[dst] for each destination pid and
 // receives incoming[src] keyed by origin.
 func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, error) {
-	defer span(c, "total-exchange-hier")(mapBytes(outgoing))
+	defer hbsp.Span(c, "total-exchange-hier")(mapBytes(outgoing))
 	t := c.Tree()
 	incoming := map[int][]byte{}
 

@@ -19,7 +19,7 @@ const (
 // subtree: the processor with pid root sends all of data to every other
 // processor in one super^i-step. Every participant returns the data.
 func BcastOnePhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]byte, error) {
-	defer span(c, "bcast-one-phase")(len(data))
+	defer hbsp.Span(c, "bcast-one-phase")(len(data))
 	pids := scope.Pids()
 	if c.Pid() == root {
 		for _, pid := range pids {
@@ -54,7 +54,7 @@ func BcastOnePhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]b
 // analysis is unchanged if the first phase distributes c_j·n pieces —
 // pass BalancedPieces for that policy.
 func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Dist) ([]byte, error) {
-	defer span(c, "bcast-two-phase")(len(data))
+	defer hbsp.Span(c, "bcast-two-phase")(len(data))
 	pids := scope.Pids()
 	me := indexOf(pids, c.Pid())
 	if me < 0 {
@@ -144,7 +144,7 @@ func joinPieces(pids []int, pieceBy map[int][]byte) []byte {
 // data, the fastest one the caller's own slice and every other a copy
 // of its own.
 func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
-	defer span(c, "bcast-hier")(len(data))
+	defer hbsp.Span(c, "bcast-hier")(len(data))
 	t := c.Tree()
 	if t.K() == 0 {
 		return data, nil

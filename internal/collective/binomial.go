@@ -27,7 +27,7 @@ const tagBinomial = 10
 // holders earliest (§4.1's first principle) when root is the
 // coordinator and participant order is pid order.
 func BcastBinomial(c hbsp.Ctx, scope *model.Machine, root int, data []byte) ([]byte, error) {
-	defer span(c, "bcast-binomial")(len(data))
+	defer hbsp.Span(c, "bcast-binomial")(len(data))
 	pids := scope.Pids()
 	p := len(pids)
 	rootIdx := indexOf(pids, root)

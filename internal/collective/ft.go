@@ -234,6 +234,7 @@ func (f *FT) readVerdict(tag, coord int) (byte, error) {
 // the guarantee is that every returned map holds a correct piece from
 // every member live at return time, never corrupted or partial data.
 func (f *FT) Gather(local []byte) (map[int][]byte, int, error) {
+	defer hbsp.Span(f.c, "ft-gather")(len(local))
 	call := f.calls
 	f.calls++
 	limit := maxEpochs(len(f.scope.Leaves()))
@@ -305,6 +306,7 @@ func (f *FT) Gather(local []byte) (map[int][]byte, int, error) {
 // survivor received a copy, the data is unrecoverable and every
 // survivor returns ErrLost together.
 func (f *FT) Bcast(root int, data []byte) ([]byte, error) {
+	defer hbsp.Span(f.c, "ft-bcast")(len(data))
 	call := f.calls
 	f.calls++
 	have := data
@@ -420,6 +422,7 @@ func (f *FT) Bcast(root int, data []byte) ([]byte, error) {
 // possibly the victim's correct pre-crash contribution from an epoch
 // that had already completed: shrink never corrupts, it only re-scopes).
 func (f *FT) Reduce(local []int64, op Op) ([]int64, int, error) {
+	defer hbsp.Span(f.c, "ft-reduce")(8 * len(local))
 	call := f.calls
 	f.calls++
 	limit := maxEpochs(len(f.scope.Leaves()))
@@ -502,6 +505,7 @@ func (f *FT) Reduce(local []int64, op Op) ([]int64, int, error) {
 // the reduction inputs still exist on the members, so nothing is
 // permanently lost.
 func (f *FT) AllReduce(local []int64, op Op) ([]int64, error) {
+	defer hbsp.Span(f.c, "ft-allreduce")(8 * len(local))
 	const restarts = 4
 	for i := 0; i < restarts; i++ {
 		red, root, err := f.Reduce(local, op)

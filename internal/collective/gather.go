@@ -16,7 +16,7 @@ const tagGather = 1
 // origin pid. A processor never sends to itself (§5.2), so the root's
 // own piece costs nothing. Non-root processors return nil.
 func Gather(c hbsp.Ctx, scope *model.Machine, root int, local []byte) (map[int][]byte, error) {
-	defer span(c, "gather")(len(local))
+	defer hbsp.Span(c, "gather")(len(local))
 	if c.Pid() != root {
 		if err := c.Send(root, tagGather, local); err != nil {
 			return nil, err
@@ -44,7 +44,7 @@ func Gather(c hbsp.Ctx, scope *model.Machine, root int, local []byte) (map[int][
 // coordinator — holds all pieces. Only that processor returns a non-nil
 // map.
 func GatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
-	defer span(c, "gather-hier")(len(local))
+	defer hbsp.Span(c, "gather-hier")(len(local))
 	t := c.Tree()
 	// accumulated holds the pieces this processor currently carries.
 	accumulated := map[int][]byte{c.Pid(): local}
@@ -103,6 +103,15 @@ func enclosingScope(t *model.Tree, leaf *model.Machine, lvl int) *model.Machine 
 type pidPiece struct {
 	pid  int
 	data []byte
+}
+
+// mapBytes sums the payload sizes of a keyed piece map (span sizing).
+func mapBytes(m map[int][]byte) int {
+	n := 0
+	for _, b := range m {
+		n += len(b)
+	}
+	return n
 }
 
 // sortedPieces returns map entries in pid order for deterministic wire

@@ -19,7 +19,7 @@ const (
 // piece across every slow link O(1) times, where the flat all-gather
 // crosses them O(p) times.
 func AllGatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
-	defer span(c, "all-gather-hier")(len(local))
+	defer hbsp.Span(c, "all-gather-hier")(len(local))
 	collected, err := GatherHier(c, local)
 	if err != nil {
 		return nil, err
@@ -57,7 +57,7 @@ func AllGatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 // offset. No identity element is required: the first subtree simply
 // receives no offset. Every processor returns its prefix.
 func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
-	defer span(c, "scan-hier")(8 * len(local))
+	defer hbsp.Span(c, "scan-hier")(8 * len(local))
 	t := c.Tree()
 	// Upward sweep: totals[lvl] is the subtree total this processor
 	// carries as the coordinator of its level-(lvl-1) position; childAgg
@@ -225,7 +225,7 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 // vector length). One superstep: each processor ships segment j of its
 // own vector to participant j, then folds what it received.
 func ReduceScatter(c hbsp.Ctx, scope *model.Machine, local []int64, d Dist, op Op) ([]int64, error) {
-	defer span(c, "reduce-scatter")(8 * len(local))
+	defer hbsp.Span(c, "reduce-scatter")(8 * len(local))
 	pids := scope.Pids()
 	if len(d) != len(pids) {
 		return nil, fmt.Errorf("collective: reduce-scatter dist has %d entries for %d participants", len(d), len(pids))

@@ -87,7 +87,7 @@ func unpackVec(p []byte) ([]int64, error) {
 // root over the scope's subtree, in one super^i-step: all vectors travel
 // to the root, which folds them in pid order. Non-roots return nil.
 func Reduce(c hbsp.Ctx, scope *model.Machine, root int, local []int64, op Op) ([]int64, error) {
-	defer span(c, "reduce")(8 * len(local))
+	defer hbsp.Span(c, "reduce")(8 * len(local))
 	if c.Pid() != root {
 		if err := c.Send(root, tagReduce, packVec(local)); err != nil {
 			return nil, err
@@ -117,7 +117,7 @@ func Reduce(c hbsp.Ctx, scope *model.Machine, root int, local []int64, op Op) ([
 // hierarchical win on slow wide-area networks. The machine's fastest
 // processor returns the result; others return nil.
 func ReduceHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
-	defer span(c, "reduce-hier")(8 * len(local))
+	defer hbsp.Span(c, "reduce-hier")(8 * len(local))
 	t := c.Tree()
 	// acc is the caller's local until this processor first folds, and a
 	// copy of it from then on.
@@ -166,7 +166,7 @@ func ReduceHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 // processor returns the vector it folded, not a decode of what it
 // broadcast.
 func AllReduce(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
-	defer span(c, "all-reduce")(8 * len(local))
+	defer hbsp.Span(c, "all-reduce")(8 * len(local))
 	red, err := ReduceHier(c, local, op)
 	if err != nil {
 		return nil, err
@@ -191,7 +191,7 @@ func AllReduce(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 // which computes every prefix (charging (p-1)·width combines), then
 // scatter of prefix i to participant i.
 func Scan(c hbsp.Ctx, scope *model.Machine, local []int64, op Op) ([]int64, error) {
-	defer span(c, "scan")(8 * len(local))
+	defer hbsp.Span(c, "scan")(8 * len(local))
 	root := c.Tree().Pid(scope.Coordinator())
 	gathered, err := Gather(c, scope, root, packVec(local))
 	if err != nil {

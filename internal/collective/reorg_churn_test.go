@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -177,6 +178,151 @@ func TestSweepOnReorganizedTrees(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Error("no seed produced a single moved leaf; the skew is not exercising reorg")
+	}
+}
+
+// midRunCases are the hierarchical families of the sweep and the four
+// fault-tolerant collectives: every call whose coordinators depend on
+// the layout across several global barriers.
+func midRunCases() []sweepCase {
+	var cases []sweepCase
+	for _, tc := range sweepCases() {
+		if strings.HasSuffix(tc.name, "-hier") || tc.name == "all-reduce" {
+			cases = append(cases, tc)
+		}
+	}
+	return append(cases,
+		sweepCase{
+			name: "ft-gather",
+			run: func(c hbsp.Ctx, env *sweepEnv, s *sweepSlots) error {
+				out, coord, err := NewFT(c, c.Tree().Root).Gather(env.payloads[c.Pid()])
+				if c.Pid() != coord {
+					out = nil
+				}
+				s.setM(c.Pid(), out)
+				return err
+			},
+			check: func(t *testing.T, env *sweepEnv, s *sweepSlots) {
+				held := 0
+				for pid := 0; pid < env.p; pid++ {
+					if s.ms[pid] != nil {
+						held++
+						checkMap(t, env, "ft-gather", pid, s.ms[pid], env.gatherOracle())
+					}
+				}
+				if held != 1 {
+					t.Errorf("seed=%d ft-gather: %d coordinators hold the result, want 1", env.seed, held)
+				}
+			},
+		},
+		sweepCase{
+			name: "ft-bcast",
+			run: func(c hbsp.Ctx, env *sweepEnv, s *sweepSlots) error {
+				var in []byte
+				if c.Pid() == env.root {
+					in = env.payloads[env.root]
+				}
+				out, err := NewFT(c, c.Tree().Root).Bcast(env.root, in)
+				s.setB(c.Pid(), out)
+				return err
+			},
+			check: func(t *testing.T, env *sweepEnv, s *sweepSlots) {
+				for pid := 0; pid < env.p; pid++ {
+					checkBytes(t, env, "ft-bcast", pid, s.bs[pid], env.payloads[env.root])
+				}
+			},
+		},
+		sweepCase{
+			name: "ft-reduce",
+			run: func(c hbsp.Ctx, env *sweepEnv, s *sweepSlots) error {
+				out, coord, err := NewFT(c, c.Tree().Root).Reduce(env.vecs[c.Pid()], env.op)
+				if c.Pid() != coord {
+					out = nil
+				}
+				s.setV(c.Pid(), out)
+				return err
+			},
+			check: func(t *testing.T, env *sweepEnv, s *sweepSlots) {
+				held := 0
+				for pid := 0; pid < env.p; pid++ {
+					if s.vs[pid] != nil {
+						held++
+						checkVec(t, env, "ft-reduce", pid, s.vs[pid], env.fold(env.allPids()))
+					}
+				}
+				if held != 1 {
+					t.Errorf("seed=%d ft-reduce: %d coordinators hold the result, want 1", env.seed, held)
+				}
+			},
+		},
+		sweepCase{
+			name: "ft-allreduce",
+			run: func(c hbsp.Ctx, env *sweepEnv, s *sweepSlots) error {
+				out, err := NewFT(c, c.Tree().Root).AllReduce(env.vecs[c.Pid()], env.op)
+				s.setV(c.Pid(), out)
+				return err
+			},
+			check: func(t *testing.T, env *sweepEnv, s *sweepSlots) {
+				want := env.fold(env.allPids())
+				for pid := 0; pid < env.p; pid++ {
+					checkVec(t, env, "ft-allreduce", pid, s.vs[pid], want)
+				}
+			},
+		})
+}
+
+// TestSweepWithCutsDueMidCollective is the reorg sweep's lane for a cut
+// that falls due at a global barrier inside a collective: on Figure 1's
+// tree, with the fastest leaf straggling tenfold and ReorgEvery 1 and 2,
+// on both engines, each case runs three rounds behind a charged global
+// Sync — the barrier outside every collective where the owed cut lands,
+// so the tree does move between rounds. The last round ran on the final
+// layout, and its result must match the sequential oracle there.
+func TestSweepWithCutsDueMidCollective(t *testing.T) {
+	const seed = int64(0xC07)
+	straggler := &fabric.ChaosPlan{Seed: seed, Stragglers: []fabric.Straggler{
+		{Pid: 0, FromStep: 0, ToStep: 1 << 20, Factor: 10},
+	}}
+	for _, engine := range []string{"virtual", "concurrent"} {
+		for _, every := range []int{1, 2} {
+			for _, tc := range midRunCases() {
+				t.Run(fmt.Sprintf("%s/every%d/%s", engine, every, tc.name), func(t *testing.T) {
+					tr := model.Figure1Cluster()
+					env := sweepEnvOn(seed, rand.New(rand.NewSource(seed)), tr)
+					before := slotPidsOf(tr)
+					s := newSlots(env.p)
+					prog := func(c hbsp.Ctx) error {
+						for r := 0; r < 3; r++ {
+							c.Charge(1000)
+							if err := hbsp.SyncAll(c, "round"); err != nil {
+								return err
+							}
+							if err := tc.run(c, env, s); err != nil {
+								return err
+							}
+						}
+						return nil
+					}
+					var err error
+					if engine == "virtual" {
+						eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+						eng.Chaos, eng.ReorgEvery, eng.ReorgSeed = straggler, every, seed
+						_, err = eng.Run(prog)
+					} else {
+						eng := hbsp.NewConcurrent(tr)
+						eng.Chaos, eng.ReorgEvery, eng.ReorgSeed = straggler, every, seed
+						_, err = eng.Run(prog)
+					}
+					if err != nil {
+						t.Fatalf("run failed: %v", err)
+					}
+					if reflect.DeepEqual(slotPidsOf(tr), before) {
+						t.Fatalf("the layout never moved: the lane is not exercising a cut")
+					}
+					tc.check(t, env, s)
+				})
+			}
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // pid) and delivers each in a single super^i-step. Every participant
 // returns its own piece.
 func Scatter(c hbsp.Ctx, scope *model.Machine, root int, pieces map[int][]byte) ([]byte, error) {
-	defer span(c, "scatter")(mapBytes(pieces))
+	defer hbsp.Span(c, "scatter")(mapBytes(pieces))
 	var mine []byte
 	if c.Pid() == root {
 		for _, pp := range sortedPieces(pieces) {
@@ -46,7 +46,7 @@ func Scatter(c hbsp.Ctx, scope *model.Machine, root int, pieces map[int][]byte) 
 // child's subtree. Only the fastest processor may supply pieces; every
 // processor returns its own piece.
 func ScatterHier(c hbsp.Ctx, pieces map[int][]byte) ([]byte, error) {
-	defer span(c, "scatter-hier")(mapBytes(pieces))
+	defer hbsp.Span(c, "scatter-hier")(mapBytes(pieces))
 	t := c.Tree()
 	if t.K() == 0 {
 		return pieces[c.Pid()], nil
@@ -107,7 +107,7 @@ func ScatterHier(c hbsp.Ctx, pieces map[int][]byte) ([]byte, error) {
 // full set keyed by origin pid (the second phase of the two-phase
 // broadcast, with arbitrary piece sizes).
 func AllGather(c hbsp.Ctx, scope *model.Machine, local []byte) (map[int][]byte, error) {
-	defer span(c, "all-gather")(len(local))
+	defer hbsp.Span(c, "all-gather")(len(local))
 	pids := scope.Pids()
 	for _, pid := range pids {
 		if pid == c.Pid() {
@@ -133,7 +133,7 @@ func AllGather(c hbsp.Ctx, scope *model.Machine, local []byte) (map[int][]byte, 
 // subtree: every participant holds one piece per destination pid and
 // receives one piece per origin pid, in one super^i-step.
 func TotalExchange(c hbsp.Ctx, scope *model.Machine, outgoing map[int][]byte) (map[int][]byte, error) {
-	defer span(c, "total-exchange")(mapBytes(outgoing))
+	defer hbsp.Span(c, "total-exchange")(mapBytes(outgoing))
 	for _, pp := range sortedPieces(outgoing) {
 		if pp.pid == c.Pid() {
 			continue

@@ -902,6 +902,8 @@ func (s *crun) applierPid(members []int) int {
 
 // applyCut is the applier side of the cut window: the ledger's cut,
 // under mu, with every live member parked between the cut barriers.
+// The applier's collective depth decides whether a due reorganization
+// waits.
 // Unwinding victims are waited out on exitc — a dead requester's
 // re-sync resolves immediately under mu, and its deferred markExited
 // signals. An activated joiner's gate opens inside the cut, but its
@@ -911,7 +913,7 @@ func (c *cctx) applyCut(R int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var act []int
-	err := s.led.cut(R, c.nowMicros(),
+	err := s.led.cut(R, c.depth, c.nowMicros(),
 		func() {
 			for s.deadUnwindingLocked() {
 				s.exitc.Wait()

@@ -42,9 +42,11 @@ type ledger struct {
 	knownActive      []map[int]bool
 
 	// rer folds measured effective compute slowdowns; epoch counts
-	// applied reorganizations.
+	// applied reorganizations. owed is a reorganization that fell due
+	// inside a collective and waits for a global barrier outside one.
 	rer   *model.Reranker
 	epoch int
+	owed  bool
 }
 
 // ackSets is one processor's acknowledged peers per scope.
@@ -295,28 +297,37 @@ func (l *ledger) due(R int) []int {
 }
 
 // cutDue reports whether the cut after the R-th global barrier has
-// work: a scheduled reorganization or an activation.
+// work: a scheduled or owed reorganization, or an activation.
 func (l *ledger) cutDue(R int) bool {
-	return l.reorgEvery > 0 && R%l.reorgEvery == 0 || len(l.dormant) > 0 && len(l.due(R)) > 0
+	return l.owed || l.reorgEvery > 0 && R%l.reorgEvery == 0 || len(l.dormant) > 0 && len(l.due(R)) > 0
 }
 
 // cut runs the consistent cut after the R-th completed global barrier,
 // with every live processor parked: rebalance the tree, equalize the
 // ack sets, activate the due joiners — in that order. A started joiner
 // reads the tree at once, so nothing may change it after start(pid).
-// quiesce blocks until no dead processor is still unwinding user code,
-// which may read the tree the reorganization is about to mutate
-// (Virtual has nobody to wait for: no program runs while it completes a
-// step); start lets an activated pid run. now stamps the emitted events.
-func (l *ledger) cut(R int, now float64, quiesce func(), start func(pid int)) error {
-	if l.reorgEvery > 0 && R%l.reorgEvery == 0 {
+// depth is how many collectives the barrier is inside, on the processor
+// that applies the cut (SPMD programs agree on it): a collective picks
+// its coordinators before a barrier and looks them up after it, so a
+// reorganization due at depth > 0 is owed to the first global barrier
+// at depth 0. quiesce blocks until no dead processor is still unwinding
+// user code, which may read the tree the reorganization is about to
+// mutate (Virtual has nobody to wait for: no program runs while it
+// completes a step); start lets an activated pid run. now stamps the
+// emitted events.
+func (l *ledger) cut(R, depth int, now float64, quiesce func(), start func(pid int)) error {
+	l.owed = l.owed || l.reorgEvery > 0 && R%l.reorgEvery == 0
+	if l.owed && depth > 0 {
+		l.obsv.Reorg(l.epoch+1, 0, true, now)
+	} else if l.owed {
+		l.owed = false
 		quiesce()
 		l.epoch++
 		plan := model.PlanReorg(l.tree, l.rer.Estimates(), l.reorgSeed, l.epoch)
 		if err := l.tree.Reorganize(plan); err != nil {
 			return err
 		}
-		l.obsv.Reorg(l.epoch, plan.Moved, now)
+		l.obsv.Reorg(l.epoch, plan.Moved, false, now)
 		l.equalize(l.acked)
 		l.equalize(l.ackedJoin)
 	}

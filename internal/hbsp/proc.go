@@ -136,6 +136,10 @@ type proc struct {
 	vc     VClock
 	inmeta []msgMeta
 	steps  int
+
+	// depth counts the collectives this processor is inside (Span); a
+	// global cut reads it to defer a reorganization (ledger.cut).
+	depth int
 }
 
 func newProc(pid int, t *model.Tree, opt *coreOpts) proc {
@@ -154,7 +158,7 @@ func (p *proc) Moves() []Message     { return p.inbox }
 func (p *proc) Failed() []int        { return append([]int(nil), p.failedView...) }
 func (p *proc) Members() []int       { return append([]int(nil), p.membersView...) }
 
-func (p *proc) obsvRecorder() *obsv.Recorder { return p.opt.Obsv }
+func (p *proc) core() *proc { return p }
 
 func (p *proc) Send(dst, tag int, payload []byte) error {
 	if dst < 0 || dst >= p.NProcs() {

@@ -11,6 +11,7 @@ import (
 
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
+	"hbspk/internal/obsv"
 )
 
 // The elastic-membership and reorganization contract, checked on both
@@ -416,6 +417,71 @@ func TestReorgRebalancesAndIsDeterministic(t *testing.T) {
 		t.Errorf("same seed, different folds: %d vs %d", obs1.sums[0], obs2.sums[0])
 	}
 	tr.RestoreLayout(layout)
+}
+
+// A reorganization due at a global barrier inside a collective waits for
+// the first global barrier outside one: with ReorgEvery 1 every barrier
+// cuts, yet inside a Span the layout holds still across two of them;
+// each deferral is a "reorg-deferred" event, and the owed cut lands at
+// the next barrier outside.
+func TestReorgWaitsOutASpan(t *testing.T) {
+	for _, engine := range []string{"virtual", "concurrent"} {
+		t.Run(engine, func(t *testing.T) {
+			tr := model.UCFTestbedN(8)
+			before := leafPids(tr)
+			plan := &fabric.ChaosPlan{
+				Stragglers: []fabric.Straggler{{Pid: 0, FromStep: 0, ToStep: 1 << 20, Factor: 10}},
+			}
+			rec := obsv.New(obsv.Config{})
+			prog := func(c Ctx) error {
+				for r := 0; r < 4; r++ {
+					c.Charge(2)
+					if err := SyncAll(c, "outside"); err != nil {
+						return err
+					}
+					done := Span(c, "two-barrier collective")
+					layout := leafPids(c.Tree())
+					for i := 0; i < 2; i++ {
+						if err := SyncAll(c, "inside"); err != nil {
+							return err
+						}
+						if got := leafPids(c.Tree()); !reflect.DeepEqual(got, layout) {
+							return fmt.Errorf("p%d round %d: the layout moved inside the span: %v -> %v", c.Pid(), r, layout, got)
+						}
+					}
+					done(0)
+				}
+				return nil
+			}
+			var err error
+			if engine == "virtual" {
+				eng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+				eng.Chaos, eng.ReorgEvery, eng.ReorgSeed, eng.Obsv = plan, 1, 42, rec
+				_, err = eng.Run(prog)
+			} else {
+				eng := NewConcurrent(tr)
+				eng.Chaos, eng.ReorgEvery, eng.ReorgSeed, eng.Obsv = plan, 1, 42, rec
+				_, err = eng.Run(prog)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			reorgs := map[string]int{}
+			for _, e := range rec.Events() {
+				if e.Kind == obsv.KindReorg {
+					reorgs[e.Name]++
+				}
+			}
+			// Four rounds of three global barriers: the four outside cut,
+			// the eight inside defer.
+			if reorgs["reorg"] != 4 || reorgs["reorg-deferred"] != 8 {
+				t.Errorf("reorg events %v, want 4 applied and 8 deferred", reorgs)
+			}
+			if reflect.DeepEqual(leafPids(tr), before) {
+				t.Errorf("the layout never moved: no cut was applied")
+			}
+		})
+	}
 }
 
 // Both engines must agree on the reorganization schedule: the same

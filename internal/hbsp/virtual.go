@@ -618,8 +618,9 @@ func (v *Virtual) deliver(ctxs []*vctx, pids []int, deliver []pendingMsg, stepId
 // past the step's end. Then the barrier is the run's consistent cut:
 // every goroutine is parked or gone — a crash victim's too, which has
 // finished unwinding — so the ledger can rebalance the tree and grow the
-// membership with no program in flight. An activated processor's clock
-// starts at the cut.
+// membership with no program in flight. The smallest participant's
+// collective depth decides whether a due reorganization waits. An
+// activated processor's clock starts at the cut.
 func (v *Virtual) cut(st *runState, pids []int, end float64) (ckptCost map[int]float64, ckptMax float64) {
 	st.globalSteps++
 	if v.ckptDue(st.globalSteps) {
@@ -637,7 +638,7 @@ func (v *Virtual) cut(st *runState, pids []int, end float64) (ckptCost map[int]f
 			ckptMax = max(ckptMax, ckptCost[pid])
 		}
 	}
-	err := st.led.cut(st.globalSteps, end, func() {}, func(pid int) {
+	err := st.led.cut(st.globalSteps, st.ctxs[pids[0]].depth, end, func() {}, func(pid int) {
 		c := st.ctxs[pid]
 		c.membersView = st.led.members(pid)
 		c.failedView = st.led.failed(pid)

@@ -116,7 +116,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			ce.Args = map[string]any{"step": e.Step, "src": e.Src, "dst": e.Dst}
 		case KindReorg:
 			ce.Ph, ce.S = "i", "g"
-			ce.Name = "reorg"
+			ce.Name = e.Name
 			ce.Args = map[string]any{"epoch": e.Step, "moved": e.Src}
 		default:
 			continue

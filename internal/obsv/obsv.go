@@ -45,8 +45,10 @@ const (
 	// KindChaos is one observed fault injection (drop, duplicate,
 	// delay, crash, straggler); Name carries the fate.
 	KindChaos
-	// KindReorg is one barrier-time tree reorganization: Step carries
-	// the reorg epoch, Src the number of leaves that changed slots.
+	// KindReorg is one barrier-time tree reorganization, applied (Name
+	// "reorg") or deferred past a collective ("reorg-deferred"): Step
+	// carries the reorg epoch, Src the number of leaves that changed
+	// slots.
 	KindReorg
 	// KindPick is one planner variant selection (DESIGN.md §5.9): Name
 	// carries "family->Variant", Bytes the payload size the decision

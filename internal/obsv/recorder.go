@@ -223,17 +223,24 @@ func (r *Recorder) Chaos(fate string, step, src, dst int, at float64) {
 	})
 }
 
-// Reorg records one applied barrier-time tree reorganization: epoch is
-// the reorg ordinal, moved how many leaves changed slots.
-func (r *Recorder) Reorg(epoch, moved int, at float64) {
+// Reorg records one barrier-time tree reorganization: epoch is the
+// reorg ordinal, moved how many leaves changed slots. A deferred one
+// fell due at a global barrier inside a collective and waits for the
+// first global barrier outside one (Name "reorg-deferred", moved 0);
+// only applied ones count in hbspk_reorgs_total.
+func (r *Recorder) Reorg(epoch, moved int, deferred bool, at float64) {
 	if r == nil {
 		return
 	}
-	r.reorgTotal.Inc()
+	name := "reorg-deferred"
+	if !deferred {
+		name = "reorg"
+		r.reorgTotal.Inc()
+	}
 	r.ring.put(Event{
 		Kind: KindReorg, Step: int32(epoch), Pid: -1,
 		Src: int32(moved), Dst: -1, Tag: -1,
-		Start: at, End: at, Name: "reorg",
+		Start: at, End: at, Name: name,
 	})
 }
 

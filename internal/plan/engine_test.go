@@ -158,7 +158,12 @@ func TestPlannerPicksFollowReorg(t *testing.T) {
 			}
 			prog := func(c hbsp.Ctx) error {
 				for round := 0; round < 10; round++ {
+					// A cut never lands inside a collective: this global
+					// barrier is where the due reorganizations apply.
 					c.Charge(2)
+					if err := hbsp.SyncAll(c, "round"); err != nil {
+						return err
+					}
 					t := c.Tree()
 					d, _ := pl.Decide(t, "bcast", n)
 					if best, _, _ := plan.BestVariant(t, "bcast", d.Rep); d.Variant.Name != best.Name {

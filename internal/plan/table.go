@@ -10,11 +10,10 @@ import (
 // keyed by the entrypoint name a caller writes in source, except that
 // BcastHier is two rows, BcastHier and BcastHierTwoPhase, one per value
 // of its twoPhaseTop argument. This is the ONE variant table in the
-// tree: the variantcheck advisor, cmd/hbspk-sim's closed-form column
-// and the runtime Planner all consume it, so static advice and runtime
-// picks cannot disagree, and the advisor's picks are checked against
-// the Virtual engine (internal/analysis's TestVariantAdviceHoldsOnVirtual).
-// The closed forms themselves live in internal/cost and are validated
+// tree: cmd/hbspk-sim's closed-form column and the runtime Planner both
+// consume it, so a reported price and a runtime pick cannot disagree.
+// The choice is made at run time, on the tree and size the run has:
+// switch points move with the machine. The closed forms themselves live in internal/cost and are validated
 // against the simulation by the experiments suite — this file only
 // fixes the callsite conventions: the root is the fastest leaf, byte
 // collectives take balanced distributions, and the vector families

@@ -120,14 +120,25 @@ func (h heldPayloads) check(dst, n, step int, dups bool) error {
 // engine has retired the superstep's delivery.
 func (h heldPayloads) poisoned(dst, step int) error {
 	for k, p := range h.payload {
-		for _, b := range p {
-			if b != hbsp.Poison {
-				return fmt.Errorf("p%d: payload %d from p%d of step %d outlived its two Syncs unpoisoned", dst, h.tag[k], h.src[k], step)
-			}
+		if bytes.Count(p, poison) != len(p) {
+			return fmt.Errorf("p%d: payload %d from p%d of step %d outlived its two Syncs unpoisoned", dst, h.tag[k], h.src[k], step)
 		}
 	}
 	return nil
 }
+
+// poison is the one byte hbsp.Poison, and scribble what keepProg
+// overwrites its send buffers with: as long as the largest of them.
+var (
+	poison   = []byte{hbsp.Poison}
+	scribble = bytes.Repeat([]byte{0xEE}, 64<<10+5)
+)
+
+// keptSteps is how many supersteps keepProg runs: four windows are
+// checked intact after one more Sync and poisoned after the second.
+// That fails an engine that releases a window one Sync early, on every
+// lane, and one that retires a window unpoisoned, on every Verify lane.
+const keptSteps = 6
 
 // keepProg runs steps all-to-all supersteps and holds each one's
 // delivered payload slices — not copies — for the two Syncs the lifetime
@@ -161,9 +172,7 @@ func keepProg(steps int, reuse, dups, verify bool) hbsp.Program {
 			}
 			err := hbsp.SyncAll(c, fmt.Sprintf("keep%d", step))
 			for _, buf := range bufs {
-				for j := range buf {
-					buf[j] = 0xEE
-				}
+				copy(buf, scribble)
 			}
 			if err != nil {
 				return err
@@ -205,7 +214,7 @@ func TestDeliveredPayloadsOutliveLaterSupersteps(t *testing.T) {
 			eng := hbsp.NewConcurrent(model.UCFTestbedN(4))
 			eng.Verify = true
 			eng.Transport = tf.New
-			if _, err := eng.Run(keepProg(16, false, false, true)); err != nil {
+			if _, err := eng.Run(keepProg(keptSteps, false, false, true)); err != nil {
 				t.Fatalf("run over %s: %v", tf.Name, err)
 			}
 		})
@@ -216,9 +225,9 @@ func TestSentSliceIsFreeAfterSync(t *testing.T) {
 	// The sender's half of the same contract, on every transport: Send
 	// keeps the caller's slice by reference, and Concurrent is done with it
 	// when the Sync that delivers it returns — written to the socket, or
-	// copied into the receiver's wire. Every processor sends 16 supersteps
-	// from one set of buffers it scribbles over after each Sync, while it
-	// holds what it received for as long as the rule lets it; a byte the
+	// copied into the receiver's wire. Every processor sends keptSteps
+	// supersteps from one set of buffers it scribbles over after each Sync,
+	// while it holds what it received for as long as the rule lets it; a byte the
 	// engine still borrowed then would reach a receiver scribbled. Under
 	// Verify the checksum fields sit in front of the borrowed payload, and
 	// under a duplicating plan two wires borrow one slice.
@@ -232,7 +241,7 @@ func TestSentSliceIsFreeAfterSync(t *testing.T) {
 					eng.Chaos = &fabric.ChaosPlan{Seed: 17, Duplicate: .3}
 				}
 				eng.Transport = tf.New
-				if _, err := eng.Run(keepProg(16, true, lane == "duplicate", eng.Verify)); err != nil {
+				if _, err := eng.Run(keepProg(keptSteps, true, lane == "duplicate", eng.Verify)); err != nil {
 					t.Fatalf("run over %s: %v", tf.Name, err)
 				}
 			})
