@@ -121,16 +121,18 @@ wire-smoke:
 # the live heap a step leaves behind (the step record) — the Go-benchmark
 # twin of the sync and bulk workloads of ./benchmark, at the GOMAXPROCS =
 # 1 that harness pins every repetition to (-cpu 1), the socket lanes with
-# syscalls/op, the read and write system calls of a step — and two empty
+# syscalls/op, the read and write system calls of a step, and reads/op
+# and writes/op apart — and two empty
 # supersteps in-proc,
 # inproc/0B/cluster (a level-1 Sync of one two-leaf cluster) and
 # inproc/0B/root: the model's L_{1,j} and L_{2,0} as this substrate
 # defines them. Then the collective rung: BenchmarkCollectiveRound, one
 # round of coll_tcp's five collectives at 64 KiB each, in-proc and over
-# TCP loopback (with syscalls/op). No gate of their own
-# (TestSteadyStateSuperstepAllocs, TestCollectiveRoundAllocsInProc and the
-# collectives' *AllocatesItsResultOnce tests hold the allocation ceilings,
-# TestLoopbackSyscallsPerSuperstep the system-call one); check.sh
+# TCP loopback (with syscalls/op, reads/op and writes/op). No gate of
+# their own (TestSteadyStateSuperstepAllocs, TestCollectiveRoundAllocsInProc
+# and the collectives' *AllocatesItsResultOnce tests hold the allocation
+# ceilings, TestLoopbackSyscallsPerSuperstep and TestCollectiveRoundSyscalls
+# the system-call ones); check.sh
 # invokes this target so the rungs compile and run.
 bench-step:
 	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem -cpu 1 ./internal/hbsp
@@ -148,8 +150,8 @@ cover:
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $${total}% fell below the $${floor}% floor"; exit 1; }
 
-# fuzz gives each pvm wire-format, wiretrans frame-layer and engine
-# message-codec fuzzer a short budget; CI smoke, not a campaign.
+# fuzz gives each pvm wire-format, wiretrans frame-layer, pump, handshake
+# and engine message-codec fuzzer a short budget; CI smoke, not a campaign.
 # check.sh invokes this target rather than keeping a list of its own.
 FUZZTIME ?= 20s
 fuzz:
@@ -159,6 +161,8 @@ fuzz:
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzBatchBody -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzAckBody -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzPumpBurst -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzHandshake -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hbsp/ -run '^$$' -fuzz FuzzUnpackMsg -fuzztime $(FUZZTIME)
 
 clean:

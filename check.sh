@@ -45,12 +45,15 @@ timed 30 "delivered-byte lifetime" go test -race -count=3 \
 # Loopback I/O per superstep (DESIGN.md §5.10): the senders of a step
 # share one vectored write, a shared write that fails reaches every
 # sender naming its own oldest destination, a follower's borrow ends when
-# its call returns, and the pump and the ack reader read only what they
-# are owed — under the race detector, at GOMAXPROCS 1 and 4 — and a warm
-# 64 B unix step makes at most 5 read and write system calls.
+# its call returns, the pump and the ack reader read only what they are
+# owed, the pump acks an owed burst with one write and fails the link
+# when a header disagrees with its owed length — under the race
+# detector, at GOMAXPROCS 1 and 4 — and a warm 64 B unix step makes at
+# most 5 read and write system calls, a 64 KiB tcp step at most 10 and a
+# tcp collective round at most 70.
 timed 30 "loopback I/O per superstep" sh -c "go test -race -count=1 \
-	-run 'ShareOneWrite|SeverInsideA|EndsTheBorrow|PumpWritesAcks|OutOfOrderAck|LinkLossNames|FlushHonoursAck' \
-	./internal/pvm/wiretrans && go test -count=1 -run 'SyscallsPerSuperstep' ./internal/hbsp"
+	-run 'ShareOneWrite|SeverInsideA|EndsTheBorrow|PumpAcksAnOwedBurst|OwedLengthMismatch|OutOfOrderAck|LinkLossNames|FlushHonoursAck' \
+	./internal/pvm/wiretrans && go test -p 1 -count=1 -run 'SyscallsPerSuperstep|CollectiveRoundSyscalls' ./internal/hbsp ./internal/collective"
 
 # Seeded chaos smoke, as `make chaos` defines it: fault injection across
 # the fabric, both engines, and the fault-tolerant collectives, under

@@ -71,7 +71,8 @@ func collRound(tr *model.Tree, n, warm, rounds int, begin, end func()) hbsp.Prog
 // WideAreaGrid(2,2,4,10,100) on Concurrent, in-proc and over TCP
 // loopback; B/op and allocs/op are everything the round allocates, on
 // every processor. The tcp lane reports syscalls/op, the round's read
-// and write system calls, where /proc/self/io counts them.
+// and write system calls, and apart as reads/op and writes/op, where
+// /proc/self/io counts them (TestCollectiveRoundSyscalls gates the sum).
 // TestCollectiveRoundAllocsInProc gates the in-proc lane's bytes; the
 // ceilings of hier_test.go hold each collective's copies on Virtual.
 func BenchmarkCollectiveRound(b *testing.B) {
@@ -84,27 +85,63 @@ func BenchmarkCollectiveRound(b *testing.B) {
 			tr := roundTree()
 			b.SetBytes(5 * n)
 			b.ReportAllocs()
-			var calls [2]int64
+			var reads, writes [2]int64
 			counted := tf.Name != "inproc"
 			begin := func() {
 				if counted {
-					calls[0], counted = testutil.Syscalls()
+					reads[0], writes[0], counted = testutil.Syscalls()
 				}
 				b.ResetTimer()
 			}
 			end := func() {
 				b.StopTimer()
 				if counted {
-					calls[1], _ = testutil.Syscalls()
+					reads[1], writes[1], _ = testutil.Syscalls()
 				}
 			}
 			if _, err := conformanceEngine(tf, tr).Run(collRound(tr, n, warm, b.N, begin, end)); err != nil {
 				b.Fatal(err)
 			}
 			if counted {
-				b.ReportMetric(float64(calls[1]-calls[0])/float64(b.N), "syscalls/op")
+				r, w := float64(reads[1]-reads[0])/float64(b.N), float64(writes[1]-writes[0])/float64(b.N)
+				b.ReportMetric(r+w, "syscalls/op")
+				b.ReportMetric(r, "reads/op")
+				b.ReportMetric(w, "writes/op")
 			}
 		})
+	}
+}
+
+// TestCollectiveRoundSyscalls is the system-call ceiling of
+// BenchmarkCollectiveRound's tcp lane at GOMAXPROCS 1, the benchmark
+// harness's setting: 70 reads and writes a round. The round makes some
+// sixteen group writes; the pump reads each owed burst by 256 KiB slabs
+// and acks it with one write, so about 65 were measured. It was 141.3 (88.2
+// reads, 53.2 writes) when the pump read each frame past its 4 KiB
+// buffer with two reads, one for the header and one for the body, and
+// acked each such frame with a write of its own.
+func TestCollectiveRoundSyscalls(t *testing.T) {
+	if _, _, ok := testutil.Syscalls(); !ok {
+		t.Skip("no /proc/self/io: the system-call counters are Linux's")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, warm, rounds, ceiling = 64 << 10, 30, 200, 70
+	var tcp pvm.TransportFactory
+	for _, tf := range pvm.TransportFactories() {
+		if tf.Name == "tcp" {
+			tcp = tf
+		}
+	}
+	var r0, w0, r1, w1 int64
+	tr := roundTree()
+	prog := collRound(tr, n, warm, rounds, func() { r0, w0, _ = testutil.Syscalls() }, func() { r1, w1, _ = testutil.Syscalls() })
+	if _, err := conformanceEngine(tcp, tr).Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	reads, writes := float64(r1-r0)/rounds, float64(w1-w0)/rounds
+	t.Logf("%.1f reads + %.1f writes a round", reads, writes)
+	if reads+writes > ceiling {
+		t.Errorf("%.1f read and write system calls a tcp round, ceiling %d", reads+writes, ceiling)
 	}
 }
 

@@ -161,31 +161,45 @@ func TestSteadyStateSuperstepAllocs(t *testing.T) {
 }
 
 // TestLoopbackSyscallsPerSuperstep is the system-call count of a warm
-// 64 B all-to-all superstep over a unix-socket Loopback at GOMAXPROCS 1,
-// the benchmark harness's setting, from the process's read and write
-// counters: the four senders' posts share one vectored write, the pump
+// all-to-all superstep over a Loopback at GOMAXPROCS 1, the benchmark
+// harness's setting, from the process's read and write counters. At 64 B
+// on unix the four senders' posts share one vectored write, the pump
 // reads the step's frames once and writes its acks once, and the ack
 // reader reads them once — 4 a step, a little more when the runtime's
-// fairness check splits a group. It was 9.0 when each sender wrote its
+// fairness check splits a group; it was 9.0 when each sender wrote its
 // own post and the pump and the ack reader each read until a read came
-// back empty. The ceiling is 5.
+// back empty. The ceiling is 5. At 64 KiB on tcp the pump reads the
+// step's twelve frames by 256 KiB slabs, four reads, and acks them with
+// one write — with the writev and the ack reader's read, 7.1 measured,
+// ceiling 10; it was 38.1 when the pump read each frame's header and
+// body apart and acked each frame with a write of its own.
 func TestLoopbackSyscallsPerSuperstep(t *testing.T) {
-	if _, ok := testutil.Syscalls(); !ok {
+	if _, _, ok := testutil.Syscalls(); !ok {
 		t.Skip("no /proc/self/io: the system-call counters are Linux's")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const steps = 2000
-	var before, after int64
-	err := onOne("unix")(t, allToAll(64, 500, steps,
-		func() { before, _ = testutil.Syscalls() },
-		func() { after, _ = testutil.Syscalls() }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	perStep := float64(after-before) / steps
-	t.Logf("%.2f read and write system calls per superstep (p = 4)", perStep)
-	if perStep > 5 {
-		t.Errorf("%.2f read and write system calls per warm 64 B unix superstep, ceiling 5", perStep)
+	for _, lane := range []struct {
+		name, network string
+		size, steps   int
+		ceiling       float64
+	}{
+		{"unix/64B", "unix", 64, 2000, 5},
+		{"tcp/64KiB", "tcp", 64 << 10, 500, 10},
+	} {
+		t.Run(lane.name, func(t *testing.T) {
+			var r0, w0, r1, w1 int64
+			err := onOne(lane.network)(t, allToAll(lane.size, 500, lane.steps,
+				func() { r0, w0, _ = testutil.Syscalls() },
+				func() { r1, w1, _ = testutil.Syscalls() }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads, writes := float64(r1-r0)/float64(lane.steps), float64(w1-w0)/float64(lane.steps)
+			t.Logf("%.2f reads + %.2f writes per superstep (p = 4)", reads, writes)
+			if reads+writes > lane.ceiling {
+				t.Errorf("%.2f read and write system calls per warm %s superstep, ceiling %.0f", reads+writes, lane.name, lane.ceiling)
+			}
+		})
 	}
 }
 
@@ -224,8 +238,8 @@ func emptySteps(level, warm, steps int, begin, end func()) Program {
 // report retained-B/op: the live heap after a collection grows by that
 // much per step, which is the step record's cost to a long run. The
 // socket lanes report syscalls/op, the read and write system calls of a
-// step (TestLoopbackSyscallsPerSuperstep gates the unix/64B one), where
-// /proc/self/io counts them.
+// step, and apart as reads/op and writes/op (TestLoopbackSyscallsPerSuperstep
+// gates the unix/64B and tcp/64KiB ones), where /proc/self/io counts them.
 func BenchmarkConcurrentSuperstep(b *testing.B) {
 	sizes := []struct {
 		name string
@@ -241,7 +255,7 @@ func BenchmarkConcurrentSuperstep(b *testing.B) {
 				b.SetBytes(int64(p * (p - 1) * size.n))
 				b.ReportAllocs()
 				var before, after runtime.MemStats
-				var calls [2]int64
+				var reads, writes [2]int64
 				retained, counted := size.n == 64, network != "inproc"
 				begin := func() {
 					if retained {
@@ -249,14 +263,14 @@ func BenchmarkConcurrentSuperstep(b *testing.B) {
 						runtime.ReadMemStats(&before)
 					}
 					if counted {
-						calls[0], counted = testutil.Syscalls()
+						reads[0], writes[0], counted = testutil.Syscalls()
 					}
 					b.ResetTimer()
 				}
 				end := func() {
 					b.StopTimer()
 					if counted {
-						calls[1], _ = testutil.Syscalls()
+						reads[1], writes[1], _ = testutil.Syscalls()
 					}
 					if retained {
 						runtime.GC()
@@ -270,7 +284,10 @@ func BenchmarkConcurrentSuperstep(b *testing.B) {
 					b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(b.N), "retained-B/op")
 				}
 				if counted {
-					b.ReportMetric(float64(calls[1]-calls[0])/float64(b.N), "syscalls/op")
+					r, w := float64(reads[1]-reads[0])/float64(b.N), float64(writes[1]-writes[0])/float64(b.N)
+					b.ReportMetric(r+w, "syscalls/op")
+					b.ReportMetric(r, "reads/op")
+					b.ReportMetric(w, "writes/op")
 				}
 			})
 		}

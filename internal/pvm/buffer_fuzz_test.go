@@ -65,6 +65,10 @@ func FuzzUnpack(f *testing.F) {
 	f.Add([]byte{codeBytes, 0x80, 0x00, 0x00, 0x00, 1, 2, 3})  // >2^31 length
 	f.Add([]byte{codeString, 0x00, 0x00, 0x00, 0x05, 'a'})     // short string
 	f.Add(NewBuffer().PackInt64Slice([]int64{7}).Bytes()[:10]) // torn slice frame
+	f.Add(NewBuffer().PackInt32(5).Bytes())
+	f.Add(NewBuffer().PackString("x").PackFloat64(1.5).Bytes())
+	f.Add([]byte{5, 0, 0, 0, 200}) // bytes code with a lying length
+	f.Add([]byte{1, 2})            // truncated int32
 	f.Fuzz(func(t *testing.T, data []byte) {
 		unpackers := []func(*Buffer) error{
 			func(b *Buffer) error { _, err := b.UnpackInt32(); return err },

@@ -470,32 +470,3 @@ func TestPropertyNoMessageLoss(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// FuzzBufferUnpack feeds arbitrary bytes to the unpackers: they must
-// return errors, never panic, on corrupt frames. (Runs its seed corpus
-// as a regular test; `go test -fuzz=FuzzBufferUnpack` explores further.)
-func FuzzBufferUnpack(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(NewBuffer().PackInt32(5).Bytes())
-	f.Add(NewBuffer().PackString("x").PackFloat64(1.5).Bytes())
-	f.Add([]byte{5, 0, 0, 0, 200}) // bytes code with a lying length
-	f.Add([]byte{1, 2})            // truncated int32
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Drain with a fixed decoder sequence: progress is guaranteed
-		// because every successful unpack consumes bytes and the first
-		// failure stops the loop.
-		b := Wrap(data)
-		for b.Remaining() > 0 {
-			if _, err := b.UnpackInt32(); err != nil {
-				break
-			}
-		}
-		// Every decoder on raw input must stay panic-free.
-		_, _ = Wrap(data).UnpackInt32Slice()
-		_, _ = Wrap(data).UnpackInt64Slice()
-		_, _ = Wrap(data).UnpackBytes()
-		_, _ = Wrap(data).UnpackFloat64()
-		_, _ = Wrap(data).UnpackString()
-		_, _ = Wrap(data).UnpackInt64()
-	})
-}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -365,27 +366,19 @@ func TestHandshakeOverChunkedConn(t *testing.T) {
 	}
 }
 
-// ackProbeConn is the pump's side of a chunkConn that also keeps the
-// pump's books: the batch frames it has read in full (all of frameLen
-// bytes) against the ack frames it has written, how often it went back
-// to read while behind, and how often it read at all.
-type ackProbeConn struct {
+// pumpProbeConn is the pump's side of a chunkConn that counts the pump's
+// reads, its writes and the ack frames in them.
+type pumpProbeConn struct {
 	chunkConn
-	frameLen                          int
-	reads, read, acks, writes, behind int
+	reads, writes, acks int
 }
 
-func (c *ackProbeConn) Read(p []byte) (int, error) {
+func (c *pumpProbeConn) Read(p []byte) (int, error) {
 	c.reads++
-	if c.read/c.frameLen > c.acks {
-		c.behind++
-	}
-	n, err := c.chunkConn.Read(p)
-	c.read += n
-	return n, err
+	return c.chunkConn.Read(p)
 }
 
-func (c *ackProbeConn) Write(p []byte) (int, error) {
+func (c *pumpProbeConn) Write(p []byte) (int, error) {
 	c.writes++
 	for q := p; len(q) >= frameHeader; q = q[frameHeader+int(binary.BigEndian.Uint32(q)):] {
 		c.acks++
@@ -393,34 +386,72 @@ func (c *ackProbeConn) Write(p []byte) (int, error) {
 	return c.chunkConn.Write(p)
 }
 
-func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
-	// A burst of batches in one write, all of them owed to the pump. Read
-	// a byte at a time the pump never holds a whole next frame, so every
-	// ack goes out on its own before the next read; read whole, the burst
-	// is acked in one write. Either way it never reads from the socket
-	// while it owes an ack, and it reads nothing past the burst: once it
-	// has every frame it was owed it writes its acks and waits off the
-	// socket, rather than go back to find the socket empty.
-	const burst = 8
+// frameLens is the wire length of each frame in wire, in order.
+func frameLens(wire []byte) []int {
+	var lens []int
+	for len(wire) >= frameHeader {
+		n := frameHeader + int(binary.BigEndian.Uint32(wire))
+		lens = append(lens, n)
+		wire = wire[n:]
+	}
+	return lens
+}
+
+// oweBurst owes the pump frames of the given wire lengths, as writeQueue
+// owes it the frames it is about to write.
+func (l *Loopback) oweBurst(lens ...int) {
+	l.mu.Lock()
+	l.batches.owed += len(lens)
+	l.batches.lens = append(l.batches.lens, lens...)
+	l.batches.cond.Signal()
+	l.mu.Unlock()
+}
+
+func TestPumpAcksAnOwedBurstInOneWrite(t *testing.T) {
+	// A burst of batches in one write, all of them owed to the pump. Read a
+	// byte at a time or whole, the pump acks the burst with one write once
+	// it has read all of it, and it reads nothing past the burst: with
+	// every frame it was owed in hand it writes its acks and waits off the
+	// socket, rather than go back to find the socket empty. Read whole,
+	// frames share one read while they fit a slab: eight small ones take
+	// one read; two 100 KiB frames share the first slab, a third takes the
+	// next, a frame longer than a slab is read alone and the small frame
+	// behind it by a read of its own — four reads.
+	small := []int{7, 7, 7, 7, 7, 7, 7, 7}
 	for _, tc := range []struct {
-		name                string
-		maxRead, wantWrites int
-	}{{"byte reads", 1, burst}, {"whole reads", 0, 1}} {
+		name      string
+		maxRead   int
+		sizes     []int // payload bytes of each frame of the burst
+		wantReads int   // 0: one a byte
+	}{
+		{"byte reads", 1, small, 0},
+		{"whole reads", 0, small, 1},
+		{"slabs", 0, []int{100 << 10, 100 << 10, 100 << 10, maxSlab, 7}, 4},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			sys := pvm.NewSystem()
 			hold := make(chan struct{})
+			payloads := make([][]byte, len(tc.sizes))
 			recv := sys.Spawn("recv", func(task *pvm.Task) error {
 				<-hold
-				if n := len(task.TryRecvAll(pvm.AnySource, 4)); n != burst {
-					return fmt.Errorf("%d messages injected, want %d", n, burst)
+				msgs := task.TryRecvAll(pvm.AnySource, 4)
+				if len(msgs) != len(payloads) {
+					return fmt.Errorf("%d messages injected, want %d", len(msgs), len(payloads))
+				}
+				for i, m := range msgs {
+					if !bytes.Equal(m.Buffer().Bytes(), payloads[i]) {
+						return fmt.Errorf("message %d: %d bytes, not the %d sent", i, len(m.Buffer().Bytes()), len(payloads[i]))
+					}
+					m.Release()
 				}
 				return nil
 			})
 			var frames []byte
-			for seq := int64(1); seq <= burst; seq++ {
-				body := pvm.Wrap(nil).PackInt64(seq).PackInt32(int32(recv), 1).
-					PackInt32(7).PackInt64(4).PackBytes([]byte("payload"))
+			for i, n := range tc.sizes {
+				payloads[i] = bytes.Repeat([]byte{byte(i + 1)}, n)
+				body := pvm.Wrap(nil).PackInt64(int64(i+1)).PackInt32(int32(recv), 1).
+					PackInt32(7).PackInt64(4).PackBytes(payloads[i])
 				frames = AppendFrame(frames, frameBatch, body.Bytes())
 			}
 
@@ -429,16 +460,16 @@ func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
 				t.Fatalf("NewLoopback: %v", err)
 			}
 			lb.sys = sys
-			lb.owe(&lb.batches, burst)
+			lb.oweBurst(frameLens(frames)...)
 			a, b := net.Pipe()
 			_ = a.SetDeadline(time.Now().Add(10 * time.Second))
-			probe := &ackProbeConn{chunkConn: chunkConn{Conn: b, maxRead: tc.maxRead}, frameLen: len(frames) / burst}
+			probe := &pumpProbeConn{chunkConn: chunkConn{Conn: b, maxRead: tc.maxRead}}
 			lb.wg.Add(1)
 			go lb.serverPump(newLink(probe, "test"))
 			go func() { _, _ = a.Write(frames) }()
 
 			var scratch []byte
-			for seq := int64(1); seq <= burst; seq++ {
+			for seq := int64(1); seq <= int64(len(tc.sizes)); seq++ {
 				kind, body, next, _, err := ReadFrame(a, scratch)
 				if err != nil {
 					t.Fatalf("ack %d: %v", seq, err)
@@ -457,19 +488,128 @@ func TestPumpWritesAcksBeforeItCouldBlock(t *testing.T) {
 			if err := sys.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			if probe.behind != 0 {
-				t.Fatalf("pump went to read %d times while it owed acks", probe.behind)
+			if probe.acks != len(tc.sizes) || probe.writes != 1 {
+				t.Fatalf("%d acks in %d writes, want %d in 1", probe.acks, probe.writes, len(tc.sizes))
 			}
-			if probe.acks != burst || probe.writes != tc.wantWrites {
-				t.Fatalf("%d acks in %d writes, want %d in %d", probe.acks, probe.writes, burst, tc.wantWrites)
-			}
-			wantReads := 1
-			if tc.maxRead == 1 {
+			wantReads := tc.wantReads
+			if wantReads == 0 {
 				wantReads = len(frames)
 			}
 			if probe.reads != wantReads {
 				t.Fatalf("pump made %d reads of a %d-byte burst, want %d", probe.reads, len(frames), wantReads)
 			}
+		})
+	}
+}
+
+// skewConn is a chunkConn whose first Write announces its first frame one
+// byte longer than it is: the header on the wire disagrees with the
+// length the pump was owed for that frame.
+type skewConn struct {
+	chunkConn
+	skewed bool
+}
+
+func (c *skewConn) Write(p []byte) (int, error) {
+	if !c.skewed && len(p) >= frameHeader {
+		c.skewed = true
+		p = append([]byte(nil), p...)
+		binary.BigEndian.PutUint32(p, binary.BigEndian.Uint32(p)+1)
+	}
+	return c.chunkConn.Write(p)
+}
+
+// skewedTransport is a chunkedTransport whose client writes go through a
+// skewConn and whose pump reads maxRead bytes at a time (0: whole).
+type skewedTransport struct {
+	*Loopback
+	maxRead int
+}
+
+func (s *skewedTransport) Attach(sys *pvm.System) error {
+	a, b := net.Pipe()
+	s.sys, s.cli = sys, newLink(&skewConn{chunkConn: chunkConn{Conn: a, maxWrite: 3}}, "test")
+	s.wg.Add(2)
+	go s.serverPump(newLink(&chunkConn{Conn: b, maxRead: s.maxRead}, "test"))
+	go s.ackReader()
+	return nil
+}
+
+func TestOwedLengthMismatchFailsTheLink(t *testing.T) {
+	// Three senders post two frames each in one group write — the test
+	// holds the write lock until all have queued — and the first frame's
+	// header announces a byte more than the pump was owed for it. The pump
+	// fails the link with ErrBadFrame; each post went out whole, so each
+	// call succeeds, and every sender's Flush returns a *pvm.DeliveryError
+	// carrying it. Nothing is left running, read whole or a byte at a time.
+	for _, tc := range []struct {
+		name    string
+		maxRead int
+	}{{"byte reads", 1}, {"whole reads", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			everyProcs(t, func(t *testing.T) {
+				lb, err := NewLoopback("unix")
+				if err != nil {
+					t.Fatalf("NewLoopback: %v", err)
+				}
+				tr := &skewedTransport{Loopback: lb, maxRead: tc.maxRead}
+				sys := pvm.NewSystem()
+				if err := sys.SetTransport(tr); err != nil {
+					t.Fatalf("SetTransport: %v", err)
+				}
+				t.Cleanup(func() { _ = tr.Close() })
+
+				dsts, stop := spawnIdle(sys, 2)
+				const senders = 3
+				start := make(chan struct{})
+				var sent sync.WaitGroup
+				sent.Add(senders)
+				postErrs, flushErrs := make([]error, senders), make([]error, senders)
+				for i := 0; i < senders; i++ {
+					sys.Spawn("send", func(task *pvm.Task) error {
+						defer sent.Done()
+						var post []pvm.Batch
+						for _, dst := range dsts {
+							post = append(post, pvm.Batch{Dst: dst, Bufs: []*pvm.Buffer{pvm.NewBuffer().PackInt32(int32(i))}})
+						}
+						<-start
+						postErrs[i] = task.SendBatches(1, post)
+						flushErrs[i] = task.Flush()
+						return nil
+					})
+				}
+				tr.cli.wmu.Lock()
+				close(start)
+				queued := func() int {
+					tr.mu.Lock()
+					defer tr.mu.Unlock()
+					return len(tr.queue)
+				}
+				for queued() < senders {
+					runtime.Gosched()
+				}
+				tr.cli.wmu.Unlock()
+				sent.Wait()
+				stop()
+				if err := sys.Wait(); err != nil {
+					t.Fatalf("Wait: %v", err)
+				}
+				tr.mu.Lock()
+				linkErr := tr.failErr
+				tr.mu.Unlock()
+				if !errors.Is(linkErr, ErrBadFrame) {
+					t.Fatalf("link failure %v, want ErrBadFrame", linkErr)
+				}
+				var de *pvm.DeliveryError
+				for i := 0; i < senders; i++ {
+					if postErrs[i] != nil {
+						t.Errorf("sender %d: post = %v, want nil: it went out whole", i, postErrs[i])
+					}
+					if err := flushErrs[i]; !errors.As(err, &de) || !errors.Is(err, ErrBadFrame) {
+						t.Errorf("sender %d: Flush = %v, want a *pvm.DeliveryError wrapping ErrBadFrame", i, err)
+					}
+				}
+			})
 		})
 	}
 }

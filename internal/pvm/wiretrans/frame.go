@@ -74,16 +74,6 @@ func endFrame(dst []byte, start, tail int) {
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeader+tail))
 }
 
-// frameBuffered reports whether br already holds a complete frame, so
-// that reading it cannot block.
-func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < frameHeader {
-		return false
-	}
-	hdr, _ := br.Peek(frameHeader)
-	return int64(br.Buffered()) >= frameHeader+int64(binary.BigEndian.Uint32(hdr))
-}
-
 // readHeader reads a frame's length prefix, with io.ReadFull's errors:
 // io.EOF before the first byte, io.ErrUnexpectedEOF inside the prefix. A
 // buffered reader lends the four bytes (Peek, Discard); through the

@@ -2,8 +2,11 @@ package wiretrans
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +176,156 @@ func FuzzAckBody(f *testing.F) {
 		tr.mu.Unlock()
 		if !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("ack body %x: link failure %v, want ErrBadFrame", body, err)
+		}
+	})
+}
+
+// burstConn is the pump's side of a connection played from memory: reads
+// come from the wire bytes and then io.EOF, and writes land in out, the
+// first announced on wrote.
+type burstConn struct {
+	net.Conn
+	in    *bytes.Reader
+	out   bytes.Buffer
+	wrote chan struct{}
+}
+
+func (c *burstConn) Read(p []byte) (int, error) { return c.in.Read(p) }
+
+func (c *burstConn) Write(p []byte) (int, error) {
+	c.out.Write(p)
+	select {
+	case c.wrote <- struct{}{}:
+	default:
+	}
+	return len(p), nil
+}
+
+func (c *burstConn) Close() error                    { return nil }
+func (c *burstConn) SetReadDeadline(time.Time) error { return nil }
+
+// FuzzPumpBurst drives the server pump with arbitrary wire bytes and an
+// arbitrary burst of owed lengths (big-endian uint16s, so that an exec
+// allocates little; TestPumpAcksAnOwedBurstInOneWrite reads a frame past
+// a slab): it must ack the whole burst with one write — one ack frame
+// per owed frame — or fail the link with a typed error, never panic and
+// never hang. Frames addressed to the one parked task inject; any other
+// destination acks no-such-task.
+func FuzzPumpBurst(f *testing.F) {
+	sys := pvm.NewSystem()
+	task, stop := lendMailbox(sys)
+	f.Cleanup(func() {
+		stop()
+		_ = sys.Wait()
+	})
+	batch := func(seq int64, dst pvm.TID, payload string) []byte {
+		body := pvm.Wrap(nil).PackInt64(seq).PackInt32(int32(dst), 1).PackInt32(7).PackInt64(4).PackBytes([]byte(payload))
+		return AppendFrame(nil, frameBatch, body.Bytes())
+	}
+	owe := func(frames ...[]byte) []byte {
+		var lens []byte
+		for _, fr := range frames {
+			lens = binary.BigEndian.AppendUint16(lens, uint16(len(fr)))
+		}
+		return lens
+	}
+	one, two := batch(1, task.TID(), "payload"), batch(2, task.TID()+1, "")
+	f.Add(append(one, two...), owe(one, two))
+	f.Add(one, owe(one, two))                 // the stream ends inside the burst
+	f.Add(append(one, two...), owe(two, one)) // lengths in the wrong order
+	f.Add(AppendFrame(nil, frameAck, nil), owe(AppendFrame(nil, frameAck, nil)))
+	f.Add([]byte{0, 0, 0, 0, frameBatch}, []byte{0, 5})
+	f.Add([]byte{}, []byte{0, 0})
+	f.Fuzz(func(t *testing.T, wire, owed []byte) {
+		var lens []int
+		for ; len(owed) >= 2 && len(lens) < 64; owed = owed[2:] {
+			lens = append(lens, int(binary.BigEndian.Uint16(owed)))
+		}
+		if len(lens) == 0 {
+			return // nothing owed: the pump reads nothing
+		}
+		lb, err := NewLoopback("unix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb.sys = sys
+		lb.oweBurst(lens...)
+		conn := &burstConn{in: bytes.NewReader(wire), wrote: make(chan struct{}, 1)}
+		exited := make(chan struct{})
+		lb.wg.Add(1)
+		go lb.serverPump(newLink(conn, "test"))
+		go func() {
+			lb.wg.Wait()
+			close(exited)
+		}()
+		acked := false
+		select {
+		case <-conn.wrote:
+			acked = true
+		case <-exited:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the pump neither acked nor failed in 10s")
+		}
+		lb.mu.Lock()
+		linkErr := lb.failErr
+		lb.mu.Unlock()
+		_ = lb.Close()
+		for _, m := range task.TryRecvAll(pvm.AnySource, pvm.AnyTag) {
+			m.Release()
+		}
+		if !acked {
+			if !errors.Is(linkErr, ErrBadFrame) && !errors.Is(linkErr, pvm.ErrPeerLost) {
+				t.Fatalf("link failure %v, want ErrBadFrame or pvm.ErrPeerLost", linkErr)
+			}
+			return
+		}
+		if linkErr != nil {
+			t.Fatalf("the pump acked, and failed the link with %v", linkErr)
+		}
+		r := bytes.NewReader(conn.out.Bytes())
+		for i := range lens {
+			kind, body, _, _, err := ReadFrame(r, nil)
+			if err != nil || kind != frameAck {
+				t.Fatalf("ack %d of %d: kind %d, %v", i+1, len(lens), kind, err)
+			}
+			if _, err := pvm.Wrap(body).UnpackInt64(); err != nil {
+				t.Fatalf("ack %d: %v", i+1, err)
+			}
+		}
+		if r.Len() != 0 {
+			t.Fatalf("%d bytes past the burst's %d acks", r.Len(), len(lens))
+		}
+	})
+}
+
+// FuzzHandshake feeds arbitrary bytes to both ends of the handshake:
+// readHello and readWelcome must accept or return an error — typed,
+// unless it is the peer's own rejection — never panic, never hang.
+func FuzzHandshake(f *testing.F) {
+	hello := pvm.Wrap(nil).PackString(protoMagic).PackInt32(protoVersion, roleWorker, 2, 4).PackInt64(9).Bytes()
+	welcome := pvm.Wrap(nil).PackInt32(welcomeOK).PackString("").Bytes()
+	f.Add(AppendFrame(nil, frameHello, hello))
+	f.Add(AppendFrame(nil, frameHello, hello[:len(hello)-3]))
+	f.Add(AppendFrame(nil, frameWelcome, welcome))
+	f.Add(AppendFrame(nil, frameWelcome, pvm.Wrap(nil).PackInt32(welcomeRejected).PackString("no").Bytes()))
+	f.Add(AppendFrame(nil, frameHello, pvm.Wrap(nil).PackString("hbspk-wirf").Bytes()))
+	f.Add([]byte{0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		typed := func(err error) bool {
+			for _, want := range []error{io.EOF, ErrTruncatedFrame, ErrFrameTooBig, ErrBadFrame} {
+				if errors.Is(err, want) {
+					return true
+				}
+			}
+			return false
+		}
+		lk := newLink(&burstConn{in: bytes.NewReader(raw)}, "test")
+		if _, err := lk.readHello(); err != nil && !typed(err) {
+			t.Fatalf("readHello: untyped error %v", err)
+		}
+		lk = newLink(&burstConn{in: bytes.NewReader(raw)}, "test")
+		if err := lk.readWelcome(); err != nil && !typed(err) && !strings.Contains(err.Error(), "handshake rejected") {
+			t.Fatalf("readWelcome: untyped error %v", err)
 		}
 	})
 }

@@ -116,12 +116,14 @@ type held struct {
 	frames []heldFrame
 }
 
-// heldFrame is one BATCH frame to be: n messages for dst. Whoever owns
-// the link's numbering (Loopback) sets seq before the write.
+// heldFrame is one BATCH frame to be: n messages for dst, size bytes
+// behind its length prefix (the prefix writeHeldLocked encodes). Whoever
+// owns the link's numbering (Loopback) sets seq before the write.
 type heldFrame struct {
-	seq int64
-	dst pvm.TID
-	n   int
+	seq  int64
+	dst  pvm.TID
+	n    int
+	size int
 }
 
 // add stages ms, all bound for dst, as BATCH frames that each stay under
@@ -136,7 +138,7 @@ func (h *held) add(dst pvm.TID, ms []pvm.Message) {
 			size += batchPerMsg + ms[to].Len()
 			to++
 		}
-		h.frames = append(h.frames, heldFrame{dst: dst, n: to - at})
+		h.frames = append(h.frames, heldFrame{dst: dst, n: to - at, size: size})
 		at = to
 	}
 }
@@ -235,11 +237,13 @@ func (l *link) post(dst pvm.TID, ms []pvm.Message, more bool) error {
 	return l.writeHeldLocked(&l.own)
 }
 
-// readFrame is the one read path of the link's frames: each is read into
-// a pvm.Frame drawn from the wire arena, the body a slice of it. The
-// caller releases the frame once it has handled the body: what it injects
-// from a BATCH takes references of its own, and nothing else it keeps may
-// alias the frame.
+// readFrame reads the next frame of a link that cannot know what comes
+// next — the handshake, a worker's downlink, a relay — into a pvm.Frame
+// drawn from the wire arena, the body a slice of it. The caller releases
+// the frame once it has handled the body: what it injects from a BATCH
+// takes references of its own, and nothing else it keeps may alias the
+// frame. The Loopback's pump knows its frames' lengths and reads a burst
+// of them at once instead (readSlab).
 func (l *link) readFrame() (kind byte, body []byte, f pvm.Frame, err error) {
 	size, err := frameSize(l.br)
 	if err != nil {

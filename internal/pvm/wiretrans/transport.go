@@ -1,8 +1,10 @@
 package wiretrans
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -48,7 +50,9 @@ const (
 // of a superstep happen before barrier exit" at one wake-up per
 // superstep. Nothing else queues in user space: a slow pump pushes back
 // through the socket buffer. The pump and the ack reader read only what
-// they are owed (demand), so no read is made to find the socket empty.
+// they are owed (demand), so no read is made to find the socket empty;
+// the pump knows each owed frame's length, so it reads a burst of them
+// with one read and acks the burst with one write.
 type Loopback struct {
 	network string // "unix" or "tcp"
 	sys     *pvm.System
@@ -68,7 +72,7 @@ type Loopback struct {
 	head    int
 	senders map[pvm.TID]*sender
 	failErr error  // set once the link is gone: what deliveries fail with
-	batches demand // BATCH frames posted and not yet read by the pump
+	batches demand // BATCH frames posted and not yet read by the pump, by length
 	acks    demand // ACK frames the pump wrote and the ack reader has not read
 
 	// AckTimeout bounds one Flush. The default is generous: on loopback
@@ -103,9 +107,12 @@ type sender struct {
 // demand is what one reader of the Loopback's sockets is owed: frames
 // counted before they are written — a write may wait for its reader —
 // and not yet read. The reader reads only while it is owed frames and
-// otherwise waits on cond, which fail also wakes.
+// otherwise waits on cond, which fail also wakes. The ack reader is owed
+// a count; the pump is owed each frame's wire length, in wire order
+// (lens, and owed is their number), so that it can read them in bulk.
 type demand struct {
 	owed int
+	lens []int
 	cond *sync.Cond // on Loopback.mu
 }
 
@@ -307,6 +314,7 @@ func (l *Loopback) writeQueue() {
 				l.seq++
 				f.seq = l.seq
 				l.pending = append(l.pending, post{seq: f.seq, src: s.src, dst: f.dst})
+				l.batches.lens = append(l.batches.lens, frameHeader+f.size)
 			}
 			s.outstanding += len(s.held.frames)
 			l.batches.owed += len(s.held.frames)
@@ -419,76 +427,105 @@ func (l *Loopback) owe(d *demand, n int) {
 }
 
 // await parks d's reader until it is owed frames and hands it all of
-// them; 0 once the link has failed.
-func (l *Loopback) await(d *demand) int {
+// them — their number, and their lengths where d keeps them, in exchange
+// for the spent array the reader hands back; 0 once the link has failed.
+func (l *Loopback) await(d *demand, spent []int) (int, []int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for d.owed == 0 && l.failErr == nil {
 		d.cond.Wait()
 	}
 	if l.failErr != nil {
-		return 0
+		return 0, spent
 	}
-	n := d.owed
-	d.owed = 0
-	return n
+	n, lens := d.owed, d.lens
+	d.owed, d.lens = 0, spent[:0]
+	return n, lens
 }
 
-// serverPump reads BATCH frames, injects their messages into the
-// destination mailbox, and acks them: one ack frame per batch, buffered
-// and written with one Write before the pump could block — when no
-// complete next frame is buffered, or none is owed — so it never parks
-// owing acks, and a burst costs one syscall. It reads only the frames it
-// is owed and otherwise waits off the socket (await).
-// It also implements Sever: when the armed frame budget runs out, both
-// connections are torn down abruptly, mid-protocol, with no goodbye —
-// the failure mode the abrupt-close chaos test exercises.
+// maxSlab bounds the slab a burst of frames is read into: frames go on
+// sharing one read while their lengths fit in it, and a frame longer
+// than the bound is read alone, into a frame of its own. A kept payload
+// pins its slab for two Syncs (DESIGN.md §5.4); with no bound, a bulk
+// step drew a fresh slab past the arena's largest class each time.
+const maxSlab = 256 << 10
+
+// serverPump reads the BATCH frames it is owed, injects their messages
+// into the destination mailboxes and acks them, one ack frame per batch.
+// It takes the whole burst owed at once, reads it by slabs (readSlab) and
+// then writes the burst's acks with one Write — it cannot deadlock on
+// them, since every owed byte is already being written by a writeQueue
+// that never waits for an ack — and waits off the socket for the next
+// burst (await). It also implements Sever: when the armed frame budget
+// runs out, both connections are torn down abruptly, mid-protocol, with
+// no goodbye — the failure mode the abrupt-close chaos test exercises.
 func (l *Loopback) serverPump(srv *link) {
 	defer l.wg.Done()
 	defer func() { _ = srv.close() }()
 	var acks []byte
-	due, unsent := 0, 0 // frames owed to the pump; acks in the buffer
+	var lens []int // the burst: each owed frame's wire length, in wire order
 	for {
-		if unsent > 0 && (due == 0 || !frameBuffered(srv.br)) {
-			l.owe(&l.acks, unsent)
-			srv.wmu.Lock()
-			err := srv.writeLocked(acks)
-			srv.wmu.Unlock()
-			if err != nil {
+		var n int
+		if n, lens = l.await(&l.batches, lens); n == 0 {
+			return
+		}
+		acks = acks[:0]
+		for at := 0; at < n; {
+			to, size := at+1, lens[at]
+			for to < n && size+lens[to] <= maxSlab {
+				size += lens[to]
+				to++
+			}
+			var err error
+			if acks, err = l.readSlab(srv, lens[at:to], size, acks); err != nil {
 				l.fail(err)
 				return
 			}
-			acks, unsent = acks[:0], 0
+			at = to
 		}
-		if due == 0 {
-			if due = l.await(&l.batches); due == 0 {
-				return
-			}
-		}
-		due--
-		kind, body, f, err := srv.readFrame()
+		l.owe(&l.acks, n)
+		srv.wmu.Lock()
+		err := srv.writeLocked(acks)
+		srv.wmu.Unlock()
 		if err != nil {
-			l.fail(fmt.Errorf("wiretrans: %s server: %w: %v", l.network, pvm.ErrPeerLost, err))
+			l.fail(err)
 			return
 		}
-		if kind != frameBatch {
-			l.fail(fmt.Errorf("%w: server got kind %d", ErrBadFrame, kind))
-			return
+	}
+}
+
+// readSlab reads the consecutive frames whose wire lengths are lens, size
+// bytes in all, with one io.ReadFull into one pvm.Frame drawn from the
+// wire arena; checks each header against its owed length — a mismatch is
+// ErrBadFrame — then injects each batch, every message taking its own
+// reference on the slab, and appends its ack to acks.
+func (l *Loopback) readSlab(srv *link, lens []int, size int, acks []byte) ([]byte, error) {
+	if size-frameHeader > MaxFrame {
+		return acks, fmt.Errorf("wiretrans: %s server: %w: %w: %d bytes (limit %d)", l.network, pvm.ErrPeerLost, ErrFrameTooBig, size-frameHeader, MaxFrame)
+	}
+	f := pvm.NewFrame(size)
+	defer f.Release() // the injected messages hold the slab now
+	buf := f.Bytes()
+	if _, err := io.ReadFull(srv.br, buf); err != nil {
+		return acks, fmt.Errorf("wiretrans: %s server: %w: %v", l.network, pvm.ErrPeerLost, err)
+	}
+	for _, n := range lens {
+		frame := buf[:n]
+		buf = buf[n:]
+		if n <= frameHeader || frameHeader+int(binary.BigEndian.Uint32(frame)) != n || frame[frameHeader] != frameBatch {
+			return acks, fmt.Errorf("%w: server owed a %d-byte BATCH frame, read %x", ErrBadFrame, n, frame[:min(n, frameHeader+1)])
 		}
+		observeFrame(srv.transport, false, n)
 		if l.countSever() {
 			// Abrupt close: no ack for the frame just read, no goodbye.
-			l.fail(fmt.Errorf("wiretrans: %s link severed: %w", l.network, pvm.ErrPeerLost))
-			return
+			return acks, fmt.Errorf("wiretrans: %s link severed: %w", l.network, pvm.ErrPeerLost)
 		}
-		// The injected messages hold the frame now; the pump lets go of it
-		// (on the paths above, the collector does).
-		seq, code, detail := injectBatch(l.sys, f, body)
-		f.Release()
+		seq, code, detail := injectBatch(l.sys, f, frame[frameHeader+1:])
 		start := len(acks)
 		acks = pvm.Wrap(beginFrame(acks, frameAck)).PackInt64(seq).PackInt32(code).PackString(detail).Bytes()
 		endFrame(acks, start, 0)
-		unsent++
 	}
+	return acks, nil
 }
 
 // injectBatch decodes one BATCH body, a slice of frame f, and stages
@@ -539,7 +576,7 @@ func (l *Loopback) ackReader() {
 	due := 0
 	for {
 		if due == 0 {
-			if due = l.await(&l.acks); due == 0 {
+			if due, _ = l.await(&l.acks, nil); due == 0 {
 				return
 			}
 		}
