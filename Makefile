@@ -128,11 +128,12 @@ wire-smoke:
 # inproc/0B/root: the model's L_{1,j} and L_{2,0} as this substrate
 # defines them. Then the collective rung: BenchmarkCollectiveRound, one
 # round of coll_tcp's five collectives at 64 KiB each, in-proc and over
-# TCP loopback (with syscalls/op, reads/op and writes/op). No gate of
+# TCP loopback (with wire-B/op, the frame bytes a round writes, and
+# syscalls/op, reads/op and writes/op). No gate of
 # their own (TestSteadyStateSuperstepAllocs, TestCollectiveRoundAllocsInProc
 # and the collectives' *AllocatesItsResultOnce tests hold the allocation
 # ceilings, TestLoopbackSyscallsPerSuperstep and TestCollectiveRoundSyscalls
-# the system-call ones); check.sh
+# the system-call and frame ones); check.sh
 # invokes this target so the rungs compile and run.
 bench-step:
 	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem -cpu 1 ./internal/hbsp

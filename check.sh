@@ -50,7 +50,8 @@ timed 30 "delivered-byte lifetime" go test -race -count=3 \
 # when a header disagrees with its owed length — under the race
 # detector, at GOMAXPROCS 1 and 4 — and a warm 64 B unix step makes at
 # most 5 read and write system calls, a 64 KiB tcp step at most 10 and a
-# tcp collective round at most 70.
+# tcp collective round at most 70, writing at most 60 frames: a BATCH
+# and an ACK for each of its 30 Deliver calls.
 timed 30 "loopback I/O per superstep" sh -c "go test -race -count=1 \
 	-run 'ShareOneWrite|SeverInsideA|EndsTheBorrow|PumpAcksAnOwedBurst|OwedLengthMismatch|OutOfOrderAck|LinkLossNames|FlushHonoursAck' \
 	./internal/pvm/wiretrans && go test -p 1 -count=1 -run 'SyscallsPerSuperstep|CollectiveRoundSyscalls' ./internal/hbsp ./internal/collective"

@@ -106,7 +106,7 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 				return nil, err
 			}
 		}
-		if err := c.Sync(scope, fmt.Sprintf("x-hier^%d", lvl)); err != nil {
+		if err := c.Sync(scope, exchangeHierLabel.at(lvl)); err != nil {
 			return nil, err
 		}
 		// What is still carried is forwarded in this order, so it must not

@@ -139,10 +139,12 @@ func joinPieces(pids []int, pieceBy map[int][]byte) []byte {
 // level by level from the top, the data travels from each scope's
 // coordinator to the coordinators of its children — one-phase or
 // two-phase at the top level per twoPhaseTop, always two-phase inside
-// clusters (the paper's intra-cluster choice). Only the machine's
-// fastest processor may supply data; every processor returns the full
-// data, the fastest one the caller's own slice and every other a copy
-// of its own.
+// clusters (the paper's intra-cluster choice). A two-phase step's
+// exchange sends only what its receivers lack: each coordinator sends its
+// piece to every other coordinator but the scope's root, which cut the
+// pieces. Only the machine's fastest processor may supply data; every
+// processor returns the full data, the fastest one the caller's own
+// slice and every other a copy of its own.
 func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 	defer hbsp.Span(c, "bcast-hier")(len(data))
 	t := c.Tree()
@@ -182,7 +184,7 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 					}
 				}
 			}
-			if err := c.Sync(scope, fmt.Sprintf("bcast^%d-1p", lvl)); err != nil {
+			if err := c.Sync(scope, bcastOnePhaseLabel.at(lvl)); err != nil {
 				return nil, err
 			}
 			if amCoord && c.Pid() != rootPid {
@@ -216,7 +218,7 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 				}
 			}
 		}
-		if err := c.Sync(scope, fmt.Sprintf("bcast^%d scatter", lvl)); err != nil {
+		if err := c.Sync(scope, bcastScatterLabel.at(lvl)); err != nil {
 			return nil, err
 		}
 		var mine []byte
@@ -229,9 +231,11 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 				}
 			}
 		}
+		// Every coordinator sends its piece to every other but the root,
+		// which holds them all already.
 		if amCoord {
 			for _, pid := range coords {
-				if pid == c.Pid() || len(mine) == 0 {
+				if pid == c.Pid() || pid == rootPid || len(mine) == 0 {
 					continue
 				}
 				if err := c.Send(pid, tagBcastEx, mine); err != nil {
@@ -239,7 +243,7 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 				}
 			}
 		}
-		if err := c.Sync(scope, fmt.Sprintf("bcast^%d exchange", lvl)); err != nil {
+		if err := c.Sync(scope, bcastExchangeLabel.at(lvl)); err != nil {
 			return nil, err
 		}
 		// The scope's root keeps the have it cut; the other coordinators

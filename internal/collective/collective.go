@@ -17,10 +17,11 @@
 // processor that received it, a piece held past the next Sync — once,
 // where it is built: bytes.Clone of the payload, or bytes.Join of the
 // pieces. Nothing else is copied. A scope's coordinator never
-// reassembles what it scattered (a broadcast's root returns the caller's
-// own data), a reduction folds a delivered vector straight from its
-// packed bytes, and a piece forwarded at the next level aliases its
-// window for that one Sync.
+// reassembles what it scattered (a hierarchical broadcast's root returns
+// the caller's own data and is sent nothing in the exchange), a
+// reduction folds a delivered vector straight from its packed bytes, and
+// a piece forwarded at the next level aliases its window for that one
+// Sync.
 package collective
 
 import (
@@ -43,6 +44,46 @@ func indexOf(pids []int, pid int) int {
 	}
 	return -1
 }
+
+// levelLabel is the Sync label of one step of a hierarchical collective,
+// a format with the level as its one verb. Its text at the levels a tree
+// usually has is built once, so that a Sync does not format its label;
+// deeper levels are formatted when asked for.
+type levelLabel struct {
+	format string
+	texts  []string
+}
+
+// labelLevels is how many levels, from 0, a levelLabel builds ahead.
+const labelLevels = 8
+
+func newLevelLabel(format string) levelLabel {
+	l := levelLabel{format: format, texts: make([]string, labelLevels)}
+	for lvl := range l.texts {
+		l.texts[lvl] = fmt.Sprintf(format, lvl)
+	}
+	return l
+}
+
+// at returns the label at level lvl.
+func (l levelLabel) at(lvl int) string {
+	if lvl >= 0 && lvl < len(l.texts) {
+		return l.texts[lvl]
+	}
+	return fmt.Sprintf(l.format, lvl)
+}
+
+var (
+	bcastOnePhaseLabel = newLevelLabel("bcast^%d-1p")
+	bcastScatterLabel  = newLevelLabel("bcast^%d scatter")
+	bcastExchangeLabel = newLevelLabel("bcast^%d exchange")
+	gatherLabel        = newLevelLabel("gather^%d")
+	reduceLabel        = newLevelLabel("reduce^%d")
+	exchangeHierLabel  = newLevelLabel("x-hier^%d")
+	scatterLabel       = newLevelLabel("scatter^%d")
+	scanUpLabel        = newLevelLabel("scan-up^%d")
+	scanDownLabel      = newLevelLabel("scan-down^%d")
+)
 
 // framed accumulates (origin pid, piece) entries for one wire message,
 // using the pvm typed buffer as the frame format. The frame is a Send

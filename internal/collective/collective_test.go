@@ -56,6 +56,19 @@ func TestFramesArePackedOnceAtTheirSize(t *testing.T) {
 	}
 }
 
+func TestLevelLabelsFormatTheirLevel(t *testing.T) {
+	// A label built ahead reads as its format would print it, and so
+	// does one past the table.
+	for _, l := range []levelLabel{bcastOnePhaseLabel, bcastScatterLabel, bcastExchangeLabel,
+		gatherLabel, reduceLabel, exchangeHierLabel, scatterLabel, scanUpLabel, scanDownLabel} {
+		for lvl := 0; lvl < labelLevels+3; lvl++ {
+			if got, want := l.at(lvl), fmt.Sprintf(l.format, lvl); got != want {
+				t.Errorf("level %d label %q, want %q", lvl, got, want)
+			}
+		}
+	}
+}
+
 func runPure(t *testing.T, tr *model.Tree, prog hbsp.Program) *trace.Report {
 	t.Helper()
 	rep, err := hbsp.RunVirtual(tr, fabric.PureModel(), prog)
@@ -239,6 +252,28 @@ func TestBcastTwoPhaseCostMatchesAnalyticModel(t *testing.T) {
 	}
 }
 
+// rootExchangeWatch is a Ctx that notes, after every Sync, each
+// broadcast exchange piece delivered to the root of the Sync's scope.
+type rootExchangeWatch struct {
+	hbsp.Ctx
+	seen *[]string
+}
+
+func (w rootExchangeWatch) Sync(scope *model.Machine, label string) error {
+	err := w.Ctx.Sync(scope, label)
+	if err == nil && w.Pid() == w.Tree().Pid(scope.Coordinator()) {
+		for _, m := range w.Moves() {
+			if m.Tag == tagBcastEx {
+				*w.seen = append(*w.seen, fmt.Sprintf("%s from pid %d at %s", label, m.Src, scope.Name))
+			}
+		}
+	}
+	return err
+}
+
+// TestBcastHierAllTrees: every processor ends with the data, and the
+// root of a scope is sent none of the pieces it cut in that scope's
+// exchange.
 func TestBcastHierAllTrees(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -252,12 +287,13 @@ func TestBcastHierAllTrees(t *testing.T) {
 		for _, twoPhaseTop := range []bool{false, true} {
 			data := payloadFor(3, 7777)
 			results := make([][]byte, tc.tr.NProcs())
+			seen := make([][]string, tc.tr.NProcs())
 			runPure(t, tc.tr, func(c hbsp.Ctx) error {
 				var in []byte
 				if c.Self() == c.Tree().FastestLeaf() {
 					in = data
 				}
-				out, err := BcastHier(c, in, twoPhaseTop)
+				out, err := BcastHier(rootExchangeWatch{c, &seen[c.Pid()]}, in, twoPhaseTop)
 				if err != nil {
 					return err
 				}
@@ -269,7 +305,37 @@ func TestBcastHierAllTrees(t *testing.T) {
 					t.Errorf("%s(two-phase-top=%v): pid %d wrong data (%d bytes)",
 						tc.name, twoPhaseTop, pid, len(r))
 				}
+				for _, what := range seen[pid] {
+					t.Errorf("%s(two-phase-top=%v): pid %d, a scope's root, was sent a piece: %s",
+						tc.name, twoPhaseTop, pid, what)
+				}
 			}
+		}
+	}
+}
+
+// TestBcastHierMovesWhatItsReceiversLack: on coll_tcp's tree at 64 KiB
+// the broadcast moves 192 KiB whether the top is one- or two-phase. A
+// two-phase step of two sends the other coordinator the root's two
+// 32 KiB pieces, one in each phase, and sends the root nothing: 64 KiB,
+// as much as a one-phase step. The top and the two clusters make three
+// such steps. Sending each root its piece back as well moved 288 KiB
+// with a two-phase top and 256 KiB with a one-phase one.
+func TestBcastHierMovesWhatItsReceiversLack(t *testing.T) {
+	const n, want = 64 << 10, 196608
+	tr := model.WideAreaGrid(2, 2, 4, 10, 100)
+	data := payloadFor(0, n)
+	for _, twoPhaseTop := range []bool{false, true} {
+		rep := runPure(t, tr, func(c hbsp.Ctx) error {
+			var in []byte
+			if c.Self() == c.Tree().FastestLeaf() {
+				in = data
+			}
+			_, err := BcastHier(c, in, twoPhaseTop)
+			return err
+		})
+		if got := rep.BytesMoved(); got != want {
+			t.Errorf("two-phase-top=%v: %d bytes moved, want %d", twoPhaseTop, got, want)
 		}
 	}
 }

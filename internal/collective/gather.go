@@ -2,7 +2,6 @@ package collective
 
 import (
 	"bytes"
-	"fmt"
 
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
@@ -68,7 +67,7 @@ func GatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 			}
 			accumulated = map[int][]byte{}
 		}
-		if err := c.Sync(scope, fmt.Sprintf("gather^%d", lvl)); err != nil {
+		if err := c.Sync(scope, gatherLabel.at(lvl)); err != nil {
 			return nil, err
 		}
 		if c.Pid() == rootPid {

@@ -83,7 +83,7 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 				return nil, err
 			}
 		}
-		if err := c.Sync(scope, fmt.Sprintf("scan-up^%d", lvl)); err != nil {
+		if err := c.Sync(scope, scanUpLabel.at(lvl)); err != nil {
 			return nil, err
 		}
 		if c.Pid() == rootPid {
@@ -180,7 +180,7 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 			// Children are notified even when the coordinator sits
 			// right of them, because the loop sends before advancing.
 		}
-		if err := c.Sync(scope, fmt.Sprintf("scan-down^%d", lvl)); err != nil {
+		if err := c.Sync(scope, scanDownLabel.at(lvl)); err != nil {
 			return nil, err
 		}
 		if c.Pid() != rootPid {

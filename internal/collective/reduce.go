@@ -135,7 +135,7 @@ func ReduceHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 			}
 			carrying = false
 		}
-		if err := c.Sync(scope, fmt.Sprintf("reduce^%d", lvl)); err != nil {
+		if err := c.Sync(scope, reduceLabel.at(lvl)); err != nil {
 			return nil, err
 		}
 		if c.Pid() == rootPid {

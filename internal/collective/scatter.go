@@ -80,7 +80,7 @@ func ScatterHier(c hbsp.Ctx, pieces map[int][]byte) ([]byte, error) {
 				}
 			}
 		}
-		if err := c.Sync(scope, fmt.Sprintf("scatter^%d", lvl)); err != nil {
+		if err := c.Sync(scope, scatterLabel.at(lvl)); err != nil {
 			return nil, err
 		}
 		if c.Pid() != rootPid {

@@ -191,7 +191,10 @@ func BcastHier(t *model.Tree, n int, twoPhaseTop bool) Breakdown {
 }
 
 // bcastScopeSteps returns the one or two steps of broadcasting n bytes
-// from a scope's coordinator to the coordinators of its children.
+// from a scope's coordinator to the coordinators of its children. The
+// two-phase exchange sends the scope's root nothing: it cut the pieces,
+// and what it sends, m−1 of them, already sets its h_{i,j}, so the
+// pieces it would get back never priced a step.
 func bcastScopeSteps(t *model.Tree, scope *model.Machine, n int, twoPhase bool, lvl int) []Step {
 	rootPid := t.Pid(scope.Coordinator())
 	var peers []int
@@ -219,7 +222,7 @@ func bcastScopeSteps(t *model.Tree, scope *model.Machine, n int, twoPhase bool, 
 	var phase2 []Flow
 	for _, src := range peers {
 		for _, dst := range peers {
-			if src != dst {
+			if src != dst && dst != rootPid {
 				phase2 = append(phase2, Flow{Src: src, Dst: dst, Bytes: piece})
 			}
 		}

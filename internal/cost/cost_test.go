@@ -258,6 +258,48 @@ func TestBcastHierOrdersLevelsTopDown(t *testing.T) {
 	}
 }
 
+// TestBcastHierExchangeSkipsTheRootAtNoCost: the hierarchical
+// broadcast's exchange sends a scope's root nothing, and the h-relation
+// of that phase is the one of the all-pairs exchange that sent the root
+// its pieces back. The root sends m−1 pieces either way, so what it
+// would receive never sets its h; the planner's prices do not move.
+func TestBcastHierExchangeSkipsTheRootAtNoCost(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *model.Tree
+	}{
+		{"figure1", model.Figure1Cluster()},
+		{"grid", model.WideAreaGrid(3, 4, 15, 100, 2000)},
+		{"chain", model.DeepChain(3)},
+		{"flat", model.UCFTestbedN(7)},
+	} {
+		for lvl := 1; lvl <= tc.tr.K(); lvl++ {
+			for _, scope := range tc.tr.MachinesAt(lvl) {
+				if scope.IsLeaf() {
+					continue
+				}
+				for _, n := range []int{768, 7777, 64 << 10} {
+					steps := bcastScopeSteps(tc.tr, scope, n, true, lvl)
+					piece := n / len(scope.Children)
+					var allPairs []Flow
+					for _, src := range scope.Children {
+						for _, dst := range scope.Children {
+							allPairs = append(allPairs, Flow{
+								Src:   tc.tr.Pid(src.Coordinator()),
+								Dst:   tc.tr.Pid(dst.Coordinator()),
+								Bytes: piece,
+							})
+						}
+					}
+					if got, want := steps[1].H, HRelation(tc.tr, scope, allPairs); got != want {
+						t.Errorf("%s %s n=%d: exchange h %v, all-pairs h %v", tc.name, scope.Name, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBcast2TwoPhaseSuper2PaperRegimes(t *testing.T) {
 	// Build HBSP^2 with 3 clusters; vary the slowest cluster r around
 	// m=3 to hit both branches of the paper's formula.

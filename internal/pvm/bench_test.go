@@ -49,6 +49,24 @@ func BenchmarkSendRecv(b *testing.B) {
 	}
 }
 
+// packSink keeps BenchmarkPackInt64Slice's packing observable.
+var packSink []byte
+
+// BenchmarkPackInt64Slice packs a 2048-element vector, 16 KiB, into an
+// array of its exact size, as a reduction packs each partial it sends;
+// the allocation is part of the cost.
+func BenchmarkPackInt64Slice(b *testing.B) {
+	vs := make([]int64, 2048)
+	for i := range vs {
+		vs[i] = int64(i) * 0x5DEECE66D
+	}
+	b.SetBytes(8 * int64(len(vs)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		packSink = Wrap(make([]byte, 0, 5+8*len(vs))).PackInt64Slice(vs).Bytes()
+	}
+}
+
 // BenchmarkSendRecvObsvOff is the observability overhead guard: the
 // identical workload to BenchmarkSendRecv with the observer explicitly
 // cleared, so the disabled-path cost of the obsv hooks — one atomic

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Wire-format type codes, one per packed value, so that unpacking
@@ -296,13 +297,27 @@ func (b *Buffer) UnpackBytes() ([]byte, error) {
 	return b.take(n)
 }
 
+// packFixed packs the code and length prefix of an n-byte field of
+// fixed-width elements and returns the field's n bytes for the caller to
+// fill, the buffer grown once for all of it: from the arena when it was
+// drawn from there, else as append would grow it.
+func (b *Buffer) packFixed(n int) []byte {
+	b.reserve(5 + n)
+	if !b.sent {
+		b.data = slices.Grow(b.data, 5+n)
+	}
+	b.packCode(codeBytes)
+	b.data = binary.BigEndian.AppendUint32(b.data, uint32(n))
+	at := len(b.data)
+	b.data = b.data[:at+n]
+	return b.data[at:]
+}
+
 // PackInt64Slice appends a length-prefixed []int64 in one call.
 func (b *Buffer) PackInt64Slice(vs []int64) *Buffer {
-	b.reserve(5 + 8*len(vs))
-	b.packCode(codeBytes)
-	b.data = binary.BigEndian.AppendUint32(b.data, uint32(8*len(vs)))
-	for _, v := range vs {
-		b.data = binary.BigEndian.AppendUint64(b.data, uint64(v))
+	body := b.packFixed(8 * len(vs))
+	for i, v := range vs {
+		binary.BigEndian.PutUint64(body[8*i:], uint64(v))
 	}
 	return b
 }
@@ -325,11 +340,9 @@ func (b *Buffer) UnpackInt64Slice() ([]int64, error) {
 
 // PackInt32Slice appends a length-prefixed []int32 in one call.
 func (b *Buffer) PackInt32Slice(vs []int32) *Buffer {
-	b.reserve(5 + 4*len(vs))
-	b.packCode(codeBytes)
-	b.data = binary.BigEndian.AppendUint32(b.data, uint32(4*len(vs)))
-	for _, v := range vs {
-		b.data = binary.BigEndian.AppendUint32(b.data, uint32(v))
+	body := b.packFixed(4 * len(vs))
+	for i, v := range vs {
+		binary.BigEndian.PutUint32(body[4*i:], uint32(v))
 	}
 	return b
 }

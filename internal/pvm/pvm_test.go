@@ -2,9 +2,11 @@ package pvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -65,6 +67,53 @@ func TestInt32SliceRoundTrip(t *testing.T) {
 	for i := range in {
 		if out[i] != in[i] {
 			t.Errorf("out[%d] = %d, want %d", i, out[i], in[i])
+		}
+	}
+}
+
+// TestIntSlicePacksLikeElementAppends: the slice packers size their
+// field once and fill it in place. Their bytes are those of the codes,
+// prefix and element appends they replace, on an arena buffer (fresh,
+// or holding a prior field), on a big vector past the arena's classes,
+// and on a Wrap'd buffer with and without spare capacity.
+func TestIntSlicePacksLikeElementAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	appended := func(prefix []byte, width int, vs []uint64) []byte {
+		out := append(append([]byte(nil), prefix...), codeBytes)
+		out = binary.BigEndian.AppendUint32(out, uint32(width*len(vs)))
+		for _, v := range vs {
+			if width == 8 {
+				out = binary.BigEndian.AppendUint64(out, v)
+			} else {
+				out = binary.BigEndian.AppendUint32(out, uint32(v))
+			}
+		}
+		return out
+	}
+	prior := NewBuffer().PackInt32(9).Bytes()
+	for _, n := range []int{0, 1, 3, 64, 2048, maxPooledCap/8 + 1} {
+		i64, i32, raw := make([]int64, n), make([]int32, n), make([]uint64, n)
+		for i := range raw {
+			raw[i] = rng.Uint64()
+			i64[i], i32[i] = int64(raw[i]), int32(raw[i])
+		}
+		for name, buf := range map[string]func() *Buffer{
+			"arena":          NewBuffer,
+			"arena+prior":    func() *Buffer { return NewBuffer().PackInt32(9) },
+			"wrap":           func() *Buffer { return Wrap(nil) },
+			"wrap+prior":     func() *Buffer { return Wrap(bytes.Clone(prior)) },
+			"wrap+spare-cap": func() *Buffer { return Wrap(make([]byte, 0, 5+8*n)) },
+		} {
+			var pre []byte
+			if strings.HasSuffix(name, "prior") {
+				pre = prior
+			}
+			if got, want := buf().PackInt64Slice(i64).Bytes(), appended(pre, 8, raw); !bytes.Equal(got, want) {
+				t.Errorf("%s: PackInt64Slice of %d elements differs from appending them", name, n)
+			}
+			if got, want := buf().PackInt32Slice(i32).Bytes(), appended(pre, 4, raw); !bytes.Equal(got, want) {
+				t.Errorf("%s: PackInt32Slice of %d elements differs from appending them", name, n)
+			}
 		}
 	}
 }
