@@ -74,11 +74,13 @@ timed 30 "churn+reorg soak" go test -race -count=1 -run 'ChurnReorgSoak' ./inter
 # than the best fixed variant in each of the 96 cells on modeled cost
 # (TestPlannerPicksBestFixed), cached dispatch stays within 5% of a
 # direct call (TestPlannedDispatchWithinDirect), both engines pick alike
-# (TestPlannedPicksAgreeAcrossEngines) — then an hbspk-sim run that
+# (TestPlannedPicksAgreeAcrossEngines), every cost-table row's catalogue
+# program costs on Virtual what the row prices, within the row's pinned
+# gap (TestEveryRowRunsWhatItPrices) — then an hbspk-sim run that
 # dispatches through the planner and prints its decision table, on the
 # flat testbed and on the grid.
 planner_checks() {
-	go test -count=1 -run 'PlannerPicksBestFixed|PlannedDispatchWithinDirect|PlannedPicksAgreeAcrossEngines' ./internal/plan
+	go test -count=1 -run 'PlannerPicksBestFixed|PlannedDispatchWithinDirect|PlannedPicksAgreeAcrossEngines|EveryRowRunsWhatItPrices' ./internal/plan ./internal/catalog
 	for machine in ucf grid; do
 		go run ./cmd/hbspk-sim -machine "$machine" -collective auto -n 200000 -rounds 4 -pure
 	done

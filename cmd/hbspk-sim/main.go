@@ -1,6 +1,9 @@
 // Command hbspk-sim runs one collective on one machine and prints the
 // superstep profile and an ASCII timeline of the run — the quickest way
-// to *see* an HBSP^k computation's super^i-step structure.
+// to *see* an HBSP^k computation's super^i-step structure. A collective
+// is an entry of the catalogue (internal/catalog); with -attrib, an
+// entry that runs a cost-table row is also set beside the row's closed
+// form.
 //
 // Usage:
 //
@@ -45,11 +48,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
-	"hbspk/internal/collective"
-	"hbspk/internal/cost"
+	"hbspk/internal/catalog"
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
@@ -142,8 +143,7 @@ func parseCrashes(spec string) ([]fabric.Crash, error) {
 
 func main() {
 	machine := flag.String("machine", "figure1", "preset (ucf, figure1, grid, chain) or JSON spec path")
-	coll := flag.String("collective", "gather-hier",
-		"gather, gather-hier, scatter-hier, bcast1, bcast2, bcast-hier, allgather, allgather-hier, reduce-hier, allreduce, scan-hier, alltoall, auto, ft-gather, ft-bcast, ft-reduce, ft-allreduce, churn-soak, nondet-reduce, mutate-send")
+	coll := flag.String("collective", "gather-hier", catalog.Names(false))
 	n := flag.Int("n", 400000, "problem size in bytes")
 	pure := flag.Bool("pure", false, "pure cost model instead of PVM overheads")
 	width := flag.Int("timeline-width", 100, "timeline width in columns")
@@ -156,7 +156,7 @@ func main() {
 	straggler := flag.String("straggler", "", "straggler windows, comma-separated pid@from-toxfactor entries (e.g. 1@0-30x5)")
 	reorgEvery := flag.Int("reorg-every", 0, "rebalance the tree from measured estimates every N global barriers (0 = frozen)")
 	reorgSeed := flag.Int64("reorg-seed", 1, "reorg plan tie-break seed (equal seeds, equal schedules)")
-	rounds := flag.Int("rounds", 8, "iteration count for the churn-soak collective")
+	rounds := flag.Int("rounds", 8, "iteration count for the auto, bcast-reduce and churn-soak collectives")
 	drop := flag.Float64("drop", 0, "chaos: fraction of messages dropped")
 	dup := flag.Float64("duplicate", 0, "chaos: fraction of messages duplicated")
 	delay := flag.Float64("delay", 0, "chaos: fraction of messages delayed")
@@ -217,14 +217,12 @@ func main() {
 		}
 	}
 
-	var planner *plan.Planner
-	if *coll == "auto" {
-		planner = plan.New()
-	}
-	prog, err := program(tr, *coll, *n, *rounds, planner)
+	entry, err := catalog.Lookup(*coll)
 	if err != nil {
 		fail(2, err)
 	}
+	planner := plan.New()
+	prog := entry.Program(tr, catalog.Args{N: *n, Rounds: *rounds, Planner: planner})
 	eng := hbsp.NewVirtual(tr, fabric.New(tr, cfg))
 	eng.Chaos = chaos
 	eng.DetectFactor = *detect
@@ -284,7 +282,7 @@ func main() {
 	fmt.Print(rep.String())
 	fmt.Println()
 	fmt.Print(rep.Timeline(*width))
-	if planner != nil {
+	if len(planner.Decisions()) > 0 {
 		fmt.Println()
 		fmt.Println("planner decisions (auto-tuned picks, closed-form model cost):")
 		for _, d := range planner.Decisions() {
@@ -310,10 +308,10 @@ func main() {
 		fmt.Print(obsv.AttribTable(
 			"attribution: predicted T_i vs measured (virtual clock)",
 			obsv.Attribute(events)).String())
-		if bd, ok := closedForm(tr, *coll, *n); ok {
+		if row, ok := entry.Row(); ok {
 			fmt.Println()
 			fmt.Print(obsv.AttributeBreakdown(
-				"closed-form "+*coll+" prediction vs run", bd, rep).String())
+				"closed-form "+*coll+" prediction vs run", row.Cost(tr, *n), rep).String())
 		}
 		writeTo(*eventsOut, func(w io.Writer) error { return obsv.WriteJSONL(w, events) })
 		writeTo(*traceOut, func(w io.Writer) error { return obsv.WriteChromeTrace(w, events) })
@@ -338,337 +336,4 @@ func writeTo(path string, fn func(io.Writer) error) {
 	if err := fn(f); err != nil {
 		fail(1, err)
 	}
-}
-
-// collVariant maps the CLI collective names with a closed-form model to
-// their entrypoint names in the shared plan cost table — the same hooks
-// the static analyzers and the runtime planner price from, so the sim's
-// closed-form column can never drift from theirs.
-var collVariant = map[string]string{
-	"gather":         "Gather",
-	"gather-hier":    "GatherHier",
-	"scatter-hier":   "ScatterHier",
-	"bcast1":         "BcastOnePhase",
-	"bcast2":         "BcastTwoPhase",
-	"bcast-hier":     "BcastHier",
-	"allgather":      "AllGather",
-	"allgather-hier": "AllGatherHier",
-}
-
-// closedForm returns the analytic cost.Breakdown for collectives with
-// a closed-form model, via the shared variant table (whose callsite
-// conventions — fastest-leaf root, balanced distributions — match the
-// programs program() builds).
-func closedForm(tr *model.Tree, coll string, n int) (cost.Breakdown, bool) {
-	name, ok := collVariant[coll]
-	if !ok {
-		return cost.Breakdown{}, false
-	}
-	v, ok := plan.VariantByName(name)
-	if !ok {
-		return cost.Breakdown{}, false
-	}
-	return v.Cost(tr, n), true
-}
-
-// program builds the SPMD body for the chosen collective. pl is the
-// auto-tuning planner, non-nil only for the auto collective.
-func program(tr *model.Tree, coll string, n, rounds int, pl *plan.Planner) (hbsp.Program, error) {
-	rootPid := tr.Pid(tr.FastestLeaf())
-	balanced := cost.BalancedDist(tr, n)
-	vecLen := n / 8 / tr.NProcs()
-	if vecLen < 1 {
-		vecLen = 1
-	}
-	switch coll {
-	case "gather":
-		return func(c hbsp.Ctx) error {
-			out, err := collective.Gather(c, c.Tree().Root, rootPid, make([]byte, balanced[c.Pid()]))
-			if out != nil {
-				c.Save("result", digestMap(out))
-			}
-			return err
-		}, nil
-	case "gather-hier":
-		return func(c hbsp.Ctx) error {
-			out, err := collective.GatherHier(c, make([]byte, balanced[c.Pid()]))
-			if out != nil {
-				c.Save("result", digestMap(out))
-			}
-			return err
-		}, nil
-	case "scatter-hier":
-		return func(c hbsp.Ctx) error {
-			var pieces map[int][]byte
-			if c.Pid() == rootPid {
-				pieces = map[int][]byte{}
-				for pid := 0; pid < c.NProcs(); pid++ {
-					pieces[pid] = make([]byte, balanced[pid])
-				}
-			}
-			_, err := collective.ScatterHier(c, pieces)
-			return err
-		}, nil
-	case "bcast1":
-		return func(c hbsp.Ctx) error {
-			var in []byte
-			if c.Pid() == rootPid {
-				in = make([]byte, n)
-			}
-			out, err := collective.BcastOnePhase(c, c.Tree().Root, rootPid, in)
-			if out != nil {
-				c.Save("result", out)
-			}
-			return err
-		}, nil
-	case "bcast2":
-		return func(c hbsp.Ctx) error {
-			var in []byte
-			if c.Pid() == rootPid {
-				in = make([]byte, n)
-			}
-			_, err := collective.BcastTwoPhase(c, c.Tree().Root, rootPid, in, nil)
-			return err
-		}, nil
-	case "bcast-hier":
-		return func(c hbsp.Ctx) error {
-			var in []byte
-			if c.Self() == c.Tree().FastestLeaf() {
-				in = make([]byte, n)
-			}
-			out, err := collective.BcastHier(c, in, false)
-			if out != nil {
-				c.Save("result", out)
-			}
-			return err
-		}, nil
-	case "allgather":
-		return func(c hbsp.Ctx) error {
-			_, err := collective.AllGather(c, c.Tree().Root, make([]byte, balanced[c.Pid()]))
-			return err
-		}, nil
-	case "allgather-hier":
-		return func(c hbsp.Ctx) error {
-			_, err := collective.AllGatherHier(c, make([]byte, balanced[c.Pid()]))
-			return err
-		}, nil
-	case "reduce-hier":
-		return func(c hbsp.Ctx) error {
-			out, err := collective.ReduceHier(c, make([]int64, vecLen), collective.Sum)
-			if out != nil {
-				c.Save("result", digestVec(out))
-			}
-			return err
-		}, nil
-	case "allreduce":
-		return func(c hbsp.Ctx) error {
-			out, err := collective.AllReduce(c, make([]int64, vecLen), collective.Sum)
-			if out != nil {
-				c.Save("result", digestVec(out))
-			}
-			return err
-		}, nil
-	case "scan-hier":
-		return func(c hbsp.Ctx) error {
-			_, err := collective.ScanHier(c, make([]int64, vecLen), collective.Sum)
-			return err
-		}, nil
-	case "ft-gather":
-		return func(c hbsp.Ctx) error {
-			ft := collective.NewFT(c, c.Tree().Root)
-			_, _, err := ft.Gather(make([]byte, balanced[c.Pid()]))
-			return err
-		}, nil
-	case "ft-bcast":
-		return func(c hbsp.Ctx) error {
-			ft := collective.NewFT(c, c.Tree().Root)
-			var in []byte
-			if c.Pid() == rootPid {
-				in = make([]byte, n)
-			}
-			_, err := ft.Bcast(rootPid, in)
-			return err
-		}, nil
-	case "ft-reduce":
-		return func(c hbsp.Ctx) error {
-			ft := collective.NewFT(c, c.Tree().Root)
-			_, _, err := ft.Reduce(make([]int64, vecLen), collective.Sum)
-			return err
-		}, nil
-	case "ft-allreduce":
-		return func(c hbsp.Ctx) error {
-			ft := collective.NewFT(c, c.Tree().Root)
-			_, err := ft.AllReduce(make([]int64, vecLen), collective.Sum)
-			return err
-		}, nil
-	case "alltoall":
-		return func(c hbsp.Ctx) error {
-			out := map[int][]byte{}
-			per := balanced[c.Pid()] / c.NProcs()
-			for pid := 0; pid < c.NProcs(); pid++ {
-				out[pid] = make([]byte, per)
-			}
-			_, err := collective.TotalExchange(c, c.Tree().Root, out)
-			return err
-		}, nil
-	case "auto":
-		// An iterative mixed workload dispatched entirely through the
-		// auto-tuning planner: each round broadcasts from the fastest
-		// leaf, gathers back, folds a vector and prefix-scans it. The
-		// planner picks each family's variant from the closed-form cost
-		// table once per size bucket and serves every later round from
-		// its cache.
-		return func(c hbsp.Ctx) error {
-			for r := 0; r < rounds; r++ {
-				var data []byte
-				if c.Pid() == rootPid {
-					data = make([]byte, n)
-				}
-				if _, err := collective.PlannedBcast(c, pl, n, data); err != nil {
-					return err
-				}
-				if _, err := collective.PlannedGather(c, pl, n, make([]byte, balanced[c.Pid()])); err != nil {
-					return err
-				}
-				if _, err := collective.PlannedAllReduce(c, pl, make([]int64, vecLen), collective.Sum); err != nil {
-					return err
-				}
-				if _, err := collective.PlannedScan(c, pl, make([]int64, vecLen), collective.Sum); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-	case "churn-soak":
-		// A self-synchronizing iterative workload built to survive
-		// elastic membership: processor 0 coordinates termination by
-		// broadcasting a stop flag each round while the other members
-		// fold data back; membership notices (ErrPeerJoined,
-		// ErrPeerFailed) are absorbed by re-sending and retrying the
-		// barrier. A late joiner does not know the round number — it
-		// obeys the stop flag. Pairs with -churn, -straggler and
-		// -reorg-every.
-		return func(c hbsp.Ctx) error {
-			const (
-				soakCtl  = 7
-				soakData = 8
-			)
-			root := c.Tree().Root
-			var sum int64
-			stop := false
-			for round := 0; !stop; round++ {
-				for { // one retry per absorbed membership notice
-					failed := map[int]bool{}
-					for _, f := range c.Failed() {
-						failed[f] = true
-					}
-					if c.Pid() == 0 {
-						flag := byte(0)
-						if round >= rounds-1 {
-							flag = 1
-						}
-						for _, m := range c.Members() {
-							if m != 0 && !failed[m] {
-								if err := c.Send(m, soakCtl, []byte{flag}); err != nil {
-									return err
-								}
-							}
-						}
-					} else {
-						if err := c.Send(0, soakData, []byte{byte(c.Pid())}); err != nil {
-							return err
-						}
-					}
-					c.Charge(float64(balanced[c.Pid()]))
-					err := c.Sync(root, "soak")
-					if err == nil {
-						break
-					}
-					var pj *hbsp.ErrPeerJoined
-					var pf *hbsp.ErrPeerFailed
-					if !errors.As(err, &pj) && !errors.As(err, &pf) {
-						return err
-					}
-				}
-				for _, m := range c.Moves() {
-					switch {
-					case c.Pid() == 0 && m.Tag == soakData:
-						sum += int64(m.Payload[0]) + int64(round)
-					case m.Src == 0 && m.Tag == soakCtl:
-						stop = m.Payload[0] == 1
-					}
-				}
-				if c.Pid() == 0 {
-					stop = round >= rounds-1
-				}
-			}
-			if c.Pid() == 0 {
-				c.Save("fold", digestVec([]int64{sum}))
-			}
-			return nil
-		}, nil
-	case "nondet-reduce":
-		// Deliberately schedule-dependent: the root folds arrivals in
-		// delivery order with a non-commutative op. No happens-before
-		// rule is broken, so -verify alone stays silent — only -explore
-		// exposes the order dependence as a state diff.
-		return func(c hbsp.Ctx) error {
-			if c.Pid() != rootPid {
-				if err := c.Send(rootPid, 1, []byte{byte(c.Pid() + 1)}); err != nil {
-					return err
-				}
-			}
-			if err := hbsp.SyncAll(c, "nondet-gather"); err != nil {
-				return err
-			}
-			if c.Pid() == rootPid {
-				total := int64(1)
-				for _, m := range c.Moves() {
-					total = total*2 - int64(m.Payload[0])
-				}
-				c.Save("total", digestVec([]int64{total}))
-			}
-			return nil
-		}, nil
-	case "mutate-send":
-		// Deliberately racy: the sender mutates the payload after Send,
-		// before the barrier delivers it — the happens-before checker
-		// reports ErrNondeterminism at the receiver under -verify.
-		return func(c hbsp.Ctx) error {
-			buf := []byte{1, 2, 3, 4}
-			if c.Pid() == rootPid {
-				if err := c.Send((rootPid+1)%c.NProcs(), 0, buf); err != nil {
-					return err
-				}
-				buf[0] = 0xEE // deliberate: this demo exists to trip the runtime verifier
-			}
-			return hbsp.SyncAll(c, "deliver")
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown collective %q", coll)
-}
-
-// digestMap encodes a pid-keyed result deterministically for Save, so
-// schedule fingerprints compare final states rather than map order.
-func digestMap(m map[int][]byte) []byte {
-	pids := make([]int, 0, len(m))
-	for pid := range m {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	var d []byte
-	for _, pid := range pids {
-		d = append(d, byte(pid), byte(len(m[pid])), byte(len(m[pid])>>8))
-		d = append(d, m[pid]...)
-	}
-	return d
-}
-
-func digestVec(v []int64) []byte {
-	d := make([]byte, 0, 8*len(v))
-	for _, x := range v {
-		d = append(d, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-			byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-	}
-	return d
 }

@@ -18,24 +18,24 @@
 //	hbspk-worker -listen tcp:127.0.0.1:7070 -nprocs 3
 //	hbspk-worker -connect tcp:127.0.0.1:7070 -pid 1 -nprocs 3
 //
-// The program is the library's broadcast and reduce, once per round,
-// under the engine's Verify mode: every delivery carries a vector clock
-// and a payload checksum, every process checks the broadcast against a
-// payload it can recompute, and pid 0 checks the reduced total against a
-// closed form, so "verify=clean" in the output is an end-to-end
-// correctness statement, not just liveness. A process whose check fails
-// takes the others down with it: they exit non-zero at their next barrier.
+// The program is the catalogue's bcast-reduce entry (internal/catalog):
+// the library's broadcast and reduce, once per round, under the engine's
+// Verify mode. Every delivery carries a vector clock and a payload
+// checksum, every process checks the broadcast against a payload it can
+// recompute, and pid 0 checks the reduced total against a closed form,
+// so "verify=clean" in the output is an end-to-end correctness
+// statement, not just liveness. A process whose check fails takes the
+// others down with it: they exit non-zero at their next barrier.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"hbspk/internal/collective"
+	"hbspk/internal/catalog"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
@@ -118,10 +118,16 @@ func runWorker(network, addr string, pid, nprocs int, gen int64, rounds, nbytes 
 // run executes the program on the pids the transport leaves to this
 // process and returns the payload bytes they sent.
 func run(nprocs, rounds, nbytes int, transport func() (pvm.Transport, error)) (sent int64, err error) {
-	eng := hbsp.NewConcurrent(model.Homogeneous(nprocs, 0))
+	entry, err := catalog.Lookup("bcast-reduce")
+	if err != nil {
+		return 0, err
+	}
+	tr := model.Homogeneous(nprocs, 0)
+	prog := entry.Program(tr, catalog.Args{N: nbytes, Rounds: rounds})
+	eng := hbsp.NewConcurrent(tr)
 	eng.Verify = true
 	eng.Transport = transport
-	_, err = eng.Run(func(c hbsp.Ctx) error { return program(sentCtx{c, &sent}, rounds, nbytes) })
+	_, err = eng.Run(func(c hbsp.Ctx) error { return prog(sentCtx{c, &sent}) })
 	return sent, err
 }
 
@@ -134,60 +140,6 @@ type sentCtx struct {
 func (c sentCtx) Send(dst, tag int, payload []byte) error {
 	*c.sent += int64(len(payload))
 	return c.Ctx.Send(dst, tag, payload)
-}
-
-// program is the SPMD program every process runs: per round, pid 0
-// broadcasts a payload every processor can recompute, and all fold a
-// value derived from what they received into a total, at pid 0, that has
-// a closed form.
-func program(c hbsp.Ctx, rounds, nbytes int) error {
-	root, n := c.Tree().Root, int64(c.NProcs())
-	for r := 0; r < rounds; r++ {
-		want := detPayload(r, nbytes)
-		var data []byte
-		if c.Pid() == 0 {
-			data = want
-		}
-		got, err := collective.BcastOnePhase(c, root, 0, data)
-		if err != nil {
-			return fmt.Errorf("round %d broadcast: %w", r, err)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("round %d verify: broadcast payload diverged from the deterministic oracle", r)
-		}
-		// Processor pid contributes digest·(pid+1) + r.
-		local := digest(got)*int64(c.Pid()+1) + int64(r)
-		total, err := collective.Reduce(c, root, 0, []int64{local}, collective.Sum)
-		if err != nil {
-			return fmt.Errorf("round %d reduce: %w", r, err)
-		}
-		if c.Pid() == 0 {
-			if oracle := digest(want)*n*(n+1)/2 + n*int64(r); len(total) != 1 || total[0] != oracle {
-				return fmt.Errorf("round %d verify: reduce total %v, oracle %d", r, total, oracle)
-			}
-		}
-	}
-	return nil
-}
-
-// detPayload is the deterministic broadcast body for a round — every
-// process can recompute it, so receivers verify content, not just
-// checksums.
-func detPayload(round, nbytes int) []byte {
-	out := make([]byte, nbytes)
-	for i := range out {
-		out[i] = byte(round*31 + i*7 + 0x5A)
-	}
-	return out
-}
-
-// digest folds a payload into 16 bits: what the reduce carries of it.
-func digest(data []byte) int64 {
-	var sum int64
-	for _, b := range data {
-		sum = (sum*31 + int64(b)) & 0xFFFF
-	}
-	return sum
 }
 
 // splitEndpoint parses "unix:/path" or "tcp:host:port".

@@ -46,15 +46,15 @@ func BroadcastCrossover(cfg Config) (*Result, error) {
 	times := make([][3]float64, len(sizes))
 	err := forEachPoint(len(sizes), func(i int) error {
 		n := sizes[i]
-		t1, err := measureBcastOnePhase(tr, cfg.Fabric, root, n)
+		t1, err := measure(tr, cfg.Fabric, bcastOnePhase(root, n))
 		if err != nil {
 			return err
 		}
-		t2, err := measureBcastTwoPhase(tr, cfg.Fabric, root, n, false)
+		t2, err := measure(tr, cfg.Fabric, bcastTwoPhase(root, n))
 		if err != nil {
 			return err
 		}
-		t3, err := measureBcastBinomial(tr, cfg.Fabric, root, n)
+		t3, err := measure(tr, cfg.Fabric, bcastBinomial(root, n))
 		if err != nil {
 			return err
 		}
@@ -84,22 +84,6 @@ func BroadcastCrossover(cfg Config) (*Result, error) {
 	}
 	res.Series = []Series{s1, s2, s3}
 	return res, nil
-}
-
-// measureBcastBinomial runs the binomial-tree broadcast of n bytes.
-func measureBcastBinomial(tr *model.Tree, cfg fabric.Config, root, n int) (float64, error) {
-	rep, err := hbsp.RunVirtual(tr, cfg, func(c hbsp.Ctx) error {
-		var in []byte
-		if c.Pid() == root {
-			in = make([]byte, n)
-		}
-		_, err := collective.BcastBinomial(c, c.Tree().Root, root, in)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
 }
 
 // HierarchyPenalty regenerates the §3.4/§4.3 analysis: the extra cost of
@@ -134,11 +118,11 @@ func HierarchyPenalty(cfg Config) (*Result, error) {
 		mi, si := idx/len(cfg.Sizes), idx%len(cfg.Sizes)
 		m, flat, n := machines[mi], flats[mi], cfg.Sizes[si]
 		d := cost.BalancedDist(m.tr, n)
-		hier, err := measureGatherHier(m.tr, cfg.Fabric, d)
+		hier, err := measure(m.tr, cfg.Fabric, gatherHier(d))
 		if err != nil {
 			return err
 		}
-		tFlat, err := measureGather(flat, cfg.Fabric, d, flat.Pid(flat.FastestLeaf()))
+		tFlat, err := measure(flat, cfg.Fabric, gather(d, flat.Pid(flat.FastestLeaf())))
 		if err != nil {
 			return err
 		}
@@ -162,16 +146,12 @@ func HierarchyPenalty(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// measureGatherHier runs the hierarchical gather on the virtual engine.
-func measureGatherHier(tr *model.Tree, cfg fabric.Config, d cost.Dist) (float64, error) {
-	rep, err := hbsp.RunVirtual(tr, cfg, func(c hbsp.Ctx) error {
+// gatherHier is the hierarchical gather of d.
+func gatherHier(d cost.Dist) hbsp.Program {
+	return func(c hbsp.Ctx) error {
 		_, err := collective.GatherHier(c, make([]byte, d[c.Pid()]))
 		return err
-	})
-	if err != nil {
-		return 0, err
 	}
-	return rep.Total, nil
 }
 
 // ValidateModel checks the paper's predictability claim: with the pure
@@ -193,7 +173,8 @@ func ValidateModel(cfg Config) (*Result, error) {
 	type check struct {
 		machine, name string
 		predicted     float64
-		simulate      func() (float64, error)
+		tr            *model.Tree
+		prog          hbsp.Program
 	}
 	ucf := model.UCFTestbed()
 	fig1 := model.Figure1Cluster()
@@ -203,26 +184,16 @@ func ValidateModel(cfg Config) (*Result, error) {
 	dFig := cost.BalancedDist(fig1, n)
 
 	checks := []check{
-		{"ucf", "gather(equal)", cost.GatherFlat(ucf, ucfRoot, dEq).Total(), func() (float64, error) {
-			return measureGather(ucf, pure, dEq, ucfRoot)
-		}},
-		{"ucf", "gather(balanced)", cost.GatherFlat(ucf, ucfRoot, dBal).Total(), func() (float64, error) {
-			return measureGather(ucf, pure, dBal, ucfRoot)
-		}},
-		{"ucf", "bcast-1phase", cost.BcastOnePhaseFlat(ucf, ucfRoot, n).Total(), func() (float64, error) {
-			return measureBcastOnePhase(ucf, pure, ucfRoot, n)
-		}},
-		{"ucf", "bcast-2phase", cost.BcastTwoPhaseFlat(ucf, ucfRoot, dEq).Total(), func() (float64, error) {
-			return measureBcastTwoPhase(ucf, pure, ucfRoot, n, false)
-		}},
-		{"figure1", "gather-hier", cost.GatherHier(fig1, dFig).Total(), func() (float64, error) {
-			return measureGatherHier(fig1, pure, dFig)
-		}},
+		{"ucf", "gather(equal)", cost.GatherFlat(ucf, ucfRoot, dEq).Total(), ucf, gather(dEq, ucfRoot)},
+		{"ucf", "gather(balanced)", cost.GatherFlat(ucf, ucfRoot, dBal).Total(), ucf, gather(dBal, ucfRoot)},
+		{"ucf", "bcast-1phase", cost.BcastOnePhaseFlat(ucf, ucfRoot, n).Total(), ucf, bcastOnePhase(ucfRoot, n)},
+		{"ucf", "bcast-2phase", cost.BcastTwoPhaseFlat(ucf, ucfRoot, dEq).Total(), ucf, bcastTwoPhase(ucfRoot, n)},
+		{"figure1", "gather-hier", cost.GatherHier(fig1, dFig).Total(), fig1, gatherHier(dFig)},
 	}
 	sims := make([]float64, len(checks))
 	err := forEachPoint(len(checks), func(i int) error {
 		var err error
-		sims[i], err = checks[i].simulate()
+		sims[i], err = measure(checks[i].tr, pure, checks[i].prog)
 		return err
 	})
 	if err != nil {
@@ -252,7 +223,7 @@ func Calibrate(cfg Config) (*Result, error) {
 	root := tr.Pid(tr.FastestLeaf())
 	err := forEachPoint(len(cfg.Sizes), func(i int) error {
 		d := cost.EqualDist(tr, cfg.Sizes[i])
-		total, err := measureGather(tr, pure, d, root)
+		total, err := measure(tr, pure, gather(d, root))
 		if err != nil {
 			return err
 		}

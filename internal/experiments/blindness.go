@@ -6,7 +6,6 @@ import (
 	"hbspk/internal/cost"
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
-	"hbspk/internal/model"
 	"hbspk/internal/stats"
 	"hbspk/internal/trace"
 	"hbspk/internal/workload"
@@ -42,27 +41,20 @@ func BSPBlindness(cfg Config) (*Result, error) {
 		name     string
 		bspPred  float64
 		hbspPred float64
-		simulate func() (float64, error)
+		prog     hbsp.Program
 	}{
-		{"gather", m.Gather(n), cost.GatherFlat(tr, root, dEq).Total(), func() (float64, error) {
-			return measureGather(tr, pure, dEq, root)
-		}},
-		{"bcast-1phase", m.BcastOnePhase(n), cost.BcastOnePhaseFlat(tr, root, n).Total(), func() (float64, error) {
-			return measureBcastOnePhase(tr, pure, root, n)
-		}},
-		{"bcast-2phase", m.BcastTwoPhase(n), cost.BcastTwoPhaseFlat(tr, root, dEq).Total(), func() (float64, error) {
-			return measureBcastTwoPhase(tr, pure, root, n, false)
-		}},
-		{"bcast-binomial", m.StepTime(0, float64(n)) * 4, cost.BcastBinomial(tr, root, n).Total(), func() (float64, error) {
-			return measureBcastBinomial(tr, pure, root, n)
-		}},
-		{"allgather", m.AllGather(n), cost.AllGatherFlat(tr, dEq).Total(), func() (float64, error) {
-			return measureAllGather(tr, pure, dEq)
+		{"gather", m.Gather(n), cost.GatherFlat(tr, root, dEq).Total(), gather(dEq, root)},
+		{"bcast-1phase", m.BcastOnePhase(n), cost.BcastOnePhaseFlat(tr, root, n).Total(), bcastOnePhase(root, n)},
+		{"bcast-2phase", m.BcastTwoPhase(n), cost.BcastTwoPhaseFlat(tr, root, dEq).Total(), bcastTwoPhase(root, n)},
+		{"bcast-binomial", m.StepTime(0, float64(n)) * 4, cost.BcastBinomial(tr, root, n).Total(), bcastBinomial(root, n)},
+		{"allgather", m.AllGather(n), cost.AllGatherFlat(tr, dEq).Total(), func(c hbsp.Ctx) error {
+			_, err := collective.AllGather(c, c.Tree().Root, make([]byte, dEq[c.Pid()]))
+			return err
 		}},
 	}
 	worstBSP, worstHBSP := 0.0, 0.0
 	for _, row := range rows {
-		sim, err := row.simulate()
+		sim, err := measure(tr, pure, row.prog)
 		if err != nil {
 			return nil, err
 		}
@@ -81,16 +73,4 @@ func BSPBlindness(cfg Config) (*Result, error) {
 		{Name: "worst-hbsp-err", Points: []Point{{X: 0, Y: worstHBSP}}},
 	}
 	return res, nil
-}
-
-// measureAllGather runs the flat all-gather on the virtual engine.
-func measureAllGather(tr *model.Tree, cfg fabric.Config, d cost.Dist) (float64, error) {
-	rep, err := hbsp.RunVirtual(tr, cfg, func(c hbsp.Ctx) error {
-		_, err := collective.AllGather(c, c.Tree().Root, make([]byte, d[c.Pid()]))
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
 }

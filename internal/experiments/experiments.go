@@ -118,21 +118,6 @@ func All() []Runner {
 	}
 }
 
-// measureComputeGather runs a compute-then-gather step: each processor
-// first charges work proportional to its piece (a compute-heavy
-// workload), then the pieces are gathered at root.
-func measureComputeGather(tr *model.Tree, cfg fabric.Config, d cost.Dist, root int) (float64, error) {
-	rep, err := hbsp.RunVirtual(tr, cfg, func(c hbsp.Ctx) error {
-		c.Charge(2 * float64(d[c.Pid()]))
-		_, err := collective.Gather(c, c.Tree().Root, root, make([]byte, d[c.Pid()]))
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
-}
-
 // Lookup finds an experiment by ID.
 func Lookup(id string) (Runner, bool) {
 	for _, r := range All() {
@@ -143,55 +128,55 @@ func Lookup(id string) (Runner, bool) {
 	return Runner{}, false
 }
 
-// measureGather runs the flat HBSP^1 gather of the given distribution
-// with the given root on the virtual engine and returns the total
+// measure runs prog on the virtual engine over tr and returns the total
 // virtual time.
-func measureGather(tr *model.Tree, cfg fabric.Config, d cost.Dist, root int) (float64, error) {
-	rep, err := hbsp.RunVirtual(tr, cfg, func(c hbsp.Ctx) error {
+func measure(tr *model.Tree, cfg fabric.Config, prog hbsp.Program) (float64, error) {
+	rep, err := hbsp.RunVirtual(tr, cfg, prog)
+	if err != nil {
+		return 0, err
+	}
+	return rep.Total, nil
+}
+
+// gather is the flat HBSP^1 gather of d at root.
+func gather(d cost.Dist, root int) hbsp.Program {
+	return func(c hbsp.Ctx) error {
 		_, err := collective.Gather(c, c.Tree().Root, root, make([]byte, d[c.Pid()]))
 		return err
-	})
-	if err != nil {
-		return 0, err
 	}
-	return rep.Total, nil
 }
 
-// measureBcastTwoPhase runs the two-phase broadcast of n bytes with the
-// given first-phase piece distribution (nil = equal).
-func measureBcastTwoPhase(tr *model.Tree, cfg fabric.Config, root, n int, balanced bool) (float64, error) {
-	rep, err := hbsp.RunVirtual(tr, cfg, func(c hbsp.Ctx) error {
-		var in []byte
-		var d collective.Dist
-		if c.Pid() == root {
-			in = make([]byte, n)
-			if balanced {
-				d = collective.BalancedPieces(c, c.Tree().Root, n)
-			}
-		}
-		_, err := collective.BcastTwoPhase(c, c.Tree().Root, root, in, d)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
-}
-
-// measureBcastOnePhase runs the one-phase broadcast of n bytes.
-func measureBcastOnePhase(tr *model.Tree, cfg fabric.Config, root, n int) (float64, error) {
-	rep, err := hbsp.RunVirtual(tr, cfg, func(c hbsp.Ctx) error {
+// bcast broadcasts n bytes from root with one of the flat broadcasts:
+// run gets the payload at root and nil elsewhere.
+func bcast(root, n int, run func(c hbsp.Ctx, in []byte) ([]byte, error)) hbsp.Program {
+	return func(c hbsp.Ctx) error {
 		var in []byte
 		if c.Pid() == root {
 			in = make([]byte, n)
 		}
-		_, err := collective.BcastOnePhase(c, c.Tree().Root, root, in)
+		_, err := run(c, in)
 		return err
-	})
-	if err != nil {
-		return 0, err
 	}
-	return rep.Total, nil
+}
+
+// bcastOnePhase and bcastBinomial broadcast over the whole machine;
+// bcastTwoPhase does too, with equal first-phase pieces.
+func bcastOnePhase(root, n int) hbsp.Program {
+	return bcast(root, n, func(c hbsp.Ctx, in []byte) ([]byte, error) {
+		return collective.BcastOnePhase(c, c.Tree().Root, root, in)
+	})
+}
+
+func bcastTwoPhase(root, n int) hbsp.Program {
+	return bcast(root, n, func(c hbsp.Ctx, in []byte) ([]byte, error) {
+		return collective.BcastTwoPhase(c, c.Tree().Root, root, in, nil)
+	})
+}
+
+func bcastBinomial(root, n int) hbsp.Program {
+	return bcast(root, n, func(c hbsp.Ctx, in []byte) ([]byte, error) {
+		return collective.BcastBinomial(c, c.Tree().Root, root, in)
+	})
 }
 
 // testbedWithMeasuredShares builds the p-processor testbed and fills its
@@ -202,9 +187,11 @@ func testbedWithMeasuredShares(p int, seed int64) *model.Tree {
 	return tr
 }
 
-// improvementFigure runs a (size × p) sweep of T_A/T_B and renders it.
+// improvementFigure runs a (size × p) sweep of T_A/T_B and renders it:
+// progs returns the programs A and B for n bytes on tr, and each runs on
+// its own fabric.
 func improvementFigure(cfg Config, id, title, claim, ratioName string,
-	measure func(tr *model.Tree, p, n int) (tA, tB float64, err error)) (*Result, error) {
+	progs func(tr *model.Tree, n int) (a, b hbsp.Program)) (*Result, error) {
 	header := []string{"size(KB)"}
 	for _, p := range cfg.Ps {
 		header = append(header, fmt.Sprintf("p=%d", p))
@@ -225,7 +212,13 @@ func improvementFigure(cfg Config, id, title, claim, ratioName string,
 	imprs := make([]float64, len(cfg.Sizes)*len(cfg.Ps))
 	err := forEachPoint(len(imprs), func(idx int) error {
 		si, pi := idx/len(cfg.Ps), idx%len(cfg.Ps)
-		tA, tB, err := measure(trees[pi], cfg.Ps[pi], cfg.Sizes[si])
+		tr, p, n := trees[pi], cfg.Ps[pi], cfg.Sizes[si]
+		a, b := progs(tr, n)
+		tA, err := measure(tr, cfg.fabricFor(p, n, 0), a)
+		if err != nil {
+			return err
+		}
+		tB, err := measure(tr, cfg.fabricFor(p, n, 1), b)
 		if err != nil {
 			return err
 		}

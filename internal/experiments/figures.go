@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"hbspk/internal/collective"
 	"hbspk/internal/cost"
+	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 )
 
@@ -16,17 +18,9 @@ func Figure3a(cfg Config) (*Result, error) {
 		"Figure 3(a): gather, slow root vs fast root",
 		"improvement grows with p and is steady across sizes; < 1 at p=2",
 		"T_s/T_f",
-		func(tr *model.Tree, p, n int) (float64, float64, error) {
+		func(tr *model.Tree, n int) (hbsp.Program, hbsp.Program) {
 			d := cost.EqualDist(tr, n)
-			ts, err := measureGather(tr, cfg.fabricFor(p, n, 0), d, tr.Pid(tr.SlowestLeaf()))
-			if err != nil {
-				return 0, 0, err
-			}
-			tf, err := measureGather(tr, cfg.fabricFor(p, n, 1), d, tr.Pid(tr.FastestLeaf()))
-			if err != nil {
-				return 0, 0, err
-			}
-			return ts, tf, nil
+			return gather(d, tr.Pid(tr.SlowestLeaf())), gather(d, tr.Pid(tr.FastestLeaf()))
 		})
 }
 
@@ -40,17 +34,9 @@ func Figure3b(cfg Config) (*Result, error) {
 		"Figure 3(b): gather, unbalanced vs balanced workloads",
 		"virtually no benefit (≈1), except at p=2",
 		"T_u/T_b",
-		func(tr *model.Tree, p, n int) (float64, float64, error) {
+		func(tr *model.Tree, n int) (hbsp.Program, hbsp.Program) {
 			root := tr.Pid(tr.FastestLeaf())
-			tu, err := measureGather(tr, cfg.fabricFor(p, n, 0), cost.EqualDist(tr, n), root)
-			if err != nil {
-				return 0, 0, err
-			}
-			tb, err := measureGather(tr, cfg.fabricFor(p, n, 1), cost.BalancedDist(tr, n), root)
-			if err != nil {
-				return 0, 0, err
-			}
-			return tu, tb, nil
+			return gather(cost.EqualDist(tr, n), root), gather(cost.BalancedDist(tr, n), root)
 		})
 }
 
@@ -63,16 +49,8 @@ func Figure4a(cfg Config) (*Result, error) {
 		"Figure 4(a): broadcast, slow root vs fast root",
 		"negligible improvement (≈1), as the model predicts",
 		"T_s/T_f",
-		func(tr *model.Tree, p, n int) (float64, float64, error) {
-			ts, err := measureBcastTwoPhase(tr, cfg.fabricFor(p, n, 0), tr.Pid(tr.SlowestLeaf()), n, false)
-			if err != nil {
-				return 0, 0, err
-			}
-			tf, err := measureBcastTwoPhase(tr, cfg.fabricFor(p, n, 1), tr.Pid(tr.FastestLeaf()), n, false)
-			if err != nil {
-				return 0, 0, err
-			}
-			return ts, tf, nil
+		func(tr *model.Tree, n int) (hbsp.Program, hbsp.Program) {
+			return bcastTwoPhase(tr.Pid(tr.SlowestLeaf()), n), bcastTwoPhase(tr.Pid(tr.FastestLeaf()), n)
 		})
 }
 
@@ -86,16 +64,14 @@ func Figure4b(cfg Config) (*Result, error) {
 		"Figure 4(b): broadcast, unbalanced vs balanced first phase",
 		"no benefit (≈1): every processor still receives all n items",
 		"T_u/T_b",
-		func(tr *model.Tree, p, n int) (float64, float64, error) {
+		func(tr *model.Tree, n int) (hbsp.Program, hbsp.Program) {
 			root := tr.Pid(tr.FastestLeaf())
-			tu, err := measureBcastTwoPhase(tr, cfg.fabricFor(p, n, 0), root, n, false)
-			if err != nil {
-				return 0, 0, err
-			}
-			tb, err := measureBcastTwoPhase(tr, cfg.fabricFor(p, n, 1), root, n, true)
-			if err != nil {
-				return 0, 0, err
-			}
-			return tu, tb, nil
+			return bcastTwoPhase(root, n), bcast(root, n, func(c hbsp.Ctx, in []byte) ([]byte, error) {
+				var d collective.Dist
+				if c.Pid() == root {
+					d = collective.BalancedPieces(c, c.Tree().Root, n)
+				}
+				return collective.BcastTwoPhase(c, c.Tree().Root, root, in, d)
+			})
 		})
 }

@@ -3,8 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"hbspk/internal/collective"
 	"hbspk/internal/cost"
+	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
+	"hbspk/internal/plan"
 	"hbspk/internal/trace"
 	"hbspk/internal/workload"
 )
@@ -53,11 +56,11 @@ func SensitivityRS(cfg Config) (*Result, error) {
 		// Each point builds its own cluster: the tree is not shared.
 		tr := clusterWithSlowest(rss[i])
 		root := tr.Pid(tr.FastestLeaf())
-		t2, err := measureBcastTwoPhase(tr, cfg.Fabric, root, n, false)
+		t2, err := measure(tr, cfg.Fabric, bcastTwoPhase(root, n))
 		if err != nil {
 			return err
 		}
-		t1, err := measureBcastOnePhase(tr, cfg.Fabric, root, n)
+		t1, err := measure(tr, cfg.Fabric, bcastOnePhase(root, n))
 		if err != nil {
 			return err
 		}
@@ -101,11 +104,11 @@ func SensitivityL(cfg Config) (*Result, error) {
 		tr := model.UCFTestbedN(10)
 		tr.Root.SyncCost = L
 		d := cost.EqualDist(tr, n)
-		ts, err := measureGather(tr, cfg.Fabric, d, tr.Pid(tr.SlowestLeaf()))
+		ts, err := measure(tr, cfg.Fabric, gather(d, tr.Pid(tr.SlowestLeaf())))
 		if err != nil {
 			return nil, err
 		}
-		tf, err := measureGather(tr, cfg.Fabric, d, tr.Pid(tr.FastestLeaf()))
+		tf, err := measure(tr, cfg.Fabric, gather(d, tr.Pid(tr.FastestLeaf())))
 		if err != nil {
 			return nil, err
 		}
@@ -116,9 +119,10 @@ func SensitivityL(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// SuiteSummary predicts every collective's cost on the testbed and the
-// Figure 1 machine at the paper's smallest and largest sizes — the
-// thesis-style appendix table.
+// SuiteSummary prints every row of the cost table (plan.CostVariants)
+// on the testbed and the Figure 1 machine at the paper's smallest and
+// largest sizes — the thesis-style appendix table, priced as the planner
+// prices it.
 func SuiteSummary(cfg Config) (*Result, error) {
 	tb := trace.NewTable("collective suite predicted costs",
 		"machine", "collective", "T(100KB)", "T(1000KB)", "steps")
@@ -137,52 +141,9 @@ func SuiteSummary(cfg Config) (*Result, error) {
 	}
 	small, large := 100*workload.KB, 1000*workload.KB
 	for _, m := range machines {
-		root := m.tr.Pid(m.tr.FastestLeaf())
-		kinds := []struct {
-			name    string
-			predict func(n int) cost.Breakdown
-		}{
-			{"gather", func(n int) cost.Breakdown {
-				return cost.GatherFlat(m.tr, root, cost.BalancedDist(m.tr, n))
-			}},
-			{"gather-hier", func(n int) cost.Breakdown {
-				return cost.GatherHier(m.tr, cost.BalancedDist(m.tr, n))
-			}},
-			{"scatter", func(n int) cost.Breakdown {
-				return cost.ScatterFlat(m.tr, root, cost.BalancedDist(m.tr, n))
-			}},
-			{"bcast-1p", func(n int) cost.Breakdown { return cost.BcastOnePhaseFlat(m.tr, root, n) }},
-			{"bcast-2p", func(n int) cost.Breakdown {
-				return cost.BcastTwoPhaseFlat(m.tr, root, cost.EqualDist(m.tr, n))
-			}},
-			{"bcast-hier", func(n int) cost.Breakdown { return cost.BcastHier(m.tr, n, false) }},
-			{"allgather", func(n int) cost.Breakdown {
-				return cost.AllGatherFlat(m.tr, cost.BalancedDist(m.tr, n))
-			}},
-			{"allgather-hier", func(n int) cost.Breakdown {
-				return cost.AllGatherHierCost(m.tr, cost.BalancedDist(m.tr, n))
-			}},
-			{"reduce", func(n int) cost.Breakdown {
-				return cost.ReduceFlat(m.tr, root, cost.EqualDist(m.tr, n), cost.OpCost)
-			}},
-			{"reduce-hier", func(n int) cost.Breakdown {
-				return cost.ReduceHier(m.tr, cost.EqualDist(m.tr, n), cost.OpCost)
-			}},
-			{"reduce-scatter", func(n int) cost.Breakdown {
-				return cost.ReduceScatterFlat(m.tr, cost.EqualDist(m.tr, n), cost.OpCost)
-			}},
-			{"scan", func(n int) cost.Breakdown {
-				return cost.ScanFlat(m.tr, root, cost.EqualDist(m.tr, n), cost.OpCost)
-			}},
-			{"scan-hier", func(n int) cost.Breakdown { return cost.ScanHierCost(m.tr, n/m.tr.NProcs(), cost.OpCost) }},
-			{"total-exchange", func(n int) cost.Breakdown {
-				return cost.TotalExchangeFlat(m.tr, cost.EqualDist(m.tr, n))
-			}},
-		}
-		for _, k := range kinds {
-			bs := k.predict(small)
-			bl := k.predict(large)
-			tb.AddF(m.name, k.name, bs.Total(), bl.Total(), len(bl.Steps))
+		for _, v := range plan.CostVariants() {
+			bl := v.Cost(m.tr, large)
+			tb.AddF(m.name, v.Name, v.Predict(m.tr, small), bl.Total(), len(bl.Steps))
 		}
 	}
 	return res, nil
@@ -216,15 +177,18 @@ func Straggler(cfg Config) (*Result, error) {
 	perturbed.Normalize()
 	rebalanced := cost.BalancedDist(perturbed, n)
 
-	measure := func(d cost.Dist) (float64, error) {
-		root := perturbed.Pid(perturbed.FastestLeaf())
-		rep, err := measureComputeGather(perturbed, cfg.Fabric, d, root)
-		if err != nil {
-			return 0, err
-		}
-		return rep, nil
+	// A compute-then-gather step: each processor first charges work
+	// proportional to its piece (a compute-heavy workload), then the
+	// pieces are gathered at the fastest leaf.
+	root := perturbed.Pid(perturbed.FastestLeaf())
+	computeGather := func(d cost.Dist) (float64, error) {
+		return measure(perturbed, cfg.Fabric, func(c hbsp.Ctx) error {
+			c.Charge(2 * float64(d[c.Pid()]))
+			_, err := collective.Gather(c, c.Tree().Root, root, make([]byte, d[c.Pid()]))
+			return err
+		})
 	}
-	tRebal, err := measure(rebalanced)
+	tRebal, err := computeGather(rebalanced)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +200,7 @@ func Straggler(cfg Config) (*Result, error) {
 		{"equal", equalDist},
 		{"rebalanced", rebalanced},
 	} {
-		tv, err := measure(row.d)
+		tv, err := computeGather(row.d)
 		if err != nil {
 			return nil, err
 		}

@@ -10,15 +10,21 @@ import (
 // keyed by the entrypoint name a caller writes in source, except that
 // BcastHier is two rows, BcastHier and BcastHierTwoPhase, one per value
 // of its twoPhaseTop argument. This is the ONE variant table in the
-// tree: cmd/hbspk-sim's closed-form column and the runtime Planner both
-// consume it, so a reported price and a runtime pick cannot disagree.
-// The choice is made at run time, on the tree and size the run has:
-// switch points move with the machine. The closed forms themselves live in internal/cost and are validated
-// against the simulation by the experiments suite — this file only
-// fixes the callsite conventions: the root is the fastest leaf, byte
-// collectives take balanced distributions, and the vector families
-// (reduce, allreduce, scan) take equal-width pieces combined at the
-// library operators' cost.OpCost, as the Planned* dispatchers size them.
+// tree, its price side: the runtime Planner picks from it, and
+// internal/catalog is its run side — one program per row, which
+// hbspk-sim runs and attributes against the row, hbspk-predict prices
+// and experiments.SuiteSummary prints the rows of.
+// TestEveryRowRunsWhatItPrices runs each row's program on Virtual and
+// holds it to the row's price, within the row's pinned gap. The choice
+// is made at run time, on the tree and size the run has: switch points
+// move with the machine. The closed forms themselves live in
+// internal/cost; this file fixes the inputs they are priced on, which
+// the catalogue's programs build: the root is the fastest leaf, byte
+// rows take cost.BalancedDist (BcastTwoPhase's first phase is
+// BalancedPieces, as PlannedBcast cuts it), and the vector rows
+// (reduce, allreduce, reduce-scatter, scan) take n/(8p)-element vectors,
+// priced as cost.EqualDist bytes combined at the library operators'
+// cost.OpCost, as the Planned* dispatchers size them.
 
 // CostVariant is one collective entrypoint with a closed-form cost.
 type CostVariant struct {
@@ -85,6 +91,9 @@ func CostVariants() []CostVariant {
 		}},
 		{"AllReduce", "allreduce", true, func(t *model.Tree, n int) cost.Breakdown {
 			return cost.AllReduceHier(t, cost.EqualDist(t, n), cost.OpCost)
+		}},
+		{"ReduceScatter", "reduce-scatter", false, func(t *model.Tree, n int) cost.Breakdown {
+			return cost.ReduceScatterFlat(t, cost.EqualDist(t, n/t.NProcs()), cost.OpCost)
 		}},
 		{"Scan", "scan", false, func(t *model.Tree, n int) cost.Breakdown {
 			return cost.ScanFlat(t, root(t), cost.EqualDist(t, n), cost.OpCost)
