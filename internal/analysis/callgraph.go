@@ -47,14 +47,25 @@ func buildCallGraph(pass *Pass) *callGraph {
 		decls: make(map[*types.Func]*ast.FuncDecl),
 		syncs: make(map[*types.Func]bool),
 	}
+	// inits maps each package-level variable to its initializer.
+	inits := make(map[*types.Var]ast.Expr)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				g.decls[obj] = fd
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if obj, ok := pass.TypesInfo.Defs[d.Name].(*types.Func); ok && d.Body != nil {
+					g.decls[obj] = d
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) == len(vs.Names) {
+						for i, name := range vs.Names {
+							if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
+								inits[v] = vs.Values[i]
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -69,20 +80,17 @@ func buildCallGraph(pass *Pass) *callGraph {
 	// not calling it) but never under-approximates within the package:
 	// the synchronizes fact must be conservative, since a missed
 	// boundary turns into a false "unmatched send" and a false clean
-	// bill on a desync.
+	// bill on a desync. Reading a package-level variable takes the
+	// values its initializer took, function literals' bodies included:
+	// a table of calls (collective.RowCalls) synchronizes its readers.
 	edges := make(map[*types.Func][]*types.Func) // callee -> callers
 	for obj, fd := range g.decls {
 		direct := false
-		// calleeNodes are the Fun nodes of direct calls; references
-		// elsewhere are value positions.
-		calleeNodes := make(map[ast.Node]bool)
-		walkBody(fd.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				calleeNodes[ast.Unparen(call.Fun)] = true
-			}
-			return true
-		})
-		walkBody(fd.Body, func(n ast.Node) bool {
+		read := make(map[*types.Var]bool)
+		// A direct call's Fun is visited as a value position too; the
+		// duplicate edge it adds changes no fact.
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:
 				if isSyncCall(pass.TypesInfo, x) {
@@ -94,9 +102,6 @@ func buildCallGraph(pass *Pass) *callGraph {
 					}
 				}
 			case *ast.Ident:
-				if calleeNodes[ast.Node(x)] {
-					return true
-				}
 				if fn, ok := pass.TypesInfo.Uses[x].(*types.Func); ok {
 					if _, local := g.decls[fn]; local {
 						edges[fn] = append(edges[fn], obj)
@@ -105,10 +110,11 @@ func buildCallGraph(pass *Pass) *callGraph {
 						direct = true
 					}
 				}
-			case *ast.SelectorExpr:
-				if calleeNodes[ast.Node(x)] {
-					return true
+				if v, ok := pass.TypesInfo.Uses[x].(*types.Var); ok && inits[v] != nil && !read[v] {
+					read[v] = true
+					ast.Inspect(inits[v], visit)
 				}
+			case *ast.SelectorExpr:
 				sel, ok := pass.TypesInfo.Selections[x]
 				if !ok || sel.Kind() != types.MethodVal {
 					return true
@@ -125,7 +131,8 @@ func buildCallGraph(pass *Pass) *callGraph {
 				}
 			}
 			return true
-		})
+		}
+		walkBody(fd.Body, visit)
 		if direct {
 			g.syncs[obj] = true
 		}

@@ -21,8 +21,9 @@ func TestStaleIgnoreGolden(t *testing.T) {
 // recursion converges with both parties marked, method and function
 // values mark their creators — including function and method values
 // passed as call arguments, the collective-combiner seam pidtaint and
-// commgraph depend on — and a barrier-free helper stays unmarked (the
-// over-approximation is not an any-call approximation).
+// commgraph depend on, and a package-level table of calls its readers —
+// and a barrier-free helper stays unmarked (the over-approximation is
+// not an any-call approximation).
 func TestCallGraphFixpoint(t *testing.T) {
 	t.Parallel()
 	loader, err := NewLoader("testdata/src")
@@ -52,13 +53,14 @@ func TestCallGraphFixpoint(t *testing.T) {
 	}
 	wantSync := []string{"pingSync", "pongSync", "viaMethodValue", "viaFuncValue", "syncHelper",
 		"afterMutualRecursion", "afterMethodValue", "afterFuncValue",
-		"passesFuncValueArg", "passesMethodValueArg"}
+		"passesFuncValueArg", "passesMethodValueArg", "viaPackageVar", "afterPackageVar"}
 	for _, name := range wantSync {
 		if !syncsByName[name] {
 			t.Errorf("fixpoint misses %s: must be marked synchronizing", name)
 		}
 	}
-	wantClean := []string{"pureHelper", "afterPureHelper", "pureStep", "passesPureFuncValueArg", "apply"}
+	wantClean := []string{"pureHelper", "afterPureHelper", "pureStep", "passesPureFuncValueArg", "apply",
+		"viaPurePackageVar"}
 	for _, name := range wantClean {
 		if syncsByName[name] {
 			t.Errorf("fixpoint over-marks %s: it contains no barrier on any path", name)

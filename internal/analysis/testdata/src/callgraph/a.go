@@ -1,7 +1,7 @@
 // Package callgraph is the golden fixture for the synchronizes
-// fixpoint's edge cases: mutual recursion must converge, method values
-// and function values must count as boundaries at the point the value
-// is taken, and interface method calls on a Ctx-shaped receiver must
+// fixpoint's edge cases: mutual recursion must converge, method values,
+// function values and package-level variables holding them must count
+// as boundaries at the point the value is taken, and interface method calls on a Ctx-shaped receiver must
 // stay recognized. The diagnostics are commgraph's unmatched-send
 // reports — each fires only if the preceding call is known to
 // synchronize, so every `want` below is a positive fixpoint fact.
@@ -70,6 +70,27 @@ func afterFuncValue(c Ctx) error {
 	}
 	return c.Send(1, 2, []byte("z")) // want `unmatched send: no Sync follows`
 }
+
+// --- package-level variable: a table of calls built once, whose
+// initializer's function literal synchronizes. Reading the table takes
+// the value; a table of pure calls adds no edge.
+
+var steps = map[string]func(Ctx) error{
+	"sync": func(c Ctx) error { return c.Sync(nil, "table") },
+}
+
+func viaPackageVar(c Ctx) error { return steps["sync"](c) }
+
+func afterPackageVar(c Ctx) error {
+	if err := viaPackageVar(c); err != nil {
+		return err
+	}
+	return c.Send(1, 8, []byte("v")) // want `unmatched send: no Sync follows`
+}
+
+var pureSteps = map[string]func(Ctx) error{"pure": pureStep}
+
+func viaPurePackageVar(c Ctx) error { return pureSteps["pure"](c) }
 
 // --- interface call: Sync resolved through an embedded interface's
 // method set is still a structural boundary.

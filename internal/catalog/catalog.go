@@ -1,14 +1,15 @@
 // Package catalog is the run side of the one cost table (DESIGN.md
 // §5.9): every collective program the command-line tools run, by name,
-// each paired with the plan.CostVariants row it runs. hbspk-sim runs an
-// entry's program, hbspk-predict prints its row's price and hbspk-worker
-// runs the bcast-reduce entry across processes.
+// each paired with the plan.CostVariants row it runs. A priced entry
+// runs its row's collective.RowCalls call; hbspk-sim runs an entry's
+// program, hbspk-predict prints its row's price and hbspk-worker runs
+// the bcast-reduce entry across processes.
 //
 // A program builds its row's inputs the way the row prices them, and
 // this file is the one place that says how: the root is the fastest
-// leaf, byte rows take cost.BalancedDist bytes (the two-phase broadcast
-// takes collective.BalancedPieces), and vector rows take n/(8p)-element
-// vectors. TestEveryRowRunsWhatItPrices joins the two sides.
+// leaf, byte rows take cost.BalancedDist bytes, and vector rows take
+// n/(8p)-element vectors. TestEveryRowRunsWhatItPrices joins the two
+// sides.
 package catalog
 
 import (
@@ -89,93 +90,40 @@ func vecLen(tr *model.Tree, n int) int { return max(1, n/8/tr.NProcs()) }
 // then the programs no row prices.
 func Entries() []Entry {
 	return []Entry{
-		{"gather", "Gather", pieces(func(c hbsp.Ctx, r int, b []byte) (map[int][]byte, error) {
-			return collective.Gather(c, c.Tree().Root, r, b)
-		})},
-		{"gather-hier", "GatherHier", pieces(func(c hbsp.Ctx, _ int, b []byte) (map[int][]byte, error) {
-			return collective.GatherHier(c, b)
-		})},
-		{"bcast1", "BcastOnePhase", bcast(func(c hbsp.Ctx, r int, in []byte) ([]byte, error) {
-			return collective.BcastOnePhase(c, c.Tree().Root, r, in)
-		})},
-		{"bcast2", "BcastTwoPhase", bcast(func(c hbsp.Ctx, r int, in []byte) ([]byte, error) {
-			var d collective.Dist
-			if c.Pid() == r {
-				d = collective.BalancedPieces(c, c.Tree().Root, len(in))
-			}
-			_, err := collective.BcastTwoPhase(c, c.Tree().Root, r, in, d)
-			return nil, err
-		})},
-		{"bcast-binomial", "BcastBinomial", bcast(func(c hbsp.Ctx, r int, in []byte) ([]byte, error) {
-			return collective.BcastBinomial(c, c.Tree().Root, r, in)
-		})},
-		{"bcast-hier", "BcastHier", bcast(func(c hbsp.Ctx, _ int, in []byte) ([]byte, error) {
-			return collective.BcastHier(c, in, false)
-		})},
-		{"bcast-hier-2p", "BcastHierTwoPhase", bcast(func(c hbsp.Ctx, _ int, in []byte) ([]byte, error) {
-			return collective.BcastHier(c, in, true)
-		})},
-		{"scatter", "Scatter", scatter(func(c hbsp.Ctx, r int, ps map[int][]byte) error {
-			_, err := collective.Scatter(c, c.Tree().Root, r, ps)
-			return err
-		})},
-		{"scatter-hier", "ScatterHier", scatter(func(c hbsp.Ctx, _ int, ps map[int][]byte) error {
-			_, err := collective.ScatterHier(c, ps)
-			return err
-		})},
-		{"allgather", "AllGather", pieces(func(c hbsp.Ctx, _ int, b []byte) (map[int][]byte, error) {
-			_, err := collective.AllGather(c, c.Tree().Root, b)
-			return nil, err
-		})},
-		{"allgather-hier", "AllGatherHier", pieces(func(c hbsp.Ctx, _ int, b []byte) (map[int][]byte, error) {
-			_, err := collective.AllGatherHier(c, b)
-			return nil, err
-		})},
-		{"reduce", "Reduce", vector(func(c hbsp.Ctx, r int, v []int64) ([]int64, error) {
-			return collective.Reduce(c, c.Tree().Root, r, v, collective.Sum)
-		})},
-		{"reduce-hier", "ReduceHier", vector(func(c hbsp.Ctx, _ int, v []int64) ([]int64, error) {
-			return collective.ReduceHier(c, v, collective.Sum)
-		})},
-		{"allreduce", "AllReduce", vector(func(c hbsp.Ctx, _ int, v []int64) ([]int64, error) {
-			return collective.AllReduce(c, v, collective.Sum)
-		})},
-		{"reduce-scatter", "ReduceScatter", vector(func(c hbsp.Ctx, _ int, v []int64) ([]int64, error) {
-			t := c.Tree()
-			return collective.ReduceScatter(c, t.Root, v, collective.EqualPieces(c, t.Root, len(v)), collective.Sum)
-		})},
-		{"scan", "Scan", vector(func(c hbsp.Ctx, _ int, v []int64) ([]int64, error) {
-			_, err := collective.Scan(c, c.Tree().Root, v, collective.Sum)
-			return nil, err
-		})},
-		{"scan-hier", "ScanHier", vector(func(c hbsp.Ctx, _ int, v []int64) ([]int64, error) {
-			_, err := collective.ScanHier(c, v, collective.Sum)
-			return nil, err
-		})},
-		{"alltoall", "TotalExchange", pieces(func(c hbsp.Ctx, _ int, b []byte) (map[int][]byte, error) {
-			out := map[int][]byte{}
-			for pid := 0; pid < c.NProcs(); pid++ {
-				out[pid] = make([]byte, len(b)/c.NProcs())
-			}
-			_, err := collective.TotalExchange(c, c.Tree().Root, out)
-			return nil, err
-		})},
+		priced("gather", "Gather"),
+		priced("gather-hier", "GatherHier"),
+		priced("bcast1", "BcastOnePhase"),
+		priced("bcast2", "BcastTwoPhase"),
+		priced("bcast-binomial", "BcastBinomial"),
+		priced("bcast-hier", "BcastHier"),
+		priced("bcast-hier-2p", "BcastHierTwoPhase"),
+		priced("scatter", "Scatter"),
+		priced("scatter-hier", "ScatterHier"),
+		priced("allgather", "AllGather"),
+		priced("allgather-hier", "AllGatherHier"),
+		priced("reduce", "Reduce"),
+		priced("reduce-hier", "ReduceHier"),
+		priced("allreduce", "AllReduce"),
+		priced("reduce-scatter", "ReduceScatter"),
+		priced("scan", "Scan"),
+		priced("scan-hier", "ScanHier"),
+		priced("alltoall", "TotalExchange"),
 		{"auto", "", auto},
 		{"bcast-reduce", "", bcastReduce},
-		{"ft-gather", "", pieces(func(c hbsp.Ctx, _ int, b []byte) (map[int][]byte, error) {
+		{"ft-gather", "", Pieces(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
 			_, _, err := collective.NewFT(c, c.Tree().Root).Gather(b)
 			return nil, err
 		})},
-		{"ft-bcast", "", bcast(func(c hbsp.Ctx, r int, in []byte) ([]byte, error) {
-			_, err := collective.NewFT(c, c.Tree().Root).Bcast(r, in)
+		{"ft-bcast", "", Bcast(func(c hbsp.Ctx, in []byte) ([]byte, error) {
+			_, err := collective.NewFT(c, c.Tree().Root).Bcast(root(c.Tree()), in)
 			return nil, err
 		})},
-		{"ft-reduce", "", vector(func(c hbsp.Ctx, _ int, v []int64) ([]int64, error) {
-			_, _, err := collective.NewFT(c, c.Tree().Root).Reduce(v, collective.Sum)
+		{"ft-reduce", "", Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			_, _, err := collective.NewFT(c, c.Tree().Root).Reduce(v, op)
 			return nil, err
 		})},
-		{"ft-allreduce", "", vector(func(c hbsp.Ctx, _ int, v []int64) ([]int64, error) {
-			_, err := collective.NewFT(c, c.Tree().Root).AllReduce(v, collective.Sum)
+		{"ft-allreduce", "", Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			_, err := collective.NewFT(c, c.Tree().Root).AllReduce(v, op)
 			return nil, err
 		})},
 		{"churn-soak", "", churnSoak},
@@ -184,16 +132,39 @@ func Entries() []Entry {
 	}
 }
 
-// The input conventions, one builder per input shape. Each hands its
-// collective the root's pid and this processor's input, and saves a
+// priced is the entry that runs the named cost-table row: the row's
+// collective.RowCalls call, on the inputs its signature takes.
+func priced(name, row string) Entry {
+	e := Entry{Name: name, Variant: row}
+	switch f := collective.RowCalls[row].(type) {
+	case collective.BcastCall:
+		e.Program = Bcast(f)
+	case collective.GatherCall:
+		e.Program = Pieces(f)
+	case collective.ScatterCall:
+		e.Program = Scatter(f)
+	case collective.ExchangeCall:
+		e.Program = Pieces(exchange(f))
+	case collective.VectorCall:
+		e.Program = Vector(f)
+	default:
+		e.Program = func(*model.Tree, Args) hbsp.Program {
+			return func(hbsp.Ctx) error { return fmt.Errorf("catalog: no collective call runs row %q", row) }
+		}
+	}
+	return e
+}
+
+// The input conventions, one builder per input shape. Each builds the
+// program that hands its call this processor's input, and saves a
 // non-nil result so schedule fingerprints compare final states.
 
-// pieces: each processor holds its cost.BalancedDist bytes.
-func pieces(run func(c hbsp.Ctx, r int, b []byte) (map[int][]byte, error)) Builder {
+// Pieces: each processor holds its cost.BalancedDist bytes.
+func Pieces(run collective.GatherCall) Builder {
 	return func(tr *model.Tree, a Args) hbsp.Program {
-		d, r := cost.BalancedDist(tr, a.N), root(tr)
+		d := cost.BalancedDist(tr, a.N)
 		return func(c hbsp.Ctx) error {
-			out, err := run(c, r, make([]byte, d[c.Pid()]))
+			out, err := run(c, make([]byte, d[c.Pid()]))
 			if out != nil {
 				c.Save("result", digestMap(out))
 			}
@@ -202,8 +173,20 @@ func pieces(run func(c hbsp.Ctx, r int, b []byte) (map[int][]byte, error)) Build
 	}
 }
 
-// bcast: the root holds all n bytes, every other processor nil.
-func bcast(run func(c hbsp.Ctx, r int, in []byte) ([]byte, error)) Builder {
+// exchange runs an alltoall call on a processor's Pieces input, sent in
+// p equal parts, one to each pid.
+func exchange(run collective.ExchangeCall) collective.GatherCall {
+	return func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+		out := make(map[int][]byte, c.NProcs())
+		for pid := 0; pid < c.NProcs(); pid++ {
+			out[pid] = make([]byte, len(b)/c.NProcs())
+		}
+		return run(c, out)
+	}
+}
+
+// Bcast: the root holds all n bytes, every other processor nil.
+func Bcast(run collective.BcastCall) Builder {
 	return func(tr *model.Tree, a Args) hbsp.Program {
 		r := root(tr)
 		return func(c hbsp.Ctx) error {
@@ -211,7 +194,7 @@ func bcast(run func(c hbsp.Ctx, r int, in []byte) ([]byte, error)) Builder {
 			if c.Pid() == r {
 				in = make([]byte, a.N)
 			}
-			out, err := run(c, r, in)
+			out, err := run(c, in)
 			if out != nil {
 				c.Save("result", out)
 			}
@@ -220,9 +203,9 @@ func bcast(run func(c hbsp.Ctx, r int, in []byte) ([]byte, error)) Builder {
 	}
 }
 
-// scatter: the root holds one piece of cost.BalancedDist bytes per pid,
+// Scatter: the root holds one piece of cost.BalancedDist bytes per pid,
 // every other processor nil.
-func scatter(run func(c hbsp.Ctx, r int, ps map[int][]byte) error) Builder {
+func Scatter(run collective.ScatterCall) Builder {
 	return func(tr *model.Tree, a Args) hbsp.Program {
 		d, r := cost.BalancedDist(tr, a.N), root(tr)
 		return func(c hbsp.Ctx) error {
@@ -233,17 +216,22 @@ func scatter(run func(c hbsp.Ctx, r int, ps map[int][]byte) error) Builder {
 					ps[pid] = make([]byte, b)
 				}
 			}
-			return run(c, r, ps)
+			out, err := run(c, ps)
+			if out != nil {
+				c.Save("result", out)
+			}
+			return err
 		}
 	}
 }
 
-// vector: each processor holds an n/(8p)-element vector.
-func vector(run func(c hbsp.Ctx, r int, v []int64) ([]int64, error)) Builder {
+// Vector: each processor holds an n/(8p)-element vector, folded with
+// collective.Sum.
+func Vector(run collective.VectorCall) Builder {
 	return func(tr *model.Tree, a Args) hbsp.Program {
-		l, r := vecLen(tr, a.N), root(tr)
+		l := vecLen(tr, a.N)
 		return func(c hbsp.Ctx) error {
-			out, err := run(c, r, make([]int64, l))
+			out, err := run(c, make([]int64, l), collective.Sum)
 			if out != nil {
 				c.Save("result", digestVec(out))
 			}
@@ -254,28 +242,32 @@ func vector(run func(c hbsp.Ctx, r int, v []int64) ([]int64, error)) Builder {
 
 // auto is an iterative mixed workload dispatched entirely through the
 // auto-tuning planner: each round broadcasts from the fastest leaf,
-// gathers back, folds a vector and prefix-scans it. The planner picks
-// each family's variant from the closed-form cost table once per size
-// bucket and serves every later round from its cache.
+// gathers back, folds a vector and prefix-scans it, each on its
+// family's inputs. The planner picks each family's variant from the
+// closed-form cost table once per size bucket and serves every later
+// round from its cache.
 func auto(tr *model.Tree, a Args) hbsp.Program {
-	r, d, l, pl := root(tr), cost.BalancedDist(tr, a.N), vecLen(tr, a.N), a.Planner
+	pl, n := a.Planner, a.N
+	steps := []hbsp.Program{
+		Bcast(func(c hbsp.Ctx, data []byte) ([]byte, error) {
+			return collective.PlannedBcast(c, pl, n, data)
+		})(tr, a),
+		Pieces(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+			return collective.PlannedGather(c, pl, n, b)
+		})(tr, a),
+		Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			return collective.PlannedAllReduce(c, pl, v, op)
+		})(tr, a),
+		Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			return collective.PlannedScan(c, pl, v, op)
+		})(tr, a),
+	}
 	return func(c hbsp.Ctx) error {
 		for round := 0; round < a.Rounds; round++ {
-			var data []byte
-			if c.Pid() == r {
-				data = make([]byte, a.N)
-			}
-			if _, err := collective.PlannedBcast(c, pl, a.N, data); err != nil {
-				return err
-			}
-			if _, err := collective.PlannedGather(c, pl, a.N, make([]byte, d[c.Pid()])); err != nil {
-				return err
-			}
-			if _, err := collective.PlannedAllReduce(c, pl, make([]int64, l), collective.Sum); err != nil {
-				return err
-			}
-			if _, err := collective.PlannedScan(c, pl, make([]int64, l), collective.Sum); err != nil {
-				return err
+			for _, step := range steps {
+				if err := step(c); err != nil {
+					return err
+				}
 			}
 		}
 		return nil

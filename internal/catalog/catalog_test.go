@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hbspk/internal/collective"
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
@@ -55,7 +56,7 @@ var gridSizes = []int{3 << 8, 3 << 12, 3 << 16, 3 << 18}
 // total.
 func runPure(t *testing.T, e Entry, tr *model.Tree, a Args) float64 {
 	t.Helper()
-	rep, err := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel())).Run(e.Program(tr, a))
+	rep, err := hbsp.RunVirtual(tr, fabric.PureModel(), e.Program(tr, a))
 	if err != nil {
 		t.Fatalf("%s on %d procs, n=%d: %v", e.Name, tr.NProcs(), a.N, err)
 	}
@@ -63,11 +64,23 @@ func runPure(t *testing.T, e Entry, tr *model.Tree, a Args) float64 {
 }
 
 // TestEveryRowRunsWhatItPrices joins the two sides of the cost table:
-// every plan.CostVariants row is run by exactly one catalogue entry, and
-// that entry's run on Virtual under the pure model costs what the row
-// predicts, within the row's pinned gap, on every tree and size of the
-// planner's grid.
+// collective.RowCalls and plan.CostVariants name the same rows, every
+// row is run by exactly one catalogue entry, and that entry's run on
+// Virtual under the pure model costs what the row predicts, within the
+// row's pinned gap, on every tree and size of the grid.
 func TestEveryRowRunsWhatItPrices(t *testing.T) {
+	rows := map[string]bool{}
+	for _, v := range plan.CostVariants() {
+		rows[v.Name] = true
+		if collective.RowCalls[v.Name] == nil {
+			t.Errorf("row %s has no collective.RowCalls call", v.Name)
+		}
+	}
+	for name := range collective.RowCalls {
+		if !rows[name] {
+			t.Errorf("collective.RowCalls runs %q, which is no cost-table row", name)
+		}
+	}
 	byRow := map[string][]string{}
 	for _, e := range Entries() {
 		if e.Variant == "" {

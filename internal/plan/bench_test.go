@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hbspk/internal/catalog"
 	"hbspk/internal/collective"
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
@@ -20,135 +21,15 @@ import (
 	"hbspk/internal/plan"
 )
 
-// runModelCost runs prog on a fresh virtual engine over tr with the
-// pure cost-model fabric and returns the finishing virtual time.
-func runModelCost(tb testing.TB, tr *model.Tree, prog hbsp.Program) float64 {
-	rep, err := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel())).Run(prog)
-	if err != nil {
-		tb.Fatalf("run: %v", err)
-	}
-	return rep.Total
-}
-
-// cellInput is one processor's input to one collective of a sweep cell.
-type cellInput struct {
-	n      int            // machine-wide payload in bytes
-	data   []byte         // a broadcast's payload, at the root only
-	pieces map[int][]byte // a scatter's pieces, at the root only
-	local  []byte         // a gather's or allgather's contribution
-	vec    []int64        // a reduction's or scan's vector
-}
-
-// inputFor builds c's input for the family at n total bytes: byte
-// families split n evenly over the processors, vector families carry
-// n/(8p) int64 elements each, and the root is the fastest leaf.
-func inputFor(c hbsp.Ctx, family string, n int) cellInput {
-	t := c.Tree()
-	procs := c.NProcs()
-	in := cellInput{n: n}
-	isRoot := c.Pid() == t.Pid(t.FastestLeaf())
-	switch family {
-	case "bcast":
-		if isRoot {
-			in.data = bytes.Repeat([]byte{1}, n)
-		}
-	case "scatter":
-		in.n = n / procs * procs
-		if isRoot {
-			in.pieces = make(map[int][]byte, procs)
-			for pid := 0; pid < procs; pid++ {
-				in.pieces[pid] = bytes.Repeat([]byte{byte(pid)}, n/procs)
-			}
-		}
-	case "gather", "allgather":
-		in.n = n / procs * procs
-		in.local = bytes.Repeat([]byte{byte(c.Pid())}, n/procs)
-	case "reduce", "scan":
-		in.vec = make([]int64, n/(8*procs))
-		for i := range in.vec {
-			in.vec[i] = int64(c.Pid() + i)
-		}
-	}
-	return in
-}
-
-// directDispatch invokes one fixed collective variant by its cost-table
-// name, mirroring the planner dispatcher's own switch.
-func directDispatch(c hbsp.Ctx, variant string, in cellInput) error {
-	t := c.Tree()
-	root := t.Pid(t.FastestLeaf())
-	var err error
-	switch variant {
-	case "BcastOnePhase":
-		_, err = collective.BcastOnePhase(c, t.Root, root, in.data)
-	case "BcastTwoPhase":
-		var dist collective.Dist
-		if c.Pid() == root {
-			dist = collective.BalancedPieces(c, t.Root, in.n)
-		}
-		_, err = collective.BcastTwoPhase(c, t.Root, root, in.data, dist)
-	case "BcastBinomial":
-		_, err = collective.BcastBinomial(c, t.Root, root, in.data)
-	case "BcastHier":
-		_, err = collective.BcastHier(c, in.data, false)
-	case "BcastHierTwoPhase":
-		_, err = collective.BcastHier(c, in.data, true)
-	case "Gather":
-		_, err = collective.Gather(c, t.Root, root, in.local)
-	case "GatherHier":
-		_, err = collective.GatherHier(c, in.local)
-	case "Scatter":
-		_, err = collective.Scatter(c, t.Root, root, in.pieces)
-	case "ScatterHier":
-		_, err = collective.ScatterHier(c, in.pieces)
-	case "AllGather":
-		_, err = collective.AllGather(c, t.Root, in.local)
-	case "AllGatherHier":
-		_, err = collective.AllGatherHier(c, in.local)
-	case "Reduce":
-		_, err = collective.Reduce(c, t.Root, root, in.vec, collective.Sum)
-	case "ReduceHier":
-		_, err = collective.ReduceHier(c, in.vec, collective.Sum)
-	case "Scan":
-		_, err = collective.Scan(c, t.Root, in.vec, collective.Sum)
-	case "ScanHier":
-		_, err = collective.ScanHier(c, in.vec, collective.Sum)
-	default:
-		err = fmt.Errorf("unknown variant %q", variant)
-	}
-	return err
-}
-
-// plannedDispatch runs the family's collective through the planner.
-func plannedDispatch(c hbsp.Ctx, pl *plan.Planner, family string, in cellInput) error {
-	var err error
-	switch family {
-	case "bcast":
-		_, err = collective.PlannedBcast(c, pl, in.n, in.data)
-	case "gather":
-		_, err = collective.PlannedGather(c, pl, in.n, in.local)
-	case "scatter":
-		_, err = collective.PlannedScatter(c, pl, in.n, in.pieces)
-	case "allgather":
-		_, err = collective.PlannedAllGather(c, pl, in.n, in.local)
-	case "reduce":
-		_, err = collective.PlannedReduce(c, pl, in.vec, collective.Sum)
-	case "scan":
-		_, err = collective.PlannedScan(c, pl, in.vec, collective.Sum)
-	default:
-		err = fmt.Errorf("unknown family %q", family)
-	}
-	return err
-}
-
 // TestPlannerPicksBestFixed runs a payload × tree grid of every family
-// with a choice of variants, once under each fixed variant and once
-// through a fresh planner, and demands the planner's modeled cost (the
-// virtual engine's finishing time, PureModel fabric) be no more than the
-// best fixed variant's in each of the 96 cells: beating the best fixed
-// variant everywhere means beating every fixed-variant baseline
-// everywhere. On Virtual the clock is the model, so the planner's one
-// closed-form pick must already be the best, ties allowed.
+// with a choice of variants, once under each fixed variant's catalogue
+// entry and once through a fresh planner on the same catalogue inputs,
+// and demands the planner's modeled cost (the virtual engine's finishing
+// time, PureModel fabric) be no more than the best fixed variant's in
+// each of the 96 cells: beating the best fixed variant everywhere means
+// beating every fixed-variant baseline everywhere. On Virtual the clock
+// is the model, so the planner's one closed-form pick must already be
+// the best, ties allowed.
 //
 // Grid sizes are bucket representatives (3·2^(b-2)), the sizes the
 // planner prices decisions at — a size elsewhere in a bucket can
@@ -156,6 +37,10 @@ func plannedDispatch(c hbsp.Ctx, pl *plan.Planner, family string, in cellInput) 
 // the other side of, which is bucketing granularity, not a planner
 // defect.
 func TestPlannerPicksBestFixed(t *testing.T) {
+	byRow := map[string]catalog.Entry{}
+	for _, e := range catalog.Entries() {
+		byRow[e.Variant] = e
+	}
 	trees := []struct {
 		name  string
 		build func() *model.Tree
@@ -174,20 +59,21 @@ func TestPlannerPicksBestFixed(t *testing.T) {
 				cells++
 				t.Run(fmt.Sprintf("%s/%s/n%d", family, tc.name, n), func(t *testing.T) {
 					tr := tc.build()
-					run := func(dispatch func(hbsp.Ctx, cellInput) error) float64 {
-						return runModelCost(t, tr, func(c hbsp.Ctx) error {
-							return dispatch(c, inputFor(c, family, n))
-						})
+					run := func(b catalog.Builder, a catalog.Args) float64 {
+						rep, err := hbsp.RunVirtual(tr, fabric.PureModel(), b(tr, a))
+						if err != nil {
+							t.Fatalf("run: %v", err)
+						}
+						return rep.Total
 					}
 					best, bestName := 0.0, ""
 					for i, v := range plan.VariantsFor(family) {
-						total := run(func(c hbsp.Ctx, in cellInput) error { return directDispatch(c, v.Name, in) })
-						if i == 0 || total < best {
+						if total := run(byRow[v.Name].Program, catalog.Args{N: n}); i == 0 || total < best {
 							best, bestName = total, v.Name
 						}
 					}
 					pl := plan.New()
-					total := run(func(c hbsp.Ctx, in cellInput) error { return plannedDispatch(c, pl, family, in) })
+					total := run(viaPlanner(family, pl, n), catalog.Args{N: n})
 					if total > best {
 						t.Errorf("planner picked %s at modeled cost %.0f, best fixed variant %s %.0f: ratio %.4f",
 							pl.Decisions()[0].Variant, total, bestName, best, total/best)
@@ -201,9 +87,42 @@ func TestPlannerPicksBestFixed(t *testing.T) {
 	}
 }
 
+// viaPlanner is the catalogue program of family's inputs that runs
+// family's Planned* dispatcher through pl at n total bytes.
+func viaPlanner(family string, pl *plan.Planner, n int) catalog.Builder {
+	switch family {
+	case "bcast":
+		return catalog.Bcast(func(c hbsp.Ctx, data []byte) ([]byte, error) {
+			return collective.PlannedBcast(c, pl, n, data)
+		})
+	case "gather":
+		return catalog.Pieces(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+			return collective.PlannedGather(c, pl, n, b)
+		})
+	case "scatter":
+		return catalog.Scatter(func(c hbsp.Ctx, ps map[int][]byte) ([]byte, error) {
+			return collective.PlannedScatter(c, pl, n, ps)
+		})
+	case "allgather":
+		return catalog.Pieces(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+			return collective.PlannedAllGather(c, pl, n, b)
+		})
+	case "reduce":
+		return catalog.Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			return collective.PlannedReduce(c, pl, v, op)
+		})
+	case "scan":
+		return catalog.Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			return collective.PlannedScan(c, pl, v, op)
+		})
+	}
+	panic("no Planned* dispatcher for family " + family)
+}
+
 // TestPlannedDispatchWithinDirect holds the planner's dispatch layer to
 // 5% of a direct call, on allocations and on time. The planner path and
-// the direct path differ only by the decision-cache lookup, and the pair
+// the direct path (the picked row's collective.RowCalls call) differ
+// only by the decision-cache and RowCalls lookups, and the pair
 // dispatches the identical variant, so the delta is the dispatch
 // overhead and not a variant change.
 //
@@ -214,7 +133,7 @@ func TestPlannerPicksBestFixed(t *testing.T) {
 // The time overhead is (direct + layer) / direct, both measured in the
 // same engine run: direct is the per-op wall time of the variant call,
 // and layer is the per-op wall time of the code the planner path ADDS
-// around it — the decision lookup — measured in a tight loop on
+// around it — the two lookups — measured in a tight loop on
 // processor 0. Measuring the
 // addend directly instead of differencing two whole-path timings is what
 // makes the assertion trustworthy on a noisy machine: the layer (well
@@ -238,8 +157,10 @@ func TestPlannedDispatchWithinDirect(t *testing.T) {
 		_, err := collective.PlannedBcast(c, pl, n, data)
 		return err
 	}
+	call := collective.RowCalls[d.Variant.Name].(collective.BcastCall)
 	directOp := func(c hbsp.Ctx, data []byte) error {
-		return directDispatch(c, d.Variant.Name, cellInput{n: n, data: data})
+		_, err := call(c, data)
+		return err
 	}
 	// run executes body on every processor of a fresh engine, handing it
 	// the broadcast payload on the root.
@@ -293,12 +214,16 @@ func TestPlannedDispatchWithinDirect(t *testing.T) {
 		}
 		directNs = float64(time.Since(start).Nanoseconds()) / dispatchIters
 		// The wrapper code of one cached planned dispatch: the decision
-		// lookup.
+		// and RowCalls lookups.
 		tree := c.Tree()
 		start = time.Now()
 		for i := 0; i < layerIters; i++ {
-			if _, ok := pl.Decide(tree, "bcast", n); !ok {
+			d, ok := pl.Decide(tree, "bcast", n)
+			if !ok {
 				return fmt.Errorf("layer: lost the bcast decision")
+			}
+			if _, ok := collective.RowCalls[d.Variant.Name].(collective.BcastCall); !ok {
+				return fmt.Errorf("layer: no call runs %s", d.Variant.Name)
 			}
 		}
 		layerNs = float64(time.Since(start).Nanoseconds()) / layerIters

@@ -10,10 +10,11 @@ import (
 // keyed by the entrypoint name a caller writes in source, except that
 // BcastHier is two rows, BcastHier and BcastHierTwoPhase, one per value
 // of its twoPhaseTop argument. This is the ONE variant table in the
-// tree, its price side: the runtime Planner picks from it, and
-// internal/catalog is its run side — one program per row, which
-// hbspk-sim runs and attributes against the row, hbspk-predict prices
-// and experiments.SuiteSummary prints the rows of.
+// tree, its price side: the runtime Planner picks from it. Its run side
+// is collective.RowCalls, one call per row, which the Planned*
+// dispatchers run on a pick and internal/catalog runs as one program
+// per row: hbspk-sim runs and attributes it against the row,
+// hbspk-predict prices it and experiments.SuiteSummary prints the rows.
 // TestEveryRowRunsWhatItPrices runs each row's program on Virtual and
 // holds it to the row's price, within the row's pinned gap. The choice
 // is made at run time, on the tree and size the run has: switch points
@@ -21,10 +22,11 @@ import (
 // internal/cost; this file fixes the inputs they are priced on, which
 // the catalogue's programs build: the root is the fastest leaf, byte
 // rows take cost.BalancedDist (BcastTwoPhase's first phase is
-// BalancedPieces, as PlannedBcast cuts it), and the vector rows
-// (reduce, allreduce, reduce-scatter, scan) take n/(8p)-element vectors,
-// priced as cost.EqualDist bytes combined at the library operators'
-// cost.OpCost, as the Planned* dispatchers size them.
+// BalancedPieces, cut by its RowCalls call from the root's data), and
+// the vector rows (reduce, allreduce, reduce-scatter, scan) take
+// n/(8p)-element vectors, priced as cost.EqualDist bytes combined at
+// the library operators' cost.OpCost; a Planned* dispatcher prices a
+// vector collective at 8 bytes per element per processor.
 
 // CostVariant is one collective entrypoint with a closed-form cost.
 type CostVariant struct {
