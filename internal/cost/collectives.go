@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"slices"
 
 	"hbspk/internal/model"
 )
@@ -88,25 +89,45 @@ func GatherFlat(t *model.Tree, rootPid int, d Dist) Breakdown {
 func GatherHier(t *model.Tree, d Dist) Breakdown {
 	b := Breakdown{G: t.G}
 	for lvl := 1; lvl <= t.K(); lvl++ {
-		var subs []Step
-		for _, scope := range t.MachinesAt(lvl) {
-			if scope.IsLeaf() {
-				continue
-			}
-			rootPid := t.Pid(scope.Coordinator())
-			var flows []Flow
-			for _, child := range scope.Children {
-				src := t.Pid(child.Coordinator())
-				flows = append(flows, Flow{Src: src, Dst: rootPid, Bytes: subtreeBytes(t, child, d)})
-			}
-			subs = append(subs, StepCost(t, scope,
-				fmt.Sprintf("super%d[%s] gather", lvl, scope.Name), flows, nil))
-		}
-		if len(subs) > 0 {
-			b.Add(ParallelStep(fmt.Sprintf("super%d gather", lvl), lvl, subs))
-		}
+		b.addLevel(t, lvl, "gather", func(scope *model.Machine) ([]Flow, []float64) {
+			return childFlows(t, scope, true, func(c *model.Machine) int { return subtreeBytes(t, c, d) }), nil
+		})
 	}
 	return b
+}
+
+// addLevel adds the super^lvl-steps of a hierarchical collective: one
+// per cluster at level lvl, run at the same time and so priced as one
+// Parallel step (§4.3); none when the level has no cluster. price gives
+// a cluster's flows and per-participant work.
+func (b *Breakdown) addLevel(t *model.Tree, lvl int, stage string, price func(scope *model.Machine) ([]Flow, []float64)) {
+	label := fmt.Sprintf("super%d %s", lvl, stage)
+	var subs []Step
+	for _, scope := range t.MachinesAt(lvl) {
+		if !scope.IsLeaf() {
+			flows, works := price(scope)
+			subs = append(subs, StepCost(t, scope, label, flows, works))
+		}
+	}
+	if len(subs) > 0 {
+		b.Add(ParallelStep(label, lvl, subs))
+	}
+}
+
+// childFlows is one flow of bytes(child) bytes between the scope's
+// coordinator and each child's: up to the scope's coordinator, or down
+// from it.
+func childFlows(t *model.Tree, scope *model.Machine, up bool, bytes func(child *model.Machine) int) []Flow {
+	co := t.Pid(scope.Coordinator())
+	var flows []Flow
+	for _, child := range scope.Children {
+		f := Flow{Src: co, Dst: t.Pid(child.Coordinator()), Bytes: bytes(child)}
+		if up {
+			f.Src, f.Dst = f.Dst, f.Src
+		}
+		flows = append(flows, f)
+	}
+	return flows
 }
 
 // BcastOnePhaseFlat is the one-phase broadcast of §4.4: the root
@@ -167,8 +188,7 @@ func BcastHier(t *model.Tree, n int, twoPhaseTop bool) Breakdown {
 			if scope.IsLeaf() {
 				continue
 			}
-			steps := bcastScopeSteps(t, scope, n, twoPhase, lvl)
-			subs = append(subs, steps...)
+			subs = append(subs, bcastScopeSteps(t, scope, n, twoPhase)...)
 		}
 		if len(subs) == 0 {
 			continue
@@ -195,7 +215,7 @@ func BcastHier(t *model.Tree, n int, twoPhaseTop bool) Breakdown {
 // two-phase exchange sends the scope's root nothing: it cut the pieces,
 // and what it sends, m−1 of them, already sets its h_{i,j}, so the
 // pieces it would get back never priced a step.
-func bcastScopeSteps(t *model.Tree, scope *model.Machine, n int, twoPhase bool, lvl int) []Step {
+func bcastScopeSteps(t *model.Tree, scope *model.Machine, n int, twoPhase bool) []Step {
 	rootPid := t.Pid(scope.Coordinator())
 	var peers []int
 	for _, child := range scope.Children {
@@ -208,8 +228,7 @@ func bcastScopeSteps(t *model.Tree, scope *model.Machine, n int, twoPhase bool, 
 				flows = append(flows, Flow{Src: rootPid, Dst: pid, Bytes: n})
 			}
 		}
-		return []Step{StepCost(t, scope,
-			fmt.Sprintf("super%d[%s] bcast-1phase", lvl, scope.Name), flows, nil)}
+		return []Step{StepCost(t, scope, fmt.Sprintf("super%d bcast-1phase", scope.Level), flows, nil)}
 	}
 	m := len(peers)
 	piece := n / m
@@ -228,8 +247,8 @@ func bcastScopeSteps(t *model.Tree, scope *model.Machine, n int, twoPhase bool, 
 		}
 	}
 	return []Step{
-		StepCost(t, scope, fmt.Sprintf("super%d[%s] bcast scatter", lvl, scope.Name), phase1, nil),
-		StepCost(t, scope, fmt.Sprintf("super%d[%s] bcast exchange", lvl, scope.Name), phase2, nil),
+		StepCost(t, scope, fmt.Sprintf("super%d bcast scatter", scope.Level), phase1, nil),
+		StepCost(t, scope, fmt.Sprintf("super%d bcast exchange", scope.Level), phase2, nil),
 	}
 }
 
@@ -269,23 +288,9 @@ func ScatterFlat(t *model.Tree, rootPid int, d Dist) Breakdown {
 func ScatterHier(t *model.Tree, d Dist) Breakdown {
 	b := Breakdown{G: t.G}
 	for lvl := t.K(); lvl >= 1; lvl-- {
-		var subs []Step
-		for _, scope := range t.MachinesAt(lvl) {
-			if scope.IsLeaf() {
-				continue
-			}
-			rootPid := t.Pid(scope.Coordinator())
-			var flows []Flow
-			for _, child := range scope.Children {
-				dst := t.Pid(child.Coordinator())
-				flows = append(flows, Flow{Src: rootPid, Dst: dst, Bytes: subtreeBytes(t, child, d)})
-			}
-			subs = append(subs, StepCost(t, scope,
-				fmt.Sprintf("super%d[%s] scatter", lvl, scope.Name), flows, nil))
-		}
-		if len(subs) > 0 {
-			b.Add(ParallelStep(fmt.Sprintf("super%d scatter", lvl), lvl, subs))
-		}
+		b.addLevel(t, lvl, "scatter", func(scope *model.Machine) ([]Flow, []float64) {
+			return childFlows(t, scope, false, func(c *model.Machine) int { return subtreeBytes(t, c, d) }), nil
+		})
 	}
 	return b
 }
@@ -343,46 +348,28 @@ func ReduceHier(t *model.Tree, d Dist, opCost float64) Breakdown {
 	// For a reduction, every machine's partial has the same width w
 	// (the reduced value size); we take w = max leaf piece as the wire
 	// unit.
-	w := 0
-	for _, v := range d {
-		if v > w {
-			w = v
-		}
-	}
+	w := slices.Max(d)
 	for lvl := 1; lvl <= t.K(); lvl++ {
-		var subs []Step
-		for _, scope := range t.MachinesAt(lvl) {
-			if scope.IsLeaf() {
-				continue
-			}
-			rootPid := t.Pid(scope.Coordinator())
-			var flows []Flow
-			for _, child := range scope.Children {
-				src := t.Pid(child.Coordinator())
-				flows = append(flows, Flow{Src: src, Dst: rootPid, Bytes: w})
-			}
-			co := scope.Coordinator()
-			work := opCost * float64(w*(len(scope.Children)-1)) * co.CompSlowdown
-			subs = append(subs, StepCost(t, scope,
-				fmt.Sprintf("super%d[%s] reduce", lvl, scope.Name), flows, []float64{work}))
-		}
-		if len(subs) > 0 {
-			b.Add(ParallelStep(fmt.Sprintf("super%d reduce", lvl), lvl, subs))
-		}
+		b.addLevel(t, lvl, "reduce", foldLevel(t, w, opCost, true))
 	}
 	return b
+}
+
+// foldLevel prices one cluster's step of a w-byte hierarchical fold: a
+// w-byte flow between the coordinators of the scope and of each child,
+// up or down, and the scope coordinator's fold of the children's m − 1
+// values.
+func foldLevel(t *model.Tree, w int, opCost float64, up bool) func(scope *model.Machine) ([]Flow, []float64) {
+	return func(scope *model.Machine) ([]Flow, []float64) {
+		work := opCost * float64(w*(len(scope.Children)-1)) * scope.Coordinator().CompSlowdown
+		return childFlows(t, scope, up, func(*model.Machine) int { return w }), []float64{work}
+	}
 }
 
 // AllReduceHier is ReduceHier followed by BcastHier of the w-byte result.
 func AllReduceHier(t *model.Tree, d Dist, opCost float64) Breakdown {
 	b := ReduceHier(t, d, opCost)
-	w := 0
-	for _, v := range d {
-		if v > w {
-			w = v
-		}
-	}
-	down := BcastHier(t, w, false)
+	down := BcastHier(t, slices.Max(d), false)
 	b.Steps = append(b.Steps, down.Steps...)
 	return b
 }
@@ -416,25 +403,7 @@ func ScanHierCost(t *model.Tree, w int, opCost float64) Breakdown {
 	}
 	b := ReduceHier(t, d, opCost)
 	for lvl := t.K(); lvl >= 1; lvl-- {
-		var subs []Step
-		for _, scope := range t.MachinesAt(lvl) {
-			if scope.IsLeaf() {
-				continue
-			}
-			rootPid := t.Pid(scope.Coordinator())
-			var flows []Flow
-			for _, child := range scope.Children {
-				dst := t.Pid(child.Coordinator())
-				flows = append(flows, Flow{Src: rootPid, Dst: dst, Bytes: w})
-			}
-			co := scope.Coordinator()
-			work := opCost * float64(w*(len(scope.Children)-1)) * co.CompSlowdown
-			subs = append(subs, StepCost(t, scope,
-				fmt.Sprintf("super%d[%s] scan-down", lvl, scope.Name), flows, []float64{work}))
-		}
-		if len(subs) > 0 {
-			b.Add(ParallelStep(fmt.Sprintf("super%d scan-down", lvl), lvl, subs))
-		}
+		b.addLevel(t, lvl, "scan-down", foldLevel(t, w, opCost, false))
 	}
 	return b
 }

@@ -32,8 +32,12 @@ type Flow struct {
 // finish the operation" (§4.3). Such a Step has Parallel set and its
 // Time is the maximum of the sub-step times.
 type Step struct {
-	// Label names the step in traces ("super1[LAN] gather", ...).
+	// Label names the step in traces ("super1 gather", ...).
 	Label string
+	// Scope is the step's scope machine M_{i,j}, nil for a parallel
+	// step: with the step's ordinal among its scope's steps it is the
+	// identity a run's step of the same scope pairs with (obsv.Join).
+	Scope *model.Machine
 	// Level is i: the level of the step's scope machine.
 	Level int
 	// Work is w_i, the largest local computation performed by a
@@ -222,19 +226,10 @@ func StepCost(t *model.Tree, scope *model.Machine, label string, flows []Flow, w
 	}
 	return Step{
 		Label: label,
+		Scope: scope,
 		Level: scope.Level,
 		Work:  w,
 		H:     HRelation(t, scope, flows),
 		Sync:  scope.SyncCost,
 	}
-}
-
-// ByLevel summarizes a breakdown per level: the summed time of every
-// step (parallel groups contribute their max, as Time defines).
-func (b Breakdown) ByLevel() map[int]float64 {
-	out := map[int]float64{}
-	for _, s := range b.Steps {
-		out[s.Level] += s.Time(b.G)
-	}
-	return out
 }

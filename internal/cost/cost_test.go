@@ -279,7 +279,7 @@ func TestBcastHierExchangeSkipsTheRootAtNoCost(t *testing.T) {
 					continue
 				}
 				for _, n := range []int{768, 7777, 64 << 10} {
-					steps := bcastScopeSteps(tc.tr, scope, n, true, lvl)
+					steps := bcastScopeSteps(tc.tr, scope, n, true)
 					piece := n / len(scope.Children)
 					var allPairs []Flow
 					for _, src := range scope.Children {
@@ -471,21 +471,5 @@ func TestTable1RendersAllSymbols(t *testing.T) {
 	}
 	if !strings.Contains(out, "m_2=1") {
 		t.Errorf("Table 1 values not rendered:\n%s", out)
-	}
-}
-
-func TestByLevelSumsToTotal(t *testing.T) {
-	tr := model.Figure1Cluster()
-	b := GatherHier(tr, BalancedDist(tr, 50000))
-	per := b.ByLevel()
-	sum := 0.0
-	for _, v := range per {
-		sum += v
-	}
-	if math.Abs(sum-b.Total()) > 1e-9 {
-		t.Errorf("per-level sum %v != total %v", sum, b.Total())
-	}
-	if per[1] <= 0 || per[2] <= 0 {
-		t.Errorf("levels missing: %v", per)
 	}
 }

@@ -103,12 +103,6 @@ func (f *Fabric) Config() Config { return f.cfg }
 
 // StepResult is the charged cost of one executed super^i-step.
 type StepResult struct {
-	// Label names the step; ScopeLabel is the M_{i,j} of its scope.
-	Label      string
-	ScopeLabel string
-	ScopeName  string
-	// Level is i.
-	Level int
 	// W is w_i including pack/unpack overheads; H the heterogeneous
 	// h-relation; Comm the charged communication time g·H; Sync is L.
 	W, H, Comm, Sync float64
@@ -130,14 +124,8 @@ type StepResult struct {
 // accrued, already expressed in fastest-machine time units. Flows whose
 // source equals their destination are free (§5.2: a processor does not
 // send data to itself).
-func (f *Fabric) StepCost(scope *model.Machine, label string, flows []cost.Flow, work map[int]float64) StepResult {
-	res := StepResult{
-		Label:      label,
-		ScopeLabel: scope.Label(),
-		ScopeName:  scope.Name,
-		Level:      scope.Level,
-		Sync:       scope.SyncCost,
-	}
+func (f *Fabric) StepCost(scope *model.Machine, flows []cost.Flow, work map[int]float64) StepResult {
+	res := StepResult{Sync: scope.SyncCost}
 
 	// Message combining: collapse same-(src,dst) flows before charging.
 	if f.cfg.CombineMessages {

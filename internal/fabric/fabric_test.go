@@ -21,7 +21,7 @@ func pair(rSlow float64, L float64) *model.Tree {
 func TestPureModelMatchesEquationOne(t *testing.T) {
 	tr := pair(3, 7)
 	f := New(tr, PureModel())
-	res := f.StepCost(tr.Root, "s", []cost.Flow{{Src: 1, Dst: 0, Bytes: 100}},
+	res := f.StepCost(tr.Root, []cost.Flow{{Src: 1, Dst: 0, Bytes: 100}},
 		map[int]float64{0: 5, 1: 2})
 	// T = w + g·h + L = 5 + 1·300 + 7.
 	if res.W != 5 || res.H != 300 || res.Comm != 300 || res.Sync != 7 || res.Time != 312 {
@@ -36,7 +36,7 @@ func TestPureModelMatchesEquationOne(t *testing.T) {
 func TestSelfSendIsFree(t *testing.T) {
 	tr := pair(3, 0)
 	f := New(tr, PVM())
-	res := f.StepCost(tr.Root, "s", []cost.Flow{{Src: 0, Dst: 0, Bytes: 1000}}, nil)
+	res := f.StepCost(tr.Root, []cost.Flow{{Src: 0, Dst: 0, Bytes: 1000}}, nil)
 	if res.Time != 0 || res.Flows != 0 || res.Bytes != 0 {
 		t.Errorf("self-send charged: %+v", res)
 	}
@@ -47,12 +47,12 @@ func TestPackUnpackChargedAsScaledWork(t *testing.T) {
 	f := New(tr, Config{PackByte: 0.5, UnpackByte: 0.25})
 	// slow (comp 4) sends 100 bytes to fast (comp 1):
 	// pack on slow = 0.5·100·4 = 200; unpack on fast = 0.25·100·1 = 25.
-	res := f.StepCost(tr.Root, "s", []cost.Flow{{Src: 1, Dst: 0, Bytes: 100}}, nil)
+	res := f.StepCost(tr.Root, []cost.Flow{{Src: 1, Dst: 0, Bytes: 100}}, nil)
 	if res.W != 200 {
 		t.Errorf("W = %v, want 200 (slow machine's pack dominates)", res.W)
 	}
 	// And the reverse direction: pack on fast = 50, unpack on slow = 100.
-	res = f.StepCost(tr.Root, "s", []cost.Flow{{Src: 0, Dst: 1, Bytes: 100}}, nil)
+	res = f.StepCost(tr.Root, []cost.Flow{{Src: 0, Dst: 1, Bytes: 100}}, nil)
 	if res.W != 100 {
 		t.Errorf("W = %v, want 100 (slow machine's unpack dominates)", res.W)
 	}
@@ -67,9 +67,9 @@ func TestPackExceedsUnpackReproducesP2Anomaly(t *testing.T) {
 	n := 500000
 	half := n / 2
 	// Root = fast: slow sends to fast.
-	tf := f.StepCost(tr.Root, "gather", []cost.Flow{{Src: 1, Dst: 0, Bytes: half}}, nil).Time
+	tf := f.StepCost(tr.Root, []cost.Flow{{Src: 1, Dst: 0, Bytes: half}}, nil).Time
 	// Root = slow: fast sends to slow.
-	ts := f.StepCost(tr.Root, "gather", []cost.Flow{{Src: 0, Dst: 1, Bytes: half}}, nil).Time
+	ts := f.StepCost(tr.Root, []cost.Flow{{Src: 0, Dst: 1, Bytes: half}}, nil).Time
 	if ts >= tf {
 		t.Errorf("T_s = %v should be below T_f = %v at p=2", ts, tf)
 	}
@@ -78,16 +78,16 @@ func TestPackExceedsUnpackReproducesP2Anomaly(t *testing.T) {
 func TestNoiseOnlySlowsAndIsDeterministic(t *testing.T) {
 	tr := pair(2, 10)
 	flows := []cost.Flow{{Src: 1, Dst: 0, Bytes: 1000}}
-	base := New(tr, PureModel()).StepCost(tr.Root, "s", flows, nil).Time
-	pvm := New(tr, PVM()).StepCost(tr.Root, "s", flows, nil).Time
+	base := New(tr, PureModel()).StepCost(tr.Root, flows, nil).Time
+	pvm := New(tr, PVM()).StepCost(tr.Root, flows, nil).Time
 	a := New(tr, PVMNoisy(0.3, 42))
 	b := New(tr, PVMNoisy(0.3, 42))
 	c := New(tr, PVMNoisy(0.3, 7))
 	var ta, tb, tc float64
 	for i := 0; i < 200; i++ {
-		ta = a.StepCost(tr.Root, "s", flows, nil).Time
-		tb = b.StepCost(tr.Root, "s", flows, nil).Time
-		tc = c.StepCost(tr.Root, "s", flows, nil).Time
+		ta = a.StepCost(tr.Root, flows, nil).Time
+		tb = b.StepCost(tr.Root, flows, nil).Time
+		tc = c.StepCost(tr.Root, flows, nil).Time
 		if ta != tb {
 			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, ta, tb)
 		}
@@ -107,7 +107,7 @@ func TestNoiseOnlySlowsAndIsDeterministic(t *testing.T) {
 func TestWorkWithoutFlows(t *testing.T) {
 	tr := pair(2, 3)
 	f := New(tr, PureModel())
-	res := f.StepCost(tr.Root, "compute", nil, map[int]float64{0: 11, 1: 7})
+	res := f.StepCost(tr.Root, nil, map[int]float64{0: 11, 1: 7})
 	if res.Time != 11+3 {
 		t.Errorf("T = %v, want 14", res.Time)
 	}
@@ -128,7 +128,7 @@ func TestPropertyPureModelEquation(t *testing.T) {
 			})
 		}
 		work := map[int]float64{rng.Intn(p): rng.Float64() * 100}
-		res := fb.StepCost(tr.Root, "s", flows, work)
+		res := fb.StepCost(tr.Root, flows, work)
 		want := res.W + tr.G*cost.HRelation(tr, tr.Root, flows) + tr.Root.SyncCost
 		return math.Abs(res.Time-want) < 1e-9
 	}

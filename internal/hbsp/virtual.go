@@ -469,7 +469,7 @@ func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
 		st.undelivered = append(st.undelivered, r.outbox...)
 	}
 	deliver := v.route(st, scope, stepIdx, start)
-	res, end := v.charge(st, scope, label, deliver, works, pids, start)
+	res, end := v.charge(st, scope, deliver, works, pids, start)
 	v.deliver(ctxs, pids, deliver, stepIdx, end)
 
 	var ckptCost map[int]float64
@@ -533,7 +533,7 @@ func (v *Virtual) route(st *runState, scope *model.Machine, stepIdx int, now flo
 // charge costs the step on the fabric and reports the model's view of
 // it. Dropped messages still consumed bandwidth; duplicates consume it
 // twice.
-func (v *Virtual) charge(st *runState, scope *model.Machine, label string, deliver []pendingMsg,
+func (v *Virtual) charge(st *runState, scope *model.Machine, deliver []pendingMsg,
 	works map[int]float64, pids []int, start float64) (res fabric.StepResult, end float64) {
 	var flows []cost.Flow
 	for _, m := range deliver {
@@ -541,7 +541,7 @@ func (v *Virtual) charge(st *runState, scope *model.Machine, label string, deliv
 			flows = append(flows, cost.Flow{Src: m.src, Dst: m.dst, Bytes: len(m.payload)})
 		}
 	}
-	res = v.fab.StepCost(scope, label, flows, works)
+	res = v.fab.StepCost(scope, flows, works)
 	end = start + res.Time
 	v.Obsv.HRelation(res.H)
 	for _, pid := range pids {

@@ -73,43 +73,108 @@ func AttribTable(title string, rows []AttribRow) *trace.Table {
 	return tb
 }
 
-// AttributeBreakdown joins a closed-form cost.Breakdown (the analytic
-// prediction for a whole collective) against a measured trace.Report,
-// step by step in execution order. Extra steps on either side render
-// with a "-" partner, so a step-count mismatch is visible rather than
-// silently truncated.
+// Pair is one superstep of a Join: the closed form's step and the run's
+// step of the same scope and the same ordinal among that scope's steps.
+// A step one side has and the other lacks leaves its partner nil.
+type Pair struct {
+	// Scope is the scope machine's M_{i,j}; Ordinal counts the scope's
+	// earlier steps on the pair's side.
+	Scope   string
+	Ordinal int
+	Pred    *cost.Step
+	Run     *trace.Step
+}
+
+// Joined is a closed form set beside a run superstep by superstep.
+type Joined struct {
+	G     float64
+	Pairs []Pair
+	// Tail is the run's work after its last Sync, rep.Total minus the
+	// latest step End: the run's total holds it, none of its steps do.
+	Tail float64
+	// Pred and Run are the two totals, bd.Total() and rep.Total.
+	Pred, Run float64
+}
+
+// Join pairs a closed form's steps with a run's (DESIGN §5.9). A
+// Parallel step flattens into its per-scope sub-steps, which run at the
+// same time, as the run's steps of those scopes do; each step then pairs
+// with the other side's step of the same scope and ordinal within that
+// scope. Pairs come in the closed form's order, then the run's steps the
+// closed form does not price, in run order: no step is dropped.
+func Join(bd cost.Breakdown, rep *trace.Report) Joined {
+	j := Joined{G: bd.G, Pred: bd.Total(), Run: rep.Total}
+	priced := map[string][]int{} // each scope's priced steps, as indices into j.Pairs
+	for _, s := range flatten(bd.Steps) {
+		scope := s.Scope.Label()
+		priced[scope] = append(priced[scope], len(j.Pairs))
+		j.Pairs = append(j.Pairs, Pair{Scope: scope, Ordinal: len(priced[scope]) - 1, Pred: s})
+	}
+	ran := map[string]int{}
+	end := 0.0
+	for i := range rep.Steps {
+		s := &rep.Steps[i]
+		ord := ran[s.ScopeLabel]
+		ran[s.ScopeLabel]++
+		end = max(end, s.End)
+		if at := priced[s.ScopeLabel]; ord < len(at) {
+			j.Pairs[at[ord]].Run = s
+		} else {
+			j.Pairs = append(j.Pairs, Pair{Scope: s.ScopeLabel, Ordinal: ord, Run: s})
+		}
+	}
+	j.Tail = rep.Total - end
+	return j
+}
+
+// flatten returns a breakdown's per-scope steps, each Parallel step
+// replaced by its sub-steps.
+func flatten(steps []cost.Step) []*cost.Step {
+	var out []*cost.Step
+	for i := range steps {
+		if s := &steps[i]; len(s.Parallel) > 0 {
+			out = append(out, flatten(s.Parallel)...)
+		} else {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// AttributeBreakdown renders Join(bd, rep) term by term: each pair's w,
+// g·h, L and T as the closed form prices them beside what the run
+// charged, a "-" for an unpaired step's missing partner, the run's work
+// after its last Sync, and the totals, whose ratio is rep.Total ÷
+// bd.Total().
 func AttributeBreakdown(title string, bd cost.Breakdown, rep *trace.Report) *trace.Table {
-	tb := trace.NewTable(title,
-		"#", "predicted step", "T_pred", "measured step", "T_meas", "meas/pred")
-	n := len(bd.Steps)
-	if len(rep.Steps) > n {
-		n = len(rep.Steps)
-	}
-	var predSum, measSum float64
-	for i := 0; i < n; i++ {
-		pl, pv, ml, mv := "-", "-", "-", "-"
-		ratio := "-"
-		var pt, mt float64
-		if i < len(bd.Steps) {
-			pt = bd.Steps[i].Time(bd.G)
-			pl, pv = bd.Steps[i].Label, fmt.Sprintf("%.4g", pt)
-			predSum += pt
+	j := Join(bd, rep)
+	tb := trace.NewTable(title, "scope", "#", "step",
+		"w pred", "w run", "g*h pred", "g*h run", "L pred", "L run", "T pred", "T run", "run/pred")
+	num := func(v float64) string { return fmt.Sprintf("%.4g", v) }
+	ratio := func(run, pred float64) string {
+		if pred > 0 {
+			return fmt.Sprintf("%.3f", run/pred)
 		}
-		if i < len(rep.Steps) {
-			mt = rep.Steps[i].Time
-			ml, mv = rep.Steps[i].Label, fmt.Sprintf("%.4g", mt)
-			measSum += mt
-		}
-		if i < len(bd.Steps) && i < len(rep.Steps) && pt > 0 {
-			ratio = fmt.Sprintf("%.3f", mt/pt)
-		}
-		tb.Add(fmt.Sprintf("%d", i), pl, pv, ml, mv, ratio)
+		return "-"
 	}
-	total := "-"
-	if predSum > 0 {
-		total = fmt.Sprintf("%.3f", measSum/predSum)
+	for _, p := range j.Pairs {
+		pred, run := [4]string{"-", "-", "-", "-"}, [4]string{"-", "-", "-", "-"}
+		label, r := "", "-"
+		if s := p.Run; s != nil {
+			label = s.Label
+			run = [4]string{num(s.W), num(s.Comm), num(s.Sync), num(s.Time)}
+		}
+		if s := p.Pred; s != nil {
+			label = s.Label
+			pred = [4]string{num(s.Work), num(j.G * s.H), num(s.Sync), num(s.Time(j.G))}
+			if p.Run != nil {
+				r = ratio(p.Run.Time, s.Time(j.G))
+			}
+		}
+		tb.Add(p.Scope, fmt.Sprintf("%d", p.Ordinal), label,
+			pred[0], run[0], pred[1], run[1], pred[2], run[2], pred[3], run[3], r)
 	}
-	tb.Add("", "total", fmt.Sprintf("%.4g", predSum),
-		"", fmt.Sprintf("%.4g", measSum), total)
+	tb.Add("", "", "after last Sync", "", num(j.Tail), "", "", "", "", "", num(j.Tail), "")
+	tb.Add("", "", "total", "", "", "", "", "", "", num(j.Pred), num(j.Run), ratio(j.Run, j.Pred))
 	return tb
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hbspk/internal/cost"
+	"hbspk/internal/model"
 	"hbspk/internal/trace"
 )
 
@@ -253,24 +254,67 @@ func TestAttributeRatio(t *testing.T) {
 	}
 }
 
-func TestAttributeBreakdownStepMismatch(t *testing.T) {
+// TestJoinPairsByScope pairs steps by (scope, ordinal): an unpaired
+// step on either side is kept, and sibling clusters' steps, which run at
+// the same time, join a Parallel closed-form step at its own time.
+func TestJoinPairsByScope(t *testing.T) {
 	t.Parallel()
-	bd := cost.Breakdown{G: 1, Steps: []cost.Step{
-		{Label: "up", Work: 5, H: 3},
-	}}
-	rep := &trace.Report{Steps: []trace.Step{
-		{Label: "up", Time: 9},
-		{Label: "extra", Time: 2},
-	}}
-	out := AttributeBreakdown("t", bd, rep).String()
-	// The unmatched measured step renders with "-" prediction partners
-	// instead of being dropped.
-	if !strings.Contains(out, "extra") {
-		t.Errorf("extra measured step dropped:\n%s", out)
-	}
-	if !strings.Contains(out, "1.125") { // 9 / (5+3)
-		t.Errorf("ratio for matched step missing:\n%s", out)
-	}
+	tr := model.Figure1Cluster()
+	root, smp, lan := tr.Root, tr.Root.Children[0], tr.Root.Children[2]
+	total := func(tb *trace.Table) string { return tb.Rows[len(tb.Rows)-1][len(tb.Header)-1] }
+
+	t.Run("unpaired", func(t *testing.T) {
+		bd := cost.Breakdown{G: 1, Steps: []cost.Step{
+			{Label: "up", Scope: root, Work: 5, H: 3},
+			{Label: "down", Scope: root, H: 2},
+		}}
+		rep := &trace.Report{Steps: []trace.Step{
+			{Label: "up", ScopeLabel: root.Label(), Time: 9, End: 9},
+			{Label: "extra", ScopeLabel: smp.Label(), Time: 2, Start: 9, End: 11},
+		}, Total: 12}
+		j := Join(bd, rep)
+		var got []string
+		for _, p := range j.Pairs {
+			got = append(got, fmt.Sprintf("%s#%d %v/%v", p.Scope, p.Ordinal, p.Pred != nil, p.Run != nil))
+		}
+		want := []string{
+			root.Label() + "#0 true/true",
+			root.Label() + "#1 true/false",
+			smp.Label() + "#0 false/true",
+		}
+		if strings.Join(got, ", ") != strings.Join(want, ", ") {
+			t.Errorf("pairs %v, want %v", got, want)
+		}
+		if j.Tail != 1 {
+			t.Errorf("tail %v, want 1: rep.Total 12 less the last End 11", j.Tail)
+		}
+		out := AttributeBreakdown("t", bd, rep).String()
+		for _, want := range []string{"extra", "down", "1.125"} { // 9 ÷ (5+3)
+			if !strings.Contains(out, want) {
+				t.Errorf("table lacks %q:\n%s", want, out)
+			}
+		}
+	})
+
+	t.Run("parallel", func(t *testing.T) {
+		bd := cost.Breakdown{G: 1, Steps: []cost.Step{cost.ParallelStep("super1 gather", 1, []cost.Step{
+			{Scope: smp, H: 100, Sync: 5},
+			{Scope: lan, H: 300, Sync: 20},
+		})}}
+		rep := &trace.Report{Steps: []trace.Step{
+			{ScopeLabel: smp.Label(), Comm: 100, Sync: 5, Time: 105, End: 105},
+			{ScopeLabel: lan.Label(), Comm: 300, Sync: 20, Time: 320, End: 320},
+		}, Total: 320}
+		for _, p := range Join(bd, rep).Pairs {
+			if p.Pred == nil || p.Run == nil || p.Pred.Time(1) != p.Run.Time {
+				t.Errorf("%s#%d: priced %+v, run %+v", p.Scope, p.Ordinal, p.Pred, p.Run)
+			}
+		}
+		tb := AttributeBreakdown("t", bd, rep)
+		if got := total(tb); got != "1.000" {
+			t.Errorf("total reads %s, want 1.000:\n%s", got, tb)
+		}
+	})
 }
 
 func TestEventDur(t *testing.T) {

@@ -53,17 +53,6 @@ type Report struct {
 // Supersteps returns the number of executed steps.
 func (r *Report) Supersteps() int { return len(r.Steps) }
 
-// AtLevel returns the steps whose scope sits at level i.
-func (r *Report) AtLevel(i int) []Step {
-	var out []Step
-	for _, s := range r.Steps {
-		if s.Level == i {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // BytesMoved sums the traffic over all steps.
 func (r *Report) BytesMoved() int {
 	n := 0
@@ -71,24 +60,6 @@ func (r *Report) BytesMoved() int {
 		n += s.Bytes
 	}
 	return n
-}
-
-// CommTime sums the communication charges over all steps.
-func (r *Report) CommTime() float64 {
-	t := 0.0
-	for _, s := range r.Steps {
-		t += s.Comm
-	}
-	return t
-}
-
-// SyncTime sums the synchronization charges over all steps.
-func (r *Report) SyncTime() float64 {
-	t := 0.0
-	for _, s := range r.Steps {
-		t += s.Sync
-	}
-	return t
 }
 
 // String renders the run as an ASCII profile.

@@ -28,18 +28,6 @@ func TestReportAggregates(t *testing.T) {
 	if r.BytesMoved() != 350 {
 		t.Errorf("BytesMoved = %d, want 350", r.BytesMoved())
 	}
-	if r.CommTime() != 600 {
-		t.Errorf("CommTime = %v, want 600", r.CommTime())
-	}
-	if r.SyncTime() != 55 {
-		t.Errorf("SyncTime = %v, want 55", r.SyncTime())
-	}
-	if got := r.AtLevel(2); len(got) != 1 || got[0].Label != "up" {
-		t.Errorf("AtLevel(2) = %v", got)
-	}
-	if got := r.AtLevel(3); got != nil {
-		t.Errorf("AtLevel(3) = %v, want nil", got)
-	}
 }
 
 func TestReportString(t *testing.T) {
