@@ -75,23 +75,30 @@ timed 30 "churn+reorg soak" go test -race -count=1 -run 'ChurnReorgSoak' ./inter
 # (TestPlannerPicksBestFixed), cached dispatch stays within 5% of a
 # direct call (TestPlannedDispatchWithinDirect), both engines pick alike
 # (TestPlannedPicksAgreeAcrossEngines), every cost-table row's catalogue
-# program joins the row's closed form step by step on Virtual, each step
-# paired by scope and its total within the row's pinned gap
-# (TestEveryRowRunsWhatItPrices) — then an hbspk-sim run that
-# dispatches through the planner and prints its decision table, on the
-# flat testbed and on the grid, and the hierarchical broadcast on
-# figure1, an exact row, whose closed-form attribution must total 1.000.
+# program equals the row's closed form on Virtual in every term of every
+# step, paired by scope, and in the work after its last Sync
+# (TestEveryRowRunsWhatItPrices) — then, from one build, an hbspk-sim
+# run that dispatches through the planner and prints its decision
+# table, on the flat testbed and on the grid, and every priced entry
+# (the ones hbspk-predict takes) on the grid, whose closed-form
+# attribution must total 1.000.
 planner_checks() {
 	go test -count=1 -run 'PlannerPicksBestFixed|PlannedDispatchWithinDirect|PlannedPicksAgreeAcrossEngines|EveryRowRunsWhatItPrices' ./internal/plan ./internal/catalog
+	bin=$(mktemp -d)
+	go build -o "$bin" ./cmd/hbspk-sim ./cmd/hbspk-predict
 	for machine in ucf grid; do
-		go run ./cmd/hbspk-sim -machine "$machine" -collective auto -n 200000 -rounds 4 -pure
+		"$bin/hbspk-sim" -machine "$machine" -collective auto -n 200000 -rounds 4 -pure
 	done
-	total=$(go run ./cmd/hbspk-sim -machine figure1 -collective bcast-hier -pure -attrib |
-		sed -n '/closed-form/,$p' | awk '$1 == "total" { print $NF }')
-	[ "$total" = 1.000 ] || {
-		echo "planner gates: figure1 bcast-hier's closed-form total reads '$total', want 1.000" >&2
-		return 1
-	}
+	for coll in $("$bin/hbspk-predict" -h 2>&1 | sed -n '/-collective/{n;s/ (default.*//;s/,//g;p;}'); do
+		total=$("$bin/hbspk-sim" -machine grid -collective "$coll" -pure -attrib |
+			sed -n '/closed-form/,$p' | awk '$1 == "total" { print $NF }')
+		[ "$total" = 1.000 ] || {
+			echo "planner gates: grid $coll's closed-form total reads '$total', want 1.000" >&2
+			rm -rf "$bin"
+			return 1
+		}
+	done
+	rm -rf "$bin"
 }
 timed 30 "planner gates and smokes" planner_checks
 

@@ -8,8 +8,8 @@
 // A program builds its row's inputs the way the row prices them, and
 // this file is the one place that says how: the root is the fastest
 // leaf, byte rows take cost.BalancedDist bytes, and vector rows take
-// n/(8p)-element vectors. TestEveryRowRunsWhatItPrices joins the two
-// sides.
+// plan.VecLen-element vectors. TestEveryRowRunsWhatItPrices joins the
+// two sides.
 package catalog
 
 import (
@@ -81,10 +81,6 @@ func Names(priced bool) string {
 
 // root is the pid every rooted program roots at: the fastest leaf.
 func root(tr *model.Tree) int { return tr.Pid(tr.FastestLeaf()) }
-
-// vecLen is the element count of each processor's vector in a vector
-// row: n/(8p), at least one.
-func vecLen(tr *model.Tree, n int) int { return max(1, n/8/tr.NProcs()) }
 
 // Entries returns the catalogue: the cost-table rows in table order,
 // then the programs no row prices.
@@ -225,11 +221,11 @@ func Scatter(run collective.ScatterCall) Builder {
 	}
 }
 
-// Vector: each processor holds an n/(8p)-element vector, folded with
-// collective.Sum.
+// Vector: each processor holds a plan.VecLen-element vector, folded
+// with collective.Sum.
 func Vector(run collective.VectorCall) Builder {
 	return func(tr *model.Tree, a Args) hbsp.Program {
-		l := vecLen(tr, a.N)
+		l := plan.VecLen(tr, a.N)
 		return func(c hbsp.Ctx) error {
 			out, err := run(c, make([]int64, l), collective.Sum)
 			if out != nil {

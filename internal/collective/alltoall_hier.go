@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"hbspk/internal/cost"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
@@ -155,11 +156,11 @@ type envelope struct {
 func packEnvelopes(es []envelope) []byte {
 	n := 0
 	for _, e := range es {
-		n += 4*5 + len(e.data) // two packed int32s, two byte-slice prefixes
+		n += 2*cost.PieceHeader + len(e.data)
 	}
 	buf := pvm.Wrap(make([]byte, 0, n))
 	for _, e := range es {
-		buf.PackInt32(int32(e.src)).PackBytesHeader(5 + 5 + len(e.data)).
+		buf.PackInt32(int32(e.src)).PackBytesHeader(cost.PieceHeader + len(e.data)).
 			PackInt32(int32(e.dst)).PackBytes(e.data)
 	}
 	return buf.Bytes()

@@ -168,10 +168,7 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 		// The step moves data between the coordinators of scope's
 		// children; only those processors exchange, everyone under the
 		// scope synchronizes.
-		var coords []int
-		for _, child := range scope.Children {
-			coords = append(coords, t.Pid(child.Coordinator()))
-		}
+		coords := childCoords(t, scope)
 		amCoord := indexOf(coords, c.Pid()) >= 0
 
 		if !twoPhase {
@@ -198,18 +195,9 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 		}
 
 		// Two-phase among the child coordinators.
-		m := len(coords)
 		var pieces [][]byte
 		if c.Pid() == rootPid {
-			sizes := make(Dist, m)
-			q, r := len(have)/m, len(have)%m
-			for i := range sizes {
-				sizes[i] = q
-				if i < r {
-					sizes[i]++
-				}
-			}
-			pieces = sizes.cut(have)
+			pieces = equalCut(len(have), len(coords)).cut(have)
 			for i, pid := range coords {
 				if pid != rootPid {
 					if err := c.Send(pid, tagBcast, pieces[i]); err != nil {

@@ -27,6 +27,7 @@ package collective
 import (
 	"fmt"
 
+	"hbspk/internal/cost"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
@@ -99,7 +100,7 @@ func (f *framed) add(pid int, piece []byte) { f.entries = append(f.entries, pidP
 func (f *framed) bytes() []byte {
 	n := 0
 	for _, e := range f.entries {
-		n += 5 + 5 + len(e.data) // a packed int32, a byte-slice prefix
+		n += cost.PieceHeader + len(e.data)
 	}
 	buf := pvm.Wrap(make([]byte, 0, n))
 	for _, e := range f.entries {
@@ -134,7 +135,12 @@ type Dist []int
 // EqualPieces splits n bytes evenly over the participants of the scope
 // (c_j = 1/p), leftovers to the lowest indexes.
 func EqualPieces(c hbsp.Ctx, scope *model.Machine, n int) Dist {
-	p := len(scope.Leaves())
+	return equalCut(n, len(scope.Leaves()))
+}
+
+// equalCut splits n into p pieces as evenly as possible, the first
+// n mod p of them one longer.
+func equalCut(n, p int) Dist {
 	d := make(Dist, p)
 	q, r := n/p, n%p
 	for i := range d {

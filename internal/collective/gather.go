@@ -99,6 +99,16 @@ func enclosingScope(t *model.Tree, leaf *model.Machine, lvl int) *model.Machine 
 	return m
 }
 
+// childCoords returns the pids of the coordinators of scope's children,
+// in child order.
+func childCoords(t *model.Tree, scope *model.Machine) []int {
+	coords := make([]int, len(scope.Children))
+	for i, child := range scope.Children {
+		coords[i] = t.Pid(child.Coordinator())
+	}
+	return coords
+}
+
 type pidPiece struct {
 	pid  int
 	data []byte

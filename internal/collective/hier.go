@@ -51,35 +51,30 @@ func AllGatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 // leaf slots (a hierarchical sweep cannot order by pid once subtrees
 // hold non-contiguous pid sets; callers needing strict pid order use
 // the flat Scan). The algorithm is two hierarchical sweeps: an upward
-// sweep in which every cluster
-// coordinator folds its children's subtree totals (keeping the partial
-// prefixes), and a downward sweep distributing each subtree's inbound
-// offset. No identity element is required: the first subtree simply
-// receives no offset. Every processor returns its prefix.
+// sweep in which every cluster coordinator folds its children's subtree
+// totals, which arrive as bare vectors named by their sender, and a
+// downward sweep in which each coordinator runs the prefix across its
+// children: a cluster child gets the fold of everything left of it, its
+// offset, and a leaf child its own inclusive prefix, its result. No
+// identity element is required: the tree's first subtree is sent
+// nothing. Every processor returns its prefix.
 func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 	defer hbsp.Span(c, "scan-hier")(8 * len(local))
 	t := c.Tree()
-	// Upward sweep: totals[lvl] is the subtree total this processor
-	// carries as the coordinator of its level-(lvl-1) position; childAgg
-	// records, per level, the children totals needed for the downward
-	// sweep (only at coordinators).
-	total := append([]int64(nil), local...)
-	childTotals := make(map[int][][]int64) // level → totals of scope children, child order
+	// Upward sweep: total is the subtree total this processor carries;
+	// childTotals keeps, per level, the totals of the scope's children
+	// in child order (only at coordinators), for the downward sweep.
+	total := local
+	childTotals := make(map[int][][]int64)
 	for lvl := 1; lvl <= t.K(); lvl++ {
 		scope := enclosingScope(t, c.Self(), lvl)
 		if scope == nil {
 			continue
 		}
 		rootPid := t.Pid(scope.Coordinator())
-		// Which child of scope does this processor represent?
-		var coords []int
-		for _, child := range scope.Children {
-			coords = append(coords, t.Pid(child.Coordinator()))
-		}
-		if me := indexOf(coords, c.Pid()); me >= 0 && c.Pid() != rootPid {
-			f := newFrame()
-			f.add(me, packVec(total))
-			if err := c.Send(rootPid, tagScanUp, f.bytes()); err != nil {
+		coords := childCoords(t, scope)
+		if indexOf(coords, c.Pid()) >= 0 && c.Pid() != rootPid {
+			if err := c.Send(rootPid, tagScanUp, packVec(total)); err != nil {
 				return nil, err
 			}
 		}
@@ -90,35 +85,20 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 			parts := make([][]int64, len(coords))
 			parts[indexOf(coords, rootPid)] = total
 			for _, m := range c.Moves() {
-				if m.Tag != tagScanUp {
-					continue
-				}
-				var perr error
-				if err := eachPiece(m.Payload, func(idx int, piece []byte) {
-					v, err := unpackVec(piece)
+				if i := indexOf(coords, m.Src); m.Tag == tagScanUp && i >= 0 {
+					v, err := unpackVec(m.Payload)
 					if err != nil {
-						perr = err
-						return
+						return nil, err
 					}
-					parts[idx] = v
-				}); err != nil {
-					return nil, err
-				}
-				if perr != nil {
-					return nil, perr
+					parts[i] = v
 				}
 			}
 			childTotals[lvl] = parts
 			// Fold children totals in child order into the new subtree
 			// total.
-			var acc []int64
-			for _, part := range parts {
-				if part == nil {
-					return nil, fmt.Errorf("collective: scan missing a child total at level %d", lvl)
-				}
-				if acc == nil {
-					acc = append([]int64(nil), part...)
-				} else if err := op.combine(c, acc, part); err != nil {
+			acc := append([]int64(nil), parts[0]...)
+			for _, part := range parts[1:] {
+				if err := op.combine(c, acc, part); err != nil {
 					return nil, err
 				}
 			}
@@ -127,58 +107,50 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 	}
 
 	// Downward sweep: offset is the fold of everything left of this
-	// processor's current subtree; nil means "nothing to the left".
+	// processor's current subtree, nil when nothing is; out is its
+	// result, its own vector until a prefix replaces it.
 	var offset []int64
-	haveOffset := false
+	out := local
 	for lvl := t.K(); lvl >= 1; lvl-- {
 		scope := enclosingScope(t, c.Self(), lvl)
 		if scope == nil {
 			continue
 		}
 		rootPid := t.Pid(scope.Coordinator())
-		var coords []int
-		for _, child := range scope.Children {
-			coords = append(coords, t.Pid(child.Coordinator()))
-		}
+		coords := childCoords(t, scope)
 		if c.Pid() == rootPid {
-			parts := childTotals[lvl]
-			// Running prefix across children, starting from the
-			// inbound offset.
+			// run is the fold of everything left of the next child, nil
+			// while nothing is.
 			run := offset
-			haveRun := haveOffset
-			for i, pid := range coords {
-				if pid != rootPid && haveRun {
-					f := newFrame()
-					f.add(i, packVec(run))
-					if err := c.Send(pid, tagScanDown, f.bytes()); err != nil {
-						return nil, err
-					}
-				}
-				if i == indexOf(coords, rootPid) {
-					// The coordinator's own inbound offset.
-					if haveRun {
-						offset = append([]int64(nil), run...)
-						haveOffset = true
-					} else {
-						haveOffset = false
-						offset = nil
-					}
-				}
-				// Advance the running prefix past child i.
-				if !haveRun {
-					run = append([]int64(nil), parts[i]...)
-					haveRun = true
+			for i, child := range scope.Children {
+				left := run
+				if left == nil {
+					run = childTotals[lvl][i]
 				} else {
-					run = append([]int64(nil), run...)
-					if err := op.combine(c, run, parts[i]); err != nil {
+					run = append([]int64(nil), left...)
+					if err := op.combine(c, run, childTotals[lvl][i]); err != nil {
 						return nil, err
 					}
+				}
+				// A cluster child gets its offset, a leaf child its own
+				// inclusive prefix.
+				prefix := left
+				if child.IsLeaf() {
+					prefix = run
+				}
+				switch {
+				case coords[i] != rootPid:
+					if left != nil {
+						if err := c.Send(coords[i], tagScanDown, packVec(prefix)); err != nil {
+							return nil, err
+						}
+					}
+				case child.IsLeaf():
+					out = prefix
+				default:
+					offset = prefix
 				}
 			}
-			// Children left of the coordinator received offsets above;
-			// but a child with no left-neighbors got none (correct).
-			// Children are notified even when the coordinator sits
-			// right of them, because the loop sends before advancing.
 		}
 		if err := c.Sync(scope, scanDownLabel.at(lvl)); err != nil {
 			return nil, err
@@ -188,35 +160,19 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 				if m.Tag != tagScanDown {
 					continue
 				}
-				var perr error
-				if err := eachPiece(m.Payload, func(_ int, piece []byte) {
-					v, err := unpackVec(piece)
-					if err != nil {
-						perr = err
-						return
-					}
-					offset = v
-					haveOffset = true
-				}); err != nil {
+				v, err := unpackVec(m.Payload)
+				if err != nil {
 					return nil, err
 				}
-				if perr != nil {
-					return nil, perr
+				if c.Self().Parent() == scope {
+					out = v
+				} else {
+					offset = v
 				}
 			}
 		}
 	}
-
-	out := append([]int64(nil), local...)
-	if haveOffset {
-		// result = offset ⊕ local (offset on the left).
-		res := append([]int64(nil), offset...)
-		if err := op.combine(c, res, out); err != nil {
-			return nil, err
-		}
-		out = res
-	}
-	return out, nil
+	return append([]int64(nil), out...), nil
 }
 
 // ReduceScatter folds every processor's vector element-wise and leaves

@@ -7,7 +7,6 @@ import (
 	"hbspk/internal/cost"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
-	"hbspk/internal/pvm"
 )
 
 const (
@@ -57,30 +56,39 @@ func (op Op) combine(c hbsp.Ctx, dst, src []int64) error {
 }
 
 // fold folds a vector packed by packVec into acc element-wise, straight
-// from the packed bytes, charging the combining cost like combine.
+// from the payload, charging the combining cost like combine.
 func (op Op) fold(c hbsp.Ctx, acc []int64, packed []byte) error {
-	raw, err := pvm.Wrap(packed).UnpackBytes()
-	if err != nil {
-		return err
-	}
-	if len(raw) != 8*len(acc) {
-		return fmt.Errorf("collective: reduce width mismatch: %d elements vs %d bytes", len(acc), len(raw))
+	if len(packed) != 8*len(acc) {
+		return fmt.Errorf("collective: reduce width mismatch: %d elements vs %d bytes", len(acc), len(packed))
 	}
 	for i := range acc {
-		acc[i] = op.Apply(acc[i], int64(binary.BigEndian.Uint64(raw[8*i:])))
+		acc[i] = op.Apply(acc[i], int64(binary.BigEndian.Uint64(packed[8*i:])))
 	}
 	c.Charge(op.Cost * float64(len(acc)))
 	return nil
 }
 
-// packVec encodes a vector as a Send payload, in an array of its own at
-// its exact size (see framed).
+// packVec encodes a vector as a Send payload: its elements' 8·len
+// big-endian bytes and nothing else, since a message carries its own
+// length, in an array of its own at its exact size (see framed).
 func packVec(v []int64) []byte {
-	return pvm.Wrap(make([]byte, 0, 5+8*len(v))).PackInt64Slice(v).Bytes()
+	out := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.BigEndian.PutUint64(out[8*i:], uint64(x))
+	}
+	return out
 }
 
+// unpackVec decodes a payload packVec built.
 func unpackVec(p []byte) ([]int64, error) {
-	return pvm.Wrap(p).UnpackInt64Slice()
+	if len(p)%8 != 0 {
+		return nil, fmt.Errorf("collective: a %d-byte vector payload is no whole number of elements", len(p))
+	}
+	v := make([]int64, len(p)/8)
+	for i := range v {
+		v[i] = int64(binary.BigEndian.Uint64(p[8*i:]))
+	}
+	return v, nil
 }
 
 // Reduce combines every participant's vector at the processor with pid

@@ -85,15 +85,29 @@ func GatherFlat(t *model.Tree, rootPid int, d Dist) Breakdown {
 // its coordinator, so after the super^i-step each level-i coordinator
 // holds x_{i,j} and after the final super^k-step the root coordinator
 // holds all n bytes. The super^i-steps of sibling clusters run
-// concurrently (parallel steps).
+// concurrently (parallel steps). Every piece travels framed, with its
+// PieceHeader.
 func GatherHier(t *model.Tree, d Dist) Breakdown {
 	b := Breakdown{G: t.G}
 	for lvl := 1; lvl <= t.K(); lvl++ {
 		b.addLevel(t, lvl, "gather", func(scope *model.Machine) ([]Flow, []float64) {
-			return childFlows(t, scope, true, func(c *model.Machine) int { return subtreeBytes(t, c, d) }), nil
+			return childFlows(t, scope, true, func(c *model.Machine) int { return framedBytes(t, c, d) }), nil
 		})
 	}
 	return b
+}
+
+// PieceHeader is the bytes a piece carries besides its own when it
+// travels in a frame with other processors' pieces: its origin pid and
+// its length, a packed int32 and a byte-slice prefix of 5 bytes each.
+// collective's frames size with it; the hierarchical gather, scatter and
+// all-gather price it once per piece.
+const PieceHeader = 10
+
+// framedBytes is the frame of a machine's subtree's pieces: x_{i,j}
+// bytes and one PieceHeader per leaf.
+func framedBytes(t *model.Tree, m *model.Machine, d Dist) int {
+	return subtreeBytes(t, m, d) + PieceHeader*len(m.Leaves())
 }
 
 // addLevel adds the super^lvl-steps of a hierarchical collective: one
@@ -212,9 +226,11 @@ func BcastHier(t *model.Tree, n int, twoPhaseTop bool) Breakdown {
 
 // bcastScopeSteps returns the one or two steps of broadcasting n bytes
 // from a scope's coordinator to the coordinators of its children. The
-// two-phase exchange sends the scope's root nothing: it cut the pieces,
-// and what it sends, m−1 of them, already sets its h_{i,j}, so the
-// pieces it would get back never priced a step.
+// two-phase scatter cuts n into m equal pieces, the first n mod m of
+// them one byte longer (collective.EqualPieces), and the exchange sends
+// the scope's root nothing: it cut the pieces, and what it sends, m−1
+// of them, already sets its h_{i,j}, so the pieces it would get back
+// never priced a step.
 func bcastScopeSteps(t *model.Tree, scope *model.Machine, n int, twoPhase bool) []Step {
 	rootPid := t.Pid(scope.Coordinator())
 	var peers []int
@@ -231,18 +247,18 @@ func bcastScopeSteps(t *model.Tree, scope *model.Machine, n int, twoPhase bool) 
 		return []Step{StepCost(t, scope, fmt.Sprintf("super%d bcast-1phase", scope.Level), flows, nil)}
 	}
 	m := len(peers)
-	piece := n / m
+	piece := func(i int) int { return (n + m - 1 - i) / m } // n/m, +1 for i < n mod m
 	var phase1 []Flow
-	for _, pid := range peers {
+	for i, pid := range peers {
 		if pid != rootPid {
-			phase1 = append(phase1, Flow{Src: rootPid, Dst: pid, Bytes: piece})
+			phase1 = append(phase1, Flow{Src: rootPid, Dst: pid, Bytes: piece(i)})
 		}
 	}
 	var phase2 []Flow
-	for _, src := range peers {
+	for i, src := range peers {
 		for _, dst := range peers {
 			if src != dst && dst != rootPid {
-				phase2 = append(phase2, Flow{Src: src, Dst: dst, Bytes: piece})
+				phase2 = append(phase2, Flow{Src: src, Dst: dst, Bytes: piece(i)})
 			}
 		}
 	}
@@ -284,12 +300,13 @@ func ScatterFlat(t *model.Tree, rootPid int, d Dist) Breakdown {
 
 // ScatterHier distributes d from the root coordinator down the tree
 // level by level: each level-i coordinator forwards to its children's
-// coordinators the bytes destined for their subtrees.
+// coordinators the bytes destined for their subtrees, framed with one
+// PieceHeader per piece.
 func ScatterHier(t *model.Tree, d Dist) Breakdown {
 	b := Breakdown{G: t.G}
 	for lvl := t.K(); lvl >= 1; lvl-- {
 		b.addLevel(t, lvl, "scatter", func(scope *model.Machine) ([]Flow, []float64) {
-			return childFlows(t, scope, false, func(c *model.Machine) int { return subtreeBytes(t, c, d) }), nil
+			return childFlows(t, scope, false, func(c *model.Machine) int { return framedBytes(t, c, d) }), nil
 		})
 	}
 	return b
@@ -320,9 +337,9 @@ func AllGatherFlat(t *model.Tree, d Dist) Breakdown {
 const OpCost = 0.05 / 8
 
 // ReduceFlat: every processor sends its d[j]-byte partial value to the
-// root, which combines them. opCost is the per-byte combining cost on
-// the fastest machine; the root's work is scaled by its compute
-// slowdown.
+// root, which combines them once they have arrived, after the barrier:
+// the tail. opCost is the per-byte combining cost on the fastest
+// machine; the root's work is scaled by its compute slowdown.
 func ReduceFlat(t *model.Tree, rootPid int, d Dist, opCost float64) Breakdown {
 	var flows []Flow
 	incoming := 0
@@ -332,101 +349,129 @@ func ReduceFlat(t *model.Tree, rootPid int, d Dist, opCost float64) Breakdown {
 			incoming += bytes
 		}
 	}
-	root := t.Leaf(rootPid)
-	work := opCost * float64(incoming) * root.CompSlowdown
-	b := Breakdown{G: t.G}
-	b.Add(StepCost(t, t.Root, "super1 reduce", flows, []float64{work}))
+	b := Breakdown{G: t.G, Tail: opCost * float64(incoming) * t.Leaf(rootPid).CompSlowdown}
+	b.Add(StepCost(t, t.Root, "super1 reduce", flows, nil))
 	return b
 }
 
 // ReduceHier combines partial values up the tree: each level-i
 // coordinator combines its children's partials (concurrently across
 // clusters), so the wire carries only combined values — the win of
-// hierarchical reduction over slow upper links.
+// hierarchical reduction over slow upper links. A coordinator folds
+// after its scope's barrier, so the fold is work of its parent's step,
+// and the root's is the tail.
 func ReduceHier(t *model.Tree, d Dist, opCost float64) Breakdown {
-	b := Breakdown{G: t.G}
 	// For a reduction, every machine's partial has the same width w
 	// (the reduced value size); we take w = max leaf piece as the wire
 	// unit.
 	w := slices.Max(d)
+	b := Breakdown{G: t.G, Tail: childFolds(t.Root, w, opCost)}
 	for lvl := 1; lvl <= t.K(); lvl++ {
-		b.addLevel(t, lvl, "reduce", foldLevel(t, w, opCost, true))
+		b.addLevel(t, lvl, "reduce", func(scope *model.Machine) ([]Flow, []float64) {
+			var works []float64
+			for _, child := range scope.Children {
+				works = append(works, childFolds(child, w, opCost))
+			}
+			return childFlows(t, scope, true, func(*model.Machine) int { return w }), works
+		})
 	}
 	return b
 }
 
-// foldLevel prices one cluster's step of a w-byte hierarchical fold: a
-// w-byte flow between the coordinators of the scope and of each child,
-// up or down, and the scope coordinator's fold of the children's m − 1
-// values.
-func foldLevel(t *model.Tree, w int, opCost float64, up bool) func(scope *model.Machine) ([]Flow, []float64) {
-	return func(scope *model.Machine) ([]Flow, []float64) {
-		work := opCost * float64(w*(len(scope.Children)-1)) * scope.Coordinator().CompSlowdown
-		return childFlows(t, scope, up, func(*model.Machine) int { return w }), []float64{work}
+// childFolds is the work of m's coordinator folding the w-byte values
+// of m's children into one: m − 1 folds. A leaf folds nothing.
+func childFolds(m *model.Machine, w int, opCost float64) float64 {
+	if m.IsLeaf() {
+		return 0
 	}
+	return opCost * float64(w*(len(m.Children)-1)) * m.Coordinator().CompSlowdown
+}
+
+// then appends next's steps to b's. b's tail is the root coordinator's
+// work after b's last barrier; that processor's next barrier completes
+// next's first step, whose one scope is the root, so the tail joins
+// that step's work. next's tail is the whole's.
+func (b Breakdown) then(next Breakdown) Breakdown {
+	if len(next.Steps) > 0 {
+		first := &next.Steps[0]
+		if len(first.Parallel) > 0 {
+			first = &first.Parallel[0]
+		}
+		first.Work += b.Tail
+		b.Tail = 0
+	}
+	b.Steps = append(b.Steps, next.Steps...)
+	b.Tail += next.Tail
+	return b
 }
 
 // AllReduceHier is ReduceHier followed by BcastHier of the w-byte result.
 func AllReduceHier(t *model.Tree, d Dist, opCost float64) Breakdown {
-	b := ReduceHier(t, d, opCost)
-	down := BcastHier(t, slices.Max(d), false)
-	b.Steps = append(b.Steps, down.Steps...)
-	return b
+	return ReduceHier(t, d, opCost).then(BcastHier(t, slices.Max(d), false))
 }
 
 // ScanFlat is a prefix-sum over processor pids in two supersteps: all
 // processors send their partial to the root, which computes every
 // prefix, then scatters prefix j to processor j.
 func ScanFlat(t *model.Tree, rootPid int, d Dist, opCost float64) Breakdown {
-	up := ReduceFlat(t, rootPid, d, opCost)
-	down := ScatterFlat(t, rootPid, d)
-	up.Steps = append(up.Steps, down.Steps...)
-	return up
+	return ReduceFlat(t, rootPid, d, opCost).then(ScatterFlat(t, rootPid, d))
 }
 
 // AllGatherHierCost composes the hierarchical gather and broadcast:
-// every piece crosses each upper link O(1) times.
+// every piece crosses each upper link O(1) times. The broadcast carries
+// the gathered frame, a PieceHeader per piece.
 func AllGatherHierCost(t *model.Tree, d Dist) Breakdown {
-	b := GatherHier(t, d)
-	down := BcastHier(t, d.Total(), false)
-	b.Steps = append(b.Steps, down.Steps...)
-	return b
+	return GatherHier(t, d).then(BcastHier(t, d.Total()+PieceHeader*t.NProcs(), false))
 }
 
 // ScanHierCost predicts the two-sweep hierarchical scan of a w-byte
-// vector: the upward sweep is shaped like ReduceHier, the downward sweep
-// like ScatterHier with one w-byte offset per child.
+// vector: the upward sweep is ReduceHier's, and in the downward sweep
+// each scope's coordinator runs the prefix across its children, one
+// w-byte flow to each child but the tree's first subtree, which has
+// nothing to its left: m folds at the coordinator, or m − 1 in a scope
+// of the first subtree, which has no offset to start from.
 func ScanHierCost(t *model.Tree, w int, opCost float64) Breakdown {
-	d := make(Dist, t.NProcs())
-	for i := range d {
-		d[i] = w
-	}
-	b := ReduceHier(t, d, opCost)
+	down := Breakdown{G: t.G}
 	for lvl := t.K(); lvl >= 1; lvl-- {
-		b.addLevel(t, lvl, "scan-down", foldLevel(t, w, opCost, false))
+		down.addLevel(t, lvl, "scan-down", func(scope *model.Machine) ([]Flow, []float64) {
+			flows := childFlows(t, scope, false, func(*model.Machine) int { return w })
+			folds := len(flows)
+			if leftmost(scope) {
+				flows, folds = flows[1:], folds-1
+			}
+			return flows, []float64{opCost * float64(w*folds) * scope.Coordinator().CompSlowdown}
+		})
 	}
-	return b
+	return ReduceHier(t, EqualDist(t, w*t.NProcs()), opCost).then(down)
+}
+
+// leftmost reports whether m's subtree is the tree's first: m is the
+// first child of the first child ... of the root.
+func leftmost(m *model.Machine) bool {
+	for ; m.Parent() != nil; m = m.Parent() {
+		if m.Parent().Children[0] != m {
+			return false
+		}
+	}
+	return true
 }
 
 // ReduceScatterFlat predicts the one-step reduce-scatter: each processor
-// ships one segment per peer and folds p-1 received segments of its own
-// size.
+// ships one segment per peer and, after the barrier, folds p-1 received
+// segments of its own size: the tail, the slowest processor's fold.
 func ReduceScatterFlat(t *model.Tree, d Dist, opCost float64) Breakdown {
 	p := t.NProcs()
 	var flows []Flow
-	works := make([]float64, 0, p)
-	for src := 0; src < p; src++ {
-		for dst := 0; dst < p; dst++ {
+	b := Breakdown{G: t.G}
+	for dst := 0; dst < p; dst++ {
+		for src := 0; src < p; src++ {
 			if src != dst {
 				flows = append(flows, Flow{Src: src, Dst: dst, Bytes: d[dst]})
 			}
 		}
+		b.Tail = max(b.Tail, opCost*float64(d[dst]*(p-1))*t.Leaf(dst).CompSlowdown)
 	}
-	for pid := 0; pid < p; pid++ {
-		works = append(works, opCost*float64(d[pid]*(p-1))*t.Leaf(pid).CompSlowdown)
-	}
-	b := Breakdown{G: t.G}
-	b.Add(StepCost(t, t.Root, "super1 reduce-scatter", flows, works))
+	b.Add(StepCost(t, t.Root, "super1 reduce-scatter", flows, nil))
 	return b
 }
 

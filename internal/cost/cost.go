@@ -73,15 +73,20 @@ func ParallelStep(label string, level int, subs []Step) Step {
 }
 
 // Breakdown is the cost of a whole algorithm: the sum of its super^i-step
-// times (§3.4: "The overall cost is the sum of the super^i-step times").
+// times (§3.4: "The overall cost is the sum of the super^i-step times"),
+// and the work after its last barrier.
 type Breakdown struct {
 	G     float64
 	Steps []Step
+	// Tail is the local computation after the last step's barrier, in
+	// time units of the fastest machine: a fold of operands the last
+	// step delivered. No step holds it; the total does.
+	Tail float64
 }
 
-// Total returns the summed execution time of all steps.
+// Total returns the summed execution time of all steps and the tail.
 func (b Breakdown) Total() float64 {
-	t := 0.0
+	t := b.Tail
 	for _, s := range b.Steps {
 		t += s.Time(b.G)
 	}
@@ -101,6 +106,9 @@ func (b Breakdown) String() string {
 	for _, s := range b.Steps {
 		fmt.Fprintf(&sb, "%-28s %5d %12.4g %12.4g %12.4g %12.4g\n",
 			s.Label, s.Level, s.Work, b.G*s.H, s.Sync, s.Time(b.G))
+	}
+	if b.Tail != 0 {
+		fmt.Fprintf(&sb, "%-28s %5s %12.4g %12s %12s %12.4g\n", "after last Sync", "", b.Tail, "", "", b.Tail)
 	}
 	fmt.Fprintf(&sb, "%-28s %5s %12s %12s %12s %12.4g\n", "total", "", "", "", "", b.Total())
 	return sb.String()

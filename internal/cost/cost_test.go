@@ -177,11 +177,18 @@ func TestGatherRootReceiveDominates(t *testing.T) {
 	}
 }
 
+// TestGatherHierOnHBSP1EqualsFlat: on an HBSP^1 machine the
+// hierarchical gather is the flat one, each piece framed with its
+// PieceHeader.
 func TestGatherHierOnHBSP1EqualsFlat(t *testing.T) {
 	tr := model.UCFTestbed()
 	d := BalancedDist(tr, 50000)
+	framed := make(Dist, len(d))
+	for pid, bytes := range d {
+		framed[pid] = bytes + PieceHeader
+	}
 	hier := GatherHier(tr, d).Total()
-	flat := GatherFlat(tr, tr.Pid(tr.FastestLeaf()), d).Total()
+	flat := GatherFlat(tr, tr.Pid(tr.FastestLeaf()), framed).Total()
 	if math.Abs(hier-flat) > 1e-9 {
 		t.Errorf("hier = %v, flat = %v; want equal on an HBSP^1 machine", hier, flat)
 	}
@@ -260,9 +267,13 @@ func TestBcastHierOrdersLevelsTopDown(t *testing.T) {
 
 // TestBcastHierExchangeSkipsTheRootAtNoCost: the hierarchical
 // broadcast's exchange sends a scope's root nothing, and the h-relation
-// of that phase is the one of the all-pairs exchange that sent the root
-// its pieces back. The root sends m−1 pieces either way, so what it
-// would receive never sets its h; the planner's prices do not move.
+// of that phase is the one of the all-pairs exchange of the same pieces
+// that sent the root its pieces back. When m divides n the root sends
+// m−1 pieces of the size it would receive, so what it would receive
+// never sets its h. When m does not, pieces differ by a byte: a
+// coordinator holding a longer one sends it to the root too in the
+// all-pairs exchange, which may set its h, so the exchange's h is at
+// most the all-pairs one.
 func TestBcastHierExchangeSkipsTheRootAtNoCost(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -280,9 +291,13 @@ func TestBcastHierExchangeSkipsTheRootAtNoCost(t *testing.T) {
 				}
 				for _, n := range []int{768, 7777, 64 << 10} {
 					steps := bcastScopeSteps(tc.tr, scope, n, true)
-					piece := n / len(scope.Children)
+					m := len(scope.Children)
 					var allPairs []Flow
-					for _, src := range scope.Children {
+					for i, src := range scope.Children {
+						piece := n / m
+						if i < n%m {
+							piece++
+						}
 						for _, dst := range scope.Children {
 							allPairs = append(allPairs, Flow{
 								Src:   tc.tr.Pid(src.Coordinator()),
@@ -291,7 +306,8 @@ func TestBcastHierExchangeSkipsTheRootAtNoCost(t *testing.T) {
 							})
 						}
 					}
-					if got, want := steps[1].H, HRelation(tc.tr, scope, allPairs); got != want {
+					got, want := steps[1].H, HRelation(tc.tr, scope, allPairs)
+					if got > want || (n%m == 0 && got != want) {
 						t.Errorf("%s %s n=%d: exchange h %v, all-pairs h %v", tc.name, scope.Name, n, got, want)
 					}
 				}

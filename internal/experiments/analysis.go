@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 
-	"hbspk/internal/collective"
+	"hbspk/internal/catalog"
 	"hbspk/internal/cost"
 	"hbspk/internal/fabric"
-	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
+	"hbspk/internal/plan"
 	"hbspk/internal/stats"
 	"hbspk/internal/trace"
 	"hbspk/internal/workload"
@@ -107,6 +107,10 @@ func HierarchyPenalty(cfg Config) (*Result, error) {
 		{"figure1", model.Figure1Cluster()},
 		{"wan-grid", model.WideAreaGrid(3, 4, 12, 25000, 250000)},
 	}
+	gatherHier, err := catalog.Lookup("gather-hier")
+	if err != nil {
+		return nil, err
+	}
 	flats := make([]*model.Tree, len(machines))
 	for i, m := range machines {
 		flats[i] = cost.Flatten(m.tr)
@@ -114,11 +118,11 @@ func HierarchyPenalty(cfg Config) (*Result, error) {
 	// Fan the (machine × size) grid; point (mi, si) owns its slot.
 	type penaltyPoint struct{ hier, flat float64 }
 	pts := make([]penaltyPoint, len(machines)*len(cfg.Sizes))
-	err := forEachPoint(len(pts), func(idx int) error {
+	err = forEachPoint(len(pts), func(idx int) error {
 		mi, si := idx/len(cfg.Sizes), idx%len(cfg.Sizes)
 		m, flat, n := machines[mi], flats[mi], cfg.Sizes[si]
 		d := cost.BalancedDist(m.tr, n)
-		hier, err := measure(m.tr, cfg.Fabric, gatherHier(d))
+		hier, err := measure(m.tr, cfg.Fabric, gatherHier.Program(m.tr, catalog.Args{N: n}))
 		if err != nil {
 			return err
 		}
@@ -146,18 +150,10 @@ func HierarchyPenalty(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// gatherHier is the hierarchical gather of d.
-func gatherHier(d cost.Dist) hbsp.Program {
-	return func(c hbsp.Ctx) error {
-		_, err := collective.GatherHier(c, make([]byte, d[c.Pid()]))
-		return err
-	}
-}
-
 // ValidateModel checks the paper's predictability claim: with the pure
-// cost model (no PVM overheads), the virtual engine's totals must equal
-// the analytic formulas for every collective, on flat and hierarchical
-// machines.
+// cost model (no PVM overheads), the virtual engine's total equals the
+// closed form for every cost-table row, each run as its catalogue entry,
+// on the flat testbed, the Figure 1 cluster and the wide-area grid.
 func ValidateModel(cfg Config) (*Result, error) {
 	tb := trace.NewTable("predicted vs simulated (pure model)",
 		"machine", "collective", "predicted", "simulated", "rel err")
@@ -167,33 +163,30 @@ func ValidateModel(cfg Config) (*Result, error) {
 		PaperClaim: "HBSP attempts to provide predictable algorithmic performance (§2)",
 		Table:      tb,
 	}
-	pure := fabric.PureModel()
-	n := 400 * workload.KB
-
+	a := catalog.Args{N: 400 * workload.KB}
 	type check struct {
-		machine, name string
-		predicted     float64
-		tr            *model.Tree
-		prog          hbsp.Program
+		machine string
+		entry   catalog.Entry
+		row     plan.CostVariant
 	}
-	ucf := model.UCFTestbed()
-	fig1 := model.Figure1Cluster()
-	ucfRoot := ucf.Pid(ucf.FastestLeaf())
-	dEq := cost.EqualDist(ucf, n)
-	dBal := cost.BalancedDist(ucf, n)
-	dFig := cost.BalancedDist(fig1, n)
-
-	checks := []check{
-		{"ucf", "gather(equal)", cost.GatherFlat(ucf, ucfRoot, dEq).Total(), ucf, gather(dEq, ucfRoot)},
-		{"ucf", "gather(balanced)", cost.GatherFlat(ucf, ucfRoot, dBal).Total(), ucf, gather(dBal, ucfRoot)},
-		{"ucf", "bcast-1phase", cost.BcastOnePhaseFlat(ucf, ucfRoot, n).Total(), ucf, bcastOnePhase(ucfRoot, n)},
-		{"ucf", "bcast-2phase", cost.BcastTwoPhaseFlat(ucf, ucfRoot, dEq).Total(), ucf, bcastTwoPhase(ucfRoot, n)},
-		{"figure1", "gather-hier", cost.GatherHier(fig1, dFig).Total(), fig1, gatherHier(dFig)},
+	var checks []check
+	for _, machine := range []string{"ucf", "figure1", "grid"} {
+		for _, e := range catalog.Entries() {
+			if row, ok := e.Row(); ok {
+				checks = append(checks, check{machine, e, row})
+			}
+		}
 	}
+	preds := make([]float64, len(checks))
 	sims := make([]float64, len(checks))
 	err := forEachPoint(len(checks), func(i int) error {
-		var err error
-		sims[i], err = measure(checks[i].tr, pure, checks[i].prog)
+		c := checks[i]
+		tr, err := model.LoadMachine(c.machine)
+		if err != nil {
+			return err
+		}
+		preds[i] = c.row.Predict(tr, a.N)
+		sims[i], err = measure(tr, fabric.PureModel(), c.entry.Program(tr, a))
 		return err
 	})
 	if err != nil {
@@ -201,11 +194,9 @@ func ValidateModel(cfg Config) (*Result, error) {
 	}
 	worst := 0.0
 	for i, c := range checks {
-		re := stats.RelErr(sims[i], c.predicted)
-		if re > worst {
-			worst = re
-		}
-		tb.AddF(c.machine, c.name, c.predicted, sims[i], re)
+		re := stats.RelErr(sims[i], preds[i])
+		worst = max(worst, re)
+		tb.AddF(c.machine, c.entry.Name, preds[i], sims[i], re)
 	}
 	res.Series = []Series{{Name: "worst-rel-err", Points: []Point{{X: 0, Y: worst}}}}
 	return res, nil

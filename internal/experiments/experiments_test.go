@@ -142,10 +142,10 @@ func TestValidateModelExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	worst := res.Series[0].Points[0].Y
-	// The flat collectives must match exactly; the hierarchical gather
-	// carries a few framing bytes per hop.
-	if worst > 0.01 {
-		t.Errorf("worst relative error %v, want ≤ 1%%:\n%s", worst, res.Table)
+	// Every row prices the run that happens: the totals match to float
+	// rounding.
+	if worst > 1e-9 {
+		t.Errorf("worst relative error %v, want ≤ 1e-9:\n%s", worst, res.Table)
 	}
 }
 

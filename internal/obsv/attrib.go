@@ -89,9 +89,10 @@ type Pair struct {
 type Joined struct {
 	G     float64
 	Pairs []Pair
-	// Tail is the run's work after its last Sync, rep.Total minus the
-	// latest step End: the run's total holds it, none of its steps do.
-	Tail float64
+	// PredTail and Tail are the work after the last Sync, which the
+	// totals hold and no step does: bd.Tail, and the run's rep.Total
+	// minus its latest step End.
+	PredTail, Tail float64
 	// Pred and Run are the two totals, bd.Total() and rep.Total.
 	Pred, Run float64
 }
@@ -103,7 +104,7 @@ type Joined struct {
 // scope. Pairs come in the closed form's order, then the run's steps the
 // closed form does not price, in run order: no step is dropped.
 func Join(bd cost.Breakdown, rep *trace.Report) Joined {
-	j := Joined{G: bd.G, Pred: bd.Total(), Run: rep.Total}
+	j := Joined{G: bd.G, PredTail: bd.Tail, Pred: bd.Total(), Run: rep.Total}
 	priced := map[string][]int{} // each scope's priced steps, as indices into j.Pairs
 	for _, s := range flatten(bd.Steps) {
 		scope := s.Scope.Label()
@@ -144,8 +145,8 @@ func flatten(steps []cost.Step) []*cost.Step {
 // AttributeBreakdown renders Join(bd, rep) term by term: each pair's w,
 // g·h, L and T as the closed form prices them beside what the run
 // charged, a "-" for an unpaired step's missing partner, the run's work
-// after its last Sync, and the totals, whose ratio is rep.Total ÷
-// bd.Total().
+// after its last Sync as priced and as run, and the totals, whose ratio
+// is rep.Total ÷ bd.Total().
 func AttributeBreakdown(title string, bd cost.Breakdown, rep *trace.Report) *trace.Table {
 	j := Join(bd, rep)
 	tb := trace.NewTable(title, "scope", "#", "step",
@@ -174,7 +175,7 @@ func AttributeBreakdown(title string, bd cost.Breakdown, rep *trace.Report) *tra
 		tb.Add(p.Scope, fmt.Sprintf("%d", p.Ordinal), label,
 			pred[0], run[0], pred[1], run[1], pred[2], run[2], pred[3], run[3], r)
 	}
-	tb.Add("", "", "after last Sync", "", num(j.Tail), "", "", "", "", "", num(j.Tail), "")
+	tb.Add("", "", "after last Sync", num(j.PredTail), num(j.Tail), "", "", "", "", num(j.PredTail), num(j.Tail), ratio(j.Tail, j.PredTail))
 	tb.Add("", "", "total", "", "", "", "", "", "", num(j.Pred), num(j.Run), ratio(j.Run, j.Pred))
 	return tb
 }

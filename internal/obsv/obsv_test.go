@@ -267,7 +267,7 @@ func TestJoinPairsByScope(t *testing.T) {
 		bd := cost.Breakdown{G: 1, Steps: []cost.Step{
 			{Label: "up", Scope: root, Work: 5, H: 3},
 			{Label: "down", Scope: root, H: 2},
-		}}
+		}, Tail: 2}
 		rep := &trace.Report{Steps: []trace.Step{
 			{Label: "up", ScopeLabel: root.Label(), Time: 9, End: 9},
 			{Label: "extra", ScopeLabel: smp.Label(), Time: 2, Start: 9, End: 11},
@@ -285,11 +285,11 @@ func TestJoinPairsByScope(t *testing.T) {
 		if strings.Join(got, ", ") != strings.Join(want, ", ") {
 			t.Errorf("pairs %v, want %v", got, want)
 		}
-		if j.Tail != 1 {
-			t.Errorf("tail %v, want 1: rep.Total 12 less the last End 11", j.Tail)
+		if j.Tail != 1 || j.PredTail != 2 {
+			t.Errorf("tail %v run, %v priced; want 1 (rep.Total 12 less the last End 11) and bd.Tail 2", j.Tail, j.PredTail)
 		}
 		out := AttributeBreakdown("t", bd, rep).String()
-		for _, want := range []string{"extra", "down", "1.125"} { // 9 ÷ (5+3)
+		for _, want := range []string{"extra", "down", "1.125", "0.500"} { // 9 ÷ (5+3), tail 1 ÷ 2
 			if !strings.Contains(out, want) {
 				t.Errorf("table lacks %q:\n%s", want, out)
 			}

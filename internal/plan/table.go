@@ -16,17 +16,19 @@ import (
 // per row: hbspk-sim runs and attributes it against the row,
 // hbspk-predict prices it and experiments.SuiteSummary prints the rows.
 // TestEveryRowRunsWhatItPrices runs each row's program on Virtual and
-// holds it to the row's price, within the row's pinned gap. The choice
-// is made at run time, on the tree and size the run has: switch points
-// move with the machine. The closed forms themselves live in
-// internal/cost; this file fixes the inputs they are priced on, which
-// the catalogue's programs build: the root is the fastest leaf, byte
-// rows take cost.BalancedDist (BcastTwoPhase's first phase is
-// BalancedPieces, cut by its RowCalls call from the root's data), and
-// the vector rows (reduce, allreduce, reduce-scatter, scan) take
-// n/(8p)-element vectors, priced as cost.EqualDist bytes combined at
-// the library operators' cost.OpCost; a Planned* dispatcher prices a
-// vector collective at 8 bytes per element per processor.
+// holds every term of every step, and the work after the last barrier,
+// to the row's price. The choice is made at run time, on the tree and
+// size the run has: switch points move with the machine. The closed
+// forms themselves live in internal/cost; this file fixes the inputs
+// they are priced on, which the catalogue's programs build: the root is
+// the fastest leaf, byte rows take cost.BalancedDist (BcastTwoPhase's
+// first phase is BalancedPieces, cut by its RowCalls call from the
+// root's data), and the vector rows (reduce, allreduce, reduce-scatter,
+// scan) take VecLen-element vectors, which travel as their 8·VecLen
+// bytes and are combined at the library operators' cost.OpCost;
+// ReduceScatter cuts its vector into collective.EqualPieces' element
+// segments. A Planned* dispatcher prices a vector collective at 8 bytes
+// per element per processor, which VecLen maps back to the vector.
 
 // CostVariant is one collective entrypoint with a closed-form cost.
 type CostVariant struct {
@@ -86,32 +88,43 @@ func CostVariants() []CostVariant {
 			return cost.AllGatherHierCost(t, cost.BalancedDist(t, n))
 		}},
 		{"Reduce", "reduce", false, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.ReduceFlat(t, root(t), cost.EqualDist(t, n), cost.OpCost)
+			return cost.ReduceFlat(t, root(t), vectors(t, n, t.NProcs()), cost.OpCost)
 		}},
 		{"ReduceHier", "reduce", true, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.ReduceHier(t, cost.EqualDist(t, n), cost.OpCost)
+			return cost.ReduceHier(t, vectors(t, n, t.NProcs()), cost.OpCost)
 		}},
 		{"AllReduce", "allreduce", true, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.AllReduceHier(t, cost.EqualDist(t, n), cost.OpCost)
+			return cost.AllReduceHier(t, vectors(t, n, t.NProcs()), cost.OpCost)
 		}},
 		{"ReduceScatter", "reduce-scatter", false, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.ReduceScatterFlat(t, cost.EqualDist(t, n/t.NProcs()), cost.OpCost)
+			return cost.ReduceScatterFlat(t, vectors(t, n, 1), cost.OpCost)
 		}},
 		{"Scan", "scan", false, func(t *model.Tree, n int) cost.Breakdown {
-			return cost.ScanFlat(t, root(t), cost.EqualDist(t, n), cost.OpCost)
+			return cost.ScanFlat(t, root(t), vectors(t, n, t.NProcs()), cost.OpCost)
 		}},
 		{"ScanHier", "scan", true, func(t *model.Tree, n int) cost.Breakdown {
-			w := n / t.NProcs()
-			if w < 1 {
-				w = 1
-			}
-			return cost.ScanHierCost(t, w, cost.OpCost)
+			return cost.ScanHierCost(t, 8*VecLen(t, n), cost.OpCost)
 		}},
 		{"TotalExchange", "alltoall", false, func(t *model.Tree, n int) cost.Breakdown {
 			return cost.TotalExchangeFlat(t, cost.BalancedDist(t, n))
 		}},
 	}
 	return vs
+}
+
+// VecLen is the element count of each processor's vector in a vector
+// row of n bytes on t: n/(8p), at least one.
+func VecLen(t *model.Tree, n int) int { return max(1, n/8/t.NProcs()) }
+
+// vectors is the bytes each processor holds of k VecLen-element
+// vectors cut as evenly as collective.EqualPieces cuts: k = p is one
+// whole vector each, k = 1 one vector's ReduceScatter segments.
+func vectors(t *model.Tree, n, k int) cost.Dist {
+	d := cost.EqualDist(t, k*VecLen(t, n))
+	for i := range d {
+		d[i] *= 8
+	}
+	return d
 }
 
 // VariantByName returns the named variant's hook, if it has one.

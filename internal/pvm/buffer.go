@@ -337,28 +337,3 @@ func (b *Buffer) UnpackInt64Slice() ([]int64, error) {
 	}
 	return out, nil
 }
-
-// PackInt32Slice appends a length-prefixed []int32 in one call.
-func (b *Buffer) PackInt32Slice(vs []int32) *Buffer {
-	body := b.packFixed(4 * len(vs))
-	for i, v := range vs {
-		binary.BigEndian.PutUint32(body[4*i:], uint32(v))
-	}
-	return b
-}
-
-// UnpackInt32Slice reads a slice packed by PackInt32Slice.
-func (b *Buffer) UnpackInt32Slice() ([]int32, error) {
-	raw, err := b.UnpackBytes()
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("pvm: int32 slice payload of %d bytes", len(raw))
-	}
-	out := make([]int32, len(raw)/4)
-	for i := range out {
-		out[i] = int32(binary.BigEndian.Uint32(raw[4*i:]))
-	}
-	return out, nil
-}

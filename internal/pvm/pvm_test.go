@@ -54,48 +54,27 @@ func TestBufferUnderflow(t *testing.T) {
 	}
 }
 
-func TestInt32SliceRoundTrip(t *testing.T) {
-	in := []int32{5, -1, 0, 1 << 30}
-	b := NewBuffer().PackInt32Slice(in)
-	out, err := b.UnpackInt32Slice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("len %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("out[%d] = %d, want %d", i, out[i], in[i])
-		}
-	}
-}
-
-// TestIntSlicePacksLikeElementAppends: the slice packers size their
-// field once and fill it in place. Their bytes are those of the codes,
-// prefix and element appends they replace, on an arena buffer (fresh,
+// TestIntSlicePacksLikeElementAppends: the slice packer sizes its
+// field once and fills it in place. Its bytes are those of the codes,
+// prefix and element appends it replaces, on an arena buffer (fresh,
 // or holding a prior field), on a big vector past the arena's classes,
 // and on a Wrap'd buffer with and without spare capacity.
 func TestIntSlicePacksLikeElementAppends(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	appended := func(prefix []byte, width int, vs []uint64) []byte {
+	appended := func(prefix []byte, vs []uint64) []byte {
 		out := append(append([]byte(nil), prefix...), codeBytes)
-		out = binary.BigEndian.AppendUint32(out, uint32(width*len(vs)))
+		out = binary.BigEndian.AppendUint32(out, uint32(8*len(vs)))
 		for _, v := range vs {
-			if width == 8 {
-				out = binary.BigEndian.AppendUint64(out, v)
-			} else {
-				out = binary.BigEndian.AppendUint32(out, uint32(v))
-			}
+			out = binary.BigEndian.AppendUint64(out, v)
 		}
 		return out
 	}
 	prior := NewBuffer().PackInt32(9).Bytes()
 	for _, n := range []int{0, 1, 3, 64, 2048, maxPooledCap/8 + 1} {
-		i64, i32, raw := make([]int64, n), make([]int32, n), make([]uint64, n)
+		i64, raw := make([]int64, n), make([]uint64, n)
 		for i := range raw {
 			raw[i] = rng.Uint64()
-			i64[i], i32[i] = int64(raw[i]), int32(raw[i])
+			i64[i] = int64(raw[i])
 		}
 		for name, buf := range map[string]func() *Buffer{
 			"arena":          NewBuffer,
@@ -108,30 +87,27 @@ func TestIntSlicePacksLikeElementAppends(t *testing.T) {
 			if strings.HasSuffix(name, "prior") {
 				pre = prior
 			}
-			if got, want := buf().PackInt64Slice(i64).Bytes(), appended(pre, 8, raw); !bytes.Equal(got, want) {
+			if got, want := buf().PackInt64Slice(i64).Bytes(), appended(pre, raw); !bytes.Equal(got, want) {
 				t.Errorf("%s: PackInt64Slice of %d elements differs from appending them", name, n)
-			}
-			if got, want := buf().PackInt32Slice(i32).Bytes(), appended(pre, 4, raw); !bytes.Equal(got, want) {
-				t.Errorf("%s: PackInt32Slice of %d elements differs from appending them", name, n)
 			}
 		}
 	}
 }
 
 func TestPropertyBufferRoundTrip(t *testing.T) {
-	f := func(i32 []int32, f64 []float64, s string) bool {
+	f := func(i64 []int64, f64 []float64, s string) bool {
 		b := NewBuffer()
-		b.PackInt32Slice(i32)
+		b.PackInt64Slice(i64)
 		for _, v := range f64 {
 			b.PackFloat64(v)
 		}
 		b.PackString(s)
-		got32, err := b.UnpackInt32Slice()
-		if err != nil || len(got32) != len(i32) {
+		got64, err := b.UnpackInt64Slice()
+		if err != nil || len(got64) != len(i64) {
 			return false
 		}
-		for i := range i32 {
-			if got32[i] != i32[i] {
+		for i := range i64 {
+			if got64[i] != i64[i] {
 				return false
 			}
 		}
