@@ -151,8 +151,9 @@ cover:
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $${total}% fell below the $${floor}% floor"; exit 1; }
 
-# fuzz gives each pvm wire-format, wiretrans frame-layer, pump, handshake
-# and engine message-codec fuzzer a short budget; CI smoke, not a campaign.
+# fuzz gives each pvm wire-format, wiretrans frame-layer, pump, handshake,
+# hub barrier-body and engine message-codec fuzzer a short budget; CI
+# smoke, not a campaign.
 # check.sh invokes this target rather than keeping a list of its own.
 FUZZTIME ?= 20s
 fuzz:
@@ -164,6 +165,7 @@ fuzz:
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzAckBody -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzPumpBurst -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzHandshake -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pvm/wiretrans/ -run '^$$' -fuzz FuzzBarrierBody -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hbsp/ -run '^$$' -fuzz FuzzUnpackMsg -fuzztime $(FUZZTIME)
 
 clean:

@@ -42,6 +42,19 @@ timed 30 "delivered-byte lifetime" go test -race -count=3 \
 	-run 'Outlive|SentSliceIsFreeAfterSync|PoolRecyclingNeverAliases|ArenaSizeClasses|UnpackWindowReleases|FuzzBatchBody' \
 	-skip '/tcp' ./internal/pvm/... ./internal/hbsp ./internal/collective
 
+# Warm superstep (DESIGN.md §5.4): a task arrives at a cyclic barrier
+# through the reference it holds and falls back to the name once that
+# barrier has retired, perhaps to be drawn under another name — between
+# rounds, which only happens above GOMAXPROCS 1 — as a halt or a cancel
+# still reaches it; the task table grows under lookups that take no
+# lock; and a step's times are read by whoever records it, across a
+# coordinator's crash and a late join. The barrier-life tests, the
+# reference and task-table tests and the step-time test, under the race
+# detector, three times at GOMAXPROCS 1 and 4.
+timed 30 "warm superstep" go test -race -count=3 -cpu 1,4 \
+	-run 'RetiredBarrier|DrawnBarrier|CyclicBarrier|FreeBarriers|HeldBarrierRef|ArriveByRef|AnArrivalByRef|SpawnDuringSendBatches|StepTimesFollowTheLiveCoordinator' \
+	./internal/pvm ./internal/hbsp
+
 # Loopback I/O per superstep (DESIGN.md §5.10): the senders of a step
 # share one vectored write, a shared write that fails reaches every
 # sender naming its own oldest destination, a follower's borrow ends when

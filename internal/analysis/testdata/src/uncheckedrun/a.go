@@ -78,6 +78,12 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 	return nil, nil
 }
 
+type BarrierRef struct{ Name string }
+
+func (t *Task) Arrive(r *BarrierRef, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
+	return nil, nil
+}
+
 type System struct{}
 
 func (s *System) Wait() error { return nil }
@@ -138,6 +144,10 @@ func dropBarrierTimeout(t *Task) {
 
 func dropBarrierExchange(t *Task, clock []byte) {
 	t.BarrierExchange("b", 4, 0, clock) // want `error result of BarrierExchange is dropped`
+}
+
+func dropArrive(t *Task, r *BarrierRef) {
+	t.Arrive(r, 4, 0, nil) // want `error result of Arrive is dropped`
 }
 
 func dropChaosRun(t *Tree, plan *ChaosPlan, prog Program) {

@@ -68,7 +68,7 @@ func isBlank(e ast.Expr) bool { return types.ExprString(e) == "_" }
 // reports a lost delivery or a failed barrier.
 var taskMethodNames = map[string]bool{
 	"Send": true, "SendBatch": true, "SendBatches": true, "Flush": true,
-	"Barrier": true, "BarrierTimeout": true, "BarrierExchange": true,
+	"Barrier": true, "BarrierTimeout": true, "BarrierExchange": true, "Arrive": true,
 }
 
 // isUncheckedTarget reports whether the call is an error-returning call

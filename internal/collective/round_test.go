@@ -141,11 +141,13 @@ func BenchmarkCollectiveRound(b *testing.B) {
 }
 
 // TestCollectiveRoundSyscalls holds BenchmarkCollectiveRound's tcp lane
-// at GOMAXPROCS 1, the benchmark harness's setting, to two ceilings a
+// at GOMAXPROCS 1, the benchmark harness's setting, to three ceilings a
 // round. Frames written: 60, a BATCH frame for each of the round's 30
 // Deliver calls and an ACK for each. It wrote 74, 37 of each, when the
 // hierarchical broadcast's exchange also sent every scope's root the
-// pieces it had cut. Read and write system calls: 70. The round makes
+// pieces it had cut. The bytes of those frames: 625 320, as measured;
+// 625 480 when every engine message also packed its sender, 5 bytes each
+// of the round's 32. Read and write system calls: 70. The round makes
 // some sixteen group writes; the pump reads each owed burst by 256 KiB
 // slabs and acks it with one write, so about 65 were measured. It was
 // 141.3 (88.2 reads, 53.2 writes) when the pump read each frame past its
@@ -156,7 +158,7 @@ func TestCollectiveRoundSyscalls(t *testing.T) {
 		t.Skip("no /proc/self/io: the system-call counters are Linux's")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const n, warm, rounds, ceiling, frameCeiling = 64 << 10, 30, 200, 70, 60
+	const n, warm, rounds, ceiling, frameCeiling, byteCeiling = 64 << 10, 30, 200, 70, 60, 625_320
 	var tcp pvm.TransportFactory
 	for _, tf := range pvm.TransportFactories() {
 		if tf.Name == "tcp" {
@@ -166,18 +168,22 @@ func TestCollectiveRoundSyscalls(t *testing.T) {
 	var ww wireWrites
 	pvm.SetObserver(&ww)
 	defer pvm.SetObserver(nil)
-	var r0, w0, r1, w1, f0, f1 int64
+	var r0, w0, r1, w1, f0, f1, b0, b1 int64
 	tr := roundTree()
 	prog := collRound(tr, n, warm, rounds,
-		func() { r0, w0, _ = testutil.Syscalls(); f0 = ww.frames.Load() },
-		func() { r1, w1, _ = testutil.Syscalls(); f1 = ww.frames.Load() })
+		func() { r0, w0, _ = testutil.Syscalls(); f0, b0 = ww.frames.Load(), ww.bytes.Load() },
+		func() { r1, w1, _ = testutil.Syscalls(); f1, b1 = ww.frames.Load(), ww.bytes.Load() })
 	if _, err := conformanceEngine(tcp, tr).Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	reads, writes, frames := float64(r1-r0)/rounds, float64(w1-w0)/rounds, float64(f1-f0)/rounds
-	t.Logf("%.1f reads + %.1f writes, %.1f frames written a round", reads, writes, frames)
+	reads, writes := float64(r1-r0)/rounds, float64(w1-w0)/rounds
+	frames, wire := float64(f1-f0)/rounds, float64(b1-b0)/rounds
+	t.Logf("%.1f reads + %.1f writes, %.1f frames of %.0f bytes written a round", reads, writes, frames, wire)
 	if frames > frameCeiling {
 		t.Errorf("%.1f frames written a tcp round, ceiling %d", frames, frameCeiling)
+	}
+	if wire > byteCeiling {
+		t.Errorf("%.0f frame bytes written a tcp round, ceiling %d", wire, byteCeiling)
 	}
 	if reads+writes > ceiling {
 		t.Errorf("%.1f read and write system calls a tcp round, ceiling %d", reads+writes, ceiling)

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
+	"hbspk/internal/trace"
 )
 
 // The fault-injection contract, checked on both engines: a chaos-killed
@@ -443,5 +445,79 @@ func TestChaosEnginesAgreeOnMessageFates(t *testing.T) {
 			t.Errorf("p%d digests differ under identical chaos plan:\nvirtual:    %v\nconcurrent: %v",
 				pid, virt[pid], conc[pid])
 		}
+	}
+}
+
+// A Concurrent step's times are read by the processor that records it,
+// the scope's live coordinator, and by nobody else unless an observer or
+// a detection deadline needs them. Whoever the role fails over to — a
+// survivor when the coordinator crashes, the coordinator itself once it
+// joins after starting dormant — must read both: every recorded step has
+// 0 < Start ≤ End and Time = End − Start, and a recorder's steps follow
+// one another on its clock.
+func TestStepTimesFollowTheLiveCoordinator(t *testing.T) {
+	tr := model.UCFTestbedN(4)
+	coord := tr.Pid(tr.Root.Coordinator())
+	// rounds successful root syncs (after joined of them, for a processor
+	// that starts dormant), each retried once per absorbed notice.
+	prog := func(rounds, joiner, joined int) Program {
+		return func(c Ctx) error {
+			want := rounds
+			if c.Pid() == joiner {
+				want -= joined
+			}
+			for done := 0; done < want; {
+				err := SyncAll(c, fmt.Sprintf("step%d", done))
+				var pf *ErrPeerFailed
+				var pj *ErrPeerJoined
+				switch {
+				case err == nil:
+					done++
+				case !errors.As(err, &pf) && !errors.As(err, &pj):
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	const rounds = 6
+	for _, tc := range []struct {
+		name     string
+		plan     *fabric.ChaosPlan
+		joiner   int
+		joined   int
+		wantLast int // participants of the last step
+	}{
+		{"coordinator crashes", &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: coord, AtStep: 2}}}, -1, 0, 3},
+		{"coordinator joins late", &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: coord, JoinAt: 2}}}, coord, 2, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewConcurrent(tr)
+			eng.Chaos = tc.plan
+			rep, err := eng.Run(prog(rounds, tc.joiner, tc.joined))
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if len(rep.Steps) != rounds {
+				t.Fatalf("%d steps recorded, want %d", len(rep.Steps), rounds)
+			}
+			if last := rep.Steps[len(rep.Steps)-1]; last.Participants != tc.wantLast {
+				t.Errorf("last step has %d participants, want %d", last.Participants, tc.wantLast)
+			}
+			var prev trace.Step
+			for i, s := range rep.Steps {
+				// Time is the span taken in nanoseconds, Start and End each
+				// converted to microseconds: equal to a picosecond.
+				if !(0 < s.Start && s.Start <= s.End) || math.Abs(s.Time-(s.End-s.Start)) > 1e-6 {
+					t.Errorf("step %d (%d participants): start %v end %v time %v, want 0 < start ≤ end and time = end − start",
+						i, s.Participants, s.Start, s.End, s.Time)
+				}
+				// Steps of one participant count come from one recorder.
+				if i > 0 && s.Participants == prev.Participants && s.Start < prev.End {
+					t.Errorf("step %d starts at %v, before step %d of the same recorder ended at %v", i, s.Start, i-1, prev.End)
+				}
+				prev = s
+			}
+		})
 	}
 }

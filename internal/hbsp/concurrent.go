@@ -129,8 +129,9 @@ type cctx struct {
 }
 
 // scopeSeq is one processor's standing on one scope: its next sync
-// generation there, and the name of the scope's pvm barrier. The name is
-// built once and serves every generation — the barrier is cyclic — until
+// generation there, and the scope's pvm barrier, held by reference. The
+// name is built once and serves every generation — the barrier is cyclic,
+// and the reference lets an arrival skip the System's barrier table — until
 // what it was built for changes: the dead members this processor has
 // acknowledged on the scope (a shrunken barrier must never collide with
 // the pre-failure one, whose name a crash cancel has latched for good) or
@@ -143,7 +144,7 @@ type cctx struct {
 // own deadlines expire, so a retry never completes somebody else's round.
 type scopeSeq struct {
 	gen      int
-	name     string
+	bar      pvm.BarrierRef
 	epoch    int
 	dead     []int
 	timedOut bool
@@ -273,11 +274,11 @@ func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq) (count int, deadlin
 	// Every live member holds the same acknowledged dead set at the same
 	// generation, so all survivors compute the same name and count.
 	count, ackedDead := s.led.live(c.pid, w.key, w.members)
-	if sc.name == "" || sc.timedOut || sc.epoch != s.led.epoch || !slices.Equal(sc.dead, ackedDead) {
-		sc.name = barrierName(w.scope, s.led.epoch, ackedDead, sc.timedOut, w.gen)
+	if sc.bar.Name == "" || sc.timedOut || sc.epoch != s.led.epoch || !slices.Equal(sc.dead, ackedDead) {
+		sc.bar = pvm.BarrierRef{Name: barrierName(w.scope, s.led.epoch, ackedDead, sc.timedOut, w.gen)}
 		sc.epoch, sc.dead = s.led.epoch, ackedDead
 	}
-	w.barrier = sc.name
+	w.barrier = sc.bar.Name
 	s.waiting[c.pid] = w
 	s.nwaiting++
 	s.arrived[c.pid][w.id] = w.gen
@@ -571,9 +572,14 @@ func wireTag(scopeID, gen, userTag int) int {
 
 // Sync is one super^i-step of this processor: enter, flush the outbox,
 // park at the scope's barrier, drain the delivery, commit. A steady-state
-// Sync visits the run-wide state twice (enterSync, commit) and reads the
-// clock three times (start, barrier exit, end); an observer adds its own
-// reads.
+// Sync visits the run-wide state twice (enterSync, commit), arrives at the
+// scope's barrier by reference, and reads the clock only where something
+// uses the reading: the scope's live coordinator at the start and the end,
+// for its step record; every processor at the start, the barrier exit and
+// the end while an observer is set, which adds its own reads; and at the
+// start and the barrier exit while DetectFactor arms the detection
+// deadline, whose base is the barrier wait. A warm step of the other
+// processors reads no clock.
 func (c *cctx) Sync(scope *model.Machine, label string) error {
 	if err := c.enter(scope); err != nil {
 		return err
@@ -585,7 +591,11 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	sc.gen++
 	ops := c.opsAcc
 	c.opsAcc = 0
-	start := time.Since(c.shared.started)
+	// The views that elect the coordinator change only when a Sync consumes
+	// a notice, and that Sync fails: whoever records this step if it
+	// completes is known now.
+	records := c.liveCoordinator(scope) == c.leaf
+	start := c.clock(records || c.opt.Obsv != nil || c.eng.DetectFactor > 0)
 
 	// The victim of a boundary fate flushes nothing it had queued, and
 	// cancels the barriers of already parked members so they observe the
@@ -606,7 +616,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	if notice != nil {
 		return notice
 	}
-	deposits, wait, err := c.park(w, ord, count, deadline, start)
+	deposits, wait, err := c.park(w, sc, ord, count, deadline, start)
 	if err != nil {
 		c.shared.leaveSync(c.pid, wait)
 		return c.barrierErr(err, w, sc)
@@ -618,7 +628,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		c.shared.leaveSync(c.pid, wait)
 		return err
 	}
-	return c.commit(w, ord, ops, start, wait, count, sent+recv)
+	return c.commit(w, ord, ops, records, start, wait, count, sent+recv)
 }
 
 // flush transmits every queued message whose endpoints are both inside
@@ -703,23 +713,27 @@ func (c *cctx) linkLost(sendErr error, scope *model.Machine, ord int) error {
 	return sendErr
 }
 
-// park blocks at the scope's barrier until its count live members have
-// arrived — under Verify every participant deposits its vector clock and
-// gathers the others' — and returns how long the Sync has taken up to the
-// barrier's exit.
-func (c *cctx) park(w *syncWait, ord, count int, deadline, start time.Duration) (deposits map[pvm.TID][]byte, wait time.Duration, err error) {
+// park blocks at the scope's barrier, arriving through the reference sc
+// holds, until its count live members have arrived — under Verify every
+// participant deposits its vector clock and gathers the others' — and
+// returns how long the Sync has taken up to the barrier's exit: zero
+// unless an observer or the detection deadline uses it.
+func (c *cctx) park(w *syncWait, sc *scopeSeq, ord, count int, deadline, start time.Duration) (deposits map[pvm.TID][]byte, wait time.Duration, err error) {
+	obs := c.opt.Obsv != nil
 	var bEnter time.Duration
-	if c.opt.Obsv != nil {
+	if obs {
 		bEnter = time.Since(c.shared.started)
 	}
+	var dep []byte
 	if c.opt.Verify {
-		dep := pvm.NewBuffer().PackInt64Slice(c.vc.encodeInt64()).Bytes()
-		deposits, err = c.task.BarrierExchange(w.barrier, count, deadline, dep)
-	} else {
-		err = c.task.BarrierTimeout(w.barrier, count, deadline)
+		dep = pvm.NewBuffer().PackInt64Slice(c.vc.encodeInt64()).Bytes()
+	}
+	deposits, err = c.task.Arrive(&sc.bar, count, deadline, dep)
+	if !obs && c.eng.DetectFactor <= 0 {
+		return deposits, 0, err
 	}
 	bExit := time.Since(c.shared.started)
-	if err == nil && c.opt.Obsv != nil {
+	if err == nil && obs {
 		c.opt.Obsv.BarrierWait(ord, c.pid, w.scope, w.key.Level, micros(bEnter), micros(bExit))
 	}
 	return deposits, bExit - start, err
@@ -783,9 +797,10 @@ func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err e
 // commit finishes a successful superstep: the compute sample, the
 // checkpoint at the cut cadence, then — in the Sync's second and last
 // visit to the run-wide state — the end of the barrier wait, the reorg
-// estimate, the step record and the cut verdict; and the cut window.
-func (c *cctx) commit(w *syncWait, ord int, ops float64, start, wait time.Duration, count, bytes int) error {
-	end := time.Since(c.shared.started)
+// estimate, the step record (when this processor records it) and the cut
+// verdict; and the cut window.
+func (c *cctx) commit(w *syncWait, ord int, ops float64, records bool, start, wait time.Duration, count, bytes int) error {
+	end := c.clock(records || c.opt.Obsv != nil)
 	sample := 0.0
 	c.observe(ord, ord, ops > 0, micros(end), func(_ int, v float64) { sample = v })
 	root := w.key == c.tree.Root
@@ -795,10 +810,6 @@ func (c *cctx) commit(w *syncWait, ord int, ops float64, start, wait time.Durati
 			c.commitStage(c.rootDone)
 		}
 	}
-	// The scope coordinator records the step — the fastest live member,
-	// so a dead coordinator's role fails over.
-	records := c.liveCoordinator(w.key) == c.leaf
-
 	s := c.shared
 	s.mu.Lock()
 	s.leaveLocked(c.pid, wait)
@@ -944,6 +955,15 @@ func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsec
 // nowMicros is the processor's current time on the run clock.
 func (c *cctx) nowMicros() float64 { return micros(time.Since(c.shared.started)) }
 
+// clock is the time since the run started if on, else zero: a Sync reads
+// the clock only for a consumer of the reading.
+func (c *cctx) clock(on bool) time.Duration {
+	if !on {
+		return 0
+	}
+	return time.Since(c.shared.started)
+}
+
 // unreachable asks the ledger, once per flush and under one acquisition,
 // which in-scope destinations of c's outbox cannot take it: hold[dst]
 // (ledger.hold) keeps the message queued, dead[dst] drops it. Both are
@@ -969,10 +989,11 @@ func (s *crun) unreachable(c *cctx, scope *model.Machine) (hold, dead map[int]bo
 }
 
 // liveCoordinator is the scope coordinator restricted to leaves this
-// processor knows to be active members and not dead: coordinator
-// failover, plus exclusion of dormant (not-yet-joined) leaves. Both
-// views are generation-aligned across a scope's live members by the
-// notice protocols, so exactly one participant claims the role.
+// processor knows to be active members and not dead: the member that
+// records the scope's steps, with coordinator failover, and with dormant
+// (not-yet-joined) leaves excluded. Both views are generation-aligned
+// across a scope's live members by the notice protocols, so exactly one
+// participant claims the role.
 func (c *cctx) liveCoordinator(scope *model.Machine) *model.Machine {
 	if len(c.failedView) == 0 && len(c.membersView) == c.NProcs() {
 		return scope.Coordinator()

@@ -439,13 +439,15 @@ func (o *coreOpts) record(steps *stepLog, scope *model.Machine, label string, pr
 	o.Obsv.Superstep(s.Index, label, s.ScopeLabel, s.Level, s.Start, s.End, pred, int64(s.Bytes))
 }
 
-// packMsg and unpackMsg are the engine message wire codec: source, user
-// tag, under Verify the payload checksum and the sender's clock, and the
+// packMsg and unpackMsg are the engine message wire codec: the user tag,
+// under Verify the payload checksum and the sender's clock, and the
 // payload last — borrowed: a transport writes it from the sender's slice,
 // an in-proc send copies it into the pooled wire, inside the flushing Sync.
+// The sender is not packed: the pvm message that carries the frame names
+// it.
 func packMsg(m *pendingMsg, verify bool) *pvm.Buffer {
 	buf := pvm.NewBuffer()
-	buf.PackInt32(int32(m.src), int32(m.tag))
+	buf.PackInt32(int32(m.tag))
 	if verify {
 		buf.PackInt64(int64(m.sum))
 		buf.PackInt64Slice(m.stamp.encodeInt64())
@@ -453,17 +455,14 @@ func packMsg(m *pendingMsg, verify bool) *pvm.Buffer {
 	return buf.PackBytesBorrowed(m.payload)
 }
 
-// unpackMsg decodes one message; the payload aliases the buffer's bytes.
-func unpackMsg(b *pvm.Buffer, verify bool) (m Message, meta msgMeta, err error) {
-	src, err := b.UnpackInt32()
-	if err != nil {
-		return m, meta, err
-	}
+// unpackMsg decodes one message sent by pid src; the payload aliases the
+// buffer's bytes.
+func unpackMsg(b *pvm.Buffer, src int, verify bool) (m Message, meta msgMeta, err error) {
 	tag, err := b.UnpackInt32()
 	if err != nil {
 		return m, meta, err
 	}
-	m = Message{Src: int(src), Tag: int(tag)}
+	m = Message{Src: src, Tag: int(tag)}
 	if verify {
 		sum, err := b.UnpackInt64()
 		if err != nil {
@@ -481,12 +480,14 @@ func unpackMsg(b *pvm.Buffer, verify bool) (m Message, meta msgMeta, err error) 
 
 // unpackWindow decodes the drained superstep in p.wires into the
 // delivery window. Every payload aliases its wire, which the window holds
-// until retire releases it. A malformed message aborts the superstep
-// with the window holding what decoded before it; every wire, the bad
-// one's included, still goes back at the next retire or when Run ends.
+// until retire releases it. A message's sender is its wire's source task:
+// Concurrent.Run spawns pid p as TID p in every process, so the pid↔TID
+// table is the identity. A malformed message aborts the superstep with
+// the window holding what decoded before it; every wire, the bad one's
+// included, still goes back at the next retire or when Run ends.
 func (p *proc) unpackWindow() error {
 	for _, pm := range p.wires {
-		m, meta, err := unpackMsg(pm.Buffer(), p.opt.Verify)
+		m, meta, err := unpackMsg(pm.Buffer(), int(pm.Src), p.opt.Verify)
 		if err != nil {
 			return err
 		}

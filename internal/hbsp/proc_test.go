@@ -147,12 +147,10 @@ func codecMsg() pendingMsg {
 }
 
 // codecFields packs the first n fields of codecMsg's frame by value, in
-// wire order: source, tag, under Verify checksum and clock, and the
-// payload last.
+// wire order: tag, under Verify checksum and clock, and the payload last.
 func codecFields(b *pvm.Buffer, n int, verify bool) *pvm.Buffer {
 	m := codecMsg()
 	packs := []func(){
-		func() { b.PackInt32(int32(m.src)) },
 		func() { b.PackInt32(int32(m.tag)) },
 	}
 	if verify {
@@ -167,16 +165,23 @@ func codecFields(b *pvm.Buffer, n int, verify bool) *pvm.Buffer {
 	return b
 }
 
+// The engine's frame is its tag, under Verify the checksum and the clock,
+// and the payload: the sender travels as the pvm message's source, so a
+// frame without Verify has a 10-byte head, the tag's 5 and the payload's
+// length prefix of 5 (15 when the sender was packed too).
 func TestCodecRoundTripAndEveryTruncation(t *testing.T) {
 	for _, verify := range []bool{false, true} {
 		sent := codecMsg()
-		whole := 3
+		whole := 2
 		if verify {
-			whole = 5
+			whole = 4
 		}
 		// The payload is borrowed: the buffer's head ends at its length
 		// prefix, and head ‖ tail is the frame packed by value.
 		head := len(codecFields(pvm.Wrap(nil), whole-1, verify).Bytes()) + 1 + 4
+		if !verify && head != 10 {
+			t.Errorf("a frame without Verify has a %d-byte head, want 10", head)
+		}
 		packed := packMsg(&sent, verify)
 		if packed.Len() != head+len(sent.payload) {
 			t.Errorf("verify=%v: packed length %d, want a %d-byte head and the payload", verify, packed.Len(), head)
@@ -188,7 +193,7 @@ func TestCodecRoundTripAndEveryTruncation(t *testing.T) {
 		if !bytes.Equal(wire[head:], sent.payload) {
 			t.Errorf("verify=%v: the frame does not end on the payload", verify)
 		}
-		m, meta, err := unpackMsg(pvm.Wrap(wire), verify)
+		m, meta, err := unpackMsg(pvm.Wrap(wire), sent.src, verify)
 		if err != nil {
 			t.Fatalf("verify=%v: %v", verify, err)
 		}
@@ -203,7 +208,7 @@ func TestCodecRoundTripAndEveryTruncation(t *testing.T) {
 			t.Errorf("verify=%v: decoded record %+v, want %+v", verify, meta, wantMeta)
 		}
 		for n := 0; n < len(wire); n++ {
-			if _, _, err := unpackMsg(pvm.Wrap(wire[:n]), verify); err == nil {
+			if _, _, err := unpackMsg(pvm.Wrap(wire[:n]), sent.src, verify); err == nil {
 				t.Errorf("verify=%v: frame cut to %d of %d bytes decoded without error", verify, n, len(wire))
 			}
 		}
@@ -211,7 +216,7 @@ func TestCodecRoundTripAndEveryTruncation(t *testing.T) {
 	// A frame packed without the Verify fields is malformed to a verifying
 	// reader, whatever the payload.
 	sent := codecMsg()
-	if _, _, err := unpackMsg(pvm.Wrap(packMsg(&sent, false).Bytes()), true); err == nil {
+	if _, _, err := unpackMsg(pvm.Wrap(packMsg(&sent, false).Bytes()), sent.src, true); err == nil {
 		t.Error("verifying reader accepted a frame without checksum and clock")
 	}
 }
@@ -232,9 +237,9 @@ func released(m pvm.Message) (yes bool) {
 func TestUnpackWindowReleasesTheRestOnError(t *testing.T) {
 	good := codecMsg()
 	for _, verify := range []bool{false, true} {
-		whole := 3
+		whole := 2
 		if verify {
-			whole = 5
+			whole = 4
 		}
 		for cut := 0; cut < whole; cut++ {
 			sys := pvm.NewSystem()
@@ -286,12 +291,12 @@ func FuzzUnpackMsg(f *testing.F) {
 	}
 	f.Add([]byte{}, true)
 	f.Fuzz(func(t *testing.T, data []byte, verify bool) {
-		m, meta, err := unpackMsg(pvm.Wrap(data), verify)
+		m, meta, err := unpackMsg(pvm.Wrap(data), sent.src, verify)
 		if err != nil {
 			return
 		}
 		again := pendingMsg{src: m.Src, tag: m.Tag, payload: m.Payload, sum: meta.sum, stamp: meta.stamp}
-		m2, meta2, err := unpackMsg(pvm.Wrap(packMsg(&again, verify).Bytes()), verify)
+		m2, meta2, err := unpackMsg(pvm.Wrap(packMsg(&again, verify).Bytes()), m.Src, verify)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}

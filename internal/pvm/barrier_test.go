@@ -16,8 +16,8 @@ import (
 // under another name.
 
 func (s *System) barrierCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.barriers)
 }
 
@@ -174,8 +174,8 @@ func TestCancelBarrierAfterRetiredRoundLatches(t *testing.T) {
 }
 
 func (s *System) freeBarriers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.bfree)
 }
 
@@ -298,7 +298,7 @@ func TestCyclicBarrierTenThousandGenerations(t *testing.T) {
 // that life starts over instead of arriving under the new name.
 func TestDrawnBarrierStartsOver(t *testing.T) {
 	s := NewSystem()
-	b, err := s.lockBarrier("first", true)
+	b, err := s.lockBarrier(&BarrierRef{Name: "first"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestDrawnBarrierStartsOver(t *testing.T) {
 	if live, free := s.barrierCount(), s.freeBarriers(); live != 0 || free != 1 {
 		t.Fatalf("after the only task left: %d in the table, %d free, want 0 and 1", live, free)
 	}
-	again, err := s.lockBarrier("second", true)
+	again, err := s.lockBarrier(&BarrierRef{Name: "second"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestDrawnBarrierStartsOver(t *testing.T) {
 	again.inside++
 	again.mu.Unlock()
 	// What "first" resolves to now must not be the barrier "second" owns.
-	other, err := s.lockBarrier("first", true)
+	other, err := s.lockBarrier(&BarrierRef{Name: "first"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestFreeBarriersAreBounded(t *testing.T) {
 	const names = 3 * maxFreeBarriers
 	held := make([]*barrier, names)
 	for i := range held {
-		b, err := s.lockBarrier(fmt.Sprintf("n%d", i), true)
+		b, err := s.lockBarrier(&BarrierRef{Name: fmt.Sprintf("n%d", i)}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,5 +353,252 @@ func TestFreeBarriersAreBounded(t *testing.T) {
 	}
 	if live, free := s.barrierCount(), s.freeBarriers(); live != 0 || free != maxFreeBarriers {
 		t.Errorf("%d in the table, %d free, want 0 and %d", live, free, maxFreeBarriers)
+	}
+}
+
+// holdInside keeps name's barrier from retiring, as a task between its
+// arrival and its return does, and returns it.
+func holdInside(t *testing.T, s *System, name string) *barrier {
+	t.Helper()
+	b, err := s.lockBarrier(&BarrierRef{Name: name}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.inside++
+	b.mu.Unlock()
+	return b
+}
+
+// awaitArrivals returns once b's open round holds n arrivals.
+func awaitArrivals(b *barrier, n int) {
+	for {
+		b.mu.Lock()
+		got := b.arrived
+		b.mu.Unlock()
+		if got >= n {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// A reference held across a retirement: the barrier it found goes idle,
+// retires and is drawn again under another name before the reference's
+// next arrival. That arrival must not land on the other name's round; it
+// looks its own name up again and meets its partner there. (The deadlines
+// turn an arrival on the wrong barrier into a failure, not a hang.)
+func TestHeldBarrierRefFallsBackToTheName(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := NewSystem()
+	ref := &BarrierRef{Name: "mine"}
+	s.Spawn("holder", func(tk *Task) error {
+		if _, err := tk.Arrive(ref, 1, 0, nil); err != nil {
+			return err
+		}
+		first := ref.at.b
+		if live, free := s.barrierCount(), s.freeBarriers(); live != 0 || free != 1 {
+			return fmt.Errorf("after the lone round: %d in the table, %d free, want it retired", live, free)
+		}
+		// Another name draws the retired barrier and parks a task there.
+		s.Spawn("thief", func(tk *Task) error {
+			_, err := tk.BarrierExchange("theirs", 2, 10*time.Second, []byte("thief"))
+			return err
+		})
+		awaitArrivals(first, 1)
+		partner := s.Spawn("partner", func(tk *Task) error {
+			_, err := tk.BarrierExchange("mine", 2, 10*time.Second, []byte("partner"))
+			return err
+		})
+		got, err := tk.Arrive(ref, 2, 0, []byte("holder"))
+		if err != nil {
+			return err
+		}
+		if len(got) != 2 || string(got[tk.TID()]) != "holder" || string(got[partner]) != "partner" {
+			return fmt.Errorf("the held reference's round gathered %q", got)
+		}
+		if ref.at.b == first {
+			return errors.New("the reference still holds the barrier drawn under another name")
+		}
+		first.mu.Lock()
+		n := first.arrived
+		first.mu.Unlock()
+		if n != 1 {
+			return fmt.Errorf("the other name's round holds %d arrivals, want its own 1", n)
+		}
+		_, err = tk.BarrierExchange("theirs", 2, 0, nil)
+		return err
+	})
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The same under load: tasks cycle one barrier by reference while a
+// neighbour retires and draws barriers under fresh names, so that a held
+// barrier is now and then retired between two arrivals and drawn under a
+// name of the neighbour's. Every round gathers exactly its own deposits.
+func TestHeldBarrierRefsUnderRetirement(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := NewSystem()
+	const n, rounds = 4, 2000
+	var cycling sync.WaitGroup
+	cycling.Add(n)
+	done := make(chan struct{})
+	go func() {
+		cycling.Wait()
+		close(done)
+	}()
+	for i := 0; i < n; i++ {
+		i := i
+		s.Spawn(fmt.Sprintf("t%d", i), func(tk *Task) error {
+			defer cycling.Done()
+			ref := &BarrierRef{Name: "cyclic"}
+			for r := 0; r < rounds; r++ {
+				if (r+i)%3 == 0 {
+					runtime.Gosched()
+				}
+				got, err := tk.Arrive(ref, n, 0, []byte{byte(i), byte(r), byte(r >> 8)})
+				if err != nil {
+					return err
+				}
+				if len(got) != n {
+					return fmt.Errorf("round %d: %d deposits, want %d", r, len(got), n)
+				}
+				for tid, b := range got {
+					if len(b) != 3 || TID(b[0]) != tid || int(b[1])|int(b[2])<<8 != r {
+						return fmt.Errorf("round %d: deposit of task %d = %v", r, tid, b)
+					}
+				}
+			}
+			return nil
+		})
+	}
+	s.Spawn("neighbour", func(tk *Task) error {
+		for k := 0; ; k++ {
+			select {
+			case <-done:
+				return nil
+			default:
+			}
+			if err := tk.Barrier(fmt.Sprintf("once#%d", k), 1); err != nil {
+				return err
+			}
+		}
+	})
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An arrival by reference after Halt fails with ErrHalted, whether the
+// held barrier is still live — Halt marked it — or has retired since.
+func TestArriveByRefAfterHaltFails(t *testing.T) {
+	s := NewSystem()
+	b := holdInside(t, s, "live")
+	live, retired := &BarrierRef{Name: "live"}, &BarrierRef{Name: "retired"}
+	s.Spawn("t", func(tk *Task) error {
+		for _, ref := range []*BarrierRef{retired, live} {
+			if _, err := tk.Arrive(ref, 1, 0, nil); err != nil {
+				return err
+			}
+		}
+		if live.at.b != b {
+			return errors.New("the reference does not hold the live barrier")
+		}
+		return nil
+	})
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	s.Halt()
+	s.Spawn("late", func(tk *Task) error {
+		// A lone arrival would complete its round on the spot: the check
+		// must come first.
+		for _, ref := range []*BarrierRef{live, retired} {
+			if _, err := tk.Arrive(ref, 1, 0, nil); !errors.Is(err, ErrHalted) {
+				return fmt.Errorf("arrival at %q after Halt: err = %v, want ErrHalted", ref.Name, err)
+			}
+		}
+		return nil
+	})
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// CancelBarrier by name wakes a task that arrived through a held
+// reference, and every later arrival through it fails the same way.
+func TestCancelBarrierWakesAnArrivalByRef(t *testing.T) {
+	s := NewSystem()
+	ref := &BarrierRef{Name: "held"}
+	b := holdInside(t, s, "held")
+	s.Spawn("t", func(tk *Task) error {
+		if _, err := tk.Arrive(ref, 1, 0, nil); err != nil {
+			return err
+		}
+		if ref.at.b != b {
+			return errors.New("the reference does not hold the barrier")
+		}
+		for try := 0; try < 2; try++ {
+			if _, err := tk.Arrive(ref, 2, 0, nil); !errors.Is(err, ErrCanceled) {
+				return fmt.Errorf("arrival %d: err = %v, want ErrCanceled", try, err)
+			}
+		}
+		return nil
+	})
+	awaitArrivals(b, 1)
+	s.CancelBarrier("held")
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Tasks spawned while others send: the task table grows under senders
+// that read it without a lock (run it under -race), and every spawned
+// task is reachable the moment Spawn returns its TID.
+func TestSpawnDuringSendBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := NewSystem()
+	const spawned = 64
+	one := func(dst TID) []Batch { return []Batch{{Dst: dst, Bufs: []*Buffer{NewBuffer().PackInt32(1)}}} }
+	sink := s.Spawn("sink", func(tk *Task) error {
+		for got := 0; got < spawned; got++ {
+			m, err := tk.Recv(AnySource, 1)
+			if err != nil {
+				return err
+			}
+			m.Release()
+		}
+		return nil
+	})
+	tids := make(chan TID, spawned)
+	s.Spawn("sender", func(tk *Task) error {
+		var batches []Batch
+		for len(batches) < spawned {
+			batches = append(batches, one(<-tids)...)
+			for i := range batches {
+				batches[i].Bufs = []*Buffer{NewBuffer().PackInt32(1)}
+			}
+			if err := tk.SendBatches(1, batches); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for i := 0; i < spawned; i++ {
+		tids <- s.Spawn(fmt.Sprintf("spawned%d", i), func(tk *Task) error {
+			if err := tk.SendBatches(1, one(tk.TID())); err != nil {
+				return err
+			}
+			return tk.SendBatches(1, one(sink))
+		})
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tid := range []TID{-1, TID(len(*s.tasks.Load()))} {
+		if _, err := s.task(tid); err == nil {
+			t.Errorf("TID %d resolved to a task", tid)
+		}
 	}
 }

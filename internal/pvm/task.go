@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -81,9 +82,12 @@ var ErrCanceled = errors.New("pvm: barrier canceled")
 // System is the virtual machine: it spawns tasks, routes messages and
 // hosts group barriers.
 type System struct {
-	mu       sync.RWMutex
-	tasks    map[TID]*Task
-	nextTID  TID
+	// mu guards spawning, halting and the barrier table. The send path
+	// never takes it: tasks is the task table by TID, dense from 0 and
+	// never shrinking, which Spawn republishes whole under mu and every
+	// lookup reads with one atomic load.
+	mu       sync.Mutex
+	tasks    atomic.Pointer[[]*Task]
 	halted   bool
 	wg       sync.WaitGroup
 	barriers map[string]barrierRef
@@ -102,10 +106,9 @@ type System struct {
 
 // NewSystem returns an empty virtual machine.
 func NewSystem() *System {
-	return &System{
-		tasks:    make(map[TID]*Task),
-		barriers: make(map[string]barrierRef),
-	}
+	s := &System{barriers: make(map[string]barrierRef)}
+	s.tasks.Store(new([]*Task))
+	return s
 }
 
 // Spawn starts fn as a new task and returns its TID. A panic inside fn
@@ -113,12 +116,15 @@ func NewSystem() *System {
 // collected.
 func (s *System) Spawn(name string, fn func(*Task) error) TID {
 	s.mu.Lock()
-	tid := s.nextTID
-	s.nextTID++
+	tasks := *s.tasks.Load()
+	tid := TID(len(tasks))
 	t := &Task{tid: tid, name: name, sys: s, halted: s.halted}
 	t.cond = sync.NewCond(&t.sendMu)
 	t.queues = make(map[mkey]*msgq)
-	s.tasks[tid] = t
+	// A reader holds a table no longer than it was when loaded, so the
+	// slot the append writes is one no reader of the old table reads.
+	tasks = append(tasks, t)
+	s.tasks.Store(&tasks)
 	s.mu.Unlock()
 
 	s.wg.Add(1)
@@ -171,10 +177,7 @@ func (s *System) Errors() []error {
 func (s *System) Halt() {
 	s.mu.Lock()
 	s.halted = true
-	tasks := make([]*Task, 0, len(s.tasks))
-	for _, t := range s.tasks {
-		tasks = append(tasks, t)
-	}
+	tasks := *s.tasks.Load()
 	barriers := make([]*barrier, 0, len(s.barriers))
 	for _, ref := range s.barriers {
 		barriers = append(barriers, ref.b)
@@ -195,13 +198,11 @@ func (s *System) Halt() {
 }
 
 func (s *System) task(tid TID) (*Task, error) {
-	s.mu.RLock()
-	t, ok := s.tasks[tid]
-	s.mu.RUnlock()
-	if !ok {
+	tasks := *s.tasks.Load()
+	if tid < 0 || int(tid) >= len(tasks) {
 		return nil, fmt.Errorf("pvm: no such task %d", tid)
 	}
-	return t, nil
+	return tasks[tid], nil
 }
 
 // Task is one spawned process: a goroutine plus a selective-receive
@@ -461,21 +462,48 @@ type barrierRef struct {
 // maxFreeBarriers bounds the System's retired barriers kept for reuse.
 const maxFreeBarriers = 16
 
-// lockBarrier returns the named barrier with its mu held, published on
-// first use — drawn from the retired ones when there is one; arriving
-// makes it fail on a halted system, in the critical section that would
-// have published the barrier. System.mu is a leaf lock, so the barrier is
-// locked only after the table is let go and may have been retired in
-// between: its life says so and the lookup starts over — nobody arrives
-// at, or cancels, an orphan.
-func (s *System) lockBarrier(name string, arriving bool) (*barrier, error) {
+// BarrierRef names a barrier and, once an arrival through it has found
+// the barrier, holds it at the life it was found at, so that the next
+// arrival of a cyclic barrier in steady use locks the barrier alone,
+// without the System's table. A barrier retired since — and perhaps drawn
+// again under another name — shows a different life, and the arrival
+// looks its name up afresh. The zero value of a name's reference is one
+// that has not found its barrier yet; a reference is used by one task at
+// a time.
+type BarrierRef struct {
+	Name string
+	at   barrierRef
+}
+
+// lockBarrier returns r's barrier with its mu held: the one r holds if it
+// is still at the life r found it at, else the named one, published on
+// first use — drawn from the retired ones when there is one — which r
+// then holds. Arriving makes it fail on a halted system: in the critical
+// section that would have published the barrier, or at a held barrier
+// that Halt has reached (one it has not reached yet is, like an arrival
+// that looked it up before the Halt, woken by it). System.mu is a leaf
+// lock, so a looked-up barrier is locked only after the table is let go
+// and may have been retired in between: its life says so and the lookup
+// starts over — nobody arrives at, or cancels, an orphan.
+func (s *System) lockBarrier(r *BarrierRef, arriving bool) (*barrier, error) {
+	if b := r.at.b; b != nil {
+		b.mu.Lock()
+		if b.life == r.at.life {
+			if arriving && b.halted {
+				b.mu.Unlock()
+				return nil, ErrHalted
+			}
+			return b, nil
+		}
+		b.mu.Unlock()
+	}
 	for {
 		s.mu.Lock()
 		if arriving && s.halted {
 			s.mu.Unlock()
 			return nil, ErrHalted
 		}
-		ref, ok := s.barriers[name]
+		ref, ok := s.barriers[r.Name]
 		if !ok {
 			if n := len(s.bfree); n > 0 {
 				ref, s.bfree = s.bfree[n-1], s.bfree[:n-1]
@@ -483,15 +511,16 @@ func (s *System) lockBarrier(name string, arriving bool) (*barrier, error) {
 				ref.b = &barrier{}
 				ref.b.cond.L = &ref.b.mu
 			}
-			s.barriers[name] = ref
+			s.barriers[r.Name] = ref
 		}
 		s.mu.Unlock()
 		ref.b.mu.Lock()
 		if ref.b.life == ref.life {
+			r.at = ref
 			return ref.b, nil
 		}
 		ref.b.mu.Unlock()
-		s.forget(name, ref, false)
+		s.forget(r.Name, ref, false)
 	}
 }
 
@@ -584,6 +613,15 @@ func (t *Task) BarrierTimeout(name string, count int, d time.Duration) error {
 // from there; otherwise the barrier is this System's, and the task that
 // leaves it idle retires it (unlockBarrier).
 func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
+	return t.Arrive(&BarrierRef{Name: name}, count, d, deposit)
+}
+
+// Arrive is BarrierExchange at the barrier r names, through the barrier r
+// holds while it is still that barrier (BarrierRef): a task that keeps its
+// reference across the rounds of a cyclic barrier arrives without a table
+// lookup.
+func (t *Task) Arrive(r *BarrierRef, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
+	name := r.Name
 	if count <= 0 {
 		return nil, fmt.Errorf("pvm: barrier %q with count %d", name, count)
 	}
@@ -593,13 +631,20 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 	if bc := t.sys.carrier; bc != nil {
 		return bc.BarrierExchange(t.tid, name, count, d, deposit)
 	}
-	b, err := t.sys.lockBarrier(name, true)
+	b, err := t.sys.lockBarrier(r, true)
 	if err != nil {
 		return nil, err
 	}
 	b.inside++
-	defer t.sys.unlockBarrier(name, b)
+	res, err := b.round(t.tid, name, count, d, deposit)
+	t.sys.unlockBarrier(name, b)
+	return res, err
+}
 
+// round is one task's stay at b, b.mu held throughout but while it waits:
+// its arrival, with its deposit, and its wait until the round completes,
+// the barrier is canceled or halted, or d elapses and it withdraws.
+func (b *barrier) round(tid TID, name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
 	var deadline time.Time
 	var timer *time.Timer
 	if d > 0 {
@@ -620,7 +665,7 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 		if b.deposits == nil {
 			b.deposits = make(map[TID][]byte)
 		}
-		b.deposits[t.tid] = append([]byte(nil), deposit...)
+		b.deposits[tid] = append([]byte(nil), deposit...)
 	}
 	b.arrived++
 	if b.arrived >= count {
@@ -639,7 +684,7 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 	for b.gen == gen && !b.halted && !b.canceled {
 		if d > 0 && !time.Now().Before(deadline) {
 			b.arrived--
-			delete(b.deposits, t.tid)
+			delete(b.deposits, tid)
 			if len(b.deposits) == 0 {
 				b.deposits = nil // the round may yet complete without one
 			}
@@ -664,7 +709,7 @@ func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit 
 // may race ahead of the waiter it is meant to wake. A canceled barrier
 // is never retired.
 func (s *System) CancelBarrier(name string) {
-	b, _ := s.lockBarrier(name, false)
+	b, _ := s.lockBarrier(&BarrierRef{Name: name}, false)
 	b.canceled = true
 	b.arrived = 0
 	b.deposits = nil

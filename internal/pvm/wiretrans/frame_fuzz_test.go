@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -339,4 +340,74 @@ func sliceOf(p, s []byte) bool {
 		return false
 	}
 	return cap(p) == 0 || &p[:1][0] == &s[off:][:1][0]
+}
+
+// FuzzBarrierBody feeds the hub's barrier bodies arbitrary bytes: the
+// BARRIER request a worker sends (unpackBarrier) and, by kind's low bit,
+// the BARRIEROK or BARRIERERR reply it gets back (unpackBarrierReply).
+// Whatever does not decode is ErrBadFrame, never a panic; whatever does
+// re-encodes to a body that decodes to the same request, the same
+// deposits, or an error of the same typed cause.
+func FuzzBarrierBody(f *testing.F) {
+	req := packBarrier("sync:root@1#3", 4, 250*time.Millisecond, []byte("clock"))
+	_, ok := packBarrierReply(map[pvm.TID][]byte{0: []byte("a"), 2: nil, 7: []byte("deposit")}, nil)
+	_, canceled := packBarrierReply(nil, fmt.Errorf("barrier %q: %w", "sync:root", pvm.ErrCanceled))
+	_, other := packBarrierReply(nil, errors.New("no such barrier"))
+	for _, body := range [][]byte{req, packBarrier("", 0, 0, nil), ok, canceled, other} {
+		for kind := range 2 {
+			f.Add(byte(kind), body)
+			f.Add(byte(kind), body[:len(body)/2])
+		}
+	}
+	f.Add(byte(0), []byte{})
+	f.Add(byte(1), pvm.Wrap(nil).PackInt32(-1).PackString("negative").Bytes())
+	f.Add(byte(0), pvm.Wrap(nil).PackInt32(-1).Bytes())
+	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
+		name, count, d, deposit, err := unpackBarrier(body)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("BARRIER body %x: %v, want ErrBadFrame", body, err)
+			}
+		} else {
+			n2, c2, d2, dep2, err := unpackBarrier(packBarrier(name, count, d, deposit))
+			if err != nil || n2 != name || c2 != count || d2 != d || !bytes.Equal(dep2, deposit) {
+				t.Fatalf("BARRIER round trip: (%q %d %v %x) became (%q %d %v %x), %v", name, count, d, deposit, n2, c2, d2, dep2, err)
+			}
+		}
+
+		k := byte(frameBarrierOK)
+		if kind&1 == 1 {
+			k = frameBarrierErr
+		}
+		res, err := unpackBarrierReply(k, body)
+		switch {
+		case errors.Is(err, ErrBadFrame):
+		case k == frameBarrierOK && err != nil:
+			t.Fatalf("BARRIEROK body %x: %v, want ErrBadFrame", body, err)
+		case k == frameBarrierOK:
+			k2, body2 := packBarrierReply(res, nil)
+			res2, err := unpackBarrierReply(k2, body2)
+			if k2 != frameBarrierOK || err != nil || len(res2) != len(res) {
+				t.Fatalf("BARRIEROK round trip: %d deposits became kind %d, %d deposits, %v", len(res), k2, len(res2), err)
+			}
+			for tid, dep := range res {
+				if !bytes.Equal(res2[tid], dep) {
+					t.Fatalf("BARRIEROK round trip: deposit of %d %x became %x", tid, dep, res2[tid])
+				}
+			}
+		case err == nil:
+			t.Fatalf("BARRIERERR body %x decoded without an error", body)
+		default:
+			if code, _ := pvm.Wrap(body).UnpackInt32(); code < 0 || int(code) >= len(barrierErrs) {
+				t.Fatalf("BARRIERERR body %x: code %d decoded as %v, want ErrBadFrame", body, code, err)
+			}
+			k2, body2 := packBarrierReply(nil, err)
+			_, err2 := unpackBarrierReply(k2, body2)
+			for _, cause := range barrierErrs[1:] {
+				if k2 != frameBarrierErr || errors.Is(err2, cause) != errors.Is(err, cause) || errors.Is(err2, ErrBadFrame) {
+					t.Fatalf("BARRIERERR round trip: %v became kind %d, %v", err, k2, err2)
+				}
+			}
+		}
+	})
 }

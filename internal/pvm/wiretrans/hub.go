@@ -257,7 +257,7 @@ func (h *Hub) relay(task *pvm.Task, lk *link) error {
 		case frameBarrier:
 			name, count, d, deposit, err := unpackBarrier(body)
 			if err != nil {
-				return fmt.Errorf("%w: worker %d BARRIER: %v", ErrBadFrame, pid, err)
+				return fmt.Errorf("wiretrans: worker %d: %w", pid, err)
 			}
 			res, berr := task.BarrierExchange(name, count, d, deposit)
 			f.Release()
@@ -280,7 +280,8 @@ func (h *Hub) relay(task *pvm.Task, lk *link) error {
 
 // packBarrier and unpackBarrier are the BARRIER frame: name, count,
 // the deadline in nanoseconds (zero: none — a millisecond field would
-// turn a sub-millisecond deadline into "wait forever"), the deposit.
+// turn a sub-millisecond deadline into "wait forever"), the deposit. A
+// body that does not decode is ErrBadFrame.
 func packBarrier(name string, count int, d time.Duration, deposit []byte) []byte {
 	return pvm.Wrap(nil).PackString(name).PackInt32(int32(count)).PackInt64(int64(d)).PackBytes(deposit).Bytes()
 }
@@ -299,7 +300,10 @@ func unpackBarrier(body []byte) (name string, count int, d time.Duration, deposi
 	if err == nil {
 		deposit, err = b.UnpackBytes()
 	}
-	return name, int(n), time.Duration(ns), deposit, err
+	if err != nil {
+		return "", 0, 0, nil, fmt.Errorf("%w: BARRIER: %v", ErrBadFrame, err)
+	}
+	return name, int(n), time.Duration(ns), deposit, nil
 }
 
 // barrierErrs are the typed causes a BARRIERERR frame can carry, by
@@ -309,6 +313,8 @@ var barrierErrs = []error{nil, pvm.ErrTimeout, pvm.ErrCanceled, pvm.ErrHalted}
 // packBarrierReply and unpackBarrierReply are the barrier's answer:
 // BARRIEROK with every participant's deposit keyed by pid, or BARRIERERR
 // with the typed cause, so a worker sees the errors an in-proc task sees.
+// A reply that does not decode — a short body, a negative count, a code
+// no cause has — is ErrBadFrame.
 func packBarrierReply(res map[pvm.TID][]byte, err error) (kind byte, body []byte) {
 	if err != nil {
 		code := len(barrierErrs) - 1
@@ -331,11 +337,19 @@ func unpackBarrierReply(kind byte, body []byte) (map[pvm.TID][]byte, error) {
 		return nil, fmt.Errorf("%w: barrier reply: %v", ErrBadFrame, err)
 	}
 	if kind == frameBarrierErr {
-		detail, _ := b.UnpackString()
-		if n > 0 && int(n) < len(barrierErrs) {
+		detail, err := b.UnpackString()
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("%w: barrier reply: %v", ErrBadFrame, err)
+		case n < 0 || int(n) >= len(barrierErrs):
+			return nil, fmt.Errorf("%w: barrier reply: error code %d", ErrBadFrame, n)
+		case n > 0:
 			return nil, fmt.Errorf("wiretrans: barrier: %w: %s", barrierErrs[n], detail)
 		}
 		return nil, fmt.Errorf("wiretrans: barrier failed: %s", detail)
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("%w: barrier reply: %d deposits", ErrBadFrame, n)
 	}
 	res := make(map[pvm.TID][]byte)
 	for ; n > 0; n-- {
