@@ -59,7 +59,7 @@ chaos:
 # grid run repeated must reproduce its report and its event stream byte
 # for byte (the virtual engine is a sequential simulation, DESIGN.md
 # §5.3). The reorg property sweeps prove rebalancing preserves topology
-# shape, the leaf multiset and every collective's sequential oracle,
+# shape, the leaf multiset and every catalogue collective's family oracle,
 # also when a rebalance falls due inside a collective.
 # The final stanza is the multi-process smoke: a coordinator and two
 # worker OS processes, each an hbsp.Concurrent hosting one pid, run the

@@ -23,6 +23,30 @@ go build ./...
 go vet ./...
 "${MAKE:-make}" fmt
 
+# Every test a step names exists. A -run pattern that matches nothing
+# passes with "no tests to run", so a test that moved or was renamed
+# would drop out of its step in silence. Each |-separated name of every
+# -run pattern in this script and the Makefile ('^$' aside) must match a
+# test or fuzz target that `go test -list` finds in that command's
+# packages.
+named_tests_exist() {
+	grep -hv '^[[:space:]]*#' check.sh Makefile | sed -e ':a' -e '/\\$/N' -e 's/\\\n//' -e 'ta' |
+		grep -o '\(go\|$(GO)\) test [^&;"]*-run [^&;"]*' | sed "s/'//g; s/\\\$\\\$/\$/g" |
+		while read -r cmd; do
+			pattern=$(echo "$cmd" | sed 's/.*-run \([^ ]*\).*/\1/')
+			[ "$pattern" = '^$' ] && continue
+			pkgs=$(echo "$cmd" | tr ' \t' '\n\n' | grep '^\./')
+			listed=$(go test -list . $pkgs | grep -v '^ok \|^? ')
+			for name in $(echo "$pattern" | tr '|' ' '); do
+				echo "$listed" | grep -Eq "$name" || {
+					echo "check: -run name '$name' matches no test in $(echo $pkgs)" >&2
+					return 1
+				}
+			done
+		done
+}
+named_tests_exist
+
 # Zero-findings gate (DESIGN.md §5.8): the four analyzers of the suite —
 # SPMD alignment and the communication graph included — over every
 # package, tests too, must report nothing that is not under an audited

@@ -269,6 +269,9 @@ func main() {
 			fmt.Printf("\nSCHEDULE-DEPENDENT: %s\n", set.Diff())
 			os.Exit(1)
 		}
+		if err := set.Runs[0].Err; err != nil {
+			fail(1, err)
+		}
 		fmt.Printf("\nall %d schedules agree: the result is delivery-order independent\n", *explore)
 		return
 	}

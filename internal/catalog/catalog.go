@@ -1,21 +1,17 @@
-// Package catalog is the run side of the one cost table (DESIGN.md
-// §5.9): every collective program the command-line tools run, by name,
-// each paired with the plan.CostVariants row it runs. A priced entry
-// runs its row's collective.RowCalls call; hbspk-sim runs an entry's
-// program, hbspk-predict prints its row's price and hbspk-worker runs
-// the bcast-reduce entry across processes.
-//
-// A program builds its row's inputs the way the row prices them, and
-// this file is the one place that says how: the root is the fastest
-// leaf, byte rows take cost.BalancedDist bytes, and vector rows take
-// plan.VecLen-element vectors. TestEveryRowRunsWhatItPrices joins the
-// two sides.
+// Package catalog is the one list of collective programs (DESIGN.md
+// §5.9) that the command-line tools and the collective tests run. A
+// collective entry names its family, whose oracle checks every
+// processor's result, and a priced one the plan.CostVariants row whose
+// collective.RowCalls call it runs, on inputs built here as the row
+// prices them. The check charges nothing, so a run costs what its row
+// prices; TestEveryRowRunsWhatItPrices joins the two sides.
 package catalog
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,19 +33,21 @@ type Args struct {
 	Planner *plan.Planner
 }
 
-// Entry is one named collective program.
+// Entry is one named program: one collective call, or several (prog).
 type Entry struct {
 	// Name is the command-line name ("gather-hier").
 	Name string
 	// Variant is the plan.CostVariants row the program runs; empty for
 	// a program no row prices.
 	Variant string
-	// Program builds the SPMD body for a run on tr.
-	Program Builder
-}
+	// Family is the collective family whose oracle checks the call's
+	// result ("gather"); empty for a program that is no one call.
+	Family string
 
-// Builder builds an SPMD program for a run on tr.
-type Builder func(tr *model.Tree, a Args) hbsp.Program
+	call any                   // the call, of its family's signature
+	root func(*model.Tree) int // the pid the call roots at
+	prog func(tr *model.Tree, a Args) hbsp.Program
+}
 
 // Row returns the cost-table row the entry runs; ok is false for an
 // entry that runs none.
@@ -79,8 +77,8 @@ func Names(priced bool) string {
 	return strings.Join(names, ", ")
 }
 
-// root is the pid every rooted program roots at: the fastest leaf.
-func root(tr *model.Tree) int { return tr.Pid(tr.FastestLeaf()) }
+// fastest is the pid every rooted call roots at: the fastest leaf.
+func fastest(tr *model.Tree) int { return tr.Pid(tr.FastestLeaf()) }
 
 // Entries returns the catalogue: the cost-table rows in table order,
 // then the programs no row prices.
@@ -104,136 +102,321 @@ func Entries() []Entry {
 		priced("scan", "Scan"),
 		priced("scan-hier", "ScanHier"),
 		priced("alltoall", "TotalExchange"),
-		{"auto", "", auto},
-		{"bcast-reduce", "", bcastReduce},
-		{"ft-gather", "", Pieces(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
-			_, _, err := collective.NewFT(c, c.Tree().Root).Gather(b)
-			return nil, err
-		})},
-		{"ft-bcast", "", Bcast(func(c hbsp.Ctx, in []byte) ([]byte, error) {
-			_, err := collective.NewFT(c, c.Tree().Root).Bcast(root(c.Tree()), in)
-			return nil, err
-		})},
-		{"ft-reduce", "", Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
-			_, _, err := collective.NewFT(c, c.Tree().Root).Reduce(v, op)
-			return nil, err
-		})},
-		{"ft-allreduce", "", Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
-			_, err := collective.NewFT(c, c.Tree().Root).AllReduce(v, op)
-			return nil, err
-		})},
-		{"churn-soak", "", churnSoak},
-		{"nondet-reduce", "", nondetReduce},
-		{"mutate-send", "", mutateSend},
+		{Name: "auto", prog: auto},
+		{Name: "bcast-reduce", prog: bcastReduce},
+		unpriced("alltoall-hier", "alltoall", collective.ExchangeCall(collective.TotalExchangeHier)),
+		unpriced("ft-gather", "gather", collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+			out, _, err := collective.NewFT(c, c.Tree().Root).Gather(b)
+			return out, err
+		})),
+		unpriced("ft-bcast", "bcast", collective.BcastCall(func(c hbsp.Ctx, d []byte) ([]byte, error) {
+			return collective.NewFT(c, c.Tree().Root).Bcast(fastest(c.Tree()), d)
+		})),
+		unpriced("ft-reduce", "reduce", collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			out, _, err := collective.NewFT(c, c.Tree().Root).Reduce(v, op)
+			return out, err
+		})),
+		unpriced("ft-allreduce", "allreduce", collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			return collective.NewFT(c, c.Tree().Root).AllReduce(v, op)
+		})),
+		{Name: "churn-soak", prog: churnSoak},
+		{Name: "nondet-reduce", prog: nondetReduce},
+		{Name: "mutate-send", prog: mutateSend},
 	}
 }
 
-// priced is the entry that runs the named cost-table row: the row's
-// collective.RowCalls call, on the inputs its signature takes.
+// priced is the entry that runs the named cost-table row's
+// collective.RowCalls call.
 func priced(name, row string) Entry {
-	e := Entry{Name: name, Variant: row}
-	switch f := collective.RowCalls[row].(type) {
-	case collective.BcastCall:
-		e.Program = Bcast(f)
-	case collective.GatherCall:
-		e.Program = Pieces(f)
-	case collective.ScatterCall:
-		e.Program = Scatter(f)
-	case collective.ExchangeCall:
-		e.Program = Pieces(exchange(f))
-	case collective.VectorCall:
-		e.Program = Vector(f)
-	default:
-		e.Program = func(*model.Tree, Args) hbsp.Program {
-			return func(hbsp.Ctx) error { return fmt.Errorf("catalog: no collective call runs row %q", row) }
-		}
-	}
+	v, _ := plan.VariantByName(row)
+	e := unpriced(name, v.Family, collective.RowCalls[row])
+	e.Variant = row
 	return e
 }
 
-// The input conventions, one builder per input shape. Each builds the
-// program that hands its call this processor's input, and saves a
-// non-nil result so schedule fingerprints compare final states.
+// unpriced is the entry of a call no row prices.
+func unpriced(name, family string, call any) Entry {
+	return Entry{Name: name, Family: family, root: fastest, call: call}
+}
 
-// Pieces: each processor holds its cost.BalancedDist bytes.
-func Pieces(run collective.GatherCall) Builder {
-	return func(tr *model.Tree, a Args) hbsp.Program {
-		d := cost.BalancedDist(tr, a.N)
-		return func(c hbsp.Ctx) error {
-			out, err := run(c, make([]byte, d[c.Pid()]))
-			if out != nil {
-				c.Save("result", digestMap(out))
-			}
-			return err
-		}
+// At returns the entry rooted at pid r; ok is false unless it runs one
+// of the flat rooted rows, which root anywhere.
+func (e Entry) At(r int) (Entry, bool) {
+	switch e.Name {
+	case "gather":
+		e.call = collective.GatherCall(rooted(collective.Gather, r))
+	case "bcast1":
+		e.call = collective.BcastCall(rooted(collective.BcastOnePhase, r))
+	case "bcast-binomial":
+		e.call = collective.BcastCall(rooted(collective.BcastBinomial, r))
+	case "scatter":
+		e.call = collective.ScatterCall(rooted(collective.Scatter, r))
+	case "bcast2": // the root cuts the first phase's pieces from its data
+		e.call = collective.BcastCall(rooted(func(c hbsp.Ctx, s *model.Machine, r int, d []byte) ([]byte, error) {
+			return collective.BcastTwoPhase(c, s, r, d, collective.BalancedPieces(c, s, len(d)))
+		}, r))
+	case "reduce":
+		e.call = collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			return collective.Reduce(c, c.Tree().Root, r, v, op)
+		})
+	default:
+		return e, false
+	}
+	e.Name = fmt.Sprintf("%s@%d", e.Name, r)
+	e.root = func(*model.Tree) int { return r }
+	return e, true
+}
+
+// rooted roots a flat collective at pid r on the whole tree.
+func rooted[A, R any](f func(hbsp.Ctx, *model.Machine, int, A) (R, error), r int) func(hbsp.Ctx, A) (R, error) {
+	return func(c hbsp.Ctx, a A) (R, error) { return f(c, c.Tree().Root, r, a) }
+}
+
+// planned is the one family → Planned* map: each family's dispatcher,
+// bound to a planner and the total bytes n it prices the call at.
+var planned = map[string]func(pl *plan.Planner, n int) any{
+	"bcast":     bind[collective.BcastCall](collective.PlannedBcast),
+	"gather":    bind[collective.GatherCall](collective.PlannedGather),
+	"scatter":   bind[collective.ScatterCall](collective.PlannedScatter),
+	"allgather": bind[collective.GatherCall](collective.PlannedAllGather),
+	"alltoall":  bind[collective.ExchangeCall](collective.PlannedTotalExchange),
+	"reduce":    bindVec(collective.PlannedReduce),
+	"allreduce": bindVec(collective.PlannedAllReduce),
+	"scan":      bindVec(collective.PlannedScan),
+}
+
+// Planned returns the entry that runs family through pl's pick at n
+// total bytes; ok is false for a family no Planned* dispatcher runs.
+func Planned(family string, pl *plan.Planner, n int) (Entry, bool) {
+	f, ok := planned[family]
+	if !ok {
+		return Entry{}, false
+	}
+	return unpriced("planned-"+family, family, f(pl, n)), true
+}
+
+// bind makes a byte family's Planned* dispatcher a call of type F.
+func bind[F ~func(hbsp.Ctx, A) (R, error), A, R any](f func(hbsp.Ctx, *plan.Planner, int, A) (R, error)) func(*plan.Planner, int) any {
+	return func(pl *plan.Planner, n int) any {
+		return F(func(c hbsp.Ctx, a A) (R, error) { return f(c, pl, n, a) })
 	}
 }
 
-// exchange runs an alltoall call on a processor's Pieces input, sent in
-// p equal parts, one to each pid.
-func exchange(run collective.ExchangeCall) collective.GatherCall {
-	return func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
-		out := make(map[int][]byte, c.NProcs())
-		for pid := 0; pid < c.NProcs(); pid++ {
-			out[pid] = make([]byte, len(b)/c.NProcs())
-		}
-		return run(c, out)
+// bindVec makes a vector family's Planned* dispatcher a VectorCall.
+func bindVec(f func(hbsp.Ctx, *plan.Planner, []int64, collective.Op) ([]int64, error)) func(*plan.Planner, int) any {
+	return func(pl *plan.Planner, _ int) any {
+		return collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) { return f(c, pl, v, op) })
 	}
 }
 
-// Bcast: the root holds all n bytes, every other processor nil.
-func Bcast(run collective.BcastCall) Builder {
-	return func(tr *model.Tree, a Args) hbsp.Program {
-		r := root(tr)
-		return func(c hbsp.Ctx) error {
-			var in []byte
-			if c.Pid() == r {
-				in = make([]byte, a.N)
+// Input is what every pid holds before a call. The oracles read all of
+// it, so each processor checks its own result without communicating.
+type Input struct {
+	Bytes [][]byte  // gather and scatter pieces; a broadcast's data at its root
+	Vecs  [][]int64 // vectors, folded with Op
+	Op    collective.Op
+	Out   []map[int][]byte // alltoall pieces by destination
+}
+
+// Payload is the content of every input the catalogue builds: size bytes
+// that are a function of (pid, index), so any processor can recompute
+// any other's.
+func Payload(pid, size int) []byte {
+	out := make([]byte, size)
+	for i := range out {
+		out[i] = byte(pid*31 + i*7 + 0x5A)
+	}
+	return out
+}
+
+// inputs builds the input of family's rows at n bytes: a broadcast's
+// root holds all n, alltoall cuts each pid's share in p equal pieces.
+func inputs(tr *model.Tree, family string, n, root int) *Input {
+	p, d := tr.NProcs(), cost.BalancedDist(tr, n)
+	in := &Input{Bytes: make([][]byte, p), Vecs: make([][]int64, p), Op: collective.Sum, Out: make([]map[int][]byte, p)}
+	for pid := range in.Bytes {
+		switch family {
+		case "bcast":
+			if pid == root {
+				in.Bytes[pid] = Payload(pid, n)
 			}
-			out, err := run(c, in)
-			if out != nil {
-				c.Save("result", out)
+		case "alltoall":
+			in.Out[pid] = map[int][]byte{}
+			for dst := 0; dst < p; dst++ {
+				in.Out[pid][dst] = Payload(pid*p+dst, d[pid]/p)
 			}
-			return err
+		case "reduce", "allreduce", "reduce-scatter", "scan":
+			in.Vecs[pid] = make([]int64, plan.VecLen(tr, n))
+			for i, b := range Payload(pid, len(in.Vecs[pid])) {
+				in.Vecs[pid][i] = int64(b)
+			}
+		default:
+			in.Bytes[pid] = Payload(pid, d[pid])
 		}
+	}
+	return in
+}
+
+// Program builds the entry's SPMD program for a run on tr. A collective
+// entry runs its call on its rows' inputs and saves the checked result.
+func (e Entry) Program(tr *model.Tree, a Args) hbsp.Program {
+	if e.prog != nil {
+		return e.prog(tr, a)
+	}
+	in := inputs(tr, e.Family, a.N, e.root(tr))
+	return func(c hbsp.Ctx) error {
+		got, err := e.Run(c, in)
+		if d := encode(got); d != nil {
+			c.Save("result", d)
+		}
+		return err
 	}
 }
 
-// Scatter: the root holds one piece of cost.BalancedDist bytes per pid,
-// every other processor nil.
-func Scatter(run collective.ScatterCall) Builder {
-	return func(tr *model.Tree, a Args) hbsp.Program {
-		d, r := cost.BalancedDist(tr, a.N), root(tr)
-		return func(c hbsp.Ctx) error {
-			var ps map[int][]byte
-			if c.Pid() == r {
-				ps = make(map[int][]byte, len(d))
-				for pid, b := range d {
-					ps[pid] = make([]byte, b)
-				}
-			}
-			out, err := run(c, ps)
-			if out != nil {
-				c.Save("result", out)
-			}
-			return err
-		}
+// Run hands e's call this processor's part of in and checks the result.
+func (e Entry) Run(c hbsp.Ctx, in *Input) (got any, err error) {
+	root, pid := e.root(c.Tree()), c.Pid()
+	switch f := e.call.(type) {
+	case collective.BcastCall:
+		got, err = f(c, only(pid == root, in.Bytes[root]))
+	case collective.GatherCall:
+		got, err = f(c, in.Bytes[pid])
+	case collective.ScatterCall:
+		got, err = f(c, only(pid == root, in.pieces()))
+	case collective.ExchangeCall:
+		got, err = f(c, in.Out[pid])
+	case collective.VectorCall:
+		got, err = f(c, in.Vecs[pid], in.Op)
+	default:
+		return nil, fmt.Errorf("catalog: no collective call runs %s", e.Name)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return got, e.Check(c, in, got)
 }
 
-// Vector: each processor holds a plan.VecLen-element vector, folded
-// with collective.Sum.
-func Vector(run collective.VectorCall) Builder {
-	return func(tr *model.Tree, a Args) hbsp.Program {
-		l := plan.VecLen(tr, a.N)
-		return func(c hbsp.Ctx) error {
-			out, err := run(c, make([]int64, l), collective.Sum)
-			if out != nil {
-				c.Save("result", digestVec(out))
-			}
-			return err
+// Check compares got, this processor's result of e's call on in, with
+// the family's oracle, naming the entry, the pid and the first difference.
+func (e Entry) Check(c hbsp.Ctx, in *Input, got any) error {
+	t := c.Tree()
+	order := t.Root.Pids() // the order a scan folds in
+	if e.Variant == "ScanHier" {
+		order = nil
+		for _, l := range t.Root.Leaves() {
+			order = append(order, t.Pid(l))
 		}
 	}
+	if d := diff(got, oracles[e.Family](in, order, e.root(t), c.Pid())); d != "" {
+		return fmt.Errorf("catalog: %s: pid %d %s", e.Name, c.Pid(), d)
+	}
+	return nil
+}
+
+// oracles says, per family, what pid holds after a call on in rooted at
+// root, folding in order. A gather or reduce leaves nothing off its root.
+var oracles = map[string]func(in *Input, order []int, root, pid int) any{
+	"bcast":     func(in *Input, _ []int, root, _ int) any { return in.Bytes[root] },
+	"scatter":   func(in *Input, _ []int, _, pid int) any { return in.Bytes[pid] },
+	"gather":    func(in *Input, _ []int, root, pid int) any { return only(pid == root, in.pieces()) },
+	"allgather": func(in *Input, _ []int, _, _ int) any { return in.pieces() },
+	"alltoall": func(in *Input, _ []int, _, pid int) any {
+		m := map[int][]byte{}
+		for src, out := range in.Out {
+			if b, ok := out[pid]; ok {
+				m[src] = b
+			}
+		}
+		return m
+	},
+	"reduce":    func(in *Input, order []int, root, pid int) any { return only(pid == root, in.fold(order)) },
+	"allreduce": func(in *Input, order []int, _, _ int) any { return in.fold(order) },
+	// collective.EqualPieces' segments, in pid order.
+	"reduce-scatter": func(in *Input, order []int, _, pid int) any {
+		acc, p := in.fold(order), len(order)
+		q, r := len(acc)/p, len(acc)%p
+		return acc[pid*q+min(pid, r) : (pid+1)*q+min(pid+1, r)]
+	},
+	"scan": func(in *Input, order []int, _, pid int) any { return in.fold(order[:slices.Index(order, pid)+1]) },
+}
+
+// only is v where held is set, and nothing elsewhere.
+func only[T any](held bool, v T) T {
+	if !held {
+		var none T
+		return none
+	}
+	return v
+}
+
+// pieces is every pid's piece, keyed by pid.
+func (in *Input) pieces() map[int][]byte {
+	m := make(map[int][]byte, len(in.Bytes))
+	for pid, b := range in.Bytes {
+		m[pid] = b
+	}
+	return m
+}
+
+// fold applies Op element-wise over the vectors of pids, left to right.
+func (in *Input) fold(pids []int) []int64 {
+	acc := slices.Clone(in.Vecs[pids[0]])
+	for _, pid := range pids[1:] {
+		for i := range acc {
+			acc[i] = in.Op.Apply(acc[i], in.Vecs[pid][i])
+		}
+	}
+	return acc
+}
+
+// diff describes the first way got differs from want, or is empty when
+// they agree. A nil map or vector wants nothing held.
+func diff(got, want any) string {
+	switch w := want.(type) {
+	case []byte:
+		return first(got.([]byte), w)
+	case []int64:
+		if g := got.([]int64); w != nil || g == nil {
+			return first(g, w)
+		}
+		return "holds a vector, want none"
+	case map[int][]byte:
+		g := got.(map[int][]byte)
+		if w == nil && g != nil || len(g) != len(w) {
+			return fmt.Sprintf("holds %d pieces, want %d", len(g), len(w))
+		}
+		for _, pid := range keys(w) {
+			if gb, ok := g[pid]; !ok {
+				return fmt.Sprintf("holds no piece from pid %d", pid)
+			} else if d := first(gb, w[pid]); d != "" {
+				return fmt.Sprintf("piece from pid %d %s", pid, d)
+			}
+		}
+	}
+	return ""
+}
+
+// keys returns m's keys in order.
+func keys(m map[int][]byte) []int {
+	ks := make([]int, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Ints(ks)
+	return ks
+}
+
+// first describes the first element where got differs from want.
+func first[T comparable](got, want []T) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("holds %d elements, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Sprintf("element %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+	return ""
 }
 
 // auto is an iterative mixed workload dispatched entirely through the
@@ -243,20 +426,10 @@ func Vector(run collective.VectorCall) Builder {
 // closed-form cost table once per size bucket and serves every later
 // round from its cache.
 func auto(tr *model.Tree, a Args) hbsp.Program {
-	pl, n := a.Planner, a.N
-	steps := []hbsp.Program{
-		Bcast(func(c hbsp.Ctx, data []byte) ([]byte, error) {
-			return collective.PlannedBcast(c, pl, n, data)
-		})(tr, a),
-		Pieces(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
-			return collective.PlannedGather(c, pl, n, b)
-		})(tr, a),
-		Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
-			return collective.PlannedAllReduce(c, pl, v, op)
-		})(tr, a),
-		Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
-			return collective.PlannedScan(c, pl, v, op)
-		})(tr, a),
+	var steps []hbsp.Program
+	for _, family := range []string{"bcast", "gather", "allreduce", "scan"} {
+		e, _ := Planned(family, a.Planner, a.N)
+		steps = append(steps, e.Program(tr, a))
 	}
 	return func(c hbsp.Ctx) error {
 		for round := 0; round < a.Rounds; round++ {
@@ -271,52 +444,31 @@ func auto(tr *model.Tree, a Args) hbsp.Program {
 }
 
 // bcastReduce is the verified multi-process program: per round, pid 0
-// broadcasts an n-byte payload every processor can recompute, every
-// processor checks what it received against it, and all fold a value
-// derived from it into a total at pid 0 that has a closed form. A
-// failed check is an error, so a clean run is an end-to-end
-// correctness statement, not only liveness.
+// broadcasts an n-byte Payload and every processor folds a value
+// derived from it into a total at pid 0. Every processor checks its
+// result of both calls, so a clean run is an end-to-end correctness
+// statement, not only liveness.
 func bcastReduce(tr *model.Tree, a Args) hbsp.Program {
+	bcast, _ := priced("bcast1", "BcastOnePhase").At(0)
+	reduce, _ := priced("reduce", "Reduce").At(0)
 	return func(c hbsp.Ctx) error {
-		root, n := c.Tree().Root, int64(c.NProcs())
+		p := c.NProcs()
 		for r := 0; r < a.Rounds; r++ {
-			want := detPayload(r, a.N)
-			var data []byte
-			if c.Pid() == 0 {
-				data = want
+			in := &Input{Bytes: make([][]byte, p), Vecs: make([][]int64, p), Op: collective.Sum}
+			in.Bytes[0] = Payload(r, a.N)
+			sum := digest(in.Bytes[0])
+			for pid := range in.Vecs {
+				// Processor pid contributes digest·(pid+1) + r.
+				in.Vecs[pid] = []int64{sum*int64(pid+1) + int64(r)}
 			}
-			got, err := collective.BcastOnePhase(c, root, 0, data)
-			if err != nil {
-				return fmt.Errorf("round %d broadcast: %w", r, err)
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("round %d verify: broadcast payload diverged from the deterministic oracle", r)
-			}
-			// Processor pid contributes digest·(pid+1) + r.
-			local := digest(got)*int64(c.Pid()+1) + int64(r)
-			total, err := collective.Reduce(c, root, 0, []int64{local}, collective.Sum)
-			if err != nil {
-				return fmt.Errorf("round %d reduce: %w", r, err)
-			}
-			if c.Pid() == 0 {
-				if oracle := digest(want)*n*(n+1)/2 + n*int64(r); len(total) != 1 || total[0] != oracle {
-					return fmt.Errorf("round %d verify: reduce total %v, oracle %d", r, total, oracle)
+			for _, e := range []Entry{bcast, reduce} {
+				if _, err := e.Run(c, in); err != nil {
+					return fmt.Errorf("round %d: %w", r, err)
 				}
 			}
 		}
 		return nil
 	}
-}
-
-// detPayload is the deterministic broadcast body for a round — every
-// process can recompute it, so receivers verify content, not just
-// checksums.
-func detPayload(round, nbytes int) []byte {
-	out := make([]byte, nbytes)
-	for i := range out {
-		out[i] = byte(round*31 + i*7 + 0x5A)
-	}
-	return out
 }
 
 // digest folds a payload into 16 bits: what the reduce carries of it.
@@ -392,7 +544,7 @@ func churnSoak(tr *model.Tree, a Args) hbsp.Program {
 			}
 		}
 		if c.Pid() == 0 {
-			c.Save("fold", digestVec([]int64{sum}))
+			c.Save("fold", encode([]int64{sum}))
 		}
 		return nil
 	}
@@ -403,7 +555,7 @@ func churnSoak(tr *model.Tree, a Args) hbsp.Program {
 // happens-before rule is broken, so Verify alone stays silent — only
 // schedule exploration exposes the order dependence as a state diff.
 func nondetReduce(tr *model.Tree, _ Args) hbsp.Program {
-	r := root(tr)
+	r := fastest(tr)
 	return func(c hbsp.Ctx) error {
 		if c.Pid() != r {
 			if err := c.Send(r, 1, []byte{byte(c.Pid() + 1)}); err != nil {
@@ -418,7 +570,7 @@ func nondetReduce(tr *model.Tree, _ Args) hbsp.Program {
 			for _, m := range c.Moves() {
 				total = total*2 - int64(m.Payload[0])
 			}
-			c.Save("total", digestVec([]int64{total}))
+			c.Save("total", encode([]int64{total}))
 		}
 		return nil
 	}
@@ -428,7 +580,7 @@ func nondetReduce(tr *model.Tree, _ Args) hbsp.Program {
 // Send, before the barrier delivers it — the happens-before checker
 // reports ErrNondeterminism at the receiver under Verify.
 func mutateSend(tr *model.Tree, _ Args) hbsp.Program {
-	r := root(tr)
+	r := fastest(tr)
 	return func(c hbsp.Ctx) error {
 		buf := []byte{1, 2, 3, 4}
 		if c.Pid() == r {
@@ -441,27 +593,23 @@ func mutateSend(tr *model.Tree, _ Args) hbsp.Program {
 	}
 }
 
-// digestMap encodes a pid-keyed result deterministically for Save, so
-// schedule fingerprints compare final states rather than map order.
-func digestMap(m map[int][]byte) []byte {
-	pids := make([]int, 0, len(m))
-	for pid := range m {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
+// encode encodes a result for Save, so schedule fingerprints compare
+// final states: a map as each pid, length and piece in pid order, a
+// vector as its little-endian elements; nil for no result.
+func encode(got any) []byte {
 	var d []byte
-	for _, pid := range pids {
-		d = append(d, byte(pid), byte(len(m[pid])), byte(len(m[pid])>>8))
-		d = append(d, m[pid]...)
-	}
-	return d
-}
-
-func digestVec(v []int64) []byte {
-	d := make([]byte, 0, 8*len(v))
-	for _, x := range v {
-		d = append(d, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-			byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
+	switch r := got.(type) {
+	case []byte:
+		return r
+	case map[int][]byte:
+		for _, pid := range keys(r) {
+			d = binary.AppendUvarint(binary.AppendUvarint(d, uint64(pid)), uint64(len(r[pid])))
+			d = append(d, r[pid]...)
+		}
+	case []int64:
+		for _, x := range r {
+			d = binary.LittleEndian.AppendUint64(d, uint64(x))
+		}
 	}
 	return d
 }

@@ -1,9 +1,10 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
+	"strings"
 	"testing"
 
 	"hbspk/internal/collective"
@@ -12,22 +13,9 @@ import (
 	"hbspk/internal/model"
 	"hbspk/internal/obsv"
 	"hbspk/internal/plan"
+	"hbspk/internal/testutil"
 	"hbspk/internal/trace"
 )
-
-// gridTrees and gridSizes are TestPlannerPicksBestFixed's grid, and one
-// size more, 7777, which no processor count of the grid divides.
-var gridTrees = []struct {
-	name  string
-	build func() *model.Tree
-}{
-	{"figure1", model.Figure1Cluster},
-	{"ucf8", func() *model.Tree { return model.UCFTestbedN(8) }},
-	{"rand3x4", func() *model.Tree { return model.RandomTree(rand.New(rand.NewSource(7)), 3, 4) }},
-	{"grid", func() *model.Tree { return model.WideAreaGrid(2, 2, 4, 10, 100) }},
-}
-
-var gridSizes = []int{3 << 8, 3 << 12, 3 << 16, 3 << 18, 7777}
 
 // runPure runs e on tr with the pure cost model.
 func runPure(t *testing.T, e Entry, tr *model.Tree, a Args) *trace.Report {
@@ -121,10 +109,10 @@ func TestEveryRowRunsWhatItPrices(t *testing.T) {
 			continue
 		}
 		t.Run(e.Name, func(t *testing.T) {
-			for _, tc := range gridTrees {
-				for _, n := range gridSizes {
-					tr := tc.build()
-					cell := fmt.Sprintf("%s/%d", tc.name, n)
+			for _, tc := range testutil.GridTrees {
+				for _, n := range testutil.GridSizes {
+					tr := tc.Build()
+					cell := fmt.Sprintf("%s/%d", tc.Name, n)
 					checkJoin(t, cell, obsv.Join(v.Cost(tr, n), runPure(t, e, tr, Args{N: n})))
 				}
 			}
@@ -141,6 +129,121 @@ func TestEveryUnpricedEntryRuns(t *testing.T) {
 		}
 		t.Run(e.Name, func(t *testing.T) {
 			runPure(t, e, model.UCFTestbed(), Args{N: 4096, Rounds: 3, Planner: plan.New()})
+		})
+	}
+}
+
+// TestEncodeWritesFullWidthFields holds Save's encoding of a map result
+// to telling apart results that differ only in a pid of 256 or more or in
+// a piece of 64 KiB or more.
+func TestEncodeWritesFullWidthFields(t *testing.T) {
+	long := bytes.Repeat([]byte{7}, 65533)
+	for _, pair := range [][2]map[int][]byte{
+		{{0: append([]byte{9, 1, 0xFD, 0xFF}, long...)}, {0: {9}, 1: long}},
+		{{256: {1}}, {0: {1}}},
+	} {
+		if bytes.Equal(encode(pair[0]), encode(pair[1])) {
+			t.Errorf("results with pids %v and %v encode alike", keys(pair[0]), keys(pair[1]))
+		}
+	}
+}
+
+// TestChecksCatchWrongResults feeds the builder, for each family and so
+// each input shape, a call that is wrong in one way — a piece missing, a
+// byte flipped, a vector element off, the result at the wrong pid — and
+// requires the program to fail naming the entry and the pid, while the
+// row's own call passes.
+func TestChecksCatchWrongResults(t *testing.T) {
+	tr := model.Figure1Cluster()
+	root := fastest(tr)
+	other := (root + 1) % tr.NProcs()
+	row := func(name string) any { return collective.RowCalls[name] }
+	flip := func(b []byte) []byte {
+		b = bytes.Clone(b)
+		b[len(b)/2] ^= 0xFF
+		return b
+	}
+	bcastHier := row("BcastHier").(collective.BcastCall)
+	scatterHier := row("ScatterHier").(collective.ScatterCall)
+	gatherHier := row("GatherHier").(collective.GatherCall)
+	allGather := row("AllGather").(collective.GatherCall)
+	exchange := row("TotalExchange").(collective.ExchangeCall)
+	vector := func(name string, at int) collective.VectorCall {
+		call := row(name).(collective.VectorCall)
+		return func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			out, err := call(c, v, op)
+			if c.Pid() == at {
+				out[len(out)-1]++
+			}
+			return out, err
+		}
+	}
+	for _, tc := range []struct {
+		family, row, fault string
+		wrong              any
+		pid                int // the pid the error names; -1 for either end of a move
+	}{
+		{"bcast", "BcastHier", "byte flipped", collective.BcastCall(func(c hbsp.Ctx, d []byte) ([]byte, error) {
+			out, err := bcastHier(c, d)
+			if c.Pid() == other {
+				out = flip(out)
+			}
+			return out, err
+		}), other},
+		{"scatter", "ScatterHier", "byte flipped", collective.ScatterCall(func(c hbsp.Ctx, ps map[int][]byte) ([]byte, error) {
+			out, err := scatterHier(c, ps)
+			if c.Pid() == other {
+				out = flip(out)
+			}
+			return out, err
+		}), other},
+		{"gather", "GatherHier", "piece missing", collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+			out, err := gatherHier(c, b)
+			delete(out, other)
+			return out, err
+		}), root},
+		{"gather", "Gather", "wrong pid", collective.GatherCall(rooted(collective.Gather, other)), -1},
+		{"allgather", "AllGather", "byte flipped", collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+			out, err := allGather(c, b)
+			if c.Pid() == other {
+				out[root] = flip(out[root])
+			}
+			return out, err
+		}), other},
+		{"alltoall", "TotalExchange", "piece missing", collective.ExchangeCall(func(c hbsp.Ctx, o map[int][]byte) (map[int][]byte, error) {
+			out, err := exchange(c, o)
+			if c.Pid() == other {
+				delete(out, root)
+			}
+			return out, err
+		}), other},
+		{"reduce", "ReduceHier", "element off", vector("ReduceHier", root), root},
+		{"reduce", "Reduce", "wrong pid", collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			return collective.Reduce(c, c.Tree().Root, other, v, op)
+		}), -1},
+		{"allreduce", "AllReduce", "element off", vector("AllReduce", other), other},
+		{"reduce-scatter", "ReduceScatter", "element off", vector("ReduceScatter", other), other},
+		{"scan", "ScanHier", "element off", vector("ScanHier", other), other},
+	} {
+		t.Run(tc.row+"/"+tc.fault, func(t *testing.T) {
+			run := func(e Entry) error {
+				_, err := hbsp.RunVirtual(tr, fabric.PureModel(), e.Program(tr, Args{N: 4096}))
+				return err
+			}
+			right := Entry{Name: "right", Family: tc.family, Variant: tc.row, root: fastest, call: row(tc.row)}
+			if err := run(right); err != nil {
+				t.Fatalf("the row's own call fails: %v", err)
+			}
+			wrong := right
+			wrong.Name, wrong.call = "wrong", tc.wrong
+			err := run(wrong)
+			want := "wrong: pid "
+			if tc.pid >= 0 {
+				want += fmt.Sprint(tc.pid)
+			}
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("a call with a %s: error %v, want one naming %q", tc.fault, err, want)
+			}
 		})
 	}
 }

@@ -8,8 +8,8 @@ package plan_test
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,17 +19,18 @@ import (
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/plan"
+	"hbspk/internal/testutil"
 )
 
 // TestPlannerPicksBestFixed runs a payload × tree grid of every family
 // with a choice of variants, once under each fixed variant's catalogue
-// entry and once through a fresh planner on the same catalogue inputs,
-// and demands the planner's modeled cost (the virtual engine's finishing
-// time, PureModel fabric) be no more than the best fixed variant's in
-// each of the 96 cells: beating the best fixed variant everywhere means
-// beating every fixed-variant baseline everywhere. On Virtual the clock
-// is the model, so the planner's one closed-form pick must already be
-// the best, ties allowed.
+// entry and once under the family's planned entry, through a fresh
+// planner on the same inputs, and demands the planner's modeled cost
+// (the virtual engine's finishing time, PureModel fabric) be no more
+// than the best fixed variant's in each of the 96 cells: beating the
+// best fixed variant everywhere means beating every fixed-variant
+// baseline everywhere. On Virtual the clock is the model, so the
+// planner's one closed-form pick must already be the best, ties allowed.
 //
 // Grid sizes are bucket representatives (3·2^(b-2)), the sizes the
 // planner prices decisions at — a size elsewhere in a bucket can
@@ -38,43 +39,37 @@ import (
 // defect.
 func TestPlannerPicksBestFixed(t *testing.T) {
 	byRow := map[string]catalog.Entry{}
+	var families []string
 	for _, e := range catalog.Entries() {
 		byRow[e.Variant] = e
+		if e.Variant != "" && len(plan.VariantsFor(e.Family)) > 1 && !slices.Contains(families, e.Family) {
+			families = append(families, e.Family)
+		}
 	}
-	trees := []struct {
-		name  string
-		build func() *model.Tree
-	}{
-		{"figure1", model.Figure1Cluster},
-		{"ucf8", func() *model.Tree { return model.UCFTestbedN(8) }},
-		{"rand3x4", func() *model.Tree { return model.RandomTree(rand.New(rand.NewSource(7)), 3, 4) }},
-		{"grid", func() *model.Tree { return model.WideAreaGrid(2, 2, 4, 10, 100) }},
-	}
-	families := []string{"bcast", "gather", "scatter", "allgather", "reduce", "scan"}
-	sizes := []int{3 << 8, 3 << 12, 3 << 16, 3 << 18} // bucket representatives
+	sizes := testutil.GridSizes[:4] // the bucket representatives
 	cells := 0
 	for _, family := range families {
-		for _, tc := range trees {
+		for _, tc := range testutil.GridTrees {
 			for _, n := range sizes {
 				cells++
-				t.Run(fmt.Sprintf("%s/%s/n%d", family, tc.name, n), func(t *testing.T) {
-					tr := tc.build()
-					run := func(b catalog.Builder, a catalog.Args) float64 {
-						rep, err := hbsp.RunVirtual(tr, fabric.PureModel(), b(tr, a))
+				t.Run(fmt.Sprintf("%s/%s/n%d", family, tc.Name, n), func(t *testing.T) {
+					tr := tc.Build()
+					run := func(e catalog.Entry) float64 {
+						rep, err := hbsp.RunVirtual(tr, fabric.PureModel(), e.Program(tr, catalog.Args{N: n}))
 						if err != nil {
-							t.Fatalf("run: %v", err)
+							t.Fatalf("%s: %v", e.Name, err)
 						}
 						return rep.Total
 					}
 					best, bestName := 0.0, ""
 					for i, v := range plan.VariantsFor(family) {
-						if total := run(byRow[v.Name].Program, catalog.Args{N: n}); i == 0 || total < best {
+						if total := run(byRow[v.Name]); i == 0 || total < best {
 							best, bestName = total, v.Name
 						}
 					}
 					pl := plan.New()
-					total := run(viaPlanner(family, pl, n), catalog.Args{N: n})
-					if total > best {
+					e, _ := catalog.Planned(family, pl, n)
+					if total := run(e); total > best {
 						t.Errorf("planner picked %s at modeled cost %.0f, best fixed variant %s %.0f: ratio %.4f",
 							pl.Decisions()[0].Variant, total, bestName, best, total/best)
 					}
@@ -85,38 +80,6 @@ func TestPlannerPicksBestFixed(t *testing.T) {
 	if cells != 96 {
 		t.Fatalf("the grid has %d cells, want 96 (6 families × 4 trees × 4 sizes)", cells)
 	}
-}
-
-// viaPlanner is the catalogue program of family's inputs that runs
-// family's Planned* dispatcher through pl at n total bytes.
-func viaPlanner(family string, pl *plan.Planner, n int) catalog.Builder {
-	switch family {
-	case "bcast":
-		return catalog.Bcast(func(c hbsp.Ctx, data []byte) ([]byte, error) {
-			return collective.PlannedBcast(c, pl, n, data)
-		})
-	case "gather":
-		return catalog.Pieces(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
-			return collective.PlannedGather(c, pl, n, b)
-		})
-	case "scatter":
-		return catalog.Scatter(func(c hbsp.Ctx, ps map[int][]byte) ([]byte, error) {
-			return collective.PlannedScatter(c, pl, n, ps)
-		})
-	case "allgather":
-		return catalog.Pieces(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
-			return collective.PlannedAllGather(c, pl, n, b)
-		})
-	case "reduce":
-		return catalog.Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
-			return collective.PlannedReduce(c, pl, v, op)
-		})
-	case "scan":
-		return catalog.Vector(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
-			return collective.PlannedScan(c, pl, v, op)
-		})
-	}
-	panic("no Planned* dispatcher for family " + family)
 }
 
 // TestPlannedDispatchWithinDirect holds the planner's dispatch layer to
