@@ -44,8 +44,10 @@ type Entry struct {
 	// result ("gather"); empty for a program that is no one call.
 	Family string
 
-	call any                   // the call, of its family's signature
-	root func(*model.Tree) int // the pid the call roots at
+	call any                                  // the call, of its family's signature
+	root func(*model.Tree) int                // the pid the call roots at
+	at   func(root func(*model.Tree) int) any // the call at any root; nil for a call that roots at one pid only
+	ft   bool                                 // the call runs over the members that survive it
 	prog func(tr *model.Tree, a Args) hbsp.Program
 }
 
@@ -105,20 +107,18 @@ func Entries() []Entry {
 		{Name: "auto", prog: auto},
 		{Name: "bcast-reduce", prog: bcastReduce},
 		unpriced("alltoall-hier", "alltoall", collective.ExchangeCall(collective.TotalExchangeHier)),
-		unpriced("ft-gather", "gather", collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+		{Name: "ft-gather", Family: "gather", root: fastest, ft: true, call: collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
 			out, _, err := collective.NewFT(c, c.Tree().Root).Gather(b)
 			return out, err
-		})),
-		unpriced("ft-bcast", "bcast", collective.BcastCall(func(c hbsp.Ctx, d []byte) ([]byte, error) {
-			return collective.NewFT(c, c.Tree().Root).Bcast(fastest(c.Tree()), d)
-		})),
-		unpriced("ft-reduce", "reduce", collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+		})},
+		{Name: "ft-bcast", Family: "bcast", root: fastest, ft: true, call: ftBcast(fastest), at: ftBcast},
+		{Name: "ft-reduce", Family: "reduce", root: fastest, ft: true, call: collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
 			out, _, err := collective.NewFT(c, c.Tree().Root).Reduce(v, op)
 			return out, err
-		})),
-		unpriced("ft-allreduce", "allreduce", collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+		})},
+		{Name: "ft-allreduce", Family: "allreduce", root: fastest, ft: true, call: collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
 			return collective.NewFT(c, c.Tree().Root).AllReduce(v, op)
-		})),
+		})},
 		{Name: "churn-soak", prog: churnSoak},
 		{Name: "nondet-reduce", prog: nondetReduce},
 		{Name: "mutate-send", prog: mutateSend},
@@ -130,7 +130,7 @@ func Entries() []Entry {
 func priced(name, row string) Entry {
 	v, _ := plan.VariantByName(row)
 	e := unpriced(name, v.Family, collective.RowCalls[row])
-	e.Variant = row
+	e.Variant, e.at = row, anyRoot[row]
 	return e
 }
 
@@ -139,37 +139,52 @@ func unpriced(name, family string, call any) Entry {
 	return Entry{Name: name, Family: family, root: fastest, call: call}
 }
 
-// At returns the entry rooted at pid r; ok is false unless it runs one
-// of the flat rooted rows, which root anywhere.
-func (e Entry) At(r int) (Entry, bool) {
-	switch e.Name {
-	case "gather":
-		e.call = collective.GatherCall(rooted(collective.Gather, r))
-	case "bcast1":
-		e.call = collective.BcastCall(rooted(collective.BcastOnePhase, r))
-	case "bcast-binomial":
-		e.call = collective.BcastCall(rooted(collective.BcastBinomial, r))
-	case "scatter":
-		e.call = collective.ScatterCall(rooted(collective.Scatter, r))
-	case "bcast2": // the root cuts the first phase's pieces from its data
-		e.call = collective.BcastCall(rooted(func(c hbsp.Ctx, s *model.Machine, r int, d []byte) ([]byte, error) {
-			return collective.BcastTwoPhase(c, s, r, d, collective.BalancedPieces(c, s, len(d)))
+// ftBcast is the fault-tolerant broadcast from root's pid.
+func ftBcast(root func(*model.Tree) int) any {
+	return collective.BcastCall(func(c hbsp.Ctx, d []byte) ([]byte, error) {
+		return collective.NewFT(c, c.Tree().Root).Bcast(root(c.Tree()), d)
+	})
+}
+
+// anyRoot holds, by row, the flat rooted rows' calls at any root. At the
+// fastest leaf each runs what the row's collective.RowCalls call runs;
+// TestEveryRowRunsWhatItPrices holds both to the row's price.
+var anyRoot = map[string]func(root func(*model.Tree) int) any{
+	"Gather":        func(r func(*model.Tree) int) any { return collective.GatherCall(rooted(collective.Gather, r)) },
+	"BcastOnePhase": func(r func(*model.Tree) int) any { return collective.BcastCall(rooted(collective.BcastOnePhase, r)) },
+	"BcastBinomial": func(r func(*model.Tree) int) any { return collective.BcastCall(rooted(collective.BcastBinomial, r)) },
+	"Scatter":       func(r func(*model.Tree) int) any { return collective.ScatterCall(rooted(collective.Scatter, r)) },
+	// The root cuts the first phase's pieces from its data.
+	"BcastTwoPhase": func(r func(*model.Tree) int) any {
+		return collective.BcastCall(rooted(func(c hbsp.Ctx, s *model.Machine, root int, d []byte) ([]byte, error) {
+			var pieces collective.Dist
+			if c.Pid() == root {
+				pieces = collective.BalancedPieces(c, s, len(d))
+			}
+			return collective.BcastTwoPhase(c, s, root, d, pieces)
 		}, r))
-	case "reduce":
-		e.call = collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
-			return collective.Reduce(c, c.Tree().Root, r, v, op)
+	},
+	"Reduce": func(r func(*model.Tree) int) any {
+		return collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+			return collective.Reduce(c, c.Tree().Root, r(c.Tree()), v, op)
 		})
-	default:
+	},
+}
+
+// At returns the entry rooted at pid r; ok is false for an entry whose
+// call roots at one pid only.
+func (e Entry) At(r int) (Entry, bool) {
+	if e.at == nil {
 		return e, false
 	}
-	e.Name = fmt.Sprintf("%s@%d", e.Name, r)
 	e.root = func(*model.Tree) int { return r }
+	e.Name, e.call = fmt.Sprintf("%s@%d", e.Name, r), e.at(e.root)
 	return e, true
 }
 
-// rooted roots a flat collective at pid r on the whole tree.
-func rooted[A, R any](f func(hbsp.Ctx, *model.Machine, int, A) (R, error), r int) func(hbsp.Ctx, A) (R, error) {
-	return func(c hbsp.Ctx, a A) (R, error) { return f(c, c.Tree().Root, r, a) }
+// rooted roots a flat collective on the whole tree at root's pid.
+func rooted[A, R any](f func(hbsp.Ctx, *model.Machine, int, A) (R, error), root func(*model.Tree) int) func(hbsp.Ctx, A) (R, error) {
+	return func(c hbsp.Ctx, a A) (R, error) { return f(c, c.Tree().Root, root(c.Tree()), a) }
 }
 
 // planned is the one family → Planned* map: each family's dispatcher,
@@ -282,7 +297,7 @@ func (e Entry) Run(c hbsp.Ctx, in *Input) (got any, err error) {
 	case collective.GatherCall:
 		got, err = f(c, in.Bytes[pid])
 	case collective.ScatterCall:
-		got, err = f(c, only(pid == root, in.pieces()))
+		got, err = f(c, only(pid == root, in.pieces(c.Tree().Root.Pids())))
 	case collective.ExchangeCall:
 		got, err = f(c, in.Out[pid])
 	case collective.VectorCall:
@@ -300,26 +315,51 @@ func (e Entry) Run(c hbsp.Ctx, in *Input) (got any, err error) {
 // the family's oracle, naming the entry, the pid and the first difference.
 func (e Entry) Check(c hbsp.Ctx, in *Input, got any) error {
 	t := c.Tree()
-	order := t.Root.Pids() // the order a scan folds in
+	oracle, root, pid := oracles[e.Family], e.root(t), c.Pid()
+	members, failed := t.Root.Pids(), []int(nil) // in the order a scan folds them
 	if e.Variant == "ScanHier" {
-		order = nil
+		members = nil
 		for _, l := range t.Root.Leaves() {
-			order = append(order, t.Pid(l))
+			members = append(members, t.Pid(l))
 		}
 	}
-	if d := diff(got, oracles[e.Family](in, order, e.root(t), c.Pid())); d != "" {
-		return fmt.Errorf("catalog: %s: pid %d %s", e.Name, c.Pid(), d)
+	if e.ft {
+		// A fault-tolerant call runs over the members that survive it and
+		// gathers or folds at their coordinator. A member that failed may
+		// count as well: it may have done its part before it died.
+		s := collective.NewFT(c, t.Root)
+		members, failed = s.Live(), c.Failed()
+		if e.Family != "bcast" {
+			root = s.Coordinator()
+		}
+	}
+	d := diff(got, oracle(in, members, root, pid))
+	for set := 1; d != "" && set < 1<<len(failed); set++ {
+		with := slices.Clone(members)
+		for i, f := range failed {
+			if set>>i&1 == 1 {
+				with = append(with, f)
+			}
+		}
+		slices.Sort(with)
+		if diff(got, oracle(in, with, root, pid)) == "" {
+			return nil
+		}
+	}
+	if d != "" {
+		return fmt.Errorf("catalog: %s: pid %d %s", e.Name, pid, d)
 	}
 	return nil
 }
 
-// oracles says, per family, what pid holds after a call on in rooted at
-// root, folding in order. A gather or reduce leaves nothing off its root.
-var oracles = map[string]func(in *Input, order []int, root, pid int) any{
+// oracles says, per family, what pid holds after a call on in over
+// members rooted at root; a scan folds the members in their order. A
+// gather or reduce leaves nothing off its root.
+var oracles = map[string]func(in *Input, members []int, root, pid int) any{
 	"bcast":     func(in *Input, _ []int, root, _ int) any { return in.Bytes[root] },
 	"scatter":   func(in *Input, _ []int, _, pid int) any { return in.Bytes[pid] },
-	"gather":    func(in *Input, _ []int, root, pid int) any { return only(pid == root, in.pieces()) },
-	"allgather": func(in *Input, _ []int, _, _ int) any { return in.pieces() },
+	"gather":    func(in *Input, members []int, root, pid int) any { return only(pid == root, in.pieces(members)) },
+	"allgather": func(in *Input, members []int, _, _ int) any { return in.pieces(members) },
 	"alltoall": func(in *Input, _ []int, _, pid int) any {
 		m := map[int][]byte{}
 		for src, out := range in.Out {
@@ -329,15 +369,15 @@ var oracles = map[string]func(in *Input, order []int, root, pid int) any{
 		}
 		return m
 	},
-	"reduce":    func(in *Input, order []int, root, pid int) any { return only(pid == root, in.fold(order)) },
-	"allreduce": func(in *Input, order []int, _, _ int) any { return in.fold(order) },
+	"reduce":    func(in *Input, members []int, root, pid int) any { return only(pid == root, in.fold(members)) },
+	"allreduce": func(in *Input, members []int, _, _ int) any { return in.fold(members) },
 	// collective.EqualPieces' segments, in pid order.
-	"reduce-scatter": func(in *Input, order []int, _, pid int) any {
-		acc, p := in.fold(order), len(order)
+	"reduce-scatter": func(in *Input, members []int, _, pid int) any {
+		acc, p := in.fold(members), len(members)
 		q, r := len(acc)/p, len(acc)%p
 		return acc[pid*q+min(pid, r) : (pid+1)*q+min(pid+1, r)]
 	},
-	"scan": func(in *Input, order []int, _, pid int) any { return in.fold(order[:slices.Index(order, pid)+1]) },
+	"scan": func(in *Input, members []int, _, pid int) any { return in.fold(members[:slices.Index(members, pid)+1]) },
 }
 
 // only is v where held is set, and nothing elsewhere.
@@ -349,11 +389,11 @@ func only[T any](held bool, v T) T {
 	return v
 }
 
-// pieces is every pid's piece, keyed by pid.
-func (in *Input) pieces() map[int][]byte {
-	m := make(map[int][]byte, len(in.Bytes))
-	for pid, b := range in.Bytes {
-		m[pid] = b
+// pieces is the piece of each of pids, keyed by pid.
+func (in *Input) pieces(pids []int) map[int][]byte {
+	m := make(map[int][]byte, len(pids))
+	for _, pid := range pids {
+		m[pid] = in.Bytes[pid]
 	}
 	return m
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hbspk/internal/collective"
@@ -74,7 +76,8 @@ func checkJoin(t *testing.T, cell string, j obsv.Joined) {
 // of the grid that entry's run on Virtual under the pure model equals
 // the row's closed form step by step (obsv.Join): every step pairs, and
 // each paired step's terms, the work after the last Sync and the total
-// match to float rounding.
+// match to float rounding. An entry that roots anywhere is held to the
+// same at the fastest leaf, so its call at any root runs the row.
 func TestEveryRowRunsWhatItPrices(t *testing.T) {
 	rows := map[string]bool{}
 	for _, v := range plan.CostVariants() {
@@ -114,6 +117,10 @@ func TestEveryRowRunsWhatItPrices(t *testing.T) {
 					tr := tc.Build()
 					cell := fmt.Sprintf("%s/%d", tc.Name, n)
 					checkJoin(t, cell, obsv.Join(v.Cost(tr, n), runPure(t, e, tr, Args{N: n})))
+					// The entry's call at any root, at the fastest leaf, is the row.
+					if at, ok := e.At(fastest(tr)); ok {
+						checkJoin(t, cell+"/"+at.Name, obsv.Join(v.Cost(tr, n), runPure(t, at, tr, Args{N: n})))
+					}
 				}
 			}
 		})
@@ -130,6 +137,93 @@ func TestEveryUnpricedEntryRuns(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			runPure(t, e, model.UCFTestbed(), Args{N: 4096, Rounds: 3, Planner: plan.New()})
 		})
+	}
+}
+
+// TestFaultTolerantEntriesSurviveACrash runs each fault-tolerant entry,
+// and ft-bcast also rooted off the fastest leaf, on the flat testbed
+// with a member crashing inside the call: the fastest leaf, which
+// coordinates, or another, at the first or the second Sync of the call,
+// and for ft-allreduce also in the broadcast that follows its fold. The
+// survivors complete, so every
+// survivor's result must pass the check. A survivor that drops a live
+// member's piece, or is off by one, must still fail it.
+func TestFaultTolerantEntriesSurviveACrash(t *testing.T) {
+	tr := model.UCFTestbed()
+	// A broadcast's source that dies before anyone holds its data loses
+	// it (collective.ErrLost), so the victims are other pids.
+	root, source, other := fastest(tr), (fastest(tr)+3)%tr.NProcs(), (fastest(tr)+6)%tr.NProcs()
+	var entries []Entry
+	for _, e := range Entries() {
+		if e.ft {
+			entries = append(entries, e)
+			if at, ok := e.At(source); ok {
+				entries = append(entries, at)
+			}
+		}
+	}
+	// wrong spoils a survivor's result: the last live member's piece
+	// goes, or a vector's first element is off.
+	wrong := func(e Entry) Entry {
+		last := func(c hbsp.Ctx) int { return slices.Max(collective.NewFT(c, c.Tree().Root).Live()) }
+		switch f := e.call.(type) {
+		case collective.GatherCall:
+			e.call = collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+				out, err := f(c, b)
+				delete(out, last(c))
+				return out, err
+			})
+		case collective.BcastCall:
+			e.call = collective.BcastCall(func(c hbsp.Ctx, d []byte) ([]byte, error) {
+				out, err := f(c, d)
+				if c.Pid() == last(c) {
+					out = out[1:]
+				}
+				return out, err
+			})
+		case collective.VectorCall:
+			e.call = collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+				out, err := f(c, v, op)
+				if out != nil {
+					out[0]++
+				}
+				return out, err
+			})
+		}
+		return e
+	}
+	for _, e := range entries {
+		crashes := []fabric.Crash{{Pid: root, AtStep: 1}, {Pid: other, AtStep: 0}, {Pid: other, AtStep: 1}}
+		if e.Family == "allreduce" { // in the broadcast that follows the fold
+			crashes = append(crashes, fabric.Crash{Pid: other, AtStep: 3})
+		}
+		for _, crash := range crashes {
+			t.Run(fmt.Sprintf("%s/%d@%d", e.Name, crash.Pid, crash.AtStep), func(t *testing.T) {
+				run := func(e Entry) error {
+					var seen atomic.Bool
+					prog := e.Program(tr, Args{N: 4096})
+					eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+					eng.Chaos = &fabric.ChaosPlan{Crashes: []fabric.Crash{crash}}
+					_, err := eng.Run(func(c hbsp.Ctx) error {
+						err := prog(c)
+						if slices.Contains(c.Failed(), crash.Pid) {
+							seen.Store(true)
+						}
+						return err
+					})
+					if !seen.Load() {
+						t.Fatalf("no survivor saw pid %d fail", crash.Pid)
+					}
+					return err
+				}
+				if err := run(e); err != nil {
+					t.Errorf("the survivors' results fail the check: %v", err)
+				}
+				if err := run(wrong(e)); err == nil || !strings.Contains(err.Error(), "catalog: "+e.Name+": pid ") {
+					t.Errorf("a spoiled result: error %v, want one naming the entry and a pid", err)
+				}
+			})
+		}
 	}
 }
 
@@ -202,7 +296,7 @@ func TestChecksCatchWrongResults(t *testing.T) {
 			delete(out, other)
 			return out, err
 		}), root},
-		{"gather", "Gather", "wrong pid", collective.GatherCall(rooted(collective.Gather, other)), -1},
+		{"gather", "Gather", "wrong pid", anyRoot["Gather"](func(*model.Tree) int { return other }), -1},
 		{"allgather", "AllGather", "byte flipped", collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
 			out, err := allGather(c, b)
 			if c.Pid() == other {

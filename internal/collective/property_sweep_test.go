@@ -249,8 +249,8 @@ var laneNames = map[string]string{
 // that falls due at a global barrier inside a collective. It runs every
 // call whose coordinators depend on the layout across several global
 // barriers: the hierarchical rows, AllReduce and the calls no row
-// prices (the fault-tolerant ones, the hierarchical exchange and the
-// planner's). On Figure 1's tree, with the fastest leaf straggling
+// prices (the fault-tolerant ones, ft-bcast also at the drawn root, the
+// hierarchical exchange and the planner's). On Figure 1's tree, with the fastest leaf straggling
 // tenfold and ReorgEvery 1 and 2, on both engines, each case runs three
 // rounds behind a charged global Sync — the barrier outside every
 // collective where the owed cut lands, so the tree does move between
@@ -262,7 +262,7 @@ func TestSweepWithCutsDueMidCollective(t *testing.T) {
 		{Pid: 0, FromStep: 0, ToStep: 1 << 20, Factor: 10},
 	}}
 	var cases []catalog.Entry
-	for _, e := range sweepEnvOn(seed, rand.New(rand.NewSource(seed)), model.Figure1Cluster()).cases() {
+	for _, e := range sweepEnvOn(seed, rand.New(rand.NewSource(seed)), model.Figure1Cluster()).calls() {
 		if e.Variant == "" || strings.Contains(e.Variant, "Hier") || e.Variant == "AllReduce" {
 			cases = append(cases, e)
 		}
