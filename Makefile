@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt lint test race chaos verify wire-smoke fuzz bench-step cover clean
+.PHONY: check build vet fmt lint test race chaos verify wire-smoke fuzz bench-step bench-ab cover clean
 
 check:
 	./check.sh
@@ -138,6 +138,15 @@ wire-smoke:
 bench-step:
 	$(GO) test -run '^$$' -bench ConcurrentSuperstep -benchtime 2000x -benchmem -cpu 1 ./internal/hbsp
 	$(GO) test -run '^$$' -bench CollectiveRound -benchtime 1000x -benchmem -cpu 1 ./internal/collective
+
+# bench-ab is the evidence of a performance change: the bench-step lanes
+# of BASE and of the working tree, alternated N times (default 15) with an
+# A/A lane, medians, quartiles, win counts and counters in one JSON file,
+# OUT (default bench/BENCH_AB.json). bench-ab.sh says how a lane passes.
+# It measures wall clock, so check.sh leaves it out.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [OUT=file.json] [N=15]" >&2; exit 2; }
+	N=$(N) ./bench-ab.sh $(BASE) $(or $(OUT),bench/BENCH_AB.json)
 
 # cover enforces the coverage floor: total statement coverage must not
 # drop below bench/coverage_baseline.txt (percent, one line). The

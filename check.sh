@@ -81,16 +81,21 @@ timed 30 "warm superstep" go test -race -count=3 -cpu 1,4 \
 
 # Loopback I/O per superstep (DESIGN.md §5.10): the senders of a step
 # share one vectored write, a shared write that fails reaches every
-# sender naming its own oldest destination, a follower's borrow ends when
-# its call returns, the pump and the ack reader read only what they are
-# owed, the pump acks an owed burst with one write and fails the link
-# when a header disagrees with its owed length — under the race
-# detector, at GOMAXPROCS 1 and 4 — and a warm 64 B unix step makes at
-# most 5 read and write system calls, a 64 KiB tcp step at most 10 and a
-# tcp collective round at most 70, writing at most 60 frames: a BATCH
-# and an ACK for each of its 30 Deliver calls.
+# sender naming its own oldest destination — cut inside a read-back or a
+# pumped burst alike — a follower's borrow ends when its call returns,
+# the pump and the ack reader read only what they are owed, the pump acks
+# an owed burst with one write and fails the link when a header disagrees
+# with its owed length or an ACK does not decode — under the race
+# detector, at GOMAXPROCS 1 and 4 — a warm 64 B step is read back by the
+# goroutine that wrote it, one past the socket buffer is pumped, and
+# bursts that alternate between the two keep every sender's order (race
+# detector, -cpu 1,4); and a warm 64 B unix step makes at most 5 read and write
+# system calls, a 64 KiB tcp step at most 10 and a tcp collective round
+# at most 70, writing at most 60 frames: a BATCH and an ACK for each of
+# its 30 Deliver calls.
 timed 30 "loopback I/O per superstep" sh -c "go test -race -count=1 \
-	-run 'ShareOneWrite|SeverInsideA|EndsTheBorrow|PumpAcksAnOwedBurst|OwedLengthMismatch|OutOfOrderAck|LinkLossNames|FlushHonoursAck' \
+	-run 'ShareOneWrite|SeverInsideAPost|SeverInsideAGroup|EndsTheBorrow|PumpAcksAnOwedBurst|OwedLengthMismatch|OutOfOrderAck|LinkLossNames|FlushHonoursAck|MalformedAck' \
+	./internal/pvm/wiretrans && go test -race -count=1 -cpu 1,4 -run 'WarmStepIsReadBackByItsWriter|PostFlushFIFO' \
 	./internal/pvm/wiretrans && go test -p 1 -count=1 -run 'SyscallsPerSuperstep|CollectiveRoundSyscalls' ./internal/hbsp ./internal/collective"
 
 # Seeded chaos smoke, as `make chaos` defines it: fault injection across

@@ -137,46 +137,42 @@ func FuzzBatchBody(f *testing.F) {
 	})
 }
 
-// FuzzAckBody drives the ack reader with an arbitrary ACK body, owed to
-// it by a pump the test plays by hand while no batch is pending: whatever
-// the body decodes to — too short, an unknown verdict, a batch nobody
-// posted — the link fails with ErrBadFrame and the reader returns,
-// never a panic, never a hang.
+// FuzzAckBody answers one pending post with an arbitrary ACK body, as a
+// pump the test plays by hand: a body that decodes whole — seq, verdict,
+// detail — and names the post settles it with its verdict, the link up;
+// anything else — too short, a detail that does not decode, a batch
+// nobody posted — fails the link and the post with ErrBadFrame. Never a
+// panic, never a hang, never a post settled by a body that does not decode.
 func FuzzAckBody(f *testing.F) {
 	ack := func(seq int64, code int32, detail string) []byte {
 		return pvm.Wrap(nil).PackInt64(seq).PackInt32(code).PackString(detail).Bytes()
 	}
 	f.Add([]byte{})
 	f.Add(ack(1, ackOK, ""))
-	f.Add(ack(0, ackHalted, ""))
+	f.Add(ack(1, ackHalted, ""))
+	f.Add(ack(2, ackOK, ""))
 	f.Add(ack(-1, 99, "no such verdict"))
 	f.Add(ack(1, ackNoTask, "detail")[:12])
+	f.Add(ack(1, ackOK, "")[:12])
+	f.Add(ack(1, ackOK, "hello")[:18])
 	f.Fuzz(func(t *testing.T, body []byte) {
-		tr := newPipeTransport(t)
-		if err := tr.Attach(nil); err != nil {
-			t.Fatal(err)
+		flushErr, linkErr := answerOnePost(t, body)
+		b := pvm.Wrap(body)
+		seq, err := b.UnpackInt64()
+		var code int32
+		if err == nil {
+			code, err = b.UnpackInt32()
 		}
-		defer func() { _ = tr.Close() }()
-		tr.owe(&tr.acks, 1)
-		go func() {
-			_, _ = tr.peer.Write(AppendFrame(nil, frameAck, body))
-			_ = tr.peer.Close()
-		}()
-		read := make(chan struct{})
-		go func() {
-			tr.wg.Wait()
-			close(read)
-		}()
-		select {
-		case <-read:
-		case <-time.After(10 * time.Second):
-			t.Fatal("the ack reader still runs 10s after its one ack")
+		if err == nil {
+			_, err = b.UnpackString()
 		}
-		tr.mu.Lock()
-		err := tr.failErr
-		tr.mu.Unlock()
-		if !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("ack body %x: link failure %v, want ErrBadFrame", body, err)
+		switch {
+		case err == nil && seq == 1:
+			if linkErr != nil || (code == ackOK) != (flushErr == nil) {
+				t.Fatalf("ack body %x (verdict %d): Flush %v, link failure %v; want the post settled with its verdict", body, code, flushErr, linkErr)
+			}
+		case !errors.Is(linkErr, ErrBadFrame) || !errors.Is(flushErr, ErrBadFrame):
+			t.Fatalf("ack body %x: Flush %v, link failure %v; want ErrBadFrame for both", body, flushErr, linkErr)
 		}
 	})
 }

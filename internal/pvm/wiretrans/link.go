@@ -2,11 +2,11 @@ package wiretrans
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"hbspk/internal/pvm"
@@ -56,45 +56,96 @@ type link struct {
 	bufs    net.Buffers // iov as the vectored write consumes it; here so the call allocates nothing
 	own     held        // what post has staged on a link with one sender, guarded by wmu
 	writes  int         // vectored writes made, guarded by wmu
+
+	// offerLocked's, guarded by wmu: conn's descriptor (set by offerable,
+	// else nil), and what its system call is handed.
+	raw     syscall.RawConn
+	iovecs  []iovec
+	offered int
+	writev  func(fd uintptr) bool
 }
+
+// iovec is C's struct iovec. sysWritev is writev(2), returning what it
+// wrote, 0 on any error (EAGAIN among them); nil without one (offer_writev.go).
+type iovec struct {
+	base *byte
+	len  uintptr
+}
+
+var sysWritev func(fd uintptr, iov []iovec) int
 
 func newLink(conn net.Conn, transport string) *link {
 	return &link{conn: conn, br: bufio.NewReader(conn), transport: transport}
 }
 
+// offerable readies offerLocked on a link over a socket, where the
+// platform has writev; on any other link an offer takes nothing.
+func (l *link) offerable() {
+	if sc, ok := l.conn.(syscall.Conn); ok && sysWritev != nil {
+		if raw, err := sc.SyscallConn(); err == nil {
+			l.raw, l.writev = raw, func(fd uintptr) bool {
+				l.offered = sysWritev(fd, l.iovecs)
+				return true // done, whatever the socket took: the RawConn never waits
+			}
+		}
+	}
+}
+
+// writeFrame hands one encoded frame to a single Write.
 func (l *link) writeFrame(kind byte, body []byte) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	return l.writeLocked(AppendFrame(nil, kind, body))
-}
-
-// writeLocked hands whole encoded frames to a single Write. The caller
-// holds wmu.
-func (l *link) writeLocked(frames []byte) error {
-	if _, err := l.conn.Write(frames); err != nil {
+	frame := AppendFrame(nil, kind, body)
+	if _, err := l.conn.Write(frame); err != nil {
 		return fmt.Errorf("wiretrans: write %s frame: %w: %w", l.transport, pvm.ErrPeerLost, err)
 	}
-	for len(frames) > 0 {
-		n := frameHeader + int(binary.BigEndian.Uint32(frames))
-		observeFrame(l.transport, true, n)
-		frames = frames[n:]
-	}
+	observeFrame(l.transport, true, len(frame))
 	return nil
 }
 
-// writevLocked hands the frames whose pieces are in l.iov to a single
-// vectored write (writev on a socket, one Write per piece elsewhere)
+// writevLocked hands what the socket has not yet taken of the write
+// staged in l.bufs (over l.iov) to a single vectored write (writev on a
+// socket, one Write per piece elsewhere), waiting as long as it takes,
 // and forgets the pieces: the link must not keep a sender's wire
 // reachable. The caller holds wmu.
 func (l *link) writevLocked() error {
-	l.writes++
-	l.bufs = l.iov
 	_, err := l.bufs.WriteTo(l.conn)
 	clear(l.iov) // bufs shares the array, so this covers what a failed write left in it
 	if err != nil {
 		return fmt.Errorf("wiretrans: write %s frame: %w: %w", l.transport, pvm.ErrPeerLost, err)
 	}
 	return nil
+}
+
+// offerLocked makes one writev of the staged write that returns on
+// EAGAIN instead of waiting, drops what the socket took and reports
+// whether that was all (then forgetting the pieces, as writevLocked
+// does) — never off a link offerable did not ready, or past IOV_MAX's
+// 1024 pieces. The caller holds wmu.
+func (l *link) offerLocked() bool {
+	if l.raw == nil {
+		return false
+	}
+	for _, b := range l.bufs[:min(len(l.bufs), 1024)] {
+		l.iovecs = append(l.iovecs, iovec{&b[0], uintptr(len(b))})
+	}
+	l.offered = 0
+	_ = l.raw.Write(l.writev) // a failed offer takes nothing; the waiting write reports it
+	clear(l.iovecs)
+	l.iovecs = l.iovecs[:0]
+	for n := l.offered; n > 0; {
+		if b := l.bufs[0]; len(b) > n {
+			l.bufs[0] = b[n:]
+			break
+		}
+		n -= len(l.bufs[0])
+		l.bufs = l.bufs[1:]
+	}
+	if len(l.bufs) > 0 {
+		return false
+	}
+	clear(l.iov)
+	return true
 }
 
 // A BATCH body is seq, dst, count, then per message src, tag and the
@@ -151,13 +202,23 @@ func (h *held) release() {
 	h.msgs, h.frames = h.msgs[:0], h.frames[:0]
 }
 
-// writeHeldLocked writes everything in hs — one BATCH frame per entry of
-// each, in order — with one vectored write that copies no payload byte:
+// writeHeldLocked writes everything in hs with one vectored write
+// (stageHeldLocked) and ends the write (doneHeldLocked). The caller
+// holds wmu.
+func (l *link) writeHeldLocked(hs ...*held) (err error) {
+	if l.stageHeldLocked(hs) {
+		err = l.writevLocked()
+	}
+	l.doneHeldLocked(hs, err)
+	return err
+}
+
+// stageHeldLocked stages everything in hs — one BATCH frame per entry of
+// each, in order — as one vectored write that copies no payload byte:
 // only the headers are packed, contiguously, into the link's scratch, and
 // go out interleaved with the wires' own pieces, head then the tail the
-// sender lent. Written or not, every h is released. The caller holds wmu.
-func (l *link) writeHeldLocked(hs ...*held) error {
-	defer releaseHeld(hs)
+// sender lent. It reports whether hs held anything. The caller holds wmu.
+func (l *link) stageHeldLocked(hs []*held) bool {
 	buf := l.scratch[:0]
 	for _, h := range hs {
 		ms := h.msgs
@@ -177,12 +238,12 @@ func (l *link) writeHeldLocked(hs ...*held) error {
 		}
 	}
 	if len(buf) == 0 {
-		return nil
+		return false
 	}
 	l.scratch = buf
 	// A frame's own header and its batch header ride with the first
 	// message's.
-	l.iov = l.iov[:0]
+	iov := l.iov[:0]
 	at := 0
 	for _, h := range hs {
 		ms := h.msgs
@@ -190,36 +251,34 @@ func (l *link) writeHeldLocked(hs ...*held) error {
 			to := at + batchLead
 			for _, m := range ms[:f.n] {
 				to += batchPerMsg
-				l.iov = append(l.iov, buf[at:to])
+				iov = append(iov, buf[at:to])
 				head, tail := m.Pieces()
 				if len(head) > 0 {
-					l.iov = append(l.iov, head)
+					iov = append(iov, head)
 				}
 				if len(tail) > 0 {
-					l.iov = append(l.iov, tail)
+					iov = append(iov, tail)
 				}
 				at = to
 			}
 			ms = ms[f.n:]
 		}
 	}
-	if err := l.writevLocked(); err != nil {
-		return err
-	}
-	// The observer hears of each frame, by the length its header carries.
-	at = 0
-	for _, h := range hs {
-		for _, f := range h.frames {
-			observeFrame(l.transport, true, frameHeader+int(binary.BigEndian.Uint32(buf[at:])))
-			at += batchLead + f.n*batchPerMsg
-		}
-	}
-	return nil
+	l.writes++
+	l.iov, l.bufs = iov, iov
+	return true
 }
 
-// releaseHeld releases every held of a write.
-func releaseHeld(hs []*held) {
+// doneHeldLocked ends the write of hs: unless it failed, the observer
+// hears of each frame, and every h is released, written or not. The
+// caller holds wmu.
+func (l *link) doneHeldLocked(hs []*held, err error) {
 	for _, h := range hs {
+		for _, f := range h.frames {
+			if err == nil {
+				observeFrame(l.transport, true, frameHeader+f.size)
+			}
+		}
 		h.release()
 	}
 }

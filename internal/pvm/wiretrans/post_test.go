@@ -110,13 +110,18 @@ func TestPostToManyIsOneWrite(t *testing.T) {
 func TestLoneSendBatchIsWrittenBeforeItReturns(t *testing.T) {
 	// A ping-pong of SendBatch and Recv with no Flush anywhere: it only
 	// completes if an unmarked batch leaves in the call that posts it.
+	// Neither player starts before both are spawned, as the engines'
+	// processors do not: a batch its writer reads back is injected before
+	// the call returns, so one sent to a task not yet spawned fails.
 	for _, network := range []string{"unix", "tcp"} {
 		t.Run(network, func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			_, sys := attachLoopback(t, network)
 			const rounds = 20
+			ready := make(chan struct{})
 			player := func(peer pvm.TID, serve bool) func(*pvm.Task) error {
 				return func(task *pvm.Task) error {
+					<-ready
 					for i := 0; i < rounds; i++ {
 						if serve {
 							if err := task.SendBatch(peer, 1, []*pvm.Buffer{pvm.NewBuffer().PackInt32(int32(i))}); err != nil {
@@ -139,6 +144,7 @@ func TestLoneSendBatchIsWrittenBeforeItReturns(t *testing.T) {
 			}
 			sys.Spawn("ping", player(1, true))
 			sys.Spawn("pong", player(0, false))
+			close(ready)
 			if err := sys.Wait(); err != nil {
 				t.Fatal(err)
 			}
@@ -329,43 +335,62 @@ func TestSeverInsideAGroupFailsEverySender(t *testing.T) {
 	// write they share, inside the first post: no ack of the write went
 	// out, so every sender's Flush fails, typed and naming that sender's
 	// own oldest destination. Where the posts did not all share one write,
-	// a post that found the link lost fails at once, naming the same.
+	// a post that found the link lost fails at once, naming the same. At
+	// 4 B a message the socket takes the write whole and the sever cuts
+	// its writer's read-back; at 512 KiB, or more where a unix socket
+	// holds more than that unread, it cannot, and the sever cuts the
+	// pump's read.
 	everyProcs(t, func(t *testing.T) {
-		tr, sys := attachLoopback(t, "unix")
-		const senders = 4
-		dsts, stop := spawnIdle(sys, senders)
-		start := make(chan struct{})
-		var sent sync.WaitGroup
-		sent.Add(senders)
-		errs := make([]error, senders)
-		for i := 0; i < senders; i++ {
-			sys.Spawn("send", func(task *pvm.Task) error {
-				defer sent.Done()
-				var post []pvm.Batch
-				for j := range dsts {
-					post = append(post, pvm.Batch{Dst: dsts[(i+j)%senders], Bufs: []*pvm.Buffer{pvm.NewBuffer().PackInt32(int32(j))}})
+		for _, lane := range []struct {
+			name         string
+			size         int
+			readByWriter bool
+		}{{"4B", 4, true}, {"past-the-buffer", 512 << 10, false}} {
+			t.Run(lane.name, func(t *testing.T) {
+				if !lane.readByWriter {
+					lane.size = pastTheBuffer(t, lane.size)
 				}
-				<-start
-				err := task.SendBatches(1, post)
-				if err == nil {
-					err = task.Flush()
+				tr, sys := attachLoopback(t, "unix")
+				const senders = 4
+				dsts, stop := spawnIdle(sys, senders)
+				start := make(chan struct{})
+				var sent sync.WaitGroup
+				sent.Add(senders)
+				errs := make([]error, senders)
+				for i := 0; i < senders; i++ {
+					sys.Spawn("send", func(task *pvm.Task) error {
+						defer sent.Done()
+						payload := bytes.Repeat([]byte{byte(i)}, lane.size)
+						var post []pvm.Batch
+						for j := range dsts {
+							post = append(post, pvm.Batch{Dst: dsts[(i+j)%senders], Bufs: []*pvm.Buffer{pvm.NewBuffer().PackBytesBorrowed(payload)}})
+						}
+						<-start
+						err := task.SendBatches(1, post)
+						if err == nil {
+							err = task.Flush()
+						}
+						errs[i] = err
+						return nil
+					})
 				}
-				errs[i] = err
-				return nil
+				tr.Sever(2)
+				close(start)
+				sent.Wait()
+				stop()
+				if err := sys.Wait(); err != nil {
+					t.Fatalf("Wait: %v", err)
+				}
+				for i, err := range errs {
+					var de *pvm.DeliveryError
+					if !errors.Is(err, pvm.ErrPeerLost) || !errors.As(err, &de) || de.Dst != dsts[i] {
+						t.Errorf("sender %d: %v, want pvm.ErrPeerLost naming its oldest destination, task %d", i, err, dsts[i])
+					}
+				}
+				if pumped, _, _ := tr.readers(); lane.readByWriter != (pumped == 0) {
+					t.Errorf("the pump took %d bursts; want none exactly when the writer reads back (%v)", pumped, lane.readByWriter)
+				}
 			})
-		}
-		tr.Sever(2)
-		close(start)
-		sent.Wait()
-		stop()
-		if err := sys.Wait(); err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
-		for i, err := range errs {
-			var de *pvm.DeliveryError
-			if !errors.Is(err, pvm.ErrPeerLost) || !errors.As(err, &de) || de.Dst != dsts[i] {
-				t.Errorf("sender %d: %v, want pvm.ErrPeerLost naming its oldest destination, task %d", i, err, dsts[i])
-			}
 		}
 	})
 }

@@ -45,14 +45,14 @@ const (
 // for a batch its sender marked More, holds it for the write that ends
 // the sender's call, so a post to many destinations is one writev — and
 // senders that post at the same time share that write (postHeld), so a
-// superstep is one writev. Flush is the one wait, until the server pump
-// has injected and acked all the sender posted — the engines' "all sends
-// of a superstep happen before barrier exit" at one wake-up per
-// superstep. Nothing else queues in user space: a slow pump pushes back
-// through the socket buffer. The pump and the ack reader read only what
-// they are owed (demand), so no read is made to find the socket empty;
-// the pump knows each owed frame's length, so it reads a burst of them
-// with one read and acks the burst with one write.
+// superstep is one writev. Flush is the one wait, until all the sender
+// posted is injected and acked — "all sends of a superstep happen before
+// barrier exit" at one wake-up per superstep, none when the write's
+// leader read its burst back (writeQueue). Nothing else queues in user
+// space: a slow pump pushes back through the socket buffer. The pump and
+// the ack reader read only what they are owed (demand), so no read is
+// made to find the socket empty; a burst's reader knows each frame's
+// length, so it reads the burst with one read and acks it with one write.
 type Loopback struct {
 	network string // "unix" or "tcp"
 	sys     *pvm.System
@@ -60,6 +60,7 @@ type Loopback struct {
 	ln  net.Listener
 	dir string // unix socket directory, removed on Close
 	cli *link  // client side: Deliver writes, ack reader reads
+	srv *link  // server side: the pump reads, or a burst's writer reads back
 
 	// mu guards the post/ack accounting. It nests inside cli.wmu and is
 	// never held across a socket operation.
@@ -74,6 +75,11 @@ type Loopback struct {
 	failErr error  // set once the link is gone: what deliveries fail with
 	batches demand // BATCH frames posted and not yet read by the pump, by length
 	acks    demand // ACK frames the pump wrote and the ack reader has not read
+
+	readBacks int // bursts read back by their writer (writeQueue); guarded by mu
+	// Scratch of a stream's one reader at a time: a burst's acks, and the
+	// ack being read.
+	ackOut, ackIn []byte
 
 	// AckTimeout bounds one Flush. The default is generous: on loopback
 	// an ack is microseconds away, so expiry means the pump died, not
@@ -110,10 +116,13 @@ type sender struct {
 // otherwise waits on cond, which fail also wakes. The ack reader is owed
 // a count; the pump is owed each frame's wire length, in wire order
 // (lens, and owed is their number), so that it can read them in bulk.
+// busy: it holds frames an await handed it; taken counts those awaits.
 type demand struct {
-	owed int
-	lens []int
-	cond *sync.Cond // on Loopback.mu
+	owed  int
+	lens  []int
+	busy  bool
+	taken int
+	cond  *sync.Cond // on Loopback.mu
 }
 
 // NewLoopback returns an unattached loopback transport over the given
@@ -199,6 +208,9 @@ func (l *Loopback) Attach(sys *pvm.System) error {
 		return fmt.Errorf("wiretrans: accept: %w", pvm.ErrTimeout)
 	}
 	srv := newLink(srvConn, l.network)
+	l.srv = srv
+	l.cli.offerable()
+	srv.offerable()
 	h, err := srv.readHello()
 	if err != nil {
 		_ = srv.close()
@@ -296,10 +308,13 @@ func (l *Loopback) postHeld(s *sender) error {
 // writeQueue takes the queue under the write lock, numbers every post in
 // it and queues each as pending — so the pending queue is in wire order —
 // writes them all with one vectored write, and lets the queued senders
-// go. On a link already lost it writes nothing and leaves each post to
-// fail at its sender (postHeld); a write that fails loses the link, and
-// its posts fail with the rest of the pending queue at their senders'
-// Flush.
+// go. While neither the pump nor the ack reader has frames owed or in
+// hand — and none can be owed them before the write lock is let go — the
+// write is an offer: a burst the socket takes whole is read back, acked
+// and settled here, one it takes in part is owed to the pump. On a link
+// already lost it writes nothing and leaves each post to fail at its
+// sender (postHeld); a write or read-back that fails loses the link, and
+// its posts fail with the rest of the pending queue at their senders' Flush.
 func (l *Loopback) writeQueue() {
 	c := l.cli
 	c.wmu.Lock()
@@ -307,6 +322,7 @@ func (l *Loopback) writeQueue() {
 	l.mu.Lock()
 	l.group, l.queue = l.queue, l.group[:0]
 	l.helds = l.helds[:0]
+	offer := false
 	if l.failErr == nil {
 		for _, s := range l.group {
 			for i := range s.held.frames {
@@ -317,18 +333,39 @@ func (l *Loopback) writeQueue() {
 				l.batches.lens = append(l.batches.lens, frameHeader+f.size)
 			}
 			s.outstanding += len(s.held.frames)
-			l.batches.owed += len(s.held.frames)
 			l.helds = append(l.helds, &s.held)
 		}
-		l.batches.cond.Signal()
+		if offer = l.batches.owed+l.acks.owed == 0 && !l.batches.busy && !l.acks.busy; !offer {
+			l.batches.owed = len(l.batches.lens)
+			l.batches.cond.Signal()
+		}
 	}
+	lens := l.batches.lens
 	l.mu.Unlock()
 
-	if err := c.writeHeldLocked(l.helds...); err != nil {
+	var err error
+	readBack := false
+	if c.stageHeldLocked(l.helds) {
+		if readBack = offer && c.offerLocked(); !readBack {
+			if offer {
+				l.owe(&l.batches, len(lens))
+			}
+			err = c.writevLocked()
+		}
+	}
+	c.doneHeldLocked(l.helds, err)
+	if readBack {
+		err = l.answer(l.srv, lens, true)
+	}
+	if err != nil {
 		l.fail(err)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if readBack {
+		l.batches.lens = l.batches.lens[:0]
+		l.readBacks++
+	}
 	for _, s := range l.group {
 		s.queued = false
 		s.idle.Signal()
@@ -399,7 +436,8 @@ func (l *Loopback) acked(seq int64, code int32, detail string) error {
 	if code != ackOK && s.err == nil {
 		s.err = &pvm.DeliveryError{Dst: p.dst, Err: ackCause(code, detail)}
 	}
-	if s.outstanding--; s.outstanding == 0 {
+	// A queued sender waits for its write, which may be settling it.
+	if s.outstanding--; s.outstanding == 0 && !s.queued {
 		s.idle.Broadcast()
 	}
 	return nil
@@ -432,6 +470,7 @@ func (l *Loopback) owe(d *demand, n int) {
 func (l *Loopback) await(d *demand, spent []int) (int, []int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	d.busy = false
 	for d.owed == 0 && l.failErr == nil {
 		d.cond.Wait()
 	}
@@ -439,7 +478,8 @@ func (l *Loopback) await(d *demand, spent []int) (int, []int) {
 		return 0, spent
 	}
 	n, lens := d.owed, d.lens
-	d.owed, d.lens = 0, spent[:0]
+	d.owed, d.lens, d.busy = 0, spent[:0], true
+	d.taken++
 	return n, lens
 }
 
@@ -450,55 +490,77 @@ func (l *Loopback) await(d *demand, spent []int) (int, []int) {
 // step drew a fresh slab past the arena's largest class each time.
 const maxSlab = 256 << 10
 
-// serverPump reads the BATCH frames it is owed, injects their messages
-// into the destination mailboxes and acks them, one ack frame per batch.
-// It takes the whole burst owed at once, reads it by slabs (readSlab) and
-// then writes the burst's acks with one Write — it cannot deadlock on
-// them, since every owed byte is already being written by a writeQueue
-// that never waits for an ack — and waits off the socket for the next
-// burst (await). It also implements Sever: when the armed frame budget
-// runs out, both connections are torn down abruptly, mid-protocol, with
-// no goodbye — the failure mode the abrupt-close chaos test exercises.
+// serverPump answers the bursts of BATCH frames it is owed, taking all
+// that is owed at once, and waits off the socket for the next (await).
+// It cannot deadlock on an ack write: every owed byte is already being
+// written by a writeQueue that never waits for an ack.
 func (l *Loopback) serverPump(srv *link) {
 	defer l.wg.Done()
 	defer func() { _ = srv.close() }()
-	var acks []byte
 	var lens []int // the burst: each owed frame's wire length, in wire order
 	for {
 		var n int
 		if n, lens = l.await(&l.batches, lens); n == 0 {
 			return
 		}
-		acks = acks[:0]
-		for at := 0; at < n; {
-			to, size := at+1, lens[at]
-			for to < n && size+lens[to] <= maxSlab {
-				size += lens[to]
-				to++
-			}
-			var err error
-			if acks, err = l.readSlab(srv, lens[at:to], size, acks); err != nil {
-				l.fail(err)
-				return
-			}
-			at = to
-		}
-		l.owe(&l.acks, n)
-		srv.wmu.Lock()
-		err := srv.writeLocked(acks)
-		srv.wmu.Unlock()
-		if err != nil {
+		if err := l.answer(srv, lens[:n], false); err != nil {
 			l.fail(err)
 			return
 		}
 	}
 }
 
+// answer reads the burst whose frames' wire lengths are lens off srv by
+// slabs (readSlab) and acks it, one ACK frame a batch, in one write. An
+// offered write (offerLocked) the socket takes whole is read back and
+// settled here as the ack reader would (readAck); acks it did not take,
+// or all of them unoffered, are owed to the ack reader before they are
+// written.
+func (l *Loopback) answer(srv *link, lens []int, offer bool) (err error) {
+	acks := l.ackOut[:0]
+	for at := 0; at < len(lens); {
+		to, size := at+1, lens[at]
+		for to < len(lens) && size+lens[to] <= maxSlab {
+			size += lens[to]
+			to++
+		}
+		if acks, err = l.readSlab(srv, lens[at:to], size, acks); err != nil {
+			return err
+		}
+		at = to
+	}
+	l.ackOut = acks
+	srv.wmu.Lock()
+	srv.iov = append(srv.iov[:0], acks)
+	srv.bufs = srv.iov
+	whole := offer && srv.offerLocked()
+	if !whole {
+		l.owe(&l.acks, len(lens))
+		err = srv.writevLocked()
+	}
+	srv.wmu.Unlock()
+	if err != nil {
+		return err
+	}
+	for at := 0; at < len(acks); {
+		n := frameHeader + int(binary.BigEndian.Uint32(acks[at:]))
+		observeFrame(srv.transport, true, n)
+		at += n
+	}
+	for i := 0; whole && err == nil && i < len(lens); i++ {
+		err = l.readAck()
+	}
+	return err
+}
+
 // readSlab reads the consecutive frames whose wire lengths are lens, size
 // bytes in all, with one io.ReadFull into one pvm.Frame drawn from the
 // wire arena; checks each header against its owed length — a mismatch is
 // ErrBadFrame — then injects each batch, every message taking its own
-// reference on the slab, and appends its ack to acks.
+// reference on the slab, and appends its ack to acks. It also implements
+// Sever: when the armed frame budget runs out, both connections are torn
+// down abruptly, mid-protocol, with no goodbye — the failure mode the
+// abrupt-close chaos test exercises.
 func (l *Loopback) readSlab(srv *link, lens []int, size int, acks []byte) ([]byte, error) {
 	if size-frameHeader > MaxFrame {
 		return acks, fmt.Errorf("wiretrans: %s server: %w: %w: %d bytes (limit %d)", l.network, pvm.ErrPeerLost, ErrFrameTooBig, size-frameHeader, MaxFrame)
@@ -572,7 +634,6 @@ func injectBatch(sys *pvm.System, f pvm.Frame, body []byte) (seq int64, code int
 // only the acks it is owed and otherwise waits off the socket (await).
 func (l *Loopback) ackReader() {
 	defer l.wg.Done()
-	var scratch []byte
 	due := 0
 	for {
 		if due == 0 {
@@ -581,34 +642,34 @@ func (l *Loopback) ackReader() {
 			}
 		}
 		due--
-		kind, body, next, n, err := ReadFrame(l.cli.br, scratch)
-		if err != nil {
-			l.fail(fmt.Errorf("wiretrans: %s ack reader: %w: %v", l.network, pvm.ErrPeerLost, err))
-			return
-		}
-		observeFrame(l.network, false, n)
-		scratch = next
-		if kind != frameAck {
-			l.fail(fmt.Errorf("%w: ack reader got kind %d", ErrBadFrame, kind))
-			return
-		}
-		b := pvm.Wrap(body)
-		seq, err := b.UnpackInt64()
-		if err != nil {
-			l.fail(fmt.Errorf("%w: %v", ErrBadFrame, err))
-			return
-		}
-		code, err := b.UnpackInt32()
-		if err != nil {
-			l.fail(fmt.Errorf("%w: %v", ErrBadFrame, err))
-			return
-		}
-		detail, _ := b.UnpackString()
-		if err := l.acked(seq, code, detail); err != nil {
+		if err := l.readAck(); err != nil {
 			l.fail(err)
 			return
 		}
 	}
+}
+
+// readAck reads the next ACK frame off the client side and settles its
+// batch (acked). A frame of another kind, or a body that does not decode
+// to a seq, a verdict and its detail, is ErrBadFrame.
+func (l *Loopback) readAck() error {
+	kind, body, next, n, err := ReadFrame(l.cli.br, l.ackIn)
+	if err != nil {
+		return fmt.Errorf("wiretrans: %s ack reader: %w: %v", l.network, pvm.ErrPeerLost, err)
+	}
+	observeFrame(l.network, false, n)
+	l.ackIn = next
+	if kind != frameAck {
+		return fmt.Errorf("%w: ack reader got kind %d", ErrBadFrame, kind)
+	}
+	b := pvm.Wrap(body)
+	seq, err1 := b.UnpackInt64()
+	code, err2 := b.UnpackInt32()
+	detail, err3 := b.UnpackString()
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return fmt.Errorf("%w: ACK: %v", ErrBadFrame, err)
+	}
+	return l.acked(seq, code, detail)
 }
 
 // Sever arms an abrupt connection teardown after n more delivered

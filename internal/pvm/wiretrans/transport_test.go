@@ -195,10 +195,21 @@ func TestLoopbackSeverFailsDelivers(t *testing.T) {
 func TestLoopbackPostFlushFIFO(t *testing.T) {
 	// The post/flush contract: once a sender's Flush has returned, all
 	// it posted is receivable without blocking, in the order it posted.
-	for _, network := range []string{"unix", "tcp"} {
-		t.Run(network, func(t *testing.T) {
+	// On the mixed lane every other post carries 512 KiB, or more where a
+	// unix socket holds more than that unread, which the socket cannot
+	// take whole: bursts alternate between being read back by their
+	// writer, offered in part and pumped, and both readers must have run.
+	for _, lane := range []struct {
+		name, network string
+		posts, big    int
+	}{
+		{"unix", "unix", 40, 0},
+		{"tcp", "tcp", 40, 0},
+		{"mixed", "unix", 12, 512 << 10},
+	} {
+		t.Run(lane.name, func(t *testing.T) {
 			testutil.CheckGoroutines(t)
-			tr, err := NewLoopback(network)
+			tr, err := NewLoopback(lane.network)
 			if err != nil {
 				t.Fatalf("NewLoopback: %v", err)
 			}
@@ -208,7 +219,7 @@ func TestLoopbackPostFlushFIFO(t *testing.T) {
 			}
 			t.Cleanup(func() { _ = tr.Close() })
 
-			const senders, posts = 3, 40
+			const senders = 3
 			flushed := make(chan struct{}, senders)
 			recv := sys.Spawn("recv", func(task *pvm.Task) error {
 				for i := 0; i < senders; i++ {
@@ -227,18 +238,23 @@ func TestLoopbackPostFlushFIFO(t *testing.T) {
 					}
 					next[m.Src]++
 				}
-				if len(msgs) != senders*posts {
-					return fmt.Errorf("%d messages visible after every Flush, want %d", len(msgs), senders*posts)
+				if len(msgs) != senders*lane.posts {
+					return fmt.Errorf("%d messages visible after every Flush, want %d", len(msgs), senders*lane.posts)
 				}
 				return nil
 			})
+			if lane.big > 0 {
+				lane.big = pastTheBuffer(t, lane.big)
+			}
+			big := make([]byte, lane.big)
+			small := big[:min(64, lane.big)]
 			for i := 0; i < senders; i++ {
 				sys.Spawn("send", func(task *pvm.Task) error {
-					for i := int64(0); i < posts; i += 2 {
-						if err := task.Send(recv, 9, pvm.NewBuffer().PackInt64(i)); err != nil {
+					for i := int64(0); i < int64(lane.posts); i += 2 {
+						if err := task.Send(recv, 9, pvm.NewBuffer().PackInt64(i).PackBytes(small)); err != nil {
 							return err
 						}
-						if err := task.SendBatch(recv, 9, []*pvm.Buffer{pvm.NewBuffer().PackInt64(i + 1)}); err != nil {
+						if err := task.SendBatch(recv, 9, []*pvm.Buffer{pvm.NewBuffer().PackInt64(i + 1).PackBytes(big)}); err != nil {
 							return err
 						}
 					}
@@ -249,6 +265,9 @@ func TestLoopbackPostFlushFIFO(t *testing.T) {
 			}
 			if err := sys.Wait(); err != nil {
 				t.Fatalf("Wait: %v", err)
+			}
+			if pumped, _, readBack := tr.readers(); lane.big > 0 && (pumped == 0 || readBack == 0) {
+				t.Fatalf("the pump took %d bursts and writers read back %d; want both paths taken", pumped, readBack)
 			}
 		})
 	}
@@ -393,6 +412,65 @@ func TestOutOfOrderAckFailsLink(t *testing.T) {
 	}
 	if !errors.Is(sendErr, ErrBadFrame) {
 		t.Fatalf("Send on the failed link = %v, want ErrBadFrame", sendErr)
+	}
+}
+
+// answerOnePost posts one batch over a pipeTransport and answers it as
+// the pump would, with one ACK frame of the given body; it returns what
+// the sender's Flush and the link then report.
+func answerOnePost(t *testing.T, body []byte) (flushErr, linkErr error) {
+	t.Helper()
+	tr := newPipeTransport(t)
+	sys := pvm.NewSystem()
+	if err := sys.SetTransport(tr); err != nil {
+		t.Fatalf("SetTransport: %v", err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	go func() {
+		if _, _, _, _, err := ReadFrame(tr.peer, nil); err != nil {
+			return
+		}
+		tr.owe(&tr.acks, 1)
+		_, _ = tr.peer.Write(AppendFrame(nil, frameAck, body))
+	}()
+	hold := make(chan struct{})
+	recv := sys.Spawn("recv", func(*pvm.Task) error { <-hold; return nil })
+	sys.Spawn("send", func(task *pvm.Task) error {
+		defer close(hold)
+		if err := task.Send(recv, 1, pvm.NewBuffer().PackInt32(1)); err != nil {
+			return err
+		}
+		flushErr = task.Flush()
+		return nil
+	})
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return flushErr, tr.failErr
+}
+
+func TestMalformedAckFailsTheLink(t *testing.T) {
+	// An ACK that names the pending post and its verdict but whose detail
+	// is missing or does not decode fails the link with ErrBadFrame, and
+	// the post with it: it must not settle the post as delivered.
+	head := pvm.Wrap(nil).PackInt64(1).PackInt32(ackOK).Bytes()
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		{"no detail", nil},
+		{"one stray byte", []byte{0xff}},
+		{"detail of 5 bytes with 1 sent", pvm.Wrap(nil).PackString("hello").Bytes()[:6]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			flushErr, linkErr := answerOnePost(t, append(head[:len(head):len(head)], tc.tail...))
+			if !errors.Is(linkErr, ErrBadFrame) || !errors.Is(flushErr, ErrBadFrame) {
+				t.Fatalf("Flush %v, link failure %v; want ErrBadFrame for both", flushErr, linkErr)
+			}
+		})
 	}
 }
 
