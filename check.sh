@@ -28,7 +28,8 @@ go vet ./...
 # would drop out of its step in silence. Each |-separated name of every
 # -run pattern in this script and the Makefile ('^$' aside) must match a
 # test or fuzz target that `go test -list` finds in that command's
-# packages.
+# packages, and each benchmark name the Makefile and bench-ab.sh run a
+# benchmark.
 named_tests_exist() {
 	grep -hv '^[[:space:]]*#' check.sh Makefile | sed -e ':a' -e '/\\$/N' -e 's/\\\n//' -e 'ta' |
 		grep -o '\(go\|$(GO)\) test [^&;"]*-run [^&;"]*' | sed "s/'//g; s/\\\$\\\$/\$/g" |
@@ -43,6 +44,19 @@ named_tests_exist() {
 					return 1
 				}
 			done
+		done
+	# Likewise each -bench name of the Makefile and each -test.bench name
+	# of bench-ab.sh, in the package the command names or runs in: a
+	# renamed benchmark would leave bench-step and bench-ab measuring
+	# nothing.
+	grep -hv '^[[:space:]]*#' Makefile bench-ab.sh | grep -- '-\(test\.\)\{0,1\}bench ' |
+		while read -r cmd; do
+			name=$(echo "$cmd" | sed 's/.*-\(test\.\)\{0,1\}bench \([^ ]*\).*/\2/')
+			pkg=$(echo "$cmd" | grep -o '\(\./\|\$src/\)internal/[a-z/]*' | sed 's#^\$src/#./#')
+			go test -list "$name" "$pkg" | grep -q '^Benchmark' || {
+				echo "check: -bench name '$name' matches no benchmark in $pkg" >&2
+				return 1
+			}
 		done
 }
 named_tests_exist

@@ -79,9 +79,6 @@ func Names(priced bool) string {
 	return strings.Join(names, ", ")
 }
 
-// fastest is the pid every rooted call roots at: the fastest leaf.
-func fastest(tr *model.Tree) int { return tr.Pid(tr.FastestLeaf()) }
-
 // Entries returns the catalogue: the cost-table rows in table order,
 // then the programs no row prices.
 func Entries() []Entry {
@@ -107,16 +104,16 @@ func Entries() []Entry {
 		{Name: "auto", prog: auto},
 		{Name: "bcast-reduce", prog: bcastReduce},
 		unpriced("alltoall-hier", "alltoall", collective.ExchangeCall(collective.TotalExchangeHier)),
-		{Name: "ft-gather", Family: "gather", root: fastest, ft: true, call: collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
+		{Name: "ft-gather", Family: "gather", root: collective.FastestPid, ft: true, call: collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
 			out, _, err := collective.NewFT(c, c.Tree().Root).Gather(b)
 			return out, err
 		})},
-		{Name: "ft-bcast", Family: "bcast", root: fastest, ft: true, call: ftBcast(fastest), at: ftBcast},
-		{Name: "ft-reduce", Family: "reduce", root: fastest, ft: true, call: collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+		{Name: "ft-bcast", Family: "bcast", root: collective.FastestPid, ft: true, call: ftBcast(collective.FastestPid), at: ftBcast},
+		{Name: "ft-reduce", Family: "reduce", root: collective.FastestPid, ft: true, call: collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
 			out, _, err := collective.NewFT(c, c.Tree().Root).Reduce(v, op)
 			return out, err
 		})},
-		{Name: "ft-allreduce", Family: "allreduce", root: fastest, ft: true, call: collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
+		{Name: "ft-allreduce", Family: "allreduce", root: collective.FastestPid, ft: true, call: collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
 			return collective.NewFT(c, c.Tree().Root).AllReduce(v, op)
 		})},
 		{Name: "churn-soak", prog: churnSoak},
@@ -130,13 +127,13 @@ func Entries() []Entry {
 func priced(name, row string) Entry {
 	v, _ := plan.VariantByName(row)
 	e := unpriced(name, v.Family, collective.RowCalls[row])
-	e.Variant, e.at = row, anyRoot[row]
+	e.Variant, e.at = row, collective.RootedCalls[row]
 	return e
 }
 
 // unpriced is the entry of a call no row prices.
 func unpriced(name, family string, call any) Entry {
-	return Entry{Name: name, Family: family, root: fastest, call: call}
+	return Entry{Name: name, Family: family, root: collective.FastestPid, call: call}
 }
 
 // ftBcast is the fault-tolerant broadcast from root's pid.
@@ -144,31 +141,6 @@ func ftBcast(root func(*model.Tree) int) any {
 	return collective.BcastCall(func(c hbsp.Ctx, d []byte) ([]byte, error) {
 		return collective.NewFT(c, c.Tree().Root).Bcast(root(c.Tree()), d)
 	})
-}
-
-// anyRoot holds, by row, the flat rooted rows' calls at any root. At the
-// fastest leaf each runs what the row's collective.RowCalls call runs;
-// TestEveryRowRunsWhatItPrices holds both to the row's price.
-var anyRoot = map[string]func(root func(*model.Tree) int) any{
-	"Gather":        func(r func(*model.Tree) int) any { return collective.GatherCall(rooted(collective.Gather, r)) },
-	"BcastOnePhase": func(r func(*model.Tree) int) any { return collective.BcastCall(rooted(collective.BcastOnePhase, r)) },
-	"BcastBinomial": func(r func(*model.Tree) int) any { return collective.BcastCall(rooted(collective.BcastBinomial, r)) },
-	"Scatter":       func(r func(*model.Tree) int) any { return collective.ScatterCall(rooted(collective.Scatter, r)) },
-	// The root cuts the first phase's pieces from its data.
-	"BcastTwoPhase": func(r func(*model.Tree) int) any {
-		return collective.BcastCall(rooted(func(c hbsp.Ctx, s *model.Machine, root int, d []byte) ([]byte, error) {
-			var pieces collective.Dist
-			if c.Pid() == root {
-				pieces = collective.BalancedPieces(c, s, len(d))
-			}
-			return collective.BcastTwoPhase(c, s, root, d, pieces)
-		}, r))
-	},
-	"Reduce": func(r func(*model.Tree) int) any {
-		return collective.VectorCall(func(c hbsp.Ctx, v []int64, op collective.Op) ([]int64, error) {
-			return collective.Reduce(c, c.Tree().Root, r(c.Tree()), v, op)
-		})
-	},
 }
 
 // At returns the entry rooted at pid r; ok is false for an entry whose
@@ -180,11 +152,6 @@ func (e Entry) At(r int) (Entry, bool) {
 	e.root = func(*model.Tree) int { return r }
 	e.Name, e.call = fmt.Sprintf("%s@%d", e.Name, r), e.at(e.root)
 	return e, true
-}
-
-// rooted roots a flat collective on the whole tree at root's pid.
-func rooted[A, R any](f func(hbsp.Ctx, *model.Machine, int, A) (R, error), root func(*model.Tree) int) func(hbsp.Ctx, A) (R, error) {
-	return func(c hbsp.Ctx, a A) (R, error) { return f(c, c.Tree().Root, root(c.Tree()), a) }
 }
 
 // planned is the one family → Planned* map: each family's dispatcher,
@@ -273,12 +240,17 @@ func inputs(tr *model.Tree, family string, n, root int) *Input {
 }
 
 // Program builds the entry's SPMD program for a run on tr. A collective
-// entry runs its call on its rows' inputs and saves the checked result.
+// entry runs its call on its rows' inputs (On).
 func (e Entry) Program(tr *model.Tree, a Args) hbsp.Program {
 	if e.prog != nil {
 		return e.prog(tr, a)
 	}
-	in := inputs(tr, e.Family, a.N, e.root(tr))
+	return e.On(inputs(tr, e.Family, a.N, e.root(tr)))
+}
+
+// On is the program that runs e's call on in and saves the checked
+// result, so that schedule fingerprints compare results.
+func (e Entry) On(in *Input) hbsp.Program {
 	return func(c hbsp.Ctx) error {
 		got, err := e.Run(c, in)
 		if d := encode(got); d != nil {
@@ -595,7 +567,7 @@ func churnSoak(tr *model.Tree, a Args) hbsp.Program {
 // happens-before rule is broken, so Verify alone stays silent — only
 // schedule exploration exposes the order dependence as a state diff.
 func nondetReduce(tr *model.Tree, _ Args) hbsp.Program {
-	r := fastest(tr)
+	r := collective.FastestPid(tr)
 	return func(c hbsp.Ctx) error {
 		if c.Pid() != r {
 			if err := c.Send(r, 1, []byte{byte(c.Pid() + 1)}); err != nil {
@@ -620,7 +592,7 @@ func nondetReduce(tr *model.Tree, _ Args) hbsp.Program {
 // Send, before the barrier delivers it — the happens-before checker
 // reports ErrNondeterminism at the receiver under Verify.
 func mutateSend(tr *model.Tree, _ Args) hbsp.Program {
-	r := fastest(tr)
+	r := collective.FastestPid(tr)
 	return func(c hbsp.Ctx) error {
 		buf := []byte{1, 2, 3, 4}
 		if c.Pid() == r {

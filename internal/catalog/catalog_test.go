@@ -76,8 +76,9 @@ func checkJoin(t *testing.T, cell string, j obsv.Joined) {
 // of the grid that entry's run on Virtual under the pure model equals
 // the row's closed form step by step (obsv.Join): every step pairs, and
 // each paired step's terms, the work after the last Sync and the total
-// match to float rounding. An entry that roots anywhere is held to the
-// same at the fastest leaf, so its call at any root runs the row.
+// match to float rounding. A flat rooted row's call is its
+// collective.RootedCalls form at the fastest leaf, so that form at any
+// root runs the row's program.
 func TestEveryRowRunsWhatItPrices(t *testing.T) {
 	rows := map[string]bool{}
 	for _, v := range plan.CostVariants() {
@@ -117,10 +118,6 @@ func TestEveryRowRunsWhatItPrices(t *testing.T) {
 					tr := tc.Build()
 					cell := fmt.Sprintf("%s/%d", tc.Name, n)
 					checkJoin(t, cell, obsv.Join(v.Cost(tr, n), runPure(t, e, tr, Args{N: n})))
-					// The entry's call at any root, at the fastest leaf, is the row.
-					if at, ok := e.At(fastest(tr)); ok {
-						checkJoin(t, cell+"/"+at.Name, obsv.Join(v.Cost(tr, n), runPure(t, at, tr, Args{N: n})))
-					}
 				}
 			}
 		})
@@ -152,7 +149,7 @@ func TestFaultTolerantEntriesSurviveACrash(t *testing.T) {
 	tr := model.UCFTestbed()
 	// A broadcast's source that dies before anyone holds its data loses
 	// it (collective.ErrLost), so the victims are other pids.
-	root, source, other := fastest(tr), (fastest(tr)+3)%tr.NProcs(), (fastest(tr)+6)%tr.NProcs()
+	root, source, other := collective.FastestPid(tr), (collective.FastestPid(tr)+3)%tr.NProcs(), (collective.FastestPid(tr)+6)%tr.NProcs()
 	var entries []Entry
 	for _, e := range Entries() {
 		if e.ft {
@@ -249,7 +246,7 @@ func TestEncodeWritesFullWidthFields(t *testing.T) {
 // row's own call passes.
 func TestChecksCatchWrongResults(t *testing.T) {
 	tr := model.Figure1Cluster()
-	root := fastest(tr)
+	root := collective.FastestPid(tr)
 	other := (root + 1) % tr.NProcs()
 	row := func(name string) any { return collective.RowCalls[name] }
 	flip := func(b []byte) []byte {
@@ -296,7 +293,7 @@ func TestChecksCatchWrongResults(t *testing.T) {
 			delete(out, other)
 			return out, err
 		}), root},
-		{"gather", "Gather", "wrong pid", anyRoot["Gather"](func(*model.Tree) int { return other }), -1},
+		{"gather", "Gather", "wrong pid", collective.RootedCalls["Gather"](func(*model.Tree) int { return other }), -1},
 		{"allgather", "AllGather", "byte flipped", collective.GatherCall(func(c hbsp.Ctx, b []byte) (map[int][]byte, error) {
 			out, err := allGather(c, b)
 			if c.Pid() == other {
@@ -324,7 +321,7 @@ func TestChecksCatchWrongResults(t *testing.T) {
 				_, err := hbsp.RunVirtual(tr, fabric.PureModel(), e.Program(tr, Args{N: 4096}))
 				return err
 			}
-			right := Entry{Name: "right", Family: tc.family, Variant: tc.row, root: fastest, call: row(tc.row)}
+			right := Entry{Name: "right", Family: tc.family, Variant: tc.row, root: collective.FastestPid, call: row(tc.row)}
 			if err := run(right); err != nil {
 				t.Fatalf("the row's own call fails: %v", err)
 			}

@@ -1,4 +1,4 @@
-package collective
+package collective_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hbspk/internal/catalog"
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
@@ -16,81 +17,31 @@ import (
 // Virtual is a sequential simulation, so a run's report and event stream
 // are a function of (machine, program, fabric seed, chaos plan) — on the
 // multi-level trees where sibling clusters step side by side, not only on
-// a flat one. Every hierarchical collective is run twenty times per
-// machine and mode, and every run must reproduce the first byte for byte.
+// a flat one. Every catalogue entry whose supersteps span sibling scopes
+// is run twenty times per machine and mode, and every run must reproduce
+// the first byte for byte.
 
-// hierCases are the collectives whose supersteps span sibling scopes,
-// plus one planner-dispatched round (its Pick events come from the
-// programs themselves).
-func hierCases() []struct {
-	name string
-	prog func(pl *plan.Planner) hbsp.Program
-} {
-	plain := func(p hbsp.Program) func(*plan.Planner) hbsp.Program {
-		return func(*plan.Planner) hbsp.Program { return p }
-	}
-	fastest := func(c hbsp.Ctx) int { return c.Tree().Pid(c.Tree().FastestLeaf()) }
-	bcast := func(twoPhaseTop bool) hbsp.Program {
-		return func(c hbsp.Ctx) error {
-			_, err := BcastHier(c, payloadFor(fastest(c), 96), twoPhaseTop)
-			return err
+// reproNames gives four lanes the subtest name of the program they ran
+// before the test ran the catalogue, so that their test IDs hold. The
+// planned round is the auto entry: its Pick events come from the
+// programs themselves.
+var reproNames = map[string]string{
+	"bcast-hier":    "bcast-hier/one-phase-top",
+	"bcast-hier-2p": "bcast-hier/two-phase-top",
+	"alltoall-hier": "total-exchange-hier",
+	"auto":          "planned-round",
+}
+
+// reproEntries are the entries whose rows exploit the hierarchy, the
+// hierarchical exchange and one planner-dispatched round.
+func reproEntries() []catalog.Entry {
+	var es []catalog.Entry
+	for _, e := range catalog.Entries() {
+		if v, ok := e.Row(); ok && v.Hier || e.Name == "alltoall-hier" || e.Name == "auto" {
+			es = append(es, e)
 		}
 	}
-	return []struct {
-		name string
-		prog func(pl *plan.Planner) hbsp.Program
-	}{
-		{"gather-hier", plain(func(c hbsp.Ctx) error {
-			_, err := GatherHier(c, payloadFor(c.Pid(), 40))
-			return err
-		})},
-		{"bcast-hier/one-phase-top", plain(bcast(false))},
-		{"bcast-hier/two-phase-top", plain(bcast(true))},
-		{"scatter-hier", plain(func(c hbsp.Ctx) error {
-			var pieces map[int][]byte
-			if c.Pid() == fastest(c) {
-				pieces = make(map[int][]byte)
-				for pid := 0; pid < c.NProcs(); pid++ {
-					pieces[pid] = payloadFor(pid, 24)
-				}
-			}
-			_, err := ScatterHier(c, pieces)
-			return err
-		})},
-		{"allgather-hier", plain(func(c hbsp.Ctx) error {
-			_, err := AllGatherHier(c, payloadFor(c.Pid(), 16))
-			return err
-		})},
-		{"reduce-hier", plain(func(c hbsp.Ctx) error {
-			_, err := ReduceHier(c, vecFor(c.Pid()), Sum)
-			return err
-		})},
-		{"allreduce", plain(func(c hbsp.Ctx) error {
-			_, err := AllReduce(c, vecFor(c.Pid()), Sum)
-			return err
-		})},
-		{"scan-hier", plain(func(c hbsp.Ctx) error {
-			_, err := ScanHier(c, vecFor(c.Pid()), Sum)
-			return err
-		})},
-		{"total-exchange-hier", plain(func(c hbsp.Ctx) error {
-			out := make(map[int][]byte, c.NProcs())
-			for dst := 0; dst < c.NProcs(); dst++ {
-				out[dst] = []byte{byte(c.Pid()), byte(dst)}
-			}
-			_, err := TotalExchangeHier(c, out)
-			return err
-		})},
-		{"planned-round", func(pl *plan.Planner) hbsp.Program {
-			return func(c hbsp.Ctx) error {
-				if _, err := PlannedBcast(c, pl, 4096, payloadFor(fastest(c), 4096)); err != nil {
-					return err
-				}
-				_, err := PlannedAllReduce(c, pl, vecFor(c.Pid()), Sum)
-				return err
-			}
-		}},
-	}
+	return es
 }
 
 // multiLevelTrees are the machines of the determinism tests: the CLI's
@@ -125,11 +76,10 @@ type runOutcome struct {
 func virtualOutcome(t *testing.T, tr *model.Tree, cfg fabric.Config, chaos *fabric.ChaosPlan,
 	prog func(*plan.Planner) hbsp.Program) runOutcome {
 	t.Helper()
-	rec := obsv.New(obsv.Config{Capacity: 1 << 12})
-	pl := plan.New()
+	rec := obsv.New(obsv.Config{Capacity: 1 << 10})
 	eng := hbsp.NewVirtual(tr, fabric.New(tr, cfg))
 	eng.Obsv, eng.Chaos = rec, chaos
-	rep, err := eng.Run(prog(pl))
+	rep, err := eng.Run(prog(plan.New()))
 	if lost := rec.Lost(); lost != 0 {
 		t.Fatalf("recorder lost %d events: raise its capacity", lost)
 	}
@@ -149,7 +99,7 @@ func virtualOutcome(t *testing.T, tr *model.Tree, cfg fabric.Config, chaos *fabr
 }
 
 func TestHierCollectivesReproduceOnMultiLevelTrees(t *testing.T) {
-	const runs = 20
+	const runs, n = 20, 96
 	for _, nt := range multiLevelTrees() {
 		treeName, tr := nt.name, nt.tree
 		p := tr.NProcs()
@@ -167,14 +117,21 @@ func TestHierCollectivesReproduceOnMultiLevelTrees(t *testing.T) {
 			}},
 		}
 		for _, mode := range modes {
-			for _, tc := range hierCases() {
-				t.Run(treeName+"/"+mode.name+"/"+tc.name, func(t *testing.T) {
-					first := virtualOutcome(t, tr, mode.cfg, mode.chaos, tc.prog)
+			for _, e := range reproEntries() {
+				name := e.Name
+				if old, ok := reproNames[name]; ok {
+					name = old
+				}
+				prog := func(pl *plan.Planner) hbsp.Program {
+					return e.Program(tr, catalog.Args{N: n, Rounds: 1, Planner: pl})
+				}
+				t.Run(treeName+"/"+mode.name+"/"+name, func(t *testing.T) {
+					first := virtualOutcome(t, tr, mode.cfg, mode.chaos, prog)
 					if mode.mustRun && first.err != "" {
 						t.Fatalf("run failed: %s", first.err)
 					}
 					for i := 1; i < runs; i++ {
-						got := virtualOutcome(t, tr, mode.cfg, mode.chaos, tc.prog)
+						got := virtualOutcome(t, tr, mode.cfg, mode.chaos, prog)
 						switch {
 						case got.total != first.total:
 							t.Fatalf("run %d: Total %v, first run %v", i, got.total, first.total)

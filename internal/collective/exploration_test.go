@@ -1,264 +1,86 @@
-package collective
+package collective_test
 
 import (
 	"fmt"
-	"sort"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"hbspk/internal/catalog"
+	"hbspk/internal/collective"
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 )
 
-// Schedule exploration over every shipped collective: each is replayed
-// under 8 seeded delivery-order permutations with the happens-before
-// checker armed, and must fingerprint identically — the HBSP^k promise
-// that a superstep's outcome is independent of message timing, enforced
-// on the real algorithms.
+// Schedule exploration over the catalogue: every collective entry is
+// replayed under 8 seeded delivery-order permutations with the happens-before checker armed,
+// and must fingerprint identically — the HBSP^k promise that a
+// superstep's outcome is independent of message timing, enforced on the
+// real algorithms. Every processor also checks its result.
 
-const exploreP = 6
-
-// saveMap commits a map result under the processor's Save key with a
-// deterministic encoding.
-func saveMap(c hbsp.Ctx, key string, m map[int][]byte) {
-	pids := make([]int, 0, len(m))
-	for pid := range m {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	f := newFrame()
-	for _, pid := range pids {
-		f.add(pid, m[pid])
-	}
-	c.Save(key, f.bytes())
+// exploreNames gives four lanes the subtest name of the library call
+// they ran before the test ran the catalogue, so that their test IDs
+// hold.
+var exploreNames = map[string]string{
+	"bcast1":        "bcast-one-phase",
+	"bcast2":        "bcast-two-phase",
+	"alltoall":      "total-exchange",
+	"alltoall-hier": "total-exchange-hier",
 }
 
-func saveVec(c hbsp.Ctx, key string, v []int64) {
-	if v != nil {
-		c.Save(key, packVec(v))
-	}
-}
-
-// exploreCase is one collective program schedule exploration replays.
-type exploreCase struct {
-	name string
-	prog hbsp.Program
-}
-
-func exploreCases(tr *model.Tree) []exploreCase {
-	root := tr.Pid(tr.FastestLeaf())
-	outgoing := func(c hbsp.Ctx) map[int][]byte {
-		out := make(map[int][]byte, c.NProcs())
-		for dst := 0; dst < c.NProcs(); dst++ {
-			out[dst] = []byte{byte(c.Pid()), byte(dst), byte(c.Pid() * dst)}
-		}
-		return out
-	}
-	cases := []exploreCase{
-		{"gather", func(c hbsp.Ctx) error {
-			out, err := Gather(c, c.Tree().Root, root, payloadFor(c.Pid(), 8+c.Pid()))
-			if err != nil {
-				return err
-			}
-			if out != nil {
-				saveMap(c, "result", out)
-			}
-			return nil
-		}},
-		{"gather-hier", func(c hbsp.Ctx) error {
-			out, err := GatherHier(c, payloadFor(c.Pid(), 8))
-			if err != nil {
-				return err
-			}
-			if out != nil {
-				saveMap(c, "result", out)
-			}
-			return nil
-		}},
-		{"bcast-one-phase", func(c hbsp.Ctx) error {
-			out, err := BcastOnePhase(c, c.Tree().Root, root, payloadFor(root, 24))
-			if err != nil {
-				return err
-			}
-			c.Save("result", out)
-			return nil
-		}},
-		{"bcast-two-phase", func(c hbsp.Ctx) error {
-			data := payloadFor(root, 48)
-			out, err := BcastTwoPhase(c, c.Tree().Root, root, data, EqualPieces(c, c.Tree().Root, len(data)))
-			if err != nil {
-				return err
-			}
-			c.Save("result", out)
-			return nil
-		}},
-		{"bcast-hier", func(c hbsp.Ctx) error {
-			out, err := BcastHier(c, payloadFor(root, 32), true)
-			if err != nil {
-				return err
-			}
-			c.Save("result", out)
-			return nil
-		}},
-		{"bcast-binomial", func(c hbsp.Ctx) error {
-			out, err := BcastBinomial(c, c.Tree().Root, root, payloadFor(root, 16))
-			if err != nil {
-				return err
-			}
-			c.Save("result", out)
-			return nil
-		}},
-		{"scatter", func(c hbsp.Ctx) error {
-			var pieces map[int][]byte
-			if c.Pid() == root {
-				pieces = make(map[int][]byte)
-				for pid := 0; pid < c.NProcs(); pid++ {
-					pieces[pid] = payloadFor(pid, 6)
-				}
-			}
-			out, err := Scatter(c, c.Tree().Root, root, pieces)
-			if err != nil {
-				return err
-			}
-			c.Save("result", out)
-			return nil
-		}},
-		{"scatter-hier", func(c hbsp.Ctx) error {
-			var pieces map[int][]byte
-			if c.Pid() == root {
-				pieces = make(map[int][]byte)
-				for pid := 0; pid < c.NProcs(); pid++ {
-					pieces[pid] = payloadFor(pid, 6)
-				}
-			}
-			out, err := ScatterHier(c, pieces)
-			if err != nil {
-				return err
-			}
-			c.Save("result", out)
-			return nil
-		}},
-		{"allgather", func(c hbsp.Ctx) error {
-			out, err := AllGather(c, c.Tree().Root, payloadFor(c.Pid(), 5))
-			if err != nil {
-				return err
-			}
-			saveMap(c, "result", out)
-			return nil
-		}},
-		{"allgather-hier", func(c hbsp.Ctx) error {
-			out, err := AllGatherHier(c, payloadFor(c.Pid(), 5))
-			if err != nil {
-				return err
-			}
-			saveMap(c, "result", out)
-			return nil
-		}},
-		{"total-exchange", func(c hbsp.Ctx) error {
-			out, err := TotalExchange(c, c.Tree().Root, outgoing(c))
-			if err != nil {
-				return err
-			}
-			saveMap(c, "result", out)
-			return nil
-		}},
-		{"total-exchange-hier", func(c hbsp.Ctx) error {
-			out, err := TotalExchangeHier(c, outgoing(c))
-			if err != nil {
-				return err
-			}
-			saveMap(c, "result", out)
-			return nil
-		}},
-		{"scan", func(c hbsp.Ctx) error {
-			out, err := Scan(c, c.Tree().Root, vecFor(c.Pid()), Sum)
-			if err != nil {
-				return err
-			}
-			saveVec(c, "result", out)
-			return nil
-		}},
-		{"scan-hier", func(c hbsp.Ctx) error {
-			out, err := ScanHier(c, vecFor(c.Pid()), Sum)
-			if err != nil {
-				return err
-			}
-			saveVec(c, "result", out)
-			return nil
-		}},
-		{"reduce-scatter", func(c hbsp.Ctx) error {
-			local := []int64{int64(c.Pid()), 10, 20, 30, 40, int64(c.Pid() * 2)}
-			out, err := ReduceScatter(c, c.Tree().Root, local, EqualPieces(c, c.Tree().Root, len(local)), Sum)
-			if err != nil {
-				return err
-			}
-			saveVec(c, "result", out)
-			return nil
-		}},
-	}
-	// The reductions under every shipped operator: each fold must be
-	// delivery-order independent. Sum keeps the bare names.
-	for _, op := range []Op{Sum, Max, Min} {
-		suffix := ""
-		if op.Name != Sum.Name {
-			suffix = "-" + op.Name
-		}
-		cases = append(cases,
-			exploreCase{"reduce" + suffix, func(c hbsp.Ctx) error {
-				out, err := Reduce(c, c.Tree().Root, root, vecFor(c.Pid()), op)
-				if err != nil {
-					return err
-				}
-				saveVec(c, "result", out)
-				return nil
-			}},
-			exploreCase{"reduce-hier" + suffix, func(c hbsp.Ctx) error {
-				out, err := ReduceHier(c, vecFor(c.Pid()), op)
-				if err != nil {
-					return err
-				}
-				saveVec(c, "result", out)
-				return nil
-			}},
-			exploreCase{"allreduce" + suffix, func(c hbsp.Ctx) error {
-				out, err := AllReduce(c, vecFor(c.Pid()), op)
-				if err != nil {
-					return err
-				}
-				saveVec(c, "result", out)
-				return nil
-			}})
-	}
-	return cases
-}
-
+// TestCollectivesPassScheduleExploration runs the catalogue's collective
+// entries on a drawn sweep input on the flat testbed and the CLI's grid, where a fingerprint also hashes the
+// step index of every sibling-cluster delivery. Each fold also runs
+// under Max and Min: it must be delivery-order independent under every
+// shipped operator. Sum keeps the bare names.
 func TestCollectivesPassScheduleExploration(t *testing.T) {
-	// The flat testbed, and the CLI's grid: there a fingerprint also
-	// hashes the step index of every sibling-cluster delivery.
-	trees := []namedTree{
-		{"", model.UCFTestbedN(exploreP)},
+	const seed = int64(0xE4B)
+	for _, tc := range []struct {
+		prefix string
+		tree   *model.Tree
+	}{
+		{"", model.UCFTestbedN(6)},
 		{"grid/", model.WideAreaGrid(3, 4, 12, 25000, 250000)},
-	}
-	for _, nt := range trees {
-		tr := nt.tree
-		for _, tc := range exploreCases(tr) {
-			t.Run(nt.name+tc.name, func(t *testing.T) {
-				eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-				eng.Verify = true
-				set, err := eng.RunSchedules(tc.prog, 8, 1234)
-				if err != nil {
-					t.Fatal(err)
+	} {
+		env := sweepEnvOn(seed, rand.New(rand.NewSource(seed)), tc.tree)
+		env.in.Op = collective.Sum
+		for _, e := range catalog.Entries() {
+			if e.Family == "" {
+				continue
+			}
+			name := e.Name
+			if old, ok := exploreNames[name]; ok {
+				name = old
+			}
+			ops := []collective.Op{collective.Sum}
+			if e.Family == "reduce" || e.Family == "allreduce" {
+				ops = append(ops, collective.Max, collective.Min)
+			}
+			for _, op := range ops {
+				in := *env.in
+				in.Op = op
+				lane := name
+				if op.Name != collective.Sum.Name {
+					lane += "-" + op.Name
 				}
-				for _, r := range set.Runs {
-					if r.Err != nil {
-						t.Fatalf("perm %d: %v", r.Perm, r.Err)
+				t.Run(tc.prefix+lane, func(t *testing.T) {
+					eng := hbsp.NewVirtual(tc.tree, fabric.New(tc.tree, fabric.PureModel()))
+					eng.Verify = true
+					set, err := eng.RunSchedules(e.On(&in), 8, 1234)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if !set.Agree() {
-					t.Errorf("schedule-dependent result: %s", set.Diff())
-				}
-			})
+					for _, r := range set.Runs {
+						if r.Err != nil {
+							t.Fatalf("perm %d: %v", r.Perm, r.Err)
+						}
+					}
+					if !set.Agree() {
+						t.Errorf("schedule-dependent result: %s", set.Diff())
+					}
+				})
+			}
 		}
 	}
 }
@@ -267,21 +89,14 @@ func TestCollectivesPassScheduleExploration(t *testing.T) {
 // identities, not delivery order, so a faulted run must still be
 // schedule-independent.
 func TestExplorationUnderChaosAgrees(t *testing.T) {
-	tr := model.UCFTestbedN(exploreP)
-	root := tr.Pid(tr.FastestLeaf())
+	tr := model.UCFTestbedN(6)
+	gather, err := catalog.Lookup("gather")
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
 	eng.Chaos = &fabric.ChaosPlan{Seed: 99, Drop: 0.15, Duplicate: 0.1}
-	prog := func(c hbsp.Ctx) error {
-		out, err := Gather(c, c.Tree().Root, root, payloadFor(c.Pid(), 8))
-		if err != nil {
-			return err
-		}
-		if out != nil {
-			saveMap(c, "result", out)
-		}
-		return nil
-	}
-	set, err := eng.RunSchedules(prog, 8, 7)
+	set, err := eng.RunSchedules(gather.Program(tr, catalog.Args{N: 96}), 8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,17 +110,14 @@ func TestExplorationUnderChaosAgrees(t *testing.T) {
 // position, so the flat Reduce's root saves a different vector under
 // different delivery orders, and Diff names that save.
 func TestRunSchedulesFlagsOrderDependentReduce(t *testing.T) {
-	tr := model.UCFTestbedN(exploreP)
-	root := tr.Pid(tr.FastestLeaf())
-	sub := Op{Name: "sub", Apply: func(a, b int64) int64 { return a*2 - b }, Cost: 0.05}
+	tr := model.UCFTestbedN(6)
+	root := collective.FastestPid(tr)
+	sub := collective.Op{Name: "sub", Apply: func(a, b int64) int64 { return a*2 - b }, Cost: 0.05}
 	eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
 	set, err := eng.RunSchedules(func(c hbsp.Ctx) error {
-		out, err := Reduce(c, c.Tree().Root, root, vecFor(c.Pid()), sub)
-		if err != nil {
-			return err
-		}
-		saveVec(c, "result", out)
-		return nil
+		out, err := collective.Reduce(c, c.Tree().Root, root, []int64{int64(c.Pid()), 1, int64(c.Pid() * c.Pid())}, sub)
+		c.Save("result", fmt.Append(nil, out))
+		return err
 	}, 8, 1234)
 	if err != nil {
 		t.Fatal(err)

@@ -93,17 +93,10 @@ func NewFT(c hbsp.Ctx, scope *model.Machine) *FT {
 // returns — normally or with a survivor-consistent error — all live
 // members agree on it.
 func (f *FT) Live() []int {
-	dead := make(map[int]bool)
-	for _, pid := range f.c.Failed() {
-		dead[pid] = true
-	}
-	active := make(map[int]bool)
-	for _, pid := range f.c.Members() {
-		active[pid] = true
-	}
+	alive := f.alive()
 	var out []int
 	for _, pid := range f.scope.Pids() {
-		if active[pid] && !dead[pid] {
+		if alive[pid] {
 			out = append(out, pid)
 		}
 	}
@@ -114,22 +107,25 @@ func (f *FT) Live() []int {
 // fastest machine among the survivors, re-elected by the same
 // fastest-in-subtree rule that picks the failure-free coordinator.
 func (f *FT) Coordinator() int {
-	dead := make(map[int]bool)
-	for _, pid := range f.c.Failed() {
-		dead[pid] = true
-	}
-	active := make(map[int]bool)
-	for _, pid := range f.c.Members() {
-		active[pid] = true
-	}
-	m := f.scope.CoordinatorAmong(func(l *model.Machine) bool {
-		pid := f.c.Tree().Pid(l)
-		return active[pid] && !dead[pid]
-	})
+	alive := f.alive()
+	m := f.scope.CoordinatorAmong(func(l *model.Machine) bool { return alive[f.c.Tree().Pid(l)] })
 	if m == nil {
 		return -1
 	}
 	return f.c.Tree().Pid(m)
+}
+
+// alive is the set of pids this processor knows to be alive: the active
+// members minus the failed ones.
+func (f *FT) alive() map[int]bool {
+	alive := make(map[int]bool)
+	for _, pid := range f.c.Members() {
+		alive[pid] = true
+	}
+	for _, pid := range f.c.Failed() {
+		delete(alive, pid)
+	}
+	return alive
 }
 
 // LiveShares returns the balanced-workload fractions c_{i,j}
@@ -235,67 +231,77 @@ func (f *FT) readVerdict(tag, coord int) (byte, error) {
 // every member live at return time, never corrupted or partial data.
 func (f *FT) Gather(local []byte) (map[int][]byte, int, error) {
 	defer hbsp.Span(f.c, "ft-gather")(len(local))
+	return collect(f, "ft-gather", local,
+		func(got map[int][]byte, _ []int) (map[int][]byte, error) {
+			for pid, p := range got {
+				got[pid] = bytes.Clone(p)
+			}
+			got[f.c.Pid()] = local
+			return got, nil
+		})
+}
+
+// collect runs the epochs of a fault-tolerant operation that collects
+// at the live coordinator, two rounds each: every live member sends
+// payload to the coordinator, then the coordinator floods the verdict.
+// The epoch succeeds when every live member's payload arrived; the
+// coordinator then calls atRoot on them, keyed by origin pid, and
+// returns its result, everyone else nothing. Every member returns the
+// coordinator's pid. The rounds' Sync labels are op's.
+func collect[R any](f *FT, op string, payload []byte, atRoot func(got map[int][]byte, live []int) (R, error)) (R, int, error) {
+	var none R
+	dataLabel, verdictLabel := op+" data", op+" verdict"
 	call := f.calls
 	f.calls++
 	limit := maxEpochs(len(f.scope.Leaves()))
 	for attempt := 0; attempt < limit; attempt++ {
-		live := f.Live()
-		root := f.Coordinator()
-		dataTag := ftTag(ftOpData, call, attempt)
-		verdictTag := ftTag(ftOpVerdict, call, attempt)
-
+		live, root := f.Live(), f.Coordinator()
+		dataTag, verdictTag := ftTag(ftOpData, call, attempt), ftTag(ftOpVerdict, call, attempt)
 		if f.c.Pid() != root {
-			if err := f.c.Send(root, dataTag, local); err != nil {
-				return nil, -1, err
+			if err := f.c.Send(root, dataTag, payload); err != nil {
+				return none, -1, err
 			}
 		}
-		if retry, err := f.sync("ft-gather data"); err != nil {
-			return nil, -1, err
+		if retry, err := f.sync(dataLabel); err != nil {
+			return none, -1, err
 		} else if retry {
 			continue
 		}
-
-		var pieces map[int][]byte
+		out, v := none, byte(verdictOK)
 		if f.c.Pid() == root {
-			pieces = f.moves(dataTag)
-			for pid, p := range pieces {
-				pieces[pid] = bytes.Clone(p)
-			}
-			pieces[root] = local
-			v := byte(verdictOK)
+			got := f.moves(dataTag)
 			for _, pid := range live {
-				if _, got := pieces[pid]; !got {
+				if _, ok := got[pid]; !ok && pid != root {
 					v = verdictFail
 					break
 				}
 			}
-			if err := f.sendVerdict(verdictTag, live, v); err != nil {
-				return nil, -1, err
-			}
-			if retry, err := f.sync("ft-gather verdict"); err != nil {
-				return nil, -1, err
-			} else if retry {
-				continue
-			}
 			if v == verdictOK {
-				return pieces, root, nil
+				var err error
+				if out, err = atRoot(got, live); err != nil {
+					return none, -1, err
+				}
 			}
-			continue
+			if err := f.sendVerdict(verdictTag, live, v); err != nil {
+				return none, -1, err
+			}
 		}
-		if retry, err := f.sync("ft-gather verdict"); err != nil {
-			return nil, -1, err
+		if retry, err := f.sync(verdictLabel); err != nil {
+			return none, -1, err
 		} else if retry {
 			continue
 		}
-		v, err := f.readVerdict(verdictTag, root)
-		if err != nil {
-			return nil, -1, err
+		if f.c.Pid() != root {
+			var err error
+			if v, err = f.readVerdict(verdictTag, root); err != nil {
+				return none, -1, err
+			}
 		}
 		if v == verdictOK {
-			return nil, root, nil
+			return out, root, nil
 		}
 	}
-	return nil, -1, fmt.Errorf("collective: ft-gather gave up after %d epochs", limit)
+	return none, -1, fmt.Errorf("collective: %s gave up after %d epochs", op, limit)
 }
 
 // Bcast distributes root's data to every live member and returns it.
@@ -423,77 +429,19 @@ func (f *FT) Bcast(root int, data []byte) ([]byte, error) {
 // that had already completed: shrink never corrupts, it only re-scopes).
 func (f *FT) Reduce(local []int64, op Op) ([]int64, int, error) {
 	defer hbsp.Span(f.c, "ft-reduce")(8 * len(local))
-	call := f.calls
-	f.calls++
-	limit := maxEpochs(len(f.scope.Leaves()))
-	for attempt := 0; attempt < limit; attempt++ {
-		live := f.Live()
-		root := f.Coordinator()
-		dataTag := ftTag(ftOpData, call, attempt)
-		verdictTag := ftTag(ftOpVerdict, call, attempt)
-
-		if f.c.Pid() != root {
-			if err := f.c.Send(root, dataTag, packVec(local)); err != nil {
-				return nil, -1, err
-			}
-		}
-		if retry, err := f.sync("ft-reduce data"); err != nil {
-			return nil, -1, err
-		} else if retry {
-			continue
-		}
-
-		var acc []int64
-		if f.c.Pid() == root {
-			got := f.moves(dataTag)
-			v := byte(verdictOK)
+	return collect(f, "ft-reduce", packVec(local),
+		func(got map[int][]byte, live []int) ([]int64, error) {
+			acc := append([]int64(nil), local...)
 			for _, pid := range live {
-				if pid == root {
+				if pid == f.c.Pid() {
 					continue
 				}
-				if _, ok := got[pid]; !ok {
-					v = verdictFail
-					break
+				if err := op.fold(f.c, acc, got[pid]); err != nil {
+					return nil, err
 				}
 			}
-			if v == verdictOK {
-				acc = append([]int64(nil), local...)
-				for _, pid := range live {
-					if pid == root {
-						continue
-					}
-					if err := op.fold(f.c, acc, got[pid]); err != nil {
-						return nil, -1, err
-					}
-				}
-			}
-			if err := f.sendVerdict(verdictTag, live, v); err != nil {
-				return nil, -1, err
-			}
-			if retry, err := f.sync("ft-reduce verdict"); err != nil {
-				return nil, -1, err
-			} else if retry {
-				continue
-			}
-			if v == verdictOK {
-				return acc, root, nil
-			}
-			continue
-		}
-		if retry, err := f.sync("ft-reduce verdict"); err != nil {
-			return nil, -1, err
-		} else if retry {
-			continue
-		}
-		v, err := f.readVerdict(verdictTag, root)
-		if err != nil {
-			return nil, -1, err
-		}
-		if v == verdictOK {
-			return nil, root, nil
-		}
-	}
-	return nil, -1, fmt.Errorf("collective: ft-reduce gave up after %d epochs", limit)
+			return acc, nil
+		})
 }
 
 // AllReduce is Reduce at the live coordinator followed by Bcast of the

@@ -10,7 +10,8 @@ import (
 
 // The run side of the cost table (DESIGN.md §5.9): RowCalls maps every
 // plan.CostVariants row to the one call that runs it as the row prices
-// it, on the full tree and rooted at the fastest leaf. The planner's
+// it, on the full tree and rooted at the fastest leaf; a flat rooted
+// row is its RootedCalls form at the fastest leaf. The planner's
 // dispatchers, the catalogue's programs and the planner's gates all run
 // a row through it. A call has its family's signature:
 type (
@@ -23,63 +24,77 @@ type (
 
 // RowCalls maps each cost-table row's name to the call that runs it.
 // It is built once; a lookup allocates nothing.
-var RowCalls = map[string]any{
-	"Gather": GatherCall(func(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
-		return Gather(c, c.Tree().Root, fastest(c), local)
-	}),
-	"GatherHier": GatherCall(GatherHier),
-	"BcastOnePhase": BcastCall(func(c hbsp.Ctx, data []byte) ([]byte, error) {
-		return BcastOnePhase(c, c.Tree().Root, fastest(c), data)
-	}),
-	// The root cuts the first phase's pieces from its data.
-	"BcastTwoPhase": BcastCall(func(c hbsp.Ctx, data []byte) ([]byte, error) {
-		root, d := fastest(c), Dist(nil)
-		if c.Pid() == root {
-			d = BalancedPieces(c, c.Tree().Root, len(data))
-		}
-		return BcastTwoPhase(c, c.Tree().Root, root, data, d)
-	}),
-	"BcastBinomial": BcastCall(func(c hbsp.Ctx, data []byte) ([]byte, error) {
-		return BcastBinomial(c, c.Tree().Root, fastest(c), data)
-	}),
-	"BcastHier": BcastCall(func(c hbsp.Ctx, data []byte) ([]byte, error) {
-		return BcastHier(c, data, false)
-	}),
-	"BcastHierTwoPhase": BcastCall(func(c hbsp.Ctx, data []byte) ([]byte, error) {
-		return BcastHier(c, data, true)
-	}),
-	"Scatter": ScatterCall(func(c hbsp.Ctx, pieces map[int][]byte) ([]byte, error) {
-		return Scatter(c, c.Tree().Root, fastest(c), pieces)
-	}),
-	"ScatterHier": ScatterCall(ScatterHier),
-	"AllGather": GatherCall(func(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
-		return AllGather(c, c.Tree().Root, local)
-	}),
-	"AllGatherHier": GatherCall(AllGatherHier),
-	"Reduce": VectorCall(func(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
-		return Reduce(c, c.Tree().Root, fastest(c), local, op)
-	}),
-	"ReduceHier": VectorCall(ReduceHier),
-	"AllReduce":  VectorCall(AllReduce),
-	// Each processor's vector is cut into p equal segments.
-	"ReduceScatter": VectorCall(func(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
-		t := c.Tree()
-		return ReduceScatter(c, t.Root, local, EqualPieces(c, t.Root, len(local)), op)
-	}),
-	"Scan": VectorCall(func(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
-		return Scan(c, c.Tree().Root, local, op)
-	}),
-	"ScanHier": VectorCall(ScanHier),
-	"TotalExchange": ExchangeCall(func(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, error) {
-		return TotalExchange(c, c.Tree().Root, outgoing)
-	}),
+var RowCalls = rowCalls()
+
+func rowCalls() map[string]any {
+	calls := map[string]any{
+		"GatherHier": GatherCall(GatherHier),
+		"BcastHier": BcastCall(func(c hbsp.Ctx, data []byte) ([]byte, error) {
+			return BcastHier(c, data, false)
+		}),
+		"BcastHierTwoPhase": BcastCall(func(c hbsp.Ctx, data []byte) ([]byte, error) {
+			return BcastHier(c, data, true)
+		}),
+		"ScatterHier": ScatterCall(ScatterHier),
+		"AllGather": GatherCall(func(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
+			return AllGather(c, c.Tree().Root, local)
+		}),
+		"AllGatherHier": GatherCall(AllGatherHier),
+		"ReduceHier":    VectorCall(ReduceHier),
+		"AllReduce":     VectorCall(AllReduce),
+		// Each processor's vector is cut into p equal segments.
+		"ReduceScatter": VectorCall(func(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
+			t := c.Tree()
+			return ReduceScatter(c, t.Root, local, EqualPieces(c, t.Root, len(local)), op)
+		}),
+		"Scan": VectorCall(func(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
+			return Scan(c, c.Tree().Root, local, op)
+		}),
+		"ScanHier": VectorCall(ScanHier),
+		"TotalExchange": ExchangeCall(func(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, error) {
+			return TotalExchange(c, c.Tree().Root, outgoing)
+		}),
+	}
+	for row, at := range RootedCalls {
+		calls[row] = at(FastestPid)
+	}
+	return calls
 }
 
-// fastest is the pid of the tree's fastest leaf, every rooted row's root.
-func fastest(c hbsp.Ctx) int {
-	t := c.Tree()
-	return t.Pid(t.FastestLeaf())
+// RootedCalls maps each flat rooted row to its call on the full tree at
+// any root: the call at root(tree)'s pid, read on every call, so that it
+// follows a reorganized tree. At FastestPid it is the row's RowCalls call.
+var RootedCalls = map[string]func(root func(*model.Tree) int) any{
+	"Gather":        rooted[GatherCall](Gather),
+	"BcastOnePhase": rooted[BcastCall](BcastOnePhase),
+	// The root cuts the first phase's pieces from its data.
+	"BcastTwoPhase": rooted[BcastCall](func(c hbsp.Ctx, s *model.Machine, root int, data []byte) ([]byte, error) {
+		var d Dist
+		if c.Pid() == root {
+			d = BalancedPieces(c, s, len(data))
+		}
+		return BcastTwoPhase(c, s, root, data, d)
+	}),
+	"BcastBinomial": rooted[BcastCall](BcastBinomial),
+	"Scatter":       rooted[ScatterCall](Scatter),
+	"Reduce": func(root func(*model.Tree) int) any {
+		return VectorCall(func(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
+			return Reduce(c, c.Tree().Root, root(c.Tree()), local, op)
+		})
+	},
 }
+
+// rooted makes a flat collective of one argument a rooted form of call
+// type F.
+func rooted[F ~func(hbsp.Ctx, A) (R, error), A, R any](f func(hbsp.Ctx, *model.Machine, int, A) (R, error)) func(func(*model.Tree) int) any {
+	return func(root func(*model.Tree) int) any {
+		return F(func(c hbsp.Ctx, a A) (R, error) { return f(c, c.Tree().Root, root(c.Tree()), a) })
+	}
+}
+
+// FastestPid is the pid of the tree's fastest leaf, every rooted row's
+// root.
+func FastestPid(t *model.Tree) int { return t.Pid(t.FastestLeaf()) }
 
 // Planner-dispatched collectives (DESIGN.md §5.9): each Planned* entry
 // point asks the auto-tuning planner for the cheapest row of its family

@@ -123,10 +123,7 @@ func (env *sweepEnv) calls() []catalog.Entry {
 func (env *sweepEnv) sweep(t *testing.T, run func(hbsp.Program) error) {
 	t.Helper()
 	for _, e := range env.calls() {
-		if err := run(func(c hbsp.Ctx) error {
-			_, err := e.Run(c, env.in)
-			return err
-		}); err != nil {
+		if err := run(e.On(env.in)); err != nil {
 			t.Errorf("seed=%d %s: %v", env.seed, e.Name, err)
 		}
 	}
@@ -148,13 +145,29 @@ var engines = []struct {
 
 // TestPropertySweepCollectives is the sweep itself: random trees and
 // parameters, both engines. Runs clean under -race; the iteration count
-// drops under -short.
+// drops under -short. A fixed-tree lane runs it on the CLI's presets as
+// well: the flat testbed, Figure 1's cluster, the grid and the height-4
+// chain, and on a single processor.
 func TestPropertySweepCollectives(t *testing.T) {
 	iters := 8
 	if testing.Short() {
 		iters = 2
 	}
 	const baseSeed = int64(0xC0FFEE)
+	for _, nt := range []namedTree{
+		{"ucf", model.UCFTestbed()},
+		{"figure1", model.Figure1Cluster()},
+		{"grid", model.WideAreaGrid(3, 4, 12, 25000, 250000)},
+		{"chain", model.DeepChain(4)},
+		{"single", model.SingleProcessor()},
+	} {
+		env := sweepEnvOn(baseSeed, rand.New(rand.NewSource(baseSeed)), nt.tree)
+		for _, eng := range engines {
+			t.Run(nt.name+"/"+eng.name, func(t *testing.T) {
+				env.sweep(t, func(p hbsp.Program) error { return eng.run(env.tr, p) })
+			})
+		}
+	}
 	for it := 0; it < iters; it++ {
 		seed := baseSeed + int64(it)*7919
 		env := newSweepEnv(seed)

@@ -563,11 +563,12 @@ func (c *cctx) Charge(ops float64) {
 	}
 }
 
-// wireTag encodes (scope id, generation, user tag) into a pvm tag so that
-// messages of different supersteps never mix. User tags must fit 8
-// bits; generations wrap within 20 bits, far beyond any real run.
-func wireTag(scopeID, gen, userTag int) int {
-	return scopeID<<28 | (gen&0xFFFFF)<<8 | (userTag & 0xFF)
+// wireTag encodes (scope id, generation) into a pvm tag so that messages
+// of different supersteps never mix; generations wrap within 20 bits,
+// far beyond any real run. The low 8 bits are zero. A user tag is no
+// part of it: it travels in the message body as an int32 (packMsg).
+func wireTag(scopeID, gen int) int {
+	return scopeID<<28 | (gen&0xFFFFF)<<8
 }
 
 // Sync is one super^i-step of this processor: enter, flush the outbox,
@@ -607,7 +608,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 
 	w := &c.wait
 	*w = syncWait{key: scope, id: id, scope: scope.Label(), label: label, gen: gen, members: scope.Pids()}
-	tag := wireTag(id, gen, 0)
+	tag := wireTag(id, gen)
 	sent, err := c.flush(scope, ord, tag, micros(start))
 	if err != nil {
 		return err

@@ -3,7 +3,9 @@ package hbsp
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -303,4 +305,55 @@ func TestPropertyVirtualDeterministicOverSchedules(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestEnginesAgreeOnTheTagRange: a tag is an int32 on both engines.
+// Each edge of the range arrives as sent, and a tag past it is refused
+// with the same error on both.
+func TestEnginesAgreeOnTheTagRange(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int is 32 bits wide: every tag is in range")
+	}
+	tr := model.UCFTestbedN(2)
+	var wide int64 = 1<<32 + 5
+	outside := int(wide)
+	run := func(name string, eng func(Program) error) {
+		var got []int
+		var refused error
+		if err := eng(func(c Ctx) error {
+			if c.Pid() == 0 {
+				for _, tag := range []int{math.MinInt32, math.MaxInt32} {
+					if err := c.Send(1, tag, []byte{1}); err != nil {
+						return err
+					}
+				}
+				refused = c.Send(1, outside, []byte{1})
+			}
+			if err := SyncAll(c, "tags"); err != nil {
+				return err
+			}
+			if c.Pid() == 1 {
+				for _, m := range c.Moves() {
+					got = append(got, m.Tag)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := []int{math.MinInt32, math.MaxInt32}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: tags %v delivered, want %v", name, got, want)
+		}
+		if want := fmt.Sprintf("hbsp: send with tag %d, outside the int32 range", outside); refused == nil || refused.Error() != want {
+			t.Errorf("%s: a tag past the int32 range: error %v, want %q", name, refused, want)
+		}
+	}
+	run("virtual", func(p Program) error {
+		_, err := RunVirtual(tr, fabric.PureModel(), p)
+		return err
+	})
+	run("concurrent", func(p Program) error {
+		_, err := NewConcurrent(tr).Run(p)
+		return err
+	})
 }

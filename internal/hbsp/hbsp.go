@@ -57,7 +57,9 @@ type Ctx interface {
 	// written to the wire or copied for the receiver); Virtual hands the
 	// receiver the very same bytes. A portable program therefore never
 	// writes to a slice it has sent. What the receiver gets lives as
-	// Moves says, whatever the sender does with its slice.
+	// Moves says, whatever the sender does with its slice. The tag is
+	// any int32 value, which Concurrent carries in the message body; a
+	// tag outside that range is an error on both engines.
 	Send(dst, tag int, payload []byte) error
 	// Moves returns the messages delivered by the last Sync, ordered by
 	// sender pid and, within one sender, by send order. A payload it

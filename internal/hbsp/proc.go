@@ -164,6 +164,9 @@ func (p *proc) Send(dst, tag int, payload []byte) error {
 	if dst < 0 || dst >= p.NProcs() {
 		return fmt.Errorf("hbsp: send to pid %d of %d", dst, p.NProcs())
 	}
+	if tag != int(int32(tag)) {
+		return fmt.Errorf("hbsp: send with tag %d, outside the int32 range", tag)
+	}
 	p.seq++
 	m := pendingMsg{src: p.pid, dst: dst, tag: tag, payload: payload, seq: p.seq}
 	if p.opt.Verify {
