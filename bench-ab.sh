@@ -19,13 +19,26 @@
 # ns/op, their ratio (change/base, below 1 is faster), the rounds the
 # change won, the A/A ratio (its median over the change's) and the A/A
 # spread (the quartiles of the per-round A/A ratios), and the medians of
-# the deterministic counters on each side: allocs/op, retained-B/op,
-# syscalls/op, reads/op, writes/op and wire-B/op, where a lane reports
-# them. A lane's verdict is "faster" when the change won at least 9 rounds
-# in 10, its ratio lies below the A/A spread and its median is below the
-# base's by more than the base's own quartile distance; "slower" in the
-# mirror case; "within A/A spread" when the ratio lies inside it; and
-# "unresolved" otherwise. It passes when faster or within the spread.
+# the deterministic counters on each side: allocs/op, B/op,
+# retained-B/op, syscalls/op, reads/op, writes/op and wire-B/op, where a
+# lane reports them. A lane's verdict is "faster" when the change won at
+# least 9 rounds in 10, its ratio lies below the A/A spread and its
+# median is below the base's by more than the base's own quartile
+# distance; "slower" in the mirror case; "within A/A spread" when the
+# ratio lies inside it; and "unresolved" otherwise. It passes when faster
+# or within the spread.
+#
+# The counters barely move between runs, so the change's are also held
+# to those of the newest bench/BENCH_PR<n>.json other than the output:
+# a counter that rose past its tolerance, and past half the last digit
+# that file printed, is listed under the lane's "rises" and fails the
+# script once the file is written. The tolerances are the margins of the
+# ceiling tests: allocs/op 1 % (a warm step's 0 stays 0:
+# TestSteadyStateSuperstepAllocs), B/op 16 KiB (allocSlack and
+# TestCollectiveRoundAllocsInProc), retained-B/op 40 B (the step record's
+# 150 B ceiling over its 112 B), syscalls/op, reads/op and writes/op 1
+# (TestLoopbackSyscallsPerSuperstep's 5 over 4.1) and wire-B/op 0
+# (TestCollectiveRoundSyscalls pins the round's bytes).
 #
 # Wall-clock numbers move with the host, so this is not part of check.sh.
 set -eu
@@ -72,12 +85,26 @@ while [ "$i" -le "$rounds" ]; do
 	i=$((i + 1))
 done
 
+# prev is the newest committed evidence file, by PR number; its lanes'
+# counters, one "lane unit value" line each, go to $tmp/prev.
+prev=$(ls "$repo"/bench/BENCH_PR*.json 2>/dev/null | grep -vxF "$(realpath -m "$out")" |
+	sed 's/.*BENCH_PR\([0-9]*\)\.json$/\1 &/' | sort -n | tail -n 1 | cut -d' ' -f2-)
+: >"$tmp/prev"
+[ -n "$prev" ] && awk '
+	/"lane":/ { split($0, q, "\""); lane = q[4] }
+	/"counters":/ {
+		sub(/.*"change": \{/, ""); sub(/\}.*/, "")
+		n = split($0, kv, ", ")
+		for (i = 1; i <= n; i++) { split(kv[i], p, "\": "); sub(/^"/, "", p[1]); print lane, p[1], p[2] }
+	}' "$prev" >"$tmp/prev"
+
 head=$(git rev-parse HEAD)
 dirty=false
 [ -n "$(git status --porcelain --untracked-files=no)" ] && dirty=true
 cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
 
-awk -v baserev="$baserev" -v head="$head" -v dirty="$dirty" -v rounds="$rounds" \
+status=0
+awk -v baserev="$baserev" -v head="$head" -v dirty="$dirty" -v rounds="$rounds" -v prev="${prev#"$repo"/}" \
 	-v cpu="$cpu" -v ncpu="$(getconf _NPROCESSORS_ONLN)" -v gover="$(go env GOVERSION)" '
 # sort v[1..n] ascending (insertion sort: n is a few dozen at most)
 function sortv(v, n,    i, j, x) {
@@ -116,11 +143,43 @@ function counters(side, lane,    s, u, m, sep) {
 	for (u = 1; u <= ncounters; u++) {
 		m = median(side, lane, counter[u])
 		if (m != "") {
-			s = s sep sprintf("\"%s\": %.4g", counter[u], m)
+			s = s sep sprintf("\"%s\": %.7g", counter[u], m)
 			sep = ", "
 		}
 	}
 	return s "}"
+}
+# half the unit of the last digit of a printed number
+function halfdigit(s,    e, d) {
+	e = 0
+	if (match(s, /[eE]/)) {
+		e = substr(s, RSTART + 1) + 0
+		s = substr(s, 1, RSTART - 1)
+	}
+	d = index(s, ".") ? length(s) - index(s, ".") : 0
+	return 0.5 * 10 ^ (e - d)
+}
+# the counters of the change that rose past those of the previous file, as JSON
+function rises(lane,    s, u, m, was, sep) {
+	s = "["
+	sep = ""
+	for (u = 1; u <= ncounters; u++) {
+		m = median("change", lane, counter[u])
+		if (m == "" || !((lane, counter[u]) in before))
+			continue
+		was = before[lane, counter[u]]
+		if (m > was + abstol[counter[u]] + reltol[counter[u]] * was + halfdigit(was)) {
+			s = s sep sprintf("{\"counter\": \"%s\", \"was\": %s, \"now\": %.7g}", counter[u], was, m)
+			sep = ", "
+			nrises++
+			printf "bench-ab: %s %s rose from %s to %.7g (%s)\n", lane, counter[u], was, m, prev >"/dev/stderr"
+		}
+	}
+	return s "]"
+}
+FILENAME == ARGV[1] {
+	before[$1, $2] = $3
+	next
 }
 {
 	side = $1; round = $2; lane = $3
@@ -132,11 +191,16 @@ function counters(side, lane,    s, u, m, sep) {
 		val[side, lane, round, $(f + 1)] = $f
 }
 END {
-	ncounters = split("allocs/op retained-B/op syscalls/op reads/op writes/op wire-B/op", counter, " ")
+	ncounters = split("allocs/op B/op retained-B/op syscalls/op reads/op writes/op wire-B/op", counter, " ")
+	reltol["allocs/op"] = 0.01
+	abstol["B/op"] = 16384
+	abstol["retained-B/op"] = 40
+	abstol["syscalls/op"] = abstol["reads/op"] = abstol["writes/op"] = 1
 	printf "{\n  \"base\": \"%s\",\n  \"change\": \"%s%s\",\n", baserev, head, dirty == "true" ? " plus uncommitted changes" : ""
 	printf "  \"rounds\": %d,\n  \"order\": \"ABBA, each round base, change and A/A (the change again)\",\n", rounds
 	printf "  \"cpu\": \"-cpu 1 on %s, %d CPUs online, %s\",\n", cpu, ncpu, gover
 	printf "  \"rule\": \"faster: change won >= 9 in 10 rounds, ratio below the A/A spread and medians apart by more than the base quartile distance; slower: the mirror; pass: faster or ratio within the A/A spread\",\n"
+	printf "  \"counters_held_to\": \"%s\",\n", prev
 	printf "  \"lanes\": [\n"
 	for (l = 1; l <= nlanes; l++) {
 		lane = order[l]
@@ -169,8 +233,13 @@ END {
 		printf "      \"ratio\": %.4f,\n      \"wins\": %d,\n      \"pairs\": %d,\n", ratio, wins, pairs
 		printf "      \"aa_ratio\": %.4f,\n      \"aa_spread\": [%.4f, %.4f],\n", median("aa", lane, "ns/op") / median("change", lane, "ns/op"), lo, hi
 		printf "      \"counters\": {\"base\": %s, \"change\": %s},\n", counters("base", lane), counters("change", lane)
+		printf "      \"rises\": %s,\n", rises(lane)
 		printf "      \"verdict\": \"%s\",\n      \"pass\": %s\n    }%s\n", verdict, verdict == "faster" || verdict == "within A/A spread" ? "true" : "false", l < nlanes ? "," : ""
 	}
 	printf "  ]\n}\n"
-}' "$tmp/runs" >"$out"
+	if (nrises > 0)
+		exit 3
+}' "$tmp/prev" "$tmp/runs" >"$out" || status=$?
 echo "bench-ab: wrote $out" >&2
+[ "$status" -eq 0 ] || echo "bench-ab: counters rose past those of $prev" >&2
+exit "$status"

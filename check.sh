@@ -72,12 +72,14 @@ go test -race ./...
 
 # Delivered-byte lifetime (DESIGN.md §5.4): a payload lives two Syncs and
 # then recycles through the pvm wire arena, in-proc wires and socket
-# frames alike, and every collective's result outlives the frames it
-# arrived in. The pump goroutine draws frames that receiver goroutines
-# released, so the tests run under the race detector, three times over;
-# the tcp lanes run the unix lanes' code and are left to the run above.
+# frames alike, every collective's result outlives the frames it arrived
+# in, and send scratch goes back to the arena only once every message
+# sent from it has left (poisoned under Verify, kept while one is held).
+# The pump goroutine draws frames that receiver goroutines released, so
+# the tests run under the race detector, three times over; the tcp lanes
+# run the unix lanes' code and are left to the run above.
 timed 30 "delivered-byte lifetime" go test -race -count=3 \
-	-run 'Outlive|SentSliceIsFreeAfterSync|PoolRecyclingNeverAliases|ArenaSizeClasses|UnpackWindowReleases|FuzzBatchBody' \
+	-run 'Outlive|SentSliceIsFreeAfterSync|PoolRecyclingNeverAliases|ArenaSizeClasses|UnpackWindowReleases|FuzzBatchBody|SendScratchRecyclesAfterItsMessages' \
 	-skip '/tcp' ./internal/pvm/... ./internal/hbsp ./internal/collective
 
 # Warm superstep (DESIGN.md §5.4): a task arrives at a cyclic barrier

@@ -98,12 +98,12 @@ func TotalExchangeHier(c hbsp.Ctx, outgoing map[int][]byte) (map[int][]byte, err
 		carrying = keep
 		slices.Sort(dsts) // sends in pid order, so the run is deterministic
 		for _, dst := range dsts {
-			if err := c.Send(dst, tagXHier, packEnvelopes(byDst[dst])); err != nil {
+			if err := c.Send(dst, tagXHier, packEnvelopes(c, byDst[dst])); err != nil {
 				return nil, err
 			}
 		}
 		if len(climbing) > 0 {
-			if err := c.Send(rootPid, tagXHier, packEnvelopes(climbing)); err != nil {
+			if err := c.Send(rootPid, tagXHier, packEnvelopes(c, climbing)); err != nil {
 				return nil, err
 			}
 		}
@@ -149,16 +149,17 @@ type envelope struct {
 }
 
 // packEnvelopes frames envelopes for one wire message in a single pass,
-// at its exact size. The bytes are those of nesting two framed
-// encodings — per envelope the entry (src, inner frame), whose inner
-// frame is the one entry (dst, data) — with each piece copied once,
-// straight into the outgoing frame.
-func packEnvelopes(es []envelope) []byte {
+// at its exact size, into c's send scratch (a nil c: an array of its
+// own). The bytes are those of nesting two packFrame encodings — per
+// envelope the entry (src, inner frame), whose inner frame is the one
+// entry (dst, data) — with each piece copied once, straight into the
+// outgoing frame.
+func packEnvelopes(c hbsp.Ctx, es []envelope) []byte {
 	n := 0
 	for _, e := range es {
 		n += 2*cost.PieceHeader + len(e.data)
 	}
-	buf := pvm.Wrap(make([]byte, 0, n))
+	buf := pvm.Wrap(hbsp.SendScratch(c, n)[:0])
 	for _, e := range es {
 		buf.PackInt32(int32(e.src)).PackBytesHeader(cost.PieceHeader + len(e.data)).
 			PackInt32(int32(e.dst)).PackBytes(e.data)

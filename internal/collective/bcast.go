@@ -110,29 +110,24 @@ func BcastTwoPhase(c hbsp.Ctx, scope *model.Machine, root int, data []byte, d Di
 	if c.Pid() == root {
 		return data, nil
 	}
-	pieceBy := map[int][]byte{c.Pid(): mine}
+	pieces := make([][]byte, len(pids))
+	pieces[me] = mine
 	for _, m := range c.Moves() {
-		if m.Tag == tagBcastEx {
-			pieceBy[m.Src] = m.Payload
+		if i := indexOf(pids, m.Src); m.Tag == tagBcastEx && i >= 0 {
+			pieces[i] = m.Payload
 		}
 	}
-	return joinPieces(pids, pieceBy), nil
+	return joinPieces(pieces), nil
 }
 
-// joinPieces lays the listed processors' pieces end to end in an array
-// sized once from their lengths — by bytes.Join, which does not zero what
-// it is about to overwrite; nothing to join is nil.
-func joinPieces(pids []int, pieceBy map[int][]byte) []byte {
-	pieces := make([][]byte, len(pids))
-	n := 0
-	for i, pid := range pids {
-		pieces[i] = pieceBy[pid]
-		n += len(pieces[i])
+// joinPieces lays pieces end to end in an array sized once from their
+// lengths — by bytes.Join, which does not zero what it is about to
+// overwrite; nothing to join is nil.
+func joinPieces(pieces [][]byte) []byte {
+	if out := bytes.Join(pieces, nil); len(out) > 0 {
+		return out
 	}
-	if n == 0 {
-		return nil
-	}
-	return bytes.Join(pieces, nil)
+	return nil
 }
 
 // BcastHier is the hierarchical broadcast of §4.4 generalized to any k:
@@ -147,13 +142,23 @@ func joinPieces(pids []int, pieceBy map[int][]byte) []byte {
 // slice and every other a copy of its own.
 func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 	defer hbsp.Span(c, "bcast-hier")(len(data))
+	have, last, err := bcastHier(c, data, twoPhaseTop)
+	if last != nil {
+		have = joinPieces(last)
+	}
+	return have, err
+}
+
+// bcastHier is BcastHier short of its last copy: a processor that the
+// data reached at its last step returns the pieces that step delivered,
+// in order and aliasing its window, in place of have.
+func bcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) (have []byte, last [][]byte, err error) {
 	t := c.Tree()
 	if t.K() == 0 {
-		return data, nil
+		return data, nil, nil
 	}
-	have := data
-	if c.Self() != t.FastestLeaf() {
-		have = nil
+	if c.Self() == t.FastestLeaf() {
+		have = data
 	}
 	for lvl := t.K(); lvl >= 1; lvl-- {
 		twoPhase := twoPhaseTop || lvl < t.K()
@@ -163,6 +168,10 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 		scope := enclosingScope(t, c.Self(), lvl)
 		if scope == nil {
 			continue
+		}
+		// Pieces delivered earlier are kept through this step: copy them.
+		if last != nil {
+			have, last = joinPieces(last), nil
 		}
 		rootPid := t.Pid(scope.Coordinator())
 		// The step moves data between the coordinators of scope's
@@ -176,18 +185,18 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 				for _, pid := range coords {
 					if pid != rootPid {
 						if err := c.Send(pid, tagBcast, have); err != nil {
-							return nil, err
+							return nil, nil, err
 						}
 					}
 				}
 			}
 			if err := c.Sync(scope, bcastOnePhaseLabel.at(lvl)); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if amCoord && c.Pid() != rootPid {
 				for _, m := range c.Moves() {
 					if m.Tag == tagBcast && m.Src == rootPid {
-						have = bytes.Clone(m.Payload)
+						last = [][]byte{m.Payload}
 					}
 				}
 			}
@@ -201,13 +210,13 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 			for i, pid := range coords {
 				if pid != rootPid {
 					if err := c.Send(pid, tagBcast, pieces[i]); err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 				}
 			}
 		}
 		if err := c.Sync(scope, bcastScatterLabel.at(lvl)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var mine []byte
 		if c.Pid() == rootPid {
@@ -227,27 +236,27 @@ func BcastHier(c hbsp.Ctx, data []byte, twoPhaseTop bool) ([]byte, error) {
 					continue
 				}
 				if err := c.Send(pid, tagBcastEx, mine); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
 		if err := c.Sync(scope, bcastExchangeLabel.at(lvl)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The scope's root keeps the have it cut; the other coordinators
-		// reassemble, the one copy each makes.
+		// hold the pieces.
 		if amCoord && c.Pid() != rootPid {
-			pieceBy := map[int][]byte{c.Pid(): mine}
+			have, last = nil, make([][]byte, len(coords))
+			last[indexOf(coords, c.Pid())] = mine
 			for _, msg := range c.Moves() {
-				if msg.Tag == tagBcastEx {
-					pieceBy[msg.Src] = msg.Payload
+				if i := indexOf(coords, msg.Src); msg.Tag == tagBcastEx && i >= 0 {
+					last[i] = msg.Payload
 				}
 			}
-			have = joinPieces(coords, pieceBy)
 		}
 	}
-	if have == nil {
-		return nil, fmt.Errorf("collective: processor %d ended the hierarchical broadcast empty", c.Pid())
+	if have == nil && last == nil {
+		return nil, nil, fmt.Errorf("collective: processor %d ended the hierarchical broadcast empty", c.Pid())
 	}
-	return have, nil
+	return have, last, nil
 }

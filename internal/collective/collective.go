@@ -11,17 +11,17 @@
 // baked in: coordinators are the fastest machines of their subtrees, and
 // balanced variants move data in proportion to the c_{i,j} shares.
 //
-// Results own their bytes. A delivered payload is valid only through the
-// Sync after the one that delivered it (hbsp.Ctx.Moves), so a collective
-// copies exactly the bytes that outlive their window — a result on a
-// processor that received it, a piece held past the next Sync — once,
-// where it is built: bytes.Clone of the payload, or bytes.Join of the
-// pieces. Nothing else is copied. A scope's coordinator never
-// reassembles what it scattered (a hierarchical broadcast's root returns
-// the caller's own data and is sent nothing in the exchange), a
-// reduction folds a delivered vector straight from its packed bytes, and
+// Results own their bytes, and a collective allocates little else. A
+// delivered payload is valid only through the Sync after the one that
+// delivered it (hbsp.Ctx.Moves), so the bytes that outlive their window —
+// a result, a piece kept through a Sync — are copied once, where built:
+// bytes.Clone, or bytes.Join of the pieces. A scope's coordinator never
+// reassembles what it scattered, a reduction folds a delivered vector
+// and a broadcast one is decoded straight from the delivered bytes, and
 // a piece forwarded at the next level aliases its window for that one
-// Sync.
+// Sync. A frame or vector that is only sent is packed into send scratch
+// (hbsp.SendScratch), which the engine takes back; one kept is an array
+// of its own.
 package collective
 
 import (
@@ -86,31 +86,24 @@ var (
 	scanDownLabel      = newLevelLabel("scan-down^%d")
 )
 
-// framed accumulates (origin pid, piece) entries for one wire message,
-// using the pvm typed buffer as the frame format. The frame is a Send
-// payload — garbage-collected memory the program owns — so it is packed
-// once, at its exact size, into an array of its own, not grown piece by
-// piece in a record drawn from (and never returned to) the wire arena.
-type framed struct{ entries []pidPiece }
-
-func newFrame() *framed { return &framed{} }
-
-func (f *framed) add(pid int, piece []byte) { f.entries = append(f.entries, pidPiece{pid, piece}) }
-
-func (f *framed) bytes() []byte {
+// packFrame packs (origin pid, piece) entries into one wire message,
+// using the pvm typed buffer as the frame format, once, at its exact
+// size: into c's send scratch (hbsp.SendScratch) when the frame is only
+// sent, and into an array of its own for a nil c, when it is kept.
+func packFrame(c hbsp.Ctx, entries []pidPiece) []byte {
 	n := 0
-	for _, e := range f.entries {
+	for _, e := range entries {
 		n += cost.PieceHeader + len(e.data)
 	}
-	buf := pvm.Wrap(make([]byte, 0, n))
-	for _, e := range f.entries {
+	buf := pvm.Wrap(hbsp.SendScratch(c, n)[:0])
+	for _, e := range entries {
 		buf.PackInt32(int32(e.pid)).PackBytes(e.data)
 	}
 	return buf.Bytes()
 }
 
-// eachPiece parses a frame built by framed, calling fn per entry. Pieces
-// alias the payload.
+// eachPiece parses a frame built by packFrame, calling fn per entry.
+// Pieces alias the payload.
 func eachPiece(payload []byte, fn func(pid int, piece []byte)) error {
 	buf := pvm.Wrap(payload)
 	for buf.Remaining() > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hbspk/internal/cost"
@@ -23,15 +24,12 @@ func payloadFor(pid, size int) []byte {
 }
 
 func TestFramesArePackedOnceAtTheirSize(t *testing.T) {
-	// A frame and a packed vector are Send payloads the program owns:
-	// one exact allocation each, nothing drawn from the wire arena, and
-	// the bytes a piece-by-piece packing gives.
-	f := newFrame()
+	// A frame kept past its Sync (a nil Ctx) and a packed vector are one
+	// exact allocation each, nothing drawn from the wire arena, and the
+	// bytes a piece-by-piece packing gives; a vector decodes from any cut
+	// of its bytes into pieces, an element straddling two or more.
 	want := map[int][]byte{4: payloadFor(4, 300), 0: {}, 9: payloadFor(9, 1)}
-	for _, pid := range []int{4, 0, 9} {
-		f.add(pid, want[pid])
-	}
-	wire := f.bytes()
+	wire := packFrame(nil, []pidPiece{{4, want[4]}, {0, want[0]}, {9, want[9]}})
 	if len(wire) != cap(wire) {
 		t.Errorf("frame of %d bytes sits in an array of %d", len(wire), cap(wire))
 	}
@@ -44,12 +42,29 @@ func TestFramesArePackedOnceAtTheirSize(t *testing.T) {
 			t.Errorf("piece of pid %d does not round-trip", pid)
 		}
 	}
-	if len(newFrame().bytes()) != 0 {
+	if len(packFrame(nil, nil)) != 0 {
 		t.Error("an empty frame is not empty")
 	}
-	vec := packVec([]int64{3, -1, 1 << 40})
+	vec := packVec(nil, []int64{3, -1, 1 << 40})
 	if back, err := unpackVec(vec); err != nil || len(back) != 3 || back[2] != 1<<40 || len(vec) != cap(vec) {
 		t.Errorf("packed vector: %v, %d bytes in an array of %d, decodes to %v", err, len(vec), cap(vec), back)
+	}
+	for _, cuts := range [][]int{{0, 24}, {3, 24}, {8, 8, 16}, {1, 2, 4, 9, 17, 23}, {0, 5, 5, 24}} {
+		var pieces [][]byte
+		for i, at := range cuts {
+			from := 0
+			if i > 0 {
+				from = cuts[i-1]
+			}
+			pieces = append(pieces, vec[from:at])
+		}
+		pieces = append(pieces, vec[cuts[len(cuts)-1]:])
+		if back, err := unpackVec(pieces...); err != nil || !slices.Equal(back, []int64{3, -1, 1 << 40}) {
+			t.Errorf("vector cut at %v decodes to %v, %v", cuts, back, err)
+		}
+	}
+	if _, err := unpackVec(vec[:5], vec[6:]); err == nil {
+		t.Error("23 bytes decode as a vector")
 	}
 }
 

@@ -429,7 +429,7 @@ func (f *FT) Bcast(root int, data []byte) ([]byte, error) {
 // that had already completed: shrink never corrupts, it only re-scopes).
 func (f *FT) Reduce(local []int64, op Op) ([]int64, int, error) {
 	defer hbsp.Span(f.c, "ft-reduce")(8 * len(local))
-	return collect(f, "ft-reduce", packVec(local),
+	return collect(f, "ft-reduce", packVec(nil, local),
 		func(got map[int][]byte, live []int) ([]int64, error) {
 			acc := append([]int64(nil), local...)
 			for _, pid := range live {
@@ -462,7 +462,7 @@ func (f *FT) AllReduce(local []int64, op Op) ([]int64, error) {
 		}
 		var wire []byte
 		if f.c.Pid() == root {
-			wire = packVec(red)
+			wire = packVec(nil, red)
 		}
 		out, err := f.Bcast(root, wire)
 		if errors.Is(err, ErrLost) {

@@ -45,8 +45,16 @@ func Gather(c hbsp.Ctx, scope *model.Machine, root int, local []byte) (map[int][
 func GatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 	defer hbsp.Span(c, "gather-hier")(len(local))
 	t := c.Tree()
-	// accumulated holds the pieces this processor currently carries.
+	// accumulated holds the pieces this processor carries, lent those
+	// aliasing the last window: copied if kept through a Sync or returned.
 	accumulated := map[int][]byte{c.Pid(): local}
+	var lent []int
+	own := func() {
+		for _, pid := range lent {
+			accumulated[pid] = bytes.Clone(accumulated[pid])
+		}
+		lent = lent[:0]
+	}
 
 	for lvl := 1; lvl <= t.K(); lvl++ {
 		scope := enclosingScope(t, c.Self(), lvl)
@@ -58,15 +66,12 @@ func GatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 		}
 		rootPid := t.Pid(scope.Coordinator())
 		if c.Pid() != rootPid && len(accumulated) > 0 {
-			f := newFrame()
-			for _, piece := range sortedPieces(accumulated) {
-				f.add(piece.pid, piece.data)
-			}
-			if err := c.Send(rootPid, tagGather, f.bytes()); err != nil {
+			if err := c.Send(rootPid, tagGather, packFrame(c, sortedPieces(accumulated))); err != nil {
 				return nil, err
 			}
-			accumulated = map[int][]byte{}
+			accumulated, lent = map[int][]byte{}, lent[:0]
 		}
+		own()
 		if err := c.Sync(scope, gatherLabel.at(lvl)); err != nil {
 			return nil, err
 		}
@@ -75,8 +80,9 @@ func GatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 				if m.Tag != tagGather {
 					continue
 				}
-				if err := eachPiece(bytes.Clone(m.Payload), func(pid int, piece []byte) {
+				if err := eachPiece(m.Payload, func(pid int, piece []byte) {
 					accumulated[pid] = piece
+					lent = append(lent, pid)
 				}); err != nil {
 					return nil, err
 				}
@@ -84,6 +90,7 @@ func GatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 		}
 	}
 	if c.Self() == t.FastestLeaf() {
+		own()
 		return accumulated, nil
 	}
 	return nil, nil

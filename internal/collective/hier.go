@@ -26,11 +26,7 @@ func AllGatherHier(c hbsp.Ctx, local []byte) (map[int][]byte, error) {
 	}
 	var wire []byte
 	if collected != nil {
-		f := newFrame()
-		for _, pp := range sortedPieces(collected) {
-			f.add(pp.pid, pp.data)
-		}
-		wire = f.bytes()
+		wire = packFrame(nil, sortedPieces(collected))
 	}
 	full, err := BcastHier(c, wire, false)
 	if err != nil {
@@ -74,7 +70,7 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 		rootPid := t.Pid(scope.Coordinator())
 		coords := childCoords(t, scope)
 		if indexOf(coords, c.Pid()) >= 0 && c.Pid() != rootPid {
-			if err := c.Send(rootPid, tagScanUp, packVec(total)); err != nil {
+			if err := c.Send(rootPid, tagScanUp, packVec(c, total)); err != nil {
 				return nil, err
 			}
 		}
@@ -141,7 +137,7 @@ func ScanHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 				switch {
 				case coords[i] != rootPid:
 					if left != nil {
-						if err := c.Send(coords[i], tagScanDown, packVec(prefix)); err != nil {
+						if err := c.Send(coords[i], tagScanDown, packVec(c, prefix)); err != nil {
 							return nil, err
 						}
 					}
@@ -202,7 +198,7 @@ func ReduceScatter(c hbsp.Ctx, scope *model.Machine, local []int64, d Dist, op O
 			mine = append([]int64(nil), seg...)
 			continue
 		}
-		if err := c.Send(pid, tagReduce, packVec(seg)); err != nil {
+		if err := c.Send(pid, tagReduce, packVec(c, seg)); err != nil {
 			return nil, err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
+	"hbspk/internal/testutil"
 )
 
 func TestAllGatherHierBeatsFlatOnSlowWAN(t *testing.T) {
@@ -133,23 +134,22 @@ func TestTotalExchangeHierRegimes(t *testing.T) {
 
 // TestPackEnvelopesIsTheNestedFraming pins the hierarchical exchange's
 // wire bytes: packing each envelope once, straight into the outgoing
-// frame, gives exactly the nested framed encoding — src, then a byte
+// frame, gives exactly the nested packFrame encoding — src, then a byte
 // field holding dst and the data — so the bytes on the wire and every
 // schedule fingerprint stay what they were.
 func TestPackEnvelopesIsTheNestedFraming(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xE7E))
 	for it := 0; it < 300; it++ {
 		es := make([]envelope, rng.Intn(5))
-		nested := newFrame()
+		var nested []pidPiece
 		for i := range es {
 			data := make([]byte, rng.Intn(3)*rng.Intn(300)) // a third or more empty
 			rng.Read(data)
 			es[i] = envelope{src: rng.Intn(1 << 20), dst: rng.Intn(1 << 20), data: data}
-			inner := newFrame()
-			inner.add(es[i].dst, data)
-			nested.add(es[i].src, inner.bytes())
+			inner := packFrame(nil, []pidPiece{{es[i].dst, data}})
+			nested = append(nested, pidPiece{es[i].src, inner})
 		}
-		got, want := packEnvelopes(es), nested.bytes()
+		got, want := packEnvelopes(nil, es), packFrame(nil, nested)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%d envelopes: packed %x, nested framing %x", len(es), got, want)
 		}
@@ -164,13 +164,25 @@ func TestPackEnvelopesIsTheNestedFraming(t *testing.T) {
 // each bound is the result and send-payload bytes its comment names, at
 // the size class the allocator rounds each to, plus allocSlack for the
 // bookkeeping. On Virtual, which hands a receiver the sender's bytes, so
-// delivery adds nothing.
+// delivery adds nothing. On Concurrent in-proc a payload that is only
+// sent is send scratch (hbsp.SendScratch) the engine takes back, and a
+// delivery is copied into a recycled wire: a bound there counts no send
+// frame.
 const allocSlack = 16 << 10
 
+// allocLanes are the engines a ceiling is held on: Virtual, and
+// Concurrent in-proc where the race detector does not change the count.
+func allocLanes() []string {
+	if testutil.RaceEnabled() {
+		return []string{"virtual"}
+	}
+	return []string{"virtual", "concurrent"}
+}
+
 // bytesPerRound runs round warm twice and then rounds times on
-// WideAreaGrid(2,2,4,10,100) on Virtual, and returns the bytes allocated
-// per measured round.
-func bytesPerRound(t *testing.T, rounds int, round func(c hbsp.Ctx) error) uint64 {
+// WideAreaGrid(2,2,4,10,100) on the lane's engine, and returns the bytes
+// allocated per measured round.
+func bytesPerRound(t *testing.T, lane string, rounds int, round func(c hbsp.Ctx) error) uint64 {
 	t.Helper()
 	tr := model.WideAreaGrid(2, 2, 4, 10, 100)
 	var before, after runtime.MemStats
@@ -185,7 +197,7 @@ func bytesPerRound(t *testing.T, rounds int, round func(c hbsp.Ctx) error) uint6
 		}
 		return hbsp.SyncAll(c, "marked")
 	}
-	runPure(t, tr, func(c hbsp.Ctx) error {
+	prog := func(c hbsp.Ctx) error {
 		for r := -2; r < rounds; r++ {
 			if r == 0 {
 				if err := mark(c, &before); err != nil {
@@ -197,7 +209,12 @@ func bytesPerRound(t *testing.T, rounds int, round func(c hbsp.Ctx) error) uint6
 			}
 		}
 		return mark(c, &after)
-	})
+	}
+	if lane == "virtual" {
+		runPure(t, tr, prog)
+	} else if _, err := hbsp.NewConcurrent(tr).Run(prog); err != nil {
+		t.Fatal(err)
+	}
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(rounds)
 }
 
@@ -206,58 +223,71 @@ func bytesPerRound(t *testing.T, rounds int, round func(c hbsp.Ctx) error) uint6
 // nothing more, and a coordinator never reassembles what it scattered.
 // Three happen per round, p − 1: the other cluster's coordinator once
 // among the coordinators, each of the two other members once inside its
-// cluster. The root returns the caller's data. Six happened while every
-// coordinator also rebuilt its own scatter; grown from nil by append a
-// reassembly cost half as much again.
+// cluster. The root returns the caller's data. The pieces it sends are
+// the caller's bytes, so both engines are held to the results alone. Six
+// happened while every coordinator also rebuilt its own scatter; grown
+// from nil by append a reassembly cost half as much again.
 func TestBcastHierAllocatesItsResultOnce(t *testing.T) {
 	const n, reassemblies = 64 << 10, 3
 	data := payloadFor(0, n)
-	perRound := bytesPerRound(t, 16, func(c hbsp.Ctx) error {
-		var in []byte
-		if c.Self() == c.Tree().FastestLeaf() {
-			in = data
+	for _, lane := range allocLanes() {
+		perRound := bytesPerRound(t, lane, 16, func(c hbsp.Ctx) error {
+			var in []byte
+			if c.Self() == c.Tree().FastestLeaf() {
+				in = data
+			}
+			out, err := BcastHier(c, in, true)
+			if err == nil && !bytes.Equal(out, data) {
+				err = fmt.Errorf("pid %d: broadcast corrupted", c.Pid())
+			}
+			return err
+		})
+		t.Logf("%s: %d bytes allocated per %d-byte BcastHier", lane, perRound, n)
+		if perRound > reassemblies*n+allocSlack {
+			t.Errorf("%s: %d bytes allocated per round, want at most %d results of %d bytes plus %d",
+				lane, perRound, reassemblies, n, allocSlack)
 		}
-		out, err := BcastHier(c, in, true)
-		if err == nil && !bytes.Equal(out, data) {
-			err = fmt.Errorf("pid %d: broadcast corrupted", c.Pid())
-		}
-		return err
-	})
-	t.Logf("%d bytes allocated per %d-byte BcastHier", perRound, n)
-	if perRound > reassemblies*n+allocSlack {
-		t.Errorf("%d bytes allocated per round, want at most %d results of %d bytes plus %d",
-			perRound, reassemblies, n, allocSlack)
 	}
 }
 
 // TestAllReduceAllocatesItsResultOnce: each processor contributes 16 KiB,
-// 2048 elements. Twelve vectors are allocated per round. Sends, packed
-// (16 389 bytes, the allocator's 18 KiB class): the three partials that
-// climb, two inside the clusters and one between them, and the root's
-// result. Results: the other coordinator's copy of the broadcast and the
-// two members' reassemblies, each of the packed size; the two cluster
-// coordinators' copies of local they fold into, and the decodes of the
-// three processors that did not fold the result, each 16 KiB. The root
-// returns its own fold. Decoding each partial before folding it, and
-// copying local on every processor, allocated 354 797 bytes a round.
+// 2048 elements, and a packed vector is 16 384 bytes. Ten vectors are
+// allocated per round on Virtual. Sends: the three partials that climb,
+// two inside the clusters and one between them, and the root's result,
+// packed. The other coordinator's copy of the broadcast, which it
+// forwards inside its cluster. Results: the two cluster coordinators'
+// copies of local they fold into, and the decodes of the three
+// processors that did not fold the result, the two members' straight
+// from the pieces delivered to them. The root returns its own fold. On
+// Concurrent the partials are send scratch: seven vectors. The Virtual
+// bound is from when the two members also reassembled the broadcast
+// before decoding it, twelve vectors; decoding each partial before
+// folding it, and copying local on every processor, allocated 354 797
+// bytes a round.
 func TestAllReduceAllocatesItsResultOnce(t *testing.T) {
-	const width, packed, plain = 2048, 7, 5
+	const width, plain = 2048, 5
 	local := make([]int64, width)
 	for i := range local {
 		local[i] = int64(i)
 	}
-	perRound := bytesPerRound(t, 16, func(c hbsp.Ctx) error {
-		out, err := AllReduce(c, local, Sum)
-		if err == nil && (len(out) != width || out[width-1] != 4*(width-1)) {
-			err = fmt.Errorf("pid %d: all-reduce corrupted", c.Pid())
+	for _, lane := range allocLanes() {
+		packed := 7 // 18 KiB each, as the bound was set
+		if lane == "concurrent" {
+			packed = 2
 		}
-		return err
-	})
-	t.Logf("%d bytes allocated per AllReduce of %d-element vectors", perRound, width)
-	const bound = packed*18<<10 + plain*16<<10 + allocSlack
-	if perRound > bound {
-		t.Errorf("%d bytes allocated per round, want at most %d: %d packed and %d plain vectors plus %d",
-			perRound, bound, packed, plain, allocSlack)
+		perRound := bytesPerRound(t, lane, 16, func(c hbsp.Ctx) error {
+			out, err := AllReduce(c, local, Sum)
+			if err == nil && (len(out) != width || out[width-1] != 4*(width-1)) {
+				err = fmt.Errorf("pid %d: all-reduce corrupted", c.Pid())
+			}
+			return err
+		})
+		t.Logf("%s: %d bytes allocated per AllReduce of %d-element vectors", lane, perRound, width)
+		bound := uint64(packed*18<<10 + plain*16<<10 + allocSlack)
+		if perRound > bound {
+			t.Errorf("%s: %d bytes allocated per round, want at most %d: %d packed and %d plain vectors plus %d",
+				lane, perRound, bound, packed, plain, allocSlack)
+		}
 	}
 }
 
@@ -270,9 +300,9 @@ func TestAllReduceAllocatesItsResultOnce(t *testing.T) {
 // copied once each. A coordinator forwards the pieces that climbed to it
 // without a copy, and keeps its own. Packing an inner frame first and
 // cloning every delivered frame whole allocated 243 908 bytes a round.
+// On Concurrent the ten frames are send scratch: the twelve pieces alone.
 func TestTotalExchangeHierAllocatesItsResultOnce(t *testing.T) {
 	const p, piece = 4, 4 << 10
-	const bound = 4*4864 + 6*9472 + 12*piece + allocSlack
 	outgoing := make([]map[int][]byte, p)
 	for src := range outgoing {
 		outgoing[src] = make(map[int][]byte, p)
@@ -280,18 +310,24 @@ func TestTotalExchangeHierAllocatesItsResultOnce(t *testing.T) {
 			outgoing[src][dst] = payloadFor(src*p+dst, piece)
 		}
 	}
-	perRound := bytesPerRound(t, 16, func(c hbsp.Ctx) error {
-		in, err := TotalExchangeHier(c, outgoing[c.Pid()])
-		for src := 0; err == nil && src < p; src++ {
-			if !bytes.Equal(in[src], outgoing[src][c.Pid()]) {
-				err = fmt.Errorf("pid %d: piece from %d corrupted", c.Pid(), src)
-			}
+	for _, lane := range allocLanes() {
+		frames := 4*4864 + 6*9472
+		if lane == "concurrent" {
+			frames = 0
 		}
-		return err
-	})
-	t.Logf("%d bytes allocated per TotalExchangeHier of %d-byte pieces", perRound, piece)
-	if perRound > bound {
-		t.Errorf("%d bytes allocated per round, want at most %d: ten frames and twelve pieces of %d bytes plus %d",
-			perRound, bound, piece, allocSlack)
+		perRound := bytesPerRound(t, lane, 16, func(c hbsp.Ctx) error {
+			in, err := TotalExchangeHier(c, outgoing[c.Pid()])
+			for src := 0; err == nil && src < p; src++ {
+				if !bytes.Equal(in[src], outgoing[src][c.Pid()]) {
+					err = fmt.Errorf("pid %d: piece from %d corrupted", c.Pid(), src)
+				}
+			}
+			return err
+		})
+		t.Logf("%s: %d bytes allocated per TotalExchangeHier of %d-byte pieces", lane, perRound, piece)
+		if bound := uint64(frames + 12*piece + allocSlack); perRound > bound {
+			t.Errorf("%s: %d bytes allocated per round, want at most %d: %d frame bytes and twelve pieces of %d bytes plus %d",
+				lane, perRound, bound, frames, piece, allocSlack)
+		}
 	}
 }

@@ -70,23 +70,40 @@ func (op Op) fold(c hbsp.Ctx, acc []int64, packed []byte) error {
 
 // packVec encodes a vector as a Send payload: its elements' 8·len
 // big-endian bytes and nothing else, since a message carries its own
-// length, in an array of its own at its exact size (see framed).
-func packVec(v []int64) []byte {
-	out := make([]byte, 8*len(v))
+// length, at its exact size, in c's send scratch or for a nil c in an
+// array of its own (see packFrame).
+func packVec(c hbsp.Ctx, v []int64) []byte {
+	out := hbsp.SendScratch(c, 8*len(v))
 	for i, x := range v {
 		binary.BigEndian.PutUint64(out[8*i:], uint64(x))
 	}
 	return out
 }
 
-// unpackVec decodes a payload packVec built.
-func unpackVec(p []byte) ([]int64, error) {
-	if len(p)%8 != 0 {
-		return nil, fmt.Errorf("collective: a %d-byte vector payload is no whole number of elements", len(p))
+// unpackVec decodes a payload packVec built, laid end to end in pieces.
+func unpackVec(pieces ...[]byte) ([]int64, error) {
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
 	}
-	v := make([]int64, len(p)/8)
-	for i := range v {
-		v[i] = int64(binary.BigEndian.Uint64(p[8*i:]))
+	if n%8 != 0 {
+		return nil, fmt.Errorf("collective: a %d-byte vector payload is no whole number of elements", n)
+	}
+	v := make([]int64, 0, n/8)
+	var part [8]byte // an element that straddles two pieces
+	k := 0
+	for _, p := range pieces {
+		if k > 0 {
+			m := copy(part[k:], p)
+			if p, k = p[m:], k+m; k < 8 {
+				continue
+			}
+			v, k = append(v, int64(binary.BigEndian.Uint64(part[:]))), 0
+		}
+		for ; len(p) >= 8; p = p[8:] {
+			v = append(v, int64(binary.BigEndian.Uint64(p)))
+		}
+		k = copy(part[:], p)
 	}
 	return v, nil
 }
@@ -97,7 +114,7 @@ func unpackVec(p []byte) ([]int64, error) {
 func Reduce(c hbsp.Ctx, scope *model.Machine, root int, local []int64, op Op) ([]int64, error) {
 	defer hbsp.Span(c, "reduce")(8 * len(local))
 	if c.Pid() != root {
-		if err := c.Send(root, tagReduce, packVec(local)); err != nil {
+		if err := c.Send(root, tagReduce, packVec(c, local)); err != nil {
 			return nil, err
 		}
 	}
@@ -138,7 +155,7 @@ func ReduceHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 		}
 		rootPid := t.Pid(scope.Coordinator())
 		if c.Pid() != rootPid && carrying {
-			if err := c.Send(rootPid, tagReduce, packVec(acc)); err != nil {
+			if err := c.Send(rootPid, tagReduce, packVec(c, acc)); err != nil {
 				return nil, err
 			}
 			carrying = false
@@ -170,9 +187,9 @@ func ReduceHier(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 }
 
 // AllReduce is ReduceHier followed by a hierarchical broadcast of the
-// result: every processor returns the combined vector. The fastest
-// processor returns the vector it folded, not a decode of what it
-// broadcast.
+// result: every processor returns the combined vector — the fastest its
+// own fold, the others a decode, straight from the delivered pieces on
+// a processor the broadcast reached at its last step.
 func AllReduce(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 	defer hbsp.Span(c, "all-reduce")(8 * len(local))
 	red, err := ReduceHier(c, local, op)
@@ -181,16 +198,20 @@ func AllReduce(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 	}
 	var wire []byte
 	if red != nil {
-		wire = packVec(red)
+		wire = packVec(nil, red)
 	}
-	out, err := BcastHier(c, wire, false)
-	if err != nil {
+	end := hbsp.Span(c, "bcast-hier")
+	have, last, err := bcastHier(c, wire, false)
+	end(len(wire))
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if red != nil {
+	case red != nil:
 		return red, nil
+	case last == nil:
+		return unpackVec(have)
 	}
-	return unpackVec(out)
+	return unpackVec(last...)
 }
 
 // Scan computes the inclusive prefix reduction over pid order within the
@@ -201,7 +222,7 @@ func AllReduce(c hbsp.Ctx, local []int64, op Op) ([]int64, error) {
 func Scan(c hbsp.Ctx, scope *model.Machine, local []int64, op Op) ([]int64, error) {
 	defer hbsp.Span(c, "scan")(8 * len(local))
 	root := c.Tree().Pid(scope.Coordinator())
-	gathered, err := Gather(c, scope, root, packVec(local))
+	gathered, err := Gather(c, scope, root, packVec(nil, local))
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +243,7 @@ func Scan(c hbsp.Ctx, scope *model.Machine, local []int64, op Op) ([]int64, erro
 					return nil, err
 				}
 			}
-			pieces[pid] = packVec(acc)
+			pieces[pid] = packVec(nil, acc)
 		}
 	}
 	out, err := Scatter(c, scope, root, pieces)

@@ -201,15 +201,23 @@ func TestCollectiveRoundSyscalls(t *testing.T) {
 }
 
 // TestCollectiveRoundAllocsInProc is the allocation ceiling of
-// BenchmarkCollectiveRound's in-proc lane: 1.0 MB a round, on every
-// processor. Measured about 0.9 MB, the results and send payloads the
-// hier_test.go ceilings name; an in-proc send that copied a payload past
-// 255 bytes into a fresh backing instead of an arena one made it 1.88 MB.
+// BenchmarkCollectiveRound's in-proc lane: 656 000 bytes a round, on
+// every processor. Measured 634 000 to 647 000: the 557 056 bytes of
+// results the round returns; AllReduce's three 16 KiB vectors kept
+// through a Sync (the root's packed broadcast, the other coordinator's
+// copy of it, the fold that coordinator climbs with); and some 17 KB of
+// maps, piece lists and envelope slices, step records and arena draws
+// the garbage collector emptied the pool for. It was about 913 000 while
+// every frame and partial vector only sent was an array of its own, a
+// coordinator of GatherHier cloned what it forwarded and the members of
+// AllReduce joined the broadcast before decoding it; 1.88 MB while an
+// in-proc send copied a payload past 255 bytes into a fresh backing
+// instead of an arena one.
 func TestCollectiveRoundAllocsInProc(t *testing.T) {
 	if testutil.RaceEnabled() {
 		t.Skip("the race detector changes the allocation count")
 	}
-	const n, warm, rounds, ceiling = 64 << 10, 30, 100, 1_000_000
+	const n, warm, rounds, ceiling = 64 << 10, 30, 100, 656_000
 	var before, after runtime.MemStats
 	tr := roundTree()
 	prog := collRound(tr, n, warm, rounds, func() { runtime.ReadMemStats(&before) }, func() { runtime.ReadMemStats(&after) })

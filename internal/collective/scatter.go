@@ -67,15 +67,15 @@ func ScatterHier(c hbsp.Ctx, pieces map[int][]byte) ([]byte, error) {
 				if dst == rootPid {
 					continue
 				}
-				f := newFrame()
+				var entries []pidPiece
 				for _, l := range child.Leaves() {
 					pid := t.Pid(l)
 					if piece, ok := carrying[pid]; ok {
-						f.add(pid, piece)
+						entries = append(entries, pidPiece{pid, piece})
 						delete(carrying, pid)
 					}
 				}
-				if err := c.Send(dst, tagScatter, f.bytes()); err != nil {
+				if err := c.Send(dst, tagScatter, packFrame(c, entries)); err != nil {
 					return nil, err
 				}
 			}

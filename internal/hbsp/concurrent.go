@@ -632,6 +632,13 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	return c.commit(w, ord, ops, records, start, wait, count, sent+recv)
 }
 
+// sendScratch draws SendScratch's n bytes from the wire arena.
+func (c *cctx) sendScratch(n int) []byte {
+	f := pvm.NewFrame(n)
+	c.scratch = append(c.scratch, f)
+	return f.Bytes()
+}
+
 // flush transmits every queued message whose endpoints are both inside
 // the scope; the rest stay queued for a wider sync. Chaos fates are
 // assigned at the first flush a message could take: dropped messages
@@ -727,7 +734,8 @@ func (c *cctx) park(w *syncWait, sc *scopeSeq, ord, count int, deadline, start t
 	}
 	var dep []byte
 	if c.opt.Verify {
-		dep = pvm.NewBuffer().PackInt64Slice(c.vc.encodeInt64()).Bytes()
+		// At its exact size, prefix and entries: nobody returns it.
+		dep = pvm.Wrap(make([]byte, 0, 5+8*len(c.vc))).PackInt64Slice(c.vc.encodeInt64()).Bytes()
 	}
 	deposits, err = c.task.Arrive(&sc.bar, count, deadline, dep)
 	if !obs && c.eng.DetectFactor <= 0 {
@@ -795,12 +803,14 @@ func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err e
 	return recv, c.openWindow()
 }
 
-// commit finishes a successful superstep: the compute sample, the
-// checkpoint at the cut cadence, then — in the Sync's second and last
-// visit to the run-wide state — the end of the barrier wait, the reorg
-// estimate, the step record (when this processor records it) and the cut
-// verdict; and the cut window.
+// commit finishes a successful superstep: the send scratch back to the
+// arena once the outbox is empty, the compute sample, the checkpoint at
+// the cut cadence, then — in the Sync's second and last visit to the
+// run-wide state — the end of the barrier wait, the reorg estimate, the
+// step record (when this processor records it) and the cut verdict; and
+// the cut window.
 func (c *cctx) commit(w *syncWait, ord int, ops float64, records bool, start, wait time.Duration, count, bytes int) error {
+	c.recycle()
 	end := c.clock(records || c.opt.Obsv != nil)
 	sample := 0.0
 	c.observe(ord, ord, ops > 0, micros(end), func(_ int, v float64) { sample = v })

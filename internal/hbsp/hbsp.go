@@ -57,7 +57,9 @@ type Ctx interface {
 	// written to the wire or copied for the receiver); Virtual hands the
 	// receiver the very same bytes. A portable program therefore never
 	// writes to a slice it has sent. What the receiver gets lives as
-	// Moves says, whatever the sender does with its slice. The tag is
+	// Moves says, whatever the sender does with its slice. SendScratch's
+	// bytes go back to Concurrent's arena at the first successful Sync
+	// that leaves the outbox empty, under Verify poisoned. The tag is
 	// any int32 value, which Concurrent carries in the message body; a
 	// tag outside that range is an error on both engines.
 	Send(dst, tag int, payload []byte) error

@@ -38,13 +38,27 @@ func Span(c Ctx, name string) func(bytes int) {
 	p.depth++
 	rec := p.opt.Obsv
 	if rec == nil {
-		return func(int) { p.depth-- }
+		if p.leave == nil {
+			p.leave = func(int) { p.depth-- }
+		}
+		return p.leave
 	}
 	start := s.obsvNow()
 	return func(bytes int) {
 		p.depth--
 		rec.Collective(name, p.pid, start, s.obsvNow(), int64(bytes))
 	}
+}
+
+// SendScratch returns n bytes for a payload that is only sent: packed,
+// passed to Send and not touched again. Concurrent draws them from the
+// wire arena (Ctx.Send says when it takes them back); Virtual, which
+// hands the receiver the sender's own bytes, makes them.
+func SendScratch(c Ctx, n int) []byte {
+	if s, ok := c.(interface{ sendScratch(int) []byte }); ok {
+		return s.sendScratch(n)
+	}
+	return make([]byte, n)
 }
 
 // NowOf returns the Ctx's current time on its engine clock: virtual

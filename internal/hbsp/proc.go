@@ -121,6 +121,9 @@ type proc struct {
 	// receiver the sender's own slice): delivered bytes live two Syncs.
 	// Under Verify, poisoned are those of the window before that.
 	wires, held, poisoned []pvm.Message
+	// scratch is SendScratch's draws since the outbox was last empty
+	// (Concurrent only); under Verify spoiled is the poisoned draws before.
+	scratch, spoiled []pvm.Frame
 
 	// failedView is the dead-pid set this processor has acknowledged and
 	// membersView the active-pid set it knows (its starting membership
@@ -138,8 +141,10 @@ type proc struct {
 	steps  int
 
 	// depth counts the collectives this processor is inside (Span); a
-	// global cut reads it to defer a reorganization (ledger.cut).
+	// global cut reads it to defer a reorganization (ledger.cut). leave
+	// lowers it: Span's closer, built once.
 	depth int
+	leave func(int)
 }
 
 func newProc(pid int, t *model.Tree, opt *coreOpts) proc {
@@ -522,10 +527,31 @@ func (p *proc) retire() {
 	p.held, p.wires = p.wires, expired[:0]
 }
 
-// dropWindows releases every wire the windows still hold, once the
-// program has returned.
+// recycle returns the send scratch to the arena at a successful Sync
+// that leaves the outbox empty; under Verify poisoned, a recycle later.
+func (p *proc) recycle() {
+	if len(p.outbox) > 0 {
+		return
+	}
+	if p.opt.Verify {
+		for _, f := range p.scratch {
+			poison(f.Bytes())
+		}
+		p.scratch, p.spoiled = p.spoiled, p.scratch
+	}
+	for _, f := range p.scratch {
+		f.Release()
+	}
+	clear(p.scratch)
+	p.scratch = p.scratch[:0]
+}
+
+// dropWindows releases every wire the windows and every frame the send
+// scratch still hold, once the program has returned.
 func (p *proc) dropWindows() {
+	p.outbox = nil
 	for range 3 {
 		p.retire()
+		p.recycle()
 	}
 }
