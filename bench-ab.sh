@@ -35,8 +35,8 @@
 # script once the file is written. The tolerances are the margins of the
 # ceiling tests: allocs/op 1 % (a warm step's 0 stays 0:
 # TestSteadyStateSuperstepAllocs), B/op 16 KiB (allocSlack and
-# TestCollectiveRoundAllocsInProc), retained-B/op 40 B (the step record's
-# 150 B ceiling over its 112 B), syscalls/op, reads/op and writes/op 1
+# TestCollectiveRoundAllocsInProc), retained-B/op 16 B (the step record's
+# 48 B ceiling over its 32 B), syscalls/op, reads/op and writes/op 1
 # (TestLoopbackSyscallsPerSuperstep's 5 over 4.1) and wire-B/op 0
 # (TestCollectiveRoundSyscalls pins the round's bytes).
 #
@@ -194,7 +194,7 @@ END {
 	ncounters = split("allocs/op B/op retained-B/op syscalls/op reads/op writes/op wire-B/op", counter, " ")
 	reltol["allocs/op"] = 0.01
 	abstol["B/op"] = 16384
-	abstol["retained-B/op"] = 40
+	abstol["retained-B/op"] = 16
 	abstol["syscalls/op"] = abstol["reads/op"] = abstol["writes/op"] = 1
 	printf "{\n  \"base\": \"%s\",\n  \"change\": \"%s%s\",\n", baserev, head, dirty == "true" ? " plus uncommitted changes" : ""
 	printf "  \"rounds\": %d,\n  \"order\": \"ABBA, each round base, change and A/A (the change again)\",\n", rounds

@@ -3,6 +3,7 @@ package hbsp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"hbspk/internal/fabric"
@@ -342,36 +343,67 @@ func (p *proc) observe(ord, at int, worked bool, now float64, fold func(pid int,
 	return slow
 }
 
-// stepLog is a run's step record while it grows: fixed-size chunks, so a
-// step costs its own slot and never a copy of the run so far, of records
-// that hold no pointer, so the garbage collector never scans them. A
-// step's three strings are interned by value in the run's table: a label
-// built afresh for every Sync is kept once, not once per step. flat makes
-// the Report's slice, once, when the run returns.
+// stepLog is a run's step record while it grows: per step a 32-byte
+// stepRec, its times and the index of its shape, the rest of its fields,
+// which a run's steps mostly repeat. A shape is found through the step's
+// (label, scope label) pair: the previous step's, or one of the pair's
+// two latest (pairs, keyed by the pair, so no larger than the string
+// table; a coll_tcp round alternates a pair between two shapes, and no
+// benchmark workload finds one deeper), or else appended. Both lists
+// grow in chunks of pointer-free records, so a step never costs a copy
+// of the run so far and the garbage collector never scans them. A step's
+// strings are interned by value: a label built afresh for every Sync is
+// kept once. flat makes the Report's slice, once, when the run returns.
 type stepLog struct {
-	chunks [][]stepRec
-	n      int
+	steps  chunked[stepRec]
+	shapes chunked[stepShape]
+	prev   uint32               // the last step's shape
+	pairs  map[uint64][2]uint32 // a pair's latest shapes, index+1, newest first
 	strs   []string
 	ids    map[string]uint32
 }
 
-// stepRec is a trace.Step as the log keeps it: str holds Label,
-// ScopeLabel and ScopeName as indices into the log's table, and Index is
-// the record's position.
 type stepRec struct {
-	str                            [3]uint32
-	level, participants, gatingPid int32
-	flows, bytes                   int
-	w, h, comm, sync, time, ckpt   float64
-	imbalance, start, end          float64
+	time, start, end float64
+	shape            uint32
 }
 
-// stepChunk is the records an 8 KiB chunk holds (73): a size class of the
-// allocator, so no byte of a chunk is rounding, and small enough that a
-// run of a few steps does not pay for a long one.
-const stepChunk = 8 << 10 / int(unsafe.Sizeof(stepRec{}))
+// stepShape holds Label, ScopeLabel and ScopeName as indices into the
+// string table, and the float terms as their bits: two shapes are equal
+// exactly when their steps' fields are, -0 and NaN included.
+type stepShape struct {
+	str                               [3]uint32
+	level, participants, gatingPid    int32
+	flows, bytes                      int
+	w, h, comm, sync, ckpt, imbalance uint64
+}
 
-func (l *stepLog) len() int { return l.n }
+// chunked is an append-only list in 8 KiB chunks, an allocator size
+// class; the first starts at 8 elements and doubles, so a short run does
+// not pay for a long one.
+type chunked[T any] struct {
+	c [][]T
+	n int
+}
+
+func chunkOf[T any]() int { return 8 << 10 / int(unsafe.Sizeof(*new(T))) }
+
+func (l *chunked[T]) add(v T) {
+	per := chunkOf[T]()
+	if l.n%per == 0 {
+		l.c = append(l.c, make([]T, 0, min(per, max(8, l.n))))
+	}
+	last := &l.c[len(l.c)-1]
+	if len(*last) == cap(*last) {
+		*last = append(make([]T, 0, min(2*cap(*last), per)), *last...)
+	}
+	*last = append(*last, v)
+	l.n++
+}
+
+func (l *chunked[T]) at(i uint32) *T { return &l.c[int(i)/chunkOf[T]()][int(i)%chunkOf[T]()] }
+
+func (l *stepLog) len() int { return l.steps.n }
 
 // intern returns s's index in the string table, adding it if it is new.
 // hint is the index the same field of the previous step took: a run's
@@ -394,41 +426,59 @@ func (l *stepLog) intern(s string, hint uint32) uint32 {
 
 func (l *stepLog) add(s trace.Step) {
 	var hint [3]uint32
-	if l.n > 0 {
-		c := l.chunks[len(l.chunks)-1]
-		hint = c[len(c)-1].str
+	if l.steps.n > 0 {
+		hint = l.shapes.at(l.prev).str
 	}
-	r := stepRec{
+	sh := stepShape{
 		level: int32(s.Level), participants: int32(s.Participants), gatingPid: int32(s.GatingPid),
 		flows: s.Flows, bytes: s.Bytes,
-		w: s.W, h: s.H, comm: s.Comm, sync: s.Sync, time: s.Time, ckpt: s.Ckpt,
-		imbalance: s.Imbalance, start: s.Start, end: s.End,
+		w: math.Float64bits(s.W), h: math.Float64bits(s.H), comm: math.Float64bits(s.Comm),
+		sync: math.Float64bits(s.Sync), ckpt: math.Float64bits(s.Ckpt), imbalance: math.Float64bits(s.Imbalance),
 	}
 	for i, str := range [3]string{s.Label, s.ScopeLabel, s.ScopeName} {
-		r.str[i] = l.intern(str, hint[i])
+		sh.str[i] = l.intern(str, hint[i])
 	}
-	if l.n%stepChunk == 0 {
-		l.chunks = append(l.chunks, make([]stepRec, 0, stepChunk))
+	l.prev = l.shapeOf(sh)
+	l.steps.add(stepRec{time: s.Time, start: s.Start, end: s.End, shape: l.prev})
+}
+
+// shapeOf returns sh's index in the shape table, appending it if new.
+func (l *stepLog) shapeOf(sh stepShape) uint32 {
+	if l.steps.n > 0 && *l.shapes.at(l.prev) == sh {
+		return l.prev
 	}
-	last := &l.chunks[len(l.chunks)-1]
-	*last = append(*last, r)
-	l.n++
+	key := uint64(sh.str[0])<<32 | uint64(sh.str[1])
+	known := l.pairs[key]
+	for _, id := range known {
+		if id != 0 && *l.shapes.at(id - 1) == sh {
+			return id - 1
+		}
+	}
+	if l.pairs == nil {
+		l.pairs = make(map[uint64][2]uint32)
+	}
+	l.shapes.add(sh)
+	copy(known[1:], known[:])
+	known[0] = uint32(l.shapes.n)
+	l.pairs[key] = known
+	return known[0] - 1
 }
 
 // flat returns the steps in the order they were added; nil for none.
 func (l *stepLog) flat() []trace.Step {
-	if l.n == 0 {
+	if l.steps.n == 0 {
 		return nil
 	}
-	out := make([]trace.Step, 0, l.n)
-	for _, c := range l.chunks {
+	out := make([]trace.Step, 0, l.steps.n)
+	for _, c := range l.steps.c {
 		for _, r := range c {
+			sh := l.shapes.at(r.shape)
 			out = append(out, trace.Step{
-				Index: len(out), Label: l.strs[r.str[0]], ScopeLabel: l.strs[r.str[1]], ScopeName: l.strs[r.str[2]],
-				Level: int(r.level), Participants: int(r.participants), GatingPid: int(r.gatingPid),
-				Flows: r.flows, Bytes: r.bytes,
-				W: r.w, H: r.h, Comm: r.comm, Sync: r.sync, Time: r.time, Ckpt: r.ckpt,
-				Imbalance: r.imbalance, Start: r.start, End: r.end,
+				Index: len(out), Label: l.strs[sh.str[0]], ScopeLabel: l.strs[sh.str[1]], ScopeName: l.strs[sh.str[2]],
+				Level: int(sh.level), Participants: int(sh.participants), GatingPid: int(sh.gatingPid),
+				Flows: sh.flows, Bytes: sh.bytes, Time: r.time, Start: r.start, End: r.end,
+				W: math.Float64frombits(sh.w), H: math.Float64frombits(sh.h), Comm: math.Float64frombits(sh.comm),
+				Sync: math.Float64frombits(sh.sync), Ckpt: math.Float64frombits(sh.ckpt), Imbalance: math.Float64frombits(sh.imbalance),
 			})
 		}
 	}

@@ -3,12 +3,14 @@ package hbsp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
@@ -25,57 +27,141 @@ import (
 
 // The step record grows in chunks and is flat in the Report: same steps,
 // same order, contiguous Index, every field as a plain append would have
-// built — labels built afresh for every step, from a handful of values,
-// included.
+// built, to the bit — labels built afresh for every step, from a handful
+// of values, included. Each sequence is 6 chunks of steps and 7 more, so
+// the last chunk is partly filled. Where a sequence has a ceiling, the
+// log's own bytes (its step and shape chunks by capacity) may grow by no
+// more per step over chunks 3 to 6: 32 B a step whose terms repeat
+// earlier ones, 128 B when every step's are new. A record that kept every
+// step whole was 112 B in every case.
 func TestStepLogFlattensInOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var log stepLog
-	var want []trace.Step
-	if log.flat() != nil {
+	if (&stepLog{}).flat() != nil {
 		t.Error("an empty log flattens to a non-nil slice")
 	}
-	for i := 0; i < 3*stepChunk+7; i++ {
-		s := trace.Step{
-			Index:        i,
-			Label:        fmt.Sprintf("step %d of a long run", rng.Intn(5)),
-			ScopeLabel:   fmt.Sprintf("M_{%d,%d}", rng.Intn(3), rng.Intn(2)),
-			ScopeName:    fmt.Sprint("cluster", rng.Intn(3)),
-			Level:        rng.Intn(3),
-			Participants: 1 + rng.Intn(8),
-			W:            rng.Float64(),
-			H:            rng.Float64(),
-			Comm:         rng.Float64(),
-			Sync:         rng.Float64(),
-			Time:         rng.Float64(),
-			Ckpt:         rng.Float64(),
-			Flows:        rng.Intn(64),
-			Bytes:        rng.Intn(1 << 30),
-			GatingPid:    rng.Intn(9) - 1,
-			Imbalance:    rng.Float64(),
-			Start:        rng.Float64(),
-			End:          rng.Float64(),
-		}
-		log.add(s)
-		want = append(want, s)
-		if log.len() != len(want) {
-			t.Fatalf("after %d steps len() = %d", len(want), log.len())
+	rng := rand.New(rand.NewSource(7))
+	per := chunkOf[stepRec]()
+	// shaped is a step of label and scope k whose terms are set by v; its
+	// times, which a step never shares, by i.
+	shaped := func(i, k int, v float64) trace.Step {
+		return trace.Step{
+			Index: i, Label: fmt.Sprintf("step %d of a long run", k),
+			ScopeLabel: fmt.Sprintf("M_{%d,%d}", k%3, k%2), ScopeName: fmt.Sprint("cluster", k%3),
+			Level: k % 3, Participants: 4, W: v, H: 2 * v, Comm: 3 * v, Sync: 1, Ckpt: 0,
+			Flows: 12, Bytes: int(768 * v), GatingPid: k % 4, Imbalance: 1 + v,
+			Time: float64(i) + 0.5, Start: float64(i), End: float64(i) + 1,
 		}
 	}
-	got := log.flat()
-	if len(got) != len(want) {
-		t.Fatalf("flat() has %d steps, want %d", len(got), len(want))
+	negZero := math.Copysign(0, -1)
+	for _, seq := range []struct {
+		name    string
+		step    func(i int) trace.Step
+		perStep float64 // 0: no ceiling
+	}{
+		{"random", func(i int) trace.Step {
+			return trace.Step{
+				Index:        i,
+				Label:        fmt.Sprintf("step %d of a long run", rng.Intn(5)),
+				ScopeLabel:   fmt.Sprintf("M_{%d,%d}", rng.Intn(3), rng.Intn(2)),
+				ScopeName:    fmt.Sprint("cluster", rng.Intn(3)),
+				Level:        rng.Intn(3),
+				Participants: 1 + rng.Intn(8),
+				W:            rng.Float64(),
+				H:            rng.Float64(),
+				Comm:         rng.Float64(),
+				Sync:         rng.Float64(),
+				Time:         rng.Float64(),
+				Ckpt:         rng.Float64(),
+				Flows:        rng.Intn(64),
+				Bytes:        rng.Intn(1 << 30),
+				GatingPid:    rng.Intn(9) - 1,
+				Imbalance:    rng.Float64(),
+				Start:        rng.Float64(),
+				End:          rng.Float64(),
+			}
+		}, 0},
+		{"repeating", func(i int) trace.Step { return shaped(i, 0, 1) }, 32},
+		// 25 steps a round on 16 (label, scope) pairs, as coll_tcp's round
+		// has them: the first 9 pairs come twice a round, with other terms
+		// the second time, so each alternates between two shapes.
+		{"cycling", func(i int) trace.Step { j := i % 25; return shaped(i, j%16, float64(j)) }, 32},
+		{"distinct", func(i int) trace.Step { return shaped(i, 0, float64(i)) }, 128},
+		// Terms equal as floats but not as bits are different terms (two
+		// shapes), and a NaN is the same term as itself (shared).
+		{"signed zero and NaN", func(i int) trace.Step {
+			s := shaped(i, 0, []float64{0, negZero}[i%2])
+			s.Ckpt, s.Imbalance = []float64{negZero, 0}[i%2], math.NaN()
+			return s
+		}, 32},
+	} {
+		t.Run(seq.name, func(t *testing.T) {
+			var log stepLog
+			var want []trace.Step
+			var warm, full int
+			for i := 0; i < 6*per+7; i++ {
+				switch i {
+				case 2 * per:
+					warm = logBytes(&log)
+				case 6 * per:
+					full = logBytes(&log)
+				}
+				s := seq.step(i)
+				log.add(s)
+				want = append(want, s)
+				if log.len() != len(want) {
+					t.Fatalf("after %d steps len() = %d", len(want), log.len())
+				}
+			}
+			perStep := float64(full-warm) / float64(4*per)
+			t.Logf("%.1f bytes a step", perStep)
+			if seq.perStep > 0 && perStep > seq.perStep {
+				t.Errorf("the log grows by %.1f bytes a step, want at most %.0f", perStep, seq.perStep)
+			}
+			got := log.flat()
+			if len(got) != len(want) || cap(got) != len(want) {
+				t.Fatalf("flat() has %d steps (cap %d), want %d", len(got), cap(got), len(want))
+			}
+			for i := range want {
+				if !sameStep(got[i], want[i]) {
+					t.Fatalf("step %d flattened to %+v, appended as %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("step %d flattened to %+v, appended as %+v", i, got[i], want[i])
+}
+
+// logBytes is what a log's step and shape chunks hold, by capacity.
+func logBytes(l *stepLog) int {
+	n := 0
+	for _, c := range l.steps.c {
+		n += cap(c) * int(unsafe.Sizeof(stepRec{}))
+	}
+	for _, c := range l.shapes.c {
+		n += cap(c) * int(unsafe.Sizeof(stepShape{}))
+	}
+	return n
+}
+
+// sameStep reports whether a and b hold the same fields, floats compared
+// by their bits.
+func sameStep(a, b trace.Step) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		if fa.Kind() == reflect.Float64 {
+			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+				return false
+			}
+		} else if fa.Interface() != fb.Interface() {
+			return false
 		}
 	}
+	return true
 }
 
 // The step record is memory the garbage collector never scans, and costs
 // less than the step it stands for: a field that held a pointer (a string,
 // a slice) would have every chunk of a long run scanned again at every
-// cycle.
+// cycle. A step whose shape repeats costs its stepRec alone, 32 bytes.
 func TestStepRecordHoldsNoPointer(t *testing.T) {
 	var pointerFree func(reflect.Type) bool
 	pointerFree = func(t reflect.Type) bool {
@@ -92,12 +178,17 @@ func TestStepRecordHoldsNoPointer(t *testing.T) {
 		}
 		return t.Kind() > reflect.Invalid && t.Kind() <= reflect.Complex128
 	}
-	rec := reflect.TypeOf(stepRec{})
-	if !pointerFree(rec) {
-		t.Errorf("%v holds a pointer", rec)
+	step := reflect.TypeOf(trace.Step{})
+	for _, rec := range []reflect.Type{reflect.TypeOf(stepRec{}), reflect.TypeOf(stepShape{})} {
+		if !pointerFree(rec) {
+			t.Errorf("%v holds a pointer", rec)
+		}
+		if rec.Size() >= step.Size() {
+			t.Errorf("%v is %d bytes, %v %d", rec, rec.Size(), step, step.Size())
+		}
 	}
-	if step := reflect.TypeOf(trace.Step{}); rec.Size() >= step.Size() {
-		t.Errorf("%v is %d bytes, %v %d", rec, rec.Size(), step, step.Size())
+	if n := unsafe.Sizeof(stepRec{}); n > 32 {
+		t.Errorf("stepRec is %d bytes, want at most 32", n)
 	}
 }
 
@@ -157,7 +248,7 @@ func runTwoLevel(t *testing.T, engine string, rec *obsv.Recorder, rounds int, ma
 // the record is checked against), with Index counting from zero, and each
 // step's scope fields are its scope machine's.
 func TestReportStepsAcrossChunkBoundaries(t *testing.T) {
-	const rounds = 2 * stepChunk // three steps a round: six chunks' worth
+	rounds := 2 * chunkOf[stepRec]() // three steps a round: six chunks' worth
 	scopes := map[string]*model.Machine{}
 	superstepTree().Root.Walk(func(m *model.Machine) { scopes[m.Label()] = m })
 	for _, engine := range []string{"virtual", "concurrent"} {
@@ -193,7 +284,7 @@ func TestReportStepsAcrossChunkBoundaries(t *testing.T) {
 
 // A long run keeps no per-step object: in a run whose every Sync takes a
 // label built afresh, the heap objects that survive a collection grow by
-// a chunk of the step record every stepChunk steps and by nothing else. A
+// a chunk of the step record every 256 steps and by nothing else. A
 // record that kept each step's label string kept one object per step.
 func TestStepRecordRetainsNoPerStepObject(t *testing.T) {
 	if testutil.RaceEnabled() {

@@ -118,11 +118,12 @@ func overHub(t *testing.T, prog Program) error {
 // superstep: what a step may allocate is what outlives it by contract.
 // Delivered bytes recycle through the wire arena — an in-proc wire, a
 // frame read off the socket — so that is only the step record, an 8 KiB
-// chunk of 73 pointer-free 112-byte records one step in 73: 0.0
-// allocations and about 115 bytes per step measured, in-proc and over a
-// unix socket, at 64 B a pair and at 64 KiB and 256 KiB (the size of the
-// benchmark's bulk workload). The 150-byte ceiling is the record's: a
-// step kept as a 168-byte trace.Step measured 172 to 178. It was 4
+// chunk of 256 pointer-free 32-byte records one step in 256, its shape
+// kept once for the run: 0.0 allocations and 33 to 36 bytes per step
+// measured, in-proc and over a unix socket, at 64 B a pair and at 64 KiB
+// and 256 KiB (the size of the benchmark's bulk workload). The 48-byte
+// ceiling is the record's: a step kept whole as a 112-byte record
+// measured about 115, as a 168-byte trace.Step 172 to 178. It was 4
 // allocations in-proc (the delivery slab of each processor) and 12 over
 // the socket (the frame each batch was read into, 3.2 MB a step at
 // 256 KiB); an in-proc send that copied a payload past 255 bytes into a
@@ -130,11 +131,11 @@ func overHub(t *testing.T, prog Program) error {
 // The hub lane counts all four processes of a hub-and-workers run, and
 // each worker's BARRIER round trip is packed, framed and unpacked afresh
 // (the barrier's name a new string each time): 30 allocations and about
-// 820 bytes a step measured. A relay that kept the BARRIER frame it read
+// 735 bytes a step measured. A relay that kept the BARRIER frame it read
 // instead of releasing it would make that 36 and 2 KB. Under Verify
 // every message's vector clock is copied, packed and decoded and every
 // barrier's deposit packed and decoded: 95.0 allocations and about
-// 3 540 bytes a step measured, ceilings 96 and 3 600. It was 99.4 to
+// 3 460 bytes a step measured, ceilings 96 and 3 600. It was 99.4 to
 // 99.9 and about 4 830 while each deposit was packed into a wire drawn
 // from the arena and never returned. DESIGN.md §5.4 has the inventory.
 func TestSteadyStateSuperstepAllocs(t *testing.T) {
@@ -147,11 +148,11 @@ func TestSteadyStateSuperstepAllocs(t *testing.T) {
 		run            func(*testing.T, Program) error
 		allocs, nbytes float64
 	}{
-		{"inproc", 64, 4000, onOne("inproc"), 1, 150},
-		{"inproc/64KiB", 64 << 10, 1000, onOne("inproc"), 1, 150},
-		{"inproc/256KiB", 256 << 10, 500, onOne("inproc"), 1, 150},
-		{"unix", 64, 2000, onOne("unix"), 1, 150},
-		{"unix/256KiB", 256 << 10, 500, onOne("unix"), 1, 150},
+		{"inproc", 64, 4000, onOne("inproc"), 1, 48},
+		{"inproc/64KiB", 64 << 10, 1000, onOne("inproc"), 1, 48},
+		{"inproc/256KiB", 256 << 10, 500, onOne("inproc"), 1, 48},
+		{"unix", 64, 2000, onOne("unix"), 1, 48},
+		{"unix/256KiB", 256 << 10, 500, onOne("unix"), 1, 48},
 		{"hub/unix", 64, 2000, overHub, 31, 1 << 10},
 		{"inproc/verify", 64, 2000, verified, 96, 3600},
 	} {
@@ -176,12 +177,13 @@ func TestSteadyStateSuperstepAllocs(t *testing.T) {
 // TestLoopbackSyscallsPerSuperstep is the system-call count of a warm
 // all-to-all superstep over a Loopback at GOMAXPROCS 1, the benchmark
 // harness's setting, from the process's read and write counters. At 64 B
-// on unix the four senders' posts share one vectored write, the pump
-// reads the step's frames once and writes its acks once, and the ack
-// reader reads them once — 4 a step, a little more when the runtime's
-// fairness check splits a group; it was 9.0 when each sender wrote its
-// own post and the pump and the ack reader each read until a read came
-// back empty. The ceiling is 5. At 64 KiB on tcp the pump reads the
+// on unix the four senders' posts share one vectored write, which the
+// socket takes whole, so the goroutine that wrote it reads the step's
+// frames back once, writes their acks once and reads them once (the pump
+// and the ack reader take no such burst: TestWarmStepIsReadBackByItsWriter)
+// — 4 a step, a little more when the runtime's fairness check splits a
+// group; it was 9.0 when each sender wrote its own post and the pump and
+// the ack reader each read until a read came back empty. The ceiling is 5. At 64 KiB on tcp the pump reads the
 // step's twelve frames by 256 KiB slabs, four reads, and acks them with
 // one write — with the writev and the ack reader's read, 7.1 measured,
 // ceiling 10; it was 38.1 when the pump read each frame's header and
@@ -249,7 +251,9 @@ func emptySteps(level, warm, steps int, begin, end func()) Program {
 // the model's L on this substrate: L_{1,j}, a Sync of one two-leaf
 // cluster, and L_{2,0}, a Sync of the whole machine. The 64B lanes also
 // report retained-B/op: the live heap after a collection grows by that
-// much per step, which is the step record's cost to a long run. The
+// much per step, which is the step record's cost to a long run, about 32
+// bytes (a step's times and its shape's index; 112 while each step was
+// kept whole). The
 // socket lanes report syscalls/op, the read and write system calls of a
 // step, and apart as reads/op and writes/op (TestLoopbackSyscallsPerSuperstep
 // gates the unix/64B and tcp/64KiB ones), where /proc/self/io counts them.
