@@ -16,7 +16,6 @@ import (
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
-	"hbspk/internal/workload"
 )
 
 // benchConfig is a reduced sweep so a -bench=. run stays snappy while
@@ -160,8 +159,8 @@ func gatherProg(c hbsp.Ctx, root int, d cost.Dist) error {
 }
 
 func BenchmarkVirtualEngineGather(b *testing.B) {
-	for _, n := range []int{100 * workload.KB, 1000 * workload.KB} {
-		b.Run(fmt.Sprintf("n=%dKB", n/workload.KB), func(b *testing.B) {
+	for _, n := range []int{100 * experiments.KB, 1000 * experiments.KB} {
+		b.Run(fmt.Sprintf("n=%dKB", n/experiments.KB), func(b *testing.B) {
 			benchGatherOnce(b, model.UCFTestbed(), fabric.PVM(), n)
 		})
 	}
@@ -169,7 +168,7 @@ func BenchmarkVirtualEngineGather(b *testing.B) {
 
 func BenchmarkConcurrentEngineGather(b *testing.B) {
 	tr := model.UCFTestbed()
-	d := cost.BalancedDist(tr, 100*workload.KB)
+	d := cost.BalancedDist(tr, 100*experiments.KB)
 	root := tr.Pid(tr.FastestLeaf())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -181,23 +180,13 @@ func BenchmarkConcurrentEngineGather(b *testing.B) {
 	}
 }
 
-func BenchmarkBytemarkSuite(b *testing.B) {
-	tr := model.UCFTestbedN(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RankMachines(tr, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Ablations of the modelling choices DESIGN.md calls out ---
 
 // AblationPackUnpack: switching off the PVM pack/unpack overheads must
 // erase the paper's p=2 anomaly (T_s/T_f rises to ≥ 1).
 func BenchmarkAblationPackUnpack(b *testing.B) {
 	tr := model.UCFTestbedN(2)
-	n := 500 * workload.KB
+	n := 500 * experiments.KB
 	d := cost.EqualDist(tr, n)
 	measure := func(cfg fabric.Config) float64 {
 		ts, err := hbsp.RunVirtual(tr, cfg, func(c hbsp.Ctx) error {
@@ -228,7 +217,7 @@ func BenchmarkAblationPackUnpack(b *testing.B) {
 // machine (the paper's coordinator rule) vs at an arbitrary slow leaf.
 func BenchmarkAblationCoordinatorChoice(b *testing.B) {
 	tr := model.UCFTestbed()
-	n := 500 * workload.KB
+	n := 500 * experiments.KB
 	d := cost.BalancedDist(tr, n)
 	var fast, slow float64
 	b.ResetTimer()
@@ -254,7 +243,7 @@ func BenchmarkAblationCoordinatorChoice(b *testing.B) {
 // the compute-bound reduce (where balance genuinely pays, §4.1).
 func BenchmarkAblationEqualVsBalanced(b *testing.B) {
 	tr := model.UCFTestbed()
-	n := 400 * workload.KB
+	n := 400 * experiments.KB
 	measure := func(d cost.Dist) float64 {
 		rep, err := hbsp.RunVirtual(tr, fabric.PVM(), func(c hbsp.Ctx) error {
 			c.Charge(3 * float64(d[c.Pid()])) // heavy local compute ∝ piece
@@ -276,7 +265,7 @@ func BenchmarkAblationEqualVsBalanced(b *testing.B) {
 // AblationHierVsFlat: hierarchical vs flat reduce on a wide-area grid.
 func BenchmarkAblationHierVsFlat(b *testing.B) {
 	tr := model.WideAreaGrid(3, 4, 12, 25000, 250000)
-	d := cost.EqualDist(tr, 240*workload.KB)
+	d := cost.EqualDist(tr, 240*experiments.KB)
 	var hier, flat float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -338,7 +327,7 @@ func BenchmarkMatMulBalanced(b *testing.B) {
 // asymmetric uplink priced in.
 func BenchmarkAblationPerDestRates(b *testing.B) {
 	tr := model.Figure1Cluster()
-	d := cost.BalancedDist(tr, 200*workload.KB)
+	d := cost.BalancedDist(tr, 200*experiments.KB)
 	root := tr.Pid(tr.FastestLeaf())
 	rt := NewRateTable().Set("LAN", "*", 5)
 	var plain, rated float64

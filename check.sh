@@ -160,6 +160,15 @@ planner_checks() {
 }
 timed 30 "planner gates and smokes" planner_checks
 
+# The examples: each program under examples/ runs to completion with
+# go run and exits 0. Their output is for a reader, not compared.
+run_examples() {
+	for dir in examples/*/; do
+		go run "./$dir" >/dev/null || return 1
+	done
+}
+timed 30 "examples" run_examples
+
 # Verification and multi-process transport smokes (DESIGN.md §5.3,
 # §5.10), as `make verify` defines them: schedule exploration with the
 # happens-before checker armed certifies gather, gather-hier, bcast-hier

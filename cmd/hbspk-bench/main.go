@@ -50,7 +50,7 @@ func main() {
 	out := flag.String("out", "", "also write each experiment's CSV into this directory")
 	noise := flag.Float64("noise", 0, "relative step-time noise amplitude (non-dedicated cluster)")
 	reps := flag.Int("reps", 0, "replicate each figure this many times under -noise and report mean ± stddev")
-	seed := flag.Int64("seed", 1, "seed for BYTEmark measurement and noise")
+	seed := flag.Int64("seed", 1, "seed for the draw of c_j estimation error (as the paper's BYTEmark ranking gives) and for noise")
 	pure := flag.Bool("pure", false, "charge the pure cost model (no PVM pack/unpack overheads)")
 	flag.Parse()
 

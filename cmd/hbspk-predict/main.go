@@ -21,14 +21,14 @@ import (
 
 	"hbspk/internal/catalog"
 	"hbspk/internal/cost"
+	"hbspk/internal/experiments"
 	"hbspk/internal/model"
 	"hbspk/internal/trace"
-	"hbspk/internal/workload"
 )
 
 func parseSizes(s string) ([]int, error) {
 	if s == "" {
-		return workload.PaperSizes(), nil
+		return experiments.PaperSizes(), nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {

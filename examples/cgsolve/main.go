@@ -1,8 +1,9 @@
 // Cgsolve: a distributed conjugate-gradient solve on the UCF testbed —
-// the full iterative-application story in one run: BYTEmark-ranked
-// shares decide row ownership, every iteration is an
-// all-gather + local mat-vec + two reductions superstep pattern, and
-// the run ends with the per-superstep profile and timeline.
+// the full iterative-application story in one run: the testbed's
+// declared shares, which follow compute speed, decide row ownership,
+// every iteration is an all-gather + local mat-vec + two reductions
+// superstep pattern, and the run ends with the per-superstep profile
+// and timeline.
 package main
 
 import (
@@ -34,11 +35,6 @@ func rhs(i int) float64 { return math.Sin(float64(i)/7) + 1.5 }
 
 func main() {
 	tree := hbspk.UCFTestbed()
-	ixs, err := hbspk.RankMachines(tree, 11)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hbspk.ApplyMeasuredShares(tree, ixs)
 
 	solve := func(balanced bool) (*hbspk.Report, []float64, int) {
 		cfg := hbspk.CGConfig{N: n, MaxIters: 400, Tolerance: 1e-10, Balanced: balanced}

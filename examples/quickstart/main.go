@@ -1,6 +1,6 @@
-// Quickstart: build a small heterogeneous cluster, rank its machines,
-// run the paper's gather collective under both root policies, and
-// compare the simulated times with the analytic prediction.
+// Quickstart: build a small heterogeneous cluster, run the paper's
+// gather collective under both root policies, and compare the simulated
+// times with the analytic prediction.
 package main
 
 import (
@@ -20,23 +20,13 @@ func main() {
 		hbspk.NewLeaf("sparc-a", hbspk.WithComm(1.2), hbspk.WithComp(2.1)),
 		hbspk.NewLeaf("sparc-b", hbspk.WithComm(1.25), hbspk.WithComp(2.3)),
 	}, hbspk.WithSync(25000))
+	// Normalize also derives the balanced-workload shares c_j from the
+	// declared compute speeds.
 	tree := hbspk.MustNew(root, 1).Normalize()
 	if err := tree.Validate(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(tree)
-
-	// Rank the machines with a simulated BYTEmark measurement and
-	// install the measured balanced-workload shares.
-	ixs, err := hbspk.RankMachines(tree, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nBYTEmark-style ranking (index 1 = fastest):")
-	for i, ix := range ixs {
-		fmt.Printf("  %d. %-8s index %.3f\n", i+1, ix.Machine.Name, ix.Composite)
-	}
-	hbspk.ApplyMeasuredShares(tree, ixs)
 
 	// Gather 500 KB at the fastest vs the slowest processor.
 	const n = 500_000

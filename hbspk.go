@@ -15,9 +15,9 @@
 //     plus scatter, all-gather, reduce, all-reduce, scan and total
 //     exchange;
 //   - analytic cost prediction for every collective;
-//   - a simulated BYTEmark measurement (declared compute speed under
-//     seeded noise) for ranking machines and estimating balanced
-//     workload shares;
+//   - balanced workload shares c_{i,j} from declared compute speed,
+//     and for Figure 3(b) a seeded draw of estimation error, as the
+//     paper's BYTEmark ranking gives;
 //   - the experiment harness regenerating every table and figure of the
 //     paper's evaluation.
 //

@@ -76,24 +76,6 @@ func TestPublicPredictionMatchesRun(t *testing.T) {
 	}
 }
 
-func TestPublicRankingAndShares(t *testing.T) {
-	tree := UCFTestbedN(5)
-	ixs, err := RankMachines(tree, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ixs) != 5 {
-		t.Fatalf("got %d indices", len(ixs))
-	}
-	if ixs[0].Composite != 1 {
-		t.Errorf("ranking not normalized: best = %v", ixs[0].Composite)
-	}
-	ApplyMeasuredShares(tree, ixs)
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPublicAllReduceAcrossEngines(t *testing.T) {
 	tree := Figure1Cluster()
 	prog := func(out []int64) Program {

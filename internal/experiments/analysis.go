@@ -11,7 +11,6 @@ import (
 	"hbspk/internal/plan"
 	"hbspk/internal/stats"
 	"hbspk/internal/trace"
-	"hbspk/internal/workload"
 )
 
 // BroadcastCrossover regenerates the §4.4 analysis comparing the
@@ -77,7 +76,7 @@ func BroadcastCrossover(cfg Config) (*Result, error) {
 		if float64(n) > nstar {
 			predicted = "two-phase"
 		}
-		tb.AddF(float64(n)/float64(workload.KB), t1, t2, t3, winner, predicted)
+		tb.AddF(float64(n)/float64(KB), t1, t2, t3, winner, predicted)
 		s1.Points = append(s1.Points, Point{X: float64(n), Y: t1})
 		s2.Points = append(s2.Points, Point{X: float64(n), Y: t2})
 		s3.Points = append(s3.Points, Point{X: float64(n), Y: t3})
@@ -142,7 +141,7 @@ func HierarchyPenalty(cfg Config) (*Result, error) {
 		for si, n := range cfg.Sizes {
 			pt := pts[mi*len(cfg.Sizes)+si]
 			pen := pt.hier / pt.flat
-			tb.AddF(m.name, n/workload.KB, pt.hier, pt.flat, pen)
+			tb.AddF(m.name, n/KB, pt.hier, pt.flat, pen)
 			series.Points = append(series.Points, Point{X: float64(n), Y: pen})
 		}
 		res.Series = append(res.Series, series)
@@ -163,7 +162,7 @@ func ValidateModel(cfg Config) (*Result, error) {
 		PaperClaim: "HBSP attempts to provide predictable algorithmic performance (§2)",
 		Table:      tb,
 	}
-	a := catalog.Args{N: 400 * workload.KB}
+	a := catalog.Args{N: 400 * KB}
 	type check struct {
 		machine string
 		entry   catalog.Entry

@@ -8,7 +8,6 @@ import (
 	"hbspk/internal/hbsp"
 	"hbspk/internal/stats"
 	"hbspk/internal/trace"
-	"hbspk/internal/workload"
 )
 
 // BSPBlindness quantifies what the HBSP^k model adds over plain BSP
@@ -24,7 +23,7 @@ func BSPBlindness(cfg Config) (*Result, error) {
 	tr := clusterWithSlowest(3)
 	m := bsp.Of(tr)
 	root := tr.Pid(tr.FastestLeaf())
-	n := 500 * workload.KB
+	n := 500 * KB
 	dEq := cost.EqualDist(tr, n)
 
 	tb := trace.NewTable("heterogeneity blindness: BSP vs HBSP^k predictions (8 machines, r_s=3, 500KB)",

@@ -10,15 +10,15 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 
-	"hbspk/internal/bytemark"
 	"hbspk/internal/collective"
 	"hbspk/internal/cost"
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
 	"hbspk/internal/trace"
-	"hbspk/internal/workload"
 )
 
 // Config parameterizes a run of the experiment suite.
@@ -31,15 +31,28 @@ type Config struct {
 	// Fabric models the testbed; the default is the PVM overhead model
 	// without noise, which keeps runs deterministic.
 	Fabric fabric.Config
-	// Seed drives the BYTEmark measurement (and fabric noise if
-	// enabled).
+	// Seed drives the draw of c_j estimation error, as the paper's
+	// BYTEmark ranking gives (and fabric noise if enabled).
 	Seed int64
+}
+
+// KB is the paper's size unit.
+const KB = 1000
+
+// PaperSizes returns the §5.1 problem-size sweep, "100 KBytes to 1000
+// KBytes of uniformly distributed integers", in 100 KB steps.
+func PaperSizes() []int {
+	sizes := make([]int, 10)
+	for i := range sizes {
+		sizes[i] = (i + 1) * 100 * KB
+	}
+	return sizes
 }
 
 // Default returns the paper's sweep on the deterministic PVM fabric.
 func Default() Config {
 	return Config{
-		Sizes:  workload.PaperSizes(),
+		Sizes:  PaperSizes(),
 		Ps:     []int{2, 4, 6, 8, 10},
 		Fabric: fabric.PVM(),
 		Seed:   1,
@@ -49,7 +62,7 @@ func Default() Config {
 // Quick returns a reduced sweep for tests: three sizes, three p values.
 func Quick() Config {
 	return Config{
-		Sizes:  []int{100 * workload.KB, 500 * workload.KB, 1000 * workload.KB},
+		Sizes:  []int{100 * KB, 500 * KB, 1000 * KB},
 		Ps:     []int{2, 4, 10},
 		Fabric: fabric.PVM(),
 		Seed:   1,
@@ -180,10 +193,36 @@ func bcastBinomial(root, n int) hbsp.Program {
 }
 
 // testbedWithMeasuredShares builds the p-processor testbed and fills its
-// c_j shares from a (noisy) BYTEmark measurement, per §5.1.
+// c_j shares from a seeded draw of estimation error, as the paper's
+// BYTEmark ranking gives (§5.1: "c_i is computed using the BYTEmark
+// results"). Each leaf's estimated speed is the geometric mean of ten
+// readings of 1/CompSlowdown, each off by a factor drawn uniformly from
+// [0.92, 1.08], leaf by leaf in Leaves order; the shares follow the
+// estimates, not the true speeds, which is what Figure 3(b) shows.
 func testbedWithMeasuredShares(p int, seed int64) *model.Tree {
 	tr := model.UCFTestbedN(p)
-	bytemark.ApplyShares(tr, bytemark.DefaultSuite(seed).Measure(tr))
+	rng := rand.New(rand.NewSource(seed))
+	leaves := tr.Leaves()
+	speed := make([]float64, len(leaves))
+	best := 0.0
+	for i, leaf := range leaves {
+		logSum := 0.0
+		for k := 0; k < 10; k++ {
+			noise := 1 + 0.08*(rng.Float64()*2-1)
+			logSum += math.Log(1 / (leaf.CompSlowdown * noise))
+		}
+		speed[i] = math.Exp(logSum / 10)
+		best = math.Max(best, speed[i])
+	}
+	total := 0.0
+	for i := range speed {
+		speed[i] /= best
+		total += speed[i]
+	}
+	for i, leaf := range leaves {
+		leaf.Share = speed[i] / total
+	}
+	tr.Normalize()
 	return tr
 }
 
@@ -202,8 +241,9 @@ func improvementFigure(cfg Config, id, title, claim, ratioName string,
 	for i, p := range cfg.Ps {
 		series[i].Name = fmt.Sprintf("p=%d", p)
 	}
-	// Trees are built up front (BYTEmark measurement is sequential and
-	// seeded), then shared read-only by every point of their column.
+	// Trees are built up front (each draws its c_j estimation error
+	// from one seeded source), then shared read-only by every point of
+	// their column.
 	trees := make([]*model.Tree, len(cfg.Ps))
 	for i, p := range cfg.Ps {
 		trees[i] = testbedWithMeasuredShares(p, cfg.Seed)
@@ -229,7 +269,7 @@ func improvementFigure(cfg Config, id, title, claim, ratioName string,
 		return nil, err
 	}
 	for si, n := range cfg.Sizes {
-		row := []interface{}{n / workload.KB}
+		row := []interface{}{n / KB}
 		for pi := range cfg.Ps {
 			impr := imprs[si*len(cfg.Ps)+pi]
 			row = append(row, impr)

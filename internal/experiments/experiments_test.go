@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"hbspk/internal/fabric"
-	"hbspk/internal/workload"
+	"hbspk/internal/model"
 )
 
 // last returns the series' final Y value (largest problem size).
@@ -68,6 +68,50 @@ func TestFigure3bShape(t *testing.T) {
 		if v < 0.85 || v > 1.25 {
 			t.Errorf("%s improvement %v, want ≈1 (virtually no benefit)", name, v)
 		}
+	}
+}
+
+// shares returns the leaf shares of the p-processor testbed drawn under seed.
+func shares(p int, seed int64) []float64 {
+	var out []float64
+	for _, l := range testbedWithMeasuredShares(p, seed).Leaves() {
+		out = append(out, l.Share)
+	}
+	return out
+}
+
+// The drawn shares rank the extremes right: 8% estimation error cannot
+// outweigh the testbed's 2.2x compute spread at either end.
+func TestMeasuredSharesRankTheExtremes(t *testing.T) {
+	tr := testbedWithMeasuredShares(model.TestbedSize, 7)
+	fast, slow := tr.FastestLeaf(), tr.SlowestLeaf()
+	for _, l := range tr.Leaves() {
+		if l.Share > fast.Share || l.Share < slow.Share {
+			t.Errorf("%s's share %v lies outside [%v (slowest), %v (fastest)]", l.Name, l.Share, slow.Share, fast.Share)
+		}
+	}
+}
+
+// Replicate varies the seed: each seed draws its own shares, and the
+// same seed the same ones.
+func TestMeasuredSharesFollowTheSeed(t *testing.T) {
+	a, b, c := shares(4, 3), shares(4, 3), shares(4, 4)
+	differ := false
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("leaf %d: seed 3 drew %v, then %v", i, a[i], b[i])
+		}
+		differ = differ || a[i] != c[i]
+	}
+	if !differ {
+		t.Error("seeds 3 and 4 drew the same shares")
+	}
+}
+
+func TestPaperSizes(t *testing.T) {
+	sizes := PaperSizes()
+	if len(sizes) != 10 || sizes[0] != 100*KB || sizes[9] != 1000*KB {
+		t.Errorf("sizes = %v", sizes)
 	}
 }
 
@@ -215,7 +259,7 @@ func TestNoisyFabricStillShowsFig3aTrend(t *testing.T) {
 	// survive: p=10 improvement above p=2's.
 	cfg := Quick()
 	cfg.Fabric = fabric.PVMNoisy(0.15, 99)
-	cfg.Sizes = []int{500 * workload.KB}
+	cfg.Sizes = []int{500 * KB}
 	res, err := Figure3a(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,9 @@ func Figure3a(cfg Config) (*Result, error) {
 }
 
 // Figure3b reproduces Figure 3(b): the gather's improvement factor
-// T_u/T_b from balancing the workload by the BYTEmark-estimated c_j
-// (root fixed at the fastest processor). The paper finds "virtually no
+// T_u/T_b from balancing the workload by estimated c_j, a seeded draw of
+// estimation error, as the paper's BYTEmark ranking gives (root fixed at
+// the fastest processor). The paper finds "virtually no
 // benefit ... except at p=2", because the second fastest processor's
 // estimated share overshoots its communication ability.
 func Figure3b(cfg Config) (*Result, error) {

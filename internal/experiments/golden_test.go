@@ -50,28 +50,24 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestCommittedFiguresCurrent regenerates the figures built on BYTEmark
-// shares at the default configuration, as hbspk-bench -out does, and
-// compares each byte for byte with the CSV committed under results/: a
-// change to the measurement or the cost accounting that moves a
-// published number fails here, not only in a reader's diff.
+// TestCommittedFiguresCurrent regenerates every experiment at the
+// default configuration, as hbspk-bench -out does, and compares each
+// byte for byte with the CSV committed under results/: a change to the
+// shares draw, the presets, the problem sizes or the cost accounting
+// that moves a published number fails here, not only in a reader's diff.
 func TestCommittedFiguresCurrent(t *testing.T) {
-	for _, id := range []string{"fig3a", "fig3b", "fig4a", "fig4b"} {
-		r, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("runner %q missing", id)
-		}
+	for _, r := range All() {
 		res, err := r.Run(Default())
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("%s: %v", r.ID, err)
 		}
-		want, err := os.ReadFile(filepath.Join("..", "..", "results", id+".csv"))
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", res.ID+".csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Table.CSV(); got != string(want) {
 			t.Errorf("%s differs from results/%s.csv (regenerate with hbspk-bench -out results).\n--- got ---\n%s--- want ---\n%s",
-				id, id, got, want)
+				r.ID, res.ID, got, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hbspk/internal/cost"
 	"hbspk/internal/model"
 	"hbspk/internal/trace"
-	"hbspk/internal/workload"
 )
 
 // KScaling exercises the model's generality beyond the paper's k ≤ 2
@@ -27,7 +26,7 @@ func KScaling(cfg Config) (*Result, error) {
 		PaperClaim: "per-level synchronization and communication overheads accumulate with k (§3.4)",
 		Table:      tb,
 	}
-	n := 400 * workload.KB
+	n := 400 * KB
 	machines := []struct {
 		name string
 		tr   *model.Tree

@@ -9,7 +9,6 @@ import (
 	"hbspk/internal/model"
 	"hbspk/internal/plan"
 	"hbspk/internal/trace"
-	"hbspk/internal/workload"
 )
 
 // This file extends the paper's evaluation with the sensitivity studies
@@ -46,7 +45,7 @@ func SensitivityRS(cfg Config) (*Result, error) {
 		PaperClaim: "two-phase wins for reasonable r_s; exclude machines with r_s ≥ m−2",
 		Table:      tb,
 	}
-	n := 500 * workload.KB
+	n := 500 * KB
 	var twoSeries, oneSeries Series
 	twoSeries.Name, oneSeries.Name = "two-phase", "one-phase"
 	rss := []float64{1, 1.5, 2, 3, 4, 5, 5.9, 6.5, 8}
@@ -97,7 +96,7 @@ func SensitivityL(cfg Config) (*Result, error) {
 		PaperClaim: "synchronization overheads dilute algorithmic gains until n outgrows them",
 		Table:      tb,
 	}
-	n := 100 * workload.KB
+	n := 100 * KB
 	var s Series
 	s.Name = "Ts/Tf"
 	for _, L := range []float64{0, 2500, 25000, 250000, 2500000} {
@@ -139,7 +138,7 @@ func SuiteSummary(cfg Config) (*Result, error) {
 		{"ucf", model.UCFTestbed()},
 		{"figure1", model.Figure1Cluster()},
 	}
-	small, large := 100*workload.KB, 1000*workload.KB
+	small, large := 100*KB, 1000*KB
 	for _, m := range machines {
 		for _, v := range plan.CostVariants() {
 			bl := v.Cost(m.tr, large)
@@ -163,7 +162,7 @@ func Straggler(cfg Config) (*Result, error) {
 		PaperClaim: "c_{i,j} 'attempts to provide M_{i,j} with a problem size proportional to its abilities' (§3.3)",
 		Table:      tb,
 	}
-	n := 500 * workload.KB
+	n := 500 * KB
 	perturbed := model.UCFTestbedN(10)
 	victim := perturbed.RankedLeaves()[2] // a mid-fast machine
 	staleDist := cost.BalancedDist(perturbed, n)

@@ -18,10 +18,10 @@
 //
 // and the tree carries the single bandwidth indicator g. The paper folds
 // computational speed into the processor ranking produced by the
-// BYTEmark benchmark; this package keeps a separate compute slowdown per
-// machine so that the c_{i,j} estimation error observed in the paper's
-// Figure 3(b) (compute rank used as a proxy for communication ability)
-// can be reproduced faithfully.
+// BYTEmark benchmark; this package keeps a separate, declared compute
+// slowdown per machine, so that the c_{i,j} estimation error observed in
+// the paper's Figure 3(b) (compute rank used as a proxy for
+// communication ability) can be reproduced faithfully.
 package model
 
 import (
@@ -53,9 +53,10 @@ type Machine struct {
 	// fastest machine has CommSlowdown 1.
 	CommSlowdown float64
 
-	// CompSlowdown is the relative computational slowness (1 = fastest).
-	// The paper derives it from the BYTEmark ranking; package bytemark
-	// fills it in from measured indices.
+	// CompSlowdown is the relative computational slowness (1 = fastest),
+	// declared in place of the paper's BYTEmark ranking. Figure 3(b)'s
+	// shares estimate it under a seeded draw of estimation error, as the
+	// paper's BYTEmark ranking gives.
 	CompSlowdown float64
 
 	// EstComp is the measured effective compute slowdown of the machine,

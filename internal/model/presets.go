@@ -39,7 +39,7 @@ func Figure1Cluster() *Tree {
 // joined by 100 Mbit/s Ethernet, i.e. an HBSP^1 machine. The speed
 // profile is a plausible late-1990s SUN/SGI mix spanning roughly a 3x
 // range of compute ability (the paper reports BYTEmark-derived ranks but
-// not raw indices); communication slowdowns spread over a narrower range
+// not raw indices, so the speeds are declared); communication slowdowns spread over a narrower range
 // because all machines share the same Ethernet and differ only in
 // injection overhead. TestbedSize is the p of the paper's sweeps.
 func UCFTestbed() *Tree {
@@ -60,10 +60,11 @@ type testbedSpec struct {
 	comm, comp float64
 }
 
-// The compute spread (2.2x, from BYTEmark-style ranking) is much wider
-// than the communication spread (1.25x): all ten machines share the same
-// 100 Mbit/s Ethernet and differ on the wire only by packet-injection
-// overhead, while their CPUs span several workstation generations.
+// The compute spread (2.2x, declared in place of a BYTEmark ranking) is
+// much wider than the communication spread (1.25x): all ten machines
+// share the same 100 Mbit/s Ethernet and differ on the wire only by
+// packet-injection overhead, while their CPUs span several workstation
+// generations.
 func testbedSpecs() []testbedSpec {
 	return []testbedSpec{
 		{"sgi-o2-a", 1.00, 1.00},

@@ -243,8 +243,9 @@ func (t *Tree) SlowestLeaf() *Machine {
 }
 
 // RankedLeaves returns the processors ordered fastest-first by
-// effective compute slowdown (the BYTEmark ranking of §5.1, updated by
-// measured estimates after a reorganization). The result is memoized —
+// effective compute slowdown (the declared speeds standing in for §5.1's
+// BYTEmark ranking, updated by measured estimates after a
+// reorganization). The result is memoized —
 // callers must treat it as read-only — and invalidated whenever the
 // tree is re-indexed, normalized or reorganized.
 func (t *Tree) RankedLeaves() []*Machine {

@@ -1,9 +1,6 @@
 package hbspk
 
-import (
-	"hbspk/internal/bytemark"
-	"hbspk/internal/cost"
-)
+import "hbspk/internal/cost"
 
 // Analytic cost prediction (§3.4, §4). Times are in the model's units:
 // byte-send times of the fastest machine.
@@ -64,18 +61,3 @@ func PredictTotalExchange(t *Tree, d ByteDist) CostBreakdown {
 // TwoPhaseCrossoverSize returns the problem size above which the
 // two-phase broadcast beats the one-phase broadcast (§4.4), or +Inf.
 func TwoPhaseCrossoverSize(t *Tree) float64 { return cost.TwoPhaseCrossoverSize(t) }
-
-// BenchmarkIndex is one machine's BYTEmark-style composite score.
-type BenchmarkIndex = bytemark.Index
-
-// RankMachines simulates a BYTEmark-style measurement of the tree's
-// processors — each one's declared compute slowdown under seeded
-// per-kernel noise, as on the paper's non-dedicated cluster; no kernel
-// runs — and returns the indices fastest-first. The error is always nil.
-func RankMachines(t *Tree, seed int64) ([]BenchmarkIndex, error) {
-	return bytemark.Ranking(bytemark.DefaultSuite(seed).Measure(t)), nil
-}
-
-// ApplyMeasuredShares overwrites the tree's c_{i,j} from benchmark
-// indices, as the paper's balanced-workload experiments do.
-func ApplyMeasuredShares(t *Tree, ixs []BenchmarkIndex) { bytemark.ApplyShares(t, ixs) }
