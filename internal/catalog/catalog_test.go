@@ -33,9 +33,9 @@ func runPure(t *testing.T, e Entry, tr *model.Tree, a Args) *trace.Report {
 const rounding = 1e-9
 
 // checkJoin requires every step of one cell's join to pair, and each
-// paired step's W, H and L, the work after the last Sync and the total
-// to match the closed form's.
-func checkJoin(t *testing.T, cell string, j obsv.Joined) {
+// paired step's W, H and L to match the closed form's; and when timed, a
+// run on the model's clock, the work after the last Sync and the total.
+func checkJoin(t *testing.T, cell string, j obsv.Joined, timed bool) {
 	t.Helper()
 	near := func(a, b float64) bool {
 		return math.Abs(a-b) <= rounding*math.Max(math.Abs(a), math.Abs(b))
@@ -60,6 +60,9 @@ func checkJoin(t *testing.T, cell string, j obsv.Joined) {
 			}
 		}
 	}
+	if !timed {
+		return
+	}
 	// The run's tail is a difference of clock readings: it carries the
 	// rounding of the total it was taken from.
 	if math.Abs(j.Tail-j.PredTail) > rounding*j.Run {
@@ -76,7 +79,9 @@ func checkJoin(t *testing.T, cell string, j obsv.Joined) {
 // of the grid that entry's run on Virtual under the pure model equals
 // the row's closed form step by step (obsv.Join): every step pairs, and
 // each paired step's terms, the work after the last Sync and the total
-// match to float rounding. A flat rooted row's call is its
+// match to float rounding. The entry's run on an in-proc Concurrent
+// pairs the same way with the same terms; its clock is the wall's, so
+// its tail and total are not the model's. A flat rooted row's call is its
 // collective.RootedCalls form at the fastest leaf, so that form at any
 // root runs the row's program.
 func TestEveryRowRunsWhatItPrices(t *testing.T) {
@@ -117,7 +122,13 @@ func TestEveryRowRunsWhatItPrices(t *testing.T) {
 				for _, n := range testutil.GridSizes {
 					tr := tc.Build()
 					cell := fmt.Sprintf("%s/%d", tc.Name, n)
-					checkJoin(t, cell, obsv.Join(v.Cost(tr, n), runPure(t, e, tr, Args{N: n})))
+					bd := v.Cost(tr, n)
+					checkJoin(t, cell, obsv.Join(bd, runPure(t, e, tr, Args{N: n})), true)
+					rep, err := hbsp.NewConcurrent(tr).Run(e.Program(tr, Args{N: n}))
+					if err != nil {
+						t.Fatalf("%s on Concurrent: %v", cell, err)
+					}
+					checkJoin(t, cell+" concurrent", obsv.Join(bd, rep), false)
 				}
 			}
 		})

@@ -174,16 +174,22 @@ func BcastTwoPhaseFlat(t *model.Tree, rootPid int, d Dist) Breakdown {
 		}
 	}
 	b.Add(StepCost(t, t.Root, "super1 bcast scatter", phase1, nil))
-	var phase2 []Flow
+	b.Add(StepCost(t, t.Root, "super1 bcast allgather", allPairs(p, func(src, _ int) int { return d[src] }), nil))
+	return b
+}
+
+// allPairs is one flow of bytes(src, dst) from every processor to every
+// other.
+func allPairs(p int, bytes func(src, dst int) int) []Flow {
+	var flows []Flow
 	for src := 0; src < p; src++ {
 		for dst := 0; dst < p; dst++ {
 			if src != dst {
-				phase2 = append(phase2, Flow{Src: src, Dst: dst, Bytes: d[src]})
+				flows = append(flows, Flow{Src: src, Dst: dst, Bytes: bytes(src, dst)})
 			}
 		}
 	}
-	b.Add(StepCost(t, t.Root, "super1 bcast allgather", phase2, nil))
-	return b
+	return flows
 }
 
 // BcastHier is the hierarchical broadcast of §4.4 generalized to any k.
@@ -316,17 +322,8 @@ func ScatterHier(t *model.Tree, d Dist) Breakdown {
 // pieces pairwise in one superstep (the second phase of the two-phase
 // broadcast, with per-processor piece sizes from d).
 func AllGatherFlat(t *model.Tree, d Dist) Breakdown {
-	p := t.NProcs()
-	var flows []Flow
-	for src := 0; src < p; src++ {
-		for dst := 0; dst < p; dst++ {
-			if src != dst {
-				flows = append(flows, Flow{Src: src, Dst: dst, Bytes: d[src]})
-			}
-		}
-	}
 	b := Breakdown{G: t.G}
-	b.Add(StepCost(t, t.Root, "super1 allgather", flows, nil))
+	b.Add(StepCost(t, t.Root, "super1 allgather", allPairs(t.NProcs(), func(src, _ int) int { return d[src] }), nil))
 	return b
 }
 
@@ -461,17 +458,11 @@ func leftmost(m *model.Machine) bool {
 // segments of its own size: the tail, the slowest processor's fold.
 func ReduceScatterFlat(t *model.Tree, d Dist, opCost float64) Breakdown {
 	p := t.NProcs()
-	var flows []Flow
 	b := Breakdown{G: t.G}
 	for dst := 0; dst < p; dst++ {
-		for src := 0; src < p; src++ {
-			if src != dst {
-				flows = append(flows, Flow{Src: src, Dst: dst, Bytes: d[dst]})
-			}
-		}
 		b.Tail = max(b.Tail, opCost*float64(d[dst]*(p-1))*t.Leaf(dst).CompSlowdown)
 	}
-	b.Add(StepCost(t, t.Root, "super1 reduce-scatter", flows, nil))
+	b.Add(StepCost(t, t.Root, "super1 reduce-scatter", allPairs(p, func(_, dst int) int { return d[dst] }), nil))
 	return b
 }
 
@@ -480,16 +471,7 @@ func ReduceScatterFlat(t *model.Tree, d Dist, opCost float64) Breakdown {
 // d) in one superstep.
 func TotalExchangeFlat(t *model.Tree, d Dist) Breakdown {
 	p := t.NProcs()
-	var flows []Flow
-	for src := 0; src < p; src++ {
-		per := d[src] / p
-		for dst := 0; dst < p; dst++ {
-			if src != dst {
-				flows = append(flows, Flow{Src: src, Dst: dst, Bytes: per})
-			}
-		}
-	}
 	b := Breakdown{G: t.G}
-	b.Add(StepCost(t, t.Root, "super1 total-exchange", flows, nil))
+	b.Add(StepCost(t, t.Root, "super1 total-exchange", allPairs(p, func(src, _ int) int { return d[src] / p }), nil))
 	return b
 }

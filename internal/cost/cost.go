@@ -2,18 +2,19 @@
 // h-relations, super^i-step costs T_i(λ) = w_i + g·h + L_{i,j}, and
 // closed-form costs for the paper's collective communication algorithms.
 //
-// The h-relation accounting here is the single source of truth shared by
-// the analytic formulas and the simulation engine (package fabric), so
-// that "predicted" and "simulated" disagree only where the simulation is
-// configured to model effects the pure model omits (pack/unpack
-// overheads, noise).
+// The step terms here (Terms) are the single source of truth shared by
+// the analytic formulas and both engines, so that "predicted" and
+// "simulated" disagree only where the simulation is configured to model
+// effects the pure model omits (pack/unpack overheads, noise).
 package cost
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"hbspk/internal/model"
+	"hbspk/internal/trace"
 )
 
 // Flow is one message of a superstep: Bytes moved from the processor
@@ -127,18 +128,22 @@ func (b Breakdown) String() string {
 //   - if both endpoints of a flow fall inside the same child, the flow
 //     never crosses the scope's network, and both endpoints are charged
 //     at their own leaf slowdowns instead.
+//
+// key is the charged machine's slot in a tree of n leaves: a leaf charged
+// as itself at its pid, a child at n plus its first pid, the scope at 2n.
 type entity struct {
-	m *model.Machine // charged machine (nil = not charged at this scope)
-	r float64
+	m   *model.Machine // charged machine (nil = not charged at this scope)
+	r   float64
+	key int
 }
 
-// chargeEntities returns the charged entities for one flow.
-func chargeEntities(t *model.Tree, scope *model.Machine, f Flow) (src, dst entity) {
+// chargeEntities returns the charged entities for one flow; co is the
+// scope's coordinator.
+func chargeEntities(t *model.Tree, scope, co *model.Machine, f Flow) (src, dst entity) {
 	srcLeaf, dstLeaf := t.Leaf(f.Src), t.Leaf(f.Dst)
 	if srcLeaf == nil || dstLeaf == nil {
 		return entity{}, entity{}
 	}
-	co := scope.Coordinator()
 	childOf := func(leaf *model.Machine) *model.Machine {
 		for m := leaf; m != nil; m = m.Parent() {
 			if m.Parent() == scope {
@@ -156,16 +161,23 @@ func chargeEntities(t *model.Tree, scope *model.Machine, f Flow) (src, dst entit
 	}
 	if cs == cd {
 		// Intra-child traffic: charge at leaf granularity.
-		return entity{srcLeaf, srcLeaf.CommSlowdown}, entity{dstLeaf, dstLeaf.CommSlowdown}
+		return entity{srcLeaf, srcLeaf.CommSlowdown, f.Src}, entity{dstLeaf, dstLeaf.CommSlowdown, f.Dst}
 	}
+	n := t.NProcs()
 	ent := func(leaf, child *model.Machine) entity {
 		if leaf == co {
-			return entity{scope, co.CommSlowdown}
+			return entity{scope, co.CommSlowdown, 2 * n}
 		}
-		return entity{child, child.CommSlowdown}
+		return entity{child, child.CommSlowdown, n + child.Pids()[0]}
 	}
 	return ent(srcLeaf, cs), ent(dstLeaf, cd)
 }
+
+// tallies holds HRelationRated's scratch: per charged machine, at its
+// entity key, the bytes it sends and receives and its r.
+var tallies = sync.Pool{New: func() any { return new([]tallied) }}
+
+type tallied struct{ sent, recv, r float64 }
 
 // HRelation computes the heterogeneous h-relation of a super^i-step at
 // the given scope: h = max over charged machines of r_{i,j} · h_{i,j},
@@ -180,64 +192,77 @@ func HRelation(t *model.Tree, scope *model.Machine, flows []Flow) float64 {
 // contributes bytes·Factor(S, D) to S's sent tally — the sender pays for
 // a harder-to-reach destination — while D's receive tally counts raw
 // bytes (drained at D's own r as before). A nil table reduces to the
-// plain model.
+// plain model. It allocates nothing once its pooled tally fits the tree.
 func HRelationRated(t *model.Tree, scope *model.Machine, flows []Flow, rt *model.RateTable) float64 {
-	type tally struct{ sent, recv float64 }
-	byMachine := make(map[*model.Machine]*tally)
-	rOf := make(map[*model.Machine]float64)
-	get := func(e entity) *tally {
-		if e.m == nil {
-			return nil
-		}
-		tl, ok := byMachine[e.m]
-		if !ok {
-			tl = &tally{}
-			byMachine[e.m] = tl
-			rOf[e.m] = e.r
-		}
-		return tl
+	if len(flows) == 0 {
+		return 0
 	}
+	n := 2*t.NProcs() + 1
+	pooled := tallies.Get().(*[]tallied)
+	if len(*pooled) < n {
+		*pooled = make([]tallied, n)
+	}
+	at := (*pooled)[:n]
+	co := scope.Coordinator()
 	for _, f := range flows {
 		if f.Src == f.Dst || f.Bytes <= 0 {
 			continue // a processor does not send data to itself (§5.2)
 		}
-		src, dst := chargeEntities(t, scope, f)
-		if s := get(src); s != nil {
-			s.sent += float64(f.Bytes) * rt.Factor(src.m, dst.m)
+		src, dst := chargeEntities(t, scope, co, f)
+		if src.m != nil {
+			at[src.key].sent += float64(f.Bytes) * rt.Factor(src.m, dst.m)
+			at[src.key].r = src.r
 		}
-		if d := get(dst); d != nil {
-			d.recv += float64(f.Bytes)
+		if dst.m != nil {
+			at[dst.key].recv += float64(f.Bytes)
+			at[dst.key].r = dst.r
 		}
 	}
 	h := 0.0
-	for m, tl := range byMachine {
-		hm := tl.sent
-		if tl.recv > hm {
-			hm = tl.recv
+	for _, v := range at {
+		h = max(h, v.r*max(v.sent, v.recv))
+	}
+	clear(at)
+	tallies.Put(pooled)
+	return h
+}
+
+// Terms is the one rule a step is priced by, on both engines and in every
+// closed form: from its flows, work[pid] in fastest-machine units and the
+// §6 rates rt (nil: none), W with its gating pid (-1: none) and imbalance,
+// H, Comm = g·H, Sync = L, Flows and Bytes (self-sends and empty messages
+// excluded) and Time = W + g·H + L. It allocates nothing.
+func Terms(t *model.Tree, scope *model.Machine, flows []Flow, work []float64, rt *model.RateTable) trace.Step {
+	s := trace.Step{Sync: scope.SyncCost, GatingPid: -1}
+	sum, positive := 0.0, 0
+	for pid, w := range work {
+		if w > s.W {
+			s.W, s.GatingPid = w, pid
 		}
-		if v := rOf[m] * hm; v > h {
-			h = v
+		if w > 0 {
+			sum += w
+			positive++
 		}
 	}
-	return h
+	if positive > 0 && sum > 0 {
+		s.Imbalance = s.W / (sum / float64(positive))
+	}
+	for _, f := range flows {
+		if f.Src != f.Dst && f.Bytes > 0 {
+			s.Flows++
+			s.Bytes += f.Bytes
+		}
+	}
+	s.H = HRelationRated(t, scope, flows, rt)
+	s.Comm = t.G * s.H
+	s.Time = s.W + s.Comm + s.Sync
+	return s
 }
 
 // StepCost assembles a Step from raw ingredients: the scope, the flows
 // of the step, and per-participant local computation (already expressed
 // in fastest-machine time units). Sync cost is the scope's L.
 func StepCost(t *model.Tree, scope *model.Machine, label string, flows []Flow, works []float64) Step {
-	w := 0.0
-	for _, v := range works {
-		if v > w {
-			w = v
-		}
-	}
-	return Step{
-		Label: label,
-		Scope: scope,
-		Level: scope.Level,
-		Work:  w,
-		H:     HRelation(t, scope, flows),
-		Sync:  scope.SyncCost,
-	}
+	s := Terms(t, scope, flows, works, nil)
+	return Step{Label: label, Scope: scope, Level: scope.Level, Work: s.W, H: s.H, Sync: s.Sync}
 }

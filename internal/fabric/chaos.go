@@ -92,15 +92,6 @@ type Fate struct {
 	Delay int
 }
 
-// active reports whether the plan can inject anything at all.
-func (p *ChaosPlan) active() bool {
-	if p == nil {
-		return false
-	}
-	return len(p.Crashes) > 0 || len(p.Stragglers) > 0 || len(p.Churns) > 0 ||
-		p.Drop > 0 || p.Duplicate > 0 || p.Delay > 0
-}
-
 // JoinStep returns the number of completed global barriers after which
 // pid activates, or 0 when the processor is present from the start.
 func (p *ChaosPlan) JoinStep(pid int) int {

@@ -18,10 +18,10 @@ package fabric
 
 import (
 	"math/rand"
-	"sort"
 
 	"hbspk/internal/cost"
 	"hbspk/internal/model"
+	"hbspk/internal/trace"
 )
 
 // Config selects which effects the fabric models beyond the pure
@@ -91,6 +91,7 @@ type Fabric struct {
 	tree *model.Tree
 	cfg  Config
 	rng  *rand.Rand
+	over []float64 // StepCost's per-pid scratch
 }
 
 // New returns a fabric for the tree with the given configuration.
@@ -101,114 +102,69 @@ func New(t *model.Tree, cfg Config) *Fabric {
 // Config returns the fabric's configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// StepResult is the charged cost of one executed super^i-step.
-type StepResult struct {
-	// W is w_i including pack/unpack overheads; H the heterogeneous
-	// h-relation; Comm the charged communication time g·H; Sync is L.
-	W, H, Comm, Sync float64
-	// Time is the step's total T, after noise.
-	Time float64
-	// Flows and Bytes summarize the step's traffic.
-	Flows, Bytes int
-	// GatingPid is the processor whose local work (including pack and
-	// unpack overheads) set the step's w term, or -1 when no work was
-	// charged. Imbalance is that maximum divided by the mean positive
-	// work — 1 means perfectly balanced computation, large values mean
-	// one machine gated the superstep (§4.1's warning sign).
-	GatingPid int
-	Imbalance float64
+// StepCost charges one super^i-step — flows are the messages delivered
+// at its end, work[pid] each participant's computation in fastest-machine
+// units — as cost.Terms with what the pure model lacks: combining, pack,
+// unpack and per-message overheads added to the endpoints' work, rates,
+// and noise on Time.
+func (f *Fabric) StepCost(scope *model.Machine, flows []cost.Flow, work []float64) trace.Step {
+	if f.cfg.CombineMessages {
+		flows = combine(flows)
+	}
+	if f.cfg.PackByte > 0 || f.cfg.MsgOverhead > 0 || f.cfg.UnpackByte > 0 {
+		work = f.withOverheads(flows, work)
+	}
+	s := cost.Terms(f.tree, scope, flows, work, f.cfg.Rates)
+	if f.cfg.Noise > 0 {
+		s.Time *= 1 + f.cfg.Noise*f.rng.Float64()
+	}
+	return s
 }
 
-// StepCost charges one super^i-step: flows are the messages delivered at
-// the step's end; work[pid] is the local computation each participant
-// accrued, already expressed in fastest-machine time units. Flows whose
-// source equals their destination are free (§5.2: a processor does not
-// send data to itself).
-func (f *Fabric) StepCost(scope *model.Machine, flows []cost.Flow, work map[int]float64) StepResult {
-	res := StepResult{Sync: scope.SyncCost}
-
-	// Message combining: collapse same-(src,dst) flows before charging.
-	if f.cfg.CombineMessages {
-		type pair struct{ src, dst int }
-		merged := make(map[pair]int)
-		var order []pair
-		for _, fl := range flows {
-			if fl.Src == fl.Dst || fl.Bytes <= 0 {
-				continue
-			}
-			k := pair{fl.Src, fl.Dst}
-			if _, ok := merged[k]; !ok {
-				order = append(order, k)
-			}
-			merged[k] += fl.Bytes
-		}
-		combined := make([]cost.Flow, 0, len(order))
-		for _, k := range order {
-			combined = append(combined, cost.Flow{Src: k.src, Dst: k.dst, Bytes: merged[k]})
-		}
-		flows = combined
-	}
-
-	// Local work: caller-charged computation plus pack/unpack
-	// overheads per endpoint.
-	overhead := make(map[int]float64)
+// combine collapses same-(src, dst) flows into one, in first-seen order.
+func combine(flows []cost.Flow) []cost.Flow {
+	type pair struct{ src, dst int }
+	merged := make(map[pair]int)
+	var order []pair
 	for _, fl := range flows {
 		if fl.Src == fl.Dst || fl.Bytes <= 0 {
 			continue
 		}
-		res.Flows++
-		res.Bytes += fl.Bytes
-		if f.cfg.PackByte > 0 || f.cfg.MsgOverhead > 0 {
-			if src := f.tree.Leaf(fl.Src); src != nil {
-				overhead[fl.Src] += (f.cfg.PackByte*float64(fl.Bytes) + f.cfg.MsgOverhead) * src.CompSlowdown
-			}
+		k := pair{fl.Src, fl.Dst}
+		if _, ok := merged[k]; !ok {
+			order = append(order, k)
 		}
-		if f.cfg.UnpackByte > 0 {
-			if dst := f.tree.Leaf(fl.Dst); dst != nil {
-				overhead[fl.Dst] += f.cfg.UnpackByte * float64(fl.Bytes) * dst.CompSlowdown
-			}
+		merged[k] += fl.Bytes
+	}
+	combined := make([]cost.Flow, 0, len(order))
+	for _, k := range order {
+		combined = append(combined, cost.Flow{Src: k.src, Dst: k.dst, Bytes: merged[k]})
+	}
+	return combined
+}
+
+// withOverheads returns each pid's work plus its flows' pack, unpack and
+// per-message overheads, scaled by its compute slowdown.
+func (f *Fabric) withOverheads(flows []cost.Flow, work []float64) []float64 {
+	n := f.tree.NProcs()
+	if len(f.over) < n {
+		f.over = make([]float64, n)
+	}
+	over := f.over[:n]
+	clear(over)
+	for _, fl := range flows {
+		if fl.Src == fl.Dst || fl.Bytes <= 0 {
+			continue
+		}
+		if src := f.tree.Leaf(fl.Src); src != nil {
+			over[fl.Src] += (f.cfg.PackByte*float64(fl.Bytes) + f.cfg.MsgOverhead) * src.CompSlowdown
+		}
+		if dst := f.tree.Leaf(fl.Dst); dst != nil {
+			over[fl.Dst] += f.cfg.UnpackByte * float64(fl.Bytes) * dst.CompSlowdown
 		}
 	}
-	res.GatingPid = -1
-	perPid := make(map[int]float64, len(work)+len(overhead))
 	for pid, w := range work {
-		perPid[pid] = w + overhead[pid]
+		over[pid] += w
 	}
-	for pid, o := range overhead {
-		if _, counted := work[pid]; !counted {
-			perPid[pid] = o
-		}
-	}
-	pids := make([]int, 0, len(perPid))
-	for pid := range perPid {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	sum, positive := 0.0, 0
-	for _, pid := range pids {
-		total := perPid[pid]
-		if total > res.W {
-			res.W = total
-			res.GatingPid = pid
-		}
-		if total > 0 {
-			sum += total
-			positive++
-		}
-	}
-	if res.W == 0 {
-		res.GatingPid = -1
-	}
-	if positive > 0 && sum > 0 {
-		res.Imbalance = res.W / (sum / float64(positive))
-	}
-
-	res.H = cost.HRelationRated(f.tree, scope, flows, f.cfg.Rates)
-	res.Comm = f.tree.G * res.H
-
-	res.Time = res.W + res.Comm + res.Sync
-	if f.cfg.Noise > 0 {
-		res.Time *= 1 + f.cfg.Noise*f.rng.Float64()
-	}
-	return res
+	return over
 }

@@ -22,7 +22,7 @@ func TestPureModelMatchesEquationOne(t *testing.T) {
 	tr := pair(3, 7)
 	f := New(tr, PureModel())
 	res := f.StepCost(tr.Root, []cost.Flow{{Src: 1, Dst: 0, Bytes: 100}},
-		map[int]float64{0: 5, 1: 2})
+		[]float64{5, 2})
 	// T = w + g·h + L = 5 + 1·300 + 7.
 	if res.W != 5 || res.H != 300 || res.Comm != 300 || res.Sync != 7 || res.Time != 312 {
 		t.Errorf("got W=%v H=%v Comm=%v Sync=%v T=%v, want 5/300/300/7/312",
@@ -107,7 +107,7 @@ func TestNoiseOnlySlowsAndIsDeterministic(t *testing.T) {
 func TestWorkWithoutFlows(t *testing.T) {
 	tr := pair(2, 3)
 	f := New(tr, PureModel())
-	res := f.StepCost(tr.Root, nil, map[int]float64{0: 11, 1: 7})
+	res := f.StepCost(tr.Root, nil, []float64{11, 7})
 	if res.Time != 11+3 {
 		t.Errorf("T = %v, want 14", res.Time)
 	}
@@ -127,7 +127,8 @@ func TestPropertyPureModelEquation(t *testing.T) {
 				Src: rng.Intn(p), Dst: rng.Intn(p), Bytes: rng.Intn(5000),
 			})
 		}
-		work := map[int]float64{rng.Intn(p): rng.Float64() * 100}
+		work := make([]float64, p)
+		work[rng.Intn(p)] = rng.Float64() * 100
 		res := fb.StepCost(tr.Root, flows, work)
 		want := res.W + tr.G*cost.HRelation(tr, tr.Root, flows) + tr.Root.SyncCost
 		return math.Abs(res.Time-want) < 1e-9

@@ -425,25 +425,71 @@ func TestChaosCheckpointConcurrent(t *testing.T) {
 
 // Message fates hash the same identities in both engines, so a plan
 // with drops and duplicates (no delays — those count different clocks)
-// yields identical deliveries.
+// yields identical deliveries, and identical step terms: a dropped
+// message is charged once and a duplicate twice on both.
 func TestChaosEnginesAgreeOnMessageFates(t *testing.T) {
 	tr := model.UCFTestbedN(5)
 	sched := buildSchedule(99, 5, 3)
 	plan := &fabric.ChaosPlan{Seed: 9, Drop: 0.3, Duplicate: 0.25}
-	virt := runSchedule(t, tr, sched, func(prog Program) error {
-		_, err := RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
-		return err
+	virt, vrep := runSchedule(t, tr, sched, func(prog Program) (*trace.Report, error) {
+		return RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
 	})
-	conc := runSchedule(t, tr, sched, func(prog Program) error {
-		eng := NewConcurrent(tr)
-		eng.Chaos = plan
-		_, err := eng.Run(prog)
-		return err
-	})
+	eng := NewConcurrent(tr)
+	eng.Chaos = plan
+	conc, crep := runSchedule(t, tr, sched, eng.Run)
+	if err := sameTerms(vrep, crep); err != nil {
+		t.Errorf("step terms differ under identical chaos plan, virtual then concurrent: %v", err)
+	}
 	for pid := range virt {
 		if !bytes.Equal(virt[pid], conc[pid]) {
 			t.Errorf("p%d digests differ under identical chaos plan:\nvirtual:    %v\nconcurrent: %v",
 				pid, virt[pid], conc[pid])
+		}
+	}
+}
+
+// A crash burns a generation on every survivor (the notice) after some of
+// them deposited their share of the failed step; the steps after it
+// complete over the survivors, recorded by the coordinator or, when the
+// coordinator is the victim, by its successor, and carry the same terms
+// on both engines.
+func TestChaosEnginesAgreeOnTermsAcrossACrash(t *testing.T) {
+	tr := model.UCFTestbedN(5)
+	prog := func(c Ctx) error {
+		for r := 0; r < 4; r++ {
+			for dst := 0; dst < c.NProcs(); dst++ {
+				if dst != c.Pid() {
+					if err := c.Send(dst, r, make([]byte, 16*(c.Pid()+1))); err != nil {
+						return err
+					}
+				}
+			}
+			c.Charge(float64(10 * (c.Pid() + 1)))
+			err := SyncAll(c, fmt.Sprintf("round%d", r))
+			var pf *ErrPeerFailed
+			if errors.As(err, &pf) {
+				err = SyncAll(c, fmt.Sprintf("round%d again", r))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, victim := range []int{3, tr.Pid(tr.Root.Coordinator())} {
+		plan := &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: victim, AtStep: 1}}}
+		vrep, err := RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
+		if err != nil {
+			t.Fatalf("virtual, p%d crashing: %v", victim, err)
+		}
+		eng := NewConcurrent(tr)
+		eng.Chaos = plan
+		crep, err := eng.Run(prog)
+		if err != nil {
+			t.Fatalf("concurrent, p%d crashing: %v", victim, err)
+		}
+		if err := sameTerms(vrep, crep); err != nil {
+			t.Errorf("p%d crashing: virtual, then concurrent: %v", victim, err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hbspk/internal/cost"
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
 	"hbspk/internal/trace"
@@ -25,8 +26,10 @@ import (
 // The engine reports wall-clock step times, so its numbers are
 // machine-dependent and noisy; it exists to validate that programs are
 // correct concurrent code and deliver exactly the same data as the
-// virtual engine. Programs must be well-formed SPMD (every processor of
-// a scope syncs on it the same number of times); a malformed program is
+// virtual engine; its steps carry the model's terms, W, H and L, priced
+// by cost.Terms as Virtual's are. Programs must be well-formed SPMD
+// (every processor of a scope syncs on it the same number of times); a
+// malformed program is
 // converted from a silent deadlock into ErrDesync by an always-on
 // watchdog: every Sync registers a per-scope sync-generation waiter,
 // and when a waited scope can provably never complete — a member
@@ -116,10 +119,14 @@ type cctx struct {
 	// ord counts this processor's Sync calls across all scopes: the
 	// chaos plan's per-processor step ordinal.
 	ord int
-	// opsAcc accumulates Charge()d ops since the last Sync; the amount
-	// is captured at Sync entry and observed only if the barrier
-	// succeeds (proc.observe) — a failed sync drops its work.
-	opsAcc float64
+	// work accumulates Charge()d ops times the compute slowdown since the
+	// last Sync, as vctx does, captured at Sync entry and observed only if
+	// the barrier succeeds (proc.observe). posted are the flows the last
+	// flush sent, which enterSync deposits; works and flows are terms'.
+	work   float64
+	posted []cost.Flow
+	works  []float64
+	flows  []cost.Flow
 	// rootDone counts this processor's successful root-scope syncs: the
 	// engine-independent consistent-cut ordinal (a joiner starts at its
 	// activation cut), driving checkpoint cadence and cut windows.
@@ -148,6 +155,39 @@ type scopeSeq struct {
 	epoch    int
 	dead     []int
 	timedOut bool
+	dep      [2]deposit
+	kept     int
+}
+
+// deposit is a participant's work and posted flows for its step's
+// recorder, at sync generation gen-1 (zero: none). dep[kept] is the one
+// of the member's last completed barrier on the scope, which that step's
+// recorder may still read until it arrives at the scope's next barrier;
+// every later deposit goes in the other slot, however many generations
+// notices burn meanwhile, so slots are found by generation, never by its
+// parity (DESIGN.md §5.3).
+type deposit struct {
+	gen   atomic.Int64
+	work  float64
+	flows []cost.Flow
+}
+
+// put deposits work and *flows, which it swaps for the slot's old ones.
+func (sc *scopeSeq) put(gen int, work float64, flows *[]cost.Flow) {
+	d := &sc.dep[1-sc.kept]
+	d.work = work
+	d.flows, *flows = *flows, d.flows[:0]
+	d.gen.Store(int64(gen) + 1)
+}
+
+// deposited returns the deposit for generation gen, nil for none.
+func (sc *scopeSeq) deposited(gen int) *deposit {
+	for i := range sc.dep {
+		if sc.dep[i].gen.Load() == int64(gen)+1 {
+			return &sc.dep[i]
+		}
+	}
+	return nil
 }
 
 // barrierName builds the name a scopeSeq keeps.
@@ -170,6 +210,10 @@ type crun struct {
 	mu    sync.Mutex
 	sys   *pvm.System
 	steps stepLog
+	// ctxs holds each local processor's Ctx once it runs, proxies a
+	// stand-in for each remote one.
+	ctxs    []atomic.Pointer[cctx]
+	proxies []func(*pvm.Task) error
 	// scopeID numbers the tree's machines in preorder from 1 — the same in
 	// every process that runs this tree — and is read-only once Run has
 	// built it. Per-scope state below is indexed by it.
@@ -250,10 +294,11 @@ type syncWait struct {
 // view and returning the typed error, or (b) registers the barrier wait
 // and returns its live count and its optional detection deadline, with
 // the barrier named for the acknowledged dead members of the scope (see
-// scopeSeq). A crashing member holds the same lock while it marks itself
-// dead and collects parked waiters to cancel, so every survivor either
-// parks before the cancel or sees the dead set here.
-func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq) (count int, deadline time.Duration, notice error) {
+// scopeSeq), and deposits work and c's posted flows. A crashing member
+// holds the same lock while it marks itself dead and collects parked
+// waiters to cancel, so every survivor either parks before the cancel or
+// sees the dead set here.
+func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq, work float64) (count int, deadline time.Duration, notice error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -279,6 +324,7 @@ func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq) (count int, deadlin
 		sc.epoch, sc.dead = s.led.epoch, ackedDead
 	}
 	w.barrier = sc.bar.Name
+	sc.put(w.gen, work, &c.posted)
 	s.waiting[c.pid] = w
 	s.nwaiting++
 	s.arrived[c.pid][w.id] = w.gen
@@ -386,20 +432,6 @@ func (s *crun) deadUnwindingLocked() bool {
 		}
 	}
 	return false
-}
-
-func (s *crun) desyncErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.desync
-}
-
-// noteTimeout records that pid's detection deadline expired: the next one
-// doubles.
-func (s *crun) noteTimeout(pid int) {
-	s.mu.Lock()
-	s.detectCount[pid]++
-	s.mu.Unlock()
 }
 
 // watch polls the waiter registry until done closes. It declares a
@@ -550,7 +582,7 @@ func (c *cctx) Charge(ops float64) {
 	if ops <= 0 {
 		return
 	}
-	c.opsAcc += ops
+	c.work += ops * c.leaf.CompSlowdown
 	if c.eng.TimeUnit <= 0 {
 		return
 	}
@@ -590,8 +622,8 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	ord, gen := c.ord, sc.gen
 	c.ord++
 	sc.gen++
-	ops := c.opsAcc
-	c.opsAcc = 0
+	work := c.work
+	c.work = 0
 	// The views that elect the coordinator change only when a Sync consumes
 	// a notice, and that Sync fails: whoever records this step if it
 	// completes is known now.
@@ -613,7 +645,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	if err != nil {
 		return err
 	}
-	count, deadline, notice := c.shared.enterSync(c, w, sc)
+	count, deadline, notice := c.shared.enterSync(c, w, sc, work*c.opt.Chaos.Slowdown(c.pid, ord))
 	if notice != nil {
 		return notice
 	}
@@ -622,6 +654,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		c.shared.leaveSync(c.pid, wait)
 		return c.barrierErr(err, w, sc)
 	}
+	sc.kept = 1 - sc.kept
 	// All sends of this (scope, gen) happened before any barrier exit,
 	// so the mailbox now holds the complete delivery.
 	recv, err := c.drain(ord, tag, deposits)
@@ -629,7 +662,34 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		c.shared.leaveSync(c.pid, wait)
 		return err
 	}
-	return c.commit(w, ord, ops, records, start, wait, count, sent+recv)
+	var step trace.Step
+	if records {
+		step = c.terms(w)
+		step.Bytes = sent + recv // its own traffic, as hbsp.bytes_per_op reads it
+	}
+	return c.commit(w, ord, work > 0, records, start, wait, count, &step)
+}
+
+// terms prices the step the barrier just completed, for its recorder,
+// without the lock: cost.Terms over its participants' deposits. A step
+// with a member in another process, whose deposit never reaches here,
+// has no terms (GatingPid -1) rather than a partial sum.
+func (c *cctx) terms(w *syncWait) trace.Step {
+	clear(c.works)
+	c.flows = c.flows[:0]
+	for _, pid := range w.members {
+		if c.shared.proxies[pid] != nil {
+			return trace.Step{GatingPid: -1}
+		}
+		// A dormant member has no Ctx yet, a dead one no deposit.
+		if m := c.shared.ctxs[pid].Load(); m != nil {
+			if d := m.scopes[w.id].deposited(w.gen); d != nil {
+				c.works[pid] = d.work
+				c.flows = append(c.flows, d.flows...)
+			}
+		}
+	}
+	return cost.Terms(c.tree, w.key, c.flows, c.works, nil)
 }
 
 // sendScratch draws SendScratch's n bytes from the wire arena.
@@ -644,11 +704,13 @@ func (c *cctx) sendScratch(n int) []byte {
 // assigned at the first flush a message could take: dropped messages
 // vanish, duplicates go twice, delayed ones stay queued until the
 // sender's ordinal passes the hold. Messages to a dead destination are
-// dropped. It returns the payload bytes posted.
+// dropped. It lists what it posts in c.posted, and returns the payload
+// bytes sent.
 func (c *cctx) flush(scope *model.Machine, ord, tag int, now float64) (sent int, err error) {
 	// Kept messages slide to the front of the outbox in send order; the
 	// write index never passes the read index.
 	kept := c.outbox[:0]
+	c.posted = c.posted[:0]
 	hold, dead := c.shared.unreachable(c, scope)
 	for i := range c.outbox {
 		m := c.outbox[i]
@@ -664,10 +726,15 @@ func (c *cctx) flush(scope *model.Machine, ord, tag int, now float64) (sent int,
 			kept = append(kept, m)
 			continue
 		}
-		if m.drop || dead[m.dst] {
+		if dead[m.dst] {
 			continue
 		}
 		for n := m.copies(); n > 0; n-- {
+			// Dropped, it still used the wire, as Virtual charges it.
+			c.posted = append(c.posted, cost.Flow{Src: c.pid, Dst: m.dst, Bytes: len(m.payload)})
+			if m.drop {
+				continue
+			}
 			if c.batch == nil {
 				c.batch = make([]pvm.Batch, c.NProcs())
 				for pid := range c.batch {
@@ -759,7 +826,9 @@ func (c *cctx) barrierErr(err error, w *syncWait, sc *scopeSeq) error {
 		}
 	case errors.Is(err, pvm.ErrTimeout):
 		sc.timedOut = true
-		c.shared.noteTimeout(c.pid)
+		c.shared.mu.Lock()
+		c.shared.detectCount[c.pid]++ // the next deadline doubles
+		c.shared.mu.Unlock()
 		return fmt.Errorf("hbsp: detection deadline on %s#%d(%s): %w", w.scope, w.gen, w.label, err)
 	}
 	return c.haltErr(err)
@@ -807,13 +876,13 @@ func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err e
 // arena once the outbox is empty, the compute sample, the checkpoint at
 // the cut cadence, then — in the Sync's second and last visit to the
 // run-wide state — the end of the barrier wait, the reorg estimate, the
-// step record (when this processor records it) and the cut verdict; and
-// the cut window.
-func (c *cctx) commit(w *syncWait, ord int, ops float64, records bool, start, wait time.Duration, count, bytes int) error {
+// step record (when this processor records it: step holds its terms)
+// and the cut verdict; and the cut window.
+func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start, wait time.Duration, count int, step *trace.Step) error {
 	c.recycle()
 	end := c.clock(records || c.opt.Obsv != nil)
 	sample := 0.0
-	c.observe(ord, ord, ops > 0, micros(end), func(_ int, v float64) { sample = v })
+	c.observe(ord, ord, worked, micros(end), func(_ int, v float64) { sample = v })
 	root := w.key == c.tree.Root
 	if root {
 		c.rootDone++
@@ -824,17 +893,13 @@ func (c *cctx) commit(w *syncWait, ord int, ops float64, records bool, start, wa
 	s := c.shared
 	s.mu.Lock()
 	s.leaveLocked(c.pid, wait)
-	if ops > 0 {
+	if worked {
 		s.led.rer.Observe(c.pid, sample)
 	}
 	if records {
-		c.opt.record(&s.steps, w.key, w.label, 0, trace.Step{
-			Participants: count,
-			Time:         micros(end - start),
-			Bytes:        bytes,
-			Start:        micros(start),
-			End:          micros(end),
-		})
+		step.Participants = count
+		step.Time, step.Start, step.End = micros(end-start), micros(start), micros(end)
+		c.opt.record(&s.steps, w.key, w.label, step)
 	}
 	// Every participant of a global barrier computes the same cut verdict
 	// — its ordinal is shared, ReorgEvery is config, and the dormant set
@@ -899,7 +964,10 @@ func (c *cctx) alignGens(snap []int) {
 // the bare ErrHalted its Halt woke a barrier with.
 func (c *cctx) haltErr(err error) error {
 	if errors.Is(err, pvm.ErrHalted) {
-		if derr := c.shared.desyncErr(); derr != nil {
+		c.shared.mu.Lock()
+		derr := c.shared.desync
+		c.shared.mu.Unlock()
+		if derr != nil {
 			return derr
 		}
 	}
@@ -1009,17 +1077,9 @@ func (c *cctx) liveCoordinator(scope *model.Machine) *model.Machine {
 	if len(c.failedView) == 0 && len(c.membersView) == c.NProcs() {
 		return scope.Coordinator()
 	}
-	dead := make(map[int]bool, len(c.failedView))
-	for _, pid := range c.failedView {
-		dead[pid] = true
-	}
-	active := make(map[int]bool, len(c.membersView))
-	for _, pid := range c.membersView {
-		active[pid] = true
-	}
 	return scope.CoordinatorAmong(func(m *model.Machine) bool {
 		pid := c.tree.Pid(m)
-		return active[pid] && !dead[pid]
+		return slices.Contains(c.membersView, pid) && !slices.Contains(c.failedView, pid)
 	})
 }
 
@@ -1055,6 +1115,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 					proxies[pid] = pl.Proxy(pvm.TID(pid))
 					spans = spans || proxies[pid] != nil
 				}
+
 			}
 		}
 	}
@@ -1066,6 +1127,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	}
 	shared := &crun{
 		sys:         sys,
+		ctxs:        make([]atomic.Pointer[cctx], p),
 		scopeID:     make(map[*model.Machine]int),
 		started:     time.Now(),
 		nprocs:      p,
@@ -1074,6 +1136,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		arrived:     make([][]int, p),
 		led:         newLedger(e.tree, e.Chaos, e.Obsv, e.ReorgEvery, e.ReorgSeed),
 		detectCount: make([]int, p),
+		proxies:     proxies,
 		joinGens:    make(map[int][]int),
 		gates:       make(map[int]chan struct{}),
 	}
@@ -1143,6 +1206,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				task:   t,
 				tids:   tids,
 				scopes: make([]scopeSeq, nscopes),
+				works:  make([]float64, p),
 				shared: shared,
 			}
 			if gate != nil {
@@ -1163,6 +1227,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 			} else {
 				c.membersView = append([]int(nil), actives...)
 			}
+			shared.ctxs[pid].Store(c)
 			err := prog(c)
 			c.dropWindows()
 			if errors.Is(err, errCrashStop) || errors.Is(err, errLeave) {

@@ -11,6 +11,7 @@ import (
 
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
+	"hbspk/internal/trace"
 )
 
 // The two engines implement the same programming model; these property
@@ -43,23 +44,27 @@ func buildSchedule(seed int64, p, rounds int) [][][]schedItem {
 	return plan
 }
 
-// runSchedule executes the plan and returns a digest per processor: the
+// runSchedule executes the plan and returns a digest per processor — the
 // concatenation of (src, tag, payload-head) of every delivered message
-// in Moves order across rounds.
+// in Moves order across rounds — and the run's report. A processor
+// charges a round's bytes times its pid plus one as work.
 func runSchedule(t *testing.T, tr *model.Tree, plan [][][]schedItem,
-	run func(Program) error) [][]byte {
+	run func(Program) (*trace.Report, error)) ([][]byte, *trace.Report) {
 	t.Helper()
 	p := tr.NProcs()
 	digests := make([][]byte, p)
-	err := run(func(c Ctx) error {
+	rep, err := run(func(c Ctx) error {
 		var digest []byte
 		for r := range plan[c.Pid()] { //hbspk:ignore pidtaint (every pid's plan has the same round count by construction)
+			work := 0
 			for mi, item := range plan[c.Pid()][r] {
 				payload := bytes.Repeat([]byte{byte(c.Pid()*17 + r*3 + mi)}, item.size)
 				if err := c.Send(item.dst, item.tag, payload); err != nil {
 					return err
 				}
+				work += item.size
 			}
+			c.Charge(float64(work * (c.Pid() + 1)))
 			// On a multi-level tree the round has two steps: sibling
 			// clusters first, delivering what stays inside one, then the
 			// machine.
@@ -80,7 +85,26 @@ func runSchedule(t *testing.T, tr *model.Tree, plan [][][]schedItem,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return digests
+	return digests, rep
+}
+
+// sameTerms reports the first step whose model terms differ between a
+// Virtual and a Concurrent report of one program — participants, W, H,
+// Comm, Sync, Flows, gate and imbalance — or nil. Times differ by engine,
+// and so does Bytes: Concurrent's is its recorder's own traffic.
+func sameTerms(a, b *trace.Report) error {
+	if len(a.Steps) != len(b.Steps) {
+		return fmt.Errorf("%d steps, then %d", len(a.Steps), len(b.Steps))
+	}
+	for i := range a.Steps {
+		x, y := a.Steps[i], b.Steps[i]
+		x.Time, x.Start, x.End, x.Bytes = 0, 0, 0, 0
+		y.Time, y.Start, y.End, y.Bytes = 0, 0, 0, 0
+		if x != y {
+			return fmt.Errorf("step %d: %+v, then %+v", i, x, y)
+		}
+	}
+	return nil
 }
 
 func digestMoves(digest []byte, moves []Message) []byte {
@@ -96,18 +120,18 @@ func TestPropertyEnginesDeliverIdentically(t *testing.T) {
 		rounds := int(roundsRaw%4) + 1
 		tr := model.UCFTestbedN(p)
 		plan := buildSchedule(seed, p, rounds)
-		virt := runSchedule(t, tr, plan, func(prog Program) error {
-			_, err := RunVirtual(tr, fabric.PureModel(), prog)
-			return err
+		virt, vrep := runSchedule(t, tr, plan, func(prog Program) (*trace.Report, error) {
+			return RunVirtual(tr, fabric.PureModel(), prog)
 		})
-		conc := runSchedule(t, tr, plan, func(prog Program) error {
-			_, err := NewConcurrent(tr).Run(prog)
-			return err
-		})
+		conc, crep := runSchedule(t, tr, plan, NewConcurrent(tr).Run)
 		for pid := range virt {
 			if !bytes.Equal(virt[pid], conc[pid]) {
 				return false
 			}
+		}
+		if err := sameTerms(vrep, crep); err != nil {
+			t.Logf("seed %d, p %d: virtual, then concurrent: %v", seed, p, err)
+			return false
 		}
 		return true
 	}
@@ -284,13 +308,12 @@ func TestPropertyVirtualDeterministicOverSchedules(t *testing.T) {
 		// A run is its delivered data and its step record.
 		run := func() ([][]byte, []byte) {
 			var report bytes.Buffer
-			digests := runSchedule(t, tr, plan, func(prog Program) error {
-				rep, err := RunVirtual(tr, fabric.PVM(), prog)
-				if err == nil {
-					err = rep.WriteJSON(&report)
-				}
-				return err
+			digests, rep := runSchedule(t, tr, plan, func(prog Program) (*trace.Report, error) {
+				return RunVirtual(tr, fabric.PVM(), prog)
 			})
+			if err := rep.WriteJSON(&report); err != nil {
+				t.Fatal(err)
+			}
 			return digests, report.Bytes()
 		}
 		a, repA := run()

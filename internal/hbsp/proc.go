@@ -42,11 +42,10 @@ type coreOpts struct {
 
 	// Obsv, when non-nil, receives structured spans and metrics for the
 	// run: superstep spans, per-processor barrier waits, sampled message
-	// deliveries, and chaos injections. Virtual's spans carry the model's
-	// predicted T_i alongside the charged time, on the virtual clock;
-	// Concurrent's are recorded by each scope's live coordinator,
-	// measured only — the wall-clock engine makes no model prediction —
-	// in microseconds since the run started.
+	// deliveries, and chaos injections. A superstep span carries the
+	// model's T_i beside the step's time: charged, on Virtual's clock;
+	// measured by the scope's live coordinator, on Concurrent, in
+	// microseconds since the run started.
 	Obsv *obsv.Recorder
 
 	// Verify arms the happens-before checker (DESIGN.md §5.3): every
@@ -486,15 +485,14 @@ func (l *stepLog) flat() []trace.Step {
 }
 
 // record appends one completed superstep to the run's steps and emits
-// its span. The engine fills what it measured or charged (participants,
-// times, cost terms, traffic); the scope and index fields are filled
-// here. pred is the model's predicted T_i, zero when the engine makes
-// none.
-func (o *coreOpts) record(steps *stepLog, scope *model.Machine, label string, pred float64, s trace.Step) {
+// its span with the model's T_i(λ) = W + g·H + L for it. The engine fills
+// what it measured or charged (participants, times, cost terms, traffic);
+// the scope and index fields are filled here.
+func (o *coreOpts) record(steps *stepLog, scope *model.Machine, label string, s *trace.Step) {
 	s.Index, s.Label = steps.len(), label
 	s.ScopeLabel, s.ScopeName, s.Level = scope.Label(), scope.Name, scope.Level
-	steps.add(s)
-	o.Obsv.Superstep(s.Index, label, s.ScopeLabel, s.Level, s.Start, s.End, pred, int64(s.Bytes))
+	steps.add(*s)
+	o.Obsv.Superstep(s.Index, label, s.ScopeLabel, s.Level, s.Start, s.End, s.W+s.Comm+s.Sync, int64(s.Bytes))
 }
 
 // packMsg and unpackMsg are the engine message wire codec: the user tag,

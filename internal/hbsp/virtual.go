@@ -180,6 +180,7 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 		detectCount: make([]int, p),
 		stepSum:     make([]float64, p),
 		stepN:       make([]int, p),
+		works:       make([]float64, p),
 	}
 	for pid := range st.ctxs {
 		st.ctxs[pid] = &vctx{proc: newProc(pid, v.tree, &v.coreOpts), reqs: reqs, resume: make(chan error)}
@@ -243,6 +244,9 @@ type runState struct {
 	// the cost model's prediction base for its detection deadlines.
 	stepSum []float64
 	stepN   []int
+	// works (by pid) and flows are completeStep's scratch.
+	works []float64
+	flows []cost.Flow
 }
 
 // owe queues pid to resume from its Sync with err.
@@ -450,55 +454,57 @@ func (v *Virtual) release(st *runState) {
 }
 
 // completeStep charges and finishes one super^i-step over the scope's
-// live participants (pids, ascending): route the h-relation, cost it,
-// deliver it, checkpoint and cut at a global barrier, record, resume.
+// live participants (pids, ascending): route the h-relation, cost it (a
+// dropped message still used the wire, a duplicate twice), deliver it,
+// checkpoint and cut at a global barrier, record, resume.
 func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
 	ctxs := st.ctxs
 	stepIdx := st.steps.len()
 	start := 0.0
-	works := make(map[int]float64, len(pids))
 	label := ""
+	clear(st.works)
 	for _, pid := range pids {
 		r := st.pending[pid]
 		c := ctxs[pid]
 		start = max(start, c.clock)
-		works[pid] = r.work * c.observe(r.ord, stepIdx, r.work > 0, c.clock, st.led.rer.Observe)
+		st.works[pid] = r.work * c.observe(r.ord, stepIdx, r.work > 0, c.clock, st.led.rer.Observe)
 		if label == "" {
 			label = r.label
 		}
 		st.undelivered = append(st.undelivered, r.outbox...)
 	}
 	deliver := v.route(st, scope, stepIdx, start)
-	res, end := v.charge(st, scope, deliver, works, pids, start)
-	v.deliver(ctxs, pids, deliver, stepIdx, end)
+	st.flows = st.flows[:0]
+	for _, m := range deliver {
+		for n := m.copies(); n > 0; n-- {
+			st.flows = append(st.flows, cost.Flow{Src: m.src, Dst: m.dst, Bytes: len(m.payload)})
+		}
+	}
+	step := v.fab.StepCost(scope, st.flows, st.works)
+	step.Start, step.End = start, start+step.Time
+	v.Obsv.HRelation(step.H)
+	for _, pid := range pids {
+		st.stepSum[pid] += step.Time
+		st.stepN[pid]++
+		if v.Obsv != nil {
+			// The clock still holds the barrier-entry time; it advances
+			// to end only when the step resumes.
+			v.Obsv.BarrierWait(stepIdx, pid, scope.Label(), scope.Level, ctxs[pid].clock, step.End)
+		}
+	}
+	v.deliver(ctxs, pids, deliver, stepIdx, step.End)
 
 	var ckptCost map[int]float64
-	ckptMax := 0.0
 	if scope == v.tree.Root {
-		ckptCost, ckptMax = v.cut(st, pids, end)
+		ckptCost, step.Ckpt = v.cut(st, pids, step.End)
 	}
-
-	// Predicted T_i(λ) = w_i + g·h + L_{i,j} from the pure model; the
-	// measured span (end - start) additionally carries configured
-	// overheads, noise, and barrier-entry skew.
-	v.record(&st.steps, scope, label, res.W+v.tree.G*res.H+res.Sync, trace.Step{
-		Participants: len(pids),
-		W:            res.W,
-		H:            res.H,
-		Comm:         res.Comm,
-		Sync:         res.Sync,
-		Time:         res.Time,
-		Ckpt:         ckptMax,
-		Flows:        res.Flows,
-		Bytes:        res.Bytes,
-		GatingPid:    res.GatingPid,
-		Imbalance:    res.Imbalance,
-		Start:        start,
-		End:          end,
-	})
+	// The measured span (End - Start) carries, beyond the pure model's
+	// terms, configured overheads, noise, and barrier-entry skew.
+	step.Participants = len(pids)
+	v.record(&st.steps, scope, label, &step)
 
 	for _, pid := range pids {
-		ctxs[pid].clock = end + ckptCost[pid]
+		ctxs[pid].clock = step.End + ckptCost[pid]
 		st.pending[pid] = nil
 		st.owe(pid, nil)
 	}
@@ -528,32 +534,6 @@ func (v *Virtual) route(st *runState, scope *model.Machine, stepIdx int, now flo
 	}
 	st.undelivered = rest
 	return deliver
-}
-
-// charge costs the step on the fabric and reports the model's view of
-// it. Dropped messages still consumed bandwidth; duplicates consume it
-// twice.
-func (v *Virtual) charge(st *runState, scope *model.Machine, deliver []pendingMsg,
-	works map[int]float64, pids []int, start float64) (res fabric.StepResult, end float64) {
-	var flows []cost.Flow
-	for _, m := range deliver {
-		for n := m.copies(); n > 0; n-- {
-			flows = append(flows, cost.Flow{Src: m.src, Dst: m.dst, Bytes: len(m.payload)})
-		}
-	}
-	res = v.fab.StepCost(scope, flows, works)
-	end = start + res.Time
-	v.Obsv.HRelation(res.H)
-	for _, pid := range pids {
-		st.stepSum[pid] += res.Time
-		st.stepN[pid]++
-		if v.Obsv != nil {
-			// The clock still holds the barrier-entry time; it advances
-			// to end only when the step resumes.
-			v.Obsv.BarrierWait(st.steps.len(), pid, scope.Label(), scope.Level, st.ctxs[pid].clock, end)
-		}
-	}
-	return res, end
 }
 
 // deliver opens the barrier's edges and stages the step's messages into

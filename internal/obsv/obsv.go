@@ -16,9 +16,11 @@
 //
 // Time base: events carry the emitting engine's clock — virtual time
 // units for the Virtual engine, microseconds for the Concurrent engine
-// and the pvm substrate. Exporters pass the values through (Chrome
-// trace timestamps are nominally microseconds; for virtual-clock runs
-// the unit is "one fastest-machine time unit" instead).
+// and the pvm substrate — and a superstep's Pred is in model units on
+// both, so on Concurrent AttribTable's meas/pred reads µs per model
+// unit. Exporters pass the values through (Chrome trace timestamps are
+// nominally microseconds; for virtual-clock runs the unit is "one
+// fastest-machine time unit" instead).
 package obsv
 
 import (

@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"hbspk/internal/model"
 	"hbspk/internal/pvm"
 	"hbspk/internal/testutil"
+	"hbspk/internal/trace"
 )
 
 const testTimeout = 15 * time.Second
@@ -167,12 +169,14 @@ func diffTree() *model.Tree { return model.WideAreaGrid(2, 2, 3, 10, 100) }
 // runProcesses runs prog as one "process" per leaf of the tree — a hub
 // for pid 0, a dialed worker for every other — each with a System, a
 // tree and a Verify-armed Concurrent.Run of its own: everything an OS
-// process has but the address space. It returns each Run's error by pid.
-func runProcesses(t *testing.T, network string, tree func() *model.Tree, prog hbsp.Program) []error {
+// process has but the address space. It returns each Run's error and
+// report by pid.
+func runProcesses(t *testing.T, network string, tree func() *model.Tree, prog hbsp.Program) ([]error, []*trace.Report) {
 	t.Helper()
 	nprocs := tree().NProcs()
 	h := newHub(t, network, nprocs, 1)
 	errs := make([]error, nprocs)
+	reps := make([]*trace.Report, nprocs)
 	var wg sync.WaitGroup
 	for pid := range errs {
 		wg.Add(1)
@@ -186,25 +190,32 @@ func runProcesses(t *testing.T, network string, tree func() *model.Tree, prog hb
 				}
 				return DialWorker(network, h.Addr(), pid, nprocs, 1, testTimeout)
 			}
-			_, errs[pid] = eng.Run(prog)
+			reps[pid], errs[pid] = eng.Run(prog)
 		}(pid)
 	}
 	wg.Wait()
-	return errs
+	return errs, reps
 }
 
 // TestHubWorkerSPMD is the multi-process differential test: a hub and
 // three workers (runProcesses) must give every pid the deliveries, in the
 // order, and the fold that the same program gives it on one in-proc
 // Concurrent, with Verify's happens-before checker armed across the links.
+// Every scope of the run has a member in another process, whose work and
+// flows no process sees: every step a process records carries no terms,
+// where the in-proc reference's carry the model's.
 func TestHubWorkerSPMD(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const seed, nprocs = 20260118, 4
 	want := make([]pidTrace, nprocs)
 	ref := hbsp.NewConcurrent(diffTree())
 	ref.Verify = true
-	if _, err := ref.Run(diffProg(seed, want)); err != nil {
+	refRep, err := ref.Run(diffProg(seed, want))
+	if err != nil {
 		t.Fatalf("in-proc reference: %v", err)
+	}
+	if !slices.ContainsFunc(refRep.Steps, func(s trace.Step) bool { return s.H > 0 && s.Flows > 0 && s.Sync > 0 }) {
+		t.Errorf("no step of the in-proc reference has terms: %+v", refRep.Steps)
 	}
 	for pid, tr := range want {
 		if wantCount := (2*nprocs*len(diffSizes) + 2); tr.Count != wantCount || len(tr.Fold) != 2 {
@@ -216,9 +227,18 @@ func TestHubWorkerSPMD(t *testing.T) {
 		t.Run(network, func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			got := make([]pidTrace, nprocs)
-			for pid, err := range runProcesses(t, network, diffTree, diffProg(seed, got)) {
+			errs, reps := runProcesses(t, network, diffTree, diffProg(seed, got))
+			for pid, err := range errs {
 				if err != nil {
 					t.Errorf("process of p%d: %v", pid, err)
+					continue
+				}
+				for _, s := range reps[pid].Steps {
+					if s.W != 0 || s.H != 0 || s.Comm != 0 || s.Sync != 0 || s.Flows != 0 ||
+						s.GatingPid != -1 || s.Imbalance != 0 {
+						t.Errorf("process of p%d: step %d (%s on %s) spans processes but has terms: %+v",
+							pid, s.Index, s.Label, s.ScopeLabel, s)
+					}
 				}
 			}
 			for pid := range want {
@@ -241,7 +261,7 @@ func TestFailedProgramFailsEveryProcess(t *testing.T) {
 		t.Run(fmt.Sprintf("p%d", failing), func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			start := time.Now()
-			errs := runProcesses(t, "unix", func() *model.Tree { return model.Homogeneous(3, 0) }, func(c hbsp.Ctx) error {
+			errs, _ := runProcesses(t, "unix", func() *model.Tree { return model.Homogeneous(3, 0) }, func(c hbsp.Ctx) error {
 				if err := hbsp.SyncAll(c, "one"); err != nil {
 					return err
 				}
