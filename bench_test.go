@@ -116,18 +116,6 @@ func BenchmarkHierarchyPenalty(b *testing.B) {
 	b.ReportMetric(lastOf(b, res, "figure1"), "penalty_1MB")
 }
 
-func BenchmarkModelValidation(b *testing.B) {
-	var res *experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.ValidateModel(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Series[0].Points[0].Y, "worst_rel_err")
-}
-
 func BenchmarkCalibrate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Calibrate(benchConfig()); err != nil {

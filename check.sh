@@ -138,8 +138,9 @@ timed 30 "churn+reorg soak" go test -race -count=1 -run 'ChurnReorgSoak' ./inter
 # (TestEveryRowRunsWhatItPrices) — then, from one build, an hbspk-sim
 # run that dispatches through the planner and prints its decision
 # table, on the flat testbed and on the grid, and every priced entry
-# (the ones hbspk-predict takes) on the grid, whose closed-form
-# attribution must total 1.000.
+# (the ones hbspk-predict takes) on the flat testbed, the Figure 1
+# cluster and the grid at 400 KB, whose closed-form attribution must
+# total 1.000.
 planner_checks() {
 	go test -count=1 -run 'PlannerPicksBestFixed|PlannedDispatchWithinDirect|PlannedPicksAgreeAcrossEngines|EveryRowRunsWhatItPrices' ./internal/plan ./internal/catalog
 	bin=$(mktemp -d)
@@ -147,14 +148,16 @@ planner_checks() {
 	for machine in ucf grid; do
 		"$bin/hbspk-sim" -machine "$machine" -collective auto -n 200000 -rounds 4 -pure
 	done
-	for coll in $("$bin/hbspk-predict" -h 2>&1 | sed -n '/-collective/{n;s/ (default.*//;s/,//g;p;}'); do
-		total=$("$bin/hbspk-sim" -machine grid -collective "$coll" -pure -attrib |
-			sed -n '/closed-form/,$p' | awk '$1 == "total" { print $NF }')
-		[ "$total" = 1.000 ] || {
-			echo "planner gates: grid $coll's closed-form total reads '$total', want 1.000" >&2
-			rm -rf "$bin"
-			return 1
-		}
+	for machine in ucf figure1 grid; do
+		for coll in $("$bin/hbspk-predict" -h 2>&1 | sed -n '/-collective/{n;s/ (default.*//;s/,//g;p;}'); do
+			total=$("$bin/hbspk-sim" -machine "$machine" -collective "$coll" -pure -attrib |
+				sed -n '/closed-form/,$p' | awk '$1 == "total" { print $NF }')
+			[ "$total" = 1.000 ] || {
+				echo "planner gates: $machine $coll's closed-form total reads '$total', want 1.000" >&2
+				rm -rf "$bin"
+				return 1
+			}
+		done
 	done
 	rm -rf "$bin"
 }

@@ -4,10 +4,7 @@
 // Usage:
 //
 //	hbspk-bench                 # run every experiment, print tables
-//	hbspk-bench -fig 3a         # one experiment (table1, 3a, 3b, 4a,
-//	                            # 4b, xphase, penalty, validate,
-//	                            # calibrate, sens-rs, sens-l, suite,
-//	                            # straggler, blindness, kscale)
+//	hbspk-bench -fig 3a         # one experiment (-h lists the ids)
 //	hbspk-bench -csv            # CSV instead of aligned tables
 //	hbspk-bench -noise 0.15     # non-dedicated-cluster noise
 package main
@@ -44,7 +41,11 @@ func fail(code int, context string, err error) {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "experiment id (all, table1, 3a, 3b, 4a, 4b, xphase, penalty, validate, calibrate, sens-rs, sens-l, suite, straggler, blindness, kscale)")
+	var all []string
+	for _, r := range experiments.All() {
+		all = append(all, r.ID)
+	}
+	fig := flag.String("fig", "all", "experiment id: all, "+strings.Join(all, ", ")+" (3a for fig3a, and so on)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	plot := flag.Bool("plot", false, "also render each figure's series as an ASCII chart")
 	out := flag.String("out", "", "also write each experiment's CSV into this directory")
@@ -64,17 +65,13 @@ func main() {
 		cfg.Fabric.Seed = *seed
 	}
 
-	ids := []string{}
-	if *fig == "all" {
-		for _, r := range experiments.All() {
-			ids = append(ids, r.ID)
-		}
-	} else {
+	ids := all
+	if *fig != "all" {
 		id := *fig
 		if !strings.HasPrefix(id, "fig") && (strings.HasPrefix(id, "3") || strings.HasPrefix(id, "4")) {
 			id = "fig" + id
 		}
-		ids = append(ids, id)
+		ids = []string{id}
 	}
 
 	for _, id := range ids {

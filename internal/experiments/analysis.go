@@ -8,7 +8,6 @@ import (
 	"hbspk/internal/cost"
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
-	"hbspk/internal/plan"
 	"hbspk/internal/stats"
 	"hbspk/internal/trace"
 )
@@ -146,58 +145,6 @@ func HierarchyPenalty(cfg Config) (*Result, error) {
 		}
 		res.Series = append(res.Series, series)
 	}
-	return res, nil
-}
-
-// ValidateModel checks the paper's predictability claim: with the pure
-// cost model (no PVM overheads), the virtual engine's total equals the
-// closed form for every cost-table row, each run as its catalogue entry,
-// on the flat testbed, the Figure 1 cluster and the wide-area grid.
-func ValidateModel(cfg Config) (*Result, error) {
-	tb := trace.NewTable("predicted vs simulated (pure model)",
-		"machine", "collective", "predicted", "simulated", "rel err")
-	res := &Result{
-		ID:         "validate",
-		Title:      "Model validation",
-		PaperClaim: "HBSP attempts to provide predictable algorithmic performance (§2)",
-		Table:      tb,
-	}
-	a := catalog.Args{N: 400 * KB}
-	type check struct {
-		machine string
-		entry   catalog.Entry
-		row     plan.CostVariant
-	}
-	var checks []check
-	for _, machine := range []string{"ucf", "figure1", "grid"} {
-		for _, e := range catalog.Entries() {
-			if row, ok := e.Row(); ok {
-				checks = append(checks, check{machine, e, row})
-			}
-		}
-	}
-	preds := make([]float64, len(checks))
-	sims := make([]float64, len(checks))
-	err := forEachPoint(len(checks), func(i int) error {
-		c := checks[i]
-		tr, err := model.LoadMachine(c.machine)
-		if err != nil {
-			return err
-		}
-		preds[i] = c.row.Predict(tr, a.N)
-		sims[i], err = measure(tr, fabric.PureModel(), c.entry.Program(tr, a))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	worst := 0.0
-	for i, c := range checks {
-		re := stats.RelErr(sims[i], preds[i])
-		worst = max(worst, re)
-		tb.AddF(c.machine, c.entry.Name, preds[i], sims[i], re)
-	}
-	res.Series = []Series{{Name: "worst-rel-err", Points: []Point{{X: 0, Y: worst}}}}
 	return res, nil
 }
 

@@ -180,19 +180,6 @@ func TestHierarchyPenaltyShrinks(t *testing.T) {
 	}
 }
 
-func TestValidateModelExact(t *testing.T) {
-	res, err := ValidateModel(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := res.Series[0].Points[0].Y
-	// Every row prices the run that happens: the totals match to float
-	// rounding.
-	if worst > 1e-9 {
-		t.Errorf("worst relative error %v, want ≤ 1e-9:\n%s", worst, res.Table)
-	}
-}
-
 func TestCalibrateRecoversParameters(t *testing.T) {
 	res, err := Calibrate(Quick())
 	if err != nil {

@@ -55,19 +55,33 @@ func TestGoldenFigures(t *testing.T) {
 // byte for byte with the CSV committed under results/: a change to the
 // shares draw, the presets, the problem sizes or the cost accounting
 // that moves a published number fails here, not only in a reader's diff.
+// A CSV under results/ that no experiment writes fails too, so a deleted
+// experiment cannot leave its numbers behind.
 func TestCommittedFiguresCurrent(t *testing.T) {
+	dir := filepath.Join("..", "..", "results")
+	written := map[string]bool{}
 	for _, r := range All() {
 		res, err := r.Run(Default())
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
-		want, err := os.ReadFile(filepath.Join("..", "..", "results", res.ID+".csv"))
+		written[res.ID+".csv"] = true
+		want, err := os.ReadFile(filepath.Join(dir, res.ID+".csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Table.CSV(); got != string(want) {
 			t.Errorf("%s differs from results/%s.csv (regenerate with hbspk-bench -out results).\n--- got ---\n%s--- want ---\n%s",
 				r.ID, res.ID, got, want)
+		}
+	}
+	committed, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		if name := filepath.Base(path); !written[name] {
+			t.Errorf("results/%s is written by no experiment in All(); delete it", name)
 		}
 	}
 }

@@ -5,7 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"hbspk/internal/collective"
+	"hbspk/internal/cost"
+	"hbspk/internal/fabric"
+	"hbspk/internal/hbsp"
 	"hbspk/internal/plan"
+	"hbspk/internal/stats"
 )
 
 func TestSensitivityRSRegimes(t *testing.T) {
@@ -102,21 +107,45 @@ func TestNewRunnersRegistered(t *testing.T) {
 	}
 }
 
+// TestBSPBlindness holds the experiment's claim and its premise: BSP
+// misprices the heterogeneous machine, and each HBSP^k price is what its
+// program runs in on Virtual under the pure model, to 1e-9.
 func TestBSPBlindness(t *testing.T) {
 	res, err := BSPBlindness(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	worstBSP := byName(t, res, "worst-bsp-err").Points[0].Y
-	worstHBSP := byName(t, res, "worst-hbsp-err").Points[0].Y
-	if worstHBSP > 0.01 {
-		t.Errorf("HBSP^k prediction error %v, want ≈0 (the model is exact here)", worstHBSP)
+	if worst := byName(t, res, "worst-bsp-err").Points[0].Y; worst < 0.05 {
+		t.Errorf("BSP prediction error %v suspiciously small on a heterogeneous machine", worst)
 	}
-	if worstBSP < 0.05 {
-		t.Errorf("BSP prediction error %v suspiciously small on a heterogeneous machine", worstBSP)
+	tr, rows := blindnessRows()
+	root := tr.Pid(tr.FastestLeaf())
+	dEq := cost.EqualDist(tr, blindnessN)
+	progs := map[string]hbsp.Program{
+		"gather":         gather(dEq, root),
+		"bcast-1phase":   bcastOnePhase(root, blindnessN),
+		"bcast-2phase":   bcastTwoPhase(root, blindnessN),
+		"bcast-binomial": bcastBinomial(root, blindnessN),
+		"allgather": func(c hbsp.Ctx) error {
+			_, err := collective.AllGather(c, c.Tree().Root, make([]byte, dEq[c.Pid()]))
+			return err
+		},
 	}
-	if worstBSP <= worstHBSP {
-		t.Errorf("BSP error %v should exceed HBSP error %v", worstBSP, worstHBSP)
+	if len(progs) != len(rows) {
+		t.Fatalf("%d programs for %d rows", len(progs), len(rows))
+	}
+	for _, row := range rows {
+		prog, ok := progs[row.name]
+		if !ok {
+			t.Fatalf("no program for row %q", row.name)
+		}
+		got, err := measure(tr, fabric.PureModel(), prog)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if e := stats.RelErr(got, row.hbsp); e > 1e-9 {
+			t.Errorf("%s: run took %v, HBSP^k predicts %v (rel err %v)", row.name, got, row.hbsp, e)
+		}
 	}
 }
 

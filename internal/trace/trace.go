@@ -46,7 +46,9 @@ type Step struct {
 type Report struct {
 	// Steps in execution order.
 	Steps []Step
-	// Total is the finishing virtual time: the maximum leaf clock.
+	// Total is when the run finished, on the engine's clock: on
+	// Virtual the maximum leaf clock in model units, on Concurrent the
+	// wall-clock microseconds since the run started.
 	Total float64
 }
 
@@ -85,7 +87,7 @@ func (r *Report) String() string {
 			gate,
 		)
 	}
-	return tb.String() + fmt.Sprintf("total virtual time: %.6g\n", r.Total)
+	return tb.String() + fmt.Sprintf("total: %.6g\n", r.Total)
 }
 
 // Table is a titled grid with aligned ASCII and CSV renderings, used for

@@ -32,7 +32,7 @@ func TestReportAggregates(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	s := sample().String()
-	for _, want := range []string{"gather", "M_{2,0}", "total virtual time: 665"} {
+	for _, want := range []string{"gather", "M_{2,0}", "total: 665"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report rendering missing %q:\n%s", want, s)
 		}
