@@ -42,10 +42,9 @@ race:
 	$(GO) test -race ./...
 
 # chaos reruns the seeded fault-injection suite by name — fabric fates,
-# engine crash/shrink/checkpoint paths, and the fault-tolerant
-# collective matrix — under the race detector. Already part of `race`;
-# rerun by name so a chaos regression is unmistakable in CI. check.sh
-# invokes this target.
+# engine crash/shrink paths, and the fault-tolerant collective matrix —
+# under the race detector. Already part of `race`; rerun by name so a
+# chaos regression is unmistakable in CI. check.sh invokes this target.
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/fabric/ ./internal/hbsp/ ./internal/collective/
 

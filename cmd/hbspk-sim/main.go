@@ -162,7 +162,7 @@ func main() {
 	delay := flag.Float64("delay", 0, "chaos: fraction of messages delayed")
 	delaySteps := flag.Int("delay-steps", 1, "chaos: supersteps a delayed message is held")
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: fate seed")
-	detect := flag.Float64("detect-factor", 0, "failure-detection deadline factor (0 = default)")
+	detect := flag.Float64("detect-factor", 0, "scales the failure-detection deadline charged to each survivor on the virtual clock: this factor × the predicted step cost (0 = 3)")
 	verify := flag.Bool("verify", false, "arm the happens-before determinism checker (vector clocks, zero modeled cost)")
 	explore := flag.Int("explore", 0, "replay under N seeded delivery-order permutations and diff final states (0 = off)")
 	exploreSeed := flag.Int64("explore-seed", 1, "delivery-order permutation seed for -explore")

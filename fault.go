@@ -34,16 +34,15 @@ type (
 	// activated at the last membership cut. Detect it with errors.As,
 	// refresh Ctx.Members, and retry the Sync.
 	ErrPeerJoined = hbsp.ErrPeerJoined
-	// CheckpointStore holds committed superstep checkpoints; share one
-	// store between a crashed run and its recovery run.
-	CheckpointStore = hbsp.CheckpointStore
 	// FT is a session of fault-tolerant collectives over one scope.
 	FT = collective.FT
 )
 
 var (
-	// ErrTimeout is the failure-detection deadline verdict: a peer's
-	// fate is unknown, unlike the definite ErrPeerFailed.
+	// ErrTimeout reports a deadline that expired with a peer's fate
+	// unknown, unlike the definite ErrPeerFailed: an FT collective's
+	// member lost every copy of its coordinator's verdict, or a wire
+	// transport's acknowledgment did not come within its AckTimeout.
 	ErrTimeout = hbsp.ErrTimeout
 	// ErrLost reports that a fault-tolerant operation's data died with
 	// its holders (e.g. a broadcast source crashed before any survivor
@@ -117,9 +116,6 @@ func RunConcurrentElastic(t *Tree, cfg ElasticConfig, prog Program) (*Report, er
 	eng.ReorgSeed = cfg.ReorgSeed
 	return eng.Run(prog)
 }
-
-// NewCheckpointStore returns an empty checkpoint store.
-func NewCheckpointStore() *CheckpointStore { return hbsp.NewCheckpointStore() }
 
 // NewFT opens a fault-tolerant collective session over the scope: its
 // Gather, Bcast, Reduce and AllReduce survive member crashes by

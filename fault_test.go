@@ -128,7 +128,4 @@ func TestRunChaosVictimSeesCrashStop(t *testing.T) {
 	if got := victim.Load(); got != 2 {
 		t.Fatalf("victim observed its crash-stop %d times, want once per engine", got)
 	}
-	if NewCheckpointStore() == nil {
-		t.Fatal("NewCheckpointStore returned nil")
-	}
 }

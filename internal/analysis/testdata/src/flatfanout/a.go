@@ -1,8 +1,7 @@
-// Package flatfanout is commgraph's second golden fixture: a
-// self-contained replica of the HBSPlib Ctx surface with one seeded
-// flat fan-out in a program body, the shapes that resemble it and are
-// clean, and a helper whose exported superstep graph
-// TestCommGraphExport pins.
+// Package flatfanout is commgraph's second golden fixture, which
+// TestFlatFanoutGolden runs: a self-contained replica of the HBSPlib Ctx
+// surface with one seeded flat fan-out in a program body, and the
+// shapes that resemble it and are clean.
 package flatfanout
 
 type Machine struct{}
@@ -88,7 +87,7 @@ func flatInsideLibrary(c Ctx, data []byte) error {
 	return c.Sync(nil, "lib")
 }
 
-// --- export subject (no diagnostics; pinned by TestCommGraphExport) ---
+// --- a clean exchange (no diagnostics) ---
 
 // exchangeRounds has two superstep segments: one closed by a
 // collective, one by a plain scoped sync after two folded sends.

@@ -3,10 +3,7 @@
 // dropped errors.
 package uncheckedrun
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 type Machine struct{}
 
@@ -71,16 +68,13 @@ func (t *Task) SendBatch(dst TID, tag int, bufs []*Buffer) error { return nil }
 func (t *Task) SendBatches(tag int, batches []Batch) error       { return nil }
 func (t *Task) Flush() error                                     { return nil }
 func (t *Task) Barrier(name string, count int) error             { return nil }
-func (t *Task) BarrierTimeout(name string, count int, d time.Duration) error {
-	return nil
-}
-func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
+func (t *Task) BarrierExchange(name string, count int, deposit []byte) (map[TID][]byte, error) {
 	return nil, nil
 }
 
 type BarrierRef struct{ Name string }
 
-func (t *Task) Arrive(r *BarrierRef, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
+func (t *Task) Arrive(r *BarrierRef, count int, deposit []byte) (map[TID][]byte, error) {
 	return nil, nil
 }
 
@@ -138,16 +132,12 @@ func dropFlush(t *Task) {
 	defer t.Flush() // want `error result of Flush is dropped`
 }
 
-func dropBarrierTimeout(t *Task) {
-	t.BarrierTimeout("b", 4, time.Second) // want `error result of BarrierTimeout is dropped`
-}
-
 func dropBarrierExchange(t *Task, clock []byte) {
-	t.BarrierExchange("b", 4, 0, clock) // want `error result of BarrierExchange is dropped`
+	t.BarrierExchange("b", 4, clock) // want `error result of BarrierExchange is dropped`
 }
 
 func dropArrive(t *Task, r *BarrierRef) {
-	t.Arrive(r, 4, 0, nil) // want `error result of Arrive is dropped`
+	t.Arrive(r, 4, nil) // want `error result of Arrive is dropped`
 }
 
 func dropChaosRun(t *Tree, plan *ChaosPlan, prog Program) {

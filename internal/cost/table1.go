@@ -18,7 +18,7 @@ type Param struct {
 
 // Table1 returns the paper's notation table, with each row able to
 // report its concrete value for a given machine. Regenerated by
-// `hbspk-predict -describe` and checked by TestTable1Notation.
+// `hbspk-predict -describe` and checked by TestTable1RendersAllSymbols.
 func Table1() []Param {
 	return []Param{
 		{"M_{i,j}", "a machine's identity, where 0 <= i <= k, 0 <= j < m_i", nil},

@@ -6,6 +6,7 @@ import (
 
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
+	"hbspk/internal/stats"
 )
 
 // last returns the series' final Y value (largest problem size).
@@ -185,16 +186,20 @@ func TestCalibrateRecoversParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row order: g, L, R².
 	out := res.Table.String()
 	if !strings.Contains(out, "g") || !strings.Contains(out, "L_{1,0}") {
 		t.Fatalf("table malformed:\n%s", out)
 	}
-	for _, row := range res.Table.Rows[:2] {
-		relErr := row[3]
-		if !(strings.HasPrefix(relErr, "0") || strings.HasPrefix(relErr, "1e-") ||
-			strings.HasPrefix(relErr, "2e-") || strings.Contains(relErr, "e-")) {
-			t.Errorf("parameter %s rel err = %s, want tiny", row[0], relErr)
+	fit, tr := byName(t, res, "fit").Points, model.UCFTestbed()
+	if len(fit) != 1 {
+		t.Fatalf("fit series has %d points, want the one (L̂, ĝ)", len(fit))
+	}
+	for _, p := range []struct {
+		name      string
+		got, want float64
+	}{{"L_{1,0}", fit[0].X, tr.Root.SyncCost}, {"g", fit[0].Y, tr.G}} {
+		if e := stats.RelErr(p.got, p.want); !(e <= 1e-9) {
+			t.Errorf("fitted %s = %v, want %v: relative error %.3g above 1e-9", p.name, p.got, p.want, e)
 		}
 	}
 }

@@ -49,12 +49,6 @@ type Config struct {
 	// send many small messages — the effect message aggregation and
 	// the related work's segmentation tuning trade against.
 	MsgOverhead float64
-	// CheckpointByte is the cost of snapshotting one byte of registered
-	// state at a checkpointed superstep boundary, in fastest-machine
-	// time units; it is scaled by the checkpointing machine's compute
-	// slowdown and charged when an engine commits a checkpoint, so the
-	// analytic predictions stay honest about recovery overhead.
-	CheckpointByte float64
 	// CombineMessages merges all of a superstep's messages between the
 	// same (source, destination) pair into one wire message for cost
 	// purposes — the classic BSPlib message-combining optimization.
@@ -98,9 +92,6 @@ type Fabric struct {
 func New(t *model.Tree, cfg Config) *Fabric {
 	return &Fabric{tree: t, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
-
-// Config returns the fabric's configuration.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // StepCost charges one super^i-step — flows are the messages delivered
 // at its end, work[pid] each participant's computation in fastest-machine

@@ -322,107 +322,6 @@ func TestChaosAtTimeCrashVirtual(t *testing.T) {
 	}
 }
 
-// ckptProg appends one byte per superstep to its registered state; a
-// crash plus a rerun against the same store exercises the full
-// save → commit → restore path.
-func ckptProg(steps int) Program {
-	return func(c Ctx) error {
-		var acc []byte
-		for s := 0; s < steps; s++ {
-			acc = append(acc, byte(s))
-			c.Save("acc", acc)
-			err := SyncAll(c, fmt.Sprintf("c%d", s))
-			if err != nil {
-				if err = absorbOnce(c, fmt.Sprintf("c%d", s), err); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-}
-
-func TestChaosCheckpointCommitRestoreVirtual(t *testing.T) {
-	tr := model.UCFTestbedN(2)
-	cfg := fabric.PureModel()
-	cfg.CheckpointByte = 2
-	store := NewCheckpointStore()
-
-	eng := NewVirtual(tr, fabric.New(tr, cfg))
-	eng.Chaos = &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 1, AtStep: 3}}}
-	eng.Ckpt = store
-	eng.CheckpointEvery = 2
-	rep, err := eng.Run(ckptProg(5))
-	if err != nil {
-		t.Fatalf("checkpointed run failed: %v", err)
-	}
-
-	// Survivor p0 committed at global steps 2 and 4; the victim's last
-	// consistent cut is step 2.
-	if got := store.LastStep(0); got != 4 {
-		t.Errorf("survivor LastStep = %d, want 4", got)
-	}
-	if got := store.LastStep(1); got != 2 {
-		t.Errorf("victim LastStep = %d, want 2", got)
-	}
-	if v, ok := store.get(0, "acc"); !ok || !bytes.Equal(v, []byte{0, 1, 2, 3}) {
-		t.Errorf("survivor committed acc = %v, %v; want [0 1 2 3]", v, ok)
-	}
-	if v, ok := store.get(1, "acc"); !ok || !bytes.Equal(v, []byte{0, 1}) {
-		t.Errorf("victim committed acc = %v, %v; want [0 1] from the pre-crash cut", v, ok)
-	}
-	charged := 0
-	for _, s := range rep.Steps {
-		if s.Ckpt > 0 {
-			charged++
-		}
-	}
-	if charged == 0 {
-		t.Error("no step carries a checkpoint-commit charge despite CheckpointByte > 0")
-	}
-
-	// Recovery: a fresh run against the same store resumes each
-	// processor from its last committed cut.
-	restored := make([][]byte, 2)
-	eng2 := NewVirtual(tr, fabric.New(tr, cfg))
-	eng2.Ckpt = store
-	eng2.CheckpointEvery = 2
-	_, err = eng2.Run(func(c Ctx) error {
-		v, ok := c.Restore("acc")
-		if !ok {
-			return fmt.Errorf("p%d has no checkpoint to restore", c.Pid())
-		}
-		restored[c.Pid()] = v
-		return SyncAll(c, "resume")
-	})
-	if err != nil {
-		t.Fatalf("recovery run failed: %v", err)
-	}
-	if !bytes.Equal(restored[0], []byte{0, 1, 2, 3}) || !bytes.Equal(restored[1], []byte{0, 1}) {
-		t.Errorf("restored state = %v, want [[0 1 2 3] [0 1]]", restored)
-	}
-}
-
-func TestChaosCheckpointConcurrent(t *testing.T) {
-	tr := model.UCFTestbedN(2)
-	store := NewCheckpointStore()
-	eng := NewConcurrent(tr)
-	eng.Ckpt = store
-	eng.CheckpointEvery = 1
-	_, err := eng.Run(ckptProg(3))
-	if err != nil {
-		t.Fatalf("checkpointed run failed: %v", err)
-	}
-	for pid := 0; pid < 2; pid++ {
-		if v, ok := store.get(pid, "acc"); !ok || !bytes.Equal(v, []byte{0, 1, 2}) {
-			t.Errorf("p%d committed acc = %v, %v; want [0 1 2]", pid, v, ok)
-		}
-		if store.LastStep(pid) < 1 {
-			t.Errorf("p%d LastStep = %d, want >= 1", pid, store.LastStep(pid))
-		}
-	}
-}
-
 // Message fates hash the same identities in both engines, so a plan
 // with drops and duplicates (no delays — those count different clocks)
 // yields identical deliveries, and identical step terms: a dropped
@@ -495,8 +394,8 @@ func TestChaosEnginesAgreeOnTermsAcrossACrash(t *testing.T) {
 }
 
 // A Concurrent step's times are read by the processor that records it,
-// the scope's live coordinator, and by nobody else unless an observer or
-// a detection deadline needs them. Whoever the role fails over to — a
+// the scope's live coordinator, and by nobody else unless an observer
+// needs them. Whoever the role fails over to — a
 // survivor when the coordinator crashes, the coordinator itself once it
 // joins after starting dormant — must read both: every recorded step has
 // 0 < Start ≤ End and Time = End − Start, and a recorder's steps follow

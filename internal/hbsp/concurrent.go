@@ -54,17 +54,9 @@ type Concurrent struct {
 	// entirely (the exited-member check included).
 	DesyncTimeout time.Duration
 
-	// The options shared with Virtual — Chaos, Ckpt, CheckpointEvery,
-	// Obsv, Verify, ReorgEvery/Seed/Alpha, Plan — are coreOpts (proc.go).
+	// The options shared with Virtual — Chaos, Obsv, Verify, ReorgEvery
+	// and ReorgSeed — are coreOpts (proc.go).
 	coreOpts
-
-	// DetectFactor, when positive, arms a barrier-wait deadline of
-	// DetectFactor × the observed mean barrier wait (EWMA), doubling
-	// per successive timeout by the same processor. Expiry surfaces as
-	// ErrTimeout: the peer's fate is unknown, unlike the definite
-	// ErrPeerFailed of a detected crash. Off by default — crash
-	// detection does not need it, it exists to model partitions.
-	DetectFactor float64
 
 	// Transport, when non-nil, builds the pvm transport each Run
 	// attaches to its System (DESIGN.md §5.10) — a fresh instance per
@@ -129,7 +121,7 @@ type cctx struct {
 	flows  []cost.Flow
 	// rootDone counts this processor's successful root-scope syncs: the
 	// engine-independent consistent-cut ordinal (a joiner starts at its
-	// activation cut), driving checkpoint cadence and cut windows.
+	// activation cut), driving cut windows.
 	rootDone int
 
 	shared *crun
@@ -145,18 +137,14 @@ type cctx struct {
 // the reorganization epoch (a rebalance can move a dead leaf out of the
 // scope, and the name must not fall back to a latched one). Every live
 // member holds the same two at the same generation, so all compute the
-// same name. A processor whose detection deadline expired on the scope
-// has withdrawn from a generation its peers may still complete; from then
-// on it names a barrier per generation there, as its peers do once their
-// own deadlines expire, so a retry never completes somebody else's round.
+// same name.
 type scopeSeq struct {
-	gen      int
-	bar      pvm.BarrierRef
-	epoch    int
-	dead     []int
-	timedOut bool
-	dep      [2]deposit
-	kept     int
+	gen   int
+	bar   pvm.BarrierRef
+	epoch int
+	dead  []int
+	dep   [2]deposit
+	kept  int
 }
 
 // deposit is a participant's work and posted flows for its step's
@@ -191,16 +179,13 @@ func (sc *scopeSeq) deposited(gen int) *deposit {
 }
 
 // barrierName builds the name a scopeSeq keeps.
-func barrierName(scope string, epoch int, ackedDead []int, perGen bool, gen int) string {
+func barrierName(scope string, epoch int, ackedDead []int) string {
 	name := "sync:" + scope
 	if epoch > 0 {
 		name += "@" + strconv.Itoa(epoch)
 	}
 	if len(ackedDead) > 0 {
 		name += fmt.Sprintf("!%v", ackedDead)
-	}
-	if perGen {
-		name += "#" + strconv.Itoa(gen)
 	}
 	return name
 }
@@ -243,13 +228,9 @@ type crun struct {
 	// processors, per-scope acknowledgments, reorg estimates, the cut —
 	// and every call into it is made with mu held. unquiet latches, for
 	// readers without mu, that the ledger has stopped being quiet (it
-	// never is again). detectCount drives the optional deadline backoff;
-	// waitEWMA tracks the mean successful barrier wait, the deadline's
-	// prediction base.
-	led         *ledger
-	unquiet     atomic.Bool
-	detectCount []int
-	waitEWMA    time.Duration
+	// never is again).
+	led     *ledger
+	unquiet atomic.Bool
 	// exitc wakes a cut applier waiting for a crash victim's goroutine
 	// to finish unwinding: a resumed victim still runs user code that
 	// may read the tree, so the applier must not rebalance over it.
@@ -292,13 +273,12 @@ type syncWait struct {
 // critical section it either (a) consumes the next notice c owes on the
 // scope — one dead member, or else the join batch — staging c's refreshed
 // view and returning the typed error, or (b) registers the barrier wait
-// and returns its live count and its optional detection deadline, with
-// the barrier named for the acknowledged dead members of the scope (see
-// scopeSeq), and deposits work and c's posted flows. A crashing member
-// holds the same lock while it marks itself dead and collects parked
-// waiters to cancel, so every survivor either parks before the cancel or
-// sees the dead set here.
-func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq, work float64) (count int, deadline time.Duration, notice error) {
+// and returns its live count, with the barrier named for the
+// acknowledged dead members of the scope (see scopeSeq), and deposits
+// work and c's posted flows. A crashing member holds the same lock while
+// it marks itself dead and collects parked waiters to cancel, so every
+// survivor either parks before the cancel or sees the dead set here.
+func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq, work float64) (count int, notice error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -309,18 +289,18 @@ func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq, work float64) (coun
 	}
 
 	if n := s.deadNoticeLocked(c, w.key); n != nil {
-		return 0, 0, n
+		return 0, n
 	}
 	if n := s.led.joinNotice(c.pid, w.key); n != nil {
 		c.membersView = s.led.members(c.pid)
-		return 0, 0, n
+		return 0, n
 	}
 
 	// Every live member holds the same acknowledged dead set at the same
 	// generation, so all survivors compute the same name and count.
 	count, ackedDead := s.led.live(c.pid, w.key, w.members)
-	if sc.bar.Name == "" || sc.timedOut || sc.epoch != s.led.epoch || !slices.Equal(sc.dead, ackedDead) {
-		sc.bar = pvm.BarrierRef{Name: barrierName(w.scope, s.led.epoch, ackedDead, sc.timedOut, w.gen)}
+	if sc.bar.Name == "" || sc.epoch != s.led.epoch || !slices.Equal(sc.dead, ackedDead) {
+		sc.bar = pvm.BarrierRef{Name: barrierName(w.scope, s.led.epoch, ackedDead)}
 		sc.epoch, sc.dead = s.led.epoch, ackedDead
 	}
 	w.barrier = sc.bar.Name
@@ -328,15 +308,7 @@ func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq, work float64) (coun
 	s.waiting[c.pid] = w
 	s.nwaiting++
 	s.arrived[c.pid][w.id] = w.gen
-
-	// The optional detection deadline: DetectFactor × the observed mean
-	// barrier wait, doubling per successive timeout by this processor
-	// (failure-detector backoff). No history yet, no deadline.
-	if f := c.eng.DetectFactor; f > 0 && s.waitEWMA > 0 {
-		backoff := min(s.detectCount[c.pid], 6)
-		deadline = time.Duration(f * float64(s.waitEWMA) * float64(int(1)<<uint(backoff)))
-	}
-	return count, deadline, nil
+	return count, nil
 }
 
 // deadNoticeLocked consumes c's next dead-peer notice on the scope and
@@ -379,25 +351,18 @@ func (s *crun) crashSelf(pid, ord int, cause string) {
 	}
 }
 
-// leaveLocked unregisters pid's barrier wait, the barrier having returned
-// after wait since the Sync began. Caller holds mu.
-func (s *crun) leaveLocked(pid int, wait time.Duration) {
+// leaveLocked unregisters pid's barrier wait, the barrier having
+// returned. Caller holds mu.
+func (s *crun) leaveLocked(pid int) {
 	s.waiting[pid] = nil
 	s.nwaiting--
 	s.progress++
-	if wait > 0 {
-		if s.waitEWMA == 0 {
-			s.waitEWMA = wait
-		} else {
-			s.waitEWMA = (s.waitEWMA*4 + wait) / 5
-		}
-	}
 }
 
 // leaveSync is leaveLocked for a Sync that does not complete.
-func (s *crun) leaveSync(pid int, wait time.Duration) {
+func (s *crun) leaveSync(pid int) {
 	s.mu.Lock()
-	s.leaveLocked(pid, wait)
+	s.leaveLocked(pid)
 	s.mu.Unlock()
 }
 
@@ -608,11 +573,9 @@ func wireTag(scopeID, gen int) int {
 // Sync visits the run-wide state twice (enterSync, commit), arrives at the
 // scope's barrier by reference, and reads the clock only where something
 // uses the reading: the scope's live coordinator at the start and the end,
-// for its step record; every processor at the start, the barrier exit and
-// the end while an observer is set, which adds its own reads; and at the
-// start and the barrier exit while DetectFactor arms the detection
-// deadline, whose base is the barrier wait. A warm step of the other
-// processors reads no clock.
+// for its step record; and every processor at the start, the barrier exit
+// and the end while an observer is set, which adds its own reads. A warm
+// step of the other processors reads no clock.
 func (c *cctx) Sync(scope *model.Machine, label string) error {
 	if err := c.enter(scope); err != nil {
 		return err
@@ -628,7 +591,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	// a notice, and that Sync fails: whoever records this step if it
 	// completes is known now.
 	records := c.liveCoordinator(scope) == c.leaf
-	start := c.clock(records || c.opt.Obsv != nil || c.eng.DetectFactor > 0)
+	start := c.clock(records || c.opt.Obsv != nil)
 
 	// The victim of a boundary fate flushes nothing it had queued, and
 	// cancels the barriers of already parked members so they observe the
@@ -645,21 +608,21 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	if err != nil {
 		return err
 	}
-	count, deadline, notice := c.shared.enterSync(c, w, sc, work*c.opt.Chaos.Slowdown(c.pid, ord))
+	count, notice := c.shared.enterSync(c, w, sc, work*c.opt.Chaos.Slowdown(c.pid, ord))
 	if notice != nil {
 		return notice
 	}
-	deposits, wait, err := c.park(w, sc, ord, count, deadline, start)
+	deposits, err := c.park(w, sc, ord, count)
 	if err != nil {
-		c.shared.leaveSync(c.pid, wait)
-		return c.barrierErr(err, w, sc)
+		c.shared.leaveSync(c.pid)
+		return c.barrierErr(err, w)
 	}
 	sc.kept = 1 - sc.kept
 	// All sends of this (scope, gen) happened before any barrier exit,
 	// so the mailbox now holds the complete delivery.
 	recv, err := c.drain(ord, tag, deposits)
 	if err != nil {
-		c.shared.leaveSync(c.pid, wait)
+		c.shared.leaveSync(c.pid)
 		return err
 	}
 	var step trace.Step
@@ -667,7 +630,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		step = c.terms(w)
 		step.Bytes = sent + recv // its own traffic, as hbsp.bytes_per_op reads it
 	}
-	return c.commit(w, ord, work > 0, records, start, wait, count, &step)
+	return c.commit(w, ord, work > 0, records, start, count, &step)
 }
 
 // terms prices the step the barrier just completed, for its recorder,
@@ -790,10 +753,8 @@ func (c *cctx) linkLost(sendErr error, scope *model.Machine, ord int) error {
 
 // park blocks at the scope's barrier, arriving through the reference sc
 // holds, until its count live members have arrived — under Verify every
-// participant deposits its vector clock and gathers the others' — and
-// returns how long the Sync has taken up to the barrier's exit: zero
-// unless an observer or the detection deadline uses it.
-func (c *cctx) park(w *syncWait, sc *scopeSeq, ord, count int, deadline, start time.Duration) (deposits map[pvm.TID][]byte, wait time.Duration, err error) {
+// participant deposits its vector clock and gathers the others'.
+func (c *cctx) park(w *syncWait, sc *scopeSeq, ord, count int) (deposits map[pvm.TID][]byte, err error) {
 	obs := c.opt.Obsv != nil
 	var bEnter time.Duration
 	if obs {
@@ -804,32 +765,21 @@ func (c *cctx) park(w *syncWait, sc *scopeSeq, ord, count int, deadline, start t
 		// At its exact size, prefix and entries: nobody returns it.
 		dep = pvm.Wrap(make([]byte, 0, 5+8*len(c.vc))).PackInt64Slice(c.vc.encodeInt64()).Bytes()
 	}
-	deposits, err = c.task.Arrive(&sc.bar, count, deadline, dep)
-	if !obs && c.eng.DetectFactor <= 0 {
-		return deposits, 0, err
-	}
-	bExit := time.Since(c.shared.started)
+	deposits, err = c.task.Arrive(&sc.bar, count, dep)
 	if err == nil && obs {
-		c.opt.Obsv.BarrierWait(ord, c.pid, w.scope, w.key.Level, micros(bEnter), micros(bExit))
+		c.opt.Obsv.BarrierWait(ord, c.pid, w.scope, w.key.Level, micros(bEnter), c.nowMicros())
 	}
-	return deposits, bExit - start, err
+	return deposits, err
 }
 
 // barrierErr types a failed barrier wait: a cancel means a member
-// crashed while this processor was parked, a timeout is the optional
-// detection deadline, and a halt is the watchdog's desync verdict.
-func (c *cctx) barrierErr(err error, w *syncWait, sc *scopeSeq) error {
-	switch {
-	case errors.Is(err, pvm.ErrCanceled):
+// crashed while this processor was parked, and a halt is the watchdog's
+// desync verdict.
+func (c *cctx) barrierErr(err error, w *syncWait) error {
+	if errors.Is(err, pvm.ErrCanceled) {
 		if n := c.shared.deadNotice(c, w.key); n != nil {
 			return n
 		}
-	case errors.Is(err, pvm.ErrTimeout):
-		sc.timedOut = true
-		c.shared.mu.Lock()
-		c.shared.detectCount[c.pid]++ // the next deadline doubles
-		c.shared.mu.Unlock()
-		return fmt.Errorf("hbsp: detection deadline on %s#%d(%s): %w", w.scope, w.gen, w.label, err)
 	}
 	return c.haltErr(err)
 }
@@ -873,12 +823,12 @@ func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err e
 }
 
 // commit finishes a successful superstep: the send scratch back to the
-// arena once the outbox is empty, the compute sample, the checkpoint at
-// the cut cadence, then — in the Sync's second and last visit to the
-// run-wide state — the end of the barrier wait, the reorg estimate, the
-// step record (when this processor records it: step holds its terms)
-// and the cut verdict; and the cut window.
-func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start, wait time.Duration, count int, step *trace.Step) error {
+// arena once the outbox is empty, the compute sample, then — in the
+// Sync's second and last visit to the run-wide state — the end of the
+// barrier wait, the reorg estimate, the step record (when this processor
+// records it: step holds its terms) and the cut verdict; and the cut
+// window.
+func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start time.Duration, count int, step *trace.Step) error {
 	c.recycle()
 	end := c.clock(records || c.opt.Obsv != nil)
 	sample := 0.0
@@ -886,13 +836,10 @@ func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start, wait ti
 	root := w.key == c.tree.Root
 	if root {
 		c.rootDone++
-		if c.opt.ckptDue(c.rootDone) {
-			c.commitStage(c.rootDone)
-		}
 	}
 	s := c.shared
 	s.mu.Lock()
-	s.leaveLocked(c.pid, wait)
+	s.leaveLocked(c.pid)
 	if worked {
 		s.led.rer.Observe(c.pid, sample)
 	}
@@ -924,14 +871,14 @@ func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start, wait ti
 // holds everyone until the tree is stable again.
 func (c *cctx) cutWindow(members []int, count int) error {
 	R := c.rootDone
-	if err := c.task.BarrierTimeout(fmt.Sprintf("cut:in#%d", R), count, 0); err != nil {
+	if err := c.task.Barrier(fmt.Sprintf("cut:in#%d", R), count); err != nil {
 		return c.haltErr(err)
 	}
 	var applyErr error
 	if c.shared.applierPid(members) == c.pid {
 		applyErr = c.applyCut(R)
 	}
-	if err := c.task.BarrierTimeout(fmt.Sprintf("cut:out#%d", R), count, 0); err != nil {
+	if err := c.task.Barrier(fmt.Sprintf("cut:out#%d", R), count); err != nil {
 		return c.haltErr(err)
 	}
 	// Re-align this processor's per-scope sync generations with the
@@ -1126,19 +1073,18 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		return nil, errors.New("hbsp: a chaos plan, churn or ReorgEvery on a run with remote pids: the membership ledger is process-local")
 	}
 	shared := &crun{
-		sys:         sys,
-		ctxs:        make([]atomic.Pointer[cctx], p),
-		scopeID:     make(map[*model.Machine]int),
-		started:     time.Now(),
-		nprocs:      p,
-		waiting:     make([]*syncWait, p),
-		exited:      make([]bool, p),
-		arrived:     make([][]int, p),
-		led:         newLedger(e.tree, e.Chaos, e.Obsv, e.ReorgEvery, e.ReorgSeed),
-		detectCount: make([]int, p),
-		proxies:     proxies,
-		joinGens:    make(map[int][]int),
-		gates:       make(map[int]chan struct{}),
+		sys:      sys,
+		ctxs:     make([]atomic.Pointer[cctx], p),
+		scopeID:  make(map[*model.Machine]int),
+		started:  time.Now(),
+		nprocs:   p,
+		waiting:  make([]*syncWait, p),
+		exited:   make([]bool, p),
+		arrived:  make([][]int, p),
+		led:      newLedger(e.tree, e.Chaos, e.Obsv, e.ReorgEvery, e.ReorgSeed),
+		proxies:  proxies,
+		joinGens: make(map[int][]int),
+		gates:    make(map[int]chan struct{}),
 	}
 	shared.exitc = sync.NewCond(&shared.mu)
 	shared.unquiet.Store(!shared.led.quiet())

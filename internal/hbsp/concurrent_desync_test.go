@@ -176,7 +176,7 @@ func (e *elsewhere) Proxy(tid pvm.TID) func(*pvm.Task) error {
 	return func(*pvm.Task) error { e.proxied.Add(1); return nil }
 }
 
-func (e *elsewhere) BarrierExchange(pvm.TID, string, int, time.Duration, []byte) (map[pvm.TID][]byte, error) {
+func (e *elsewhere) BarrierExchange(pvm.TID, string, int, []byte) (map[pvm.TID][]byte, error) {
 	time.Sleep(e.barrierDelay)
 	return nil, nil
 }

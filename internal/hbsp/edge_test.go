@@ -301,25 +301,3 @@ func TestReportTimelineFromRealRun(t *testing.T) {
 		t.Errorf("timeline empty:\n%s", tl)
 	}
 }
-
-func TestStepLimitAbortsRunawayProgram(t *testing.T) {
-	tr := model.UCFTestbedN(3)
-	eng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-	eng.MaxSteps = 10
-	_, err := eng.Run(func(c Ctx) error {
-		for { // a program that never terminates on its own
-			if err := SyncAll(c, "spin"); err != nil {
-				return err
-			}
-		}
-	})
-	if !errors.Is(err, ErrStepLimit) {
-		t.Errorf("err = %v, want ErrStepLimit", err)
-	}
-	// Well-behaved programs under the limit are unaffected.
-	eng2 := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-	eng2.MaxSteps = 10
-	if _, err := eng2.Run(func(c Ctx) error { return SyncAll(c, "once") }); err != nil {
-		t.Errorf("limited engine rejected a short program: %v", err)
-	}
-}

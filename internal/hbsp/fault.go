@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"hbspk/internal/pvm"
 )
@@ -18,8 +17,9 @@ import (
 //     member of the scope observes the error exactly once, at the same
 //     per-scope sync generation, and later Syncs on that scope complete
 //     over the survivors only.
-//   - ErrTimeout: a detection deadline expired with the peer's fate
-//     unknown (partitioned, or message loss exhausted its retries).
+//   - ErrTimeout: a deadline expired with the peer's fate unknown (an
+//     FT collective lost every copy of its verdict, or a wire
+//     transport's acknowledgment never came).
 //   - ErrDesync: the program itself is malformed SPMD (unchanged from
 //     the desync watchdog's contract).
 
@@ -61,8 +61,8 @@ func (e *ErrPeerJoined) Error() string {
 	return fmt.Sprintf("hbsp: peer p%d joined at global step %d", e.Pid, e.Step)
 }
 
-// ErrTimeout is the detection-deadline error, shared with the pvm
-// substrate so errors.Is matches across layers.
+// ErrTimeout is the deadline error, shared with the pvm substrate so
+// errors.Is matches across layers.
 var ErrTimeout = pvm.ErrTimeout
 
 // errCrashStop is what a chaos-killed processor's own Sync returns: the
@@ -84,7 +84,7 @@ var errLeave = errors.New("hbsp: processor left by churn plan")
 func IsLeave(err error) bool { return errors.Is(err, errLeave) }
 
 // defaultDetectFactor scales the predicted step cost into a detection
-// deadline when the engine's DetectFactor is unset.
+// deadline when Virtual's DetectFactor is unset.
 const defaultDetectFactor = 3.0
 
 // failInfo is the engine-side record of one dead processor.
@@ -101,69 +101,4 @@ func sortedPids[V any](m map[int]V) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// CheckpointStore holds committed superstep checkpoints: per processor,
-// the last committed value of every registered key plus the commit
-// ordinal. A store outlives a run — rerun the program with the same
-// store and Ctx.Restore hands each processor its last checkpointed
-// state, so recovery resumes from the last checkpointed barrier instead
-// of from scratch. The store is safe for concurrent use.
-type CheckpointStore struct {
-	mu        sync.Mutex
-	committed map[int]map[string][]byte
-	lastStep  map[int]int
-}
-
-// NewCheckpointStore returns an empty store.
-func NewCheckpointStore() *CheckpointStore {
-	return &CheckpointStore{
-		committed: make(map[int]map[string][]byte),
-		lastStep:  make(map[int]int),
-	}
-}
-
-// commit folds one processor's staged saves into the committed state,
-// returning the number of bytes written. step is the engine's commit
-// ordinal for LastStep.
-func (s *CheckpointStore) commit(pid, step int, staged map[string][]byte) int {
-	if len(staged) == 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.committed[pid]
-	if m == nil {
-		m = make(map[string][]byte)
-		s.committed[pid] = m
-	}
-	n := 0
-	for k, v := range staged {
-		m[k] = append([]byte(nil), v...)
-		n += len(v)
-	}
-	s.lastStep[pid] = step
-	return n
-}
-
-// get returns the committed value for (pid, key).
-func (s *CheckpointStore) get(pid int, key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.committed[pid][key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
-}
-
-// LastStep returns the commit ordinal of pid's newest checkpoint, or -1
-// if the processor has never been checkpointed.
-func (s *CheckpointStore) LastStep(pid int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.lastStep[pid]; !ok {
-		return -1
-	}
-	return s.lastStep[pid]
 }

@@ -102,16 +102,10 @@ type Ctx interface {
 	// Failed; the live set is Members minus Failed.
 	Members() []int
 
-	// Save stages a checkpoint of named per-processor state. Staged
-	// state is committed to the engine's CheckpointStore at the next
-	// checkpointed superstep boundary (see CheckpointEvery); without a
-	// store it is a no-op. The engine copies data at commit time.
+	// Save records named per-processor state, the last value per key,
+	// copying data. Virtual.RunSchedules reads the state a run ends with
+	// into its fingerprint; nothing else reads it.
 	Save(key string, data []byte)
-
-	// Restore returns the last committed checkpoint of the named state
-	// from the engine's CheckpointStore, or false when none exists —
-	// how a rerun resumes from the last checkpointed barrier.
-	Restore(key string) ([]byte, bool)
 }
 
 // Program is an SPMD processor program.

@@ -29,17 +29,6 @@ type coreOpts struct {
 	// ordinals.
 	Chaos *fabric.ChaosPlan
 
-	// Ckpt, when non-nil together with a positive CheckpointEvery,
-	// commits every processor's Save()d state to the store at every
-	// CheckpointEvery-th completed global superstep. Rerunning with the
-	// same store lets programs resume from the last checkpointed barrier
-	// via Restore. Virtual charges the commit per Config.CheckpointByte
-	// so the analytic predictions stay honest; Concurrent charges no
-	// modeled cost (the commit's real cost is already in the measured
-	// times).
-	Ckpt            *CheckpointStore
-	CheckpointEvery int
-
 	// Obsv, when non-nil, receives structured spans and metrics for the
 	// run: superstep spans, per-processor barrier waits, sampled message
 	// deliveries, and chaos injections. A superstep span carries the
@@ -101,8 +90,8 @@ func (m *pendingMsg) copies() int {
 
 // proc is the per-processor half of a super^i-step that does not depend
 // on how time advances or how bytes move: identity, the outbox and the
-// delivery window, the views the notice protocol stages, checkpoint
-// staging, and the Verify clock. Both engines' Ctx embed it; each adds
+// delivery window, the views the notice protocol stages, the saved
+// state, and the Verify clock. Both engines' Ctx embed it; each adds
 // its own Charge and Sync. It deliberately has no Sync method — the
 // analyzers recognize a Ctx structurally by Pid + Sync, and the engine
 // core is not a program.
@@ -131,8 +120,8 @@ type proc struct {
 	// notice is consumed.
 	failedView  []int
 	membersView []int
-	// ckptStage holds Save()d state until the next checkpoint commit.
-	ckptStage map[string][]byte
+	// saved holds the Save()d state, by key, as last saved.
+	saved map[string][]byte
 
 	// Verification state (Verify mode): vc is this processor's vector
 	// clock, inmeta parallels inbox, steps counts completed Syncs.
@@ -183,34 +172,10 @@ func (p *proc) Send(dst, tag int, payload []byte) error {
 }
 
 func (p *proc) Save(key string, data []byte) {
-	if p.ckptStage == nil {
-		p.ckptStage = make(map[string][]byte)
+	if p.saved == nil {
+		p.saved = make(map[string][]byte)
 	}
-	p.ckptStage[key] = append([]byte(nil), data...)
-}
-
-func (p *proc) Restore(key string) ([]byte, bool) {
-	if p.opt.Ckpt == nil {
-		return nil, false
-	}
-	return p.opt.Ckpt.get(p.pid, key)
-}
-
-// ckptDue reports whether R — the count of completed global barriers,
-// the engine-independent consistent-cut ordinal — is on the checkpoint
-// cadence. Every live processor sees the same R at the same barrier, so
-// all commit at the same cuts even though per-scope generations shift
-// under churn.
-func (o *coreOpts) ckptDue(R int) bool {
-	return o.Ckpt != nil && o.CheckpointEvery > 0 && R%o.CheckpointEvery == 0
-}
-
-// commitStage commits the staged saves as checkpoint R and returns the
-// bytes written.
-func (p *proc) commitStage(R int) int {
-	n := p.opt.Ckpt.commit(p.pid, R, p.ckptStage)
-	p.ckptStage = nil
-	return n
+	p.saved[key] = append([]byte(nil), data...)
 }
 
 // under reports whether scope is leaf or one of its ancestors.
@@ -371,10 +336,10 @@ type stepRec struct {
 // string table, and the float terms as their bits: two shapes are equal
 // exactly when their steps' fields are, -0 and NaN included.
 type stepShape struct {
-	str                               [3]uint32
-	level, participants, gatingPid    int32
-	flows, bytes                      int
-	w, h, comm, sync, ckpt, imbalance uint64
+	str                            [3]uint32
+	level, participants, gatingPid int32
+	flows, bytes                   int
+	w, h, comm, sync, imbalance    uint64
 }
 
 // chunked is an append-only list in 8 KiB chunks, an allocator size
@@ -432,7 +397,7 @@ func (l *stepLog) add(s trace.Step) {
 		level: int32(s.Level), participants: int32(s.Participants), gatingPid: int32(s.GatingPid),
 		flows: s.Flows, bytes: s.Bytes,
 		w: math.Float64bits(s.W), h: math.Float64bits(s.H), comm: math.Float64bits(s.Comm),
-		sync: math.Float64bits(s.Sync), ckpt: math.Float64bits(s.Ckpt), imbalance: math.Float64bits(s.Imbalance),
+		sync: math.Float64bits(s.Sync), imbalance: math.Float64bits(s.Imbalance),
 	}
 	for i, str := range [3]string{s.Label, s.ScopeLabel, s.ScopeName} {
 		sh.str[i] = l.intern(str, hint[i])
@@ -477,7 +442,7 @@ func (l *stepLog) flat() []trace.Step {
 				Level: int(sh.level), Participants: int(sh.participants), GatingPid: int(sh.gatingPid),
 				Flows: sh.flows, Bytes: sh.bytes, Time: r.time, Start: r.start, End: r.end,
 				W: math.Float64frombits(sh.w), H: math.Float64frombits(sh.h), Comm: math.Float64frombits(sh.comm),
-				Sync: math.Float64frombits(sh.sync), Ckpt: math.Float64frombits(sh.ckpt), Imbalance: math.Float64frombits(sh.imbalance),
+				Sync: math.Float64frombits(sh.sync), Imbalance: math.Float64frombits(sh.imbalance),
 			})
 		}
 	}

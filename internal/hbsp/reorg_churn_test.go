@@ -1,7 +1,6 @@
 package hbsp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -38,7 +37,6 @@ type churnObs struct {
 	sums    map[int]int64  // pid -> final fold value
 	rounds  map[int]int    // pid -> rounds completed
 	early   map[int]string // pid -> payload received under earlyTag
-	saved   map[int]uint64 // pid -> last committed checkpoint value
 	exit    map[int]error  // pid -> error the program unwound with
 }
 
@@ -47,8 +45,7 @@ func newChurnObs() *churnObs {
 		joins: map[int]int{}, fails: map[int]int{},
 		members: map[int][]int{}, failed: map[int][]int{},
 		sums: map[int]int64{}, rounds: map[int]int{},
-		early: map[int]string{}, saved: map[int]uint64{},
-		exit: map[int]error{},
+		early: map[int]string{}, exit: map[int]error{},
 	}
 }
 
@@ -69,8 +66,6 @@ type churnCfg struct {
 	rounds int
 	work   float64
 	early  bool // coordinator sends one pre-activation message to earlyTo
-	save   bool // checkpoint a per-pid accumulator every round
-	ckptEv int  // engine CheckpointEvery when save is set (for commit tracking)
 }
 
 // churnProg builds a self-synchronizing iterative workload: processor 0
@@ -92,7 +87,6 @@ func churnProg(cfg churnCfg, obs *churnObs) Program {
 		}()
 		root := c.Tree().Root
 		var sum int64
-		var acc uint64
 		done := 0
 		stop := false
 		if cfg.early && c.Pid() == 0 {
@@ -123,12 +117,6 @@ func churnProg(cfg churnCfg, obs *churnObs) Program {
 						return err
 					}
 				}
-				if cfg.save {
-					acc += uint64(c.Pid()*1000 + done)
-					var b [8]byte
-					binary.BigEndian.PutUint64(b[:], acc)
-					c.Save("acc", b[:])
-				}
 				c.Charge(cfg.work * float64(1+c.Pid()%3))
 				err := c.Sync(root, "round")
 				if err == nil {
@@ -144,13 +132,6 @@ func churnProg(cfg churnCfg, obs *churnObs) Program {
 				default:
 					return err
 				}
-			}
-			if cfg.save && cfg.ckptEv == 1 {
-				// CheckpointEvery=1 commits the staged save at the barrier
-				// that just completed.
-				obs.mu.Lock()
-				obs.saved[c.Pid()] = acc
-				obs.mu.Unlock()
 			}
 			for _, m := range c.Moves() {
 				switch {
@@ -536,90 +517,6 @@ func TestRunSchedulesAgreeUnderChurnAndReorg(t *testing.T) {
 	}
 	if got := leafPids(tr); !reflect.DeepEqual(got, pristine) {
 		t.Errorf("tree layout not restored after RunSchedules: %v, want %v", got, pristine)
-	}
-}
-
-// Checkpoints must survive a membership change in both directions: a
-// leaver's last committed state stays restorable (shrunk) and a
-// joiner's post-activation state commits like anyone else's (grown).
-func TestCheckpointAcrossMembershipChange(t *testing.T) {
-	for _, engine := range []string{"virtual", "concurrent"} {
-		t.Run(engine, func(t *testing.T) {
-			tr := model.UCFTestbedN(4)
-			layout := tr.SaveLayout()
-			store := NewCheckpointStore()
-			plan := &fabric.ChaosPlan{Churns: []fabric.Churn{
-				{Pid: 3, JoinAt: 2},
-				{Pid: 2, LeaveAt: 4},
-			}}
-			obs := newChurnObs()
-			prog := churnProg(churnCfg{rounds: 6, work: 1, save: true, ckptEv: 1}, obs)
-			var err error
-			if engine == "virtual" {
-				eng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-				eng.Chaos = plan
-				eng.Ckpt = store
-				eng.CheckpointEvery = 1
-				_, err = eng.Run(prog)
-			} else {
-				eng := NewConcurrent(tr)
-				eng.Chaos = plan
-				eng.Ckpt = store
-				eng.CheckpointEvery = 1
-				_, err = eng.Run(prog)
-			}
-			if err != nil {
-				t.Fatalf("churn run: %v", err)
-			}
-			obs.mu.Lock()
-			want := make(map[int]uint64, len(obs.saved))
-			for pid, v := range obs.saved {
-				want[pid] = v
-			}
-			obs.mu.Unlock()
-			for _, pid := range []int{0, 1, 2, 3} {
-				if _, ok := want[pid]; !ok {
-					t.Fatalf("p%d committed no checkpoints", pid)
-				}
-				if store.LastStep(pid) <= 0 {
-					t.Fatalf("store has no commit ordinal for p%d", pid)
-				}
-			}
-
-			// Recovery run: full membership, no churn, same store. Every
-			// processor — the departed p2 and the joiner p3 included — must
-			// restore exactly the value it last committed.
-			tr.RestoreLayout(layout)
-			restored := make([]uint64, tr.NProcs())
-			var mu sync.Mutex
-			recovery := func(c Ctx) error {
-				b, ok := c.Restore("acc")
-				if !ok {
-					return fmt.Errorf("p%d: no committed state to restore", c.Pid())
-				}
-				mu.Lock()
-				restored[c.Pid()] = binary.BigEndian.Uint64(b)
-				mu.Unlock()
-				return SyncAll(c, "recovered")
-			}
-			if engine == "virtual" {
-				eng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-				eng.Ckpt = store
-				_, err = eng.Run(recovery)
-			} else {
-				eng := NewConcurrent(tr)
-				eng.Ckpt = store
-				_, err = eng.Run(recovery)
-			}
-			if err != nil {
-				t.Fatalf("recovery run: %v", err)
-			}
-			for pid, w := range want {
-				if restored[pid] != w {
-					t.Errorf("p%d restored %d, want last committed %d", pid, restored[pid], w)
-				}
-			}
-		})
 	}
 }
 

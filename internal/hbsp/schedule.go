@@ -44,15 +44,6 @@ func (r *runRecord) noteDelivery(pid int, d deliveryRec) {
 	r.streams[pid] = append(r.streams[pid], d)
 }
 
-func (r *runRecord) noteSaves(pid int, saves map[string][]byte) {
-	if r.saves[pid] == nil {
-		r.saves[pid] = make(map[string][]byte)
-	}
-	for k, b := range saves {
-		r.saves[pid][k] = append([]byte(nil), b...)
-	}
-}
-
 // canonical returns the per-processor delivery streams with each
 // superstep's deliveries sorted into a canonical order. Permuting the
 // delivery order within a superstep is exactly what exploration does on
@@ -227,7 +218,7 @@ func diffRecords(b *strings.Builder, base, perm *runRecord) {
 // RunSchedules replays the program under n delivery-order permutations
 // (permutation 0 canonical, the rest seeded shuffles) and returns the
 // per-permutation outcomes for equivalence checking. The engine's
-// configuration — chaos plan, verification, checkpointing — applies to
+// configuration — chaos plan, verification, reorganization — applies to
 // every replay. The error return covers only harness misuse; program
 // errors land in each ScheduleRun.
 func (v *Virtual) RunSchedules(prog Program, n int, seed int64) (*ScheduleSet, error) {

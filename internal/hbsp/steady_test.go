@@ -46,7 +46,7 @@ func TestStepLogFlattensInOrder(t *testing.T) {
 		return trace.Step{
 			Index: i, Label: fmt.Sprintf("step %d of a long run", k),
 			ScopeLabel: fmt.Sprintf("M_{%d,%d}", k%3, k%2), ScopeName: fmt.Sprint("cluster", k%3),
-			Level: k % 3, Participants: 4, W: v, H: 2 * v, Comm: 3 * v, Sync: 1, Ckpt: 0,
+			Level: k % 3, Participants: 4, W: v, H: 2 * v, Comm: 3 * v, Sync: 1,
 			Flows: 12, Bytes: int(768 * v), GatingPid: k % 4, Imbalance: 1 + v,
 			Time: float64(i) + 0.5, Start: float64(i), End: float64(i) + 1,
 		}
@@ -70,7 +70,6 @@ func TestStepLogFlattensInOrder(t *testing.T) {
 				Comm:         rng.Float64(),
 				Sync:         rng.Float64(),
 				Time:         rng.Float64(),
-				Ckpt:         rng.Float64(),
 				Flows:        rng.Intn(64),
 				Bytes:        rng.Intn(1 << 30),
 				GatingPid:    rng.Intn(9) - 1,
@@ -89,7 +88,7 @@ func TestStepLogFlattensInOrder(t *testing.T) {
 		// shapes), and a NaN is the same term as itself (shared).
 		{"signed zero and NaN", func(i int) trace.Step {
 			s := shaped(i, 0, []float64{0, negZero}[i%2])
-			s.Ckpt, s.Imbalance = []float64{negZero, 0}[i%2], math.NaN()
+			s.Imbalance = math.NaN()
 			return s
 		}, 32},
 	} {
@@ -476,48 +475,5 @@ func TestLateFaultsOnAReusedBarrier(t *testing.T) {
 				t.Errorf("the reorganization left the dead leaf with its peer (layout %v): the case tests nothing", leafPids(tr))
 			}
 		})
-	}
-}
-
-// A processor whose detection deadline expired has withdrawn from a
-// generation its peer can still arrive at. Its retry burns the next
-// generation, so the two must not meet at one barrier: if they did, both
-// Syncs would succeed on different wire tags and each would find its
-// window silently short. Whatever a Sync that succeeds delivers is the
-// peer's message of the same attempt — before the stall, after it, or
-// never again if the two deadlines keep chasing each other.
-func TestDetectionTimeoutNeverCompletesAnotherGeneration(t *testing.T) {
-	const warm, stall, budget = 40, 20 * time.Millisecond, 80 * time.Millisecond
-	tr := model.Homogeneous(2, 0)
-	eng := NewConcurrent(tr)
-	eng.DetectFactor = 2
-	eng.DesyncTimeout = -1 // the run ends by the clock, one processor before the other
-	timeouts := make([]int, 2)
-	_, _ = eng.Run(func(c Ctx) error {
-		peer := 1 - c.Pid()
-		start := time.Now()
-		for n := 0; time.Since(start) < budget; n++ {
-			if c.Pid() == 1 && n == warm {
-				time.Sleep(stall)
-			}
-			if err := c.Send(peer, 1, []byte{byte(c.Pid())}); err != nil {
-				return err
-			}
-			switch err := SyncAll(c, "round"); {
-			case err == nil:
-				if got := c.Moves(); len(got) != 1 || got[0].Src != peer {
-					t.Errorf("p%d attempt %d: Sync succeeded and delivered %v", c.Pid(), n, got)
-					return nil
-				}
-			case errors.Is(err, ErrTimeout):
-				timeouts[c.Pid()]++
-			default:
-				return nil // the peer has left: halted, or the link of the dead
-			}
-		}
-		return nil
-	})
-	if timeouts[0] == 0 {
-		t.Error("p0 never timed out waiting for the stalled p1: the case tests nothing")
 	}
 }

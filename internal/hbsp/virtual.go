@@ -32,14 +32,8 @@ type Virtual struct {
 	tree *model.Tree
 	fab  *fabric.Fabric
 
-	// MaxSteps, when positive, aborts the run with ErrStepLimit once
-	// that many supersteps have completed — a guard against unbounded
-	// iteration in user programs (the engine otherwise runs as long as
-	// the program does).
-	MaxSteps int
-
-	// The options shared with Concurrent — Chaos, Ckpt, CheckpointEvery,
-	// Obsv, Verify, ReorgEvery/Seed/Alpha, Plan — are coreOpts (proc.go).
+	// The options shared with Concurrent — Chaos, Obsv, Verify,
+	// ReorgEvery and ReorgSeed — are coreOpts (proc.go).
 	coreOpts
 
 	// DetectFactor scales the predicted step cost into the failure
@@ -57,9 +51,6 @@ type Virtual struct {
 	permSeed  int64
 	rec       *runRecord
 }
-
-// ErrStepLimit reports that a run exceeded the engine's MaxSteps.
-var ErrStepLimit = errors.New("hbsp: superstep limit exceeded")
 
 // NewVirtual returns an engine for the tree charging costs via fab,
 // which must have been built for the same tree.
@@ -170,17 +161,17 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 	p := v.tree.NProcs()
 	reqs := make(chan *vrequest)
 	st := &runState{
-		prog:        prog,
-		ctxs:        make([]*vctx, p),
-		wake:        make([]error, p),
-		pending:     make([]*vrequest, p),
-		done:        make([]bool, p),
-		led:         newLedger(v.tree, v.Chaos, v.Obsv, v.ReorgEvery, v.ReorgSeed),
-		syncOrd:     make([]int, p),
-		detectCount: make([]int, p),
-		stepSum:     make([]float64, p),
-		stepN:       make([]int, p),
-		works:       make([]float64, p),
+		prog:       prog,
+		ctxs:       make([]*vctx, p),
+		wake:       make([]error, p),
+		pending:    make([]*vrequest, p),
+		done:       make([]bool, p),
+		led:        newLedger(v.tree, v.Chaos, v.Obsv, v.ReorgEvery, v.ReorgSeed),
+		syncOrd:    make([]int, p),
+		detections: make([]int, p),
+		stepSum:    make([]float64, p),
+		stepN:      make([]int, p),
+		works:      make([]float64, p),
 	}
 	for pid := range st.ctxs {
 		st.ctxs[pid] = &vctx{proc: newProc(pid, v.tree, &v.coreOpts), reqs: reqs, resume: make(chan error)}
@@ -233,11 +224,11 @@ type runState struct {
 	// global cut. The engine keeps what is about time and delivery.
 	led *ledger
 
-	// syncOrd counts each processor's Sync calls; detectCount drives the
+	// syncOrd counts each processor's Sync calls; detections drives the
 	// detection-deadline backoff; globalSteps counts completed root-scope
-	// supersteps (the checkpoint and cut cadence).
+	// supersteps (the cut cadence).
 	syncOrd     []int
-	detectCount []int
+	detections  []int
 	globalSteps int
 
 	// stepSum/stepN track each processor's mean completed step time,
@@ -290,7 +281,7 @@ func (v *Virtual) handle(st *runState, req *vrequest) {
 	st.done[req.pid] = true
 	c.clock += req.work
 	if v.rec != nil {
-		v.rec.noteSaves(req.pid, c.ckptStage)
+		v.rec.saves[req.pid] = c.saved
 	}
 	st.running--
 	if req.err != nil && !errors.Is(req.err, errCrashStop) && !errors.Is(req.err, errLeave) {
@@ -395,8 +386,8 @@ func (v *Virtual) detectCharge(st *runState, pid int, scope *model.Machine) floa
 	if predicted <= 0 {
 		predicted = 1
 	}
-	backoff := min(st.detectCount[pid], 6)
-	st.detectCount[pid]++
+	backoff := min(st.detections[pid], 6)
+	st.detections[pid]++
 	return factor * predicted * float64(int(1)<<backoff)
 }
 
@@ -444,9 +435,6 @@ func (v *Virtual) release(st *runState) {
 		}
 		completed = true
 		v.completeStep(st, scope, pids)
-		if v.MaxSteps > 0 && st.steps.len() >= v.MaxSteps {
-			st.abort(fmt.Errorf("%w: %d supersteps completed", ErrStepLimit, st.steps.len()))
-		}
 	})
 	if !completed {
 		st.abort(v.desyncError(st))
@@ -456,7 +444,7 @@ func (v *Virtual) release(st *runState) {
 // completeStep charges and finishes one super^i-step over the scope's
 // live participants (pids, ascending): route the h-relation, cost it (a
 // dropped message still used the wire, a duplicate twice), deliver it,
-// checkpoint and cut at a global barrier, record, resume.
+// cut at a global barrier, record, resume.
 func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
 	ctxs := st.ctxs
 	stepIdx := st.steps.len()
@@ -494,9 +482,8 @@ func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
 	}
 	v.deliver(ctxs, pids, deliver, stepIdx, step.End)
 
-	var ckptCost map[int]float64
 	if scope == v.tree.Root {
-		ckptCost, step.Ckpt = v.cut(st, pids, step.End)
+		v.cut(st, pids, step.End)
 	}
 	// The measured span (End - Start) carries, beyond the pure model's
 	// terms, configured overheads, noise, and barrier-entry skew.
@@ -504,7 +491,7 @@ func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
 	v.record(&st.steps, scope, label, &step)
 
 	for _, pid := range pids {
-		ctxs[pid].clock = step.End + ckptCost[pid]
+		ctxs[pid].clock = step.End
 		st.pending[pid] = nil
 		st.owe(pid, nil)
 	}
@@ -591,33 +578,15 @@ func (v *Virtual) deliver(ctxs []*vctx, pids []int, deliver []pendingMsg, stepId
 	}
 }
 
-// cut runs what a completed global barrier triggers, and returns each
-// participant's checkpoint charge and their maximum. At the checkpoint
-// cadence the registered state of every live participant is
-// snapshotted, and the per-byte cost lands on each processor's clock
-// past the step's end. Then the barrier is the run's consistent cut:
-// every goroutine is parked or gone — a crash victim's too, which has
-// finished unwinding — so the ledger can rebalance the tree and grow the
-// membership with no program in flight. The smallest participant's
-// collective depth decides whether a due reorganization waits. An
-// activated processor's clock starts at the cut.
-func (v *Virtual) cut(st *runState, pids []int, end float64) (ckptCost map[int]float64, ckptMax float64) {
+// cut runs what a completed global barrier triggers: the barrier is the
+// run's consistent cut — every goroutine is parked or gone, a crash
+// victim's too, which has finished unwinding — so the ledger can
+// rebalance the tree and grow the membership with no program in flight.
+// The smallest participant's collective depth decides whether a due
+// reorganization waits. An activated processor's clock starts at the
+// cut.
+func (v *Virtual) cut(st *runState, pids []int, end float64) {
 	st.globalSteps++
-	if v.ckptDue(st.globalSteps) {
-		ckptCost = make(map[int]float64, len(pids))
-		perByte := v.fab.Config().CheckpointByte
-		for _, pid := range pids {
-			c := st.ctxs[pid]
-			// A stage only grows until a commit clears it, so the schedule
-			// recorder sees every save by noting it here and at exit.
-			if v.rec != nil {
-				v.rec.noteSaves(pid, c.ckptStage)
-			}
-			n := c.commitStage(st.globalSteps)
-			ckptCost[pid] = perByte * float64(n) * v.tree.Leaf(pid).CompSlowdown
-			ckptMax = max(ckptMax, ckptCost[pid])
-		}
-	}
 	err := st.led.cut(st.globalSteps, st.ctxs[pids[0]].depth, end, func() {}, func(pid int) {
 		c := st.ctxs[pid]
 		c.membersView = st.led.members(pid)
@@ -628,5 +597,4 @@ func (v *Virtual) cut(st *runState, pids []int, end float64) (ckptCost map[int]f
 	if err != nil && st.firstErr == nil {
 		st.firstErr = err
 	}
-	return ckptCost, ckptMax
 }

@@ -11,8 +11,8 @@ import (
 // the map mirrors the territory. In a drifting environment (noisy
 // ranks, stragglers, churn) a frozen tree goes stale, so the engines
 // fold measured per-step compute times into per-processor EWMA speed
-// estimates (Reranker), and at a global barrier — the same consistent
-// cut the checkpoint machinery uses — plan and apply a rebalance:
+// estimates (Reranker), and at a global barrier — a consistent cut —
+// plan and apply a rebalance:
 // leaves are permuted across the existing leaf slots (topology shape is
 // preserved, EPOS-style: the root triggers, the new parent/children
 // assignments propagate down the tree) and workload shares are

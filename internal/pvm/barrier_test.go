@@ -65,7 +65,7 @@ func TestBarrierReuseRacesRetirement(t *testing.T) {
 				if r%2 == 1 {
 					runtime.Gosched()
 				}
-				got, err := tk.BarrierExchange("again", n, 0, []byte{byte(i), byte(r), byte(r >> 8)})
+				got, err := tk.BarrierExchange("again", n, []byte{byte(i), byte(r), byte(r >> 8)})
 				if err != nil {
 					return err
 				}
@@ -182,12 +182,12 @@ func (s *System) freeBarriers() int {
 // One name as a cyclic barrier for ten thousand generations, the way the
 // HBSP engine and the benchmark's probe use one: rounds nobody deposits
 // in, rounds everybody does, rounds where only the even tasks do while
-// the odd ones come through BarrierTimeout, and now and then a uniquely
+// the odd ones come through Barrier, and now and then a uniquely
 // named barrier beside it so that retirement and the free list are in
 // play. Every participant gets exactly its own round's deposits — a late
 // waker of round g never sees g+1's — a deposit-free round returns a nil
 // map, the table and the free list stay bounded, and on the much-reused
-// barrier a timed-out arrival still withdraws and a cancel still latches.
+// barrier a cancel still latches.
 func TestCyclicBarrierTenThousandGenerations(t *testing.T) {
 	s := NewSystem()
 	const n, rounds = 4, 10000
@@ -215,15 +215,15 @@ func TestCyclicBarrierTenThousandGenerations(t *testing.T) {
 				want := 0
 				switch {
 				case r%3 == 0:
-					got, err = tk.BarrierExchange("cyclic", n, 0, nil)
+					got, err = tk.BarrierExchange("cyclic", n, nil)
 				case r%3 == 1:
-					got, err = tk.BarrierExchange("cyclic", n, 0, deposit(i, r))
+					got, err = tk.BarrierExchange("cyclic", n, deposit(i, r))
 					want = n
 				case i%2 == 0:
-					got, err = tk.BarrierExchange("cyclic", n, 0, deposit(i, r))
+					got, err = tk.BarrierExchange("cyclic", n, deposit(i, r))
 					want = n / 2
 				default:
-					err = tk.BarrierTimeout("cyclic", n, time.Minute)
+					err = tk.Barrier("cyclic", n)
 				}
 				if err != nil {
 					return fmt.Errorf("round %d: %w", r, err)
@@ -244,29 +244,12 @@ func TestCyclicBarrierTenThousandGenerations(t *testing.T) {
 					return fmt.Errorf("round %d: %d barriers in the table, %d on the free list", r, live, free)
 				}
 			}
-			// A withdrawn arrival takes its deposit with it, and leaves the
-			// arrival beside it — task 1 goes straight to the last round and
-			// keeps the barrier busy — where it was.
-			if i == 0 {
-				if _, err := tk.BarrierExchange("cyclic", n, 5*time.Millisecond, []byte("stale")); !errors.Is(err, ErrTimeout) {
-					return fmt.Errorf("early arrival: err = %v, want ErrTimeout", err)
-				}
-			}
-			if i != 1 {
-				if err := tk.Barrier("withdrawn", n-1); err != nil {
-					return err
-				}
-			}
-			last := deposit(i, rounds)
-			if i == 0 {
-				last = nil // or its own deposit would cover a stale one up
-			}
-			got, err := tk.BarrierExchange("cyclic", n, 0, last)
+			got, err := tk.BarrierExchange("cyclic", n, deposit(i, rounds))
 			if err != nil {
 				return err
 			}
-			if err := check(rounds, got, n-1); err != nil {
-				return fmt.Errorf("after the withdrawal: %w", err)
+			if err := check(rounds, got, n); err != nil {
+				return fmt.Errorf("last round: %w", err)
 			}
 			if err := tk.Barrier("settled", n); err != nil {
 				return err
@@ -385,14 +368,15 @@ func awaitArrivals(b *barrier, n int) {
 // A reference held across a retirement: the barrier it found goes idle,
 // retires and is drawn again under another name before the reference's
 // next arrival. That arrival must not land on the other name's round; it
-// looks its own name up again and meets its partner there. (The deadlines
-// turn an arrival on the wrong barrier into a failure, not a hang.)
+// looks its own name up again and meets its partner there. (The halt
+// turns an arrival on the wrong barrier into a failure, not a hang.)
 func TestHeldBarrierRefFallsBackToTheName(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s := NewSystem()
+	defer time.AfterFunc(10*time.Second, s.Halt).Stop()
 	ref := &BarrierRef{Name: "mine"}
 	s.Spawn("holder", func(tk *Task) error {
-		if _, err := tk.Arrive(ref, 1, 0, nil); err != nil {
+		if _, err := tk.Arrive(ref, 1, nil); err != nil {
 			return err
 		}
 		first := ref.at.b
@@ -401,15 +385,15 @@ func TestHeldBarrierRefFallsBackToTheName(t *testing.T) {
 		}
 		// Another name draws the retired barrier and parks a task there.
 		s.Spawn("thief", func(tk *Task) error {
-			_, err := tk.BarrierExchange("theirs", 2, 10*time.Second, []byte("thief"))
+			_, err := tk.BarrierExchange("theirs", 2, []byte("thief"))
 			return err
 		})
 		awaitArrivals(first, 1)
 		partner := s.Spawn("partner", func(tk *Task) error {
-			_, err := tk.BarrierExchange("mine", 2, 10*time.Second, []byte("partner"))
+			_, err := tk.BarrierExchange("mine", 2, []byte("partner"))
 			return err
 		})
-		got, err := tk.Arrive(ref, 2, 0, []byte("holder"))
+		got, err := tk.Arrive(ref, 2, []byte("holder"))
 		if err != nil {
 			return err
 		}
@@ -425,7 +409,7 @@ func TestHeldBarrierRefFallsBackToTheName(t *testing.T) {
 		if n != 1 {
 			return fmt.Errorf("the other name's round holds %d arrivals, want its own 1", n)
 		}
-		_, err = tk.BarrierExchange("theirs", 2, 0, nil)
+		_, err = tk.BarrierExchange("theirs", 2, nil)
 		return err
 	})
 	if err := s.Wait(); err != nil {
@@ -457,7 +441,7 @@ func TestHeldBarrierRefsUnderRetirement(t *testing.T) {
 				if (r+i)%3 == 0 {
 					runtime.Gosched()
 				}
-				got, err := tk.Arrive(ref, n, 0, []byte{byte(i), byte(r), byte(r >> 8)})
+				got, err := tk.Arrive(ref, n, []byte{byte(i), byte(r), byte(r >> 8)})
 				if err != nil {
 					return err
 				}
@@ -498,7 +482,7 @@ func TestArriveByRefAfterHaltFails(t *testing.T) {
 	live, retired := &BarrierRef{Name: "live"}, &BarrierRef{Name: "retired"}
 	s.Spawn("t", func(tk *Task) error {
 		for _, ref := range []*BarrierRef{retired, live} {
-			if _, err := tk.Arrive(ref, 1, 0, nil); err != nil {
+			if _, err := tk.Arrive(ref, 1, nil); err != nil {
 				return err
 			}
 		}
@@ -515,7 +499,7 @@ func TestArriveByRefAfterHaltFails(t *testing.T) {
 		// A lone arrival would complete its round on the spot: the check
 		// must come first.
 		for _, ref := range []*BarrierRef{live, retired} {
-			if _, err := tk.Arrive(ref, 1, 0, nil); !errors.Is(err, ErrHalted) {
+			if _, err := tk.Arrive(ref, 1, nil); !errors.Is(err, ErrHalted) {
 				return fmt.Errorf("arrival at %q after Halt: err = %v, want ErrHalted", ref.Name, err)
 			}
 		}
@@ -533,14 +517,14 @@ func TestCancelBarrierWakesAnArrivalByRef(t *testing.T) {
 	ref := &BarrierRef{Name: "held"}
 	b := holdInside(t, s, "held")
 	s.Spawn("t", func(tk *Task) error {
-		if _, err := tk.Arrive(ref, 1, 0, nil); err != nil {
+		if _, err := tk.Arrive(ref, 1, nil); err != nil {
 			return err
 		}
 		if ref.at.b != b {
 			return errors.New("the reference does not hold the barrier")
 		}
 		for try := 0; try < 2; try++ {
-			if _, err := tk.Arrive(ref, 2, 0, nil); !errors.Is(err, ErrCanceled) {
+			if _, err := tk.Arrive(ref, 2, nil); !errors.Is(err, ErrCanceled) {
 				return fmt.Errorf("arrival %d: err = %v, want ErrCanceled", try, err)
 			}
 		}

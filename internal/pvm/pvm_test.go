@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestBufferRoundTrip(t *testing.T) {
@@ -283,7 +282,7 @@ func TestBarrierExchangeGathersDeposits(t *testing.T) {
 		i := i
 		s.Spawn(fmt.Sprintf("t%d", i), func(tk *Task) error {
 			for r := 0; r < rounds; r++ {
-				got, err := tk.BarrierExchange("x", n, 0, []byte{byte(i), byte(r)})
+				got, err := tk.BarrierExchange("x", n, []byte{byte(i), byte(r)})
 				if err != nil {
 					return err
 				}
@@ -304,45 +303,6 @@ func TestBarrierExchangeGathersDeposits(t *testing.T) {
 			return nil
 		})
 	}
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierExchangeTimeoutWithdrawsDeposit(t *testing.T) {
-	s := NewSystem()
-	release := make(chan struct{})
-	s.Spawn("early", func(tk *Task) error {
-		// First arrival times out and must take its deposit with it.
-		if _, err := tk.BarrierExchange("w", 2, 20*time.Millisecond, []byte("stale")); !errors.Is(err, ErrTimeout) {
-			return fmt.Errorf("first arrival err = %v, want ErrTimeout", err)
-		}
-		close(release)
-		got, err := tk.BarrierExchange("w", 2, 0, []byte("fresh"))
-		if err != nil {
-			return err
-		}
-		for _, b := range got {
-			if string(b) == "stale" {
-				return errors.New("withdrawn deposit leaked into the completed round")
-			}
-		}
-		if len(got) != 2 {
-			return fmt.Errorf("%d deposits, want 2", len(got))
-		}
-		return nil
-	})
-	s.Spawn("late", func(tk *Task) error {
-		<-release
-		got, err := tk.BarrierExchange("w", 2, 0, []byte("peer"))
-		if err != nil {
-			return err
-		}
-		if len(got) != 2 {
-			return fmt.Errorf("%d deposits, want 2", len(got))
-		}
-		return nil
-	})
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}

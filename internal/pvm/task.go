@@ -71,8 +71,8 @@ func (m Message) Release() { m.w.release() }
 var ErrHalted = errors.New("pvm: system halted")
 
 // ErrTimeout is returned by deadline-bounded blocking operations
-// (RecvTimeout, BarrierTimeout) when the deadline expires
-// before the operation completes.
+// (RecvTimeout) when the deadline expires before the operation
+// completes.
 var ErrTimeout = errors.New("pvm: operation timed out")
 
 // ErrCanceled is returned by Barrier waiters whose barrier was torn
@@ -583,44 +583,35 @@ func (b *barrier) takeResult(gen int) map[TID][]byte {
 
 // Barrier blocks until count tasks have entered the named barrier
 // (PVM's pvm_barrier). All participants must agree on count. A name is a
-// cyclic barrier: it can be entered again as soon as it has returned.
+// cyclic barrier: it can be entered again as soon as it has returned. A
+// barrier torn down with CancelBarrier returns ErrCanceled to every
+// waiter and every subsequent arrival.
 func (t *Task) Barrier(name string, count int) error {
-	return t.BarrierTimeout(name, count, 0)
-}
-
-// BarrierTimeout is Barrier with a deadline: when d is positive and
-// elapses before the barrier completes, the task withdraws its arrival
-// (so a later retry is not double-counted) and returns ErrTimeout. A
-// zero or negative d waits forever. A barrier torn down with
-// CancelBarrier returns ErrCanceled to every waiter and every
-// subsequent arrival.
-func (t *Task) BarrierTimeout(name string, count int, d time.Duration) error {
-	_, err := t.BarrierExchange(name, count, d, nil)
+	_, err := t.BarrierExchange(name, count, nil)
 	return err
 }
 
-// BarrierExchange is BarrierTimeout with an all-gather bolted on: a
+// BarrierExchange is Barrier with an all-gather bolted on: a
 // participant may deposit a byte slice on arrival and, when the barrier
 // completes, receives every deposit of its round keyed by the depositor's
 // TID — nil when nobody made one (an empty deposit is none). The
 // verification layer uses it to join vector clocks at barriers without
 // a second round of messaging. Deposits are copied on entry, so the
-// caller may reuse its buffer immediately. A withdrawn (timed-out)
-// arrival takes its deposit with it; CancelBarrier discards the
+// caller may reuse its buffer immediately. CancelBarrier discards the
 // pending round's deposits. The task's sends are flushed before it
 // arrives, so whatever it sent is receivable once the barrier exits.
 // A transport that carries barriers (BarrierCarrier) takes the arrival
 // from there; otherwise the barrier is this System's, and the task that
 // leaves it idle retires it (unlockBarrier).
-func (t *Task) BarrierExchange(name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
-	return t.Arrive(&BarrierRef{Name: name}, count, d, deposit)
+func (t *Task) BarrierExchange(name string, count int, deposit []byte) (map[TID][]byte, error) {
+	return t.Arrive(&BarrierRef{Name: name}, count, deposit)
 }
 
 // Arrive is BarrierExchange at the barrier r names, through the barrier r
 // holds while it is still that barrier (BarrierRef): a task that keeps its
 // reference across the rounds of a cyclic barrier arrives without a table
 // lookup.
-func (t *Task) Arrive(r *BarrierRef, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
+func (t *Task) Arrive(r *BarrierRef, count int, deposit []byte) (map[TID][]byte, error) {
 	name := r.Name
 	if count <= 0 {
 		return nil, fmt.Errorf("pvm: barrier %q with count %d", name, count)
@@ -629,34 +620,22 @@ func (t *Task) Arrive(r *BarrierRef, count int, d time.Duration, deposit []byte)
 		return nil, err
 	}
 	if bc := t.sys.carrier; bc != nil {
-		return bc.BarrierExchange(t.tid, name, count, d, deposit)
+		return bc.BarrierExchange(t.tid, name, count, deposit)
 	}
 	b, err := t.sys.lockBarrier(r, true)
 	if err != nil {
 		return nil, err
 	}
 	b.inside++
-	res, err := b.round(t.tid, name, count, d, deposit)
+	res, err := b.round(t.tid, name, count, deposit)
 	t.sys.unlockBarrier(name, b)
 	return res, err
 }
 
 // round is one task's stay at b, b.mu held throughout but while it waits:
-// its arrival, with its deposit, and its wait until the round completes,
-// the barrier is canceled or halted, or d elapses and it withdraws.
-func (b *barrier) round(tid TID, name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error) {
-	var deadline time.Time
-	var timer *time.Timer
-	if d > 0 {
-		deadline = time.Now().Add(d)
-		timer = time.AfterFunc(d, func() {
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
-
+// its arrival, with its deposit, and its wait until the round completes
+// or the barrier is canceled or halted.
+func (b *barrier) round(tid TID, name string, count int, deposit []byte) (map[TID][]byte, error) {
 	if b.canceled {
 		return nil, fmt.Errorf("pvm: barrier %q: %w", name, ErrCanceled)
 	}
@@ -682,18 +661,10 @@ func (b *barrier) round(tid TID, name string, count int, d time.Duration, deposi
 		return b.takeResult(gen), nil
 	}
 	for b.gen == gen && !b.halted && !b.canceled {
-		if d > 0 && !time.Now().Before(deadline) {
-			b.arrived--
-			delete(b.deposits, tid)
-			if len(b.deposits) == 0 {
-				b.deposits = nil // the round may yet complete without one
-			}
-			return nil, fmt.Errorf("pvm: barrier %q after %v: %w", name, d, ErrTimeout)
-		}
 		b.cond.Wait()
 	}
 	if b.gen != gen {
-		return b.takeResult(gen), nil // completed while we were checking
+		return b.takeResult(gen), nil
 	}
 	if b.canceled {
 		return nil, fmt.Errorf("pvm: barrier %q: %w", name, ErrCanceled)

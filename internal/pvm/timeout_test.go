@@ -58,29 +58,6 @@ func TestRecvTimeoutDeliversEarlyMessage(t *testing.T) {
 	}
 }
 
-// A timed-out barrier waiter must roll its arrival back so a later
-// retry is not double-counted: after p0's timeout, a fresh pair of
-// arrivals completes the barrier with exactly count arrivals.
-func TestBarrierTimeoutRollsBackArrival(t *testing.T) {
-	sys := NewSystem()
-	timedOut := make(chan struct{})
-	sys.Spawn("early", func(task *Task) error {
-		err := task.BarrierTimeout("b", 2, 20*time.Millisecond)
-		if !errors.Is(err, ErrTimeout) {
-			return fmt.Errorf("first wait err = %v, want ErrTimeout", err)
-		}
-		close(timedOut)
-		return task.Barrier("b", 2)
-	})
-	sys.Spawn("late", func(task *Task) error {
-		<-timedOut
-		return task.Barrier("b", 2)
-	})
-	if err := sys.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCancelBarrierWakesWaiterTyped(t *testing.T) {
 	sys := NewSystem()
 	parked := make(chan struct{})

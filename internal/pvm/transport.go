@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrPeerLost is wrapped by transports when a peer's link is severed —
@@ -99,7 +98,7 @@ type Transport interface {
 // typed errors. Everything the task posted before arriving must be
 // observable by every participant that leaves the barrier.
 type BarrierCarrier interface {
-	BarrierExchange(tid TID, name string, count int, d time.Duration, deposit []byte) (map[TID][]byte, error)
+	BarrierExchange(tid TID, name string, count int, deposit []byte) (map[TID][]byte, error)
 }
 
 // TransportFactory names one registered transport flavor. A nil New is

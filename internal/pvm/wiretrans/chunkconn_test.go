@@ -366,6 +366,22 @@ func TestHandshakeOverChunkedConn(t *testing.T) {
 	}
 }
 
+func TestHelloOfAnotherVersionIsRefused(t *testing.T) {
+	// A version 2 peer sends a deadline in every BARRIER frame, which
+	// this version would read as the deposit: the handshake refuses it.
+	hello := func(version int32) *bytes.Reader {
+		body := pvm.Wrap(nil).PackString(protoMagic).PackInt32(version, roleWorker, 2, 4).PackInt64(9).Bytes()
+		return bytes.NewReader(AppendFrame(nil, frameHello, body))
+	}
+	if _, err := newLink(&burstConn{in: hello(protoVersion)}, "test").readHello(); err != nil {
+		t.Fatalf("readHello of version %d: %v", protoVersion, err)
+	}
+	_, err := newLink(&burstConn{in: hello(2)}, "test").readHello()
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("readHello of version 2 = %v, want ErrBadFrame", err)
+	}
+}
+
 // pumpProbeConn is the pump's side of a chunkConn that counts the pump's
 // reads, its writes and the ack frames in them.
 type pumpProbeConn struct {

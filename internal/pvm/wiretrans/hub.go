@@ -255,11 +255,11 @@ func (h *Hub) relay(task *pvm.Task, lk *link) error {
 				return fmt.Errorf("wiretrans: worker %d send: %w", pid, ackCause(code, detail))
 			}
 		case frameBarrier:
-			name, count, d, deposit, err := unpackBarrier(body)
+			name, count, deposit, err := unpackBarrier(body)
 			if err != nil {
 				return fmt.Errorf("wiretrans: worker %d: %w", pid, err)
 			}
-			res, berr := task.BarrierExchange(name, count, d, deposit)
+			res, berr := task.BarrierExchange(name, count, deposit)
 			f.Release()
 			msgs = task.AppendRecvAll(msgs[:0], pvm.AnySource, pvm.AnyTag)
 			err = lk.post(pid, msgs, false)
@@ -278,37 +278,31 @@ func (h *Hub) relay(task *pvm.Task, lk *link) error {
 	}
 }
 
-// packBarrier and unpackBarrier are the BARRIER frame: name, count,
-// the deadline in nanoseconds (zero: none — a millisecond field would
-// turn a sub-millisecond deadline into "wait forever"), the deposit. A
-// body that does not decode is ErrBadFrame.
-func packBarrier(name string, count int, d time.Duration, deposit []byte) []byte {
-	return pvm.Wrap(nil).PackString(name).PackInt32(int32(count)).PackInt64(int64(d)).PackBytes(deposit).Bytes()
+// packBarrier and unpackBarrier are the BARRIER frame: name, count, the
+// deposit. A body that does not decode is ErrBadFrame.
+func packBarrier(name string, count int, deposit []byte) []byte {
+	return pvm.Wrap(nil).PackString(name).PackInt32(int32(count)).PackBytes(deposit).Bytes()
 }
 
-func unpackBarrier(body []byte) (name string, count int, d time.Duration, deposit []byte, err error) {
+func unpackBarrier(body []byte) (name string, count int, deposit []byte, err error) {
 	b := pvm.Wrap(body)
 	name, err = b.UnpackString()
 	var n int32
 	if err == nil {
 		n, err = b.UnpackInt32()
 	}
-	var ns int64
-	if err == nil {
-		ns, err = b.UnpackInt64()
-	}
 	if err == nil {
 		deposit, err = b.UnpackBytes()
 	}
 	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("%w: BARRIER: %v", ErrBadFrame, err)
+		return "", 0, nil, fmt.Errorf("%w: BARRIER: %v", ErrBadFrame, err)
 	}
-	return name, int(n), time.Duration(ns), deposit, nil
+	return name, int(n), deposit, nil
 }
 
 // barrierErrs are the typed causes a BARRIERERR frame can carry, by
 // code; code 0 is any other error, carried as its text.
-var barrierErrs = []error{nil, pvm.ErrTimeout, pvm.ErrCanceled, pvm.ErrHalted}
+var barrierErrs = []error{nil, pvm.ErrCanceled, pvm.ErrHalted}
 
 // packBarrierReply and unpackBarrierReply are the barrier's answer:
 // BARRIEROK with every participant's deposit keyed by pid, or BARRIERERR

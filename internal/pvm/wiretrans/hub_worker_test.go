@@ -379,40 +379,6 @@ func TestWorkerLinkDropHaltsCoordinator(t *testing.T) {
 	}
 }
 
-func TestWorkerBarrierTimeoutIsTyped(t *testing.T) {
-	// A barrier the peers never complete must come back to the worker's
-	// task as the same typed ErrTimeout the in-proc API returns — for a
-	// deadline under a millisecond too, which a coarser unit on the wire
-	// would turn into "wait forever".
-	testutil.CheckGoroutines(t)
-	const nprocs = 2
-	h, sys := startHub(t, "tcp", nprocs, func(task *pvm.Task) error {
-		// pid0 never enters the barrier.
-		_, err := task.RecvTimeout(pvm.AnySource, 9, testTimeout)
-		if errors.Is(err, pvm.ErrHalted) {
-			return nil
-		}
-		return err
-	})
-
-	w, wsys := startWorker(t, h, 1, nprocs, func(task *pvm.Task) error {
-		for _, d := range []time.Duration{300 * time.Millisecond, 500 * time.Microsecond} {
-			if err := task.BarrierTimeout("nobody-comes", nprocs, d); !errors.Is(err, pvm.ErrTimeout) {
-				return fmt.Errorf("barrier with a %v deadline = %v, want pvm.ErrTimeout", d, err)
-			}
-		}
-		return nil
-	})
-	if err := wsys.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	sys.Halt()
-	_ = sys.Wait()
-}
-
 func TestSendBatchesSplitsAtMaxFrame(t *testing.T) {
 	// A relay forwards a superstep's traffic from every sender at once;
 	// together it may exceed what one frame can carry, and must then go

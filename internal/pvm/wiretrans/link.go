@@ -19,7 +19,7 @@ import (
 // any message flows.
 const (
 	protoMagic   = "hbspk-wire"
-	protoVersion = 2 // 2: the hub/worker plane carries BATCH frames and nanosecond deadlines
+	protoVersion = 3 // 3: a BARRIER frame carries no deadline
 
 	roleTransport int32 = 0 // a Loopback client carrying Deliver batches
 	roleWorker    int32 = 1 // a worker process joining a hub

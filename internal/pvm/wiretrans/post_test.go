@@ -696,7 +696,7 @@ func TestWorkerPostGoesUpInOneWrite(t *testing.T) {
 		t.Run(fmt.Sprintf("held=%v", held), func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			h, hsys := startHub(t, "unix", 2, func(task *pvm.Task) error {
-				if err := task.BarrierTimeout("sent", 2, testTimeout); err != nil {
+				if err := task.Barrier("sent", 2); err != nil {
 					return err
 				}
 				msgs := task.TryRecvAll(1, 1)
@@ -740,7 +740,7 @@ func TestWorkerPostGoesUpInOneWrite(t *testing.T) {
 				if n := w.lk.written() - before; n != 1 {
 					return fmt.Errorf("post and Flush made %d writes, want 1", n)
 				}
-				return task.BarrierTimeout("sent", 2, testTimeout)
+				return task.Barrier("sent", 2)
 			})
 			if err := wsys.Wait(); err != nil {
 				t.Fatal(err)

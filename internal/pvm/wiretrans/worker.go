@@ -147,12 +147,12 @@ func (w *Worker) Flush(src pvm.TID) error {
 
 // BarrierExchange implements pvm.BarrierCarrier: the entry travels as a
 // BARRIER frame, the relay parks in the coordinator System's
-// BarrierExchange under the same deadline, and the result (every
+// BarrierExchange, and the result (every
 // participant's deposit keyed by pid) or the typed error comes back
 // down, behind everything the superstep sent this worker. Only the hub's
 // answer or the loss of the link ends the wait.
-func (w *Worker) BarrierExchange(_ pvm.TID, name string, count int, d time.Duration, deposit []byte) (map[pvm.TID][]byte, error) {
-	if err := w.lk.writeFrame(frameBarrier, packBarrier(name, count, d, deposit)); err != nil {
+func (w *Worker) BarrierExchange(_ pvm.TID, name string, count int, deposit []byte) (map[pvm.TID][]byte, error) {
+	if err := w.lk.writeFrame(frameBarrier, packBarrier(name, count, deposit)); err != nil {
 		return nil, err
 	}
 	select {

@@ -26,10 +26,6 @@ type Step struct {
 	// W, H, Comm, Sync and Time are the charged cost ingredients:
 	// T = W + Comm + Sync with Comm = g·H in the pure model.
 	W, H, Comm, Sync, Time float64
-	// Ckpt is the checkpoint-commit charge added past the step's end
-	// (the maximum over participants), nonzero only at checkpointed
-	// superstep boundaries.
-	Ckpt float64
 	// Flows and Bytes summarize the step's delivered traffic.
 	Flows, Bytes int
 	// GatingPid is the processor whose work set W (-1 when none);
