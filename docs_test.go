@@ -18,7 +18,7 @@ import (
 // benchmark/ (testdata included) to the module's own tests: a name of
 // the form Test…, Benchmark…, Fuzz… or Example… there must be one a
 // _test.go file declares, and a name with a trailing * must prefix one.
-// CHANGES.md, ROADMAP.md and ISSUE.md are history and are not read.
+// CHANGES.md and ROADMAP.md are history and are not read.
 func TestDocsNameOnlyTestsThatExist(t *testing.T) {
 	declared := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)[\[(]`)
 	named := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*\*?`)
