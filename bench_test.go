@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hbspk/internal/apps"
+	"hbspk/internal/collective"
 	"hbspk/internal/cost"
 	"hbspk/internal/experiments"
 	"hbspk/internal/fabric"
@@ -114,14 +115,6 @@ func BenchmarkHierarchyPenalty(b *testing.B) {
 		}
 	}
 	b.ReportMetric(lastOf(b, res, "figure1"), "penalty_1MB")
-}
-
-func BenchmarkCalibrate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Calibrate(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Microbenchmarks of the moving parts ---
@@ -272,7 +265,7 @@ func BenchmarkScanHier(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := hbsp.RunVirtual(tr, fabric.PureModel(), func(c hbsp.Ctx) error {
-			_, err := ScanHier(c, local, SumOp)
+			_, err := collective.ScanHier(c, local, SumOp)
 			return err
 		})
 		if err != nil {
@@ -301,7 +294,7 @@ func BenchmarkMatMulBalanced(b *testing.B) {
 			if c.Self() == c.Tree().FastestLeaf() {
 				inA, inB = a, bb
 			}
-			_, err := MatMul(c, inA, m, k, inB, n, true)
+			_, err := apps.MatMul(c, inA, m, k, inB, n, true)
 			return err
 		})
 		if err != nil {
@@ -409,7 +402,7 @@ func BenchmarkTotalExchangeHier(b *testing.B) {
 				}
 				var err error
 				if h {
-					_, err = TotalExchangeHier(c, out)
+					_, err = collective.TotalExchangeHier(c, out)
 				} else {
 					_, err = TotalExchange(c, c.Tree().Root, out)
 				}

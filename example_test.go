@@ -2,6 +2,7 @@ package hbspk_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hbspk"
@@ -80,4 +81,61 @@ func ExampleAllReduce() {
 	fmt.Println("every processor holds:", totals[0])
 	// Output:
 	// every processor holds: 9
+}
+
+// ExampleRunChaos kills a processor mid-collective and drops 5% of the
+// messages; the fault-tolerant all-reduce re-elects a live coordinator
+// and every survivor ends with the fold over the survivor set.
+func ExampleRunChaos() {
+	tree := hbspk.UCFTestbed()
+	// Kill p2 at its second superstep and drop 5% of messages.
+	plan := &hbspk.ChaosPlan{
+		Seed:    7,
+		Crashes: []hbspk.Crash{{Pid: 2, AtStep: 1}},
+		Drop:    0.05,
+	}
+	sums := make([]int64, tree.NProcs())
+	_, err := hbspk.RunChaos(tree, hbspk.PVMFabric(), plan, func(c hbspk.Ctx) error {
+		ft := hbspk.NewFT(c, c.Tree().Root)
+		sum, err := ft.AllReduce([]int64{int64(c.Pid())}, hbspk.SumOp)
+		if err != nil {
+			return err
+		}
+		sums[c.Pid()] = sum[0]
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("sums by pid:", sums)
+	// Output:
+	// sums by pid: [43 43 0 43 43 43 43 43 43 43]
+}
+
+// ExamplePlannedBcast lets a Planner pick the broadcast variant for a
+// 1 MB payload on the paper's testbed from the closed-form cost table.
+func ExamplePlannedBcast() {
+	tree := hbspk.UCFTestbed()
+	p := hbspk.NewPlanner()
+	rootPid := tree.Pid(tree.FastestLeaf())
+	ok := make([]bool, tree.NProcs())
+	_, err := hbspk.Run(tree, hbspk.PureModelFabric(), func(c hbspk.Ctx) error {
+		var data []byte
+		if c.Pid() == rootPid {
+			data = make([]byte, 1<<20)
+		}
+		got, err := hbspk.PlannedBcast(c, p, 1<<20, data)
+		ok[c.Pid()] = len(got) == 1<<20
+		return err
+	})
+	if err != nil {
+		panic(err)
+	}
+	for _, d := range p.Decisions() {
+		fmt.Println(d.Family, "->", d.Variant)
+	}
+	fmt.Println("every processor holds 1 MB:", !slices.Contains(ok, false))
+	// Output:
+	// bcast -> BcastHierTwoPhase
+	// every processor holds 1 MB: true
 }

@@ -57,8 +57,6 @@ type (
 	Report = trace.Report
 	// FabricConfig selects the effects charged beyond the pure model.
 	FabricConfig = fabric.Config
-	// MachineSpec is the JSON-serializable machine description.
-	MachineSpec = model.Spec
 )
 
 // NewLeaf returns a processor machine.
@@ -70,26 +68,19 @@ func NewCluster(name string, children []*Machine, opts ...Option) *Machine {
 }
 
 // WithComm sets r_{i,j}; WithComp the compute slowdown; WithSync
-// L_{i,j}; WithShare c_{i,j}.
-func WithComm(r float64) Option  { return model.WithComm(r) }
-func WithComp(s float64) Option  { return model.WithComp(s) }
-func WithSync(l float64) Option  { return model.WithSync(l) }
-func WithShare(c float64) Option { return model.WithShare(c) }
+// L_{i,j}.
+func WithComm(r float64) Option { return model.WithComm(r) }
+func WithComp(s float64) Option { return model.WithComp(s) }
+func WithSync(l float64) Option { return model.WithSync(l) }
 
-// New builds a Tree with bandwidth indicator g; call Normalize and
-// Validate before running on it (the presets already do).
-func New(root *Machine, g float64) (*Tree, error) { return model.New(root, g) }
-
-// MustNew is New for statically known machines.
+// MustNew builds a Tree with bandwidth indicator g and panics on an
+// invalid shape; call Normalize before running on it (the presets
+// already do).
 func MustNew(root *Machine, g float64) *Tree { return model.MustNew(root, g) }
 
 // Presets from the paper.
-func UCFTestbed() *Tree       { return model.UCFTestbed() }
-func UCFTestbedN(p int) *Tree { return model.UCFTestbedN(p) }
-func Figure1Cluster() *Tree   { return model.Figure1Cluster() }
-func Homogeneous(p int, syncCost float64) *Tree {
-	return model.Homogeneous(p, syncCost)
-}
+func UCFTestbed() *Tree     { return model.UCFTestbed() }
+func Figure1Cluster() *Tree { return model.Figure1Cluster() }
 func WideAreaGrid(clusters, perCluster int, wanSlowdown, lanSync, wanSync float64) *Tree {
 	return model.WideAreaGrid(clusters, perCluster, wanSlowdown, lanSync, wanSync)
 }
@@ -97,16 +88,6 @@ func WideAreaGrid(clusters, perCluster int, wanSlowdown, lanSync, wanSync float6
 // Fabric configurations.
 func PureModelFabric() FabricConfig { return fabric.PureModel() }
 func PVMFabric() FabricConfig       { return fabric.PVM() }
-func PVMNoisyFabric(noise float64, seed int64) FabricConfig {
-	return fabric.PVMNoisy(noise, seed)
-}
-
-// EncodeSpec captures a tree as JSON; DecodeSpec parses one. Specs are
-// the configuration format of the command-line tools.
-func EncodeSpec(t *Tree) ([]byte, error) { return model.SpecOf(t).Encode() }
-func DecodeSpec(data []byte) (*MachineSpec, error) {
-	return model.ParseSpec(data)
-}
 
 // Run executes the program on the virtual-time engine: a deterministic
 // sequential simulation (one processor's program runs at a time, so a
@@ -128,11 +109,5 @@ func RunConcurrent(t *Tree, prog Program) (*Report, error) {
 // error instead of blocking forever.
 var ErrDesync = hbsp.ErrDesync
 
-// SyncAll synchronizes the whole machine (a super^k-step).
-func SyncAll(c Ctx, label string) error { return hbsp.SyncAll(c, label) }
-
-// Rank returns the processor's fastest-first compute rank; Speed its
-// compute slowdown; Share its balanced-workload fraction.
-func Rank(c Ctx) int      { return hbsp.Rank(c) }
-func Speed(c Ctx) float64 { return hbsp.Speed(c) }
+// Share returns the processor's balanced-workload fraction c_{i,j}.
 func Share(c Ctx) float64 { return hbsp.Share(c) }

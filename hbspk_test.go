@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hbspk/internal/collective"
 	"hbspk/internal/fabric"
 	"hbspk/internal/hbsp"
+	"hbspk/internal/model"
 	"hbspk/internal/testutil"
 )
 
@@ -47,9 +49,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 func TestPublicPresetsValidate(t *testing.T) {
 	for name, tr := range map[string]*Tree{
 		"ucf":      UCFTestbed(),
-		"ucf4":     UCFTestbedN(4),
 		"figure1":  Figure1Cluster(),
-		"homog":    Homogeneous(6, 100),
 		"wan-grid": WideAreaGrid(2, 3, 10, 100, 1000),
 	} {
 		if err := tr.Validate(); err != nil {
@@ -106,7 +106,7 @@ func TestPublicAllReduceAcrossEngines(t *testing.T) {
 }
 
 func TestPublicBroadcastVariantsAgree(t *testing.T) {
-	tree := UCFTestbedN(6)
+	tree := model.UCFTestbedN(6)
 	data := bytes.Repeat([]byte{9, 8, 7}, 999)
 	root := tree.Pid(tree.FastestLeaf())
 	for _, variant := range []string{"one", "two", "hier"} {
@@ -120,7 +120,7 @@ func TestPublicBroadcastVariantsAgree(t *testing.T) {
 			var err error
 			switch variant {
 			case "one":
-				out, err = BcastOnePhase(c, c.Tree().Root, root, in)
+				out, err = collective.BcastOnePhase(c, c.Tree().Root, root, in)
 			case "two":
 				out, err = BcastTwoPhase(c, c.Tree().Root, root, in, nil)
 			case "hier":
@@ -146,32 +146,6 @@ func TestPublicCrossoverFiniteOnTestbed(t *testing.T) {
 	}
 }
 
-func TestPublicSpecRoundTrip(t *testing.T) {
-	tree := Figure1Cluster()
-	spec := specOf(t, tree)
-	back, err := spec.Tree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.K() != tree.K() || back.NProcs() != tree.NProcs() {
-		t.Error("spec round trip changed shape")
-	}
-}
-
-func specOf(t *testing.T, tree *Tree) *MachineSpec {
-	t.Helper()
-	// Reuse the JSON path end to end.
-	data, err := EncodeSpec(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := DecodeSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return spec
-}
-
 func TestPublicPlannedCollectives(t *testing.T) {
 	tr := UCFTestbed()
 	pl := NewPlanner()
@@ -189,7 +163,7 @@ func TestPublicPlannedCollectives(t *testing.T) {
 		if !bytes.Equal(out, data) {
 			t.Errorf("pid %d: planned bcast wrong data", c.Pid())
 		}
-		sum, err := PlannedAllReduce(c, pl, []int64{int64(c.Pid()), 1}, SumOp)
+		sum, err := collective.PlannedAllReduce(c, pl, []int64{int64(c.Pid()), 1}, SumOp)
 		if err != nil {
 			return err
 		}
@@ -227,7 +201,7 @@ func TestRunValidatesTheTree(t *testing.T) {
 	}{
 		{"not normalized", "call Normalize", func() *Tree { return MustNew(pair(WithComm(3)), 1) }},
 		{"comm 0", "invalid r = 0", func() *Tree { return MustNew(pair(WithComm(0)), 1) }},
-		{"share 1.5", "invalid c = 1.5", func() *Tree { return MustNew(pair(WithShare(1.5)), 1) }},
+		{"share 1.5", "invalid c = 1.5", func() *Tree { return MustNew(pair(model.WithShare(1.5)), 1) }},
 		{"sync -1", "invalid L = -1", func() *Tree { return MustNew(pair(WithSync(-1)), 1) }},
 	}
 	runs := []struct {
@@ -253,7 +227,7 @@ func TestRunValidatesTheTree(t *testing.T) {
 				var started atomic.Bool
 				rep, err := r.run(tr, func(c Ctx) error {
 					started.Store(true)
-					return SyncAll(c, "step")
+					return hbsp.SyncAll(c, "step")
 				})
 				if err == nil || err.Error() != want.Error() || rep != nil {
 					t.Errorf("Run = (%v, %v), want (nil, %v)", rep, err, want)

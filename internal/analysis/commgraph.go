@@ -77,7 +77,7 @@ func programEntryBodies(pass *Pass) map[*ast.BlockStmt]bool {
 				return true
 			}
 			switch fn.Name() {
-			case "Run", "RunVirtual", "RunVirtualChaos", "RunSchedules", "RunConcurrent":
+			case "Run", "RunVirtual", "RunSchedules", "RunConcurrent":
 			default:
 				return true
 			}

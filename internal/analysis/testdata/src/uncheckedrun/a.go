@@ -28,11 +28,7 @@ func (v *Virtual) RunSchedules(prog Program, n int, seed int64) (*ScheduleSet, e
 	return nil, nil
 }
 
-type ChaosPlan struct{}
-
 func RunVirtual(t *Tree, prog Program) (*Report, error) { return nil, nil }
-
-func RunVirtualChaos(t *Tree, plan *ChaosPlan, prog Program) (*Report, error) { return nil, nil }
 
 func SyncAll(c Ctx, label string) error { return c.Sync(nil, label) }
 
@@ -138,10 +134,6 @@ func dropBarrierExchange(t *Task, clock []byte) {
 
 func dropArrive(t *Task, r *BarrierRef) {
 	t.Arrive(r, 4, nil) // want `error result of Arrive is dropped`
-}
-
-func dropChaosRun(t *Tree, plan *ChaosPlan, prog Program) {
-	RunVirtualChaos(t, plan, prog) // want `error result of RunVirtualChaos is dropped`
 }
 
 func dropSchedules(v *Virtual, prog Program) {

@@ -103,7 +103,7 @@ func isUncheckedTarget(pass *Pass, call *ast.CallExpr) bool {
 	switch name {
 	case "SyncAll":
 		return len(call.Args) > 0 && isCtxType(info.TypeOf(call.Args[0]))
-	case "Run", "RunVirtual", "RunVirtualChaos", "RunConcurrent":
+	case "Run", "RunVirtual", "RunConcurrent":
 		// The facade runners: recognized by their (*Report, error) shape
 		// so that unrelated functions named Run stay out of scope.
 		sig := fn.Type().(*types.Signature)

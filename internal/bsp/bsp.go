@@ -51,26 +51,9 @@ func (m Machine) BcastTwoPhase(n int) float64 {
 	return m.StepTime(0, float64(n)) + m.StepTime(0, float64(n))
 }
 
-// Scatter predicts the scatter of n bytes in equal pieces.
-func (m Machine) Scatter(n int) float64 { return m.Gather(n) }
-
 // AllGather predicts the all-gather with equal pieces: every processor
 // sends its n/p piece to p-1 peers and receives n(p-1)/p.
 func (m Machine) AllGather(n int) float64 {
 	h := float64(n) * float64(m.P-1) / float64(m.P)
 	return m.StepTime(0, h)
-}
-
-// TotalExchange predicts a balanced all-to-all of n bytes total per
-// processor row.
-func (m Machine) TotalExchange(n int) float64 {
-	h := float64(n) * float64(m.P-1) / float64(m.P)
-	return m.StepTime(0, h)
-}
-
-// Reduce predicts a direct reduction of p vectors of w bytes at the
-// root with per-byte combine cost opCost.
-func (m Machine) Reduce(w int, opCost float64) float64 {
-	work := opCost * float64(w) * float64(m.P-1)
-	return m.StepTime(work, float64(w)*float64(m.P-1))
 }

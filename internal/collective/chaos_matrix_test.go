@@ -136,7 +136,10 @@ var matrixEngines = []struct {
 	run  func(plan *fabric.ChaosPlan, prog hbsp.Program) error
 }{
 	{"virtual", func(plan *fabric.ChaosPlan, prog hbsp.Program) error {
-		_, err := hbsp.RunVirtualChaos(model.UCFTestbedN(matrixP), fabric.PureModel(), plan, prog)
+		tr := model.UCFTestbedN(matrixP)
+		eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+		eng.Chaos = plan
+		_, err := eng.Run(prog)
 		return err
 	}},
 	{"concurrent", func(plan *fabric.ChaosPlan, prog hbsp.Program) error {
@@ -204,9 +207,6 @@ func checkCell(t *testing.T, op string, victims []int, o *outcomes, runErr error
 			t.Fatalf("survivor p%d recorded no outcome (hung or never ran)", pid)
 		}
 		if out.err != nil {
-			if hbsp.IsCrashStop(out.err) {
-				t.Errorf("survivor p%d returned the victim's crash-stop error: %v", pid, out.err)
-			}
 			if !typedFault(out.err) && !strings.Contains(out.err.Error(), "gave up") {
 				t.Errorf("survivor p%d returned an untyped error: %v", pid, out.err)
 			}
@@ -363,42 +363,5 @@ func TestChaosReelectionWhenFastestDies(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// LiveShares renormalizes the balanced-workload fractions over the
-// survivors: they sum to 1 and keep the same ratios as the original
-// shares.
-func TestChaosLiveSharesRenormalize(t *testing.T) {
-	tr := model.UCFTestbedN(4)
-	var got map[int]float64
-	_, err := hbsp.RunVirtual(tr, fabric.PureModel(), func(c hbsp.Ctx) error {
-		if c.Pid() == 0 {
-			got = LiveShares(c, c.Tree().Root, []int{0, 2, 3})
-		}
-		return hbsp.SyncAll(c, "done")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("LiveShares over 3 survivors returned %d entries: %v", len(got), got)
-	}
-	if _, hasDead := got[1]; hasDead {
-		t.Error("dead p1 still holds a share")
-	}
-	total := 0.0
-	for _, s := range got {
-		total += s
-	}
-	if total < 0.999 || total > 1.001 {
-		t.Errorf("renormalized shares sum to %v, want 1", total)
-	}
-	// Ratios between survivors are preserved from the original shares.
-	l0, l2 := tr.Leaf(0), tr.Leaf(2)
-	wantRatio := l0.Share / l2.Share
-	gotRatio := got[0] / got[2]
-	if diff := gotRatio - wantRatio; diff < -1e-9 || diff > 1e-9 {
-		t.Errorf("share ratio p0/p2 = %v, want %v", gotRatio, wantRatio)
 	}
 }

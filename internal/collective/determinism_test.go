@@ -100,6 +100,8 @@ func virtualOutcome(t *testing.T, tr *model.Tree, cfg fabric.Config, chaos *fabr
 
 func TestHierCollectivesReproduceOnMultiLevelTrees(t *testing.T) {
 	const runs, n = 20, 96
+	noisy := fabric.PVM()
+	noisy.Noise, noisy.Seed = 0.2, 3
 	for _, nt := range multiLevelTrees() {
 		treeName, tr := nt.name, nt.tree
 		p := tr.NProcs()
@@ -110,7 +112,7 @@ func TestHierCollectivesReproduceOnMultiLevelTrees(t *testing.T) {
 			mustRun bool // a fault-free mode: the collective must succeed
 		}{
 			{name: "pure", cfg: fabric.PureModel(), mustRun: true},
-			{name: "noisy", cfg: fabric.PVMNoisy(0.2, 3), mustRun: true},
+			{name: "noisy", cfg: noisy, mustRun: true},
 			{name: "chaos", cfg: fabric.PVM(), chaos: &fabric.ChaosPlan{
 				Seed: 11, Delay: 0.3, DelaySteps: 1,
 				Crashes: []fabric.Crash{{Pid: p - 1, AtStep: 1}},

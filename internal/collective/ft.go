@@ -128,33 +128,6 @@ func (f *FT) alive() map[int]bool {
 	return alive
 }
 
-// LiveShares returns the balanced-workload fractions c_{i,j}
-// renormalized over the scope's survivors: each live member's share
-// divided by the live total, so shares again sum to 1 and degraded-mode
-// work partitioning stays balanced.
-func LiveShares(c hbsp.Ctx, scope *model.Machine, live []int) map[int]float64 {
-	alive := make(map[int]bool, len(live))
-	for _, pid := range live {
-		alive[pid] = true
-	}
-	total := 0.0
-	for _, l := range scope.Leaves() {
-		if alive[c.Tree().Pid(l)] {
-			total += l.Share
-		}
-	}
-	out := make(map[int]float64, len(live))
-	if total <= 0 {
-		return out
-	}
-	for _, l := range scope.Leaves() {
-		if pid := c.Tree().Pid(l); alive[pid] {
-			out[pid] = l.Share / total
-		}
-	}
-	return out
-}
-
 // sync runs one round's barrier. retry=true means a member died and
 // every survivor is restarting the epoch together (the engines deliver
 // ErrPeerFailed to all live members at the same generation); a non-nil

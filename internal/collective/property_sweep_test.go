@@ -159,7 +159,7 @@ func TestPropertySweepCollectives(t *testing.T) {
 		{"figure1", model.Figure1Cluster()},
 		{"grid", model.WideAreaGrid(3, 4, 12, 25000, 250000)},
 		{"chain", model.DeepChain(4)},
-		{"single", model.SingleProcessor()},
+		{"single", model.MustNew(model.NewLeaf("cpu"), 1).Normalize()},
 	} {
 		env := sweepEnvOn(baseSeed, rand.New(rand.NewSource(baseSeed)), nt.tree)
 		for _, eng := range engines {

@@ -179,20 +179,16 @@ var tallies = sync.Pool{New: func() any { return new([]tallied) }}
 
 type tallied struct{ sent, recv, r float64 }
 
-// HRelation computes the heterogeneous h-relation of a super^i-step at
-// the given scope: h = max over charged machines of r_{i,j} · h_{i,j},
-// where h_{i,j} is the larger of the bytes sent and received by machine
-// M_{i,j} (§3.4, Table 1).
-func HRelation(t *model.Tree, scope *model.Machine, flows []Flow) float64 {
-	return HRelationRated(t, scope, flows, nil)
-}
-
-// HRelationRated is HRelation under the paper's §6 extension: a
-// RateTable of per-destination factors. A flow from entity S to entity D
-// contributes bytes·Factor(S, D) to S's sent tally — the sender pays for
-// a harder-to-reach destination — while D's receive tally counts raw
-// bytes (drained at D's own r as before). A nil table reduces to the
-// plain model. It allocates nothing once its pooled tally fits the tree.
+// HRelationRated computes the heterogeneous h-relation of a
+// super^i-step at the given scope: h = max over charged machines of
+// r_{i,j} · h_{i,j}, where h_{i,j} is the larger of the bytes sent and
+// received by machine M_{i,j} (§3.4, Table 1). The rt argument is the
+// paper's §6 extension: a RateTable of per-destination factors. A flow
+// from entity S to entity D contributes bytes·Factor(S, D) to S's sent
+// tally — the sender pays for a harder-to-reach destination — while D's
+// receive tally counts raw bytes (drained at D's own r as before). A
+// nil table reduces to the plain model. It allocates nothing once its
+// pooled tally fits the tree.
 func HRelationRated(t *model.Tree, scope *model.Machine, flows []Flow, rt *model.RateTable) float64 {
 	if len(flows) == 0 {
 		return 0

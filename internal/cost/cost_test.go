@@ -22,7 +22,7 @@ func TestHRelationSingleFlow(t *testing.T) {
 	tr := twoProc(3, 0)
 	// slow (pid 1) sends 100 bytes to fast (pid 0): h_slow = 100 sent,
 	// h_fast = 100 received; h = max(3*100, 1*100) = 300.
-	h := HRelation(tr, tr.Root, []Flow{{Src: 1, Dst: 0, Bytes: 100}})
+	h := HRelationRated(tr, tr.Root, []Flow{{Src: 1, Dst: 0, Bytes: 100}}, nil)
 	if h != 300 {
 		t.Errorf("h = %v, want 300", h)
 	}
@@ -30,7 +30,7 @@ func TestHRelationSingleFlow(t *testing.T) {
 
 func TestHRelationSelfSendIgnored(t *testing.T) {
 	tr := twoProc(3, 0)
-	h := HRelation(tr, tr.Root, []Flow{{Src: 0, Dst: 0, Bytes: 100}})
+	h := HRelationRated(tr, tr.Root, []Flow{{Src: 0, Dst: 0, Bytes: 100}}, nil)
 	if h != 0 {
 		t.Errorf("self-send charged: h = %v, want 0 (§5.2: a processor does not send data to itself)", h)
 	}
@@ -38,7 +38,7 @@ func TestHRelationSelfSendIgnored(t *testing.T) {
 
 func TestHRelationZeroAndNegativeBytesIgnored(t *testing.T) {
 	tr := twoProc(3, 0)
-	h := HRelation(tr, tr.Root, []Flow{{Src: 1, Dst: 0, Bytes: 0}, {Src: 0, Dst: 1, Bytes: -5}})
+	h := HRelationRated(tr, tr.Root, []Flow{{Src: 1, Dst: 0, Bytes: 0}, {Src: 0, Dst: 1, Bytes: -5}}, nil)
 	if h != 0 {
 		t.Errorf("h = %v, want 0", h)
 	}
@@ -49,7 +49,7 @@ func TestHRelationMaxOfSentAndReceived(t *testing.T) {
 	// fast sends 100 to slow AND receives 40 from slow:
 	// h_fast = max(100, 40) = 100 at r=1; h_slow = max(40, 100)=100 at r=2.
 	flows := []Flow{{Src: 0, Dst: 1, Bytes: 100}, {Src: 1, Dst: 0, Bytes: 40}}
-	if h := HRelation(tr, tr.Root, flows); h != 200 {
+	if h := HRelationRated(tr, tr.Root, flows, nil); h != 200 {
 		t.Errorf("h = %v, want 200", h)
 	}
 }
@@ -71,13 +71,13 @@ func TestHRelationAggregatesClusterTraffic(t *testing.T) {
 	// scope coordinator and is charged as the root at r=1. b0 (pid 2) is
 	// B's coordinator, charged as cluster B at r=8.
 	flows := []Flow{{Src: 2, Dst: 0, Bytes: 50}}
-	if h := HRelation(tr, tr.Root, flows); h != 400 {
+	if h := HRelationRated(tr, tr.Root, flows, nil); h != 400 {
 		t.Errorf("super2 h = %v, want 8*50 = 400", h)
 	}
 
 	// Intra-cluster traffic under a super²-scope is charged at leaf r.
 	flows = []Flow{{Src: 3, Dst: 2, Bytes: 50}} // b1 -> b0 inside B
-	if h := HRelation(tr, tr.Root, flows); h != 100 {
+	if h := HRelationRated(tr, tr.Root, flows, nil); h != 100 {
 		t.Errorf("intra-cluster h = %v, want 2*50 = 100", h)
 	}
 }
@@ -306,7 +306,7 @@ func TestBcastHierExchangeSkipsTheRootAtNoCost(t *testing.T) {
 							})
 						}
 					}
-					got, want := steps[1].H, HRelation(tc.tr, scope, allPairs)
+					got, want := steps[1].H, HRelationRated(tc.tr, scope, allPairs, nil)
 					if got > want || (n%m == 0 && got != want) {
 						t.Errorf("%s %s n=%d: exchange h %v, all-pairs h %v", tc.name, scope.Name, n, got, want)
 					}

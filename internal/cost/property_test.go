@@ -24,11 +24,11 @@ func TestPropertyHMonotoneInBytes(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := model.RandomTree(rng, 2, 4)
 		flows := randomFlows(rng, tr.NProcs(), 8)
-		h1 := HRelation(tr, tr.Root, flows)
+		h1 := HRelationRated(tr, tr.Root, flows, nil)
 		grown := append([]Flow(nil), flows...)
 		i := rng.Intn(len(grown))
 		grown[i].Bytes += 1 + rng.Intn(5000)
-		h2 := HRelation(tr, tr.Root, grown)
+		h2 := HRelationRated(tr, tr.Root, grown, nil)
 		return h2 >= h1-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -44,9 +44,9 @@ func TestPropertyHSubadditive(t *testing.T) {
 		tr := model.RandomTree(rng, 2, 4)
 		a := randomFlows(rng, tr.NProcs(), 5)
 		b := randomFlows(rng, tr.NProcs(), 5)
-		ha := HRelation(tr, tr.Root, a)
-		hb := HRelation(tr, tr.Root, b)
-		hab := HRelation(tr, tr.Root, append(append([]Flow(nil), a...), b...))
+		ha := HRelationRated(tr, tr.Root, a, nil)
+		hb := HRelationRated(tr, tr.Root, b, nil)
+		hab := HRelationRated(tr, tr.Root, append(append([]Flow(nil), a...), b...), nil)
 		if hab > ha+hb+1e-9 {
 			return false
 		}
@@ -65,13 +65,13 @@ func TestPropertyHHomogeneous(t *testing.T) {
 		mul := int(mulRaw%7) + 2
 		tr := model.RandomTree(rng, 2, 4)
 		flows := randomFlows(rng, tr.NProcs(), 6)
-		h1 := HRelation(tr, tr.Root, flows)
+		h1 := HRelationRated(tr, tr.Root, flows, nil)
 		scaled := make([]Flow, len(flows))
 		for i, fl := range flows {
 			fl.Bytes *= mul
 			scaled[i] = fl
 		}
-		h2 := HRelation(tr, tr.Root, scaled)
+		h2 := HRelationRated(tr, tr.Root, scaled, nil)
 		diff := h2 - float64(mul)*h1
 		return diff < 1e-6 && diff > -1e-6
 	}
@@ -92,7 +92,7 @@ func TestPropertyImprovementInvariantToUnits(t *testing.T) {
 		fast, slow := tr.Pid(tr.FastestLeaf()), tr.Pid(tr.SlowestLeaf())
 		ratio1 := GatherFlat(tr, slow, d).Total() / GatherFlat(tr, fast, d).Total()
 
-		scaled := tr.Clone()
+		scaled := model.UCFTestbedN(tr.NProcs())
 		scaled.G *= 3
 		scaled.Root.Walk(func(m *model.Machine) { m.SyncCost *= 3 })
 		ratio2 := GatherFlat(scaled, slow, d).Total() / GatherFlat(scaled, fast, d).Total()
@@ -167,7 +167,7 @@ func TestPropertyRatedHDominates(t *testing.T) {
 		tr := model.RandomTree(rng, 2, 4)
 		flows := randomFlows(rng, tr.NProcs(), 6)
 		rt := model.NewRateTable().Set("*", tr.Root.Name, 1+float64(factRaw%10))
-		base := HRelation(tr, tr.Root, flows)
+		base := HRelationRated(tr, tr.Root, flows, nil)
 		rated := HRelationRated(tr, tr.Root, flows, rt)
 		return rated >= base-1e-9
 	}

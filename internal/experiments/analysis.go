@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"hbspk/internal/catalog"
 	"hbspk/internal/cost"
-	"hbspk/internal/fabric"
 	"hbspk/internal/model"
-	"hbspk/internal/stats"
 	"hbspk/internal/trace"
 )
 
@@ -146,54 +143,4 @@ func HierarchyPenalty(cfg Config) (*Result, error) {
 		res.Series = append(res.Series, series)
 	}
 	return res, nil
-}
-
-// Calibrate demonstrates parameter recovery: probe supersteps of growing
-// h-relations are timed on the virtual engine and a least squares fit of
-// T against h recovers ĝ (slope) and L̂ (intercept) — the experimental
-// parameterization of BSP machines (reference [8]) applied to HBSP^k.
-func Calibrate(cfg Config) (*Result, error) {
-	tr := model.UCFTestbed()
-	pure := fabric.PureModel()
-	hs := make([]float64, len(cfg.Sizes))
-	ts := make([]float64, len(cfg.Sizes))
-	root := tr.Pid(tr.FastestLeaf())
-	err := forEachPoint(len(cfg.Sizes), func(i int) error {
-		d := cost.EqualDist(tr, cfg.Sizes[i])
-		total, err := measure(tr, pure, gather(d, root))
-		if err != nil {
-			return err
-		}
-		hs[i] = cost.HRelation(tr, tr.Root, gatherFlows(tr, d, root))
-		ts[i] = total
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	l, g, r2, err := stats.LinearFit(hs, ts)
-	if err != nil {
-		return nil, err
-	}
-	tb := trace.NewTable("recovered machine parameters",
-		"param", "true", "fitted", "rel err")
-	tb.AddF("g", tr.G, g, stats.RelErr(g, tr.G))
-	tb.AddF("L_{1,0}", tr.Root.SyncCost, l, stats.RelErr(l, tr.Root.SyncCost))
-	tb.AddF("R^2", 1.0, r2, math.Abs(1-r2))
-	return &Result{
-		ID:         "calibrate",
-		Title:      "Parameter fitting",
-		PaperClaim: "model parameters are assumed measured; BSP-style probes recover them",
-		Table:      tb,
-		Series:     []Series{{Name: "fit", Points: []Point{{X: l, Y: g}}}},
-	}, nil
-}
-
-// gatherFlows rebuilds the gather's flow set for h computation.
-func gatherFlows(tr *model.Tree, d cost.Dist, root int) []cost.Flow {
-	var flows []cost.Flow
-	for pid, b := range d {
-		flows = append(flows, cost.Flow{Src: pid, Dst: root, Bytes: b})
-	}
-	return flows
 }

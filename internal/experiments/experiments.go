@@ -120,7 +120,6 @@ func All() []Runner {
 		{"fig4b", "Figure 4(b): broadcast, unbalanced vs balanced", Figure4b},
 		{"xphase", "§4.4: one-phase vs two-phase broadcast crossover", BroadcastCrossover},
 		{"penalty", "§3.4/§4.3: the penalty of hierarchy", HierarchyPenalty},
-		{"calibrate", "Parameter fitting: recovering g and L", Calibrate},
 		{"sens-rs", "Sensitivity: the slowest machine's r", SensitivityRS},
 		{"sens-l", "Sensitivity: the barrier cost L", SensitivityL},
 		{"suite", "Collective suite summary", SuiteSummary},

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
-	"hbspk/internal/stats"
 )
 
 // last returns the series' final Y value (largest problem size).
@@ -181,29 +179,6 @@ func TestHierarchyPenaltyShrinks(t *testing.T) {
 	}
 }
 
-func TestCalibrateRecoversParameters(t *testing.T) {
-	res, err := Calibrate(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.Table.String()
-	if !strings.Contains(out, "g") || !strings.Contains(out, "L_{1,0}") {
-		t.Fatalf("table malformed:\n%s", out)
-	}
-	fit, tr := byName(t, res, "fit").Points, model.UCFTestbed()
-	if len(fit) != 1 {
-		t.Fatalf("fit series has %d points, want the one (L̂, ĝ)", len(fit))
-	}
-	for _, p := range []struct {
-		name      string
-		got, want float64
-	}{{"L_{1,0}", fit[0].X, tr.Root.SyncCost}, {"g", fit[0].Y, tr.G}} {
-		if e := stats.RelErr(p.got, p.want); !(e <= 1e-9) {
-			t.Errorf("fitted %s = %v, want %v: relative error %.3g above 1e-9", p.name, p.got, p.want, e)
-		}
-	}
-}
-
 func TestAllRunnersProduceTables(t *testing.T) {
 	cfg := Quick()
 	for _, r := range All() {
@@ -250,7 +225,8 @@ func TestNoisyFabricStillShowsFig3aTrend(t *testing.T) {
 	// With non-dedicated-cluster noise the qualitative ordering must
 	// survive: p=10 improvement above p=2's.
 	cfg := Quick()
-	cfg.Fabric = fabric.PVMNoisy(0.15, 99)
+	cfg.Fabric = fabric.PVM()
+	cfg.Fabric.Noise, cfg.Fabric.Seed = 0.15, 99
 	cfg.Sizes = []int{500 * KB}
 	res, err := Figure3a(cfg)
 	if err != nil {

@@ -69,14 +69,6 @@ func PureModel() Config { return Config{} }
 // below the wire time (the experiments of §5 are communication-bound).
 func PVM() Config { return Config{PackByte: 0.15, UnpackByte: 0.075} }
 
-// PVMNoisy is PVM on a non-dedicated cluster.
-func PVMNoisy(noise float64, seed int64) Config {
-	c := PVM()
-	c.Noise = noise
-	c.Seed = seed
-	return c
-}
-
 // Fabric charges superstep costs for one machine tree. It is not for
 // concurrent use: the noise stream is drawn in call order, and the one
 // caller per run, the virtual engine's coordinator, charges steps one at

@@ -80,9 +80,9 @@ func TestNoiseOnlySlowsAndIsDeterministic(t *testing.T) {
 	flows := []cost.Flow{{Src: 1, Dst: 0, Bytes: 1000}}
 	base := New(tr, PureModel()).StepCost(tr.Root, flows, nil).Time
 	pvm := New(tr, PVM()).StepCost(tr.Root, flows, nil).Time
-	a := New(tr, PVMNoisy(0.3, 42))
-	b := New(tr, PVMNoisy(0.3, 42))
-	c := New(tr, PVMNoisy(0.3, 7))
+	a := New(tr, pvmNoisy(0.3, 42))
+	b := New(tr, pvmNoisy(0.3, 42))
+	c := New(tr, pvmNoisy(0.3, 7))
 	var ta, tb, tc float64
 	for i := 0; i < 200; i++ {
 		ta = a.StepCost(tr.Root, flows, nil).Time
@@ -130,10 +130,17 @@ func TestPropertyPureModelEquation(t *testing.T) {
 		work := make([]float64, p)
 		work[rng.Intn(p)] = rng.Float64() * 100
 		res := fb.StepCost(tr.Root, flows, work)
-		want := res.W + tr.G*cost.HRelation(tr, tr.Root, flows) + tr.Root.SyncCost
+		want := res.W + tr.G*cost.HRelationRated(tr, tr.Root, flows, nil) + tr.Root.SyncCost
 		return math.Abs(res.Time-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// pvmNoisy is PVM on a non-dedicated cluster.
+func pvmNoisy(noise float64, seed int64) Config {
+	c := PVM()
+	c.Noise, c.Seed = noise, seed
+	return c
 }

@@ -21,7 +21,7 @@ func ratedPair() *model.Tree {
 func TestRateTableDefaultsToOne(t *testing.T) {
 	tr := ratedPair()
 	flows := []cost.Flow{{Src: 1, Dst: 0, Bytes: 100}}
-	base := cost.HRelation(tr, tr.Root, flows)
+	base := cost.HRelationRated(tr, tr.Root, flows, nil)
 	rated := cost.HRelationRated(tr, tr.Root, flows, model.NewRateTable())
 	if base != rated {
 		t.Errorf("empty table changed h: %v vs %v", base, rated)

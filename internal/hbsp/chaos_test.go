@@ -20,6 +20,20 @@ import (
 // silently wrong data — and a program that absorbs the error completes
 // over the survivors.
 
+// runChaos runs prog on Virtual under the fault-injection plan.
+func runChaos(t *model.Tree, cfg fabric.Config, plan *fabric.ChaosPlan, prog Program) (*trace.Report, error) {
+	eng := NewVirtual(t, fabric.New(t, cfg))
+	eng.Chaos = plan
+	return eng.Run(prog)
+}
+
+// pvmNoisy is fabric.PVM on a non-dedicated cluster.
+func pvmNoisy(noise float64, seed int64) fabric.Config {
+	c := fabric.PVM()
+	c.Noise, c.Seed = noise, seed
+	return c
+}
+
 // absorbOnce retries a failed sync exactly once when the failure is a
 // detected peer death; any other error propagates.
 func absorbOnce(c Ctx, label string, err error) error {
@@ -45,7 +59,7 @@ func crashProg(steps int, work float64) Program {
 func TestChaosCrashSurfacesTypedErrorVirtual(t *testing.T) {
 	tr := model.UCFTestbedN(4)
 	plan := &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 2, AtStep: 1}}}
-	_, err := RunVirtualChaos(tr, fabric.PureModel(), plan, crashProg(3, 10))
+	_, err := runChaos(tr, fabric.PureModel(), plan, crashProg(3, 10))
 	var pf *ErrPeerFailed
 	if !errors.As(err, &pf) {
 		t.Fatalf("run error = %v, want ErrPeerFailed", err)
@@ -53,7 +67,7 @@ func TestChaosCrashSurfacesTypedErrorVirtual(t *testing.T) {
 	if pf.Pid != 2 || pf.Step != 1 {
 		t.Errorf("failure = p%d at step %d, want p2 at step 1", pf.Pid, pf.Step)
 	}
-	if IsCrashStop(err) {
+	if errors.Is(err, errCrashStop) {
 		t.Error("victim's own crash-stop error escaped as the run verdict")
 	}
 }
@@ -95,7 +109,7 @@ func shrinkProg(steps, victim int) Program {
 func TestChaosShrinkThenCompleteVirtual(t *testing.T) {
 	tr := model.UCFTestbedN(4)
 	plan := &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 1, AtStep: 2}}}
-	rep, err := RunVirtualChaos(tr, fabric.PureModel(), plan, shrinkProg(4, 1))
+	rep, err := runChaos(tr, fabric.PureModel(), plan, shrinkProg(4, 1))
 	if err != nil {
 		t.Fatalf("fault-tolerant run failed: %v", err)
 	}
@@ -148,7 +162,7 @@ func TestChaosVirtualRunsAreDeterministic(t *testing.T) {
 		return nil
 	}
 	run := func() interface{} {
-		rep, err := RunVirtualChaos(tr, fabric.PVMNoisy(0.3, 5), plan, prog)
+		rep, err := runChaos(tr, pvmNoisy(0.3, 5), plan, prog)
 		if err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
@@ -203,7 +217,7 @@ func fateProbe(t *testing.T, plan *fabric.ChaosPlan, steps int) ([][]byte, int) 
 		}
 		return nil
 	}
-	rep, err := RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
+	rep, err := runChaos(tr, fabric.PureModel(), plan, prog)
 	if err != nil {
 		t.Fatalf("probe run failed: %v", err)
 	}
@@ -283,7 +297,7 @@ func TestChaosDesyncStillDetectedVirtual(t *testing.T) {
 		Seed: 3, Drop: 0.1,
 		Stragglers: []fabric.Straggler{{Pid: 1, FromStep: 0, ToStep: 9, Factor: 4}},
 	}
-	_, err := RunVirtualChaos(tr, fabric.PVMNoisy(0.2, 7), plan, desyncProg)
+	_, err := runChaos(tr, pvmNoisy(0.2, 7), plan, desyncProg)
 	if !errors.Is(err, ErrDesync) {
 		t.Fatalf("run error = %v, want ErrDesync", err)
 	}
@@ -312,7 +326,7 @@ func TestChaosDesyncStillDetectedConcurrent(t *testing.T) {
 func TestChaosAtTimeCrashVirtual(t *testing.T) {
 	tr := model.Homogeneous(2, 10)
 	plan := &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 1, AtStep: -1, AtTime: 150}}}
-	_, err := RunVirtualChaos(tr, fabric.PureModel(), plan, crashProg(5, 100))
+	_, err := runChaos(tr, fabric.PureModel(), plan, crashProg(5, 100))
 	var pf *ErrPeerFailed
 	if !errors.As(err, &pf) {
 		t.Fatalf("run error = %v, want ErrPeerFailed", err)
@@ -331,7 +345,7 @@ func TestChaosEnginesAgreeOnMessageFates(t *testing.T) {
 	sched := buildSchedule(99, 5, 3)
 	plan := &fabric.ChaosPlan{Seed: 9, Drop: 0.3, Duplicate: 0.25}
 	virt, vrep := runSchedule(t, tr, sched, func(prog Program) (*trace.Report, error) {
-		return RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
+		return runChaos(tr, fabric.PureModel(), plan, prog)
 	})
 	eng := NewConcurrent(tr)
 	eng.Chaos = plan
@@ -377,7 +391,7 @@ func TestChaosEnginesAgreeOnTermsAcrossACrash(t *testing.T) {
 	}
 	for _, victim := range []int{3, tr.Pid(tr.Root.Coordinator())} {
 		plan := &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: victim, AtStep: 1}}}
-		vrep, err := RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
+		vrep, err := runChaos(tr, fabric.PureModel(), plan, prog)
 		if err != nil {
 			t.Fatalf("virtual, p%d crashing: %v", victim, err)
 		}

@@ -81,7 +81,7 @@ func TestChargeAccumulatesWithinStepOnly(t *testing.T) {
 }
 
 func TestNegativeAndZeroChargeIgnored(t *testing.T) {
-	tr := model.SingleProcessor()
+	tr := model.MustNew(model.NewLeaf("cpu"), 1).Normalize()
 	rep := runPure(t, tr, func(c Ctx) error {
 		c.Charge(-100)
 		c.Charge(0)
@@ -134,7 +134,7 @@ func TestSyncOnForeignScopeDetected(t *testing.T) {
 		run  func(plan *fabric.ChaosPlan, prog Program) error
 	}{
 		{"virtual", func(plan *fabric.ChaosPlan, prog Program) error {
-			_, err := RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
+			_, err := runChaos(tr, fabric.PureModel(), plan, prog)
 			return err
 		}},
 		{"concurrent", func(plan *fabric.ChaosPlan, prog Program) error {

@@ -71,17 +71,11 @@ var ErrTimeout = pvm.ErrTimeout
 // bug — the run's outcome is decided by the survivors).
 var errCrashStop = errors.New("hbsp: processor crash-stopped by chaos plan")
 
-// IsCrashStop reports whether err is the victim-side crash-stop error.
-func IsCrashStop(err error) bool { return errors.Is(err, errCrashStop) }
-
 // errLeave is the victim side of an orderly departure (a churn fate's
 // LeaveAt): the leaver's program unwinds with it and the engines filter
 // it from the run verdict, exactly like errCrashStop. Survivors see the
 // departure as ErrPeerFailed with Cause "leave".
 var errLeave = errors.New("hbsp: processor left by churn plan")
-
-// IsLeave reports whether err is the victim-side orderly-leave error.
-func IsLeave(err error) bool { return errors.Is(err, errLeave) }
 
 // defaultDetectFactor scales the predicted step cost into a detection
 // deadline when Virtual's DetectFactor is unset.

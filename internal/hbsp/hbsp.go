@@ -104,7 +104,7 @@ type Ctx interface {
 
 	// Save records named per-processor state, the last value per key,
 	// copying data. Virtual.RunSchedules reads the state a run ends with
-	// into its fingerprint; nothing else reads it.
+	// into its fingerprint; on every other run Save does nothing.
 	Save(key string, data []byte)
 }
 
@@ -114,20 +114,6 @@ type Program func(Ctx) error
 // SyncAll synchronizes the whole machine: a super^k-step.
 func SyncAll(c Ctx, label string) error { return c.Sync(c.Tree().Root, label) }
 
-// Rank returns the processor's position in the fastest-first compute
-// ranking (HBSPlib's heterogeneity enquiry: "functions return the rank
-// of a processor").
-func Rank(c Ctx) int { return c.Tree().Rank(c.Self()) }
-
-// Speed returns the processor's compute slowdown (1 = fastest).
-func Speed(c Ctx) float64 { return c.Self().CompSlowdown }
-
 // Share returns the processor's balanced-workload fraction c_{i,j}
 // (HBSPlib's "guide the programmer toward balanced workloads").
 func Share(c Ctx) float64 { return c.Self().Share }
-
-// Coordinator reports whether this processor is the coordinator of the
-// given scope.
-func Coordinator(c Ctx, scope *model.Machine) bool {
-	return scope.Coordinator() == c.Self()
-}

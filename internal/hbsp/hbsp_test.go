@@ -314,16 +314,10 @@ func TestEnquiryPrimitives(t *testing.T) {
 		if c.NProcs() != 10 {
 			return fmt.Errorf("NProcs = %d", c.NProcs())
 		}
-		if Rank(c) < 0 || Rank(c) >= 10 {
-			return fmt.Errorf("rank = %d", Rank(c))
-		}
-		if Speed(c) < 1 {
-			return fmt.Errorf("speed = %v", Speed(c))
-		}
 		if Share(c) <= 0 || Share(c) >= 1 {
 			return fmt.Errorf("share = %v", Share(c))
 		}
-		if (c.Self() == c.Tree().FastestLeaf()) != Coordinator(c, c.Tree().Root) {
+		if (c.Self() == c.Tree().FastestLeaf()) != (c.Tree().Root.Coordinator() == c.Self()) {
 			return errors.New("coordinator mismatch")
 		}
 		return nil
@@ -331,7 +325,7 @@ func TestEnquiryPrimitives(t *testing.T) {
 }
 
 func TestHBSP0SingleProcessor(t *testing.T) {
-	tr := model.SingleProcessor()
+	tr := model.MustNew(model.NewLeaf("cpu"), 1).Normalize()
 	rep := runPure(t, tr, func(c Ctx) error {
 		c.Charge(42)
 		return SyncAll(c, "only")
@@ -435,7 +429,7 @@ func TestNoisyRunsDifferBySeedOnly(t *testing.T) {
 		return SyncAll(c, "s")
 	}
 	run := func(seed int64) float64 {
-		rep, err := RunVirtual(tr, fabric.PVMNoisy(0.2, seed), prog)
+		rep, err := RunVirtual(tr, pvmNoisy(0.2, seed), prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestTwoDeathsTwoNoticesSmallestFirst(t *testing.T) {
 	plan := &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 3, AtStep: 0}, {Pid: 1, AtStep: 0}}}
 	engines := map[string]func(*model.Tree, Program) error{
 		"virtual": func(tr *model.Tree, p Program) error {
-			_, err := RunVirtualChaos(tr, fabric.PureModel(), plan, p)
+			_, err := runChaos(tr, fabric.PureModel(), plan, p)
 			return err
 		},
 		"concurrent": func(tr *model.Tree, p Program) error {
@@ -48,7 +48,7 @@ func TestTwoDeathsTwoNoticesSmallestFirst(t *testing.T) {
 				var notices []int
 				for {
 					err := SyncAll(c, "meet")
-					if IsCrashStop(err) {
+					if errors.Is(err, errCrashStop) {
 						if hold {
 							bothDead.Done()
 						}

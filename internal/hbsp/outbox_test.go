@@ -131,7 +131,7 @@ func TestOutboxKeepsOrderAndLetsGo(t *testing.T) {
 	}
 
 	virt := run("Virtual", func(prog Program) error {
-		_, err := RunVirtualChaos(tr, fabric.PureModel(), plan, prog)
+		_, err := runChaos(tr, fabric.PureModel(), plan, prog)
 		return err
 	})
 	conc := run("Concurrent", func(prog Program) error {

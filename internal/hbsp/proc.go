@@ -120,7 +120,9 @@ type proc struct {
 	// notice is consumed.
 	failedView  []int
 	membersView []int
-	// saved holds the Save()d state, by key, as last saved.
+	// saved holds the Save()d state, by key, as last saved. Only a
+	// recording Virtual (RunSchedules) makes it; elsewhere Save is a
+	// no-op.
 	saved map[string][]byte
 
 	// Verification state (Verify mode): vc is this processor's vector
@@ -172,10 +174,9 @@ func (p *proc) Send(dst, tag int, payload []byte) error {
 }
 
 func (p *proc) Save(key string, data []byte) {
-	if p.saved == nil {
-		p.saved = make(map[string][]byte)
+	if p.saved != nil {
+		p.saved[key] = append([]byte(nil), data...)
 	}
-	p.saved[key] = append([]byte(nil), data...)
 }
 
 // under reports whether scope is leaf or one of its ancestors.

@@ -290,7 +290,7 @@ func TestMessageToDormantHeldUntilActivation(t *testing.T) {
 }
 
 // An orderly leave surfaces to survivors as ErrPeerFailed with cause
-// "leave" and to the leaver itself as an IsLeave error; the run
+// "leave" and to the leaver itself as an errLeave error; the run
 // completes over the remaining members.
 func TestLeaveOrderly(t *testing.T) {
 	for _, engine := range []string{"virtual", "concurrent"} {
@@ -310,8 +310,8 @@ func TestLeaveOrderly(t *testing.T) {
 			}
 			obs.mu.Lock()
 			defer obs.mu.Unlock()
-			if !IsLeave(obs.exit[2]) {
-				t.Errorf("leaver unwound with %v, want an IsLeave error", obs.exit[2])
+			if !errors.Is(obs.exit[2], errLeave) {
+				t.Errorf("leaver unwound with %v, want an errLeave error", obs.exit[2])
 			}
 			for _, pid := range []int{0, 1, 3} {
 				if got := obs.fails[pid]; got != 1 {
@@ -467,19 +467,18 @@ func TestReorgWaitsOutASpan(t *testing.T) {
 
 // Both engines must agree on the reorganization schedule: the same
 // chaos plan and seed produce the same final leaf order and the same
-// fold, starting from identical clones.
+// fold, starting from equal trees.
 func TestReorgVirtualConcurrentAgree(t *testing.T) {
-	base := model.UCFTestbedN(8)
 	plan := &fabric.ChaosPlan{
 		Stragglers: []fabric.Straggler{{Pid: 0, FromStep: 0, ToStep: 40, Factor: 8}},
 		Churns:     []fabric.Churn{{Pid: 7, JoinAt: 2}},
 	}
-	trV := base.Clone()
+	trV := model.UCFTestbedN(8)
 	obsV := newChurnObs()
 	if err := runElasticVirtual(t, trV, plan, 2, 42, churnProg(churnCfg{rounds: 8, work: 2}, obsV)); err != nil {
 		t.Fatalf("virtual: %v", err)
 	}
-	trC := base.Clone()
+	trC := model.UCFTestbedN(8)
 	obsC := newChurnObs()
 	if err := runElasticConcurrent(t, trC, plan, 2, 42, churnProg(churnCfg{rounds: 8, work: 2}, obsC)); err != nil {
 		t.Fatalf("concurrent: %v", err)
@@ -528,7 +527,6 @@ func TestRunSchedulesAgreeUnderChurnAndReorg(t *testing.T) {
 func TestChurnReorgSoakSeeded(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			base := model.UCFTestbedN(8)
 			plan := &fabric.ChaosPlan{
 				Seed:   seed,
 				Churns: fabric.SeededChurn(seed, 8, 2, 2, 4),
@@ -537,7 +535,7 @@ func TestChurnReorgSoakSeeded(t *testing.T) {
 				},
 			}
 			run := func(engine string) (*churnObs, []int) {
-				tr := base.Clone()
+				tr := model.UCFTestbedN(8)
 				obs := newChurnObs()
 				prog := churnProg(churnCfg{rounds: 12, work: 1}, obs)
 				var err error
@@ -594,7 +592,7 @@ func quiesceVictimProg(rounds int) Program {
 			c.Charge(10 * float64(c.Pid()+1))
 			err := c.Sync(root, "round")
 			for err != nil {
-				if IsCrashStop(err) {
+				if errors.Is(err, errCrashStop) {
 					time.Sleep(60 * time.Millisecond)
 					_ = c.Sync(root, "corpse")
 					return err

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hbspk/internal/fabric"
 	"hbspk/internal/model"
+	"hbspk/internal/testutil"
 )
 
 // sendMutateProg sends a buffer to pid 1 and then rewrites it after the
@@ -277,4 +279,48 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestSaveCopiesOnlyForRunSchedules: only a recording Virtual keeps
+// saved state, so on Concurrent and on a plain Virtual.Run a program
+// that saves 1 MiB 64 times allocates far less than one copy of it.
+func TestSaveCopiesOnlyForRunSchedules(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	state := make([]byte, 1<<20)
+	prog := func(c Ctx) error {
+		if c.Pid() == 0 {
+			for i := 0; i < 64; i++ {
+				c.Save("state", state)
+			}
+		}
+		return SyncAll(c, "done")
+	}
+	engines := map[string]func(tr *model.Tree) error{
+		"Virtual": func(tr *model.Tree) error {
+			_, err := NewVirtual(tr, fabric.New(tr, fabric.PureModel())).Run(prog)
+			return err
+		},
+		"Concurrent": func(tr *model.Tree) error {
+			_, err := NewConcurrent(tr).Run(prog)
+			return err
+		},
+	}
+	for name, run := range engines {
+		t.Run(name, func(t *testing.T) {
+			tr := model.UCFTestbedN(2)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := run(tr); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("run allocated %d B, want under 1 MiB", got)
+			} else {
+				t.Logf("run allocated %d B", got)
+			}
+		})
+	}
 }

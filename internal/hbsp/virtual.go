@@ -63,13 +63,6 @@ func RunVirtual(t *model.Tree, cfg fabric.Config, prog Program) (*trace.Report, 
 	return NewVirtual(t, fabric.New(t, cfg)).Run(prog)
 }
 
-// RunVirtualChaos is RunVirtual under a fault-injection plan.
-func RunVirtualChaos(t *model.Tree, cfg fabric.Config, plan *fabric.ChaosPlan, prog Program) (*trace.Report, error) {
-	eng := NewVirtual(t, fabric.New(t, cfg))
-	eng.Chaos = plan
-	return eng.Run(prog)
-}
-
 // ErrDesync reports a malformed SPMD program: processors blocked on
 // barriers that can never complete, or a processor exiting while others
 // still wait on a scope containing it.
@@ -175,6 +168,9 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 	}
 	for pid := range st.ctxs {
 		st.ctxs[pid] = &vctx{proc: newProc(pid, v.tree, &v.coreOpts), reqs: reqs, resume: make(chan error)}
+		if v.rec != nil {
+			st.ctxs[pid].saved = make(map[string][]byte)
+		}
 	}
 	// Elastic membership: processors with a churn JoinAt fate stay
 	// dormant until the membership cut after that many completed global

@@ -35,7 +35,7 @@ func (s soloCtx) Sync(scope *model.Machine, label string) error {
 // notices, a late joiner and the run's teardown.
 func TestVirtualRunsOneProcessorAtATime(t *testing.T) {
 	tr := model.WideAreaGrid(3, 4, 12, 25000, 250000)
-	eng := NewVirtual(tr, fabric.New(tr, fabric.PVMNoisy(0.2, 3)))
+	eng := NewVirtual(tr, fabric.New(tr, pvmNoisy(0.2, 3)))
 	eng.Chaos = &fabric.ChaosPlan{
 		Crashes: []fabric.Crash{{Pid: 5, AtStep: 3}},
 		Churns:  []fabric.Churn{{Pid: 9, JoinAt: 2}},

@@ -59,13 +59,7 @@ func TestIndexingWithinLevel(t *testing.T) {
 			if m.Index != j {
 				t.Errorf("level %d position %d has Index %d", i, j, m.Index)
 			}
-			if got := tr.Lookup(i, j); got != m {
-				t.Errorf("Lookup(%d,%d) = %v, want %v", i, j, got, m)
-			}
 		}
-	}
-	if tr.Lookup(0, 99) != nil || tr.Lookup(-1, 0) != nil || tr.Lookup(5, 0) != nil {
-		t.Error("Lookup out of range should return nil")
 	}
 }
 
@@ -234,7 +228,7 @@ func TestDeepChainLevels(t *testing.T) {
 }
 
 func TestSingleProcessorIsHBSP0(t *testing.T) {
-	tr := SingleProcessor()
+	tr := MustNew(NewLeaf("cpu"), 1).Normalize()
 	if tr.K() != 0 {
 		t.Errorf("K = %d, want 0", tr.K())
 	}
@@ -258,10 +252,10 @@ func TestRankedLeavesOrdering(t *testing.T) {
 				i, ranked[i-1].CompSlowdown, ranked[i].CompSlowdown)
 		}
 	}
-	if tr.Rank(tr.FastestLeaf()) != 0 {
+	if rankOf(tr, tr.FastestLeaf()) != 0 {
 		t.Error("fastest leaf should have rank 0")
 	}
-	if tr.Rank(tr.Root) != -1 {
+	if rankOf(tr, tr.Root) != -1 {
 		t.Error("rank of a cluster should be -1")
 	}
 }

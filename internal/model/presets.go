@@ -118,11 +118,6 @@ func Homogeneous(p int, syncCost float64) *Tree {
 	return MustNew(root, 1).Normalize()
 }
 
-// SingleProcessor returns the HBSP^0 machine: one processor, no network.
-func SingleProcessor() *Tree {
-	return MustNew(NewLeaf("cpu"), 1).Normalize()
-}
-
 // WideAreaGrid returns an HBSP^2 machine of `clusters` campus clusters,
 // each an HBSP^1 machine of `perCluster` workstations, joined by a
 // wide-area network whose per-cluster injection slowdown is wanSlowdown

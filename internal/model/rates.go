@@ -87,11 +87,3 @@ func entityNames(m *Machine) []string {
 	}
 	return names
 }
-
-// Len returns the number of installed entries.
-func (rt *RateTable) Len() int {
-	if rt == nil {
-		return 0
-	}
-	return len(rt.factors)
-}

@@ -54,14 +54,6 @@ func (r *Reranker) Observe(pid int, sample float64) {
 	r.n[pid]++
 }
 
-// Estimate returns pid's current estimate and whether one exists.
-func (r *Reranker) Estimate(pid int) (float64, bool) {
-	if pid < 0 || pid >= len(r.est) || r.n[pid] == 0 {
-		return 0, false
-	}
-	return r.est[pid], true
-}
-
 // Estimates returns a snapshot of every processor's estimate, 0 for
 // never-observed slots — the form PlanReorg consumes.
 func (r *Reranker) Estimates() []float64 {

@@ -37,15 +37,15 @@ func leafNames(t *Tree) []string {
 
 func TestRerankerEWMA(t *testing.T) {
 	r := NewReranker(3)
-	if _, ok := r.Estimate(1); ok {
+	if r.Estimates()[1] != 0 {
 		t.Fatal("estimate before any observation")
 	}
 	r.Observe(1, 4)
-	if e, ok := r.Estimate(1); !ok || e != 4 {
-		t.Fatalf("first sample should seed the estimate, got %v %v", e, ok)
+	if e := r.Estimates()[1]; e != 4 {
+		t.Fatalf("first sample should seed the estimate, got %v", e)
 	}
 	r.Observe(1, 2)
-	if e, _ := r.Estimate(1); e != 3 {
+	if e := r.Estimates()[1]; e != 3 {
 		t.Fatalf("EWMA(0.5) of 4 then 2 = 3, got %v", e)
 	}
 	// Garbage samples and out-of-range pids are ignored.
@@ -54,7 +54,7 @@ func TestRerankerEWMA(t *testing.T) {
 	r.Observe(1, math.Inf(1))
 	r.Observe(-1, 5)
 	r.Observe(99, 5)
-	if e, _ := r.Estimate(1); e != 3 {
+	if e := r.Estimates()[1]; e != 3 {
 		t.Fatalf("garbage samples must not move the estimate, got %v", e)
 	}
 	est := r.Estimates()
@@ -155,7 +155,7 @@ func TestReorganizeSharesInverseToEstimate(t *testing.T) {
 
 func TestReorganizeRankingUsesEstimates(t *testing.T) {
 	tr := Homogeneous(4, 10)
-	if tr.Rank(tr.Leaf(3)) == 0 {
+	if rankOf(tr, tr.Leaf(3)) == 0 {
 		t.Skip("degenerate ranking")
 	}
 	est := []float64{4, 3, 2, 1} // pid 3 measured fastest
@@ -166,7 +166,7 @@ func TestReorganizeRankingUsesEstimates(t *testing.T) {
 	if got := tr.RankedLeaves()[0]; tr.Pid(got) != 3 {
 		t.Fatalf("rank 0 after reorg = pid %d, want 3", tr.Pid(got))
 	}
-	if r := tr.Rank(tr.Leaf(3)); r != 0 {
+	if r := rankOf(tr, tr.Leaf(3)); r != 0 {
 		t.Fatalf("Rank(pid 3) = %d, want 0", r)
 	}
 }
@@ -236,11 +236,11 @@ func TestRankMemoInvalidation(t *testing.T) {
 		t.Fatalf("memo not invalidated by Normalize: rank 0 comp=%v", got.CompSlowdown)
 	}
 	for i, l := range tr.RankedLeaves() {
-		if tr.Rank(l) != i {
-			t.Fatalf("Rank(%s) = %d, want %d", l.Name, tr.Rank(l), i)
+		if rankOf(tr, l) != i {
+			t.Fatalf("Rank(%s) = %d, want %d", l.Name, rankOf(tr, l), i)
 		}
 	}
-	if tr.Rank(tr.Root) != -1 {
+	if rankOf(tr, tr.Root) != -1 {
 		t.Fatal("Rank of a non-leaf should be -1")
 	}
 }
@@ -365,16 +365,6 @@ func BenchmarkRankedLeavesResort(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = sortLeavesBySpeed(tr.Leaves())
-	}
-}
-
-func BenchmarkRank(b *testing.B) {
-	tr := UCFTestbedN(10)
-	l := tr.Leaf(5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tr.Rank(l)
 	}
 }
 

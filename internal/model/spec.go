@@ -80,27 +80,3 @@ func ParseSpec(data []byte) (*Spec, error) {
 	}
 	return &s, nil
 }
-
-// SpecOf captures an existing tree as a Spec, suitable for re-encoding.
-func SpecOf(t *Tree) *Spec {
-	var capture func(m *Machine) NodeSpec
-	capture = func(m *Machine) NodeSpec {
-		n := NodeSpec{
-			Name:  m.Name,
-			Comm:  m.CommSlowdown,
-			Comp:  m.CompSlowdown,
-			Sync:  m.SyncCost,
-			Share: m.Share,
-		}
-		for _, c := range m.Children {
-			n.Children = append(n.Children, capture(c))
-		}
-		return n
-	}
-	return &Spec{G: t.G, Root: capture(t.Root)}
-}
-
-// Encode renders the spec as indented JSON, two spaces per level.
-func (s *Spec) Encode() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}

@@ -30,14 +30,13 @@ type Tree struct {
 	leaves []*Machine   // all processors, by pid
 	pids   map[*Machine]int
 
-	// Memoized fastest-first ranking (RankedLeaves/Rank), rebuilt lazily
+	// Memoized fastest-first ranking (RankedLeaves), rebuilt lazily
 	// under rankMu — programs query ranks concurrently on the Concurrent
 	// engine — and invalidated whenever the parameters feeding the
 	// ordering can have changed (index, Normalize, Reorganize,
 	// RestoreLayout).
 	rankMu sync.Mutex
 	ranked []*Machine
-	rankOf map[*Machine]int
 
 	// Memoized Fingerprint: computed under rankMu and invalidated
 	// together with the ranking (both are pure functions of the same
@@ -78,7 +77,7 @@ func MustNew(root *Machine, g float64) *Tree {
 
 // index assigns Level and Index to every machine, rebuilds the level
 // and leaf tables and records every machine's scope facts. It is called
-// by New and Clone and after every reorganization or layout restore —
+// by New and after every reorganization or layout restore —
 // the only places structure changes. When the leaf set is unchanged the
 // existing pid assignment is preserved — a reorganization moves
 // processors around the tree without renaming them, so programs keep
@@ -147,10 +146,10 @@ func (t *Tree) index() {
 }
 
 // invalidateRank drops the memoized ranking and fingerprint; the next
-// RankedLeaves, Rank or Fingerprint call rebuilds them.
+// RankedLeaves or Fingerprint call rebuilds them.
 func (t *Tree) invalidateRank() {
 	t.rankMu.Lock()
-	t.ranked, t.rankOf = nil, nil
+	t.ranked = nil
 	t.fpOK.Store(false)
 	t.rankMu.Unlock()
 }
@@ -170,15 +169,6 @@ func (t *Tree) MachinesAt(i int) []*Machine {
 
 // M returns m_i, the number of HBSP^i machines on level i.
 func (t *Tree) M(i int) int { return len(t.MachinesAt(i)) }
-
-// Lookup returns machine M_{i,j}, or nil if no such machine exists.
-func (t *Tree) Lookup(i, j int) *Machine {
-	ms := t.MachinesAt(i)
-	if j < 0 || j >= len(ms) {
-		return nil
-	}
-	return ms[j]
-}
 
 // Leaves returns every processor of the machine, by pid: the position
 // of a leaf in this slice is its processor id. On a freshly built tree
@@ -255,18 +245,6 @@ func (t *Tree) RankedLeaves() []*Machine {
 	return t.ranked
 }
 
-// Rank returns the position of the leaf in the fastest-first compute
-// ranking (0 = fastest), or -1 for a non-leaf.
-func (t *Tree) Rank(m *Machine) int {
-	if _, ok := t.pids[m]; !ok {
-		return -1
-	}
-	t.rankMu.Lock()
-	defer t.rankMu.Unlock()
-	t.fillRankLocked()
-	return t.rankOf[m]
-}
-
 // fillRankLocked rebuilds the memoized ranking if it was invalidated.
 // Caller holds rankMu.
 func (t *Tree) fillRankLocked() {
@@ -274,40 +252,6 @@ func (t *Tree) fillRankLocked() {
 		return
 	}
 	t.ranked = sortLeavesBySpeed(t.leaves)
-	t.rankOf = make(map[*Machine]int, len(t.ranked))
-	for i, l := range t.ranked {
-		t.rankOf[l] = i
-	}
-}
-
-// Subtree extracts the machine rooted at M_{i,j} as an independent,
-// normalized Tree with the same g: the view an HBSP^i cluster has of
-// itself when running its own super-steps. The original tree is not
-// modified.
-func (t *Tree) Subtree(i, j int) (*Tree, error) {
-	m := t.Lookup(i, j)
-	if m == nil {
-		return nil, fmt.Errorf("model: no machine M_{%d,%d}", i, j)
-	}
-	sub, err := New(m, t.G)
-	if err != nil {
-		return nil, err
-	}
-	return sub.Normalize(), nil
-}
-
-// Clone returns a deep copy of the tree, preserving the pid assignment
-// (a clone of a reorganized tree keeps every processor's id even though
-// pid order no longer matches tree order).
-func (t *Tree) Clone() *Tree {
-	m2c := make(map[*Machine]*Machine)
-	c := &Tree{Root: t.Root.cloneInto(m2c), G: t.G}
-	c.pids = make(map[*Machine]int, len(t.pids))
-	for m, pid := range t.pids {
-		c.pids[m2c[m]] = pid
-	}
-	c.index()
-	return c
 }
 
 // Normalize rewrites the tree's parameters so that the model invariants
@@ -453,4 +397,21 @@ func (t *Tree) String() string {
 	fmt.Fprintf(&b, "HBSP^%d machine, g=%.3g, %d processors\n", t.k, t.G, t.NProcs())
 	t.Root.render(&b, "", true)
 	return b.String()
+}
+
+// SyncDepthCost sums the barrier costs along the deepest path of the
+// tree: the fixed price of one full sweep of hierarchical supersteps
+// (gather or broadcast touch every level once).
+func (t *Tree) SyncDepthCost() float64 {
+	var walk func(m *Machine) float64
+	walk = func(m *Machine) float64 {
+		best := 0.0
+		for _, c := range m.Children {
+			if v := walk(c); v > best {
+				best = v
+			}
+		}
+		return best + m.SyncCost
+	}
+	return walk(t.Root)
 }

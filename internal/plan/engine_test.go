@@ -104,17 +104,15 @@ func TestPlannedPicksDeterministicVirtual(t *testing.T) {
 }
 
 // Picks are pure closed-form functions of (tree, family, bucket): both
-// engines running the same program on clones of the same tree must
+// engines running the same program on equal trees must
 // build identical decision caches.
 func TestPlannedPicksAgreeAcrossEngines(t *testing.T) {
-	base := model.UCFTestbedN(8)
-
-	trV := base.Clone()
+	trV := model.UCFTestbedN(8)
 	plV := plan.New()
 	if _, err := hbsp.NewVirtual(trV, fabric.New(trV, fabric.PureModel())).Run(planSweepProg(plV)); err != nil {
 		t.Fatalf("virtual: %v", err)
 	}
-	trC := base.Clone()
+	trC := model.UCFTestbedN(8)
 	plC := plan.New()
 	if _, err := hbsp.NewConcurrent(trC).Run(planSweepProg(plC)); err != nil {
 		t.Fatalf("concurrent: %v", err)

@@ -46,7 +46,6 @@ func (q *msgq) pop() Message {
 }
 
 func (q *msgq) empty() bool     { return q.head == len(q.items) }
-func (q *msgq) len() int        { return len(q.items) - q.head }
 func (q *msgq) peekSeq() uint64 { return q.items[q.head].seq }
 
 // maxFreeQueues bounds the per-task recycled queue records. The HBSP

@@ -155,3 +155,5 @@ func TestAppendRecvAllMatchesArrivalFilter(t *testing.T) {
 		}
 	}
 }
+
+func (q *msgq) len() int { return len(q.items) - q.head }

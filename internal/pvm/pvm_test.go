@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -454,4 +455,25 @@ func TestPropertyNoMessageLoss(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// PackFloat64 appends IEEE-754 doubles.
+func (b *Buffer) PackFloat64(vs ...float64) *Buffer {
+	for _, v := range vs {
+		b.packCode(codeFloat64)
+		b.data = binary.BigEndian.AppendUint64(b.data, math.Float64bits(v))
+	}
+	return b
+}
+
+// UnpackFloat64 reads the next double.
+func (b *Buffer) UnpackFloat64() (float64, error) {
+	if err := b.checkCode(codeFloat64); err != nil {
+		return 0, err
+	}
+	raw, err := b.take(8)
+	if err != nil {
+		return 0, err
+	}
+	return math.Float64frombits(binary.BigEndian.Uint64(raw)), nil
 }

@@ -672,16 +672,6 @@ func (l *Loopback) readAck() error {
 	return l.acked(seq, code, detail)
 }
 
-// Sever arms an abrupt connection teardown after n more delivered
-// frames (0 = at the next frame). Batches still un-acked then fail at
-// their sender's Flush, and later Delivers at once, with
-// pvm.ErrPeerLost, which the engines detect as a peer failure.
-func (l *Loopback) Sever(n int64) {
-	l.sevMu.Lock()
-	l.severAfter = n
-	l.sevMu.Unlock()
-}
-
 // countSever burns one frame of the armed sever budget and reports
 // whether the link must drop now.
 func (l *Loopback) countSever() bool {

@@ -536,3 +536,13 @@ func TestLoopbackFrameObserver(t *testing.T) {
 		t.Fatalf("frame observer byte counts %v", obs.bytes)
 	}
 }
+
+// Sever arms an abrupt connection teardown after n more delivered
+// frames (0 = at the next frame). Batches still un-acked then fail at
+// their sender's Flush, and later Delivers at once, with
+// pvm.ErrPeerLost, which the engines detect as a peer failure.
+func (l *Loopback) Sever(n int64) {
+	l.sevMu.Lock()
+	l.severAfter = n
+	l.sevMu.Unlock()
+}

@@ -199,12 +199,3 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
-
-// ReadJSON loads a report written by WriteJSON.
-func ReadJSON(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("trace: decoding report: %w", err)
-	}
-	return &r, nil
-}

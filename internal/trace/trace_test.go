@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -105,4 +108,13 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString("{broken")); err == nil {
 		t.Error("corrupt JSON accepted")
 	}
+}
+
+// ReadJSON loads a report written by WriteJSON.
+func ReadJSON(rd io.Reader) (*Report, error) {
+	var r Report
+	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+		return nil, fmt.Errorf("trace: decoding report: %w", err)
+	}
+	return &r, nil
 }

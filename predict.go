@@ -20,42 +20,9 @@ func PredictGather(t *Tree, rootPid int, d ByteDist) CostBreakdown {
 	return cost.GatherFlat(t, rootPid, d)
 }
 
-// PredictGatherHier predicts the hierarchical gather of d.
-func PredictGatherHier(t *Tree, d ByteDist) CostBreakdown {
-	return cost.GatherHier(t, d)
-}
-
-// PredictBcastOnePhase and PredictBcastTwoPhase predict the §4.4
-// broadcasts of n bytes.
-func PredictBcastOnePhase(t *Tree, rootPid, n int) CostBreakdown {
-	return cost.BcastOnePhaseFlat(t, rootPid, n)
-}
-func PredictBcastTwoPhase(t *Tree, rootPid int, d ByteDist) CostBreakdown {
-	return cost.BcastTwoPhaseFlat(t, rootPid, d)
-}
-
 // PredictBcastHier predicts the hierarchical broadcast of n bytes.
 func PredictBcastHier(t *Tree, n int, twoPhaseTop bool) CostBreakdown {
 	return cost.BcastHier(t, n, twoPhaseTop)
-}
-
-// PredictScatter, PredictAllGather, PredictReduce, PredictReduceHier,
-// PredictScan and PredictTotalExchange cover the thesis suite.
-func PredictScatter(t *Tree, rootPid int, d ByteDist) CostBreakdown {
-	return cost.ScatterFlat(t, rootPid, d)
-}
-func PredictAllGather(t *Tree, d ByteDist) CostBreakdown { return cost.AllGatherFlat(t, d) }
-func PredictReduce(t *Tree, rootPid int, d ByteDist, opCost float64) CostBreakdown {
-	return cost.ReduceFlat(t, rootPid, d, opCost)
-}
-func PredictReduceHier(t *Tree, d ByteDist, opCost float64) CostBreakdown {
-	return cost.ReduceHier(t, d, opCost)
-}
-func PredictScan(t *Tree, rootPid int, d ByteDist, opCost float64) CostBreakdown {
-	return cost.ScanFlat(t, rootPid, d, opCost)
-}
-func PredictTotalExchange(t *Tree, d ByteDist) CostBreakdown {
-	return cost.TotalExchangeFlat(t, d)
 }
 
 // TwoPhaseCrossoverSize returns the problem size above which the
