@@ -117,7 +117,8 @@ wire-smoke:
 # superstep of four processors on Concurrent — in-proc, over a unix socket
 # and over TCP loopback, at 64 B, 64 KiB and 256 KiB per pair (the last is
 # bulk_unix's size), with allocs/op, and on the 64 B lanes retained-B/op,
-# the live heap a step leaves behind (the step record) — the Go-benchmark
+# the live heap a step leaves behind (the step record), and report-B/op,
+# the live heap the returned Report holds per step — the Go-benchmark
 # twin of the sync and bulk workloads of ./benchmark, at the GOMAXPROCS =
 # 1 that harness pins every repetition to (-cpu 1), the socket lanes with
 # syscalls/op, the read and write system calls of a step, and reads/op

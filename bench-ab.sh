@@ -20,11 +20,11 @@
 # change won, the A/A ratio (its median over the change's) and the A/A
 # spread (the quartiles of the per-round A/A ratios), and the medians of
 # the deterministic counters on each side: allocs/op, B/op,
-# retained-B/op, syscalls/op, reads/op, writes/op and wire-B/op, where a
-# lane reports them. A lane's verdict is "faster" when the change won at
-# least 9 rounds in 10, its ratio lies below the A/A spread and its
-# median is below the base's by more than the base's own quartile
-# distance; "slower" in the mirror case; "within A/A spread" when the
+# retained-B/op, report-B/op, syscalls/op, reads/op, writes/op and
+# wire-B/op, where a lane reports them. A lane's verdict is "faster" when
+# the change won at least 9 rounds in 10, its ratio lies below the A/A
+# spread and its median is below the base's by more than the base's own
+# quartile distance; "slower" in the mirror case; "within A/A spread" when the
 # ratio lies inside it; and "unresolved" otherwise. It passes when faster
 # or within the spread.
 #
@@ -36,7 +36,8 @@
 # ceiling tests: allocs/op 1 % (a warm step's 0 stays 0:
 # TestSteadyStateSuperstepAllocs), B/op 16 KiB (allocSlack and
 # TestCollectiveRoundAllocsInProc), retained-B/op 16 B (the step record's
-# 48 B ceiling over its 32 B), syscalls/op, reads/op and writes/op 1
+# 48 B ceiling over its 32 B), report-B/op 16 B (a Report's step, 40 B,
+# as the record's margin), syscalls/op, reads/op and writes/op 1
 # (TestLoopbackSyscallsPerSuperstep's 5 over 4.1) and wire-B/op 0
 # (TestCollectiveRoundSyscalls pins the round's bytes).
 #
@@ -191,10 +192,10 @@ FILENAME == ARGV[1] {
 		val[side, lane, round, $(f + 1)] = $f
 }
 END {
-	ncounters = split("allocs/op B/op retained-B/op syscalls/op reads/op writes/op wire-B/op", counter, " ")
+	ncounters = split("allocs/op B/op retained-B/op report-B/op syscalls/op reads/op writes/op wire-B/op", counter, " ")
 	reltol["allocs/op"] = 0.01
 	abstol["B/op"] = 16384
-	abstol["retained-B/op"] = 16
+	abstol["retained-B/op"] = abstol["report-B/op"] = 16
 	abstol["syscalls/op"] = abstol["reads/op"] = abstol["writes/op"] = 1
 	printf "{\n  \"base\": \"%s\",\n  \"change\": \"%s%s\",\n", baserev, head, dirty == "true" ? " plus uncommitted changes" : ""
 	printf "  \"rounds\": %d,\n  \"order\": \"ABBA, each round base, change and A/A (the change again)\",\n", rounds

@@ -12,7 +12,7 @@ import (
 // concurrent engine deadlocks and a wire transport hangs distributed.
 //
 // The analyzer seeds a taint lattice at processor-identity sources
-// (Pid, Self, Moves, the Rank/Coordinator/Speed/Share enquiries),
+// (Pid, Self, Moves, the Share enquiry),
 // propagates it through assignments and arithmetic, and abstracts each
 // function body into its synchronization sequence — a string of sync
 // tokens, composed interprocedurally through cached per-function
@@ -618,10 +618,8 @@ func (a *aligner) seqStmt(s ast.Stmt, cont string, env *alignEnv) string {
 }
 
 // divergentFuncNames are package-level enquiry helpers whose results
-// differ per processor when handed a Ctx.
-var divergentFuncNames = map[string]bool{
-	"Rank": true, "Coordinator": true, "Speed": true, "Share": true,
-}
+// differ per processor when handed a Ctx: hbsp.Share.
+var divergentFuncNames = map[string]bool{"Share": true}
 
 // collectPidTaint returns the set of local variables derived from
 // processor identity, via a forward pass over the body in source order

@@ -25,8 +25,6 @@ func Reduce(c Ctx, scope *Machine, root int, n []byte) error { return c.Sync(sco
 
 func enclosingScope(c Ctx, lvl int) *Machine { _ = c.Self(); return nil }
 
-func Coordinator(c Ctx, scope *Machine) int { return 0 }
-
 // --- violations ---
 
 // Arms synchronize differently: the root runs a gather, everyone else
@@ -113,8 +111,7 @@ func syncPerDelivery(c Ctx) error {
 
 // The coordinator-election idiom: the root does extra non-synchronizing
 // work (sends), but both arms rejoin with the identical barrier.
-func coordinatorDoesExtraSends(c Ctx, scope *Machine, data []byte) error {
-	root := Coordinator(c, scope)
+func coordinatorDoesExtraSends(c Ctx, root int, data []byte) error {
 	if c.Pid() == root {
 		for dst := 0; dst < 4; dst++ {
 			if err := c.Send(dst, 1, data); err != nil {

@@ -32,7 +32,7 @@ type Ctx interface {
 
 func SyncAll(c Ctx, label string) error { return c.Sync(nil, label) }
 
-func Rank(c Ctx) int { return c.Pid() }
+func Share(c Ctx) float64 { return 1 }
 
 // --- violations ---
 
@@ -63,8 +63,8 @@ func syncInPidBoundedLoop(c Ctx, scope *Machine) error {
 	return nil
 }
 
-func syncAllUnderRank(c Ctx) error {
-	if Rank(c) == 0 { // want `pid-divergent branches synchronize differently`
+func syncAllUnderShare(c Ctx) error {
+	if Share(c) > 0.5 { // want `pid-divergent branches synchronize differently`
 		return SyncAll(c, "fastest only")
 	}
 	return nil

@@ -227,9 +227,9 @@ func HRelationRated(t *model.Tree, scope *model.Machine, flows []Flow, rt *model
 // closed form: from its flows, work[pid] in fastest-machine units and the
 // §6 rates rt (nil: none), W with its gating pid (-1: none) and imbalance,
 // H, Comm = g·H, Sync = L, Flows and Bytes (self-sends and empty messages
-// excluded) and Time = W + g·H + L. It allocates nothing.
-func Terms(t *model.Tree, scope *model.Machine, flows []Flow, work []float64, rt *model.RateTable) trace.Step {
-	s := trace.Step{Sync: scope.SyncCost, GatingPid: -1}
+// excluded), and the step's time W + g·H + L. It allocates nothing.
+func Terms(t *model.Tree, scope *model.Machine, flows []Flow, work []float64, rt *model.RateTable) (trace.Shape, float64) {
+	s := trace.Shape{Sync: scope.SyncCost, GatingPid: -1}
 	sum, positive := 0.0, 0
 	for pid, w := range work {
 		if w > s.W {
@@ -251,14 +251,13 @@ func Terms(t *model.Tree, scope *model.Machine, flows []Flow, work []float64, rt
 	}
 	s.H = HRelationRated(t, scope, flows, rt)
 	s.Comm = t.G * s.H
-	s.Time = s.W + s.Comm + s.Sync
-	return s
+	return s, s.W + s.Comm + s.Sync
 }
 
 // StepCost assembles a Step from raw ingredients: the scope, the flows
 // of the step, and per-participant local computation (already expressed
 // in fastest-machine time units). Sync cost is the scope's L.
 func StepCost(t *model.Tree, scope *model.Machine, label string, flows []Flow, works []float64) Step {
-	s := Terms(t, scope, flows, works, nil)
+	s, _ := Terms(t, scope, flows, works, nil)
 	return Step{Label: label, Scope: scope, Level: scope.Level, Work: s.W, H: s.H, Sync: s.Sync}
 }

@@ -89,19 +89,19 @@ func New(t *model.Tree, cfg Config) *Fabric {
 // at its end, work[pid] each participant's computation in fastest-machine
 // units — as cost.Terms with what the pure model lacks: combining, pack,
 // unpack and per-message overheads added to the endpoints' work, rates,
-// and noise on Time.
-func (f *Fabric) StepCost(scope *model.Machine, flows []cost.Flow, work []float64) trace.Step {
+// and noise on the step's time.
+func (f *Fabric) StepCost(scope *model.Machine, flows []cost.Flow, work []float64) (trace.Shape, float64) {
 	if f.cfg.CombineMessages {
 		flows = combine(flows)
 	}
 	if f.cfg.PackByte > 0 || f.cfg.MsgOverhead > 0 || f.cfg.UnpackByte > 0 {
 		work = f.withOverheads(flows, work)
 	}
-	s := cost.Terms(f.tree, scope, flows, work, f.cfg.Rates)
+	s, time := cost.Terms(f.tree, scope, flows, work, f.cfg.Rates)
 	if f.cfg.Noise > 0 {
-		s.Time *= 1 + f.cfg.Noise*f.rng.Float64()
+		time *= 1 + f.cfg.Noise*f.rng.Float64()
 	}
-	return s
+	return s, time
 }
 
 // combine collapses same-(src, dst) flows into one, in first-seen order.

@@ -73,7 +73,7 @@ func TestRateTableInFabric(t *testing.T) {
 	rt := model.NewRateTable().Set("b", "a", 3)
 	flows := []cost.Flow{{Src: 1, Dst: 0, Bytes: 1000}}
 	fb := New(tr, Config{Rates: rt})
-	if res := fb.StepCost(tr.Root, flows, nil); res.H != 6000 || res.Comm != tr.G*6000 {
+	if res, _ := fb.StepCost(tr.Root, flows, nil); res.H != 6000 || res.Comm != tr.G*6000 {
 		t.Errorf("fabric h = %v, comm = %v; want 6000, g·6000", res.H, res.Comm)
 	}
 }
@@ -95,7 +95,7 @@ func TestMsgOverheadChargedPerMessage(t *testing.T) {
 		{Src: 1, Dst: 0, Bytes: 10},
 		{Src: 1, Dst: 2, Bytes: 10},
 	}
-	res := fb.StepCost(tr.Root, flows, nil)
+	res, _ := fb.StepCost(tr.Root, flows, nil)
 	if res.W != 100 {
 		t.Errorf("W = %v, want 100 (2 messages × 50)", res.W)
 	}
@@ -107,14 +107,14 @@ func TestMsgOverheadFavorsAggregation(t *testing.T) {
 	// tuning turns the other way.
 	tr := ratedPair()
 	fb := New(tr, Config{MsgOverhead: 200})
-	one := fb.StepCost(tr.Root, []cost.Flow{{Src: 1, Dst: 0, Bytes: 1000}}, nil)
+	one, oneTime := fb.StepCost(tr.Root, []cost.Flow{{Src: 1, Dst: 0, Bytes: 1000}}, nil)
 	var many []cost.Flow
 	for i := 0; i < 10; i++ {
 		many = append(many, cost.Flow{Src: 1, Dst: 0, Bytes: 100})
 	}
-	split := fb.StepCost(tr.Root, many, nil)
-	if split.Time <= one.Time {
-		t.Errorf("split %v not slower than aggregated %v", split.Time, one.Time)
+	split, splitTime := fb.StepCost(tr.Root, many, nil)
+	if splitTime <= oneTime {
+		t.Errorf("split %v not slower than aggregated %v", splitTime, oneTime)
 	}
 	if split.H != one.H {
 		t.Errorf("h changed with splitting: %v vs %v", split.H, one.H)
@@ -129,8 +129,8 @@ func TestCombineMessagesReducesOverheadOnly(t *testing.T) {
 	}
 	plain := New(tr, Config{MsgOverhead: 200})
 	combined := New(tr, Config{MsgOverhead: 200, CombineMessages: true})
-	rp := plain.StepCost(tr.Root, many, nil)
-	rc := combined.StepCost(tr.Root, many, nil)
+	rp, _ := plain.StepCost(tr.Root, many, nil)
+	rc, _ := combined.StepCost(tr.Root, many, nil)
 	if rc.Flows != 1 || rp.Flows != 10 {
 		t.Errorf("flows = %d/%d, want 1/10", rc.Flows, rp.Flows)
 	}
@@ -141,10 +141,10 @@ func TestCombineMessagesReducesOverheadOnly(t *testing.T) {
 		t.Errorf("combining did not cut per-message overhead: %v vs %v", rc.W, rp.W)
 	}
 	// Without per-message overhead, combining changes nothing.
-	a := New(tr, Config{}).StepCost(tr.Root, many, nil)
-	b := New(tr, Config{CombineMessages: true}).StepCost(tr.Root, many, nil)
-	if a.Time != b.Time {
-		t.Errorf("free combining changed time: %v vs %v", a.Time, b.Time)
+	_, a := New(tr, Config{}).StepCost(tr.Root, many, nil)
+	_, b := New(tr, Config{CombineMessages: true}).StepCost(tr.Root, many, nil)
+	if a != b {
+		t.Errorf("free combining changed time: %v vs %v", a, b)
 	}
 	// The caller's slice must not be mutated.
 	if many[0].Bytes != 100 || len(many) != 10 {
@@ -160,7 +160,7 @@ func TestGatingPidAndImbalance(t *testing.T) {
 		{Src: 1, Dst: 0, Bytes: 1000},
 		{Src: 2, Dst: 0, Bytes: 100},
 	}
-	res := fb.StepCost(tr.Root, flows, nil)
+	res, _ := fb.StepCost(tr.Root, flows, nil)
 	if res.GatingPid != 1 {
 		t.Errorf("gating pid = %d, want 1", res.GatingPid)
 	}
@@ -169,7 +169,7 @@ func TestGatingPidAndImbalance(t *testing.T) {
 		t.Errorf("imbalance = %v, want ≈1.818", res.Imbalance)
 	}
 	// No work at all: gating pid -1.
-	none := New(tr, Config{}).StepCost(tr.Root, flows, nil)
+	none, _ := New(tr, Config{}).StepCost(tr.Root, flows, nil)
 	if none.GatingPid != -1 || none.Imbalance != 0 {
 		t.Errorf("no-work step: gating=%d imbalance=%v", none.GatingPid, none.Imbalance)
 	}

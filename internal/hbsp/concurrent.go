@@ -625,7 +625,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		c.shared.leaveSync(c.pid)
 		return err
 	}
-	var step trace.Step
+	var step trace.Shape
 	if records {
 		step = c.terms(w)
 		step.Bytes = sent + recv // its own traffic, as hbsp.bytes_per_op reads it
@@ -637,12 +637,12 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 // without the lock: cost.Terms over its participants' deposits. A step
 // with a member in another process, whose deposit never reaches here,
 // has no terms (GatingPid -1) rather than a partial sum.
-func (c *cctx) terms(w *syncWait) trace.Step {
+func (c *cctx) terms(w *syncWait) trace.Shape {
 	clear(c.works)
 	c.flows = c.flows[:0]
 	for _, pid := range w.members {
 		if c.shared.proxies[pid] != nil {
-			return trace.Step{GatingPid: -1}
+			return trace.Shape{GatingPid: -1}
 		}
 		// A dormant member has no Ctx yet, a dead one no deposit.
 		if m := c.shared.ctxs[pid].Load(); m != nil {
@@ -652,7 +652,8 @@ func (c *cctx) terms(w *syncWait) trace.Step {
 			}
 		}
 	}
-	return cost.Terms(c.tree, w.key, c.flows, c.works, nil)
+	s, _ := cost.Terms(c.tree, w.key, c.flows, c.works, nil)
+	return s
 }
 
 // sendScratch draws SendScratch's n bytes from the wire arena.
@@ -828,7 +829,7 @@ func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err e
 // barrier wait, the reorg estimate, the step record (when this processor
 // records it: step holds its terms) and the cut verdict; and the cut
 // window.
-func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start time.Duration, count int, step *trace.Step) error {
+func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start time.Duration, count int, step *trace.Shape) error {
 	c.recycle()
 	end := c.clock(records || c.opt.Obsv != nil)
 	sample := 0.0
@@ -845,8 +846,7 @@ func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start time.Dur
 	}
 	if records {
 		step.Participants = count
-		step.Time, step.Start, step.End = micros(end-start), micros(start), micros(end)
-		c.opt.record(&s.steps, w.key, w.label, step)
+		c.opt.record(&s.steps, w.key, w.label, step, micros(end-start), micros(start), micros(end))
 	}
 	// Every participant of a global barrier computes the same cut verdict
 	// — its ordinal is shared, ReorgEvery is config, and the dormant set

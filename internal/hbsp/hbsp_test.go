@@ -112,8 +112,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("nondeterministic: %v/%d vs %v/%d", r1.Total, r1.Supersteps(), r2.Total, r2.Supersteps())
 	}
 	for i := range r1.Steps {
-		if r1.Steps[i] != r2.Steps[i] {
-			t.Errorf("step %d differs:\n%+v\n%+v", i, r1.Steps[i], r2.Steps[i])
+		if !sameStep(r1.Steps[i], r2.Steps[i]) {
+			t.Errorf("step %d differs:\n%+v %+v\n%+v %+v", i, r1.Steps[i], *r1.Steps[i].Shape, r2.Steps[i], *r2.Steps[i].Shape)
 		}
 	}
 }

@@ -389,7 +389,7 @@ func (l *stepLog) intern(s string, hint uint32) uint32 {
 	return id
 }
 
-func (l *stepLog) add(s trace.Step) {
+func (l *stepLog) add(s *trace.Shape, time, start, end float64) {
 	var hint [3]uint32
 	if l.steps.n > 0 {
 		hint = l.shapes.at(l.prev).str
@@ -404,7 +404,7 @@ func (l *stepLog) add(s trace.Step) {
 		sh.str[i] = l.intern(str, hint[i])
 	}
 	l.prev = l.shapeOf(sh)
-	l.steps.add(stepRec{time: s.Time, start: s.Start, end: s.End, shape: l.prev})
+	l.steps.add(stepRec{time: time, start: start, end: end, shape: l.prev})
 }
 
 // shapeOf returns sh's index in the shape table, appending it if new.
@@ -429,22 +429,27 @@ func (l *stepLog) shapeOf(sh stepShape) uint32 {
 	return known[0] - 1
 }
 
-// flat returns the steps in the order they were added; nil for none.
+// flat returns the steps in the order they were added, each pointing
+// to its shape in one slice of the log's shapes; nil for none.
 func (l *stepLog) flat() []trace.Step {
 	if l.steps.n == 0 {
 		return nil
 	}
+	shapes := make([]trace.Shape, l.shapes.n)
+	for i := range shapes {
+		sh := l.shapes.at(uint32(i))
+		shapes[i] = trace.Shape{
+			Label: l.strs[sh.str[0]], ScopeLabel: l.strs[sh.str[1]], ScopeName: l.strs[sh.str[2]],
+			Level: int(sh.level), Participants: int(sh.participants), GatingPid: int(sh.gatingPid),
+			Flows: sh.flows, Bytes: sh.bytes,
+			W: math.Float64frombits(sh.w), H: math.Float64frombits(sh.h), Comm: math.Float64frombits(sh.comm),
+			Sync: math.Float64frombits(sh.sync), Imbalance: math.Float64frombits(sh.imbalance),
+		}
+	}
 	out := make([]trace.Step, 0, l.steps.n)
 	for _, c := range l.steps.c {
 		for _, r := range c {
-			sh := l.shapes.at(r.shape)
-			out = append(out, trace.Step{
-				Index: len(out), Label: l.strs[sh.str[0]], ScopeLabel: l.strs[sh.str[1]], ScopeName: l.strs[sh.str[2]],
-				Level: int(sh.level), Participants: int(sh.participants), GatingPid: int(sh.gatingPid),
-				Flows: sh.flows, Bytes: sh.bytes, Time: r.time, Start: r.start, End: r.end,
-				W: math.Float64frombits(sh.w), H: math.Float64frombits(sh.h), Comm: math.Float64frombits(sh.comm),
-				Sync: math.Float64frombits(sh.sync), Imbalance: math.Float64frombits(sh.imbalance),
-			})
+			out = append(out, trace.Step{Index: len(out), Shape: &shapes[r.shape], Time: r.time, Start: r.start, End: r.end})
 		}
 	}
 	return out
@@ -452,13 +457,13 @@ func (l *stepLog) flat() []trace.Step {
 
 // record appends one completed superstep to the run's steps and emits
 // its span with the model's T_i(λ) = W + g·H + L for it. The engine fills
-// what it measured or charged (participants, times, cost terms, traffic);
-// the scope and index fields are filled here.
-func (o *coreOpts) record(steps *stepLog, scope *model.Machine, label string, s *trace.Step) {
-	s.Index, s.Label = steps.len(), label
-	s.ScopeLabel, s.ScopeName, s.Level = scope.Label(), scope.Name, scope.Level
-	steps.add(*s)
-	o.Obsv.Superstep(s.Index, label, s.ScopeLabel, s.Level, s.Start, s.End, s.W+s.Comm+s.Sync, int64(s.Bytes))
+// what it measured or charged (participants, cost terms, traffic) and
+// passes the step's times; the scope fields are filled here.
+func (o *coreOpts) record(steps *stepLog, scope *model.Machine, label string, s *trace.Shape, time, start, end float64) {
+	index := steps.len()
+	s.Label, s.ScopeLabel, s.ScopeName, s.Level = label, scope.Label(), scope.Name, scope.Level
+	steps.add(s, time, start, end)
+	o.Obsv.Superstep(index, label, s.ScopeLabel, s.Level, start, end, s.W+s.Comm+s.Sync, int64(s.Bytes))
 }
 
 // packMsg and unpackMsg are the engine message wire codec: the user tag,

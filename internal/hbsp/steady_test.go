@@ -44,10 +44,10 @@ func TestStepLogFlattensInOrder(t *testing.T) {
 	// times, which a step never shares, by i.
 	shaped := func(i, k int, v float64) trace.Step {
 		return trace.Step{
-			Index: i, Label: fmt.Sprintf("step %d of a long run", k),
-			ScopeLabel: fmt.Sprintf("M_{%d,%d}", k%3, k%2), ScopeName: fmt.Sprint("cluster", k%3),
-			Level: k % 3, Participants: 4, W: v, H: 2 * v, Comm: 3 * v, Sync: 1,
-			Flows: 12, Bytes: int(768 * v), GatingPid: k % 4, Imbalance: 1 + v,
+			Index: i, Shape: &trace.Shape{Label: fmt.Sprintf("step %d of a long run", k),
+				ScopeLabel: fmt.Sprintf("M_{%d,%d}", k%3, k%2), ScopeName: fmt.Sprint("cluster", k%3),
+				Level: k % 3, Participants: 4, W: v, H: 2 * v, Comm: 3 * v, Sync: 1,
+				Flows: 12, Bytes: int(768 * v), GatingPid: k % 4, Imbalance: 1 + v},
 			Time: float64(i) + 0.5, Start: float64(i), End: float64(i) + 1,
 		}
 	}
@@ -59,23 +59,25 @@ func TestStepLogFlattensInOrder(t *testing.T) {
 	}{
 		{"random", func(i int) trace.Step {
 			return trace.Step{
-				Index:        i,
-				Label:        fmt.Sprintf("step %d of a long run", rng.Intn(5)),
-				ScopeLabel:   fmt.Sprintf("M_{%d,%d}", rng.Intn(3), rng.Intn(2)),
-				ScopeName:    fmt.Sprint("cluster", rng.Intn(3)),
-				Level:        rng.Intn(3),
-				Participants: 1 + rng.Intn(8),
-				W:            rng.Float64(),
-				H:            rng.Float64(),
-				Comm:         rng.Float64(),
-				Sync:         rng.Float64(),
-				Time:         rng.Float64(),
-				Flows:        rng.Intn(64),
-				Bytes:        rng.Intn(1 << 30),
-				GatingPid:    rng.Intn(9) - 1,
-				Imbalance:    rng.Float64(),
-				Start:        rng.Float64(),
-				End:          rng.Float64(),
+				Index: i,
+				Shape: &trace.Shape{
+					Label:        fmt.Sprintf("step %d of a long run", rng.Intn(5)),
+					ScopeLabel:   fmt.Sprintf("M_{%d,%d}", rng.Intn(3), rng.Intn(2)),
+					ScopeName:    fmt.Sprint("cluster", rng.Intn(3)),
+					Level:        rng.Intn(3),
+					Participants: 1 + rng.Intn(8),
+					W:            rng.Float64(),
+					H:            rng.Float64(),
+					Comm:         rng.Float64(),
+					Sync:         rng.Float64(),
+					Flows:        rng.Intn(64),
+					Bytes:        rng.Intn(1 << 30),
+					GatingPid:    rng.Intn(9) - 1,
+					Imbalance:    rng.Float64(),
+				},
+				Time:  rng.Float64(),
+				Start: rng.Float64(),
+				End:   rng.Float64(),
 			}
 		}, 0},
 		{"repeating", func(i int) trace.Step { return shaped(i, 0, 1) }, 32},
@@ -104,7 +106,7 @@ func TestStepLogFlattensInOrder(t *testing.T) {
 					full = logBytes(&log)
 				}
 				s := seq.step(i)
-				log.add(s)
+				log.add(s.Shape, s.Time, s.Start, s.End)
 				want = append(want, s)
 				if log.len() != len(want) {
 					t.Fatalf("after %d steps len() = %d", len(want), log.len())
@@ -121,7 +123,7 @@ func TestStepLogFlattensInOrder(t *testing.T) {
 			}
 			for i := range want {
 				if !sameStep(got[i], want[i]) {
-					t.Fatalf("step %d flattened to %+v, appended as %+v", i, got[i], want[i])
+					t.Fatalf("step %d flattened to %+v %+v, appended as %+v %+v", i, got[i], *got[i].Shape, want[i], *want[i].Shape)
 				}
 			}
 		})
@@ -140,10 +142,18 @@ func logBytes(l *stepLog) int {
 	return n
 }
 
-// sameStep reports whether a and b hold the same fields, floats compared
-// by their bits.
+// sameStep reports whether a and b hold the same values, their shapes'
+// fields and their own, floats compared by their bits: the values the
+// steps point to, never the pointers.
 func sameStep(a, b trace.Step) bool {
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	if !sameFields(reflect.ValueOf(*a.Shape), reflect.ValueOf(*b.Shape)) {
+		return false
+	}
+	a.Shape, b.Shape = nil, nil
+	return sameFields(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+func sameFields(va, vb reflect.Value) bool {
 	for i := 0; i < va.NumField(); i++ {
 		fa, fb := va.Field(i), vb.Field(i)
 		if fa.Kind() == reflect.Float64 {
@@ -158,9 +168,12 @@ func sameStep(a, b trace.Step) bool {
 }
 
 // The step record is memory the garbage collector never scans, and costs
-// less than the step it stands for: a field that held a pointer (a string,
-// a slice) would have every chunk of a long run scanned again at every
-// cycle. A step whose shape repeats costs its stepRec alone, 32 bytes.
+// less than what it stands for in the Report — a stepRec less than a
+// trace.Step, a stepShape less than a trace.Shape: a field that held a
+// pointer (a string, a slice) would have every chunk of a long run
+// scanned again at every cycle. A step whose shape repeats costs its
+// stepRec alone, 32 bytes, in the log, and its trace.Step, at most 40, in
+// the Report.
 func TestStepRecordHoldsNoPointer(t *testing.T) {
 	var pointerFree func(reflect.Type) bool
 	pointerFree = func(t reflect.Type) bool {
@@ -177,17 +190,23 @@ func TestStepRecordHoldsNoPointer(t *testing.T) {
 		}
 		return t.Kind() > reflect.Invalid && t.Kind() <= reflect.Complex128
 	}
-	step := reflect.TypeOf(trace.Step{})
-	for _, rec := range []reflect.Type{reflect.TypeOf(stepRec{}), reflect.TypeOf(stepShape{})} {
+	for _, pair := range [][2]reflect.Type{
+		{reflect.TypeOf(stepRec{}), reflect.TypeOf(trace.Step{})},
+		{reflect.TypeOf(stepShape{}), reflect.TypeOf(trace.Shape{})},
+	} {
+		rec, flat := pair[0], pair[1]
 		if !pointerFree(rec) {
 			t.Errorf("%v holds a pointer", rec)
 		}
-		if rec.Size() >= step.Size() {
-			t.Errorf("%v is %d bytes, %v %d", rec, rec.Size(), step, step.Size())
+		if rec.Size() >= flat.Size() {
+			t.Errorf("%v is %d bytes, %v %d", rec, rec.Size(), flat, flat.Size())
 		}
 	}
 	if n := unsafe.Sizeof(stepRec{}); n > 32 {
 		t.Errorf("stepRec is %d bytes, want at most 32", n)
+	}
+	if n := unsafe.Sizeof(trace.Step{}); n > 40 {
+		t.Errorf("trace.Step is %d bytes, want at most 40", n)
 	}
 }
 
@@ -278,6 +297,29 @@ func TestReportStepsAcrossChunkBoundaries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A Report's steps share their shapes: a Concurrent run of twoLevel,
+// whose steps repeat a few shapes (three labels per scope level, the same
+// terms every round), returns steps that point to exactly as many Shapes
+// as the run's log holds, one per distinct value, and never two equal
+// ones.
+func TestReportStepsShareShapes(t *testing.T) {
+	rep := runTwoLevel(t, "concurrent", nil, 2*chunkOf[stepRec](), nil)
+	var log stepLog // the log the run kept, rebuilt from what it returned
+	pointers, values := map[*trace.Shape]bool{}, map[trace.Shape]bool{}
+	for _, s := range rep.Steps {
+		log.add(s.Shape, s.Time, s.Start, s.End)
+		pointers[s.Shape], values[*s.Shape] = true, true
+	}
+	t.Logf("%d steps point to %d shapes", len(rep.Steps), len(pointers))
+	if len(pointers) != log.shapes.n || len(values) != log.shapes.n {
+		t.Errorf("%d steps point to %d shapes of %d distinct values; the log holds %d shapes",
+			len(rep.Steps), len(pointers), len(values), log.shapes.n)
+	}
+	if len(pointers) > 9 {
+		t.Errorf("%d shapes, want at most 9: three labels on each of two clusters and the root", len(pointers))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"hbspk/internal/pvm"
 	"hbspk/internal/pvm/wiretrans"
 	"hbspk/internal/testutil"
+	"hbspk/internal/trace"
 )
 
 // The engine rung of the ladder (L3): one all-to-all root superstep on
@@ -242,6 +243,21 @@ func emptySteps(level, warm, steps int, begin, end func()) Program {
 	}
 }
 
+// reportBytes is the live heap rep holds per step: what a collection
+// frees once rep is dropped, after two collections have emptied the
+// pools.
+func reportBytes(rep *trace.Report) float64 {
+	var kept, dropped runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&kept)
+	n := len(rep.Steps)
+	runtime.KeepAlive(rep)
+	runtime.GC()
+	runtime.ReadMemStats(&dropped)
+	return (float64(kept.HeapAlloc) - float64(dropped.HeapAlloc)) / float64(n)
+}
+
 // BenchmarkConcurrentSuperstep is the engine twin of wiretrans's
 // BenchmarkLoopbackExchange: ns/op is one whole superstep of four
 // processors, MB/s its payload bytes, allocs/op everything the four
@@ -253,7 +269,10 @@ func emptySteps(level, warm, steps int, begin, end func()) Program {
 // report retained-B/op: the live heap after a collection grows by that
 // much per step, which is the step record's cost to a long run, about 32
 // bytes (a step's times and its shape's index; 112 while each step was
-// kept whole). The
+// kept whole); and report-B/op: the live heap the returned Report holds
+// per step, about 40 bytes (a step's times, index and shape pointer, its
+// few shared shapes spread over the run; 160 while each step was a
+// trace.Step of its own). The
 // socket lanes report syscalls/op, the read and write system calls of a
 // step, and apart as reads/op and writes/op (TestLoopbackSyscallsPerSuperstep
 // gates the unix/64B and tcp/64KiB ones), where /proc/self/io counts them.
@@ -294,11 +313,13 @@ func BenchmarkConcurrentSuperstep(b *testing.B) {
 						runtime.ReadMemStats(&after)
 					}
 				}
-				if _, err := eng.Run(allToAll(size.n, 200, b.N, begin, end)); err != nil {
+				rep, err := eng.Run(allToAll(size.n, 200, b.N, begin, end))
+				if err != nil {
 					b.Fatal(err)
 				}
 				if retained {
 					b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(b.N), "retained-B/op")
+					b.ReportMetric(reportBytes(rep), "report-B/op")
 				}
 				if counted {
 					r, w := float64(reads[1]-reads[0])/float64(b.N), float64(writes[1]-writes[0])/float64(b.N)

@@ -464,30 +464,30 @@ func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
 			st.flows = append(st.flows, cost.Flow{Src: m.src, Dst: m.dst, Bytes: len(m.payload)})
 		}
 	}
-	step := v.fab.StepCost(scope, st.flows, st.works)
-	step.Start, step.End = start, start+step.Time
+	step, time := v.fab.StepCost(scope, st.flows, st.works)
+	end := start + time
 	v.Obsv.HRelation(step.H)
 	for _, pid := range pids {
-		st.stepSum[pid] += step.Time
+		st.stepSum[pid] += time
 		st.stepN[pid]++
 		if v.Obsv != nil {
 			// The clock still holds the barrier-entry time; it advances
 			// to end only when the step resumes.
-			v.Obsv.BarrierWait(stepIdx, pid, scope.Label(), scope.Level, ctxs[pid].clock, step.End)
+			v.Obsv.BarrierWait(stepIdx, pid, scope.Label(), scope.Level, ctxs[pid].clock, end)
 		}
 	}
-	v.deliver(ctxs, pids, deliver, stepIdx, step.End)
+	v.deliver(ctxs, pids, deliver, stepIdx, end)
 
 	if scope == v.tree.Root {
-		v.cut(st, pids, step.End)
+		v.cut(st, pids, end)
 	}
-	// The measured span (End - Start) carries, beyond the pure model's
+	// The measured span (end - start) carries, beyond the pure model's
 	// terms, configured overheads, noise, and barrier-entry skew.
 	step.Participants = len(pids)
-	v.record(&st.steps, scope, label, &step)
+	v.record(&st.steps, scope, label, &step, time, start, end)
 
 	for _, pid := range pids {
-		ctxs[pid].clock = step.End
+		ctxs[pid].clock = end
 		st.pending[pid] = nil
 		st.owe(pid, nil)
 	}

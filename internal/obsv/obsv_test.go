@@ -269,8 +269,8 @@ func TestJoinPairsByScope(t *testing.T) {
 			{Label: "down", Scope: root, H: 2},
 		}, Tail: 2}
 		rep := &trace.Report{Steps: []trace.Step{
-			{Label: "up", ScopeLabel: root.Label(), Time: 9, End: 9},
-			{Label: "extra", ScopeLabel: smp.Label(), Time: 2, Start: 9, End: 11},
+			{Shape: &trace.Shape{Label: "up", ScopeLabel: root.Label()}, Time: 9, End: 9},
+			{Shape: &trace.Shape{Label: "extra", ScopeLabel: smp.Label()}, Time: 2, Start: 9, End: 11},
 		}, Total: 12}
 		j := Join(bd, rep)
 		var got []string
@@ -302,8 +302,8 @@ func TestJoinPairsByScope(t *testing.T) {
 			{Scope: lan, H: 300, Sync: 20},
 		})}}
 		rep := &trace.Report{Steps: []trace.Step{
-			{ScopeLabel: smp.Label(), Comm: 100, Sync: 5, Time: 105, End: 105},
-			{ScopeLabel: lan.Label(), Comm: 300, Sync: 20, Time: 320, End: 320},
+			{Shape: &trace.Shape{ScopeLabel: smp.Label(), Comm: 100, Sync: 5}, Time: 105, End: 105},
+			{Shape: &trace.Shape{ScopeLabel: lan.Label(), Comm: 300, Sync: 20}, Time: 320, End: 320},
 		}, Total: 320}
 		for _, p := range Join(bd, rep).Pairs {
 			if p.Pred == nil || p.Run == nil || p.Pred.Time(1) != p.Run.Time {

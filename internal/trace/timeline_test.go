@@ -8,9 +8,9 @@ import (
 func TestTimelineRendersScopesAndBoxes(t *testing.T) {
 	r := &Report{
 		Steps: []Step{
-			{Label: "gather", ScopeLabel: "M_{1,0}", ScopeName: "SMP", Start: 0, End: 50},
-			{Label: "gather", ScopeLabel: "M_{1,2}", ScopeName: "LAN", Start: 0, End: 80},
-			{Label: "up", ScopeLabel: "M_{2,0}", ScopeName: "wan", Start: 80, End: 100},
+			{Shape: &Shape{Label: "gather", ScopeLabel: "M_{1,0}", ScopeName: "SMP"}, Start: 0, End: 50},
+			{Shape: &Shape{Label: "gather", ScopeLabel: "M_{1,2}", ScopeName: "LAN"}, Start: 0, End: 80},
+			{Shape: &Shape{Label: "up", ScopeLabel: "M_{2,0}", ScopeName: "wan"}, Start: 80, End: 100},
 		},
 		Total: 100,
 	}
@@ -42,7 +42,7 @@ func TestTimelineEmptyAndDegenerate(t *testing.T) {
 		t.Errorf("empty timeline: %q", empty)
 	}
 	// Zero-duration steps still render one column.
-	r := &Report{Steps: []Step{{Label: "z", ScopeLabel: "M_{1,0}", ScopeName: "x", Start: 0, End: 0}}}
+	r := &Report{Steps: []Step{{Shape: &Shape{Label: "z", ScopeLabel: "M_{1,0}", ScopeName: "x"}, Start: 0, End: 0}}}
 	out := r.Timeline(10) // width below minimum gets clamped
 	if !strings.Contains(out, "█") {
 		t.Errorf("zero-duration step invisible:\n%s", out)
@@ -51,7 +51,7 @@ func TestTimelineEmptyAndDegenerate(t *testing.T) {
 
 func TestTimelineLabelOverlay(t *testing.T) {
 	r := &Report{
-		Steps: []Step{{Label: "verywidestep", ScopeLabel: "M_{1,0}", ScopeName: "s", Start: 0, End: 100}},
+		Steps: []Step{{Shape: &Shape{Label: "verywidestep", ScopeLabel: "M_{1,0}", ScopeName: "s"}, Start: 0, End: 100}},
 		Total: 100,
 	}
 	out := r.Timeline(120)

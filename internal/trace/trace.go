@@ -10,10 +10,9 @@ import (
 	"strings"
 )
 
-// Step is one executed super^i-step.
-type Step struct {
-	// Index is the step's position in execution order.
-	Index int
+// Shape is what a super^i-step has in common with every step like it:
+// a run's steps mostly repeat a few shapes.
+type Shape struct {
 	// Label is the program-supplied step name; ScopeLabel and
 	// ScopeName identify the step's scope machine (M_{i,j} / name).
 	Label      string
@@ -23,19 +22,29 @@ type Step struct {
 	// synchronized.
 	Level        int
 	Participants int
-	// W, H, Comm, Sync and Time are the charged cost ingredients:
+	// W, H, Comm and Sync are the charged cost ingredients:
 	// T = W + Comm + Sync with Comm = g·H in the pure model.
-	W, H, Comm, Sync, Time float64
+	W, H, Comm, Sync float64
 	// Flows and Bytes summarize the step's delivered traffic.
 	Flows, Bytes int
 	// GatingPid is the processor whose work set W (-1 when none);
 	// Imbalance is W over the mean positive per-processor work.
 	GatingPid int
 	Imbalance float64
-	// Start and End bound the step on the virtual clock (End - Start
-	// may exceed Time when participants entered the barrier at
-	// different local times).
-	Start, End float64
+}
+
+// Step is one executed super^i-step: its shape and its times. An engine's
+// Report points steps that are alike to one shared Shape, so a Shape must
+// not be written through a Report.
+type Step struct {
+	// Index is the step's position in execution order.
+	Index int
+	*Shape
+	// Time is the step's charged (Virtual) or measured (Concurrent)
+	// duration; Start and End bound it on the engine's clock (End - Start
+	// may exceed Time when participants entered the barrier at different
+	// local times).
+	Time, Start, End float64
 }
 
 // Report is the full record of one run.

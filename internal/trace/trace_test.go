@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,12 +13,12 @@ import (
 func sample() *Report {
 	return &Report{
 		Steps: []Step{
-			{Index: 0, Label: "gather", ScopeLabel: "M_{1,0}", ScopeName: "lan",
-				Level: 1, Participants: 4, W: 10, H: 100, Comm: 100, Sync: 5, Time: 115,
-				Flows: 3, Bytes: 300},
-			{Index: 1, Label: "up", ScopeLabel: "M_{2,0}", ScopeName: "wan",
-				Level: 2, Participants: 2, W: 0, H: 50, Comm: 500, Sync: 50, Time: 550,
-				Flows: 1, Bytes: 50},
+			{Index: 0, Shape: &Shape{Label: "gather", ScopeLabel: "M_{1,0}", ScopeName: "lan",
+				Level: 1, Participants: 4, W: 10, H: 100, Comm: 100, Sync: 5,
+				Flows: 3, Bytes: 300, GatingPid: 2, Imbalance: 1.5}, Time: 115, Start: 1, End: 116},
+			{Index: 1, Shape: &Shape{Label: "up", ScopeLabel: "M_{2,0}", ScopeName: "wan",
+				Level: 2, Participants: 2, W: 0, H: 50, Comm: 500, Sync: 50,
+				Flows: 1, Bytes: 50, GatingPid: -1}, Time: 550, Start: 116, End: 666},
 		},
 		Total: 665,
 	}
@@ -101,12 +102,51 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed shape: %+v", back)
 	}
 	for i := range r.Steps {
-		if back.Steps[i] != r.Steps[i] {
-			t.Errorf("step %d differs: %+v vs %+v", i, back.Steps[i], r.Steps[i])
+		if !sameStep(back.Steps[i], r.Steps[i]) {
+			t.Errorf("step %d differs: %+v %+v vs %+v %+v", i, back.Steps[i], *back.Steps[i].Shape, r.Steps[i], *r.Steps[i].Shape)
 		}
 	}
 	if _, err := ReadJSON(bytes.NewBufferString("{broken")); err == nil {
 		t.Error("corrupt JSON accepted")
+	}
+}
+
+// sameStep reports whether a and b hold equal shapes and equal fields of
+// their own: the comparison of two Steps' values, not of their pointers.
+func sameStep(a, b Step) bool {
+	if *a.Shape != *b.Shape {
+		return false
+	}
+	a.Shape, b.Shape = nil, nil
+	return a == b
+}
+
+// A step is one JSON object with the 17 keys a Step has always had,
+// Index through End, whatever its fields' order: the embedded Shape's
+// fields are written in its place.
+func TestReportJSONStepKeys(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sample().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var rep struct{ Steps []json.RawMessage }
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	var step map[string]json.RawMessage
+	if err := json.Unmarshal(rep.Steps[0], &step); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range step {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"Index", "Label", "ScopeLabel", "ScopeName", "Level", "Participants",
+		"W", "H", "Comm", "Sync", "Time", "Flows", "Bytes", "GatingPid", "Imbalance", "Start", "End"}
+	slices.Sort(want)
+	if !slices.Equal(keys, want) {
+		t.Errorf("a step's JSON keys are %v, want %v", keys, want)
 	}
 }
 
