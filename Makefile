@@ -58,8 +58,10 @@ chaos:
 # grid run repeated must reproduce its report and its event stream byte
 # for byte (the virtual engine is a sequential simulation, DESIGN.md
 # §5.3). The reorg property sweeps prove rebalancing preserves topology
-# shape, the leaf multiset and every catalogue collective's family oracle,
-# also when a rebalance falls due inside a collective.
+# shape, the leaf multiset and every catalogue collective's family oracle
+# (on both engines over a tree reorganized before the run), also when a
+# rebalance falls due inside a collective (on the virtual engine, the one
+# that reorganizes while it runs).
 # The final stanza is the multi-process smoke: a coordinator and two
 # worker OS processes, each an hbsp.Concurrent hosting one pid, run the
 # verified broadcast + reduce program over a unix socket and then

@@ -88,7 +88,7 @@ timed 30 "delivered-byte lifetime" go test -race -count=3 \
 # rounds, which only happens above GOMAXPROCS 1 — as a halt or a cancel
 # still reaches it; the task table grows under lookups that take no
 # lock; and a step's times are read by whoever records it, across a
-# coordinator's crash and a late join. The barrier-life tests, the
+# coordinator's crash. The barrier-life tests, the
 # reference and task-table tests and the step-time test, under the race
 # detector, three times at GOMAXPROCS 1 and 4.
 timed 30 "warm superstep" go test -race -count=3 -cpu 1,4 \
@@ -121,10 +121,12 @@ timed 30 "loopback I/O per superstep" sh -c "go test -race -count=1 \
 
 # Seeded churn+reorg soak smoke (DESIGN.md §5.7): elastic membership
 # with hashed join/leave points, a straggler burst and barrier-time
-# rebalancing every third superstep, on both engines under the race
-# detector — the virtual engine must reproduce itself bit-for-bit and
-# the concurrent engine must agree on fold and final layout. Budgeted
-# well inside 30s wall time.
+# rebalancing every third superstep on the virtual engine, which must
+# reproduce itself bit-for-bit; then the same plan's leaves and
+# straggler alone, with no rebalancing — the fixed membership the
+# concurrent engine runs — on both engines, which must agree on the
+# fold and on every finisher's Members and Failed view. Under the race
+# detector, budgeted well inside 30s wall time.
 timed 30 "churn+reorg soak" go test -race -count=1 -run 'ChurnReorgSoak' ./internal/hbsp/
 
 # Auto-tuned planner (DESIGN.md §5.9), inside a 30s wall-time budget:

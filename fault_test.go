@@ -62,8 +62,10 @@ func TestRunElasticSelfHealing(t *testing.T) {
 	if r1.Total != r2.Total {
 		t.Fatalf("equal seeds diverged: makespan %v vs %v", r1.Total, r2.Total)
 	}
+	// Concurrent runs the leave and the straggler; reorganization is
+	// Virtual's.
 	eng := hbsp.NewConcurrent(model.UCFTestbedN(4))
-	eng.Chaos, eng.ReorgEvery, eng.ReorgSeed = plan, 2, 9
+	eng.Chaos = plan
 	if _, err := eng.Run(elasticRootProg(6, 2)); err != nil {
 		t.Fatalf("concurrent: %v", err)
 	}

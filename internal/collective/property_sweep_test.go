@@ -264,8 +264,8 @@ var laneNames = map[string]string{
 // barriers: the hierarchical rows, AllReduce and the calls no row
 // prices (the fault-tolerant ones, ft-bcast also at the drawn root, the
 // hierarchical exchange and the planner's). On Figure 1's tree, with the fastest leaf straggling
-// tenfold and ReorgEvery 1 and 2, on both engines, each case runs three
-// rounds behind a charged global Sync — the barrier outside every
+// tenfold and ReorgEvery 1 and 2, on Virtual (the engine that
+// reorganizes), each case runs three rounds behind a charged global Sync — the barrier outside every
 // collective where the owed cut lands, so the tree does move between
 // rounds — and every round's result must match the oracle on the layout
 // it ran on.
@@ -280,47 +280,37 @@ func TestSweepWithCutsDueMidCollective(t *testing.T) {
 			cases = append(cases, e)
 		}
 	}
-	for _, engine := range []string{"virtual", "concurrent"} {
-		for _, every := range []int{1, 2} {
-			for _, e := range cases {
-				name := e.Name
-				if old, ok := laneNames[name]; ok {
-					name = old
-				}
-				t.Run(fmt.Sprintf("%s/every%d/%s", engine, every, name), func(t *testing.T) {
-					tr := model.Figure1Cluster()
-					env := sweepEnvOn(seed, rand.New(rand.NewSource(seed)), tr)
-					before := slotPidsOf(tr)
-					prog := func(c hbsp.Ctx) error {
-						for r := 0; r < 3; r++ {
-							c.Charge(1000)
-							if err := hbsp.SyncAll(c, "round"); err != nil {
-								return err
-							}
-							if _, err := e.Run(c, env.in); err != nil {
-								return fmt.Errorf("round %d: %w", r, err)
-							}
-						}
-						return nil
-					}
-					var err error
-					if engine == "virtual" {
-						eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-						eng.Chaos, eng.ReorgEvery, eng.ReorgSeed = straggler, every, seed
-						_, err = eng.Run(prog)
-					} else {
-						eng := hbsp.NewConcurrent(tr)
-						eng.Chaos, eng.ReorgEvery, eng.ReorgSeed = straggler, every, seed
-						_, err = eng.Run(prog)
-					}
-					if err != nil {
-						t.Fatalf("seed=%d: %v", seed, err)
-					}
-					if reflect.DeepEqual(slotPidsOf(tr), before) {
-						t.Fatalf("the layout never moved: the lane is not exercising a cut")
-					}
-				})
+	for _, every := range []int{1, 2} {
+		for _, e := range cases {
+			name := e.Name
+			if old, ok := laneNames[name]; ok {
+				name = old
 			}
+			t.Run(fmt.Sprintf("virtual/every%d/%s", every, name), func(t *testing.T) {
+				tr := model.Figure1Cluster()
+				env := sweepEnvOn(seed, rand.New(rand.NewSource(seed)), tr)
+				before := slotPidsOf(tr)
+				prog := func(c hbsp.Ctx) error {
+					for r := 0; r < 3; r++ {
+						c.Charge(1000)
+						if err := hbsp.SyncAll(c, "round"); err != nil {
+							return err
+						}
+						if _, err := e.Run(c, env.in); err != nil {
+							return fmt.Errorf("round %d: %w", r, err)
+						}
+					}
+					return nil
+				}
+				eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+				eng.Chaos, eng.ReorgEvery, eng.ReorgSeed = straggler, every, seed
+				if _, err := eng.Run(prog); err != nil {
+					t.Fatalf("seed=%d: %v", seed, err)
+				}
+				if reflect.DeepEqual(slotPidsOf(tr), before) {
+					t.Fatalf("the layout never moved: the lane is not exercising a cut")
+				}
+			})
 		}
 	}
 }

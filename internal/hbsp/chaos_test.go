@@ -409,30 +409,23 @@ func TestChaosEnginesAgreeOnTermsAcrossACrash(t *testing.T) {
 
 // A Concurrent step's times are read by the processor that records it,
 // the scope's live coordinator, and by nobody else unless an observer
-// needs them. Whoever the role fails over to — a
-// survivor when the coordinator crashes, the coordinator itself once it
-// joins after starting dormant — must read both: every recorded step has
+// needs them. Whoever the role fails over to — a survivor when the
+// coordinator crashes — must read both: every recorded step has
 // 0 < Start ≤ End and Time = End − Start, and a recorder's steps follow
 // one another on its clock.
 func TestStepTimesFollowTheLiveCoordinator(t *testing.T) {
 	tr := model.UCFTestbedN(4)
 	coord := tr.Pid(tr.Root.Coordinator())
-	// rounds successful root syncs (after joined of them, for a processor
-	// that starts dormant), each retried once per absorbed notice.
-	prog := func(rounds, joiner, joined int) Program {
+	// rounds successful root syncs, each retried once per absorbed notice.
+	prog := func(rounds int) Program {
 		return func(c Ctx) error {
-			want := rounds
-			if c.Pid() == joiner {
-				want -= joined
-			}
-			for done := 0; done < want; {
+			for done := 0; done < rounds; {
 				err := SyncAll(c, fmt.Sprintf("step%d", done))
 				var pf *ErrPeerFailed
-				var pj *ErrPeerJoined
 				switch {
 				case err == nil:
 					done++
-				case !errors.As(err, &pf) && !errors.As(err, &pj):
+				case !errors.As(err, &pf):
 					return err
 				}
 			}
@@ -443,17 +436,14 @@ func TestStepTimesFollowTheLiveCoordinator(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		plan     *fabric.ChaosPlan
-		joiner   int
-		joined   int
 		wantLast int // participants of the last step
 	}{
-		{"coordinator crashes", &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: coord, AtStep: 2}}}, -1, 0, 3},
-		{"coordinator joins late", &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: coord, JoinAt: 2}}}, coord, 2, 4},
+		{"coordinator crashes", &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: coord, AtStep: 2}}}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := NewConcurrent(tr)
 			eng.Chaos = tc.plan
-			rep, err := eng.Run(prog(rounds, tc.joiner, tc.joined))
+			rep, err := eng.Run(prog(rounds))
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,7 +41,11 @@ import (
 // every live member as ErrPeerFailed at the same per-scope sync
 // generation (the dying processor cancels the barriers of already
 // parked survivors; late arrivals see the dead set before parking), and
-// subsequent Syncs on that scope complete over the survivors.
+// subsequent Syncs on that scope complete over the survivors. An orderly
+// leave is such a death, under cause "leave". The membership is the one
+// the run starts with: a plan whose churn joins a processor late is
+// refused, and the tree is never reorganized (both run on Virtual,
+// DESIGN.md §5.7).
 type Concurrent struct {
 	tree *model.Tree
 	// TimeUnit is the wall-clock duration of one fastest-machine work
@@ -54,8 +57,8 @@ type Concurrent struct {
 	// entirely (the exited-member check included).
 	DesyncTimeout time.Duration
 
-	// The options shared with Virtual — Chaos, Obsv, Verify, ReorgEvery
-	// and ReorgSeed — are coreOpts (proc.go).
+	// The options shared with Virtual — Chaos, Obsv and Verify — are
+	// coreOpts (proc.go).
 	coreOpts
 
 	// Transport, when non-nil, builds the pvm transport each Run
@@ -74,8 +77,8 @@ type Concurrent struct {
 // processor runs here, and for any other the task to spawn in its place,
 // so that TID == pid holds in every process. The program's bytes reach a
 // remote pid through the transport and its barriers complete wherever
-// the transport takes them (pvm.BarrierCarrier); the membership ledger,
-// the cut windows and the desync watchdog see local pids only.
+// the transport takes them (pvm.BarrierCarrier); the membership ledger
+// and the desync watchdog see local pids only.
 type placement interface {
 	Proxy(tid pvm.TID) func(*pvm.Task) error
 }
@@ -119,10 +122,6 @@ type cctx struct {
 	posted []cost.Flow
 	works  []float64
 	flows  []cost.Flow
-	// rootDone counts this processor's successful root-scope syncs: the
-	// engine-independent consistent-cut ordinal (a joiner starts at its
-	// activation cut), driving cut windows.
-	rootDone int
 
 	shared *crun
 }
@@ -133,18 +132,16 @@ type cctx struct {
 // and the reference lets an arrival skip the System's barrier table — until
 // what it was built for changes: the dead members this processor has
 // acknowledged on the scope (a shrunken barrier must never collide with
-// the pre-failure one, whose name a crash cancel has latched for good) or
-// the reorganization epoch (a rebalance can move a dead leaf out of the
-// scope, and the name must not fall back to a latched one). Every live
-// member holds the same two at the same generation, so all compute the
-// same name.
+// the pre-failure one, whose name a crash cancel has latched for good).
+// The set only grows, so the name never falls back to a latched one.
+// Every live member holds the same set at the same generation, so all
+// compute the same name.
 type scopeSeq struct {
-	gen   int
-	bar   pvm.BarrierRef
-	epoch int
-	dead  []int
-	dep   [2]deposit
-	kept  int
+	gen  int
+	bar  pvm.BarrierRef
+	dead []int
+	dep  [2]deposit
+	kept int
 }
 
 // deposit is a participant's work and posted flows for its step's
@@ -179,11 +176,8 @@ func (sc *scopeSeq) deposited(gen int) *deposit {
 }
 
 // barrierName builds the name a scopeSeq keeps.
-func barrierName(scope string, epoch int, ackedDead []int) string {
+func barrierName(scope string, ackedDead []int) string {
 	name := "sync:" + scope
-	if epoch > 0 {
-		name += "@" + strconv.Itoa(epoch)
-	}
 	if len(ackedDead) > 0 {
 		name += fmt.Sprintf("!%v", ackedDead)
 	}
@@ -224,32 +218,11 @@ type crun struct {
 	// still-parked waiter into a false desync.
 	arrived [][]int
 
-	// led is the run's membership ledger — dead, dormant and joined
-	// processors, per-scope acknowledgments, reorg estimates, the cut —
-	// and every call into it is made with mu held. unquiet latches, for
-	// readers without mu, that the ledger has stopped being quiet (it
-	// never is again).
+	// led is the run's membership ledger — dead processors and per-scope
+	// acknowledgments — and every call into it is made with mu held.
+	// unquiet latches, for readers without mu, that a processor has died.
 	led     *ledger
 	unquiet atomic.Bool
-	// exitc wakes a cut applier waiting for a crash victim's goroutine
-	// to finish unwinding: a resumed victim still runs user code that
-	// may read the tree, so the applier must not rebalance over it.
-	// Signaled by markExited; waits under mu.
-	exitc *sync.Cond
-
-	// Generation registry, under mu: gens[scope id] is the next sync
-	// generation of the scope (every Sync entry raises it). cutGens is
-	// the applier's snapshot of it at the last cut, taken while every
-	// live processor is parked inside the cut window; members re-align
-	// their per-scope generations against it when they leave the window
-	// (a rebalance can move a leaf under a scope it has never synced on)
-	// and a joiner seeds its own from joinGens, the snapshot of its
-	// activation cut. gates parks each dormant pid's pre-spawned task
-	// until that cut.
-	gens     []int
-	cutGens  []int
-	joinGens map[int][]int
-	gates    map[int]chan struct{}
 }
 
 // syncWait describes one processor parked in Sync: the scope, its id and
@@ -271,8 +244,8 @@ type syncWait struct {
 // enterSync is a Sync's first visit to the run-wide state, and the
 // survivor side of the crash protocol's serialization point. Under one
 // critical section it either (a) consumes the next notice c owes on the
-// scope — one dead member, or else the join batch — staging c's refreshed
-// view and returning the typed error, or (b) registers the barrier wait
+// scope — one dead member — staging c's refreshed Failed view and
+// returning the typed error, or (b) registers the barrier wait
 // and returns its live count, with the barrier named for the
 // acknowledged dead members of the scope (see scopeSeq), and deposits
 // work and c's posted flows. A crashing member holds the same lock while
@@ -282,26 +255,16 @@ func (s *crun) enterSync(c *cctx, w *syncWait, sc *scopeSeq, work float64) (coun
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// gens tracks the scope's next generation regardless of the path
-	// this sync takes: a notice-consumed generation is still burned.
-	if w.gen+1 > s.gens[w.id] {
-		s.gens[w.id] = w.gen + 1
-	}
-
 	if n := s.deadNoticeLocked(c, w.key); n != nil {
-		return 0, n
-	}
-	if n := s.led.joinNotice(c.pid, w.key); n != nil {
-		c.membersView = s.led.members(c.pid)
 		return 0, n
 	}
 
 	// Every live member holds the same acknowledged dead set at the same
 	// generation, so all survivors compute the same name and count.
 	count, ackedDead := s.led.live(c.pid, w.key, w.members)
-	if sc.bar.Name == "" || sc.epoch != s.led.epoch || !slices.Equal(sc.dead, ackedDead) {
-		sc.bar = pvm.BarrierRef{Name: barrierName(w.scope, s.led.epoch, ackedDead)}
-		sc.epoch, sc.dead = s.led.epoch, ackedDead
+	if sc.bar.Name == "" || !slices.Equal(sc.dead, ackedDead) {
+		sc.bar = pvm.BarrierRef{Name: barrierName(w.scope, ackedDead)}
+		sc.dead = ackedDead
 	}
 	w.barrier = sc.bar.Name
 	sc.put(w.gen, work, &c.posted)
@@ -371,32 +334,7 @@ func (s *crun) markExited(pid int) {
 	s.exited[pid] = true
 	s.nexited++
 	s.progress++
-	s.exitc.Broadcast()
-	// When the last non-dormant task exits, no cut window can ever run
-	// again (appliers are live tasks), so never-activated joiners are
-	// released: their gates close, and the waking tasks see no joined
-	// record and return without running the program.
-	var release []chan struct{}
-	if s.nexited == s.nprocs-len(s.led.dormant) {
-		for dp := range s.led.dormant {
-			release = append(release, s.gates[dp])
-		}
-	}
 	s.mu.Unlock()
-	for _, g := range release {
-		close(g)
-	}
-}
-
-// deadUnwindingLocked reports whether any crash-stopped or departed
-// processor's goroutine is still running user code. Caller holds mu.
-func (s *crun) deadUnwindingLocked() bool {
-	for pid := range s.led.dead {
-		if !s.exited[pid] {
-			return true
-		}
-	}
-	return false
 }
 
 // watch polls the waiter registry until done closes. It declares a
@@ -454,10 +392,7 @@ func (s *crun) watch(sys *pvm.System, timeout time.Duration, done <-chan struct{
 				sys.CancelBarrier(name)
 			}
 			s.mu.Lock()
-			// Dormant processors are parked by definition: their tasks
-			// idle behind activation gates, so they never count as
-			// missing arrivals.
-			allParked := s.nwaiting > 0 && s.nwaiting+s.nexited+len(s.led.dormant) == s.nprocs
+			allParked := s.nwaiting > 0 && s.nwaiting+s.nexited == s.nprocs
 			if !allParked || !stalled || s.progress != stallProgress {
 				stalled = allParked
 				stallProgress = s.progress
@@ -630,7 +565,8 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		step = c.terms(w)
 		step.Bytes = sent + recv // its own traffic, as hbsp.bytes_per_op reads it
 	}
-	return c.commit(w, ord, work > 0, records, start, count, &step)
+	c.commit(w, ord, records, start, count, &step)
+	return nil
 }
 
 // terms prices the step the barrier just completed, for its recorder,
@@ -644,7 +580,7 @@ func (c *cctx) terms(w *syncWait) trace.Shape {
 		if c.shared.proxies[pid] != nil {
 			return trace.Shape{GatingPid: -1}
 		}
-		// A dormant member has no Ctx yet, a dead one no deposit.
+		// A dead member may have no deposit.
 		if m := c.shared.ctxs[pid].Load(); m != nil {
 			if d := m.scopes[w.id].deposited(w.gen); d != nil {
 				c.works[pid] = d.work
@@ -675,14 +611,10 @@ func (c *cctx) flush(scope *model.Machine, ord, tag int, now float64) (sent int,
 	// write index never passes the read index.
 	kept := c.outbox[:0]
 	c.posted = c.posted[:0]
-	hold, dead := c.shared.unreachable(c, scope)
+	dead := c.shared.unreachable(c, scope)
 	for i := range c.outbox {
 		m := c.outbox[i]
-		// hold: the destination is not yet reachable at this generation
-		// (see ledger.hold). Held messages flush on the retry sync,
-		// landing at the same post-ack step the virtual engine delivers
-		// them; their fate stays unassigned, as in the virtual engine.
-		if !under(scope, c.tree.Leaf(m.dst)) || hold[m.dst] {
+		if !under(scope, c.tree.Leaf(m.dst)) {
 			kept = append(kept, m)
 			continue
 		}
@@ -824,87 +756,22 @@ func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err e
 }
 
 // commit finishes a successful superstep: the send scratch back to the
-// arena once the outbox is empty, the compute sample, then — in the
-// Sync's second and last visit to the run-wide state — the end of the
-// barrier wait, the reorg estimate, the step record (when this processor
-// records it: step holds its terms) and the cut verdict; and the cut
-// window.
-func (c *cctx) commit(w *syncWait, ord int, worked, records bool, start time.Duration, count int, step *trace.Shape) error {
+// arena once the outbox is empty, the straggler event (no estimate is
+// folded: nothing reorganizes the tree), then — in the Sync's second and
+// last visit to the run-wide state — the end of the barrier wait and the
+// step record, when this processor records it (step holds its terms).
+func (c *cctx) commit(w *syncWait, ord int, records bool, start time.Duration, count int, step *trace.Shape) {
 	c.recycle()
 	end := c.clock(records || c.opt.Obsv != nil)
-	sample := 0.0
-	c.observe(ord, ord, worked, micros(end), func(_ int, v float64) { sample = v })
-	root := w.key == c.tree.Root
-	if root {
-		c.rootDone++
-	}
+	c.observe(ord, ord, false, micros(end), nil)
 	s := c.shared
 	s.mu.Lock()
 	s.leaveLocked(c.pid)
-	if worked {
-		s.led.rer.Observe(c.pid, sample)
-	}
 	if records {
 		step.Participants = count
 		c.opt.record(&s.steps, w.key, w.label, step, micros(end-start), micros(start), micros(end))
 	}
-	// Every participant of a global barrier computes the same cut verdict
-	// — its ordinal is shared, ReorgEvery is config, and the dormant set
-	// only changes inside cut windows.
-	cut := root && s.led.cutDue(c.rootDone)
 	s.mu.Unlock()
-
-	// Cut window: when this global barrier's ordinal triggers a reorg
-	// or an activation, every participant parks on a pair of cut
-	// barriers while one applier rebalances the tree and opens joiner
-	// gates. The step record above already read the pre-reorg layout,
-	// so nothing reads the tree while the applier mutates it.
-	if cut {
-		return c.cutWindow(w.members, count)
-	}
-	return nil
-}
-
-// cutWindow serializes one consistent cut: cut:in waits until every
-// participant has finished its post-barrier reads (deliveries, step
-// record), the smallest live participant applies the cut, and cut:out
-// holds everyone until the tree is stable again.
-func (c *cctx) cutWindow(members []int, count int) error {
-	R := c.rootDone
-	if err := c.task.Barrier(fmt.Sprintf("cut:in#%d", R), count); err != nil {
-		return c.haltErr(err)
-	}
-	var applyErr error
-	if c.shared.applierPid(members) == c.pid {
-		applyErr = c.applyCut(R)
-	}
-	if err := c.task.Barrier(fmt.Sprintf("cut:out#%d", R), count); err != nil {
-		return c.haltErr(err)
-	}
-	// Re-align this processor's per-scope sync generations with the
-	// cut's snapshot: a rebalance can move the leaf under a scope it has
-	// never synced on, where peers already burned generations. The
-	// snapshot — not the live registry — is what keeps this safe: fast
-	// members leaving the window burn new generations concurrently, and
-	// reading those here would push this processor's next barrier past
-	// its peers'. Scope generations advance in lockstep across a scope's
-	// members, so for scopes this processor already synced the
-	// assignment is a no-op.
-	c.shared.mu.Lock()
-	snap := c.shared.cutGens
-	c.shared.mu.Unlock()
-	c.alignGens(snap)
-	return applyErr
-}
-
-// alignGens raises this processor's per-scope sync generations to a
-// cut's snapshot (a snapshot is never written after its cut).
-func (c *cctx) alignGens(snap []int) {
-	for id, g := range snap {
-		if g > c.scopes[id].gen {
-			c.scopes[id].gen = g
-		}
-	}
 }
 
 // haltErr surfaces the watchdog's structured desync report in place of
@@ -919,59 +786,6 @@ func (c *cctx) haltErr(err error) error {
 		}
 	}
 	return err
-}
-
-// applierPid picks the cut's single applier: the smallest live,
-// non-dormant participant. Every participant computes the same answer —
-// the dead set cannot grow while all scope members are inside the cut
-// window (crashes fire only at Sync entry).
-func (s *crun) applierPid(members []int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best := -1
-	for _, m := range members {
-		if s.led.alive(m) && (best < 0 || m < best) {
-			best = m
-		}
-	}
-	return best
-}
-
-// applyCut is the applier side of the cut window: the ledger's cut,
-// under mu, with every live member parked between the cut barriers.
-// The applier's collective depth decides whether a due reorganization
-// waits.
-// Unwinding victims are waited out on exitc — a dead requester's
-// re-sync resolves immediately under mu, and its deferred markExited
-// signals. An activated joiner's gate opens inside the cut, but its
-// task blocks on mu until the snapshots below are in place.
-func (c *cctx) applyCut(R int) error {
-	s := c.shared
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var act []int
-	err := s.led.cut(R, c.depth, c.nowMicros(),
-		func() {
-			for s.deadUnwindingLocked() {
-				s.exitc.Wait()
-			}
-		},
-		func(pid int) {
-			act = append(act, pid)
-			close(s.gates[pid])
-		})
-	if err != nil {
-		return err
-	}
-	// Snapshot the generation registry while every live processor is
-	// parked inside the cut window: members re-align their per-scope
-	// generations against this stable copy after cut:out, and joiners
-	// seed theirs from it.
-	s.cutGens = slices.Clone(s.gens)
-	for _, pid := range act {
-		s.joinGens[pid] = s.cutGens
-	}
-	return nil
 }
 
 // micros converts an engine-relative duration to the microsecond time
@@ -991,50 +805,43 @@ func (c *cctx) clock(on bool) time.Duration {
 }
 
 // unreachable asks the ledger, once per flush and under one acquisition,
-// which in-scope destinations of c's outbox cannot take it: hold[dst]
-// (ledger.hold) keeps the message queued, dead[dst] drops it. Both are
-// nil, and mu is not taken, while the ledger is quiet: a death that
-// races the check would have raced the lock the same way.
-func (s *crun) unreachable(c *cctx, scope *model.Machine) (hold, dead map[int]bool) {
+// which in-scope destinations of c's outbox are dead: a message to one is
+// dropped. It is nil, and mu is not taken, while nothing has died: a death
+// that races the check would have raced the lock the same way.
+func (s *crun) unreachable(c *cctx, scope *model.Machine) (dead map[int]bool) {
 	if len(c.outbox) == 0 || !s.unquiet.Load() {
-		return nil, nil
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	hold, dead = make(map[int]bool), make(map[int]bool)
+	dead = make(map[int]bool)
 	for i := range c.outbox {
-		switch dst := c.outbox[i].dst; {
-		case !under(scope, c.tree.Leaf(dst)):
-		case s.led.hold(c.pid, scope, dst):
-			hold[dst] = true
-		case s.led.dead[dst] != nil:
+		if dst := c.outbox[i].dst; under(scope, c.tree.Leaf(dst)) && s.led.dead[dst] != nil {
 			dead[dst] = true
 		}
 	}
-	return hold, dead
+	return dead
 }
 
 // liveCoordinator is the scope coordinator restricted to leaves this
-// processor knows to be active members and not dead: the member that
-// records the scope's steps, with coordinator failover, and with dormant
-// (not-yet-joined) leaves excluded. Both views are generation-aligned
-// across a scope's live members by the notice protocols, so exactly one
+// processor does not know to be dead: the member that records the scope's
+// steps, with coordinator failover. The Failed view is generation-aligned
+// across a scope's live members by the notice protocol, so exactly one
 // participant claims the role.
 func (c *cctx) liveCoordinator(scope *model.Machine) *model.Machine {
-	if len(c.failedView) == 0 && len(c.membersView) == c.NProcs() {
+	if len(c.failedView) == 0 {
 		return scope.Coordinator()
 	}
 	return scope.CoordinatorAmong(func(m *model.Machine) bool {
-		pid := c.tree.Pid(m)
-		return slices.Contains(c.membersView, pid) && !slices.Contains(c.failedView, pid)
+		return !slices.Contains(c.failedView, c.tree.Pid(m))
 	})
 }
 
 // Run executes the program on every processor with real concurrency and
 // returns a wall-clock report (times in microseconds). A tree that fails
-// Validate is refused before anything starts. A chaos-injected
-// crash-stop is not itself a run error: if the survivors complete, the
-// run completes.
+// Validate, or a chaos plan that joins a processor late, is refused
+// before anything starts. A chaos-injected crash-stop is not itself a
+// run error: if the survivors complete, the run completes.
 func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	if err := e.tree.Validate(); err != nil {
 		return nil, err
@@ -1066,45 +873,37 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 			}
 		}
 	}
-	// What a fault, a join or a reorg sets in motion — dead sets and ack
-	// generations, cut windows, gates — lives in this process's ledger;
-	// a remote pid would never hear of it.
-	if spans && (e.Chaos != nil || e.ReorgEvery > 0) {
-		return nil, errors.New("hbsp: a chaos plan, churn or ReorgEvery on a run with remote pids: the membership ledger is process-local")
+	// What a fault sets in motion — dead sets and ack generations — lives
+	// in this process's ledger; a remote pid would never hear of it.
+	if spans && e.Chaos != nil {
+		return nil, errors.New("hbsp: a chaos plan on a run with remote pids: the membership ledger is process-local")
+	}
+	led := newLedger(e.tree, e.Chaos, e.Obsv, 0, 0)
+	if len(led.dormant) > 0 {
+		return nil, fmt.Errorf("hbsp: the chaos plan joins %v late (a churn JoinAt): Concurrent runs the membership it starts with, Virtual runs late joins",
+			sortedPids(led.dormant))
 	}
 	shared := &crun{
-		sys:      sys,
-		ctxs:     make([]atomic.Pointer[cctx], p),
-		scopeID:  make(map[*model.Machine]int),
-		started:  time.Now(),
-		nprocs:   p,
-		waiting:  make([]*syncWait, p),
-		exited:   make([]bool, p),
-		arrived:  make([][]int, p),
-		led:      newLedger(e.tree, e.Chaos, e.Obsv, e.ReorgEvery, e.ReorgSeed),
-		proxies:  proxies,
-		joinGens: make(map[int][]int),
-		gates:    make(map[int]chan struct{}),
+		sys:     sys,
+		ctxs:    make([]atomic.Pointer[cctx], p),
+		scopeID: make(map[*model.Machine]int),
+		started: time.Now(),
+		nprocs:  p,
+		waiting: make([]*syncWait, p),
+		exited:  make([]bool, p),
+		arrived: make([][]int, p),
+		led:     led,
+		proxies: proxies,
 	}
-	shared.exitc = sync.NewCond(&shared.mu)
-	shared.unquiet.Store(!shared.led.quiet())
 	e.tree.Root.Walk(func(m *model.Machine) { shared.scopeID[m] = len(shared.scopeID) + 1 })
 	nscopes := len(shared.scopeID) + 1 // ids start at 1
-	shared.gens = make([]int, nscopes)
 	for pid := range shared.arrived {
 		shared.arrived[pid] = make([]int, nscopes)
 		for id := range shared.arrived[pid] {
 			shared.arrived[pid][id] = -1
 		}
 	}
-	// Elastic membership: processors with a churn JoinAt fate start
-	// dormant behind a gate; their pre-spawned tasks idle until the
-	// applier of their activation cut closes the gate (or until the run
-	// ends without reaching it).
-	for pid := range shared.led.dormant {
-		shared.gates[pid] = make(chan struct{})
-	}
-	actives := shared.led.actives()
+	members := led.actives()
 
 	timeout := e.DesyncTimeout
 	if timeout == 0 {
@@ -1126,26 +925,11 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 			tids[pid] = sys.Spawn(fmt.Sprintf("remote%d", pid), proxies[pid])
 			continue
 		}
-		gate := shared.gates[pid]
 		tids[pid] = sys.Spawn(fmt.Sprintf("proc%d", pid), func(t *pvm.Task) error {
 			// markExited runs even on panic, so a crashed processor still
 			// triggers the deterministic exited-member desync check.
 			defer shared.markExited(pid)
-			if gate != nil {
-				// Dormant until the activation cut's applier closes the
-				// gate. A gate closed by the last exiting active task
-				// instead (no cut reached the join point) leaves no
-				// joined record: the program never runs on this pid.
-				<-gate
-				shared.mu.Lock()
-				_, activated := shared.led.joined[pid]
-				shared.mu.Unlock()
-				if !activated {
-					return nil
-				}
-			} else {
-				<-ready
-			}
+			<-ready
 			c := &cctx{
 				proc:   newProc(pid, e.tree, &e.coreOpts),
 				eng:    e,
@@ -1155,24 +939,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				works:  make([]float64, p),
 				shared: shared,
 			}
-			if gate != nil {
-				// A newcomer's state starts at the activation cut: its
-				// per-scope sync generations at the snapshot the applier
-				// took, its membership and failure views as seeded, and
-				// its cut ordinal at the activation point. The tree is
-				// stable here — every old member is parked at cut:out
-				// until the applier (which closed this gate last) exits
-				// the window.
-				shared.mu.Lock()
-				c.rootDone = shared.led.joined[pid]
-				c.membersView = shared.led.members(pid)
-				c.failedView = shared.led.failed(pid)
-				snap := shared.joinGens[pid]
-				shared.mu.Unlock()
-				c.alignGens(snap)
-			} else {
-				c.membersView = append([]int(nil), actives...)
-			}
+			c.membersView = members // every pid, for good: Members copies it
 			shared.ctxs[pid].Store(c)
 			err := prog(c)
 			c.dropWindows()

@@ -40,8 +40,9 @@ func (e *ErrPeerFailed) Error() string {
 	return fmt.Sprintf("hbsp: peer p%d failed at step %d (%s)", e.Pid, e.Step, e.Cause)
 }
 
-// ErrPeerJoined reports elastic membership growth: a processor
-// activated at the last membership cut is now part of the sync scope.
+// ErrPeerJoined reports elastic membership growth, on Virtual (Concurrent
+// refuses a late join): a processor activated at the last membership cut
+// is now part of the sync scope.
 // Every member of the scope — including the newcomer itself — observes
 // the join as this error at the same per-scope sync generation, exactly
 // once per join event, which is what keeps barrier generations aligned

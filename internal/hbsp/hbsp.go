@@ -17,7 +17,8 @@
 //     algorithms are correct concurrent programs, not just costed ones.
 //
 // Both engines provide the HBSPlib enquiry and heterogeneity primitives:
-// processor identity, machine ranking, speed, and workload shares.
+// processor identity (Pid, NProcs, Self, Tree) and balanced workload
+// shares (Share).
 package hbsp
 
 import (
@@ -98,8 +99,9 @@ type Ctx interface {
 	// membership cut), in ascending order. The set grows exactly when a
 	// Sync returns ErrPeerJoined — mirroring Failed — so all live
 	// members of a scope share the same view at the same sync
-	// generation. Departed processors stay in Members and appear in
-	// Failed; the live set is Members minus Failed.
+	// generation. Only Virtual runs late joins: on Concurrent, Members
+	// is every pid for the whole run. Departed processors stay in
+	// Members and appear in Failed; the live set is Members minus Failed.
 	Members() []int
 
 	// Save records named per-processor state, the last value per key,

@@ -9,11 +9,13 @@ import (
 // ledger is one run's membership state and the protocol over it
 // (DESIGN.md §5.2, §5.7): who is dead, dormant or joined, which notice
 // each processor has acknowledged on which scope, and what happens at a
-// global cut. Both engines run on this one implementation; an engine
-// owns only how time advances and how bytes move.
+// global cut. Both engines keep deaths and their notices here; only
+// Virtual has dormant processors, joins and cuts — Concurrent runs the
+// membership it starts with. An engine owns how time advances and how
+// bytes move.
 //
 // A ledger is not goroutine-safe. Virtual calls it from its coordinator
-// only; Concurrent makes every call, cut included, with crun.mu held.
+// only; Concurrent makes every call with crun.mu held.
 //
 // Scopes are keyed by *model.Machine: the pointer survives
 // Tree.Reorganize, a moved leaf's Label() does not.
@@ -112,10 +114,6 @@ func (l *ledger) activeSet() map[int]bool {
 // dormant.
 func (l *ledger) alive(pid int) bool { return l.dead[pid] == nil && !l.dormant[pid] }
 
-// quiet reports that nothing ever died, lay dormant or joined: every
-// member of every scope is live and no notice is owed.
-func (l *ledger) quiet() bool { return len(l.dead)+len(l.dormant)+len(l.joined) == 0 }
-
 func (l *ledger) kill(pid, step int, cause string) {
 	l.dead[pid] = &failInfo{step: step, cause: cause}
 }
@@ -174,42 +172,26 @@ func (l *ledger) joinNotice(pid int, scope *model.Machine) *ErrPeerJoined {
 	return &ErrPeerJoined{Pid: first, Step: l.joined[first]}
 }
 
-// live sizes pid's barrier on the scope (members lists its pids): how
-// many arrivals complete it, and the dead members pid has acknowledged
-// there. Dormant members are outside the run until their cut. Every
-// live member computes the same answer at the same generation.
+// live sizes pid's barrier on the scope (members lists its pids), on
+// Concurrent, which has no dormant members: how many arrivals complete
+// it, and the dead members pid has acknowledged there. Every live member
+// computes the same answer at the same generation.
 func (l *ledger) live(pid int, scope *model.Machine, members []int) (count int, ackedDead []int) {
-	if len(l.dead)+len(l.dormant) == 0 {
+	if len(l.dead) == 0 {
 		return len(members), nil
 	}
 	for _, m := range members {
-		switch {
-		case l.dormant[m]:
-		case l.acked[pid][scope][m]:
+		if l.acked[pid][scope][m] {
 			ackedDead = append(ackedDead, m)
-		default:
-			count++
 		}
 	}
-	return count, ackedDead
+	return len(members) - len(ackedDead), ackedDead
 }
 
 // hasAcked reports whether pid has acknowledged victim's death on the
 // scope.
 func (l *ledger) hasAcked(pid int, scope *model.Machine, victim int) bool {
 	return l.acked[pid][scope][victim]
-}
-
-// hold reports whether a message from pid to dst must stay queued at a
-// sync on the scope: dst is dormant, or joined with its notice not yet
-// consumed by pid there — that sync is about to burn the notice
-// generation, which no receiver ever drains.
-func (l *ledger) hold(pid int, scope *model.Machine, dst int) bool {
-	if l.dormant[dst] {
-		return true
-	}
-	_, joined := l.joined[dst]
-	return joined && !l.ackedJoin[pid][scope][dst]
 }
 
 // failed is pid's Failed() view: every death it has acknowledged on any
@@ -296,32 +278,22 @@ func (l *ledger) due(R int) []int {
 	return act
 }
 
-// cutDue reports whether the cut after the R-th global barrier has
-// work: a scheduled or owed reorganization, or an activation.
-func (l *ledger) cutDue(R int) bool {
-	return l.owed || l.reorgEvery > 0 && R%l.reorgEvery == 0 || len(l.dormant) > 0 && len(l.due(R)) > 0
-}
-
 // cut runs the consistent cut after the R-th completed global barrier,
 // with every live processor parked: rebalance the tree, equalize the
 // ack sets, activate the due joiners — in that order. A started joiner
 // reads the tree at once, so nothing may change it after start(pid).
-// depth is how many collectives the barrier is inside, on the processor
-// that applies the cut (SPMD programs agree on it): a collective picks
+// depth is how many collectives the barrier is inside, on its smallest
+// participant (SPMD programs agree on it): a collective picks
 // its coordinators before a barrier and looks them up after it, so a
 // reorganization due at depth > 0 is owed to the first global barrier
-// at depth 0. quiesce blocks until no dead processor is still unwinding
-// user code, which may read the tree the reorganization is about to
-// mutate (Virtual has nobody to wait for: no program runs while it
-// completes a step); start lets an activated pid run. now stamps the
-// emitted events.
-func (l *ledger) cut(R, depth int, now float64, quiesce func(), start func(pid int)) error {
+// at depth 0. start lets an activated pid run. now stamps the emitted
+// events.
+func (l *ledger) cut(R, depth int, now float64, start func(pid int)) error {
 	l.owed = l.owed || l.reorgEvery > 0 && R%l.reorgEvery == 0
 	if l.owed && depth > 0 {
 		l.obsv.Reorg(l.epoch+1, 0, true, now)
 	} else if l.owed {
 		l.owed = false
-		quiesce()
 		l.epoch++
 		plan := model.PlanReorg(l.tree, l.rer.Estimates(), l.reorgSeed, l.epoch)
 		if err := l.tree.Reorganize(plan); err != nil {

@@ -240,9 +240,8 @@ func TestLedgerSeedNewcomer(t *testing.T) {
 func TestLedgerAcksFollowMovedLeaf(t *testing.T) {
 	chaos := &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: 0, JoinAt: 1}}}
 	l, _, _ := gridLedger(chaos, 2)
-	nothing := func() {}
 	started := -1
-	if err := l.cut(1, 0, 0, nothing, func(pid int) { started = pid }); err != nil || started != 0 {
+	if err := l.cut(1, 0, 0, func(pid int) { started = pid }); err != nil || started != 0 {
 		t.Fatalf("activation cut: started p%d, err %v", started, err)
 	}
 	leaf := l.tree.Leaf(0)
@@ -255,7 +254,7 @@ func TestLedgerAcksFollowMovedLeaf(t *testing.T) {
 	for pid := 0; pid < l.tree.NProcs(); pid++ {
 		l.rer.Observe(pid, 1+1000*float64((6-pid)/6))
 	}
-	if err := l.cut(2, 0, 0, nothing, func(int) {}); err != nil {
+	if err := l.cut(2, 0, 0, func(int) {}); err != nil {
 		t.Fatal(err)
 	}
 	if leaf.Label() == before || l.tree.Leaf(0) != leaf {

@@ -22,11 +22,12 @@ type coreOpts struct {
 	// orderly leaves at sync boundaries, per-message drop/duplicate/delay
 	// fates, and straggler bursts multiplying charged work. Fates hash
 	// message identities, so equal plans fate the same messages on both
-	// engines. On Virtual the plan composes with the fabric's noise model
-	// and a delay parks a message for that many completed supersteps; on
-	// Concurrent AtTime crashes do not apply (there is no virtual clock)
-	// and a delay parks a message for that many of the sender's sync
-	// ordinals.
+	// engines. On Virtual the plan composes with the fabric's noise model,
+	// a delay parks a message for that many completed supersteps, and a
+	// churn JoinAt starts a processor late; on Concurrent AtTime crashes
+	// do not apply (there is no virtual clock), a delay parks a message
+	// for that many of the sender's sync ordinals, and a JoinAt is
+	// refused.
 	Chaos *fabric.ChaosPlan
 
 	// Obsv, when non-nil, receives structured spans and metrics for the
@@ -45,20 +46,6 @@ type coreOpts struct {
 	// with a typed *ErrNondeterminism. Stamping is charged nothing:
 	// verification is a harness, not part of the modeled protocol.
 	Verify bool
-
-	// ReorgEvery, when positive, rebalances the machine tree at every
-	// ReorgEvery-th completed global superstep (DESIGN.md §5.7): each
-	// processor's measured effective compute slowdown is folded into an
-	// EWMA estimate and, at the cut, the seeded model.PlanReorg is applied
-	// in place — leaves permuted across slots, shares re-derived. The same
-	// cut activates dormant joiners. Virtual applies it from the
-	// coordinator; Concurrent parks all live processors on a pair of cut
-	// barriers while one applier does. The tree is mutated; use
-	// Tree.SaveLayout/RestoreLayout (RunSchedules does) to replay from the
-	// pristine layout. ReorgSeed drives the plan's tie-breaking; equal
-	// seeds give equal schedules.
-	ReorgEvery int
-	ReorgSeed  int64
 }
 
 type pendingMsg struct {
@@ -116,8 +103,8 @@ type proc struct {
 
 	// failedView is the dead-pid set this processor has acknowledged and
 	// membersView the active-pid set it knows (its starting membership
-	// plus every acknowledged join), staged by the engine whenever a
-	// notice is consumed.
+	// plus every acknowledged join, on Virtual), staged by the engine
+	// whenever a notice is consumed.
 	failedView  []int
 	membersView []int
 	// saved holds the Save()d state, by key, as last saved. Only a
@@ -131,9 +118,9 @@ type proc struct {
 	inmeta []msgMeta
 	steps  int
 
-	// depth counts the collectives this processor is inside (Span); a
-	// global cut reads it to defer a reorganization (ledger.cut). leave
-	// lowers it: Span's closer, built once.
+	// depth counts the collectives this processor is inside (Span);
+	// Virtual's global cut reads it to defer a reorganization (ledger.cut).
+	// leave lowers it: Span's closer, built once.
 	depth int
 	leave func(int)
 }

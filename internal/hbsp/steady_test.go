@@ -456,55 +456,45 @@ func lateFaults(rounds int, logs [][]string, before func(pid, ord int)) Program 
 	}
 }
 
-// A crash-stop, a late join and a reorganization cut, each landing on
-// scopes whose barriers have already been reused for more than a hundred
-// generations: every processor is told the same thing at the same Sync as
-// on the virtual engine, whose coordinator never had a barrier to reuse.
-// The third case is the one a name kept across generations could get
-// wrong: the victim dies while its cluster peer is parked (the cancel
-// latches the cluster's name), and the reorganization then moves the dead
-// leaf out of that cluster and a live one in — whose members must not
-// fall back to the latched name.
+// A crash-stop landing on scopes whose barriers have already been reused
+// for more than a hundred generations: every processor is told the same
+// thing at the same Sync as on the virtual engine, whose coordinator
+// never had a barrier to reuse. The victim dies while its cluster peer is
+// parked, so the cancel latches the cluster's name.
 func TestLateFaultsOnAReusedBarrier(t *testing.T) {
 	const rounds = 160
-	slowVictim := []fabric.Straggler{{Pid: 1, FromStep: 0, ToStep: 4 * rounds, Factor: 10}}
 	for _, tc := range []struct {
-		name  string
-		plan  *fabric.ChaosPlan
-		every int
-		want  map[int]int // notices per pid
+		name string
+		plan *fabric.ChaosPlan
+		want map[int]int // notices per pid
 	}{
-		{"crash", &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 1, AtStep: 241}}}, 0,
+		{"crash", &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 1, AtStep: 241}}},
 			map[int]int{0: 2, 2: 1, 3: 1}},
-		{"join", &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: 3, JoinAt: 120}}}, 0,
-			map[int]int{0: 1, 1: 1, 2: 2, 3: 2}},
-		{"reorg", &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 1, AtStep: 200}}, Stragglers: slowVictim}, 130,
-			nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(engine string) ([][]string, *model.Tree) {
+			run := func(engine string) [][]string {
 				tr := superstepTree()
 				logs := make([][]string, tr.NProcs())
 				// The victim dawdles before the Sync it dies in, so that its
 				// cluster peer is parked at their barrier when it does.
 				prog := lateFaults(rounds, logs, func(pid, ord int) {
-					if engine == "concurrent" && len(tc.plan.Crashes) > 0 && pid == 1 && ord == tc.plan.Crashes[0].AtStep {
+					if engine == "concurrent" && pid == 1 && ord == tc.plan.Crashes[0].AtStep {
 						time.Sleep(20 * time.Millisecond)
 					}
 				})
 				var err error
 				if engine == "virtual" {
-					err = runElasticVirtual(t, tr, tc.plan, tc.every, 42, prog)
+					err = runElasticVirtual(t, tr, tc.plan, 0, 0, prog)
 				} else {
-					err = runElasticConcurrent(t, tr, tc.plan, tc.every, 42, prog)
+					err = runElasticConcurrent(t, tr, tc.plan, prog)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", engine, err)
 				}
-				return logs, tr
+				return logs
 			}
-			want, _ := run("virtual")
-			got, tr := run("concurrent")
+			want := run("virtual")
+			got := run("concurrent")
 			for pid := range want {
 				if !slices.Equal(got[pid], want[pid]) {
 					t.Errorf("p%d on concurrent:\n  %v\non virtual:\n  %v", pid, got[pid], want[pid])
@@ -512,9 +502,6 @@ func TestLateFaultsOnAReusedBarrier(t *testing.T) {
 				if n, ok := tc.want[pid]; ok && len(want[pid]) != n {
 					t.Errorf("p%d was told %d things, want %d: %v", pid, len(want[pid]), n, want[pid])
 				}
-			}
-			if tc.every > 0 && tr.ScopeAt(tr.Leaf(1), 1) == tr.ScopeAt(tr.Leaf(0), 1) {
-				t.Errorf("the reorganization left the dead leaf with its peer (layout %v): the case tests nothing", leafPids(tr))
 			}
 		})
 	}

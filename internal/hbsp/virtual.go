@@ -32,9 +32,21 @@ type Virtual struct {
 	tree *model.Tree
 	fab  *fabric.Fabric
 
-	// The options shared with Concurrent — Chaos, Obsv, Verify,
-	// ReorgEvery and ReorgSeed — are coreOpts (proc.go).
+	// The options shared with Concurrent — Chaos, Obsv and Verify — are
+	// coreOpts (proc.go).
 	coreOpts
+
+	// ReorgEvery, when positive, rebalances the machine tree at every
+	// ReorgEvery-th completed global superstep (DESIGN.md §5.7): each
+	// processor's measured effective compute slowdown is folded into an
+	// EWMA estimate and, at the cut, the seeded model.PlanReorg is applied
+	// in place — leaves permuted across slots, shares re-derived. The same
+	// cut activates dormant joiners. The tree is mutated; use
+	// Tree.SaveLayout/RestoreLayout (RunSchedules does) to replay from the
+	// pristine layout. ReorgSeed drives the plan's tie-breaking; equal
+	// seeds give equal schedules.
+	ReorgEvery int
+	ReorgSeed  int64
 
 	// DetectFactor scales the predicted step cost into the failure
 	// detection deadline charged to each survivor when it learns of a
@@ -583,7 +595,7 @@ func (v *Virtual) deliver(ctxs []*vctx, pids []int, deliver []pendingMsg, stepId
 // cut.
 func (v *Virtual) cut(st *runState, pids []int, end float64) {
 	st.globalSteps++
-	err := st.led.cut(st.globalSteps, st.ctxs[pids[0]].depth, end, func() {}, func(pid int) {
+	err := st.led.cut(st.globalSteps, st.ctxs[pids[0]].depth, end, func(pid int) {
 		c := st.ctxs[pid]
 		c.membersView = st.led.members(pid)
 		c.failedView = st.led.failed(pid)

@@ -143,85 +143,72 @@ func slotPids(tr *model.Tree) []int {
 // forces real layout permutations every second barrier. Before each
 // dispatch every processor checks that the planner's pick is the
 // closed-form best on the tree it is running on, and the pick keyed to
-// the final tree must be that tree's best variant.
+// the final tree must be that tree's best variant. Reorganization is
+// Virtual's: Concurrent runs the layout it starts with.
 func TestPlannerPicksFollowReorg(t *testing.T) {
 	const n = 4096
-	for _, engine := range []string{"virtual", "concurrent"} {
-		t.Run(engine, func(t *testing.T) {
-			tr := model.UCFTestbedN(8)
-			before := slotPids(tr)
-			pl := plan.New()
-			chaos := &fabric.ChaosPlan{
-				Stragglers: []fabric.Straggler{{Pid: 0, FromStep: 0, ToStep: 60, Factor: 10}},
-			}
-			prog := func(c hbsp.Ctx) error {
-				for round := 0; round < 10; round++ {
-					// A cut never lands inside a collective: this global
-					// barrier is where the due reorganizations apply.
-					c.Charge(2)
-					if err := hbsp.SyncAll(c, "round"); err != nil {
-						return err
-					}
-					t := c.Tree()
-					d, _ := pl.Decide(t, "bcast", n)
-					if best, _, _ := plan.BestVariant(t, "bcast", d.Rep); d.Variant.Name != best.Name {
-						return fmt.Errorf("p%d round %d: planner serves %s, tree %016x prices %s best",
-							c.Pid(), round, d.Variant.Name, t.Fingerprint(), best.Name)
-					}
-					root := t.Pid(t.FastestLeaf())
-					var data []byte
-					if c.Pid() == root {
-						data = bytes.Repeat([]byte{0x5C}, n)
-					}
-					out, err := collective.PlannedBcast(c, pl, n, data)
-					if err != nil {
-						return err
-					}
-					if len(out) != n || out[0] != 0x5C {
-						return fmt.Errorf("p%d round %d: bcast corrupted", c.Pid(), round)
-					}
+	t.Run("virtual", func(t *testing.T) {
+		tr := model.UCFTestbedN(8)
+		before := slotPids(tr)
+		pl := plan.New()
+		chaos := &fabric.ChaosPlan{
+			Stragglers: []fabric.Straggler{{Pid: 0, FromStep: 0, ToStep: 60, Factor: 10}},
+		}
+		prog := func(c hbsp.Ctx) error {
+			for round := 0; round < 10; round++ {
+				// A cut never lands inside a collective: this global
+				// barrier is where the due reorganizations apply.
+				c.Charge(2)
+				if err := hbsp.SyncAll(c, "round"); err != nil {
+					return err
 				}
-				return nil
-			}
-			var err error
-			if engine == "virtual" {
-				eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
-				eng.Chaos = chaos
-				eng.ReorgEvery = 2
-				eng.ReorgSeed = 42
-				_, err = eng.Run(prog)
-			} else {
-				eng := hbsp.NewConcurrent(tr)
-				eng.Chaos = chaos
-				eng.ReorgEvery = 2
-				eng.ReorgSeed = 42
-				_, err = eng.Run(prog)
-			}
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			fps := map[uint64]bool{}
-			var final *plan.CachedDecision
-			for _, d := range pl.Decisions() {
-				fps[d.FP] = true
-				if d.FP == tr.Fingerprint() {
-					final = &d
+				t := c.Tree()
+				d, _ := pl.Decide(t, "bcast", n)
+				if best, _, _ := plan.BestVariant(t, "bcast", d.Rep); d.Variant.Name != best.Name {
+					return fmt.Errorf("p%d round %d: planner serves %s, tree %016x prices %s best",
+						c.Pid(), round, d.Variant.Name, t.Fingerprint(), best.Name)
+				}
+				root := t.Pid(t.FastestLeaf())
+				var data []byte
+				if c.Pid() == root {
+					data = bytes.Repeat([]byte{0x5C}, n)
+				}
+				out, err := collective.PlannedBcast(c, pl, n, data)
+				if err != nil {
+					return err
+				}
+				if len(out) != n || out[0] != 0x5C {
+					return fmt.Errorf("p%d round %d: bcast corrupted", c.Pid(), round)
 				}
 			}
-			if final == nil {
-				t.Fatalf("no pick keyed to the final tree %016x: %v", tr.Fingerprint(), pl.Decisions())
+			return nil
+		}
+		eng := hbsp.NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+		eng.Chaos = chaos
+		eng.ReorgEvery = 2
+		eng.ReorgSeed = 42
+		if _, err := eng.Run(prog); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		fps := map[uint64]bool{}
+		var final *plan.CachedDecision
+		for _, d := range pl.Decisions() {
+			fps[d.FP] = true
+			if d.FP == tr.Fingerprint() {
+				final = &d
 			}
-			if best, _, _ := plan.BestVariant(tr, "bcast", final.Rep); final.Variant != best.Name {
-				t.Errorf("final tree's pick %s, its closed-form best %s", final.Variant, best.Name)
-			}
-			if engine == "virtual" {
-				if len(fps) < 2 {
-					t.Errorf("picks keyed to %d fingerprint(s), want >= 2: reorgs never reached the planner", len(fps))
-				}
-				if reflect.DeepEqual(before, slotPids(tr)) {
-					t.Errorf("straggler did not permute the layout; test exercised nothing")
-				}
-			}
-		})
-	}
+		}
+		if final == nil {
+			t.Fatalf("no pick keyed to the final tree %016x: %v", tr.Fingerprint(), pl.Decisions())
+		}
+		if best, _, _ := plan.BestVariant(tr, "bcast", final.Rep); final.Variant != best.Name {
+			t.Errorf("final tree's pick %s, its closed-form best %s", final.Variant, best.Name)
+		}
+		if len(fps) < 2 {
+			t.Errorf("picks keyed to %d fingerprint(s), want >= 2: reorgs never reached the planner", len(fps))
+		}
+		if reflect.DeepEqual(before, slotPids(tr)) {
+			t.Errorf("straggler did not permute the layout; test exercised nothing")
+		}
+	})
 }

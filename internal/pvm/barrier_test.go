@@ -9,9 +9,8 @@ import (
 	"time"
 )
 
-// Barrier retirement: a caller may name a fresh barrier per round (the
-// HBSP engine's cut windows do), so a barrier that has gone idle must
-// leave the table, and must do so without a task ever arriving at, or
+// Barrier retirement: a caller may name a fresh barrier per round, so a
+// barrier that has gone idle must leave the table, and must do so without a task ever arriving at, or
 // canceling, the orphan — even once the orphan has been drawn again
 // under another name.
 
