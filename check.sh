@@ -83,16 +83,18 @@ timed 30 "delivered-byte lifetime" go test -race -count=3 \
 	-skip '/tcp' ./internal/pvm/... ./internal/hbsp ./internal/collective
 
 # Warm superstep (DESIGN.md §5.4): a task arrives at a cyclic barrier
-# through the reference it holds and falls back to the name once that
-# barrier has retired, perhaps to be drawn under another name — between
-# rounds, which only happens above GOMAXPROCS 1 — as a halt or a cancel
-# still reaches it; the task table grows under lookups that take no
-# lock; and a step's times are read by whoever records it, across a
-# coordinator's crash. The barrier-life tests, the
-# reference and task-table tests and the step-time test, under the race
-# detector, three times at GOMAXPROCS 1 and 4.
+# through the reference it holds — the barrier its name was published
+# with, kept for the System's life — across idle gaps between rounds,
+# which only happen above GOMAXPROCS 1, beside tasks that arrive by name;
+# a halt or a cancel still reaches it, a cancel after a completed round
+# latches, and the table holds exactly the names used; the task table
+# grows under lookups that take no lock; and a step's times are read by
+# whoever records it, across a coordinator's crash. The cyclic,
+# by-reference, halt and cancel barrier tests, the task-table test and the
+# step-time test, under the race detector, three times at GOMAXPROCS 1
+# and 4.
 timed 30 "warm superstep" go test -race -count=3 -cpu 1,4 \
-	-run 'RetiredBarrier|DrawnBarrier|CyclicBarrier|FreeBarriers|HeldBarrierRef|ArriveByRef|AnArrivalByRef|SpawnDuringSendBatches|StepTimesFollowTheLiveCoordinator' \
+	-run 'CyclicBarrier|BarrierReuseRacesRetirement|HeldBarrierRefsUnderRetirement|ArriveByRef|AnArrivalByRef|CancelBarrierAfterACompletedRound|SpawnDuringSendBatches|StepTimesFollowTheLiveCoordinator' \
 	./internal/pvm ./internal/hbsp
 
 # Loopback I/O per superstep (DESIGN.md §5.10): the senders of a step

@@ -21,8 +21,8 @@ type crun struct {
 }
 
 type barrier struct {
-	mu   sync.Mutex
-	life int
+	mu  sync.Mutex
+	gen int
 }
 
 // --- violations ---
@@ -53,7 +53,7 @@ func lockBarrierEarly(s *System, b *barrier, halted bool) (*barrier, bool) {
 	}
 	b.mu.Lock() // want `acquiring barrier.mu while holding System.mu`
 	s.mu.Unlock()
-	return b, b.life > 0
+	return b, b.gen > 0
 }
 
 type A struct{ mu sync.Mutex }
@@ -98,7 +98,7 @@ func lockBarrier(s *System, b *barrier, halted bool) (*barrier, bool) {
 	}
 	s.mu.Unlock()
 	b.mu.Lock()
-	return b, b.life > 0
+	return b, b.gen > 0
 }
 
 type C struct{ mu sync.Mutex }

@@ -310,7 +310,7 @@ func TestChaosDesyncStillDetectedVirtual(t *testing.T) {
 func TestChaosDesyncStillDetectedConcurrent(t *testing.T) {
 	tr := model.UCFTestbedN(3)
 	eng := NewConcurrent(tr)
-	eng.DesyncTimeout = 200 * time.Millisecond
+	eng.desyncTimeout = 200 * time.Millisecond
 	eng.Chaos = &fabric.ChaosPlan{
 		Seed: 3, Drop: 0.1,
 		Stragglers: []fabric.Straggler{{Pid: 1, FromStep: 0, ToStep: 9, Factor: 4}},

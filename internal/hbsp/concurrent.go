@@ -33,7 +33,7 @@ import (
 // watchdog: every Sync registers a per-scope sync-generation waiter,
 // and when a waited scope can provably never complete — a member
 // already exited, or every live processor has been parked at a barrier
-// for DesyncTimeout with no barrier completing — the run is halted with
+// for 2s with no barrier completing — the run is halted with
 // a report naming the waiting and lagging processors.
 //
 // A Chaos plan injects crash-stops and message faults with the same
@@ -51,11 +51,12 @@ type Concurrent struct {
 	// TimeUnit is the wall-clock duration of one fastest-machine work
 	// unit for Charge; zero disables dilation.
 	TimeUnit time.Duration
-	// DesyncTimeout is how long every live processor must sit blocked at
+	// desyncTimeout is how long every live processor must sit blocked at
 	// barriers, with none completing, before the watchdog declares a
-	// desync. Zero means the 2s default; negative disables the watchdog
+	// desync. Zero means the 2s default (defaultDesyncTimeout), the only
+	// value outside this package's tests; negative disables the watchdog
 	// entirely (the exited-member check included).
-	DesyncTimeout time.Duration
+	desyncTimeout time.Duration
 
 	// The options shared with Virtual — Chaos, Obsv and Verify — are
 	// coreOpts (proc.go).
@@ -221,7 +222,7 @@ type crun struct {
 	// led is the run's membership ledger — dead processors and per-scope
 	// acknowledgments — and every call into it is made with mu held.
 	// unquiet latches, for readers without mu, that a processor has died.
-	led     *ledger
+	led     ledger
 	unquiet atomic.Bool
 }
 
@@ -763,7 +764,7 @@ func (c *cctx) drain(ord, tag int, deposits map[pvm.TID][]byte) (recv int, err e
 func (c *cctx) commit(w *syncWait, ord int, records bool, start time.Duration, count int, step *trace.Shape) {
 	c.recycle()
 	end := c.clock(records || c.opt.Obsv != nil)
-	c.observe(ord, ord, false, micros(end), nil)
+	c.observe(ord, ord, micros(end))
 	s := c.shared
 	s.mu.Lock()
 	s.leaveLocked(c.pid)
@@ -878,10 +879,16 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	if spans && e.Chaos != nil {
 		return nil, errors.New("hbsp: a chaos plan on a run with remote pids: the membership ledger is process-local")
 	}
-	led := newLedger(e.tree, e.Chaos, e.Obsv, 0, 0)
-	if len(led.dormant) > 0 {
-		return nil, fmt.Errorf("hbsp: the chaos plan joins %v late (a churn JoinAt): Concurrent runs the membership it starts with, Virtual runs late joins",
-			sortedPids(led.dormant))
+	members := make([]int, p)
+	var late []int
+	for pid := range members {
+		members[pid] = pid
+		if e.Chaos.JoinStep(pid) > 0 {
+			late = append(late, pid)
+		}
+	}
+	if len(late) > 0 {
+		return nil, fmt.Errorf("hbsp: the chaos plan joins %v late (a churn JoinAt): Concurrent runs the membership it starts with, Virtual runs late joins", late)
 	}
 	shared := &crun{
 		sys:     sys,
@@ -892,7 +899,7 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		waiting: make([]*syncWait, p),
 		exited:  make([]bool, p),
 		arrived: make([][]int, p),
-		led:     led,
+		led:     newLedger(p),
 		proxies: proxies,
 	}
 	e.tree.Root.Walk(func(m *model.Machine) { shared.scopeID[m] = len(shared.scopeID) + 1 })
@@ -903,9 +910,8 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 			shared.arrived[pid][id] = -1
 		}
 	}
-	members := led.actives()
 
-	timeout := e.DesyncTimeout
+	timeout := e.desyncTimeout
 	if timeout == 0 {
 		timeout = defaultDesyncTimeout
 	}

@@ -30,7 +30,7 @@ func desyncTree(t *testing.T) *model.Tree {
 func TestConcurrentDesyncExitedMember(t *testing.T) {
 	tree := desyncTree(t)
 	eng := NewConcurrent(tree)
-	eng.DesyncTimeout = 30 * time.Second // deterministic path must not need the stall clock
+	eng.desyncTimeout = 30 * time.Second // deterministic path must not need the stall clock
 
 	start := time.Now()
 	_, err := eng.Run(func(ctx Ctx) error {
@@ -62,7 +62,7 @@ func TestConcurrentDesyncStalledBarriers(t *testing.T) {
 	tree := model.MustNew(model.NewCluster("top", []*model.Machine{a, b}, model.WithSync(1)), 1).Normalize()
 	scopeA := tree.Root.Children[0]
 	eng := NewConcurrent(tree)
-	eng.DesyncTimeout = 200 * time.Millisecond
+	eng.desyncTimeout = 200 * time.Millisecond
 
 	_, err := eng.Run(func(ctx Ctx) error {
 		// Deliberate desync under test: every Sync below is pid-divergent.
@@ -98,7 +98,7 @@ func TestConcurrentDesyncStalledBarriers(t *testing.T) {
 func TestConcurrentDesyncDisabled(t *testing.T) {
 	tree := desyncTree(t)
 	eng := NewConcurrent(tree)
-	eng.DesyncTimeout = -1
+	eng.desyncTimeout = -1
 
 	ran := 0
 	rep, err := eng.Run(func(ctx Ctx) error {
@@ -124,7 +124,7 @@ func TestConcurrentDesyncDisabled(t *testing.T) {
 func TestConcurrentWellFormedUnderWatchdog(t *testing.T) {
 	tree := desyncTree(t)
 	eng := NewConcurrent(tree)
-	eng.DesyncTimeout = 100 * time.Millisecond
+	eng.desyncTimeout = 100 * time.Millisecond
 
 	rep, err := eng.Run(func(ctx Ctx) error {
 		for step := 0; step < 20; step++ {
@@ -226,7 +226,7 @@ func TestWatchdogDoesNotJudgeRemotePids(t *testing.T) {
 	tree := desyncTree(t)
 	tr := &elsewhere{barrierDelay: 300 * time.Millisecond}
 	eng := NewConcurrent(tree)
-	eng.DesyncTimeout = 40 * time.Millisecond
+	eng.desyncTimeout = 40 * time.Millisecond
 	eng.Transport = func() (pvm.Transport, error) { return tr, nil }
 	if _, err := eng.Run(func(c Ctx) error { return c.Sync(tree.Root, "step") }); err != nil {
 		t.Fatalf("Run = %v; the watchdog judged pids that run elsewhere", err)

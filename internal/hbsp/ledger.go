@@ -6,13 +6,12 @@ import (
 	"hbspk/internal/obsv"
 )
 
-// ledger is one run's membership state and the protocol over it
-// (DESIGN.md §5.2, §5.7): who is dead, dormant or joined, which notice
-// each processor has acknowledged on which scope, and what happens at a
-// global cut. Both engines keep deaths and their notices here; only
-// Virtual has dormant processors, joins and cuts — Concurrent runs the
-// membership it starts with. An engine owns how time advances and how
-// bytes move.
+// ledger is one run's deaths and the notice protocol over them
+// (DESIGN.md §5.2): who is dead, and which dead peer each processor has
+// acknowledged on which scope. Both engines keep deaths and their
+// notices here, with one rule; Virtual's elastic adds dormant
+// processors, joins and cuts — Concurrent runs the membership it starts
+// with. An engine owns how time advances and how bytes move.
 //
 // A ledger is not goroutine-safe. Virtual calls it from its coordinator
 // only; Concurrent makes every call with crun.mu held.
@@ -20,28 +19,37 @@ import (
 // Scopes are keyed by *model.Machine: the pointer survives
 // Tree.Reorganize, a moved leaf's Label() does not.
 type ledger struct {
+	// dead records crashed and departed processors.
+	dead map[int]*failInfo
+	// acked[pid] is the dead peers pid has acknowledged, per scope: a
+	// death learned through a subscope must still surface on every other
+	// scope containing the victim, or nested-scope members would diverge.
+	// The invariant everything rests on is that the live members of a
+	// scope hold identical sets for it whenever they meet at a barrier.
+	acked []ackSets
+}
+
+// elastic is Virtual's ledger (DESIGN.md §5.7): the deaths and notices
+// of ledger, plus the dormant and joined processors, the join notices
+// and each processor's membership view, and the global cut that
+// activates joiners and reorganizes the tree.
+type elastic struct {
+	ledger
 	tree       *model.Tree
 	chaos      *fabric.ChaosPlan
 	obsv       *obsv.Recorder
 	reorgEvery int
 	reorgSeed  int64
 
-	// dead records crashed and departed processors; dormant ones await
-	// their activation cut; joined maps an activated latecomer to that
-	// cut's ordinal.
-	dead    map[int]*failInfo
+	// dormant processors await their activation cut; joined maps an
+	// activated latecomer to that cut's ordinal.
 	dormant map[int]bool
 	joined  map[int]int
 
-	// acked[pid] and ackedJoin[pid] are the dead and joined peers pid has
-	// acknowledged, per scope: a death learned through a subscope must
-	// still surface on every other scope containing the victim, or
-	// nested-scope members would diverge. The invariant everything rests
-	// on is that the live members of a scope hold identical sets for it
-	// whenever they meet at a barrier. knownActive[pid] is pid's
-	// membership view.
-	acked, ackedJoin []ackSets
-	knownActive      []map[int]bool
+	// ackedJoin[pid] is the joined peers pid has acknowledged, per scope,
+	// under acked's invariant. knownActive[pid] is pid's membership view.
+	ackedJoin   []ackSets
+	knownActive []map[int]bool
 
 	// rer folds measured effective compute slowdowns; epoch counts
 	// applied reorganizations. owed is a reorganization that fell due
@@ -64,18 +72,22 @@ func (a *ackSets) add(scope *model.Machine, pid int) {
 	(*a)[scope][pid] = true
 }
 
-// newLedger starts a run's ledger: processors with a churn JoinAt fate
-// are dormant, everyone else knows everyone else.
-func newLedger(t *model.Tree, chaos *fabric.ChaosPlan, rec *obsv.Recorder,
-	reorgEvery int, reorgSeed int64) *ledger {
+// newLedger starts the ledger of a run of p processors: nobody dead.
+func newLedger(p int) ledger {
+	return ledger{dead: make(map[int]*failInfo), acked: make([]ackSets, p)}
+}
+
+// newElastic starts Virtual's ledger: processors with a churn JoinAt
+// fate are dormant, everyone else knows everyone else.
+func newElastic(t *model.Tree, chaos *fabric.ChaosPlan, rec *obsv.Recorder,
+	reorgEvery int, reorgSeed int64) *elastic {
 	p := t.NProcs()
-	l := &ledger{
-		tree: t, chaos: chaos, obsv: rec,
+	l := &elastic{
+		ledger: newLedger(p),
+		tree:   t, chaos: chaos, obsv: rec,
 		reorgEvery: reorgEvery, reorgSeed: reorgSeed,
-		dead:        make(map[int]*failInfo),
 		dormant:     make(map[int]bool),
 		joined:      make(map[int]int),
-		acked:       make([]ackSets, p),
 		ackedJoin:   make([]ackSets, p),
 		knownActive: make([]map[int]bool, p),
 		rer:         model.NewReranker(p),
@@ -92,7 +104,7 @@ func newLedger(t *model.Tree, chaos *fabric.ChaosPlan, rec *obsv.Recorder,
 }
 
 // actives returns the non-dormant pids in ascending order.
-func (l *ledger) actives() []int {
+func (l *elastic) actives() []int {
 	var out []int
 	for pid := 0; pid < l.tree.NProcs(); pid++ {
 		if !l.dormant[pid] {
@@ -102,7 +114,7 @@ func (l *ledger) actives() []int {
 	return out
 }
 
-func (l *ledger) activeSet() map[int]bool {
+func (l *elastic) activeSet() map[int]bool {
 	set := make(map[int]bool)
 	for _, pid := range l.actives() {
 		set[pid] = true
@@ -112,7 +124,7 @@ func (l *ledger) activeSet() map[int]bool {
 
 // alive reports whether pid takes part in barriers: neither dead nor
 // dormant.
-func (l *ledger) alive(pid int) bool { return l.dead[pid] == nil && !l.dormant[pid] }
+func (l *elastic) alive(pid int) bool { return l.dead[pid] == nil && !l.dormant[pid] }
 
 func (l *ledger) kill(pid, step int, cause string) {
 	l.dead[pid] = &failInfo{step: step, cause: cause}
@@ -149,7 +161,7 @@ func (l *ledger) deadNotice(pid int, scope *model.Machine) *ErrPeerFailed {
 // The newcomer itself owes the notice too — it burns the same
 // generation as everyone else, which keeps a scope's generations
 // aligned without renumbering.
-func (l *ledger) joinNotice(pid int, scope *model.Machine) *ErrPeerJoined {
+func (l *elastic) joinNotice(pid int, scope *model.Machine) *ErrPeerJoined {
 	if len(l.joined) == 0 {
 		return nil
 	}
@@ -207,14 +219,14 @@ func (l *ledger) failed(pid int) []int {
 }
 
 // members is pid's Members() view, ascending.
-func (l *ledger) members(pid int) []int { return sortedPids(l.knownActive[pid]) }
+func (l *elastic) members(pid int) []int { return sortedPids(l.knownActive[pid]) }
 
 // equalize unions the per-scope sets of every live processor and gives
 // each of them the union. A rebalance can move a leaf under a scope
 // whose members acknowledged a death or join the mover only saw
 // elsewhere; afterwards the moved-in member owes exactly the notices
 // its new peers owe.
-func (l *ledger) equalize(sets []ackSets) {
+func (l *elastic) equalize(sets []ackSets) {
 	var union ackSets
 	for pid, perScope := range sets {
 		if !l.alive(pid) {
@@ -243,7 +255,7 @@ func (l *ledger) equalize(sets []ackSets) {
 // a cut, so the newcomer inherits exactly the notices they still owe
 // and burns the same generations. A scope with no live old member
 // seeds nothing: the newcomer's notices there race nobody.
-func (l *ledger) seed(pid, cut int) {
+func (l *elastic) seed(pid, cut int) {
 	l.tree.Root.Walk(func(scope *model.Machine) {
 		donor := -1
 		for _, m := range scope.Pids() {
@@ -268,7 +280,7 @@ func (l *ledger) seed(pid, cut int) {
 
 // due lists, ascending, the dormant processors whose JoinAt point the
 // R-th completed global barrier has reached.
-func (l *ledger) due(R int) []int {
+func (l *elastic) due(R int) []int {
 	var act []int
 	for _, pid := range sortedPids(l.dormant) {
 		if l.chaos.JoinStep(pid) <= R {
@@ -288,7 +300,7 @@ func (l *ledger) due(R int) []int {
 // reorganization due at depth > 0 is owed to the first global barrier
 // at depth 0. start lets an activated pid run. now stamps the emitted
 // events.
-func (l *ledger) cut(R, depth int, now float64, start func(pid int)) error {
+func (l *elastic) cut(R, depth int, now float64, start func(pid int)) error {
 	l.owed = l.owed || l.reorgEvery > 0 && R%l.reorgEvery == 0
 	if l.owed && depth > 0 {
 		l.obsv.Reorg(l.epoch+1, 0, true, now)

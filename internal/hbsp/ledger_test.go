@@ -80,9 +80,9 @@ func TestTwoDeathsTwoNoticesSmallestFirst(t *testing.T) {
 
 // gridLedger is a ledger over two clusters of three: A = {0,1,2},
 // B = {3,4,5}.
-func gridLedger(chaos *fabric.ChaosPlan, reorgEvery int) (*ledger, *model.Machine, *model.Machine) {
+func gridLedger(chaos *fabric.ChaosPlan, reorgEvery int) (*elastic, *model.Machine, *model.Machine) {
 	tr := model.WideAreaGrid(2, 3, 10, 10, 100)
-	l := newLedger(tr, chaos, nil, reorgEvery, 7)
+	l := newElastic(tr, chaos, nil, reorgEvery, 7)
 	return l, tr.Root.Children[0], tr.Root.Children[1]
 }
 

@@ -119,7 +119,7 @@ type proc struct {
 	steps  int
 
 	// depth counts the collectives this processor is inside (Span);
-	// Virtual's global cut reads it to defer a reorganization (ledger.cut).
+	// Virtual's global cut reads it to defer a reorganization (elastic.cut).
 	// leave lowers it: Span's closer, built once.
 	depth int
 	leave func(int)
@@ -278,19 +278,14 @@ func (o *coreOpts) fate(m *pendingMsg, at int, now float64) {
 }
 
 // observe is the success path's compute sample for this processor's
-// ord-th superstep: it returns the transient straggler factor, records a
-// burst as a chaos event at step at, and — when work was charged — folds
-// the measured effective slowdown (static times transient) into the
-// reorg estimate. Only a superstep whose barrier succeeded is observed
-// (a failed sync's work is dropped), on both engines, so equal seeds
-// produce equal estimate streams.
-func (p *proc) observe(ord, at int, worked bool, now float64, fold func(pid int, sample float64)) float64 {
+// ord-th superstep: it returns the transient straggler factor and
+// records a burst as a chaos event at step at. Only a superstep whose
+// barrier succeeded is observed (a failed sync's work is dropped), on
+// both engines, so equal seeds produce equal event streams.
+func (p *proc) observe(ord, at int, now float64) float64 {
 	slow := p.opt.Chaos.Slowdown(p.pid, ord)
 	if slow != 1 {
 		p.opt.Obsv.Chaos("straggler", at, p.pid, p.pid, now)
-	}
-	if worked {
-		fold(p.pid, p.leaf.CompSlowdown*slow)
 	}
 	return slow
 }

@@ -171,7 +171,7 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 		wake:       make([]error, p),
 		pending:    make([]*vrequest, p),
 		done:       make([]bool, p),
-		led:        newLedger(v.tree, v.Chaos, v.Obsv, v.ReorgEvery, v.ReorgSeed),
+		led:        newElastic(v.tree, v.Chaos, v.Obsv, v.ReorgEvery, v.ReorgSeed),
 		syncOrd:    make([]int, p),
 		detections: make([]int, p),
 		stepSum:    make([]float64, p),
@@ -230,7 +230,7 @@ type runState struct {
 	// led is the run's membership ledger: dead, dormant and joined
 	// processors, per-scope acknowledgments, reorg estimates and the
 	// global cut. The engine keeps what is about time and delivery.
-	led *ledger
+	led *elastic
 
 	// syncOrd counts each processor's Sync calls; detections drives the
 	// detection-deadline backoff; globalSteps counts completed root-scope
@@ -463,7 +463,13 @@ func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
 		r := st.pending[pid]
 		c := ctxs[pid]
 		start = max(start, c.clock)
-		st.works[pid] = r.work * c.observe(r.ord, stepIdx, r.work > 0, c.clock, st.led.rer.Observe)
+		slow := c.observe(r.ord, stepIdx, c.clock)
+		if r.work > 0 {
+			// The measured effective slowdown, static times transient,
+			// feeds the reorganization estimate.
+			st.led.rer.Observe(pid, c.leaf.CompSlowdown*slow)
+		}
+		st.works[pid] = r.work * slow
 		if label == "" {
 			label = r.label
 		}

@@ -3,16 +3,16 @@ package pvm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
-// Barrier retirement: a caller may name a fresh barrier per round, so a
-// barrier that has gone idle must leave the table, and must do so without a task ever arriving at, or
-// canceling, the orphan — even once the orphan has been drawn again
-// under another name.
+// A barrier lives as long as its System: a name's barrier is published on
+// its first use and stays in the table, so a reference that has found it
+// holds it for good, and the table holds exactly the names ever used.
 
 func (s *System) barrierCount() int {
 	s.mu.Lock()
@@ -20,40 +20,25 @@ func (s *System) barrierCount() int {
 	return len(s.barriers)
 }
 
-// Fresh names, one per round: the table holds at most the names in
-// flight — the round being left and the round being entered — and
-// nothing once the tasks are done. Before retirement it ended with one
-// dead barrier per round.
-func TestBarriersRetireWhenIdle(t *testing.T) {
-	s := NewSystem()
-	const n, rounds = 4, 500
-	for i := 0; i < n; i++ {
-		s.Spawn(fmt.Sprintf("t%d", i), func(tk *Task) error {
-			for r := 0; r < rounds; r++ {
-				if err := tk.Barrier(fmt.Sprintf("step#%d", r), n); err != nil {
-					return err
-				}
-				if live := s.barrierCount(); live > 2 {
-					return fmt.Errorf("after round %d the table holds %d barriers, want at most 2", r, live)
-				}
-			}
-			return nil
-		})
+// barrierNames returns the table's names, sorted.
+func (s *System) barrierNames() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names := make([]string, 0, len(s.barriers))
+	for name := range s.barriers {
+		names = append(names, name)
 	}
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if live := s.barrierCount(); live != 0 {
-		t.Errorf("%d barriers left in the table after every round completed, want 0", live)
-	}
+	sort.Strings(names)
+	return names
 }
 
-// One name reused across many rounds by many tasks while retirement
-// runs in the gaps between them: sometimes a fast task re-arrives before
-// the previous round's last collector has left, sometimes (the yield)
-// the barrier goes idle, is retired and the name starts over at
-// generation zero. Every round must still gather exactly its own
-// deposits.
+// One name reused across many rounds by many tasks, arriving by name:
+// sometimes a fast task re-arrives before the previous round's last
+// collector has left, sometimes (the yield) the barrier goes idle between
+// rounds. (The name dates from when an idle barrier retired and its name
+// started over; now the idle barrier stays.) Every round must still
+// gather exactly its own deposits, and the table ends holding the one
+// name.
 func TestBarrierReuseRacesRetirement(t *testing.T) {
 	s := NewSystem()
 	const n, rounds = 8, 2000
@@ -73,8 +58,8 @@ func TestBarrierReuseRacesRetirement(t *testing.T) {
 				}
 				seen := make(map[byte]bool)
 				for tid, b := range got {
-					if len(b) != 3 || int(b[1])|int(b[2])<<8 != r {
-						return fmt.Errorf("round %d: deposit from %d = %v", r, tid, b)
+					if len(b) != 3 || TID(b[0]) != tid || int(b[1])|int(b[2])<<8 != r {
+						return fmt.Errorf("round %d: deposit of task %d = %v", r, tid, b)
 					}
 					seen[b[0]] = true
 				}
@@ -88,53 +73,99 @@ func TestBarrierReuseRacesRetirement(t *testing.T) {
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if live := s.barrierCount(); live != 0 {
-		t.Errorf("%d barriers left in the table, want 0", live)
+	if got := s.barrierNames(); !reflect.DeepEqual(got, []string{"again"}) {
+		t.Errorf("the table holds %q, want only the reused name", got)
 	}
 }
 
-// The window the stress above rarely hits, staged: a task has looked the
-// barrier up and, before it locks it, the last collector retires it.
-// What the task then holds is past the life it was published at, so it
-// must start over on a fresh barrier — arrivals meet there, and a cancel
-// latches there — not park on, or latch, the orphan.
-func TestRetiredBarrierIsNeverArrivedAt(t *testing.T) {
-	plant := func(s *System, name string) *barrier {
-		b := &barrier{life: 1}
-		b.cond.L = &b.mu
-		s.barriers[name] = barrierRef{b: b}
-		return b
-	}
+// One barrier cycled for many rounds at GOMAXPROCS 4, half the tasks
+// arriving through the references they hold and half by name, with idle
+// gaps between rounds (a yield now and then lets every task leave before
+// the next arrives), while a neighbour cycles other names of its own.
+// (The name dates from when the held barrier could retire in such a gap;
+// now a held reference keeps its barrier.) Every round gathers exactly
+// its own deposits, one from each task, and once the tasks are done the
+// table holds exactly the names they used.
+func TestHeldBarrierRefsUnderRetirement(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s := NewSystem()
-	orphan := plant(s, "met")
-	latched := plant(s, "latched")
-	s.CancelBarrier("latched")
-	const n = 2
+	const n, rounds, others = 8, 2000, 4
+	var cycling sync.WaitGroup
+	cycling.Add(n)
+	done := make(chan struct{})
+	go func() {
+		cycling.Wait()
+		close(done)
+	}()
 	for i := 0; i < n; i++ {
+		i := i
 		s.Spawn(fmt.Sprintf("t%d", i), func(tk *Task) error {
-			if err := tk.Barrier("met", n); err != nil {
-				return err
-			}
-			if err := tk.Barrier("latched", n); !errors.Is(err, ErrCanceled) {
-				return fmt.Errorf("arrival at the canceled name: err = %v, want ErrCanceled", err)
+			defer cycling.Done()
+			ref := &BarrierRef{Name: "cyclic"}
+			for r := 0; r < rounds; r++ {
+				if (r+i)%3 == 0 {
+					runtime.Gosched()
+				}
+				deposit := []byte{byte(i), byte(r), byte(r >> 8)}
+				var got map[TID][]byte
+				var err error
+				if i%2 == 0 {
+					got, err = tk.Arrive(ref, n, deposit)
+				} else {
+					got, err = tk.BarrierExchange("cyclic", n, deposit)
+				}
+				if err != nil {
+					return err
+				}
+				if len(got) != n {
+					return fmt.Errorf("round %d: %d deposits, want %d", r, len(got), n)
+				}
+				seen := make(map[byte]bool)
+				for tid, b := range got {
+					if len(b) != 3 || TID(b[0]) != tid || int(b[1])|int(b[2])<<8 != r {
+						return fmt.Errorf("round %d: deposit of task %d = %v", r, tid, b)
+					}
+					seen[b[0]] = true
+				}
+				if len(seen) != n {
+					return fmt.Errorf("round %d: deposits from %d distinct tasks, want %d", r, len(seen), n)
+				}
 			}
 			return nil
 		})
 	}
+	s.Spawn("neighbour", func(tk *Task) error {
+		for k := 0; ; k++ {
+			if k >= others {
+				select {
+				case <-done:
+					return nil
+				default:
+				}
+			}
+			if err := tk.Barrier(fmt.Sprintf("other#%d", k%others), 1); err != nil {
+				return err
+			}
+		}
+	})
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if orphan.arrived != 0 || orphan.gen != 0 || latched.canceled {
-		t.Errorf("an orphan was used: met arrived=%d gen=%d, latched canceled=%v", orphan.arrived, orphan.gen, latched.canceled)
+	want := []string{"cyclic"}
+	for k := 0; k < others; k++ {
+		want = append(want, fmt.Sprintf("other#%d", k))
+	}
+	if got := s.barrierNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("the table holds %d names %q, want the %d used: %q", len(got), got, len(want), want)
 	}
 }
 
-// A cancel after a round has completed and retired its barrier latches
-// exactly as one before the first arrival does (the before and during
-// cases are TestCancelBarrierLatchesForLateArrivals and
+// A cancel after a round has completed latches exactly as one before
+// the first arrival does (the before and during cases are
+// TestCancelBarrierLatchesForLateArrivals and
 // TestCancelBarrierWakesWaiterTyped): every later arrival gets
-// ErrCanceled, and the latched name is never retired by them.
-func TestCancelBarrierAfterRetiredRoundLatches(t *testing.T) {
+// ErrCanceled.
+func TestCancelBarrierAfterACompletedRoundLatches(t *testing.T) {
 	s := NewSystem()
 	const n = 3
 	var collected sync.WaitGroup
@@ -149,9 +180,6 @@ func TestCancelBarrierAfterRetiredRoundLatches(t *testing.T) {
 			collected.Done()
 			if i == 0 {
 				collected.Wait()
-				if live := s.barrierCount(); live != 0 {
-					return fmt.Errorf("%d barriers in the table after the round, want it retired", live)
-				}
 				s.CancelBarrier("round")
 				close(canceled)
 			}
@@ -172,21 +200,14 @@ func TestCancelBarrierAfterRetiredRoundLatches(t *testing.T) {
 	}
 }
 
-func (s *System) freeBarriers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.bfree)
-}
-
 // One name as a cyclic barrier for ten thousand generations, the way the
 // HBSP engine and the benchmark's probe use one: rounds nobody deposits
 // in, rounds everybody does, rounds where only the even tasks do while
-// the odd ones come through Barrier, and now and then a uniquely
-// named barrier beside it so that retirement and the free list are in
-// play. Every participant gets exactly its own round's deposits — a late
-// waker of round g never sees g+1's — a deposit-free round returns a nil
-// map, the table and the free list stay bounded, and on the much-reused
-// barrier a cancel still latches.
+// the odd ones come through Barrier, and now and then a uniquely named
+// barrier beside it. Every participant gets exactly its own round's
+// deposits — a late waker of round g never sees g+1's — a deposit-free
+// round returns a nil map, the table holds exactly the names used so far,
+// and on the much-reused barrier a cancel still latches.
 func TestCyclicBarrierTenThousandGenerations(t *testing.T) {
 	s := NewSystem()
 	const n, rounds = 4, 10000
@@ -238,9 +259,11 @@ func TestCyclicBarrierTenThousandGenerations(t *testing.T) {
 						return err
 					}
 				}
-				// The cyclic name, and the unique one being left or entered.
-				if live, free := s.barrierCount(), s.freeBarriers(); live > 3 || free > maxFreeBarriers {
-					return fmt.Errorf("round %d: %d barriers in the table, %d on the free list", r, live, free)
+				// The cyclic name and every unique one up to this round:
+				// all tasks have arrived at each, and no task is past the
+				// next cyclic round.
+				if live, used := s.barrierCount(), 1+(r+1)/10; live != used {
+					return fmt.Errorf("round %d: %d barriers in the table, want the %d names used so far", r, live, used)
 				}
 			}
 			got, err := tk.BarrierExchange("cyclic", n, deposit(i, rounds))
@@ -270,83 +293,19 @@ func TestCyclicBarrierTenThousandGenerations(t *testing.T) {
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if live := s.barrierCount(); live != 1 {
-		t.Errorf("the table holds %d barriers, want only the canceled name", live)
+	// cyclic, the unique names, settled and canceled.
+	if live, used := s.barrierCount(), 1+rounds/10+2; live != used {
+		t.Errorf("the table holds %d barriers, want the %d names used", live, used)
 	}
 }
 
-// A drawn barrier is a fresh one: whatever its previous name left — a
-// generation count, a halt — is gone, and a task still holding it from
-// that life starts over instead of arriving under the new name.
-func TestDrawnBarrierStartsOver(t *testing.T) {
-	s := NewSystem()
-	b, err := s.lockBarrier(&BarrierRef{Name: "first"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := barrierRef{b, b.life}
-	b.inside++
-	b.gen, b.halted = 41, true
-	s.unlockBarrier("first", b)
-	if live, free := s.barrierCount(), s.freeBarriers(); live != 0 || free != 1 {
-		t.Fatalf("after the only task left: %d in the table, %d free, want 0 and 1", live, free)
-	}
-	again, err := s.lockBarrier(&BarrierRef{Name: "second"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != b {
-		t.Fatal("the retired barrier was not drawn again")
-	}
-	if again.gen != 0 || again.halted || again.arrived != 0 || again.life == stale.life {
-		t.Errorf("drawn barrier: gen=%d halted=%v arrived=%d life=%d (was %d)", again.gen, again.halted, again.arrived, again.life, stale.life)
-	}
-	again.inside++
-	again.mu.Unlock()
-	// What "first" resolves to now must not be the barrier "second" owns.
-	other, err := s.lockBarrier(&BarrierRef{Name: "first"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other == b {
-		t.Error(`"first" resolved to the barrier now published as "second"`)
-	}
-	other.mu.Unlock()
-}
-
-// Many names at once, then none: what the free list keeps of them is
-// bounded.
-func TestFreeBarriersAreBounded(t *testing.T) {
-	s := NewSystem()
-	const names = 3 * maxFreeBarriers
-	held := make([]*barrier, names)
-	for i := range held {
-		b, err := s.lockBarrier(&BarrierRef{Name: fmt.Sprintf("n%d", i)}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.inside++
-		b.mu.Unlock()
-		held[i] = b
-	}
-	for i, b := range held {
-		b.mu.Lock()
-		s.unlockBarrier(fmt.Sprintf("n%d", i), b)
-	}
-	if live, free := s.barrierCount(), s.freeBarriers(); live != 0 || free != maxFreeBarriers {
-		t.Errorf("%d in the table, %d free, want 0 and %d", live, free, maxFreeBarriers)
-	}
-}
-
-// holdInside keeps name's barrier from retiring, as a task between its
-// arrival and its return does, and returns it.
-func holdInside(t *testing.T, s *System, name string) *barrier {
+// lookup returns name's barrier, published as a first arrival would.
+func lookup(t *testing.T, s *System, name string) *barrier {
 	t.Helper()
 	b, err := s.lockBarrier(&BarrierRef{Name: name}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.inside++
 	b.mu.Unlock()
 	return b
 }
@@ -364,140 +323,28 @@ func awaitArrivals(b *barrier, n int) {
 	}
 }
 
-// A reference held across a retirement: the barrier it found goes idle,
-// retires and is drawn again under another name before the reference's
-// next arrival. That arrival must not land on the other name's round; it
-// looks its own name up again and meets its partner there. (The halt
-// turns an arrival on the wrong barrier into a failure, not a hang.)
-func TestHeldBarrierRefFallsBackToTheName(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+// An arrival by reference after Halt fails with ErrHalted, whether the
+// reference holds its barrier — Halt marked it — or has yet to find one:
+// a second reference to the held barrier's name, or a name nobody has
+// used.
+func TestArriveByRefAfterHaltFails(t *testing.T) {
 	s := NewSystem()
-	defer time.AfterFunc(10*time.Second, s.Halt).Stop()
-	ref := &BarrierRef{Name: "mine"}
-	s.Spawn("holder", func(tk *Task) error {
-		if _, err := tk.Arrive(ref, 1, nil); err != nil {
-			return err
-		}
-		first := ref.at.b
-		if live, free := s.barrierCount(), s.freeBarriers(); live != 0 || free != 1 {
-			return fmt.Errorf("after the lone round: %d in the table, %d free, want it retired", live, free)
-		}
-		// Another name draws the retired barrier and parks a task there.
-		s.Spawn("thief", func(tk *Task) error {
-			_, err := tk.BarrierExchange("theirs", 2, []byte("thief"))
-			return err
-		})
-		awaitArrivals(first, 1)
-		partner := s.Spawn("partner", func(tk *Task) error {
-			_, err := tk.BarrierExchange("mine", 2, []byte("partner"))
-			return err
-		})
-		got, err := tk.Arrive(ref, 2, []byte("holder"))
-		if err != nil {
-			return err
-		}
-		if len(got) != 2 || string(got[tk.TID()]) != "holder" || string(got[partner]) != "partner" {
-			return fmt.Errorf("the held reference's round gathered %q", got)
-		}
-		if ref.at.b == first {
-			return errors.New("the reference still holds the barrier drawn under another name")
-		}
-		first.mu.Lock()
-		n := first.arrived
-		first.mu.Unlock()
-		if n != 1 {
-			return fmt.Errorf("the other name's round holds %d arrivals, want its own 1", n)
-		}
-		_, err = tk.BarrierExchange("theirs", 2, nil)
+	held := &BarrierRef{Name: "held"}
+	s.Spawn("t", func(tk *Task) error {
+		_, err := tk.Arrive(held, 1, nil)
 		return err
 	})
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// The same under load: tasks cycle one barrier by reference while a
-// neighbour retires and draws barriers under fresh names, so that a held
-// barrier is now and then retired between two arrivals and drawn under a
-// name of the neighbour's. Every round gathers exactly its own deposits.
-func TestHeldBarrierRefsUnderRetirement(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	s := NewSystem()
-	const n, rounds = 4, 2000
-	var cycling sync.WaitGroup
-	cycling.Add(n)
-	done := make(chan struct{})
-	go func() {
-		cycling.Wait()
-		close(done)
-	}()
-	for i := 0; i < n; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("t%d", i), func(tk *Task) error {
-			defer cycling.Done()
-			ref := &BarrierRef{Name: "cyclic"}
-			for r := 0; r < rounds; r++ {
-				if (r+i)%3 == 0 {
-					runtime.Gosched()
-				}
-				got, err := tk.Arrive(ref, n, []byte{byte(i), byte(r), byte(r >> 8)})
-				if err != nil {
-					return err
-				}
-				if len(got) != n {
-					return fmt.Errorf("round %d: %d deposits, want %d", r, len(got), n)
-				}
-				for tid, b := range got {
-					if len(b) != 3 || TID(b[0]) != tid || int(b[1])|int(b[2])<<8 != r {
-						return fmt.Errorf("round %d: deposit of task %d = %v", r, tid, b)
-					}
-				}
-			}
-			return nil
-		})
-	}
-	s.Spawn("neighbour", func(tk *Task) error {
-		for k := 0; ; k++ {
-			select {
-			case <-done:
-				return nil
-			default:
-			}
-			if err := tk.Barrier(fmt.Sprintf("once#%d", k), 1); err != nil {
-				return err
-			}
-		}
-	})
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// An arrival by reference after Halt fails with ErrHalted, whether the
-// held barrier is still live — Halt marked it — or has retired since.
-func TestArriveByRefAfterHaltFails(t *testing.T) {
-	s := NewSystem()
-	b := holdInside(t, s, "live")
-	live, retired := &BarrierRef{Name: "live"}, &BarrierRef{Name: "retired"}
-	s.Spawn("t", func(tk *Task) error {
-		for _, ref := range []*BarrierRef{retired, live} {
-			if _, err := tk.Arrive(ref, 1, nil); err != nil {
-				return err
-			}
-		}
-		if live.at.b != b {
-			return errors.New("the reference does not hold the live barrier")
-		}
-		return nil
-	})
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
+	if b := lookup(t, s, "held"); held.b != b {
+		t.Fatal("the reference does not hold its name's barrier")
 	}
 	s.Halt()
 	s.Spawn("late", func(tk *Task) error {
 		// A lone arrival would complete its round on the spot: the check
 		// must come first.
-		for _, ref := range []*BarrierRef{live, retired} {
+		for _, ref := range []*BarrierRef{held, {Name: "held"}, {Name: "unused"}} {
 			if _, err := tk.Arrive(ref, 1, nil); !errors.Is(err, ErrHalted) {
 				return fmt.Errorf("arrival at %q after Halt: err = %v, want ErrHalted", ref.Name, err)
 			}
@@ -514,12 +361,12 @@ func TestArriveByRefAfterHaltFails(t *testing.T) {
 func TestCancelBarrierWakesAnArrivalByRef(t *testing.T) {
 	s := NewSystem()
 	ref := &BarrierRef{Name: "held"}
-	b := holdInside(t, s, "held")
+	b := lookup(t, s, "held")
 	s.Spawn("t", func(tk *Task) error {
 		if _, err := tk.Arrive(ref, 1, nil); err != nil {
 			return err
 		}
-		if ref.at.b != b {
+		if ref.b != b {
 			return errors.New("the reference does not hold the barrier")
 		}
 		for try := 0; try < 2; try++ {

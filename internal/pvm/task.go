@@ -85,13 +85,13 @@ type System struct {
 	// mu guards spawning, halting and the barrier table. The send path
 	// never takes it: tasks is the task table by TID, dense from 0 and
 	// never shrinking, which Spawn republishes whole under mu and every
-	// lookup reads with one atomic load.
+	// lookup reads with one atomic load. A barrier, once its name is
+	// published, stays in the table for the System's life.
 	mu       sync.Mutex
 	tasks    atomic.Pointer[[]*Task]
 	halted   bool
 	wg       sync.WaitGroup
-	barriers map[string]barrierRef
-	bfree    []barrierRef // retired barriers, each at the life it is drawn at
+	barriers map[string]*barrier
 
 	errMu sync.Mutex
 	errs  []error
@@ -106,7 +106,7 @@ type System struct {
 
 // NewSystem returns an empty virtual machine.
 func NewSystem() *System {
-	s := &System{barriers: make(map[string]barrierRef)}
+	s := &System{barriers: make(map[string]*barrier)}
 	s.tasks.Store(new([]*Task))
 	return s
 }
@@ -179,8 +179,8 @@ func (s *System) Halt() {
 	s.halted = true
 	tasks := *s.tasks.Load()
 	barriers := make([]*barrier, 0, len(s.barriers))
-	for _, ref := range s.barriers {
-		barriers = append(barriers, ref.b)
+	for _, b := range s.barriers {
+		barriers = append(barriers, b)
 	}
 	s.mu.Unlock()
 	for _, t := range tasks {
@@ -435,130 +435,59 @@ type barrier struct {
 	cond     sync.Cond // on mu
 	arrived  int
 	gen      int
-	inside   int // tasks between their arrival and their return, waiters included
 	halted   bool
 	canceled bool
-	// life counts the barrier's retirements. The table names a barrier
-	// together with the life it was published at (barrierRef), so whoever
-	// looked it up before it was retired — and perhaps drawn again under
-	// another name — finds a different life and starts over.
-	life uint64
 	// deposits collects the open round's BarrierExchange payloads, and is
 	// nil until somebody makes one; on completion they move into results
-	// keyed by the generation they belong to, reference-counted so late
-	// wakers of an already-recycled barrier still find their round's data.
+	// keyed by the generation they belong to, reference-counted so that a
+	// late waker of round g still finds its round's data after g+1 opens.
 	// A round nobody deposited in leaves no trace in either.
 	deposits map[TID][]byte
 	results  map[int]*barrierResult
 }
 
-// barrierRef is a barrier at one life: what the table and the free list
-// hold.
-type barrierRef struct {
-	b    *barrier
-	life uint64
-}
-
-// maxFreeBarriers bounds the System's retired barriers kept for reuse.
-const maxFreeBarriers = 16
-
 // BarrierRef names a barrier and, once an arrival through it has found
-// the barrier, holds it at the life it was found at, so that the next
-// arrival of a cyclic barrier in steady use locks the barrier alone,
-// without the System's table. A barrier retired since — and perhaps drawn
-// again under another name — shows a different life, and the arrival
-// looks its name up afresh. The zero value of a name's reference is one
-// that has not found its barrier yet; a reference is used by one task at
-// a time.
+// the barrier, holds it, so that the next arrival of a cyclic barrier in
+// steady use locks the barrier alone, without the System's table. A
+// published barrier stays the name's for the System's life, so a held
+// one is never stale. The zero value of a name's reference is one that
+// has not found its barrier yet; a reference is used by one task at a
+// time.
 type BarrierRef struct {
 	Name string
-	at   barrierRef
+	b    *barrier
 }
 
-// lockBarrier returns r's barrier with its mu held: the one r holds if it
-// is still at the life r found it at, else the named one, published on
-// first use — drawn from the retired ones when there is one — which r
-// then holds. Arriving makes it fail on a halted system: in the critical
-// section that would have published the barrier, or at a held barrier
-// that Halt has reached (one it has not reached yet is, like an arrival
-// that looked it up before the Halt, woken by it). System.mu is a leaf
-// lock, so a looked-up barrier is locked only after the table is let go
-// and may have been retired in between: its life says so and the lookup
-// starts over — nobody arrives at, or cancels, an orphan.
+// lockBarrier returns r's barrier with its mu held: the one r holds, else
+// the named one, published on first use, which r then holds. Arriving
+// makes it fail on a halted system: in the critical section that looks
+// the name up, or at a held barrier that Halt has reached (one it has not
+// reached yet is, like an arrival that looked it up before the Halt,
+// woken by it). System.mu is a leaf lock: the table is let go before the
+// barrier is locked.
 func (s *System) lockBarrier(r *BarrierRef, arriving bool) (*barrier, error) {
-	if b := r.at.b; b != nil {
-		b.mu.Lock()
-		if b.life == r.at.life {
-			if arriving && b.halted {
-				b.mu.Unlock()
-				return nil, ErrHalted
-			}
-			return b, nil
-		}
-		b.mu.Unlock()
-	}
-	for {
+	if r.b == nil {
 		s.mu.Lock()
 		if arriving && s.halted {
 			s.mu.Unlock()
 			return nil, ErrHalted
 		}
-		ref, ok := s.barriers[r.Name]
-		if !ok {
-			if n := len(s.bfree); n > 0 {
-				ref, s.bfree = s.bfree[n-1], s.bfree[:n-1]
-			} else {
-				ref.b = &barrier{}
-				ref.b.cond.L = &ref.b.mu
-			}
-			s.barriers[r.Name] = ref
+		b := s.barriers[r.Name]
+		if b == nil {
+			b = &barrier{}
+			b.cond.L = &b.mu
+			s.barriers[r.Name] = b
 		}
 		s.mu.Unlock()
-		ref.b.mu.Lock()
-		if ref.b.life == ref.life {
-			r.at = ref
-			return ref.b, nil
-		}
-		ref.b.mu.Unlock()
-		s.forget(r.Name, ref, false)
+		r.b = b
 	}
-}
-
-// unlockBarrier ends a task's stay at b and releases b.mu, first retiring
-// the barrier if that leaves it idle: nobody inside — so no arrival of an
-// open round and no completed round a participant has yet to collect —
-// and no cancel latch (that must outlast the waiter the cancel raced
-// ahead of). A run of uniquely named barriers, one per superstep, leaves
-// nothing behind; a name that comes back finds a fresh barrier, which is
-// what an idle one is; and a name whose tasks re-arrive before the last
-// of them has left — a cyclic barrier in steady use — keeps its barrier
-// and never touches the table.
-func (s *System) unlockBarrier(name string, b *barrier) {
-	b.inside--
-	retire := b.inside == 0 && !b.canceled
-	ref := barrierRef{b, b.life}
-	if retire {
-		b.life++
-		b.arrived, b.gen, b.halted, b.deposits = 0, 0, false, nil
+	b := r.b
+	b.mu.Lock()
+	if arriving && b.halted {
+		b.mu.Unlock()
+		return nil, ErrHalted
 	}
-	b.mu.Unlock()
-	if retire {
-		s.forget(name, ref, true)
-	}
-}
-
-// forget drops a retired barrier's entry from the table, if it is still
-// there; the task that retired it also hands it, at its next life, to the
-// free list.
-func (s *System) forget(name string, ref barrierRef, recycle bool) {
-	s.mu.Lock()
-	if s.barriers[name] == ref {
-		delete(s.barriers, name)
-	}
-	if recycle && len(s.bfree) < maxFreeBarriers {
-		s.bfree = append(s.bfree, barrierRef{ref.b, ref.life + 1})
-	}
-	s.mu.Unlock()
+	return b, nil
 }
 
 type barrierResult struct {
@@ -583,9 +512,9 @@ func (b *barrier) takeResult(gen int) map[TID][]byte {
 
 // Barrier blocks until count tasks have entered the named barrier
 // (PVM's pvm_barrier). All participants must agree on count. A name is a
-// cyclic barrier: it can be entered again as soon as it has returned. A
-// barrier torn down with CancelBarrier returns ErrCanceled to every
-// waiter and every subsequent arrival.
+// cyclic barrier, kept for the System's life: it can be entered again as
+// soon as it has returned. A barrier torn down with CancelBarrier returns
+// ErrCanceled to every waiter and every subsequent arrival.
 func (t *Task) Barrier(name string, count int) error {
 	_, err := t.BarrierExchange(name, count, nil)
 	return err
@@ -601,16 +530,16 @@ func (t *Task) Barrier(name string, count int) error {
 // pending round's deposits. The task's sends are flushed before it
 // arrives, so whatever it sent is receivable once the barrier exits.
 // A transport that carries barriers (BarrierCarrier) takes the arrival
-// from there; otherwise the barrier is this System's, and the task that
-// leaves it idle retires it (unlockBarrier).
+// from there; otherwise the barrier is this System's, published on the
+// name's first use and kept for the System's life.
 func (t *Task) BarrierExchange(name string, count int, deposit []byte) (map[TID][]byte, error) {
 	return t.Arrive(&BarrierRef{Name: name}, count, deposit)
 }
 
 // Arrive is BarrierExchange at the barrier r names, through the barrier r
-// holds while it is still that barrier (BarrierRef): a task that keeps its
-// reference across the rounds of a cyclic barrier arrives without a table
-// lookup.
+// holds once an arrival has found it (BarrierRef): a task that keeps its
+// reference across the rounds of a cyclic barrier looks the name up only
+// on its first arrival.
 func (t *Task) Arrive(r *BarrierRef, count int, deposit []byte) (map[TID][]byte, error) {
 	name := r.Name
 	if count <= 0 {
@@ -626,9 +555,8 @@ func (t *Task) Arrive(r *BarrierRef, count int, deposit []byte) (map[TID][]byte,
 	if err != nil {
 		return nil, err
 	}
-	b.inside++
 	res, err := b.round(t.tid, name, count, deposit)
-	t.sys.unlockBarrier(name, b)
+	b.mu.Unlock()
 	return res, err
 }
 
@@ -677,8 +605,8 @@ func (b *barrier) round(tid TID, name string, count int, deposit []byte) (map[TI
 // this barrier, so the rest of the system keeps running — the hook the
 // failure-detection layer uses to un-park survivors of a crashed peer.
 // Canceling a name nobody has arrived at yet still latches: the cancel
-// may race ahead of the waiter it is meant to wake. A canceled barrier
-// is never retired.
+// may race ahead of the waiter it is meant to wake. The latch holds for
+// the System's life.
 func (s *System) CancelBarrier(name string) {
 	b, _ := s.lockBarrier(&BarrierRef{Name: name}, false)
 	b.canceled = true
