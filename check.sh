@@ -121,14 +121,12 @@ timed 30 "loopback I/O per superstep" sh -c "go test -race -count=1 \
 # the race detector, rerun by name.
 "${MAKE:-make}" chaos
 
-# Seeded churn+reorg soak smoke (DESIGN.md §5.7): elastic membership
-# with hashed join/leave points, a straggler burst and barrier-time
-# rebalancing every third superstep on the virtual engine, which must
-# reproduce itself bit-for-bit; then the same plan's leaves and
-# straggler alone, with no rebalancing — the fixed membership the
-# concurrent engine runs — on both engines, which must agree on the
-# fold and on every finisher's Members and Failed view. Under the race
-# detector, budgeted well inside 30s wall time.
+# Seeded churn+reorg soak smoke (DESIGN.md §5.7): orderly leaves at
+# hashed sync ordinals, a straggler burst and barrier-time rebalancing
+# every third superstep on the virtual engine, which must reproduce
+# itself bit-for-bit; then the same plan with no rebalancing on both
+# engines, which must agree on the fold and on every finisher's Failed
+# view. Under the race detector, budgeted well inside 30s wall time.
 timed 30 "churn+reorg soak" go test -race -count=1 -run 'ChurnReorgSoak' ./internal/hbsp/
 
 # Auto-tuned planner (DESIGN.md §5.9), inside a 30s wall-time budget:

@@ -25,13 +25,13 @@
 //
 // Self-healing: -reorg-every rebalances the machine tree from measured
 // speed estimates at every Nth global barrier, and -churn schedules
-// elastic membership (late joins, orderly leaves) — the churn-soak
-// collective is an iterative workload built to survive both:
+// orderly leaves, so the membership shrinks — the churn-soak collective
+// is an iterative workload built to survive both:
 //
 //	hbspk-sim -machine ucf -collective churn-soak -rounds 12 \
-//	    -churn join:6@2,leave:4@5 -straggler 1@0-30x5 \
+//	    -churn leave:4@5 -straggler 1@0-30x5 \
 //	    -reorg-every 3 -reorg-seed 11
-//	hbspk-sim -collective churn-soak -churn seeded:2:2:4 -reorg-every 3
+//	hbspk-sim -collective churn-soak -churn seeded:2:4 -reorg-every 3
 //
 // Verification: -verify arms the happens-before determinism checker
 // (vector clocks on every message and barrier), and -explore N replays
@@ -71,39 +71,44 @@ func fail(code int, err error) {
 	os.Exit(code)
 }
 
-// parseChurns turns "join:3@2,leave:2@4" into elastic-membership fates
-// (join points are completed global barriers, leave points sync
-// ordinals). The form "seeded:joins:leaves:span" delegates to the
+// scan parses entry with the format and, unlike fmt.Sscanf, rejects
+// any input the format leaves unread.
+func scan(entry, format string, args ...any) error {
+	r := strings.NewReader(entry)
+	if _, err := fmt.Fscanf(r, format, args...); err != nil {
+		return err
+	}
+	if r.Len() > 0 {
+		return fmt.Errorf("trailing %q", entry[len(entry)-r.Len():])
+	}
+	return nil
+}
+
+// parseChurns turns "leave:2@4,leave:5@6" into orderly leaves at those
+// sync ordinals. The form "seeded:leaves:span" delegates to the
 // deterministic SeededChurn generator with the chaos seed.
 func parseChurns(spec string, seed int64, nprocs int) ([]fabric.Churn, error) {
 	if spec == "" {
 		return nil, nil
 	}
 	if rest, ok := strings.CutPrefix(spec, "seeded:"); ok {
-		var joins, leaves, span int
-		if _, err := fmt.Sscanf(rest, "%d:%d:%d", &joins, &leaves, &span); err != nil {
-			return nil, fmt.Errorf("bad -churn %q (want seeded:joins:leaves:span): %w", spec, err)
+		var leaves, span int
+		if err := scan(rest, "%d:%d", &leaves, &span); err != nil {
+			return nil, fmt.Errorf("bad -churn %q (want seeded:leaves:span): %w", spec, err)
 		}
-		return fabric.SeededChurn(seed, nprocs, joins, leaves, span), nil
+		return fabric.SeededChurn(seed, nprocs, leaves, span), nil
 	}
 	var out []fabric.Churn
 	for _, part := range strings.Split(spec, ",") {
-		kind, at, ok := strings.Cut(part, ":")
+		at, ok := strings.CutPrefix(part, "leave:")
 		if !ok {
-			return nil, fmt.Errorf("bad -churn entry %q (want join:pid@barrier or leave:pid@sync)", part)
+			return nil, fmt.Errorf("bad -churn entry %q (want leave:pid@sync)", part)
 		}
 		var pid, when int
-		if _, err := fmt.Sscanf(at, "%d@%d", &pid, &when); err != nil {
+		if err := scan(at, "%d@%d", &pid, &when); err != nil {
 			return nil, fmt.Errorf("bad -churn entry %q: %w", part, err)
 		}
-		switch kind {
-		case "join":
-			out = append(out, fabric.Churn{Pid: pid, JoinAt: when})
-		case "leave":
-			out = append(out, fabric.Churn{Pid: pid, LeaveAt: when})
-		default:
-			return nil, fmt.Errorf("bad -churn kind %q (want join or leave)", kind)
-		}
+		out = append(out, fabric.Churn{Pid: pid, LeaveAt: when})
 	}
 	return out, nil
 }
@@ -117,7 +122,7 @@ func parseStragglers(spec string) ([]fabric.Straggler, error) {
 	for _, part := range strings.Split(spec, ",") {
 		var pid, from, to int
 		var factor float64
-		if _, err := fmt.Sscanf(part, "%d@%d-%dx%f", &pid, &from, &to, &factor); err != nil {
+		if err := scan(part, "%d@%d-%dx%f", &pid, &from, &to, &factor); err != nil {
 			return nil, fmt.Errorf("bad -straggler entry %q (want pid@from-toxfactor): %w", part, err)
 		}
 		out = append(out, fabric.Straggler{Pid: pid, FromStep: from, ToStep: to, Factor: factor})
@@ -133,7 +138,7 @@ func parseCrashes(spec string) ([]fabric.Crash, error) {
 	var out []fabric.Crash
 	for _, part := range strings.Split(spec, ",") {
 		var pid, step int
-		if _, err := fmt.Sscanf(part, "%d@%d", &pid, &step); err != nil {
+		if err := scan(part, "%d@%d", &pid, &step); err != nil {
 			return nil, fmt.Errorf("bad -crash entry %q (want pid@step): %w", part, err)
 		}
 		out = append(out, fabric.Crash{Pid: pid, AtStep: step})
@@ -152,7 +157,7 @@ func main() {
 	dot := flag.Bool("dot", false, "print the machine as Graphviz DOT and exit")
 	jsonOut := flag.String("json", "", "also write the run report as JSON to this path")
 	crash := flag.String("crash", "", "crash-stop injections, comma-separated pid@step pairs (e.g. 2@1,5@3)")
-	churn := flag.String("churn", "", "elastic membership: join:pid@barrier and leave:pid@sync entries, or seeded:joins:leaves:span")
+	churn := flag.String("churn", "", "orderly leaves: leave:pid@sync entries (e.g. leave:4@5), or seeded:leaves:span")
 	straggler := flag.String("straggler", "", "straggler windows, comma-separated pid@from-toxfactor entries (e.g. 1@0-30x5)")
 	reorgEvery := flag.Int("reorg-every", 0, "rebalance the tree from measured estimates every N global barriers (0 = frozen)")
 	reorgSeed := flag.Int64("reorg-seed", 1, "reorg plan tie-break seed (equal seeds, equal schedules)")

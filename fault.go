@@ -13,9 +13,9 @@ import (
 type (
 	// ChaosPlan is a seeded, deterministic fault-injection plan:
 	// crash-stops, message drop/duplicate/delay fates, straggler bursts
-	// and churn. The same plan reproduces the same faults on both
-	// engines, except that the wall-clock engine refuses a plan that
-	// joins a processor late: its membership is the one it starts with.
+	// and orderly leaves. The same plan reproduces the same faults on
+	// both engines (AtTime crashes need the virtual clock). A run's
+	// membership only shrinks.
 	ChaosPlan = fabric.ChaosPlan
 	// Crash schedules one processor's crash-stop at a sync ordinal
 	// (AtStep) or a virtual time (AtTime, virtual engine only).
@@ -23,21 +23,13 @@ type (
 	// Straggler multiplies one processor's charged work over a window
 	// of supersteps.
 	Straggler = fabric.Straggler
-	// Churn is one processor's elastic-membership fate: a late join
-	// (dormant until JoinAt completed global barriers; virtual engine
-	// only), an orderly leave (at its LeaveAt-th sync, on both engines),
-	// or both.
+	// Churn is one processor's orderly leave, at its LeaveAt-th sync,
+	// on both engines.
 	Churn = fabric.Churn
 	// ErrPeerFailed is the typed death notice a Sync returns to every
 	// live scope member when a peer has crash-stopped. Detect it with
 	// errors.As.
 	ErrPeerFailed = hbsp.ErrPeerFailed
-	// ErrPeerJoined is the typed join notice a Sync returns to every
-	// member of a scope — the newcomer included — when a processor
-	// activated at the last membership cut, on the virtual engine (the
-	// wall-clock engine has no late joins). Detect it with errors.As,
-	// refresh Ctx.Members, and retry the Sync.
-	ErrPeerJoined = hbsp.ErrPeerJoined
 	// FT is a session of fault-tolerant collectives over one scope.
 	FT = collective.FT
 )

@@ -13,7 +13,7 @@ import (
 )
 
 // elasticRootProg is a churn-tolerant workload over the public API: a
-// few share-proportional rounds absorbing failure and join notices,
+// few share-proportional rounds absorbing failure notices,
 // then a fault-tolerant session whose live set must have lost the
 // leaver. A leaver returns its typed departure error; the run's verdict
 // must still be success.
@@ -25,8 +25,7 @@ func elasticRootProg(rounds, leaver int) Program {
 			err := c.Sync(root, "round")
 			for err != nil {
 				var pf *ErrPeerFailed
-				var pj *ErrPeerJoined
-				if !errors.As(err, &pf) && !errors.As(err, &pj) {
+				if !errors.As(err, &pf) {
 					return err
 				}
 				err = c.Sync(root, "retry")

@@ -493,12 +493,12 @@ func digest(data []byte) int64 {
 }
 
 // churnSoak is a self-synchronizing iterative workload built to survive
-// elastic membership: processor 0 coordinates termination by
-// broadcasting a stop flag each round while the other members fold data
-// back; membership notices (ErrPeerJoined, ErrPeerFailed) are absorbed
-// by re-sending and retrying the barrier. A late joiner does not know
-// the round number — it obeys the stop flag. Pairs with hbspk-sim's
-// -churn, -straggler and -reorg-every.
+// a shrinking membership: processor 0 coordinates termination by
+// broadcasting a stop flag each round to every processor it does not
+// know to be dead, while the others fold data back; a death notice
+// (ErrPeerFailed, a crash or an orderly leave) is absorbed by re-sending
+// and retrying the barrier. Pairs with hbspk-sim's -churn, -crash,
+// -straggler and -reorg-every.
 func churnSoak(tr *model.Tree, a Args) hbsp.Program {
 	d := cost.BalancedDist(tr, a.N)
 	return func(c hbsp.Ctx) error {
@@ -520,8 +520,8 @@ func churnSoak(tr *model.Tree, a Args) hbsp.Program {
 					if round >= a.Rounds-1 {
 						flag = 1
 					}
-					for _, m := range c.Members() {
-						if m != 0 && !failed[m] {
+					for m := 1; m < c.NProcs(); m++ {
+						if !failed[m] {
 							if err := c.Send(m, soakCtl, []byte{flag}); err != nil {
 								return err
 							}
@@ -537,9 +537,8 @@ func churnSoak(tr *model.Tree, a Args) hbsp.Program {
 				if err == nil {
 					break
 				}
-				var pj *hbsp.ErrPeerJoined
 				var pf *hbsp.ErrPeerFailed
-				if !errors.As(err, &pj) && !errors.As(err, &pf) {
+				if !errors.As(err, &pf) {
 					return err
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hbspk/internal/hbsp"
 	"hbspk/internal/model"
@@ -87,16 +88,14 @@ func NewFT(c hbsp.Ctx, scope *model.Machine) *FT {
 }
 
 // Live returns the scope members this processor knows to be alive, in
-// pid order: the scope's leaves intersected with the active-membership
-// view (Ctx.Members — a dormant leaf awaiting its join cut is not yet a
-// participant) minus the failed set. After any fault-tolerant operation
-// returns — normally or with a survivor-consistent error — all live
-// members agree on it.
+// pid order: the scope's leaves minus the failed set (Ctx.Failed). After
+// any fault-tolerant operation returns — normally or with a
+// survivor-consistent error — all live members agree on it.
 func (f *FT) Live() []int {
-	alive := f.alive()
+	failed := f.c.Failed()
 	var out []int
 	for _, pid := range f.scope.Pids() {
-		if alive[pid] {
+		if !slices.Contains(failed, pid) {
 			out = append(out, pid)
 		}
 	}
@@ -107,25 +106,12 @@ func (f *FT) Live() []int {
 // fastest machine among the survivors, re-elected by the same
 // fastest-in-subtree rule that picks the failure-free coordinator.
 func (f *FT) Coordinator() int {
-	alive := f.alive()
-	m := f.scope.CoordinatorAmong(func(l *model.Machine) bool { return alive[f.c.Tree().Pid(l)] })
+	failed := f.c.Failed()
+	m := f.scope.CoordinatorAmong(func(l *model.Machine) bool { return !slices.Contains(failed, f.c.Tree().Pid(l)) })
 	if m == nil {
 		return -1
 	}
 	return f.c.Tree().Pid(m)
-}
-
-// alive is the set of pids this processor knows to be alive: the active
-// members minus the failed ones.
-func (f *FT) alive() map[int]bool {
-	alive := make(map[int]bool)
-	for _, pid := range f.c.Members() {
-		alive[pid] = true
-	}
-	for _, pid := range f.c.Failed() {
-		delete(alive, pid)
-	}
-	return alive
 }
 
 // sync runs one round's barrier. retry=true means a member died and
@@ -136,15 +122,6 @@ func (f *FT) sync(label string) (retry bool, err error) {
 	err = f.c.Sync(f.scope, label)
 	var pf *hbsp.ErrPeerFailed
 	if errors.As(err, &pf) {
-		return true, nil
-	}
-	// A join notice restarts the epoch the same way a failure does:
-	// every old member observes ErrPeerJoined at the same generation and
-	// retries together. (The newcomer itself cannot enter a session
-	// mid-flight — FT message tags are session-call counters — so
-	// join-heavy programs open fresh sessions after a membership cut.)
-	var pj *hbsp.ErrPeerJoined
-	if errors.As(err, &pj) {
 		return true, nil
 	}
 	return false, err

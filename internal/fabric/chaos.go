@@ -40,18 +40,12 @@ type Straggler struct {
 	Factor           float64
 }
 
-// Churn describes one processor's elastic-membership fate: a late join,
-// an orderly leave, or both. Join and leave points are counted in
-// completed global barriers (the consistent cut both engines define),
-// so a churn plan is engine-independent in the same way crash steps
-// are.
+// Churn describes one processor's orderly leave. The leave point is a
+// sync ordinal of the leaver, like Crash.AtStep, so a churn plan is
+// engine-independent in the same way crash steps are.
 type Churn struct {
-	// Pid is the churning processor.
+	// Pid is the leaving processor.
 	Pid int
-	// JoinAt, when > 0, keeps the processor dormant until JoinAt global
-	// barriers have completed; it activates at that cut. 0 means the
-	// processor is present from the start.
-	JoinAt int
 	// LeaveAt, when > 0, makes the processor leave at its LeaveAt-th
 	// Sync call (0-based ordinal, like Crash.AtStep) — an orderly
 	// departure announced at the barrier rather than a silent
@@ -69,8 +63,7 @@ type ChaosPlan struct {
 	Crashes []Crash
 	// Stragglers are the transient slowdown bursts.
 	Stragglers []Straggler
-	// Churns are the elastic-membership fates (late joins, orderly
-	// leaves).
+	// Churns are the orderly leaves.
 	Churns []Churn
 	// Drop, Duplicate and Delay are independent per-message fault
 	// probabilities in [0, 1]. A dropped message is never delivered
@@ -90,20 +83,6 @@ type Fate struct {
 	// Delay is the number of supersteps the message is held (0 = on
 	// time).
 	Delay int
-}
-
-// JoinStep returns the number of completed global barriers after which
-// pid activates, or 0 when the processor is present from the start.
-func (p *ChaosPlan) JoinStep(pid int) int {
-	if p == nil {
-		return 0
-	}
-	for _, c := range p.Churns {
-		if c.Pid == pid && c.JoinAt > 0 {
-			return c.JoinAt
-		}
-	}
-	return 0
 }
 
 // LeaveNow reports whether pid departs at this Sync call (step is the
@@ -190,44 +169,22 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// SeededChurn deterministically generates a churn schedule: the last
-// `joins` pids of [0, nprocs) become late joiners and `leaves` distinct
-// earlier pids (never pid 0, which anchors coordination) become orderly
-// leavers, with activation/departure points hashed from the seed into
-// [1, span]. Equal arguments always produce the same schedule.
-func SeededChurn(seed int64, nprocs, joins, leaves, span int) []Churn {
+// SeededChurn deterministically generates a churn schedule: `leaves`
+// distinct pids of [0, nprocs), highest first and never pid 0 (which
+// anchors coordination), become orderly leavers, each at a sync ordinal
+// hashed from the seed into [span+1, 2·span]. Equal arguments always
+// produce the same schedule.
+func SeededChurn(seed int64, nprocs, leaves, span int) []Churn {
 	if nprocs <= 1 || span < 1 {
 		return nil
 	}
-	if joins < 0 {
-		joins = 0
-	}
-	if leaves < 0 {
-		leaves = 0
-	}
-	if joins > nprocs-1 {
-		joins = nprocs - 1
-	}
+	leaves = min(max(leaves, 0), nprocs-1)
 	var out []Churn
-	at := func(salt, pid int) int {
-		h := splitmix64(uint64(seed) ^ uint64(salt)<<48 ^ uint64(pid))
-		return 1 + int(h%uint64(span))
-	}
-	for i := 0; i < joins; i++ {
-		pid := nprocs - 1 - i
-		out = append(out, Churn{Pid: pid, JoinAt: at(1, pid)})
-	}
-	// Leavers come from the stable prefix, highest-first, skipping pid 0.
-	stable := nprocs - joins
-	if leaves > stable-1 {
-		leaves = stable - 1
-	}
 	for i := 0; i < leaves; i++ {
-		pid := stable - 1 - i
-		// Leave strictly after any join window so the tree is never
-		// asked to shrink below its initial membership before joiners
-		// arrive.
-		out = append(out, Churn{Pid: pid, LeaveAt: span + at(2, pid)})
+		pid := nprocs - 1 - i
+		// Salt 2 keeps the leave points equal seeds have always drawn.
+		h := splitmix64(uint64(seed) ^ uint64(2)<<48 ^ uint64(pid))
+		out = append(out, Churn{Pid: pid, LeaveAt: span + 1 + int(h%uint64(span))})
 	}
 	return out
 }

@@ -106,19 +106,10 @@ func TestChaosDropWinsOverOtherFates(t *testing.T) {
 
 func TestChurnQueries(t *testing.T) {
 	var nilPlan *ChaosPlan
-	if nilPlan.JoinStep(1) != 0 || nilPlan.LeaveNow(1, 5) {
+	if nilPlan.LeaveNow(1, 5) {
 		t.Fatal("nil plan churned a processor")
 	}
-	p := &ChaosPlan{Churns: []Churn{
-		{Pid: 2, JoinAt: 3},
-		{Pid: 1, LeaveAt: 4},
-	}}
-	if got := p.JoinStep(2); got != 3 {
-		t.Fatalf("JoinStep(2) = %d, want 3", got)
-	}
-	if got := p.JoinStep(1); got != 0 {
-		t.Fatalf("JoinStep(1) = %d, want 0 (leaver, not joiner)", got)
-	}
+	p := &ChaosPlan{Churns: []Churn{{Pid: 1, LeaveAt: 4}}}
 	if p.LeaveNow(1, 3) {
 		t.Fatal("left before its step")
 	}
@@ -126,15 +117,15 @@ func TestChurnQueries(t *testing.T) {
 		t.Fatal("LeaveNow should latch at and after the step")
 	}
 	if p.LeaveNow(2, 10) {
-		t.Fatal("joiner should not leave")
+		t.Fatal("a processor with no churn fate left")
 	}
 }
 
 func TestSeededChurnDeterministicAndBounded(t *testing.T) {
-	a := SeededChurn(42, 8, 2, 2, 5)
-	b := SeededChurn(42, 8, 2, 2, 5)
-	if len(a) != 4 {
-		t.Fatalf("want 2 joins + 2 leaves, got %d fates", len(a))
+	a := SeededChurn(42, 8, 2, 5)
+	b := SeededChurn(42, 8, 2, 5)
+	if len(a) != 2 {
+		t.Fatalf("want 2 leaves, got %d fates", len(a))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -150,20 +141,17 @@ func TestSeededChurnDeterministicAndBounded(t *testing.T) {
 		if c.Pid == 0 {
 			t.Fatal("pid 0 must stay stable")
 		}
-		if c.JoinAt > 0 && (c.JoinAt < 1 || c.JoinAt > 5) {
-			t.Fatalf("JoinAt %d outside [1,5]", c.JoinAt)
-		}
-		if c.LeaveAt > 0 && c.LeaveAt <= 5 {
-			t.Fatalf("LeaveAt %d should land after the join window", c.LeaveAt)
+		if c.LeaveAt <= 5 || c.LeaveAt > 10 {
+			t.Fatalf("LeaveAt %d outside [6,10]", c.LeaveAt)
 		}
 	}
-	if diff := SeededChurn(43, 8, 2, 2, 5); diff[0] == a[0] && diff[1] == a[1] && diff[2] == a[2] {
+	if diff := SeededChurn(43, 8, 2, 5); diff[0] == a[0] && diff[1] == a[1] {
 		t.Fatal("different seed produced the identical schedule")
 	}
-	if got := SeededChurn(42, 1, 3, 3, 5); got != nil {
+	if got := SeededChurn(42, 1, 3, 5); got != nil {
 		t.Fatal("single-processor machine cannot churn")
 	}
-	if got := SeededChurn(42, 4, 9, 9, 5); len(got) > 3+2 {
-		t.Fatalf("counts not clamped: %d fates for 4 pids", len(got))
+	if got := SeededChurn(42, 4, 9, 5); len(got) != 3 {
+		t.Fatalf("count not clamped: %d fates for 4 pids, want 3", len(got))
 	}
 }

@@ -42,10 +42,9 @@ import (
 // generation (the dying processor cancels the barriers of already
 // parked survivors; late arrivals see the dead set before parking), and
 // subsequent Syncs on that scope complete over the survivors. An orderly
-// leave is such a death, under cause "leave". The membership is the one
-// the run starts with: a plan whose churn joins a processor late is
-// refused, and the tree is never reorganized (both run on Virtual,
-// DESIGN.md §5.7).
+// leave is such a death, under cause "leave". As on Virtual, the
+// membership only shrinks; unlike Virtual, the tree is never reorganized
+// (DESIGN.md §5.7).
 type Concurrent struct {
 	tree *model.Tree
 	// TimeUnit is the wall-clock duration of one fastest-machine work
@@ -840,9 +839,9 @@ func (c *cctx) liveCoordinator(scope *model.Machine) *model.Machine {
 
 // Run executes the program on every processor with real concurrency and
 // returns a wall-clock report (times in microseconds). A tree that fails
-// Validate, or a chaos plan that joins a processor late, is refused
-// before anything starts. A chaos-injected crash-stop is not itself a
-// run error: if the survivors complete, the run completes.
+// Validate is refused before anything starts. A chaos-injected
+// crash-stop is not itself a run error: if the survivors complete, the
+// run completes.
 func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	if err := e.tree.Validate(); err != nil {
 		return nil, err
@@ -878,17 +877,6 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	// in this process's ledger; a remote pid would never hear of it.
 	if spans && e.Chaos != nil {
 		return nil, errors.New("hbsp: a chaos plan on a run with remote pids: the membership ledger is process-local")
-	}
-	members := make([]int, p)
-	var late []int
-	for pid := range members {
-		members[pid] = pid
-		if e.Chaos.JoinStep(pid) > 0 {
-			late = append(late, pid)
-		}
-	}
-	if len(late) > 0 {
-		return nil, fmt.Errorf("hbsp: the chaos plan joins %v late (a churn JoinAt): Concurrent runs the membership it starts with, Virtual runs late joins", late)
 	}
 	shared := &crun{
 		sys:     sys,
@@ -945,7 +933,6 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				works:  make([]float64, p),
 				shared: shared,
 			}
-			c.membersView = members // every pid, for good: Members copies it
 			shared.ctxs[pid].Store(c)
 			err := prog(c)
 			c.dropWindows()

@@ -183,31 +183,21 @@ func (e *elsewhere) BarrierExchange(pvm.TID, string, int, []byte) (map[pvm.TID][
 
 // TestRemotePidsRefuseProcessLocalFaultMachinery: dead sets and their
 // notices live in one process's ledger, so a run that has remote pids
-// and a chaos plan is refused before a single task exists. A late join
-// is refused on every run, in-process too: Concurrent runs the
-// membership it starts with.
+// and a chaos plan is refused before a single task exists.
 func TestRemotePidsRefuseProcessLocalFaultMachinery(t *testing.T) {
-	join := &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: 3, JoinAt: 2}}}
-	for name, tc := range map[string]struct {
-		plan   *fabric.ChaosPlan
-		remote bool
-		want   string
-	}{
-		"chaos":           {&fabric.ChaosPlan{Seed: 1, Drop: 0.1}, true, "remote pids"},
-		"churn":           {join, true, "remote pids"},
-		"join-in-process": {join, false, "joins [3] late"},
+	for name, plan := range map[string]*fabric.ChaosPlan{
+		"chaos": {Seed: 1, Drop: 0.1},
+		"churn": {Churns: []fabric.Churn{{Pid: 3, LeaveAt: 2}}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr := &elsewhere{}
 			eng := NewConcurrent(desyncTree(t))
-			if tc.remote {
-				eng.Transport = func() (pvm.Transport, error) { return tr, nil }
-			}
-			eng.Chaos = tc.plan
+			eng.Transport = func() (pvm.Transport, error) { return tr, nil }
+			eng.Chaos = plan
 			ran := false
 			_, err := eng.Run(func(Ctx) error { ran = true; return nil })
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Run = %v, want the refusal naming %q", err, tc.want)
+			if err == nil || !strings.Contains(err.Error(), "remote pids") {
+				t.Fatalf("Run = %v, want the refusal naming remote pids", err)
 			}
 			if ran || tr.proxied.Load() != 0 {
 				t.Fatalf("refused run spawned tasks: program ran = %v, %d stand-ins ran", ran, tr.proxied.Load())

@@ -40,28 +40,6 @@ func (e *ErrPeerFailed) Error() string {
 	return fmt.Sprintf("hbsp: peer p%d failed at step %d (%s)", e.Pid, e.Step, e.Cause)
 }
 
-// ErrPeerJoined reports elastic membership growth, on Virtual (Concurrent
-// refuses a late join): a processor activated at the last membership cut
-// is now part of the sync scope.
-// Every member of the scope — including the newcomer itself — observes
-// the join as this error at the same per-scope sync generation, exactly
-// once per join event, which is what keeps barrier generations aligned
-// across old and new members without any renumbering. Programs treat it
-// like ErrPeerFailed's dual: refresh the membership view (Ctx.Members)
-// and retry the Sync.
-type ErrPeerJoined struct {
-	// Pid is the joined processor (the smallest one when several
-	// activated at the same cut; the whole batch is acknowledged at
-	// once).
-	Pid int
-	// Step is the completed-global-barrier count at which it activated.
-	Step int
-}
-
-func (e *ErrPeerJoined) Error() string {
-	return fmt.Sprintf("hbsp: peer p%d joined at global step %d", e.Pid, e.Step)
-}
-
 // ErrTimeout is the deadline error, shared with the pvm substrate so
 // errors.Is matches across layers.
 var ErrTimeout = pvm.ErrTimeout

@@ -39,7 +39,10 @@ type Message struct {
 // API. A Ctx is confined to the goroutine running its program. A program
 // waits for another processor only through Sync: Virtual runs one
 // processor at a time, so any other wait on a peer (a channel, a
-// WaitGroup, a spin on shared memory) never returns there.
+// WaitGroup, a spin on shared memory) never returns there. A run's
+// membership is every pid of the tree, less the processors that crash or
+// leave: it only shrinks, on both engines, so the live set a processor
+// knows is every pid minus Failed.
 type Ctx interface {
 	// Pid returns this processor's id (position among the leaves).
 	Pid() int
@@ -93,16 +96,6 @@ type Ctx interface {
 	// ErrPeerFailed, so all live members of a scope share the same view
 	// at the same sync generation.
 	Failed() []int
-
-	// Members returns the pids this processor knows to be active
-	// (activated at or before the run's start, or joined at a
-	// membership cut), in ascending order. The set grows exactly when a
-	// Sync returns ErrPeerJoined — mirroring Failed — so all live
-	// members of a scope share the same view at the same sync
-	// generation. Only Virtual runs late joins: on Concurrent, Members
-	// is every pid for the whole run. Departed processors stay in
-	// Members and appear in Failed; the live set is Members minus Failed.
-	Members() []int
 
 	// Save records named per-processor state, the last value per key,
 	// copying data. Virtual.RunSchedules reads the state a run ends with

@@ -1,7 +1,6 @@
 package hbsp
 
 import (
-	"hbspk/internal/fabric"
 	"hbspk/internal/model"
 	"hbspk/internal/obsv"
 )
@@ -9,9 +8,9 @@ import (
 // ledger is one run's deaths and the notice protocol over them
 // (DESIGN.md §5.2): who is dead, and which dead peer each processor has
 // acknowledged on which scope. Both engines keep deaths and their
-// notices here, with one rule; Virtual's elastic adds dormant
-// processors, joins and cuts — Concurrent runs the membership it starts
-// with. An engine owns how time advances and how bytes move.
+// notices here, with one rule; Virtual's elastic adds the reorganizing
+// cut. On both engines a run's membership only shrinks. An engine owns
+// how time advances and how bytes move.
 //
 // A ledger is not goroutine-safe. Virtual calls it from its coordinator
 // only; Concurrent makes every call with crun.mu held.
@@ -30,26 +29,13 @@ type ledger struct {
 }
 
 // elastic is Virtual's ledger (DESIGN.md §5.7): the deaths and notices
-// of ledger, plus the dormant and joined processors, the join notices
-// and each processor's membership view, and the global cut that
-// activates joiners and reorganizes the tree.
+// of ledger, plus the global cut that reorganizes the tree.
 type elastic struct {
 	ledger
 	tree       *model.Tree
-	chaos      *fabric.ChaosPlan
 	obsv       *obsv.Recorder
 	reorgEvery int
 	reorgSeed  int64
-
-	// dormant processors await their activation cut; joined maps an
-	// activated latecomer to that cut's ordinal.
-	dormant map[int]bool
-	joined  map[int]int
-
-	// ackedJoin[pid] is the joined peers pid has acknowledged, per scope,
-	// under acked's invariant. knownActive[pid] is pid's membership view.
-	ackedJoin   []ackSets
-	knownActive []map[int]bool
 
 	// rer folds measured effective compute slowdowns; epoch counts
 	// applied reorganizations. owed is a reorganization that fell due
@@ -77,54 +63,18 @@ func newLedger(p int) ledger {
 	return ledger{dead: make(map[int]*failInfo), acked: make([]ackSets, p)}
 }
 
-// newElastic starts Virtual's ledger: processors with a churn JoinAt
-// fate are dormant, everyone else knows everyone else.
-func newElastic(t *model.Tree, chaos *fabric.ChaosPlan, rec *obsv.Recorder,
-	reorgEvery int, reorgSeed int64) *elastic {
-	p := t.NProcs()
-	l := &elastic{
-		ledger: newLedger(p),
-		tree:   t, chaos: chaos, obsv: rec,
+// newElastic starts Virtual's ledger: nobody dead, nothing owed.
+func newElastic(t *model.Tree, rec *obsv.Recorder, reorgEvery int, reorgSeed int64) *elastic {
+	return &elastic{
+		ledger: newLedger(t.NProcs()),
+		tree:   t, obsv: rec,
 		reorgEvery: reorgEvery, reorgSeed: reorgSeed,
-		dormant:     make(map[int]bool),
-		joined:      make(map[int]int),
-		ackedJoin:   make([]ackSets, p),
-		knownActive: make([]map[int]bool, p),
-		rer:         model.NewReranker(p),
+		rer: model.NewReranker(t.NProcs()),
 	}
-	for pid := 0; pid < p; pid++ {
-		if chaos.JoinStep(pid) > 0 {
-			l.dormant[pid] = true
-		}
-	}
-	for _, pid := range l.actives() {
-		l.knownActive[pid] = l.activeSet()
-	}
-	return l
 }
 
-// actives returns the non-dormant pids in ascending order.
-func (l *elastic) actives() []int {
-	var out []int
-	for pid := 0; pid < l.tree.NProcs(); pid++ {
-		if !l.dormant[pid] {
-			out = append(out, pid)
-		}
-	}
-	return out
-}
-
-func (l *elastic) activeSet() map[int]bool {
-	set := make(map[int]bool)
-	for _, pid := range l.actives() {
-		set[pid] = true
-	}
-	return set
-}
-
-// alive reports whether pid takes part in barriers: neither dead nor
-// dormant.
-func (l *elastic) alive(pid int) bool { return l.dead[pid] == nil && !l.dormant[pid] }
+// alive reports whether pid takes part in barriers: it is not dead.
+func (l *elastic) alive(pid int) bool { return l.dead[pid] == nil }
 
 func (l *ledger) kill(pid, step int, cause string) {
 	l.dead[pid] = &failInfo{step: step, cause: cause}
@@ -155,39 +105,10 @@ func (l *ledger) deadNotice(pid int, scope *model.Machine) *ErrPeerFailed {
 	return &ErrPeerFailed{Pid: first, Step: info.step, Cause: info.cause}
 }
 
-// joinNotice consumes pid's join notice on the scope: every joined
-// member is acknowledged and enters pid's membership view at once, and
-// the smallest newly acknowledged one is named; nil when pid owes none.
-// The newcomer itself owes the notice too — it burns the same
-// generation as everyone else, which keeps a scope's generations
-// aligned without renumbering.
-func (l *elastic) joinNotice(pid int, scope *model.Machine) *ErrPeerJoined {
-	if len(l.joined) == 0 {
-		return nil
-	}
-	first := -1
-	members := scope.Pids()
-	for _, m := range members {
-		if _, ok := l.joined[m]; ok && !l.ackedJoin[pid][scope][m] && (first < 0 || m < first) {
-			first = m
-		}
-	}
-	if first < 0 {
-		return nil
-	}
-	for _, m := range members {
-		if _, ok := l.joined[m]; ok {
-			l.ackedJoin[pid].add(scope, m)
-			l.knownActive[pid][m] = true
-		}
-	}
-	return &ErrPeerJoined{Pid: first, Step: l.joined[first]}
-}
-
 // live sizes pid's barrier on the scope (members lists its pids), on
-// Concurrent, which has no dormant members: how many arrivals complete
-// it, and the dead members pid has acknowledged there. Every live member
-// computes the same answer at the same generation.
+// Concurrent: how many arrivals complete it, and the dead members pid
+// has acknowledged there. Every live member computes the same answer at
+// the same generation.
 func (l *ledger) live(pid int, scope *model.Machine, members []int) (count int, ackedDead []int) {
 	if len(l.dead) == 0 {
 		return len(members), nil
@@ -218,17 +139,14 @@ func (l *ledger) failed(pid int) []int {
 	return sortedPids(union)
 }
 
-// members is pid's Members() view, ascending.
-func (l *elastic) members(pid int) []int { return sortedPids(l.knownActive[pid]) }
-
-// equalize unions the per-scope sets of every live processor and gives
-// each of them the union. A rebalance can move a leaf under a scope
-// whose members acknowledged a death or join the mover only saw
-// elsewhere; afterwards the moved-in member owes exactly the notices
-// its new peers owe.
-func (l *elastic) equalize(sets []ackSets) {
+// equalize unions the per-scope acked sets of every live processor and
+// gives each of them the union. A rebalance can move a leaf under a
+// scope whose members acknowledged a death the mover only saw
+// elsewhere; afterwards the moved-in member owes exactly the notices its
+// new peers owe.
+func (l *elastic) equalize() {
 	var union ackSets
-	for pid, perScope := range sets {
+	for pid, perScope := range l.acked {
 		if !l.alive(pid) {
 			continue
 		}
@@ -238,93 +156,42 @@ func (l *elastic) equalize(sets []ackSets) {
 			}
 		}
 	}
-	for pid := range sets {
+	for pid := range l.acked {
 		if !l.alive(pid) {
 			continue
 		}
 		for scope, set := range union {
 			for q := range set {
-				sets[pid].add(scope, q)
+				l.acked[pid].add(scope, q)
 			}
 		}
 	}
-}
-
-// seed gives a newcomer activated at the given cut, per scope, the sets
-// of the scope's smallest live old member. Old members agree on them at
-// a cut, so the newcomer inherits exactly the notices they still owe
-// and burns the same generations. A scope with no live old member
-// seeds nothing: the newcomer's notices there race nobody.
-func (l *elastic) seed(pid, cut int) {
-	l.tree.Root.Walk(func(scope *model.Machine) {
-		donor := -1
-		for _, m := range scope.Pids() {
-			if m == pid || !l.alive(m) || l.joined[m] == cut {
-				continue
-			}
-			if donor < 0 || m < donor {
-				donor = m
-			}
-		}
-		if donor < 0 {
-			return
-		}
-		for d := range l.acked[donor][scope] {
-			l.acked[pid].add(scope, d)
-		}
-		for j := range l.ackedJoin[donor][scope] {
-			l.ackedJoin[pid].add(scope, j)
-		}
-	})
-}
-
-// due lists, ascending, the dormant processors whose JoinAt point the
-// R-th completed global barrier has reached.
-func (l *elastic) due(R int) []int {
-	var act []int
-	for _, pid := range sortedPids(l.dormant) {
-		if l.chaos.JoinStep(pid) <= R {
-			act = append(act, pid)
-		}
-	}
-	return act
 }
 
 // cut runs the consistent cut after the R-th completed global barrier,
-// with every live processor parked: rebalance the tree, equalize the
-// ack sets, activate the due joiners — in that order. A started joiner
-// reads the tree at once, so nothing may change it after start(pid).
-// depth is how many collectives the barrier is inside, on its smallest
-// participant (SPMD programs agree on it): a collective picks
-// its coordinators before a barrier and looks them up after it, so a
-// reorganization due at depth > 0 is owed to the first global barrier
-// at depth 0. start lets an activated pid run. now stamps the emitted
-// events.
-func (l *elastic) cut(R, depth int, now float64, start func(pid int)) error {
+// with every live processor parked: when a reorganization is due,
+// rebalance the tree and equalize the ack sets. depth is how many
+// collectives the barrier is inside, on its smallest participant (SPMD
+// programs agree on it): a collective picks its coordinators before a
+// barrier and looks them up after it, so a reorganization due at
+// depth > 0 is owed to the first global barrier at depth 0. now stamps
+// the emitted events.
+func (l *elastic) cut(R, depth int, now float64) error {
 	l.owed = l.owed || l.reorgEvery > 0 && R%l.reorgEvery == 0
-	if l.owed && depth > 0 {
+	if !l.owed {
+		return nil
+	}
+	if depth > 0 {
 		l.obsv.Reorg(l.epoch+1, 0, true, now)
-	} else if l.owed {
-		l.owed = false
-		l.epoch++
-		plan := model.PlanReorg(l.tree, l.rer.Estimates(), l.reorgSeed, l.epoch)
-		if err := l.tree.Reorganize(plan); err != nil {
-			return err
-		}
-		l.obsv.Reorg(l.epoch, plan.Moved, false, now)
-		l.equalize(l.acked)
-		l.equalize(l.ackedJoin)
+		return nil
 	}
-	act := l.due(R)
-	for _, pid := range act {
-		delete(l.dormant, pid)
+	l.owed = false
+	l.epoch++
+	plan := model.PlanReorg(l.tree, l.rer.Estimates(), l.reorgSeed, l.epoch)
+	if err := l.tree.Reorganize(plan); err != nil {
+		return err
 	}
-	for _, pid := range act {
-		l.joined[pid] = R
-		l.knownActive[pid] = l.activeSet()
-		l.seed(pid, R)
-		l.obsv.Chaos("join", R, pid, pid, now)
-		start(pid)
-	}
+	l.obsv.Reorg(l.epoch, plan.Moved, false, now)
+	l.equalize()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -80,9 +81,9 @@ func TestTwoDeathsTwoNoticesSmallestFirst(t *testing.T) {
 
 // gridLedger is a ledger over two clusters of three: A = {0,1,2},
 // B = {3,4,5}.
-func gridLedger(chaos *fabric.ChaosPlan, reorgEvery int) (*elastic, *model.Machine, *model.Machine) {
+func gridLedger(reorgEvery int) (*elastic, *model.Machine, *model.Machine) {
 	tr := model.WideAreaGrid(2, 3, 10, 10, 100)
-	l := newElastic(tr, chaos, nil, reorgEvery, 7)
+	l := newElastic(tr, nil, reorgEvery, 7)
 	return l, tr.Root.Children[0], tr.Root.Children[1]
 }
 
@@ -101,11 +102,10 @@ func TestLedgerEqualize(t *testing.T) {
 		peers []int
 	}
 	cases := []struct {
-		name    string
-		dead    []int
-		dormant []int
-		acks    []ack
-		want    map[int][2]map[int]bool // pid -> {acked on A, acked on B}
+		name string
+		dead []int
+		acks []ack
+		want map[int][2]map[int]bool // pid -> {acked on A, acked on B}
 	}{
 		{
 			name: "a leaf moving under a scope inherits its acked set",
@@ -117,13 +117,12 @@ func TestLedgerEqualize(t *testing.T) {
 			},
 		},
 		{
-			name:    "the dead neither give nor take, the dormant do not take",
-			dead:    []int{2},
-			dormant: []int{5},
-			acks:    []ack{{pid: 2, inB: true, peers: []int{4}}, {pid: 3, inB: true, peers: []int{5}}},
+			name: "the dead neither give nor take",
+			dead: []int{2},
+			acks: []ack{{pid: 2, inB: true, peers: []int{4}}, {pid: 3, inB: true, peers: []int{5}}},
 			want: map[int][2]map[int]bool{
 				0: {nil, setOf(5)}, 1: {nil, setOf(5)}, 2: {nil, setOf(4)},
-				3: {nil, setOf(5)}, 4: {nil, setOf(5)}, 5: {nil, nil},
+				3: {nil, setOf(5)}, 4: {nil, setOf(5)}, 5: {nil, setOf(5)},
 			},
 		},
 		{
@@ -137,12 +136,9 @@ func TestLedgerEqualize(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l, a, b := gridLedger(nil, 0)
+			l, a, b := gridLedger(0)
 			for _, pid := range tc.dead {
 				l.kill(pid, 0, "crash-stop")
-			}
-			for _, pid := range tc.dormant {
-				l.dormant[pid] = true
 			}
 			for _, k := range tc.acks {
 				scope := a
@@ -153,7 +149,7 @@ func TestLedgerEqualize(t *testing.T) {
 					l.acked[k.pid].add(scope, q)
 				}
 			}
-			l.equalize(l.acked)
+			l.equalize()
 			for pid, want := range tc.want {
 				for i, scope := range []*model.Machine{a, b} {
 					if got := l.acked[pid][scope]; len(got)+len(want[i]) > 0 && !reflect.DeepEqual(got, want[i]) {
@@ -165,107 +161,31 @@ func TestLedgerEqualize(t *testing.T) {
 	}
 }
 
-func TestLedgerSeedNewcomer(t *testing.T) {
-	const cut = 4
-	cases := []struct {
-		name       string
-		newcomer   int
-		dead       []int
-		dormant    []int
-		sameCut    []int         // other newcomers activated at this cut
-		ackedOnA   map[int][]int // old member -> dead it acked on cluster A
-		joinsOnA   map[int][]int // old member -> joins it acked on cluster A
-		wantDead   map[int]bool
-		wantJoined map[int]bool
-	}{
-		{
-			name:     "donor is the smallest live old member",
-			newcomer: 2, dead: []int{0},
-			ackedOnA: map[int][]int{0: {9}, 1: {0}}, joinsOnA: map[int][]int{1: {8}},
-			wantDead: setOf(0), wantJoined: setOf(8),
-		},
-		{
-			name:     "a newcomer of the same cut is no donor",
-			newcomer: 2, sameCut: []int{0},
-			ackedOnA: map[int][]int{0: {9}, 1: {7}},
-			wantDead: setOf(7),
-		},
-		{
-			name:     "no live old member seeds nothing",
-			newcomer: 2, dead: []int{0}, dormant: []int{1},
-			ackedOnA: map[int][]int{0: {9}, 1: {7}},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			l, a, _ := gridLedger(nil, 0)
-			for _, pid := range tc.dead {
-				l.kill(pid, 0, "crash-stop")
-			}
-			for _, pid := range tc.dormant {
-				l.dormant[pid] = true
-			}
-			for _, pid := range append(tc.sameCut, tc.newcomer) {
-				l.joined[pid] = cut
-			}
-			for pid, ds := range tc.ackedOnA {
-				for _, d := range ds {
-					l.acked[pid].add(a, d)
-				}
-			}
-			for pid, js := range tc.joinsOnA {
-				for _, j := range js {
-					l.ackedJoin[pid].add(a, j)
-				}
-			}
-			l.seed(tc.newcomer, cut)
-			if got := l.acked[tc.newcomer][a]; len(got)+len(tc.wantDead) > 0 && !reflect.DeepEqual(got, tc.wantDead) {
-				t.Errorf("seeded dead acks on A = %v, want %v", got, tc.wantDead)
-			}
-			if got := l.ackedJoin[tc.newcomer][a]; len(got)+len(tc.wantJoined) > 0 && !reflect.DeepEqual(got, tc.wantJoined) {
-				t.Errorf("seeded join acks on A = %v, want %v", got, tc.wantJoined)
-			}
-			// The newcomer's own leaf scope has no old member at all.
-			leaf := l.tree.Leaf(tc.newcomer)
-			if len(l.acked[tc.newcomer][leaf])+len(l.ackedJoin[tc.newcomer][leaf]) > 0 {
-				t.Errorf("leaf scope seeded: %v %v", l.acked[tc.newcomer][leaf], l.ackedJoin[tc.newcomer][leaf])
-			}
-		})
-	}
-}
-
-// Acks are keyed by the scope's *model.Machine: a join acknowledged on a
-// leaf-level scope stays with that leaf when a reorganization moves it
-// to another slot, where it gets another label.
+// Acks are keyed by the scope's *model.Machine, and the reorganizing
+// cut equalizes them: a leaf the rebalance moves under the other cluster
+// owes no notice its new peers consumed there before it arrived.
 func TestLedgerAcksFollowMovedLeaf(t *testing.T) {
-	chaos := &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: 0, JoinAt: 1}}}
-	l, _, _ := gridLedger(chaos, 2)
-	started := -1
-	if err := l.cut(1, 0, 0, func(pid int) { started = pid }); err != nil || started != 0 {
-		t.Fatalf("activation cut: started p%d, err %v", started, err)
+	l, _, b := gridLedger(1)
+	l.kill(4, 0, "crash-stop")
+	for _, pid := range []int{3, 5} {
+		if n := l.deadNotice(pid, b); n == nil || n.Pid != 4 {
+			t.Fatalf("p%d's notice on B = %v, want p4's death", pid, n)
+		}
 	}
+	// Make p0 by far the slowest: the rebalance moves it under B.
 	leaf := l.tree.Leaf(0)
-	if n := l.joinNotice(0, leaf); n == nil || n.Pid != 0 || n.Step != 1 {
-		t.Fatalf("newcomer's own join notice on its leaf = %v", n)
-	}
-
-	// Make p0 by far the slowest: the rebalance moves it to the last slot.
-	before := leaf.Label()
 	for pid := 0; pid < l.tree.NProcs(); pid++ {
 		l.rer.Observe(pid, 1+1000*float64((6-pid)/6))
 	}
-	if err := l.cut(2, 0, 0, func(int) {}); err != nil {
+	if err := l.cut(1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if leaf.Label() == before || l.tree.Leaf(0) != leaf {
-		t.Fatalf("setup: leaf of p0 still %s, pid->leaf %v", leaf.Label(), l.tree.Leaf(0) == leaf)
+	if l.tree.Leaf(0) != leaf || !under(b, leaf) || !slices.Contains(b.Pids(), 4) {
+		t.Fatalf("setup: B holds %v, want p0 beside p4", b.Pids())
 	}
-	if n := l.joinNotice(0, leaf); n != nil {
-		t.Errorf("moved leaf owes its consumed notice again: %v", n)
-	}
-	l.tree.Root.Walk(func(m *model.Machine) {
-		if m.Label() == before && len(l.ackedJoin[0][m]) > 0 {
-			t.Errorf("the ack stayed with label %s, now %s: %v", before, m.Name, l.ackedJoin[0][m])
+	for _, pid := range b.Pids() {
+		if n := l.deadNotice(pid, b); pid != 4 && n != nil {
+			t.Errorf("p%d owes a notice on B its peers consumed before the move: %v", pid, n)
 		}
-	})
+	}
 }

@@ -23,11 +23,10 @@ type coreOpts struct {
 	// fates, and straggler bursts multiplying charged work. Fates hash
 	// message identities, so equal plans fate the same messages on both
 	// engines. On Virtual the plan composes with the fabric's noise model,
-	// a delay parks a message for that many completed supersteps, and a
-	// churn JoinAt starts a processor late; on Concurrent AtTime crashes
-	// do not apply (there is no virtual clock), a delay parks a message
-	// for that many of the sender's sync ordinals, and a JoinAt is
-	// refused.
+	// and a delay parks a message for that many completed supersteps; on
+	// Concurrent AtTime crashes do not apply (there is no virtual clock),
+	// and a delay parks a message for that many of the sender's sync
+	// ordinals.
 	Chaos *fabric.ChaosPlan
 
 	// Obsv, when non-nil, receives structured spans and metrics for the
@@ -101,12 +100,9 @@ type proc struct {
 	// (Concurrent only); under Verify spoiled is the poisoned draws before.
 	scratch, spoiled []pvm.Frame
 
-	// failedView is the dead-pid set this processor has acknowledged and
-	// membersView the active-pid set it knows (its starting membership
-	// plus every acknowledged join, on Virtual), staged by the engine
-	// whenever a notice is consumed.
-	failedView  []int
-	membersView []int
+	// failedView is the dead-pid set this processor has acknowledged,
+	// staged by the engine whenever a notice is consumed.
+	failedView []int
 	// saved holds the Save()d state, by key, as last saved. Only a
 	// recording Virtual (RunSchedules) makes it; elsewhere Save is a
 	// no-op.
@@ -139,7 +135,6 @@ func (p *proc) Tree() *model.Tree    { return p.tree }
 func (p *proc) Self() *model.Machine { return p.leaf }
 func (p *proc) Moves() []Message     { return p.inbox }
 func (p *proc) Failed() []int        { return append([]int(nil), p.failedView...) }
-func (p *proc) Members() []int       { return append([]int(nil), p.membersView...) }
 
 func (p *proc) core() *proc { return p }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,51 +13,40 @@ import (
 	"hbspk/internal/obsv"
 )
 
-// The elastic-membership and reorganization contract: late joins surface
-// to every scope member — the newcomer included — as a typed
-// ErrPeerJoined exactly once per scope per join batch; orderly leaves
-// surface as ErrPeerFailed with cause "leave", on both engines;
-// barrier-time rebalancing permutes leaf slots without breaking barrier
-// alignment; and identical seeds produce identical reorg schedules. Late
-// joins and reorganization run on Virtual only: Concurrent runs the
-// membership it starts with.
+// The churn and reorganization contract: orderly leaves surface as
+// ErrPeerFailed with cause "leave", on both engines, so the membership
+// only shrinks; barrier-time rebalancing permutes leaf slots without
+// breaking barrier alignment; and identical seeds produce identical
+// reorg schedules. Reorganization runs on Virtual only.
 
 const (
-	ctlTag   = 7 // coordinator -> members: stop flag
-	dataTag  = 8 // members -> coordinator: fold contribution
-	earlyTag = 9 // message sent to a still-dormant processor
+	ctlTag  = 7 // coordinator -> members: stop flag
+	dataTag = 8 // members -> coordinator: fold contribution
 )
 
 // churnObs collects per-processor observations from a churn-tolerant
 // program, for assertions after the run.
 type churnObs struct {
-	mu      sync.Mutex
-	joins   map[int]int    // pid -> join notices absorbed
-	fails   map[int]int    // pid -> failure notices absorbed
-	members map[int][]int  // pid -> final Members()
-	failed  map[int][]int  // pid -> final Failed()
-	sums    map[int]int64  // pid -> final fold value
-	rounds  map[int]int    // pid -> rounds completed
-	early   map[int]string // pid -> payload received under earlyTag
-	exit    map[int]error  // pid -> error the program unwound with
+	mu     sync.Mutex
+	fails  map[int]int   // pid -> failure notices absorbed
+	failed map[int][]int // pid -> final Failed()
+	sums   map[int]int64 // pid -> final fold value
+	rounds map[int]int   // pid -> rounds completed
+	exit   map[int]error // pid -> error the program unwound with
 }
 
 func newChurnObs() *churnObs {
 	return &churnObs{
-		joins: map[int]int{}, fails: map[int]int{},
-		members: map[int][]int{}, failed: map[int][]int{},
-		sums: map[int]int64{}, rounds: map[int]int{},
-		early: map[int]string{}, exit: map[int]error{},
+		fails: map[int]int{}, failed: map[int][]int{},
+		sums: map[int]int64{}, rounds: map[int]int{}, exit: map[int]error{},
 	}
 }
 
-func (o *churnObs) noteJoin(pid int) { o.mu.Lock(); o.joins[pid]++; o.mu.Unlock() }
 func (o *churnObs) noteFail(pid int) { o.mu.Lock(); o.fails[pid]++; o.mu.Unlock() }
 
 func (o *churnObs) finish(c Ctx, sum int64, rounds int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.members[c.Pid()] = c.Members()
 	o.failed[c.Pid()] = c.Failed()
 	o.sums[c.Pid()] = sum
 	o.rounds[c.Pid()] = rounds
@@ -68,17 +56,14 @@ func (o *churnObs) finish(c Ctx, sum int64, rounds int) {
 type churnCfg struct {
 	rounds int
 	work   float64
-	early  bool // coordinator sends one pre-activation message to earlyTo
 }
 
 // churnProg builds a self-synchronizing iterative workload: processor 0
-// coordinates termination by broadcasting a stop flag each round while
-// the other members fold data back. Membership notices — ErrPeerFailed
-// and ErrPeerJoined — are absorbed by re-sending and retrying the
-// barrier, so the loop survives crash-stops, orderly leaves and late
-// joins. A newcomer does not know the current round number; it obeys
-// the coordinator's stop flag, which is what makes the loop
-// self-synchronizing under churn.
+// coordinates termination by broadcasting a stop flag each round to
+// every processor it does not know to be dead, while the others fold
+// data back. Death notices (ErrPeerFailed) are absorbed by re-sending
+// and retrying the barrier, so the loop survives crash-stops and
+// orderly leaves.
 func churnProg(cfg churnCfg, obs *churnObs) Program {
 	return func(c Ctx) (retErr error) {
 		defer func() {
@@ -92,11 +77,6 @@ func churnProg(cfg churnCfg, obs *churnObs) Program {
 		var sum int64
 		done := 0
 		stop := false
-		if cfg.early && c.Pid() == 0 {
-			if err := c.Send(3, earlyTag, []byte("before-activation")); err != nil {
-				return err
-			}
-		}
 		for round := 0; !stop; round++ {
 			for { // retry loop: one iteration per absorbed notice
 				failed := map[int]bool{}
@@ -108,8 +88,8 @@ func churnProg(cfg churnCfg, obs *churnObs) Program {
 					if round >= cfg.rounds-1 {
 						flag = 1
 					}
-					for _, m := range c.Members() {
-						if m != 0 && !failed[m] {
+					for m := 1; m < c.NProcs(); m++ {
+						if !failed[m] {
 							if err := c.Send(m, ctlTag, []byte{flag}); err != nil {
 								return err
 							}
@@ -125,16 +105,11 @@ func churnProg(cfg churnCfg, obs *churnObs) Program {
 				if err == nil {
 					break
 				}
-				var pj *ErrPeerJoined
 				var pf *ErrPeerFailed
-				switch {
-				case errors.As(err, &pj):
-					obs.noteJoin(c.Pid())
-				case errors.As(err, &pf):
-					obs.noteFail(c.Pid())
-				default:
+				if !errors.As(err, &pf) {
 					return err
 				}
+				obs.noteFail(c.Pid())
 			}
 			for _, m := range c.Moves() {
 				switch {
@@ -142,10 +117,6 @@ func churnProg(cfg churnCfg, obs *churnObs) Program {
 					sum += int64(m.Payload[0]) + int64(round)
 				case m.Src == 0 && m.Tag == ctlTag:
 					stop = m.Payload[0] == 1
-				case m.Tag == earlyTag:
-					obs.mu.Lock()
-					obs.early[c.Pid()] = string(m.Payload)
-					obs.mu.Unlock()
 				}
 			}
 			if c.Pid() == 0 {
@@ -196,68 +167,6 @@ func runElasticConcurrent(t *testing.T, tr *model.Tree, plan *fabric.ChaosPlan, 
 	return err
 }
 
-// Every member of the root scope — the newcomer included — must absorb
-// the join notice exactly once, and every final membership view must
-// include the whole batch.
-func checkJoinSymmetry(t *testing.T, obs *churnObs, allPids []int, engine string) {
-	t.Helper()
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	for _, pid := range allPids {
-		if got := obs.joins[pid]; got != 1 {
-			t.Errorf("%s: p%d absorbed %d join notices, want exactly 1", engine, pid, got)
-		}
-		if got := obs.members[pid]; !reflect.DeepEqual(got, allPids) {
-			t.Errorf("%s: p%d final Members() = %v, want %v", engine, pid, got, allPids)
-		}
-	}
-}
-
-func TestJoinNoticeSymmetricVirtual(t *testing.T) {
-	tr := model.UCFTestbedN(4)
-	plan := &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: 3, JoinAt: 2}}}
-	obs := newChurnObs()
-	if err := runElasticVirtual(t, tr, plan, 0, 0, churnProg(churnCfg{rounds: 6, work: 1}, obs)); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	checkJoinSymmetry(t, obs, []int{0, 1, 2, 3}, "virtual")
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	if obs.rounds[3] == 0 || obs.rounds[3] >= obs.rounds[1] {
-		t.Errorf("joiner completed %d rounds, want in [1, %d)", obs.rounds[3], obs.rounds[1])
-	}
-	// Rounds 0..5 from p1 (pid+round) and p2; the joiner activates after
-	// two completed global barriers, so it contributes rounds 2..5.
-	want := int64(0)
-	for r := 0; r < 6; r++ {
-		want += int64(1+r) + int64(2+r)
-		if r >= 2 {
-			want += int64(3 + r)
-		}
-	}
-	if obs.sums[0] != want {
-		t.Errorf("coordinator fold = %d, want %d", obs.sums[0], want)
-	}
-}
-
-// A message sent to a processor that has not activated yet is held and
-// delivered at the first shared superstep after its activation.
-func TestMessageToDormantHeldUntilActivation(t *testing.T) {
-	t.Run("virtual", func(t *testing.T) {
-		tr := model.UCFTestbedN(4)
-		plan := &fabric.ChaosPlan{Churns: []fabric.Churn{{Pid: 3, JoinAt: 2}}}
-		obs := newChurnObs()
-		if err := runElasticVirtual(t, tr, plan, 0, 0, churnProg(churnCfg{rounds: 6, work: 1, early: true}, obs)); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		obs.mu.Lock()
-		defer obs.mu.Unlock()
-		if got := obs.early[3]; got != "before-activation" {
-			t.Errorf("joiner received %q under earlyTag, want the held pre-activation message", got)
-		}
-	})
-}
-
 // An orderly leave surfaces to survivors as ErrPeerFailed with cause
 // "leave" and to the leaver itself as an errLeave error; the run
 // completes over the remaining members.
@@ -289,7 +198,7 @@ func TestLeaveOrderly(t *testing.T) {
 				if got := obs.failed[pid]; !reflect.DeepEqual(got, []int{2}) {
 					t.Errorf("survivor p%d Failed() = %v, want [2]", pid, got)
 				}
-				if _, finished := obs.members[pid]; !finished {
+				if _, finished := obs.rounds[pid]; !finished {
 					t.Errorf("survivor p%d did not finish", pid)
 				}
 			}
@@ -415,8 +324,8 @@ func TestReorgWaitsOutASpan(t *testing.T) {
 	})
 }
 
-// Delivery-order permutations must not leak into a reorganizing,
-// churning run: every replay fingerprint agrees, and the caller's tree
+// Delivery-order permutations must not leak into a reorganizing run
+// with a leaver: every replay fingerprint agrees, and the caller's tree
 // comes back in its pristine layout.
 func TestRunSchedulesAgreeUnderChurnAndReorg(t *testing.T) {
 	tr := model.UCFTestbedN(6)
@@ -424,7 +333,7 @@ func TestRunSchedulesAgreeUnderChurnAndReorg(t *testing.T) {
 	eng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
 	eng.Chaos = &fabric.ChaosPlan{
 		Stragglers: []fabric.Straggler{{Pid: 1, FromStep: 0, ToStep: 20, Factor: 5}},
-		Churns:     []fabric.Churn{{Pid: 5, JoinAt: 2}, {Pid: 2, LeaveAt: 5}},
+		Churns:     []fabric.Churn{{Pid: 2, LeaveAt: 5}},
 	}
 	eng.ReorgEvery = 3
 	eng.ReorgSeed = 7
@@ -442,23 +351,25 @@ func TestRunSchedulesAgreeUnderChurnAndReorg(t *testing.T) {
 }
 
 // TestChurnReorgSoakSeeded is the CI smoke (check.sh runs it under
-// -race): seeded churn schedules with joins, leaves and a straggler
-// burst. Reorganizing every third barrier, the virtual engine must
-// reproduce itself bit-for-bit, and every finisher must end with the same
-// membership and failure view. With the joins filtered out and no
-// reorganization — the membership Concurrent runs — both engines must
-// agree on the fold and on every finisher's Members and Failed view.
+// -race): seeded orderly leaves and a straggler burst. Reorganizing every
+// third barrier, the virtual engine must reproduce itself bit-for-bit,
+// and every finisher must end with the same failure view. Without
+// reorganization both engines must agree on the fold and on every
+// finisher's Failed view.
 func TestChurnReorgSoakSeeded(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plan := &fabric.ChaosPlan{
 				Seed:   seed,
-				Churns: fabric.SeededChurn(seed, 8, 2, 2, 4),
+				Churns: fabric.SeededChurn(seed, 8, 2, 4),
 				Stragglers: []fabric.Straggler{
 					{Pid: 1, FromStep: 0, ToStep: 30, Factor: 5},
 				},
 			}
-			run := func(engine string, plan *fabric.ChaosPlan, every int) (*churnObs, []int) {
+			if len(plan.Churns) == 0 {
+				t.Fatal("the seeded plan has no leave: the soak tests nothing")
+			}
+			run := func(engine string, every int) (*churnObs, []int) {
 				tr := model.UCFTestbedN(8)
 				obs := newChurnObs()
 				prog := churnProg(churnCfg{rounds: 12, work: 1}, obs)
@@ -473,39 +384,31 @@ func TestChurnReorgSoakSeeded(t *testing.T) {
 				}
 				return obs, leafPids(tr)
 			}
-			obs1, lay1 := run("virtual", plan, 3)
-			obs2, lay2 := run("virtual", plan, 3)
+			obs1, lay1 := run("virtual", 3)
+			obs2, lay2 := run("virtual", 3)
 			if !reflect.DeepEqual(lay1, lay2) || !reflect.DeepEqual(obs1.sums, obs2.sums) ||
-				!reflect.DeepEqual(obs1.members, obs2.members) || !reflect.DeepEqual(obs1.failed, obs2.failed) {
+				!reflect.DeepEqual(obs1.failed, obs2.failed) {
 				t.Errorf("virtual runs diverge: layouts %v vs %v, folds %v vs %v",
 					lay1, lay2, obs1.sums, obs2.sums)
 			}
-			// Every finisher ends with the same membership and failure view.
-			var wantM, wantF []int
-			for pid, m := range obs1.members {
-				if wantM == nil {
-					wantM, wantF = m, obs1.failed[pid]
-					continue
-				}
-				if !reflect.DeepEqual(m, wantM) || !reflect.DeepEqual(obs1.failed[pid], wantF) {
-					t.Errorf("p%d view diverges: Members %v / Failed %v, want %v / %v",
-						pid, m, obs1.failed[pid], wantM, wantF)
+			// Every finisher ends with the same failure view.
+			var want []int
+			for pid, f := range obs1.failed {
+				if want == nil {
+					want = f
+				} else if !reflect.DeepEqual(f, want) {
+					t.Errorf("p%d Failed %v, want %v", pid, f, want)
 				}
 			}
 
-			fixed := *plan
-			fixed.Churns = slices.DeleteFunc(slices.Clone(plan.Churns), func(c fabric.Churn) bool { return c.JoinAt > 0 })
-			if len(fixed.Churns) == 0 {
-				t.Fatal("the seeded plan has no leave: the fixed-membership lane tests nothing")
-			}
-			obsV, _ := run("virtual", &fixed, 0)
-			obsC, _ := run("concurrent", &fixed, 0)
+			obsV, _ := run("virtual", 0)
+			obsC, _ := run("concurrent", 0)
 			if obsV.sums[0] != obsC.sums[0] {
 				t.Errorf("engines diverge on fold: virtual %d vs concurrent %d", obsV.sums[0], obsC.sums[0])
 			}
-			if !reflect.DeepEqual(obsV.members, obsC.members) || !reflect.DeepEqual(obsV.failed, obsC.failed) {
-				t.Errorf("engines diverge on the finishers' views: virtual Members %v / Failed %v, concurrent %v / %v",
-					obsV.members, obsV.failed, obsC.members, obsC.failed)
+			if !reflect.DeepEqual(obsV.failed, obsC.failed) {
+				t.Errorf("engines diverge on the finishers' Failed views: virtual %v, concurrent %v",
+					obsV.failed, obsC.failed)
 			}
 		})
 	}
@@ -556,12 +459,4 @@ func TestReorgQuiescesUnwindingVictim(t *testing.T) {
 			t.Fatalf("virtual makespan %v, want > 0", rep.Total)
 		}
 	})
-}
-
-func TestJoinNoticeString(t *testing.T) {
-	j := &ErrPeerJoined{Pid: 3, Step: 2}
-	want := "hbsp: peer p3 joined at global step 2"
-	if j.Error() != want {
-		t.Fatalf("ErrPeerJoined.Error() = %q, want %q", j.Error(), want)
-	}
 }

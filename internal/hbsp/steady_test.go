@@ -411,11 +411,10 @@ func TestObserverSeesEveryBarrierAndDelivery(t *testing.T) {
 	}
 }
 
-// lateFaults is twoLevel made fault-tolerant: a membership notice is
-// logged with the ordinal of the Sync that returned it and the Sync is
-// retried, a reorganization is followed to the leaf's new cluster, and a
-// latecomer takes its place from the global step its own join notice
-// names. before runs ahead of every Sync with the processor's ordinal.
+// lateFaults is twoLevel made fault-tolerant: a death notice is logged
+// with the ordinal of the Sync that returned it and the Sync is retried,
+// and a reorganization is followed to the leaf's new cluster. before
+// runs ahead of every Sync with the processor's ordinal.
 func lateFaults(rounds int, logs [][]string, before func(pid, ord int)) Program {
 	return func(c Ctx) error {
 		ord, done := 0, 0
@@ -426,14 +425,9 @@ func lateFaults(rounds int, logs [][]string, before func(pid, ord int)) Program 
 				err := c.Sync(s, label)
 				ord++
 				var pf *ErrPeerFailed
-				var pj *ErrPeerJoined
 				switch {
 				case err == nil:
 					return nil
-				case errors.As(err, &pj):
-					if pj.Pid == c.Pid() {
-						done = pj.Step
-					}
 				case !errors.As(err, &pf):
 					return err
 				}

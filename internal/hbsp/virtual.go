@@ -40,8 +40,9 @@ type Virtual struct {
 	// ReorgEvery-th completed global superstep (DESIGN.md §5.7): each
 	// processor's measured effective compute slowdown is folded into an
 	// EWMA estimate and, at the cut, the seeded model.PlanReorg is applied
-	// in place — leaves permuted across slots, shares re-derived. The same
-	// cut activates dormant joiners. The tree is mutated; use
+	// in place — leaves permuted across slots, shares re-derived. The
+	// membership is the one the run starts with, less its leavers and
+	// crash victims. The tree is mutated; use
 	// Tree.SaveLayout/RestoreLayout (RunSchedules does) to replay from the
 	// pristine layout. ReorgSeed drives the plan's tie-breaking; equal
 	// seeds give equal schedules.
@@ -166,12 +167,11 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 	p := v.tree.NProcs()
 	reqs := make(chan *vrequest)
 	st := &runState{
-		prog:       prog,
 		ctxs:       make([]*vctx, p),
 		wake:       make([]error, p),
 		pending:    make([]*vrequest, p),
 		done:       make([]bool, p),
-		led:        newElastic(v.tree, v.Chaos, v.Obsv, v.ReorgEvery, v.ReorgSeed),
+		led:        newElastic(v.tree, v.Obsv, v.ReorgEvery, v.ReorgSeed),
 		syncOrd:    make([]int, p),
 		detections: make([]int, p),
 		stepSum:    make([]float64, p),
@@ -183,15 +183,10 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 		if v.rec != nil {
 			st.ctxs[pid].saved = make(map[string][]byte)
 		}
+		go st.ctxs[pid].run(prog)
+		st.owe(pid, nil)
 	}
-	// Elastic membership: processors with a churn JoinAt fate stay
-	// dormant until the membership cut after that many completed global
-	// supersteps starts them.
-	actives := st.led.actives()
-	for _, pid := range actives {
-		st.ctxs[pid].membersView = actives
-		st.start(pid)
-	}
+	st.running = p
 	for st.running > 0 {
 		if len(st.runq) == 0 {
 			v.release(st) // queues a step's participants, or everyone with the desync
@@ -211,7 +206,6 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 // engine-side run state (recreated per Run; Virtual is not reusable
 // concurrently but may be reused serially).
 type runState struct {
-	prog Program
 	ctxs []*vctx
 
 	// runq lists, ascending, the processors owed a start or a resume;
@@ -227,9 +221,9 @@ type runState struct {
 	steps       stepLog
 	firstErr    error
 
-	// led is the run's membership ledger: dead, dormant and joined
-	// processors, per-scope acknowledgments, reorg estimates and the
-	// global cut. The engine keeps what is about time and delivery.
+	// led is the run's membership ledger: dead processors, per-scope
+	// acknowledgments, reorg estimates and the global cut. The engine
+	// keeps what is about time and delivery.
 	led *elastic
 
 	// syncOrd counts each processor's Sync calls; detections drives the
@@ -253,13 +247,6 @@ func (st *runState) owe(pid int, err error) {
 	i, _ := slices.BinarySearch(st.runq, pid)
 	st.runq = slices.Insert(st.runq, i, pid)
 	st.wake[pid] = err
-}
-
-// start creates pid's goroutine and queues its first baton.
-func (st *runState) start(pid int) {
-	go st.ctxs[pid].run(st.prog)
-	st.running++
-	st.owe(pid, nil)
 }
 
 // abort records the run's first error and resumes every parked processor
@@ -299,8 +286,8 @@ func (v *Virtual) handle(st *runState, req *vrequest) {
 
 // handleSync stamps, fault-checks and (if clean) parks one sync
 // request. The fault paths resume the requester instead: it is already
-// dead, it crash-stops now, the requested scope holds dead or joined
-// members it has not yet been told about, or the run has failed.
+// dead, it crash-stops now, the requested scope holds dead members it
+// has not yet been told about, or the run has failed.
 func (v *Virtual) handleSync(st *runState, req *vrequest) {
 	pid, c := req.pid, st.ctxs[req.pid]
 	req.ord = st.syncOrd[pid]
@@ -316,13 +303,6 @@ func (v *Virtual) handleSync(st *runState, req *vrequest) {
 		return
 	}
 	if v.failSync(st, req) {
-		return
-	}
-	// Unlike a death, a join carries no detection charge: it is planned
-	// at the cut, not detected by a deadline.
-	if n := st.led.joinNotice(pid, req.scope); n != nil {
-		c.membersView = st.led.members(pid)
-		st.owe(pid, n)
 		return
 	}
 	if st.firstErr != nil {
@@ -512,15 +492,14 @@ func (v *Virtual) completeStep(st *runState, scope *model.Machine, pids []int) {
 }
 
 // route takes this step's h-relation out of the undelivered pool: both
-// endpoints inside the scope, destination joined and alive, and any
-// chaos delay expired. A message to a corpse is dropped; the rest stay
-// queued for a wider or later step.
+// endpoints inside the scope, destination alive, and any chaos delay
+// expired. A message to a corpse is dropped; the rest stay queued for a
+// wider or later step.
 func (v *Virtual) route(st *runState, scope *model.Machine, stepIdx int, now float64) []pendingMsg {
 	var deliver []pendingMsg
 	rest := st.undelivered[:0]
 	for _, m := range st.undelivered {
-		if !under(scope, v.tree.Leaf(m.src)) || !under(scope, v.tree.Leaf(m.dst)) ||
-			st.led.dormant[m.dst] { // dormant: hold until activation
+		if !under(scope, v.tree.Leaf(m.src)) || !under(scope, v.tree.Leaf(m.dst)) {
 			rest = append(rest, m)
 			continue
 		}
@@ -595,20 +574,12 @@ func (v *Virtual) deliver(ctxs []*vctx, pids []int, deliver []pendingMsg, stepId
 // cut runs what a completed global barrier triggers: the barrier is the
 // run's consistent cut — every goroutine is parked or gone, a crash
 // victim's too, which has finished unwinding — so the ledger can
-// rebalance the tree and grow the membership with no program in flight.
-// The smallest participant's collective depth decides whether a due
-// reorganization waits. An activated processor's clock starts at the
-// cut.
+// rebalance the tree with no program in flight. The smallest
+// participant's collective depth decides whether a due reorganization
+// waits.
 func (v *Virtual) cut(st *runState, pids []int, end float64) {
 	st.globalSteps++
-	err := st.led.cut(st.globalSteps, st.ctxs[pids[0]].depth, end, func(pid int) {
-		c := st.ctxs[pid]
-		c.membersView = st.led.members(pid)
-		c.failedView = st.led.failed(pid)
-		c.clock = end
-		st.start(pid)
-	})
-	if err != nil && st.firstErr == nil {
+	if err := st.led.cut(st.globalSteps, st.ctxs[pids[0]].depth, end); err != nil && st.firstErr == nil {
 		st.firstErr = err
 	}
 }

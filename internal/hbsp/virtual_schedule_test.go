@@ -32,31 +32,23 @@ func (s soloCtx) Sync(scope *model.Machine, label string) error {
 
 // The rule every ordering guarantee of Virtual rests on: the coordinator
 // never has two processors runnable — through starts, resumes, failure
-// notices, a late joiner and the run's teardown.
+// notices and the run's teardown.
 func TestVirtualRunsOneProcessorAtATime(t *testing.T) {
 	tr := model.WideAreaGrid(3, 4, 12, 25000, 250000)
 	eng := NewVirtual(tr, fabric.New(tr, pvmNoisy(0.2, 3)))
-	eng.Chaos = &fabric.ChaosPlan{
-		Crashes: []fabric.Crash{{Pid: 5, AtStep: 3}},
-		Churns:  []fabric.Churn{{Pid: 9, JoinAt: 2}},
-	}
+	eng.Chaos = &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 5, AtStep: 3}}}
 	var inflight, peak atomic.Int32
 	_, err := eng.Run(func(c Ctx) error {
 		s := soloCtx{c, &inflight, &peak}
 		s.enter()
 		defer inflight.Add(-1)
-		round := 0
-		if s.Pid() == 9 {
-			round = 2 // the joiner starts after two global barriers
-		}
-		for ; round < 6; round++ {
+		for round := 0; round < 6; round++ {
 			for _, scope := range []*model.Machine{s.Tree().ScopeAt(s.Self(), 1), s.Tree().Root} {
 				runtime.Gosched() // let anyone else who could run, run
 				s.Charge(10)
 				err := s.Sync(scope, "round")
 				var pf *ErrPeerFailed
-				var pj *ErrPeerJoined
-				for errors.As(err, &pf) || errors.As(err, &pj) {
+				for errors.As(err, &pf) {
 					runtime.Gosched()
 					err = s.Sync(scope, "retry")
 				}
